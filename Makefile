@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-report chaos fuzz cover test-lowmem test-recovery test-serve test-filters test-rs test-index test-durability test-cluster all
+.PHONY: build test vet race chaos fuzz cover test-env all
 
 all: build vet test
 
@@ -20,20 +20,6 @@ vet:
 # sequential-vs-parallel equivalence property tests.
 race:
 	$(GO) test -race ./...
-
-# bench runs the perf-regression subset benchreport records.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffleThroughput' -benchmem ./internal/mapreduce/
-	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchmem ./internal/fragjoin/
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelSpeedup|BenchmarkFig7' .
-	$(GO) test -run '^$$' -bench 'BenchmarkMemoryBudget' ./internal/mapreduce/
-
-# bench-report regenerates BENCH_PR10.json (engine, kernels with the
-# bitmap filter on and off, end-to-end and memory-budget suites plus
-# derived ratios, filter-effectiveness, robustness, serving, r-s join,
-# probe-index serving, durability and multi-process worker probes).
-bench-report:
-	$(GO) run ./cmd/benchreport -o BENCH_PR10.json
 
 # chaos runs the seeded fault-injection equivalence suites under the race
 # detector (DESIGN.md §7). Any failure is re-runnable from its seed.
@@ -52,94 +38,20 @@ fuzz:
 	$(GO) test -fuzz 'FuzzBitmapSignature' -fuzztime 10s ./internal/filters/
 	$(GO) test -fuzz 'FuzzIndexCodec' -fuzztime 10s ./internal/probeindex/
 	$(GO) test -fuzz 'FuzzWAL' -fuzztime 10s ./internal/probeindex/
-
-# test-lowmem forces every test through the out-of-core shuffle: a 4 KiB
-# budget via the environment (tests that set an explicit budget ignore it)
-# under the race detector. CI runs this as its low-memory job.
-test-lowmem:
-	FSJOIN_MEMORY_BUDGET=4096 $(GO) test -race ./...
-
-# test-recovery runs the checkpoint/restart and poison-record suites
-# (DESIGN.md §9) under the race detector with a 1 KiB shuffle budget, so
-# crash-resume equivalence is proven while every stage also spills — the
-# composition of the durability and out-of-core paths. CI runs this as its
-# recovery job.
-test-recovery:
-	FSJOIN_MEMORY_BUDGET=1024 $(GO) test -race \
-		-run 'TestCrashResume|TestResume|TestCheckpointSalt|TestSkip|TestMaxSkipped|TestInjectedRecordFault|TestPipelineCheckpoint' \
-		. ./internal/mapreduce/
-	$(GO) test -race ./internal/checkpoint/
 	$(GO) test -fuzz 'FuzzDecode' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -fuzz 'FuzzLoadViaStore' -fuzztime 10s ./internal/checkpoint/
 
-# test-serve runs the multi-job serving-layer suites (DESIGN.md §10) under
-# the race detector: admission/queue unit tests, concurrent-equivalence and
-# degradation-contract tests through fsjoin.Server, the shared-Options race
-# test, typed task errors, and the fine-grained cancellation tests across
-# the engine, kernels and spill merge. The 64 KiB environment budget keeps
-# every served job on the out-of-core shuffle so leases and spill-dir
-# hygiene are exercised for real. CI runs this as its serve job.
-test-serve:
-	FSJOIN_MEMORY_BUDGET=65536 $(GO) test -race \
-		-run 'TestServer|TestConcurrentJoins|TestJoinSurfaces|TestGate|Cancel' \
-		. ./internal/sched/ ./internal/mapreduce/ ./internal/fragjoin/ ./internal/spill/
-
-# test-filters runs the bitmap signature filter suites (DESIGN.md §11)
-# under the race detector, then re-runs the equivalence and golden suites
-# with the filter forced on and forced off through the environment knob, so
-# both code paths are proven byte-identical whichever way the default
-# points. CI runs this as its filters job.
-test-filters:
-	$(GO) test -race ./internal/filters/
-	$(GO) test -race -run 'TestBitmap|TestGolden' .
-	$(GO) test -race -run 'Bitmap|Equivalence' ./internal/fragjoin/ ./internal/ridpairs/
-	FSJOIN_BITMAP=on $(GO) test -race -run 'TestGolden|TestAllAlgorithmsAgree' .
-	FSJOIN_BITMAP=off $(GO) test -race -run 'TestGolden|TestAllAlgorithmsAgree' .
-
-# test-rs runs the R-S (two-table) join suites (DESIGN.md §12) under the
-# race detector: the quick.Check differential oracle, the RSJoin(R,R) ≡
-# SelfJoin equivalence matrix, the golden R-S fixture, quarantine-key
-# disambiguation, the R-S chaos schedules and the R-S crash-resume matrix
-# entries, plus the internal R-S oracle tests. CI runs this as its rs job.
-test-rs:
-	$(GO) test -race -run 'TestRSJoin|TestGoldenRS|TestChaosEquivalenceRS|TestServerRSJoin|TestCrashResumeEquivalence/(fs-rs|fs-v-rs|ridpairs-rs|vsmart-rs|approx-rs)' .
-	$(GO) test -race -run 'RS|Join' ./internal/vsmart/ ./internal/minhash/ ./internal/ridpairs/ ./internal/core/
-
-# test-index runs the persistent probe-index suites (DESIGN.md §13) under
-# the race detector: the internal build/probe/overlay/persistence tests,
-# the public differential tests against the self-join, R-S join and
-# brute-force oracles, the golden probe fixture, the corrupt-load
-# rebuild-never-trust test, the Server probe path, and a smoke run of the
-# index-codec fuzz target. CI runs this as its index job.
-test-index:
-	$(GO) test -race ./internal/probeindex/
-	$(GO) test -race -run 'TestIndex|TestGoldenProbe|TestServerProbe' .
-	$(GO) test -fuzz 'FuzzIndexCodec' -fuzztime 10s ./internal/probeindex/
-
-# test-durability runs the probe-index durability suites (DESIGN.md §14)
-# under the race detector: the crash-kill matrix (in-process panics at
-# every WAL/compaction/snapshot boundary plus the forked SIGKILL harness),
-# WAL unit tests (torn tails, mid-log corruption, foreign headers,
-# injected write/fsync failures, group commit), the concurrent
-# probe/mutate/auto-compact race test, the public round-trip and
-# Server.MaintainIndex tests, and a smoke run of the WAL fuzz target. CI
-# runs this as its durability job.
-test-durability:
-	$(GO) test -race -run 'TestCrashKill|TestWAL|TestConcurrentDurable|TestPersistValidation' ./internal/probeindex/
-	$(GO) test -race -run 'TestDurableIndexRoundTrip|TestServerMaintain' .
-	$(GO) test -fuzz 'FuzzWAL' -fuzztime 10s ./internal/probeindex/
-
-# test-cluster runs the multi-process execution suites (DESIGN.md §15)
-# under the race detector: filesystem-transport equivalence, the seeded
-# transport-fault chaos schedules at parallelism 1 and 4, real 2-worker
-# clustered runs, and the worker-kill recovery harness (SIGKILL one of
-# two workers at every map/handoff/reduce boundary, byte-identical output
-# and reassignment counters enforced), plus the engine-level supervisor,
-# FS-transport and delivery-fault suites. CI runs this as its cluster
-# job.
-test-cluster:
-	$(GO) test -race -run 'TestFileShuffleEquivalence|TestChaosTransportEquivalence|TestMultiprocessEquivalence|TestWorkerKillRecovery|TestClusterRejections' .
-	$(GO) test -race -run 'TestFSTransport|TestDistributed|TestSupervisor|TestSeededPlanTransportKinds|TestInjectedDeliveryFaults|TestParseKillSpec' ./internal/mapreduce/
+# test-env runs the whole suite under the race detector with one
+# environment override, e.g. `make test-env ENV=FSJOIN_MEMORY_BUDGET=4096`.
+# CI runs it as a matrix over the values that change which code runs:
+#   FSJOIN_MEMORY_BUDGET=4096  every shuffle out-of-core (tests that set an
+#                              explicit budget ignore it)
+#   FSJOIN_MEMORY_BUDGET=1024  the same, tighter: crash-resume, quarantine
+#                              and serving suites compose with spilling
+#   FSJOIN_BITMAP=on / =off    the bitmap signature filter (DESIGN.md §11)
+#                              forced each way; output must not change
+test-env:
+	env $(ENV) $(GO) test -race ./...
 
 # cover enforces the CI total-coverage gate over the library packages
 # (the main packages under cmd/ and examples/ are thin wrappers with no

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"fsjoin/internal/mapreduce"
 )
@@ -49,105 +48,38 @@ const (
 const wireJobFile = "job.json"
 
 // wireJob is the serialised join a clustered run ships to its workers:
-// both relations as token strings plus every option that survives a
-// process boundary. Driver and workers all rebuild their collections from
-// this wire form (the driver deliberately re-encodes instead of reusing
-// the caller's dictionary), so token-id assignment — a function of
-// first-appearance order — agrees across processes by construction.
+// both relations as token strings plus the Options every process runs.
+// Options marshals itself — Context and OnQuarantine are tagged out and
+// the unexported injector and runtime never marshal; clusterRejections
+// refuses whichever of those would change semantics. Driver and workers all
+// rebuild their collections from this wire form (the driver deliberately
+// re-encodes instead of reusing the caller's dictionary), so token-id
+// assignment — a function of first-appearance order — agrees across
+// processes by construction.
 type wireJob struct {
-	RS  bool        `json:"rs"` // R-S join (false: self-join, S ignored)
-	R   [][]string  `json:"r"`
-	S   [][]string  `json:"s,omitempty"`
-	Opt wireOptions `json:"opt"`
+	RS  bool       `json:"rs"` // R-S join (false: self-join, S ignored)
+	R   [][]string `json:"r"`
+	S   [][]string `json:"s,omitempty"`
+	Opt Options    `json:"opt"`
 }
 
-// wireOptions is the serialisable subset of Options. Context,
-// OnQuarantine, the test injector and CheckpointDir cannot cross a
-// process boundary; runCluster rejects the ones that would change
-// semantics and drops the rest.
-type wireOptions struct {
-	Threshold            float64       `json:"threshold"`
-	Function             int           `json:"function"`
-	Algorithm            int           `json:"algorithm"`
-	VerticalPartitions   int           `json:"vertical_partitions,omitempty"`
-	HorizontalPivots     int           `json:"horizontal_pivots,omitempty"`
-	PivotSelection       int           `json:"pivot_selection,omitempty"`
-	JoinMethod           int           `json:"join_method,omitempty"`
-	BitmapFilter         int           `json:"bitmap_filter,omitempty"`
-	BitmapWidth          int           `json:"bitmap_width,omitempty"`
-	Nodes                int           `json:"nodes,omitempty"`
-	Seed                 int64         `json:"seed,omitempty"`
-	WorkBudget           int64         `json:"work_budget,omitempty"`
-	LocalParallelism     int           `json:"local_parallelism,omitempty"`
-	MemoryBudget         int64         `json:"memory_budget,omitempty"`
-	SpillDir             string        `json:"spill_dir,omitempty"`
-	MaxAttempts          int           `json:"max_attempts,omitempty"`
-	RetryBackoffBase     time.Duration `json:"retry_backoff_base,omitempty"`
-	ChaosSeed            int64         `json:"chaos_seed,omitempty"`
-	ChaosIntensity       float64       `json:"chaos_intensity,omitempty"`
-	ChaosTransportFaults bool          `json:"chaos_transport_faults,omitempty"`
-	SkipBadRecords       bool          `json:"skip_bad_records,omitempty"`
-	MaxSkippedRecords    int           `json:"max_skipped_records,omitempty"`
-}
-
-// toWire lowers Options onto the wire subset.
-func toWire(o Options) wireOptions {
-	return wireOptions{
-		Threshold:            o.Threshold,
-		Function:             int(o.Function),
-		Algorithm:            int(o.Algorithm),
-		VerticalPartitions:   o.VerticalPartitions,
-		HorizontalPivots:     o.HorizontalPivots,
-		PivotSelection:       int(o.PivotSelection),
-		JoinMethod:           int(o.JoinMethod),
-		BitmapFilter:         int(o.BitmapFilter),
-		BitmapWidth:          o.BitmapWidth,
-		Nodes:                o.Nodes,
-		Seed:                 o.Seed,
-		WorkBudget:           o.WorkBudget,
-		LocalParallelism:     o.LocalParallelism,
-		MemoryBudget:         o.MemoryBudget,
-		SpillDir:             o.SpillDir,
-		MaxAttempts:          o.Fault.MaxAttempts,
-		RetryBackoffBase:     o.Fault.RetryBackoffBase,
-		ChaosSeed:            o.Fault.ChaosSeed,
-		ChaosIntensity:       o.Fault.ChaosIntensity,
-		ChaosTransportFaults: o.Fault.ChaosTransportFaults,
-		SkipBadRecords:       o.Fault.SkipBadRecords,
-		MaxSkippedRecords:    o.Fault.MaxSkippedRecords,
-	}
-}
-
-// options raises the wire subset back to Options. Speculative execution
-// is deliberately absent: it is wall-clock-driven and the supervisor's
-// lease reassignment already covers stragglers in clustered runs.
-func (w wireOptions) options() Options {
-	return Options{
-		Threshold:          w.Threshold,
-		Function:           Similarity(w.Function),
-		Algorithm:          Algorithm(w.Algorithm),
-		VerticalPartitions: w.VerticalPartitions,
-		HorizontalPivots:   w.HorizontalPivots,
-		PivotSelection:     PivotSelection(w.PivotSelection),
-		JoinMethod:         JoinMethod(w.JoinMethod),
-		BitmapFilter:       BitmapFilterMode(w.BitmapFilter),
-		BitmapWidth:        w.BitmapWidth,
-		Nodes:              w.Nodes,
-		Seed:               w.Seed,
-		WorkBudget:         w.WorkBudget,
-		LocalParallelism:   w.LocalParallelism,
-		MemoryBudget:       w.MemoryBudget,
-		SpillDir:           w.SpillDir,
-		Fault: FaultOptions{
-			MaxAttempts:          w.MaxAttempts,
-			RetryBackoffBase:     w.RetryBackoffBase,
-			ChaosSeed:            w.ChaosSeed,
-			ChaosIntensity:       w.ChaosIntensity,
-			ChaosTransportFaults: w.ChaosTransportFaults,
-			SkipBadRecords:       w.SkipBadRecords,
-			MaxSkippedRecords:    w.MaxSkippedRecords,
-		},
-	}
+// clusterRejections lists the options a Workers > 1 run refuses rather
+// than silently change semantics: each cannot cross a process boundary or
+// is superseded by the supervisor. runCluster enforces the table;
+// TestClusterRejections walks it.
+var clusterRejections = []struct {
+	name  string
+	isSet func(*Options) bool
+	err   string
+}{
+	{"CheckpointDir", func(o *Options) bool { return o.CheckpointDir != "" },
+		"is incompatible with CheckpointDir (checkpoint the single-process run instead)"},
+	{"Fault.injector", func(o *Options) bool { return o.Fault.injector != nil },
+		"cannot carry a test fault injector across processes"},
+	{"Fault.OnQuarantine", func(o *Options) bool { return o.Fault.OnQuarantine != nil },
+		"cannot deliver OnQuarantine callbacks (tasks run in worker processes)"},
+	{"Fault.SpeculativeDelay", func(o *Options) bool { return o.Fault.SpeculativeDelay != 0 },
+		"replaces speculation with supervisor lease reassignment; unset SpeculativeDelay"},
 }
 
 // wireSets serialises a collection back to token strings, one sorted
@@ -211,18 +143,12 @@ func runWorker() error {
 	if err != nil {
 		return err
 	}
-	opt := job.Opt.options()
-	opt.runtime = mapreduce.Runtime{
+	job.Opt.runtime = mapreduce.Runtime{
 		Transport: mapreduce.NewFSTransport(dir, true),
 		Executor:  client,
 	}
 	r, s := job.rebuild()
-	if job.RS {
-		_, err = r.Join(s, opt)
-	} else {
-		_, err = r.SelfJoin(opt)
-	}
-	if err != nil {
+	if _, err := run(r, s, job.Opt); err != nil {
 		return err
 	}
 	client.Close()
@@ -252,17 +178,10 @@ func clusterKillSpec() (worker int, killAt string, err error) {
 // SPMD replica: it replays the pipeline for Result assembly while the
 // workers do the task work.
 func runCluster(r, s *Collection, opt Options) (*Result, error) {
-	if opt.CheckpointDir != "" {
-		return nil, errors.New("fsjoin: Workers > 1 is incompatible with CheckpointDir (checkpoint the single-process run instead)")
-	}
-	if opt.Fault.injector != nil {
-		return nil, errors.New("fsjoin: Workers > 1 cannot carry a test fault injector across processes")
-	}
-	if opt.Fault.OnQuarantine != nil {
-		return nil, errors.New("fsjoin: Workers > 1 cannot deliver OnQuarantine callbacks (tasks run in worker processes)")
-	}
-	if opt.Fault.SpeculativeDelay != 0 {
-		return nil, errors.New("fsjoin: Workers > 1 replaces speculation with supervisor lease reassignment; unset SpeculativeDelay")
+	for _, rej := range clusterRejections {
+		if rej.isSet(&opt) {
+			return nil, errors.New("fsjoin: Workers > 1 " + rej.err)
+		}
 	}
 	killWorker, killAt, err := clusterKillSpec()
 	if err != nil {
@@ -283,8 +202,12 @@ func runCluster(r, s *Collection, opt Options) (*Result, error) {
 		defer os.RemoveAll(dir)
 	}
 
-	// The job spec every process (this one included) rebuilds from.
-	job := wireJob{RS: s != nil, R: wireSets(r), Opt: toWire(opt)}
+	// The job spec every process (this one included) rebuilds from. Workers
+	// and WorkDir are cleared so each process takes the normal
+	// single-process path with the distributed runtime plugged in.
+	spec := opt
+	spec.Workers, spec.WorkDir = 0, ""
+	job := wireJob{RS: s != nil, R: wireSets(r), Opt: spec}
 	if s != nil {
 		job.S = wireSets(s)
 	}
@@ -336,21 +259,13 @@ func runCluster(r, s *Collection, opt Options) (*Result, error) {
 	defer driver.Close()
 
 	// The driver replays the identical pipeline over the rebuilt
-	// collections; Workers is cleared so the nested call takes the normal
-	// single-process path with the distributed runtime plugged in.
-	opt2 := job.Opt.options()
-	opt2.Context = opt.Context
-	opt2.runtime = mapreduce.Runtime{
+	// collections.
+	spec.runtime = mapreduce.Runtime{
 		Transport: mapreduce.NewFSTransport(dir, true),
 		Executor:  driver,
 	}
 	rd, sd := job.rebuild()
-	var res *Result
-	if job.RS {
-		res, err = rd.Join(sd, opt2)
-	} else {
-		res, err = rd.SelfJoin(opt2)
-	}
+	res, err := run(rd, sd, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -217,22 +217,25 @@ func TestWorkerKillRecovery(t *testing.T) {
 }
 
 // TestClusterRejections pins the option combinations a clustered run must
-// refuse rather than silently change semantics.
+// refuse rather than silently change semantics: every clusterRejections
+// entry has a trigger here and is refused.
 func TestClusterRejections(t *testing.T) {
 	texts := corpus(12, 3)
-	run := func(mutate func(*Options)) error {
+	triggers := map[string]func(*Options){
+		"CheckpointDir":          func(o *Options) { o.CheckpointDir = t.TempDir() },
+		"Fault.injector":         func(o *Options) { o.Fault.injector = &jobRecorder{} },
+		"Fault.OnQuarantine":     func(o *Options) { o.Fault.OnQuarantine = func(QuarantinedRecord) {} },
+		"Fault.SpeculativeDelay": func(o *Options) { o.Fault.SpeculativeDelay = 1 },
+	}
+	for _, rej := range clusterRejections {
+		trigger, ok := triggers[rej.name]
+		if !ok {
+			t.Fatalf("rejection %s has no trigger in this test", rej.name)
+		}
 		opt := Options{Threshold: 0.7, Algorithm: FSJoin, Workers: 2}
-		mutate(&opt)
-		_, err := SelfJoinStrings(texts, opt)
-		return err
-	}
-	if err := run(func(o *Options) { o.CheckpointDir = t.TempDir() }); err == nil {
-		t.Fatal("CheckpointDir with Workers > 1 not rejected")
-	}
-	if err := run(func(o *Options) { o.Fault.SpeculativeDelay = 1 }); err == nil {
-		t.Fatal("SpeculativeDelay with Workers > 1 not rejected")
-	}
-	if err := run(func(o *Options) { o.Fault.injector = &jobRecorder{} }); err == nil {
-		t.Fatal("test injector with Workers > 1 not rejected")
+		trigger(&opt)
+		if _, err := SelfJoinStrings(texts, opt); err == nil {
+			t.Fatalf("%s with Workers > 1 not rejected", rej.name)
+		}
 	}
 }

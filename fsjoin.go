@@ -238,7 +238,7 @@ type Options struct {
 	WorkBudget int64
 	// Context, when non-nil, cancels the join at the next task boundary
 	// with the context's error.
-	Context context.Context
+	Context context.Context `json:"-"`
 	// LocalParallelism is the number of simulated tasks run concurrently on
 	// the local machine, for every algorithm. 0 (the default) uses one
 	// worker per CPU core; 1 forces sequential execution, which gives the
@@ -350,7 +350,7 @@ type FaultOptions struct {
 	MaxSkippedRecords int
 	// OnQuarantine, when non-nil, receives every quarantined record.
 	// Calls are serialised by the engine.
-	OnQuarantine func(QuarantinedRecord)
+	OnQuarantine func(QuarantinedRecord) `json:"-"`
 
 	// injector lets in-package tests schedule precise faults (including
 	// poison records) without widening the public API.
@@ -412,6 +412,20 @@ func (o Options) faultPolicy() mapreduce.FaultPolicy {
 		}
 	}
 	return fp
+}
+
+// env lowers the public execution knobs onto the engine environment every
+// algorithm forwards to its pipeline — the one place a new engine-wide
+// setting is wired.
+func (o Options) env() mapreduce.Env {
+	return mapreduce.Env{
+		Context:        o.Context,
+		Fault:          o.faultPolicy(),
+		SpillDir:       o.SpillDir,
+		CheckpointDir:  o.CheckpointDir,
+		CheckpointSalt: o.checkpointSalt(),
+		Runtime:        o.runtime,
+	}
 }
 
 // checkpointSalt folds every option that changes a stage's semantics into

@@ -5,10 +5,9 @@
 package core
 
 import (
-	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"fsjoin/internal/filters"
 	"fsjoin/internal/fragjoin"
@@ -16,7 +15,9 @@ import (
 	"fsjoin/internal/order"
 	"fsjoin/internal/partition"
 	"fsjoin/internal/result"
+	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -26,8 +27,9 @@ type Options struct {
 	Fn similarity.Func
 	// Theta is the similarity threshold in (0, 1].
 	Theta float64
-	// PivotMethod selects vertical pivots (default EvenTF, the paper's
-	// choice).
+	// PivotMethod selects vertical pivots. The zero value is
+	// partition.Random; the paper's choice, EvenTF, is what the public
+	// layer passes by default.
 	PivotMethod partition.PivotMethod
 	// VerticalPartitions is the number of fragments (paper default 30);
 	// 0 means 3 × cluster nodes.
@@ -36,7 +38,9 @@ type Options struct {
 	// horizontal partitions. 0 disables horizontal partitioning
 	// (FS-Join-V).
 	HorizontalPivots int
-	// JoinMethod is the fragment join kernel (default Prefix).
+	// JoinMethod is the fragment join kernel. The zero value is
+	// fragjoin.Loop; the paper's choice, Prefix, is what the public layer
+	// passes by default.
 	JoinMethod fragjoin.Method
 	// Filters is the enabled filter set (default All). The Prefix bit is
 	// normalised to match JoinMethod.
@@ -52,36 +56,21 @@ type Options struct {
 	// OrderKind selects the global ordering strategy (default: the
 	// paper's ascending term frequency).
 	OrderKind order.Kind
-	// Ctx, when non-nil, cancels the pipeline at the next task boundary.
-	Ctx context.Context
 	// LocalParallelism runs that many engine tasks concurrently on the
 	// local machine; 0 or 1 is sequential (best cost-model fidelity) and a
 	// negative value (mapreduce.AutoParallelism) uses one worker per core.
 	// Results and all shuffle metrics are identical at any setting.
 	LocalParallelism int
-	// Fault is the fault-tolerance and fault-injection policy inherited by
-	// every stage; see mapreduce.FaultPolicy.
-	Fault mapreduce.FaultPolicy
 	// MemoryBudget caps each map task's in-memory shuffle buffer; records
 	// beyond it spill to sorted runs on disk and merge back at reduce time
 	// (see mapreduce.Config.MemoryBudgetBytes). 0 defers to the engine
 	// default (FSJOIN_MEMORY_BUDGET); negative forces unbounded. Results
 	// are byte-identical at any budget.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files ("" = OS temp dir).
-	SpillDir string
-	// CheckpointDir, when non-empty, persists each completed pipeline
-	// stage there for crash/restart recovery; see
-	// mapreduce.Pipeline.CheckpointDir.
-	CheckpointDir string
-	// CheckpointSalt folds the caller's configuration into every stage
-	// fingerprint, so one checkpoint directory reused under different
-	// options recomputes instead of replaying mismatched state.
-	CheckpointSalt string
-	// Runtime selects the execution substrate (shuffle transport and, for
-	// multi-process runs, the task executor); the zero value is the
-	// in-process engine. See mapreduce.Runtime.
-	Runtime mapreduce.Runtime
+	// Env is the execution environment (cancellation, fault policy, spill
+	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// see mapreduce.Env.
+	Env mapreduce.Env
 	// Bitmap configures the hashed signature filter every join kernel
 	// applies before exact intersections (DESIGN.md §11). The zero value is
 	// auto: enabled, width from per-fragment length statistics, overridable
@@ -144,14 +133,23 @@ type partial struct {
 // SizeBytes implements mapreduce.Sized.
 func (partial) SizeBytes() int { return 12 }
 
-// taggedRecord is the filtering job's input value for R-S joins.
-type taggedRecord struct {
-	rec    tokens.Record
-	origin uint8
+// Spill codec (DESIGN.md §8): partial is the verification job's shuffle
+// value; its combiner fold is pure addition on C, so re-folding merged
+// runs is exact. Tag 41.
+func init() {
+	spill.RegisterValue(41, partial{},
+		func(buf []byte, v any) []byte {
+			p := v.(partial)
+			buf = binary.AppendVarint(buf, int64(p.C))
+			buf = binary.AppendVarint(buf, int64(p.La))
+			return binary.AppendVarint(buf, int64(p.Lb))
+		},
+		func(b []byte) (any, error) {
+			d := spill.NewDec(b)
+			p := partial{C: int32(d.Varint()), La: int32(d.Varint()), Lb: int32(d.Varint())}
+			return p, d.Err()
+		})
 }
-
-// SizeBytes implements mapreduce.Sized.
-func (t taggedRecord) SizeBytes() int { return 5 + 4*len(t.rec.Tokens) }
 
 // SelfJoin runs FS-Join over one collection.
 func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
@@ -174,37 +172,25 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 	rs := s != nil
 	p := mapreduce.NewPipeline("fs-join", opt.Cluster)
-	p.Context = opt.Ctx
 	p.Parallelism = opt.LocalParallelism // inherited by all three stages
-	p.Fault = opt.Fault
 	p.MemoryBudgetBytes = opt.MemoryBudget
-	p.SpillDir = opt.SpillDir
-	p.CheckpointDir = opt.CheckpointDir
-	p.CheckpointSalt = opt.CheckpointSalt
-	p.Runtime = opt.Runtime
+	p.Env = opt.Env
 
 	// ---- Phase 1: Ordering (one MR job over the union) ----
-	union := r
-	if rs {
-		union = &tokens.Collection{Records: append(append([]tokens.Record{}, r.Records...), s.Records...)}
-	}
+	union := rsinput.Union(r, s)
 	o, err := order.ComputeKind(p, union, opt.OrderKind)
 	if err != nil {
 		return nil, err
 	}
-	ordered, err := o.Apply(r)
+	input, err := rsinput.Ordered(o, r, s)
 	if err != nil {
 		return nil, err
 	}
-	var orderedS *tokens.Collection
-	if rs {
-		if orderedS, err = o.Apply(s); err != nil {
-			return nil, err
-		}
-	}
 
-	// ---- Driver-side setup: pivots, published to the DFS the way the
-	// ordering job's output reaches Algorithm 1's setup() ----
+	// ---- Driver-side setup: the vertical pivots and horizontal
+	// partitioner every filter map task uses. In the paper the ordering
+	// job's output reaches them through HDFS and Algorithm 1's SetUp
+	// (lines 2–4); in-process the mapper simply holds them. ----
 	pivots := partition.SelectPivots(opt.PivotMethod, o, opt.VerticalPartitions-1, opt.Seed)
 	horiz := partition.NoHorizontal(opt.Fn, opt.Theta)
 	if opt.HorizontalPivots > 0 {
@@ -215,17 +201,10 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 		lp := partition.SelectLengthPivots(opt.Fn, opt.Theta, lengths, opt.HorizontalPivots)
 		horiz = partition.NewHorizontal(opt.Fn, opt.Theta, lp)
 	}
-	dfs := mapreduce.NewDFS()
-	dfs.Write(dfsPivots, pivots)
-	dfs.Write(dfsHorizontal, horiz)
 	splitter := partition.NewSplitter(pivots)
 
 	// ---- Phase 2: Filtering (vertical partition map, fragment join
 	// reduce) ----
-	input := tagInput(ordered, 0)
-	if rs {
-		input = append(input, tagInput(orderedS, 1)...)
-	}
 	nv := splitter.Fragments()
 	params := fragjoin.Params{
 		Fn:          opt.Fn,
@@ -244,7 +223,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 			h, v := mapreduce.DecodePairKey(key)
 			return int(h*uint32(nv)+v) % reducers
 		},
-	}, input, &filterMapper{dfs: dfs}, &filterReducer{params: params})
+	}, input, &filterMapper{splitter: splitter, horiz: horiz}, &filterReducer{params: params})
 	if err != nil {
 		return nil, err
 	}
@@ -269,50 +248,17 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}, nil
 }
 
-// tagInput converts a collection into filtering-job input pairs. The key
-// carries the origin (mapreduce.OriginKey), so skip-mode quarantine reports
-// distinguish R#x from S#x when the two rid spaces overlap.
-func tagInput(c *tokens.Collection, origin uint8) []mapreduce.KV {
-	kvs := make([]mapreduce.KV, 0, len(c.Records))
-	for _, rec := range c.Records {
-		kvs = append(kvs, mapreduce.KV{
-			Key:   mapreduce.OriginKey(origin, uint32(rec.RID)),
-			Value: taggedRecord{rec: rec, origin: origin},
-		})
-	}
-	return kvs
-}
-
-// DFS paths under which the driver publishes the setup data each filter
-// map task loads, mirroring Algorithm 1's SetUp (lines 2–4).
-const (
-	dfsPivots     = "fs-join/vertical-pivots"
-	dfsHorizontal = "fs-join/horizontal-partitioner"
-)
-
 // filterMapper implements Algorithm 1's map: vertical (and horizontal)
-// partitioning, emitting (partition id, segment+segInfo). Its Setup hook
-// loads the pivots from the DFS, as the paper's mappers do; the load is
-// once-guarded so concurrent task setups stay race-free.
+// partitioning, emitting (partition id, segment+segInfo).
 type filterMapper struct {
-	dfs      *mapreduce.DFS
-	once     sync.Once
 	splitter *partition.Splitter
 	horiz    *partition.Horizontal
 }
 
-// Setup implements mapreduce.Setupper: load the global setup data.
-func (m *filterMapper) Setup(ctx *mapreduce.Context) {
-	m.once.Do(func() {
-		m.splitter = partition.NewSplitter(m.dfs.MustRead(dfsPivots).([]uint32))
-		m.horiz = m.dfs.MustRead(dfsHorizontal).(*partition.Horizontal)
-	})
-}
-
 // Map implements mapreduce.Mapper.
 func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
-	tr := kv.Value.(taggedRecord)
-	rec := tr.rec
+	tr := kv.Value.(rsinput.Record)
+	rec := tr.Rec
 	if rec.Len() == 0 {
 		return
 	}
@@ -321,7 +267,7 @@ func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 		for _, seg := range segs {
 			ctx.Emit(mapreduce.PairKey(uint32(asg.Partition), uint32(seg.Fragment)), fragjoin.Seg{
 				RID:    rec.RID,
-				Origin: tr.origin,
+				Origin: tr.Origin,
 				Role:   asg.Role,
 				StrLen: int32(seg.StrLen),
 				Head:   int32(seg.Head),

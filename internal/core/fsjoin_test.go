@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"fsjoin/internal/bruteforce"
+	"fsjoin/internal/filters"
 	"fsjoin/internal/fragjoin"
 	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/order"
 	"fsjoin/internal/partition"
 	"fsjoin/internal/result"
 	"fsjoin/internal/similarity"
@@ -106,6 +108,34 @@ func TestRSJoinMatchesOracle(t *testing.T) {
 				t.Fatalf("Join: %v", err)
 			}
 			checkAgainstOracle(t, res.Pairs, want, "rs-join")
+		}
+	}
+}
+
+// TestZeroOptionsResolve pins what a zero Options (only the required Theta
+// set) resolves to. The zero PivotMethod and JoinMethod are Random and
+// Loop — not the paper's EvenTF and Prefix, which the public layer passes
+// explicitly — and the enums must not be renumbered to change that.
+func TestZeroOptionsResolve(t *testing.T) {
+	o, err := Options{Theta: 0.8}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field     string
+		got, want any
+	}{
+		{"Fn", o.Fn, similarity.Jaccard},
+		{"PivotMethod", o.PivotMethod, partition.Random},
+		{"JoinMethod", o.JoinMethod, fragjoin.Loop},
+		{"Filters", o.Filters, filters.All &^ filters.Prefix},
+		{"OrderKind", o.OrderKind, order.FreqAscending},
+		{"Cluster.Nodes", o.Cluster.Nodes, 10},
+		{"VerticalPartitions", o.VerticalPartitions, 30},
+		{"HorizontalPivots", o.HorizontalPivots, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("zero Options: %s = %v, want %v", c.field, c.got, c.want)
 		}
 	}
 }

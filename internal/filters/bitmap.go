@@ -32,8 +32,8 @@ type BitmapMode uint8
 const (
 	// BitmapAuto enables the filter with the width chosen from length
 	// statistics; the FSJOIN_BITMAP / FSJOIN_BITMAP_WIDTH environment
-	// variables may override it (the test-filters CI job forces both
-	// directions through them).
+	// variables may override it (CI's env matrix forces both directions
+	// through them).
 	BitmapAuto BitmapMode = iota
 	// BitmapOn forces the filter on, ignoring the environment.
 	BitmapOn
@@ -79,7 +79,7 @@ type BitmapConfig struct {
 }
 
 // Counter names every bitmap-filter call site increments, surfaced through
-// fsjoin.Stats and cmd/benchreport's filter_effectiveness section.
+// fsjoin.Stats and the benchmark's filters.* metrics (bench/README.md).
 const (
 	// CtrBitmapBuilt counts signatures built (one per segment or record
 	// occurrence in a reduce group).

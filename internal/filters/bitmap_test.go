@@ -42,8 +42,7 @@ func dedup(toks []uint32) []uint32 {
 // TestSigBoundNeverBelowTrueOverlap is the filter's soundness property: for
 // random token sets, every width and every similarity function, the
 // popcount upper bound is ≥ the true overlap, so SigPrune never rejects a
-// pair the exact filters would keep. Run under -race by the test-filters
-// target.
+// pair the exact filters would keep.
 func TestSigBoundNeverBelowTrueOverlap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	prop := func(rawA, rawB []uint32, span16 uint16) bool {

@@ -246,14 +246,6 @@ func (f FaultPolicy) maxSkippedRecords() int64 {
 	return DefaultMaxSkippedRecords
 }
 
-// isZero reports whether the policy is entirely unset (FaultPolicy holds
-// funcs, so it is not comparable with ==).
-func (f FaultPolicy) isZero() bool {
-	return f.MaxAttempts == 0 && f.Backoff == nil && f.SpeculativeDelay == 0 &&
-		f.Injector == nil && !f.SkipBadRecords && f.MaxSkippedRecords == 0 &&
-		f.Quarantine == nil
-}
-
 // QuarantinedRecord identifies one input record (map) or key group
 // (reduce) that skip mode removed from a job, and the deterministic
 // failure it caused.

@@ -76,32 +76,6 @@ func TestCountersGetMissing(t *testing.T) {
 	}
 }
 
-func TestDFS(t *testing.T) {
-	d := NewDFS()
-	d.Write("a/b", 42)
-	v, err := d.Read("a/b")
-	if err != nil || v.(int) != 42 {
-		t.Fatalf("Read = %v, %v", v, err)
-	}
-	if _, err := d.Read("missing"); err == nil {
-		t.Fatal("missing file read succeeded")
-	}
-	d.Write("a/a", "x")
-	if got := d.List(); len(got) != 2 || got[0] != "a/a" {
-		t.Fatalf("List = %v", got)
-	}
-	d.Delete("a/b")
-	if _, err := d.Read("a/b"); err == nil {
-		t.Fatal("deleted file still readable")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRead on missing file did not panic")
-		}
-	}()
-	d.MustRead("gone")
-}
-
 func TestSizeOf(t *testing.T) {
 	cases := []struct {
 		v    any

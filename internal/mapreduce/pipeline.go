@@ -19,49 +19,63 @@ type Pipeline struct {
 	Name string
 	// Cluster is the shared cost model for all stages; nil means default.
 	Cluster *Cluster
-	// Context, when non-nil, is inherited by every stage that does not set
-	// its own; cancellation aborts the pipeline at the next task boundary.
-	Context context.Context
 	// Parallelism is inherited by every stage that leaves its
 	// Config.Parallelism at zero; see Config.Parallelism for the semantics.
 	Parallelism int
-	// Fault is inherited by every stage that leaves its Config.Fault at
-	// the zero value; see FaultPolicy. This is how a chaos schedule reaches
-	// every job of a multi-stage algorithm.
-	Fault FaultPolicy
 	// MemoryBudgetBytes is inherited by every stage that leaves its
 	// Config.MemoryBudgetBytes at zero; see Config.MemoryBudgetBytes. This
 	// is how one Options.MemoryBudget reaches every job of an algorithm.
 	MemoryBudgetBytes int64
-	// SpillDir is inherited by every stage that leaves its Config.SpillDir
-	// empty; see Config.SpillDir.
+	// Env is the execution environment every stage runs in.
+	Env
+
+	stages []stageResult
+	stores map[string]*checkpoint.Store
+	ckpt   CheckpointStats
+}
+
+// Env is the execution environment of a pipeline: the values the public
+// layer resolves once per join (fsjoin.Options.env) and every algorithm
+// forwards untouched from its options to its Pipeline. A new engine-wide
+// setting is a field here and nowhere in the algorithm packages.
+type Env struct {
+	// Context, when non-nil, cancels the pipeline at the next task
+	// boundary with the context's error.
+	Context context.Context
+	// Fault is the retry, speculation, skip-mode and (for tests) fault
+	// injection policy of every stage; see FaultPolicy. This is how a chaos
+	// schedule reaches every job of a multi-stage algorithm.
+	Fault FaultPolicy
+	// SpillDir is the parent directory for spill files; see
+	// Config.SpillDir.
 	SpillDir string
-	// CheckpointDir, when non-empty, is inherited by every stage that
-	// leaves its Config.CheckpointDir empty and makes the pipeline
-	// durable: each completed stage's output, counters and metrics are
-	// atomically persisted there, and a later run whose stage fingerprint
-	// (pipeline name + CheckpointSalt + stage position + job name +
-	// reduce-task count + full input content) matches replays the stage
-	// from disk byte-identically instead of re-executing it. Stale or
-	// corrupt checkpoints are discarded and recomputed, never trusted.
-	// Stages whose input or output values have no spill codec are run
+	// CheckpointDir, when non-empty, makes the pipeline durable: each
+	// completed stage's output, counters and metrics are atomically
+	// persisted there, and a later run whose stage fingerprint (pipeline
+	// name + CheckpointSalt + stage position + job name + reduce-task
+	// count + full input content) matches replays the stage from disk
+	// byte-identically instead of re-executing it. Stale or corrupt
+	// checkpoints are discarded and recomputed, never trusted. Stages
+	// whose input or output values have no spill codec are run
 	// uncheckpointed (counted in CheckpointStats.Skipped).
 	CheckpointDir string
 	// CheckpointSalt folds the caller's configuration into every stage
 	// fingerprint, so one directory reused under different algorithm
 	// options recomputes instead of replaying mismatched state.
 	CheckpointSalt string
-	// Runtime is inherited by every stage that leaves its Config.Runtime
-	// at the zero value — how one execution substrate (transport +
-	// executor, DESIGN.md §15) reaches every job of an algorithm. A
-	// distributed runtime (non-nil Executor) is incompatible with
-	// CheckpointDir: replaying a stage on some participants but not
-	// others would desynchronise the SPMD phase sequence.
+	// Runtime is the execution substrate (transport + executor, DESIGN.md
+	// §15) of every stage. A distributed runtime (non-nil Executor) is
+	// incompatible with CheckpointDir: replaying a stage on some
+	// participants but not others would desynchronise the SPMD phase
+	// sequence.
 	Runtime Runtime
+}
 
-	stages []stageResult
-	stores map[string]*checkpoint.Store
-	ckpt   CheckpointStats
+// inherit makes e the stage's environment. No stage of any pipeline sets
+// these Config fields itself, so there is nothing to merge.
+func (e Env) inherit(cfg *Config) {
+	cfg.Context, cfg.Fault, cfg.SpillDir = e.Context, e.Fault, e.SpillDir
+	cfg.CheckpointDir, cfg.Runtime = e.CheckpointDir, e.Runtime
 }
 
 // CheckpointStats reports a pipeline's checkpoint activity. Every stage
@@ -92,32 +106,19 @@ func NewPipeline(name string, cluster *Cluster) *Pipeline {
 }
 
 // Run executes one stage, recording its metrics. The stage inherits the
-// pipeline's cluster unless cfg already set one.
+// pipeline's cluster, parallelism and memory budget unless cfg already set
+// them, and always runs in the pipeline's Env.
 func (p *Pipeline) Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
 	if cfg.Cluster == nil {
 		cfg.Cluster = p.Cluster
 	}
-	if cfg.Context == nil {
-		cfg.Context = p.Context
-	}
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = p.Parallelism
-	}
-	if cfg.Fault.isZero() {
-		cfg.Fault = p.Fault
 	}
 	if cfg.MemoryBudgetBytes == 0 {
 		cfg.MemoryBudgetBytes = p.MemoryBudgetBytes
 	}
-	if cfg.SpillDir == "" {
-		cfg.SpillDir = p.SpillDir
-	}
-	if cfg.CheckpointDir == "" {
-		cfg.CheckpointDir = p.CheckpointDir
-	}
-	if cfg.Runtime.Transport == nil && cfg.Runtime.Executor == nil {
-		cfg.Runtime = p.Runtime
-	}
+	p.inherit(&cfg)
 	if cfg.Runtime.Executor != nil && cfg.CheckpointDir != "" {
 		return nil, fmt.Errorf("pipeline %s: a distributed Runtime is incompatible with CheckpointDir", p.Name)
 	}

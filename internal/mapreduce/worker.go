@@ -126,7 +126,6 @@ type Supervisor struct {
 	workers  map[int]*superWorker
 	counters SupervisorCounters
 	started  time.Time
-	everWork bool // a non-driver participant has registered at least once
 	closed   bool
 	fatal    error
 }
@@ -267,9 +266,6 @@ func (s *Supervisor) serveCtl(conn net.Conn, dec *json.Decoder, id int) {
 	}
 	w := &superWorker{id: id, ctl: conn, lastBeat: time.Now(), phaseSeq: -1}
 	s.workers[id] = w
-	if id != driverWorkerID {
-		s.everWork = true
-	}
 	s.mu.Unlock()
 	graceful := false
 	defer func() {
@@ -421,14 +417,15 @@ func (s *Supervisor) handleBarrier(seq int) ctlMsg {
 }
 
 // workersLost declares the run dead when no worker can finish the phase:
-// every registered worker is gone, or none ever registered within the
-// startup grace (the heartbeat timeout). Callers hold s.mu; the error is
-// sticky.
+// every registered worker is gone and the startup grace (the heartbeat
+// timeout) has passed. Within the grace other workers may still be
+// launching — one that registers and dies before its peers have connected
+// must not end the run. Callers hold s.mu; the error is sticky.
 func (s *Supervisor) workersLost(ph *superPhase) error {
 	if s.liveWorkers() {
 		return nil
 	}
-	if !s.everWork && time.Since(s.started) <= s.cfg.HeartbeatTimeout {
+	if time.Since(s.started) <= s.cfg.HeartbeatTimeout {
 		return nil // startup grace: workers are still launching
 	}
 	err := fmt.Errorf("phase %d (%s/%v): all workers dead with %d/%d tasks incomplete",

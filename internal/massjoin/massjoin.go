@@ -23,7 +23,6 @@
 package massjoin
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
@@ -75,34 +74,19 @@ type Options struct {
 	Cluster *mapreduce.Cluster
 	// MaxSignatures caps signature-job emissions; 0 means unlimited.
 	MaxSignatures int64
-	// Ctx, when non-nil, cancels the pipeline at the next task boundary.
-	Ctx context.Context
 	// Parallelism is the local engine parallelism for every stage; see
 	// mapreduce.Config.Parallelism.
 	Parallelism int
-	// Fault is the fault-tolerance and fault-injection policy inherited by
-	// every stage; see mapreduce.FaultPolicy.
-	Fault mapreduce.FaultPolicy
 	// MemoryBudget caps each map task's in-memory shuffle buffer; records
 	// beyond it spill to sorted runs on disk and merge back at reduce time
 	// (see mapreduce.Config.MemoryBudgetBytes). 0 defers to the engine
 	// default (FSJOIN_MEMORY_BUDGET); negative forces unbounded. Results
 	// are byte-identical at any budget.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files ("" = OS temp dir).
-	SpillDir string
-	// CheckpointDir, when non-empty, persists each completed pipeline
-	// stage there for crash/restart recovery; see
-	// mapreduce.Pipeline.CheckpointDir.
-	CheckpointDir string
-	// CheckpointSalt folds the caller's configuration into every stage
-	// fingerprint, so one checkpoint directory reused under different
-	// options recomputes instead of replaying mismatched state.
-	CheckpointSalt string
-	// Runtime selects the execution substrate (shuffle transport and, for
-	// multi-process runs, the task executor); the zero value is the
-	// in-process engine. See mapreduce.Runtime.
-	Runtime mapreduce.Runtime
+	// Env is the execution environment (cancellation, fault policy, spill
+	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// see mapreduce.Env.
+	Env mapreduce.Env
 }
 
 // Result carries the join output and pipeline metrics.

@@ -21,14 +21,9 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 		opt.Cluster = mapreduce.DefaultCluster()
 	}
 	p := mapreduce.NewPipeline("massjoin-"+opt.Variant.String(), opt.Cluster)
-	p.Context = opt.Ctx
 	p.Parallelism = opt.Parallelism
-	p.Fault = opt.Fault
 	p.MemoryBudgetBytes = opt.MemoryBudget
-	p.SpillDir = opt.SpillDir
-	p.CheckpointDir = opt.CheckpointDir
-	p.CheckpointSalt = opt.CheckpointSalt
-	p.Runtime = opt.Runtime
+	p.Env = opt.Env
 
 	// Job 1: global ordering (token frequency).
 	o, err := order.Compute(p, c)

@@ -13,7 +13,6 @@
 package minhash
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +22,7 @@ import (
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/result"
+	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
 	"fsjoin/internal/tokens"
 )
@@ -40,34 +40,19 @@ type Params struct {
 	Seed uint64
 	// Cluster is the cost model (default: the paper's 10-node cluster).
 	Cluster *mapreduce.Cluster
-	// Ctx, when non-nil, cancels the pipeline at the next task boundary.
-	Ctx context.Context
 	// Parallelism is the local engine parallelism for every stage; see
 	// mapreduce.Config.Parallelism.
 	Parallelism int
-	// Fault is the fault-tolerance and fault-injection policy inherited by
-	// every stage; see mapreduce.FaultPolicy.
-	Fault mapreduce.FaultPolicy
 	// MemoryBudget caps each map task's in-memory shuffle buffer; records
 	// beyond it spill to sorted runs on disk and merge back at reduce time
 	// (see mapreduce.Config.MemoryBudgetBytes). 0 defers to the engine
 	// default (FSJOIN_MEMORY_BUDGET); negative forces unbounded. Results
 	// are byte-identical at any budget.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files ("" = OS temp dir).
-	SpillDir string
-	// CheckpointDir, when non-empty, persists each completed pipeline
-	// stage there for crash/restart recovery; see
-	// mapreduce.Pipeline.CheckpointDir.
-	CheckpointDir string
-	// CheckpointSalt folds the caller's configuration into every stage
-	// fingerprint, so one checkpoint directory reused under different
-	// options recomputes instead of replaying mismatched state.
-	CheckpointSalt string
-	// Runtime selects the execution substrate (shuffle transport and, for
-	// multi-process runs, the task executor); the zero value is the
-	// in-process engine. See mapreduce.Runtime.
-	Runtime mapreduce.Runtime
+	// Env is the execution environment (cancellation, fault policy, spill
+	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// see mapreduce.Env.
+	Env mapreduce.Env
 }
 
 // Auto fills Bands and Rows so the S-curve's steep section brackets theta:
@@ -119,28 +104,6 @@ type recValue struct {
 // SizeBytes implements mapreduce.Sized.
 func (v recValue) SizeBytes() int { return 4 + 4*len(v.rec.Tokens) }
 
-// taggedRecord is the banding job's input value: a record plus its origin
-// relation (0 = R/self, 1 = S).
-type taggedRecord struct {
-	rec    tokens.Record
-	origin uint8
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (t taggedRecord) SizeBytes() int { return 5 + 4*len(t.rec.Tokens) }
-
-// tagInput converts a collection into banding-job input pairs.
-func tagInput(c *tokens.Collection, origin uint8) []mapreduce.KV {
-	kvs := make([]mapreduce.KV, 0, len(c.Records))
-	for _, rec := range c.Records {
-		kvs = append(kvs, mapreduce.KV{
-			Key:   mapreduce.OriginKey(origin, uint32(rec.RID)),
-			Value: taggedRecord{rec: rec, origin: origin},
-		})
-	}
-	return kvs
-}
-
 // SelfJoin runs the two-job approximate pipeline: banding (map: signatures,
 // reduce: bucket pair enumeration + dedup) and verification (records
 // shipped to candidate pairs, exact Jaccard check).
@@ -171,34 +134,25 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	}
 	rs := s != nil
 	pipe := mapreduce.NewPipeline("minhash-lsh", p.Cluster)
-	pipe.Context = p.Ctx
 	pipe.Parallelism = p.Parallelism
-	pipe.Fault = p.Fault
 	pipe.MemoryBudgetBytes = p.MemoryBudget
-	pipe.SpillDir = p.SpillDir
-	pipe.CheckpointDir = p.CheckpointDir
-	pipe.CheckpointSalt = p.CheckpointSalt
-	pipe.Runtime = p.Runtime
+	pipe.Env = p.Env
 
 	// Job 1: band signatures → candidate pairs. Token ids hash directly, so
 	// no global ordering job is needed; r and s share a dictionary.
-	input := tagInput(r, 0)
-	if rs {
-		input = append(input, tagInput(s, 1)...)
-	}
 	hashes := newFamily(p.Seed, p.Bands*p.Rows)
 	bandRes, err := pipe.Run(mapreduce.Config{Name: "banding"},
-		input,
+		rsinput.Tagged(r, s),
 		mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
-			tr := kv.Value.(taggedRecord)
-			rec := tr.rec
+			tr := kv.Value.(rsinput.Record)
+			rec := tr.Rec
 			if rec.Len() == 0 {
 				return
 			}
 			sig := hashes.signature(rec.Tokens)
 			for b := 0; b < p.Bands; b++ {
 				key := bandKey(b, sig[b*p.Rows:(b+1)*p.Rows])
-				ctx.Emit(key, sigValue{rid: rec.RID, l: int32(rec.Len()), origin: tr.origin})
+				ctx.Emit(key, sigValue{rid: rec.RID, l: int32(rec.Len()), origin: tr.Origin})
 			}
 		}),
 		&bucketJoiner{theta: p.Theta, rs: rs})

@@ -10,25 +10,8 @@ import (
 
 // Spill codecs for this package's shuffle values (DESIGN.md §8) and for
 // verified, the verify stage's output, which makes the final stage
-// checkpointable (DESIGN.md §9). taggedRecord is the banding job's input
-// (an R/S-tagged record), registered so R-S joins checkpoint and
-// fingerprint that stage boundary. Tags 56–60 and 62; this package owns
-// tags 56–60 and 62.
+// checkpointable (DESIGN.md §9). Tags 56–60.
 func init() {
-	spill.RegisterValue(62, taggedRecord{},
-		func(buf []byte, v any) []byte {
-			t := v.(taggedRecord)
-			buf = append(buf, t.origin)
-			buf = binary.AppendVarint(buf, int64(t.rec.RID))
-			return spill.AppendU32s(buf, t.rec.Tokens)
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			t := taggedRecord{origin: d.Byte()}
-			t.rec.RID = int32(d.Varint())
-			t.rec.Tokens = d.U32s()
-			return t, d.Err()
-		})
 	spill.RegisterValue(60, verified{},
 		func(buf []byte, v any) []byte {
 			x := v.(verified)

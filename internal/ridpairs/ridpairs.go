@@ -9,7 +9,7 @@
 package ridpairs
 
 import (
-	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -17,7 +17,9 @@ import (
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/order"
 	"fsjoin/internal/result"
+	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -28,34 +30,19 @@ type Options struct {
 	Theta float64
 	// Cluster is the cost model (default: the paper's 10-node cluster).
 	Cluster *mapreduce.Cluster
-	// Ctx, when non-nil, cancels the pipeline at the next task boundary.
-	Ctx context.Context
 	// Parallelism is the local engine parallelism for every stage; see
 	// mapreduce.Config.Parallelism.
 	Parallelism int
-	// Fault is the fault-tolerance and fault-injection policy inherited by
-	// every stage; see mapreduce.FaultPolicy.
-	Fault mapreduce.FaultPolicy
 	// MemoryBudget caps each map task's in-memory shuffle buffer; records
 	// beyond it spill to sorted runs on disk and merge back at reduce time
 	// (see mapreduce.Config.MemoryBudgetBytes). 0 defers to the engine
 	// default (FSJOIN_MEMORY_BUDGET); negative forces unbounded. Results
 	// are byte-identical at any budget.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files ("" = OS temp dir).
-	SpillDir string
-	// CheckpointDir, when non-empty, persists each completed pipeline
-	// stage there for crash/restart recovery; see
-	// mapreduce.Pipeline.CheckpointDir.
-	CheckpointDir string
-	// CheckpointSalt folds the caller's configuration into every stage
-	// fingerprint, so one checkpoint directory reused under different
-	// options recomputes instead of replaying mismatched state.
-	CheckpointSalt string
-	// Runtime selects the execution substrate (shuffle transport and, for
-	// multi-process runs, the task executor); the zero value is the
-	// in-process engine. See mapreduce.Runtime.
-	Runtime mapreduce.Runtime
+	// Env is the execution environment (cancellation, fault policy, spill
+	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// see mapreduce.Env.
+	Env mapreduce.Env
 	// Bitmap configures the hashed signature filter applied before
 	// verification (DESIGN.md §11): per-record fixed-width token bitmaps
 	// whose XOR+popcount overlap upper bound skips verifyOverlap calls
@@ -72,16 +59,6 @@ type Result struct {
 	Pipeline *mapreduce.Pipeline
 }
 
-// prefixValue is the shuffled record copy: origin tag plus the full ordered
-// token set (the whole record travels once per prefix token).
-type prefixValue struct {
-	rec    tokens.Record
-	origin uint8
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (v prefixValue) SizeBytes() int { return 5 + 4*len(v.rec.Tokens) }
-
 // simValue carries an exact verified similarity across the dedup job.
 type simValue struct {
 	c      int32
@@ -90,6 +67,22 @@ type simValue struct {
 
 // SizeBytes implements mapreduce.Sized.
 func (simValue) SizeBytes() int { return 12 }
+
+// Spill codec for the dedup job's shuffle value (DESIGN.md §8). Tag 44.
+func init() {
+	spill.RegisterValue(44, simValue{},
+		func(buf []byte, v any) []byte {
+			s := v.(simValue)
+			buf = binary.AppendVarint(buf, int64(s.c))
+			buf = binary.AppendVarint(buf, int64(s.la))
+			return binary.AppendVarint(buf, int64(s.lb))
+		},
+		func(b []byte) (any, error) {
+			d := spill.NewDec(b)
+			s := simValue{c: int32(d.Varint()), la: int32(d.Varint()), lb: int32(d.Varint())}
+			return s, d.Err()
+		})
+}
 
 // SelfJoin runs the three-stage RIDPairsPPJoin pipeline over one
 // collection.
@@ -114,35 +107,18 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 	rs := s != nil
 	p := mapreduce.NewPipeline("ridpairs-ppjoin", opt.Cluster)
-	p.Context = opt.Ctx
 	p.Parallelism = opt.Parallelism
-	p.Fault = opt.Fault
 	p.MemoryBudgetBytes = opt.MemoryBudget
-	p.SpillDir = opt.SpillDir
-	p.CheckpointDir = opt.CheckpointDir
-	p.CheckpointSalt = opt.CheckpointSalt
-	p.Runtime = opt.Runtime
+	p.Env = opt.Env
 
 	// Stage 1: global ordering (same job as FS-Join's) over the union.
-	union := r
-	if rs {
-		union = &tokens.Collection{Records: append(append([]tokens.Record{}, r.Records...), s.Records...)}
-	}
-	o, err := order.Compute(p, union)
+	o, err := order.Compute(p, rsinput.Union(r, s))
 	if err != nil {
 		return nil, err
 	}
-	ordered, err := o.Apply(r)
+	input, err := rsinput.Ordered(o, r, s)
 	if err != nil {
 		return nil, err
-	}
-	input := tagInput(ordered, 0)
-	if rs {
-		orderedS, err := o.Apply(s)
-		if err != nil {
-			return nil, err
-		}
-		input = append(input, tagInput(orderedS, 1)...)
 	}
 
 	// Stage 2: RIDPairs kernel — duplicate per prefix token, join groups.
@@ -174,22 +150,9 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	return &Result{Pairs: pairs, Pipeline: p}, nil
 }
 
-// tagInput converts a collection into kernel input pairs. The key carries
-// the origin (mapreduce.OriginKey), so skip-mode quarantine reports
-// distinguish R#x from S#x when the two rid spaces overlap.
-func tagInput(c *tokens.Collection, origin uint8) []mapreduce.KV {
-	kvs := make([]mapreduce.KV, 0, len(c.Records))
-	for _, rec := range c.Records {
-		kvs = append(kvs, mapreduce.KV{
-			Key:   mapreduce.OriginKey(origin, uint32(rec.RID)),
-			Value: prefixValue{rec: rec, origin: origin},
-		})
-	}
-	return kvs
-}
-
-// prefixMapper emits one full record copy per prefix token — the
-// signature-duplication scheme of Figure 1.
+// prefixMapper emits one full record copy (origin tag plus the whole
+// ordered token set) per prefix token — the signature-duplication scheme of
+// Figure 1.
 type prefixMapper struct {
 	fn    similarity.Func
 	theta float64
@@ -197,13 +160,13 @@ type prefixMapper struct {
 
 // Map implements mapreduce.Mapper.
 func (m *prefixMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
-	pv := kv.Value.(prefixValue)
-	if pv.rec.Len() == 0 {
+	pv := kv.Value.(rsinput.Record)
+	if pv.Rec.Len() == 0 {
 		return
 	}
-	plen := m.fn.ProbePrefixLen(m.theta, pv.rec.Len())
+	plen := m.fn.ProbePrefixLen(m.theta, pv.Rec.Len())
 	ctx.Inc("ridpairs.duplicates", int64(plen))
-	for _, t := range pv.rec.Tokens[:plen] {
+	for _, t := range pv.Rec.Tokens[:plen] {
 		ctx.Emit(mapreduce.U32Key(t), pv)
 	}
 }
@@ -223,11 +186,11 @@ type groupJoiner struct {
 // Reduce implements mapreduce.Reducer.
 func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 	w := mapreduce.DecodeU32Key(key)
-	recs := make([]prefixValue, len(values))
+	recs := make([]rsinput.Record, len(values))
 	pos := make([]int, len(values))
 	for i, v := range values {
-		recs[i] = v.(prefixValue)
-		pos[i] = tokenPos(recs[i].rec.Tokens, w)
+		recs[i] = v.(rsinput.Record)
+		pos[i] = tokenPos(recs[i].Rec.Tokens, w)
 	}
 	// Bitmap filter (DESIGN.md §11): one hashed signature per record in the
 	// group, built once, pre-screens every pair before verification.
@@ -236,12 +199,12 @@ func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 	if g.bitmap.Enabled() && len(recs) > 1 {
 		total := 0
 		for i := range recs {
-			total += recs[i].rec.Len()
+			total += recs[i].Rec.Len()
 		}
 		sigW = g.bitmap.Words(float64(total) / float64(len(recs)))
 		sigs = make([]filters.Signature, len(recs))
 		for i := range recs {
-			filters.BuildSignature(&sigs[i], recs[i].rec.Tokens, sigW)
+			filters.BuildSignature(&sigs[i], recs[i].Rec.Tokens, sigW)
 		}
 		ctx.Inc(filters.CtrBitmapBuilt, int64(len(recs)))
 	}
@@ -249,14 +212,14 @@ func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 		for j := i + 1; j < len(recs); j++ {
 			a, b := &recs[i], &recs[j]
 			if g.rs {
-				if a.origin == b.origin {
+				if a.Origin == b.Origin {
 					continue
 				}
-			} else if a.rec.RID == b.rec.RID {
+			} else if a.Rec.RID == b.Rec.RID {
 				continue
 			}
 			ctx.Inc("ridpairs.comparisons", 1)
-			la, lb := a.rec.Len(), b.rec.Len()
+			la, lb := a.Rec.Len(), b.Rec.Len()
 			lmin, lmax := la, lb
 			if lmin > lmax {
 				lmin, lmax = lmax, lmin
@@ -286,21 +249,21 @@ func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 			if g.rs {
 				ctx.Inc(result.CtrRSCandidates, 1)
 			}
-			c, ok := filters.VerifyOverlap(a.rec.Tokens, b.rec.Tokens, required)
+			c, ok := filters.VerifyOverlap(a.Rec.Tokens, b.Rec.Tokens, required)
 			if !ok || !g.fn.AtLeast(c, la, lb, g.theta) {
 				continue
 			}
 			x, y := a, b
 			if g.rs {
 				ctx.Inc(result.CtrRSEmitted, 1)
-				if a.origin != 0 {
+				if a.Origin != 0 {
 					x, y = b, a
 				}
-			} else if a.rec.RID > b.rec.RID {
+			} else if a.Rec.RID > b.Rec.RID {
 				x, y = b, a
 			}
-			ctx.Emit(mapreduce.PairKey(uint32(x.rec.RID), uint32(y.rec.RID)),
-				simValue{c: int32(c), la: int32(x.rec.Len()), lb: int32(y.rec.Len())})
+			ctx.Emit(mapreduce.PairKey(uint32(x.Rec.RID), uint32(y.Rec.RID)),
+				simValue{c: int32(c), la: int32(x.Rec.Len()), lb: int32(y.Rec.Len())})
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fsjoin/internal/mapreduce"
-	"fsjoin/internal/tokens"
 )
 
 // fakeCtxRun exercises the non-fold Reduce paths directly through a tiny
@@ -58,8 +57,5 @@ func TestPlainReducePathsEquivalent(t *testing.T) {
 func TestPostingSizes(t *testing.T) {
 	if (posting{}).SizeBytes() != 9 || (partial{}).SizeBytes() != 12 {
 		t.Fatal("wire sizes changed")
-	}
-	if (taggedRecord{rec: tokens.NewRecord(0, []tokens.ID{1, 2})}).SizeBytes() != 13 {
-		t.Fatal("tagged-record wire size changed")
 	}
 }

@@ -8,9 +8,7 @@ import (
 
 // Spill codecs for this package's shuffle values (DESIGN.md §8). The
 // partial fold is pure addition on c, so re-folding merged runs is exact.
-// taggedRecord is the join phase's input (an R/S-tagged record),
-// registered so R-S joins checkpoint and fingerprint that stage boundary
-// (DESIGN.md §9). Tags 46–48; this package owns tags 46–48.
+// Tags 46–47.
 func init() {
 	spill.RegisterValue(46, posting{},
 		func(buf []byte, v any) []byte {
@@ -23,20 +21,6 @@ func init() {
 			d := spill.NewDec(b)
 			p := posting{origin: d.Byte(), rid: int32(d.Varint()), l: int32(d.Varint())}
 			return p, d.Err()
-		})
-	spill.RegisterValue(48, taggedRecord{},
-		func(buf []byte, v any) []byte {
-			t := v.(taggedRecord)
-			buf = append(buf, t.origin)
-			buf = binary.AppendVarint(buf, int64(t.rec.RID))
-			return spill.AppendU32s(buf, t.rec.Tokens)
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			t := taggedRecord{origin: d.Byte()}
-			t.rec.RID = int32(d.Varint())
-			t.rec.Tokens = d.U32s()
-			return t, d.Err()
 		})
 	spill.RegisterValue(47, partial{},
 		func(buf []byte, v any) []byte {

@@ -9,7 +9,6 @@
 package vsmart
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/order"
 	"fsjoin/internal/result"
+	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
 	"fsjoin/internal/tokens"
 )
@@ -37,34 +37,19 @@ type Options struct {
 	// phase may emit; 0 means unlimited. When exceeded, SelfJoin returns
 	// ErrBudgetExceeded, mirroring the runs the paper reports as failures.
 	MaxPairEmits int64
-	// Ctx, when non-nil, cancels the pipeline at the next task boundary.
-	Ctx context.Context
 	// Parallelism is the local engine parallelism for every stage; see
 	// mapreduce.Config.Parallelism.
 	Parallelism int
-	// Fault is the fault-tolerance and fault-injection policy inherited by
-	// every stage; see mapreduce.FaultPolicy.
-	Fault mapreduce.FaultPolicy
 	// MemoryBudget caps each map task's in-memory shuffle buffer; records
 	// beyond it spill to sorted runs on disk and merge back at reduce time
 	// (see mapreduce.Config.MemoryBudgetBytes). 0 defers to the engine
 	// default (FSJOIN_MEMORY_BUDGET); negative forces unbounded. Results
 	// are byte-identical at any budget.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files ("" = OS temp dir).
-	SpillDir string
-	// CheckpointDir, when non-empty, persists each completed pipeline
-	// stage there for crash/restart recovery; see
-	// mapreduce.Pipeline.CheckpointDir.
-	CheckpointDir string
-	// CheckpointSalt folds the caller's configuration into every stage
-	// fingerprint, so one checkpoint directory reused under different
-	// options recomputes instead of replaying mismatched state.
-	CheckpointSalt string
-	// Runtime selects the execution substrate (shuffle transport and, for
-	// multi-process runs, the task executor); the zero value is the
-	// in-process engine. See mapreduce.Runtime.
-	Runtime mapreduce.Runtime
+	// Env is the execution environment (cancellation, fault policy, spill
+	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// see mapreduce.Env.
+	Env mapreduce.Env
 }
 
 // Result carries the join output and pipeline metrics.
@@ -95,28 +80,6 @@ type partial struct {
 // SizeBytes implements mapreduce.Sized.
 func (partial) SizeBytes() int { return 12 }
 
-// taggedRecord is the join phase's input value: a record plus its origin
-// relation (0 = R/self, 1 = S).
-type taggedRecord struct {
-	rec    tokens.Record
-	origin uint8
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (t taggedRecord) SizeBytes() int { return 5 + 4*len(t.rec.Tokens) }
-
-// tagInput converts a collection into join-phase input pairs.
-func tagInput(c *tokens.Collection, origin uint8) []mapreduce.KV {
-	kvs := make([]mapreduce.KV, 0, len(c.Records))
-	for _, rec := range c.Records {
-		kvs = append(kvs, mapreduce.KV{
-			Key:   mapreduce.OriginKey(origin, uint32(rec.RID)),
-			Value: taggedRecord{rec: rec, origin: origin},
-		})
-	}
-	return kvs
-}
-
 // SelfJoin runs the two-phase Online-Aggregation pipeline.
 func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	return run(c, nil, opt)
@@ -140,46 +103,29 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 	rs := s != nil
 	p := mapreduce.NewPipeline("v-smart-join", opt.Cluster)
-	p.Context = opt.Ctx
 	p.Parallelism = opt.Parallelism
-	p.Fault = opt.Fault
 	p.MemoryBudgetBytes = opt.MemoryBudget
-	p.SpillDir = opt.SpillDir
-	p.CheckpointDir = opt.CheckpointDir
-	p.CheckpointSalt = opt.CheckpointSalt
-	p.Runtime = opt.Runtime
+	p.Env = opt.Env
 
 	// Ordering is not required for correctness here, but running the same
 	// frequency job keeps the end-to-end comparison fair across methods.
-	union := r
-	if rs {
-		union = &tokens.Collection{Records: append(append([]tokens.Record{}, r.Records...), s.Records...)}
-	}
-	o, err := order.Compute(p, union)
+	o, err := order.Compute(p, rsinput.Union(r, s))
 	if err != nil {
 		return nil, err
 	}
-	ordered, err := o.Apply(r)
+	input, err := rsinput.Ordered(o, r, s)
 	if err != nil {
 		return nil, err
-	}
-	input := tagInput(ordered, 0)
-	if rs {
-		orderedS, err := o.Apply(s)
-		if err != nil {
-			return nil, err
-		}
-		input = append(input, tagInput(orderedS, 1)...)
 	}
 
 	// Join phase: emit every token, enumerate pairs per posting list.
 	joinRes, err := p.Run(mapreduce.Config{Name: "join"},
 		input,
 		mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
-			tr := kv.Value.(taggedRecord)
-			for _, t := range tr.rec.Tokens {
+			tr := kv.Value.(rsinput.Record)
+			for _, t := range tr.Rec.Tokens {
 				ctx.Emit(mapreduce.U32Key(t),
-					posting{rid: tr.rec.RID, l: int32(tr.rec.Len()), origin: tr.origin})
+					posting{rid: tr.Rec.RID, l: int32(tr.Rec.Len()), origin: tr.Origin})
 			}
 		}),
 		&pairEnumerator{budget: opt.MaxPairEmits, rs: rs})

@@ -100,116 +100,7 @@ func RSJoin(r, s *Collection, opt Options) (*Result, error) {
 
 // SelfJoin runs the configured algorithm over the collection.
 func (c *Collection) SelfJoin(opt Options) (*Result, error) {
-	if opt.Workers > 1 && opt.runtime.Executor == nil {
-		return runCluster(c, nil, opt)
-	}
-	cleanup, err := opt.resolveTransport()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	fn, err := opt.Function.internal()
-	if err != nil {
-		return nil, err
-	}
-	bm, err := opt.bitmapConfig()
-	if err != nil {
-		return nil, err
-	}
-	cl := opt.cluster()
-	switch opt.Algorithm {
-	case FSJoin, FSJoinV:
-		hp := opt.HorizontalPivots
-		if opt.Algorithm == FSJoinV {
-			hp = 0
-		} else if hp == 0 {
-			hp = 10
-		}
-		res, err := core.SelfJoin(c.t, core.Options{
-			Fn:                 fn,
-			Theta:              opt.Threshold,
-			PivotMethod:        opt.PivotSelection.internal(),
-			VerticalPartitions: opt.VerticalPartitions,
-			HorizontalPivots:   hp,
-			JoinMethod:         opt.JoinMethod.internal(),
-			Cluster:            cl,
-			Seed:               opt.Seed,
-			Ctx:                opt.Context,
-			LocalParallelism:   opt.localParallelism(),
-			Fault:              opt.faultPolicy(),
-			MemoryBudget:       opt.MemoryBudget,
-			SpillDir:           opt.SpillDir,
-			CheckpointDir:      opt.CheckpointDir,
-			CheckpointSalt:     opt.checkpointSalt(),
-			Runtime:            opt.runtime,
-			Bitmap:             bm,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return publish(res.Pairs, res.Pipeline, res.FilterOutputRecords), nil
-	case RIDPairsPPJoin:
-		res, err := ridpairs.SelfJoin(c.t, ridpairs.Options{
-			Fn: fn, Theta: opt.Threshold, Cluster: cl, Ctx: opt.Context,
-			Parallelism: opt.localParallelism(), Fault: opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
-			Bitmap:  bm,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return publish(res.Pairs, res.Pipeline, res.Pipeline.Counter("ridpairs.comparisons")), nil
-	case VSmartJoin:
-		res, err := vsmart.SelfJoin(c.t, vsmart.Options{
-			Fn: fn, Theta: opt.Threshold, Cluster: cl, MaxPairEmits: opt.WorkBudget,
-			Ctx: opt.Context, Parallelism: opt.localParallelism(),
-			Fault:        opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return publish(res.Pairs, res.Pipeline, res.Pipeline.Counter("vsmart.pair.emits")), nil
-	case ApproxLSHJoin:
-		if opt.Function != Jaccard {
-			return nil, errors.New("fsjoin: ApproxLSHJoin supports Jaccard only")
-		}
-		res, err := minhash.SelfJoin(c.t, minhash.Params{
-			Theta: opt.Threshold, Seed: uint64(opt.Seed), Cluster: cl,
-			Ctx: opt.Context, Parallelism: opt.localParallelism(),
-			Fault:        opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return publish(res.Pairs, res.Pipeline, res.Candidates), nil
-	case MassJoinMerge, MassJoinMergeLight:
-		variant := massjoin.Merge
-		if opt.Algorithm == MassJoinMergeLight {
-			variant = massjoin.MergeLight
-		}
-		res, err := massjoin.SelfJoin(c.t, massjoin.Options{
-			Fn: fn, Theta: opt.Threshold, Variant: variant, Cluster: cl,
-			MaxSignatures: opt.WorkBudget, Ctx: opt.Context,
-			Parallelism: opt.localParallelism(), Fault: opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return publish(res.Pairs, res.Pipeline, res.Pipeline.Counter("massjoin.candidates")), nil
-	default:
-		return nil, fmt.Errorf("fsjoin: unknown algorithm %d", int(opt.Algorithm))
-	}
+	return run(c, nil, opt)
 }
 
 // Join runs an R-S join between two collections sharing a dictionary: the
@@ -223,8 +114,14 @@ func (c *Collection) Join(s *Collection, opt Options) (*Result, error) {
 	if c.c != s.c {
 		return nil, errors.New("fsjoin: collections must share a Dictionary")
 	}
+	return run(c, s, opt)
+}
+
+// run is the one dispatch path of every join: a nil s is a self-join of r,
+// as in the algorithm packages beneath it.
+func run(r, s *Collection, opt Options) (*Result, error) {
 	if opt.Workers > 1 && opt.runtime.Executor == nil {
-		return runCluster(c, s, opt)
+		return runCluster(r, s, opt)
 	}
 	cleanup, err := opt.resolveTransport()
 	if err != nil {
@@ -239,29 +136,38 @@ func (c *Collection) Join(s *Collection, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	cl, par, env := opt.cluster(), opt.localParallelism(), opt.env()
 	switch opt.Algorithm {
 	case FSJoin, FSJoinV:
+		hp := opt.HorizontalPivots
+		if opt.Algorithm == FSJoinV {
+			hp = 0
+		} else if hp == 0 {
+			hp = 10
+		}
+		res, err := dispatch(r, s, core.SelfJoin, core.Join, core.Options{
+			Fn: fn, Theta: opt.Threshold, PivotMethod: opt.PivotSelection.internal(),
+			VerticalPartitions: opt.VerticalPartitions, HorizontalPivots: hp,
+			JoinMethod: opt.JoinMethod.internal(), Seed: opt.Seed, Bitmap: bm,
+			Cluster: cl, LocalParallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return publish(res.Pairs, res.Pipeline, res.FilterOutputRecords), nil
 	case RIDPairsPPJoin:
-		res, err := ridpairs.Join(c.t, s.t, ridpairs.Options{
-			Fn: fn, Theta: opt.Threshold, Cluster: opt.cluster(), Ctx: opt.Context,
-			Parallelism: opt.localParallelism(), Fault: opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
-			Bitmap:  bm,
+		res, err := dispatch(r, s, ridpairs.SelfJoin, ridpairs.Join, ridpairs.Options{
+			Fn: fn, Theta: opt.Threshold, Bitmap: bm,
+			Cluster: cl, Parallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return publish(res.Pairs, res.Pipeline, res.Pipeline.Counter("ridpairs.comparisons")), nil
 	case VSmartJoin:
-		res, err := vsmart.Join(c.t, s.t, vsmart.Options{
-			Fn: fn, Theta: opt.Threshold, Cluster: opt.cluster(), MaxPairEmits: opt.WorkBudget,
-			Ctx: opt.Context, Parallelism: opt.localParallelism(),
-			Fault:        opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
+		res, err := dispatch(r, s, vsmart.SelfJoin, vsmart.Join, vsmart.Options{
+			Fn: fn, Theta: opt.Threshold, MaxPairEmits: opt.WorkBudget,
+			Cluster: cl, Parallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
 		})
 		if err != nil {
 			return nil, err
@@ -271,50 +177,44 @@ func (c *Collection) Join(s *Collection, opt Options) (*Result, error) {
 		if opt.Function != Jaccard {
 			return nil, errors.New("fsjoin: ApproxLSHJoin supports Jaccard only")
 		}
-		res, err := minhash.Join(c.t, s.t, minhash.Params{
-			Theta: opt.Threshold, Seed: uint64(opt.Seed), Cluster: opt.cluster(),
-			Ctx: opt.Context, Parallelism: opt.localParallelism(),
-			Fault:        opt.faultPolicy(),
-			MemoryBudget: opt.MemoryBudget, SpillDir: opt.SpillDir,
-			CheckpointDir: opt.CheckpointDir, CheckpointSalt: opt.checkpointSalt(),
-			Runtime: opt.runtime,
+		res, err := dispatch(r, s, minhash.SelfJoin, minhash.Join, minhash.Params{
+			Theta: opt.Threshold, Seed: uint64(opt.Seed),
+			Cluster: cl, Parallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return publish(res.Pairs, res.Pipeline, res.Candidates), nil
+	case MassJoinMerge, MassJoinMergeLight:
+		if s != nil {
+			return nil, ErrSelfJoinOnly
+		}
+		variant := massjoin.Merge
+		if opt.Algorithm == MassJoinMergeLight {
+			variant = massjoin.MergeLight
+		}
+		res, err := massjoin.SelfJoin(r.t, massjoin.Options{
+			Fn: fn, Theta: opt.Threshold, Variant: variant, MaxSignatures: opt.WorkBudget,
+			Cluster: cl, Parallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return publish(res.Pairs, res.Pipeline, res.Pipeline.Counter("massjoin.candidates")), nil
 	default:
-		return nil, ErrSelfJoinOnly
+		return nil, fmt.Errorf("fsjoin: unknown algorithm %d", int(opt.Algorithm))
 	}
-	hp := opt.HorizontalPivots
-	if opt.Algorithm == FSJoinV {
-		hp = 0
-	} else if hp == 0 {
-		hp = 10
+}
+
+// dispatch calls an algorithm's self-join entry point when s is nil and
+// its R-S entry point otherwise.
+func dispatch[O, R any](r, s *Collection,
+	self func(*tokens.Collection, O) (R, error),
+	rs func(r, s *tokens.Collection, opt O) (R, error), opt O) (R, error) {
+	if s == nil {
+		return self(r.t, opt)
 	}
-	res, err := core.Join(c.t, s.t, core.Options{
-		Fn:                 fn,
-		Theta:              opt.Threshold,
-		PivotMethod:        opt.PivotSelection.internal(),
-		VerticalPartitions: opt.VerticalPartitions,
-		HorizontalPivots:   hp,
-		JoinMethod:         opt.JoinMethod.internal(),
-		Cluster:            opt.cluster(),
-		Seed:               opt.Seed,
-		Ctx:                opt.Context,
-		LocalParallelism:   opt.localParallelism(),
-		Fault:              opt.faultPolicy(),
-		MemoryBudget:       opt.MemoryBudget,
-		SpillDir:           opt.SpillDir,
-		CheckpointDir:      opt.CheckpointDir,
-		CheckpointSalt:     opt.checkpointSalt(),
-		Runtime:            opt.runtime,
-		Bitmap:             bm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return publish(res.Pairs, res.Pipeline, res.FilterOutputRecords), nil
+	return rs(r.t, s.t, opt)
 }
 
 // publish converts internal results into the public form.

@@ -13,7 +13,7 @@ import (
 // caller-owned Options value: eight goroutines join through one shared
 // Options (chaos enabled, so the fault plumbing is exercised too), every
 // result matches the sequential run, and the value is bit-identical
-// afterwards. Run under -race by make test-serve, which is where a hidden
+// afterwards. Run it under -race (make race), which is where a hidden
 // mutation would actually trip.
 func TestConcurrentJoinsSharedOptions(t *testing.T) {
 	texts := corpus(50, 11)

@@ -50,8 +50,7 @@ func detServing(s Stats) detServingStats {
 // TestServerServingEquivalence is the acceptance criterion: 10 concurrent
 // jobs — mixed algorithms, chaos injection enabled, all leasing from one
 // 64 KiB global memory pool — produce byte-identical result sets to the
-// same jobs run sequentially and directly. Run under -race by make
-// test-serve.
+// same jobs run sequentially and directly.
 func TestServerServingEquivalence(t *testing.T) {
 	const jobs = 10
 	texts, opts := servingCorpusOpts(jobs)
