@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzValueCodec' -fuzztime 10s ./internal/spill/
 	$(GO) test -fuzz 'FuzzBufferMerge' -fuzztime 10s ./internal/spill/
 	$(GO) test -fuzz 'FuzzRunCodec' -fuzztime 10s ./internal/spill/
+	$(GO) test -fuzz 'FuzzKeyOrder' -fuzztime 10s ./internal/spill/
 	$(GO) test -fuzz 'FuzzBitmapSignature' -fuzztime 10s ./internal/filters/
 	$(GO) test -fuzz 'FuzzIndexCodec' -fuzztime 10s ./internal/probeindex/
 	$(GO) test -fuzz 'FuzzWAL' -fuzztime 10s ./internal/probeindex/

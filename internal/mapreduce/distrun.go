@@ -114,7 +114,7 @@ func runDistributed(env *jobEnv, input []KV) (*Result, error) {
 			ctx.flushCounters()
 			meta = TaskMeta{TaskNanos: int64(elapsed), Counters: tc.Snapshot()}
 			notifyBoundary(ex, "map")
-			info, cerr = jt.CommitOutput(t, ctx.out, meta)
+			info, cerr = jt.CommitOutput(t, ctx.out.AppendTo(make([]KV, 0, ctx.out.Len())), meta)
 		} else {
 			recs, bytes, st, ferr := env.finishMapTask(tc, ctx)
 			if ferr != nil {
@@ -240,7 +240,7 @@ func runDistributed(env *jobEnv, input []KV) (*Result, error) {
 			Counters: tc.Snapshot(),
 		}
 		notifyBoundary(ex, "reduce")
-		info, cerr := jt.CommitOutput(t, ctx.out, meta)
+		info, cerr := jt.CommitOutput(t, ctx.out.AppendTo(make([]KV, 0, ctx.out.Len())), meta)
 		if cerr != nil {
 			return nil, taskErr(cfg.Name, PhaseReduce, t, cerr)
 		}

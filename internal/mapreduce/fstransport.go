@@ -504,6 +504,15 @@ func (j *fsJob) FetchPartition(t, r int, emit func(key string, value any, bytes 
 	return int(fr.parts[r].ways), nil
 }
 
+// PartitionRecords implements JobTransport from the frame's index.
+func (j *fsJob) PartitionRecords(t, r int) int {
+	fr, err := j.frame(fsKindMap, t)
+	if err != nil || r < 0 || r >= len(fr.parts) {
+		return 0
+	}
+	return int(fr.parts[r].count)
+}
+
 // emitBlob preads one partition blob and streams its records.
 func emitBlob(fr *fsFrame, r int, emit func(key string, value any, bytes int64)) error {
 	part := fr.parts[r]

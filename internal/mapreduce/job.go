@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -241,11 +241,19 @@ type Context struct {
 	// Job exposes the job configuration to tasks.
 	Job Config
 
-	out      []KV
+	out      spill.List[KV]
 	shuffle  *shuffleSink
 	counters *Counters
-	local    map[string]int64
+	local    []localCounter
 	polls    uint32 // CheckCancel call count (per-task, single goroutine)
+}
+
+// localCounter is one task-local counter. A task touches a handful of
+// constant names, so a slice scanned linearly beats hashing the name on
+// every increment: comparing a name with itself stops at the pointer.
+type localCounter struct {
+	name string
+	v    int64
 }
 
 // Emit appends an output pair. Map tasks of jobs with a reduce phase route
@@ -255,22 +263,25 @@ func (c *Context) Emit(key string, value any) {
 		c.shuffle.add(key, value)
 		return
 	}
-	c.out = append(c.out, KV{Key: key, Value: value})
+	c.out.Append(KV{Key: key, Value: value})
 }
 
 // Inc adds delta to a job counter. Increments accumulate task-locally and
 // are merged into the job counters when the task finishes.
 func (c *Context) Inc(counter string, delta int64) {
-	if c.local == nil {
-		c.local = make(map[string]int64, 8)
+	for i := range c.local {
+		if c.local[i].name == counter {
+			c.local[i].v += delta
+			return
+		}
 	}
-	c.local[counter] += delta
+	c.local = append(c.local, localCounter{counter, delta})
 }
 
 // flushCounters merges task-local counters into the job counters.
 func (c *Context) flushCounters() {
-	for k, v := range c.local {
-		c.counters.Inc(k, v)
+	for _, lc := range c.local {
+		c.counters.Inc(lc.name, lc.v)
 	}
 	c.local = nil
 }
@@ -294,8 +305,8 @@ func (c *Context) discard() {
 // winner-only flush: a retried or abandoned attempt must contribute
 // nothing, combiner increments included.
 func (c *Context) absorb(other *Context) {
-	for k, v := range other.local {
-		c.Inc(k, v)
+	for _, lc := range other.local {
+		c.Inc(lc.name, lc.v)
 	}
 	other.local = nil
 }
@@ -476,14 +487,14 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 	splits := splitInput(input, mapTasks)
 	m.MapTaskTime = make([]time.Duration, mapTasks)
 	var (
-		mapOutputs [][]KV       // map-only jobs
-		jt         JobTransport // jobs with a reduce phase
-		taskRecs   []int64
-		taskBytes  []int64
-		taskStats  []spill.Stats
+		mapOuts   taskOutputs  // map-only jobs
+		jt        JobTransport // jobs with a reduce phase
+		taskRecs  []int64
+		taskBytes []int64
+		taskStats []spill.Stats
 	)
 	if reducer == nil {
-		mapOutputs = make([][]KV, mapTasks)
+		mapOuts = newTaskOutputs(mapTasks)
 	} else {
 		var err error
 		if jt, err = env.openTransport(); err != nil {
@@ -505,7 +516,7 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 		m.MapTaskTime[t] = time.Since(start)
 		if reducer == nil {
 			ctx.flushCounters()
-			mapOutputs[t] = ctx.out
+			mapOuts.set(t, &ctx.out)
 			return nil
 		}
 		recs, bytes, st, ferr := env.finishMapTask(res.Counters, ctx)
@@ -536,13 +547,8 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 
 	if reducer == nil {
 		// Map-only job: concatenate map outputs in task order.
-		for _, out := range mapOutputs {
-			for _, kv := range out {
-				m.ShuffleRecords++
-				m.ShuffleBytes += int64(kvBytes(kv))
-			}
-			res.Output = append(res.Output, out...)
-		}
+		res.Output, m.ShuffleBytes = mapOuts.assemble()
+		m.ShuffleRecords = int64(len(res.Output))
 		m.MapOutputRecords = m.ShuffleRecords
 		m.MapOutputBytes = m.ShuffleBytes
 		m.OutputRecords = int64(len(res.Output))
@@ -570,7 +576,7 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 	m.PerReduceBytes = make([]int64, reduceTasks)
 	m.ReduceTaskTime = make([]time.Duration, reduceTasks)
 	m.GroupSpillTime = make([]time.Duration, reduceTasks)
-	reduceOuts := make([][]KV, reduceTasks)
+	reduceOuts := newTaskOutputs(reduceTasks)
 	groupCounts := make([]int64, reduceTasks)
 	reduceErr := runPhase(cfg.Parallelism, reduceTasks, func(t int) error {
 		if err := cfg.cancelled(); err != nil {
@@ -593,7 +599,7 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 		}
 		m.ReduceTaskTime[t] = time.Since(start)
 		ctx.flushCounters()
-		reduceOuts[t] = ctx.out
+		reduceOuts.set(t, &ctx.out)
 		for _, b := range in.gBytes {
 			m.GroupSpillTime[t] += cl.groupSpillTime(b)
 		}
@@ -609,16 +615,51 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 	jt.Close()
 	for t := 0; t < reduceTasks; t++ {
 		m.ReduceInputGroups += groupCounts[t]
-		res.Output = append(res.Output, reduceOuts[t]...)
 	}
+	res.Output, m.OutputBytes = reduceOuts.assemble()
 	m.OutputRecords = int64(len(res.Output))
-	for _, kv := range res.Output {
-		m.OutputBytes += int64(kvBytes(kv))
-	}
 
 	applyCostModel(cl, m, mapTasks, reduceTasks)
 	m.WallTime = time.Since(wallStart)
 	return res, nil
+}
+
+// taskOutputs collects a phase's per-task emissions — each task fills its
+// own slot, so tasks may run concurrently — and sizes them as they arrive,
+// which lets the job's Output be allocated once, at its exact length.
+type taskOutputs struct {
+	outs  []*spill.List[KV]
+	bytes []int64
+}
+
+func newTaskOutputs(tasks int) taskOutputs {
+	return taskOutputs{outs: make([]*spill.List[KV], tasks), bytes: make([]int64, tasks)}
+}
+
+// set records task t's output and its accounted bytes.
+func (o taskOutputs) set(t int, out *spill.List[KV]) {
+	o.outs[t] = out
+	for i := 0; i < out.Len(); i++ {
+		o.bytes[t] += int64(kvBytes(*out.At(i)))
+	}
+}
+
+// assemble concatenates the outputs in task order, dropping each task's
+// list as soon as it is copied.
+func (o taskOutputs) assemble() (all []KV, bytes int64) {
+	n := 0
+	for _, out := range o.outs {
+		n += out.Len()
+	}
+	if n > 0 {
+		all = make([]KV, 0, n)
+	}
+	for t, out := range o.outs {
+		all = out.AppendTo(all)
+		bytes += o.bytes[t]
+		o.outs[t] = nil
+	}
+	return all, bytes
 }
 
 // runMapAttempts executes one map task's full attempt loop — retries,
@@ -634,8 +675,6 @@ func (env *jobEnv) runMapAttempts(counters *Counters, t int, split []KV) (*Conte
 			ctx := &Context{TaskID: t, Job: cfg, counters: counters}
 			if env.reducer != nil {
 				ctx.shuffle = newShuffleSink(env.part, env.reduceTasks, env.combineFolder, env.budget, env.sdir, cfg.cancelCheck())
-			} else {
-				ctx.out = make([]KV, 0, len(split)+16)
 			}
 			f := cfg.decideFault(PhaseMap, t, a)
 			if err := f.injectErr(counters); err != nil {
@@ -676,6 +715,7 @@ func (env *jobEnv) runMapAttempts(counters *Counters, t int, split []KV) (*Conte
 // surface) and the sink's totals are taken outside the timed section — a
 // folding sink that spilled pays one merge pass here.
 func (env *jobEnv) finishMapTask(counters *Counters, ctx *Context) (recs, bytes int64, st spill.Stats, err error) {
+	ctx.shuffle.buf.Trim()
 	st = ctx.shuffle.stats()
 	if st.Runs > 0 {
 		ctx.Inc(CounterSpillRuns, st.Runs)
@@ -697,49 +737,57 @@ func (env *jobEnv) finishMapTask(counters *Counters, ctx *Context) (recs, bytes 
 	return recs, bytes, st, nil
 }
 
-// reduceInput is one reduce task's fetched, grouped and key-sorted input.
+// reduceInput is one reduce task's input as a key-ordered stream cut into
+// groups: group g has key keys[g], accounted bytes gBytes[g] and, for a
+// plain reducer, the values vals[starts[g]:starts[g+1]] in map-task then
+// emission order. A folding reducer's vals holds one folded accumulator
+// per group and starts is nil.
 type reduceInput struct {
 	keys    []string
-	groups  map[string][]any // non-folding reducers
-	folded  map[string]any   // folding reducers
+	vals    []any
+	starts  []int32
+	gBytes  []int64
 	maxWays int
 	recs    int64
 	bytes   int64
-	gBytes  map[string]int64
+}
+
+// values returns group g's value list, its capacity capped so a reducer
+// that appends to it cannot write into the next group.
+func (in *reduceInput) values(g int) []any {
+	return in.vals[in.starts[g]:in.starts[g+1]:in.starts[g+1]]
+}
+
+// fetched is one shuffle record as a reduce task received it.
+type fetched struct {
+	key   string
+	val   any
+	bytes int64
 }
 
 // fetchReduceInput pulls reduce task t's partition from every map task in
-// map-task order — the record order a global partition pass would produce
-// (its key-sorted merge when the task spilled; grouping plus the key sort
-// below make both orders identical downstream) — then groups and sorts.
-// Guarded so a panicking Fold aborts the task, not the process.
+// map-task order, sorts an index over the fetched records by (key, arrival)
+// and sweeps it once, cutting a group wherever the key changes. Whether a
+// map task's partition arrives in emission order (in memory) or as the
+// key-sorted merge of its runs (spilled), the sweep sees the same stream:
+// arrival order within one key is map-task then emission order either
+// way. Guarded so a panicking Fold aborts the task, not the process.
 func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error) {
-	in := &reduceInput{gBytes: make(map[string]int64)}
+	in := &reduceInput{}
 	if gerr := guard(func() {
-		if env.folding {
-			in.folded = make(map[string]any)
-		} else {
-			in.groups = make(map[string][]any)
+		// The transport knows how many records each partition holds, so
+		// the records and their sort index are allocated once.
+		hint := 0
+		for mt := 0; mt < env.mapTasks; mt++ {
+			hint += jt.PartitionRecords(mt, t)
 		}
+		recs := make([]fetched, 0, hint)
+		idx := make([]spill.KeyIndex, 0, hint)
 		for mt := 0; mt < env.mapTasks; mt++ {
 			ways, derr := jt.FetchPartition(mt, t, func(key string, value any, b int64) {
-				if env.folding {
-					if acc, seen := in.folded[key]; seen {
-						in.folded[key] = env.foldingReducer.Fold(acc, value)
-					} else {
-						in.keys = append(in.keys, key)
-						in.folded[key] = value
-					}
-				} else {
-					vs, seen := in.groups[key]
-					if !seen {
-						in.keys = append(in.keys, key)
-					}
-					in.groups[key] = append(vs, value)
-				}
-				in.recs++
+				idx = append(idx, spill.MakeKeyIndex(key, len(recs)))
+				recs = append(recs, fetched{key, value, b})
 				in.bytes += b
-				in.gBytes[key] += b
 			})
 			if derr != nil {
 				panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", derr)})
@@ -748,7 +796,44 @@ func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error
 				in.maxWays = ways
 			}
 		}
-		sort.Strings(in.keys)
+		n := len(recs)
+		in.recs = int64(n)
+		key := func(pos int32) string { return recs[pos].key }
+		spill.SortIndex(idx, key)
+
+		// starts[g] is where group g begins in idx; found on the index
+		// alone so the group arrays below are allocated at their size.
+		starts := make([]int32, 0, n+1)
+		for i := range idx {
+			if i == 0 || spill.CompareKeys(idx[i-1], idx[i], key) != 0 {
+				starts = append(starts, int32(i))
+			}
+		}
+		groups := len(starts)
+		starts = append(starts, int32(n))
+		in.keys = make([]string, groups)
+		in.gBytes = make([]int64, groups)
+		if env.folding {
+			in.vals = make([]any, groups)
+		} else {
+			in.vals = make([]any, n)
+			in.starts = starts
+		}
+		for g := 0; g < groups; g++ {
+			for i := starts[g]; i < starts[g+1]; i++ {
+				r := &recs[idx[i].Pos]
+				in.gBytes[g] += r.bytes
+				switch {
+				case !env.folding:
+					in.vals[i] = r.val
+				case i == starts[g]:
+					in.vals[g] = r.val
+				default:
+					in.vals[g] = env.foldingReducer.Fold(in.vals[g], r.val)
+				}
+			}
+			in.keys[g] = recs[idx[starts[g]].Pos].key
+		}
 	}); gerr != nil {
 		return nil, gerr
 	}
@@ -768,6 +853,12 @@ func (env *jobEnv) runReduceAttempts(counters *Counters, t int, in *reduceInput)
 			s.Setup(ctx)
 		}
 		for i, k := range ks {
+			// ks is in.keys itself, or in skip mode what is left of it
+			// after quarantining: then the group is found by search.
+			g := i
+			if in.keys[g] != k {
+				g, _ = slices.BinarySearch(in.keys, k)
+			}
 			ctx.CheckCancel()
 			if f.Kind == FaultRecordPanic && i == f.Record {
 				if counters != nil {
@@ -776,9 +867,9 @@ func (env *jobEnv) runReduceAttempts(counters *Counters, t int, in *reduceInput)
 				panic(f.Msg)
 			}
 			if env.folding {
-				env.foldingReducer.FinishFold(ctx, k, in.folded[k])
+				env.foldingReducer.FinishFold(ctx, k, in.vals[g])
 			} else {
-				reducer.Reduce(ctx, k, in.groups[k])
+				reducer.Reduce(ctx, k, in.values(g))
 			}
 		}
 		if c, ok := reducer.(Cleanupper); ok {
@@ -846,13 +937,15 @@ func runTask(ctx *Context, split []KV, mapper Mapper) {
 // first-appearance order for determinism. Combiners implementing Folder use
 // an allocation-light pairwise fold. (Jobs with a reduce phase combine
 // through the pre-partitioned sink instead; see shuffle.go.)
-func combine(cfg Config, mapCtx *Context, combiner Reducer, counters *Counters) []KV {
+func combine(cfg Config, mapCtx *Context, combiner Reducer, counters *Counters) spill.List[KV] {
+	out := &mapCtx.out
 	if f, ok := combiner.(Folder); ok {
-		return foldCombine(mapCtx.out, f)
+		return foldCombine(out, f)
 	}
-	grouped := make(map[string][]any, len(mapCtx.out)/2+1)
-	order := make([]string, 0, len(mapCtx.out)/2+1)
-	for _, kv := range mapCtx.out {
+	grouped := make(map[string][]any, out.Len()/2+1)
+	order := make([]string, 0, out.Len()/2+1)
+	for i := 0; i < out.Len(); i++ {
+		kv := out.At(i)
 		vs, seen := grouped[kv.Key]
 		if !seen {
 			order = append(order, kv.Key)
@@ -860,7 +953,6 @@ func combine(cfg Config, mapCtx *Context, combiner Reducer, counters *Counters) 
 		grouped[kv.Key] = append(vs, kv.Value)
 	}
 	cctx := &Context{TaskID: mapCtx.TaskID, Job: cfg, counters: counters}
-	cctx.out = make([]KV, 0, len(order))
 	if s, ok := combiner.(Setupper); ok {
 		s.Setup(cctx)
 	}
@@ -876,16 +968,18 @@ func combine(cfg Config, mapCtx *Context, combiner Reducer, counters *Counters) 
 
 // foldCombine merges one map task's output with a pairwise fold, keeping
 // key first-appearance order.
-func foldCombine(out []KV, f Folder) []KV {
-	slot := make(map[string]int, len(out)/2+1)
-	merged := make([]KV, 0, len(out)/2+1)
-	for _, kv := range out {
-		if i, ok := slot[kv.Key]; ok {
-			merged[i].Value = f.Fold(merged[i].Value, kv.Value)
+func foldCombine(out *spill.List[KV], f Folder) spill.List[KV] {
+	slot := make(map[string]int, out.Len()/2+1)
+	var merged spill.List[KV]
+	for i := 0; i < out.Len(); i++ {
+		kv := out.At(i)
+		if j, ok := slot[kv.Key]; ok {
+			m := merged.At(j)
+			m.Value = f.Fold(m.Value, kv.Value)
 			continue
 		}
-		slot[kv.Key] = len(merged)
-		merged = append(merged, kv)
+		slot[kv.Key] = merged.Len()
+		merged.Append(*kv)
 	}
 	return merged
 }

@@ -1,0 +1,298 @@
+package mapreduce
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+)
+
+// hardKeys are the keys the abbreviated-key index sort could get wrong:
+// empty, differing only by trailing zero bytes, on either side of the
+// eight-byte prefix, and long with a shared prefix.
+var hardKeys = []string{
+	"", "\x00", "ab", "ab\x00", "abcd", "abcdefg", "abcdefg\x00", "abcdefgh", "abcdefgh\x00",
+	"abcdefghi", "abcdefghj", "shared-prefix-a", "shared-prefix-b", "shared-prefix-", "\xff\xff",
+}
+
+// hardKeyMapper emits, for input record i, three records whose keys walk
+// hardKeys and whose values encode (i, j). Splits are contiguous, so value
+// order within a key — map task, then emission — is ascending string
+// order, and heavy duplication is guaranteed.
+type hardKeyMapper struct{}
+
+func hardEmissions(i int) (kvs [3]KV) {
+	for j := range kvs {
+		kvs[j] = KV{Key: hardKeys[(i*7+j*5)%len(hardKeys)], Value: fmt.Sprintf("%05d.%d", i, j)}
+	}
+	return kvs
+}
+
+func (hardKeyMapper) Map(ctx *Context, kv KV) {
+	for _, e := range hardEmissions(kv.Value.(int)) {
+		ctx.Emit(e.Key, e.Value)
+	}
+}
+
+// listReducer reports each group's values in the order it received them,
+// after appending to the slice it was handed: were a group's capacity not
+// capped, that append would overwrite the next group's first value.
+type listReducer struct{}
+
+func (listReducer) Reduce(ctx *Context, key string, values []any) {
+	parts := make([]string, len(values))
+	for i, v := range values {
+		parts[i] = v.(string)
+	}
+	_ = append(values, "CLOBBERED")
+	ctx.Emit(key, strings.Join(parts, ","))
+}
+
+// concatReducer is listReducer as a fold; concatenation is associative, so
+// folding accumulators equals folding values (the Folder contract).
+type concatReducer struct{ listReducer }
+
+func (concatReducer) Fold(acc, v any) any                          { return acc.(string) + "," + v.(string) }
+func (concatReducer) FinishFold(ctx *Context, key string, acc any) { ctx.Emit(key, acc) }
+
+// hardKeyOracle groups the same emissions the way the engine did before
+// the index sort: a map per reduce partition, keys sorted with
+// sort.Strings. combine folds each map task's values per key first.
+func hardKeyOracle(cl *Cluster, n, mapTasks, reduceTasks int, combine bool) (out []KV, recs, bytes []int64, spill []time.Duration) {
+	input := make([]KV, n)
+	groups := make([]map[string][]string, reduceTasks)
+	gBytes := make([]map[string]int64, reduceTasks)
+	for r := range groups {
+		groups[r], gBytes[r] = map[string][]string{}, map[string]int64{}
+	}
+	recs, bytes = make([]int64, reduceTasks), make([]int64, reduceTasks)
+	spill = make([]time.Duration, reduceTasks)
+	off := 0
+	for _, split := range splitInput(input, mapTasks) {
+		var order []string
+		task := map[string][]string{}
+		for i := off; i < off+len(split); i++ {
+			for _, e := range hardEmissions(i) {
+				if _, seen := task[e.Key]; !seen {
+					order = append(order, e.Key)
+				}
+				task[e.Key] = append(task[e.Key], e.Value.(string))
+			}
+		}
+		off += len(split)
+		for _, k := range order {
+			vs := task[k]
+			if combine {
+				vs = []string{strings.Join(vs, ",")}
+			}
+			r := DefaultPartitioner(k, reduceTasks)
+			for _, v := range vs {
+				b := int64(len(k) + len(v) + 8)
+				groups[r][k] = append(groups[r][k], v)
+				gBytes[r][k] += b
+				recs[r]++
+				bytes[r] += b
+			}
+		}
+	}
+	for r := range groups {
+		var keys []string
+		for k := range groups[r] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			out = append(out, KV{Key: k, Value: strings.Join(groups[r][k], ",")})
+			spill[r] += cl.groupSpillTime(gBytes[r][k])
+		}
+	}
+	return out, recs, bytes, spill
+}
+
+// TestReduceInputMatchesMapGrouping holds the index-sorted reduce input to
+// the map-based oracle at every parallelism and budget, for a plain and a
+// folding reducer, with and without map-side folding.
+func TestReduceInputMatchesMapGrouping(t *testing.T) {
+	const n, mapTasks, reduceTasks = 1500, 3, 2
+	cl := tinyCluster()
+	cl.ReducerMemoryBytes = 256 // some groups exceed it, some do not
+	input := make([]KV, n)
+	for i := range input {
+		input[i] = KV{Key: U32Key(uint32(i)), Value: i}
+	}
+	for _, combine := range []bool{false, true} {
+		want, wantRecs, wantBytes, wantSpill := hardKeyOracle(cl, n, mapTasks, reduceTasks, combine)
+		for _, reducer := range []Reducer{listReducer{}, concatReducer{}} {
+			for _, par := range []int{1, 4} {
+				for _, budget := range []int64{-1, 4096, 1024} {
+					cfg := Config{
+						Name: "hard-keys", Cluster: cl, MapTasks: mapTasks, ReduceTasks: reduceTasks,
+						Parallelism: par, MemoryBudgetBytes: budget, SpillDir: t.TempDir(),
+					}
+					if combine {
+						cfg.Combiner = concatReducer{}
+					}
+					name := fmt.Sprintf("%T combine=%v par=%d budget=%d", reducer, combine, par, budget)
+					res, err := Run(cfg, input, hardKeyMapper{}, reducer)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if budget > 0 && res.Metrics.SpillRuns == 0 {
+						t.Fatalf("%s: never spilled", name)
+					}
+					if len(res.Output) != len(want) {
+						t.Fatalf("%s: %d groups, oracle has %d", name, len(res.Output), len(want))
+					}
+					for i := range want {
+						if res.Output[i] != want[i] {
+							t.Fatalf("%s: output %d is %q with values %.40q…, oracle has %q with %.40q…", name, i,
+								res.Output[i].Key, res.Output[i].Value, want[i].Key, want[i].Value)
+						}
+					}
+					m := res.Metrics
+					if !reflect.DeepEqual(m.PerReduceRecords, wantRecs) || !reflect.DeepEqual(m.PerReduceBytes, wantBytes) ||
+						!reflect.DeepEqual(m.GroupSpillTime, wantSpill) {
+						t.Fatalf("%s: per-reducer accounting differs: recs %v/%v bytes %v/%v group spill %v/%v", name,
+							m.PerReduceRecords, wantRecs, m.PerReduceBytes, wantBytes, m.GroupSpillTime, wantSpill)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSkipReducePoisonGroupLongKeys: with a group quarantined out of the
+// middle of a partition, the surviving keys no longer line up with the
+// fetched input's group positions; keys that only differ past their
+// eighth byte make the lookup depend on the full strings.
+func TestSkipReducePoisonGroupLongKeys(t *testing.T) {
+	keys := []string{"record-key-0001", "record-key-0002", "record-key-0003", "record-key-0004", "record-key-0005"}
+	input := wcInput(strings.Join(keys, " "), strings.Join(keys[1:4], " "), keys[2])
+	poison := keys[2]
+	for _, reducer := range []Reducer{poisonKeyReducer{key: poison}, poisonFoldReducer{key: poison}} {
+		var quarantined []QuarantinedRecord
+		cfg := skipConfig(0)
+		cfg.ReduceTasks = 1
+		cfg.Fault.Quarantine = func(r QuarantinedRecord) { quarantined = append(quarantined, r) }
+		res, err := Run(cfg, input, wcMapper{}, reducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []KV{{keys[0], int64(1)}, {keys[1], int64(2)}, {keys[3], int64(2)}, {keys[4], int64(1)}}
+		if !reflect.DeepEqual(res.Output, want) {
+			t.Errorf("%T: output = %v, want %v", reducer, res.Output, want)
+		}
+		if len(quarantined) != 1 || quarantined[0].Key != poison || quarantined[0].Phase != PhaseReduce {
+			t.Errorf("%T: quarantined = %+v, want the one reduce group %s", reducer, quarantined, poison)
+		}
+	}
+}
+
+// poisonFoldReducer is poisonKeyReducer on the folding path.
+type poisonFoldReducer struct{ key string }
+
+func (r poisonFoldReducer) Reduce(ctx *Context, key string, values []any) {
+	poisonKeyReducer(r).Reduce(ctx, key, values)
+}
+func (poisonFoldReducer) Fold(acc, v any) any { return acc.(int64) + v.(int64) }
+func (r poisonFoldReducer) FinishFold(ctx *Context, key string, acc any) {
+	r.Reduce(ctx, key, []any{acc})
+}
+
+// countingCombiner sums like wcReducer and counts under the same name the
+// mapper uses, so the combiner's nested context and its map context both
+// hold a task-local "shared" entry when one absorbs the other.
+type countingCombiner struct{}
+
+func (countingCombiner) Reduce(ctx *Context, key string, values []any) {
+	ctx.Inc("shared", 100)
+	wcReducer{}.Reduce(ctx, key, values)
+}
+
+// TestCombinerAndMapShareCounterName: increments from both contexts add
+// up, and only the winning attempt's — the first attempt dies after both
+// have counted.
+func TestCombinerAndMapShareCounterName(t *testing.T) {
+	for _, mapOnly := range []bool{false, true} {
+		failed := false
+		mapper := &cleanupFailsOnce{failed: &failed}
+		var reducer Reducer
+		if !mapOnly {
+			reducer = wcReducer{}
+		}
+		res, err := Run(Config{Cluster: tinyCluster(), MapTasks: 1, ReduceTasks: 1, Combiner: countingCombiner{}},
+			wcInput("a b a", "b c"), mapper, reducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 5 words mapped (+1 each), 3 distinct keys combined (+100 each).
+		if got := res.Counters.Get("shared"); got != 305 {
+			t.Errorf("mapOnly=%v: shared = %d, want 305", mapOnly, got)
+		}
+		if res.Counters.Get(CounterRetries) != 1 {
+			t.Errorf("mapOnly=%v: retries = %d, want 1", mapOnly, res.Counters.Get(CounterRetries))
+		}
+	}
+}
+
+// cleanupFailsOnce is a word-count mapper counting "shared" per word; its
+// first attempt panics in Cleanup, after every record was mapped.
+type cleanupFailsOnce struct{ failed *bool }
+
+func (m *cleanupFailsOnce) Map(ctx *Context, kv KV) {
+	for _, w := range strings.Fields(kv.Value.(string)) {
+		ctx.Inc("shared", 1)
+		ctx.Emit(w, int64(1))
+	}
+}
+
+func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
+	if !*m.failed {
+		*m.failed = true
+		panic("first attempt lost")
+	}
+}
+
+// TestShuffleAllocationBudget is the deterministic guard against the
+// shuffle regrowing or re-hashing per record: an identity job over 8-byte
+// keys through 30 reducers may allocate this many bytes per input record.
+// The limits are the measured values (199 and 213) plus 25 %; with slices
+// that regrow and string-keyed grouping maps the same jobs allocated 288
+// (plain) and 346 (fold) bytes per record.
+func TestShuffleAllocationBudget(t *testing.T) {
+	const n = 120_000
+	input := make([]KV, n)
+	for i := range input {
+		input[i] = KV{Key: PairKey(uint32(i%4000), uint32(i%7)), Value: int64(1)}
+	}
+	cl := DefaultCluster()
+	for _, tc := range []struct {
+		name     string
+		combiner Reducer // nil, or folding at emit as the verification job does
+		reducer  Reducer
+		limit    float64
+	}{
+		{"plain", nil, plainSum{}, 249},
+		{"fold", foldSum{}, foldSum{}, 266},
+	} {
+		run := func() {
+			cfg := Config{Cluster: cl, ReduceTasks: 30, MemoryBudgetBytes: -1, Combiner: tc.combiner}
+			if _, err := Run(cfg, input, IdentityMapper, tc.reducer); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm up: codec registries, pools
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		perRecord := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+		t.Logf("%s: %.0f B/record (limit %.0f)", tc.name, perRecord, tc.limit)
+		if perRecord > tc.limit {
+			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, tc.limit)
+		}
+	}
+}

@@ -98,7 +98,6 @@ func skipMapRecords(cfg Config, counters *Counters, q *quarantineState, task int
 	pf := cfg.decideFault(PhaseMap, task, ProbeAttempt)
 	probe := func(n int) error {
 		sctx := &Context{TaskID: task, Job: cfg}
-		sctx.out = make([]KV, 0, n)
 		return guard(func() {
 			runTask(sctx, work[:n], recordFaultWrap(mapper, pf, nil))
 		})
@@ -126,7 +125,6 @@ func skipReduceGroups(cfg Config, counters *Counters, q *quarantineState, task i
 	pf := cfg.decideFault(PhaseReduce, task, ProbeAttempt)
 	probe := func(n int) error {
 		sctx := &Context{TaskID: task, Job: cfg}
-		sctx.out = make([]KV, 0, n)
 		return guard(func() { body(sctx, work[:n], pf) })
 	}
 	quarantine := func(i int, cause error) error {

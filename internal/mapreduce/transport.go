@@ -131,6 +131,10 @@ type JobTransport interface {
 	// FetchPartition streams map task t's partition r in committed order,
 	// reporting the merge fan-in that produced it (spill accounting).
 	FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (ways int, err error)
+	// PartitionRecords returns how many records FetchPartition(t, r) will
+	// emit at most — what a reduce task sizes its input by — or 0 when the
+	// partition cannot be read (FetchPartition then reports why).
+	PartitionRecords(t, r int) int
 	// ReleasePartition reclaims partition (t, r) once a reduce task has
 	// consumed it. Transports that must keep partitions for possible
 	// redelivery treat it as a no-op.
@@ -194,6 +198,9 @@ func (j *memJob) Redeliver(t int) (CommitInfo, error) {
 func (j *memJob) FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (int, error) {
 	return j.sinks[t].drain(r, emit)
 }
+
+// PartitionRecords implements JobTransport.
+func (j *memJob) PartitionRecords(t, r int) int { return j.sinks[t].buf.PartitionRecords(r) }
 
 // ReleasePartition implements JobTransport.
 func (j *memJob) ReleasePartition(t, r int) { j.sinks[t].release(r) }

@@ -7,8 +7,9 @@
 package order
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/tokens"
@@ -77,7 +78,7 @@ func (o *Order) Apply(c *tokens.Collection) (*tokens.Collection, error) {
 			}
 			ids[i] = o.RankOf[t]
 		}
-		out.Records = append(out.Records, tokens.NewRecord(r.RID, ids))
+		out.Records = append(out.Records, tokens.NewRecordOwned(r.RID, ids))
 	}
 	return out, nil
 }
@@ -158,21 +159,15 @@ func ComputeKind(p *mapreduce.Pipeline, c *tokens.Collection, kind Kind) (*Order
 			maxTok = t
 		}
 	}
-	sort.Slice(tfs, func(i, j int) bool {
-		switch kind {
-		case FreqDescending:
-			if tfs[i].freq != tfs[j].freq {
-				return tfs[i].freq > tfs[j].freq
-			}
-		case Lexicographic:
-			// fall through to token-id comparison
-		default: // FreqAscending
-			if tfs[i].freq != tfs[j].freq {
-				return tfs[i].freq < tfs[j].freq
-			}
-		}
-		return tfs[i].tok < tfs[j].tok
-	})
+	// Every kind breaks ties by token id; FreqAscending is the default.
+	compare := func(a, b tf) int { return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.tok, b.tok)) }
+	switch kind {
+	case FreqDescending:
+		compare = func(a, b tf) int { return cmp.Or(cmp.Compare(b.freq, a.freq), cmp.Compare(a.tok, b.tok)) }
+	case Lexicographic:
+		compare = func(a, b tf) int { return cmp.Compare(a.tok, b.tok) }
+	}
+	slices.SortFunc(tfs, compare)
 
 	o := &Order{
 		RankOf:     make([]uint32, maxTok+1),

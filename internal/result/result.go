@@ -4,8 +4,9 @@
 package result
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Pair is one similarity-join result.
@@ -40,11 +41,8 @@ func (p Pair) String() string {
 
 // Sort orders pairs canonically by (A, B).
 func Sort(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		return ps[i].B < ps[j].B
+	slices.SortFunc(ps, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
 }
 

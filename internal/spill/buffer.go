@@ -1,10 +1,12 @@
 // Package spill gives the MapReduce engine an out-of-core shuffle: a
 // size-accounting partitioned KV buffer that, once a memory budget is
-// exceeded, stable-sorts its spillable records by key and writes them as a
+// exceeded, writes its spillable records in (key, emission) order as a
 // length-prefixed sorted run to a temp file, then replays everything
 // through a k-way heap merge in an order byte-identical (after the reduce
-// phase's group-and-sort) to what the pure in-memory buffer produces —
-// fold/combiner semantics included. This is the Hadoop sort-spill-merge
+// phase's key-ordered grouping) to what the pure in-memory buffer produces
+// — fold/combiner semantics included. The record container (List) and the
+// key ordering (SortIndex) are shared with the engine's reduce side. This
+// is the Hadoop sort-spill-merge
 // pipeline DESIGN.md §2 originally substituted away, reintroduced so the
 // reproduction no longer caps out at datasets that fit in RAM (DESIGN.md
 // §8).
@@ -20,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -82,8 +83,9 @@ var errClosed = errors.New("spill: buffer closed")
 // mutex covers exactly that pair.
 type Buffer struct {
 	cfg       Config
-	parts     [][]entry
-	slots     []map[string]int // per-partition key -> index, Fold only
+	parts     []List[entry]
+	slots     []slotTable // per-partition key -> position, Fold only
+	idx       []KeyIndex  // spill's sort index, reused across spills
 	mem       int64
 	pinnedMem int64
 	peak      int64
@@ -107,9 +109,9 @@ func NewBuffer(cfg Config) *Buffer {
 	if cfg.Size == nil {
 		panic("spill: Config.Size is required")
 	}
-	b := &Buffer{cfg: cfg, parts: make([][]entry, cfg.Parts)}
+	b := &Buffer{cfg: cfg, parts: make([]List[entry], cfg.Parts)}
 	if cfg.Fold != nil {
-		b.slots = make([]map[string]int, cfg.Parts)
+		b.slots = make([]slotTable, cfg.Parts)
 	}
 	return b
 }
@@ -121,13 +123,8 @@ func (b *Buffer) Add(part int, key string, v any) error {
 		return fmt.Errorf("spill: partition %d out of range [0,%d)", part, len(b.parts))
 	}
 	if b.slots != nil {
-		slot := b.slots[part]
-		if slot == nil {
-			slot = make(map[string]int)
-			b.slots[part] = slot
-		}
-		if i, ok := slot[key]; ok {
-			e := &b.parts[part][i]
+		if i := b.slots[part].findOrAdd(&b.parts[part], key); i >= 0 {
+			e := b.parts[part].At(i)
 			if e.pinned {
 				b.pinnedMem -= e.bytes
 			}
@@ -141,14 +138,13 @@ func (b *Buffer) Add(part int, key string, v any) error {
 			}
 			return b.checkBudget()
 		}
-		slot[key] = len(b.parts[part])
 	}
 	e := entry{key: key, val: v, bytes: b.cfg.Size(key, v)}
 	if b.cfg.Budget > 0 && !Encodable(v) {
 		e.pinned = true
 		b.pinnedMem += e.bytes
 	}
-	b.parts[part] = append(b.parts[part], e)
+	b.parts[part].Append(e)
 	b.mem += e.bytes
 	return b.checkBudget()
 }
@@ -163,9 +159,10 @@ func (b *Buffer) checkBudget() error {
 	return b.spill()
 }
 
-// spill stable-sorts every partition's spillable records by key and
-// writes them as one run, keeping pinned records (and per-key fold slots
-// over them) in memory.
+// spill writes every partition's spillable records as one run, each
+// partition in (key, emission) order through a sort index — no record
+// moves — and keeps pinned records (and the fold slots over them) in
+// memory.
 func (b *Buffer) spill() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -184,39 +181,23 @@ func (b *Buffer) spill() error {
 		return err
 	}
 	b.seq++
-	var out []entry
 	var written int64
 	for p := range b.parts {
-		es := b.parts[p]
-		if len(es) == 0 {
+		l := &b.parts[p]
+		if l.Len() == 0 {
 			continue
 		}
-		out = out[:0]
-		kept := 0
-		for _, e := range es {
-			if e.pinned {
-				es[kept] = e
-				kept++
-			} else {
-				out = append(out, e)
-			}
-		}
-		b.parts[p] = es[:kept]
-		if b.slots != nil && b.slots[p] != nil {
-			slot := make(map[string]int, kept)
-			for i, e := range es[:kept] {
-				slot[e.key] = i
-			}
-			b.slots[p] = slot
-		}
-		sort.SliceStable(out, func(i, j int) bool { return out[i].key < out[j].key })
-		for _, e := range out {
+		idx := sortedIndex(l, b.idx[:0], false)
+		b.idx = idx
+		for _, ix := range idx {
+			e := l.At(int(ix.Pos))
 			if err := w.add(p, e.key, e.val, e.bytes); err != nil {
 				w.abort()
 				return err
 			}
 			written += e.bytes
 		}
+		b.keepPinned(p, l.Len()-len(idx))
 	}
 	r, err := w.finish()
 	if err != nil {
@@ -229,6 +210,47 @@ func (b *Buffer) spill() error {
 	return nil
 }
 
+// sortedIndex appends to idx a key index over l's records — its pinned
+// ones only when asked — and sorts it.
+func sortedIndex(l *List[entry], idx []KeyIndex, pinned bool) []KeyIndex {
+	for i := 0; i < l.Len(); i++ {
+		if e := l.At(i); pinned || !e.pinned {
+			idx = append(idx, MakeKeyIndex(e.key, i))
+		}
+	}
+	SortIndex(idx, func(pos int32) string { return l.At(int(pos)).key })
+	return idx
+}
+
+// keepPinned shrinks partition p to its pinned records, in order, and
+// re-points the partition's fold slots at them.
+func (b *Buffer) keepPinned(p, pinned int) {
+	l := &b.parts[p]
+	if pinned == 0 {
+		l.Reset()
+		if b.slots != nil {
+			b.slots[p].reset()
+		}
+		return
+	}
+	var kept List[entry]
+	var slots slotTable
+	for i := 0; kept.Len() < pinned; i++ {
+		e := l.At(i)
+		if !e.pinned {
+			continue
+		}
+		if b.slots != nil {
+			slots.findOrAdd(&kept, e.key)
+		}
+		kept.Append(*e)
+	}
+	*l = kept
+	if b.slots != nil {
+		b.slots[p] = slots
+	}
+}
+
 // Drain replays one partition — runs first (in creation order), then the
 // still-buffered tail — through the k-way merge, emitting each record with
 // its accounted size, and returns the merge fan-in (1 when the partition
@@ -237,7 +259,7 @@ func (b *Buffer) spill() error {
 // exactly like the in-memory fast path. Concurrent Drains of distinct
 // partitions are safe.
 func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int, error) {
-	tail := b.parts[part]
+	tail := &b.parts[part]
 	var sources []mergeSource
 	for _, r := range b.runs {
 		if c := r.open(part); c != nil {
@@ -245,24 +267,25 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 		}
 	}
 	if len(sources) == 0 {
-		for i, e := range tail {
+		for i := 0; i < tail.Len(); i++ {
 			if b.cfg.Cancel != nil && i&(cancelStride-1) == 0 {
 				if err := b.cfg.Cancel(); err != nil {
 					return 0, err
 				}
 			}
+			e := tail.At(i)
 			emit(e.key, e.val, e.bytes)
 		}
-		if len(tail) == 0 {
+		if tail.Len() == 0 {
 			return 0, nil
 		}
 		return 1, nil
 	}
-	if len(tail) > 0 {
-		ts := make([]entry, len(tail))
-		copy(ts, tail)
-		sort.SliceStable(ts, func(i, j int) bool { return ts[i].key < ts[j].key })
-		sources = append(sources, &memSource{es: ts})
+	if tail.Len() > 0 {
+		// Concurrent drains of distinct partitions each need their own
+		// index, so this one is not the buffer's.
+		idx := sortedIndex(tail, make([]KeyIndex, 0, tail.Len()), true)
+		sources = append(sources, &memSource{es: tail, idx: idx})
 	}
 	ways := int64(len(sources))
 	for {
@@ -277,6 +300,27 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 	return int(ways), err
 }
 
+// PartitionRecords returns how many records partition part holds in
+// memory and in runs: what Drain emits, or with a Fold an upper bound on
+// it (keys split across runs merge back into one record).
+func (b *Buffer) PartitionRecords(part int) int {
+	n := b.parts[part].Len()
+	for _, r := range b.runs {
+		n += int(r.segs[part].records)
+	}
+	return n
+}
+
+// Trim gives back the memory a buffer that spilled keeps for refilling.
+// The task calls it when it has added its last record: the buffer then
+// waits, possibly for the whole map phase, to be drained.
+func (b *Buffer) Trim() {
+	for p := range b.parts {
+		b.parts[p].Trim()
+	}
+	b.idx = nil
+}
+
 // Totals returns the buffer's record and accounted byte counts as the
 // reduce phase will see them. Without a Fold (or without spills) this is
 // pure arithmetic over the segment index and tail; a folding buffer that
@@ -284,11 +328,9 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 // back into single records.
 func (b *Buffer) Totals() (records, bytes int64, err error) {
 	if b.cfg.Fold == nil || len(b.runs) == 0 {
-		for _, es := range b.parts {
-			for _, e := range es {
-				records++
-				bytes += e.bytes
-			}
+		bytes = b.mem // exactly the buffered records' accounted bytes
+		for p := range b.parts {
+			records += int64(b.parts[p].Len())
 		}
 		for _, r := range b.runs {
 			for _, s := range r.segs {
@@ -312,9 +354,9 @@ func (b *Buffer) Totals() (records, bytes int64, err error) {
 // Release drops one fully consumed partition; when every partition has
 // been released the buffer closes itself, removing its spill files.
 func (b *Buffer) Release(part int) {
-	b.parts[part] = nil
+	b.parts[part] = List[entry]{}
 	if b.slots != nil {
-		b.slots[part] = nil
+		b.slots[part] = slotTable{}
 	}
 	if int(b.released.Add(1)) == b.cfg.Parts {
 		b.Close()

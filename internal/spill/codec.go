@@ -250,13 +250,6 @@ func decodeValue(b []byte) (any, error) {
 	return e.dec(p)
 }
 
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // AppendEncoded appends v's tag + payload frame to buf — the exact bytes a
 // spill run stores for the value. Exported for the checkpoint subsystem,
 // which persists stage outputs (and fingerprints stage inputs) in the run

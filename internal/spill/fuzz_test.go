@@ -215,3 +215,28 @@ func FuzzRunCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeyOrder cuts arbitrary bytes into keys of mixed lengths — the
+// first byte picks how — and holds SortIndex to the stable-sort oracle.
+func FuzzKeyOrder(f *testing.F) {
+	f.Add([]byte("\x03abcabcabdab\x00ab"))
+	f.Add([]byte("\x09abcdefghiabcdefghjabcdefgh\x00abcdefgh"))
+	f.Add([]byte{1, 0, 0, 1, 0, 255, 255, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		// Key lengths cycle 0..step, so every run has empty, short,
+		// 8-byte-boundary and long keys over the same byte pool.
+		step := int(data[0])%12 + 1
+		data = data[1:]
+		var keys []string
+		for n := 0; len(data) > 0 && len(keys) < 512; n++ {
+			l := min(n%(step+1), len(data))
+			keys = append(keys, string(data[:l]))
+			data = data[max(l, 1):]
+		}
+		checkKeyOrder(t, keys)
+	})
+}

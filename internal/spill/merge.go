@@ -10,17 +10,19 @@ type mergeSource interface {
 	next() (key string, v any, ok bool, err error)
 }
 
-// memSource drains an in-memory, key-sorted entry slice.
+// memSource drains a buffer's in-memory tail in the order of its sorted
+// index.
 type memSource struct {
-	es []entry
-	i  int
+	es  *List[entry]
+	idx []KeyIndex
+	i   int
 }
 
 func (s *memSource) next() (string, any, bool, error) {
-	if s.i >= len(s.es) {
+	if s.i >= len(s.idx) {
 		return "", nil, false, nil
 	}
-	e := s.es[s.i]
+	e := s.es.At(int(s.idx[s.i].Pos))
 	s.i++
 	return e.key, e.val, true, nil
 }

@@ -10,7 +10,7 @@ package tokens
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -31,11 +31,14 @@ type Record struct {
 // NewRecord builds a canonical Record from possibly unsorted, possibly
 // duplicated token ids. The input slice is not retained.
 func NewRecord(rid int32, ids []ID) Record {
-	ts := make([]ID, len(ids))
-	copy(ts, ids)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	ts = dedupSorted(ts)
-	return Record{RID: rid, Tokens: ts}
+	return NewRecordOwned(rid, append(make([]ID, 0, len(ids)), ids...))
+}
+
+// NewRecordOwned is NewRecord for a caller that hands ids over: the slice
+// is sorted and deduplicated in place and becomes the record's Tokens.
+func NewRecordOwned(rid int32, ids []ID) Record {
+	slices.Sort(ids)
+	return Record{RID: rid, Tokens: dedupSorted(ids)}
 }
 
 // Len returns the number of tokens in the record (|s| in the paper).
