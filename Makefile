@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz cover test-env all
+.PHONY: build test vet race chaos fuzz cover test-env loc all
 
 all: build vet test
 
@@ -61,3 +61,13 @@ test-env:
 cover:
 	$(GO) test -coverprofile=cover.out $$($(GO) list ./... | grep -v -e '/cmd/' -e '/examples/')
 	$(GO) tool cover -func=cover.out | awk '/^total:/ { sub("%","",$$3); if ($$3+0 < 78.0) { printf "coverage %s%% below 78%% gate\n", $$3; exit 1 } else printf "coverage %s%% (gate 78%%)\n", $$3 }'
+
+# loc prints the code size simplicity PRs and roadmap re-anchors quote:
+# non-test Go lines (wc -l) outside bench/, then per internal package
+# (its own directory, subpackages listed separately).
+loc:
+	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@for d in $$(find internal -type d | sort); do \
+		f=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go'); \
+		[ -z "$$f" ] || printf '%6d  %s\n' $$(cat $$f | wc -l) $$d; \
+	done

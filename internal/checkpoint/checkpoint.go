@@ -210,21 +210,22 @@ func (s *Store) Clear() error {
 	return nil
 }
 
-// fileName derives the stage's checkpoint path. Job names pass through a
-// conservative character filter so they are always valid path components.
-func (s *Store) fileName(stage int, job string) string {
-	clean := make([]byte, 0, len(job))
-	for i := 0; i < len(job); i++ {
-		c := job[i]
+// SafeName maps a job name onto a conservative character set so it is
+// always a valid path component.
+func SafeName(job string) string {
+	return strings.Map(func(r rune) rune {
 		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-			clean = append(clean, c)
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '_', r == '-':
+			return r
 		default:
-			clean = append(clean, '_')
+			return '_'
 		}
-	}
-	return filepath.Join(s.dir, fmt.Sprintf("stage-%03d-%s.ckpt", stage, clean))
+	}, job)
+}
+
+// fileName derives the stage's checkpoint path.
+func (s *Store) fileName(stage int, job string) string {
+	return filepath.Join(s.dir, fmt.Sprintf("stage-%03d-%s.ckpt", stage, SafeName(job)))
 }
 
 // Save atomically persists one stage: the file is streamed to a temp name
@@ -263,15 +264,10 @@ func (s *Store) Save(m Manifest, recs []Record) (err error) {
 	write(scratch)
 	write(manifest)
 	for _, r := range recs {
-		scratch = binary.AppendUvarint(scratch[:0], uint64(len(r.Key)))
-		scratch = append(scratch, r.Key...)
-		var val []byte
-		if val, err = spill.AppendEncoded(nil, r.Value); err != nil {
+		if scratch, err = spill.AppendRecord(scratch[:0], r.Key, r.Value); err != nil {
 			err = fmt.Errorf("%w: %v", ErrUnencodable, err)
 			return err
 		}
-		scratch = binary.AppendUvarint(scratch, uint64(len(val)))
-		scratch = append(scratch, val...)
 		write(scratch)
 	}
 	if err == nil {
@@ -356,16 +352,11 @@ func decode(raw []byte) (*Snapshot, error) {
 	if n < 0 {
 		return nil, errors.New("checkpoint: negative record count")
 	}
-	snap.Records = make([]Record, 0, minI64(n, 1<<16))
+	snap.Records = make([]Record, 0, min(n, 1<<16))
 	for i := int64(0); i < n; i++ {
-		key := d.String()
-		val := d.String()
+		key, v := d.Record()
 		if d.Err() != nil {
 			return nil, fmt.Errorf("checkpoint: record %d: %w", i, d.Err())
-		}
-		v, err := spill.DecodeEncoded([]byte(val))
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: record %d: %w", i, err)
 		}
 		snap.Records = append(snap.Records, Record{Key: key, Value: v})
 	}
@@ -373,11 +364,4 @@ func decode(raw []byte) (*Snapshot, error) {
 		return nil, errors.New("checkpoint: trailing bytes after records")
 	}
 	return snap, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

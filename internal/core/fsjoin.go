@@ -5,7 +5,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -17,7 +16,6 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
-	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -123,34 +121,6 @@ type Result struct {
 	LengthPivots []int
 }
 
-// partial is the filtering job's output value: a fragment's common-token
-// count for one pair plus the two record lengths, so verification never
-// needs the original strings (Section V-B).
-type partial struct {
-	C, La, Lb int32
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (partial) SizeBytes() int { return 12 }
-
-// Spill codec (DESIGN.md §8): partial is the verification job's shuffle
-// value; its combiner fold is pure addition on C, so re-folding merged
-// runs is exact. Tag 41.
-func init() {
-	spill.RegisterValue(41, partial{},
-		func(buf []byte, v any) []byte {
-			p := v.(partial)
-			buf = binary.AppendVarint(buf, int64(p.C))
-			buf = binary.AppendVarint(buf, int64(p.La))
-			return binary.AppendVarint(buf, int64(p.Lb))
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			p := partial{C: int32(d.Varint()), La: int32(d.Varint()), Lb: int32(d.Varint())}
-			return p, d.Err()
-		})
-}
-
 // SelfJoin runs FS-Join over one collection.
 func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	return run(c, nil, opt)
@@ -231,16 +201,14 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	// ---- Phase 3: Verification (aggregate partial counts) ----
 	verifyRes, err := p.Run(mapreduce.Config{
 		Name:     "verification",
-		Combiner: sumPartials{},
+		Combiner: result.SumOverlaps{},
 	}, filterRes.Output, mapreduce.IdentityMapper, &verifyReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
 	if err != nil {
 		return nil, err
 	}
 
-	pairs := decodePairs(verifyRes.Output, opt.Fn)
-	result.Sort(pairs)
 	return &Result{
-		Pairs:               pairs,
+		Pairs:               result.Pairs(verifyRes.Output, opt.Fn),
 		Pipeline:            p,
 		FilterOutputRecords: filterRes.Metrics.OutputRecords,
 		Pivots:              pivots,
@@ -291,28 +259,8 @@ func (r *filterReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 	}
 	fragjoin.Join(ctx, segs, r.params, func(a, b *fragjoin.Seg, c int) {
 		ctx.Emit(mapreduce.PairKey(uint32(a.RID), uint32(b.RID)),
-			partial{C: int32(c), La: a.StrLen, Lb: b.StrLen})
+			result.Overlap{C: int32(c), La: a.StrLen, Lb: b.StrLen})
 	})
-}
-
-// sumPartials merges partial counts for one pair; used as the verification
-// job's combiner (with the engine's fold fast path).
-type sumPartials struct{}
-
-// Reduce implements mapreduce.Reducer.
-func (s sumPartials) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	acc := values[0]
-	for _, v := range values[1:] {
-		acc = s.Fold(acc, v)
-	}
-	ctx.Emit(key, acc)
-}
-
-// Fold implements mapreduce.Folder.
-func (sumPartials) Fold(acc, v any) any {
-	a := acc.(partial)
-	a.C += v.(partial).C
-	return a
 }
 
 // verifyReducer implements Section V-B: aggregate common-token counts and
@@ -320,6 +268,7 @@ func (sumPartials) Fold(acc, v any) any {
 // In R-S mode it also feeds the rs.pairs.* counters surfaced through
 // fsjoin.Stats.
 type verifyReducer struct {
+	result.SumOverlaps
 	fn    similarity.Func
 	theta float64
 	rs    bool
@@ -334,40 +283,17 @@ func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 	r.FinishFold(ctx, key, acc)
 }
 
-// Fold implements mapreduce.Folder.
-func (r *verifyReducer) Fold(acc, v any) any {
-	a := acc.(partial)
-	a.C += v.(partial).C
-	return a
-}
-
 // FinishFold implements mapreduce.FoldingReducer.
 func (r *verifyReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) {
 	ctx.Inc(filters.CtrVerifyCandidates, 1)
 	if r.rs {
 		ctx.Inc(result.CtrRSCandidates, 1)
 	}
-	sum := acc.(partial)
+	sum := acc.(result.Overlap)
 	if r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
 		if r.rs {
 			ctx.Inc(result.CtrRSEmitted, 1)
 		}
 		ctx.Emit(key, sum)
 	}
-}
-
-// decodePairs converts verification output into result pairs.
-func decodePairs(kvs []mapreduce.KV, fn similarity.Func) []result.Pair {
-	out := make([]result.Pair, 0, len(kvs))
-	for _, kv := range kvs {
-		a, b := mapreduce.DecodePairKey(kv.Key)
-		pv := kv.Value.(partial)
-		out = append(out, result.Pair{
-			A:      int32(a),
-			B:      int32(b),
-			Common: int(pv.C),
-			Sim:    fn.Sim(int(pv.C), int(pv.La), int(pv.Lb)),
-		})
-	}
-	return out
 }

@@ -153,10 +153,3 @@ func SegPrefixLenNaive(theta float64, s SegMeta) int {
 // fpEps absorbs floating-point noise so filters never prune a pair that
 // sits exactly on the threshold boundary.
 const fpEps = 1e-9
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

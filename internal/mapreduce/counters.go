@@ -53,17 +53,6 @@ func (c *Counters) Inc(name string, delta int64) {
 	c.mu.Unlock()
 }
 
-// Add adds delta to the named counter and returns the new value — the
-// atomic check-and-act primitive budget enforcement needs (concurrent
-// tasks charging a shared limit each see a distinct running total).
-func (c *Counters) Add(name string, delta int64) int64 {
-	c.mu.Lock()
-	c.m[name] += delta
-	v := c.m[name]
-	c.mu.Unlock()
-	return v
-}
-
 // Max raises the named counter to v if v is larger. Because max is
 // commutative, concurrent tasks can record high-water marks and still
 // produce parallelism-independent counter values.

@@ -200,10 +200,12 @@ func ExponentialBackoff(base, max time.Duration) BackoffFunc {
 
 // FaultPolicy bundles a job's fault-tolerance and fault-injection knobs so
 // pipelines and algorithm options can carry them as one value. The zero
-// value keeps the engine's default behaviour: MaxAttempts from the job
-// config (default 4), no backoff, no speculation, no injection.
+// value keeps the engine's default behaviour: four attempts per task, no
+// backoff, no speculation, no injection.
 type FaultPolicy struct {
-	// MaxAttempts, when positive, overrides Config.MaxAttempts.
+	// MaxAttempts is how many times a failing (panicking) task is tried
+	// before the job aborts, mirroring Hadoop's task-level fault
+	// tolerance; 0 means 4, Hadoop's default.
 	MaxAttempts int
 	// Backoff, when non-nil, sleeps between retry attempts.
 	Backoff BackoffFunc

@@ -45,7 +45,7 @@ func TestTransientMapFailureRetried(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		flaky := &flakyMapper{attempts: map[int]int{}, failUntil: 2}
-		res, err := Run(Config{Cluster: tinyCluster(), MaxAttempts: 4, Parallelism: par},
+		res, err := Run(Config{Cluster: tinyCluster(), Fault: FaultPolicy{MaxAttempts: 4}, Parallelism: par},
 			input, flaky, wcReducer{})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -63,7 +63,7 @@ func TestTransientMapFailureRetried(t *testing.T) {
 func TestPermanentMapFailureAborts(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		flaky := &flakyMapper{attempts: map[int]int{}, failUntil: 1 << 30}
-		_, err := Run(Config{Cluster: tinyCluster(), MaxAttempts: 3, Parallelism: par},
+		_, err := Run(Config{Cluster: tinyCluster(), Fault: FaultPolicy{MaxAttempts: 3}, Parallelism: par},
 			wcInput("a"), flaky, wcReducer{})
 		if err == nil {
 			t.Fatalf("parallelism %d: permanently failing task did not abort the job", par)
@@ -83,7 +83,7 @@ func TestDeterministicFailureStopsEarly(t *testing.T) {
 		attempts++
 		panic("deterministic boom")
 	})
-	_, err := Run(Config{Cluster: tinyCluster(), MapTasks: 1, MaxAttempts: 4}, wcInput("only"), mapper, wcReducer{})
+	_, err := Run(Config{Cluster: tinyCluster(), MapTasks: 1, Fault: FaultPolicy{MaxAttempts: 4}}, wcInput("only"), mapper, wcReducer{})
 	if err == nil {
 		t.Fatal("deterministically failing task did not abort the job")
 	}
@@ -215,7 +215,7 @@ func TestWithRetriesTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			counters := NewCounters()
 			attempts := 0
-			err := withRetries(Config{MaxAttempts: tc.maxAttempts}, counters, func(a int) error {
+			err := withRetries(Config{Fault: FaultPolicy{MaxAttempts: tc.maxAttempts}}, counters, func(a int) error {
 				if a != attempts {
 					t.Fatalf("attempt index %d, want %d", a, attempts)
 				}
@@ -247,7 +247,8 @@ func TestWithRetriesTable(t *testing.T) {
 func TestWithRetriesBackoff(t *testing.T) {
 	counters := NewCounters()
 	var consulted []int
-	cfg := Config{MaxAttempts: 3, Fault: FaultPolicy{
+	cfg := Config{Fault: FaultPolicy{
+		MaxAttempts: 3,
 		Backoff: func(retry int) time.Duration {
 			consulted = append(consulted, retry)
 			return time.Microsecond

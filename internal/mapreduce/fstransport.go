@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fsjoin/internal/checkpoint"
 	"fsjoin/internal/spill"
 )
 
@@ -48,7 +49,7 @@ func NewFSTransport(dir string, keep bool) *FSTransport {
 // Open implements Transport.
 func (f *FSTransport) Open(spec TransportSpec) (JobTransport, error) {
 	seq := f.seq.Add(1)
-	dir := filepath.Join(f.root, fmt.Sprintf("s%03d-%s", seq, sanitizeJobName(spec.Job)))
+	dir := filepath.Join(f.root, fmt.Sprintf("s%03d-%s", seq, checkpoint.SafeName(spec.Job)))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
@@ -58,18 +59,6 @@ func (f *FSTransport) Open(spec TransportSpec) (JobTransport, error) {
 		spec: spec,
 		fp:   spec.fingerprint(),
 	}, nil
-}
-
-// sanitizeJobName makes a job name safe as a path component.
-func sanitizeJobName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }
 
 // Frame file layout. All integers are uvarints unless noted; CRCs are
@@ -84,9 +73,9 @@ func sanitizeJobName(name string) string {
 //	metaLen metaJSON crc32
 //	magic "FSSHUFE\x00"
 //
-// A record inside a blob is klen key vlen value, with value in the spill
-// codec's tag+payload encoding. Record byte accounting is recomputed at
-// fetch with the engine's size function, so frames carry no sizes.
+// A record inside a blob is in spill.AppendRecord's form. Record byte
+// accounting is recomputed at fetch with the engine's size function, so
+// frames carry no sizes.
 const (
 	fsFrameMagic   = "FSSHUF1\x00"
 	fsFrameTrailer = "FSSHUFE\x00"
@@ -161,22 +150,13 @@ func parseGen(name string) (gen, pid int64, ok bool) {
 func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
 	defer sink.close()
 	parts := make([]fsPartData, j.spec.ReduceTasks)
-	for r := 0; r < j.spec.ReduceTasks; r++ {
+	for r := range parts {
+		p := &parts[r]
 		var encErr error
 		ways, err := sink.drain(r, func(key string, v any, _ int64) {
-			if encErr != nil {
-				return
+			if encErr == nil {
+				encErr = p.add(key, v)
 			}
-			parts[r].blob = binary.AppendUvarint(parts[r].blob, uint64(len(key)))
-			parts[r].blob = append(parts[r].blob, key...)
-			val, err := spill.AppendEncoded(nil, v)
-			if err != nil {
-				encErr = err
-				return
-			}
-			parts[r].blob = binary.AppendUvarint(parts[r].blob, uint64(len(val)))
-			parts[r].blob = append(parts[r].blob, val...)
-			parts[r].count++
 		})
 		if err == nil {
 			err = encErr
@@ -184,24 +164,18 @@ func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, 
 		if err != nil {
 			return CommitInfo{}, fmt.Errorf("transport: commit map task %d: %w", t, err)
 		}
-		parts[r].ways = int64(ways)
+		p.ways = int64(ways)
 	}
 	return j.commitFrame(fsKindMap, t, parts, meta)
 }
 
 // CommitOutput implements JobTransport.
-func (j *fsJob) CommitOutput(t int, out []KV, meta TaskMeta) (CommitInfo, error) {
+func (j *fsJob) CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error) {
 	var p fsPartData
-	for _, kv := range out {
-		p.blob = binary.AppendUvarint(p.blob, uint64(len(kv.Key)))
-		p.blob = append(p.blob, kv.Key...)
-		val, err := spill.AppendEncoded(nil, kv.Value)
-		if err != nil {
+	for i := 0; i < out.Len(); i++ {
+		if err := p.add(out.At(i).Key, out.At(i).Value); err != nil {
 			return CommitInfo{}, fmt.Errorf("transport: commit output %d: %w", t, err)
 		}
-		p.blob = binary.AppendUvarint(p.blob, uint64(len(val)))
-		p.blob = append(p.blob, val...)
-		p.count++
 	}
 	return j.commitFrame(fsKindOutput, t, []fsPartData{p}, meta)
 }
@@ -211,6 +185,13 @@ type fsPartData struct {
 	blob  []byte
 	count int64
 	ways  int64
+}
+
+// add appends one record to the partition's blob.
+func (p *fsPartData) add(key string, v any) (err error) {
+	p.blob, err = spill.AppendRecord(p.blob, key, v)
+	p.count++
+	return err
 }
 
 // commitFrame encodes and atomically publishes one frame as the task's
@@ -238,6 +219,18 @@ func (j *fsJob) commitFrame(kind byte, t int, parts []fsPartData, meta TaskMeta)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(mj))
 	buf = append(buf, fsFrameTrailer...)
 
+	redelivered, err := j.publish(kind, t, buf)
+	if err != nil {
+		return CommitInfo{}, err
+	}
+	return CommitInfo{Redelivered: redelivered, Partitions: len(parts)}, nil
+}
+
+// publish makes data the task's next generation: written under a temp
+// name, fsynced, then renamed into place, so a reader only ever sees
+// complete frames. It reports whether a complete generation already
+// existed (the publish is a redelivery).
+func (j *fsJob) publish(kind byte, t int, data []byte) (redelivered bool, err error) {
 	gen, redelivered := j.nextGen(kind, t)
 	pid := os.Getpid()
 	j.mu.Lock()
@@ -245,16 +238,16 @@ func (j *fsJob) commitFrame(kind byte, t int, parts []fsPartData, meta TaskMeta)
 	tmpSeq := j.genSeen
 	j.mu.Unlock()
 	tmp := filepath.Join(j.dir, fmt.Sprintf(".tmp-%d-%d-%d", pid, t, tmpSeq))
-	if err := writeFileSync(tmp, buf); err != nil {
-		return CommitInfo{}, fmt.Errorf("transport: %w", err)
+	if err := writeFileSync(tmp, data); err != nil {
+		return false, fmt.Errorf("transport: %w", err)
 	}
 	final := filepath.Join(j.dir, taskFileName(kind, t, gen, pid))
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return CommitInfo{}, fmt.Errorf("transport: %w", err)
+		return false, fmt.Errorf("transport: %w", err)
 	}
 	syncDir(j.dir)
-	return CommitInfo{Redelivered: redelivered, Partitions: len(parts)}, nil
+	return redelivered, nil
 }
 
 // writeFileSync writes data and fsyncs before closing — the frame must be
@@ -531,21 +524,16 @@ func emitBlob(fr *fsFrame, r int, emit func(key string, value any, bytes int64))
 	if crc32.ChecksumIEEE(blob) != part.crc {
 		return fmt.Errorf("CRC mismatch on read")
 	}
-	p := &frameParser{data: blob}
+	d := spill.NewDec(blob)
 	for i := int64(0); i < part.count; i++ {
-		key := string(p.take(int(p.uvarint())))
-		vb := p.take(int(p.uvarint()))
-		if p.err != nil {
-			return p.err
-		}
-		v, err := spill.DecodeEncoded(vb)
-		if err != nil {
-			return err
+		key, v := d.Record()
+		if d.Err() != nil {
+			return d.Err()
 		}
 		emit(key, v, int64(len(key)+sizeOf(v))+8)
 	}
-	if p.pos != len(p.data) {
-		return fmt.Errorf("%d trailing bytes in partition blob", len(p.data)-p.pos)
+	if d.Rest() != 0 {
+		return fmt.Errorf("%d trailing bytes in partition blob", d.Rest())
 	}
 	return nil
 }
@@ -554,8 +542,7 @@ func emitBlob(fr *fsFrame, r int, emit func(key string, value any, bytes int64))
 // re-published verbatim as the next generation — what a reassigned
 // worker's re-execution would deliver, without re-executing.
 func (j *fsJob) Redeliver(t int) (CommitInfo, error) {
-	kind := byte(fsKindMap)
-	fr, err := j.frame(kind, t)
+	fr, err := j.frame(fsKindMap, t)
 	if err != nil {
 		return CommitInfo{}, err
 	}
@@ -563,22 +550,9 @@ func (j *fsJob) Redeliver(t int) (CommitInfo, error) {
 	if err != nil {
 		return CommitInfo{}, fmt.Errorf("transport: %w", err)
 	}
-	gen, _ := j.nextGen(kind, t)
-	pid := os.Getpid()
-	j.mu.Lock()
-	j.genSeen++
-	tmpSeq := j.genSeen
-	j.mu.Unlock()
-	tmp := filepath.Join(j.dir, fmt.Sprintf(".tmp-%d-%d-%d", pid, t, tmpSeq))
-	if err := writeFileSync(tmp, data); err != nil {
-		return CommitInfo{}, fmt.Errorf("transport: %w", err)
+	if _, err := j.publish(fsKindMap, t, data); err != nil {
+		return CommitInfo{}, err
 	}
-	final := filepath.Join(j.dir, taskFileName(kind, t, gen, pid))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return CommitInfo{}, fmt.Errorf("transport: %w", err)
-	}
-	syncDir(j.dir)
 	return CommitInfo{Redelivered: true, Partitions: len(fr.parts)}, nil
 }
 
@@ -597,14 +571,14 @@ func (j *fsJob) MapMeta(t int) (TaskMeta, error) {
 }
 
 // FetchOutput implements JobTransport.
-func (j *fsJob) FetchOutput(t int) ([]KV, TaskMeta, error) {
+func (j *fsJob) FetchOutput(t int) (*spill.List[KV], TaskMeta, error) {
 	fr, err := j.frame(fsKindOutput, t)
 	if err != nil {
 		return nil, TaskMeta{}, err
 	}
-	var out []KV
+	out := new(spill.List[KV])
 	if err := emitBlob(fr, 0, func(key string, v any, _ int64) {
-		out = append(out, KV{Key: key, Value: v})
+		out.Append(KV{Key: key, Value: v})
 	}); err != nil {
 		return nil, TaskMeta{}, fmt.Errorf("transport: output %d: %w", t, err)
 	}

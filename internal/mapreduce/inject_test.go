@@ -93,8 +93,8 @@ func TestInjectedPermanentFaultAborts(t *testing.T) {
 	for a := 0; a < 4; a++ {
 		faults[[3]int{int(PhaseMap), 0, a}] = Fault{Kind: FaultPanic, Msg: "永 persistent"}
 	}
-	cfg := Config{Cluster: tinyCluster(), MapTasks: 1, MaxAttempts: 3,
-		Fault: FaultPolicy{Injector: scriptedInjector{faults: faults}}}
+	cfg := Config{Cluster: tinyCluster(), MapTasks: 1,
+		Fault: FaultPolicy{MaxAttempts: 3, Injector: scriptedInjector{faults: faults}}}
 	_, err := Run(cfg, wcInput("a b"), wcMapper{}, wcReducer{})
 	if err == nil || !strings.Contains(err.Error(), "永 persistent") {
 		t.Fatalf("err = %v, want injected message surfaced", err)
@@ -102,13 +102,13 @@ func TestInjectedPermanentFaultAborts(t *testing.T) {
 }
 
 // TestFaultPolicyMaxAttemptsOverrides: FaultPolicy.MaxAttempts wins over
-// Config.MaxAttempts.
+// the default of 4.
 func TestFaultPolicyMaxAttemptsOverrides(t *testing.T) {
 	var attempts atomic.Int64
 	mapper := MapFunc(func(ctx *Context, kv KV) {
 		panic(fmt_attempt(attempts.Add(1)))
 	})
-	cfg := Config{Cluster: tinyCluster(), MapTasks: 1, MaxAttempts: 2,
+	cfg := Config{Cluster: tinyCluster(), MapTasks: 1,
 		Fault: FaultPolicy{MaxAttempts: 6}}
 	if _, err := Run(cfg, wcInput("a"), mapper, wcReducer{}); err == nil {
 		t.Fatal("always-failing task succeeded")

@@ -102,10 +102,6 @@ type Config struct {
 	Combiner Reducer
 	// Cluster is the cost model; nil means DefaultCluster().
 	Cluster *Cluster
-	// MaxAttempts is how many times a failing (panicking) task is retried
-	// before the job aborts, mirroring Hadoop's task-level fault
-	// tolerance; 0 means 4, Hadoop's default.
-	MaxAttempts int
 	// Context, when non-nil, is checked at task boundaries: a cancelled
 	// context aborts the job with the context's error. Long joins remain
 	// cancellable without cooperative checks inside user map/reduce code.
@@ -138,9 +134,9 @@ type Config struct {
 	// §9). Plain Run ignores it; inheritance and replay live in Pipeline.
 	CheckpointDir string
 	// Runtime selects the shuffle transport and, for multi-process runs,
-	// the task executor (DESIGN.md §15). The zero value is the in-process
-	// engine with the in-memory transport. A non-nil Executor requires a
-	// shared filesystem Transport and is incompatible with CheckpointDir.
+	// the task executor (DESIGN.md §15). The zero value runs every task in
+	// this process over the in-memory transport. A non-nil Executor requires
+	// a shared filesystem Transport and is incompatible with CheckpointDir.
 	Runtime Runtime
 }
 
@@ -175,14 +171,13 @@ func (c Config) cancelCheck() func() error {
 	}
 }
 
+// maxAttempts resolves how many times a failing task is tried before the
+// job aborts; unset means 4, Hadoop's default.
 func (c Config) maxAttempts() int {
 	if c.Fault.MaxAttempts > 0 {
 		return c.Fault.MaxAttempts
 	}
-	if c.MaxAttempts <= 0 {
-		return 4
-	}
-	return c.MaxAttempts
+	return 4
 }
 
 func (c Config) cluster() *Cluster {
@@ -436,14 +431,11 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 		sdir:           cfg.spillDir(),
 		quarantine:     &quarantineState{},
 	}
-	if cfg.Runtime.Executor != nil {
-		return runDistributed(env, input)
-	}
-	return runLocal(env, input)
+	return runJob(env, input)
 }
 
 // jobEnv bundles one run's resolved execution parameters, shared by every
-// task of the local and distributed paths.
+// task of the job.
 type jobEnv struct {
 	cfg            Config
 	cl             *Cluster
@@ -470,11 +462,23 @@ func (env *jobEnv) openTransport() (JobTransport, error) {
 	return tr.Open(TransportSpec{Job: env.cfg.Name, MapTasks: env.mapTasks, ReduceTasks: env.reduceTasks})
 }
 
-// runLocal is the in-process engine: every task executes here, and only
-// the map→reduce hand-off goes through the transport.
-func runLocal(env *jobEnv, input []KV) (*Result, error) {
+// jobErr tags a failure that belongs to no single task with the job.
+func (env *jobEnv) jobErr(err error) error {
+	return fmt.Errorf("mapreduce: job %q: %w", env.cfg.Name, err)
+}
+
+// runJob is the engine's one job driver. A task — wherever schedule ran it
+// — commits its artifact together with everything measured about it
+// through the job transport, and the Result is assembled from those
+// commits alone: a participant that executed every task and one that
+// executed none build the identical Result.
+func runJob(env *jobEnv, input []KV) (*Result, error) {
 	cfg, cl, mapTasks, reduceTasks := env.cfg, env.cl, env.mapTasks, env.reduceTasks
-	reducer := env.reducer
+	jt, err := env.openTransport()
+	if err != nil {
+		return nil, env.jobErr(err)
+	}
+	defer jt.Close()
 	res := &Result{Counters: NewCounters()}
 	m := &res.Metrics
 	m.Job = cfg.Name
@@ -485,74 +489,21 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 
 	// ---- Map phase ----
 	splits := splitInput(input, mapTasks)
+	if err := env.schedule(PhaseMap, mapTasks, func(t int) (CommitInfo, error) {
+		return env.mapTask(jt, t, splits[t])
+	}); err != nil {
+		return nil, err
+	}
 	m.MapTaskTime = make([]time.Duration, mapTasks)
-	var (
-		mapOuts   taskOutputs  // map-only jobs
-		jt        JobTransport // jobs with a reduce phase
-		taskRecs  []int64
-		taskBytes []int64
-		taskStats []spill.Stats
-	)
-	if reducer == nil {
-		mapOuts = newTaskOutputs(mapTasks)
-	} else {
-		var err error
-		if jt, err = env.openTransport(); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: %w", cfg.Name, err)
+	if env.reducer == nil {
+		// Map-only job: the map tasks' outputs in task order are the result.
+		if err := env.collectOutput(jt, res, PhaseMap, mapTasks, func(t int, meta TaskMeta) {
+			m.MapTaskTime[t] = time.Duration(meta.TaskNanos)
+		}); err != nil {
+			return nil, err
 		}
-		taskRecs = make([]int64, mapTasks)
-		taskBytes = make([]int64, mapTasks)
-		taskStats = make([]spill.Stats, mapTasks)
-	}
-	mapErr := runPhase(cfg.Parallelism, mapTasks, func(t int) error {
-		if err := cfg.cancelled(); err != nil {
-			return fmt.Errorf("mapreduce: job %q: %w", cfg.Name, err)
-		}
-		start := time.Now()
-		ctx, err := env.runMapAttempts(res.Counters, t, splits[t])
-		if err != nil {
-			return taskErr(cfg.Name, PhaseMap, t, err)
-		}
-		m.MapTaskTime[t] = time.Since(start)
-		if reducer == nil {
-			ctx.flushCounters()
-			mapOuts.set(t, &ctx.out)
-			return nil
-		}
-		recs, bytes, st, ferr := env.finishMapTask(res.Counters, ctx)
-		if ferr != nil {
-			return taskErr(cfg.Name, PhaseMap, t, ferr)
-		}
-		taskStats[t], taskRecs[t], taskBytes[t] = st, recs, bytes
-		// Hand the winning attempt's partitions to the reduce phase. The
-		// in-memory transport keeps the sink live; a filesystem transport
-		// serialises and owns it from here.
-		if _, cerr := jt.CommitMap(t, ctx.shuffle, TaskMeta{
-			Records: recs, Bytes: bytes, TaskNanos: int64(m.MapTaskTime[t]), Spill: st,
-		}); cerr != nil {
-			ctx.shuffle.close()
-			return taskErr(cfg.Name, PhaseMap, t, cerr)
-		}
-		if derr := injectDeliveryFault(cfg, res.Counters, jt, t); derr != nil {
-			return taskErr(cfg.Name, PhaseMap, t, derr)
-		}
-		return nil
-	})
-	if mapErr != nil {
-		if jt != nil {
-			jt.Close()
-		}
-		return nil, mapErr
-	}
-
-	if reducer == nil {
-		// Map-only job: concatenate map outputs in task order.
-		res.Output, m.ShuffleBytes = mapOuts.assemble()
-		m.ShuffleRecords = int64(len(res.Output))
-		m.MapOutputRecords = m.ShuffleRecords
-		m.MapOutputBytes = m.ShuffleBytes
-		m.OutputRecords = int64(len(res.Output))
-		m.OutputBytes = m.ShuffleBytes
+		m.ShuffleRecords, m.ShuffleBytes = m.OutputRecords, m.OutputBytes
+		m.MapOutputRecords, m.MapOutputBytes = m.OutputRecords, m.OutputBytes
 		m.ReduceTasks = 0
 		m.SimulatedMapTime = simPhase(cl, m.MapTaskTime)
 		m.SimulatedTotalTime = m.SimulatedMapTime
@@ -560,114 +511,164 @@ func runLocal(env *jobEnv, input []KV) (*Result, error) {
 		return res, nil
 	}
 	for t := 0; t < mapTasks; t++ {
-		m.ShuffleRecords += taskRecs[t]
-		m.ShuffleBytes += taskBytes[t]
-		m.SpillRuns += taskStats[t].Runs
-		m.SpillBytes += taskStats[t].SpilledBytes
-		if taskStats[t].PeakBytes > m.ShufflePeakBytes {
-			m.ShufflePeakBytes = taskStats[t].PeakBytes
+		meta, err := jt.MapMeta(t)
+		if err != nil {
+			return nil, taskErr(cfg.Name, PhaseMap, t, err)
 		}
+		m.MapTaskTime[t] = time.Duration(meta.TaskNanos)
+		m.ShuffleRecords += meta.Records
+		m.ShuffleBytes += meta.Bytes
+		m.SpillRuns += meta.Spill.Runs
+		m.SpillBytes += meta.Spill.SpilledBytes
+		m.ShufflePeakBytes = max(m.ShufflePeakBytes, meta.Spill.PeakBytes)
+		mergeTaskCounters(res.Counters, meta.Counters)
 	}
 	m.MapOutputRecords = m.ShuffleRecords
 	m.MapOutputBytes = m.ShuffleBytes
 
 	// ---- Reduce phase (per-reducer shuffle, group, sort, reduce) ----
+	if err := env.schedule(PhaseReduce, reduceTasks, func(t int) (CommitInfo, error) {
+		return env.reduceTask(jt, t)
+	}); err != nil {
+		return nil, err
+	}
 	m.PerReduceRecords = make([]int64, reduceTasks)
 	m.PerReduceBytes = make([]int64, reduceTasks)
 	m.ReduceTaskTime = make([]time.Duration, reduceTasks)
 	m.GroupSpillTime = make([]time.Duration, reduceTasks)
-	reduceOuts := newTaskOutputs(reduceTasks)
-	groupCounts := make([]int64, reduceTasks)
-	reduceErr := runPhase(cfg.Parallelism, reduceTasks, func(t int) error {
-		if err := cfg.cancelled(); err != nil {
-			return fmt.Errorf("mapreduce: job %q: %w", cfg.Name, err)
-		}
-		in, gerr := env.fetchReduceInput(jt, t)
-		if gerr != nil {
-			return taskErr(cfg.Name, PhaseReduce, t, gerr)
-		}
-		m.PerReduceRecords[t] = in.recs
-		m.PerReduceBytes[t] = in.bytes
-		if in.maxWays > 1 {
-			res.Counters.Max(CounterSpillMergeWays, int64(in.maxWays))
-		}
-		groupCounts[t] = int64(len(in.keys))
-		start := time.Now()
-		ctx, err := env.runReduceAttempts(res.Counters, t, in)
-		if err != nil {
-			return taskErr(cfg.Name, PhaseReduce, t, err)
-		}
-		m.ReduceTaskTime[t] = time.Since(start)
-		ctx.flushCounters()
-		reduceOuts.set(t, &ctx.out)
-		for _, b := range in.gBytes {
-			m.GroupSpillTime[t] += cl.groupSpillTime(b)
-		}
-		for mt := 0; mt < mapTasks; mt++ {
-			jt.ReleasePartition(mt, t)
-		}
-		return nil
-	})
-	if reduceErr != nil {
-		jt.Close()
-		return nil, reduceErr
+	if err := env.collectOutput(jt, res, PhaseReduce, reduceTasks, func(t int, meta TaskMeta) {
+		m.PerReduceRecords[t] = meta.Records
+		m.PerReduceBytes[t] = meta.Bytes
+		m.ReduceTaskTime[t] = time.Duration(meta.TaskNanos)
+		m.GroupSpillTime[t] = time.Duration(meta.GroupSpillNanos)
+		m.ReduceInputGroups += meta.Groups
+	}); err != nil {
+		return nil, err
 	}
-	jt.Close()
-	for t := 0; t < reduceTasks; t++ {
-		m.ReduceInputGroups += groupCounts[t]
-	}
-	res.Output, m.OutputBytes = reduceOuts.assemble()
-	m.OutputRecords = int64(len(res.Output))
-
 	applyCostModel(cl, m, mapTasks, reduceTasks)
 	m.WallTime = time.Since(wallStart)
 	return res, nil
 }
 
-// taskOutputs collects a phase's per-task emissions — each task fills its
-// own slot, so tasks may run concurrently — and sizes them as they arrive,
-// which lets the job's Output be allocated once, at its exact length.
-type taskOutputs struct {
-	outs  []*spill.List[KV]
-	bytes []int64
-}
-
-func newTaskOutputs(tasks int) taskOutputs {
-	return taskOutputs{outs: make([]*spill.List[KV], tasks), bytes: make([]int64, tasks)}
-}
-
-// set records task t's output and its accounted bytes.
-func (o taskOutputs) set(t int, out *spill.List[KV]) {
-	o.outs[t] = out
-	for i := 0; i < out.Len(); i++ {
-		o.bytes[t] += int64(kvBytes(*out.At(i)))
+// mapTask is one map task, whoever scheduled it: the attempt loop against
+// a task-local counter set, then the commit — of the partitioned shuffle
+// output, or for a map-only job of the output itself.
+func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) (CommitInfo, error) {
+	cfg := env.cfg
+	tc := NewCounters()
+	start := time.Now()
+	ctx, err := env.runMapAttempts(tc, t, split)
+	if err != nil {
+		return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
 	}
+	meta := TaskMeta{TaskNanos: int64(time.Since(start))}
+	var info CommitInfo
+	if env.reducer == nil {
+		info, err = env.commitOutput(jt, "map", t, ctx, tc, meta)
+	} else {
+		if meta.Records, meta.Bytes, meta.Spill, err = env.finishMapTask(tc, ctx); err != nil {
+			return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
+		}
+		// A scheduled delivery fault is counted before the snapshot — its
+		// counters must travel with the meta — and realised right after the
+		// commit: the partitions are delivered again under a newer
+		// generation, which the reduce phase must not notice.
+		df := cfg.decideFault(PhaseMap, t, DeliveryAttempt)
+		if isDeliveryKind(df.Kind) {
+			countDeliveryFault(df, tc, env.reduceTasks)
+		}
+		meta.Counters = tc.Snapshot()
+		env.atBoundary("map")
+		info, err = jt.CommitMap(t, ctx.shuffle, meta)
+		if err == nil && isDeliveryKind(df.Kind) {
+			_, err = jt.Redeliver(t)
+		}
+	}
+	if err != nil {
+		return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
+	}
+	env.atBoundary("handoff")
+	return info, nil
 }
 
-// assemble concatenates the outputs in task order, dropping each task's
-// list as soon as it is copied.
-func (o taskOutputs) assemble() (all []KV, bytes int64) {
+// reduceTask is one reduce task: fetch and group its partition, run the
+// attempt loop, commit the output and release the consumed partitions.
+func (env *jobEnv) reduceTask(jt JobTransport, t int) (CommitInfo, error) {
+	cfg := env.cfg
+	in, err := env.fetchReduceInput(jt, t)
+	if err != nil {
+		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
+	}
+	tc := NewCounters()
+	if in.maxWays > 1 {
+		tc.Max(CounterSpillMergeWays, int64(in.maxWays))
+	}
+	start := time.Now()
+	ctx, err := env.runReduceAttempts(tc, t, in)
+	if err != nil {
+		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
+	}
+	meta := TaskMeta{
+		Records: in.recs, Bytes: in.bytes, Groups: int64(len(in.keys)),
+		TaskNanos: int64(time.Since(start)),
+	}
+	for _, b := range in.gBytes {
+		meta.GroupSpillNanos += int64(env.cl.groupSpillTime(b))
+	}
+	info, err := env.commitOutput(jt, "reduce", t, ctx, tc, meta)
+	if err != nil {
+		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
+	}
+	for mt := 0; mt < env.mapTasks; mt++ {
+		jt.ReleasePartition(mt, t)
+	}
+	return info, nil
+}
+
+// commitOutput publishes a winning attempt's emissions as task t's final
+// output, sized here so the job's Output can be allocated once.
+func (env *jobEnv) commitOutput(jt JobTransport, boundary string, t int, ctx *Context, tc *Counters, meta TaskMeta) (CommitInfo, error) {
+	ctx.flushCounters()
+	meta.Counters = tc.Snapshot()
+	for i := 0; i < ctx.out.Len(); i++ {
+		meta.OutputBytes += int64(kvBytes(*ctx.out.At(i)))
+	}
+	env.atBoundary(boundary)
+	return jt.CommitOutput(t, &ctx.out, meta)
+}
+
+// collectOutput assembles Result.Output from a phase's committed task
+// outputs in task order — allocated once, at its exact length — folding
+// each task's counters into the job's and handing its meta to each.
+func (env *jobEnv) collectOutput(jt JobTransport, res *Result, phase Phase, tasks int, each func(t int, meta TaskMeta)) error {
+	outs := make([]*spill.List[KV], tasks)
 	n := 0
-	for _, out := range o.outs {
+	for t := range outs {
+		out, meta, err := jt.FetchOutput(t)
+		if err != nil {
+			return taskErr(env.cfg.Name, phase, t, err)
+		}
+		outs[t] = out
 		n += out.Len()
+		res.Metrics.OutputBytes += meta.OutputBytes
+		mergeTaskCounters(res.Counters, meta.Counters)
+		each(t, meta)
 	}
 	if n > 0 {
-		all = make([]KV, 0, n)
+		res.Output = make([]KV, 0, n)
 	}
-	for t, out := range o.outs {
-		all = out.AppendTo(all)
-		bytes += o.bytes[t]
-		o.outs[t] = nil
+	for _, out := range outs {
+		res.Output = out.AppendTo(res.Output)
 	}
-	return all, bytes
+	res.Metrics.OutputRecords = int64(n)
+	return nil
 }
 
 // runMapAttempts executes one map task's full attempt loop — retries,
 // speculation and, on deterministic failure, skip mode — and returns the
 // winning context. The attempt loop is parameterised by its split so skip
 // mode can re-enter it over a working set with poison records removed.
-// counters receives the attempt bookkeeping: the job counters locally, a
-// task-local set on a distributed worker.
+// counters is the task-local set the attempt bookkeeping lands in.
 func (env *jobEnv) runMapAttempts(counters *Counters, t int, split []KV) (*Context, error) {
 	cfg := env.cfg
 	mapAttempts := func(split []KV) (*Context, error) {

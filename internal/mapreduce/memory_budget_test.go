@@ -203,7 +203,7 @@ func TestSpillCleanupOnJobAbort(t *testing.T) {
 		}
 	})
 	_, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2,
-		MaxAttempts: 1, MemoryBudgetBytes: 1 << 10, SpillDir: dir},
+		Fault: FaultPolicy{MaxAttempts: 1}, MemoryBudgetBytes: 1 << 10, SpillDir: dir},
 		input, boom, wcReducer{})
 	if err == nil {
 		t.Fatal("job should have aborted")
@@ -239,7 +239,7 @@ func TestSpillCleanupOnRetry(t *testing.T) {
 		}
 	})
 	res, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2,
-		MaxAttempts: 4, MemoryBudgetBytes: 1 << 10, SpillDir: dir},
+		Fault: FaultPolicy{MaxAttempts: 4}, MemoryBudgetBytes: 1 << 10, SpillDir: dir},
 		input, late, wcReducer{})
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ type alwaysPanic struct{}
 func (alwaysPanic) Map(ctx *Context, kv KV) { panic("permanent failure") }
 
 func TestParallelPropagatesErrors(t *testing.T) {
-	_, err := Run(Config{Cluster: tinyCluster(), Parallelism: 4, MaxAttempts: 2, MapTasks: 4},
+	_, err := Run(Config{Cluster: tinyCluster(), Parallelism: 4, Fault: FaultPolicy{MaxAttempts: 2}, MapTasks: 4},
 		wcInput("a", "b", "c", "d"), alwaysPanic{}, wcReducer{})
 	if err == nil {
 		t.Fatal("parallel phase swallowed the error")

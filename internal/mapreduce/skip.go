@@ -64,25 +64,27 @@ func skipRun(size func() int, probe func(n int) error,
 	}
 }
 
-// quarantineState is one job's shared skip bookkeeping: the budget lives
-// in the job counters (so it is charged once across concurrent tasks) and
-// the mutex serialises the user's Quarantine sink.
+// quarantineState is one job's shared skip bookkeeping: the budget is
+// charged here, once across concurrent tasks (their counters are
+// task-local), and the mutex also serialises the user's Quarantine sink.
 type quarantineState struct {
-	mu sync.Mutex
+	mu      sync.Mutex
+	skipped int64
 }
 
 // quarantine charges one skipped unit against the job budget and reports
 // it to the policy's sink. Exceeding the budget returns the abort error.
 func (q *quarantineState) quarantine(cfg Config, counters *Counters, rec QuarantinedRecord) error {
-	limit := cfg.Fault.maxSkippedRecords()
-	if n := counters.Add(CounterRecordsSkipped, 1); n > limit {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.skipped++
+	counters.Inc(CounterRecordsSkipped, 1)
+	if limit := cfg.Fault.maxSkippedRecords(); q.skipped > limit {
 		return fmt.Errorf("mapreduce: job %q: %d skipped records exceed MaxSkippedRecords %d (last: %s)",
-			cfg.Name, n, limit, rec.Err)
+			cfg.Name, q.skipped, limit, rec.Err)
 	}
 	if sink := cfg.Fault.Quarantine; sink != nil {
-		q.mu.Lock()
 		sink(rec)
-		q.mu.Unlock()
 	}
 	return nil
 }

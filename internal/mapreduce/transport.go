@@ -6,14 +6,14 @@ import (
 	"fsjoin/internal/spill"
 )
 
-// This file defines the transport seam of the engine: the map→reduce
-// hand-off (and, for distributed runs, the reduce-output hand-off) sits
-// behind the Transport interface so the same job logic drives both the
-// historical in-process in-memory path and the multi-process filesystem
-// shuffle (DESIGN.md §15). The default — Config.Runtime left zero — is
-// MemoryTransport, which preserves the engine's original behaviour
-// byte-for-byte: each map task's pre-partitioned, spill-aware shuffleSink
-// is handed to the reduce phase directly.
+// This file defines the transport seam of the engine: everything a task
+// commits — a map task's partitions, a task's final output, and the meta
+// that carries its measurements — sits behind the Transport interface, so
+// the one job driver runs over both the in-process in-memory hand-off and
+// the multi-process filesystem shuffle (DESIGN.md §15). The default —
+// Config.Runtime left zero — is MemoryTransport, which keeps what a task
+// committed by reference: each map task's pre-partitioned, spill-aware
+// shuffleSink is handed to the reduce phase directly.
 
 // Transport counter names. Supervised multi-process runs report them
 // through fsjoin.Stats; chaos-injected transport faults (FaultWorkerLoss,
@@ -34,17 +34,16 @@ const (
 
 // Runtime selects the execution substrate for a job: the shuffle transport
 // and, for multi-process runs, the task executor that leases tasks from a
-// supervisor. The zero value is the in-process engine with the in-memory
-// transport — the default and the fastest path.
+// supervisor. The zero value runs every task in this process over the
+// in-memory transport — the default and the fastest path.
 type Runtime struct {
-	// Transport carries map output to the reduce phase; nil means the
-	// in-memory transport.
+	// Transport carries what tasks commit; nil means the in-memory
+	// transport.
 	Transport Transport
-	// Executor, when non-nil, switches the job to the distributed SPMD
-	// path: the process executes only the tasks its executor leases, all
-	// task artifacts flow through the (then mandatory filesystem)
-	// transport, and every participant assembles the identical Result
-	// after each phase barrier.
+	// Executor, when non-nil, makes the process one participant of an SPMD
+	// run: it executes only the tasks its executor leases, the transport
+	// must then be a filesystem shared by all participants, and every
+	// participant assembles the identical Result after each phase barrier.
 	Executor Executor
 }
 
@@ -86,8 +85,7 @@ type CommitInfo struct {
 
 // TaskMeta travels with a committed task: the measured facts the driver
 // needs to assemble Metrics and Counters without having executed the task
-// itself. The in-memory transport ignores it (the local engine measures
-// in place).
+// itself.
 type TaskMeta struct {
 	// Records and Bytes are the task's shuffle (map) or fetched-input
 	// (reduce) totals.
@@ -100,17 +98,17 @@ type TaskMeta struct {
 	// GroupSpillNanos is the reduce task's external-memory charge for
 	// oversized key groups (cost model).
 	GroupSpillNanos int64 `json:"group_spill_nanos,omitempty"`
+	// OutputBytes is the accounted size of a committed task output.
+	OutputBytes int64 `json:"output_bytes,omitempty"`
 	// Spill is the winning map attempt's out-of-core shuffle accounting.
 	Spill spill.Stats `json:"spill,omitempty"`
-	// Counters is the task-local counter snapshot (distributed runs only;
-	// the local engine flushes counters into the job directly).
+	// Counters is the task-local counter snapshot.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// JobTransport is one job's shuffle channel. The local engine uses
-// CommitMap / FetchPartition / ReleasePartition / Close; the distributed
-// path additionally publishes reduce outputs and per-task metadata so a
-// non-executing participant can assemble the full Result.
+// JobTransport is one job's commit channel: map partitions on their way
+// to the reduce phase, and task outputs and per-task metadata on their way
+// to whoever assembles the Result, executing participant or not.
 //
 // Delivery is idempotent: committing a task that was already committed
 // must replace or duplicate it harmlessly (the engine's tasks are
@@ -142,45 +140,58 @@ type JobTransport interface {
 	// MapMeta returns the meta committed with map task t.
 	MapMeta(t int) (TaskMeta, error)
 	// CommitOutput publishes task t's final output (reduce output, or map
-	// output for map-only jobs).
-	CommitOutput(t int, out []KV, meta TaskMeta) (CommitInfo, error)
-	// FetchOutput returns task t's committed output and meta.
-	FetchOutput(t int) ([]KV, TaskMeta, error)
+	// output for map-only jobs). out must not change afterwards.
+	CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error)
+	// FetchOutput returns task t's committed output, read-only, and meta.
+	FetchOutput(t int) (*spill.List[KV], TaskMeta, error)
 	// Close releases everything the job still holds. Abort paths call it
 	// with partitions unconsumed.
 	Close()
 }
 
-// MemoryTransport returns the default in-process transport: committed
-// sinks are held live and the reduce phase drains them directly, exactly
-// the engine's historical hand-off.
+// MemoryTransport returns the default in-process transport: what a task
+// commits is held by reference — sinks live, outputs and metas as given —
+// and read back directly.
 func MemoryTransport() Transport { return memTransport{} }
 
 type memTransport struct{}
 
 // Open implements Transport.
 func (memTransport) Open(spec TransportSpec) (JobTransport, error) {
-	return &memJob{sinks: make([]*shuffleSink, spec.MapTasks), reducers: spec.ReduceTasks}, nil
+	return &memJob{
+		maps:     make([]memCommit, spec.MapTasks),
+		outs:     make([]memCommit, max(spec.MapTasks, spec.ReduceTasks)),
+		reducers: spec.ReduceTasks,
+	}, nil
 }
 
-// memJob holds one job's committed sinks. Not safe for cross-process use;
-// the distributed path requires a filesystem transport.
+// memJob holds one job's commits. Tasks fill their own slots, so they may
+// commit concurrently. Not safe for cross-process use; a multi-process run
+// requires a filesystem transport.
 type memJob struct {
-	sinks    []*shuffleSink
+	maps     []memCommit // by map task
+	outs     []memCommit // by the task that committed an output
 	reducers int
+}
+
+// memCommit is one committed task: a map task's sink or a task's output.
+type memCommit struct {
+	sink *shuffleSink
+	out  *spill.List[KV]
+	meta TaskMeta
 }
 
 // CommitMap implements JobTransport by keeping the sink live. A repeated
 // commit of the same task replaces the previous sink (newest wins).
 func (j *memJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
 	info := CommitInfo{Partitions: j.reducers}
-	if prev := j.sinks[t]; prev != nil {
+	if prev := j.maps[t].sink; prev != nil {
 		info.Redelivered = true
 		if prev != sink {
 			prev.close()
 		}
 	}
-	j.sinks[t] = sink
+	j.maps[t] = memCommit{sink: sink, meta: meta}
 	return info, nil
 }
 
@@ -188,7 +199,7 @@ func (j *memJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo,
 // is the newest generation, so redelivery is the identity — which is the
 // idempotence contract the fault kinds exist to exercise.
 func (j *memJob) Redeliver(t int) (CommitInfo, error) {
-	if j.sinks[t] == nil {
+	if j.maps[t].sink == nil {
 		return CommitInfo{}, fmt.Errorf("mapreduce: redeliver of uncommitted map task %d", t)
 	}
 	return CommitInfo{Redelivered: true, Partitions: j.reducers}, nil
@@ -196,65 +207,43 @@ func (j *memJob) Redeliver(t int) (CommitInfo, error) {
 
 // FetchPartition implements JobTransport.
 func (j *memJob) FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (int, error) {
-	return j.sinks[t].drain(r, emit)
+	return j.maps[t].sink.drain(r, emit)
 }
 
 // PartitionRecords implements JobTransport.
-func (j *memJob) PartitionRecords(t, r int) int { return j.sinks[t].buf.PartitionRecords(r) }
+func (j *memJob) PartitionRecords(t, r int) int { return j.maps[t].sink.buf.PartitionRecords(r) }
 
 // ReleasePartition implements JobTransport.
-func (j *memJob) ReleasePartition(t, r int) { j.sinks[t].release(r) }
+func (j *memJob) ReleasePartition(t, r int) { j.maps[t].sink.release(r) }
 
-// MapMeta implements JobTransport; the in-memory engine measures tasks in
-// place and never stores metas.
-func (j *memJob) MapMeta(t int) (TaskMeta, error) {
-	return TaskMeta{}, fmt.Errorf("mapreduce: memory transport keeps no task metas")
-}
+// MapMeta implements JobTransport.
+func (j *memJob) MapMeta(t int) (TaskMeta, error) { return j.maps[t].meta, nil }
 
-// CommitOutput implements JobTransport; the local engine keeps reduce
-// outputs in process instead of publishing them.
-func (j *memJob) CommitOutput(t int, out []KV, meta TaskMeta) (CommitInfo, error) {
-	return CommitInfo{}, fmt.Errorf("mapreduce: memory transport does not publish outputs")
+// CommitOutput implements JobTransport by keeping the list itself.
+func (j *memJob) CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error) {
+	info := CommitInfo{Redelivered: j.outs[t].out != nil, Partitions: 1}
+	j.outs[t] = memCommit{out: out, meta: meta}
+	return info, nil
 }
 
 // FetchOutput implements JobTransport.
-func (j *memJob) FetchOutput(t int) ([]KV, TaskMeta, error) {
-	return nil, TaskMeta{}, fmt.Errorf("mapreduce: memory transport does not publish outputs")
+func (j *memJob) FetchOutput(t int) (*spill.List[KV], TaskMeta, error) {
+	return j.outs[t].out, j.outs[t].meta, nil
 }
 
 // Close implements JobTransport, reclaiming surviving sinks' spill files.
 func (j *memJob) Close() {
-	for i, s := range j.sinks {
-		s.close()
-		j.sinks[i] = nil
+	for _, c := range j.maps {
+		c.sink.close()
 	}
+	j.maps, j.outs = nil, nil
 }
 
-// injectDeliveryFault realises a scheduled transport fault for map task t
-// right after its commit: the committed partitions are delivered again
-// under a newer generation, proving the reduce phase immune to duplicate
-// hand-offs. FaultWorkerLoss additionally models the re-execution path
-// (a dead worker's task re-run by a survivor), so it also counts a
-// reassignment. Both kinds leave output byte-identical by construction —
-// that is the contract the chaos schedules verify.
-func injectDeliveryFault(cfg Config, counters *Counters, jt JobTransport, t int) error {
-	f := cfg.decideFault(PhaseMap, t, DeliveryAttempt)
-	if !isDeliveryKind(f.Kind) {
-		return nil
-	}
-	info, err := jt.Redeliver(t)
-	if err != nil {
-		return fmt.Errorf("injected %s: %w", f.Kind, err)
-	}
-	countDeliveryFault(f, counters, info.Partitions)
-	return nil
-}
-
-// countDeliveryFault records one realised transport fault's counters. The
-// distributed path counts into the task-local set before snapshotting the
-// meta (so every participant assembles identical counters) and performs
-// the redelivery after the commit; the local path does both in
-// injectDeliveryFault.
+// countDeliveryFault records a scheduled transport fault's counters.
+// FaultWorkerLoss additionally models the re-execution path (a dead
+// worker's task re-run by a survivor), so it also counts a reassignment.
+// Both kinds leave output byte-identical by construction — that is the
+// contract the chaos schedules verify.
 func countDeliveryFault(f Fault, counters *Counters, partitions int) {
 	counters.Inc(counterInjectedPrefix+f.Kind.String(), 1)
 	counters.Inc(CounterPartitionsRedelivered, int64(partitions))
@@ -264,8 +253,7 @@ func countDeliveryFault(f Fault, counters *Counters, partitions int) {
 }
 
 // mergeTaskCounters folds one task's counter snapshot into the job
-// counters, routing the engine's max-valued counters through Max so a
-// distributed merge agrees with the local engine's accounting.
+// counters, routing the engine's max-valued counters through Max.
 func mergeTaskCounters(dst *Counters, snap map[string]int64) {
 	for k, v := range snap {
 		switch k {

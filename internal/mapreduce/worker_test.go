@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// distFixture runs one wordcount distributed across nWorkers in-process
-// WorkerClients plus the driver, all over a shared FSTransport, and
-// returns the driver's Result. mutateWorker lets a test sabotage one
-// worker's run (to simulate death) — it receives the worker id and the
-// dialed client before the run starts.
-func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id int, w *WorkerClient)) (*Result, *Supervisor) {
+// distRun executes run as nWorkers in-process WorkerClients plus the
+// driver, each handed its own Runtime over one shared FSTransport
+// directory, and returns the driver's Result. mutateWorker lets a test
+// sabotage one worker's run (to simulate death) — it receives the worker
+// id and the dialed client before the run starts.
+func distRun(t *testing.T, nWorkers int, mutateWorker func(id int, w *WorkerClient), run func(rt Runtime) (*Result, error)) (*Result, *Supervisor) {
 	t.Helper()
 	dir := t.TempDir()
 	sup, err := StartSupervisor(SupervisorConfig{
@@ -30,10 +30,8 @@ func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id in
 	// as separate processes would: stage sequence numbers are per handle,
 	// and keep=true stops an early finisher from deleting frames that
 	// slower participants still read during Result assembly.
-	runOne := func(id int, w *WorkerClient) (*Result, error) {
-		cfg := Config{Name: "wc-dist", Cluster: tinyCluster(), MapTasks: 4}
-		cfg.Runtime = Runtime{Transport: NewFSTransport(dir, true), Executor: w}
-		return Run(cfg, input, wcMapper{}, wcReducer{})
+	runOne := func(w *WorkerClient) (*Result, error) {
+		return run(Runtime{Transport: NewFSTransport(dir, true), Executor: w})
 	}
 	var wg sync.WaitGroup
 	for id := 0; id < nWorkers; id++ {
@@ -50,7 +48,7 @@ func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id in
 		go func(id int, w *WorkerClient) {
 			defer wg.Done()
 			time.Sleep(time.Duration(id) * 10 * time.Millisecond)
-			if _, err := runOne(id, w); err == nil {
+			if _, err := runOne(w); err == nil {
 				w.Close() // graceful exit only on success
 			}
 		}(id, w)
@@ -59,7 +57,7 @@ func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id in
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runOne(driverWorkerID, driver)
+	res, err := runOne(driver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,33 +66,91 @@ func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id in
 	return res, sup
 }
 
-// TestDistributedMatchesLocal proves the SPMD path end to end in-process:
-// the driver's assembled Result matches a plain local run's output and
-// deterministic counters exactly.
+// distFixture is distRun over one wordcount.
+func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id int, w *WorkerClient)) (*Result, *Supervisor) {
+	t.Helper()
+	return distRun(t, nWorkers, mutateWorker, func(rt Runtime) (*Result, error) {
+		cfg := Config{Name: "wc-dist", Cluster: tinyCluster(), MapTasks: 4, Runtime: rt}
+		return Run(cfg, input, wcMapper{}, wcReducer{})
+	})
+}
+
+// lineCountingWC is wordcount that also counts its input lines, so a user
+// counter travels with every map task.
+type lineCountingWC struct{ wcMapper }
+
+func (m lineCountingWC) Map(ctx *Context, kv KV) {
+	ctx.Inc("wc.lines", 1)
+	m.wcMapper.Map(ctx, kv)
+}
+
+// TestDistributedMatchesLocal proves the one driver end to end: whoever
+// schedules the tasks — this process on the in-memory transport, or three
+// leased WorkerClients over a shared FSTransport with a driver that
+// executes nothing — the assembled Result is the same in output, in
+// counters and in every metric that is not a measured duration.
 func TestDistributedMatchesLocal(t *testing.T) {
 	var lines []string
-	for i := 0; i < 50; i++ {
-		lines = append(lines, fmt.Sprintf("d%d x y shared d%d", i%9, i%4))
+	for i := 0; i < 200; i++ {
+		lines = append(lines, fmt.Sprintf("d%d x y shared d%d u%d", i%9, i%4, i))
 	}
 	input := wcInput(lines...)
-	local, err := Run(Config{Name: "wc-dist", Cluster: tinyCluster(), MapTasks: 4}, input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
+	jobs := []struct {
+		name     string
+		combiner Reducer
+		reducer  Reducer
+	}{
+		{"plain", nil, wcReducer{}},
+		{"folding", foldSum{}, foldSum{}},
+		{"map-only", nil, nil},
 	}
-	dist, sup := distFixture(t, 3, input, nil)
-	if !reflect.DeepEqual(local.Output, dist.Output) {
-		t.Fatalf("distributed output differs from local: %d vs %d records", len(local.Output), len(dist.Output))
+	// untimed blanks the metrics that are, or derive from, measured task
+	// durations.
+	untimed := func(m Metrics) Metrics {
+		m.MapTaskTime, m.ReduceTaskTime = nil, nil
+		m.SimulatedMapTime, m.SimulatedReduce, m.SimulatedTotalTime, m.WallTime = 0, 0, 0, 0
+		return m
 	}
-	if lc, dc := local.Counters.Snapshot(), dist.Counters.Snapshot(); !reflect.DeepEqual(lc, dc) {
-		t.Fatalf("counters differ:\nlocal %v\ndist  %v", lc, dc)
+	var heartbeats int64
+	for _, job := range jobs {
+		for _, budget := range []int64{-1, 1024} {
+			t.Run(fmt.Sprintf("%s/budget=%d", job.name, budget), func(t *testing.T) {
+				run := func(rt Runtime) (*Result, error) {
+					cfg := Config{Name: "wc-dist", Cluster: tinyCluster(), MapTasks: 4,
+						Combiner: job.combiner, MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Runtime: rt}
+					return Run(cfg, input, lineCountingWC{}, job.reducer)
+				}
+				local, err := run(Runtime{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dist, sup := distRun(t, 3, nil, run)
+				if !reflect.DeepEqual(local.Output, dist.Output) {
+					t.Fatalf("distributed output differs from local: %d vs %d records", len(local.Output), len(dist.Output))
+				}
+				if lc, dc := local.Counters.Snapshot(), dist.Counters.Snapshot(); !reflect.DeepEqual(lc, dc) {
+					t.Fatalf("counters differ:\nlocal %v\ndist  %v", lc, dc)
+				}
+				if lm, dm := untimed(local.Metrics), untimed(dist.Metrics); !reflect.DeepEqual(lm, dm) {
+					t.Fatalf("metrics differ:\nlocal %+v\ndist  %+v", lm, dm)
+				}
+				if len(dist.Metrics.MapTaskTime) != 4 || len(dist.Metrics.ReduceTaskTime) != dist.Metrics.ReduceTasks {
+					t.Fatalf("task times: %d map, %d reduce", len(dist.Metrics.MapTaskTime), len(dist.Metrics.ReduceTaskTime))
+				}
+				if got := local.Counters.Get("wc.lines"); got != int64(len(lines)) {
+					t.Fatalf("wc.lines = %d, want %d", got, len(lines))
+				}
+				if spilled := local.Counters.Get(CounterSpillRuns) > 0; spilled != (budget > 0 && job.reducer != nil) {
+					t.Fatalf("budget %d: spill.runs = %d", budget, local.Counters.Get(CounterSpillRuns))
+				}
+				heartbeats += sup.Counters().Heartbeats
+			})
+		}
 	}
-	if got := sup.Counters(); got.Heartbeats == 0 {
+	// Workers beat every 20 ms and one run takes little longer, so the
+	// beats are counted over the whole table.
+	if heartbeats == 0 {
 		t.Fatal("supervisor saw no heartbeats")
-	}
-	if dist.Metrics.ShuffleRecords != local.Metrics.ShuffleRecords ||
-		dist.Metrics.ReduceInputGroups != local.Metrics.ReduceInputGroups {
-		t.Fatalf("shuffle metrics differ: dist %+v local %+v",
-			dist.Metrics.ShuffleRecords, local.Metrics.ShuffleRecords)
 	}
 }
 

@@ -111,14 +111,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	pairs := make([]result.Pair, 0, len(verifyRes.Output))
-	for _, kv := range verifyRes.Output {
-		a, b := mapreduce.DecodePairKey(kv.Key)
-		sv := kv.Value.(simPair)
-		pairs = append(pairs, result.Pair{A: int32(a), B: int32(b), Common: int(sv.c), Sim: sv.sim})
-	}
-	result.Sort(pairs)
-	return &Result{Pairs: pairs, Pipeline: p}, nil
+	return &Result{Pairs: result.Pairs(verifyRes.Output, opt.Fn), Pipeline: p}, nil
 }
 
 // candDedup collapses duplicate candidate pairs (fold fast path).
@@ -138,15 +131,6 @@ func (candDedup) FinishFold(ctx *mapreduce.Context, key string, acc any) {
 	ctx.Inc("massjoin.candidates", 1)
 	ctx.Emit(key, candValue{})
 }
-
-// simPair is a verified pair's payload.
-type simPair struct {
-	c   int32
-	sim float64
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (simPair) SizeBytes() int { return 12 }
 
 // verifyReducer distinguishes the reducer's own record (matching rid) from
 // shipped candidate records and verifies each candidate exactly.
@@ -182,6 +166,6 @@ func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 			a, b = b, a
 		}
 		ctx.Emit(mapreduce.PairKey(uint32(a), uint32(b)),
-			simPair{c: int32(c), sim: r.opt.Fn.Sim(c, len(own.toks), len(cand.toks))})
+			result.Scored{C: int32(c), Sim: r.opt.Fn.Sim(c, len(own.toks), len(cand.toks))})
 	}
 }

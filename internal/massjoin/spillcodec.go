@@ -2,28 +2,13 @@ package massjoin
 
 import (
 	"encoding/binary"
-	"math"
 
 	"fsjoin/internal/spill"
 )
 
-// Spill codecs for this package's shuffle values (DESIGN.md §8) and for
-// simPair, the verify stage's output, which makes the final stage
-// checkpointable (DESIGN.md §9). Tags 50–54; this package owns tags
-// 50–55.
+// Spill codecs for this package's shuffle values (DESIGN.md §8). Tags
+// 50–53; the verify stage's output is result.Scored.
 func init() {
-	spill.RegisterValue(54, simPair{},
-		func(buf []byte, v any) []byte {
-			p := v.(simPair)
-			buf = binary.AppendVarint(buf, int64(p.c))
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.sim))
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			p := simPair{c: int32(d.Varint())}
-			p.sim = math.Float64frombits(d.U64())
-			return p, d.Err()
-		})
 	spill.RegisterValue(50, sigEntry{},
 		func(buf []byte, v any) []byte {
 			e := v.(sigEntry)

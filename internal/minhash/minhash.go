@@ -191,15 +191,8 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 		return nil, err
 	}
 
-	pairs := make([]result.Pair, 0, len(verRes.Output))
-	for _, kv := range verRes.Output {
-		a, b := mapreduce.DecodePairKey(kv.Key)
-		v := kv.Value.(verified)
-		pairs = append(pairs, result.Pair{A: int32(a), B: int32(b), Common: int(v.c), Sim: v.sim})
-	}
-	result.Sort(pairs)
 	return &Result{
-		Pairs:      pairs,
+		Pairs:      result.Pairs(verRes.Output, similarity.Jaccard),
 		Candidates: int64(len(dedup.Output)),
 		Pipeline:   pipe,
 	}, nil
@@ -321,15 +314,6 @@ type partner int32
 // SizeBytes implements mapreduce.Sized.
 func (partner) SizeBytes() int { return 4 }
 
-// verified is an accepted pair's payload.
-type verified struct {
-	c   int32
-	sim float64
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (verified) SizeBytes() int { return 12 }
-
 // verifier resolves candidate partners against its routed record and checks
 // the exact similarity. Like MassJoin's Merge, partner records are looked
 // up from the driver-shared index (the S side for R-S joins) while the
@@ -374,7 +358,7 @@ func (v *verifier) Reduce(ctx *mapreduce.Context, key string, values []any) {
 				ctx.Inc(result.CtrRSEmitted, 1)
 			}
 			ctx.Emit(mapreduce.PairKey(uint32(rid), uint32(p)),
-				verified{c: int32(c), sim: fn.Sim(c, own.Len(), other.Len())})
+				result.Scored{C: int32(c), Sim: fn.Sim(c, own.Len(), other.Len())})
 		}
 	}
 }

@@ -2,28 +2,14 @@ package minhash
 
 import (
 	"encoding/binary"
-	"math"
 
 	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
-// Spill codecs for this package's shuffle values (DESIGN.md §8) and for
-// verified, the verify stage's output, which makes the final stage
-// checkpointable (DESIGN.md §9). Tags 56–60.
+// Spill codecs for this package's shuffle values (DESIGN.md §8). Tags
+// 56–59; the verify stage's output is result.Scored.
 func init() {
-	spill.RegisterValue(60, verified{},
-		func(buf []byte, v any) []byte {
-			x := v.(verified)
-			buf = binary.AppendVarint(buf, int64(x.c))
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x.sim))
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			x := verified{c: int32(d.Varint())}
-			x.sim = math.Float64frombits(d.U64())
-			return x, d.Err()
-		})
 	spill.RegisterValue(56, sigValue{},
 		func(buf []byte, v any) []byte {
 			s := v.(sigValue)

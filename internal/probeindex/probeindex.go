@@ -506,7 +506,7 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 			// PPJoin positional filter at the smallest common token: w is
 			// probe position i and record position postPos[k]; at most
 			// 1 + min(remaining on each side) tokens can still match.
-			if bound := 1 + minInt(total-i-1, lx-int(ix.postPos[k])-1); bound < required {
+			if bound := 1 + min(total-i-1, lx-int(ix.postPos[k])-1); bound < required {
 				continue
 			}
 			if ix.sigWords > 0 &&
@@ -790,11 +790,4 @@ func (ix *Index) Stats() Stats {
 		SnapshotBytes:      ix.snapshotBytes.Load(),
 		Generation:         gen,
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,0 +1,104 @@
+package result
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
+)
+
+// Overlap is the shuffle value of every join that counts common tokens per
+// candidate pair: a (partial or complete) common-token count plus the two
+// record lengths, so the threshold is applied — and the similarity
+// computed — without the original strings (Section V-B).
+type Overlap struct {
+	C, La, Lb int32
+}
+
+// SizeBytes implements mapreduce.Sized.
+func (Overlap) SizeBytes() int { return 12 }
+
+// Scored is an exactly verified pair's payload: the common-token count and
+// the similarity computed where both records were at hand.
+type Scored struct {
+	C   int32
+	Sim float64
+}
+
+// SizeBytes implements mapreduce.Sized.
+func (Scored) SizeBytes() int { return 12 }
+
+// Spill codecs (DESIGN.md §8), which also make the stages that emit these
+// values checkpointable (DESIGN.md §9). SumOverlaps' fold is pure addition
+// on C, so re-folding merged runs is exact. Tags 41 and 54.
+func init() {
+	spill.RegisterValue(41, Overlap{},
+		func(buf []byte, v any) []byte {
+			o := v.(Overlap)
+			buf = binary.AppendVarint(buf, int64(o.C))
+			buf = binary.AppendVarint(buf, int64(o.La))
+			return binary.AppendVarint(buf, int64(o.Lb))
+		},
+		func(b []byte) (any, error) {
+			d := spill.NewDec(b)
+			o := Overlap{C: int32(d.Varint()), La: int32(d.Varint()), Lb: int32(d.Varint())}
+			return o, d.Err()
+		})
+	spill.RegisterValue(54, Scored{},
+		func(buf []byte, v any) []byte {
+			s := v.(Scored)
+			buf = binary.AppendVarint(buf, int64(s.C))
+			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Sim))
+		},
+		func(b []byte) (any, error) {
+			d := spill.NewDec(b)
+			s := Scored{C: int32(d.Varint())}
+			s.Sim = math.Float64frombits(d.U64())
+			return s, d.Err()
+		})
+}
+
+// SumOverlaps merges one pair's partial counts. It is a combiner with the
+// engine's fold fast path, and the Reduce and Fold half of a
+// mapreduce.FoldingReducer that embeds it.
+type SumOverlaps struct{}
+
+// Reduce implements mapreduce.Reducer.
+func (s SumOverlaps) Reduce(ctx *mapreduce.Context, key string, values []any) {
+	acc := values[0]
+	for _, v := range values[1:] {
+		acc = s.Fold(acc, v)
+	}
+	ctx.Emit(key, acc)
+}
+
+// Fold implements mapreduce.Folder.
+func (SumOverlaps) Fold(acc, v any) any {
+	a := acc.(Overlap)
+	a.C += v.(Overlap).C
+	return a
+}
+
+// Pairs decodes a final job's output — pair keys carrying Overlap or Scored
+// values — into canonically sorted result pairs; fn scores the Overlaps.
+func Pairs(kvs []mapreduce.KV, fn similarity.Func) []Pair {
+	out := make([]Pair, 0, len(kvs))
+	for _, kv := range kvs {
+		a, b := mapreduce.DecodePairKey(kv.Key)
+		p := Pair{A: int32(a), B: int32(b)}
+		switch v := kv.Value.(type) {
+		case Overlap:
+			p.Common, p.Sim = int(v.C), fn.Sim(int(v.C), int(v.La), int(v.Lb))
+		case Scored:
+			p.Common, p.Sim = int(v.C), v.Sim
+		default:
+			panic(fmt.Sprintf("result: %T is not a pair payload", v))
+		}
+		out = append(out, p)
+	}
+	Sort(out)
+	return out
+}

@@ -9,7 +9,6 @@
 package ridpairs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -19,7 +18,6 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
-	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -57,31 +55,6 @@ type Result struct {
 	Pairs []result.Pair
 	// Pipeline exposes per-stage metrics.
 	Pipeline *mapreduce.Pipeline
-}
-
-// simValue carries an exact verified similarity across the dedup job.
-type simValue struct {
-	c      int32
-	la, lb int32
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (simValue) SizeBytes() int { return 12 }
-
-// Spill codec for the dedup job's shuffle value (DESIGN.md §8). Tag 44.
-func init() {
-	spill.RegisterValue(44, simValue{},
-		func(buf []byte, v any) []byte {
-			s := v.(simValue)
-			buf = binary.AppendVarint(buf, int64(s.c))
-			buf = binary.AppendVarint(buf, int64(s.la))
-			return binary.AppendVarint(buf, int64(s.lb))
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			s := simValue{c: int32(d.Varint()), la: int32(d.Varint()), lb: int32(d.Varint())}
-			return s, d.Err()
-		})
 }
 
 // SelfJoin runs the three-stage RIDPairsPPJoin pipeline over one
@@ -137,17 +110,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	pairs := make([]result.Pair, 0, len(dedupRes.Output))
-	for _, kv := range dedupRes.Output {
-		a, b := mapreduce.DecodePairKey(kv.Key)
-		sv := kv.Value.(simValue)
-		pairs = append(pairs, result.Pair{
-			A: int32(a), B: int32(b), Common: int(sv.c),
-			Sim: opt.Fn.Sim(int(sv.c), int(sv.la), int(sv.lb)),
-		})
-	}
-	result.Sort(pairs)
-	return &Result{Pairs: pairs, Pipeline: p}, nil
+	return &Result{Pairs: result.Pairs(dedupRes.Output, opt.Fn), Pipeline: p}, nil
 }
 
 // prefixMapper emits one full record copy (origin tag plus the whole
@@ -263,7 +226,7 @@ func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 				x, y = b, a
 			}
 			ctx.Emit(mapreduce.PairKey(uint32(x.Rec.RID), uint32(y.Rec.RID)),
-				simValue{c: int32(c), la: int32(x.Rec.Len()), lb: int32(y.Rec.Len())})
+				result.Overlap{C: int32(c), La: int32(x.Rec.Len()), Lb: int32(y.Rec.Len())})
 		}
 	}
 }
@@ -271,11 +234,4 @@ func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 // tokenPos locates w in a sorted token set.
 func tokenPos(ts []tokens.ID, w uint32) int {
 	return sort.Search(len(ts), func(i int) bool { return ts[i] >= w })
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

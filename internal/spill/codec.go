@@ -2,6 +2,7 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -261,6 +262,29 @@ func AppendEncoded(buf []byte, v any) ([]byte, error) { return appendValue(buf, 
 // retains b.
 func DecodeEncoded(b []byte) (any, error) { return decodeValue(b) }
 
+// AppendRecord appends one shuffle record in the wire form every persisted
+// record shares — spill runs, transport frames and checkpoint files:
+//
+//	uvarint(len(key)) key uvarint(len(tag+payload)) tag payload
+//
+// The value is encoded in place and its length prefix slid in before it,
+// so no per-record scratch is allocated. On error buf is returned as given.
+func AppendRecord(buf []byte, key string, v any) ([]byte, error) {
+	out := binary.AppendUvarint(buf, uint64(len(key)))
+	out = append(out, key...)
+	at := len(out)
+	out, err := appendValue(out, v)
+	if err != nil {
+		return buf, err
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(out)-at))
+	out = append(out, prefix[:n]...)
+	copy(out[at+n:], out[at:])
+	copy(out[at:], prefix[:n])
+	return out, nil
+}
+
 // ---- Helpers for custom codecs ----
 
 // AppendU32s appends a uvarint count followed by fixed little-endian words.
@@ -299,9 +323,13 @@ func (d *Dec) Err() error { return d.err }
 // reject payloads with trailing garbage.
 func (d *Dec) Rest() int { return len(d.b) }
 
+// errTruncated is the Dec error for a payload that ends mid-value; a run
+// cursor takes it as the cue to read further into its segment.
+var errTruncated = errors.New("spill: truncated payload")
+
 func (d *Dec) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("spill: truncated payload")
+		d.err = errTruncated
 	}
 }
 
@@ -381,15 +409,35 @@ func (d *Dec) U16() uint16 {
 }
 
 // String consumes a uvarint length followed by that many bytes.
-func (d *Dec) String() string {
+func (d *Dec) String() string { return string(d.frame()) }
+
+// frame consumes a uvarint length and returns that many bytes, unowned.
+func (d *Dec) frame() []byte {
 	n := d.Uvarint()
 	if d.err != nil || uint64(len(d.b)) < n {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	f := d.b[:n]
 	d.b = d.b[n:]
-	return s
+	return f
+}
+
+// Record consumes one record written by AppendRecord.
+func (d *Dec) Record() (key string, v any) {
+	key = d.String()
+	val := d.frame()
+	if d.err != nil {
+		return "", nil
+	}
+	v, err := decodeValue(val)
+	if err != nil {
+		// Wrapped, so a bad value inside a complete frame is never taken
+		// for errTruncated.
+		d.err = fmt.Errorf("spill: record value: %w", err)
+		return "", nil
+	}
+	return key, v
 }
 
 // U32s consumes a count-prefixed []uint32 written by AppendU32s. Returns a

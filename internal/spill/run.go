@@ -2,7 +2,6 @@ package spill
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -11,13 +10,10 @@ import (
 
 // A run is one spill file: every partition's records in partition order,
 // each partition's slice sorted by key (stable, so equal keys keep their
-// emission order). Records are length-prefixed —
-//
-//	uvarint(len(key)) key uvarint(len(tag+payload)) tag payload
-//
-// — and a per-partition segment index (offset, end, record count,
-// accounted bytes) kept in memory lets each reduce task read exactly its
-// partition's byte range through an independent SectionReader.
+// emission order). Records are in AppendRecord's form, and a per-partition
+// segment index (offset, end, record count, accounted bytes) kept in memory
+// lets each reduce task read exactly its partition's byte range through an
+// independent SectionReader.
 type run struct {
 	f    *os.File
 	segs []segment
@@ -49,7 +45,6 @@ type runWriter struct {
 	off     int64
 	segs    []segment
 	scratch []byte
-	val     []byte
 }
 
 func newRunWriter(dir string, seq, parts int) (*runWriter, error) {
@@ -65,14 +60,10 @@ func newRunWriter(dir string, seq, parts int) (*runWriter, error) {
 // accounted (in-memory) size, carried into the segment index so totals
 // never need a decode pass.
 func (w *runWriter) add(p int, key string, v any, accBytes int64) error {
-	w.scratch = binary.AppendUvarint(w.scratch[:0], uint64(len(key)))
-	w.scratch = append(w.scratch, key...)
 	var err error
-	if w.val, err = appendValue(w.val[:0], v); err != nil {
+	if w.scratch, err = AppendRecord(w.scratch[:0], key, v); err != nil {
 		return err
 	}
-	w.scratch = binary.AppendUvarint(w.scratch, uint64(len(w.val)))
-	w.scratch = append(w.scratch, w.val...)
 	n, err := w.w.Write(w.scratch)
 	if err != nil {
 		return err
@@ -106,10 +97,12 @@ func (w *runWriter) abort() {
 }
 
 // cursor iterates one partition's records within a run, in stored (key)
-// order.
+// order, decoding them out of a window it slides along the segment.
 type cursor struct {
-	br  *bufio.Reader
-	buf []byte
+	r   *io.SectionReader
+	buf []byte // buf[pos:] is read from the segment and not yet decoded
+	pos int
+	eof bool
 }
 
 // open returns a cursor over partition p, or nil when the run holds no
@@ -120,46 +113,46 @@ func (r *run) open(p int) *cursor {
 	if seg.records == 0 {
 		return nil
 	}
-	return &cursor{br: bufio.NewReaderSize(io.NewSectionReader(r.f, seg.off, seg.end-seg.off), 32<<10)}
+	return &cursor{r: io.NewSectionReader(r.f, seg.off, seg.end-seg.off), buf: make([]byte, 0, 32<<10)}
 }
 
 // next returns the cursor's next record; ok is false at the end of the
 // segment.
 func (c *cursor) next() (key string, v any, ok bool, err error) {
-	kl, err := binary.ReadUvarint(c.br)
-	if err == io.EOF {
-		return "", nil, false, nil
+	for {
+		d := Dec{b: c.buf[c.pos:]}
+		if key, v = d.Record(); d.err == nil {
+			c.pos = len(c.buf) - d.Rest()
+			return key, v, true, nil
+		}
+		if d.err != errTruncated {
+			return "", nil, false, d.err
+		}
+		if c.eof {
+			if c.pos == len(c.buf) {
+				return "", nil, false, nil
+			}
+			return "", nil, false, fmt.Errorf("spill: truncated record: %w", io.ErrUnexpectedEOF)
+		}
+		if err := c.fill(); err != nil {
+			return "", nil, false, err
+		}
 	}
-	if err != nil {
-		return "", nil, false, err
-	}
-	if key, err = c.readFrame(kl); err != nil {
-		return "", nil, false, err
-	}
-	vl, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return "", nil, false, fmt.Errorf("spill: truncated record: %w", err)
-	}
-	if cap(c.buf) < int(vl) {
-		c.buf = make([]byte, vl)
-	}
-	c.buf = c.buf[:vl]
-	if _, err = io.ReadFull(c.br, c.buf); err != nil {
-		return "", nil, false, fmt.Errorf("spill: truncated value: %w", err)
-	}
-	if v, err = decodeValue(c.buf); err != nil {
-		return "", nil, false, err
-	}
-	return key, v, true, nil
 }
 
-func (c *cursor) readFrame(n uint64) (string, error) {
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
+// fill moves the undecoded tail to the front of the window — doubling it
+// first when one record already fills it — and reads on from the segment.
+func (c *cursor) fill() error {
+	rest := c.buf[c.pos:]
+	if len(rest) == cap(c.buf) {
+		c.buf = make([]byte, 0, 2*cap(c.buf))
 	}
-	c.buf = c.buf[:n]
-	if _, err := io.ReadFull(c.br, c.buf); err != nil {
-		return "", fmt.Errorf("spill: truncated key: %w", err)
+	c.buf = c.buf[:copy(c.buf[:cap(c.buf)], rest)]
+	c.pos = 0
+	n, err := io.ReadFull(c.r, c.buf[len(c.buf):cap(c.buf)])
+	c.buf = c.buf[:len(c.buf)+n]
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		c.eof, err = true, nil
 	}
-	return string(c.buf), nil
+	return err
 }

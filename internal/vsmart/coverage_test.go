@@ -4,28 +4,29 @@ import (
 	"testing"
 
 	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/result"
 )
 
 // fakeCtxRun exercises the non-fold Reduce paths directly through a tiny
 // job, covering the code a FoldingReducer-aware engine never calls.
 func TestPlainReducePathsEquivalent(t *testing.T) {
 	in := []mapreduce.KV{
-		{Key: "p", Value: partial{c: 1, la: 4, lb: 5}},
-		{Key: "p", Value: partial{c: 1, la: 4, lb: 5}},
-		{Key: "p", Value: partial{c: 2, la: 4, lb: 5}},
+		{Key: "p", Value: result.Overlap{C: 1, La: 4, Lb: 5}},
+		{Key: "p", Value: result.Overlap{C: 1, La: 4, Lb: 5}},
+		{Key: "p", Value: result.Overlap{C: 2, La: 4, Lb: 5}},
 	}
-	// sumPartials.Reduce must equal folding through the engine.
+	// SumOverlaps.Reduce must equal folding through the engine.
 	var direct []mapreduce.KV
 	ctxRes, err := mapreduce.Run(mapreduce.Config{Name: "plain"},
 		in, mapreduce.IdentityMapper,
 		mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
-			sumPartials{}.Reduce(ctx, key, values)
+			result.SumOverlaps{}.Reduce(ctx, key, values)
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct = ctxRes.Output
-	if len(direct) != 1 || direct[0].Value.(partial).c != 4 {
+	if len(direct) != 1 || direct[0].Value.(result.Overlap).C != 4 {
 		t.Fatalf("plain sum = %v", direct)
 	}
 
@@ -55,7 +56,7 @@ func TestPlainReducePathsEquivalent(t *testing.T) {
 }
 
 func TestPostingSizes(t *testing.T) {
-	if (posting{}).SizeBytes() != 9 || (partial{}).SizeBytes() != 12 {
+	if (posting{}).SizeBytes() != 9 || (result.Overlap{}).SizeBytes() != 12 {
 		t.Fatal("wire sizes changed")
 	}
 }

@@ -72,14 +72,6 @@ type posting struct {
 // SizeBytes implements mapreduce.Sized.
 func (posting) SizeBytes() int { return 9 }
 
-// partial is a per-token pair contribution: one common token plus lengths.
-type partial struct {
-	c, la, lb int32
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (partial) SizeBytes() int { return 12 }
-
 // SelfJoin runs the two-phase Online-Aggregation pipeline.
 func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	return run(c, nil, opt)
@@ -138,24 +130,14 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 
 	// Similarity phase: aggregate counts per pair, apply the threshold.
-	simRes, err := p.Run(mapreduce.Config{Name: "similarity", Combiner: sumPartials{}},
+	simRes, err := p.Run(mapreduce.Config{Name: "similarity", Combiner: result.SumOverlaps{}},
 		joinRes.Output, mapreduce.IdentityMapper,
 		&thresholdReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
 	if err != nil {
 		return nil, err
 	}
 
-	pairs := make([]result.Pair, 0, len(simRes.Output))
-	for _, kv := range simRes.Output {
-		a, b := mapreduce.DecodePairKey(kv.Key)
-		sv := kv.Value.(partial)
-		pairs = append(pairs, result.Pair{
-			A: int32(a), B: int32(b), Common: int(sv.c),
-			Sim: opt.Fn.Sim(int(sv.c), int(sv.la), int(sv.lb)),
-		})
-	}
-	result.Sort(pairs)
-	return &Result{Pairs: pairs, Pipeline: p}, nil
+	return &Result{Pairs: result.Pairs(simRes.Output, opt.Fn), Pipeline: p}, nil
 }
 
 // pairEnumerator emits a partial for every pair of records in one token's
@@ -202,34 +184,16 @@ func (e *pairEnumerator) Reduce(ctx *mapreduce.Context, key string, values []any
 			}
 			ctx.Inc("vsmart.pair.emits", 1)
 			ctx.Emit(mapreduce.PairKey(uint32(a.rid), uint32(b.rid)),
-				partial{c: 1, la: a.l, lb: b.l})
+				result.Overlap{C: 1, La: a.l, Lb: b.l})
 		}
 	}
-}
-
-// sumPartials is the Similarity phase's combiner (fold fast path).
-type sumPartials struct{}
-
-// Reduce implements mapreduce.Reducer.
-func (s sumPartials) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	acc := values[0]
-	for _, v := range values[1:] {
-		acc = s.Fold(acc, v)
-	}
-	ctx.Emit(key, acc)
-}
-
-// Fold implements mapreduce.Folder.
-func (sumPartials) Fold(acc, v any) any {
-	a := acc.(partial)
-	a.c += v.(partial).c
-	return a
 }
 
 // thresholdReducer aggregates per-pair counts and applies the threshold,
 // using the engine's fold fast path. In R-S mode it also feeds the
 // rs.pairs.* counters surfaced through fsjoin.Stats.
 type thresholdReducer struct {
+	result.SumOverlaps
 	fn    similarity.Func
 	theta float64
 	rs    bool
@@ -244,20 +208,13 @@ func (r *thresholdReducer) Reduce(ctx *mapreduce.Context, key string, values []a
 	r.FinishFold(ctx, key, acc)
 }
 
-// Fold implements mapreduce.Folder.
-func (r *thresholdReducer) Fold(acc, v any) any {
-	a := acc.(partial)
-	a.c += v.(partial).c
-	return a
-}
-
 // FinishFold implements mapreduce.FoldingReducer.
 func (r *thresholdReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) {
-	sum := acc.(partial)
+	sum := acc.(result.Overlap)
 	if r.rs {
 		ctx.Inc(result.CtrRSCandidates, 1)
 	}
-	if r.fn.AtLeast(int(sum.c), int(sum.la), int(sum.lb), r.theta) {
+	if r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
 		if r.rs {
 			ctx.Inc(result.CtrRSEmitted, 1)
 		}
