@@ -85,7 +85,7 @@ func main() {
 
 		workers = flag.Int("workers", 0, "execute the join across this many supervised worker processes (0 or 1 = in-process)")
 		workDir = flag.String("work-dir", "", "shared work directory for -workers (\"\" = a temporary one)")
-		fileSh  = flag.Bool("file-shuffle", false, "route the map→reduce hand-off through the filesystem shuffle transport")
+		fileSh  = flag.Bool("file-shuffle", false, "run every job over the filesystem shuffle transport (hand-off and task outputs as frame files)")
 
 		probe    = flag.String("probe", "", "probe mode: answer each record of this file against a persistent index of the corpus")
 		indexDir = flag.String("index-dir", "", "probe mode: load the index from this directory if present, else build and save it there")

@@ -289,11 +289,13 @@ type Options struct {
 	// control socket, shuffle frames); "" creates and removes a temporary
 	// one. The caller owns a non-empty WorkDir.
 	WorkDir string
-	// FileShuffle routes the map→reduce hand-off through the filesystem
-	// shuffle transport (CRC-validated spill-codec frames in a temporary
-	// directory) even for a single-process run. Results are byte-identical
-	// to the in-memory shuffle; useful for validating the transport and
-	// for bounding shuffle memory beyond MemoryBudget. Implied by
+	// FileShuffle runs every job over the filesystem shuffle transport
+	// even in a single process: the map→reduce hand-off and each task's
+	// output (reduce and map-only) are published as CRC-validated
+	// spill-codec frames in a temporary directory and read back, so every
+	// shuffled and emitted value must be spill-encodable. Results are
+	// byte-identical to the in-memory shuffle; useful for validating the
+	// transport. Its memory and speed are unmeasured. Implied by
 	// Workers ≥ 2.
 	FileShuffle bool
 
@@ -462,8 +464,8 @@ func (o Options) cluster() *mapreduce.Cluster {
 }
 
 // resolveTransport realises Options.FileShuffle for an in-process run:
-// the shuffle goes through CRC-validated frames in a fresh temporary
-// directory, removed by the returned cleanup.
+// the shuffle and the task outputs go through CRC-validated frames in a
+// fresh temporary directory, removed by the returned cleanup.
 func (o *Options) resolveTransport() (func(), error) {
 	if !o.FileShuffle || o.runtime.Transport != nil {
 		return func() {}, nil

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,8 @@ func distRun(t *testing.T, nWorkers int, mutateWorker func(id int, w *WorkerClie
 			time.Sleep(time.Duration(id) * 10 * time.Millisecond)
 			if _, err := runOne(w); err == nil {
 				w.Close() // graceful exit only on success
+			} else {
+				t.Logf("worker %d: %v", id, err)
 			}
 		}(id, w)
 	}
@@ -60,6 +63,12 @@ func distRun(t *testing.T, nWorkers int, mutateWorker func(id int, w *WorkerClie
 	res, err := runOne(driver)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Clients beat every 20 ms and a small run can finish sooner: hold the
+	// driver's connection open for its first beat, so every run can be
+	// asked to have shown a live heartbeat stream.
+	for deadline := time.Now().Add(2 * time.Second); sup.Counters().Heartbeats == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	driver.Close()
 	wg.Wait()
@@ -111,7 +120,6 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		m.SimulatedMapTime, m.SimulatedReduce, m.SimulatedTotalTime, m.WallTime = 0, 0, 0, 0
 		return m
 	}
-	var heartbeats int64
 	for _, job := range jobs {
 		for _, budget := range []int64{-1, 1024} {
 			t.Run(fmt.Sprintf("%s/budget=%d", job.name, budget), func(t *testing.T) {
@@ -143,14 +151,11 @@ func TestDistributedMatchesLocal(t *testing.T) {
 				if spilled := local.Counters.Get(CounterSpillRuns) > 0; spilled != (budget > 0 && job.reducer != nil) {
 					t.Fatalf("budget %d: spill.runs = %d", budget, local.Counters.Get(CounterSpillRuns))
 				}
-				heartbeats += sup.Counters().Heartbeats
+				if got := sup.Counters(); got.Heartbeats == 0 {
+					t.Fatal("supervisor saw no heartbeats")
+				}
 			})
 		}
-	}
-	// Workers beat every 20 ms and one run takes little longer, so the
-	// beats are counted over the whole table.
-	if heartbeats == 0 {
-		t.Fatal("supervisor saw no heartbeats")
 	}
 }
 
@@ -177,9 +182,13 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 		w.kill = killSpec{kind: "map", n: 1}
 		// Replace the SIGKILL with a connection drop so the test stays
 		// in-process: from the supervisor's view the two are identical.
+		// The goroutine ends there as the process would: a worker that ran
+		// on would commit beside the survivor under the pid they share
+		// here, and their temp files collide.
 		w.die = func() {
 			w.conn.Close()
 			w.beat.Close()
+			runtime.Goexit()
 		}
 	})
 	if !reflect.DeepEqual(local.Output, dist.Output) {

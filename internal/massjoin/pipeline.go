@@ -111,7 +111,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	return &Result{Pairs: result.Pairs(verifyRes.Output, opt.Fn), Pipeline: p}, nil
+	return &Result{Pairs: result.ScoredPairs(verifyRes.Output), Pipeline: p}, nil
 }
 
 // candDedup collapses duplicate candidate pairs (fold fast path).

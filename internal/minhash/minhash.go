@@ -192,7 +192,7 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	}
 
 	return &Result{
-		Pairs:      result.Pairs(verRes.Output, similarity.Jaccard),
+		Pairs:      result.ScoredPairs(verRes.Output),
 		Candidates: int64(len(dedup.Output)),
 		Pipeline:   pipe,
 	}, nil

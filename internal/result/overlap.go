@@ -2,7 +2,6 @@ package result
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"fsjoin/internal/mapreduce"
@@ -82,21 +81,29 @@ func (SumOverlaps) Fold(acc, v any) any {
 	return a
 }
 
-// Pairs decodes a final job's output — pair keys carrying Overlap or Scored
-// values — into canonically sorted result pairs; fn scores the Overlaps.
+// Pairs decodes a final job's output — pair keys carrying Overlap values,
+// which fn scores — into canonically sorted result pairs.
 func Pairs(kvs []mapreduce.KV, fn similarity.Func) []Pair {
+	return decodePairs(kvs, func(v any) (int, float64) {
+		o := v.(Overlap)
+		return int(o.C), fn.Sim(int(o.C), int(o.La), int(o.Lb))
+	})
+}
+
+// ScoredPairs is Pairs for a final job that emits Scored values.
+func ScoredPairs(kvs []mapreduce.KV) []Pair {
+	return decodePairs(kvs, func(v any) (int, float64) {
+		s := v.(Scored)
+		return int(s.C), s.Sim
+	})
+}
+
+func decodePairs(kvs []mapreduce.KV, payload func(v any) (common int, sim float64)) []Pair {
 	out := make([]Pair, 0, len(kvs))
 	for _, kv := range kvs {
 		a, b := mapreduce.DecodePairKey(kv.Key)
 		p := Pair{A: int32(a), B: int32(b)}
-		switch v := kv.Value.(type) {
-		case Overlap:
-			p.Common, p.Sim = int(v.C), fn.Sim(int(v.C), int(v.La), int(v.Lb))
-		case Scored:
-			p.Common, p.Sim = int(v.C), v.Sim
-		default:
-			panic(fmt.Sprintf("result: %T is not a pair payload", v))
-		}
+		p.Common, p.Sim = payload(kv.Value)
 		out = append(out, p)
 	}
 	Sort(out)

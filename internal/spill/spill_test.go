@@ -1,7 +1,9 @@
 package spill
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -478,5 +480,87 @@ func TestSpillDirNamePattern(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(subs[0], "run-*"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("run files = %v (err %v)", files, err)
+	}
+}
+
+// readCursor reads partition 0 of r to its end.
+func readCursor(r *run) (keys []string, vals []any, err error) {
+	c := r.open(0)
+	for {
+		k, v, ok, err := c.next()
+		if err != nil || !ok {
+			return keys, vals, err
+		}
+		keys, vals = append(keys, k), append(vals, v)
+	}
+}
+
+// TestRunCursorWindow drives the cursor's sliding window: a segment several
+// windows long (records straddle every refill), one record larger than
+// twice the initial window (the doubling path), a segment cut mid-record,
+// and a complete frame whose value is short inside — which must surface as
+// a decode error, not be taken for a record that needs more bytes.
+func TestRunCursorWindow(t *testing.T) {
+	w, err := newRunWriter(t.TempDir(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	var vals []any
+	for i := 0; i < 6000; i++ { // ~30 B a record: about five 32 KiB windows
+		keys, vals = append(keys, fmt.Sprintf("key-%05d", i)), append(vals, fmt.Sprintf("value-%d", i))
+		if i == 3000 {
+			vals[i] = string(make([]byte, 100<<10))
+		}
+		if err := w.add(0, keys[i], vals[i], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := w.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if size := r.segs[0].end - r.segs[0].off; size < 5*(32<<10) {
+		t.Fatalf("segment is %d bytes, want several windows", size)
+	}
+	gotK, gotV, err := readCursor(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotK, keys) || !reflect.DeepEqual(gotV, vals) {
+		t.Fatalf("read back %d records, want %d identical ones", len(gotK), len(keys))
+	}
+
+	// Cut the segment inside its last record: every record before it still
+	// decodes, then the cursor reports the truncation.
+	r.segs[0].end -= 3
+	gotK, _, err = readCursor(r)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated segment: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if len(gotK) != len(keys)-1 {
+		t.Fatalf("truncated segment yielded %d records, want %d", len(gotK), len(keys)-1)
+	}
+
+	// A whole frame holding a []uint32 that claims five words and carries
+	// one, followed by a good record the cursor must not go on to read.
+	bad := append([]byte{1, 'k', 6, tagU32Slice, 5}, 0, 0, 0, 0)
+	bad, err = AppendRecord(bad, "after", int64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp(t.TempDir(), "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := &run{f: f, segs: []segment{{end: int64(len(bad)), records: 2}}}
+	defer corrupt.close()
+	gotK, _, err = readCursor(corrupt)
+	if err == nil || errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, errTruncated) || len(gotK) != 0 {
+		t.Fatalf("corrupt value: %d records, err = %v; want the wrapped decode error at once", len(gotK), err)
 	}
 }
