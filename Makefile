@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz cover test-env loc all
+.PHONY: build test vet race chaos fuzz cover test-env bench-check loc all
 
-all: build vet test
+all: build vet test bench-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,11 @@ fuzz:
 #                              forced each way; output must not change
 test-env:
 	env $(ENV) $(GO) test -race ./...
+
+# bench-check vets and tests bench/, its own module frozen by
+# BENCHMARK.json: a library refactor that breaks what it uses fails here.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # cover enforces the CI total-coverage gate over the library packages
 # (the main packages under cmd/ and examples/ are thin wrappers with no

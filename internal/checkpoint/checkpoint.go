@@ -230,7 +230,8 @@ func (s *Store) fileName(stage int, job string) string {
 
 // Save atomically persists one stage: the file is streamed to a temp name
 // (hashed as it is written), fsynced, then renamed into place, so readers
-// only ever observe complete checkpoints. A value without a spill codec
+// only ever observe complete checkpoints, and the directory is fsynced so
+// the rename is durable when Save returns. A value without a spill codec
 // aborts the write, removes the temp file and returns ErrUnencodable.
 func (s *Store) Save(m Manifest, recs []Record) (err error) {
 	m.Format = 1
@@ -292,7 +293,29 @@ func (s *Store) Save(m Manifest, recs []Record) (err error) {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	killPoint("save.renamed")
+	if err = SyncDir(s.dir); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 	return nil
+}
+
+// SyncDir fsyncs a directory so a freshly created or renamed entry
+// survives a crash — the last step of every atomic publish in the
+// repository. Filesystems that refuse to sync directories are tolerated
+// (their rename durability is their own contract).
+func SyncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if errors.Is(err, os.ErrInvalid) || errors.Is(err, os.ErrPermission) {
+		return nil
+	}
+	return err
 }
 
 // Load replays the stage's checkpoint if a valid one with the wanted

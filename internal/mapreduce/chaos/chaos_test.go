@@ -34,6 +34,9 @@ func (chaosReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
 	ctx.Inc("wc.groups", 1)
 }
 
+// Fold makes chaosReducer the job's combiner too: the same sum at Emit.
+func (chaosReducer) Fold(acc, v any) any { return acc.(int64) + v.(int64) }
+
 func chaosInput(n int) []mapreduce.KV {
 	words := strings.Fields("alpha beta gamma delta epsilon zeta eta theta iota kappa")
 	kvs := make([]mapreduce.KV, n)

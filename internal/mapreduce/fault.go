@@ -13,8 +13,9 @@ import (
 // map/combine/reduce injection points); DESIGN.md §7 documents the model.
 
 // Phase identifies which attempt path a fault targets. Combine faults hit
-// the combiner step inside the map attempt (the two fail together, as one
-// Hadoop task), reduce faults hit the reduce attempt.
+// the combine point inside the map attempt, after its body — the combiner
+// itself folds at Emit — so the two fail together, as one Hadoop task;
+// reduce faults hit the reduce attempt.
 type Phase uint8
 
 // The injectable phases.
@@ -68,8 +69,8 @@ const (
 	// so it is recoverable only by FaultPolicy.SkipBadRecords; injectors
 	// modelling it must return the same fault for every attempt index,
 	// ProbeAttempt included, or the bisection probes cannot reproduce it.
-	// Realised in the map and reduce phases only (a combiner sees folded
-	// output, not input records). Not part of SeededPlan's default mix.
+	// Realised in the map and reduce phases only (the combine point has no
+	// records). Not part of SeededPlan's default mix.
 	FaultRecordPanic
 	// FaultWorkerLoss models a worker dying after committing a map task but
 	// before its completion was acknowledged: the supervisor reassigns the

@@ -246,7 +246,9 @@ func (j *fsJob) publish(kind byte, t int, data []byte) (redelivered bool, err er
 		os.Remove(tmp)
 		return false, fmt.Errorf("transport: %w", err)
 	}
-	syncDir(j.dir)
+	if err := checkpoint.SyncDir(j.dir); err != nil {
+		return false, fmt.Errorf("transport: %w", err)
+	}
 	return redelivered, nil
 }
 
@@ -268,15 +270,6 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// syncDir fsyncs a directory so a rename survives a crash. Best-effort:
-// some filesystems refuse directory syncs.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // nextGen picks the next generation number for a task and reports whether

@@ -18,7 +18,7 @@ func (s scriptedInjector) Decide(phase Phase, task, attempt int) Fault {
 	return s.faults[[3]int{int(phase), task, attempt}]
 }
 
-func runWCWithInjector(t *testing.T, inj Injector, combiner Reducer) (*Result, *Result) {
+func runWCWithInjector(t *testing.T, inj Injector, combiner Folder) (*Result, *Result) {
 	t.Helper()
 	input := wcInput("a b a c", "b c d", "d e a")
 	cfg := Config{Cluster: tinyCluster(), MapTasks: 3, ReduceTasks: 2, Combiner: combiner}
@@ -68,7 +68,7 @@ func TestInjectedFaultKinds(t *testing.T) {
 			inj := scriptedInjector{faults: map[[3]int]Fault{
 				{int(tc.phase), 0, 0}: tc.fault,
 			}}
-			var combiner Reducer
+			var combiner Folder
 			if tc.phase == PhaseCombine {
 				combiner = wcReducer{}
 			}

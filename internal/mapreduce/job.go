@@ -46,22 +46,23 @@ type ReduceFunc func(ctx *Context, key string, values []any)
 // Reduce implements Reducer.
 func (f ReduceFunc) Reduce(ctx *Context, key string, values []any) { f(ctx, key, values) }
 
-// Folder is an optional fast path for combiners whose reduction is an
-// associative fold (sums, counts). When a Config.Combiner implements
-// Folder, the engine folds values into per-key accumulator slots as the
-// mapper emits them, which removes the combine pass and most of its
-// allocation cost. Fold must return the merged value; it may mutate and
-// return acc.
+// Folder is an associative fold over one key's values (sums, counts): the
+// only shape of map-side aggregation the engine runs. A Config.Combiner
+// folds each emission into its key's accumulator slot as the mapper emits
+// it, so there is no combine pass. Fold must return the merged value; it
+// may mutate and return acc. It must be merge-capable — folding two
+// accumulators equals folding their constituent values — because a map
+// task that spilled re-folds keys split across its runs.
 type Folder interface {
 	Fold(acc, v any) any
 }
 
-// FoldingReducer is the analogous fast path for reduce: when the job's
-// reducer implements it, the shuffle folds each key's values as they arrive
-// instead of building per-key value lists, and the reduce phase calls
-// FinishFold once per key with the folded accumulator. Reduce is never
-// called on such a job but must behave equivalently (it documents the
-// semantics and serves any generic caller).
+// FoldingReducer is the reduce-side fast path of the same fold: when the
+// job's reducer implements it, the shuffle folds each key's values as they
+// arrive instead of building per-key value lists, and the reduce phase
+// calls FinishFold once per key with the folded accumulator. Reduce is
+// never called on such a job but must behave equivalently (it documents
+// the semantics and serves any generic caller).
 type FoldingReducer interface {
 	Reducer
 	Folder
@@ -96,10 +97,11 @@ type Config struct {
 	ReduceTasks int
 	// Partitioner routes keys to reduce tasks; nil means FNV-1a hashing.
 	Partitioner func(key string, reducers int) int
-	// Combiner, when non-nil, runs over each map task's output to shrink
-	// shuffle volume (map-side aggregation). Combiners follow the standard
-	// key-preservation contract: output keys equal input keys.
-	Combiner Reducer
+	// Combiner, when non-nil, folds each map task's emissions per key as
+	// they are emitted, to shrink shuffle volume (map-side aggregation).
+	// Only a job with a reduce phase may set it: like Hadoop, the engine
+	// runs no combiner on a map-only job, and Run rejects one.
+	Combiner Folder
 	// Cluster is the cost model; nil means DefaultCluster().
 	Cluster *Cluster
 	// Context, when non-nil, is checked at task boundaries: a cancelled
@@ -228,8 +230,8 @@ func (c Config) spillDir() string {
 	return os.Getenv("FSJOIN_SPILL_DIR")
 }
 
-// Context is the per-task emit/counter surface handed to mappers, combiners
-// and reducers.
+// Context is the per-task emit/counter surface handed to mappers and
+// reducers.
 type Context struct {
 	// TaskID is the index of the running task within its phase.
 	TaskID int
@@ -294,18 +296,6 @@ func (c *Context) discard() {
 	c.local = nil
 }
 
-// absorb folds another context's task-local counters into c. Nested
-// contexts (the combiner's) absorb into their owning map context instead
-// of flushing to the job directly, so their counts ride the attempt's
-// winner-only flush: a retried or abandoned attempt must contribute
-// nothing, combiner increments included.
-func (c *Context) absorb(other *Context) {
-	for _, lc := range other.local {
-		c.Inc(lc.name, lc.v)
-	}
-	other.local = nil
-}
-
 // Metrics records everything measured while running a job, plus the
 // simulated cluster makespan.
 type Metrics struct {
@@ -315,8 +305,8 @@ type Metrics struct {
 	MapInputRecords   int64
 	MapOutputRecords  int64
 	MapOutputBytes    int64
-	ShuffleRecords    int64 // after combiner
-	ShuffleBytes      int64 // after combiner
+	ShuffleRecords    int64 // after combiner: what the reduce tasks fetched
+	ShuffleBytes      int64 // after combiner: what the reduce tasks fetched
 	ReduceInputGroups int64
 	OutputRecords     int64
 	OutputBytes       int64
@@ -398,6 +388,9 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 	if mapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", cfg.Name)
 	}
+	if cfg.Combiner != nil && reducer == nil {
+		return nil, fmt.Errorf("mapreduce: job %q is map-only and has a combiner", cfg.Name)
+	}
 	cl := cfg.cluster()
 	mapTasks := cfg.MapTasks
 	if mapTasks <= 0 {
@@ -414,7 +407,6 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 	if part == nil {
 		part = DefaultPartitioner
 	}
-	combineFolder, _ := cfg.Combiner.(Folder)
 	foldingReducer, folding := reducer.(FoldingReducer)
 	env := &jobEnv{
 		cfg:            cfg,
@@ -424,7 +416,6 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 		part:           part,
 		mapTasks:       mapTasks,
 		reduceTasks:    reduceTasks,
-		combineFolder:  combineFolder,
 		folding:        folding,
 		foldingReducer: foldingReducer,
 		budget:         cfg.memoryBudget(),
@@ -444,7 +435,6 @@ type jobEnv struct {
 	part           func(string, int) int
 	mapTasks       int
 	reduceTasks    int
-	combineFolder  Folder
 	folding        bool
 	foldingReducer FoldingReducer
 	budget         int64
@@ -516,15 +506,11 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 			return nil, taskErr(cfg.Name, PhaseMap, t, err)
 		}
 		m.MapTaskTime[t] = time.Duration(meta.TaskNanos)
-		m.ShuffleRecords += meta.Records
-		m.ShuffleBytes += meta.Bytes
 		m.SpillRuns += meta.Spill.Runs
 		m.SpillBytes += meta.Spill.SpilledBytes
 		m.ShufflePeakBytes = max(m.ShufflePeakBytes, meta.Spill.PeakBytes)
 		mergeTaskCounters(res.Counters, meta.Counters)
 	}
-	m.MapOutputRecords = m.ShuffleRecords
-	m.MapOutputBytes = m.ShuffleBytes
 
 	// ---- Reduce phase (per-reducer shuffle, group, sort, reduce) ----
 	if err := env.schedule(PhaseReduce, reduceTasks, func(t int) (CommitInfo, error) {
@@ -536,15 +522,20 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 	m.PerReduceBytes = make([]int64, reduceTasks)
 	m.ReduceTaskTime = make([]time.Duration, reduceTasks)
 	m.GroupSpillTime = make([]time.Duration, reduceTasks)
+	// The shuffle is measured once, where it moves: the job's totals are
+	// the sum of what its reduce tasks fetched.
 	if err := env.collectOutput(jt, res, PhaseReduce, reduceTasks, func(t int, meta TaskMeta) {
 		m.PerReduceRecords[t] = meta.Records
 		m.PerReduceBytes[t] = meta.Bytes
+		m.ShuffleRecords += meta.Records
+		m.ShuffleBytes += meta.Bytes
 		m.ReduceTaskTime[t] = time.Duration(meta.TaskNanos)
 		m.GroupSpillTime[t] = time.Duration(meta.GroupSpillNanos)
 		m.ReduceInputGroups += meta.Groups
 	}); err != nil {
 		return nil, err
 	}
+	m.MapOutputRecords, m.MapOutputBytes = m.ShuffleRecords, m.ShuffleBytes
 	applyCostModel(cl, m, mapTasks, reduceTasks)
 	m.WallTime = time.Since(wallStart)
 	return res, nil
@@ -557,7 +548,11 @@ func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) (CommitInfo, erro
 	cfg := env.cfg
 	tc := NewCounters()
 	start := time.Now()
-	ctx, err := env.runMapAttempts(tc, t, split)
+	ctx, err := attempts(env, tc, PhaseMap, t, split,
+		func(ctx *Context, split []KV, f Fault, counters *Counters) {
+			runTask(ctx, split, recordFaultWrap(env.mapper, f, counters))
+		},
+		func(kv KV) (string, any) { return kv.Key, kv.Value })
 	if err != nil {
 		return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
 	}
@@ -566,9 +561,7 @@ func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) (CommitInfo, erro
 	if env.reducer == nil {
 		info, err = env.commitOutput(jt, "map", t, ctx, tc, meta)
 	} else {
-		if meta.Records, meta.Bytes, meta.Spill, err = env.finishMapTask(tc, ctx); err != nil {
-			return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
-		}
+		meta.Spill = env.finishMapTask(tc, ctx)
 		// A scheduled delivery fault is counted before the snapshot — its
 		// counters must travel with the meta — and realised right after the
 		// commit: the partitions are delivered again under a newer
@@ -604,7 +597,8 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) (CommitInfo, error) {
 		tc.Max(CounterSpillMergeWays, int64(in.maxWays))
 	}
 	start := time.Now()
-	ctx, err := env.runReduceAttempts(tc, t, in)
+	ctx, err := attempts(env, tc, PhaseReduce, t, in.keys, env.reduceKeys(in),
+		func(key string) (string, any) { return key, nil })
 	if err != nil {
 		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
 	}
@@ -664,47 +658,51 @@ func (env *jobEnv) collectOutput(jt JobTransport, res *Result, phase Phase, task
 	return nil
 }
 
-// runMapAttempts executes one map task's full attempt loop — retries,
-// speculation and, on deterministic failure, skip mode — and returns the
-// winning context. The attempt loop is parameterised by its split so skip
-// mode can re-enter it over a working set with poison records removed.
-// counters is the task-local set the attempt bookkeeping lands in.
-func (env *jobEnv) runMapAttempts(counters *Counters, t int, split []KV) (*Context, error) {
+// taskBody runs one task over its input units — a map task's input
+// records, a reduce task's key groups — into ctx, realising a
+// FaultRecordPanic of f at its unit index. counters is nil for skip-mode
+// probes, which inject without counting.
+type taskBody[U any] func(ctx *Context, units []U, f Fault, counters *Counters)
+
+// attempts executes one task's full attempt loop — retries, speculation
+// and, on deterministic failure, skip mode — and returns the winning
+// context. Every attempt is one Hadoop task attempt: its phase's scheduled
+// fault brackets the body, and for a map task of a job with a combiner the
+// combine fault fires inside that bracket, after the body (the folding
+// itself happened at Emit), so the two fail together. The loop is
+// parameterised by its units so skip mode can re-enter it over a working
+// set with the poison units removed; describe names a unit for the
+// quarantine sink. counters is the task-local set the attempt bookkeeping
+// lands in.
+func attempts[U any](env *jobEnv, counters *Counters, phase Phase, t int, units []U,
+	body taskBody[U], describe func(U) (key string, value any)) (*Context, error) {
 	cfg := env.cfg
-	mapAttempts := func(split []KV) (*Context, error) {
+	shuffles := phase == PhaseMap && env.reducer != nil
+	loop := func(units []U) (*Context, error) {
 		return runAttempts(cfg, counters, func(a int) (*Context, error) {
 			ctx := &Context{TaskID: t, Job: cfg, counters: counters}
-			if env.reducer != nil {
-				ctx.shuffle = newShuffleSink(env.part, env.reduceTasks, env.combineFolder, env.budget, env.sdir, cfg.cancelCheck())
+			if shuffles {
+				ctx.shuffle = newShuffleSink(env.part, env.reduceTasks, cfg.Combiner, env.budget, env.sdir, cfg.cancelCheck())
 			}
-			f := cfg.decideFault(PhaseMap, t, a)
+			f := cfg.decideFault(phase, t, a)
 			if err := f.injectErr(counters); err != nil {
 				return ctx, err
 			}
 			return ctx, guard(func() {
 				f.injectEnter(counters)
-				runTask(ctx, split, recordFaultWrap(env.mapper, f, counters))
-				if cfg.Combiner != nil {
+				body(ctx, units, f, counters)
+				if shuffles && cfg.Combiner != nil {
 					fc := cfg.decideFault(PhaseCombine, t, a)
 					fc.injectEnter(counters)
-					switch {
-					case env.reducer == nil:
-						ctx.out = combine(cfg, ctx, cfg.Combiner, counters)
-					case env.combineFolder == nil:
-						ctx.shuffle = combineSink(cfg, ctx, cfg.Combiner, counters)
-					default:
-						// A Folder combiner already folded at Emit time.
-					}
 					fc.injectExit(counters)
 				}
 				f.injectExit(counters)
 			})
 		})
 	}
-	ctx, err := mapAttempts(split)
+	ctx, err := loop(units)
 	if err != nil && cfg.Fault.SkipBadRecords && !isCancellation(err) {
-		ctx, err = skipMapRecords(cfg, counters, env.quarantine, t,
-			split, env.mapper, mapAttempts, err)
+		ctx, err = skipUnits(env, counters, phase, t, units, body, describe, loop, err)
 	}
 	return ctx, err
 }
@@ -713,29 +711,20 @@ func (env *jobEnv) runMapAttempts(counters *Counters, t int, split []KV) (*Conte
 // counters are flushed winner-only (the surviving attempt's buffer is the
 // one whose runs the reduce phase merges; counters are recorded only
 // under an active budget so unbounded runs keep their historical counter
-// surface) and the sink's totals are taken outside the timed section — a
-// folding sink that spilled pays one merge pass here.
-func (env *jobEnv) finishMapTask(counters *Counters, ctx *Context) (recs, bytes int64, st spill.Stats, err error) {
+// surface). What the task shuffled is not counted here: the reduce tasks
+// count it as they fetch it.
+func (env *jobEnv) finishMapTask(counters *Counters, ctx *Context) spill.Stats {
 	ctx.shuffle.buf.Trim()
-	st = ctx.shuffle.stats()
+	st := ctx.shuffle.buf.Stats()
 	if st.Runs > 0 {
 		ctx.Inc(CounterSpillRuns, st.Runs)
 		ctx.Inc(CounterSpillBytes, st.SpilledBytes)
-	}
-	if st.MergeWays > 1 {
-		// A non-folding combiner already merged spilled runs map-side.
-		counters.Max(CounterSpillMergeWays, st.MergeWays)
 	}
 	ctx.flushCounters()
 	if env.budget > 0 {
 		counters.Max(CounterShufflePeak, st.PeakBytes)
 	}
-	recs, bytes, terr := ctx.shuffle.totals()
-	if terr != nil {
-		ctx.shuffle.close()
-		return 0, 0, st, terr
-	}
-	return recs, bytes, st, nil
+	return st
 }
 
 // reduceInput is one reduce task's input as a key-ordered stream cut into
@@ -841,21 +830,17 @@ func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error
 	return in, nil
 }
 
-// runReduceAttempts executes one reduce task's attempt loop (plus skip
-// mode) over fetched input and returns the winning context.
-func (env *jobEnv) runReduceAttempts(counters *Counters, t int, in *reduceInput) (*Context, error) {
-	cfg, reducer := env.cfg, env.reducer
-	// reduceKeys is the task body shared by real attempts and skip-mode
-	// probes: the reducer run over one key slice, realising a
-	// FaultRecordPanic at its group index. counters is nil for probes,
-	// which inject without counting.
-	reduceKeys := func(ctx *Context, ks []string, f Fault, counters *Counters) {
+// reduceKeys returns a reduce task's body over fetched input: the reducer
+// run over one key slice — in.keys itself, or in skip mode what is left of
+// it after quarantining.
+func (env *jobEnv) reduceKeys(in *reduceInput) taskBody[string] {
+	reducer := env.reducer
+	return func(ctx *Context, ks []string, f Fault, counters *Counters) {
 		if s, ok := reducer.(Setupper); ok {
 			s.Setup(ctx)
 		}
 		for i, k := range ks {
-			// ks is in.keys itself, or in skip mode what is left of it
-			// after quarantining: then the group is found by search.
+			// After quarantining the group is found by search.
 			g := i
 			if in.keys[g] != k {
 				g, _ = slices.BinarySearch(in.keys, k)
@@ -877,29 +862,6 @@ func (env *jobEnv) runReduceAttempts(counters *Counters, t int, in *reduceInput)
 			c.Cleanup(ctx)
 		}
 	}
-	reduceAttempts := func(ks []string) (*Context, error) {
-		return runAttempts(cfg, counters, func(a int) (*Context, error) {
-			ctx := &Context{TaskID: t, Job: cfg, counters: counters}
-			f := cfg.decideFault(PhaseReduce, t, a)
-			if err := f.injectErr(counters); err != nil {
-				return ctx, err
-			}
-			return ctx, guard(func() {
-				f.injectEnter(counters)
-				reduceKeys(ctx, ks, f, counters)
-				f.injectExit(counters)
-			})
-		})
-	}
-	ctx, err := reduceAttempts(in.keys)
-	if err != nil && cfg.Fault.SkipBadRecords && !isCancellation(err) {
-		probeBody := func(ctx *Context, ks []string, f Fault) {
-			reduceKeys(ctx, ks, f, nil)
-		}
-		ctx, err = skipReduceGroups(cfg, counters, env.quarantine, t,
-			in.keys, probeBody, reduceAttempts, err)
-	}
-	return ctx, err
 }
 
 // applyCostModel fills the simulated cluster times from measured metrics.
@@ -932,57 +894,6 @@ func runTask(ctx *Context, split []KV, mapper Mapper) {
 	if c, ok := mapper.(Cleanupper); ok {
 		c.Cleanup(ctx)
 	}
-}
-
-// combine runs the combiner over one map-only task's output, preserving key
-// first-appearance order for determinism. Combiners implementing Folder use
-// an allocation-light pairwise fold. (Jobs with a reduce phase combine
-// through the pre-partitioned sink instead; see shuffle.go.)
-func combine(cfg Config, mapCtx *Context, combiner Reducer, counters *Counters) spill.List[KV] {
-	out := &mapCtx.out
-	if f, ok := combiner.(Folder); ok {
-		return foldCombine(out, f)
-	}
-	grouped := make(map[string][]any, out.Len()/2+1)
-	order := make([]string, 0, out.Len()/2+1)
-	for i := 0; i < out.Len(); i++ {
-		kv := out.At(i)
-		vs, seen := grouped[kv.Key]
-		if !seen {
-			order = append(order, kv.Key)
-		}
-		grouped[kv.Key] = append(vs, kv.Value)
-	}
-	cctx := &Context{TaskID: mapCtx.TaskID, Job: cfg, counters: counters}
-	if s, ok := combiner.(Setupper); ok {
-		s.Setup(cctx)
-	}
-	for _, k := range order {
-		combiner.Reduce(cctx, k, grouped[k])
-	}
-	if c, ok := combiner.(Cleanupper); ok {
-		c.Cleanup(cctx)
-	}
-	mapCtx.absorb(cctx)
-	return cctx.out
-}
-
-// foldCombine merges one map task's output with a pairwise fold, keeping
-// key first-appearance order.
-func foldCombine(out *spill.List[KV], f Folder) spill.List[KV] {
-	slot := make(map[string]int, out.Len()/2+1)
-	var merged spill.List[KV]
-	for i := 0; i < out.Len(); i++ {
-		kv := out.At(i)
-		if j, ok := slot[kv.Key]; ok {
-			m := merged.At(j)
-			m.Value = f.Fold(m.Value, kv.Value)
-			continue
-		}
-		slot[kv.Key] = merged.Len()
-		merged.Append(*kv)
-	}
-	return merged
 }
 
 // simPhase converts measured task times into a simulated phase makespan.

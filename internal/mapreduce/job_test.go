@@ -33,6 +33,9 @@ func (wcReducer) Reduce(ctx *Context, key string, values []any) {
 	ctx.Emit(key, n)
 }
 
+// Fold makes wcReducer a combiner: the same sum, one value at a time.
+func (wcReducer) Fold(acc, v any) any { return acc.(int64) + v.(int64) }
+
 func wcInput(lines ...string) []KV {
 	kvs := make([]KV, len(lines))
 	for i, l := range lines {
@@ -170,6 +173,15 @@ func TestNilMapperRejected(t *testing.T) {
 	}
 }
 
+// TestMapOnlyCombinerRejected: the engine, like Hadoop, runs no combiner
+// on a map-only job, so configuring one is a mistake Run reports.
+func TestMapOnlyCombinerRejected(t *testing.T) {
+	_, err := Run(Config{Name: "mo", Cluster: tinyCluster(), Combiner: wcReducer{}}, wcInput("a a"), wcMapper{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "map-only") {
+		t.Fatalf("err = %v, want the map-only combiner rejection", err)
+	}
+}
+
 func TestCounters(t *testing.T) {
 	mapper := MapFunc(func(ctx *Context, kv KV) {
 		ctx.Inc("seen", 1)
@@ -223,9 +235,9 @@ func TestFoldingReducerEquivalence(t *testing.T) {
 	}
 }
 
+// foldingWC is wcReducer on the FoldingReducer path.
 type foldingWC struct{ wcReducer }
 
-func (foldingWC) Fold(acc, v any) any                          { return acc.(int64) + v.(int64) }
 func (foldingWC) FinishFold(ctx *Context, key string, acc any) { ctx.Emit(key, acc) }
 
 // TestSplitInputProperty: splits cover the input exactly, in order.

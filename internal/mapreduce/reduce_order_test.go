@@ -202,35 +202,25 @@ func (r poisonFoldReducer) FinishFold(ctx *Context, key string, acc any) {
 	r.Reduce(ctx, key, []any{acc})
 }
 
-// countingCombiner sums like wcReducer and counts under the same name the
-// mapper uses, so the combiner's nested context and its map context both
-// hold a task-local "shared" entry when one absorbs the other.
-type countingCombiner struct{}
-
-func (countingCombiner) Reduce(ctx *Context, key string, values []any) {
-	ctx.Inc("shared", 100)
-	wcReducer{}.Reduce(ctx, key, values)
-}
-
-// TestCombinerAndMapShareCounterName: increments from both contexts add
-// up, and only the winning attempt's — the first attempt dies after both
-// have counted.
-func TestCombinerAndMapShareCounterName(t *testing.T) {
+// TestLostAttemptCountsNothing: only the winning attempt's increments
+// reach the job counters — the first attempt dies after it has counted
+// every word — in a map-only job and in one that combines and reduces.
+func TestLostAttemptCountsNothing(t *testing.T) {
 	for _, mapOnly := range []bool{false, true} {
 		failed := false
 		mapper := &cleanupFailsOnce{failed: &failed}
+		cfg := Config{Cluster: tinyCluster(), MapTasks: 1, ReduceTasks: 1}
 		var reducer Reducer
 		if !mapOnly {
-			reducer = wcReducer{}
+			cfg.Combiner, reducer = wcReducer{}, wcReducer{}
 		}
-		res, err := Run(Config{Cluster: tinyCluster(), MapTasks: 1, ReduceTasks: 1, Combiner: countingCombiner{}},
-			wcInput("a b a", "b c"), mapper, reducer)
+		res, err := Run(cfg, wcInput("a b a", "b c"), mapper, reducer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 5 words mapped (+1 each), 3 distinct keys combined (+100 each).
-		if got := res.Counters.Get("shared"); got != 305 {
-			t.Errorf("mapOnly=%v: shared = %d, want 305", mapOnly, got)
+		// 5 words mapped (+1 each), by the winning attempt alone.
+		if got := res.Counters.Get("shared"); got != 5 {
+			t.Errorf("mapOnly=%v: shared = %d, want 5", mapOnly, got)
 		}
 		if res.Counters.Get(CounterRetries) != 1 {
 			t.Errorf("mapOnly=%v: retries = %d, want 1", mapOnly, res.Counters.Get(CounterRetries))
@@ -271,7 +261,7 @@ func TestShuffleAllocationBudget(t *testing.T) {
 	cl := DefaultCluster()
 	for _, tc := range []struct {
 		name     string
-		combiner Reducer // nil, or folding at emit as the verification job does
+		combiner Folder // nil, or folding at emit as the verification job does
 		reducer  Reducer
 		limit    float64
 	}{

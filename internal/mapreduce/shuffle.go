@@ -8,12 +8,12 @@ import (
 
 // shuffleSink is one map task's pre-partitioned output: a spill.Buffer
 // with one partition per reduce task, filled at Emit time through the job
-// partitioner (map-side pre-partitioning). When the job's combiner is a
-// Folder, emissions fold into per-key accumulator slots as they arrive, so
-// the separate combine pass disappears entirely. Under a memory budget the
-// buffer sorts and spills runs to disk and the reduce-side drain merges
-// them back (DESIGN.md §8); with no budget it is a pure in-memory buffer,
-// the engine's historical behaviour.
+// partitioner (map-side pre-partitioning). When the job has a combiner,
+// emissions fold into per-key accumulator slots as they arrive — the
+// engine's only combine path. Under a memory budget the buffer sorts and
+// spills runs to disk and the reduce-side drain merges them back
+// (DESIGN.md §8); with no budget it is a pure in-memory buffer, the
+// engine's historical behaviour.
 //
 // Record order within a partition equals the order a global partition pass
 // would produce: without spilling, the restriction of the task's emission
@@ -23,16 +23,10 @@ import (
 type shuffleSink struct {
 	part     func(key string, reducers int) int
 	reducers int
-	folder   Folder
 	buf      *spill.Buffer
-	// prior carries the spill activity of a sink this one replaced (the
-	// pre-combine sink, whose runs would otherwise vanish from the
-	// counters when combineSink swaps it out).
-	prior spill.Stats
 }
 
 func newShuffleSink(part func(string, int) int, reducers int, folder Folder, budget int64, dir string, cancel func() error) *shuffleSink {
-	s := &shuffleSink{part: part, reducers: reducers, folder: folder}
 	sc := spill.Config{
 		Parts:  reducers,
 		Budget: budget,
@@ -43,14 +37,13 @@ func newShuffleSink(part func(string, int) int, reducers int, folder Folder, bud
 	if folder != nil {
 		sc.Fold = folder.Fold
 	}
-	s.buf = spill.NewBuffer(sc)
-	return s
+	return &shuffleSink{part: part, reducers: reducers, buf: spill.NewBuffer(sc)}
 }
 
 // add routes one emission to its reduce partition, folding into an existing
-// accumulator slot when a Folder combiner is active. A spill failure (disk
-// full, unwritable dir) panics like any task fault, so the attempt fails
-// and the engine's retry machinery takes over.
+// accumulator slot when a combiner is active. A spill failure (disk full,
+// unwritable dir) panics like any task fault, so the attempt fails and the
+// engine's retry machinery takes over.
 func (s *shuffleSink) add(key string, value any) {
 	r := s.part(key, s.reducers)
 	if r < 0 || r >= s.reducers {
@@ -69,11 +62,6 @@ func (s *shuffleSink) drain(r int, emit func(key string, value any, bytes int64)
 	return s.buf.Drain(r, emit)
 }
 
-// totals returns the task's shuffle record and byte counts.
-func (s *shuffleSink) totals() (records, bytes int64, err error) {
-	return s.buf.Totals()
-}
-
 // release drops one consumed partition so its memory (and, once all
 // partitions are consumed, its spill files) is reclaimed before the whole
 // reduce phase finishes. Distinct reduce workers release distinct
@@ -89,69 +77,4 @@ func (s *shuffleSink) close() {
 	if s != nil {
 		s.buf.Close()
 	}
-}
-
-// stats exposes the task's spill activity: the underlying buffer's plus
-// any replaced sink's (sums for runs/bytes, maxes for the watermarks).
-func (s *shuffleSink) stats() spill.Stats {
-	st := s.buf.Stats()
-	st.Runs += s.prior.Runs
-	st.SpilledBytes += s.prior.SpilledBytes
-	if s.prior.PeakBytes > st.PeakBytes {
-		st.PeakBytes = s.prior.PeakBytes
-	}
-	if s.prior.MergeWays > st.MergeWays {
-		st.MergeWays = s.prior.MergeWays
-	}
-	return st
-}
-
-// combineSink runs a non-folding combiner over one map task's
-// pre-partitioned output, grouping each partition's records per key in
-// drain order and routing the combined records through a fresh sink.
-// Combiners follow the standard key-preservation contract (output keys
-// equal input keys), which keeps combined records in the partitions and
-// relative order a post-combine partition pass would produce; a
-// key-rewriting combiner is still routed correctly because the replacement
-// sink re-partitions every emission. The source sink's spill files are
-// removed as soon as it is replaced; if the combiner panics mid-pass the
-// half-built replacement is cleaned up and the source stays owned by the
-// attempt context, which the retry machinery discards.
-func combineSink(cfg Config, mapCtx *Context, combiner Reducer, counters *Counters) *shuffleSink {
-	src := mapCtx.shuffle
-	dst := newShuffleSink(src.part, src.reducers, nil, cfg.memoryBudget(), cfg.spillDir(), cfg.cancelCheck())
-	done := false
-	defer func() {
-		if !done {
-			dst.close()
-		}
-	}()
-	cctx := &Context{TaskID: mapCtx.TaskID, Job: cfg, counters: counters, shuffle: dst}
-	if s, ok := combiner.(Setupper); ok {
-		s.Setup(cctx)
-	}
-	for r := 0; r < src.reducers; r++ {
-		grouped := make(map[string][]any)
-		var order []string
-		if _, err := src.drain(r, func(key string, v any, _ int64) {
-			vs, seen := grouped[key]
-			if !seen {
-				order = append(order, key)
-			}
-			grouped[key] = append(vs, v)
-		}); err != nil {
-			panic(&enginePanic{err: fmt.Errorf("combine fetch: %w", err)})
-		}
-		for _, k := range order {
-			combiner.Reduce(cctx, k, grouped[k])
-		}
-	}
-	if c, ok := combiner.(Cleanupper); ok {
-		c.Cleanup(cctx)
-	}
-	mapCtx.absorb(cctx)
-	dst.prior = src.stats()
-	src.close()
-	done = true
-	return dst
 }

@@ -89,52 +89,29 @@ func (q *quarantineState) quarantine(cfg Config, counters *Counters, rec Quarant
 	return nil
 }
 
-// skipMapRecords re-runs a deterministically failing map task with poison
-// records bisected out. rerun must execute the task's full attempt loop
-// over the given split. Probes feed the mapper alone — combiner faults
-// are deliberately not reproduced, so they stay unskippable.
-func skipMapRecords(cfg Config, counters *Counters, q *quarantineState, task int,
-	split []KV, mapper Mapper,
-	rerun func(split []KV) (*Context, error), orig error) (*Context, error) {
-	work := append([]KV(nil), split...)
-	pf := cfg.decideFault(PhaseMap, task, ProbeAttempt)
+// skipUnits re-runs a deterministically failing task with its poison units
+// — a map task's input records, a reduce task's sorted key groups —
+// bisected out. Probes run body alone over prefixes of the working set,
+// under the ProbeAttempt fault decision and into a throwaway context with
+// no shuffle sink: a failing combiner is deliberately not reproduced, so
+// it stays unskippable. rerun must execute the task's full attempt loop
+// over the given units.
+func skipUnits[U any](env *jobEnv, counters *Counters, phase Phase, task int, units []U,
+	body taskBody[U], describe func(U) (key string, value any),
+	rerun func(units []U) (*Context, error), orig error) (*Context, error) {
+	cfg := env.cfg
+	work := append([]U(nil), units...)
+	pf := cfg.decideFault(phase, task, ProbeAttempt)
 	probe := func(n int) error {
 		sctx := &Context{TaskID: task, Job: cfg}
-		return guard(func() {
-			runTask(sctx, work[:n], recordFaultWrap(mapper, pf, nil))
-		})
+		return guard(func() { body(sctx, work[:n], pf, nil) })
 	}
 	quarantine := func(i int, cause error) error {
-		kv := work[i]
+		key, value := describe(work[i])
 		work = append(work[:i:i], work[i+1:]...)
-		return q.quarantine(cfg, counters, QuarantinedRecord{
-			Job: cfg.Name, Phase: PhaseMap, Task: task,
-			Key: kv.Key, Value: kv.Value, Err: cause.Error(),
-		})
-	}
-	return skipRun(func() int { return len(work) }, probe, quarantine,
-		func() (*Context, error) { return rerun(work) }, orig)
-}
-
-// skipReduceGroups is the reduce-phase analogue: the bisected units are
-// the task's sorted key groups. body runs the reducer over a key slice
-// into the given context, realising fault f (the probe passes the
-// ProbeAttempt decision, the rerun path its own per-attempt decision).
-func skipReduceGroups(cfg Config, counters *Counters, q *quarantineState, task int,
-	keys []string, body func(ctx *Context, keys []string, f Fault),
-	rerun func(keys []string) (*Context, error), orig error) (*Context, error) {
-	work := append([]string(nil), keys...)
-	pf := cfg.decideFault(PhaseReduce, task, ProbeAttempt)
-	probe := func(n int) error {
-		sctx := &Context{TaskID: task, Job: cfg}
-		return guard(func() { body(sctx, work[:n], pf) })
-	}
-	quarantine := func(i int, cause error) error {
-		key := work[i]
-		work = append(work[:i:i], work[i+1:]...)
-		return q.quarantine(cfg, counters, QuarantinedRecord{
-			Job: cfg.Name, Phase: PhaseReduce, Task: task,
-			Key: key, Err: cause.Error(),
+		return env.quarantine.quarantine(cfg, counters, QuarantinedRecord{
+			Job: cfg.Name, Phase: phase, Task: task,
+			Key: key, Value: value, Err: cause.Error(),
 		})
 	}
 	return skipRun(func() int { return len(work) }, probe, quarantine,

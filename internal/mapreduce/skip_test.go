@@ -142,16 +142,17 @@ func TestSkipBudgetAborts(t *testing.T) {
 	}
 }
 
-// combinerPanic fails in the combiner, which skip-mode probes deliberately
-// do not replay: the failure must stay unskippable and surface as-is.
+// combinerPanic fails in the combiner — on a map task's second emission of
+// one key — which skip-mode probes deliberately do not replay: the failure
+// must stay unskippable and surface as-is.
 type combinerPanic struct{}
 
-func (combinerPanic) Reduce(ctx *Context, key string, values []any) { panic("combiner broken") }
+func (combinerPanic) Fold(acc, v any) any { panic("combiner broken") }
 
 func TestSkipCombinerFaultUnskippable(t *testing.T) {
 	cfg := skipConfig(0)
 	cfg.Combiner = combinerPanic{}
-	_, err := Run(cfg, wcInput("a b", "b c"), wcMapper{}, wcReducer{})
+	_, err := Run(cfg, wcInput("a b a", "b c"), wcMapper{}, wcReducer{})
 	if err == nil || !strings.Contains(err.Error(), "combiner broken") {
 		t.Fatalf("err = %v, want the original combiner failure", err)
 	}

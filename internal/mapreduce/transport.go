@@ -87,8 +87,8 @@ type CommitInfo struct {
 // needs to assemble Metrics and Counters without having executed the task
 // itself.
 type TaskMeta struct {
-	// Records and Bytes are the task's shuffle (map) or fetched-input
-	// (reduce) totals.
+	// Records and Bytes are what a reduce task fetched — its share of the
+	// shuffle, and the only place the shuffle is counted.
 	Records int64 `json:"records,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
 	// Groups is the reduce task's key-group count.

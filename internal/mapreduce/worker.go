@@ -92,6 +92,14 @@ type superTask struct {
 	notUntil time.Time // backoff gate for the next grant
 }
 
+// requeue returns a lost grant — its holder died or its lease expired — to
+// the queue, gated behind an exponential backoff of base per loss.
+func (st *superTask) requeue(now time.Time, base time.Duration) {
+	st.state = taskQueued
+	st.releases++
+	st.notUntil = now.Add(base << min(st.releases-1, 6))
+}
+
 // superPhase is the currently announced phase: what remains to grant and
 // which participants have reached its barrier.
 type superPhase struct {
@@ -271,7 +279,7 @@ func (s *Supervisor) serveCtl(conn net.Conn, dec *json.Decoder, id int) {
 	defer func() {
 		conn.Close()
 		if !graceful {
-			s.declareDead(id, "control connection lost")
+			s.declareDead(id)
 		}
 	}()
 	for {
@@ -465,7 +473,7 @@ func (s *Supervisor) retireWorker(id int) {
 }
 
 // declareDead marks a worker dead and requeues its leases with backoff.
-func (s *Supervisor) declareDead(id int, cause string) {
+func (s *Supervisor) declareDead(id int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.workers[id]
@@ -474,7 +482,6 @@ func (s *Supervisor) declareDead(id int, cause string) {
 	}
 	w.dead = true
 	s.counters.WorkerDeaths++
-	_ = cause
 	s.releaseLeases(id, true)
 }
 
@@ -489,14 +496,10 @@ func (s *Supervisor) releaseLeases(id int, backoff bool) {
 			if st.state != taskLeased || st.holder != id {
 				continue
 			}
-			st.state = taskQueued
 			if backoff {
-				st.releases++
-				shift := st.releases - 1
-				if shift > 6 {
-					shift = 6
-				}
-				st.notUntil = now.Add(s.cfg.ReassignBackoff << shift)
+				st.requeue(now, s.cfg.ReassignBackoff)
+			} else {
+				st.state = taskQueued
 			}
 		}
 	}
@@ -526,19 +529,13 @@ func (s *Supervisor) reap() {
 			for t := range ph.tasks {
 				st := &ph.tasks[t]
 				if st.state == taskLeased && now.After(st.deadline) {
-					st.state = taskQueued
-					st.releases++
-					shift := st.releases - 1
-					if shift > 6 {
-						shift = 6
-					}
-					st.notUntil = now.Add(s.cfg.ReassignBackoff << shift)
+					st.requeue(now, s.cfg.ReassignBackoff)
 				}
 			}
 		}
 		s.mu.Unlock()
 		for _, id := range silent {
-			s.declareDead(id, "heartbeat timeout")
+			s.declareDead(id)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	input := wcInput(lines...)
 	jobs := []struct {
 		name     string
-		combiner Reducer
+		combiner Folder
 		reducer  Reducer
 	}{
 		{"plain", nil, wcReducer{}},

@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"fsjoin/internal/checkpoint"
 	"fsjoin/internal/spill"
 )
 
@@ -198,7 +199,7 @@ func createWAL(dir string, gen int, fingerprint string, policy SyncPolicy) (*wal
 		os.Remove(path)
 		return nil, &WALError{Op: "create", Err: err}
 	}
-	if err := syncDir(dir); err != nil {
+	if err := checkpoint.SyncDir(dir); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, &WALError{Op: "create", Err: err}
@@ -479,22 +480,4 @@ func replayWAL(path string, gen int, fingerprint string, apply func(walOp) error
 		_ = os.Truncate(path, res.validSize)
 	}
 	return res, nil
-}
-
-// syncDir fsyncs a directory so a freshly created or renamed entry
-// survives a crash. Filesystems that refuse to sync directories are
-// tolerated (their rename durability is their own contract).
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil && (errors.Is(err, os.ErrInvalid) || errors.Is(err, os.ErrPermission)) {
-		return nil
-	}
-	return err
 }

@@ -38,10 +38,10 @@ type Config struct {
 	// spill and removed by Close.
 	Dir string
 	// Fold, when non-nil, folds a new value into an existing accumulator
-	// for the same key (the engine's fold-at-emit combiner fast path). It
-	// must be merge-capable — folding two accumulators must equal folding
-	// their constituent values — because the k-way merge re-folds keys
-	// whose records were split across runs.
+	// for the same key (the engine's fold-at-emit combiner). It must be
+	// merge-capable — folding two accumulators must equal folding their
+	// constituent values — because the k-way merge re-folds keys whose
+	// records were split across runs.
 	Fold func(acc, v any) any
 	// Size returns one record's accounted bytes; required. It must be a
 	// pure function of (key, value) so spilled records account identically
@@ -63,8 +63,6 @@ type Stats struct {
 	SpilledBytes int64
 	// PeakBytes is the in-memory high-water mark.
 	PeakBytes int64
-	// MergeWays is the widest merge fan-in any partition drain used.
-	MergeWays int64
 }
 
 type entry struct {
@@ -90,15 +88,14 @@ type Buffer struct {
 	pinnedMem int64
 	peak      int64
 
-	mu        sync.Mutex // guards dir, seq, runs, runCount, spilledBytes, closed
-	dir       string
-	seq       int
-	runs      []*run
-	runCount  int64
-	spilled   int64
-	closed    bool
-	mergeWays atomic.Int64
-	released  atomic.Int64
+	mu       sync.Mutex // guards dir, seq, runs, runCount, spilledBytes, closed
+	dir      string
+	seq      int
+	runs     []*run
+	runCount int64
+	spilled  int64
+	closed   bool
+	released atomic.Int64
 }
 
 // NewBuffer returns an empty buffer.
@@ -191,7 +188,7 @@ func (b *Buffer) spill() error {
 		b.idx = idx
 		for _, ix := range idx {
 			e := l.At(int(ix.Pos))
-			if err := w.add(p, e.key, e.val, e.bytes); err != nil {
+			if err := w.add(p, e.key, e.val); err != nil {
 				w.abort()
 				return err
 			}
@@ -287,17 +284,10 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 		idx := sortedIndex(tail, make([]KeyIndex, 0, tail.Len()), true)
 		sources = append(sources, &memSource{es: tail, idx: idx})
 	}
-	ways := int64(len(sources))
-	for {
-		cur := b.mergeWays.Load()
-		if ways <= cur || b.mergeWays.CompareAndSwap(cur, ways) {
-			break
-		}
-	}
 	err := kmerge(sources, b.cfg.Fold, b.cfg.Cancel, func(k string, v any) {
 		emit(k, v, b.cfg.Size(k, v))
 	})
-	return int(ways), err
+	return len(sources), err
 }
 
 // PartitionRecords returns how many records partition part holds in
@@ -319,36 +309,6 @@ func (b *Buffer) Trim() {
 		b.parts[p].Trim()
 	}
 	b.idx = nil
-}
-
-// Totals returns the buffer's record and accounted byte counts as the
-// reduce phase will see them. Without a Fold (or without spills) this is
-// pure arithmetic over the segment index and tail; a folding buffer that
-// spilled needs a merge pass, because keys split across runs collapse
-// back into single records.
-func (b *Buffer) Totals() (records, bytes int64, err error) {
-	if b.cfg.Fold == nil || len(b.runs) == 0 {
-		bytes = b.mem // exactly the buffered records' accounted bytes
-		for p := range b.parts {
-			records += int64(b.parts[p].Len())
-		}
-		for _, r := range b.runs {
-			for _, s := range r.segs {
-				records += s.records
-				bytes += s.bytes
-			}
-		}
-		return records, bytes, nil
-	}
-	for p := range b.parts {
-		if _, err = b.Drain(p, func(_ string, _ any, sz int64) {
-			records++
-			bytes += sz
-		}); err != nil {
-			return 0, 0, err
-		}
-	}
-	return records, bytes, nil
 }
 
 // Release drops one fully consumed partition; when every partition has
@@ -393,6 +353,5 @@ func (b *Buffer) Stats() Stats {
 		Runs:         b.runCount,
 		SpilledBytes: b.spilled,
 		PeakBytes:    b.peak,
-		MergeWays:    b.mergeWays.Load(),
 	}
 }

@@ -166,7 +166,7 @@ func FuzzRunCodec(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if err := w.add(r.part, r.key, r.val, int64(len(r.key)+len(r.val))); err != nil {
+			if err := w.add(r.part, r.key, r.val); err != nil {
 				t.Fatal(err)
 			}
 		}

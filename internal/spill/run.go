@@ -11,8 +11,8 @@ import (
 // A run is one spill file: every partition's records in partition order,
 // each partition's slice sorted by key (stable, so equal keys keep their
 // emission order). Records are in AppendRecord's form, and a per-partition
-// segment index (offset, end, record count, accounted bytes) kept in memory
-// lets each reduce task read exactly its partition's byte range through an
+// segment index (offset, end, record count) kept in memory lets each
+// reduce task read exactly its partition's byte range through an
 // independent SectionReader.
 type run struct {
 	f    *os.File
@@ -23,7 +23,6 @@ type segment struct {
 	off     int64
 	end     int64
 	records int64
-	bytes   int64 // accounted (pre-encoding) bytes, for shuffle metrics
 }
 
 // close removes the run's file. Safe to call once per run.
@@ -56,10 +55,8 @@ func newRunWriter(dir string, seq, parts int) (*runWriter, error) {
 	return &runWriter{f: f, w: bufio.NewWriterSize(f, 64<<10), segs: make([]segment, parts)}, nil
 }
 
-// add appends one record to partition p. accBytes is the record's
-// accounted (in-memory) size, carried into the segment index so totals
-// never need a decode pass.
-func (w *runWriter) add(p int, key string, v any, accBytes int64) error {
+// add appends one record to partition p.
+func (w *runWriter) add(p int, key string, v any) error {
 	var err error
 	if w.scratch, err = AppendRecord(w.scratch[:0], key, v); err != nil {
 		return err
@@ -75,7 +72,6 @@ func (w *runWriter) add(p int, key string, v any, accBytes int64) error {
 	w.off += int64(n)
 	seg.end = w.off
 	seg.records++
-	seg.bytes += accBytes
 	return nil
 }
 
@@ -107,13 +103,16 @@ type cursor struct {
 
 // open returns a cursor over partition p, or nil when the run holds no
 // records for it. Cursors over distinct partitions are independent, so
-// concurrent reduce tasks can read the same run file.
+// concurrent reduce tasks can read the same run file. The window is sized
+// by the segment: a job has one cursor per (run, partition), and most
+// segments are far smaller than 32 KiB.
 func (r *run) open(p int) *cursor {
 	seg := r.segs[p]
 	if seg.records == 0 {
 		return nil
 	}
-	return &cursor{r: io.NewSectionReader(r.f, seg.off, seg.end-seg.off), buf: make([]byte, 0, 32<<10)}
+	size := seg.end - seg.off
+	return &cursor{r: io.NewSectionReader(r.f, seg.off, size), buf: make([]byte, 0, min(32<<10, size))}
 }
 
 // next returns the cursor's next record; ok is false at the end of the

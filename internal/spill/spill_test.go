@@ -30,6 +30,21 @@ func drainAll(t *testing.T, b *Buffer, parts int) ([][]string, [][]any) {
 	return keys, vals
 }
 
+// drainTotals sums the records and accounted bytes every partition drains:
+// what the engine's reduce tasks count as they fetch.
+func drainTotals(t *testing.T, b *Buffer, parts int) (records, bytes int64) {
+	t.Helper()
+	for p := 0; p < parts; p++ {
+		if _, err := b.Drain(p, func(_ string, _ any, sz int64) {
+			records++
+			bytes += sz
+		}); err != nil {
+			t.Fatalf("drain %d: %v", p, err)
+		}
+	}
+	return records, bytes
+}
+
 // groupByKey normalises a drain sequence the way the engine's reduce phase
 // does: values grouped per key, keys sorted. Per-key value order must be
 // preserved exactly.
@@ -210,14 +225,8 @@ func TestBufferSpillEquivalence(t *testing.T) {
 		}
 	}
 	// Records/bytes accounting must match the unbounded buffer's too.
-	rr, rb, err := ref.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, sb, err := spilled.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr, rb := drainTotals(t, ref, parts)
+	sr, sb := drainTotals(t, spilled, parts)
 	if rr != sr || rb != sb {
 		t.Fatalf("totals differ: unbounded (%d, %d) vs spilled (%d, %d)", rr, rb, sr, sb)
 	}
@@ -264,15 +273,9 @@ func TestBufferFoldEquivalence(t *testing.T) {
 			t.Fatalf("partition %d folded values differ:\nwant %v\ngot  %v", p, want, got)
 		}
 	}
-	// Totals must take the merge path and agree with the fast path.
-	rr, rb, err := ref.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, sb, err := spilled.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The merge's re-folded records account like the in-memory ones.
+	rr, rb := drainTotals(t, ref, 2)
+	sr, sb := drainTotals(t, spilled, 2)
 	if rr != sr || rb != sb {
 		t.Fatalf("totals differ: (%d,%d) vs (%d,%d)", rr, rb, sr, sb)
 	}
@@ -429,9 +432,6 @@ func TestBufferMergeWaysStat(t *testing.T) {
 	if int64(ways) < runs {
 		t.Fatalf("merge ways %d < runs %d", ways, runs)
 	}
-	if got := b.Stats().MergeWays; got != int64(ways) {
-		t.Fatalf("Stats().MergeWays = %d, want %d", got, ways)
-	}
 }
 
 func TestRunWriterEmptyPartitionsSkipped(t *testing.T) {
@@ -497,11 +497,12 @@ func readCursor(r *run) (keys []string, vals []any, err error) {
 
 // TestRunCursorWindow drives the cursor's sliding window: a segment several
 // windows long (records straddle every refill), one record larger than
-// twice the initial window (the doubling path), a segment cut mid-record,
-// and a complete frame whose value is short inside — which must surface as
-// a decode error, not be taken for a record that needs more bytes.
+// twice the initial window (the doubling path), a one-record segment (the
+// window is no larger than it), a segment cut mid-record, and a complete
+// frame whose value is short inside — which must surface as a decode
+// error, not be taken for a record that needs more bytes.
 func TestRunCursorWindow(t *testing.T) {
-	w, err := newRunWriter(t.TempDir(), 0, 1)
+	w, err := newRunWriter(t.TempDir(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,9 +513,12 @@ func TestRunCursorWindow(t *testing.T) {
 		if i == 3000 {
 			vals[i] = string(make([]byte, 100<<10))
 		}
-		if err := w.add(0, keys[i], vals[i], 1); err != nil {
+		if err := w.add(0, keys[i], vals[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.add(1, "lone", int64(7)); err != nil {
+		t.Fatal(err)
 	}
 	r, err := w.finish()
 	if err != nil {
@@ -530,6 +534,19 @@ func TestRunCursorWindow(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotK, keys) || !reflect.DeepEqual(gotV, vals) {
 		t.Fatalf("read back %d records, want %d identical ones", len(gotK), len(keys))
+	}
+
+	// The one-record segment is read through a window of its own size, and
+	// ends cleanly after its record.
+	c := r.open(1)
+	if size := r.segs[1].end - r.segs[1].off; int64(cap(c.buf)) > size {
+		t.Fatalf("one-record segment of %d bytes got a %d-byte window", size, cap(c.buf))
+	}
+	if k, v, ok, err := c.next(); err != nil || !ok || k != "lone" || v != int64(7) {
+		t.Fatalf("one-record segment: (%q, %v, %v, %v)", k, v, ok, err)
+	}
+	if _, _, ok, err := c.next(); ok || err != nil {
+		t.Fatalf("after the one record: ok = %v, err = %v; want a clean end", ok, err)
 	}
 
 	// Cut the segment inside its last record: every record before it still
