@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz cover test-env bench-check loc all
+.PHONY: build test vet race chaos fuzz cover test-env bench-check bench-pairs loc all
 
 all: build vet test bench-check
 
@@ -58,6 +58,15 @@ test-env:
 # BENCHMARK.json: a library refactor that breaks what it uses fails here.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-pairs measures this checkout against a parent checkout on one
+# workload of the repository's benchmark, in alternating pairs — the table
+# a performance claim rests on (scripts/benchpairs.sh):
+#   make bench-pairs PARENT=/path/to/parent WORKLOAD=self_wiki_inmem [PAIRS=10] [SECONDS=15]
+PAIRS ?= 10
+SECONDS ?= 15
+bench-pairs:
+	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # cover enforces the CI total-coverage gate over the library packages
 # (the main packages under cmd/ and examples/ are thin wrappers with no

@@ -63,7 +63,7 @@ func (env *jobEnv) schedule(phase Phase, n int, task func(t int) (CommitInfo, er
 	cfg := env.cfg
 	ex := cfg.Runtime.Executor
 	if ex == nil {
-		return runPhase(cfg.Parallelism, n, func(t int) error {
+		return RunPhase(cfg.Parallelism, n, func(t int) error {
 			if err := cfg.cancelled(); err != nil {
 				return env.jobErr(err)
 			}

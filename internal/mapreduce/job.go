@@ -237,6 +237,15 @@ type Context struct {
 	TaskID int
 	// Job exposes the job configuration to tasks.
 	Job Config
+	// Local is the task attempt's own state: nil when the attempt starts,
+	// whatever the mapper or reducer stores there afterwards, and dropped
+	// with the attempt. The engine shares one Mapper (and one Reducer)
+	// across every task of the job and across concurrent speculative
+	// attempts of one task, so state that belongs to a single attempt — an
+	// in-mapper combiner's counts, filled in Map and emitted in Cleanup —
+	// cannot live in the mapper; a failed attempt's Local is never seen by
+	// its retry.
+	Local any
 
 	out      spill.List[KV]
 	shuffle  *shuffleSink
@@ -756,8 +765,9 @@ type fetched struct {
 }
 
 // fetchReduceInput pulls reduce task t's partition from every map task in
-// map-task order, sorts an index over the fetched records by (key, arrival)
-// and sweeps it once, cutting a group wherever the key changes. Whether a
+// map-task order, sorts an index over the fetched records — built in
+// arrival order, as spill.SortIndex wants it — by (key, arrival) and sweeps
+// it once, cutting a group wherever the key changes. Whether a
 // map task's partition arrives in emission order (in memory) or as the
 // key-sorted merge of its runs (spilled), the sweep sees the same stream:
 // arrival order within one key is map-task then emission order either
@@ -770,6 +780,9 @@ func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error
 		hint := 0
 		for mt := 0; mt < env.mapTasks; mt++ {
 			hint += jt.PartitionRecords(mt, t)
+		}
+		if err := spill.Indexable(hint); err != nil {
+			panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
 		}
 		recs := make([]fetched, 0, hint)
 		idx := make([]spill.KeyIndex, 0, hint)

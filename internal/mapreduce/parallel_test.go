@@ -140,12 +140,12 @@ func TestParallelPropagatesErrors(t *testing.T) {
 }
 
 func TestRunPhaseProperty(t *testing.T) {
-	// runPhase must call work exactly once per index, any parallelism.
+	// RunPhase must call work exactly once per index, any parallelism.
 	f := func(n, par uint8) bool {
 		count := int(n % 40)
 		seen := make([]int, count)
 		var mu chan struct{} = make(chan struct{}, 1)
-		err := runPhase(int(par%8), count, func(t int) error {
+		err := RunPhase(int(par%8), count, func(t int) error {
 			mu <- struct{}{}
 			seen[t]++
 			<-mu

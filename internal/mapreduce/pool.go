@@ -11,11 +11,11 @@ import (
 // LocalParallelism), runs one task worker per available CPU core.
 const AutoParallelism = -1
 
-// runPhase executes n independent tasks, sequentially or on a bounded
+// RunPhase executes n independent tasks, sequentially or on a bounded
 // worker pool; the output slots are per-task, so results assemble in task
 // order regardless of completion order. The first error wins. A negative
 // parallelism means one worker per core (AutoParallelism).
-func runPhase(parallelism, n int, work func(t int) error) error {
+func RunPhase(parallelism, n int, work func(t int) error) error {
 	if parallelism < 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}

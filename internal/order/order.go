@@ -7,9 +7,10 @@
 package order
 
 import (
-	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/tokens"
@@ -59,28 +60,69 @@ type Order struct {
 	FreqByRank []int64
 	// TotalFreq is Σ FreqByRank, the total number of token occurrences.
 	TotalFreq int64
+
+	// par is the Parallelism of the pipeline that computed the order, which
+	// Apply fans out with.
+	par int
 }
 
 // Domain returns |U|, the number of distinct tokens.
 func (o *Order) Domain() int { return len(o.TokenAt) }
 
+// applyChunk is how many records one Apply work item re-encodes into one
+// arena: small enough that a few dozen items balance across workers and an
+// arena (≈ 450 KB at Wiki's 55 tokens a record) is an ordinary allocation,
+// large enough that handing one out costs nothing beside it.
+const applyChunk = 2048
+
 // Apply re-encodes a collection under the ordering: every token id is
-// replaced by its rank and each record is re-canonicalised. Tokens unknown
-// to the ordering are rejected — the ordering must be computed over (a
-// superset of) the collection.
+// replaced by its rank and each record is sorted again. Ranks are a
+// permutation of the token ids, so a canonical record stays duplicate-free
+// and needs no dedup pass. Records are re-encoded a range at a time — the
+// tokens of one range in one arena, each record's slice capped at its own
+// length — and the ranges concurrently, at the parallelism of the pipeline
+// that computed the order (sequentially at 0 or 1), with the same result
+// at any setting. Tokens unknown to the ordering are rejected — the
+// ordering must be computed over (a superset of) the collection — and the
+// error names the first such token in record order.
 func (o *Order) Apply(c *tokens.Collection) (*tokens.Collection, error) {
-	out := &tokens.Collection{Records: make([]tokens.Record, 0, len(c.Records))}
-	for _, r := range c.Records {
-		ids := make([]tokens.ID, len(r.Tokens))
-		for i, t := range r.Tokens {
-			if int(t) >= len(o.RankOf) || o.RankOf[t] == noRank {
-				return nil, fmt.Errorf("order: token %d outside ordered domain (|U|=%d)", t, len(o.TokenAt))
-			}
-			ids[i] = o.RankOf[t]
+	out := &tokens.Collection{Records: make([]tokens.Record, len(c.Records))}
+	// RunPhase returns whichever range failed first in time; errs keeps
+	// every range's failure, in record order.
+	errs := make([]error, (len(c.Records)+applyChunk-1)/applyChunk)
+	mapreduce.RunPhase(o.par, len(errs), func(ch int) error {
+		lo := ch * applyChunk
+		errs[ch] = o.rank(c.Records[lo:min(lo+applyChunk, len(c.Records))], out.Records[lo:])
+		return errs[ch]
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out.Records = append(out.Records, tokens.NewRecordOwned(r.RID, ids))
 	}
 	return out, nil
+}
+
+// rank re-encodes the records of in into out, their tokens in one arena.
+func (o *Order) rank(in, out []tokens.Record) error {
+	n := 0
+	for _, r := range in {
+		n += len(r.Tokens)
+	}
+	arena := make([]tokens.ID, n)
+	for i, r := range in {
+		ranks := arena[:len(r.Tokens):len(r.Tokens)]
+		arena = arena[len(ranks):]
+		for j, t := range r.Tokens {
+			if int(t) >= len(o.RankOf) || o.RankOf[t] == noRank {
+				return fmt.Errorf("order: token %d outside ordered domain (|U|=%d)", t, len(o.TokenAt))
+			}
+			ranks[j] = o.RankOf[t]
+		}
+		slices.Sort(ranks)
+		out[i] = tokens.Record{RID: r.RID, Tokens: ranks}
+	}
+	return nil
 }
 
 // recordValue wraps a record as a shuffle value with size accounting.
@@ -102,8 +144,8 @@ func RecordsToKV(c *tokens.Collection) []mapreduce.KV {
 // KVRecord extracts the record from a pair produced by RecordsToKV.
 func KVRecord(kv mapreduce.KV) tokens.Record { return kv.Value.(recordValue).rec }
 
-// sumReducer adds int64 values per key; used as combiner and reducer, with
-// the engine's fold fast paths.
+// sumReducer adds int64 values per key: the ordering job's reducer, through
+// the engine's fold fast path.
 type sumReducer struct{}
 
 // Reduce implements mapreduce.Reducer.
@@ -121,6 +163,87 @@ func (sumReducer) Fold(acc, v any) any { return acc.(int64) + v.(int64) }
 // FinishFold implements mapreduce.FoldingReducer.
 func (sumReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) { ctx.Emit(key, acc) }
 
+// denseCounter is the ordering job's mapper, an in-mapper combiner: token
+// ids are dense interned integers, so a task attempt counts occurrences in
+// an array indexed by token id and emits each token it met once, with its
+// count, when the task ends. What reaches the shuffle is what a combiner
+// would have left of one (token, 1) emission per occurrence — one 20-byte
+// record per distinct token of the task — without hashing, probing and
+// folding every occurrence on the way.
+//
+// The counts are the attempt's, kept in Context.Local: the engine shares
+// this one mapper across tasks and across concurrent speculative attempts.
+// The mapper itself holds only the job's free list of zeroed count arrays,
+// so a job allocates as many as it runs attempts at once, not one per task
+// (40 tasks × 2 MB on a 250 000-token domain).
+type denseCounter struct {
+	domain int // largest token id + 1
+
+	mu   sync.Mutex
+	free []*tokenCounts
+}
+
+// tokenCounts is one task attempt's term frequencies.
+type tokenCounts struct {
+	n       []int64  // indexed by token id
+	touched []uint32 // ids with n > 0, in first-occurrence order
+}
+
+// Map implements mapreduce.Mapper.
+func (m *denseCounter) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
+	tc, _ := ctx.Local.(*tokenCounts)
+	if tc == nil {
+		tc = m.get()
+		ctx.Local = tc
+	}
+	for _, t := range KVRecord(kv).Tokens {
+		if tc.n[t] == 0 {
+			tc.touched = append(tc.touched, t)
+		}
+		tc.n[t]++
+	}
+}
+
+// Cleanup implements mapreduce.Cleanupper: it emits the attempt's counts
+// in first-occurrence order — the order a combiner's fold slots filled in —
+// and hands the array back zeroed. An attempt that dies before this point
+// never gets here, so its array is dropped with its Context instead of
+// being reused dirty.
+func (m *denseCounter) Cleanup(ctx *mapreduce.Context) {
+	tc, _ := ctx.Local.(*tokenCounts)
+	if tc == nil {
+		return
+	}
+	// Every key is a substring of one per-task string: one allocation
+	// where U32Key would make one per token.
+	blob := make([]byte, 0, 4*len(tc.touched))
+	for _, t := range tc.touched {
+		blob = binary.BigEndian.AppendUint32(blob, t)
+	}
+	keys := string(blob)
+	for i, t := range tc.touched {
+		ctx.Emit(keys[4*i:4*i+4], tc.n[t])
+		tc.n[t] = 0
+	}
+	tc.touched = tc.touched[:0]
+	ctx.Local = nil
+	m.mu.Lock()
+	m.free = append(m.free, tc)
+	m.mu.Unlock()
+}
+
+// get returns a zeroed count array, a reused one when there is one.
+func (m *denseCounter) get() *tokenCounts {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.free); n > 0 {
+		tc := m.free[n-1]
+		m.free = m.free[:n-1]
+		return tc
+	}
+	return &tokenCounts{n: make([]int64, m.domain)}
+}
+
 // Compute runs the ordering MapReduce job over the collection and builds
 // the paper's global order (ascending term frequency, ties by token id).
 func Compute(p *mapreduce.Pipeline, c *tokens.Collection) (*Order, error) {
@@ -128,63 +251,86 @@ func Compute(p *mapreduce.Pipeline, c *tokens.Collection) (*Order, error) {
 }
 
 // ComputeKind runs the ordering MapReduce job over the collection and
-// builds the global order of the given kind. The job mirrors [18]: map
-// emits (token, 1) per occurrence, a combiner pre-aggregates, the reducer
-// sums, and the driver sorts tokens by the kind's comparator.
+// builds the global order of the given kind. The job is [18]'s term
+// frequency count with the combiner moved into the mapper (denseCounter):
+// each map task emits (token, count) once per distinct token, the reducer
+// sums, and the driver ranks the tokens from a dense frequency table with
+// a stable radix sort on frequency, so ties fall to the smaller token id
+// for every kind. c's records must be canonical (package tokens). An
+// unknown kind is an error.
 func ComputeKind(p *mapreduce.Pipeline, c *tokens.Collection, kind Kind) (*Order, error) {
-	in := RecordsToKV(c)
-	mapper := mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
-		for _, t := range KVRecord(kv).Tokens {
-			ctx.Emit(mapreduce.U32Key(t), int64(1))
-		}
-	})
-	res, err := p.Run(mapreduce.Config{
-		Name:     "ordering",
-		Combiner: sumReducer{},
-	}, in, mapper, sumReducer{})
+	if kind < FreqAscending || kind > Lexicographic {
+		return nil, fmt.Errorf("order: unknown kind %v", kind)
+	}
+	domain := int(c.MaxToken()) + 1
+	res, err := p.Run(mapreduce.Config{Name: "ordering"}, RecordsToKV(c), &denseCounter{domain: domain}, sumReducer{})
 	if err != nil {
 		return nil, err
 	}
 
-	type tf struct {
-		tok  uint32
-		freq int64
-	}
-	tfs := make([]tf, 0, len(res.Output))
-	var maxTok uint32
+	freq := make([]int64, domain)
+	var maxFreq int64
 	for _, kv := range res.Output {
-		t := mapreduce.DecodeU32Key(kv.Key)
-		tfs = append(tfs, tf{tok: t, freq: kv.Value.(int64)})
-		if t > maxTok {
-			maxTok = t
+		f := kv.Value.(int64)
+		freq[mapreduce.DecodeU32Key(kv.Key)] = f
+		maxFreq = max(maxFreq, f)
+	}
+	// The scan leaves the tokens in id order — Lexicographic as it stands,
+	// and the tie order a stable sort on frequency keeps.
+	toks := make([]uint32, 0, len(res.Output))
+	for t, f := range freq {
+		if f > 0 {
+			toks = append(toks, uint32(t))
 		}
 	}
-	// Every kind breaks ties by token id; FreqAscending is the default.
-	compare := func(a, b tf) int { return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.tok, b.tok)) }
 	switch kind {
+	case FreqAscending:
+		radixSortBy(toks, maxFreq, func(t uint32) int64 { return freq[t] })
 	case FreqDescending:
-		compare = func(a, b tf) int { return cmp.Or(cmp.Compare(b.freq, a.freq), cmp.Compare(a.tok, b.tok)) }
-	case Lexicographic:
-		compare = func(a, b tf) int { return cmp.Compare(a.tok, b.tok) }
+		radixSortBy(toks, maxFreq, func(t uint32) int64 { return maxFreq - freq[t] })
 	}
-	slices.SortFunc(tfs, compare)
 
-	o := &Order{
-		RankOf:     make([]uint32, maxTok+1),
-		TokenAt:    make([]uint32, len(tfs)),
-		FreqByRank: make([]int64, len(tfs)),
+	o := &Order{TokenAt: toks, FreqByRank: make([]int64, len(toks)), par: p.Parallelism}
+	if len(toks) > 0 {
+		o.RankOf = make([]uint32, domain)
+		for i := range o.RankOf {
+			o.RankOf[i] = noRank
+		}
 	}
-	if len(tfs) == 0 {
-		o.RankOf = nil
-	}
-	for i := range o.RankOf {
-		o.RankOf[i] = noRank
-	}
-	for rank, e := range tfs {
-		o.RankOf[e.tok] = uint32(rank)
-		o.TokenAt[rank] = e.tok
-		o.FreqByRank[rank] = e.freq
-		o.TotalFreq += e.freq
+	for rank, t := range toks {
+		o.RankOf[t] = uint32(rank)
+		o.FreqByRank[rank] = freq[t]
+		o.TotalFreq += freq[t]
 	}
 	return o, nil
+}
+
+// radixSortBy stably sorts toks ascending by key(t), a value in
+// [0, maxKey]: one least-significant-digit pass per byte maxKey occupies,
+// each with a 256-entry histogram — two passes for a domain whose most
+// frequent token occurs under 65 536 times, against a comparison sort's
+// log₂ n rounds through a closure.
+func radixSortBy(toks []uint32, maxKey int64, key func(t uint32) int64) {
+	src, dst := toks, make([]uint32, len(toks))
+	passes := 0
+	for shift := 0; maxKey>>shift > 0; shift += 8 {
+		passes++
+		var next [256]int
+		for _, t := range src {
+			next[byte(key(t)>>shift)]++
+		}
+		sum := 0
+		for d, n := range next {
+			next[d], sum = sum, sum+n
+		}
+		for _, t := range src {
+			d := byte(key(t) >> shift)
+			dst[next[d]] = t
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(toks, src)
+	}
 }

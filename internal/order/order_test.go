@@ -1,8 +1,12 @@
 package order
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/tokens"
@@ -177,5 +181,273 @@ func TestOrderingKinds(t *testing.T) {
 	if FreqAscending.String() != "freq-asc" || FreqDescending.String() != "freq-desc" ||
 		Lexicographic.String() != "lexicographic" {
 		t.Fatal("Kind names wrong")
+	}
+}
+
+func TestUnknownKindRejected(t *testing.T) {
+	_, err := ComputeKind(pipeline(), randomCollection(10, 10, 5, 6), Kind(7))
+	if err == nil || err.Error() != "order: unknown kind Kind(7)" {
+		t.Fatalf("Kind(7): got %v, want order: unknown kind Kind(7)", err)
+	}
+}
+
+// bruteOrder is the oracle: term frequencies counted in a map over every
+// record but skip, and the tokens comparison-sorted under kind with ties
+// by token id.
+func bruteOrder(c *tokens.Collection, skip int32, kind Kind) (toks []uint32, freq map[uint32]int64) {
+	freq = map[uint32]int64{}
+	for _, r := range c.Records {
+		if r.RID == skip {
+			continue
+		}
+		for _, tok := range r.Tokens {
+			freq[tok]++
+		}
+	}
+	for tok := range freq {
+		toks = append(toks, tok)
+	}
+	sort.Slice(toks, func(i, j int) bool {
+		a, b := toks[i], toks[j]
+		switch {
+		case kind == FreqAscending && freq[a] != freq[b]:
+			return freq[a] < freq[b]
+		case kind == FreqDescending && freq[a] != freq[b]:
+			return freq[a] > freq[b]
+		}
+		return a < b
+	})
+	return toks, freq
+}
+
+func checkAgainstOracle(t *testing.T, o *Order, c *tokens.Collection, skip int32, kind Kind) {
+	t.Helper()
+	toks, freq := bruteOrder(c, skip, kind)
+	if o.Domain() != len(toks) || len(o.FreqByRank) != len(toks) {
+		t.Fatalf("%v: domain %d, oracle %d", kind, o.Domain(), len(toks))
+	}
+	var total int64
+	for rank, tok := range toks {
+		if o.TokenAt[rank] != tok || o.FreqByRank[rank] != freq[tok] || o.RankOf[tok] != uint32(rank) {
+			t.Fatalf("%v: rank %d holds token %d freq %d (RankOf %d), oracle token %d freq %d",
+				kind, rank, o.TokenAt[rank], o.FreqByRank[rank], o.RankOf[tok], tok, freq[tok])
+		}
+		total += freq[tok]
+	}
+	if o.TotalFreq != total {
+		t.Fatalf("%v: TotalFreq %d, oracle %d", kind, o.TotalFreq, total)
+	}
+	for tok, rank := range o.RankOf {
+		if _, ok := freq[uint32(tok)]; !ok && rank != noRank {
+			t.Fatalf("%v: token %d never occurs but has rank %d", kind, tok, rank)
+		}
+	}
+}
+
+// scripted injects what decide returns for a map task attempt and nothing
+// anywhere else.
+type scripted func(task, attempt int) mapreduce.Fault
+
+func (s scripted) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+	if phase != mapreduce.PhaseMap {
+		return mapreduce.Fault{}
+	}
+	return s(task, attempt)
+}
+
+// TestOrderMatchesBruteForce pins the in-mapper counts to a brute-force
+// count wherever an attempt's state could leak: retried, raced, probed and
+// spilled map tasks, sequential and concurrent.
+func TestOrderMatchesBruteForce(t *testing.T) {
+	c := randomCollection(3000, 700, 30, 11)
+	const noSkip = int32(-1)
+	scenarios := []struct {
+		name  string
+		fault func(skipped *int32) mapreduce.FaultPolicy
+	}{
+		{"clean", func(*int32) mapreduce.FaultPolicy { return mapreduce.FaultPolicy{} }},
+		{"seeded chaos", func(*int32) mapreduce.FaultPolicy {
+			return mapreduce.FaultPolicy{Injector: mapreduce.NewSeededPlan(mapreduce.PlanConfig{Seed: 3, TargetRate: 0.6})}
+		}},
+		// The original of map task 1 sleeps 30 ms; its backup starts after
+		// 5 ms and sleeps 25 ms, so both run the split at the same moment
+		// through the one shared mapper.
+		{"two attempts at once", func(*int32) mapreduce.FaultPolicy {
+			return mapreduce.FaultPolicy{
+				SpeculativeDelay: 5 * time.Millisecond,
+				Injector: scripted(func(task, attempt int) mapreduce.Fault {
+					switch {
+					case task == 1 && attempt == 0:
+						return mapreduce.Fault{Kind: mapreduce.FaultDelay, Delay: 30 * time.Millisecond}
+					case task == 1 && attempt == mapreduce.SpeculativeAttempt:
+						return mapreduce.Fault{Kind: mapreduce.FaultDelay, Delay: 25 * time.Millisecond}
+					}
+					return mapreduce.Fault{}
+				}),
+			}
+		}},
+		// The first attempt of every map task dies with half its split
+		// counted; the retry must start from zero.
+		{"first attempt dies mid-split", func(*int32) mapreduce.FaultPolicy {
+			return mapreduce.FaultPolicy{Injector: scripted(func(task, attempt int) mapreduce.Fault {
+				if attempt == 0 {
+					return mapreduce.Fault{Kind: mapreduce.FaultRecordPanic, Record: 200, Msg: "dies mid-split"}
+				}
+				return mapreduce.Fault{}
+			})}
+		}},
+		// The last record of map task 2's split (3000 records over the 6
+		// slots of pipeline()'s cluster) fails every attempt and probe; skip
+		// mode quarantines it and its tokens are counted nowhere.
+		{"poison record skipped", func(skipped *int32) mapreduce.FaultPolicy {
+			return mapreduce.FaultPolicy{
+				SkipBadRecords: true,
+				Injector: scripted(func(task, attempt int) mapreduce.Fault {
+					if task == 2 {
+						return mapreduce.Fault{Kind: mapreduce.FaultRecordPanic, Record: 499, Msg: "poison"}
+					}
+					return mapreduce.Fault{}
+				}),
+				Quarantine: func(q mapreduce.QuarantinedRecord) {
+					*skipped = KVRecord(mapreduce.KV{Key: q.Key, Value: q.Value}).RID
+				},
+			}
+		}},
+	}
+	for _, sc := range scenarios {
+		for _, par := range []int{1, 4} {
+			for _, budget := range []int64{-1, 1024} {
+				t.Run(fmt.Sprintf("%s/par%d/budget%d", sc.name, par, budget), func(t *testing.T) {
+					for _, kind := range []Kind{FreqAscending, FreqDescending, Lexicographic} {
+						skipped := noSkip
+						p := pipeline()
+						p.Parallelism, p.MemoryBudgetBytes = par, budget
+						p.Fault = sc.fault(&skipped)
+						o, err := ComputeKind(p, c, kind)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (sc.name == "poison record skipped") != (skipped != noSkip) {
+							t.Fatalf("quarantined record %d", skipped)
+						}
+						checkAgainstOracle(t, o, c, skipped, kind)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestApplyIdenticalAtAnyParallelism re-encodes more records than one work
+// item holds, sequentially and on four workers, against the record-by-record
+// definition.
+func TestApplyIdenticalAtAnyParallelism(t *testing.T) {
+	c := randomCollection(3*applyChunk+17, 900, 25, 12)
+	bad := c.Clone()
+	for _, i := range []int{applyChunk + 5, 2*applyChunk + 9} {
+		bad.Records[i].Tokens = append(bad.Records[i].Tokens, tokens.ID(5000+i))
+	}
+	var first *tokens.Collection
+	var firstErr string
+	for _, par := range []int{1, 4} {
+		p := pipeline()
+		p.Parallelism = par
+		o, err := Compute(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc, err := o.Apply(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range c.Records {
+			ranks := make([]tokens.ID, len(r.Tokens))
+			for j, tok := range r.Tokens {
+				ranks[j] = o.RankOf[tok]
+			}
+			if want := tokens.NewRecord(r.RID, ranks); !reflect.DeepEqual(oc.Records[i], want) {
+				t.Fatalf("par %d record %d: %v, want %v", par, i, oc.Records[i], want)
+			}
+		}
+		_, err = o.Apply(bad)
+		if err == nil {
+			t.Fatalf("par %d: unknown token accepted", par)
+		}
+		if first == nil {
+			first, firstErr = oc, err.Error()
+			if want := fmt.Sprintf("order: token %d outside ordered domain (|U|=%d)", 5000+applyChunk+5, o.Domain()); firstErr != want {
+				t.Fatalf("error %q, want %q", firstErr, want)
+			}
+		} else if !reflect.DeepEqual(first, oc) || err.Error() != firstErr {
+			t.Fatalf("par %d differs from par 1 (error %q vs %q)", par, err, firstErr)
+		}
+	}
+}
+
+// TestOrderingShuffleIsPostCombine pins what the ordering job shuffles to
+// what a combiner leaves of one emission per token occurrence: one 20-byte
+// record (4-byte key, 8-byte count, 8 bytes of framing) per distinct token
+// of each map task's split.
+func TestOrderingShuffleIsPostCombine(t *testing.T) {
+	c := randomCollection(1000, 300, 20, 13)
+	p := pipeline()
+	if _, err := Compute(p, c); err != nil {
+		t.Fatal(err)
+	}
+	m := p.Stages()[0]
+	perReduce := make([]int64, m.ReduceTasks)
+	var records int64
+	base, rem, off := len(c.Records)/m.MapTasks, len(c.Records)%m.MapTasks, 0
+	for task := 0; task < m.MapTasks; task++ {
+		n := base
+		if task < rem {
+			n++
+		}
+		distinct := map[tokens.ID]bool{}
+		for _, r := range c.Records[off : off+n] {
+			for _, tok := range r.Tokens {
+				if !distinct[tok] {
+					distinct[tok] = true
+					records++
+					perReduce[mapreduce.DefaultPartitioner(mapreduce.U32Key(tok), m.ReduceTasks)] += 20
+				}
+			}
+		}
+		off += n
+	}
+	if m.ShuffleRecords != records || m.ShuffleBytes != 20*records || !reflect.DeepEqual(m.PerReduceBytes, perReduce) {
+		t.Fatalf("shuffled %d records, %d bytes, per reducer %v; want %d, %d, %v",
+			m.ShuffleRecords, m.ShuffleBytes, m.PerReduceBytes, records, 20*records, perReduce)
+	}
+}
+
+func benchCollection() *tokens.Collection { return randomCollection(20000, 60000, 80, 21) }
+
+func BenchmarkOrderCompute(b *testing.B) {
+	c := benchCollection()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compute(pipeline(), c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOrderApply(b *testing.B) {
+	c := benchCollection()
+	o, err := Compute(pipeline(), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.Apply(c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

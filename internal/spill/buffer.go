@@ -184,7 +184,11 @@ func (b *Buffer) spill() error {
 		if l.Len() == 0 {
 			continue
 		}
-		idx := sortedIndex(l, b.idx[:0], false)
+		idx, err := sortedIndex(l, b.idx[:0], false)
+		if err != nil {
+			w.abort()
+			return err
+		}
 		b.idx = idx
 		for _, ix := range idx {
 			e := l.At(int(ix.Pos))
@@ -208,15 +212,19 @@ func (b *Buffer) spill() error {
 }
 
 // sortedIndex appends to idx a key index over l's records — its pinned
-// ones only when asked — and sorts it.
-func sortedIndex(l *List[entry], idx []KeyIndex, pinned bool) []KeyIndex {
+// ones only when asked — in record order, as SortIndex wants it, and sorts
+// it.
+func sortedIndex(l *List[entry], idx []KeyIndex, pinned bool) ([]KeyIndex, error) {
+	if err := Indexable(l.Len()); err != nil {
+		return nil, err
+	}
 	for i := 0; i < l.Len(); i++ {
 		if e := l.At(i); pinned || !e.pinned {
 			idx = append(idx, MakeKeyIndex(e.key, i))
 		}
 	}
 	SortIndex(idx, func(pos int32) string { return l.At(int(pos)).key })
-	return idx
+	return idx, nil
 }
 
 // keepPinned shrinks partition p to its pinned records, in order, and
@@ -281,7 +289,10 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 	if tail.Len() > 0 {
 		// Concurrent drains of distinct partitions each need their own
 		// index, so this one is not the buffer's.
-		idx := sortedIndex(tail, make([]KeyIndex, 0, tail.Len()), true)
+		idx, err := sortedIndex(tail, make([]KeyIndex, 0, tail.Len()), true)
+		if err != nil {
+			return 0, err
+		}
 		sources = append(sources, &memSource{es: tail, idx: idx})
 	}
 	err := kmerge(sources, b.cfg.Fold, b.cfg.Cancel, func(k string, v any) {

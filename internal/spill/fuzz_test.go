@@ -232,7 +232,7 @@ func FuzzKeyOrder(f *testing.F) {
 		step := int(data[0])%12 + 1
 		data = data[1:]
 		var keys []string
-		for n := 0; len(data) > 0 && len(keys) < 512; n++ {
+		for n := 0; len(data) > 0; n++ {
 			l := min(n%(step+1), len(data))
 			keys = append(keys, string(data[:l]))
 			data = data[max(l, 1):]

@@ -3,6 +3,8 @@ package spill
 import (
 	"cmp"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -56,16 +58,100 @@ func compareTails(a, b KeyIndex, key func(pos int32) string) int {
 	return 0
 }
 
+// Indexable reports whether n records can be indexed: KeyIndex.Pos is an
+// int32, and a position that wrapped would group records wrongly instead
+// of failing. Whoever builds an index checks the record count it is about
+// to index with this first.
+func Indexable(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("spill: %d records in one partition, a sort index addresses at most %d", n, math.MaxInt32)
+	}
+	return nil
+}
+
 // SortIndex sorts idx by key, then position. Position as the final
 // tie-break makes the order total, so the sort is stable by construction:
 // records with equal keys stay in position order. This is the one key
 // ordering of the shuffle — spill runs, the drain of a spilled buffer's
 // in-memory tail and reduce-side grouping all use it.
+//
+// idx must arrive in strictly ascending position order, which is how every
+// caller builds it (one append per record, in record order); SortIndex
+// panics otherwise, a wrapped position included. That contract is what
+// lets the sort be a stable least-significant-digit radix sort over the
+// prefix bytes: one scatter pass per byte position at which the prefixes
+// differ at all — three for the dense token ids of a 250 000-token domain,
+// none for the bytes every key shares — after which equal prefixes are
+// still in position order. Only a run of equal prefixes that holds a key
+// longer than eight bytes, or keys of different lengths, is then put in
+// order by comparison, full keys included.
 func SortIndex(idx []KeyIndex, key func(pos int32) string) {
-	slices.SortFunc(idx, func(a, b KeyIndex) int {
-		if c := CompareKeys(a, b, key); c != 0 {
-			return c
+	if len(idx) < 2 {
+		return
+	}
+	// Which bytes vary, whether any run can need its tails compared, and
+	// the position contract, in one scan.
+	first := idx[0]
+	var diff uint64
+	tails := first.Len == 9
+	for i := 1; i < len(idx); i++ {
+		e := &idx[i]
+		if e.Pos <= idx[i-1].Pos {
+			panic(fmt.Sprintf("spill: SortIndex: position %d follows %d, index not in ascending position order", e.Pos, idx[i-1].Pos))
 		}
-		return int(a.Pos) - int(b.Pos)
-	})
+		diff |= e.Prefix ^ first.Prefix
+		tails = tails || e.Len != first.Len
+	}
+	if diff != 0 {
+		radixByPrefix(idx, diff)
+	}
+	if !tails {
+		return
+	}
+	for lo := 0; lo < len(idx); {
+		hi, mixed := lo+1, idx[lo].Len == 9
+		for ; hi < len(idx) && idx[hi].Prefix == idx[lo].Prefix; hi++ {
+			mixed = mixed || idx[hi].Len != idx[lo].Len
+		}
+		if mixed && hi-lo > 1 {
+			slices.SortFunc(idx[lo:hi], func(a, b KeyIndex) int {
+				if c := compareTails(a, b, key); c != 0 {
+					return c
+				}
+				return int(a.Pos) - int(b.Pos)
+			})
+		}
+		lo = hi
+	}
+}
+
+// radixByPrefix stably sorts idx by Prefix, least significant byte first,
+// visiting only the byte positions set in diff. A pass is a 256-counter
+// histogram of its byte (a digit of need, not a 64 K-entry table that would
+// cost a small index more to clear than to sort), its prefix sums, and one
+// scatter into the other of two arrays.
+func radixByPrefix(idx []KeyIndex, diff uint64) {
+	src, dst := idx, make([]KeyIndex, len(idx))
+	for s := uint(0); s < 64; s += 8 {
+		if diff>>s&0xff == 0 {
+			continue
+		}
+		var next [256]int32
+		for i := range src {
+			next[byte(src[i].Prefix>>s)]++
+		}
+		sum := int32(0)
+		for d, n := range next {
+			next[d], sum = sum, sum+n
+		}
+		for i := range src {
+			d := byte(src[i].Prefix >> s)
+			dst[next[d]] = src[i]
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &idx[0] {
+		copy(idx, src)
+	}
 }

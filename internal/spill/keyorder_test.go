@@ -1,6 +1,10 @@
 package spill
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -35,9 +39,11 @@ func checkKeyOrder(t *testing.T, keys []string) {
 	}
 }
 
-func TestSortIndexMatchesStableSort(t *testing.T) {
+// sortIndexCases are small key sets around every boundary of the
+// abbreviated comparison.
+func sortIndexCases() map[string][]string {
 	long := "sameprefix-and-then-some"
-	cases := map[string][]string{
+	return map[string][]string{
 		"empty and zero bytes": {"", "\x00", "", "\x00\x00", "a", ""},
 		"trailing zero":        {"ab\x00", "ab", "ab\x00\x00", "ab", "ab\x00"},
 		"lengths two apart":    {"\x00\x00", "", "ab\x00\x00", "ab"},
@@ -49,7 +55,119 @@ func TestSortIndexMatchesStableSort(t *testing.T) {
 		"already sorted":       {"a", "b", "c", "d"},
 		"reversed":             {"d", "c", "b", "a"},
 	}
-	for name, keys := range cases {
+}
+
+func TestSortIndexMatchesStableSort(t *testing.T) {
+	for name, keys := range sortIndexCases() {
 		t.Run(name, func(t *testing.T) { checkKeyOrder(t, keys) })
+		// The same keys again as a large index: every key many times over,
+		// copies of one key never adjacent.
+		t.Run(name+" x10000", func(t *testing.T) {
+			var big []string
+			for rep := 0; len(big) < 10_000 && len(keys) > 0; rep++ {
+				for i := range keys {
+					big = append(big, keys[(i+rep)%len(keys)])
+				}
+			}
+			checkKeyOrder(t, big)
+		})
+	}
+}
+
+// fixedKeys returns n keys of width bytes (4 as the engine's U32Key, 8 as
+// its PairKey) drawn so that exactly the low `varying` bytes differ across
+// the set and every key occurs several times.
+func fixedKeys(n, width, varying int, rng *rand.Rand) []string {
+	distinct := make([]uint64, max(n/4, 1))
+	for i := range distinct {
+		distinct[i] = rng.Uint64()
+		if varying < 8 {
+			distinct[i] &= 1<<(8*varying) - 1
+		}
+	}
+	// Force every one of the varying bytes to take two values.
+	distinct[0], distinct[len(distinct)-1] = 0, math.MaxUint64>>(64-8*varying)
+	keys := make([]string, n)
+	for i := range keys {
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], distinct[rng.Intn(len(distinct))])
+		keys[i] = string(b[8-width:])
+	}
+	return keys
+}
+
+func TestSortIndexRadixPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct{ width, varying int }{{4, 1}, {4, 3}, {4, 4}, {8, 1}, {8, 3}, {8, 8}} {
+		t.Run(fmt.Sprintf("%d-byte keys %d varying", tc.width, tc.varying), func(t *testing.T) {
+			checkKeyOrder(t, fixedKeys(12_000, tc.width, tc.varying, rng))
+		})
+	}
+	t.Run("all equal", func(t *testing.T) {
+		checkKeyOrder(t, strings.Split(strings.Repeat("samekey!,", 10_000), ","))
+	})
+	t.Run("equal prefixes of length 8 and 9", func(t *testing.T) {
+		keys := make([]string, 10_000)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("prefix-%d", i%3)
+			if i%2 == 1 {
+				keys[i] += string(rune('a' + i%5))
+			}
+		}
+		checkKeyOrder(t, keys)
+	})
+}
+
+func TestSortIndexRejectsDescendingPositions(t *testing.T) {
+	keys := []string{"b", "a", "c"}
+	for name, pos := range map[string][]int{"descending": {0, 2, 1}, "repeated": {0, 1, 1}, "wrapped": {0, 1, math.MinInt32}} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ascending position order") {
+					t.Fatalf("recovered %v, want the position contract's panic", r)
+				}
+			}()
+			idx := make([]KeyIndex, len(keys))
+			for i, k := range keys {
+				idx[i] = MakeKeyIndex(k, pos[i])
+			}
+			SortIndex(idx, func(pos int32) string { return keys[pos] })
+		})
+	}
+}
+
+func TestIndexableBound(t *testing.T) {
+	if err := Indexable(math.MaxInt32); err != nil {
+		t.Fatalf("2^31-1 records rejected: %v", err)
+	}
+	if err := Indexable(math.MaxInt32 + 1); err == nil {
+		t.Fatal("2^31 records accepted: positions would wrap")
+	}
+}
+
+// BenchmarkSortIndex sorts what an ordering reduce task fetches: the same
+// key range from each of 40 map tasks, one after the other.
+func BenchmarkSortIndex(b *testing.B) {
+	for _, width := range []int{4, 8} {
+		const runs, perRun = 40, 1000
+		keys := make([]string, 0, runs*perRun)
+		rng := rand.New(rand.NewSource(2))
+		for r := 0; r < runs; r++ {
+			run := fixedKeys(perRun, width, 3, rng)
+			sort.Strings(run)
+			keys = append(keys, run...)
+		}
+		fresh := make([]KeyIndex, len(keys))
+		for i, k := range keys {
+			fresh[i] = MakeKeyIndex(k, i)
+		}
+		idx := make([]KeyIndex, len(keys))
+		b.Run(fmt.Sprintf("%d-byte keys", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(idx, fresh)
+				SortIndex(idx, func(pos int32) string { return keys[pos] })
+			}
+		})
 	}
 }

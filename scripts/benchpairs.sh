@@ -1,0 +1,89 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of a parent checkout against this one: the table
+# the choosing-metrics guide (§8) asks a performance claim to rest on.
+#
+#   scripts/benchpairs.sh PARENT_DIR WORKLOAD [PAIRS=10] [SECONDS=15]
+#
+# Each side is built and run through its own bench/run.sh, so each measures
+# the benchmark as committed beside it. Pair i runs both sides with seed i;
+# odd pairs run the parent first, even pairs this checkout first. Every
+# run's metric lines are kept under .bench_build/pairs/ and every run made
+# is in the table: per end-to-end metric, each side's median [quartiles],
+# the change of the medians, and in how many pairs this checkout read
+# better (ties count for neither). Nothing under bench/ is touched.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+	sed -n '2,14p' "$0" >&2
+	exit 2
+fi
+parent=$(cd "$1" && pwd)
+workload=$2
+pairs=${3:-10}
+seconds=${4:-15}
+change=$(cd "$(dirname "$0")/.." && pwd)
+out="$change/.bench_build/pairs/$workload"
+rm -rf "$out"
+mkdir -p "$out"
+
+run() { # side dir pair
+	echo "pair $3/$pairs: $1" >&2
+	if ! bash "$2/bench/run.sh" -workload "$workload" -seed "$3" -seconds "$seconds" \
+		-out "$out/$1-out" >"$out/$1-$3.txt" 2>"$out/$1-$3.err"; then
+		echo "$1 pair $3" >>"$out/failed"
+	fi
+}
+
+for i in $(seq 1 "$pairs"); do
+	if [ $((i % 2)) -eq 1 ]; then
+		run parent "$parent" "$i"
+		run change "$change" "$i"
+	else
+		run change "$change" "$i"
+		run parent "$parent" "$i"
+	fi
+done
+
+# One line per run and metric: side pair metric value.
+for f in "$out"/parent-*.txt "$out"/change-*.txt; do
+	side=${f##*/}
+	side=${side%%-*}
+	pair=${f##*-}
+	pair=${pair%.txt}
+	awk -v side="$side" -v pair="$pair" -v w="$workload" \
+		'$1 == w && NF == 4 { print side, pair, $2, $3 }' "$f"
+done | awk -v w="$workload" -v pairs="$pairs" -v seconds="$seconds" '
+function quantile(a, n, q,    h, lo) { # linear interpolation between order statistics
+	h = (n - 1) * q; lo = int(h)
+	return lo + 1 >= n ? a[n] : a[lo + 1] + (h - lo) * (a[lo + 2] - a[lo + 1])
+}
+function summary(side, m,    n, i, j, t, a) {
+	n = 0
+	for (i = 1; i <= pairs; i++) if ((side, i, m) in v) a[++n] = v[side, i, m]
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+	med[side] = quantile(a, n, 0.5)
+	return sprintf("%.4g [%.4g,%.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
+}
+{ v[$1, $2, $3] = $4 }
+END {
+	split("setup_s op_p50_ms op_tail_ms ops_per_s alloc_mb_per_op peak_rss_mb", metrics, " ")
+	printf "%s, %d pairs, -seconds %s: parent median [quartiles] -> change median [quartiles]\n", w, pairs, seconds
+	for (k = 1; k <= 6; k++) {
+		m = metrics[k]; wins = 0; both = 0
+		for (i = 1; i <= pairs; i++) {
+			if (!(("parent", i, m) in v) || !(("change", i, m) in v)) continue
+			both++
+			p = v["parent", i, m]; c = v["change", i, m]
+			if (m == "ops_per_s" ? c > p : c < p) wins++
+		}
+		ps = summary("parent", m); cs = summary("change", m)
+		delta = med["parent"] != 0 ? 100 * (med["change"] - med["parent"]) / med["parent"] : 0
+		printf "  %-16s %s -> %s (%+.1f%%, change better in %d/%d)\n", m, ps, cs, delta, wins, both
+	}
+}'
+# bench exits non-zero when an operation failed or an answer was wrong.
+if [ -s "$out/failed" ]; then
+	echo "  runs that failed or answered wrongly: $(tr '\n' ';' <"$out/failed")"
+	exit 1
+fi
+echo "  runs that failed or answered wrongly: none"
