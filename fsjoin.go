@@ -514,8 +514,11 @@ type Stats struct {
 	Candidates int64
 	// BitmapBuilt, BitmapRejected and BitmapPassed report the bitmap
 	// signature filter's activity (Options.BitmapFilter): signatures built,
-	// candidate pairs rejected by the popcount bound before exact work, and
-	// pairs that survived it. All zero when the filter is off.
+	// joinable candidate pairs rejected by the popcount bound before exact
+	// work, and joinable pairs that survived it. A pair that can never be
+	// emitted (same side of an R-S join, same side of a boundary partition)
+	// is not screened and not counted, in any FS-Join kernel. All zero when
+	// the filter is off.
 	BitmapBuilt    int64
 	BitmapRejected int64
 	BitmapPassed   int64

@@ -85,10 +85,14 @@ const (
 	// occurrence in a reduce group).
 	CtrBitmapBuilt = "bitmap.built"
 	// CtrBitmapRejected counts candidate pairs the popcount bound rejected
-	// before any exact intersection or verification.
+	// before any exact intersection or verification. A candidate pair is a
+	// joinable one — ridpairs and all three fragjoin kernels screen a pair
+	// only once origin and horizontal role allow it (the inverted-list
+	// kernels at its first shared posting).
 	CtrBitmapRejected = "bitmap.rejected"
 	// CtrBitmapPassed counts candidate pairs that survived the bound and
-	// went on to exact work.
+	// went on to exact work; in the inverted-list fragjoin kernels that is
+	// fragjoin.comparisons.
 	CtrBitmapPassed = "bitmap.passed"
 	// CtrVerifyCandidates counts candidate pairs reaching exact
 	// verification, so the bitmap filter's verified-candidate delta is a

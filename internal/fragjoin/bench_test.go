@@ -8,10 +8,12 @@ package fragjoin
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"fsjoin/internal/filters"
+	"fsjoin/internal/partition"
 	"fsjoin/internal/similarity"
 	"fsjoin/internal/tokens"
 )
@@ -49,28 +51,42 @@ func benchParams(m Method) Params {
 	return Params{Fn: similarity.Jaccard, Theta: 0.8, Filters: filters.All, Method: m}
 }
 
-// BenchmarkKernels runs each kernel on one fragment with the bitmap
-// signature filter on ("new", the default) and forced off ("nobitmap").
+// BenchmarkKernels runs each kernel on three shapes of one fragment — all
+// region segments of one origin, an R-S region fragment (every other segment
+// on the S side) and a boundary fragment (every other segment small, the
+// rest large) — with the bitmap signature filter on ("bitmap", the default)
+// and forced off ("nobitmap").
 func BenchmarkKernels(b *testing.B) {
-	segs := benchFragment(600, 4096, 1)
-	for _, m := range []Method{Index, Prefix, Loop} {
-		m := m
-		sink := 0
-		emit := func(a, bs *Seg, c int) { sink += c }
-		for _, arm := range []struct {
-			name string
-			mode filters.BitmapMode
-		}{{"new", filters.BitmapOn}, {"nobitmap", filters.BitmapOff}} {
-			p := benchParams(m)
-			p.Bitmap = filters.BitmapConfig{Mode: arm.mode}
-			b.Run(m.String()+"/"+arm.name, func(b *testing.B) {
-				b.ReportAllocs()
-				cp := make([]Seg, len(segs))
-				for i := 0; i < b.N; i++ {
-					copy(cp, segs)
-					Join(nil, cp, p, emit)
-				}
-			})
+	region := benchFragment(600, 4096, 1)
+	rs, boundary := slices.Clone(region), slices.Clone(region)
+	for i := range region {
+		rs[i].Origin = uint8(i % 2)
+		boundary[i].Role = partition.RoleSmall + partition.Role(i%2)
+	}
+	for _, frag := range []struct {
+		name string
+		segs []Seg
+		rs   bool
+	}{{"region", region, false}, {"rs", rs, true}, {"boundary", boundary, false}} {
+		for _, m := range []Method{Index, Prefix, Loop} {
+			sink := 0
+			emit := func(a, bs *Seg, c int) { sink += c }
+			for _, arm := range []struct {
+				name string
+				mode filters.BitmapMode
+			}{{"bitmap", filters.BitmapOn}, {"nobitmap", filters.BitmapOff}} {
+				p := benchParams(m)
+				p.RS = frag.rs
+				p.Bitmap = filters.BitmapConfig{Mode: arm.mode}
+				b.Run(frag.name+"/"+m.String()+"/"+arm.name, func(b *testing.B) {
+					b.ReportAllocs()
+					cp := make([]Seg, len(frag.segs))
+					for i := 0; i < b.N; i++ {
+						copy(cp, frag.segs)
+						Join(nil, cp, p, emit)
+					}
+				})
+			}
 		}
 	}
 }

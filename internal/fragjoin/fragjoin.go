@@ -19,9 +19,15 @@
 // token bitmap per segment whose XOR+popcount overlap upper bound rejects
 // pairs early in every kernel — before the exact intersection in Loop, and
 // at candidate registration (a pair's first shared posting) in Index and
-// Prefix, so rejected pairs are never registered, sorted or drained. Exact
+// Prefix, so rejected pairs are never registered or drained. Exact
 // intersections of short-span segments take a word-packed bitmap
 // AND+popcount fast path instead of a merge.
+//
+// Which pairs may join at all — cross-origin only in an R-S join, small ×
+// large only in a boundary partition — is the layout of the inverted index,
+// not a test per candidate (DESIGN.md §12): every segment has a class, the
+// postings are keyed by (token, class), and a segment probes the one class
+// it may join, so Index and Prefix never touch a pair Loop would skip.
 package fragjoin
 
 import (
@@ -149,14 +155,46 @@ func Join(ctx *mapreduce.Context, segs []Seg, p Params, emit Emit) {
 		j.bitmaps = make([]segBitmap, len(segs))
 		j.loop()
 	case Index:
-		j.initScratch()
-		j.index()
+		j.inverted(true)
 	case Prefix:
-		j.initScratch()
 		j.bitmaps = make([]segBitmap, len(segs))
-		j.prefix()
+		j.inverted(false)
 	default:
 		panic("fragjoin: unknown method")
+	}
+	if ctx != nil {
+		j.n.flush(ctx)
+	}
+}
+
+// counters are one Join's counter increments, kept as plain integers in
+// the hot loops and handed to the context once at the end.
+type counters struct {
+	comparisons, emitted                           int64
+	prunedStrL, prunedSegL, prunedSegI, prunedSegD int64
+	bitmapBuilt, bitmapPassed, bitmapRejected      int64
+}
+
+// flush adds the non-zero counts to the task's counters; a counter that
+// never fired stays absent, as it would be had it been incremented in place.
+func (n *counters) flush(ctx *mapreduce.Context) {
+	for _, c := range [...]struct {
+		name string
+		v    int64
+	}{
+		{CtrComparisons, n.comparisons},
+		{CtrPrunedStrL, n.prunedStrL},
+		{CtrPrunedSegL, n.prunedSegL},
+		{CtrPrunedSegI, n.prunedSegI},
+		{CtrPrunedSegD, n.prunedSegD},
+		{CtrEmitted, n.emitted},
+		{filters.CtrBitmapBuilt, n.bitmapBuilt},
+		{filters.CtrBitmapPassed, n.bitmapPassed},
+		{filters.CtrBitmapRejected, n.bitmapRejected},
+	} {
+		if c.v != 0 {
+			ctx.Inc(c.name, c.v)
+		}
 	}
 }
 
@@ -165,16 +203,19 @@ type joiner struct {
 	p    Params
 	emit Emit
 	segs []Seg
+	n    counters
 
 	// Generation-stamped sparse counters: counts[i] is segment i's running
 	// overlap with the probing segment, valid only while stamp[i] == gen.
 	// Bumping gen invalidates every counter at once, so nothing is cleared
-	// between probe rounds; cands collects the touched indexes and is
-	// reused round after round.
-	counts []int32
-	stamp  []uint32
-	gen    uint32
-	cands  []int32
+	// between probe rounds. touched has one bit per segment index, set when
+	// the segment is registered as a candidate of the round and cleared as
+	// drain visits it; loWord..hiWord bound the words that hold a set bit.
+	counts         []int32
+	stamp          []uint32
+	gen            uint32
+	touched        []uint64
+	loWord, hiWord int
 
 	// bitmaps are the lazily built word-packed token sets for the exact
 	// intersection fast path (Loop and Prefix kernels).
@@ -203,16 +244,17 @@ func (j *joiner) buildSigs() {
 	for i := range j.segs {
 		filters.BuildSignature(&j.sigs[i], j.segs[i].Tokens, j.sigW)
 	}
-	j.inc(filters.CtrBitmapBuilt, int64(len(j.segs)))
+	j.n.bitmapBuilt = int64(len(j.segs))
 }
 
 // sigReject is the bitmap-filter pre-check: the signature overlap upper
 // bound is run through the same SegI/SegD threshold algebra the exact count
 // will face, so a rejected pair is exactly one finish() would drop — output
 // is byte-identical with the filter on or off, only the exact intersection
-// and candidate bookkeeping are skipped. Loop calls it per pair before
-// intersecting; Index and Prefix call it from accumulate at a pair's first
-// shared posting.
+// and candidate bookkeeping are skipped. Every kernel calls it on joinable
+// pairs only — Loop per pairable pair before intersecting, Index and Prefix
+// from accumulate at a pair's first shared posting in the partner class —
+// so bitmap.passed and bitmap.rejected count the same thing in all three.
 func (j *joiner) sigReject(i, k int, a, b *Seg) bool {
 	if j.sigW == 0 {
 		return false
@@ -222,22 +264,11 @@ func (j *joiner) sigReject(i, k int, a, b *Seg) bool {
 		!(j.p.Filters.Has(filters.SegI) && filters.SegIPrune(j.p.Fn, j.p.Theta, ub, a.Meta(), b.Meta())) &&
 		!(j.p.Filters.Has(filters.SegD) && filters.SegDPrune(j.p.Fn, j.p.Theta, ub, a.Meta(), b.Meta()))
 	if pass {
-		j.inc(filters.CtrBitmapPassed, 1)
+		j.n.bitmapPassed++
 		return false
 	}
-	j.inc(filters.CtrBitmapRejected, 1)
+	j.n.bitmapRejected++
 	return true
-}
-
-func (j *joiner) initScratch() {
-	j.counts = make([]int32, len(j.segs))
-	j.stamp = make([]uint32, len(j.segs))
-}
-
-func (j *joiner) inc(name string, d int64) {
-	if j.ctx != nil {
-		j.ctx.Inc(name, d)
-	}
 }
 
 // cancelPoint is the kernels' bounded-stride cancellation hook: placed in
@@ -279,11 +310,11 @@ func orient(a, b *Seg) (*Seg, *Seg) {
 // lengthPrune applies StrL and SegL, which need no intersection.
 func (j *joiner) lengthPrune(a, b *Seg) bool {
 	if j.p.Filters.Has(filters.StrL) && filters.StrLPrune(j.p.Fn, j.p.Theta, int(a.StrLen), int(b.StrLen)) {
-		j.inc(CtrPrunedStrL, 1)
+		j.n.prunedStrL++
 		return true
 	}
 	if j.p.Filters.Has(filters.SegL) && filters.SegLPrune(j.p.Fn, j.p.Theta, a.Meta(), b.Meta()) {
-		j.inc(CtrPrunedSegL, 1)
+		j.n.prunedSegL++
 		return true
 	}
 	return false
@@ -295,14 +326,14 @@ func (j *joiner) finish(a, b *Seg, c int) {
 		return
 	}
 	if j.p.Filters.Has(filters.SegI) && filters.SegIPrune(j.p.Fn, j.p.Theta, c, a.Meta(), b.Meta()) {
-		j.inc(CtrPrunedSegI, 1)
+		j.n.prunedSegI++
 		return
 	}
 	if j.p.Filters.Has(filters.SegD) && filters.SegDPrune(j.p.Fn, j.p.Theta, c, a.Meta(), b.Meta()) {
-		j.inc(CtrPrunedSegD, 1)
+		j.n.prunedSegD++
 		return
 	}
-	j.inc(CtrEmitted, 1)
+	j.n.emitted++
 	x, y := orient(a, b)
 	j.emit(x, y, c)
 }
@@ -317,7 +348,7 @@ func (j *joiner) loop() {
 			if !j.pairable(a, b) {
 				continue
 			}
-			j.inc(CtrComparisons, 1)
+			j.n.comparisons++
 			if j.lengthPrune(a, b) {
 				continue
 			}
@@ -329,44 +360,103 @@ func (j *joiner) loop() {
 	}
 }
 
-// index is the inverted-list kernel: postings over every token, counts
-// accumulated while probing, probe-then-insert to see each pair once. The
-// accumulated count is already the exact intersection size.
-func (j *joiner) index() {
-	inv := newPostings(j.segs, func(i int) int { return len(j.segs[i].Tokens) })
-	for k := range j.segs {
-		j.beginRound()
-		for _, t := range j.segs[k].Tokens {
-			j.accumulate(inv.get(t), k)
-		}
-		j.drain(k, true)
-		for _, t := range j.segs[k].Tokens {
-			inv.add(t, int32(k))
-		}
-	}
+// A class is what decides whether two segments may join: origin (R-S joins
+// only; a self-join ignores it) × horizontal role. Each class joins exactly
+// one partner class — region with region, small with large, the origin
+// flipped in an R-S join — so "joinable" is "my partner class is your
+// class", and the inverted index is laid out by it.
+const (
+	numClasses = 6 // origin {0, 1} × role {region, small, large}
+	// noClass marks a segment no other can join (a role Joinable knows
+	// nothing of): it neither probes nor is indexed.
+	noClass = numClasses
+)
+
+// segPlan is one segment's part in the inverted-list kernel.
+type segPlan struct {
+	// probe is how many leading tokens the segment probes with: all of
+	// them for Index, the lossless prefix for Prefix.
+	probe int32
+	// class is the segment's own class, partner the one class it may join.
+	class, partner uint8
+	// indexed says whether those tokens are then inserted under its class:
+	// false when no later segment probes that class. Sorted by (Origin,
+	// RID), that is the whole S side of an R-S fragment.
+	indexed bool
 }
 
-// prefix is the prefix-filtered inverted-list kernel: only segment prefixes
-// are indexed and probed; discovered pairs get their exact intersection
-// from the bitmap fast path or a merge.
-func (j *joiner) prefix() {
-	plens := make([]int, len(j.segs))
-	for i := range j.segs {
-		if j.p.PaperPrefix {
-			plens[i] = filters.SegPrefixLenNaive(j.p.Theta, j.segs[i].Meta())
-		} else {
-			plens[i] = filters.SegPrefixLen(j.p.Fn, j.p.Theta, j.segs[i].Meta())
-		}
+// index is how many leading tokens of the segment the postings hold.
+func (pl segPlan) index() int32 {
+	if pl.indexed {
+		return pl.probe
 	}
-	inv := newPostings(j.segs, func(i int) int { return plens[i] })
-	for k := range j.segs {
-		j.beginRound()
-		for _, t := range j.segs[k].Tokens[:plens[k]] {
-			j.accumulate(inv.get(t), k)
+	return 0
+}
+
+// plan lays out every segment's part in the kernel.
+func (j *joiner) plan(exact bool) []segPlan {
+	partnerRole := [...]partition.Role{
+		partition.RoleRegion: partition.RoleRegion,
+		partition.RoleSmall:  partition.RoleLarge,
+		partition.RoleLarge:  partition.RoleSmall,
+	}
+	// lastProbe[c] is the last segment that probes class c; a segment is
+	// indexed when that is a later one, so 0 also serves as "none".
+	var lastProbe [numClasses + 1]int
+	plan := make([]segPlan, len(j.segs))
+	for i := range j.segs {
+		s, pl := &j.segs[i], &plan[i]
+		switch {
+		case exact:
+			pl.probe = int32(len(s.Tokens))
+		case j.p.PaperPrefix:
+			pl.probe = int32(filters.SegPrefixLenNaive(j.p.Theta, s.Meta()))
+		default:
+			pl.probe = int32(filters.SegPrefixLen(j.p.Fn, j.p.Theta, s.Meta()))
 		}
-		j.drain(k, false)
-		for _, t := range j.segs[k].Tokens[:plens[k]] {
-			inv.add(t, int32(k))
+		if int(s.Role) >= len(partnerRole) {
+			pl.class, pl.partner = noClass, noClass
+			continue
+		}
+		var origin, other uint8
+		if j.p.RS {
+			if s.Origin > 1 {
+				panic(fmt.Sprintf("fragjoin: R-S segment with origin %d", s.Origin))
+			}
+			origin, other = s.Origin, s.Origin^1
+		}
+		pl.class = 3*origin + uint8(s.Role)
+		pl.partner = 3*other + uint8(partnerRole[s.Role])
+		lastProbe[pl.partner] = i
+	}
+	for i := range plan {
+		plan[i].indexed = lastProbe[plan[i].class] > i
+	}
+	return plan
+}
+
+// inverted is the inverted-list kernel behind Index and Prefix: postings
+// per (token, class), counts accumulated while a segment probes its partner
+// class, probe-then-insert to see each pair once. Index (exact) indexes and
+// probes every token, so the accumulated count is already the intersection
+// size; Prefix indexes and probes only each segment's lossless prefix
+// (DESIGN.md §3) and gets the exact intersection of a discovered pair from
+// the bitmap fast path or a merge.
+func (j *joiner) inverted(exact bool) {
+	plan := j.plan(exact)
+	inv := newPostings(j.segs, plan)
+	j.counts = make([]int32, len(j.segs))
+	j.stamp = make([]uint32, len(j.segs))
+	j.touched = make([]uint64, (len(j.segs)+63)/64)
+	for k := range j.segs {
+		toks, pl := j.segs[k].Tokens, plan[k]
+		j.beginRound()
+		for _, t := range toks[:pl.probe] {
+			j.accumulate(inv.get(t, pl.partner), k)
+		}
+		j.drain(k, exact)
+		for _, t := range toks[:pl.index()] {
+			inv.add(t, pl.class, int32(k))
 		}
 	}
 }
@@ -374,13 +464,14 @@ func (j *joiner) prefix() {
 // beginRound invalidates all counters for a new probing segment.
 func (j *joiner) beginRound() {
 	j.gen++
-	j.cands = j.cands[:0]
+	j.loWord, j.hiWord = len(j.touched), -1
 }
 
 // accumulate bumps the overlap counter of every segment on one posting
-// list, registering first-touched segments as candidates. The bitmap
-// filter's pre-check runs here, at a pair's first shared posting: a
-// rejected segment is stamped but never registered, so it accumulates no
+// list of the probing segment's partner class, registering first-touched
+// segments as candidates — every pair it sees is joinable by construction.
+// The bitmap filter's pre-check runs here, at a pair's first shared posting:
+// a rejected segment is stamped but never registered, so it accumulates no
 // further counts and never reaches drain. Unregistered segments may keep
 // receiving counter bumps on later postings; their counts are stale and
 // never read.
@@ -393,7 +484,9 @@ func (j *joiner) accumulate(list []int32, k int) {
 				continue
 			}
 			j.counts[i] = 0
-			j.cands = append(j.cands, i)
+			w := int(i >> 6)
+			j.touched[w] |= 1 << (i & 63)
+			j.loWord, j.hiWord = min(j.loWord, w), max(j.hiWord, w)
 		}
 		j.counts[i]++
 	}
@@ -401,30 +494,32 @@ func (j *joiner) accumulate(list []int32, k int) {
 
 // drain finalises the current round's candidates against segment k. When
 // exact, the accumulated count is already the intersection size; otherwise
-// it is recomputed. Candidates are visited in index order for deterministic
-// output and counter values.
+// it is recomputed. Candidates are visited in index order — a sweep of the
+// touched bits — for deterministic output and counter values. pairable is
+// the check of record: the class layout already excludes every pair it
+// refuses except two segments of one record meeting in a self-join.
 func (j *joiner) drain(k int, exact bool) {
-	if len(j.cands) == 0 {
-		return
-	}
-	slices.Sort(j.cands)
 	b := &j.segs[k]
-	for _, ci := range j.cands {
-		j.cancelPoint()
-		i := int(ci)
-		a := &j.segs[i]
-		if !j.pairable(a, b) {
-			continue
+	for w := j.loWord; w <= j.hiWord; w++ {
+		word := j.touched[w]
+		j.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			j.cancelPoint()
+			i := w<<6 + bits.TrailingZeros64(word)
+			a := &j.segs[i]
+			if !j.pairable(a, b) {
+				continue
+			}
+			j.n.comparisons++
+			if j.lengthPrune(a, b) {
+				continue
+			}
+			c := int(j.counts[i])
+			if !exact {
+				c = j.intersect(i, k)
+			}
+			j.finish(a, b, c)
 		}
-		j.inc(CtrComparisons, 1)
-		if j.lengthPrune(a, b) {
-			continue
-		}
-		c := int(j.counts[i])
-		if !exact {
-			c = j.intersect(i, k)
-		}
-		j.finish(a, b, c)
 	}
 }
 
@@ -485,57 +580,75 @@ func (j *joiner) intersect(i, k int) int {
 	return tokens.Intersect(j.segs[i].Tokens, j.segs[k].Tokens)
 }
 
-// postings is the inverted index over segment tokens. Fragment tokens are
-// dense dictionary ranks confined to the fragment's vertical range, so the
-// index is a CSR layout: every token's final posting-list size is known
-// up front (indexed() per segment), one flat backing array holds all lists
-// and starts/lens slice it per token — three allocations for the whole
-// fragment. A sparse map fallback covers degenerate fragments whose token
-// span dwarfs their token count.
+// postings is the inverted index over segment tokens, keyed by (token,
+// class). Fragment tokens are dense dictionary ranks confined to the
+// fragment's vertical range, so the index is a CSR layout: every posting
+// list's final size is known up front (segPlan.index), one flat backing
+// array holds all lists and starts/lens slice it per token, one row of span
+// entries per indexed class — three allocations for the whole fragment, and
+// no row for a class nothing is indexed under. A sparse map fallback covers
+// degenerate fragments whose token span dwarfs their token count. A segment
+// probes another class's lists, so get answers any token and any class: what
+// was never indexed has an empty list.
 type postings struct {
 	base   tokens.ID
+	span   int
+	row    [numClasses + 1]int // class → offset of its row in starts/lens, -1 when none
 	starts []int32
 	lens   []int32
 	flat   []int32
-	sparse map[tokens.ID][]int32
+	sparse map[uint64][]int32
 }
 
-// newPostings sizes the index; indexed(i) is how many leading tokens of
-// segment i will be added (all of them for Index, the prefix for Prefix).
-func newPostings(segs []Seg, indexed func(i int) int) *postings {
+// newPostings sizes the index for the tokens the plan says will be added.
+func newPostings(segs []Seg, plan []segPlan) *postings {
+	p := &postings{}
+	for c := range p.row {
+		p.row[c] = -1
+	}
 	var lo, hi tokens.ID
-	total, seen := 0, false
+	total := 0
 	for i := range segs {
-		n := indexed(i)
+		n := int(plan[i].index())
 		if n == 0 {
 			continue
 		}
 		toks := segs[i].Tokens[:n]
-		total += n
-		if !seen {
-			lo, hi, seen = toks[0], toks[n-1], true
-			continue
-		}
-		if toks[0] < lo {
+		if total == 0 || toks[0] < lo {
 			lo = toks[0]
 		}
-		if toks[n-1] > hi {
+		if total == 0 || toks[n-1] > hi {
 			hi = toks[n-1]
 		}
+		total += n
+		p.row[plan[i].class] = 0 // has a row; placed below
 	}
-	p := &postings{base: lo}
-	if !seen {
+	if total == 0 {
 		return p
 	}
-	span := int(hi-lo) + 1
-	if span > 1<<16 && span > 4*total {
-		p.sparse = make(map[tokens.ID][]int32, total)
+	p.base, p.span = lo, int(hi-lo)+1
+	// The span of one row, not of all rows: how many classes are indexed
+	// says nothing about how sparse the tokens are.
+	if p.span > 1<<16 && p.span > 4*total {
+		p.sparse = make(map[uint64][]int32, total)
 		return p
 	}
-	p.starts = make([]int32, span)
+	cells := 0
+	for c := range p.row {
+		if p.row[c] >= 0 {
+			p.row[c] = cells
+			cells += p.span
+		}
+	}
+	p.starts = make([]int32, cells)
 	for i := range segs {
-		for _, t := range segs[i].Tokens[:indexed(i)] {
-			p.starts[t-lo]++
+		n := plan[i].index()
+		if n == 0 {
+			continue
+		}
+		row := p.starts[p.row[plan[i].class]:]
+		for _, t := range segs[i].Tokens[:n] {
+			row[t-lo]++
 		}
 	}
 	var off int32
@@ -543,26 +656,34 @@ func newPostings(segs []Seg, indexed func(i int) int) *postings {
 		p.starts[o] = off
 		off += n
 	}
-	p.lens = make([]int32, span)
+	p.lens = make([]int32, len(p.starts))
 	p.flat = make([]int32, total)
 	return p
 }
 
-func (p *postings) get(t tokens.ID) []int32 {
-	if p.flat != nil {
-		o := t - p.base
-		s := p.starts[o]
-		return p.flat[s : s+p.lens[o]]
+func sparseKey(t tokens.ID, c uint8) uint64 { return uint64(c)<<32 | uint64(t) }
+
+// get returns the segments indexed so far under token t in class c.
+func (p *postings) get(t tokens.ID, c uint8) []int32 {
+	if p.flat == nil {
+		return p.sparse[sparseKey(t, c)]
 	}
-	return p.sparse[t]
+	o, r := int(t)-int(p.base), p.row[c]
+	if r < 0 || o < 0 || o >= p.span {
+		return nil
+	}
+	s := p.starts[r+o]
+	return p.flat[s : s+p.lens[r+o]]
 }
 
-func (p *postings) add(t tokens.ID, k int32) {
-	if p.flat != nil {
-		o := t - p.base
-		p.flat[p.starts[o]+p.lens[o]] = k
-		p.lens[o]++
+// add appends segment k to token t's list in class c; the caller adds only
+// what newPostings counted.
+func (p *postings) add(t tokens.ID, c uint8, k int32) {
+	if p.flat == nil {
+		p.sparse[sparseKey(t, c)] = append(p.sparse[sparseKey(t, c)], k)
 		return
 	}
-	p.sparse[t] = append(p.sparse[t], k)
+	o := p.row[c] + int(t-p.base)
+	p.flat[p.starts[o]+p.lens[o]] = k
+	p.lens[o]++
 }
