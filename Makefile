@@ -37,6 +37,8 @@ fuzz:
 	$(GO) test -fuzz 'FuzzRunCodec' -fuzztime 10s ./internal/spill/
 	$(GO) test -fuzz 'FuzzKeyOrder' -fuzztime 10s ./internal/spill/
 	$(GO) test -fuzz 'FuzzBitmapSignature' -fuzztime 10s ./internal/filters/
+	$(GO) test -fuzz 'FuzzFrame' -fuzztime 10s ./internal/frame/
+	$(GO) test -fuzz 'FuzzFSFrame' -fuzztime 10s ./internal/mapreduce/
 	$(GO) test -fuzz 'FuzzIndexCodec' -fuzztime 10s ./internal/probeindex/
 	$(GO) test -fuzz 'FuzzWAL' -fuzztime 10s ./internal/probeindex/
 	$(GO) test -fuzz 'FuzzDecode' -fuzztime 10s ./internal/checkpoint/

@@ -4,10 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fsjoin/internal/checkpoint"
+	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/probeindex"
+	"fsjoin/internal/similarity"
 )
 
 // TestDurableIndexRoundTrip drives the public durability API end to end:
@@ -205,5 +212,99 @@ func TestServerMaintainPanicIsolated(t *testing.T) {
 	}
 	if st := srv.Stats(); st.MaintenancePanicked == 0 || st.MaintenanceFailed < st.MaintenancePanicked {
 		t.Fatalf("failed=%d panicked=%d, want panicked ≥ 1 and failed ≥ panicked", st.MaintenanceFailed, st.MaintenancePanicked)
+	}
+}
+
+// TestPreviousFormatsRefused: files written before the framed-file format
+// (testdata/legacy, produced by the last commit that wrote FSCKPT01
+// checkpoints, FSSHUF1 frames and FSWAL001 logs) are refused cleanly, never
+// misread: a checkpoint reads as Corrupt and is recomputed, a frame is an
+// invalid generation, an index directory is "no usable index: corrupt
+// snapshot" (rebuild), and a log next to a valid snapshot is rejected whole.
+func TestPreviousFormatsRefused(t *testing.T) {
+	legacy := func(t *testing.T, name, dst string) {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	iopt := probeindex.Options{Fn: similarity.Jaccard, Theta: 0.7}
+	for _, tc := range []struct {
+		magic string
+		check func(t *testing.T, dir string)
+	}{
+		{"FSCKPT01", func(t *testing.T, dir string) {
+			legacy(t, "stage-001-legacy.ckpt", filepath.Join(dir, "stage-001-legacy.ckpt"))
+			st, err := checkpoint.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap, status := st.Load(1, "legacy", "legacy-fp"); status != checkpoint.Corrupt || snap != nil {
+				t.Fatalf("Load = %v, %v; want corrupt", snap, status)
+			}
+			if _, status := st.Load(1, "legacy", "legacy-fp"); status != checkpoint.Miss {
+				t.Fatalf("the refused file was left in place: second Load = %v", status)
+			}
+		}},
+		{"FSSHUF1", func(t *testing.T, dir string) {
+			spec := mapreduce.TransportSpec{Job: "legacy", MapTasks: 1, ReduceTasks: 2}
+			jt, err := mapreduce.NewFSTransport(dir, true).Open(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy(t, "m0.g1-1", filepath.Join(dir, "s001-legacy", "m0.g1-1"))
+			if _, err := jt.MapMeta(0); err == nil || !strings.Contains(err.Error(), "no valid frame") {
+				t.Fatalf("MapMeta = %v, want an invalid generation", err)
+			}
+			if _, err := jt.FetchPartition(0, 0, func(string, any, int64) {}); err == nil {
+				t.Fatal("FetchPartition served a frame of the previous format")
+			}
+		}},
+		{"FSCKPT01 (index snapshot)", func(t *testing.T, dir string) {
+			legacy(t, "index/stage-001-index.ckpt", filepath.Join(dir, "stage-001-index.ckpt"))
+			legacy(t, "index/wal.g00000001", filepath.Join(dir, "wal.g00000001"))
+			before := probeindex.LoadRejects()["index.load.rejects.corrupt"]
+			_, err := probeindex.Load(dir, iopt)
+			if !errors.Is(err, probeindex.ErrNoIndex) || !errors.Is(err, probeindex.ErrCorruptSnapshot) {
+				t.Fatalf("Load = %v, want ErrNoIndex wrapping ErrCorruptSnapshot", err)
+			}
+			if after := probeindex.LoadRejects()["index.load.rejects.corrupt"]; after != before+1 {
+				t.Fatalf("index.load.rejects.corrupt %d -> %d, want +1", before, after)
+			}
+			if _, err := LoadIndex(dir, IndexOptions{Threshold: 0.7}); !errors.Is(err, ErrNoIndex) {
+				t.Fatalf("LoadIndex = %v, want ErrNoIndex", err)
+			}
+		}},
+		{"FSWAL001", func(t *testing.T, dir string) {
+			ix, err := BuildIndex(NewDictionary().NewTextCollection(corpus(20, 5)), IndexOptions{Threshold: 0.7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Persist(dir, Durability{WALSync: WALSyncAlways}); err != nil {
+				t.Fatal(err)
+			}
+			want := ix.Len()
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			legacy(t, "index/wal.g00000001", filepath.Join(dir, "wal.g00000001"))
+			before := probeindex.LoadRejects()["index.load.rejects.wal"]
+			ld, err := LoadIndex(dir, IndexOptions{Threshold: 0.7})
+			if err != nil {
+				t.Fatalf("a rejected log must not cost the snapshot: %v", err)
+			}
+			if after := probeindex.LoadRejects()["index.load.rejects.wal"]; after != before+1 {
+				t.Fatalf("index.load.rejects.wal %d -> %d, want +1 (ErrWALRejected)", before, after)
+			}
+			if st := ld.Stats(); ld.Len() != want || st.WALReplayed != 0 {
+				t.Fatalf("Len=%d WALReplayed=%d, want %d/0: some of the old log was replayed", ld.Len(), st.WALReplayed, want)
+			}
+		}},
+	} {
+		t.Run(tc.magic, func(t *testing.T) { tc.check(t, t.TempDir()) })
 	}
 }

@@ -291,11 +291,13 @@ type Options struct {
 	WorkDir string
 	// FileShuffle runs every job over the filesystem shuffle transport
 	// even in a single process: the map→reduce hand-off and each task's
-	// output (reduce and map-only) are published as CRC-validated
-	// spill-codec frames in a temporary directory and read back, so every
-	// shuffled and emitted value must be spill-encodable. Results are
-	// byte-identical to the in-memory shuffle; useful for validating the
-	// transport. Its memory and speed are unmeasured. Implied by
+	// output (reduce and map-only) are published as checksummed framed
+	// files (DESIGN.md §16) in a temporary directory and read back, so
+	// every shuffled and emitted value must be spill-encodable. The
+	// directory is removed when the call returns and nothing can resume
+	// from it, so these frames are published atomically but not fsynced
+	// (those of a Workers ≥ 2 run are). Results are byte-identical to the
+	// in-memory shuffle; useful for validating the transport. Implied by
 	// Workers ≥ 2.
 	FileShuffle bool
 
@@ -464,8 +466,9 @@ func (o Options) cluster() *mapreduce.Cluster {
 }
 
 // resolveTransport realises Options.FileShuffle for an in-process run:
-// the shuffle and the task outputs go through CRC-validated frames in a
-// fresh temporary directory, removed by the returned cleanup.
+// the shuffle and the task outputs go through framed files in a fresh
+// temporary directory, removed by the returned cleanup — which is why the
+// transport is opened without keep, hence without fsyncs.
 func (o *Options) resolveTransport() (func(), error) {
 	if !o.FileShuffle || o.runtime.Transport != nil {
 		return func() {}, nil

@@ -207,7 +207,7 @@ func BuildIndex(c *Collection, opt IndexOptions) (*Index, error) {
 // LoadIndex restores an index previously saved into dir with Index.Save.
 // The options must match the saved configuration; any mismatch, missing or
 // damaged file returns an error wrapping ErrNoIndex (the loader verifies
-// the file's SHA-256 trailer and every structural invariant before serving
+// every checksum of the file and every structural invariant before serving
 // from it — a corrupt index is discarded, never trusted).
 func LoadIndex(dir string, opt IndexOptions) (*Index, error) {
 	iopt, err := opt.internal()
@@ -226,7 +226,7 @@ func LoadIndex(dir string, opt IndexOptions) (*Index, error) {
 
 // Save atomically persists the index (records, tombstones and side-log)
 // into dir, so a later LoadIndex skips the build. Derived structures are
-// rebuilt at load; the file carries a SHA-256 trailer. Save is a one-shot
+// rebuilt at load; every section of the file is checksummed. Save is a one-shot
 // snapshot of an in-memory index; a Persist-ed index checkpoints through
 // Compact instead.
 func (x *Index) Save(dir string) error { return x.ix.Save(dir) }

@@ -204,7 +204,7 @@ func TestIndexMutationsMatchOracle(t *testing.T) {
 }
 
 // TestIndexSaveCorruptLoad proves rebuild-never-trust end to end: a saved
-// index with a damaged SHA-256 trailer must fail to load with ErrNoIndex,
+// index with a damaged file must fail to load with ErrNoIndex,
 // and the rebuilt-and-resaved index must serve identical answers.
 func TestIndexSaveCorruptLoad(t *testing.T) {
 	dir := t.TempDir()
@@ -222,7 +222,7 @@ func TestIndexSaveCorruptLoad(t *testing.T) {
 	if _, err := LoadIndex(dir, opt); err != nil {
 		t.Fatalf("clean load failed: %v", err)
 	}
-	// Damage the checksum trailer specifically.
+	// Damage the last byte: the end marker every closed file must carry.
 	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("checkpoint files: %v %v", files, err)

@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"fsjoin/internal/frame"
 )
 
 // testSnapshot is a representative stage result: builtin-codec values of
@@ -114,7 +117,7 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 	}
 	// Truncations likewise.
-	for _, n := range []int{0, 1, len(magic), len(orig) / 2, len(orig) - 1} {
+	for _, n := range []int{0, 1, 8, len(orig) / 2, len(orig) - 1} {
 		if err := os.WriteFile(name, orig[:n], 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -126,13 +129,25 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestOpenSweepsTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, tmpPrefix+"12345")
+	tmp := filepath.Join(dir, frame.TempPrefix+"12345")
 	if err := os.WriteFile(tmp, []byte("partial write from a crashed save"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	// Below dir another writer may be mid-publish: its temp file is not ours.
+	sub := filepath.Join(dir, "shuffle")
+	inflight := filepath.Join(sub, frame.TempPrefix+"67890")
+	if err := os.Mkdir(sub, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(inflight, []byte("someone else's publish"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	mustOpen(t, dir)
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("Open did not sweep the leftover temp file")
+	}
+	if _, err := os.Stat(inflight); err != nil {
+		t.Fatalf("Open swept below its directory: %v", err)
 	}
 }
 
@@ -170,6 +185,73 @@ func TestSaveUnencodableValue(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
 		t.Fatalf("Save left %s behind", e.Name())
+	}
+}
+
+// TestSaveWriteFailureIsNotUnencodable: a checkpoint over a megabyte flushes
+// sections to disk from inside Record. A disk error there is a failed save
+// that the pipeline must see — not ErrUnencodable, which it skips.
+func TestSaveWriteFailureIsNotUnencodable(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	m, _ := testSnapshot()
+	var recs []Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, Record{Key: "k", Value: strings.Repeat("v", 100<<10)})
+	}
+	for _, op := range []string{"write", "sync"} {
+		boom := errors.New("injected: no space left on device")
+		frame.SetFailHook(func(o, _ string) error {
+			if o == op {
+				return boom
+			}
+			return nil
+		})
+		err := s.Save(m, recs)
+		frame.SetFailHook(nil)
+		if !errors.Is(err, boom) || errors.Is(err, ErrUnencodable) {
+			t.Fatalf("%s failure: Save = %v, want the injected error and not ErrUnencodable", op, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("%s failure: Save left %s behind", op, entries[0].Name())
+		}
+	}
+	if err := s.Save(m, recs); err != nil {
+		t.Fatal(err)
+	}
+	if snap, status := s.Load(m.Stage, m.Job, m.Fingerprint); status != Hit || len(snap.Records) != len(recs) {
+		t.Fatalf("Load after the failures: %v", status)
+	}
+}
+
+// TestRecordLargerThanASection: the index snapshot stores all base tokens
+// as one record, so a record has no size limit even though a section has —
+// its bytes run across sections.
+func TestRecordLargerThanASection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes and reads back a record of over 64 MiB")
+	}
+	s := mustOpen(t, t.TempDir())
+	m, _ := testSnapshot()
+	big := make([]uint32, 65<<20/4)
+	for i := 0; i < len(big); i += 61 {
+		big[i] = uint32(i) * 2654435761
+	}
+	recs := []Record{{Key: "before", Value: "x"}, {Key: "rectok", Value: big}, {Key: "after", Value: 7}}
+	if err := s.Save(m, recs); err != nil {
+		t.Fatal(err)
+	}
+	snap, status := s.Load(m.Stage, m.Job, m.Fingerprint)
+	if status != Hit {
+		t.Fatalf("Load status = %v, want hit", status)
+	}
+	got, _ := snap.Records[1].Value.([]uint32)
+	if len(snap.Records) != 3 || !slices.Equal(got, big) {
+		t.Fatal("the long record differs")
+	}
+	snap.Records[1], recs[1] = Record{}, Record{}
+	if !reflect.DeepEqual(snap.Records, recs) {
+		t.Fatalf("records around it = %#v", snap.Records)
 	}
 }
 

@@ -1,31 +1,31 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"fsjoin/internal/frame"
+	"fsjoin/internal/spill"
 )
 
-// FuzzDecode feeds arbitrary byte images through the checkpoint decoder.
-// The safety property under test is the one DESIGN.md §9 promises: a
-// mutated or arbitrary file either fails decoding (→ recompute) or decodes
-// to a well-formed snapshot — it can never crash the loader or smuggle a
-// wrong resume past the fingerprint check. Seeds include a valid file so
-// the fuzzer explores the accept path's neighbourhood, where single-bit
-// flips must be caught by the checksum.
+// FuzzDecode fuzzes what is the checkpoint's own inside a valid envelope
+// (arbitrary file bytes are frame.FuzzFrame's business): an arbitrary
+// manifest header and an arbitrary record section either fail decoding
+// (→ recompute) or decode to a well-formed snapshot — never a crash, never
+// a wrong resume smuggled past the fingerprint check. Seeds include a valid
+// pair so the fuzzer explores the accept path's neighbourhood.
 func FuzzDecode(f *testing.F) {
-	dir := f.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
 	m := Manifest{
+		Format:      formatVersion,
 		Pipeline:    "fuzz-pipe",
 		Stage:       1,
 		Job:         "job",
 		Fingerprint: "fp",
+		Records:     3,
 		Counters:    map[string]int64{"n": 1},
 		Metrics:     json.RawMessage(`{"Job":"job"}`),
 	}
@@ -34,19 +34,36 @@ func FuzzDecode(f *testing.F) {
 		{Key: "b", Value: "text"},
 		{Key: "c", Value: []uint32{9, 8, 7}},
 	}
-	if err := s.Save(m, recs); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(s.fileName(1, "job"))
+	manifest, err := json.Marshal(m)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte(magic))
-	f.Add(valid[:len(valid)/2])
+	var seed []byte
+	for _, r := range recs {
+		if seed, err = spill.AppendRecord(seed, r.Key, r.Value); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(manifest, seed)
+	f.Add(manifest, seed[:len(seed)/2])
+	f.Add([]byte(`{"format":2,"records":-1}`), seed)
+	f.Add([]byte("{}"), []byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, manifest, body []byte) {
+		dir := t.TempDir()
+		err := frame.Publish(dir, "img", manifest, false, func(w *frame.Writer) error {
+			if len(body) == 0 {
+				return nil
+			}
+			return w.Section(body)
+		})
+		if err != nil {
+			return // not a file the envelope would ever write
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "img"))
+		if err != nil {
+			t.Fatal(err)
+		}
 		snap, err := decode(data)
 		if err != nil {
 			return // rejected: the loader reports Corrupt and recomputes
@@ -56,14 +73,13 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted image with %d records but manifest says %d",
 				len(snap.Records), snap.Manifest.Records)
 		}
-		if snap.Manifest.Format != 1 {
+		if snap.Manifest.Format != formatVersion {
 			t.Fatalf("accepted unsupported format %d", snap.Manifest.Format)
 		}
-		// ...and, with a checksum over every byte, an accepted image that
-		// claims our fingerprint must BE our checkpoint.
-		if snap.Manifest.Fingerprint == "fp" && snap.Manifest.Stage == 1 &&
-			snap.Manifest.Job == "job" && !reflect.DeepEqual(snap.Records, recs) {
-			t.Fatalf("fingerprint-matched image decoded different records: %#v", snap.Records)
+		// ...and record bytes decode one way only: the seed's bytes are the
+		// seed's records.
+		if bytes.Equal(body, seed) && !reflect.DeepEqual(snap.Records, recs) {
+			t.Fatalf("seed body decoded different records: %#v", snap.Records)
 		}
 	})
 }
@@ -72,7 +88,8 @@ func FuzzDecode(f *testing.F) {
 // rejection) with mutated images, asserting a non-Hit never leaves the
 // file behind to shadow a future save.
 func FuzzLoadViaStore(f *testing.F) {
-	f.Add([]byte("FSCKPT01 garbage"), uint8(0))
+	f.Add([]byte("FSCKPT01 a file of the previous format"), uint8(0))
+	f.Add([]byte("FSFRAME1 garbage"), uint8(0))
 	f.Add([]byte{}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint8) {
 		dir := t.TempDir()

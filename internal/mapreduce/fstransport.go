@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,14 +14,14 @@ import (
 	"sync/atomic"
 
 	"fsjoin/internal/checkpoint"
+	"fsjoin/internal/frame"
 	"fsjoin/internal/spill"
 )
 
 // FSTransport is the filesystem shuffle transport (DESIGN.md §15): every
-// committed task becomes one frame file under a shared root, written with
-// the spill codec's value encoding, a per-partition CRC32 and a job
-// fingerprint, and published atomically (write-temp → fsync → rename —
-// the probeindex WAL discipline). Commits are generation-stamped and
+// committed task becomes one framed file (internal/frame, DESIGN.md §16)
+// under a shared root, bound to the job's fingerprint and published
+// atomically. Commits are generation-stamped and
 // reads are newest-complete-wins, so duplicate deliveries from
 // reassigned or raced workers are harmless by construction: tasks are
 // deterministic, hence every complete generation of a task carries
@@ -41,7 +41,9 @@ type FSTransport struct {
 // frames on disk when a job transport closes — required for multi-process
 // runs, where partitions must outlive any single participant and the
 // driver removes the root when the run ends; in-process uses pass false
-// and each job cleans up after itself.
+// and each job cleans up after itself. keep is also what makes a frame
+// worth an fsync: without it no process can resume from the directory, so
+// frames are published atomically but not durably.
 func NewFSTransport(dir string, keep bool) *FSTransport {
 	return &FSTransport{root: dir, keep: keep}
 }
@@ -54,33 +56,28 @@ func (f *FSTransport) Open(spec TransportSpec) (JobTransport, error) {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	return &fsJob{
-		dir:  dir,
-		keep: f.keep,
-		spec: spec,
-		fp:   spec.fingerprint(),
+		dir:    dir,
+		keep:   f.keep,
+		spec:   spec,
+		fp:     spec.fingerprint(),
+		frames: make(map[string]*fsFrame),
 	}, nil
 }
 
-// Frame file layout. All integers are uvarints unless noted; CRCs are
-// 4-byte little-endian IEEE CRC32 over the preceding blob.
+// Frame file sections, after a header that binds the job fingerprint
+// (name|mN|rN), the kind (map partitions or task output) and the task:
 //
-//	magic "FSSHUF1\x00"
-//	fpLen fp                      job fingerprint (name|mN|rN)
-//	kind                          0 = map partitions, 1 = task output
-//	task                          task index
-//	parts                         partition count (1 for outputs)
-//	per partition: count ways blobLen blob crc32
-//	metaLen metaJSON crc32
-//	magic "FSSHUFE\x00"
+//	record sections (frame.Writer.Record), partition by partition
+//	index: parts · per partition: count ways sections · len(meta) meta JSON
 //
-// A record inside a blob is in spill.AppendRecord's form. Record byte
-// accounting is recomputed at fetch with the engine's size function, so
-// frames carry no sizes.
+// The index comes last so partitions stream out of the sink without being
+// held. Record byte accounting is recomputed at fetch with the engine's
+// size function, so frames carry no sizes.
+//
+// A frame's kind is also the first letter of its file name.
 const (
-	fsFrameMagic   = "FSSHUF1\x00"
-	fsFrameTrailer = "FSSHUFE\x00"
-	fsKindMap      = 0
-	fsKindOutput   = 1
+	fsKindMap    = 'm'
+	fsKindOutput = 'o'
 )
 
 // fsJob is one job's window onto the shared transport directory.
@@ -90,19 +87,15 @@ type fsJob struct {
 	spec TransportSpec
 	fp   string
 
-	mu      sync.Mutex
-	mapIdx  map[int]*fsFrame // validated newest frame per map task
-	outIdx  map[int]*fsFrame // validated newest frame per output task
-	genSeen int64            // bumps per commit for unique temp names
+	mu     sync.Mutex
+	frames map[string]*fsFrame // validated newest frame by taskPrefix
 }
 
-// fsPart is one partition's location inside a validated frame.
+// fsPart is one partition of a validated frame: its record count, the
+// merge fan-in that produced it and the sections that hold it.
 type fsPart struct {
-	off   int64
-	blen  int64
-	count int64
-	ways  int64
-	crc   uint32
+	count, ways int64
+	secs        []frame.Section
 }
 
 // fsFrame is a validated frame file's index.
@@ -116,11 +109,7 @@ type fsFrame struct {
 // (newest-complete-wins); pid breaks ties between racing processes —
 // safely, because racing commits of one task are byte-identical.
 func taskFileName(kind byte, task int, gen int64, pid int) string {
-	prefix := "m"
-	if kind == fsKindOutput {
-		prefix = "o"
-	}
-	return fmt.Sprintf("%s%d.g%d-%d", prefix, task, gen, pid)
+	return fmt.Sprintf("%sg%d-%d", taskPrefix(kind, task), gen, pid)
 }
 
 // parseGen extracts (gen, pid) from a task file name, reporting ok=false
@@ -143,145 +132,88 @@ func parseGen(name string) (gen, pid int64, ok bool) {
 	return g, p, true
 }
 
-// CommitMap implements JobTransport: the sink is drained into a frame —
-// one blob per reduce partition, recording the drain's merge fan-in so
+// CommitMap implements JobTransport: the sink is drained into a frame,
+// partition by partition, recording the drain's merge fan-in so
 // reduce-side spill accounting is identical to the in-memory path — and
 // the transport owns (closes) the sink from here.
 func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
 	defer sink.close()
-	parts := make([]fsPartData, j.spec.ReduceTasks)
-	for r := range parts {
-		p := &parts[r]
-		var encErr error
-		ways, err := sink.drain(r, func(key string, v any, _ int64) {
-			if encErr == nil {
-				encErr = p.add(key, v)
-			}
-		})
-		if err == nil {
-			err = encErr
-		}
-		if err != nil {
-			return CommitInfo{}, fmt.Errorf("transport: commit map task %d: %w", t, err)
-		}
-		p.ways = int64(ways)
+	info, err := j.commitFrame(fsKindMap, t, j.spec.ReduceTasks, meta, sink.drain)
+	if err != nil {
+		return info, fmt.Errorf("transport: commit map task %d: %w", t, err)
 	}
-	return j.commitFrame(fsKindMap, t, parts, meta)
+	return info, nil
 }
 
 // CommitOutput implements JobTransport.
 func (j *fsJob) CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error) {
-	var p fsPartData
-	for i := 0; i < out.Len(); i++ {
-		if err := p.add(out.At(i).Key, out.At(i).Value); err != nil {
-			return CommitInfo{}, fmt.Errorf("transport: commit output %d: %w", t, err)
+	info, err := j.commitFrame(fsKindOutput, t, 1, meta, func(_ int, add func(string, any, int64)) (int, error) {
+		for i := 0; i < out.Len(); i++ {
+			add(out.At(i).Key, out.At(i).Value, 0)
 		}
+		return 0, nil
+	})
+	if err != nil {
+		return info, fmt.Errorf("transport: commit output %d: %w", t, err)
 	}
-	return j.commitFrame(fsKindOutput, t, []fsPartData{p}, meta)
+	return info, nil
 }
 
-// fsPartData is one partition being assembled for a commit.
-type fsPartData struct {
-	blob  []byte
-	count int64
-	ways  int64
+// header binds a frame to its job, kind and task.
+func (j *fsJob) header(kind byte, t int) []byte {
+	return fmt.Appendf(nil, "shuffle %s %s", j.fp, taskPrefix(kind, t))
 }
 
-// add appends one record to the partition's blob.
-func (p *fsPartData) add(key string, v any) (err error) {
-	p.blob, err = spill.AppendRecord(p.blob, key, v)
-	p.count++
-	return err
-}
-
-// commitFrame encodes and atomically publishes one frame as the task's
-// next generation.
-func (j *fsJob) commitFrame(kind byte, t int, parts []fsPartData, meta TaskMeta) (CommitInfo, error) {
-	buf := []byte(fsFrameMagic)
-	buf = binary.AppendUvarint(buf, uint64(len(j.fp)))
-	buf = append(buf, j.fp...)
-	buf = append(buf, kind)
-	buf = binary.AppendUvarint(buf, uint64(t))
-	buf = binary.AppendUvarint(buf, uint64(len(parts)))
-	for _, p := range parts {
-		buf = binary.AppendUvarint(buf, uint64(p.count))
-		buf = binary.AppendUvarint(buf, uint64(p.ways))
-		buf = binary.AppendUvarint(buf, uint64(len(p.blob)))
-		buf = append(buf, p.blob...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(p.blob))
-	}
+// commitFrame publishes one frame as the task's next generation: each
+// partition's records as drain(r) emits them (shuffleSink.drain's shape;
+// the accounted size is not stored), then the index. It reports whether a
+// complete generation already existed (a redelivery).
+func (j *fsJob) commitFrame(kind byte, t, parts int, meta TaskMeta, drain func(r int, emit func(key string, v any, bytes int64)) (ways int, err error)) (CommitInfo, error) {
 	mj, err := json.Marshal(meta)
 	if err != nil {
-		return CommitInfo{}, fmt.Errorf("transport: meta: %w", err)
+		return CommitInfo{}, fmt.Errorf("meta: %w", err)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(mj)))
-	buf = append(buf, mj...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(mj))
-	buf = append(buf, fsFrameTrailer...)
-
-	redelivered, err := j.publish(kind, t, buf)
-	if err != nil {
-		return CommitInfo{}, err
-	}
-	return CommitInfo{Redelivered: redelivered, Partitions: len(parts)}, nil
-}
-
-// publish makes data the task's next generation: written under a temp
-// name, fsynced, then renamed into place, so a reader only ever sees
-// complete frames. It reports whether a complete generation already
-// existed (the publish is a redelivery).
-func (j *fsJob) publish(kind byte, t int, data []byte) (redelivered bool, err error) {
-	gen, redelivered := j.nextGen(kind, t)
-	pid := os.Getpid()
-	j.mu.Lock()
-	j.genSeen++
-	tmpSeq := j.genSeen
-	j.mu.Unlock()
-	tmp := filepath.Join(j.dir, fmt.Sprintf(".tmp-%d-%d-%d", pid, t, tmpSeq))
-	if err := writeFileSync(tmp, data); err != nil {
-		return false, fmt.Errorf("transport: %w", err)
-	}
-	final := filepath.Join(j.dir, taskFileName(kind, t, gen, pid))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return false, fmt.Errorf("transport: %w", err)
-	}
-	if err := checkpoint.SyncDir(j.dir); err != nil {
-		return false, fmt.Errorf("transport: %w", err)
-	}
-	return redelivered, nil
-}
-
-// writeFileSync writes data and fsyncs before closing — the frame must be
-// durable before the rename publishes it.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
-}
-
-// nextGen picks the next generation number for a task and reports whether
-// a complete generation already exists (the commit is a redelivery).
-func (j *fsJob) nextGen(kind byte, t int) (int64, bool) {
-	var max int64
-	for _, c := range j.candidates(kind, t) {
-		if c.gen > max {
-			max = c.gen
+	redelivered, err := j.publish(kind, t, func(w *frame.Writer) error {
+		index := binary.AppendUvarint(nil, uint64(parts))
+		for r := 0; r < parts; r++ {
+			var count uint64
+			var addErr error
+			before := w.Sections()
+			ways, err := drain(r, func(key string, v any, _ int64) {
+				if addErr == nil {
+					addErr = w.Record(key, v)
+					count++
+				}
+			})
+			if err == nil {
+				err = addErr
+			}
+			if err == nil {
+				err = w.Flush()
+			}
+			if err != nil {
+				return err
+			}
+			index = binary.AppendUvarint(index, count)
+			index = binary.AppendUvarint(index, uint64(ways))
+			index = binary.AppendUvarint(index, uint64(w.Sections()-before))
 		}
+		index = binary.AppendUvarint(index, uint64(len(mj)))
+		return w.Section(append(index, mj...))
+	})
+	return CommitInfo{Redelivered: redelivered, Partitions: parts}, err
+}
+
+// publish makes what fill writes the task's next generation, so a reader
+// only ever sees complete frames. It reports whether a generation already
+// existed (the publish is a redelivery).
+func (j *fsJob) publish(kind byte, t int, fill func(*frame.Writer) error) (redelivered bool, err error) {
+	var gen int64
+	if c := j.candidates(kind, t); len(c) > 0 {
+		gen = c[0].gen // newest first
 	}
-	return max + 1, max > 0
+	name := taskFileName(kind, t, gen+1, os.Getpid())
+	return gen > 0, frame.Publish(j.dir, name, j.header(kind, t), j.keep, fill)
 }
 
 // fsCandidate is one on-disk generation of a task.
@@ -321,12 +253,7 @@ func (j *fsJob) candidates(kind byte, t int) []fsCandidate {
 
 // taskPrefix is the file-name prefix shared by all of a task's
 // generations, dot-terminated so task 1 does not match task 12.
-func taskPrefix(kind byte, t int) string {
-	if kind == fsKindOutput {
-		return fmt.Sprintf("o%d.", t)
-	}
-	return fmt.Sprintf("m%d.", t)
-}
+func taskPrefix(kind byte, t int) string { return fmt.Sprintf("%c%d.", kind, t) }
 
 // frame returns the validated newest complete frame for a task,
 // falling back to older generations when the newest fails validation
@@ -334,18 +261,13 @@ func taskPrefix(kind byte, t int) string {
 // generation is visible its content is final — later generations are
 // byte-identical by the determinism contract.
 func (j *fsJob) frame(kind byte, t int) (*fsFrame, error) {
+	key := taskPrefix(kind, t)
 	j.mu.Lock()
-	cache := &j.mapIdx
-	if kind == fsKindOutput {
-		cache = &j.outIdx
-	}
-	if *cache != nil {
-		if fr, ok := (*cache)[t]; ok {
-			j.mu.Unlock()
-			return fr, nil
-		}
-	}
+	fr, ok := j.frames[key]
 	j.mu.Unlock()
+	if ok {
+		return fr, nil
+	}
 	var lastErr error
 	for _, c := range j.candidates(kind, t) {
 		fr, err := j.validateFrame(c.path, kind, t)
@@ -354,10 +276,7 @@ func (j *fsJob) frame(kind byte, t int) (*fsFrame, error) {
 			continue
 		}
 		j.mu.Lock()
-		if *cache == nil {
-			*cache = make(map[int]*fsFrame)
-		}
-		(*cache)[t] = fr
+		j.frames[key] = fr
 		j.mu.Unlock()
 		return fr, nil
 	}
@@ -367,115 +286,61 @@ func (j *fsJob) frame(kind byte, t int) (*fsFrame, error) {
 	return nil, fmt.Errorf("transport: task %d has no committed frame", t)
 }
 
-// validateFrame reads one frame file end-to-end, verifying magic,
-// fingerprint, structure, every CRC and the trailer, and returns its
-// partition index.
+// validateFrame reads one frame file end-to-end (frame.Read checks every
+// byte), matches its header and parses the index into the partitions'
+// section lists.
 func (j *fsJob) validateFrame(path string, kind byte, t int) (*fsFrame, error) {
-	data, err := os.ReadFile(path)
+	f, err := frame.Read(path)
 	if err != nil {
 		return nil, err
 	}
-	p := &frameParser{data: data}
-	if string(p.take(len(fsFrameMagic))) != fsFrameMagic {
-		return nil, fmt.Errorf("%s: bad magic", path)
+	if want := j.header(kind, t); string(f.Header) != string(want) {
+		return nil, fmt.Errorf("%s: fingerprint %q, want %q", path, f.Header, want)
 	}
-	fp := string(p.take(int(p.uvarint())))
-	if p.err == nil && fp != j.fp {
-		return nil, fmt.Errorf("%s: fingerprint %q, want %q", path, fp, j.fp)
-	}
-	gotKind := p.take(1)
-	if p.err == nil && gotKind[0] != kind {
-		return nil, fmt.Errorf("%s: frame kind %d, want %d", path, gotKind[0], kind)
-	}
-	gotTask := p.uvarint()
-	if p.err == nil && int(gotTask) != t {
-		return nil, fmt.Errorf("%s: frame task %d, want %d", path, gotTask, t)
-	}
-	nparts := int(p.uvarint())
 	wantParts := j.spec.ReduceTasks
 	if kind == fsKindOutput {
 		wantParts = 1
 	}
-	if p.err == nil && nparts != wantParts {
-		return nil, fmt.Errorf("%s: %d partitions, want %d", path, nparts, wantParts)
+	if len(f.Sections) == 0 {
+		return nil, fmt.Errorf("%s: no index section", path)
 	}
-	fr := &fsFrame{path: path, parts: make([]fsPart, 0, nparts)}
-	for r := 0; r < nparts && p.err == nil; r++ {
-		count := p.uvarint()
-		ways := p.uvarint()
-		blen := p.uvarint()
-		off := int64(p.pos)
-		blob := p.take(int(blen))
-		crc := p.u32()
-		if p.err == nil && crc32.ChecksumIEEE(blob) != crc {
-			return nil, fmt.Errorf("%s: partition %d CRC mismatch", path, r)
+	secs := f.Sections[:len(f.Sections)-1]
+	d := spill.NewDec(f.Payload(len(secs)))
+	if n := d.Uvarint(); d.Err() != nil || n != uint64(wantParts) {
+		return nil, fmt.Errorf("%s: %d partitions, want %d", path, n, wantParts)
+	}
+	fr := &fsFrame{path: path, parts: make([]fsPart, wantParts)}
+	for r := range fr.parts {
+		// Values past what the file can hold (2^63−1, say) are refused
+		// here, before anything is sliced or sized by them.
+		count, ways, n := d.Uvarint(), d.Uvarint(), d.Uvarint()
+		if d.Err() != nil || n > uint64(len(secs)) || ways > math.MaxInt32 {
+			return nil, fmt.Errorf("%s: bad index entry for partition %d", path, r)
 		}
-		fr.parts = append(fr.parts, fsPart{off: off, blen: int64(blen), count: int64(count), ways: int64(ways), crc: crc})
+		var size int64
+		for _, s := range secs[:n] {
+			size += s.Len
+		}
+		if count > uint64(size) {
+			return nil, fmt.Errorf("%s: partition %d claims %d records in %d bytes", path, r, count, size)
+		}
+		fr.parts[r] = fsPart{count: int64(count), ways: int64(ways), secs: secs[:n]}
+		secs = secs[n:]
 	}
-	mj := p.take(int(p.uvarint()))
-	mcrc := p.u32()
-	if p.err == nil && crc32.ChecksumIEEE(mj) != mcrc {
-		return nil, fmt.Errorf("%s: meta CRC mismatch", path)
+	meta := d.String()
+	if d.Err() != nil || d.Rest() != 0 || len(secs) != 0 {
+		return nil, fmt.Errorf("%s: index does not cover the frame", path)
 	}
-	if p.err == nil && string(p.take(len(fsFrameTrailer))) != fsFrameTrailer {
-		return nil, fmt.Errorf("%s: missing trailer (incomplete frame)", path)
-	}
-	if p.err == nil && p.pos != len(p.data) {
-		return nil, fmt.Errorf("%s: %d trailing bytes", path, len(p.data)-p.pos)
-	}
-	if p.err != nil {
-		return nil, fmt.Errorf("%s: %w", path, p.err)
-	}
-	if err := json.Unmarshal(mj, &fr.meta); err != nil {
+	if err := json.Unmarshal([]byte(meta), &fr.meta); err != nil {
 		return nil, fmt.Errorf("%s: meta: %w", path, err)
 	}
 	return fr, nil
 }
 
-// frameParser is a bounds-checked cursor over a frame file.
-type frameParser struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (p *frameParser) take(n int) []byte {
-	if p.err != nil || n < 0 || p.pos+n > len(p.data) {
-		if p.err == nil {
-			p.err = fmt.Errorf("truncated frame at offset %d", p.pos)
-		}
-		return nil
-	}
-	b := p.data[p.pos : p.pos+n]
-	p.pos += n
-	return b
-}
-
-func (p *frameParser) uvarint() uint64 {
-	if p.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(p.data[p.pos:])
-	if n <= 0 {
-		p.err = fmt.Errorf("bad uvarint at offset %d", p.pos)
-		return 0
-	}
-	p.pos += n
-	return v
-}
-
-func (p *frameParser) u32() uint32 {
-	b := p.take(4)
-	if p.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// FetchPartition implements JobTransport: the partition blob is re-read
-// from the committed frame, CRC-verified, decoded through the spill codec
-// and emitted with byte accounting recomputed by the engine's size
-// function — identical to what the in-memory sink reports.
+// FetchPartition implements JobTransport: the partition's sections are
+// re-read from the committed frame, checksum-verified, decoded through the
+// spill codec and emitted with byte accounting recomputed by the engine's
+// size function — identical to what the in-memory sink reports.
 func (j *fsJob) FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (int, error) {
 	fr, err := j.frame(fsKindMap, t)
 	if err != nil {
@@ -499,36 +364,15 @@ func (j *fsJob) PartitionRecords(t, r int) int {
 	return int(fr.parts[r].count)
 }
 
-// emitBlob preads one partition blob and streams its records.
+// emitBlob reads one partition's sections again and streams its records.
 func emitBlob(fr *fsFrame, r int, emit func(key string, value any, bytes int64)) error {
-	part := fr.parts[r]
-	if part.blen == 0 {
-		return nil
-	}
-	f, err := os.Open(fr.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	blob := make([]byte, part.blen)
-	if _, err := f.ReadAt(blob, part.off); err != nil {
-		return err
-	}
-	if crc32.ChecksumIEEE(blob) != part.crc {
-		return fmt.Errorf("CRC mismatch on read")
-	}
-	d := spill.NewDec(blob)
-	for i := int64(0); i < part.count; i++ {
-		key, v := d.Record()
-		if d.Err() != nil {
-			return d.Err()
-		}
+	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, func(key string, v any) {
 		emit(key, v, int64(len(key)+sizeOf(v))+8)
+	})
+	if err == nil && got != fr.parts[r].count {
+		err = fmt.Errorf("%d records, index says %d", got, fr.parts[r].count)
 	}
-	if d.Rest() != 0 {
-		return fmt.Errorf("%d trailing bytes in partition blob", d.Rest())
-	}
-	return nil
+	return err
 }
 
 // Redeliver implements JobTransport: the newest complete generation is
@@ -539,12 +383,20 @@ func (j *fsJob) Redeliver(t int) (CommitInfo, error) {
 	if err != nil {
 		return CommitInfo{}, err
 	}
-	data, err := os.ReadFile(fr.path)
+	old, err := frame.Read(fr.path)
 	if err != nil {
 		return CommitInfo{}, fmt.Errorf("transport: %w", err)
 	}
-	if _, err := j.publish(fsKindMap, t, data); err != nil {
-		return CommitInfo{}, err
+	_, err = j.publish(fsKindMap, t, func(w *frame.Writer) error {
+		for i := range old.Sections {
+			if err := w.Section(old.Payload(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return CommitInfo{}, fmt.Errorf("transport: %w", err)
 	}
 	return CommitInfo{Redelivered: true, Partitions: len(fr.parts)}, nil
 }
@@ -581,7 +433,7 @@ func (j *fsJob) FetchOutput(t int) (*spill.List[KV], TaskMeta, error) {
 // Close implements JobTransport.
 func (j *fsJob) Close() {
 	j.mu.Lock()
-	j.mapIdx, j.outIdx = nil, nil
+	clear(j.frames)
 	j.mu.Unlock()
 	if !j.keep {
 		os.RemoveAll(j.dir)

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"fsjoin/internal/frame"
 )
 
 // countEmitter is a mapper that also bumps a user counter, so replay tests
@@ -178,7 +180,7 @@ func TestPipelineCheckpointSkipsUnencodable(t *testing.T) {
 // file must be swept on the next open and never treated as a checkpoint.
 func TestPipelineCheckpointTempSwept(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, ".tmp-ckpt-999")
+	tmp := filepath.Join(dir, frame.TempPrefix+"999")
 	if err := os.WriteFile(tmp, []byte("half a checkpoint"), 0o600); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,19 @@
 package mapreduce
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"fsjoin/internal/frame"
+	"fsjoin/internal/spill"
 )
 
 // injFunc adapts a function to Injector for scripted schedules.
@@ -167,56 +174,352 @@ func TestSeededPlanTransportKinds(t *testing.T) {
 	}
 }
 
+// frameCorruptions are ways a committed frame file goes bad. The envelope
+// ones damage bytes; the index ones keep every checksum valid and make one
+// length or count of the index — the partition count, a partition's record
+// count, fan-in or section count, the meta length — decode to 2^63−1, the
+// value the reader this format replaced sliced by and panicked on.
+var frameCorruptions = map[string]func(t *testing.T, path string){
+	"truncated": func(t *testing.T, path string) {
+		if err := os.Truncate(path, 10); err != nil {
+			t.Fatal(err)
+		}
+	},
+	"header length past the file": func(t *testing.T, path string) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(raw[8:], 0xFFFFFFF0)
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	},
+	"index: 2^63-1 partitions": func(t *testing.T, path string) { hugeIndexField(t, path, 0) },
+	"index: 2^63-1 records":    func(t *testing.T, path string) { hugeIndexField(t, path, 1) },
+	"index: 2^63-1 ways":       func(t *testing.T, path string) { hugeIndexField(t, path, 2) },
+	"index: 2^63-1 sections":   func(t *testing.T, path string) { hugeIndexField(t, path, 3) },
+	"index: 2^63-1 meta bytes": func(t *testing.T, path string) { hugeIndexField(t, path, -1) },
+}
+
+// hugeIndexField republishes the frame at path with the field-th uvarint
+// of its index section (-1: the last, the meta length) set to 2^63−1.
+func hugeIndexField(t *testing.T, path string, field int) {
+	t.Helper()
+	f, err := frame.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(f.Sections) - 1
+	d := spill.NewDec(f.Payload(last))
+	fields := []uint64{d.Uvarint()}
+	for i := uint64(0); i < 3*fields[0]+1; i++ {
+		fields = append(fields, d.Uvarint())
+	}
+	if d.Err() != nil || uint64(d.Rest()) != fields[len(fields)-1] {
+		t.Fatalf("index section of %s does not parse", path)
+	}
+	meta := f.Payload(last)[len(f.Payload(last))-d.Rest():]
+	if field < 0 {
+		field = len(fields) - 1
+	}
+	fields[field] = 1<<63 - 1
+	var index []byte
+	for _, v := range fields {
+		index = binary.AppendUvarint(index, v)
+	}
+	replaceIndex(t, path, append(index, meta...))
+}
+
+// replaceIndex republishes the frame at path with another last section:
+// every checksum valid, the index whatever the caller says.
+func replaceIndex(tb testing.TB, path string, index []byte) {
+	tb.Helper()
+	f, err := frame.Read(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	err = frame.Publish(filepath.Dir(path), filepath.Base(path), f.Header, false, func(w *frame.Writer) error {
+		for i := 0; i < len(f.Sections)-1; i++ {
+			if err := w.Section(f.Payload(i)); err != nil {
+				return err
+			}
+		}
+		return w.Section(index)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestFSTransportCorruptFallback proves newest-complete-wins: when the
-// newest generation of a task's partitions is corrupt, the fetch falls
-// back to the previous complete generation.
+// newest generation of a task's partitions is corrupt — in any of
+// frameCorruptions' ways — the fetch falls back to the previous complete
+// generation, and with no complete generation left every read is an error.
 func TestFSTransportCorruptFallback(t *testing.T) {
-	dir := t.TempDir()
-	tr := NewFSTransport(dir, true)
-	jtI, err := tr.Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
+	for name, corrupt := range frameCorruptions {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			tr := NewFSTransport(dir, true)
+			jtI, err := tr.Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jt := jtI.(*fsJob)
+			sink := newShuffleSink(DefaultPartitioner, 2, nil, 0, "", nil)
+			sink.add("alpha", int64(1))
+			sink.add("beta", int64(2))
+			sink.add("gamma", int64(3))
+			if _, err := jt.CommitMap(0, sink, TaskMeta{Records: 3}); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := jt.Redeliver(0); err != nil || !info.Redelivered {
+				t.Fatalf("redeliver: info=%+v err=%v", info, err)
+			}
+			// Corrupt the newest generation and force a fresh read through a
+			// second transport handle on the same directory.
+			cands := jt.candidates(fsKindMap, 0)
+			if len(cands) != 2 {
+				t.Fatalf("expected 2 generations, got %d", len(cands))
+			}
+			corrupt(t, cands[0].path)
+			reopen := func() JobTransport {
+				jt, err := NewFSTransport(dir, true).Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return jt
+			}
+			jt2 := reopen()
+			var got []string
+			for r := 0; r < 2; r++ {
+				if _, err := jt2.FetchPartition(0, r, func(key string, v any, b int64) {
+					got = append(got, fmt.Sprintf("%s=%d", key, v.(int64)))
+				}); err != nil {
+					t.Fatalf("fetch after corruption: %v", err)
+				}
+			}
+			if len(got) != 3 {
+				t.Fatalf("expected 3 records from fallback generation, got %v", got)
+			}
+			meta, err := jt2.MapMeta(0)
+			if err != nil || meta.Records != 3 {
+				t.Fatalf("meta after fallback: %+v err=%v", meta, err)
+			}
+
+			// The older generation goes the same way: nothing valid is left.
+			corrupt(t, cands[1].path)
+			jt3 := reopen()
+			if _, err := jt3.MapMeta(0); err == nil {
+				t.Fatal("MapMeta served a task with no valid generation")
+			}
+			if _, err := jt3.FetchPartition(0, 0, func(string, any, int64) {}); err == nil {
+				t.Fatal("FetchPartition served a task with no valid generation")
+			}
+			if n := jt3.PartitionRecords(0, 0); n != 0 {
+				t.Fatalf("PartitionRecords = %d for a task with no valid generation", n)
+			}
+		})
+	}
+}
+
+// TestFSTransportRecordLargerThanASection: a shuffle record has no size
+// limit even though a frame section has. One of over 64 MiB is committed
+// across sections, fetched back whole beside its small neighbours, and
+// survives a verbatim redelivery.
+func TestFSTransportRecordLargerThanASection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("commits and fetches a record of over 64 MiB")
+	}
+	jtI, err := NewFSTransport(t.TempDir(), false).Open(TransportSpec{Job: "long", MapTasks: 1, ReduceTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	jt := jtI.(*fsJob)
-	sink := newShuffleSink(DefaultPartitioner, 2, nil, 0, "", nil)
-	sink.add("alpha", int64(1))
-	sink.add("beta", int64(2))
-	sink.add("gamma", int64(3))
-	if _, err := jt.CommitMap(0, sink, TaskMeta{Records: 3}); err != nil {
+	big := make([]uint32, 65<<20/4)
+	for i := 0; i < len(big); i += 61 {
+		big[i] = uint32(i) * 2654435761
+	}
+	byRid := func(key string, n int) int { return int(key[0]-'0') % n }
+	sink := newShuffleSink(byRid, 2, nil, 0, "", nil)
+	sink.add("0-before", int64(1))
+	sink.add("0-long", big)
+	sink.add("0-after", int64(2))
+	sink.add("1-other", int64(3))
+	if _, err := jt.CommitMap(0, sink, TaskMeta{Records: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := jt.Redeliver(0); err != nil || !info.Redelivered {
-		t.Fatalf("redeliver: info=%+v err=%v", info, err)
-	}
-	// Corrupt the newest generation (truncate it mid-frame) and force a
-	// fresh read through a second transport handle on the same directory.
-	cands := jt.candidates(fsKindMap, 0)
-	if len(cands) != 2 {
-		t.Fatalf("expected 2 generations, got %d", len(cands))
-	}
-	if err := os.Truncate(cands[0].path, 10); err != nil {
-		t.Fatal(err)
-	}
-	tr2 := NewFSTransport(dir, true)
-	jt2, err := tr2.Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for r := 0; r < 2; r++ {
-		if _, err := jt2.FetchPartition(0, r, func(key string, v any, b int64) {
-			got = append(got, fmt.Sprintf("%s=%d", key, v.(int64)))
-		}); err != nil {
-			t.Fatalf("fetch after corruption: %v", err)
+	check := func() {
+		t.Helper()
+		var keys []string
+		for r := 0; r < 2; r++ {
+			_, err := jt.FetchPartition(0, r, func(key string, v any, _ int64) {
+				keys = append(keys, key)
+				if got, _ := v.([]uint32); key == "0-long" && !slices.Equal(got, big) {
+					t.Fatal("the long record differs")
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		slices.Sort(keys)
+		if want := []string{"0-after", "0-before", "0-long", "1-other"}; !slices.Equal(keys, want) {
+			t.Fatalf("fetched %v, want %v", keys, want)
 		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("expected 3 records from fallback generation, got %v", got)
+	check()
+	if n := len(jt.frames[taskPrefix(fsKindMap, 0)].parts[0].secs); n < 2 {
+		t.Fatalf("partition 0 holds %d sections", n)
 	}
-	meta, err := jt2.MapMeta(0)
-	if err != nil || meta.Records != 3 {
-		t.Fatalf("meta after fallback: %+v err=%v", meta, err)
+	if _, err := jt.Redeliver(0); err != nil {
+		t.Fatal(err)
 	}
+	jt.frames = map[string]*fsFrame{}
+	check()
+}
+
+// corruptingTransport damages every map frame right after its commit, so
+// the job driver's own reads (MapMeta first, outside any task's guard) meet
+// a task whose only generation is invalid.
+type corruptingTransport struct {
+	Transport
+	corrupt func(path string)
+}
+
+func (c corruptingTransport) Open(spec TransportSpec) (JobTransport, error) {
+	jt, err := c.Transport.Open(spec)
+	if err != nil {
+		return nil, err
+	}
+	return corruptingJob{jt.(*fsJob), c.corrupt}, nil
+}
+
+type corruptingJob struct {
+	*fsJob
+	corrupt func(path string)
+}
+
+func (c corruptingJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
+	info, err := c.fsJob.CommitMap(t, sink, meta)
+	for _, cand := range c.candidates(fsKindMap, t) {
+		c.corrupt(cand.path)
+	}
+	return info, err
+}
+
+// TestFSTransportCorruptFrameFailsJob: a job whose map frames are all
+// invalid ends in a TaskError naming the map task — never a process panic.
+func TestFSTransportCorruptFrameFailsJob(t *testing.T) {
+	for name, corrupt := range frameCorruptions {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Name: "wc-corrupt", Cluster: tinyCluster(), MapTasks: 2}
+			cfg.Runtime.Transport = corruptingTransport{
+				Transport: NewFSTransport(t.TempDir(), false),
+				corrupt:   func(path string) { corrupt(t, path) },
+			}
+			_, err := Run(cfg, wcInput("a b c", "b c d", "c d e"), wcMapper{}, wcReducer{})
+			var te *TaskError
+			if !errors.As(err, &te) || te.Phase != PhaseMap || te.Job != "wc-corrupt" {
+				t.Fatalf("Run = %v, want a map-phase *TaskError", err)
+			}
+		})
+	}
+}
+
+// FuzzFSFrame gives frames the fuzz coverage checkpoints and the index
+// have: whatever bytes sit where a committed frame belongs, FetchPartition,
+// MapMeta and FetchOutput return what was committed or an error. index is
+// the second way in: it replaces the index section inside an otherwise
+// valid envelope, where only "no panic, no runaway allocation" can be
+// asserted — a checksum is not a signature.
+func FuzzFSFrame(f *testing.F) {
+	spec := TransportSpec{Job: "fuzz", MapTasks: 1, ReduceTasks: 2}
+	want := []KV{{Key: "alpha", Value: int64(1)}, {Key: "beta", Value: "two"}, {Key: "gamma", Value: []uint32{3}}}
+	wantMeta := TaskMeta{Records: 3, Counters: map[string]int64{"c": 1}}
+	commit := func(tb testing.TB, dir string) (mapPath, outPath string) {
+		jtI, err := NewFSTransport(dir, true).Open(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jt := jtI.(*fsJob)
+		sink := newShuffleSink(DefaultPartitioner, 2, nil, 0, "", nil)
+		out := new(spill.List[KV])
+		for _, kv := range want {
+			sink.add(kv.Key, kv.Value)
+			out.Append(kv)
+		}
+		if _, err := jt.CommitMap(0, sink, wantMeta); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := jt.CommitOutput(0, out, wantMeta); err != nil {
+			tb.Fatal(err)
+		}
+		return jt.candidates(fsKindMap, 0)[0].path, jt.candidates(fsKindOutput, 0)[0].path
+	}
+	mapPath, outPath := commit(f, f.TempDir())
+	for _, p := range []string{mapPath, outPath} {
+		img, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img, []byte{2, 1, 0, 1, 2, 0, 1, 2, '{', '}'})
+		f.Add(img[:len(img)/2], []byte{})
+		flip := append([]byte(nil), img...)
+		flip[len(flip)/2] ^= 0x10
+		f.Add(flip, binary.AppendUvarint([]byte{2, 1, 0}, 1<<63-1))
+	}
+	f.Add([]byte("FSSHUF1\x00 a frame of the previous format"), binary.AppendUvarint(nil, 1<<63-1))
+
+	// read fetches everything a reader can ask of task 0 and fails the
+	// test when strict and something other than the commit comes back.
+	read := func(t *testing.T, dir string, strict bool) {
+		jt, err := NewFSTransport(dir, true).Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []KV
+		complete := true
+		for r := 0; r < spec.ReduceTasks; r++ {
+			jt.PartitionRecords(0, r)
+			if _, err := jt.FetchPartition(0, r, func(key string, v any, _ int64) {
+				got = append(got, KV{Key: key, Value: v})
+			}); err != nil {
+				complete = false
+			}
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
+		if strict && complete && !reflect.DeepEqual(got, want) {
+			t.Fatalf("FetchPartition returned %v, committed %v", got, want)
+		}
+		if meta, err := jt.MapMeta(0); strict && err == nil && !reflect.DeepEqual(meta, wantMeta) {
+			t.Fatalf("MapMeta returned %+v, committed %+v", meta, wantMeta)
+		}
+		out, meta, err := jt.FetchOutput(0)
+		if strict && err == nil {
+			if !reflect.DeepEqual(out.AppendTo(nil), want) || !reflect.DeepEqual(meta, wantMeta) {
+				t.Fatalf("FetchOutput returned %v %+v, committed %v %+v", out.AppendTo(nil), meta, want, wantMeta)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data, index []byte) {
+		dir := t.TempDir()
+		mapPath, outPath := commit(t, dir)
+		for _, p := range []string{mapPath, outPath} {
+			if err := os.WriteFile(p, data, 0o600); err != nil {
+				t.Skip()
+			}
+		}
+		read(t, dir, true)
+
+		if len(index) == 0 {
+			return
+		}
+		mapPath, outPath = commit(t, t.TempDir())
+		replaceIndex(t, mapPath, index)
+		replaceIndex(t, outPath, index)
+		read(t, filepath.Dir(filepath.Dir(mapPath)), false)
+	})
 }
 
 // TestFSTransportFingerprintRejected proves a frame from a different job

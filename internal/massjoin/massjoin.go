@@ -109,21 +109,6 @@ type sigEntry struct {
 // SizeBytes implements mapreduce.Sized.
 func (e sigEntry) SizeBytes() int { return 9 + 2*lightGroups }
 
-// candValue marks one side of a candidate pair in the dedup job.
-type candValue struct{}
-
-// SizeBytes implements mapreduce.Sized.
-func (candValue) SizeBytes() int { return 0 }
-
-// recPayload ships a full record to a verification reducer.
-type recPayload struct {
-	rid  int32
-	toks []tokens.ID
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (p recPayload) SizeBytes() int { return 4 + 4*len(p.toks) }
-
 // ridList is a merged candidate list for one record.
 type ridList struct {
 	rids []int32

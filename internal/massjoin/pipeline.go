@@ -61,7 +61,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	for _, rec := range ordered.Records {
 		distIn = append(distIn, mapreduce.KV{
 			Key:   mapreduce.U32Key(uint32(rec.RID)),
-			Value: recPayload{rid: rec.RID, toks: rec.Tokens},
+			Value: order.RecordValue{Rec: rec},
 		})
 	}
 	for _, kv := range candRes.Output {
@@ -72,17 +72,17 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	distRes, err := p.Run(mapreduce.Config{Name: "distribute"},
 		distIn, mapreduce.IdentityMapper,
 		mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
-			var rec recPayload
+			var rec order.RecordValue
 			var partners []int32
 			for _, v := range values {
 				switch x := v.(type) {
-				case recPayload:
+				case order.RecordValue:
 					rec = x
 				case ridList:
 					partners = append(partners, x.rids...)
 				}
 			}
-			if rec.toks == nil {
+			if rec.Rec.Tokens == nil {
 				return
 			}
 			sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
@@ -101,7 +101,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	for _, rec := range ordered.Records {
 		verifyIn = append(verifyIn, mapreduce.KV{
 			Key:   mapreduce.U32Key(uint32(rec.RID)),
-			Value: recPayload{rid: rec.RID, toks: rec.Tokens},
+			Value: order.RecordValue{Rec: rec},
 		})
 	}
 	verifyIn = append(verifyIn, distRes.Output...)
@@ -120,7 +120,7 @@ type candDedup struct{}
 // Reduce implements mapreduce.Reducer.
 func (candDedup) Reduce(ctx *mapreduce.Context, key string, values []any) {
 	ctx.Inc("massjoin.candidates", 1)
-	ctx.Emit(key, candValue{})
+	ctx.Emit(key, result.Candidate{})
 }
 
 // Fold implements mapreduce.Folder.
@@ -129,7 +129,7 @@ func (candDedup) Fold(acc, v any) any { return acc }
 // FinishFold implements mapreduce.FoldingReducer.
 func (candDedup) FinishFold(ctx *mapreduce.Context, key string, acc any) {
 	ctx.Inc("massjoin.candidates", 1)
-	ctx.Emit(key, candValue{})
+	ctx.Emit(key, result.Candidate{})
 }
 
 // verifyReducer distinguishes the reducer's own record (matching rid) from
@@ -141,31 +141,31 @@ type verifyReducer struct {
 // Reduce implements mapreduce.Reducer.
 func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
 	rid := int32(mapreduce.DecodeU32Key(key))
-	var own recPayload
-	var cands []recPayload
+	var own tokens.Record
+	var cands []tokens.Record
 	for _, v := range values {
-		p := v.(recPayload)
-		if p.rid == rid {
+		p := v.(order.RecordValue).Rec
+		if p.RID == rid {
 			own = p
 		} else {
 			cands = append(cands, p)
 		}
 	}
-	if own.toks == nil {
+	if own.Tokens == nil {
 		return
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].rid < cands[j].rid })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].RID < cands[j].RID })
 	for _, cand := range cands {
 		ctx.Inc("massjoin.verifications", 1)
-		c := tokens.Intersect(own.toks, cand.toks)
-		if !r.opt.Fn.AtLeast(c, len(own.toks), len(cand.toks), r.opt.Theta) {
+		c := tokens.Intersect(own.Tokens, cand.Tokens)
+		if !r.opt.Fn.AtLeast(c, len(own.Tokens), len(cand.Tokens), r.opt.Theta) {
 			continue
 		}
-		a, b := cand.rid, own.rid
+		a, b := cand.RID, own.RID
 		if a > b {
 			a, b = b, a
 		}
 		ctx.Emit(mapreduce.PairKey(uint32(a), uint32(b)),
-			result.Scored{C: int32(c), Sim: r.opt.Fn.Sim(c, len(own.toks), len(cand.toks))})
+			result.Scored{C: int32(c), Sim: r.opt.Fn.Sim(c, len(own.Tokens), len(cand.Tokens))})
 	}
 }

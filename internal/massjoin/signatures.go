@@ -5,6 +5,7 @@ import (
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/order"
+	"fsjoin/internal/result"
 )
 
 // sigMapper emits index-side signatures (one per even segment, plus the
@@ -142,7 +143,7 @@ func (r *sigReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
 			if a > b {
 				a, b = b, a
 			}
-			ctx.Emit(mapreduce.PairKey(uint32(a), uint32(b)), candValue{})
+			ctx.Emit(mapreduce.PairKey(uint32(a), uint32(b)), result.Candidate{})
 		}
 	}
 }

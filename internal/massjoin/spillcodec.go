@@ -6,8 +6,9 @@ import (
 	"fsjoin/internal/spill"
 )
 
-// Spill codecs for this package's shuffle values (DESIGN.md §8). Tags
-// 50–53; the verify stage's output is result.Scored.
+// Spill codecs for this package's own shuffle values (DESIGN.md §8); the
+// others are shared: result.Candidate, order.RecordValue, and the verify
+// stage's output result.Scored. Tags 50 and 53.
 func init() {
 	spill.RegisterValue(50, sigEntry{},
 		func(buf []byte, v any) []byte {
@@ -32,21 +33,6 @@ func init() {
 				e.light[i] = d.U16()
 			}
 			return e, d.Err()
-		})
-	spill.RegisterValue(51, candValue{},
-		func(buf []byte, v any) []byte { return buf },
-		func(b []byte) (any, error) { return candValue{}, nil })
-	spill.RegisterValue(52, recPayload{},
-		func(buf []byte, v any) []byte {
-			p := v.(recPayload)
-			buf = binary.AppendVarint(buf, int64(p.rid))
-			return spill.AppendU32s(buf, p.toks)
-		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			p := recPayload{rid: int32(d.Varint())}
-			p.toks = d.U32s()
-			return p, d.Err()
 		})
 	spill.RegisterValue(53, ridList{},
 		func(buf []byte, v any) []byte {

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/order"
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
@@ -84,26 +85,6 @@ type Result struct {
 	Pipeline *mapreduce.Pipeline
 }
 
-// sigValue ships a record's id, length and one band signature. The origin
-// tag (0 = R/self, 1 = S) — not rid inequality — decides pairability in
-// R-S mode, because R and S rid spaces may overlap.
-type sigValue struct {
-	rid    int32
-	l      int32
-	origin uint8
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (sigValue) SizeBytes() int { return 9 }
-
-// recValue ships a full record for verification.
-type recValue struct {
-	rec tokens.Record
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (v recValue) SizeBytes() int { return 4 + 4*len(v.rec.Tokens) }
-
 // SelfJoin runs the two-job approximate pipeline: banding (map: signatures,
 // reduce: bucket pair enumeration + dedup) and verification (records
 // shipped to candidate pairs, exact Jaccard check).
@@ -152,7 +133,7 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 			sig := hashes.signature(rec.Tokens)
 			for b := 0; b < p.Bands; b++ {
 				key := bandKey(b, sig[b*p.Rows:(b+1)*p.Rows])
-				ctx.Emit(key, sigValue{rid: rec.RID, l: int32(rec.Len()), origin: tr.Origin})
+				ctx.Emit(key, rsinput.Posting{RID: rec.RID, Len: int32(rec.Len()), Origin: tr.Origin})
 			}
 		}),
 		&bucketJoiner{theta: p.Theta, rs: rs})
@@ -177,7 +158,7 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	for _, rec := range r.Records {
 		verifyIn = append(verifyIn, mapreduce.KV{
 			Key:   mapreduce.U32Key(uint32(rec.RID)),
-			Value: recValue{rec: rec},
+			Value: order.RecordValue{Rec: rec},
 		})
 	}
 	for _, kv := range dedup.Output {
@@ -264,31 +245,31 @@ type bucketJoiner struct {
 
 // Reduce implements mapreduce.Reducer.
 func (j *bucketJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	ps := make([]sigValue, len(values))
+	ps := make([]rsinput.Posting, len(values))
 	for i, v := range values {
-		ps[i] = v.(sigValue)
+		ps[i] = v.(rsinput.Posting)
 	}
 	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].origin != ps[b].origin {
-			return ps[a].origin < ps[b].origin
+		if ps[a].Origin != ps[b].Origin {
+			return ps[a].Origin < ps[b].Origin
 		}
-		return ps[a].rid < ps[b].rid
+		return ps[a].RID < ps[b].RID
 	})
 	fn := similarity.Jaccard
 	for i := range ps {
 		for k := i + 1; k < len(ps); k++ {
 			a, b := ps[i], ps[k]
 			if j.rs {
-				if a.origin == b.origin {
+				if a.Origin == b.Origin {
 					continue
 				}
-				if a.origin != 0 {
+				if a.Origin != 0 {
 					a, b = b, a
 				}
-			} else if a.rid == b.rid {
+			} else if a.RID == b.RID {
 				continue
 			}
-			la, lb := int(a.l), int(b.l)
+			la, lb := int(a.Len), int(b.Len)
 			if la > lb {
 				la, lb = lb, la
 			}
@@ -297,16 +278,10 @@ func (j *bucketJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) 
 				continue
 			}
 			ctx.Inc("minhash.bucket.pairs", 1)
-			ctx.Emit(mapreduce.PairKey(uint32(a.rid), uint32(b.rid)), candMark{})
+			ctx.Emit(mapreduce.PairKey(uint32(a.RID), uint32(b.RID)), result.Candidate{})
 		}
 	}
 }
-
-// candMark is the zero-size candidate marker deduplicated by FirstValue.
-type candMark struct{}
-
-// SizeBytes implements mapreduce.Sized.
-func (candMark) SizeBytes() int { return 0 }
 
 // partner marks a candidate partner id in the verification job.
 type partner int32
@@ -318,7 +293,7 @@ func (partner) SizeBytes() int { return 4 }
 // the exact similarity. Like MassJoin's Merge, partner records are looked
 // up from the driver-shared index (the S side for R-S joins) while the
 // candidate list arrives through the shuffle; the routed record itself
-// travels as a recValue so shuffle accounting includes it.
+// travels as an order.RecordValue so shuffle accounting includes it.
 type verifier struct {
 	theta float64
 	byRID map[int32]tokens.Record
@@ -332,8 +307,8 @@ func (v *verifier) Reduce(ctx *mapreduce.Context, key string, values []any) {
 	var partners []int32
 	for _, val := range values {
 		switch x := val.(type) {
-		case recValue:
-			own = x.rec
+		case order.RecordValue:
+			own = x.Rec
 		case partner:
 			partners = append(partners, int32(x))
 		}

@@ -125,24 +125,26 @@ func (o *Order) rank(in, out []tokens.Record) error {
 	return nil
 }
 
-// recordValue wraps a record as a shuffle value with size accounting.
-type recordValue struct{ rec tokens.Record }
+// RecordValue is a record as a shuffle value — rid and tokens, sized
+// 4+4n: the input of every algorithm's first stage (RecordsToKV) and what
+// the verification stages of minhash and massjoin ship.
+type RecordValue struct{ Rec tokens.Record }
 
 // SizeBytes implements mapreduce.Sized.
-func (v recordValue) SizeBytes() int { return 4 + 4*len(v.rec.Tokens) }
+func (v RecordValue) SizeBytes() int { return 4 + 4*len(v.Rec.Tokens) }
 
 // RecordsToKV converts a collection into MapReduce input pairs, one record
 // per pair, keyed by rid.
 func RecordsToKV(c *tokens.Collection) []mapreduce.KV {
 	in := make([]mapreduce.KV, len(c.Records))
 	for i, r := range c.Records {
-		in[i] = mapreduce.KV{Key: mapreduce.U32Key(uint32(r.RID)), Value: recordValue{rec: r}}
+		in[i] = mapreduce.KV{Key: mapreduce.U32Key(uint32(r.RID)), Value: RecordValue{Rec: r}}
 	}
 	return in
 }
 
 // KVRecord extracts the record from a pair produced by RecordsToKV.
-func KVRecord(kv mapreduce.KV) tokens.Record { return kv.Value.(recordValue).rec }
+func KVRecord(kv mapreduce.KV) tokens.Record { return kv.Value.(RecordValue).Rec }
 
 // sumReducer adds int64 values per key: the ordering job's reducer, through
 // the engine's fold fast path.

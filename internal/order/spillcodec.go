@@ -7,21 +7,21 @@ import (
 	"fsjoin/internal/tokens"
 )
 
-// Spill codec for recordValue — the input every algorithm's first stage
-// (and several later ones) consumes via RecordsToKV. Registering it makes
-// those stages' inputs fingerprintable and their upstream outputs
-// checkpointable (DESIGN.md §9). Tag 61; this package owns tags 61–62.
+// Spill codec for RecordValue. Registering it makes the stages that take
+// records as input fingerprintable and their upstream outputs
+// checkpointable (DESIGN.md §9), and lets the stages that ship records
+// spill them (DESIGN.md §8). Tag 61; this package owns tags 61–62.
 func init() {
-	spill.RegisterValue(61, recordValue{},
+	spill.RegisterValue(61, RecordValue{},
 		func(buf []byte, v any) []byte {
-			r := v.(recordValue)
-			buf = binary.AppendVarint(buf, int64(r.rec.RID))
-			return spill.AppendU32s(buf, r.rec.Tokens)
+			r := v.(RecordValue)
+			buf = binary.AppendVarint(buf, int64(r.Rec.RID))
+			return spill.AppendU32s(buf, r.Rec.Tokens)
 		},
 		func(b []byte) (any, error) {
 			d := spill.NewDec(b)
-			r := recordValue{rec: tokens.Record{RID: int32(d.Varint())}}
-			r.rec.Tokens = d.U32s()
+			r := RecordValue{Rec: tokens.Record{RID: int32(d.Varint())}}
+			r.Rec.Tokens = d.U32s()
 			return r, d.Err()
 		})
 }

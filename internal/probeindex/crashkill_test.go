@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"fsjoin/internal/checkpoint"
+	"fsjoin/internal/frame"
 	"fsjoin/internal/testutil"
 )
 
@@ -30,9 +30,11 @@ import (
 // escaping a scenario is a real bug and re-panicked.
 type killPanic struct{ point string }
 
-// killPoints is the full durability boundary matrix: WAL append (before,
-// mid-frame and after the append), the compaction protocol, and the
-// snapshot writer's temp/fsync/rename boundaries.
+// killPoints is the full durability boundary matrix, all through the one
+// hook of internal/frame: WAL append (before, mid-section and after the
+// append), the compaction protocol, and the temp/fsync/rename boundaries
+// of frame.Publish ("save.*") — which the snapshot writer and, since the
+// log is created by a publish too, the WAL rotation both cross.
 var killPoints = []string{
 	"wal.append.pre", "wal.append.mid", "wal.append.post",
 	"compact.pre", "compact.snapshot.written", "compact.wal.created", "compact.retired",
@@ -173,12 +175,8 @@ func runKillScenario(t *testing.T, point string, after int) bool {
 			}
 		}
 	}
-	killHook = hook
-	checkpoint.SetKillHook(hook)
-	defer func() {
-		killHook = nil
-		checkpoint.SetKillHook(nil)
-	}()
+	frame.SetKillHook(hook)
+	defer frame.SetKillHook(nil)
 
 	killed := false
 	inflight := -1
@@ -202,8 +200,7 @@ func runKillScenario(t *testing.T, point string, after int) bool {
 			inflight = -1
 		}
 	}()
-	killHook = nil
-	checkpoint.SetKillHook(nil)
+	frame.SetKillHook(nil)
 	if !killed {
 		return false
 	}

@@ -43,16 +43,17 @@ func validIndexFile(tb testing.TB) []byte {
 }
 
 // FuzzIndexCodec feeds arbitrary bytes to the index loader: truncated,
-// bit-flipped or wholly fabricated files (including garbage bodies behind
-// a freshly valid SHA-256 trailer, which the fuzzer will synthesise from
-// the seed) must either load into a servable index or fail with an error —
-// never panic. Whatever loads must survive a probe and a save/load
+// bit-flipped or wholly fabricated files must either load into a servable
+// index or fail with an error — never panic. (What a mutated envelope does
+// is frame.FuzzFrame's property; this target is about what sits on top:
+// the checkpoint manifest, the records, the restore invariants.) Whatever loads must survive a probe and a save/load
 // round-trip.
 func FuzzIndexCodec(f *testing.F) {
 	valid := validIndexFile(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("FSCKPT01 not really"))
+	f.Add([]byte("FSCKPT01 the previous format"))
+	f.Add([]byte("FSFRAME1 not really"))
 	f.Add([]byte{})
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/3] ^= 0xff
@@ -142,8 +143,8 @@ func FuzzWAL(f *testing.F) {
 	flip := append([]byte(nil), walRaw...)
 	flip[len(flip)-2] ^= 0x40 // bit rot inside the last frame's payload
 	f.Add(flip)
-	f.Add([]byte(walMagic))            // magic, no header
-	f.Add([]byte("FSWAL001 garbage?")) // header bytes that cannot parse
+	f.Add([]byte("FSFRAME1"))          // magic, no header
+	f.Add([]byte("FSWAL001 garbage?")) // a log of the previous format
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -8,8 +8,8 @@
 // forward when the side-log outgrows its thresholds.
 //
 // Checkpoint crash protocol (checkpointLocked): write snapshot g+1
-// (temp → fsync → rename, via internal/checkpoint) → create empty wal.g+1
-// (fsync file and directory) → switch appends to the new log → retire
+// (via internal/checkpoint) → create empty wal.g+1 (both frame.Publish:
+// temp → fsync → rename → fsync directory) → switch appends to the new log → retire
 // wal.g and snapshot g. A crash at any boundary recovers from either the
 // old snapshot+WAL or the new snapshot — never a mix — because recovery
 // always picks the newest loadable snapshot generation and replays only
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"fsjoin/internal/checkpoint"
+	"fsjoin/internal/frame"
 )
 
 // AutoCompactPolicy decides when a durable index folds its side-log
@@ -71,8 +72,7 @@ func (d DurableOptions) validate() error {
 }
 
 // Persist makes the index durable in dir: the current state is written as
-// a fresh snapshot generation (atomic rename, SHA-256 trailer) and an
-// empty WAL is opened next to it. From then on every Insert/Delete is
+// a fresh snapshot generation and an empty WAL is opened next to it. From then on every Insert/Delete is
 // appended to the WAL — synced per d.Sync — before it is acknowledged, so
 // Load(dir) after a crash recovers exactly the acknowledged history.
 // Older generations and their logs are retired. Close releases the WAL.
@@ -200,7 +200,7 @@ func (ix *Index) MaybeCompact() (bool, error) {
 //     is poisoned so no further mutation can be acknowledged against a
 //     directory whose recovery would diverge.
 func (ix *Index) checkpointLocked(fold bool) error {
-	kill("compact.pre")
+	frame.Kill("compact.pre")
 	if fold {
 		ix.compactLocked()
 	}
@@ -212,7 +212,7 @@ func (ix *Index) checkpointLocked(fold bool) error {
 	if err := ix.writeSnapshotLocked(st, newGen); err != nil {
 		return err
 	}
-	kill("compact.snapshot.written")
+	frame.Kill("compact.snapshot.written")
 	w, err := createWAL(ix.dir, newGen, fingerprint(ix.fn, ix.theta, ix.bitmap), ix.dopt.Sync)
 	if err != nil {
 		if rerr := os.Remove(snapshotPath(ix.dir, newGen)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
@@ -220,14 +220,14 @@ func (ix *Index) checkpointLocked(fold bool) error {
 		}
 		return err
 	}
-	kill("compact.wal.created")
+	frame.Kill("compact.wal.created")
 	old := ix.wal
 	ix.wal, ix.gen = w, newGen
 	old.close()
-	os.Remove(old.path)
+	os.Remove(walPath(ix.dir, newGen-1))
 	os.Remove(snapshotPath(ix.dir, newGen-1))
 	retireGenerations(ix.dir, newGen)
-	kill("compact.retired")
+	frame.Kill("compact.retired")
 	return nil
 }
 

@@ -1,5 +1,5 @@
-// Index persistence rides the internal/checkpoint codec: one atomic,
-// SHA-256-trailed snapshot file per generation holding the token table, the
+// Index persistence rides the internal/checkpoint codec: one atomically
+// published framed file (DESIGN.md §16) per generation holding the token table, the
 // CSR base records, the tombstone set and the live side-log, with the
 // checkpoint stage number doubling as the generation. Derived structure —
 // postings, signatures, the rank map — is rebuilt at load rather than
@@ -50,8 +50,9 @@ var ErrNoIndex = errors.New("probeindex: no usable index")
 // Load rejection reasons, wrapped into the ErrNoIndex error and counted
 // under index.load.rejects.<reason> (see LoadRejects).
 var (
-	// ErrCorruptSnapshot: the snapshot failed its SHA-256 trailer or could
-	// not be decoded. Reason "corrupt".
+	// ErrCorruptSnapshot: the snapshot is not a valid framed file (which
+	// includes one written by an earlier format) or could not be decoded.
+	// Reason "corrupt".
 	ErrCorruptSnapshot = errors.New("corrupt snapshot")
 	// ErrStaleConfig: the snapshot is valid but was written under a
 	// different serving configuration (fn, θ, bitmap mode/width or format
@@ -70,8 +71,9 @@ var (
 const (
 	persistPipeline = "probeindex"
 	persistJob      = "index"
-	// persistVersion must change whenever the record layout does.
-	persistVersion = 1
+	// persistVersion must change whenever the record layout or the file
+	// format under it does; 2 is the first on internal/frame.
+	persistVersion = 2
 )
 
 // Process-wide load-rejection counters: index.load.rejects.<reason>. They
@@ -196,8 +198,8 @@ func retireGenerations(dir string, keep int) {
 	}
 }
 
-// Save atomically persists the index into dir as a fresh generation (temp
-// write → fsync → rename, SHA-256 trailer) and retires older generations.
+// Save atomically persists the index into dir as a fresh generation
+// (checkpoint.Store.Save) and retires older generations.
 // Cumulative counters travel in the manifest so a restart keeps its
 // history. Save serves the in-memory index; a durable one checkpoints
 // through Compact/Checkpoint, which also rotate the WAL.
@@ -289,7 +291,7 @@ func logKey(i int) string { return fmt.Sprintf("log.%08d", i) }
 // snapshot is restored, and its write-ahead log is replayed on top
 // (truncating the log at the first torn or invalid frame), so recovery
 // after a crash yields exactly the acknowledged mutation prefix. A
-// generation that fails — corrupt trailer, stale fingerprint, invariant
+// generation that fails — corrupt file, stale fingerprint, invariant
 // failure, rejected WAL — is counted, discarded and the next older one
 // tried. When nothing loads, the error wraps ErrNoIndex and every
 // generation's reason sentinel, directing the caller to rebuild.
@@ -334,7 +336,7 @@ func Load(dir string, opt Options) (*Index, error) {
 			reasons = append(reasons, fmt.Errorf("gen %d: %w: %v", gen, ErrInvariant, err))
 			continue
 		}
-		res, werr := replayWAL(walPath(dir, gen), gen, fp, ix.applyWALOp)
+		replayed, truncated, werr := replayWAL(dir, gen, fp, ix.applyWALOp)
 		if werr != nil {
 			// The log cannot bind to this snapshot (foreign header) or
 			// cannot be read at all. The snapshot itself is good: recover
@@ -342,11 +344,13 @@ func Load(dir string, opt Options) (*Index, error) {
 			// whole index, and count the rejected log.
 			noteReject("wal")
 			reasons = append(reasons, fmt.Errorf("gen %d: %w: %v", gen, ErrWALRejected, werr))
-			ix.walTruncated.Add(1)
+			truncated = true
 			os.Remove(walPath(dir, gen))
 		}
-		ix.walReplayed.Store(res.replayed)
-		ix.walTruncated.Add(res.truncated)
+		ix.walReplayed.Store(replayed)
+		if truncated {
+			ix.walTruncated.Add(1)
+		}
 		if fi, err := os.Stat(snapshotPath(dir, gen)); err == nil {
 			ix.snapshotBytes.Store(fi.Size())
 		}

@@ -20,7 +20,7 @@
 // plus a linear scan of the live log — under one RWMutex. Compact folds the
 // log back into the CSR base and recomputes the token order. Persistence
 // (Save/Load) lives in persist.go and rides the internal/checkpoint
-// atomic-write, SHA-256-verified codec.
+// atomic-write, checksum-verified codec (framed files, DESIGN.md §16).
 package probeindex
 
 import (
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"fsjoin/internal/filters"
+	"fsjoin/internal/frame"
 	"fsjoin/internal/similarity"
 	"fsjoin/internal/tokens"
 )
@@ -573,10 +574,9 @@ func (ix *Index) Insert(set []string) (int32, error) {
 	defer ix.mu.Unlock()
 	rid := ix.nextRID
 	if ix.wal != nil {
-		if err := ix.walAppendLocked(encodeInsertFrame(rid, set)); err != nil {
+		if err := ix.walAppendLocked(encodeInsert(rid, set)); err != nil {
 			return 0, err
 		}
-		kill("wal.append.post")
 	}
 	ix.applyInsertLocked(rid, set)
 	return rid, nil
@@ -625,10 +625,9 @@ func (ix *Index) Delete(rid int32) error {
 		return fmt.Errorf("probeindex: record %d not in index", rid)
 	}
 	if ix.wal != nil {
-		if err := ix.walAppendLocked(encodeDeleteFrame(rid)); err != nil {
+		if err := ix.walAppendLocked(encodeDelete(rid)); err != nil {
 			return err
 		}
-		kill("wal.append.post")
 	}
 	return ix.applyDeleteLocked(rid)
 }
@@ -660,13 +659,14 @@ func (ix *Index) applyDeleteLocked(rid int32) error {
 	return fmt.Errorf("probeindex: record %d not in index", rid)
 }
 
-// walAppendLocked appends one frame to the open WAL, folding the sync
+// walAppendLocked appends one op to the open WAL, folding the sync
 // outcome into the durability counters.
-func (ix *Index) walAppendLocked(frame []byte) error {
-	synced, err := ix.wal.append(frame)
+func (ix *Index) walAppendLocked(op []byte) error {
+	synced, err := ix.wal.append(op)
 	if err != nil {
 		return err
 	}
+	frame.Kill("wal.append.post")
 	ix.walAppends.Add(1)
 	ix.walSynced.Add(synced)
 	return nil

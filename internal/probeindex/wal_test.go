@@ -4,10 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"fsjoin/internal/filters"
+	"fsjoin/internal/frame"
 	"fsjoin/internal/similarity"
 	"fsjoin/internal/testutil"
 )
@@ -264,11 +268,14 @@ func TestWALForeignHeaderIgnored(t *testing.T) {
 	}
 	// Overwrite the log with one whose header claims another generation.
 	path := walPath(dir, ix.gen)
-	foreign := walHeader(ix.gen+7, fingerprint(ix.fn, ix.theta, ix.bitmap))
-	foreign = append(foreign, encodeInsertFrame(int32(len(live)), []string{"ghost"})...)
-	if err := os.WriteFile(path, foreign, 0o600); err != nil {
+	foreign, err := frame.CreateLog(dir, filepath.Base(path), walBinding(ix.gen+7, fingerprint(ix.fn, ix.theta, ix.bitmap)))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := foreign.Append(encodeInsert(int32(len(live)), []string{"ghost"})); err != nil {
+		t.Fatal(err)
+	}
+	foreign.Close()
 	before := LoadRejects()["index.load.rejects.wal"]
 	ld, err := Load(dir, durOpt)
 	if err != nil {
@@ -296,13 +303,13 @@ func TestWALErrorPoisonsLog(t *testing.T) {
 			live[rid] = []string{"pre-failure"}
 
 			boom := errors.New("disk on fire")
-			testWALErr = func(op string) error {
+			frame.SetFailHook(func(op, _ string) error {
 				if op == failOp {
 					return boom
 				}
 				return nil
-			}
-			defer func() { testWALErr = nil }()
+			})
+			defer frame.SetFailHook(nil)
 
 			lenBefore := ix.Len()
 			_, err = ix.Insert([]string{"lost"})
@@ -315,7 +322,7 @@ func TestWALErrorPoisonsLog(t *testing.T) {
 			}
 			// The log is poisoned: even with the fault healed, mutations
 			// keep failing until reopen.
-			testWALErr = nil
+			frame.SetFailHook(nil)
 			if _, err := ix.Insert([]string{"after"}); !errors.As(err, &werr) || !errors.Is(err, errWALBroken) {
 				t.Fatalf("post-failure insert error %v does not report the broken log", err)
 			}
@@ -398,4 +405,92 @@ func TestPersistValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Close()
+}
+
+// TestWALCreateSyncFailure: creating a log is covered by the same failure
+// hook as appending to one. A log whose header never reached disk is not
+// returned as durable: the caller gets *WALError{Op: "create"}, no wal.g*
+// file (and no temp) is left, a first Persist leaves the directory empty,
+// and a checkpoint leaves the old generation authoritative.
+func TestWALCreateSyncFailure(t *testing.T) {
+	boom := errors.New("fsync says no")
+	failWALSync := func(op, name string) error {
+		if op == "sync" && strings.HasPrefix(name, "wal.g") {
+			return boom
+		}
+		return nil
+	}
+	assertCreateError := func(err error) {
+		t.Helper()
+		var werr *WALError
+		if !errors.As(err, &werr) || werr.Op != "create" || !errors.Is(err, boom) {
+			t.Fatalf("error %v is not a *WALError{Op: create} wrapping the cause", err)
+		}
+	}
+	fileNames := func(dir string) []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+
+	t.Run("persist", func(t *testing.T) {
+		dir := t.TempDir()
+		ix, err := Build(testutil.RandomCollection(10, 10, 5, 3), tokenName, durOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame.SetFailHook(failWALSync)
+		defer frame.SetFailHook(nil)
+		assertCreateError(ix.Persist(dir, DurableOptions{}))
+		if got := fileNames(dir); len(got) != 0 {
+			t.Fatalf("failed Persist left %v behind", got)
+		}
+		if ix.Durable() {
+			t.Fatal("index reports durable after a failed Persist")
+		}
+	})
+
+	t.Run("checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		ix, live := buildDurable(t, dir, DurableOptions{Sync: SyncPolicy{Mode: SyncAlways}})
+		rid, err := ix.Insert([]string{"before"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[rid] = []string{"before"}
+		gen := ix.gen
+		before := fileNames(dir)
+
+		frame.SetFailHook(failWALSync)
+		defer frame.SetFailHook(nil)
+		assertCreateError(ix.Checkpoint())
+		frame.SetFailHook(nil)
+
+		if got := fileNames(dir); !reflect.DeepEqual(got, before) {
+			t.Fatalf("failed checkpoint changed the directory: %v -> %v", before, got)
+		}
+		if ix.gen != gen {
+			t.Fatalf("generation moved %d -> %d on a failed checkpoint", gen, ix.gen)
+		}
+		// The old generation still takes, and recovers, acknowledged writes.
+		if rid, err = ix.Insert([]string{"after"}); err != nil {
+			t.Fatalf("insert after failed checkpoint: %v", err)
+		}
+		live[rid] = []string{"after"}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ld, err := Load(dir, durOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameState(t, "after failed checkpoint", liveSets(ld), live)
+	})
 }

@@ -30,10 +30,20 @@ type Scored struct {
 // SizeBytes implements mapreduce.Sized.
 func (Scored) SizeBytes() int { return 12 }
 
+// Candidate is the empty value of a candidate-pair record: the pair is the
+// key, and FirstValue dedups it (minhash's banding job, massjoin's dedup).
+type Candidate struct{}
+
+// SizeBytes implements mapreduce.Sized.
+func (Candidate) SizeBytes() int { return 0 }
+
 // Spill codecs (DESIGN.md §8), which also make the stages that emit these
 // values checkpointable (DESIGN.md §9). SumOverlaps' fold is pure addition
-// on C, so re-folding merged runs is exact. Tags 41 and 54.
+// on C, so re-folding merged runs is exact. Tags 41, 51 and 54.
 func init() {
+	spill.RegisterValue(51, Candidate{},
+		func(buf []byte, v any) []byte { return buf },
+		func(b []byte) (any, error) { return Candidate{}, nil })
 	spill.RegisterValue(41, Overlap{},
 		func(buf []byte, v any) []byte {
 			o := v.(Overlap)

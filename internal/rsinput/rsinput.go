@@ -24,6 +24,17 @@ type Record struct {
 // SizeBytes implements mapreduce.Sized.
 func (t Record) SizeBytes() int { return 5 + 4*len(t.Rec.Tokens) }
 
+// Posting is a record reduced to what pair enumeration needs — origin,
+// rid and length: an inverted-list entry of vsmart's join phase and a
+// bucket entry of minhash's banding job.
+type Posting struct {
+	Origin   uint8
+	RID, Len int32
+}
+
+// SizeBytes implements mapreduce.Sized.
+func (Posting) SizeBytes() int { return 9 }
+
 // Union returns the collection the global ordering is computed over: r
 // for a self-join, R ∪ S otherwise.
 func Union(r, s *tokens.Collection) *tokens.Collection {
@@ -70,10 +81,22 @@ func appendTagged(kvs []mapreduce.KV, c *tokens.Collection, origin uint8) []mapr
 	return kvs
 }
 
-// The spill codec makes join-stage inputs fingerprintable and
-// checkpointable (DESIGN.md §9) and lets ridpairs shuffle the value
-// (DESIGN.md §8). Tag 42.
+// The spill codecs make join-stage inputs fingerprintable and
+// checkpointable (DESIGN.md §9) and let ridpairs, vsmart and minhash
+// shuffle the values (DESIGN.md §8). Tags 42 and 46.
 func init() {
+	spill.RegisterValue(46, Posting{},
+		func(buf []byte, v any) []byte {
+			p := v.(Posting)
+			buf = append(buf, p.Origin)
+			buf = binary.AppendVarint(buf, int64(p.RID))
+			return binary.AppendVarint(buf, int64(p.Len))
+		},
+		func(b []byte) (any, error) {
+			d := spill.NewDec(b)
+			p := Posting{Origin: d.Byte(), RID: int32(d.Varint()), Len: int32(d.Varint())}
+			return p, d.Err()
+		})
 	spill.RegisterValue(42, Record{},
 		func(buf []byte, v any) []byte {
 			t := v.(Record)

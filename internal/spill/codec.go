@@ -442,9 +442,10 @@ func (d *Dec) Record() (key string, v any) {
 
 // U32s consumes a count-prefixed []uint32 written by AppendU32s. Returns a
 // non-nil empty slice for a zero count, matching an encoded empty slice.
+// The count is compared by division: 4*n wraps for n ≥ 2^62.
 func (d *Dec) U32s() []uint32 {
 	n := d.Uvarint()
-	if d.err != nil || uint64(len(d.b)) < 4*n {
+	if d.err != nil || n > uint64(len(d.b))/4 {
 		d.fail()
 		return nil
 	}
@@ -459,7 +460,7 @@ func (d *Dec) U32s() []uint32 {
 // I32s consumes a count-prefixed []int32 written by AppendI32s.
 func (d *Dec) I32s() []int32 {
 	n := d.Uvarint()
-	if d.err != nil || uint64(len(d.b)) < 4*n {
+	if d.err != nil || n > uint64(len(d.b))/4 {
 		d.fail()
 		return nil
 	}

@@ -2,6 +2,7 @@ package spill
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -28,6 +29,9 @@ func FuzzValueCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{200})
 	f.Add([]byte{tagU32Slice, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// A count of 2^62: four times it is 0 in uint64 arithmetic.
+	f.Add(binary.AppendUvarint([]byte{tagU32Slice}, 1<<62))
+	f.Add(binary.AppendUvarint([]byte{tagI32Slice}, 1<<62))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		v, err := decodeValue(frame)
 		if err != nil {

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -100,6 +101,19 @@ func TestCodecRoundTripBuiltins(t *testing.T) {
 }
 
 type unregistered struct{ n int }
+
+// TestCodecSliceCountOverflow: a slice count of 2^62 or more, whose byte
+// size wraps to a small number, is a decode error and not a makeslice panic.
+func TestCodecSliceCountOverflow(t *testing.T) {
+	for _, tag := range []byte{tagU32Slice, tagI32Slice} {
+		for _, n := range []uint64{1 << 62, 1<<62 + 1, 1 << 63, 1<<64 - 1} {
+			frame := append(binary.AppendUvarint([]byte{tag}, n), 1, 2, 3, 4)
+			if v, err := DecodeEncoded(frame); err == nil {
+				t.Fatalf("tag %d count %d decoded to %v", tag, n, v)
+			}
+		}
+	}
+}
 
 func TestCodecUnregisteredType(t *testing.T) {
 	if Encodable(unregistered{1}) {

@@ -5,6 +5,7 @@ import (
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/result"
+	"fsjoin/internal/rsinput"
 )
 
 // fakeCtxRun exercises the non-fold Reduce paths directly through a tiny
@@ -56,7 +57,7 @@ func TestPlainReducePathsEquivalent(t *testing.T) {
 }
 
 func TestPostingSizes(t *testing.T) {
-	if (posting{}).SizeBytes() != 9 || (result.Overlap{}).SizeBytes() != 12 {
+	if (rsinput.Posting{}).SizeBytes() != 9 || (result.Overlap{}).SizeBytes() != 12 {
 		t.Fatal("wire sizes changed")
 	}
 }

@@ -60,18 +60,6 @@ type Result struct {
 	Pipeline *mapreduce.Pipeline
 }
 
-// posting is one inverted-list entry: rid, record length and origin
-// relation (0 = R/self, 1 = S). The origin tag — not rid inequality —
-// decides pairability in R-S mode, because R and S rid spaces may overlap.
-type posting struct {
-	rid    int32
-	l      int32
-	origin uint8
-}
-
-// SizeBytes implements mapreduce.Sized.
-func (posting) SizeBytes() int { return 9 }
-
 // SelfJoin runs the two-phase Online-Aggregation pipeline.
 func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	return run(c, nil, opt)
@@ -117,7 +105,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 			tr := kv.Value.(rsinput.Record)
 			for _, t := range tr.Rec.Tokens {
 				ctx.Emit(mapreduce.U32Key(t),
-					posting{rid: tr.Rec.RID, l: int32(tr.Rec.Len()), origin: tr.Origin})
+					rsinput.Posting{RID: tr.Rec.RID, Len: int32(tr.Rec.Len()), Origin: tr.Origin})
 			}
 		}),
 		&pairEnumerator{budget: opt.MaxPairEmits, rs: rs})
@@ -156,25 +144,25 @@ type pairEnumerator struct {
 
 // Reduce implements mapreduce.Reducer.
 func (e *pairEnumerator) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	ps := make([]posting, len(values))
+	ps := make([]rsinput.Posting, len(values))
 	for i, v := range values {
-		ps[i] = v.(posting)
+		ps[i] = v.(rsinput.Posting)
 	}
 	for i := range ps {
 		for j := i + 1; j < len(ps); j++ {
 			a, b := ps[i], ps[j]
 			if e.rs {
-				if a.origin == b.origin {
+				if a.Origin == b.Origin {
 					continue
 				}
-				if a.origin != 0 {
+				if a.Origin != 0 {
 					a, b = b, a
 				}
 			} else {
-				if a.rid == b.rid {
+				if a.RID == b.RID {
 					continue
 				}
-				if a.rid > b.rid {
+				if a.RID > b.RID {
 					a, b = b, a
 				}
 			}
@@ -183,8 +171,8 @@ func (e *pairEnumerator) Reduce(ctx *mapreduce.Context, key string, values []any
 				continue
 			}
 			ctx.Inc("vsmart.pair.emits", 1)
-			ctx.Emit(mapreduce.PairKey(uint32(a.rid), uint32(b.rid)),
-				result.Overlap{C: 1, La: a.l, Lb: b.l})
+			ctx.Emit(mapreduce.PairKey(uint32(a.RID), uint32(b.RID)),
+				result.Overlap{C: 1, La: a.Len, Lb: b.Len})
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"fsjoin/internal/frame"
 	"fsjoin/internal/mapreduce"
 )
 
@@ -216,7 +217,7 @@ func TestResumeAfterMidStageKill(t *testing.T) {
 		t.Fatal("injected crash did not fail the join")
 	}
 	// The "mid-stage" part: a partial write the dying stage left behind.
-	tmp := filepath.Join(dir, ".tmp-ckpt-partial")
+	tmp := filepath.Join(dir, frame.TempPrefix+"partial")
 	if err := os.WriteFile(tmp, []byte("torn stage output"), 0o600); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"fsjoin/internal/checkpoint"
+	"fsjoin/internal/frame"
 	"fsjoin/internal/sched"
 )
 
@@ -590,7 +590,7 @@ func (s *Server) sweep() error {
 		}
 	}
 	if s.opt.CheckpointRoot != "" {
-		if err := checkpoint.SweepTemps(s.opt.CheckpointRoot); err != nil && firstErr == nil {
+		if err := frame.SweepTemps(s.opt.CheckpointRoot, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fsjoin/internal/frame"
 )
 
 // servingCorpusOpts builds the mixed-algorithm chaos workload the serving
@@ -326,7 +328,7 @@ func TestServerShutdownDrainsAndSweeps(t *testing.T) {
 	}
 	// Plant a stray checkpoint temp file, as a writer killed mid-save
 	// would leave.
-	stray := filepath.Join(ckptRoot, "durable-one", ".tmp-ckpt-stray")
+	stray := filepath.Join(ckptRoot, "durable-one", frame.TempPrefix+"stray")
 	if err := os.WriteFile(stray, []byte("partial"), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +361,7 @@ func TestServerShutdownDrainsAndSweeps(t *testing.T) {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		if strings.HasPrefix(d.Name(), ".tmp-ckpt-") {
+		if strings.HasPrefix(d.Name(), frame.TempPrefix) {
 			t.Errorf("checkpoint temp survived shutdown: %s", path)
 		} else {
 			durable++
