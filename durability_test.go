@@ -15,6 +15,7 @@ import (
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/probeindex"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 )
 
 // TestDurableIndexRoundTrip drives the public durability API end to end:
@@ -260,7 +261,7 @@ func TestPreviousFormatsRefused(t *testing.T) {
 			if _, err := jt.MapMeta(0); err == nil || !strings.Contains(err.Error(), "no valid frame") {
 				t.Fatalf("MapMeta = %v, want an invalid generation", err)
 			}
-			if _, err := jt.FetchPartition(0, 0, func(string, any, int64) {}); err == nil {
+			if _, err := jt.FetchPartition(0, 0, new(spill.Records)); err == nil {
 				t.Fatal("FetchPartition served a frame of the previous format")
 			}
 		}},

@@ -339,9 +339,9 @@ func (j *fsJob) validateFrame(path string, kind byte, t int) (*fsFrame, error) {
 
 // FetchPartition implements JobTransport: the partition's sections are
 // re-read from the committed frame, checksum-verified, decoded through the
-// spill codec and emitted with byte accounting recomputed by the engine's
+// spill codec and stored with byte accounting recomputed by the engine's
 // size function — identical to what the in-memory sink reports.
-func (j *fsJob) FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (int, error) {
+func (j *fsJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
 	fr, err := j.frame(fsKindMap, t)
 	if err != nil {
 		return 0, err
@@ -349,26 +349,17 @@ func (j *fsJob) FetchPartition(t, r int, emit func(key string, value any, bytes 
 	if r < 0 || r >= len(fr.parts) {
 		return 0, fmt.Errorf("transport: partition %d out of range", r)
 	}
-	if err := emitBlob(fr, r, emit); err != nil {
+	if err := emitBlob(fr, r, func(key string, v any) {
+		dst.Append(key, v, int64(kvBytes(KV{Key: key, Value: v})))
+	}); err != nil {
 		return 0, fmt.Errorf("transport: task %d partition %d: %w", t, r, err)
 	}
 	return int(fr.parts[r].ways), nil
 }
 
-// PartitionRecords implements JobTransport from the frame's index.
-func (j *fsJob) PartitionRecords(t, r int) int {
-	fr, err := j.frame(fsKindMap, t)
-	if err != nil || r < 0 || r >= len(fr.parts) {
-		return 0
-	}
-	return int(fr.parts[r].count)
-}
-
 // emitBlob reads one partition's sections again and streams its records.
-func emitBlob(fr *fsFrame, r int, emit func(key string, value any, bytes int64)) error {
-	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, func(key string, v any) {
-		emit(key, v, int64(len(key)+sizeOf(v))+8)
-	})
+func emitBlob(fr *fsFrame, r int, emit func(key string, value any)) error {
+	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, emit)
 	if err == nil && got != fr.parts[r].count {
 		err = fmt.Errorf("%d records, index says %d", got, fr.parts[r].count)
 	}
@@ -422,7 +413,7 @@ func (j *fsJob) FetchOutput(t int) (*spill.List[KV], TaskMeta, error) {
 		return nil, TaskMeta{}, err
 	}
 	out := new(spill.List[KV])
-	if err := emitBlob(fr, 0, func(key string, v any, _ int64) {
+	if err := emitBlob(fr, 0, func(key string, v any) {
 		out.Append(KV{Key: key, Value: v})
 	}); err != nil {
 		return nil, TaskMeta{}, fmt.Errorf("transport: output %d: %w", t, err)

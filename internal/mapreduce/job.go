@@ -57,6 +57,20 @@ type Folder interface {
 	Fold(acc, v any) any
 }
 
+// TypedFolder is the unboxed form a Folder over values of one pointer-free
+// type T may offer besides Fold. The shuffle keeps such values in a []T
+// (spill.RegisterColumn) and, given the method, adds a key's values in
+// place, map side and reduce side, where Fold would box the accumulator
+// and both operands of every addition. FoldTyped must compute what Fold
+// computes and leave the accumulator's accounted size as it was. The
+// engine finds the method by its name and signature; a fold that keeps its
+// first value for every T (FirstValue) says so with a KeepsFirst() method
+// instead.
+type TypedFolder[T any] interface {
+	Folder
+	FoldTyped(acc *T, v T)
+}
+
 // FoldingReducer is the reduce-side fast path of the same fold: when the
 // job's reducer implements it, the shuffle folds each key's values as they
 // arrive instead of building per-key value lists, and the reduce phase
@@ -82,6 +96,10 @@ func (FirstValue) Reduce(ctx *Context, key string, values []any) { ctx.Emit(key,
 
 // Fold implements Folder by keeping the first value.
 func (FirstValue) Fold(acc, v any) any { return acc }
+
+// KeepsFirst is the fold unboxed, for values of any type: there is nothing
+// to do.
+func (FirstValue) KeepsFirst() {}
 
 // FinishFold implements FoldingReducer.
 func (FirstValue) FinishFold(ctx *Context, key string, acc any) { ctx.Emit(key, acc) }
@@ -606,16 +624,16 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) (CommitInfo, error) {
 		tc.Max(CounterSpillMergeWays, int64(in.maxWays))
 	}
 	start := time.Now()
-	ctx, err := attempts(env, tc, PhaseReduce, t, in.keys, env.reduceKeys(in),
+	ctx, err := attempts(env, tc, PhaseReduce, t, in.Keys, env.reduceKeys(in),
 		func(key string) (string, any) { return key, nil })
 	if err != nil {
 		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
 	}
 	meta := TaskMeta{
-		Records: in.recs, Bytes: in.bytes, Groups: int64(len(in.keys)),
+		Records: in.recs, Bytes: in.bytes, Groups: int64(len(in.Keys)),
 		TaskNanos: int64(time.Since(start)),
 	}
-	for _, b := range in.gBytes {
+	for _, b := range in.Sizes {
 		meta.GroupSpillNanos += int64(env.cl.groupSpillTime(b))
 	}
 	info, err := env.commitOutput(jt, "reduce", t, ctx, tc, meta)
@@ -736,107 +754,44 @@ func (env *jobEnv) finishMapTask(counters *Counters, ctx *Context) spill.Stats {
 	return st
 }
 
-// reduceInput is one reduce task's input as a key-ordered stream cut into
-// groups: group g has key keys[g], accounted bytes gBytes[g] and, for a
-// plain reducer, the values vals[starts[g]:starts[g+1]] in map-task then
-// emission order. A folding reducer's vals holds one folded accumulator
-// per group and starts is nil.
+// reduceInput is one reduce task's input: the records it fetched, cut into
+// key groups in key order. A plain reducer's group holds its values in
+// map-task then emission order; a folding reducer's holds one folded
+// accumulator.
 type reduceInput struct {
-	keys    []string
-	vals    []any
-	starts  []int32
-	gBytes  []int64
+	*spill.Groups
 	maxWays int
 	recs    int64
 	bytes   int64
 }
 
-// values returns group g's value list, its capacity capped so a reducer
-// that appends to it cannot write into the next group.
-func (in *reduceInput) values(g int) []any {
-	return in.vals[in.starts[g]:in.starts[g+1]:in.starts[g+1]]
-}
-
-// fetched is one shuffle record as a reduce task received it.
-type fetched struct {
-	key   string
-	val   any
-	bytes int64
-}
-
-// fetchReduceInput pulls reduce task t's partition from every map task in
-// map-task order, sorts an index over the fetched records — built in
-// arrival order, as spill.SortIndex wants it — by (key, arrival) and sweeps
-// it once, cutting a group wherever the key changes. Whether a
+// fetchReduceInput pulls reduce task t's partition from every map task, in
+// map-task order, into one set of columns and groups it by key. Whether a
 // map task's partition arrives in emission order (in memory) or as the
-// key-sorted merge of its runs (spilled), the sweep sees the same stream:
-// arrival order within one key is map-task then emission order either
-// way. Guarded so a panicking Fold aborts the task, not the process.
+// key-sorted merge of its runs (spilled), the grouping sees the same
+// stream: arrival order within one key is map-task then emission order
+// either way. Guarded so a panicking Fold aborts the task, not the process.
 func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error) {
 	in := &reduceInput{}
 	if gerr := guard(func() {
-		// The transport knows how many records each partition holds, so
-		// the records and their sort index are allocated once.
-		hint := 0
+		var recs spill.Records
 		for mt := 0; mt < env.mapTasks; mt++ {
-			hint += jt.PartitionRecords(mt, t)
+			ways, err := jt.FetchPartition(mt, t, &recs)
+			if err != nil {
+				panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
+			}
+			in.maxWays = max(in.maxWays, ways)
 		}
-		if err := spill.Indexable(hint); err != nil {
+		in.recs, in.bytes = int64(recs.Len()), recs.Bytes()
+		var fold func(acc, v any) any
+		if env.folding {
+			fold = env.foldingReducer.Fold
+		}
+		groups, err := recs.Group(fold, env.foldingReducer)
+		if err != nil {
 			panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
 		}
-		recs := make([]fetched, 0, hint)
-		idx := make([]spill.KeyIndex, 0, hint)
-		for mt := 0; mt < env.mapTasks; mt++ {
-			ways, derr := jt.FetchPartition(mt, t, func(key string, value any, b int64) {
-				idx = append(idx, spill.MakeKeyIndex(key, len(recs)))
-				recs = append(recs, fetched{key, value, b})
-				in.bytes += b
-			})
-			if derr != nil {
-				panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", derr)})
-			}
-			if ways > in.maxWays {
-				in.maxWays = ways
-			}
-		}
-		n := len(recs)
-		in.recs = int64(n)
-		key := func(pos int32) string { return recs[pos].key }
-		spill.SortIndex(idx, key)
-
-		// starts[g] is where group g begins in idx; found on the index
-		// alone so the group arrays below are allocated at their size.
-		starts := make([]int32, 0, n+1)
-		for i := range idx {
-			if i == 0 || spill.CompareKeys(idx[i-1], idx[i], key) != 0 {
-				starts = append(starts, int32(i))
-			}
-		}
-		groups := len(starts)
-		starts = append(starts, int32(n))
-		in.keys = make([]string, groups)
-		in.gBytes = make([]int64, groups)
-		if env.folding {
-			in.vals = make([]any, groups)
-		} else {
-			in.vals = make([]any, n)
-			in.starts = starts
-		}
-		for g := 0; g < groups; g++ {
-			for i := starts[g]; i < starts[g+1]; i++ {
-				r := &recs[idx[i].Pos]
-				in.gBytes[g] += r.bytes
-				switch {
-				case !env.folding:
-					in.vals[i] = r.val
-				case i == starts[g]:
-					in.vals[g] = r.val
-				default:
-					in.vals[g] = env.foldingReducer.Fold(in.vals[g], r.val)
-				}
-			}
-			in.keys[g] = recs[idx[starts[g]].Pos].key
-		}
+		in.Groups = groups
 	}); gerr != nil {
 		return nil, gerr
 	}
@@ -844,7 +799,7 @@ func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error
 }
 
 // reduceKeys returns a reduce task's body over fetched input: the reducer
-// run over one key slice — in.keys itself, or in skip mode what is left of
+// run over one key slice — in.Keys itself, or in skip mode what is left of
 // it after quarantining.
 func (env *jobEnv) reduceKeys(in *reduceInput) taskBody[string] {
 	reducer := env.reducer
@@ -855,8 +810,8 @@ func (env *jobEnv) reduceKeys(in *reduceInput) taskBody[string] {
 		for i, k := range ks {
 			// After quarantining the group is found by search.
 			g := i
-			if in.keys[g] != k {
-				g, _ = slices.BinarySearch(in.keys, k)
+			if in.Keys[g] != k {
+				g, _ = slices.BinarySearch(in.Keys, k)
 			}
 			ctx.CheckCancel()
 			if f.Kind == FaultRecordPanic && i == f.Record {
@@ -866,9 +821,9 @@ func (env *jobEnv) reduceKeys(in *reduceInput) taskBody[string] {
 				panic(f.Msg)
 			}
 			if env.folding {
-				env.foldingReducer.FinishFold(ctx, k, in.vals[g])
+				env.foldingReducer.FinishFold(ctx, k, in.Acc(g))
 			} else {
-				reducer.Reduce(ctx, k, in.values(g))
+				reducer.Reduce(ctx, k, in.Values(g))
 			}
 		}
 		if c, ok := reducer.(Cleanupper); ok {

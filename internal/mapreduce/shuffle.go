@@ -35,7 +35,7 @@ func newShuffleSink(part func(string, int) int, reducers int, folder Folder, bud
 		Cancel: cancel,
 	}
 	if folder != nil {
-		sc.Fold = folder.Fold
+		sc.Fold, sc.TypedFold = folder.Fold, folder
 	}
 	return &shuffleSink{part: part, reducers: reducers, buf: spill.NewBuffer(sc)}
 }

@@ -126,13 +126,10 @@ type JobTransport interface {
 	// generation, simulating (or performing) a reassigned execution's
 	// duplicate delivery.
 	Redeliver(t int) (CommitInfo, error)
-	// FetchPartition streams map task t's partition r in committed order,
-	// reporting the merge fan-in that produced it (spill accounting).
-	FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (ways int, err error)
-	// PartitionRecords returns how many records FetchPartition(t, r) will
-	// emit at most — what a reduce task sizes its input by — or 0 when the
-	// partition cannot be read (FetchPartition then reports why).
-	PartitionRecords(t, r int) int
+	// FetchPartition appends map task t's partition r to dst in committed
+	// order, each record with its accounted size, and reports the merge
+	// fan-in that produced it (spill accounting).
+	FetchPartition(t, r int, dst *spill.Records) (ways int, err error)
 	// ReleasePartition reclaims partition (t, r) once a reduce task has
 	// consumed it. Transports that must keep partitions for possible
 	// redelivery treat it as a no-op.
@@ -205,13 +202,11 @@ func (j *memJob) Redeliver(t int) (CommitInfo, error) {
 	return CommitInfo{Redelivered: true, Partitions: j.reducers}, nil
 }
 
-// FetchPartition implements JobTransport.
-func (j *memJob) FetchPartition(t, r int, emit func(key string, value any, bytes int64)) (int, error) {
-	return j.maps[t].sink.drain(r, emit)
+// FetchPartition implements JobTransport: a partition still in memory is
+// handed over column by column.
+func (j *memJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
+	return j.maps[t].sink.buf.DrainTo(r, dst)
 }
-
-// PartitionRecords implements JobTransport.
-func (j *memJob) PartitionRecords(t, r int) int { return j.maps[t].sink.buf.PartitionRecords(r) }
 
 // ReleasePartition implements JobTransport.
 func (j *memJob) ReleasePartition(t, r int) { j.maps[t].sink.release(r) }

@@ -252,6 +252,19 @@ func replaceIndex(tb testing.TB, path string, index []byte) {
 	}
 }
 
+// fetchEach fetches one partition and replays it record by record.
+func fetchEach(jt JobTransport, t, r int, emit func(key string, v any, bytes int64)) (int, error) {
+	var recs spill.Records
+	ways, err := jt.FetchPartition(t, r, &recs)
+	if err == nil {
+		recs.Each(func(key string, v any, bytes int64) bool {
+			emit(key, v, bytes)
+			return true
+		})
+	}
+	return ways, err
+}
+
 // TestFSTransportCorruptFallback proves newest-complete-wins: when the
 // newest generation of a task's partitions is corrupt — in any of
 // frameCorruptions' ways — the fetch falls back to the previous complete
@@ -293,7 +306,7 @@ func TestFSTransportCorruptFallback(t *testing.T) {
 			jt2 := reopen()
 			var got []string
 			for r := 0; r < 2; r++ {
-				if _, err := jt2.FetchPartition(0, r, func(key string, v any, b int64) {
+				if _, err := fetchEach(jt2, 0, r, func(key string, v any, b int64) {
 					got = append(got, fmt.Sprintf("%s=%d", key, v.(int64)))
 				}); err != nil {
 					t.Fatalf("fetch after corruption: %v", err)
@@ -313,11 +326,8 @@ func TestFSTransportCorruptFallback(t *testing.T) {
 			if _, err := jt3.MapMeta(0); err == nil {
 				t.Fatal("MapMeta served a task with no valid generation")
 			}
-			if _, err := jt3.FetchPartition(0, 0, func(string, any, int64) {}); err == nil {
+			if _, err := jt3.FetchPartition(0, 0, new(spill.Records)); err == nil {
 				t.Fatal("FetchPartition served a task with no valid generation")
-			}
-			if n := jt3.PartitionRecords(0, 0); n != 0 {
-				t.Fatalf("PartitionRecords = %d for a task with no valid generation", n)
 			}
 		})
 	}
@@ -353,7 +363,7 @@ func TestFSTransportRecordLargerThanASection(t *testing.T) {
 		t.Helper()
 		var keys []string
 		for r := 0; r < 2; r++ {
-			_, err := jt.FetchPartition(0, r, func(key string, v any, _ int64) {
+			_, err := fetchEach(jt, 0, r, func(key string, v any, _ int64) {
 				keys = append(keys, key)
 				if got, _ := v.([]uint32); key == "0-long" && !slices.Equal(got, big) {
 					t.Fatal("the long record differs")
@@ -481,8 +491,7 @@ func FuzzFSFrame(f *testing.F) {
 		var got []KV
 		complete := true
 		for r := 0; r < spec.ReduceTasks; r++ {
-			jt.PartitionRecords(0, r)
-			if _, err := jt.FetchPartition(0, r, func(key string, v any, _ int64) {
+			if _, err := fetchEach(jt, 0, r, func(key string, v any, _ int64) {
 				got = append(got, KV{Key: key, Value: v})
 			}); err != nil {
 				complete = false
@@ -558,7 +567,7 @@ func TestFSTransportFingerprintRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jt2.FetchPartition(0, 0, func(string, any, int64) {}); err == nil {
+	if _, err := jt2.FetchPartition(0, 0, new(spill.Records)); err == nil {
 		t.Fatal("expected fingerprint/shape mismatch error")
 	} else if !strings.Contains(err.Error(), "fingerprint") && !strings.Contains(err.Error(), "no valid frame") {
 		t.Fatalf("unexpected error: %v", err)

@@ -10,6 +10,7 @@ import (
 // others are shared: rsinput.Posting, result.Candidate, order.RecordValue,
 // and the verify stage's output result.Scored. Tag 59.
 func init() {
+	spill.RegisterColumn[partner]()
 	spill.RegisterValue(59, partner(0),
 		func(buf []byte, v any) []byte {
 			return binary.AppendVarint(buf, int64(v.(partner)))

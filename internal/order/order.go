@@ -162,6 +162,11 @@ func (sumReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
 // Fold implements mapreduce.Folder.
 func (sumReducer) Fold(acc, v any) any { return acc.(int64) + v.(int64) }
 
+// FoldTyped implements mapreduce.TypedFolder.
+func (sumReducer) FoldTyped(acc *int64, v int64) { *acc += v }
+
+var _ mapreduce.TypedFolder[int64] = sumReducer{}
+
 // FinishFold implements mapreduce.FoldingReducer.
 func (sumReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) { ctx.Emit(key, acc) }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/testutil"
 	"fsjoin/internal/tokens"
 )
 
@@ -450,4 +451,14 @@ func BenchmarkOrderApply(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestSumReducerFoldsUnboxed: the ordering job's reducer adds the same
+// frequencies whether it is handed boxed counts or a []int64 to add into.
+func TestSumReducerFoldsUnboxed(t *testing.T) {
+	var input []mapreduce.KV
+	for i := uint32(0); i < 3000; i++ {
+		input = append(input, mapreduce.KV{Key: mapreduce.U32Key(i % 211), Value: int64(i%9 + 1)})
+	}
+	testutil.AssertTypedFoldAgrees(t, input, sumReducer{})
 }

@@ -41,6 +41,9 @@ func (Candidate) SizeBytes() int { return 0 }
 // values checkpointable (DESIGN.md §9). SumOverlaps' fold is pure addition
 // on C, so re-folding merged runs is exact. Tags 41, 51 and 54.
 func init() {
+	spill.RegisterColumn[Candidate]()
+	spill.RegisterColumn[Overlap]()
+	spill.RegisterColumn[Scored]()
 	spill.RegisterValue(51, Candidate{},
 		func(buf []byte, v any) []byte { return buf },
 		func(b []byte) (any, error) { return Candidate{}, nil })
@@ -85,11 +88,16 @@ func (s SumOverlaps) Reduce(ctx *mapreduce.Context, key string, values []any) {
 }
 
 // Fold implements mapreduce.Folder.
-func (SumOverlaps) Fold(acc, v any) any {
+func (s SumOverlaps) Fold(acc, v any) any {
 	a := acc.(Overlap)
-	a.C += v.(Overlap).C
+	s.FoldTyped(&a, v.(Overlap))
 	return a
 }
+
+// FoldTyped implements mapreduce.TypedFolder: the same addition, in place.
+func (SumOverlaps) FoldTyped(acc *Overlap, v Overlap) { acc.C += v.C }
+
+var _ mapreduce.TypedFolder[Overlap] = SumOverlaps{}
 
 // Pairs decodes a final job's output — pair keys carrying Overlap values,
 // which fn scores — into canonically sorted result pairs.

@@ -85,6 +85,7 @@ func appendTagged(kvs []mapreduce.KV, c *tokens.Collection, origin uint8) []mapr
 // checkpointable (DESIGN.md §9) and let ridpairs, vsmart and minhash
 // shuffle the values (DESIGN.md §8). Tags 42 and 46.
 func init() {
+	spill.RegisterColumn[Posting]()
 	spill.RegisterValue(46, Posting{},
 		func(buf []byte, v any) []byte {
 			p := v.(Posting)

@@ -43,6 +43,13 @@ type Config struct {
 	// constituent values — because the k-way merge re-folds keys whose
 	// records were split across runs.
 	Fold func(acc, v any) any
+	// TypedFold, when non-nil, is where the buffer looks for Fold's unboxed
+	// form once a partition's values sit in a []T column (RegisterColumn):
+	// a value with a method FoldTyped(acc *T, v T), or — for a fold that
+	// returns acc whatever v is — a method KeepsFirst(). Usually the value
+	// Fold is a method of. The unboxed fold must compute what Fold computes
+	// and leave Size(key, acc) as it was: the buffer does not ask again.
+	TypedFold any
 	// Size returns one record's accounted bytes; required. It must be a
 	// pure function of (key, value) so spilled records account identically
 	// after decode.
@@ -65,13 +72,6 @@ type Stats struct {
 	PeakBytes int64
 }
 
-type entry struct {
-	key    string
-	val    any
-	bytes  int64
-	pinned bool
-}
-
 var errClosed = errors.New("spill: buffer closed")
 
 // Buffer is a partitioned KV buffer with a memory budget. One task
@@ -81,7 +81,8 @@ var errClosed = errors.New("spill: buffer closed")
 // mutex covers exactly that pair.
 type Buffer struct {
 	cfg       Config
-	parts     []List[entry]
+	fold      folder
+	parts     []Records
 	slots     []slotTable // per-partition key -> position, Fold only
 	idx       []KeyIndex  // spill's sort index, reused across spills
 	mem       int64
@@ -106,7 +107,7 @@ func NewBuffer(cfg Config) *Buffer {
 	if cfg.Size == nil {
 		panic("spill: Config.Size is required")
 	}
-	b := &Buffer{cfg: cfg, parts: make([]List[entry], cfg.Parts)}
+	b := &Buffer{cfg: cfg, parts: make([]Records, cfg.Parts), fold: folder{boxed: cfg.Fold, typed: cfg.TypedFold}}
 	if cfg.Fold != nil {
 		b.slots = make([]slotTable, cfg.Parts)
 	}
@@ -119,31 +120,51 @@ func (b *Buffer) Add(part int, key string, v any) error {
 	if part < 0 || part >= len(b.parts) {
 		return fmt.Errorf("spill: partition %d out of range [0,%d)", part, len(b.parts))
 	}
+	r := &b.parts[part]
+	k := MakeKeyIndex(key, 0)
 	if b.slots != nil {
-		if i := b.slots[part].findOrAdd(&b.parts[part], key); i >= 0 {
-			e := b.parts[part].At(i)
-			if e.pinned {
-				b.pinnedMem -= e.bytes
-			}
-			e.val = b.cfg.Fold(e.val, v)
-			nb := b.cfg.Size(key, e.val)
-			b.mem += nb - e.bytes
-			e.bytes = nb
-			e.pinned = b.cfg.Budget > 0 && !Encodable(e.val)
-			if e.pinned {
-				b.pinnedMem += nb
-			}
+		i, err := b.slots[part].findOrAdd(r, k, key, r.Len())
+		if err != nil {
+			return err
+		}
+		if i >= 0 {
+			b.foldInto(r, i, key, v)
 			return b.checkBudget()
 		}
 	}
-	e := entry{key: key, val: v, bytes: b.cfg.Size(key, v)}
-	if b.cfg.Budget > 0 && !Encodable(v) {
-		e.pinned = true
-		b.pinnedMem += e.bytes
+	bytes := b.cfg.Size(key, v)
+	pinned := b.cfg.Budget > 0 && !Encodable(v)
+	if pinned {
+		b.pinnedMem += bytes
 	}
-	b.parts[part].Append(e)
-	b.mem += e.bytes
+	r.append(k, key, v, bytes, pinned)
+	b.mem += bytes
 	return b.checkBudget()
+}
+
+// foldInto folds v into the accumulator of record i of r, whose key is
+// key. Unboxed, the accumulator changes in place and is of the type and
+// size it was; through Fold it may come back as anything.
+func (b *Buffer) foldInto(r *Records, i int, key string, v any) {
+	if r.vals.fold(i, v, &b.fold) {
+		return
+	}
+	acc := b.fold.boxed(r.vals.at(i), v)
+	if !r.vals.set(i, acc) {
+		r.vals = r.vals.boxed()
+		r.vals.set(i, acc)
+	}
+	h := r.heads.At(i)
+	if h.pinned() {
+		b.pinnedMem -= h.bytes()
+	}
+	nb, pinned := b.cfg.Size(key, acc), b.cfg.Budget > 0 && !Encodable(acc)
+	b.mem += nb - h.bytes()
+	r.bytes += nb - h.bytes()
+	*h = makeHead(h.key(), nb, pinned)
+	if pinned {
+		b.pinnedMem += nb
+	}
 }
 
 func (b *Buffer) checkBudget() error {
@@ -184,19 +205,18 @@ func (b *Buffer) spill() error {
 		if l.Len() == 0 {
 			continue
 		}
-		idx, err := sortedIndex(l, b.idx[:0], false)
+		idx, err := l.sortedIndex(b.idx[:0], false)
 		if err != nil {
 			w.abort()
 			return err
 		}
 		b.idx = idx
 		for _, ix := range idx {
-			e := l.At(int(ix.Pos))
-			if err := w.add(p, e.key, e.val); err != nil {
+			if err := w.addAt(p, l, int(ix.Pos)); err != nil {
 				w.abort()
 				return err
 			}
-			written += e.bytes
+			written += l.heads.At(int(ix.Pos)).bytes()
 		}
 		b.keepPinned(p, l.Len()-len(idx))
 	}
@@ -211,44 +231,33 @@ func (b *Buffer) spill() error {
 	return nil
 }
 
-// sortedIndex appends to idx a key index over l's records — its pinned
-// ones only when asked — in record order, as SortIndex wants it, and sorts
-// it.
-func sortedIndex(l *List[entry], idx []KeyIndex, pinned bool) ([]KeyIndex, error) {
-	if err := Indexable(l.Len()); err != nil {
-		return nil, err
-	}
-	for i := 0; i < l.Len(); i++ {
-		if e := l.At(i); pinned || !e.pinned {
-			idx = append(idx, MakeKeyIndex(e.key, i))
-		}
-	}
-	SortIndex(idx, func(pos int32) string { return l.At(int(pos)).key })
-	return idx, nil
-}
-
 // keepPinned shrinks partition p to its pinned records, in order, and
 // re-points the partition's fold slots at them.
 func (b *Buffer) keepPinned(p, pinned int) {
 	l := &b.parts[p]
 	if pinned == 0 {
-		l.Reset()
+		l.reset()
 		if b.slots != nil {
 			b.slots[p].reset()
 		}
 		return
 	}
-	var kept List[entry]
+	var kept Records
 	var slots slotTable
 	for i := 0; kept.Len() < pinned; i++ {
-		e := l.At(i)
-		if !e.pinned {
+		h := l.heads.At(i)
+		if !h.pinned() {
 			continue
 		}
-		if b.slots != nil {
-			slots.findOrAdd(&kept, e.key)
+		k, key := h.key(), ""
+		if k.Len == 9 {
+			key = *l.long.At(i)
 		}
-		kept.Append(*e)
+		if b.slots != nil {
+			// Positions only shrink here, so the slot is never refused.
+			slots.findOrAdd(&kept, k, key, kept.Len())
+		}
+		kept.append(k, key, l.vals.at(i), h.bytes(), true)
 	}
 	*l = kept
 	if b.slots != nil {
@@ -264,6 +273,55 @@ func (b *Buffer) keepPinned(p, pinned int) {
 // exactly like the in-memory fast path. Concurrent Drains of distinct
 // partitions are safe.
 func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int, error) {
+	ways, err := b.merge(part, emit)
+	if ways != 0 || err != nil {
+		return ways, err
+	}
+	tail := &b.parts[part]
+	if tail.Len() == 0 {
+		return 0, nil
+	}
+	i := 0
+	tail.Each(func(key string, v any, bytes int64) bool {
+		if b.cfg.Cancel != nil && i&(cancelStride-1) == 0 {
+			err = b.cfg.Cancel()
+		}
+		i++
+		if err == nil {
+			emit(key, v, bytes)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// DrainTo is Drain into dst: a partition that never spilled is appended
+// column by column, without boxing a value or rebuilding a key.
+func (b *Buffer) DrainTo(part int, dst *Records) (int, error) {
+	ways, err := b.merge(part, dst.Append)
+	if ways != 0 || err != nil {
+		return ways, err
+	}
+	tail := &b.parts[part]
+	if tail.Len() == 0 {
+		return 0, nil
+	}
+	if b.cfg.Cancel != nil {
+		if err := b.cfg.Cancel(); err != nil {
+			return 0, err
+		}
+	}
+	dst.appendAll(tail)
+	return 1, nil
+}
+
+// merge replays a partition that spilled through the k-way merge and
+// returns its fan-in; 0 with no error means it never spilled, and nothing
+// was emitted.
+func (b *Buffer) merge(part int, emit func(key string, v any, bytes int64)) (int, error) {
 	tail := &b.parts[part]
 	var sources []mergeSource
 	for _, r := range b.runs {
@@ -272,28 +330,16 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 		}
 	}
 	if len(sources) == 0 {
-		for i := 0; i < tail.Len(); i++ {
-			if b.cfg.Cancel != nil && i&(cancelStride-1) == 0 {
-				if err := b.cfg.Cancel(); err != nil {
-					return 0, err
-				}
-			}
-			e := tail.At(i)
-			emit(e.key, e.val, e.bytes)
-		}
-		if tail.Len() == 0 {
-			return 0, nil
-		}
-		return 1, nil
+		return 0, nil
 	}
 	if tail.Len() > 0 {
 		// Concurrent drains of distinct partitions each need their own
 		// index, so this one is not the buffer's.
-		idx, err := sortedIndex(tail, make([]KeyIndex, 0, tail.Len()), true)
+		idx, err := tail.sortedIndex(make([]KeyIndex, 0, tail.Len()), true)
 		if err != nil {
 			return 0, err
 		}
-		sources = append(sources, &memSource{es: tail, idx: idx})
+		sources = append(sources, &memSource{rs: tail, idx: idx, keys: keyArena{n: len(idx)}})
 	}
 	err := kmerge(sources, b.cfg.Fold, b.cfg.Cancel, func(k string, v any) {
 		emit(k, v, b.cfg.Size(k, v))
@@ -301,31 +347,21 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 	return len(sources), err
 }
 
-// PartitionRecords returns how many records partition part holds in
-// memory and in runs: what Drain emits, or with a Fold an upper bound on
-// it (keys split across runs merge back into one record).
-func (b *Buffer) PartitionRecords(part int) int {
-	n := b.parts[part].Len()
-	for _, r := range b.runs {
-		n += int(r.segs[part].records)
-	}
-	return n
-}
-
-// Trim gives back the memory a buffer that spilled keeps for refilling.
-// The task calls it when it has added its last record: the buffer then
-// waits, possibly for the whole map phase, to be drained.
+// Trim gives back the memory a buffer that spilled keeps for refilling, and
+// the fold slots, which only Add reads. The task calls it when it has added
+// its last record: the buffer then waits, possibly for the whole map phase,
+// to be drained.
 func (b *Buffer) Trim() {
 	for p := range b.parts {
-		b.parts[p].Trim()
+		b.parts[p].trim()
 	}
-	b.idx = nil
+	b.idx, b.slots = nil, nil
 }
 
 // Release drops one fully consumed partition; when every partition has
 // been released the buffer closes itself, removing its spill files.
 func (b *Buffer) Release(part int) {
-	b.parts[part] = List[entry]{}
+	b.parts[part] = Records{}
 	if b.slots != nil {
 		b.slots[part] = slotTable{}
 	}

@@ -99,60 +99,75 @@ func Encodable(v any) bool {
 
 // appendValue appends tag + payload for v.
 func appendValue(buf []byte, v any) ([]byte, error) {
+	if out, ok := appendBuiltin(buf, v); ok {
+		return out, nil
+	}
+	return appendCustom(buf, v)
+}
+
+// appendBuiltin is appendValue for the builtin kinds; false for any other.
+// v goes nowhere from here, so a caller boxing a value for it does so on
+// its stack.
+func appendBuiltin(buf []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case nil:
-		return append(buf, tagNil), nil
+		return append(buf, tagNil), true
 	case bool:
 		if x {
-			return append(buf, tagTrue), nil
+			return append(buf, tagTrue), true
 		}
-		return append(buf, tagFalse), nil
+		return append(buf, tagFalse), true
 	case int:
-		return binary.AppendVarint(append(buf, tagInt), int64(x)), nil
+		return binary.AppendVarint(append(buf, tagInt), int64(x)), true
 	case int8:
-		return binary.AppendVarint(append(buf, tagInt8), int64(x)), nil
+		return binary.AppendVarint(append(buf, tagInt8), int64(x)), true
 	case int16:
-		return binary.AppendVarint(append(buf, tagInt16), int64(x)), nil
+		return binary.AppendVarint(append(buf, tagInt16), int64(x)), true
 	case int32:
-		return binary.AppendVarint(append(buf, tagInt32), int64(x)), nil
+		return binary.AppendVarint(append(buf, tagInt32), int64(x)), true
 	case int64:
-		return binary.AppendVarint(append(buf, tagInt64), x), nil
+		return binary.AppendVarint(append(buf, tagInt64), x), true
 	case uint:
-		return binary.AppendUvarint(append(buf, tagUint), uint64(x)), nil
+		return binary.AppendUvarint(append(buf, tagUint), uint64(x)), true
 	case uint8:
-		return binary.AppendUvarint(append(buf, tagUint8), uint64(x)), nil
+		return binary.AppendUvarint(append(buf, tagUint8), uint64(x)), true
 	case uint16:
-		return binary.AppendUvarint(append(buf, tagUint16), uint64(x)), nil
+		return binary.AppendUvarint(append(buf, tagUint16), uint64(x)), true
 	case uint32:
-		return binary.AppendUvarint(append(buf, tagUint32), uint64(x)), nil
+		return binary.AppendUvarint(append(buf, tagUint32), uint64(x)), true
 	case uint64:
-		return binary.AppendUvarint(append(buf, tagUint64), x), nil
+		return binary.AppendUvarint(append(buf, tagUint64), x), true
 	case float32:
-		return binary.LittleEndian.AppendUint32(append(buf, tagFloat32), math.Float32bits(x)), nil
+		return binary.LittleEndian.AppendUint32(append(buf, tagFloat32), math.Float32bits(x)), true
 	case float64:
-		return binary.LittleEndian.AppendUint64(append(buf, tagFloat64), math.Float64bits(x)), nil
+		return binary.LittleEndian.AppendUint64(append(buf, tagFloat64), math.Float64bits(x)), true
 	case string:
-		return append(append(buf, tagString), x...), nil
+		return append(append(buf, tagString), x...), true
 	case []byte:
-		return append(append(buf, tagBytes), x...), nil
+		return append(append(buf, tagBytes), x...), true
 	case []uint32:
-		return AppendU32s(append(buf, tagU32Slice), x), nil
+		return AppendU32s(append(buf, tagU32Slice), x), true
 	case []int32:
-		return AppendI32s(append(buf, tagI32Slice), x), nil
+		return AppendI32s(append(buf, tagI32Slice), x), true
 	case []int:
 		buf = binary.AppendUvarint(append(buf, tagIntSlice), uint64(len(x)))
 		for _, n := range x {
 			buf = binary.AppendVarint(buf, int64(n))
 		}
-		return buf, nil
+		return buf, true
 	case []string:
 		buf = binary.AppendUvarint(append(buf, tagStringSlice), uint64(len(x)))
 		for _, s := range x {
 			buf = binary.AppendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
 		}
-		return buf, nil
+		return buf, true
 	}
+	return buf, false
+}
+
+// appendCustom is appendValue for a registered type.
+func appendCustom(buf []byte, v any) ([]byte, error) {
 	e := codecsByType[reflect.TypeOf(v)]
 	if e == nil {
 		return nil, fmt.Errorf("spill: no codec registered for %T", v)
@@ -277,12 +292,17 @@ func AppendRecord(buf []byte, key string, v any) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
+	return frameValue(out, at), nil
+}
+
+// frameValue slides the length of the encoded value out[at:] in before it.
+func frameValue(out []byte, at int) []byte {
 	var prefix [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(prefix[:], uint64(len(out)-at))
 	out = append(out, prefix[:n]...)
 	copy(out[at+n:], out[at:])
 	copy(out[at:], prefix[:n])
-	return out, nil
+	return out
 }
 
 // ---- Helpers for custom codecs ----

@@ -73,23 +73,38 @@ func FuzzBufferMerge(f *testing.F) {
 	f.Add([]byte("aa1bb2aa3cc4"), uint8(3), uint16(64))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 201}, uint8(1), uint16(32))
 	f.Add(bytes.Repeat([]byte("xyzw"), 64), uint8(2), uint16(48))
+	// Every value an int64, held in its column, short keys and long.
+	f.Add(bytes.Repeat([]byte{3, 10, 17, 24, 31}, 40), uint8(4), uint16(100))
+	f.Add(bytes.Repeat([]byte{3 | 0x80, 10, 17 | 0x80, 24, 31 | 0x80}, 40), uint8(4), uint16(100))
+	// A partition whose values change type after a spill or two.
+	f.Add(append(bytes.Repeat([]byte{3, 10, 17}, 60), 0, 1, 2, 0x80, 0x81, 3), uint8(2), uint16(80))
 	f.Fuzz(func(t *testing.T, data []byte, nkeys uint8, budget uint16) {
 		keys := int(nkeys%16) + 1
 		// Decode the fuzz bytes into a KV stream: each byte contributes one
-		// record with a derived key and a varint-ish value.
+		// record. Its high bit makes the key longer than eight bytes; the
+		// byte modulo seven picks the value's type, mostly int64.
 		type kv struct {
 			key string
-			val int64
+			val any
 		}
 		var recs []kv
 		for i, c := range data {
 			if len(recs) >= 512 {
 				break
 			}
-			recs = append(recs, kv{
-				key: fmt.Sprintf("k%02d", int(c)%keys),
-				val: int64(i)<<8 | int64(c),
-			})
+			r := kv{key: fmt.Sprintf("k%02d", int(c)%keys), val: int64(i)<<8 | int64(c)}
+			if c&0x80 != 0 {
+				r.key += "-and-a-tail"
+			}
+			switch c % 7 {
+			case 0:
+				r.val = fmt.Sprint(r.val)
+			case 1:
+				r.val = uint32(i)
+			case 2:
+				r.val = nil
+			}
+			recs = append(recs, r)
 		}
 		bud := int64(budget%1024) + 16
 
@@ -101,7 +116,7 @@ func FuzzBufferMerge(f *testing.F) {
 			}
 		}
 		var gotKeys []string
-		got := make(map[string][]int64)
+		got := make(map[string][]any)
 		if _, err := b.Drain(0, func(k string, v any, sz int64) {
 			if sz != testSize(k, v) {
 				t.Fatalf("accounted size drifted: %d vs %d", sz, testSize(k, v))
@@ -109,14 +124,14 @@ func FuzzBufferMerge(f *testing.F) {
 			if vs, ok := got[k]; !ok || len(vs) == 0 {
 				gotKeys = append(gotKeys, k)
 			}
-			got[k] = append(got[k], v.(int64))
+			got[k] = append(got[k], v)
 		}); err != nil {
 			t.Fatal(err)
 		}
 
 		// Reference: group in arrival order, then sort keys — the in-memory
 		// shuffle contract after the reduce phase normalises key order.
-		want := make(map[string][]int64)
+		want := make(map[string][]any)
 		for _, r := range recs {
 			want[r.key] = append(want[r.key], r.val)
 		}
@@ -227,10 +242,15 @@ func FuzzKeyOrder(f *testing.F) {
 	f.Add([]byte("\x09abcdefghiabcdefghjabcdefgh\x00abcdefgh"))
 	f.Add([]byte{1, 0, 0, 1, 0, 255, 255, 0})
 	f.Add([]byte{})
+	// Keys of 0 to 11 bytes, so long ones beside short ones in one column
+	// set; an odd first byte mixes the value types too.
+	f.Add([]byte("\x0bthe quick brown fox jumps over the lazy dog, the quick brown fox"))
+	f.Add([]byte("\x0athe quick brown fox jumps over the lazy dog, the quick brown fox"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
+		mixed := data[0]%2 == 1
 		// Key lengths cycle 0..step, so every run has empty, short,
 		// 8-byte-boundary and long keys over the same byte pool.
 		step := int(data[0])%12 + 1
@@ -242,5 +262,6 @@ func FuzzKeyOrder(f *testing.F) {
 			data = data[max(l, 1):]
 		}
 		checkKeyOrder(t, keys)
+		checkGroupOrder(t, keys, mixed)
 	})
 }

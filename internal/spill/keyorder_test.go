@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -39,6 +40,35 @@ func checkKeyOrder(t *testing.T, keys []string) {
 	}
 }
 
+// checkGroupOrder holds Records.Group — keys stored inline or in the side
+// list, values in a typed column or, when mixed, boxed — to the same oracle:
+// distinct keys in key order, each with its values in record order.
+func checkGroupOrder(t *testing.T, keys []string, mixed bool) {
+	t.Helper()
+	var recs Records
+	want := map[string][]any{}
+	for i, k := range keys {
+		var v any = int64(i)
+		if mixed && i%5 == 4 {
+			v = fmt.Sprint(i)
+		}
+		recs.Append(k, v, int64(len(k)))
+		want[k] = append(want[k], v)
+	}
+	g, err := recs.Group(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Keys) != len(want) || !sort.StringsAreSorted(g.Keys) {
+		t.Fatalf("%d groups %q, want the %d distinct keys in order", len(g.Keys), g.Keys, len(want))
+	}
+	for i, k := range g.Keys {
+		if vs := g.Values(i); !reflect.DeepEqual(vs, want[k]) || g.Sizes[i] != int64(len(k)*len(vs)) {
+			t.Fatalf("group %q: values %v of %d bytes, want %v", k, vs, g.Sizes[i], want[k])
+		}
+	}
+}
+
 // sortIndexCases are small key sets around every boundary of the
 // abbreviated comparison.
 func sortIndexCases() map[string][]string {
@@ -59,7 +89,11 @@ func sortIndexCases() map[string][]string {
 
 func TestSortIndexMatchesStableSort(t *testing.T) {
 	for name, keys := range sortIndexCases() {
-		t.Run(name, func(t *testing.T) { checkKeyOrder(t, keys) })
+		t.Run(name, func(t *testing.T) {
+			checkKeyOrder(t, keys)
+			checkGroupOrder(t, keys, false)
+			checkGroupOrder(t, keys, true)
+		})
 		// The same keys again as a large index: every key many times over,
 		// copies of one key never adjacent.
 		t.Run(name+" x10000", func(t *testing.T) {

@@ -41,10 +41,25 @@ func (l *List[T]) Len() int { return l.n }
 func (l *List[T]) Append(v T) {
 	k, off := locate(l.n)
 	if k == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]T, firstChunk<<min(k, maxShift-firstShift)))
+		l.grow(k)
 	}
 	l.chunks[k][off] = v
 	l.n++
+}
+
+// grow allocates chunk k, the next one. The chunk table starts with room
+// for four: a list of up to 120 records allocates it once.
+func (l *List[T]) grow(k int) {
+	if l.chunks == nil {
+		l.chunks = make([][]T, 0, 4)
+	}
+	l.chunks = append(l.chunks, make([]T, firstChunk<<min(k, maxShift-firstShift)))
+}
+
+// seed gives an empty list its chunk table and first chunk out of memory the
+// caller allocated along with something else.
+func (l *List[T]) seed(table [][]T, first *[firstChunk]T) {
+	l.chunks = append(table[:0], first[:])
 }
 
 // At returns the record at position i, which must be in [0, Len()).
@@ -72,6 +87,25 @@ func (l *List[T]) Trim() {
 	}
 	clear(l.chunks[used:])
 	l.chunks = l.chunks[:used]
+}
+
+// AppendList stores src's records, in position order, after the list's own:
+// a copy per chunk, not per record.
+func (l *List[T]) AppendList(src *List[T]) {
+	left := src.n
+	for _, c := range src.chunks {
+		c = c[:min(left, len(c))]
+		left -= len(c)
+		for len(c) > 0 {
+			k, off := locate(l.n)
+			if k == len(l.chunks) {
+				l.grow(k)
+			}
+			n := copy(l.chunks[k][off:], c)
+			l.n += n
+			c = c[n:]
+		}
+	}
 }
 
 // AppendTo appends every record, in position order, to dst.

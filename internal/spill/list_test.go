@@ -156,11 +156,11 @@ func TestBufferSpillKeepsPinnedSlots(t *testing.T) {
 		// The drain below would re-fold a split key, so look inside.
 		l, pinned := &b.parts[0], 0
 		for i := 0; i < l.Len(); i++ {
-			e := l.At(i)
-			if at := b.slots[0].findOrAdd(l, e.key); at != i {
-				t.Fatalf("round %d: slot of %s is %d, record is at %d", round, e.key, at, i)
+			key := l.key(i, &keyArena{n: 1})
+			if at, err := b.slots[0].findOrAdd(l, MakeKeyIndex(key, 0), key, l.Len()); at != i || err != nil {
+				t.Fatalf("round %d: slot of %s is %d (%v), record is at %d", round, key, at, err, i)
 			}
-			if e.pinned {
+			if l.heads.At(i).pinned() {
 				pinned++
 			}
 		}

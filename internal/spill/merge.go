@@ -13,18 +13,19 @@ type mergeSource interface {
 // memSource drains a buffer's in-memory tail in the order of its sorted
 // index.
 type memSource struct {
-	es  *List[entry]
-	idx []KeyIndex
-	i   int
+	rs   *Records
+	idx  []KeyIndex
+	keys keyArena
+	i    int
 }
 
 func (s *memSource) next() (string, any, bool, error) {
 	if s.i >= len(s.idx) {
 		return "", nil, false, nil
 	}
-	e := s.es.At(int(s.idx[s.i].Pos))
+	pos := int(s.idx[s.i].Pos)
 	s.i++
-	return e.key, e.val, true, nil
+	return s.rs.key(pos, &s.keys), s.rs.vals.at(pos), true, nil
 }
 
 // mergeItem is one heap element: the head record of source src.

@@ -61,6 +61,20 @@ func (w *runWriter) add(p int, key string, v any) error {
 	if w.scratch, err = AppendRecord(w.scratch[:0], key, v); err != nil {
 		return err
 	}
+	return w.write(p)
+}
+
+// addAt appends record i of r to partition p, encoded out of its columns.
+func (w *runWriter) addAt(p int, r *Records, i int) error {
+	var err error
+	if w.scratch, err = r.appendRecord(w.scratch[:0], i); err != nil {
+		return err
+	}
+	return w.write(p)
+}
+
+// write appends the record in scratch to partition p.
+func (w *runWriter) write(p int) error {
 	n, err := w.w.Write(w.scratch)
 	if err != nil {
 		return err

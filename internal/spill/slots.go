@@ -3,54 +3,82 @@ package spill
 import "hash/maphash"
 
 // slotTable finds a record of one partition by key, for fold-at-emit: an
-// open-addressing table of record positions. It stores no keys — a probe
-// compares against the key the record already holds — so a slot costs four
-// bytes where a map[string]int entry costs a string header, an int and its
-// share of a bucket. The zero value is an empty table.
+// open-addressing table of (hash, position) slots. A probe compares hashes
+// in the table and confirms the one that matches against the partition's
+// key column — for a key of at most eight bytes two integers, no string —
+// and growing re-places the slots by the hash they hold, without reading a
+// record. The zero value is an empty table.
 type slotTable struct {
-	pos  []int32 // record position + 1, 0 = empty; len is a power of two
-	used int
+	slots []slot // len is a power of two
+	used  int
 }
 
-// slotSeed varies probe order between processes, never what a lookup
-// finds.
+// slot is one key's hash, of which the low bits are where its probe
+// starts, and where its record is.
+type slot struct {
+	hash uint32
+	pos  int32 // record position + 1, 0 = empty
+}
+
+// slotSeed varies the hash of long keys between processes, never what a
+// lookup finds.
 var slotSeed = maphash.MakeSeed()
 
-// findOrAdd returns the position of key's record in l; when there is none
-// it returns -1 and books the key at position l.Len(), where the caller
-// must append the record next.
-func (t *slotTable) findOrAdd(l *List[entry], key string) int {
-	if 2*(t.used+1) > len(t.pos) {
-		old := t.pos
-		t.pos = make([]int32, max(16, 2*len(old)))
-		for _, p := range old {
-			if p != 0 {
-				t.pos[t.probe(l, l.At(int(p-1)).key)] = p
+// slotHash hashes a key given in full and abbreviated.
+func slotHash(k KeyIndex, key string) uint32 {
+	if k.Len == 9 {
+		return uint32(maphash.String(slotSeed, key) >> 32)
+	}
+	// The finalizer of MurmurHash3: prefixes are packed integers that
+	// differ in a few low or high bytes, and every bit must reach the slot.
+	h := k.Prefix + uint64(k.Len)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return uint32(h >> 32)
+}
+
+// findOrAdd returns the position of key's record among the n records of
+// partition r, k being the key abbreviated; when there is none it returns
+// -1 and books the key at position n, where the caller must append the
+// record next. A position past what a slot — and a sort index — can hold is
+// refused.
+func (t *slotTable) findOrAdd(r *Records, k KeyIndex, key string, n int) (int, error) {
+	if 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]slot, max(16, 2*len(old)))
+		mask := uint32(len(t.slots) - 1)
+		for _, s := range old {
+			if s.pos != 0 {
+				i := s.hash & mask
+				for t.slots[i].pos != 0 {
+					i = (i + 1) & mask
+				}
+				t.slots[i] = s
 			}
 		}
 	}
-	i := t.probe(l, key)
-	if p := t.pos[i]; p != 0 {
-		return int(p - 1)
+	hash, mask := slotHash(k, key), uint32(len(t.slots)-1)
+	i := hash & mask
+	for ; t.slots[i].pos != 0; i = (i + 1) & mask {
+		if s := t.slots[i]; s.hash == hash {
+			if h := r.heads.At(int(s.pos - 1)); h.prefix == k.Prefix && h.len() == k.Len && (k.Len < 9 || r.longKey(s.pos-1) == key) {
+				return int(s.pos - 1), nil
+			}
+		}
 	}
-	t.pos[i] = int32(l.Len()) + 1
+	if err := Indexable(n + 1); err != nil {
+		return 0, err
+	}
+	t.slots[i] = slot{hash: hash, pos: int32(n) + 1}
 	t.used++
-	return -1
-}
-
-// probe returns the slot holding key's record, or the empty slot where it
-// belongs. The table always has an empty slot.
-func (t *slotTable) probe(l *List[entry], key string) uint64 {
-	mask := uint64(len(t.pos) - 1)
-	i := maphash.String(slotSeed, key) & mask
-	for t.pos[i] != 0 && l.At(int(t.pos[i]-1)).key != key {
-		i = (i + 1) & mask
-	}
-	return i
+	return -1, nil
 }
 
 // reset empties the table, keeping its memory.
 func (t *slotTable) reset() {
-	clear(t.pos)
+	clear(t.slots)
 	t.used = 0
 }

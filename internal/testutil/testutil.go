@@ -5,6 +5,7 @@ package testutil
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fsjoin/internal/mapreduce"
@@ -59,6 +60,47 @@ func AssertSameResults(t *testing.T, label string, got, want []result.Pair) {
 		t.Errorf("%s: got %d results, oracle %d; diffs:", label, len(g), len(w))
 		for _, d := range diffs {
 			t.Errorf("  %s", d)
+		}
+	}
+}
+
+// boxedOnly is a folding reducer with whatever unboxed fold it offers
+// hidden: only the FoldingReducer methods are promoted.
+type boxedOnly struct{ mapreduce.FoldingReducer }
+
+// AssertTypedFoldAgrees runs an identity job over input with fr as combiner
+// and folding reducer — unbounded, and under a budget that makes the map
+// tasks spill and the merge re-fold — twice: as given, so that the engine
+// folds through the unboxed form fr offers (FoldTyped or KeepsFirst), and
+// with that form hidden. Output, counters and the shuffle's metrics must
+// not tell the two apart.
+func AssertTypedFoldAgrees(t *testing.T, input []mapreduce.KV, fr mapreduce.FoldingReducer) {
+	t.Helper()
+	for _, budget := range []int64{-1, 512} {
+		run := func(fr mapreduce.FoldingReducer) *mapreduce.Result {
+			cfg := mapreduce.Config{Cluster: SmallCluster(), MapTasks: 4, ReduceTasks: 3,
+				MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Combiner: fr}
+			res, err := mapreduce.Run(cfg, input, mapreduce.IdentityMapper, fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		typed, boxed := run(fr), run(boxedOnly{fr})
+		if !reflect.DeepEqual(typed.Output, boxed.Output) {
+			t.Fatalf("budget %d: output differs:\nunboxed %v\nboxed   %v", budget, typed.Output, boxed.Output)
+		}
+		if ct, cb := typed.Counters.Snapshot(), boxed.Counters.Snapshot(); !reflect.DeepEqual(ct, cb) {
+			t.Fatalf("budget %d: counters differ:\nunboxed %v\nboxed   %v", budget, ct, cb)
+		}
+		mt, mb := typed.Metrics, boxed.Metrics
+		if mt.ShuffleRecords != mb.ShuffleRecords || mt.ShuffleBytes != mb.ShuffleBytes ||
+			mt.SpillRuns != mb.SpillRuns || mt.SpillBytes != mb.SpillBytes || mt.ShufflePeakBytes != mb.ShufflePeakBytes ||
+			!reflect.DeepEqual(mt.PerReduceBytes, mb.PerReduceBytes) || (budget > 0 && mt.SpillRuns == 0) {
+			t.Fatalf("budget %d: metrics differ:\nunboxed %+v\nboxed   %+v", budget, mt, mb)
+		}
+		if len(typed.Output) == 0 || int64(len(typed.Output)) == mt.ShuffleRecords {
+			t.Fatalf("budget %d: %d records folded into %d: nothing was folded on the reduce side", budget, mt.ShuffleRecords, len(typed.Output))
 		}
 	}
 }
