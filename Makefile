@@ -26,23 +26,17 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos' . ./internal/mapreduce/chaos/
 
-# fuzz smoke-runs each native fuzz target briefly; CI uses the same
-# budget. Longer runs: go test -fuzz=FuzzThresholdAlgebra ./internal/similarity/
+# fuzz smoke-runs every native fuzz target briefly; CI uses the same
+# budget. The targets are whatever `go test -list` finds, package by
+# package, so a new one cannot be left out. Longer runs:
+# go test -fuzz=FuzzThresholdAlgebra ./internal/similarity/
 fuzz:
-	$(GO) test -fuzz 'FuzzWordTokenizer' -fuzztime 10s ./internal/tokens/
-	$(GO) test -fuzz 'FuzzQGramTokenizer' -fuzztime 10s ./internal/tokens/
-	$(GO) test -fuzz 'FuzzThresholdAlgebra' -fuzztime 10s ./internal/similarity/
-	$(GO) test -fuzz 'FuzzValueCodec' -fuzztime 10s ./internal/spill/
-	$(GO) test -fuzz 'FuzzBufferMerge' -fuzztime 10s ./internal/spill/
-	$(GO) test -fuzz 'FuzzRunCodec' -fuzztime 10s ./internal/spill/
-	$(GO) test -fuzz 'FuzzKeyOrder' -fuzztime 10s ./internal/spill/
-	$(GO) test -fuzz 'FuzzBitmapSignature' -fuzztime 10s ./internal/filters/
-	$(GO) test -fuzz 'FuzzFrame' -fuzztime 10s ./internal/frame/
-	$(GO) test -fuzz 'FuzzFSFrame' -fuzztime 10s ./internal/mapreduce/
-	$(GO) test -fuzz 'FuzzIndexCodec' -fuzztime 10s ./internal/probeindex/
-	$(GO) test -fuzz 'FuzzWAL' -fuzztime 10s ./internal/probeindex/
-	$(GO) test -fuzz 'FuzzDecode' -fuzztime 10s ./internal/checkpoint/
-	$(GO) test -fuzz 'FuzzLoadViaStore' -fuzztime 10s ./internal/checkpoint/
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "$(GO) test -fuzz ^$$target\$$ -fuzztime 10s $$pkg"; \
+			$(GO) test -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # test-env runs the whole suite under the race detector with one
 # environment override, e.g. `make test-env ENV=FSJOIN_MEMORY_BUDGET=4096`.

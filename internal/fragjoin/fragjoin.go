@@ -31,6 +31,7 @@
 package fragjoin
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -39,6 +40,7 @@ import (
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/partition"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -90,6 +92,31 @@ type Seg struct {
 // SizeBytes implements mapreduce.Sized: rid + origin/role + three lengths +
 // tokens.
 func (s Seg) SizeBytes() int { return 4 + 2 + 12 + 4*len(s.Tokens) }
+
+// Seg's codec: the dominant shuffle value of the filtering job spills and
+// checkpoints through it (DESIGN.md §8).
+func init() {
+	spill.Register(spill.TagSeg, spill.Codec[Seg]{
+		Append: func(buf []byte, s Seg) []byte {
+			buf = binary.AppendVarint(buf, int64(s.RID))
+			buf = append(buf, s.Origin, byte(s.Role))
+			buf = binary.AppendVarint(buf, int64(s.StrLen))
+			buf = binary.AppendVarint(buf, int64(s.Head))
+			buf = binary.AppendVarint(buf, int64(s.Tail))
+			return spill.AppendU32s(buf, s.Tokens)
+		},
+		Read: func(d *spill.Dec) Seg {
+			s := Seg{RID: int32(d.Varint())}
+			s.Origin = d.Byte()
+			s.Role = partition.Role(d.Byte())
+			s.StrLen = int32(d.Varint())
+			s.Head = int32(d.Varint())
+			s.Tail = int32(d.Varint())
+			s.Tokens = d.U32s()
+			return s
+		},
+	})
+}
 
 // Meta converts the segment to the filters' view.
 func (s Seg) Meta() filters.SegMeta {

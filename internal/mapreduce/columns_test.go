@@ -10,21 +10,22 @@ import (
 	"fsjoin/internal/spill"
 )
 
-// wrappedCount is an int64 count in a type no column is registered for: a
-// job that shuffles it runs on the []any fallback where the same job over
-// int64 runs on a typed column. Same accounted size, and a codec, so the
-// two spill at the same records.
-type wrappedCount struct{ n int64 }
+// wrappedCount is an int64 count in a type that gets no column of its own,
+// for the pointer it carries: a job that shuffles it runs on the []any
+// fallback where the same job over int64 runs on a typed column. Same
+// accounted size, and a codec, so the two spill at the same records.
+type wrappedCount struct {
+	n int64
+	_ *struct{}
+}
 
 func (wrappedCount) SizeBytes() int { return 8 }
 
 func init() {
-	spill.RegisterValue(250, wrappedCount{},
-		func(buf []byte, v any) []byte { return binary.AppendVarint(buf, v.(wrappedCount).n) },
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			return wrappedCount{n: d.Varint()}, d.Err()
-		})
+	spill.Register(250, spill.Codec[wrappedCount]{
+		Append: func(buf []byte, v wrappedCount) []byte { return binary.AppendVarint(buf, v.n) },
+		Read:   func(d *spill.Dec) wrappedCount { return wrappedCount{n: d.Varint()} },
+	})
 }
 
 // columnJob emits counts under keys of every stored shape, as int64 or —
@@ -35,7 +36,7 @@ type columnJob struct{ wrap bool }
 
 func (j columnJob) count(n int64) any {
 	if j.wrap {
-		return wrappedCount{n}
+		return wrappedCount{n: n}
 	}
 	return n
 }
@@ -93,9 +94,9 @@ func (typedColumnJob) FoldTyped(acc *int64, v int64) {
 
 var unboxedFolds atomic.Int64
 
-// TestTypedAndBoxedColumnsAgree runs the same job over a registered value
-// type and over the same values wrapped in an unregistered one, which
-// forces the []any column. Output, counters and every metric that is not a
+// TestTypedAndBoxedColumnsAgree runs the same job over a pointer-free value
+// type and over the same values wrapped in a type that holds a pointer,
+// which forces the []any column. Output, counters and every metric that is not a
 // measured time must be identical, at every budget, transport and
 // parallelism — and identical across those too.
 func TestTypedAndBoxedColumnsAgree(t *testing.T) {

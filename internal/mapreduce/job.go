@@ -59,7 +59,7 @@ type Folder interface {
 
 // TypedFolder is the unboxed form a Folder over values of one pointer-free
 // type T may offer besides Fold. The shuffle keeps such values in a []T
-// (spill.RegisterColumn) and, given the method, adds a key's values in
+// (spill.Register) and, given the method, adds a key's values in
 // place, map side and reduce side, where Fold would box the accumulator
 // and both operands of every addition. FoldTyped must compute what Fold
 // computes and leave the accumulator's accounted size as it was. The

@@ -31,6 +31,7 @@ import (
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/result"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -116,6 +117,39 @@ type ridList struct {
 
 // SizeBytes implements mapreduce.Sized.
 func (l ridList) SizeBytes() int { return 4 * len(l.rids) }
+
+// The codecs of this package's own shuffle values (DESIGN.md §8); the others
+// are shared: result.Candidate, order.RecordValue, and the verify stage's
+// output result.Scored.
+func init() {
+	spill.Register(spill.TagSigEntry, spill.Codec[sigEntry]{
+		Append: func(buf []byte, e sigEntry) []byte {
+			buf = binary.AppendVarint(buf, int64(e.rid))
+			buf = binary.AppendVarint(buf, int64(e.l))
+			if e.probe {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+			for _, g := range e.light {
+				buf = binary.LittleEndian.AppendUint16(buf, g)
+			}
+			return buf
+		},
+		Read: func(d *spill.Dec) sigEntry {
+			e := sigEntry{rid: int32(d.Varint()), l: int32(d.Varint())}
+			e.probe = d.Bool()
+			for i := range e.light {
+				e.light[i] = d.U16()
+			}
+			return e
+		},
+	})
+	spill.Register(spill.TagRidList, spill.Codec[ridList]{
+		Append: func(buf []byte, l ridList) []byte { return spill.AppendI32s(buf, l.rids) },
+		Read:   func(d *spill.Dec) ridList { return ridList{rids: d.I32s()} },
+	})
+}
 
 // maxSymDiff returns K, the largest token-level symmetric difference a
 // similar pair of the given lengths may have: |s|+|t|−2·minOverlap.

@@ -25,6 +25,7 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -288,6 +289,16 @@ type partner int32
 
 // SizeBytes implements mapreduce.Sized.
 func (partner) SizeBytes() int { return 4 }
+
+// The codec of this package's own shuffle value (DESIGN.md §8); the others
+// are shared: rsinput.Posting, result.Candidate, order.RecordValue, and the
+// verify stage's output result.Scored.
+func init() {
+	spill.Register(spill.TagPartner, spill.Codec[partner]{
+		Append: func(buf []byte, p partner) []byte { return binary.AppendVarint(buf, int64(p)) },
+		Read:   func(d *spill.Dec) partner { return partner(d.Varint()) },
+	})
+}
 
 // verifier resolves candidate partners against its routed record and checks
 // the exact similarity. Like MassJoin's Merge, partner records are looked

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -132,6 +133,23 @@ type RecordValue struct{ Rec tokens.Record }
 
 // SizeBytes implements mapreduce.Sized.
 func (v RecordValue) SizeBytes() int { return 4 + 4*len(v.Rec.Tokens) }
+
+// RecordValue's codec makes the stages that take records as input
+// fingerprintable and their upstream outputs checkpointable (DESIGN.md §9),
+// and lets the stages that ship records spill them (DESIGN.md §8).
+func init() {
+	spill.Register(spill.TagRecordValue, spill.Codec[RecordValue]{
+		Append: func(buf []byte, r RecordValue) []byte {
+			buf = binary.AppendVarint(buf, int64(r.Rec.RID))
+			return spill.AppendU32s(buf, r.Rec.Tokens)
+		},
+		Read: func(d *spill.Dec) RecordValue {
+			r := RecordValue{Rec: tokens.Record{RID: int32(d.Varint())}}
+			r.Rec.Tokens = d.U32s()
+			return r
+		},
+	})
+}
 
 // RecordsToKV converts a collection into MapReduce input pairs, one record
 // per pair, keyed by rid.

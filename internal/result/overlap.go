@@ -37,40 +37,35 @@ type Candidate struct{}
 // SizeBytes implements mapreduce.Sized.
 func (Candidate) SizeBytes() int { return 0 }
 
-// Spill codecs (DESIGN.md §8), which also make the stages that emit these
+// The codecs (DESIGN.md §8), which also make the stages that emit these
 // values checkpointable (DESIGN.md §9). SumOverlaps' fold is pure addition
-// on C, so re-folding merged runs is exact. Tags 41, 51 and 54.
+// on C, so re-folding merged runs is exact.
 func init() {
-	spill.RegisterColumn[Candidate]()
-	spill.RegisterColumn[Overlap]()
-	spill.RegisterColumn[Scored]()
-	spill.RegisterValue(51, Candidate{},
-		func(buf []byte, v any) []byte { return buf },
-		func(b []byte) (any, error) { return Candidate{}, nil })
-	spill.RegisterValue(41, Overlap{},
-		func(buf []byte, v any) []byte {
-			o := v.(Overlap)
+	spill.Register(spill.TagCandidate, spill.Codec[Candidate]{
+		Append: func(buf []byte, _ Candidate) []byte { return buf },
+		Read:   func(*spill.Dec) Candidate { return Candidate{} },
+	})
+	spill.Register(spill.TagOverlap, spill.Codec[Overlap]{
+		Append: func(buf []byte, o Overlap) []byte {
 			buf = binary.AppendVarint(buf, int64(o.C))
 			buf = binary.AppendVarint(buf, int64(o.La))
 			return binary.AppendVarint(buf, int64(o.Lb))
 		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			o := Overlap{C: int32(d.Varint()), La: int32(d.Varint()), Lb: int32(d.Varint())}
-			return o, d.Err()
-		})
-	spill.RegisterValue(54, Scored{},
-		func(buf []byte, v any) []byte {
-			s := v.(Scored)
+		Read: func(d *spill.Dec) Overlap {
+			return Overlap{C: int32(d.Varint()), La: int32(d.Varint()), Lb: int32(d.Varint())}
+		},
+	})
+	spill.Register(spill.TagScored, spill.Codec[Scored]{
+		Append: func(buf []byte, s Scored) []byte {
 			buf = binary.AppendVarint(buf, int64(s.C))
 			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Sim))
 		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
+		Read: func(d *spill.Dec) Scored {
 			s := Scored{C: int32(d.Varint())}
 			s.Sim = math.Float64frombits(d.U64())
-			return s, d.Err()
-		})
+			return s
+		},
+	})
 }
 
 // SumOverlaps merges one pair's partial counts. It is a combiner with the

@@ -81,35 +81,31 @@ func appendTagged(kvs []mapreduce.KV, c *tokens.Collection, origin uint8) []mapr
 	return kvs
 }
 
-// The spill codecs make join-stage inputs fingerprintable and
-// checkpointable (DESIGN.md §9) and let ridpairs, vsmart and minhash
-// shuffle the values (DESIGN.md §8). Tags 42 and 46.
+// The codecs make join-stage inputs fingerprintable and checkpointable
+// (DESIGN.md §9) and let ridpairs, vsmart and minhash shuffle the values
+// (DESIGN.md §8).
 func init() {
-	spill.RegisterColumn[Posting]()
-	spill.RegisterValue(46, Posting{},
-		func(buf []byte, v any) []byte {
-			p := v.(Posting)
+	spill.Register(spill.TagPosting, spill.Codec[Posting]{
+		Append: func(buf []byte, p Posting) []byte {
 			buf = append(buf, p.Origin)
 			buf = binary.AppendVarint(buf, int64(p.RID))
 			return binary.AppendVarint(buf, int64(p.Len))
 		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
-			p := Posting{Origin: d.Byte(), RID: int32(d.Varint()), Len: int32(d.Varint())}
-			return p, d.Err()
-		})
-	spill.RegisterValue(42, Record{},
-		func(buf []byte, v any) []byte {
-			t := v.(Record)
+		Read: func(d *spill.Dec) Posting {
+			return Posting{Origin: d.Byte(), RID: int32(d.Varint()), Len: int32(d.Varint())}
+		},
+	})
+	spill.Register(spill.TagRSRecord, spill.Codec[Record]{
+		Append: func(buf []byte, t Record) []byte {
 			buf = append(buf, t.Origin)
 			buf = binary.AppendVarint(buf, int64(t.Rec.RID))
 			return spill.AppendU32s(buf, t.Rec.Tokens)
 		},
-		func(b []byte) (any, error) {
-			d := spill.NewDec(b)
+		Read: func(d *spill.Dec) Record {
 			t := Record{Origin: d.Byte()}
 			t.Rec.RID = int32(d.Varint())
 			t.Rec.Tokens = d.U32s()
-			return t, d.Err()
-		})
+			return t
+		},
+	})
 }

@@ -12,9 +12,11 @@
 // §8).
 //
 // Values cross the disk boundary through a type-tagged codec registry
-// (codec.go). A record whose value type has no codec is pinned in memory
-// instead of spilled — the budget turns soft rather than the job failing —
-// so arbitrary jobs (engine tests, user code) stay correct under a
+// (codec.go): one Register call per value type gives it its wire tag, its
+// codec and, when it is pointer-free, its unboxed column in the buffer. A
+// record whose value type has no codec is pinned in memory instead of
+// spilled — the budget turns soft rather than the job failing — so
+// arbitrary jobs (engine tests, user code) stay correct under a
 // process-wide FSJOIN_MEMORY_BUDGET.
 package spill
 
@@ -44,7 +46,7 @@ type Config struct {
 	// records were split across runs.
 	Fold func(acc, v any) any
 	// TypedFold, when non-nil, is where the buffer looks for Fold's unboxed
-	// form once a partition's values sit in a []T column (RegisterColumn):
+	// form once a partition's values sit in a []T column (Register):
 	// a value with a method FoldTyped(acc *T, v T), or — for a fold that
 	// returns acc whatever v is — a method KeepsFirst(). Usually the value
 	// Fold is a method of. The unboxed fold must compute what Fold computes
@@ -133,7 +135,8 @@ func (b *Buffer) Add(part int, key string, v any) error {
 		}
 	}
 	bytes := b.cfg.Size(key, v)
-	pinned := b.cfg.Budget > 0 && !Encodable(v)
+	// The column answers, so that asking costs no registry lookup a record.
+	pinned := b.cfg.Budget > 0 && !r.column(v).encodable(v)
 	if pinned {
 		b.pinnedMem += bytes
 	}
@@ -158,7 +161,7 @@ func (b *Buffer) foldInto(r *Records, i int, key string, v any) {
 	if h.pinned() {
 		b.pinnedMem -= h.bytes()
 	}
-	nb, pinned := b.cfg.Size(key, acc), b.cfg.Budget > 0 && !Encodable(acc)
+	nb, pinned := b.cfg.Size(key, acc), b.cfg.Budget > 0 && !r.vals.encodable(acc)
 	b.mem += nb - h.bytes()
 	r.bytes += nb - h.bytes()
 	*h = makeHead(h.key(), nb, pinned)

@@ -8,262 +8,198 @@ import (
 	"reflect"
 )
 
-// The run format stores each value as a one-byte type tag followed by a
-// tag-specific payload, so decoding restores the exact concrete Go type
+// The run format stores each value as a one-byte type tag (tags.go) followed
+// by a tag-specific payload, so decoding restores the exact concrete Go type
 // that was buffered — reducers type-switch on shuffle values, so "mostly
-// the same type" is not good enough. Tags below firstCustomTag cover the
-// natively sized kinds the engine's shuffle accounting already knows;
-// packages whose jobs shuffle their own unexported structs register a
-// codec per type from init() (see RegisterValue).
-const (
-	tagNil byte = iota
-	tagFalse
-	tagTrue
-	tagInt
-	tagInt8
-	tagInt16
-	tagInt32
-	tagInt64
-	tagUint
-	tagUint8
-	tagUint16
-	tagUint32
-	tagUint64
-	tagFloat32
-	tagFloat64
-	tagString
-	tagBytes
-	tagU32Slice
-	tagI32Slice
-	tagIntSlice
-	tagStringSlice
+// the same type" is not good enough. This file is the one place that knows
+// how a Go type crosses the shuffle or the disk: each type registers its tag
+// and codec once, with Register, and every path — a typed column encoding
+// its values unboxed, the []any column, AppendEncoded, AppendRecord and
+// their decoders — goes through that one table.
 
-	// firstCustomTag is the lowest tag RegisterValue accepts.
-	firstCustomTag = 32
-)
+// Codec is how values of type T are written after their tag and read back.
+type Codec[T any] struct {
+	// Append appends v's payload — no tag — to buf and returns the extended
+	// slice.
+	Append func(buf []byte, v T) []byte
+	// Read consumes from d the payload Append wrote, all of it, and keeps
+	// none of d's bytes. It reports nothing itself: the registry checks d's
+	// error, and that nothing is left over, when it returns.
+	Read func(d *Dec) T
+}
 
-// EncodeFunc appends a value's payload (no tag) to buf and returns the
-// extended slice.
-type EncodeFunc func(buf []byte, v any) []byte
-
-// DecodeFunc reconstructs a value from its payload. It must not retain b.
-type DecodeFunc func(b []byte) (any, error)
-
-type codecEntry struct {
+// kind is one registered type as the untyped paths see it.
+type kind struct {
 	tag byte
-	enc EncodeFunc
-	dec DecodeFunc
+	typ reflect.Type
+	// append appends the tag and payload of a boxed value of the type.
+	append func(buf []byte, v any) []byte
+	read   func(d *Dec) any
+	// column makes the type's empty []T column; nil for a type that holds a
+	// pointer, whose values are held boxed.
+	column func() values
 }
 
 var (
-	codecsByType = map[reflect.Type]*codecEntry{}
-	codecsByTag  [256]*codecEntry
+	kindsByType = map[reflect.Type]*kind{}
+	kindsByTag  [256]*kind
 )
 
-// RegisterValue installs a codec for one concrete value type under a
-// package-chosen tag (≥ 32; pick a distinct small range per package —
-// collisions panic, so they surface at program start). Must be called from
-// init(): the registry is read without locking once jobs run.
-func RegisterValue(tag byte, sample any, enc EncodeFunc, dec DecodeFunc) {
-	if tag < firstCustomTag {
-		panic(fmt.Sprintf("spill: tag %d collides with builtin tags (< %d)", tag, firstCustomTag))
-	}
-	t := reflect.TypeOf(sample)
-	if t == nil || enc == nil || dec == nil {
-		panic("spill: RegisterValue needs a non-nil sample, encoder and decoder")
-	}
-	if codecsByTag[tag] != nil {
+// Register installs T's tag and codec, and — when T is pointer-free: no
+// pointer, string, slice, map, interface, channel or function anywhere in
+// it — lets the shuffle hold a partition's values of type T unboxed in a
+// []T, which the garbage collector never scans; values of every other type,
+// and of mixed types, are held boxed. The tag is a constant of tags.go; a
+// tag or type registered twice panics, so a collision surfaces at program
+// start. Must be called from init(): the registry is read without locking
+// once jobs run.
+func Register[T any](tag byte, c Codec[T]) {
+	t := reflect.TypeFor[T]()
+	switch {
+	case tag <= tagTrue:
+		panic(fmt.Sprintf("spill: tag %d is a value of its own", tag))
+	case c.Append == nil || c.Read == nil:
+		panic(fmt.Sprintf("spill: Register of %v needs Append and Read", t))
+	case kindsByTag[tag] != nil:
 		panic(fmt.Sprintf("spill: tag %d registered twice", tag))
-	}
-	if _, dup := codecsByType[t]; dup {
+	case kindsByType[t] != nil:
 		panic(fmt.Sprintf("spill: type %v registered twice", t))
 	}
-	e := &codecEntry{tag: tag, enc: enc, dec: dec}
-	codecsByTag[tag] = e
-	codecsByType[t] = e
+	k := &kind{
+		tag:    tag,
+		typ:    t,
+		append: func(buf []byte, v any) []byte { return c.Append(append(buf, tag), v.(T)) },
+		read:   func(d *Dec) any { return c.Read(d) },
+	}
+	if pointerFree(t) {
+		k.column = func() values { return newColumn(k, &c) }
+	}
+	kindsByTag[tag], kindsByType[t] = k, k
 }
 
-// Encodable reports whether v can be written to a run: either a builtin
-// kind or a registered type. Unencodable values stay pinned in memory (the
-// budget turns soft) rather than failing the job.
-func Encodable(v any) bool {
-	switch v.(type) {
-	case nil, bool, int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64, string, []byte,
-		[]uint32, []int32, []int, []string:
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
 		return true
 	}
-	return codecsByType[reflect.TypeOf(v)] != nil
+	return false
 }
 
-// appendValue appends tag + payload for v.
-func appendValue(buf []byte, v any) ([]byte, error) {
-	if out, ok := appendBuiltin(buf, v); ok {
-		return out, nil
+func varint[T int | int8 | int16 | int32 | int64]() Codec[T] {
+	return Codec[T]{
+		Append: func(buf []byte, v T) []byte { return binary.AppendVarint(buf, int64(v)) },
+		Read:   func(d *Dec) T { return T(d.Varint()) },
 	}
-	return appendCustom(buf, v)
 }
 
-// appendBuiltin is appendValue for the builtin kinds; false for any other.
-// v goes nowhere from here, so a caller boxing a value for it does so on
-// its stack.
-func appendBuiltin(buf []byte, v any) ([]byte, bool) {
-	switch x := v.(type) {
+func uvarint[T uint | uint8 | uint16 | uint32 | uint64]() Codec[T] {
+	return Codec[T]{
+		Append: func(buf []byte, v T) []byte { return binary.AppendUvarint(buf, uint64(v)) },
+		Read:   func(d *Dec) T { return T(d.Uvarint()) },
+	}
+}
+
+// list is the codec of a []T: a uvarint count, then each element as e
+// writes it.
+func list[T any](e Codec[T]) Codec[[]T] {
+	return Codec[[]T]{
+		Append: func(buf []byte, xs []T) []byte {
+			buf = binary.AppendUvarint(buf, uint64(len(xs)))
+			for _, x := range xs {
+				buf = e.Append(buf, x)
+			}
+			return buf
+		},
+		Read: func(d *Dec) []T {
+			n := d.Uvarint()
+			xs := make([]T, 0, min(n, 1<<16))
+			for i := uint64(0); i < n && d.err == nil; i++ {
+				xs = append(xs, e.Read(d))
+			}
+			return xs
+		},
+	}
+}
+
+// The builtin kinds: the natively sized ones the engine's shuffle accounting
+// already knows. A string or a []byte is its payload, whole.
+func init() {
+	Register(tagInt, varint[int]())
+	Register(tagInt8, varint[int8]())
+	Register(tagInt16, varint[int16]())
+	Register(tagInt32, varint[int32]())
+	Register(tagInt64, varint[int64]())
+	Register(tagUint, uvarint[uint]())
+	Register(tagUint8, uvarint[uint8]())
+	Register(tagUint16, uvarint[uint16]())
+	Register(tagUint32, uvarint[uint32]())
+	Register(tagUint64, uvarint[uint64]())
+	Register(tagFloat32, Codec[float32]{
+		Append: func(buf []byte, v float32) []byte {
+			return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		},
+		Read: func(d *Dec) float32 { return math.Float32frombits(d.U32()) },
+	})
+	Register(tagFloat64, Codec[float64]{
+		Append: func(buf []byte, v float64) []byte {
+			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		},
+		Read: func(d *Dec) float64 { return math.Float64frombits(d.U64()) },
+	})
+	Register(tagString, Codec[string]{
+		Append: func(buf []byte, v string) []byte { return append(buf, v...) },
+		Read:   func(d *Dec) string { return string(d.tail()) },
+	})
+	Register(tagBytes, Codec[[]byte]{
+		Append: func(buf, v []byte) []byte { return append(buf, v...) },
+		Read:   func(d *Dec) []byte { return append([]byte(nil), d.tail()...) },
+	})
+	Register(tagU32Slice, Codec[[]uint32]{Append: AppendU32s, Read: (*Dec).U32s})
+	Register(tagI32Slice, Codec[[]int32]{Append: AppendI32s, Read: (*Dec).I32s})
+	Register(tagIntSlice, list(varint[int]()))
+	Register(tagStringSlice, list(Codec[string]{
+		Append: func(buf []byte, v string) []byte {
+			return append(binary.AppendUvarint(buf, uint64(len(v))), v...)
+		},
+		Read: (*Dec).String,
+	}))
+}
+
+// bareTag returns the tag that is all of v's encoding, for the three values
+// that have one.
+func bareTag(v any) (tag byte, ok bool) {
+	switch v {
 	case nil:
-		return append(buf, tagNil), true
-	case bool:
-		if x {
-			return append(buf, tagTrue), true
-		}
-		return append(buf, tagFalse), true
-	case int:
-		return binary.AppendVarint(append(buf, tagInt), int64(x)), true
-	case int8:
-		return binary.AppendVarint(append(buf, tagInt8), int64(x)), true
-	case int16:
-		return binary.AppendVarint(append(buf, tagInt16), int64(x)), true
-	case int32:
-		return binary.AppendVarint(append(buf, tagInt32), int64(x)), true
-	case int64:
-		return binary.AppendVarint(append(buf, tagInt64), x), true
-	case uint:
-		return binary.AppendUvarint(append(buf, tagUint), uint64(x)), true
-	case uint8:
-		return binary.AppendUvarint(append(buf, tagUint8), uint64(x)), true
-	case uint16:
-		return binary.AppendUvarint(append(buf, tagUint16), uint64(x)), true
-	case uint32:
-		return binary.AppendUvarint(append(buf, tagUint32), uint64(x)), true
-	case uint64:
-		return binary.AppendUvarint(append(buf, tagUint64), x), true
-	case float32:
-		return binary.LittleEndian.AppendUint32(append(buf, tagFloat32), math.Float32bits(x)), true
-	case float64:
-		return binary.LittleEndian.AppendUint64(append(buf, tagFloat64), math.Float64bits(x)), true
-	case string:
-		return append(append(buf, tagString), x...), true
-	case []byte:
-		return append(append(buf, tagBytes), x...), true
-	case []uint32:
-		return AppendU32s(append(buf, tagU32Slice), x), true
-	case []int32:
-		return AppendI32s(append(buf, tagI32Slice), x), true
-	case []int:
-		buf = binary.AppendUvarint(append(buf, tagIntSlice), uint64(len(x)))
-		for _, n := range x {
-			buf = binary.AppendVarint(buf, int64(n))
-		}
-		return buf, true
-	case []string:
-		buf = binary.AppendUvarint(append(buf, tagStringSlice), uint64(len(x)))
-		for _, s := range x {
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		}
-		return buf, true
+		return tagNil, true
+	case false:
+		return tagFalse, true
+	case true:
+		return tagTrue, true
 	}
-	return buf, false
+	return 0, false
 }
 
-// appendCustom is appendValue for a registered type.
-func appendCustom(buf []byte, v any) ([]byte, error) {
-	e := codecsByType[reflect.TypeOf(v)]
-	if e == nil {
-		return nil, fmt.Errorf("spill: no codec registered for %T", v)
+// appendKind appends tag + payload for v, whose kind the caller has looked
+// up: nil for a value that is its own tag, or has no codec.
+func appendKind(buf []byte, v any, k *kind) ([]byte, error) {
+	if k != nil {
+		return k.append(buf, v), nil
 	}
-	return e.enc(append(buf, e.tag), v), nil
-}
-
-// decodeValue reconstructs a value from tag + payload. It never retains b.
-func decodeValue(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("spill: empty value frame")
+	if tag, ok := bareTag(v); ok {
+		return append(buf, tag), nil
 	}
-	tag, p := b[0], b[1:]
-	switch tag {
-	case tagNil:
-		return nil, nil
-	case tagFalse:
-		return false, nil
-	case tagTrue:
-		return true, nil
-	case tagInt, tagInt8, tagInt16, tagInt32, tagInt64:
-		n, w := binary.Varint(p)
-		if w <= 0 {
-			return nil, fmt.Errorf("spill: bad varint payload")
-		}
-		switch tag {
-		case tagInt:
-			return int(n), nil
-		case tagInt8:
-			return int8(n), nil
-		case tagInt16:
-			return int16(n), nil
-		case tagInt32:
-			return int32(n), nil
-		}
-		return n, nil
-	case tagUint, tagUint8, tagUint16, tagUint32, tagUint64:
-		n, w := binary.Uvarint(p)
-		if w <= 0 {
-			return nil, fmt.Errorf("spill: bad uvarint payload")
-		}
-		switch tag {
-		case tagUint:
-			return uint(n), nil
-		case tagUint8:
-			return uint8(n), nil
-		case tagUint16:
-			return uint16(n), nil
-		case tagUint32:
-			return uint32(n), nil
-		}
-		return n, nil
-	case tagFloat32:
-		if len(p) < 4 {
-			return nil, fmt.Errorf("spill: short float32 payload")
-		}
-		return math.Float32frombits(binary.LittleEndian.Uint32(p)), nil
-	case tagFloat64:
-		if len(p) < 8 {
-			return nil, fmt.Errorf("spill: short float64 payload")
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(p)), nil
-	case tagString:
-		return string(p), nil
-	case tagBytes:
-		return append([]byte(nil), p...), nil
-	case tagU32Slice:
-		d := NewDec(p)
-		xs := d.U32s()
-		return xs, d.Err()
-	case tagI32Slice:
-		d := NewDec(p)
-		xs := d.I32s()
-		return xs, d.Err()
-	case tagIntSlice:
-		d := NewDec(p)
-		n := d.Uvarint()
-		xs := make([]int, 0, min(n, 1<<16))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			xs = append(xs, int(d.Varint()))
-		}
-		return xs, d.Err()
-	case tagStringSlice:
-		d := NewDec(p)
-		n := d.Uvarint()
-		xs := make([]string, 0, min(n, 1<<16))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			xs = append(xs, d.String())
-		}
-		return xs, d.Err()
-	}
-	e := codecsByTag[tag]
-	if e == nil {
-		return nil, fmt.Errorf("spill: unknown value tag %d", tag)
-	}
-	return e.dec(p)
+	return nil, fmt.Errorf("spill: no codec registered for %T", v)
 }
 
 // AppendEncoded appends v's tag + payload frame to buf — the exact bytes a
@@ -271,11 +207,17 @@ func decodeValue(b []byte) (any, error) {
 // which persists stage outputs (and fingerprints stage inputs) in the run
 // codec so replayed values decode to the same concrete types the shuffle
 // restores.
-func AppendEncoded(buf []byte, v any) ([]byte, error) { return appendValue(buf, v) }
+func AppendEncoded(buf []byte, v any) ([]byte, error) {
+	return appendKind(buf, v, kindsByType[reflect.TypeOf(v)])
+}
 
 // DecodeEncoded reconstructs a value written by AppendEncoded. It never
 // retains b.
-func DecodeEncoded(b []byte) (any, error) { return decodeValue(b) }
+func DecodeEncoded(b []byte) (any, error) {
+	d := dec(b)
+	v := d.value()
+	return v, d.err
+}
 
 // AppendRecord appends one shuffle record in the wire form every persisted
 // record shares — spill runs, transport frames and checkpoint files:
@@ -288,7 +230,7 @@ func AppendRecord(buf []byte, key string, v any) ([]byte, error) {
 	out := binary.AppendUvarint(buf, uint64(len(key)))
 	out = append(out, key...)
 	at := len(out)
-	out, err := appendValue(out, v)
+	out, err := AppendEncoded(out, v)
 	if err != nil {
 		return buf, err
 	}
@@ -308,16 +250,12 @@ func frameValue(out []byte, at int) []byte {
 // ---- Helpers for custom codecs ----
 
 // AppendU32s appends a uvarint count followed by fixed little-endian words.
-func AppendU32s(buf []byte, xs []uint32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, x)
-	}
-	return buf
-}
+func AppendU32s(buf []byte, xs []uint32) []byte { return appendWords(buf, xs) }
 
 // AppendI32s appends a uvarint count followed by fixed little-endian words.
-func AppendI32s(buf []byte, xs []int32) []byte {
+func AppendI32s(buf []byte, xs []int32) []byte { return appendWords(buf, xs) }
+
+func appendWords[T uint32 | int32](buf []byte, xs []T) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(xs)))
 	for _, x := range xs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
@@ -329,19 +267,28 @@ func AppendI32s(buf []byte, xs []int32) []byte {
 // helpers and encoding/binary primitives. The first malformed read sticks
 // in Err; subsequent reads return zero values.
 type Dec struct {
-	b   []byte
-	err error
+	// b[at:end] is unread. Reading moves at, and reading a record's value
+	// end, and b is left alone: a Dec handed to a codec's Read lives on the
+	// heap, where moving b itself would cost a write barrier per read.
+	b       []byte
+	at, end int
+	err     error
 }
 
 // NewDec wraps a payload.
-func NewDec(b []byte) *Dec { return &Dec{b: b} }
+func NewDec(b []byte) *Dec {
+	d := dec(b)
+	return &d
+}
+
+func dec(b []byte) Dec { return Dec{b: b, end: len(b)} }
 
 // Err returns the first decode error, if any.
 func (d *Dec) Err() error { return d.err }
 
 // Rest returns the number of unconsumed bytes — strict decoders use it to
 // reject payloads with trailing garbage.
-func (d *Dec) Rest() int { return len(d.b) }
+func (d *Dec) Rest() int { return d.end - d.at }
 
 // errTruncated is the Dec error for a payload that ends mid-value; a run
 // cursor takes it as the cue to read further into its segment.
@@ -355,12 +302,12 @@ func (d *Dec) fail() {
 
 // Byte consumes one byte.
 func (d *Dec) Byte() byte {
-	if d.err != nil || len(d.b) < 1 {
+	if d.err != nil || d.Rest() < 1 {
 		d.fail()
 		return 0
 	}
-	x := d.b[0]
-	d.b = d.b[1:]
+	x := d.b[d.at]
+	d.at++
 	return x
 }
 
@@ -372,12 +319,12 @@ func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	n, w := binary.Uvarint(d.b)
+	n, w := binary.Uvarint(d.b[d.at:d.end])
 	if w <= 0 {
 		d.fail()
 		return 0
 	}
-	d.b = d.b[w:]
+	d.at += w
 	return n
 }
 
@@ -386,45 +333,45 @@ func (d *Dec) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	n, w := binary.Varint(d.b)
+	n, w := binary.Varint(d.b[d.at:d.end])
 	if w <= 0 {
 		d.fail()
 		return 0
 	}
-	d.b = d.b[w:]
+	d.at += w
 	return n
 }
 
 // U32 consumes one fixed little-endian word.
 func (d *Dec) U32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
+	if d.err != nil || d.Rest() < 4 {
 		d.fail()
 		return 0
 	}
-	x := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
+	x := binary.LittleEndian.Uint32(d.b[d.at:])
+	d.at += 4
 	return x
 }
 
 // U64 consumes one fixed little-endian double-word (e.g. float64 bits).
 func (d *Dec) U64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
+	if d.err != nil || d.Rest() < 8 {
 		d.fail()
 		return 0
 	}
-	x := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
+	x := binary.LittleEndian.Uint64(d.b[d.at:])
+	d.at += 8
 	return x
 }
 
 // U16 consumes one fixed little-endian half-word.
 func (d *Dec) U16() uint16 {
-	if d.err != nil || len(d.b) < 2 {
+	if d.err != nil || d.Rest() < 2 {
 		d.fail()
 		return 0
 	}
-	x := binary.LittleEndian.Uint16(d.b)
-	d.b = d.b[2:]
+	x := binary.LittleEndian.Uint16(d.b[d.at:])
+	d.at += 2
 	return x
 }
 
@@ -434,12 +381,12 @@ func (d *Dec) String() string { return string(d.frame()) }
 // frame consumes a uvarint length and returns that many bytes, unowned.
 func (d *Dec) frame() []byte {
 	n := d.Uvarint()
-	if d.err != nil || uint64(len(d.b)) < n {
+	if d.err != nil || uint64(d.Rest()) < n {
 		d.fail()
 		return nil
 	}
-	f := d.b[:n]
-	d.b = d.b[n:]
+	f := d.b[d.at : d.at+int(n)]
+	d.at += int(n)
 	return f
 }
 
@@ -450,44 +397,69 @@ func (d *Dec) Record() (key string, v any) {
 	if d.err != nil {
 		return "", nil
 	}
-	v, err := decodeValue(val)
-	if err != nil {
+	// The value is read by this Dec, cut off where the value ends.
+	rest := d.end
+	d.end = d.at
+	d.at -= len(val)
+	if v = d.value(); d.err != nil {
 		// Wrapped, so a bad value inside a complete frame is never taken
 		// for errTruncated.
-		d.err = fmt.Errorf("spill: record value: %w", err)
+		d.err = fmt.Errorf("spill: record value: %w", d.err)
 		return "", nil
 	}
+	d.end = rest
 	return key, v
+}
+
+// value consumes all that is left as one value, tag and payload: a byte the
+// value's codec leaves unread is an error, not padding.
+func (d *Dec) value() (v any) {
+	switch tag := d.Byte(); {
+	case d.err != nil:
+	case tag == tagNil:
+	case tag == tagFalse:
+		v = false
+	case tag == tagTrue:
+		v = true
+	case kindsByTag[tag] == nil:
+		d.err = fmt.Errorf("spill: unknown value tag %d", tag)
+	default:
+		v = kindsByTag[tag].read(d)
+	}
+	if d.err == nil && d.Rest() > 0 {
+		d.err = fmt.Errorf("spill: %d bytes left over after a value", d.Rest())
+	}
+	if d.err != nil {
+		return nil
+	}
+	return v
+}
+
+// tail consumes everything left and returns it, unowned.
+func (d *Dec) tail() []byte {
+	b := d.b[d.at:d.end]
+	d.at = d.end
+	return b
 }
 
 // U32s consumes a count-prefixed []uint32 written by AppendU32s. Returns a
 // non-nil empty slice for a zero count, matching an encoded empty slice.
-// The count is compared by division: 4*n wraps for n ≥ 2^62.
-func (d *Dec) U32s() []uint32 {
-	n := d.Uvarint()
-	if d.err != nil || n > uint64(len(d.b))/4 {
-		d.fail()
-		return nil
-	}
-	xs := make([]uint32, n)
-	for i := range xs {
-		xs[i] = binary.LittleEndian.Uint32(d.b[4*i:])
-	}
-	d.b = d.b[4*n:]
-	return xs
-}
+func (d *Dec) U32s() []uint32 { return words[uint32](d) }
 
 // I32s consumes a count-prefixed []int32 written by AppendI32s.
-func (d *Dec) I32s() []int32 {
+func (d *Dec) I32s() []int32 { return words[int32](d) }
+
+// The count is compared by division: 4*n wraps for n ≥ 2^62.
+func words[T uint32 | int32](d *Dec) []T {
 	n := d.Uvarint()
-	if d.err != nil || n > uint64(len(d.b))/4 {
+	if d.err != nil || n > uint64(d.Rest())/4 {
 		d.fail()
 		return nil
 	}
-	xs := make([]int32, n)
+	xs := make([]T, n)
 	for i := range xs {
-		xs[i] = int32(binary.LittleEndian.Uint32(d.b[4*i:]))
+		xs[i] = T(binary.LittleEndian.Uint32(d.b[d.at+4*i:]))
 	}
-	d.b = d.b[4*n:]
+	d.at += 4 * int(n)
 	return xs
 }

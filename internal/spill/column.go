@@ -1,13 +1,12 @@
 package spill
 
-import (
-	"fmt"
-	"reflect"
-)
+import "reflect"
 
 // values is the value column of a Records: a *column[T] for one registered
 // pointer-free T, or a *column[any].
 type values interface {
+	// encodable reports whether v, about to be added, has a codec.
+	encodable(v any) bool
 	// add appends v; false when v is not of the column's type.
 	add(v any) bool
 	// addAll appends src's values; false when src is another kind of column.
@@ -56,7 +55,11 @@ func unboxedFold[T any](f *folder) func(acc *T, v T) {
 // fallback that holds anything, each value boxed as it was emitted.
 type column[T any] struct {
 	vals List[T]
-	any  bool // T is any
+	// T's codec, nil when T is any, whose values each have their own; and a
+	// kind: T's, or in the []any column that of the last registered type it
+	// was asked about. A partition's values are nearly always of one type.
+	codec *Codec[T]
+	kind  *kind
 
 	// The owning buffer's fold, looked up on the first fold into the column.
 	unboxed  func(acc *T, v T)
@@ -68,16 +71,49 @@ type column[T any] struct {
 	first [firstChunk]T
 }
 
-func newTypedColumn[T any](boxed bool) *column[T] {
-	c := &column[T]{any: boxed}
+func newColumn[T any](k *kind, codec *Codec[T]) *column[T] {
+	c := &column[T]{kind: k, codec: codec}
 	c.vals.seed(c.table[:], &c.first)
 	return c
+}
+
+func newAnyColumn() *column[any] { return newColumn[any](nil, nil) }
+
+// columnFor returns an empty column for a partition whose first value is v.
+func columnFor(v any) values {
+	if k := kindsByType[reflect.TypeOf(v)]; k != nil && k.column != nil {
+		return k.column()
+	}
+	return newAnyColumn()
 }
 
 func (c *column[T]) unbox(v any) (T, bool) {
 	x, ok := v.(T)
 	// A nil any fails the assertion to any itself, and is its zero value.
-	return x, ok || c.any
+	return x, ok || c.codec == nil
+}
+
+// kindOf returns the kind of v's type, at the cost of one comparison while
+// the values keep coming in one registered type. Only the []any column
+// remembers another: a typed column encodes under the kind it was made with.
+func (c *column[T]) kindOf(v any) *kind {
+	t := reflect.TypeOf(v)
+	if c.kind != nil && c.kind.typ == t {
+		return c.kind
+	}
+	k := kindsByType[t]
+	if k != nil && c.codec == nil {
+		c.kind = k
+	}
+	return k
+}
+
+func (c *column[T]) encodable(v any) bool {
+	if c.kindOf(v) != nil {
+		return true
+	}
+	_, bare := bareTag(v)
+	return bare
 }
 
 func (c *column[T]) add(v any) bool {
@@ -107,17 +143,17 @@ func (c *column[T]) set(i int, v any) bool {
 }
 
 func (c *column[T]) boxed() values {
-	if c.any {
+	if c.codec == nil {
 		return c
 	}
-	out := newTypedColumn[any](true)
+	out := newAnyColumn()
 	for i := 0; i < c.vals.Len(); i++ {
 		out.vals.Append(*c.vals.At(i))
 	}
 	return out
 }
 
-func (c *column[T]) empty() values { return newTypedColumn[T](c.any) }
+func (c *column[T]) empty() values { return newColumn(c.kind, c.codec) }
 
 func (c *column[T]) fold(i int, v any, f *folder) bool {
 	if !c.resolved {
@@ -135,7 +171,7 @@ func (c *column[T]) fold(i int, v any, f *folder) bool {
 
 func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values {
 	if fold := unboxedFold[T](f); fold != nil {
-		out := newTypedColumn[T](c.any)
+		out := newColumn(c.kind, c.codec)
 		for g := 0; g+1 < len(starts); g++ {
 			out.vals.Append(*c.vals.At(int(idx[starts[g]].Pos)))
 			acc := out.vals.At(g)
@@ -145,7 +181,7 @@ func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values
 		}
 		return out
 	}
-	out := newTypedColumn[any](true)
+	out := newAnyColumn()
 	for g := 0; g+1 < len(starts); g++ {
 		acc := c.at(int(idx[starts[g]].Pos))
 		for _, ix := range idx[starts[g]+1 : starts[g+1]] {
@@ -157,79 +193,12 @@ func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values
 }
 
 func (c *column[T]) appendValue(buf []byte, i int) ([]byte, error) {
-	// A builtin kind is encoded out of a box that never leaves the stack.
-	if out, ok := appendBuiltin(buf, any(*c.vals.At(i))); ok {
-		return out, nil
+	if c.codec != nil {
+		return c.codec.Append(append(buf, c.kind.tag), *c.vals.At(i)), nil
 	}
-	return appendCustom(buf, c.at(i))
+	v := c.at(i)
+	return appendKind(buf, v, c.kindOf(v))
 }
 
 func (c *column[T]) reset() { c.vals.Reset() }
 func (c *column[T]) trim()  { c.vals.Trim() }
-
-// columnsByType makes the empty typed column of each registered type.
-var columnsByType = map[reflect.Type]func() values{}
-
-// RegisterColumn lets the shuffle hold values of type T unboxed: a
-// partition whose values are all of type T keeps them in a []T, which the
-// garbage collector never scans, instead of one boxed value each. T must be
-// pointer-free — no pointer, string, slice, map, interface, channel or
-// function anywhere in it — or the registration panics; values of every
-// other type, and of mixed types, are held boxed. Must be called from
-// init(): the registry is read without locking once jobs run.
-func RegisterColumn[T any]() {
-	t := reflect.TypeFor[T]()
-	if !pointerFree(t) {
-		panic(fmt.Sprintf("spill: RegisterColumn: %v holds pointers", t))
-	}
-	if _, dup := columnsByType[t]; dup {
-		panic(fmt.Sprintf("spill: column of %v registered twice", t))
-	}
-	columnsByType[t] = func() values { return newTypedColumn[T](false) }
-}
-
-func pointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return pointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// The fixed-size builtin kinds of the codec.
-func init() {
-	RegisterColumn[bool]()
-	RegisterColumn[int]()
-	RegisterColumn[int8]()
-	RegisterColumn[int16]()
-	RegisterColumn[int32]()
-	RegisterColumn[int64]()
-	RegisterColumn[uint]()
-	RegisterColumn[uint8]()
-	RegisterColumn[uint16]()
-	RegisterColumn[uint32]()
-	RegisterColumn[uint64]()
-	RegisterColumn[float32]()
-	RegisterColumn[float64]()
-}
-
-// newColumn returns an empty column for a partition whose first value is v.
-func newColumn(v any) values {
-	if v != nil {
-		if mk := columnsByType[reflect.TypeOf(v)]; mk != nil {
-			return mk()
-		}
-	}
-	return newTypedColumn[any](true)
-}

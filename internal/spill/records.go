@@ -9,11 +9,11 @@ import (
 // struct each: a partition of a Buffer, and what a reduce task fetches its
 // partitions into. A key of at most eight bytes is stored as the (prefix,
 // length) a KeyIndex abbreviates it to, which is all of it; the values are
-// one column, a []T when every value so far is of one type registered with
-// RegisterColumn and a []any otherwise. So a partition of short keys and
-// registered values — rid pairs to overlap counts, token ids to frequencies
-// — holds no pointer and costs the garbage collector nothing to keep. The
-// zero value is empty.
+// one column, a []T when every value so far is of one pointer-free type
+// registered with Register and a []any otherwise. So a partition of short
+// keys and such values — rid pairs to overlap counts, token ids to
+// frequencies — holds no pointer and costs the garbage collector nothing to
+// keep. The zero value is empty.
 type Records struct {
 	heads List[head]
 	// long holds the full key of every record once any key is longer than
@@ -60,6 +60,14 @@ func (r *Records) Append(key string, v any, bytes int64) {
 	r.append(MakeKeyIndex(key, 0), key, v, bytes, false)
 }
 
+// column returns the value column, made for v when v is the first value.
+func (r *Records) column(v any) values {
+	if r.vals == nil {
+		r.vals = columnFor(v)
+	}
+	return r.vals
+}
+
 func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool) {
 	if k.Len == 9 || r.long.Len() > 0 {
 		r.padLong()
@@ -70,10 +78,7 @@ func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool
 	}
 	r.heads.Append(makeHead(k, bytes, pinned))
 	r.bytes += bytes
-	if r.vals == nil {
-		r.vals = newColumn(v)
-	}
-	if !r.vals.add(v) {
+	if !r.column(v).add(v) {
 		r.vals = r.vals.boxed()
 		r.vals.add(v)
 	}

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -184,27 +185,59 @@ func TestRecordsHoldAnything(t *testing.T) {
 	}
 }
 
-// TestRegisterColumnRefusesPointers: the pointer-free rule is checked when
-// a type registers, so it fails at program start.
-func TestRegisterColumnRefusesPointers(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: registered", name)
-			}
-		}()
-		f()
+// pointerful is registered, and holds a pointer: no []pointerful column.
+type pointerful struct{ xs []int32 }
+
+func init() {
+	Register(tagTest+1, Codec[pointerful]{
+		Append: func(buf []byte, v pointerful) []byte { return AppendI32s(buf, v.xs) },
+		Read:   func(d *Dec) pointerful { return pointerful{xs: d.I32s()} },
+	})
+}
+
+// TestPointerfulTypeIsHeldBoxed: Register picks the column from the type — a
+// []T for a pointer-free T, none for a T the garbage collector must scan,
+// whose values sit in the []any column and cross the disk all the same.
+func TestPointerfulTypeIsHeldBoxed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		typ  reflect.Type
+		free bool
+	}{
+		{"string", reflect.TypeFor[string](), false},
+		{"slice field", reflect.TypeFor[struct{ xs []int32 }](), false},
+		{"pointer in an array in a struct", reflect.TypeFor[struct{ a [2]struct{ p *int } }](), false},
+		{"interface", reflect.TypeFor[struct{ v any }](), false},
+		{"arrays and structs of numbers", reflect.TypeFor[struct {
+			a [3]uint16
+			b struct{ f float64 }
+		}](), true},
+	} {
+		if pointerFree(tc.typ) != tc.free {
+			t.Errorf("%s: pointerFree = %v", tc.name, !tc.free)
+		}
 	}
-	mustPanic("string", RegisterColumn[string])
-	mustPanic("slice field", RegisterColumn[struct{ xs []int32 }])
-	mustPanic("pointer in an array in a struct", RegisterColumn[struct{ a [2]struct{ p *int } }])
-	mustPanic("interface", RegisterColumn[struct{ v any }])
-	mustPanic("twice", RegisterColumn[int64])
-	RegisterColumn[struct {
-		a [3]uint16
-		b struct{ f float64 }
-	}]()
+	if _, ok := columnFor(registered{}).(*column[registered]); !ok {
+		t.Errorf("a registered pointer-free type is held in a %T", columnFor(registered{}))
+	}
+	b := NewBuffer(Config{Parts: 1, Budget: 256, Size: testSize, Dir: t.TempDir()})
+	defer b.Close()
+	var want []any
+	for i := 0; i < 100; i++ {
+		want = append(want, pointerful{xs: []int32{int32(i), -1}})
+		if err := b.Add(0, fmt.Sprintf("k%03d", i), want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := b.parts[0].vals.(*column[any]); !ok {
+		t.Fatalf("values with a slice in them are held in a %T", b.parts[0].vals)
+	}
+	if b.Stats().Runs == 0 || b.pinnedMem != 0 {
+		t.Fatalf("registered values did not spill: %+v, %d bytes pinned", b.Stats(), b.pinnedMem)
+	}
+	if _, got, _ := drainRecords(t, b, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %v, stored %v", got, want)
+	}
 }
 
 // TestSlotTablePositionBound: a slot holds a record position plus one in an
@@ -274,5 +307,28 @@ func TestAppendRecordFromColumns(t *testing.T) {
 	none.Append("k", unregistered{n: 1}, 1)
 	if got, err := none.appendRecord([]byte("as given"), 0); err == nil || string(got) != "as given" {
 		t.Fatalf("a value without a codec encoded to %q, %v", got, err)
+	}
+
+	// Every registered type: out of its own column when it has one, through
+	// its typed codec, a value is written as it is out of a box.
+	for i, g := range goldenFrames {
+		_, v := goldenFrame(t, i)
+		var recs Records
+		for _, k := range keys[:5] {
+			recs.Append(k, v, 1)
+		}
+		kind := kindsByType[reflect.TypeOf(v)]
+		if _, boxed := recs.vals.(*column[any]); boxed != (kind == nil || kind.column == nil) {
+			t.Fatalf("%s values are held in a %T", g.typ, recs.vals)
+		}
+		for j, k := range keys[:5] {
+			want, err := AppendRecord(nil, k, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := recs.appendRecord(nil, j); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s record %d: %x (%v) out of a %T, want %x", g.typ, j, got, err, recs.vals, want)
+			}
+		}
 	}
 }

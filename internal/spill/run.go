@@ -113,6 +113,9 @@ type cursor struct {
 	buf []byte // buf[pos:] is read from the segment and not yet decoded
 	pos int
 	eof bool
+	// d reads buf[pos:]. A field, because a local handed to a codec's Read
+	// would be allocated once per record.
+	d Dec
 }
 
 // open returns a cursor over partition p, or nil when the run holds no
@@ -133,13 +136,13 @@ func (r *run) open(p int) *cursor {
 // segment.
 func (c *cursor) next() (key string, v any, ok bool, err error) {
 	for {
-		d := Dec{b: c.buf[c.pos:]}
-		if key, v = d.Record(); d.err == nil {
-			c.pos = len(c.buf) - d.Rest()
+		c.d = dec(c.buf[c.pos:])
+		if key, v = c.d.Record(); c.d.err == nil {
+			c.pos = len(c.buf) - c.d.Rest()
 			return key, v, true, nil
 		}
-		if d.err != errTruncated {
-			return "", nil, false, d.err
+		if c.d.err != errTruncated {
+			return "", nil, false, c.d.err
 		}
 		if c.eof {
 			if c.pos == len(c.buf) {

@@ -72,16 +72,16 @@ func TestCodecRoundTripBuiltins(t *testing.T) {
 		[]int{-5, 5}, []string{"a", "", "bc"},
 	}
 	for _, v := range cases {
-		if !Encodable(v) {
-			t.Errorf("Encodable(%T %v) = false", v, v)
+		if !columnFor(v).encodable(v) {
+			t.Errorf("encodable(%T %v) = false", v, v)
 			continue
 		}
-		buf, err := appendValue(nil, v)
+		buf, err := AppendEncoded(nil, v)
 		if err != nil {
 			t.Errorf("encode %T: %v", v, err)
 			continue
 		}
-		got, err := decodeValue(buf)
+		got, err := DecodeEncoded(buf)
 		if err != nil {
 			t.Errorf("decode %T: %v", v, err)
 			continue
@@ -116,39 +116,43 @@ func TestCodecSliceCountOverflow(t *testing.T) {
 }
 
 func TestCodecUnregisteredType(t *testing.T) {
-	if Encodable(unregistered{1}) {
-		t.Fatal("Encodable(unregistered) = true")
+	if columnFor(nil).encodable(unregistered{1}) {
+		t.Fatal("encodable(unregistered) = true")
 	}
-	if _, err := appendValue(nil, unregistered{1}); err == nil {
+	if _, err := AppendEncoded(nil, unregistered{1}); err == nil {
 		t.Fatal("encode of unregistered type succeeded")
 	}
 }
 
 type registered struct{ n int32 }
 
+// tagTest is a tag no package registers.
+const tagTest = 250
+
 func init() {
-	RegisterValue(250, registered{},
-		func(buf []byte, v any) []byte { return AppendI32s(buf, []int32{v.(registered).n}) },
-		func(b []byte) (any, error) {
-			d := NewDec(b)
+	Register(tagTest, Codec[registered]{
+		Append: func(buf []byte, v registered) []byte { return AppendI32s(buf, []int32{v.n}) },
+		Read: func(d *Dec) registered {
 			xs := d.I32s()
-			if d.Err() != nil || len(xs) != 1 {
-				return nil, fmt.Errorf("bad registered payload")
+			if len(xs) != 1 {
+				d.fail()
+				return registered{}
 			}
-			return registered{n: xs[0]}, nil
-		})
+			return registered{n: xs[0]}
+		},
+	})
 }
 
 func TestCodecRegisteredType(t *testing.T) {
 	v := registered{n: -42}
-	if !Encodable(v) {
-		t.Fatal("Encodable(registered) = false")
+	if !columnFor(v).encodable(v) {
+		t.Fatal("encodable(registered) = false")
 	}
-	buf, err := appendValue(nil, v)
+	buf, err := AppendEncoded(nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeValue(buf)
+	got, err := DecodeEncoded(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestCodecRegisteredType(t *testing.T) {
 	}
 }
 
-func TestRegisterValuePanics(t *testing.T) {
+func TestRegisterPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -167,12 +171,22 @@ func TestRegisterValuePanics(t *testing.T) {
 		}()
 		f()
 	}
-	enc := func(buf []byte, v any) []byte { return buf }
-	dec := func(b []byte) (any, error) { return nil, nil }
-	mustPanic("builtin tag", func() { RegisterValue(5, registered{}, enc, dec) })
-	mustPanic("duplicate tag", func() { RegisterValue(250, struct{ x bool }{}, enc, dec) })
-	mustPanic("duplicate type", func() { RegisterValue(251, registered{}, enc, dec) })
-	mustPanic("nil codec", func() { RegisterValue(252, struct{ y bool }{}, nil, nil) })
+	codec := Codec[registered]{
+		Append: func(buf []byte, _ registered) []byte { return buf },
+		Read:   func(*Dec) registered { return registered{} },
+	}
+	other := Codec[struct{ x bool }]{
+		Append: func(buf []byte, _ struct{ x bool }) []byte { return buf },
+		Read:   func(*Dec) struct{ x bool } { return struct{ x bool }{} },
+	}
+	mustPanic("builtin tag", func() { Register(tagInt32, codec) })
+	mustPanic("bare tag", func() { Register(tagTrue, other) })
+	mustPanic("duplicate tag", func() { Register(tagTest, other) })
+	mustPanic("duplicate type", func() { Register(253, codec) })
+	mustPanic("nil codec", func() { Register(254, Codec[struct{ y bool }]{}) })
+	if kindsByTag[253] != nil || kindsByTag[254] != nil || kindsByType[reflect.TypeFor[struct{ x bool }]()] != nil {
+		t.Error("a refused registration left an entry behind")
+	}
 }
 
 func TestBufferUnboundedNeverSpills(t *testing.T) {
