@@ -7,13 +7,15 @@ import (
 
 // TestBitmapFilterGoldenEquivalence runs the golden corpus through every
 // FS-Join kernel and RIDPairsPPJoin with the bitmap filter forced on and
-// forced off: the emitted pairs must be byte-identical (the filter only
-// skips work), the on-run must actually build signatures and reject
-// candidates, and RIDPairsPPJoin's verified-candidate count must shrink.
+// forced off through FSJOIN_BITMAP: the emitted pairs must be
+// byte-identical (the filter only skips work), the on-run must actually
+// build signatures and reject candidates, and RIDPairsPPJoin's
+// verified-candidate count must shrink.
 func TestBitmapFilterGoldenEquivalence(t *testing.T) {
 	texts, _ := loadGolden(t)
-	run := func(opt Options) *Result {
+	run := func(opt Options, bitmap string) *Result {
 		t.Helper()
+		t.Setenv("FSJOIN_BITMAP", bitmap)
 		res, err := SelfJoinStrings(texts, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -29,11 +31,7 @@ func TestBitmapFilterGoldenEquivalence(t *testing.T) {
 		{"fsjoin-loop", Options{Threshold: goldenTheta, Nodes: 3, JoinMethod: LoopJoin}},
 		{"ridpairs", Options{Threshold: goldenTheta, Nodes: 3, Algorithm: RIDPairsPPJoin}},
 	} {
-		off := cfg.opt
-		off.BitmapFilter = BitmapOff
-		on := cfg.opt
-		on.BitmapFilter = BitmapOn
-		resOff, resOn := run(off), run(on)
+		resOff, resOn := run(cfg.opt, "off"), run(cfg.opt, "on")
 		if !reflect.DeepEqual(formatPairs(resOn.Pairs), formatPairs(resOff.Pairs)) {
 			t.Fatalf("%s: pairs differ with bitmap filter on (%d) vs off (%d)",
 				cfg.name, len(resOn.Pairs), len(resOff.Pairs))
@@ -54,32 +52,8 @@ func TestBitmapFilterGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestBitmapWidthPinned checks the explicit-width path end to end and the
-// validation error for unsupported widths.
-func TestBitmapWidthPinned(t *testing.T) {
-	texts, _ := loadGolden(t)
-	base, err := SelfJoinStrings(texts, Options{Threshold: goldenTheta, BitmapFilter: BitmapOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{64, 128, 256} {
-		res, err := SelfJoinStrings(texts, Options{Threshold: goldenTheta, BitmapWidth: w})
-		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
-		}
-		if !reflect.DeepEqual(formatPairs(res.Pairs), formatPairs(base.Pairs)) {
-			t.Fatalf("width %d: pairs differ from unfiltered run", w)
-		}
-	}
-	for _, algo := range []Algorithm{FSJoin, RIDPairsPPJoin} {
-		if _, err := SelfJoinStrings(texts, Options{Threshold: goldenTheta, Algorithm: algo, BitmapWidth: 100}); err == nil {
-			t.Fatalf("%v: invalid bitmap width accepted", algo)
-		}
-	}
-}
-
-// TestBitmapEnvOverride checks the FSJOIN_BITMAP environment knob: auto
-// mode defers to it, explicit modes ignore it.
+// TestBitmapEnvOverride checks the FSJOIN_BITMAP test switch: the filter
+// is on by default and the switch turns it off and back on.
 func TestBitmapEnvOverride(t *testing.T) {
 	texts, _ := loadGolden(t)
 	t.Setenv("FSJOIN_BITMAP", "off")
@@ -90,11 +64,14 @@ func TestBitmapEnvOverride(t *testing.T) {
 	if res.Stats.BitmapBuilt != 0 {
 		t.Fatalf("auto mode ignored FSJOIN_BITMAP=off: built %d", res.Stats.BitmapBuilt)
 	}
-	res, err = SelfJoinStrings(texts, Options{Threshold: goldenTheta, BitmapFilter: BitmapOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.BitmapBuilt == 0 {
-		t.Fatal("explicit BitmapOn overridden by environment")
+	for _, v := range []string{"on", ""} {
+		t.Setenv("FSJOIN_BITMAP", v)
+		res, err = SelfJoinStrings(texts, Options{Threshold: goldenTheta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.BitmapBuilt == 0 {
+			t.Fatalf("FSJOIN_BITMAP=%q: no signatures built", v)
+		}
 	}
 }

@@ -4,17 +4,14 @@
 //
 // Usage:
 //
-//	fsjoin -theta 0.8 [-algo fs|fs-v|ridpairs|vsmart|massjoin|massjoin-light]
-//	       [-fn jaccard|dice|cosine] [-q N] [-nodes N] [-stats]
-//	       [-bitmap auto|on|off] [-bitmap-width 0|64|128|256]
-//	       [-workers N [-work-dir DIR]] [-file-shuffle]
+//	fsjoin -theta 0.8 [-algo fs|fs-v|ridpairs|vsmart|massjoin|massjoin-light|approx]
+//	       [-fn jaccard|dice|cosine] [-q N] [-nodes N] [-stats] [-file-shuffle]
 //	       [-checkpoint DIR [-resume]] [-skip-bad-records] [-rs] R.txt [S.txt]
 //
-// -workers N ≥ 2 executes the join across N supervised worker processes
-// (the binary re-executes itself) over the filesystem shuffle transport;
-// -file-shuffle routes the shuffle through the same transport within a
-// single process. Both are byte-identical to the default in-process run
-// (DESIGN.md §15).
+// -file-shuffle routes the shuffle through the filesystem transport
+// (DESIGN.md §15); output is byte-identical to the default in-memory
+// shuffle. The bitmap signature filter is always on; the FSJOIN_BITMAP=off
+// environment variable disables it for testing (DESIGN.md §11).
 //
 // With one input file a self-join is performed; with two, an R-S join:
 // every output pair matches a line of R.txt (first column) with a line of
@@ -62,9 +59,6 @@ import (
 )
 
 func main() {
-	// Hand over immediately when this process was spawned as a clustered
-	// join worker; everything below is the driver path.
-	fsjoin.MaybeWorker()
 	var (
 		theta  = flag.Float64("theta", 0.8, "similarity threshold in (0,1]")
 		algo   = flag.String("algo", "fs", "algorithm: fs, fs-v, ridpairs, vsmart, massjoin, massjoin-light, approx")
@@ -79,13 +73,8 @@ func main() {
 		resume = flag.Bool("resume", false, "reuse matching checkpoints from -checkpoint instead of starting fresh")
 		skip   = flag.Bool("skip-bad-records", false, "quarantine records that deterministically crash a task instead of failing the join")
 		maxSk  = flag.Int("max-skipped-records", 0, "abort after this many quarantined records (0 = default limit)")
-		bitmap = flag.String("bitmap", "auto", "bitmap signature filter: auto, on, off")
-		bmW    = flag.Int("bitmap-width", 0, "bitmap signature width in bits: 0 (auto), 64, 128, 256")
 		rs     = flag.Bool("rs", false, "require an R-S join: exactly two input files (implied when two files are given)")
-
-		workers = flag.Int("workers", 0, "execute the join across this many supervised worker processes (0 or 1 = in-process)")
-		workDir = flag.String("work-dir", "", "shared work directory for -workers (\"\" = a temporary one)")
-		fileSh  = flag.Bool("file-shuffle", false, "run every job over the filesystem shuffle transport (hand-off and task outputs as frame files)")
+		fileSh = flag.Bool("file-shuffle", false, "run every job over the filesystem shuffle transport (hand-off and task outputs as frame files)")
 
 		probe    = flag.String("probe", "", "probe mode: answer each record of this file against a persistent index of the corpus")
 		indexDir = flag.String("index-dir", "", "probe mode: load the index from this directory if present, else build and save it there")
@@ -123,10 +112,7 @@ func main() {
 		fatal("-wal-sync and -auto-compact require -probe with -index-dir")
 	}
 	opt := fsjoin.Options{Threshold: *theta, Nodes: *nodes, WorkBudget: *budget, LocalParallelism: *par, CheckpointDir: *ckpt,
-		Workers: *workers, WorkDir: *workDir, FileShuffle: *fileSh}
-	if *workers > 1 && (*serve || *probe != "") {
-		fatal("-workers is incompatible with -serve and -probe")
-	}
+		FileShuffle: *fileSh}
 	if *ckpt != "" && !*resume {
 		// A fresh (non-resume) run must not reuse checkpoints left over
 		// from an earlier invocation with different inputs.
@@ -144,17 +130,6 @@ func main() {
 			quarantined = append(quarantined, r)
 		}
 	}
-	switch *bitmap {
-	case "auto":
-		opt.BitmapFilter = fsjoin.BitmapAuto
-	case "on":
-		opt.BitmapFilter = fsjoin.BitmapOn
-	case "off":
-		opt.BitmapFilter = fsjoin.BitmapOff
-	default:
-		fatal("unknown bitmap filter mode %q (want auto, on or off)", *bitmap)
-	}
-	opt.BitmapWidth = *bmW
 	switch *fn {
 	case "jaccard":
 		opt.Function = fsjoin.Jaccard
@@ -249,11 +224,6 @@ func main() {
 		if *ckpt != "" || *skip {
 			fmt.Fprintf(os.Stderr, "checkpoint hits=%d misses=%d skipped-records=%d\n",
 				res.Stats.CheckpointHits, res.Stats.CheckpointMisses, res.Stats.RecordsSkipped)
-		}
-		if *workers > 1 {
-			fmt.Fprintf(os.Stderr, "transport workers=%d heartbeats=%d worker-deaths=%d tasks-reassigned=%d partitions-redelivered=%d\n",
-				res.Stats.Workers, res.Stats.TransportHeartbeats, res.Stats.WorkerDeaths,
-				res.Stats.TasksReassigned, res.Stats.PartitionsRedelivered)
 		}
 	}
 }
@@ -381,12 +351,7 @@ func (d probeDurability) options() (fsjoin.Durability, error) {
 // and a write-ahead log attached, so a long-lived embedder of the same
 // flow survives crashes between compactions.
 func runProbe(opt fsjoin.Options, corpus func() *fsjoin.Collection, queries [][]string, dir string, stats bool, dur probeDurability) {
-	iopt := fsjoin.IndexOptions{
-		Threshold:    opt.Threshold,
-		Function:     opt.Function,
-		BitmapFilter: opt.BitmapFilter,
-		BitmapWidth:  opt.BitmapWidth,
-	}
+	iopt := fsjoin.IndexOptions{Threshold: opt.Threshold, Function: opt.Function}
 	var ix *fsjoin.Index
 	source := "loaded"
 	if dir != "" {

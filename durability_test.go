@@ -253,11 +253,11 @@ func TestPreviousFormatsRefused(t *testing.T) {
 		}},
 		{"FSSHUF1", func(t *testing.T, dir string) {
 			spec := mapreduce.TransportSpec{Job: "legacy", MapTasks: 1, ReduceTasks: 2}
-			jt, err := mapreduce.NewFSTransport(dir, true).Open(spec)
+			jt, err := mapreduce.NewFSTransport(dir).Open(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy(t, "m0.g1-1", filepath.Join(dir, "s001-legacy", "m0.g1-1"))
+			legacy(t, "m0.g1-1", filepath.Join(dir, "s001-legacy", "m0.g1"))
 			if _, err := jt.MapMeta(0); err == nil || !strings.Contains(err.Error(), "no valid frame") {
 				t.Fatalf("MapMeta = %v, want an invalid generation", err)
 			}

@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"time"
 
-	"fsjoin/internal/filters"
 	"fsjoin/internal/fragjoin"
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/partition"
@@ -157,51 +156,6 @@ func (j JoinMethod) internal() fragjoin.Method {
 	}
 }
 
-// BitmapFilterMode selects how the bitmap signature filter (DESIGN.md §11)
-// is applied: per-record/segment fixed-width hashed token bitmaps whose
-// XOR+popcount overlap upper bound rejects candidate pairs before any
-// exact intersection or verification. The filter is exact — join results
-// are byte-identical in every mode; only the amount of exact work (and the
-// Stats.Bitmap* counters) changes.
-type BitmapFilterMode int
-
-// Supported bitmap filter modes.
-const (
-	// BitmapAuto (the default) enables the filter with its width chosen
-	// from length statistics, and honours the FSJOIN_BITMAP ("on"/"off")
-	// and FSJOIN_BITMAP_WIDTH (64/128/256) environment overrides.
-	BitmapAuto BitmapFilterMode = iota
-	// BitmapOn forces the filter on, ignoring the environment.
-	BitmapOn
-	// BitmapOff disables the filter, ignoring the environment.
-	BitmapOff
-)
-
-// String implements fmt.Stringer.
-func (m BitmapFilterMode) String() string {
-	switch m {
-	case BitmapAuto:
-		return "auto"
-	case BitmapOn:
-		return "on"
-	case BitmapOff:
-		return "off"
-	default:
-		return fmt.Sprintf("BitmapFilterMode(%d)", int(m))
-	}
-}
-
-func (m BitmapFilterMode) internal() filters.BitmapMode {
-	switch m {
-	case BitmapOn:
-		return filters.BitmapOn
-	case BitmapOff:
-		return filters.BitmapOff
-	default:
-		return filters.BitmapAuto
-	}
-}
-
 // Options configures a join.
 type Options struct {
 	// Threshold is the similarity threshold θ in (0, 1]. Required.
@@ -220,14 +174,6 @@ type Options struct {
 	PivotSelection PivotSelection
 	// JoinMethod is FS-Join's fragment join kernel (default PrefixJoin).
 	JoinMethod JoinMethod
-	// BitmapFilter toggles the bitmap signature filter (default BitmapAuto:
-	// on, width from length statistics). Applied by every FS-Join kernel
-	// before exact intersections and by RIDPairsPPJoin before verification;
-	// results are byte-identical in every mode.
-	BitmapFilter BitmapFilterMode
-	// BitmapWidth pins the signature width in bits (64, 128 or 256);
-	// 0 (the default) picks it per fragment/group from length statistics.
-	BitmapWidth int
 	// Nodes is the simulated cluster size (default 10, the paper's).
 	Nodes int
 	// Seed drives RandomPivots.
@@ -238,7 +184,7 @@ type Options struct {
 	WorkBudget int64
 	// Context, when non-nil, cancels the join at the next task boundary
 	// with the context's error.
-	Context context.Context `json:"-"`
+	Context context.Context
 	// LocalParallelism is the number of simulated tasks run concurrently on
 	// the local machine, for every algorithm. 0 (the default) uses one
 	// worker per CPU core; 1 forces sequential execution, which gives the
@@ -260,8 +206,10 @@ type Options struct {
 	// FSJOIN_MEMORY_BUDGET environment variable (unbounded when unset);
 	// a negative value forces unbounded buffering.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files; "" uses the OS
-	// temp dir. Each join creates and removes its own subdirectories.
+	// SpillDir is the parent directory for spill files and FileShuffle
+	// frames; "" defers to the FSJOIN_SPILL_DIR environment variable, then
+	// the OS temp dir. Each join creates and removes its own
+	// subdirectories.
 	SpillDir string
 	// CheckpointDir, when non-empty, makes the join durable: after every
 	// MapReduce stage completes, its output, counters and metrics are
@@ -275,36 +223,16 @@ type Options struct {
 	// Stats.CheckpointHits/CheckpointMisses report the replay activity.
 	// Directories must not be reused across library versions.
 	CheckpointDir string
-	// Workers, when ≥ 2, runs the join across that many supervised worker
-	// processes (the calling binary re-executed; main or TestMain must
-	// call MaybeWorker first). Map and reduce tasks are sharded across the
-	// workers over the filesystem shuffle transport; a crashed or stalled
-	// worker's tasks are reassigned to survivors and the join completes
-	// with byte-identical results. Stats.Workers and the Stats transport
-	// counters report the run. Incompatible with CheckpointDir,
-	// Fault.OnQuarantine and Fault.SpeculativeDelay; 0 or 1 is the normal
-	// in-process execution.
-	Workers int
-	// WorkDir is the shared directory for a Workers ≥ 2 run (job spec,
-	// control socket, shuffle frames); "" creates and removes a temporary
-	// one. The caller owns a non-empty WorkDir.
-	WorkDir string
 	// FileShuffle runs every job over the filesystem shuffle transport
-	// even in a single process: the map→reduce hand-off and each task's
-	// output (reduce and map-only) are published as checksummed framed
-	// files (DESIGN.md §16) in a temporary directory and read back, so
-	// every shuffled and emitted value must be spill-encodable. The
-	// directory is removed when the call returns and nothing can resume
-	// from it, so these frames are published atomically but not fsynced
-	// (those of a Workers ≥ 2 run are). Results are byte-identical to the
-	// in-memory shuffle; useful for validating the transport. Implied by
-	// Workers ≥ 2.
+	// (DESIGN.md §15): the map→reduce hand-off and each task's output
+	// (reduce and map-only) are published as checksummed framed files
+	// (DESIGN.md §16) in a temporary directory under SpillDir and read
+	// back, so every shuffled and emitted value must be spill-encodable.
+	// The directory is removed when the call returns and nothing can resume
+	// from it, so these frames are published atomically but not fsynced.
+	// Results are byte-identical to the in-memory shuffle; useful for
+	// validating the transport.
 	FileShuffle bool
-
-	// runtime carries the resolved execution substrate (transport +
-	// executor) into the algorithm pipelines. Worker processes and the
-	// clustered driver set it; user code never does.
-	runtime mapreduce.Runtime
 }
 
 // FaultOptions is the public face of the engine's fault model (DESIGN.md
@@ -354,7 +282,7 @@ type FaultOptions struct {
 	MaxSkippedRecords int
 	// OnQuarantine, when non-nil, receives every quarantined record.
 	// Calls are serialised by the engine.
-	OnQuarantine func(QuarantinedRecord) `json:"-"`
+	OnQuarantine func(QuarantinedRecord)
 
 	// injector lets in-package tests schedule precise faults (including
 	// poison records) without widening the public API.
@@ -420,15 +348,16 @@ func (o Options) faultPolicy() mapreduce.FaultPolicy {
 
 // env lowers the public execution knobs onto the engine environment every
 // algorithm forwards to its pipeline — the one place a new engine-wide
-// setting is wired.
-func (o Options) env() mapreduce.Env {
+// setting is wired. tr is the resolved FileShuffle transport (nil: in
+// memory).
+func (o Options) env(tr mapreduce.Transport) mapreduce.Env {
 	return mapreduce.Env{
 		Context:        o.Context,
 		Fault:          o.faultPolicy(),
 		SpillDir:       o.SpillDir,
 		CheckpointDir:  o.CheckpointDir,
 		CheckpointSalt: o.checkpointSalt(),
-		Runtime:        o.runtime,
+		Transport:      tr,
 	}
 }
 
@@ -448,15 +377,6 @@ func (o Options) checkpointSalt() string {
 		o.Nodes, o.Seed, o.WorkBudget)
 }
 
-// bitmapConfig lowers the public bitmap knobs onto the filter config.
-func (o Options) bitmapConfig() (filters.BitmapConfig, error) {
-	cfg := filters.BitmapConfig{Mode: o.BitmapFilter.internal(), Width: o.BitmapWidth}
-	if err := cfg.Validate(); err != nil {
-		return cfg, fmt.Errorf("fsjoin: BitmapWidth %d (want 0, 64, 128 or 256)", o.BitmapWidth)
-	}
-	return cfg, nil
-}
-
 func (o Options) cluster() *mapreduce.Cluster {
 	cl := mapreduce.DefaultCluster()
 	if o.Nodes > 0 {
@@ -465,20 +385,19 @@ func (o Options) cluster() *mapreduce.Cluster {
 	return cl
 }
 
-// resolveTransport realises Options.FileShuffle for an in-process run:
-// the shuffle and the task outputs go through framed files in a fresh
-// temporary directory, removed by the returned cleanup — which is why the
-// transport is opened without keep, hence without fsyncs.
-func (o *Options) resolveTransport() (func(), error) {
-	if !o.FileShuffle || o.runtime.Transport != nil {
-		return func() {}, nil
+// resolveTransport realises Options.FileShuffle: the shuffle and the task
+// outputs go through framed files in a fresh directory under the spill
+// directory, resolved as the spill runs resolve it and removed by the
+// returned cleanup. Without FileShuffle the transport is nil (in memory).
+func (o Options) resolveTransport() (mapreduce.Transport, func(), error) {
+	if !o.FileShuffle {
+		return nil, func() {}, nil
 	}
-	dir, err := os.MkdirTemp(o.SpillDir, "fsjoin-shuffle-")
+	dir, err := os.MkdirTemp(mapreduce.SpillDir(o.SpillDir), "fsjoin-shuffle-")
 	if err != nil {
-		return nil, fmt.Errorf("fsjoin: FileShuffle: %w", err)
+		return nil, nil, fmt.Errorf("fsjoin: FileShuffle: %w", err)
 	}
-	o.runtime.Transport = mapreduce.NewFSTransport(dir, false)
-	return func() { os.RemoveAll(dir) }, nil
+	return mapreduce.NewFSTransport(dir), func() { os.RemoveAll(dir) }, nil
 }
 
 // localParallelism resolves Options.LocalParallelism for the engine: the
@@ -516,7 +435,7 @@ type Stats struct {
 	// verification.
 	Candidates int64
 	// BitmapBuilt, BitmapRejected and BitmapPassed report the bitmap
-	// signature filter's activity (Options.BitmapFilter): signatures built,
+	// signature filter's activity (DESIGN.md §11): signatures built,
 	// joinable candidate pairs rejected by the popcount bound before exact
 	// work, and joinable pairs that survived it. A pair that can never be
 	// emitted (same side of an R-S join, same side of a boundary partition)
@@ -554,18 +473,11 @@ type Stats struct {
 	// len(Result.Pairs) there. Always zero for self-joins.
 	RSCandidates int64
 	RSPairs      int64
-	// Workers is the worker-process count of a clustered run
-	// (Options.Workers ≥ 2); zero for in-process execution.
-	Workers int
-	// TransportHeartbeats, WorkerDeaths, TasksReassigned and
-	// PartitionsRedelivered report a clustered run's supervision activity:
-	// heartbeats received, workers declared dead (crash or heartbeat
-	// timeout), task leases reassigned from dead or stalled workers, and
-	// partition deliveries that duplicated an already-committed generation
-	// (idempotent redelivery). All zero for in-process runs without
-	// injected transport faults.
-	TransportHeartbeats   int64
-	WorkerDeaths          int64
+	// TasksReassigned and PartitionsRedelivered report the transport faults
+	// Fault.ChaosTransportFaults injected: tasks re-executed after a
+	// simulated worker loss, and partition deliveries that duplicated an
+	// already-committed generation (idempotent redelivery). Both zero
+	// without injected transport faults.
 	TasksReassigned       int64
 	PartitionsRedelivered int64
 	// QueueWait is how long the job waited for admission when run through

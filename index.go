@@ -32,20 +32,14 @@ func publishIndexErr(err error) error {
 
 // IndexOptions configures a probe index. The similarity predicate is fixed
 // at build time: one index answers exactly one (function, threshold,
-// bitmap) configuration, and LoadIndex refuses an index saved under any
+// bitmap) configuration — the bitmap filter's as the FSJOIN_BITMAP test
+// switch resolves it — and LoadIndex refuses an index saved under any
 // other.
 type IndexOptions struct {
 	// Threshold is the similarity threshold θ in (0, 1]. Required.
 	Threshold float64
 	// Function is the similarity function (default Jaccard).
 	Function Similarity
-	// BitmapFilter toggles the per-record signature filter (default
-	// BitmapAuto; see Options.BitmapFilter). Probe results are identical in
-	// every mode.
-	BitmapFilter BitmapFilterMode
-	// BitmapWidth pins the signature width in bits (64, 128 or 256); 0
-	// picks it from the corpus's mean record length.
-	BitmapWidth int
 }
 
 func (o IndexOptions) internal() (probeindex.Options, error) {
@@ -53,14 +47,10 @@ func (o IndexOptions) internal() (probeindex.Options, error) {
 	if err != nil {
 		return probeindex.Options{}, err
 	}
-	bm, err := Options{BitmapFilter: o.BitmapFilter, BitmapWidth: o.BitmapWidth}.bitmapConfig()
-	if err != nil {
-		return probeindex.Options{}, err
-	}
 	if o.Threshold <= 0 || o.Threshold > 1 {
 		return probeindex.Options{}, fmt.Errorf("fsjoin: Threshold %v outside (0, 1]", o.Threshold)
 	}
-	return probeindex.Options{Fn: fn, Theta: o.Threshold, Bitmap: bm}, nil
+	return probeindex.Options{Fn: fn, Theta: o.Threshold}, nil
 }
 
 // WALSyncMode selects when write-ahead-log appends reach stable storage on

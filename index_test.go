@@ -63,16 +63,15 @@ func TestIndexProbeMatchesSelfJoin(t *testing.T) {
 	coll := d.NewTextCollection(texts)
 	for _, fn := range []Similarity{Jaccard, Dice, Cosine} {
 		for _, theta := range []float64{0.6, 0.8, 0.95} {
-			for _, bm := range []BitmapFilterMode{BitmapOn, BitmapOff} {
+			for _, bm := range []string{"on", "off"} {
+				t.Setenv("FSJOIN_BITMAP", bm)
 				label := fmt.Sprintf("fn=%d theta=%v bitmap=%v", fn, theta, bm)
-				ix, err := BuildIndex(coll, IndexOptions{
-					Threshold: theta, Function: fn, BitmapFilter: bm,
-				})
+				ix, err := BuildIndex(coll, IndexOptions{Threshold: theta, Function: fn})
 				if err != nil {
 					t.Fatal(err)
 				}
 				full, err := coll.SelfJoin(Options{
-					Threshold: theta, Function: fn, BitmapFilter: bm, LocalParallelism: 1,
+					Threshold: theta, Function: fn, LocalParallelism: 1,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -275,9 +274,6 @@ func TestIndexOptionValidation(t *testing.T) {
 	}
 	if _, err := BuildIndex(coll, IndexOptions{Threshold: 0.5, Function: Similarity(7)}); err == nil {
 		t.Error("bogus Function accepted")
-	}
-	if _, err := BuildIndex(coll, IndexOptions{Threshold: 0.5, BitmapWidth: 3}); err == nil {
-		t.Error("bogus BitmapWidth accepted")
 	}
 	if _, err := BuildIndex(nil, IndexOptions{Threshold: 0.5}); err == nil {
 		t.Error("nil collection accepted")

@@ -66,13 +66,13 @@ type Options struct {
 	// are byte-identical at any budget.
 	MemoryBudget int64
 	// Env is the execution environment (cancellation, fault policy, spill
-	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// and checkpoint directories, transport) handed to the pipeline as is;
 	// see mapreduce.Env.
 	Env mapreduce.Env
 	// Bitmap configures the hashed signature filter every join kernel
 	// applies before exact intersections (DESIGN.md §11). The zero value is
 	// auto: enabled, width from per-fragment length statistics, overridable
-	// through FSJOIN_BITMAP / FSJOIN_BITMAP_WIDTH. Results are
+	// through the FSJOIN_BITMAP test switch. Results are
 	// byte-identical with the filter on or off.
 	Bitmap filters.BitmapConfig
 }

@@ -180,9 +180,8 @@ func TestBitmapConfigValidate(t *testing.T) {
 
 func TestBitmapResolveEnv(t *testing.T) {
 	t.Setenv("FSJOIN_BITMAP", "off")
-	t.Setenv("FSJOIN_BITMAP_WIDTH", "128")
 	got := BitmapConfig{}.ResolveEnv()
-	if got.Mode != BitmapOff || got.Width != 128 {
+	if got.Mode != BitmapOff || got.Width != 0 {
 		t.Fatalf("auto config ignored environment: %+v", got)
 	}
 	// Explicit mode wins over the environment entirely.
@@ -190,14 +189,13 @@ func TestBitmapResolveEnv(t *testing.T) {
 	if got.Mode != BitmapOn || got.Width != 0 {
 		t.Fatalf("explicit mode overridden: %+v", got)
 	}
-	// Explicit width survives even when the environment disagrees.
+	// An explicit width survives the switch.
 	got = (BitmapConfig{Width: 64}).ResolveEnv()
-	if got.Width != 64 {
+	if got.Mode != BitmapOff || got.Width != 64 {
 		t.Fatalf("explicit width overridden: %+v", got)
 	}
 	// Invalid environment values are ignored, never an error.
 	t.Setenv("FSJOIN_BITMAP", "banana")
-	t.Setenv("FSJOIN_BITMAP_WIDTH", "65")
 	got = BitmapConfig{}.ResolveEnv()
 	if got.Mode != BitmapAuto || got.Width != 0 {
 		t.Fatalf("invalid environment applied: %+v", got)

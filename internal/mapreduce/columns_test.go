@@ -130,7 +130,7 @@ func TestTypedAndBoxedColumnsAgree(t *testing.T) {
 							cfg := Config{Name: "columns", Cluster: tinyCluster(), MapTasks: 5, ReduceTasks: 3,
 								MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Parallelism: par}
 							if transport == "fs" {
-								cfg.Runtime.Transport = NewFSTransport(t.TempDir(), false)
+								cfg.Transport = NewFSTransport(t.TempDir())
 							}
 							var reducer Reducer = job
 							if shape != "folding" {

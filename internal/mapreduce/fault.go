@@ -73,8 +73,8 @@ const (
 	// records). Not part of SeededPlan's default mix.
 	FaultRecordPanic
 	// FaultWorkerLoss models a worker dying after committing a map task but
-	// before its completion was acknowledged: the supervisor reassigns the
-	// task and the survivor's re-execution delivers the same partitions
+	// before its completion was acknowledged: the task is reassigned and
+	// the survivor's re-execution delivers the same partitions
 	// again under a newer generation. Realised at the transport commit
 	// boundary (DeliveryAttempt), not inside an attempt; output must be
 	// byte-identical because delivery is idempotent. Not part of

@@ -20,32 +20,24 @@ import (
 
 // FSTransport is the filesystem shuffle transport (DESIGN.md §15): every
 // committed task becomes one framed file (internal/frame, DESIGN.md §16)
-// under a shared root, bound to the job's fingerprint and published
-// atomically. Commits are generation-stamped and
-// reads are newest-complete-wins, so duplicate deliveries from
-// reassigned or raced workers are harmless by construction: tasks are
-// deterministic, hence every complete generation of a task carries
-// identical bytes.
+// under a root directory, bound to the job's fingerprint and published
+// atomically. Commits are generation-stamped and reads are
+// newest-complete-wins, so a duplicate delivery (Redeliver) is harmless by
+// construction: tasks are deterministic, hence every complete generation
+// of a task carries identical bytes.
 //
 // One FSTransport value serves a whole pipeline: each stage's Open gets
-// the next stage sequence number, and because every SPMD participant
-// replays the same stages in the same order, participants agree on stage
-// directories with no coordination beyond determinism.
+// the next stage sequence number, hence its own stage directory.
 type FSTransport struct {
 	root string
-	keep bool
 	seq  atomic.Int64
 }
 
-// NewFSTransport returns a transport rooted at dir. keep leaves committed
-// frames on disk when a job transport closes — required for multi-process
-// runs, where partitions must outlive any single participant and the
-// driver removes the root when the run ends; in-process uses pass false
-// and each job cleans up after itself. keep is also what makes a frame
-// worth an fsync: without it no process can resume from the directory, so
-// frames are published atomically but not durably.
-func NewFSTransport(dir string, keep bool) *FSTransport {
-	return &FSTransport{root: dir, keep: keep}
+// NewFSTransport returns a transport rooted at dir. Each job removes its
+// stage directory when it closes, and nothing resumes from one, so frames
+// are published atomically but never fsynced.
+func NewFSTransport(dir string) *FSTransport {
+	return &FSTransport{root: dir}
 }
 
 // Open implements Transport.
@@ -57,7 +49,6 @@ func (f *FSTransport) Open(spec TransportSpec) (JobTransport, error) {
 	}
 	return &fsJob{
 		dir:    dir,
-		keep:   f.keep,
 		spec:   spec,
 		fp:     spec.fingerprint(),
 		frames: make(map[string]*fsFrame),
@@ -83,7 +74,6 @@ const (
 // fsJob is one job's window onto the shared transport directory.
 type fsJob struct {
 	dir  string
-	keep bool
 	spec TransportSpec
 	fp   string
 
@@ -105,31 +95,24 @@ type fsFrame struct {
 	meta  TaskMeta
 }
 
-// taskFileName names one committed generation. gen orders deliveries
-// (newest-complete-wins); pid breaks ties between racing processes —
-// safely, because racing commits of one task are byte-identical.
-func taskFileName(kind byte, task int, gen int64, pid int) string {
-	return fmt.Sprintf("%sg%d-%d", taskPrefix(kind, task), gen, pid)
+// taskFileName names one committed generation; gen orders deliveries
+// (newest-complete-wins).
+func taskFileName(kind byte, task int, gen int64) string {
+	return fmt.Sprintf("%sg%d", taskPrefix(kind, task), gen)
 }
 
-// parseGen extracts (gen, pid) from a task file name, reporting ok=false
-// for temp files and aliens.
-func parseGen(name string) (gen, pid int64, ok bool) {
+// parseGen extracts gen from a task file name, reporting ok=false for temp
+// files and aliens.
+func parseGen(name string) (gen int64, ok bool) {
 	i := strings.IndexByte(name, 'g')
 	if i < 0 || !strings.Contains(name[:i], ".") {
-		return 0, 0, false
+		return 0, false
 	}
-	rest := name[i+1:]
-	j := strings.IndexByte(rest, '-')
-	if j < 0 {
-		return 0, 0, false
+	g, err := strconv.ParseInt(name[i+1:], 10, 64)
+	if err != nil {
+		return 0, false
 	}
-	g, err1 := strconv.ParseInt(rest[:j], 10, 64)
-	p, err2 := strconv.ParseInt(rest[j+1:], 10, 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return g, p, true
+	return g, true
 }
 
 // CommitMap implements JobTransport: the sink is drained into a frame,
@@ -212,15 +195,14 @@ func (j *fsJob) publish(kind byte, t int, fill func(*frame.Writer) error) (redel
 	if c := j.candidates(kind, t); len(c) > 0 {
 		gen = c[0].gen // newest first
 	}
-	name := taskFileName(kind, t, gen+1, os.Getpid())
-	return gen > 0, frame.Publish(j.dir, name, j.header(kind, t), j.keep, fill)
+	name := taskFileName(kind, t, gen+1)
+	return gen > 0, frame.Publish(j.dir, name, j.header(kind, t), false, fill)
 }
 
 // fsCandidate is one on-disk generation of a task.
 type fsCandidate struct {
 	path string
 	gen  int64
-	pid  int64
 }
 
 // candidates lists a task's committed generations, newest first.
@@ -236,18 +218,13 @@ func (j *fsJob) candidates(kind byte, t int) []fsCandidate {
 		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		gen, pid, ok := parseGen(name)
+		gen, ok := parseGen(name)
 		if !ok {
 			continue
 		}
-		out = append(out, fsCandidate{path: filepath.Join(j.dir, name), gen: gen, pid: pid})
+		out = append(out, fsCandidate{path: filepath.Join(j.dir, name), gen: gen})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].gen != out[b].gen {
-			return out[a].gen > out[b].gen
-		}
-		return out[a].pid > out[b].pid
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].gen > out[b].gen })
 	return out
 }
 
@@ -426,7 +403,5 @@ func (j *fsJob) Close() {
 	j.mu.Lock()
 	clear(j.frames)
 	j.mu.Unlock()
-	if !j.keep {
-		os.RemoveAll(j.dir)
-	}
+	os.RemoveAll(j.dir)
 }

@@ -153,11 +153,9 @@ type Config struct {
 	// on a fingerprint-matched re-run (crash/restart recovery, DESIGN.md
 	// §9). Plain Run ignores it; inheritance and replay live in Pipeline.
 	CheckpointDir string
-	// Runtime selects the shuffle transport and, for multi-process runs,
-	// the task executor (DESIGN.md §15). The zero value runs every task in
-	// this process over the in-memory transport. A non-nil Executor requires
-	// a shared filesystem Transport and is incompatible with CheckpointDir.
-	Runtime Runtime
+	// Transport carries what the job's tasks commit (DESIGN.md §15); nil
+	// means the in-memory transport.
+	Transport Transport
 }
 
 // cancelled reports the context's error once it is done.
@@ -240,10 +238,13 @@ func (c Config) memoryBudget() int64 {
 	return b
 }
 
-// spillDir resolves where spill temp dirs are created ("" = OS temp dir).
-func (c Config) spillDir() string {
-	if c.SpillDir != "" {
-		return c.SpillDir
+// SpillDir resolves a configured spill directory to where the engine's
+// temp dirs are created: dir itself, else FSJOIN_SPILL_DIR, else "" (the OS
+// temp dir). Spill runs and the public layer's file-shuffle frames share
+// this one resolution.
+func SpillDir(dir string) string {
+	if dir != "" {
+		return dir
 	}
 	return os.Getenv("FSJOIN_SPILL_DIR")
 }
@@ -406,11 +407,11 @@ func DefaultPartitioner(key string, reducers int) int {
 // job map-only. Map tasks emit straight into per-reduce-task buffers
 // (map-side pre-partitioning), so there is no separate partition pass; each
 // reduce task then fetches, groups and sorts its own partition — through
-// the configured transport (Config.Runtime), in memory by default. Tasks
+// the configured transport (Config.Transport), in memory by default. Tasks
 // run sequentially or on a bounded worker pool per Config.Parallelism,
 // with per-task output slots so assembly order — and therefore Output,
 // counters and every shuffle metric — is identical at any parallelism
-// level, any transport, and any worker-process count.
+// level and over any transport.
 func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", cfg.Name)
@@ -446,7 +447,7 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 		folding:        folding,
 		foldingReducer: foldingReducer,
 		budget:         cfg.memoryBudget(),
-		sdir:           cfg.spillDir(),
+		sdir:           SpillDir(cfg.SpillDir),
 		quarantine:     &quarantineState{},
 	}
 	return runJob(env, input)
@@ -472,7 +473,7 @@ type jobEnv struct {
 // openTransport opens the job's shuffle channel on the configured (or
 // default in-memory) transport.
 func (env *jobEnv) openTransport() (JobTransport, error) {
-	tr := env.cfg.Runtime.Transport
+	tr := env.cfg.Transport
 	if tr == nil {
 		tr = MemoryTransport()
 	}
@@ -484,11 +485,20 @@ func (env *jobEnv) jobErr(err error) error {
 	return fmt.Errorf("mapreduce: job %q: %w", env.cfg.Name, err)
 }
 
-// runJob is the engine's one job driver. A task — wherever schedule ran it
-// — commits its artifact together with everything measured about it
-// through the job transport, and the Result is assembled from those
-// commits alone: a participant that executed every task and one that
-// executed none build the identical Result.
+// runPhase runs one phase's n tasks on the bounded pool, checking for
+// cancellation before each.
+func (env *jobEnv) runPhase(n int, task func(t int) error) error {
+	return RunPhase(env.cfg.Parallelism, n, func(t int) error {
+		if err := env.cfg.cancelled(); err != nil {
+			return env.jobErr(err)
+		}
+		return task(t)
+	})
+}
+
+// runJob is the engine's one job driver. A task commits its artifact
+// together with everything measured about it through the job transport,
+// and the Result is assembled from those commits alone.
 func runJob(env *jobEnv, input []KV) (*Result, error) {
 	cfg, cl, mapTasks, reduceTasks := env.cfg, env.cl, env.mapTasks, env.reduceTasks
 	jt, err := env.openTransport()
@@ -506,7 +516,7 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 
 	// ---- Map phase ----
 	splits := splitInput(input, mapTasks)
-	if err := env.schedule(PhaseMap, mapTasks, func(t int) (CommitInfo, error) {
+	if err := env.runPhase(mapTasks, func(t int) error {
 		return env.mapTask(jt, t, splits[t])
 	}); err != nil {
 		return nil, err
@@ -540,7 +550,7 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 	}
 
 	// ---- Reduce phase (per-reducer shuffle, group, sort, reduce) ----
-	if err := env.schedule(PhaseReduce, reduceTasks, func(t int) (CommitInfo, error) {
+	if err := env.runPhase(reduceTasks, func(t int) error {
 		return env.reduceTask(jt, t)
 	}); err != nil {
 		return nil, err
@@ -568,10 +578,10 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 	return res, nil
 }
 
-// mapTask is one map task, whoever scheduled it: the attempt loop against
-// a task-local counter set, then the commit — of the partitioned shuffle
-// output, or for a map-only job of the output itself.
-func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) (CommitInfo, error) {
+// mapTask is one map task: the attempt loop against a task-local counter
+// set, then the commit — of the partitioned shuffle output, or for a
+// map-only job of the output itself.
+func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) error {
 	cfg := env.cfg
 	tc := NewCounters()
 	start := time.Now()
@@ -581,12 +591,11 @@ func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) (CommitInfo, erro
 		},
 		func(kv KV) (string, any) { return kv.Key, kv.Value })
 	if err != nil {
-		return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
+		return taskErr(cfg.Name, PhaseMap, t, err)
 	}
 	meta := TaskMeta{TaskNanos: int64(time.Since(start))}
-	var info CommitInfo
 	if env.reducer == nil {
-		info, err = env.commitOutput(jt, "map", t, ctx, tc, meta)
+		err = env.commitOutput(jt, t, ctx, tc, meta)
 	} else {
 		meta.Spill = env.finishMapTask(tc, ctx)
 		// A scheduled delivery fault is counted before the snapshot — its
@@ -598,26 +607,24 @@ func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) (CommitInfo, erro
 			countDeliveryFault(df, tc, env.reduceTasks)
 		}
 		meta.Counters = tc.Snapshot()
-		env.atBoundary("map")
-		info, err = jt.CommitMap(t, ctx.shuffle, meta)
+		_, err = jt.CommitMap(t, ctx.shuffle, meta)
 		if err == nil && isDeliveryKind(df.Kind) {
 			_, err = jt.Redeliver(t)
 		}
 	}
 	if err != nil {
-		return CommitInfo{}, taskErr(cfg.Name, PhaseMap, t, err)
+		return taskErr(cfg.Name, PhaseMap, t, err)
 	}
-	env.atBoundary("handoff")
-	return info, nil
+	return nil
 }
 
 // reduceTask is one reduce task: fetch and group its partition, run the
 // attempt loop, commit the output and release the consumed partitions.
-func (env *jobEnv) reduceTask(jt JobTransport, t int) (CommitInfo, error) {
+func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
 	cfg := env.cfg
 	in, err := env.fetchReduceInput(jt, t)
 	if err != nil {
-		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
+		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
 	tc := NewCounters()
 	if in.maxWays > 1 {
@@ -627,7 +634,7 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) (CommitInfo, error) {
 	ctx, err := attempts(env, tc, PhaseReduce, t, in.Keys, env.reduceKeys(in),
 		func(key string) (string, any) { return key, nil })
 	if err != nil {
-		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
+		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
 	meta := TaskMeta{
 		Records: in.recs, Bytes: in.bytes, Groups: int64(len(in.Keys)),
@@ -636,26 +643,25 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) (CommitInfo, error) {
 	for _, b := range in.Sizes {
 		meta.GroupSpillNanos += int64(env.cl.groupSpillTime(b))
 	}
-	info, err := env.commitOutput(jt, "reduce", t, ctx, tc, meta)
-	if err != nil {
-		return CommitInfo{}, taskErr(cfg.Name, PhaseReduce, t, err)
+	if err := env.commitOutput(jt, t, ctx, tc, meta); err != nil {
+		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
 	for mt := 0; mt < env.mapTasks; mt++ {
 		jt.ReleasePartition(mt, t)
 	}
-	return info, nil
+	return nil
 }
 
 // commitOutput publishes a winning attempt's emissions as task t's final
 // output, sized here so the job's Output can be allocated once.
-func (env *jobEnv) commitOutput(jt JobTransport, boundary string, t int, ctx *Context, tc *Counters, meta TaskMeta) (CommitInfo, error) {
+func (env *jobEnv) commitOutput(jt JobTransport, t int, ctx *Context, tc *Counters, meta TaskMeta) error {
 	ctx.flushCounters()
 	meta.Counters = tc.Snapshot()
 	for i := 0; i < ctx.out.Len(); i++ {
 		meta.OutputBytes += int64(kvBytes(*ctx.out.At(i)))
 	}
-	env.atBoundary(boundary)
-	return jt.CommitOutput(t, &ctx.out, meta)
+	_, err := jt.CommitOutput(t, &ctx.out, meta)
+	return err
 }
 
 // collectOutput assembles Result.Output from a phase's committed task

@@ -63,19 +63,16 @@ type Env struct {
 	// fingerprint, so one directory reused under different algorithm
 	// options recomputes instead of replaying mismatched state.
 	CheckpointSalt string
-	// Runtime is the execution substrate (transport + executor, DESIGN.md
-	// §15) of every stage. A distributed runtime (non-nil Executor) is
-	// incompatible with CheckpointDir: replaying a stage on some
-	// participants but not others would desynchronise the SPMD phase
-	// sequence.
-	Runtime Runtime
+	// Transport carries every stage's commits (DESIGN.md §15); nil means
+	// the in-memory transport. One value serves all stages.
+	Transport Transport
 }
 
 // inherit makes e the stage's environment. No stage of any pipeline sets
 // these Config fields itself, so there is nothing to merge.
 func (e Env) inherit(cfg *Config) {
 	cfg.Context, cfg.Fault, cfg.SpillDir = e.Context, e.Fault, e.SpillDir
-	cfg.CheckpointDir, cfg.Runtime = e.CheckpointDir, e.Runtime
+	cfg.CheckpointDir, cfg.Transport = e.CheckpointDir, e.Transport
 }
 
 // CheckpointStats reports a pipeline's checkpoint activity. Every stage
@@ -119,9 +116,6 @@ func (p *Pipeline) Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (
 		cfg.MemoryBudgetBytes = p.MemoryBudgetBytes
 	}
 	p.inherit(&cfg)
-	if cfg.Runtime.Executor != nil && cfg.CheckpointDir != "" {
-		return nil, fmt.Errorf("pipeline %s: a distributed Runtime is incompatible with CheckpointDir", p.Name)
-	}
 	stage := len(p.stages)
 	var (
 		store *checkpoint.Store

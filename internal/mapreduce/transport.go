@@ -9,48 +9,28 @@ import (
 // This file defines the transport seam of the engine: everything a task
 // commits — a map task's partitions, a task's final output, and the meta
 // that carries its measurements — sits behind the Transport interface, so
-// the one job driver runs over both the in-process in-memory hand-off and
-// the multi-process filesystem shuffle (DESIGN.md §15). The default —
-// Config.Runtime left zero — is MemoryTransport, which keeps what a task
-// committed by reference: each map task's pre-partitioned, spill-aware
-// shuffleSink is handed to the reduce phase directly.
+// the one job driver runs over both the in-memory hand-off and the
+// filesystem shuffle (DESIGN.md §15), and assembles its Result from the
+// commits alone. The default — Config.Transport left nil — is
+// MemoryTransport, which keeps what a task committed by reference: each map
+// task's pre-partitioned, spill-aware shuffleSink is handed to the reduce
+// phase directly.
 
-// Transport counter names. Supervised multi-process runs report them
-// through fsjoin.Stats; chaos-injected transport faults (FaultWorkerLoss,
-// FaultRedeliver) record the same names in the job counters.
+// Transport counter names. Chaos-injected transport faults
+// (FaultWorkerLoss, FaultRedeliver) record them in the job counters, and
+// fsjoin.Stats reports them.
 const (
-	// CounterHeartbeats counts worker heartbeats the supervisor received.
-	CounterHeartbeats = "transport.heartbeats"
-	// CounterWorkerDeaths counts workers declared dead (heartbeat timeout,
-	// control-connection EOF, or wait failure).
-	CounterWorkerDeaths = "transport.worker.deaths"
-	// CounterTasksReassigned counts task leases granted to a new worker
-	// after the previous holder died or stalled past its deadline.
+	// CounterTasksReassigned counts tasks re-executed after the worker that
+	// ran them was lost.
 	CounterTasksReassigned = "transport.tasks.reassigned"
 	// CounterPartitionsRedelivered counts partition deliveries that
 	// duplicated an already-committed generation (idempotent delivery).
 	CounterPartitionsRedelivered = "transport.partitions.redelivered"
 )
 
-// Runtime selects the execution substrate for a job: the shuffle transport
-// and, for multi-process runs, the task executor that leases tasks from a
-// supervisor. The zero value runs every task in this process over the
-// in-memory transport — the default and the fastest path.
-type Runtime struct {
-	// Transport carries what tasks commit; nil means the in-memory
-	// transport.
-	Transport Transport
-	// Executor, when non-nil, makes the process one participant of an SPMD
-	// run: it executes only the tasks its executor leases, the transport
-	// must then be a filesystem shared by all participants, and every
-	// participant assembles the identical Result after each phase barrier.
-	Executor Executor
-}
-
-// TransportSpec identifies one job execution to a Transport. Every SPMD
-// participant opens the same sequence of specs, which is what lets a
-// filesystem transport lay out one stage directory per job without any
-// coordination beyond determinism.
+// TransportSpec identifies one job execution to a Transport. A pipeline
+// opens its specs in a deterministic order, which is what lets a filesystem
+// transport lay out one stage directory per job.
 type TransportSpec struct {
 	// Job is the job name (Config.Name).
 	Job string
@@ -83,9 +63,8 @@ type CommitInfo struct {
 	Partitions int
 }
 
-// TaskMeta travels with a committed task: the measured facts the driver
-// needs to assemble Metrics and Counters without having executed the task
-// itself.
+// TaskMeta travels with a committed task: the measured facts the job
+// driver needs to assemble Metrics and Counters from the commits alone.
 type TaskMeta struct {
 	// Records and Bytes are what a reduce task fetched — its share of the
 	// shuffle, and the only place the shuffle is counted.
@@ -108,7 +87,7 @@ type TaskMeta struct {
 
 // JobTransport is one job's commit channel: map partitions on their way
 // to the reduce phase, and task outputs and per-task metadata on their way
-// to whoever assembles the Result, executing participant or not.
+// to the Result.
 //
 // Delivery is idempotent: committing a task that was already committed
 // must replace or duplicate it harmlessly (the engine's tasks are
@@ -163,8 +142,7 @@ func (memTransport) Open(spec TransportSpec) (JobTransport, error) {
 }
 
 // memJob holds one job's commits. Tasks fill their own slots, so they may
-// commit concurrently. Not safe for cross-process use; a multi-process run
-// requires a filesystem transport.
+// commit concurrently.
 type memJob struct {
 	maps     []memCommit // by map task
 	outs     []memCommit // by the task that committed an output

@@ -35,14 +35,14 @@ func transportFixture(t *testing.T, mutate func(*Config)) (mem, fs *Result) {
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		cfg.Runtime.Transport = tr
+		cfg.Transport = tr
 		res, err := Run(cfg, input, wcMapper{}, wcReducer{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	return run(nil), run(NewFSTransport(t.TempDir(), false))
+	return run(nil), run(NewFSTransport(t.TempDir()))
 }
 
 // assertSameResult compares everything deterministic between two runs:
@@ -84,6 +84,78 @@ func TestFSTransportEquivalence(t *testing.T) {
 	}
 }
 
+// lineCountingWC is wordcount that also counts its input lines, so a user
+// counter travels with every map task.
+type lineCountingWC struct{ wcMapper }
+
+func (m lineCountingWC) Map(ctx *Context, kv KV) {
+	ctx.Inc("wc.lines", 1)
+	m.wcMapper.Map(ctx, kv)
+}
+
+// TestFSTransportMatchesLocal proves the one driver end to end: whether
+// one task at a time hands off through memory or three at a time through
+// an FSTransport directory, the assembled Result is the same in output,
+// in counters and in every metric that is not a measured duration — for
+// reducing, folding and map-only jobs, with and without spilling.
+func TestFSTransportMatchesLocal(t *testing.T) {
+	var lines []string
+	for i := 0; i < 200; i++ {
+		lines = append(lines, fmt.Sprintf("d%d x y shared d%d u%d", i%9, i%4, i))
+	}
+	input := wcInput(lines...)
+	jobs := []struct {
+		name     string
+		combiner Folder
+		reducer  Reducer
+	}{
+		{"plain", nil, wcReducer{}},
+		{"folding", foldSum{}, foldSum{}},
+		{"map-only", nil, nil},
+	}
+	// untimed blanks the metrics that are, or derive from, measured task
+	// durations.
+	untimed := func(m Metrics) Metrics {
+		m.MapTaskTime, m.ReduceTaskTime = nil, nil
+		m.SimulatedMapTime, m.SimulatedReduce, m.SimulatedTotalTime, m.WallTime = 0, 0, 0, 0
+		return m
+	}
+	for _, job := range jobs {
+		for _, budget := range []int64{-1, 1024} {
+			t.Run(fmt.Sprintf("%s/budget=%d", job.name, budget), func(t *testing.T) {
+				run := func(par int, tr Transport) *Result {
+					cfg := Config{Name: "wc-local", Cluster: tinyCluster(), MapTasks: 4, Parallelism: par,
+						Combiner: job.combiner, MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Transport: tr}
+					res, err := Run(cfg, input, lineCountingWC{}, job.reducer)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				local, fs := run(1, nil), run(3, NewFSTransport(t.TempDir()))
+				if !reflect.DeepEqual(local.Output, fs.Output) {
+					t.Fatalf("FSTransport output differs from local: %d vs %d records", len(local.Output), len(fs.Output))
+				}
+				if lc, fc := local.Counters.Snapshot(), fs.Counters.Snapshot(); !reflect.DeepEqual(lc, fc) {
+					t.Fatalf("counters differ:\nlocal %v\nfs    %v", lc, fc)
+				}
+				if lm, fm := untimed(local.Metrics), untimed(fs.Metrics); !reflect.DeepEqual(lm, fm) {
+					t.Fatalf("metrics differ:\nlocal %+v\nfs    %+v", lm, fm)
+				}
+				if len(fs.Metrics.MapTaskTime) != 4 || len(fs.Metrics.ReduceTaskTime) != fs.Metrics.ReduceTasks {
+					t.Fatalf("task times: %d map, %d reduce", len(fs.Metrics.MapTaskTime), len(fs.Metrics.ReduceTaskTime))
+				}
+				if got := local.Counters.Get("wc.lines"); got != int64(len(lines)) {
+					t.Fatalf("wc.lines = %d, want %d", got, len(lines))
+				}
+				if spilled := local.Counters.Get(CounterSpillRuns) > 0; spilled != (budget > 0 && job.reducer != nil) {
+					t.Fatalf("budget %d: spill.runs = %d", budget, local.Counters.Get(CounterSpillRuns))
+				}
+			})
+		}
+	}
+}
+
 // TestInjectedDeliveryFaults proves the idempotent-delivery contract: a
 // schedule redelivering every map task's partitions (half as worker-loss
 // reassignments, half as duplicate hand-offs) leaves output and
@@ -105,7 +177,7 @@ func TestInjectedDeliveryFaults(t *testing.T) {
 		make func() Transport
 	}{
 		{"memory", func() Transport { return nil }},
-		{"fs", func() Transport { return NewFSTransport(t.TempDir(), false) }},
+		{"fs", func() Transport { return NewFSTransport(t.TempDir()) }},
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			var lines []string
@@ -114,7 +186,7 @@ func TestInjectedDeliveryFaults(t *testing.T) {
 			}
 			cfg := Config{Name: "wc-transport", Cluster: tinyCluster(), MapTasks: 5}
 			cfg.Fault.Injector = inj
-			cfg.Runtime.Transport = tr.make()
+			cfg.Transport = tr.make()
 			res, err := Run(cfg, wcInput(lines...), wcMapper{}, wcReducer{})
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +225,7 @@ func TestSeededPlanTransportKinds(t *testing.T) {
 		run := func(par int) *Result {
 			cfg := Config{Name: "wc-chaos", Cluster: tinyCluster(), MapTasks: 6, Parallelism: par}
 			cfg.Fault.Injector = plan
-			cfg.Runtime.Transport = NewFSTransport(t.TempDir(), false)
+			cfg.Transport = NewFSTransport(t.TempDir())
 			res, err := Run(cfg, input, wcMapper{}, wcReducer{})
 			if err != nil {
 				t.Fatalf("seed %d par %d: %v", seed, par, err)
@@ -273,7 +345,7 @@ func TestFSTransportCorruptFallback(t *testing.T) {
 	for name, corrupt := range frameCorruptions {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			tr := NewFSTransport(dir, true)
+			tr := NewFSTransport(dir)
 			jtI, err := tr.Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -297,7 +369,7 @@ func TestFSTransportCorruptFallback(t *testing.T) {
 			}
 			corrupt(t, cands[0].path)
 			reopen := func() JobTransport {
-				jt, err := NewFSTransport(dir, true).Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
+				jt, err := NewFSTransport(dir).Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -341,7 +413,7 @@ func TestFSTransportRecordLargerThanASection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("commits and fetches a record of over 64 MiB")
 	}
-	jtI, err := NewFSTransport(t.TempDir(), false).Open(TransportSpec{Job: "long", MapTasks: 1, ReduceTasks: 2})
+	jtI, err := NewFSTransport(t.TempDir()).Open(TransportSpec{Job: "long", MapTasks: 1, ReduceTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +496,8 @@ func TestFSTransportCorruptFrameFailsJob(t *testing.T) {
 	for name, corrupt := range frameCorruptions {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{Name: "wc-corrupt", Cluster: tinyCluster(), MapTasks: 2}
-			cfg.Runtime.Transport = corruptingTransport{
-				Transport: NewFSTransport(t.TempDir(), false),
+			cfg.Transport = corruptingTransport{
+				Transport: NewFSTransport(t.TempDir()),
 				corrupt:   func(path string) { corrupt(t, path) },
 			}
 			_, err := Run(cfg, wcInput("a b c", "b c d", "c d e"), wcMapper{}, wcReducer{})
@@ -448,7 +520,7 @@ func FuzzFSFrame(f *testing.F) {
 	want := []KV{{Key: "alpha", Value: int64(1)}, {Key: "beta", Value: "two"}, {Key: "gamma", Value: []uint32{3}}}
 	wantMeta := TaskMeta{Records: 3, Counters: map[string]int64{"c": 1}}
 	commit := func(tb testing.TB, dir string) (mapPath, outPath string) {
-		jtI, err := NewFSTransport(dir, true).Open(spec)
+		jtI, err := NewFSTransport(dir).Open(spec)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -484,7 +556,7 @@ func FuzzFSFrame(f *testing.F) {
 	// read fetches everything a reader can ask of task 0 and fails the
 	// test when strict and something other than the commit comes back.
 	read := func(t *testing.T, dir string, strict bool) {
-		jt, err := NewFSTransport(dir, true).Open(spec)
+		jt, err := NewFSTransport(dir).Open(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +607,7 @@ func FuzzFSFrame(f *testing.F) {
 // shape fails validation instead of decoding garbage.
 func TestFSTransportFingerprintRejected(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewFSTransport(dir, true)
+	tr := NewFSTransport(dir)
 	jt, err := tr.Open(TransportSpec{Job: "shape-a", MapTasks: 1, ReduceTasks: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +634,7 @@ func TestFSTransportFingerprintRejected(t *testing.T) {
 	if !planted {
 		t.Fatal("no committed frame found")
 	}
-	tr2 := NewFSTransport(dir, true)
+	tr2 := NewFSTransport(dir)
 	jt2, err := tr2.Open(TransportSpec{Job: "shape-a", MapTasks: 1, ReduceTasks: 2})
 	if err != nil {
 		t.Fatal(err)

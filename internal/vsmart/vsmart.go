@@ -47,7 +47,7 @@ type Options struct {
 	// are byte-identical at any budget.
 	MemoryBudget int64
 	// Env is the execution environment (cancellation, fault policy, spill
-	// and checkpoint directories, runtime) handed to the pipeline as is;
+	// and checkpoint directories, transport) handed to the pipeline as is;
 	// see mapreduce.Env.
 	Env mapreduce.Env
 }

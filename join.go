@@ -120,10 +120,7 @@ func (c *Collection) Join(s *Collection, opt Options) (*Result, error) {
 // run is the one dispatch path of every join: a nil s is a self-join of r,
 // as in the algorithm packages beneath it.
 func run(r, s *Collection, opt Options) (*Result, error) {
-	if opt.Workers > 1 && opt.runtime.Executor == nil {
-		return runCluster(r, s, opt)
-	}
-	cleanup, err := opt.resolveTransport()
+	tr, cleanup, err := opt.resolveTransport()
 	if err != nil {
 		return nil, err
 	}
@@ -132,11 +129,7 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bm, err := opt.bitmapConfig()
-	if err != nil {
-		return nil, err
-	}
-	cl, par, env := opt.cluster(), opt.localParallelism(), opt.env()
+	cl, par, env := opt.cluster(), opt.localParallelism(), opt.env(tr)
 	switch opt.Algorithm {
 	case FSJoin, FSJoinV:
 		hp := opt.HorizontalPivots
@@ -148,7 +141,7 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 		res, err := dispatch(r, s, core.SelfJoin, core.Join, core.Options{
 			Fn: fn, Theta: opt.Threshold, PivotMethod: opt.PivotSelection.internal(),
 			VerticalPartitions: opt.VerticalPartitions, HorizontalPivots: hp,
-			JoinMethod: opt.JoinMethod.internal(), Seed: opt.Seed, Bitmap: bm,
+			JoinMethod: opt.JoinMethod.internal(), Seed: opt.Seed,
 			Cluster: cl, LocalParallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
 		})
 		if err != nil {
@@ -157,7 +150,7 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 		return publish(res.Pairs, res.Pipeline, res.FilterOutputRecords), nil
 	case RIDPairsPPJoin:
 		res, err := dispatch(r, s, ridpairs.SelfJoin, ridpairs.Join, ridpairs.Options{
-			Fn: fn, Theta: opt.Threshold, Bitmap: bm,
+			Fn: fn, Theta: opt.Threshold,
 			Cluster: cl, Parallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
 		})
 		if err != nil {
