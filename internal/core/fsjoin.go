@@ -185,7 +185,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 		PaperPrefix: opt.PaperPrefix,
 		Bitmap:      opt.Bitmap,
 	}
-	filterRes, err := p.Run(mapreduce.Config{
+	filterRes, err := p.Feed(mapreduce.Config{
 		Name: "filtering",
 		// Fragments are routed round-robin to reducers, the paper's
 		// fragment-per-node layout.
@@ -199,10 +199,10 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 
 	// ---- Phase 3: Verification (aggregate partial counts) ----
-	verifyRes, err := p.Run(mapreduce.Config{
+	verifyRes, err := p.Chain(mapreduce.Config{
 		Name:     "verification",
 		Combiner: result.SumOverlaps{},
-	}, filterRes.Output, mapreduce.IdentityMapper, &verifyReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
+	}, filterRes, &verifyReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
 	if err != nil {
 		return nil, err
 	}

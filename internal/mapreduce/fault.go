@@ -326,6 +326,17 @@ func (f Fault) injectEnter(counters *Counters) {
 	}
 }
 
+// injectRecord realises a FaultRecordPanic at a task body's unit n;
+// counters is nil in skip-mode probes, which inject without counting.
+func (f Fault) injectRecord(n int, counters *Counters) {
+	if f.Kind == FaultRecordPanic && n == f.Record {
+		if counters != nil {
+			counters.Inc(counterInjectedPrefix+f.Kind.String(), 1)
+		}
+		panic(f.Msg)
+	}
+}
+
 // injectExit realises FaultEmitPanic after the phase body has emitted.
 func (f Fault) injectExit(counters *Counters) {
 	if f.Kind != FaultEmitPanic {

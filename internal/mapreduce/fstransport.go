@@ -121,7 +121,7 @@ func parseGen(name string) (gen int64, ok bool) {
 // the transport owns (closes) the sink from here.
 func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
 	defer sink.close()
-	info, err := j.commitFrame(fsKindMap, t, j.spec.ReduceTasks, meta, sink.drain)
+	info, err := j.commitFrame(fsKindMap, t, j.spec.ReduceTasks, meta, sink.buf.Drain)
 	if err != nil {
 		return info, fmt.Errorf("transport: commit map task %d: %w", t, err)
 	}
@@ -129,11 +129,9 @@ func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, 
 }
 
 // CommitOutput implements JobTransport.
-func (j *fsJob) CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error) {
+func (j *fsJob) CommitOutput(t int, out *spill.Records, meta TaskMeta) (CommitInfo, error) {
 	info, err := j.commitFrame(fsKindOutput, t, 1, meta, func(_ int, add func(string, any, int64)) (int, error) {
-		for i := 0; i < out.Len(); i++ {
-			add(out.At(i).Key, out.At(i).Value, 0)
-		}
+		out.Each(func(key string, v any, bytes int64) bool { add(key, v, bytes); return true })
 		return 0, nil
 	})
 	if err != nil {
@@ -148,7 +146,7 @@ func (j *fsJob) header(kind byte, t int) []byte {
 }
 
 // commitFrame publishes one frame as the task's next generation: each
-// partition's records as drain(r) emits them (shuffleSink.drain's shape;
+// partition's records as drain(r) emits them (spill.Buffer.Drain's shape;
 // the accounted size is not stored), then the index. It reports whether a
 // complete generation already existed (a redelivery).
 func (j *fsJob) commitFrame(kind byte, t, parts int, meta TaskMeta, drain func(r int, emit func(key string, v any, bytes int64)) (ways int, err error)) (CommitInfo, error) {
@@ -326,17 +324,16 @@ func (j *fsJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
 	if r < 0 || r >= len(fr.parts) {
 		return 0, fmt.Errorf("transport: partition %d out of range", r)
 	}
-	if err := emitBlob(fr, r, func(key string, v any) {
-		dst.Append(key, v, int64(kvBytes(KV{Key: key, Value: v})))
-	}); err != nil {
+	if err := readRecords(fr, r, dst); err != nil {
 		return 0, fmt.Errorf("transport: task %d partition %d: %w", t, r, err)
 	}
 	return int(fr.parts[r].ways), nil
 }
 
-// emitBlob reads one partition's sections again and streams its records.
-func emitBlob(fr *fsFrame, r int, emit func(key string, value any)) error {
-	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, emit)
+// readRecords reads one partition's sections again and appends its records
+// to dst, each sized by recordBytes.
+func readRecords(fr *fsFrame, r int, dst *spill.Records) error {
+	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, func(key string, v any) { dst.Append(key, v, recordBytes(key, v)) })
 	if err == nil && got != fr.parts[r].count {
 		err = fmt.Errorf("%d records, index says %d", got, fr.parts[r].count)
 	}
@@ -384,15 +381,13 @@ func (j *fsJob) MapMeta(t int) (TaskMeta, error) {
 }
 
 // FetchOutput implements JobTransport.
-func (j *fsJob) FetchOutput(t int) (*spill.List[KV], TaskMeta, error) {
+func (j *fsJob) FetchOutput(t int) (*spill.Records, TaskMeta, error) {
 	fr, err := j.frame(fsKindOutput, t)
 	if err != nil {
 		return nil, TaskMeta{}, err
 	}
-	out := new(spill.List[KV])
-	if err := emitBlob(fr, 0, func(key string, v any) {
-		out.Append(KV{Key: key, Value: v})
-	}); err != nil {
+	out := new(spill.Records)
+	if err := readRecords(fr, 0, out); err != nil {
 		return nil, TaskMeta{}, fmt.Errorf("transport: output %d: %w", t, err)
 	}
 	return out, fr.meta, nil

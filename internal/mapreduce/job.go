@@ -266,7 +266,7 @@ type Context struct {
 	// its retry.
 	Local any
 
-	out      spill.List[KV]
+	out      spill.Records
 	shuffle  *shuffleSink
 	counters *Counters
 	local    []localCounter
@@ -281,14 +281,14 @@ type localCounter struct {
 	v    int64
 }
 
-// Emit appends an output pair. Map tasks of jobs with a reduce phase route
-// the pair straight into its reduce partition.
+// Emit appends an output pair, sized here. Map tasks of jobs with a reduce
+// phase route the pair straight into its reduce partition.
 func (c *Context) Emit(key string, value any) {
 	if c.shuffle != nil {
 		c.shuffle.add(key, value)
 		return
 	}
-	c.out.Append(KV{Key: key, Value: value})
+	c.out.Append(key, value, recordBytes(key, value))
 }
 
 // Inc adds delta to a job counter. Increments accumulate task-locally and
@@ -379,12 +379,15 @@ func (m *Metrics) LoadImbalance() float64 {
 // Result is the outcome of one job.
 type Result struct {
 	// Output holds all reducer (or mapper, for map-only jobs) emissions in
-	// deterministic order: by reduce task, then key, then emission order.
+	// deterministic order: by reduce task, then key, then emission order;
+	// nil after Pipeline.Feed.
 	Output []KV
 	// Counters are the merged user counters.
 	Counters *Counters
 	// Metrics are the measured and simulated execution statistics.
 	Metrics Metrics
+
+	chain *chainInput
 }
 
 // DefaultPartitioner hashes the key with FNV-1a. The loop is inlined over
@@ -413,6 +416,11 @@ func DefaultPartitioner(key string, reducers int) int {
 // counters and every shuffle metric — is identical at any parallelism
 // level and over any transport.
 func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
+	return run(cfg, jobInput{kvs: input}, mapper, reducer, false)
+}
+
+// run is Run over either kind of input; feed keeps the output for Chain.
+func run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*Result, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", cfg.Name)
 	}
@@ -424,8 +432,8 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 	if mapTasks <= 0 {
 		mapTasks = cl.Slots()
 	}
-	if mapTasks > len(input) {
-		mapTasks = len(input)
+	if mapTasks > in.len() {
+		mapTasks = in.len()
 	}
 	if mapTasks < 1 {
 		mapTasks = 1
@@ -449,8 +457,10 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 		budget:         cfg.memoryBudget(),
 		sdir:           SpillDir(cfg.SpillDir),
 		quarantine:     &quarantineState{},
+		in:             in,
+		feed:           feed,
 	}
-	return runJob(env, input)
+	return runJob(env)
 }
 
 // jobEnv bundles one run's resolved execution parameters, shared by every
@@ -468,6 +478,8 @@ type jobEnv struct {
 	budget         int64
 	sdir           string
 	quarantine     *quarantineState
+	in             jobInput
+	feed           bool
 }
 
 // openTransport opens the job's shuffle channel on the configured (or
@@ -499,7 +511,7 @@ func (env *jobEnv) runPhase(n int, task func(t int) error) error {
 // runJob is the engine's one job driver. A task commits its artifact
 // together with everything measured about it through the job transport,
 // and the Result is assembled from those commits alone.
-func runJob(env *jobEnv, input []KV) (*Result, error) {
+func runJob(env *jobEnv) (*Result, error) {
 	cfg, cl, mapTasks, reduceTasks := env.cfg, env.cl, env.mapTasks, env.reduceTasks
 	jt, err := env.openTransport()
 	if err != nil {
@@ -511,14 +523,25 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 	m.Job = cfg.Name
 	m.MapTasks = mapTasks
 	m.ReduceTasks = reduceTasks
-	m.MapInputRecords = int64(len(input))
+	m.MapInputRecords = int64(env.in.len())
 	wallStart := time.Now()
 
-	// ---- Map phase ----
-	splits := splitInput(input, mapTasks)
-	if err := env.runPhase(mapTasks, func(t int) error {
-		return env.mapTask(jt, t, splits[t])
-	}); err != nil {
+	// ---- Map phase: splits of the KVs, or of positions in fed columns
+	// (Chain checks they fit an int32) ----
+	if c := env.in.chain; c != nil {
+		positions := make([]int32, c.len())
+		for i := range positions {
+			positions[i] = int32(i)
+		}
+		splits := splitInput(positions, mapTasks)
+		err = env.runPhase(mapTasks, func(t int) error { return mapTask(env, jt, t, splits[t], c.mapUnits, c.at) })
+	} else {
+		splits := splitInput(env.in.kvs, mapTasks)
+		err = env.runPhase(mapTasks, func(t int) error {
+			return mapTask(env, jt, t, splits[t], env.mapKVs, func(kv KV) (string, any) { return kv.Key, kv.Value })
+		})
+	}
+	if err != nil {
 		return nil, err
 	}
 	m.MapTaskTime = make([]time.Duration, mapTasks)
@@ -581,15 +604,11 @@ func runJob(env *jobEnv, input []KV) (*Result, error) {
 // mapTask is one map task: the attempt loop against a task-local counter
 // set, then the commit — of the partitioned shuffle output, or for a
 // map-only job of the output itself.
-func (env *jobEnv) mapTask(jt JobTransport, t int, split []KV) error {
+func mapTask[U any](env *jobEnv, jt JobTransport, t int, split []U, body taskBody[U], describe func(U) (string, any)) error {
 	cfg := env.cfg
 	tc := NewCounters()
 	start := time.Now()
-	ctx, err := attempts(env, tc, PhaseMap, t, split,
-		func(ctx *Context, split []KV, f Fault, counters *Counters) {
-			runTask(ctx, split, recordFaultWrap(env.mapper, f, counters))
-		},
-		func(kv KV) (string, any) { return kv.Key, kv.Value })
+	ctx, err := attempts(env, tc, PhaseMap, t, split, body, describe)
 	if err != nil {
 		return taskErr(cfg.Name, PhaseMap, t, err)
 	}
@@ -653,41 +672,39 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
 }
 
 // commitOutput publishes a winning attempt's emissions as task t's final
-// output, sized here so the job's Output can be allocated once.
+// output.
 func (env *jobEnv) commitOutput(jt JobTransport, t int, ctx *Context, tc *Counters, meta TaskMeta) error {
 	ctx.flushCounters()
 	meta.Counters = tc.Snapshot()
-	for i := 0; i < ctx.out.Len(); i++ {
-		meta.OutputBytes += int64(kvBytes(*ctx.out.At(i)))
-	}
 	_, err := jt.CommitOutput(t, &ctx.out, meta)
 	return err
 }
 
-// collectOutput assembles Result.Output from a phase's committed task
-// outputs in task order — allocated once, at its exact length — folding
-// each task's counters into the job's and handing its meta to each.
+// collectOutput gathers a phase's committed task outputs in task order —
+// kept for Chain, or boxed into Result.Output allocated at its length —
+// folding each task's counters into the job's and handing its meta to each.
 func (env *jobEnv) collectOutput(jt JobTransport, res *Result, phase Phase, tasks int, each func(t int, meta TaskMeta)) error {
-	outs := make([]*spill.List[KV], tasks)
-	n := 0
+	outs := make([]*spill.Records, tasks)
 	for t := range outs {
 		out, meta, err := jt.FetchOutput(t)
 		if err != nil {
 			return taskErr(env.cfg.Name, phase, t, err)
 		}
 		outs[t] = out
-		n += out.Len()
-		res.Metrics.OutputBytes += meta.OutputBytes
+		res.Metrics.OutputBytes += out.Bytes()
 		mergeTaskCounters(res.Counters, meta.Counters)
 		each(t, meta)
 	}
-	if n > 0 {
+	chain := newChainInput(outs)
+	res.Metrics.OutputRecords = int64(chain.len())
+	if env.feed {
+		res.chain = chain
+		return nil
+	}
+	if n := chain.len(); n > 0 {
 		res.Output = make([]KV, 0, n)
 	}
-	for _, out := range outs {
-		res.Output = out.AppendTo(res.Output)
-	}
-	res.Metrics.OutputRecords = int64(n)
+	jobInput{chain: chain}.each(func(key string, v any) { res.Output = append(res.Output, KV{Key: key, Value: v}) })
 	return nil
 }
 
@@ -820,12 +837,7 @@ func (env *jobEnv) reduceKeys(in *reduceInput) taskBody[string] {
 				g, _ = slices.BinarySearch(in.Keys, k)
 			}
 			ctx.CheckCancel()
-			if f.Kind == FaultRecordPanic && i == f.Record {
-				if counters != nil {
-					counters.Inc(counterInjectedPrefix+f.Kind.String(), 1)
-				}
-				panic(f.Msg)
-			}
+			f.injectRecord(i, counters)
 			if env.folding {
 				env.foldingReducer.FinishFold(ctx, k, in.Acc(g))
 			} else {
@@ -855,14 +867,16 @@ func applyCostModel(cl *Cluster, m *Metrics, mapTasks, reduceTasks int) {
 	m.SimulatedTotalTime = m.SimulatedMapTime + m.SimulatedShuffle + m.SimulatedReduce
 }
 
-// runTask feeds one split through a mapper with lifecycle hooks, polling
+// mapKVs feeds one split through the mapper with lifecycle hooks, polling
 // for cancellation on the engine's bounded stride.
-func runTask(ctx *Context, split []KV, mapper Mapper) {
+func (env *jobEnv) mapKVs(ctx *Context, split []KV, f Fault, counters *Counters) {
+	mapper := env.mapper
 	if s, ok := mapper.(Setupper); ok {
 		s.Setup(ctx)
 	}
-	for _, kv := range split {
+	for n, kv := range split {
 		ctx.CheckCancel()
+		f.injectRecord(n, counters)
 		mapper.Map(ctx, kv)
 	}
 	if c, ok := mapper.(Cleanupper); ok {
@@ -883,8 +897,8 @@ func simPhase(cl *Cluster, taskTimes []time.Duration) time.Duration {
 }
 
 // splitInput slices input into n contiguous, near-equal splits.
-func splitInput(input []KV, n int) [][]KV {
-	splits := make([][]KV, n)
+func splitInput[T any](input []T, n int) [][]T {
+	splits := make([][]T, n)
 	base, rem := len(input)/n, len(input)%n
 	off := 0
 	for i := 0; i < n; i++ {

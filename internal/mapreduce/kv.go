@@ -68,6 +68,7 @@ func sizeOf(v any) int {
 	}
 }
 
-// kvBytes is the accounted wire size of a pair: key, value and a small
-// per-record framing overhead (Hadoop writes key/value lengths).
-func kvBytes(kv KV) int { return len(kv.Key) + sizeOf(kv.Value) + 8 }
+// recordBytes, the engine's one size function, is the accounted wire size of
+// a pair: key, value and a small per-record framing overhead (Hadoop writes
+// key/value lengths).
+func recordBytes(key string, v any) int64 { return int64(len(key) + sizeOf(v) + 8) }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"fsjoin/internal/checkpoint"
+	"fsjoin/internal/spill"
 )
 
 // Pipeline chains MapReduce jobs, feeding each job's output into the next
@@ -66,6 +68,8 @@ type Env struct {
 	// Transport carries every stage's commits (DESIGN.md §15); nil means
 	// the in-memory transport. One value serves all stages.
 	Transport Transport
+
+	viaRun bool // tests: Feed and Chain as the Run and Run(IdentityMapper) they replace
 }
 
 // inherit makes e the stage's environment. No stage of any pipeline sets
@@ -106,6 +110,30 @@ func NewPipeline(name string, cluster *Cluster) *Pipeline {
 // pipeline's cluster, parallelism and memory budget unless cfg already set
 // them, and always runs in the pipeline's Env.
 func (p *Pipeline) Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
+	return p.run(cfg, jobInput{kvs: input}, mapper, reducer, false)
+}
+
+// Feed is Run for a stage whose output only Chain reads: it stays in the
+// columns its tasks committed, and Result.Output is nil.
+func (p *Pipeline) Feed(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
+	return p.run(cfg, jobInput{kvs: input}, mapper, reducer, !p.viaRun)
+}
+
+// Chain runs cfg over the output of prev, a Feed result, as Run(cfg, output,
+// IdentityMapper, reducer) would, with no []KV: the map tasks copy records
+// column to column into their sinks (DESIGN.md §2).
+func (p *Pipeline) Chain(cfg Config, prev *Result, reducer Reducer) (*Result, error) {
+	if p.viaRun {
+		return p.Run(cfg, prev.Output, IdentityMapper, reducer)
+	}
+	if prev.chain == nil || reducer == nil || prev.chain.len() > math.MaxInt32 {
+		return nil, fmt.Errorf("pipeline %s: job %q needs a fed stage of at most %d records, and a reducer", p.Name, cfg.Name, math.MaxInt32)
+	}
+	return p.run(cfg, jobInput{chain: prev.chain}, IdentityMapper, reducer, false)
+}
+
+// run is one stage of any kind, replayed or persisted in a checkpoint dir.
+func (p *Pipeline) run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*Result, error) {
 	if cfg.Cluster == nil {
 		cfg.Cluster = p.Cluster
 	}
@@ -126,17 +154,17 @@ func (p *Pipeline) Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (
 		if store, err = p.store(cfg.CheckpointDir); err != nil {
 			return nil, fmt.Errorf("pipeline %s: %w", p.Name, err)
 		}
-		fp = p.stageFingerprint(stage, cfg, input)
+		fp = p.stageFingerprint(stage, cfg, in)
 		if fp == "" {
 			// An input value has no spill codec: the stage cannot be
 			// fingerprinted, so it runs uncheckpointed.
 			store, p.ckpt.Skipped = nil, p.ckpt.Skipped+1
-		} else if res := p.replay(store, stage, cfg, fp); res != nil {
+		} else if res := p.replay(store, stage, cfg, fp, feed); res != nil {
 			p.stages = append(p.stages, stageResult{metrics: res.Metrics, counters: res.Counters.Snapshot()})
 			return res, nil
 		}
 	}
-	res, err := Run(cfg, input, mapper, reducer)
+	res, err := run(cfg, in, mapper, reducer, feed)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline %s: %w", p.Name, err)
 	}
@@ -169,9 +197,9 @@ func (p *Pipeline) store(dir string) (*checkpoint.Store, error) {
 // everything a replay must agree on: the format epoch, pipeline identity,
 // caller configuration salt, stage position, job name, resolved
 // reduce-task count (partitioning differs with it) and the stage's full
-// input content in spill encoding. Returns "" when an input value has no
-// codec.
-func (p *Pipeline) stageFingerprint(stage int, cfg Config, input []KV) string {
+// input content in spill encoding (a chained stage's read out of the
+// columns). Returns "" when an input value has no codec.
+func (p *Pipeline) stageFingerprint(stage int, cfg Config, in jobInput) string {
 	f := checkpoint.NewFingerprint()
 	f.Str("fsjoin/checkpoint/v1")
 	f.Str(p.Name)
@@ -179,20 +207,16 @@ func (p *Pipeline) stageFingerprint(stage int, cfg Config, input []KV) string {
 	f.I64(int64(stage))
 	f.Str(cfg.Name)
 	f.I64(int64(cfg.resolvedReduceTasks()))
-	f.I64(int64(len(input)))
-	for _, kv := range input {
-		f.KV(kv.Key, kv.Value)
-		if f.Err() != nil {
-			return ""
-		}
-	}
+	f.I64(int64(in.len()))
+	in.each(f.KV)
 	return f.Hex()
 }
 
 // replay loads a fingerprint-matched checkpoint for the stage, rebuilding
-// the stage result the original execution produced. A miss — including a
-// discarded stale or corrupt file — returns nil and the stage runs.
-func (p *Pipeline) replay(store *checkpoint.Store, stage int, cfg Config, fp string) *Result {
+// the stage result the original execution produced (a fed stage's in
+// columns). A miss — including a discarded stale or corrupt file — returns
+// nil and the stage runs.
+func (p *Pipeline) replay(store *checkpoint.Store, stage int, cfg Config, fp string, feed bool) *Result {
 	snap, status := store.Load(stage, cfg.Name, fp)
 	switch status {
 	case checkpoint.Corrupt:
@@ -202,12 +226,18 @@ func (p *Pipeline) replay(store *checkpoint.Store, stage int, cfg Config, fp str
 		p.ckpt.Misses++
 		return nil
 	}
-	res := &Result{
-		Output:   make([]KV, len(snap.Records)),
-		Counters: RestoreCounters(snap.Manifest.Counters),
-	}
-	for i, r := range snap.Records {
-		res.Output[i] = KV{Key: r.Key, Value: r.Value}
+	res := &Result{Counters: RestoreCounters(snap.Manifest.Counters)}
+	if feed {
+		out := new(spill.Records)
+		for _, r := range snap.Records {
+			out.Append(r.Key, r.Value, recordBytes(r.Key, r.Value))
+		}
+		res.chain = newChainInput([]*spill.Records{out})
+	} else {
+		res.Output = make([]KV, len(snap.Records))
+		for i, r := range snap.Records {
+			res.Output[i] = KV{Key: r.Key, Value: r.Value}
+		}
 	}
 	if err := json.Unmarshal(snap.Manifest.Metrics, &res.Metrics); err != nil {
 		// The checksum passed, so this is a writer/reader version skew the
@@ -229,10 +259,9 @@ func (p *Pipeline) save(store *checkpoint.Store, stage int, cfg Config, fp strin
 	if err != nil {
 		return err
 	}
-	recs := make([]checkpoint.Record, len(res.Output))
-	for i, kv := range res.Output {
-		recs[i] = checkpoint.Record{Key: kv.Key, Value: kv.Value}
-	}
+	out := jobInput{kvs: res.Output, chain: res.chain}
+	recs := make([]checkpoint.Record, 0, out.len())
+	out.each(func(key string, v any) { recs = append(recs, checkpoint.Record{Key: key, Value: v}) })
 	err = store.Save(checkpoint.Manifest{
 		Pipeline:    p.Name,
 		Stage:       stage,

@@ -31,7 +31,7 @@ func newShuffleSink(part func(string, int) int, reducers int, folder Folder, bud
 		Parts:  reducers,
 		Budget: budget,
 		Dir:    dir,
-		Size:   func(key string, v any) int64 { return int64(len(key) + sizeOf(v) + 8) },
+		Size:   recordBytes,
 		Cancel: cancel,
 	}
 	if folder != nil {
@@ -45,34 +45,29 @@ func newShuffleSink(part func(string, int) int, reducers int, folder Folder, bud
 // unwritable dir) panics like any task fault, so the attempt fails and the
 // engine's retry machinery takes over.
 func (s *shuffleSink) add(key string, value any) {
-	r := s.part(key, s.reducers)
-	if r < 0 || r >= s.reducers {
-		panic(&enginePanic{err: fmt.Errorf("partitioner returned %d for %d reducers", r, s.reducers)})
-	}
-	if err := s.buf.Add(r, key, value); err != nil {
+	if err := s.buf.Add(s.route(key), key, value); err != nil {
 		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
 	}
 }
 
-// drain replays one partition's records with per-record accounted sizes,
-// merging spilled runs back in; it returns the merge fan-in (≤ 1 when the
-// partition never touched disk). Concurrent drains of distinct partitions
-// are safe.
-func (s *shuffleSink) drain(r int, emit func(key string, value any, bytes int64)) (int, error) {
-	return s.buf.Drain(r, emit)
+// addFrom is add of src's record i, whose key is key (spill.Buffer.AddFrom).
+func (s *shuffleSink) addFrom(key string, src *spill.Records, i int) {
+	if err := s.buf.AddFrom(s.route(key), key, src, i); err != nil {
+		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
+	}
 }
 
-// release drops one consumed partition so its memory (and, once all
-// partitions are consumed, its spill files) is reclaimed before the whole
-// reduce phase finishes. Distinct reduce workers release distinct
-// partitions, so concurrent calls do not race.
-func (s *shuffleSink) release(r int) {
-	s.buf.Release(r)
+func (s *shuffleSink) route(key string) int {
+	r := s.part(key, s.reducers)
+	if r < 0 || r >= s.reducers {
+		panic(&enginePanic{err: fmt.Errorf("partitioner returned %d for %d reducers", r, s.reducers)})
+	}
+	return r
 }
 
 // close removes any spill files. Used for sinks that lose their attempt
-// (retry, lost speculation) or whose job aborts; release covers the happy
-// path.
+// (retry, lost speculation) or whose job aborts; Buffer.Release covers the
+// happy path.
 func (s *shuffleSink) close() {
 	if s != nil {
 		s.buf.Close()

@@ -117,48 +117,3 @@ func skipUnits[U any](env *jobEnv, counters *Counters, phase Phase, task int, un
 	return skipRun(func() int { return len(work) }, probe, quarantine,
 		func() (*Context, error) { return rerun(work) }, orig)
 }
-
-// recordFaultWrap arms a FaultRecordPanic on a mapper: the wrapped mapper
-// panics with the fault's message when the task reaches its Record'th
-// input record. Other kinds pass the mapper through untouched. counters
-// may be nil (probes inject without counting).
-func recordFaultWrap(m Mapper, f Fault, counters *Counters) Mapper {
-	if f.Kind != FaultRecordPanic {
-		return m
-	}
-	return &recordFaultMapper{inner: m, fault: f, counters: counters}
-}
-
-type recordFaultMapper struct {
-	inner    Mapper
-	fault    Fault
-	counters *Counters
-	n        int
-}
-
-// Map implements Mapper, firing the armed record fault at its index.
-func (m *recordFaultMapper) Map(ctx *Context, kv KV) {
-	if m.n == m.fault.Record {
-		if m.counters != nil {
-			m.counters.Inc(counterInjectedPrefix+m.fault.Kind.String(), 1)
-		}
-		panic(m.fault.Msg)
-	}
-	m.n++
-	m.inner.Map(ctx, kv)
-}
-
-// Setup forwards the lifecycle hook the wrapper would otherwise hide from
-// the engine's interface probes.
-func (m *recordFaultMapper) Setup(ctx *Context) {
-	if s, ok := m.inner.(Setupper); ok {
-		s.Setup(ctx)
-	}
-}
-
-// Cleanup forwards the lifecycle hook.
-func (m *recordFaultMapper) Cleanup(ctx *Context) {
-	if c, ok := m.inner.(Cleanupper); ok {
-		c.Cleanup(ctx)
-	}
-}

@@ -77,8 +77,6 @@ type TaskMeta struct {
 	// GroupSpillNanos is the reduce task's external-memory charge for
 	// oversized key groups (cost model).
 	GroupSpillNanos int64 `json:"group_spill_nanos,omitempty"`
-	// OutputBytes is the accounted size of a committed task output.
-	OutputBytes int64 `json:"output_bytes,omitempty"`
 	// Spill is the winning map attempt's out-of-core shuffle accounting.
 	Spill spill.Stats `json:"spill,omitempty"`
 	// Counters is the task-local counter snapshot.
@@ -117,9 +115,9 @@ type JobTransport interface {
 	MapMeta(t int) (TaskMeta, error)
 	// CommitOutput publishes task t's final output (reduce output, or map
 	// output for map-only jobs). out must not change afterwards.
-	CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error)
+	CommitOutput(t int, out *spill.Records, meta TaskMeta) (CommitInfo, error)
 	// FetchOutput returns task t's committed output, read-only, and meta.
-	FetchOutput(t int) (*spill.List[KV], TaskMeta, error)
+	FetchOutput(t int) (*spill.Records, TaskMeta, error)
 	// Close releases everything the job still holds. Abort paths call it
 	// with partitions unconsumed.
 	Close()
@@ -152,7 +150,7 @@ type memJob struct {
 // memCommit is one committed task: a map task's sink or a task's output.
 type memCommit struct {
 	sink *shuffleSink
-	out  *spill.List[KV]
+	out  *spill.Records
 	meta TaskMeta
 }
 
@@ -187,20 +185,20 @@ func (j *memJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
 }
 
 // ReleasePartition implements JobTransport.
-func (j *memJob) ReleasePartition(t, r int) { j.maps[t].sink.release(r) }
+func (j *memJob) ReleasePartition(t, r int) { j.maps[t].sink.buf.Release(r) }
 
 // MapMeta implements JobTransport.
 func (j *memJob) MapMeta(t int) (TaskMeta, error) { return j.maps[t].meta, nil }
 
-// CommitOutput implements JobTransport by keeping the list itself.
-func (j *memJob) CommitOutput(t int, out *spill.List[KV], meta TaskMeta) (CommitInfo, error) {
+// CommitOutput implements JobTransport by keeping the records themselves.
+func (j *memJob) CommitOutput(t int, out *spill.Records, meta TaskMeta) (CommitInfo, error) {
 	info := CommitInfo{Redelivered: j.outs[t].out != nil, Partitions: 1}
 	j.outs[t] = memCommit{out: out, meta: meta}
 	return info, nil
 }
 
 // FetchOutput implements JobTransport.
-func (j *memJob) FetchOutput(t int) (*spill.List[KV], TaskMeta, error) {
+func (j *memJob) FetchOutput(t int) (*spill.Records, TaskMeta, error) {
 	return j.outs[t].out, j.outs[t].meta, nil
 }
 

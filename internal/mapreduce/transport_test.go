@@ -526,10 +526,10 @@ func FuzzFSFrame(f *testing.F) {
 		}
 		jt := jtI.(*fsJob)
 		sink := newShuffleSink(DefaultPartitioner, 2, nil, 0, "", nil)
-		out := new(spill.List[KV])
+		out := new(spill.Records)
 		for _, kv := range want {
 			sink.add(kv.Key, kv.Value)
-			out.Append(kv)
+			out.Append(kv.Key, kv.Value, recordBytes(kv.Key, kv.Value))
 		}
 		if _, err := jt.CommitMap(0, sink, wantMeta); err != nil {
 			tb.Fatal(err)
@@ -578,8 +578,13 @@ func FuzzFSFrame(f *testing.F) {
 		}
 		out, meta, err := jt.FetchOutput(0)
 		if strict && err == nil {
-			if !reflect.DeepEqual(out.AppendTo(nil), want) || !reflect.DeepEqual(meta, wantMeta) {
-				t.Fatalf("FetchOutput returned %v %+v, committed %v %+v", out.AppendTo(nil), meta, want, wantMeta)
+			var kvs []KV
+			out.Each(func(key string, v any, _ int64) bool {
+				kvs = append(kvs, KV{Key: key, Value: v})
+				return true
+			})
+			if !reflect.DeepEqual(kvs, want) || !reflect.DeepEqual(meta, wantMeta) {
+				t.Fatalf("FetchOutput returned %v %+v, committed %v %+v", kvs, meta, want, wantMeta)
 			}
 		}
 	}

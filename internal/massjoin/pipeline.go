@@ -37,7 +37,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 
 	// Job 2: signatures → deduplicated candidate pairs (shorter rid is the
 	// "indexed" side).
-	sigRes, err := p.Run(mapreduce.Config{Name: "signatures"},
+	sigRes, err := p.Feed(mapreduce.Config{Name: "signatures"},
 		order.RecordsToKV(ordered),
 		&sigMapper{opt: opt},
 		&sigReducer{opt: opt})
@@ -48,8 +48,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("%w (budget %d, dropped %d signatures)",
 			ErrBudgetExceeded, opt.MaxSignatures, dropped)
 	}
-	candRes, err := p.Run(mapreduce.Config{Name: "candidates"},
-		sigRes.Output, mapreduce.IdentityMapper, candDedup{})
+	candRes, err := p.Chain(mapreduce.Config{Name: "candidates"}, sigRes, candDedup{})
 	if err != nil {
 		return nil, err
 	}

@@ -123,7 +123,7 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	// Job 1: band signatures → candidate pairs. Token ids hash directly, so
 	// no global ordering job is needed; r and s share a dictionary.
 	hashes := newFamily(p.Seed, p.Bands*p.Rows)
-	bandRes, err := pipe.Run(mapreduce.Config{Name: "banding"},
+	bandRes, err := pipe.Feed(mapreduce.Config{Name: "banding"},
 		rsinput.Tagged(r, s),
 		mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
 			tr := kv.Value.(rsinput.Record)
@@ -141,8 +141,7 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dedup, err := pipe.Run(mapreduce.Config{Name: "candidates"},
-		bandRes.Output, mapreduce.IdentityMapper, mapreduce.FirstValue{})
+	dedup, err := pipe.Chain(mapreduce.Config{Name: "candidates"}, bandRes, mapreduce.FirstValue{})
 	if err != nil {
 		return nil, err
 	}

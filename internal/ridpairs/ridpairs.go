@@ -95,7 +95,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 
 	// Stage 2: RIDPairs kernel — duplicate per prefix token, join groups.
-	kernelRes, err := p.Run(mapreduce.Config{Name: "rid-pairs"},
+	kernelRes, err := p.Feed(mapreduce.Config{Name: "rid-pairs"},
 		input,
 		&prefixMapper{fn: opt.Fn, theta: opt.Theta},
 		&groupJoiner{fn: opt.Fn, theta: opt.Theta, rs: rs, bitmap: opt.Bitmap.ResolveEnv()})
@@ -104,8 +104,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 
 	// Stage 3: deduplicate pairs found under several common prefix tokens.
-	dedupRes, err := p.Run(mapreduce.Config{Name: "dedup"},
-		kernelRes.Output, mapreduce.IdentityMapper, mapreduce.FirstValue{})
+	dedupRes, err := p.Chain(mapreduce.Config{Name: "dedup"}, kernelRes, mapreduce.FirstValue{})
 	if err != nil {
 		return nil, err
 	}

@@ -119,28 +119,61 @@ func NewBuffer(cfg Config) *Buffer {
 // Add routes one record into partition part, folding into an existing
 // accumulator when configured, and spills if the budget is exceeded.
 func (b *Buffer) Add(part int, key string, v any) error {
-	if part < 0 || part >= len(b.parts) {
-		return fmt.Errorf("spill: partition %d out of range [0,%d)", part, len(b.parts))
-	}
-	r := &b.parts[part]
 	k := MakeKeyIndex(key, 0)
-	if b.slots != nil {
-		i, err := b.slots[part].findOrAdd(r, k, key, r.Len())
-		if err != nil {
-			return err
-		}
-		if i >= 0 {
-			b.foldInto(r, i, key, v)
-			return b.checkBudget()
-		}
+	r, i, err := b.find(part, k, key)
+	if err != nil {
+		return err
+	}
+	if i >= 0 {
+		b.foldInto(r, i, key, v)
+		return b.checkBudget()
 	}
 	bytes := b.cfg.Size(key, v)
 	// The column answers, so that asking costs no registry lookup a record.
 	pinned := b.cfg.Budget > 0 && !r.column(v).encodable(v)
+	r.append(k, key, v, bytes, pinned)
+	return b.booked(bytes, pinned)
+}
+
+// AddFrom is Add of src's record i, whose key is key, under the size src
+// holds for it: column to column, without a box when both hold one type.
+// src is only read.
+func (b *Buffer) AddFrom(part int, key string, src *Records, i int) error {
+	h := *src.heads.At(i)
+	r, j, err := b.find(part, h.key(), key)
+	if err != nil {
+		return err
+	}
+	if j >= 0 {
+		if !r.vals.foldFrom(j, src.vals, i, &b.fold) {
+			b.foldInto(r, j, key, src.vals.at(i))
+		}
+		return b.checkBudget()
+	}
+	pinned := b.cfg.Budget > 0 && !src.vals.encodableAt(i)
+	r.appendFrom(h.key(), key, src.vals, i, h.bytes(), pinned)
+	return b.booked(h.bytes(), pinned)
+}
+
+// find returns partition part and, when the buffer folds, where key's
+// accumulator is in it; -1 books the key for the record appended next.
+func (b *Buffer) find(part int, k KeyIndex, key string) (*Records, int, error) {
+	if part < 0 || part >= len(b.parts) {
+		return nil, 0, fmt.Errorf("spill: partition %d out of range [0,%d)", part, len(b.parts))
+	}
+	r := &b.parts[part]
+	if b.slots == nil {
+		return r, -1, nil
+	}
+	i, err := b.slots[part].findOrAdd(r, k, key, r.Len())
+	return r, i, err
+}
+
+// booked counts a record just appended against the budget.
+func (b *Buffer) booked(bytes int64, pinned bool) error {
 	if pinned {
 		b.pinnedMem += bytes
 	}
-	r.append(k, key, v, bytes, pinned)
 	b.mem += bytes
 	return b.checkBudget()
 }
@@ -342,7 +375,7 @@ func (b *Buffer) merge(part int, emit func(key string, v any, bytes int64)) (int
 		if err != nil {
 			return 0, err
 		}
-		sources = append(sources, &memSource{rs: tail, idx: idx, keys: keyArena{n: len(idx)}})
+		sources = append(sources, &memSource{rs: tail, idx: idx, keys: KeyArena{n: len(idx)}})
 	}
 	err := kmerge(sources, b.cfg.Fold, b.cfg.Cancel, func(k string, v any) {
 		emit(k, v, b.cfg.Size(k, v))

@@ -7,8 +7,12 @@ import "reflect"
 type values interface {
 	// encodable reports whether v, about to be added, has a codec.
 	encodable(v any) bool
+	// encodableAt is encodable of value i, and only reads the column.
+	encodableAt(i int) bool
 	// add appends v; false when v is not of the column's type.
 	add(v any) bool
+	// addFrom appends src's value i; false when src is another kind of column.
+	addFrom(src values, i int) bool
 	// addAll appends src's values; false when src is another kind of column.
 	addAll(src values) bool
 	// at returns value i, boxing it when the column is typed.
@@ -22,6 +26,8 @@ type values interface {
 	// fold adds v into value i through f's unboxed form; false when f has
 	// none for this column or v is not of its type.
 	fold(i int, v any, f *folder) bool
+	// foldFrom is fold of src's value j; false also for another kind of src.
+	foldFrom(i int, src values, j int, f *folder) bool
 	// foldGroups returns a column holding, for each group g, the values at
 	// idx[starts[g]:starts[g+1]] folded in that order — unboxed where f can.
 	foldGroups(idx []KeyIndex, starts []int32, f *folder) values
@@ -116,10 +122,27 @@ func (c *column[T]) encodable(v any) bool {
 	return bare
 }
 
+func (c *column[T]) encodableAt(i int) bool {
+	if c.codec != nil {
+		return true
+	}
+	v := c.at(i)
+	_, bare := bareTag(v)
+	return bare || kindsByType[reflect.TypeOf(v)] != nil
+}
+
 func (c *column[T]) add(v any) bool {
 	x, ok := c.unbox(v)
 	if ok {
 		c.vals.Append(x)
+	}
+	return ok
+}
+
+func (c *column[T]) addFrom(src values, i int) bool {
+	s, ok := src.(*column[T])
+	if ok {
+		c.vals.Append(*s.vals.At(i))
 	}
 	return ok
 }
@@ -156,17 +179,24 @@ func (c *column[T]) boxed() values {
 func (c *column[T]) empty() values { return newColumn(c.kind, c.codec) }
 
 func (c *column[T]) fold(i int, v any, f *folder) bool {
+	x, ok := c.unbox(v)
+	return ok && c.foldValue(i, x, f)
+}
+
+func (c *column[T]) foldFrom(i int, src values, j int, f *folder) bool {
+	s, ok := src.(*column[T])
+	return ok && c.foldValue(i, *s.vals.At(j), f)
+}
+
+// foldValue adds x into value i through f's unboxed form, if it has one.
+func (c *column[T]) foldValue(i int, x T, f *folder) bool {
 	if !c.resolved {
 		c.unboxed, c.resolved = unboxedFold[T](f), true
 	}
-	if c.unboxed == nil {
-		return false
-	}
-	x, ok := c.unbox(v)
-	if ok {
+	if c.unboxed != nil {
 		c.unboxed(c.vals.At(i), x)
 	}
-	return ok
+	return c.unboxed != nil
 }
 
 func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values {

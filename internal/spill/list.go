@@ -107,16 +107,3 @@ func (l *List[T]) AppendList(src *List[T]) {
 		}
 	}
 }
-
-// AppendTo appends every record, in position order, to dst.
-func (l *List[T]) AppendTo(dst []T) []T {
-	left := l.n
-	for _, c := range l.chunks {
-		if left < len(c) {
-			c = c[:left]
-		}
-		dst = append(dst, c...)
-		left -= len(c)
-	}
-	return dst
-}

@@ -2,7 +2,6 @@ package spill
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -35,11 +34,16 @@ func TestListMatchesSlice(t *testing.T) {
 		if n > 0 && first != l.At(0) {
 			t.Fatalf("n=%d: growth moved record 0", n)
 		}
-		if got := l.AppendTo(nil); !slices.Equal(got, want) {
-			t.Fatalf("n=%d: AppendTo differs", n)
+		var copied List[int]
+		copied.Append(-1)
+		copied.AppendList(&l)
+		for i := range want {
+			if *copied.At(i + 1) != want[i] {
+				t.Fatalf("n=%d: AppendList put %d at %d, want %d", n, *copied.At(i + 1), i+1, want[i])
+			}
 		}
-		if got := l.AppendTo([]int{-1}); len(got) != n+1 || got[0] != -1 {
-			t.Fatalf("n=%d: AppendTo dropped dst's prefix", n)
+		if copied.Len() != n+1 || *copied.At(0) != -1 {
+			t.Fatalf("n=%d: AppendList left %d records, first %d", n, copied.Len(), *copied.At(0))
 		}
 	}
 }
@@ -156,7 +160,7 @@ func TestBufferSpillKeepsPinnedSlots(t *testing.T) {
 		// The drain below would re-fold a split key, so look inside.
 		l, pinned := &b.parts[0], 0
 		for i := 0; i < l.Len(); i++ {
-			key := l.key(i, &keyArena{n: 1})
+			key, _ := l.At(i)
 			if at, err := b.slots[0].findOrAdd(l, MakeKeyIndex(key, 0), key, l.Len()); at != i || err != nil {
 				t.Fatalf("round %d: slot of %s is %d (%v), record is at %d", round, key, at, err, i)
 			}

@@ -15,7 +15,7 @@ type mergeSource interface {
 type memSource struct {
 	rs   *Records
 	idx  []KeyIndex
-	keys keyArena
+	keys KeyArena
 	i    int
 }
 
@@ -25,7 +25,7 @@ func (s *memSource) next() (string, any, bool, error) {
 	}
 	pos := int(s.idx[s.i].Pos)
 	s.i++
-	return s.rs.key(pos, &s.keys), s.rs.vals.at(pos), true, nil
+	return s.rs.Key(pos, &s.keys), s.rs.vals.at(pos), true, nil
 }
 
 // mergeItem is one heap element: the head record of source src.

@@ -84,6 +84,28 @@ func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool
 	}
 }
 
+// appendFrom is append of src's value i, copied column to column when both
+// hold one type, into a column of src's kind. It repeats append's head: a
+// shared one is a call more on Add's path, measurably slower.
+func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes int64, pinned bool) {
+	if r.vals == nil {
+		r.vals = src.empty()
+	}
+	if !r.vals.addFrom(src, i) {
+		r.append(k, key, src.at(i), bytes, pinned)
+		return
+	}
+	if k.Len == 9 || r.long.Len() > 0 {
+		r.padLong()
+		if k.Len < 9 {
+			key = ""
+		}
+		r.long.Append(key)
+	}
+	r.heads.Append(makeHead(k, bytes, pinned))
+	r.bytes += bytes
+}
+
 // padLong brings long up to one entry per record.
 func (r *Records) padLong() {
 	for r.long.Len() < r.heads.Len() {
@@ -120,15 +142,18 @@ func (r *Records) appendAll(src *Records) {
 // longKey returns the key at pos, which must be longer than eight bytes.
 func (r *Records) longKey(pos int32) string { return *r.long.At(int(pos)) }
 
-// keyArena turns stored keys back into strings, carving the short ones out
+// KeyArena turns stored keys back into strings, carving the short ones out
 // of one allocation instead of making one each.
-type keyArena struct {
+type KeyArena struct {
 	b strings.Builder
 	n int // how many keys it may be asked for
 }
 
-// key returns record i's key.
-func (r *Records) key(i int, a *keyArena) string {
+// NewKeyArena returns an arena for about n keys.
+func NewKeyArena(n int) *KeyArena { return &KeyArena{n: n} }
+
+// Key returns record i's key, a key of at most eight bytes cut out of a.
+func (r *Records) Key(i int, a *KeyArena) string {
 	h := r.heads.At(i)
 	if h.len() == 9 {
 		return *r.long.At(i)
@@ -147,12 +172,17 @@ func (r *Records) key(i int, a *keyArena) string {
 
 // Each calls emit with every record in order, until it returns false.
 func (r *Records) Each(emit func(key string, v any, bytes int64) bool) {
-	a := &keyArena{n: r.Len()}
+	a := NewKeyArena(r.Len())
 	for i := 0; i < r.Len(); i++ {
-		if !emit(r.key(i, a), r.vals.at(i), r.heads.At(i).bytes()) {
+		if !emit(r.Key(i, a), r.vals.at(i), r.heads.At(i).bytes()) {
 			return
 		}
 	}
+}
+
+// At returns record i's key and value.
+func (r *Records) At(i int) (key string, v any) {
+	return r.Key(i, NewKeyArena(1)), r.vals.at(i)
 }
 
 // appendRecord appends record i in AppendRecord's form.
@@ -244,9 +274,9 @@ func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
 	groups := len(starts)
 	starts = append(starts, int32(n))
 	g := &Groups{Keys: make([]string, groups), Sizes: make([]int64, groups)}
-	a := &keyArena{n: groups}
+	a := NewKeyArena(groups)
 	for i := 0; i < groups; i++ {
-		g.Keys[i] = r.key(int(idx[starts[i]].Pos), a)
+		g.Keys[i] = r.Key(int(idx[starts[i]].Pos), a)
 		for _, ix := range idx[starts[i]:starts[i+1]] {
 			g.Sizes[i] += r.heads.At(int(ix.Pos)).bytes()
 		}

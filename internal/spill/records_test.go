@@ -332,3 +332,83 @@ func TestAppendRecordFromColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestAddFromMatchesAdd: records added out of another Records' columns
+// fold, spill, pin and drain exactly as the same records added boxed —
+// between two columns of one type, across a typed and a boxed one, with
+// values that have no codec, with and without a fold (unboxed or boxed), at
+// every budget — and the source is left as it was.
+func TestAddFromMatchesAdd(t *testing.T) {
+	keys := mixedLengthKeys()
+	sources := map[string]func(i int) any{
+		"int64": func(i int) any { return int64(i) },
+		"mixed": func(i int) any {
+			switch i % 41 {
+			case 7:
+				return nil
+			case 19:
+				return "a string among the counts"
+			}
+			return int64(i)
+		},
+		"no codec": func(i int) any { return unregistered{n: i} },
+	}
+	folds := map[string]*folder{
+		"none":       nil,
+		"sum":        {boxed: sumTyped{}.Fold, typed: sumTyped{}},
+		"sum boxed":  {boxed: sumTyped{}.Fold},
+		"keep first": {boxed: keepFirst{}.Fold, typed: keepFirst{}},
+	}
+	for sname, value := range sources {
+		for fname, f := range folds {
+			if strings.HasPrefix(fname, "sum") && sname != "int64" {
+				continue
+			}
+			for _, budget := range []int64{0, 2048, 512} {
+				t.Run(fmt.Sprintf("%s/%s/budget %d", sname, fname, budget), func(t *testing.T) {
+					var src Records
+					for i := 0; i < 3000; i++ {
+						k := keys[(i*7)%len(keys)]
+						src.Append(k, value(i), testSize(k, value(i)))
+					}
+					var before []any
+					src.Each(func(_ string, v any, _ int64) bool { before = append(before, v); return true })
+					cfg := Config{Parts: 2, Budget: budget, Size: testSize, Dir: t.TempDir()}
+					if f != nil {
+						cfg.Fold, cfg.TypedFold = f.boxed, f.typed
+					}
+					boxed, columns := NewBuffer(cfg), NewBuffer(cfg)
+					defer boxed.Close()
+					defer columns.Close()
+					a := NewKeyArena(src.Len())
+					for i := 0; i < src.Len(); i++ {
+						k, v := src.At(i)
+						if err := boxed.Add(len(k)%2, k, v); err != nil {
+							t.Fatal(err)
+						}
+						if err := columns.AddFrom(len(k)%2, src.Key(i, a), &src, i); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if boxed.Stats() != columns.Stats() || boxed.pinnedMem != columns.pinnedMem {
+						t.Fatalf("stats %+v (%d pinned) added, %+v (%d pinned) from columns",
+							boxed.Stats(), boxed.pinnedMem, columns.Stats(), columns.pinnedMem)
+					}
+					if budget == 512 && sname != "no codec" && boxed.Stats().Runs == 0 {
+						t.Fatal("nothing spilled")
+					}
+					kb, vb, sb := drainRecords(t, boxed, 2)
+					kc, vc, sc := drainRecords(t, columns, 2)
+					if !reflect.DeepEqual(kb, kc) || !reflect.DeepEqual(vb, vc) || !reflect.DeepEqual(sb, sc) {
+						t.Fatalf("drains differ:\n%v %v %v\n%v %v %v", kb, vb, sb, kc, vc, sc)
+					}
+					var after []any
+					src.Each(func(_ string, v any, _ int64) bool { after = append(after, v); return true })
+					if !reflect.DeepEqual(before, after) {
+						t.Fatal("AddFrom changed its source")
+					}
+				})
+			}
+		}
+	}
+}

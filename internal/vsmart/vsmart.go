@@ -99,7 +99,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 
 	// Join phase: emit every token, enumerate pairs per posting list.
-	joinRes, err := p.Run(mapreduce.Config{Name: "join"},
+	joinRes, err := p.Feed(mapreduce.Config{Name: "join"},
 		input,
 		mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
 			tr := kv.Value.(rsinput.Record)
@@ -118,9 +118,8 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	}
 
 	// Similarity phase: aggregate counts per pair, apply the threshold.
-	simRes, err := p.Run(mapreduce.Config{Name: "similarity", Combiner: result.SumOverlaps{}},
-		joinRes.Output, mapreduce.IdentityMapper,
-		&thresholdReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
+	simRes, err := p.Chain(mapreduce.Config{Name: "similarity", Combiner: result.SumOverlaps{}},
+		joinRes, &thresholdReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
 	if err != nil {
 		return nil, err
 	}
