@@ -224,6 +224,104 @@ func TestBudgetEquivalenceLargeCorpus(t *testing.T) {
 	}
 }
 
+// goldenStats pins the accounted shuffle of every algorithm on the golden
+// corpus: one line per algorithm, self-join or R-S, and memory budget.
+// Regenerate with:
+//
+//	go test -run TestGoldenStats -update-golden .
+const goldenStats = "testdata/golden/stats.txt"
+
+// goldenSpillBudget is small enough that every row of the table spills.
+const goldenSpillBudget = 128
+
+// readLines returns a fixture file's lines.
+func readLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to generate)", err)
+	}
+	return strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+}
+
+// TestGoldenStats: the counters the cost model reads — shuffle records and
+// bytes, load imbalance, candidates, spill runs, spill bytes and the shuffle
+// peak — are those pinned in testdata/golden/stats.txt, exactly, at
+// parallelism 1 and 4, unbounded and under a budget every row spills at.
+// A drift in any value's accounted size moves a byte total here. The bitmap
+// filter is pinned on and the budgets are explicit, so no test switch in
+// the environment moves a row.
+func TestGoldenStats(t *testing.T) {
+	t.Setenv("FSJOIN_BITMAP", "on")
+	texts, queries := readLines(t, goldenTexts), readLines(t, goldenRSQueries)
+	var got []string
+	for _, algo := range []Algorithm{
+		FSJoin, FSJoinV, RIDPairsPPJoin, VSmartJoin, MassJoinMerge, MassJoinMergeLight, ApproxLSHJoin,
+	} {
+		for _, rs := range []bool{false, true} {
+			if rs && (algo == MassJoinMerge || algo == MassJoinMergeLight) {
+				continue
+			}
+			for _, budget := range []int64{-1, goldenSpillBudget} {
+				label := fmt.Sprintf("%v self budget=%d", algo, budget)
+				if rs {
+					label = fmt.Sprintf("%v rs budget=%d", algo, budget)
+				}
+				var line string
+				for _, par := range []int{1, 4} {
+					opt := Options{
+						Threshold: goldenTheta, Algorithm: algo, LocalParallelism: par,
+						MemoryBudget: budget, SpillDir: t.TempDir(),
+					}
+					var res *Result
+					var err error
+					if rs {
+						res, err = JoinStrings(queries, texts, opt)
+					} else {
+						res, err = SelfJoinStrings(texts, opt)
+					}
+					if err != nil {
+						t.Fatalf("%s par %d: %v", label, par, err)
+					}
+					s := res.Stats
+					if budget > 0 && s.SpillRuns == 0 {
+						t.Fatalf("%s par %d: the budget did not spill", label, par)
+					}
+					l := fmt.Sprintf("%s records=%d bytes=%d imbalance=%s candidates=%d spill_runs=%d spill_bytes=%d peak=%d",
+						label, s.ShuffleRecords, s.ShuffleBytes, formatSim(s.LoadImbalance), s.Candidates,
+						s.SpillRuns, s.SpillBytes, s.ShufflePeakBytes)
+					if par == 1 {
+						line = l
+					} else if l != line {
+						t.Fatalf("par %d differs from par 1:\n%s\n%s", par, l, line)
+					}
+				}
+				got = append(got, line)
+			}
+		}
+	}
+	if *updateGolden {
+		header := fmt.Sprintf("# accounted shuffle per algorithm on texts.txt (self) and rs_queries.txt x texts.txt (rs), theta=%v, FSJOIN_BITMAP=on\n", goldenTheta)
+		if err := os.WriteFile(goldenStats, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	for _, line := range readLines(t, goldenStats) {
+		if !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d:\n got  %s\n want %s", i, got[i], want[i])
+		}
+	}
+}
+
 // TestGoldenJoinMethods covers FS-Join's three fragment-join kernels —
 // all must reproduce the golden pairs exactly.
 func TestGoldenJoinMethods(t *testing.T) {
