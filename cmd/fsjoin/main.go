@@ -221,6 +221,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rs candidates=%d pairs=%d\n",
 				res.Stats.RSCandidates, res.Stats.RSPairs)
 		}
+		// The shuffle peak is recorded only under a memory budget
+		// (FSJOIN_MEMORY_BUDGET).
+		if res.Stats.ShufflePeakBytes > 0 {
+			fmt.Fprintf(os.Stderr, "spill runs=%d bytes=%d peak=%d\n",
+				res.Stats.SpillRuns, res.Stats.SpillBytes, res.Stats.ShufflePeakBytes)
+		}
 		if *ckpt != "" || *skip {
 			fmt.Fprintf(os.Stderr, "checkpoint hits=%d misses=%d skipped-records=%d\n",
 				res.Stats.CheckpointHits, res.Stats.CheckpointMisses, res.Stats.RecordsSkipped)

@@ -89,10 +89,6 @@ type Seg struct {
 	Tokens []tokens.ID
 }
 
-// SizeBytes implements mapreduce.Sized: rid + origin/role + three lengths +
-// tokens.
-func (s Seg) SizeBytes() int { return 4 + 2 + 12 + 4*len(s.Tokens) }
-
 // Seg's codec: the dominant shuffle value of the filtering job spills and
 // checkpoints through it (DESIGN.md §8).
 func init() {
@@ -115,6 +111,8 @@ func init() {
 			s.Tokens = d.U32s()
 			return s
 		},
+		// rid + origin/role + three lengths + tokens.
+		Size: func(s Seg) int { return 4 + 2 + 12 + 4*len(s.Tokens) },
 	})
 }
 

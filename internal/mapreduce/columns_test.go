@@ -19,12 +19,11 @@ type wrappedCount struct {
 	_ *struct{}
 }
 
-func (wrappedCount) SizeBytes() int { return 8 }
-
 func init() {
 	spill.Register(250, spill.Codec[wrappedCount]{
 		Append: func(buf []byte, v wrappedCount) []byte { return binary.AppendVarint(buf, v.n) },
 		Read:   func(d *spill.Dec) wrappedCount { return wrappedCount{n: d.Varint()} },
+		Size:   func(wrappedCount) int { return 8 },
 	})
 }
 

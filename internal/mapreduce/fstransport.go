@@ -333,7 +333,8 @@ func (j *fsJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
 // readRecords reads one partition's sections again and appends its records
 // to dst, each sized by recordBytes.
 func readRecords(fr *fsFrame, r int, dst *spill.Records) error {
-	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, func(key string, v any) { dst.Append(key, v, recordBytes(key, v)) })
+	var sz spill.Sizer
+	got, err := frame.ReadRecords(fr.path, fr.parts[r].secs, func(key string, v any) { dst.Append(key, v, recordBytes(key, sz.Size(v))) })
 	if err == nil && got != fr.parts[r].count {
 		err = fmt.Errorf("%d records, index says %d", got, fr.parts[r].count)
 	}

@@ -267,6 +267,7 @@ type Context struct {
 	Local any
 
 	out      spill.Records
+	sizer    spill.Sizer // sizes out's values
 	shuffle  *shuffleSink
 	counters *Counters
 	local    []localCounter
@@ -288,7 +289,7 @@ func (c *Context) Emit(key string, value any) {
 		c.shuffle.add(key, value)
 		return
 	}
-	c.out.Append(key, value, recordBytes(key, value))
+	c.out.Append(key, value, recordBytes(key, c.sizer.Size(value)))
 }
 
 // Inc adds delta to a job counter. Increments accumulate task-locally and

@@ -229,8 +229,9 @@ func (p *Pipeline) replay(store *checkpoint.Store, stage int, cfg Config, fp str
 	res := &Result{Counters: RestoreCounters(snap.Manifest.Counters)}
 	if feed {
 		out := new(spill.Records)
+		var sz spill.Sizer
 		for _, r := range snap.Records {
-			out.Append(r.Key, r.Value, recordBytes(r.Key, r.Value))
+			out.Append(r.Key, r.Value, recordBytes(r.Key, sz.Size(r.Value)))
 		}
 		res.chain = newChainInput([]*spill.Records{out})
 	} else {

@@ -23,21 +23,27 @@ import (
 type shuffleSink struct {
 	part     func(key string, reducers int) int
 	reducers int
-	buf      *spill.Buffer
+	// sizer sizes buf's values: as they are added, and in the concurrent
+	// merges of its partitions.
+	sizer spill.Sizer
+	buf   spill.Buffer
 }
 
 func newShuffleSink(part func(string, int) int, reducers int, folder Folder, budget int64, dir string, cancel func() error) *shuffleSink {
+	s := &shuffleSink{part: part, reducers: reducers}
 	sc := spill.Config{
 		Parts:  reducers,
 		Budget: budget,
 		Dir:    dir,
-		Size:   recordBytes,
+		Size:   func(key string, v any) int64 { return recordBytes(key, s.sizer.Size(v)) },
 		Cancel: cancel,
 	}
 	if folder != nil {
 		sc.Fold, sc.TypedFold = folder.Fold, folder
 	}
-	return &shuffleSink{part: part, reducers: reducers, buf: spill.NewBuffer(sc)}
+	// In place: the buffer is allocated with the sink.
+	s.buf.Init(sc)
+	return s
 }
 
 // add routes one emission to its reduce partition, folding into an existing

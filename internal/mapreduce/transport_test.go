@@ -527,9 +527,10 @@ func FuzzFSFrame(f *testing.F) {
 		jt := jtI.(*fsJob)
 		sink := newShuffleSink(DefaultPartitioner, 2, nil, 0, "", nil)
 		out := new(spill.Records)
+		var sz spill.Sizer
 		for _, kv := range want {
 			sink.add(kv.Key, kv.Value)
-			out.Append(kv.Key, kv.Value, recordBytes(kv.Key, kv.Value))
+			out.Append(kv.Key, kv.Value, recordBytes(kv.Key, sz.Size(kv.Value)))
 		}
 		if _, err := jt.CommitMap(0, sink, wantMeta); err != nil {
 			tb.Fatal(err)

@@ -107,16 +107,10 @@ type sigEntry struct {
 	light [lightGroups]uint16
 }
 
-// SizeBytes implements mapreduce.Sized.
-func (e sigEntry) SizeBytes() int { return 9 + 2*lightGroups }
-
 // ridList is a merged candidate list for one record.
 type ridList struct {
 	rids []int32
 }
-
-// SizeBytes implements mapreduce.Sized.
-func (l ridList) SizeBytes() int { return 4 * len(l.rids) }
 
 // The codecs of this package's own shuffle values (DESIGN.md §8); the others
 // are shared: result.Candidate, order.RecordValue, and the verify stage's
@@ -144,10 +138,12 @@ func init() {
 			}
 			return e
 		},
+		Size: func(sigEntry) int { return 9 + 2*lightGroups },
 	})
 	spill.Register(spill.TagRidList, spill.Codec[ridList]{
 		Append: func(buf []byte, l ridList) []byte { return spill.AppendI32s(buf, l.rids) },
 		Read:   func(d *spill.Dec) ridList { return ridList{rids: d.I32s()} },
+		Size:   func(l ridList) int { return 4 * len(l.rids) },
 	})
 }
 

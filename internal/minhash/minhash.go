@@ -286,9 +286,6 @@ func (j *bucketJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) 
 // partner marks a candidate partner id in the verification job.
 type partner int32
 
-// SizeBytes implements mapreduce.Sized.
-func (partner) SizeBytes() int { return 4 }
-
 // The codec of this package's own shuffle value (DESIGN.md §8); the others
 // are shared: rsinput.Posting, result.Candidate, order.RecordValue, and the
 // verify stage's output result.Scored.
@@ -296,6 +293,7 @@ func init() {
 	spill.Register(spill.TagPartner, spill.Codec[partner]{
 		Append: func(buf []byte, p partner) []byte { return binary.AppendVarint(buf, int64(p)) },
 		Read:   func(d *spill.Dec) partner { return partner(d.Varint()) },
+		Size:   func(partner) int { return 4 },
 	})
 }
 

@@ -131,9 +131,6 @@ func (o *Order) rank(in, out []tokens.Record) error {
 // the verification stages of minhash and massjoin ship.
 type RecordValue struct{ Rec tokens.Record }
 
-// SizeBytes implements mapreduce.Sized.
-func (v RecordValue) SizeBytes() int { return 4 + 4*len(v.Rec.Tokens) }
-
 // RecordValue's codec makes the stages that take records as input
 // fingerprintable and their upstream outputs checkpointable (DESIGN.md §9),
 // and lets the stages that ship records spill them (DESIGN.md §8).
@@ -148,6 +145,7 @@ func init() {
 			r.Rec.Tokens = d.U32s()
 			return r
 		},
+		Size: func(v RecordValue) int { return 4 + 4*len(v.Rec.Tokens) },
 	})
 }
 

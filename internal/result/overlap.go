@@ -17,9 +17,6 @@ type Overlap struct {
 	C, La, Lb int32
 }
 
-// SizeBytes implements mapreduce.Sized.
-func (Overlap) SizeBytes() int { return 12 }
-
 // Scored is an exactly verified pair's payload: the common-token count and
 // the similarity computed where both records were at hand.
 type Scored struct {
@@ -27,15 +24,9 @@ type Scored struct {
 	Sim float64
 }
 
-// SizeBytes implements mapreduce.Sized.
-func (Scored) SizeBytes() int { return 12 }
-
 // Candidate is the empty value of a candidate-pair record: the pair is the
 // key, and FirstValue dedups it (minhash's banding job, massjoin's dedup).
 type Candidate struct{}
-
-// SizeBytes implements mapreduce.Sized.
-func (Candidate) SizeBytes() int { return 0 }
 
 // The codecs (DESIGN.md §8), which also make the stages that emit these
 // values checkpointable (DESIGN.md §9). SumOverlaps' fold is pure addition
@@ -44,6 +35,7 @@ func init() {
 	spill.Register(spill.TagCandidate, spill.Codec[Candidate]{
 		Append: func(buf []byte, _ Candidate) []byte { return buf },
 		Read:   func(*spill.Dec) Candidate { return Candidate{} },
+		Size:   func(Candidate) int { return 0 },
 	})
 	spill.Register(spill.TagOverlap, spill.Codec[Overlap]{
 		Append: func(buf []byte, o Overlap) []byte {
@@ -54,6 +46,7 @@ func init() {
 		Read: func(d *spill.Dec) Overlap {
 			return Overlap{C: int32(d.Varint()), La: int32(d.Varint()), Lb: int32(d.Varint())}
 		},
+		Size: func(Overlap) int { return 12 },
 	})
 	spill.Register(spill.TagScored, spill.Codec[Scored]{
 		Append: func(buf []byte, s Scored) []byte {
@@ -65,6 +58,7 @@ func init() {
 			s.Sim = math.Float64frombits(d.U64())
 			return s
 		},
+		Size: func(Scored) int { return 12 },
 	})
 }
 

@@ -21,9 +21,6 @@ type Record struct {
 	Origin uint8
 }
 
-// SizeBytes implements mapreduce.Sized.
-func (t Record) SizeBytes() int { return 5 + 4*len(t.Rec.Tokens) }
-
 // Posting is a record reduced to what pair enumeration needs — origin,
 // rid and length: an inverted-list entry of vsmart's join phase and a
 // bucket entry of minhash's banding job.
@@ -31,9 +28,6 @@ type Posting struct {
 	Origin   uint8
 	RID, Len int32
 }
-
-// SizeBytes implements mapreduce.Sized.
-func (Posting) SizeBytes() int { return 9 }
 
 // Union returns the collection the global ordering is computed over: r
 // for a self-join, R ∪ S otherwise.
@@ -94,6 +88,7 @@ func init() {
 		Read: func(d *spill.Dec) Posting {
 			return Posting{Origin: d.Byte(), RID: int32(d.Varint()), Len: int32(d.Varint())}
 		},
+		Size: func(Posting) int { return 9 },
 	})
 	spill.Register(spill.TagRSRecord, spill.Codec[Record]{
 		Append: func(buf []byte, t Record) []byte {
@@ -107,5 +102,6 @@ func init() {
 			t.Rec.Tokens = d.U32s()
 			return t
 		},
+		Size: func(t Record) int { return 5 + 4*len(t.Rec.Tokens) },
 	})
 }

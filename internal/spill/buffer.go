@@ -103,17 +103,24 @@ type Buffer struct {
 
 // NewBuffer returns an empty buffer.
 func NewBuffer(cfg Config) *Buffer {
+	b := new(Buffer)
+	b.Init(cfg)
+	return b
+}
+
+// Init makes b an empty buffer in place, for a Buffer allocated with the
+// struct that holds it.
+func (b *Buffer) Init(cfg Config) {
 	if cfg.Parts < 1 {
 		panic("spill: Config.Parts must be >= 1")
 	}
 	if cfg.Size == nil {
 		panic("spill: Config.Size is required")
 	}
-	b := &Buffer{cfg: cfg, parts: make([]Records, cfg.Parts), fold: folder{boxed: cfg.Fold, typed: cfg.TypedFold}}
+	*b = Buffer{cfg: cfg, parts: make([]Records, cfg.Parts), fold: folder{boxed: cfg.Fold, typed: cfg.TypedFold}}
 	if cfg.Fold != nil {
 		b.slots = make([]slotTable, cfg.Parts)
 	}
-	return b
 }
 
 // Add routes one record into partition part, folding into an existing

@@ -6,16 +6,18 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 )
 
 // The run format stores each value as a one-byte type tag (tags.go) followed
 // by a tag-specific payload, so decoding restores the exact concrete Go type
 // that was buffered — reducers type-switch on shuffle values, so "mostly
 // the same type" is not good enough. This file is the one place that knows
-// how a Go type crosses the shuffle or the disk: each type registers its tag
-// and codec once, with Register, and every path — a typed column encoding
-// its values unboxed, the []any column, AppendEncoded, AppendRecord and
-// their decoders — goes through that one table.
+// how a Go type crosses the shuffle or the disk, and what it is accounted
+// at: each type registers its tag and codec once, with Register, and every
+// path — a typed column encoding its values unboxed, the []any column,
+// AppendEncoded, AppendRecord, their decoders and Sizer — goes through that
+// one table.
 
 // Codec is how values of type T are written after their tag and read back.
 type Codec[T any] struct {
@@ -26,6 +28,11 @@ type Codec[T any] struct {
 	// none of d's bytes. It reports nothing itself: the registry checks d's
 	// error, and that nothing is left over, when it returns.
 	Read func(d *Dec) T
+	// Size returns v's accounted bytes: what shuffle accounting, and through
+	// it the cluster cost model, charges for the value — not the length
+	// Append writes. A pure function of v, so that a value and its decoded
+	// copy are accounted alike.
+	Size func(v T) int
 }
 
 // kind is one registered type as the untyped paths see it.
@@ -35,6 +42,7 @@ type kind struct {
 	// append appends the tag and payload of a boxed value of the type.
 	append func(buf []byte, v any) []byte
 	read   func(d *Dec) any
+	size   func(v any) int
 	// column makes the type's empty []T column; nil for a type that holds a
 	// pointer, whose values are held boxed.
 	column func() values
@@ -58,8 +66,8 @@ func Register[T any](tag byte, c Codec[T]) {
 	switch {
 	case tag <= tagTrue:
 		panic(fmt.Sprintf("spill: tag %d is a value of its own", tag))
-	case c.Append == nil || c.Read == nil:
-		panic(fmt.Sprintf("spill: Register of %v needs Append and Read", t))
+	case c.Append == nil || c.Read == nil || c.Size == nil:
+		panic(fmt.Sprintf("spill: Register of %v needs Append, Read and Size", t))
 	case kindsByTag[tag] != nil:
 		panic(fmt.Sprintf("spill: tag %d registered twice", tag))
 	case kindsByType[t] != nil:
@@ -70,9 +78,10 @@ func Register[T any](tag byte, c Codec[T]) {
 		typ:    t,
 		append: func(buf []byte, v any) []byte { return c.Append(append(buf, tag), v.(T)) },
 		read:   func(d *Dec) any { return c.Read(d) },
+		size:   func(v any) int { return c.Size(v.(T)) },
 	}
 	if pointerFree(t) {
-		k.column = func() values { return newColumn(k, &c) }
+		k.column = func() values { return newColumn(tag, &c) }
 	}
 	kindsByTag[tag], kindsByType[t] = k, k
 }
@@ -96,22 +105,24 @@ func pointerFree(t reflect.Type) bool {
 	return false
 }
 
-func varint[T int | int8 | int16 | int32 | int64]() Codec[T] {
+func varint[T int | int8 | int16 | int32 | int64](width int) Codec[T] {
 	return Codec[T]{
 		Append: func(buf []byte, v T) []byte { return binary.AppendVarint(buf, int64(v)) },
 		Read:   func(d *Dec) T { return T(d.Varint()) },
+		Size:   func(T) int { return width },
 	}
 }
 
-func uvarint[T uint | uint8 | uint16 | uint32 | uint64]() Codec[T] {
+func uvarint[T uint | uint8 | uint16 | uint32 | uint64](width int) Codec[T] {
 	return Codec[T]{
 		Append: func(buf []byte, v T) []byte { return binary.AppendUvarint(buf, uint64(v)) },
 		Read:   func(d *Dec) T { return T(d.Uvarint()) },
+		Size:   func(T) int { return width },
 	}
 }
 
 // list is the codec of a []T: a uvarint count, then each element as e
-// writes it.
+// writes it. It is accounted at the sum of its elements' sizes.
 func list[T any](e Codec[T]) Codec[[]T] {
 	return Codec[[]T]{
 		Append: func(buf []byte, xs []T) []byte {
@@ -129,51 +140,101 @@ func list[T any](e Codec[T]) Codec[[]T] {
 			}
 			return xs
 		},
+		Size: func(xs []T) int {
+			n := 0
+			for _, x := range xs {
+				n += e.Size(x)
+			}
+			return n
+		},
 	}
 }
 
-// The builtin kinds: the natively sized ones the engine's shuffle accounting
-// already knows. A string or a []byte is its payload, whole.
+// The builtin kinds. A fixed-size kind is accounted at its width — an int or
+// a uint at 8 on every platform; a string or a []byte is its payload, whole,
+// and accounted at its length; a []uint32 or a []int32 at four bytes a word.
 func init() {
-	Register(tagInt, varint[int]())
-	Register(tagInt8, varint[int8]())
-	Register(tagInt16, varint[int16]())
-	Register(tagInt32, varint[int32]())
-	Register(tagInt64, varint[int64]())
-	Register(tagUint, uvarint[uint]())
-	Register(tagUint8, uvarint[uint8]())
-	Register(tagUint16, uvarint[uint16]())
-	Register(tagUint32, uvarint[uint32]())
-	Register(tagUint64, uvarint[uint64]())
+	Register(tagInt, varint[int](8))
+	Register(tagInt8, varint[int8](1))
+	Register(tagInt16, varint[int16](2))
+	Register(tagInt32, varint[int32](4))
+	Register(tagInt64, varint[int64](8))
+	Register(tagUint, uvarint[uint](8))
+	Register(tagUint8, uvarint[uint8](1))
+	Register(tagUint16, uvarint[uint16](2))
+	Register(tagUint32, uvarint[uint32](4))
+	Register(tagUint64, uvarint[uint64](8))
 	Register(tagFloat32, Codec[float32]{
 		Append: func(buf []byte, v float32) []byte {
 			return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 		},
 		Read: func(d *Dec) float32 { return math.Float32frombits(d.U32()) },
+		Size: func(float32) int { return 4 },
 	})
 	Register(tagFloat64, Codec[float64]{
 		Append: func(buf []byte, v float64) []byte {
 			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		},
 		Read: func(d *Dec) float64 { return math.Float64frombits(d.U64()) },
+		Size: func(float64) int { return 8 },
 	})
 	Register(tagString, Codec[string]{
 		Append: func(buf []byte, v string) []byte { return append(buf, v...) },
 		Read:   func(d *Dec) string { return string(d.tail()) },
+		Size:   func(v string) int { return len(v) },
 	})
 	Register(tagBytes, Codec[[]byte]{
 		Append: func(buf, v []byte) []byte { return append(buf, v...) },
 		Read:   func(d *Dec) []byte { return append([]byte(nil), d.tail()...) },
+		Size:   func(v []byte) int { return len(v) },
 	})
-	Register(tagU32Slice, Codec[[]uint32]{Append: AppendU32s, Read: (*Dec).U32s})
-	Register(tagI32Slice, Codec[[]int32]{Append: AppendI32s, Read: (*Dec).I32s})
-	Register(tagIntSlice, list(varint[int]()))
+	Register(tagU32Slice, Codec[[]uint32]{Append: AppendU32s, Read: (*Dec).U32s, Size: func(xs []uint32) int { return 4 * len(xs) }})
+	Register(tagI32Slice, Codec[[]int32]{Append: AppendI32s, Read: (*Dec).I32s, Size: func(xs []int32) int { return 4 * len(xs) }})
+	Register(tagIntSlice, list(varint[int](8)))
+	// A []string is accounted at each string's length and four bytes more.
 	Register(tagStringSlice, list(Codec[string]{
 		Append: func(buf []byte, v string) []byte {
 			return append(binary.AppendUvarint(buf, uint64(len(v))), v...)
 		},
 		Read: (*Dec).String,
+		Size: func(v string) int { return len(v) + 4 },
 	}))
+}
+
+// Sizer returns values' accounted sizes: a registered type's by its
+// Codec.Size and, for the rest, nil 0, a bool 1 and a value of an
+// unregistered type a flat 16, so that accounting never silently reports
+// nothing. It remembers the kind it found last, so values of one type in a
+// row cost no registry lookup. The zero value is ready for use, and safe
+// for concurrent use.
+type Sizer struct{ last atomic.Pointer[kind] }
+
+// Size returns v's accounted bytes.
+func (s *Sizer) Size(v any) int {
+	switch v.(type) {
+	case nil:
+		return 0
+	case bool:
+		return 1
+	}
+	if k := s.kindOf(v); k != nil {
+		return k.size(v)
+	}
+	return 16
+}
+
+// kindOf returns the kind of v's type, nil for none, at the cost of one
+// comparison while the values keep coming in the type it found last.
+func (s *Sizer) kindOf(v any) *kind {
+	t := reflect.TypeOf(v)
+	if k := s.last.Load(); k != nil && k.typ == t {
+		return k
+	}
+	k := kindsByType[t]
+	if k != nil {
+		s.last.Store(k)
+	}
+	return k
 }
 
 // bareTag returns the tag that is all of v's encoding, for the three values

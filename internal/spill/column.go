@@ -7,7 +7,8 @@ import "reflect"
 type values interface {
 	// encodable reports whether v, about to be added, has a codec.
 	encodable(v any) bool
-	// encodableAt is encodable of value i, and only reads the column.
+	// encodableAt is encodable of value i, safe while other goroutines ask
+	// the same column.
 	encodableAt(i int) bool
 	// add appends v; false when v is not of the column's type.
 	add(v any) bool
@@ -61,15 +62,16 @@ func unboxedFold[T any](f *folder) func(acc *T, v T) {
 // fallback that holds anything, each value boxed as it was emitted.
 type column[T any] struct {
 	vals List[T]
-	// T's codec, nil when T is any, whose values each have their own; and a
-	// kind: T's, or in the []any column that of the last registered type it
-	// was asked about. A partition's values are nearly always of one type.
-	codec *Codec[T]
-	kind  *kind
-
 	// The owning buffer's fold, looked up on the first fold into the column.
 	unboxed  func(acc *T, v T)
 	resolved bool
+
+	// T's tag and codec, 0 and nil when T is any, whose values each have
+	// their own; and the kinds of the values asked about, found one type at
+	// a time: a partition's values are nearly always of one type.
+	tag   byte
+	codec *Codec[T]
+	kinds Sizer
 
 	// The list's chunk table and first chunk, allocated with the column: a
 	// job has map tasks × reduce tasks of these, most of a few values.
@@ -77,13 +79,13 @@ type column[T any] struct {
 	first [firstChunk]T
 }
 
-func newColumn[T any](k *kind, codec *Codec[T]) *column[T] {
-	c := &column[T]{kind: k, codec: codec}
+func newColumn[T any](tag byte, codec *Codec[T]) *column[T] {
+	c := &column[T]{tag: tag, codec: codec}
 	c.vals.seed(c.table[:], &c.first)
 	return c
 }
 
-func newAnyColumn() *column[any] { return newColumn[any](nil, nil) }
+func newAnyColumn() *column[any] { return newColumn[any](0, nil) }
 
 // columnFor returns an empty column for a partition whose first value is v.
 func columnFor(v any) values {
@@ -99,37 +101,15 @@ func (c *column[T]) unbox(v any) (T, bool) {
 	return x, ok || c.codec == nil
 }
 
-// kindOf returns the kind of v's type, at the cost of one comparison while
-// the values keep coming in one registered type. Only the []any column
-// remembers another: a typed column encodes under the kind it was made with.
-func (c *column[T]) kindOf(v any) *kind {
-	t := reflect.TypeOf(v)
-	if c.kind != nil && c.kind.typ == t {
-		return c.kind
-	}
-	k := kindsByType[t]
-	if k != nil && c.codec == nil {
-		c.kind = k
-	}
-	return k
-}
-
 func (c *column[T]) encodable(v any) bool {
-	if c.kindOf(v) != nil {
+	if c.kinds.kindOf(v) != nil {
 		return true
 	}
 	_, bare := bareTag(v)
 	return bare
 }
 
-func (c *column[T]) encodableAt(i int) bool {
-	if c.codec != nil {
-		return true
-	}
-	v := c.at(i)
-	_, bare := bareTag(v)
-	return bare || kindsByType[reflect.TypeOf(v)] != nil
-}
+func (c *column[T]) encodableAt(i int) bool { return c.codec != nil || c.encodable(c.at(i)) }
 
 func (c *column[T]) add(v any) bool {
 	x, ok := c.unbox(v)
@@ -176,7 +156,7 @@ func (c *column[T]) boxed() values {
 	return out
 }
 
-func (c *column[T]) empty() values { return newColumn(c.kind, c.codec) }
+func (c *column[T]) empty() values { return newColumn(c.tag, c.codec) }
 
 func (c *column[T]) fold(i int, v any, f *folder) bool {
 	x, ok := c.unbox(v)
@@ -201,7 +181,7 @@ func (c *column[T]) foldValue(i int, x T, f *folder) bool {
 
 func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values {
 	if fold := unboxedFold[T](f); fold != nil {
-		out := newColumn(c.kind, c.codec)
+		out := newColumn(c.tag, c.codec)
 		for g := 0; g+1 < len(starts); g++ {
 			out.vals.Append(*c.vals.At(int(idx[starts[g]].Pos)))
 			acc := out.vals.At(g)
@@ -224,10 +204,10 @@ func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values
 
 func (c *column[T]) appendValue(buf []byte, i int) ([]byte, error) {
 	if c.codec != nil {
-		return c.codec.Append(append(buf, c.kind.tag), *c.vals.At(i)), nil
+		return c.codec.Append(append(buf, c.tag), *c.vals.At(i)), nil
 	}
 	v := c.at(i)
-	return appendKind(buf, v, c.kindOf(v))
+	return appendKind(buf, v, c.kinds.kindOf(v))
 }
 
 func (c *column[T]) reset() { c.vals.Reset() }

@@ -12,7 +12,8 @@ import (
 
 // FuzzValueCodec exercises DecodeEncoded on arbitrary frames: it must never
 // panic, and any frame it accepts must re-encode and re-decode to the same
-// value and concrete type (a full round trip for every reachable frame).
+// value, of the same concrete type and accounted size (a full round trip for
+// every reachable frame: a spilled record is accounted alike after decode).
 func FuzzValueCodec(f *testing.F) {
 	seeds := []any{
 		nil, true, int64(-1 << 40), uint32(7), float64(3.25),
@@ -68,6 +69,10 @@ func FuzzValueCodec(f *testing.F) {
 		}
 		if v != nil && reflect.TypeOf(v) != reflect.TypeOf(v2) {
 			t.Fatalf("type drift: %T -> %T", v, v2)
+		}
+		var s Sizer
+		if a, b := s.Size(v), s.Size(v2); a != b {
+			t.Fatalf("size drift: %#v accounted at %d, its round trip at %d", v, a, b)
 		}
 	})
 }

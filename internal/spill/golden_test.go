@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +46,47 @@ var goldenFrames = []struct{ hex, typ, val string }{
 	{"360a000000000000ea3f", "result.Scored", "{C:5 Sim:0.8125}"},
 	{"3bff880f", "minhash.partner", "-123456"},
 	{"3d05020800000009000000", "order.RecordValue", "{Rec:r-3{8 9}}"},
+}
+
+// goldenSizes is the accounted size of the value each goldenFrames row
+// decodes to, row by row: what the engine charged for it before sizes moved
+// into the registry (c59bd01), and so what every shuffle byte, spill byte
+// and simulated second already reported rests on.
+var goldenSizes = []struct {
+	typ  string
+	size int
+}{
+	{"<nil>", 0},
+	{"bool", 1},
+	{"bool", 1},
+	{"int", 8},
+	{"int8", 1},
+	{"int16", 2},
+	{"int32", 4},
+	{"int64", 8},
+	{"uint", 8},
+	{"uint8", 1},
+	{"uint16", 2},
+	{"uint32", 4},
+	{"uint64", 8},
+	{"float32", 4},
+	{"float64", 8},
+	{"string", 16},
+	{"[]uint8", 4},
+	{"[]uint32", 12},
+	{"[]int32", 12},
+	{"[]int", 16},
+	{"[]string", 15},
+	{"fragjoin.Seg", 30},
+	{"result.Overlap", 12},
+	{"rsinput.Record", 13},
+	{"rsinput.Posting", 9},
+	{"massjoin.sigEntry", 41},
+	{"result.Candidate", 0},
+	{"massjoin.ridList", 12},
+	{"result.Scored", 12},
+	{"minhash.partner", 4},
+	{"order.RecordValue", 12},
 }
 
 // goldenFrame returns row i's bytes and the value they decode to.
@@ -89,6 +131,63 @@ func TestGoldenWireFormat(t *testing.T) {
 			t.Errorf("tag %d is not registered in this binary: registrants_test.go imports its owner", tag)
 		}
 	}
+}
+
+// TestGoldenAccountedSize: every pinned value is accounted at its pinned
+// size, by a Sizer that has just sized a value of another type and by one
+// that sized the same value last; a value of no registered type is charged
+// 16; and the table leaves no tag out.
+func TestGoldenAccountedSize(t *testing.T) {
+	if len(goldenSizes) != len(goldenFrames) {
+		t.Fatalf("%d size rows for %d frames", len(goldenSizes), len(goldenFrames))
+	}
+	var s Sizer
+	sized := map[byte]bool{}
+	for i, g := range goldenSizes {
+		if g.typ != goldenFrames[i].typ {
+			t.Fatalf("size row %d is a %s, frame row %d a %s", i, g.typ, i, goldenFrames[i].typ)
+		}
+		frame, v := goldenFrame(t, i)
+		sized[frame[0]] = true
+		if got, again := s.Size(v), s.Size(v); got != g.size || again != g.size {
+			t.Errorf("%s %s accounted at %d, then %d; want %d", g.typ, goldenFrames[i].val, got, again, g.size)
+		}
+	}
+	if got := s.Size(unregistered{1}); got != 16 {
+		t.Errorf("unregistered struct accounted at %d, want 16", got)
+	}
+	for tag, k := range kindsByTag {
+		if k != nil && tag < tagTest && !sized[byte(tag)] {
+			t.Errorf("tag %d (%v) is registered and has no size row", tag, k.typ)
+		}
+	}
+}
+
+// TestSizerShared: one Sizer used at once by goroutines sizing values of
+// different types, as a shuffle sink's adds and its partitions' concurrent
+// merges use one, accounts every value at its pinned size.
+func TestSizerShared(t *testing.T) {
+	vals := make([]any, len(goldenFrames))
+	for i := range vals {
+		_, vals[i] = goldenFrame(t, i)
+	}
+	var s Sizer
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 1000; n++ {
+				// Each goroutine dwells on a type for a few values, then moves on.
+				i := (n/4 + 7*g) % len(vals)
+				if got := s.Size(vals[i]); got != goldenSizes[i].size {
+					t.Errorf("%s accounted at %d, want %d", goldenSizes[i].typ, got, goldenSizes[i].size)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTrailingBytesRefused: a frame with a byte after its payload is

@@ -192,6 +192,7 @@ func init() {
 	Register(tagTest+1, Codec[pointerful]{
 		Append: func(buf []byte, v pointerful) []byte { return AppendI32s(buf, v.xs) },
 		Read:   func(d *Dec) pointerful { return pointerful{xs: d.I32s()} },
+		Size:   func(v pointerful) int { return 4 * len(v.xs) },
 	})
 }
 

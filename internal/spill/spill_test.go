@@ -140,6 +140,7 @@ func init() {
 			}
 			return registered{n: xs[0]}
 		},
+		Size: func(registered) int { return 4 },
 	})
 }
 
@@ -174,16 +175,21 @@ func TestRegisterPanics(t *testing.T) {
 	codec := Codec[registered]{
 		Append: func(buf []byte, _ registered) []byte { return buf },
 		Read:   func(*Dec) registered { return registered{} },
+		Size:   func(registered) int { return 0 },
 	}
 	other := Codec[struct{ x bool }]{
 		Append: func(buf []byte, _ struct{ x bool }) []byte { return buf },
 		Read:   func(*Dec) struct{ x bool } { return struct{ x bool }{} },
+		Size:   func(struct{ x bool }) int { return 0 },
 	}
+	unsized := other
+	unsized.Size = nil
 	mustPanic("builtin tag", func() { Register(tagInt32, codec) })
 	mustPanic("bare tag", func() { Register(tagTrue, other) })
 	mustPanic("duplicate tag", func() { Register(tagTest, other) })
 	mustPanic("duplicate type", func() { Register(253, codec) })
 	mustPanic("nil codec", func() { Register(254, Codec[struct{ y bool }]{}) })
+	mustPanic("nil Size", func() { Register(254, unsized) })
 	if kindsByTag[253] != nil || kindsByTag[254] != nil || kindsByType[reflect.TypeFor[struct{ x bool }]()] != nil {
 		t.Error("a refused registration left an entry behind")
 	}

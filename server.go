@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -83,7 +84,8 @@ type ServerOptions struct {
 	SpillRoot string
 	// CheckpointRoot, when non-empty, enables durable stage checkpoints
 	// for jobs that set a Key: each keyed job checkpoints under its own
-	// subdirectory, so concurrent jobs never collide on stage files.
+	// subdirectory, named by the key, so concurrent jobs never collide on
+	// stage files. Run refuses a key that is not such a name.
 	CheckpointRoot string
 	// MaintenanceInterval paces the background maintenance goroutines
 	// started by MaintainIndex (WAL group-commit flush + auto-compaction
@@ -115,7 +117,9 @@ type Job struct {
 	// Key, with ServerOptions.CheckpointRoot, names the job's private
 	// checkpoint subdirectory — resubmitting the same Key with the same
 	// input and options replays finished stages. "" disables
-	// checkpointing for this job.
+	// checkpointing for this job. With a CheckpointRoot the key must be a
+	// directory name of its own: not "." or "..", and only ASCII letters,
+	// digits, '.', '_' and '-'.
 	Key string
 
 	// testHookPreRun, when set by in-package tests, runs inside the
@@ -252,6 +256,9 @@ func (s *Server) Run(ctx context.Context, job Job) (*Result, error) {
 	if job.Options.MemoryBudget < 0 || job.MemoryLease < 0 {
 		return nil, errors.New("fsjoin: server jobs cannot disable memory accounting (negative budget/lease)")
 	}
+	if s.opt.CheckpointRoot != "" && job.Key != "" && (job.Key == "." || job.Key == ".." || !checkpointKey.MatchString(job.Key)) {
+		return nil, fmt.Errorf("fsjoin: job key %q names no checkpoint directory of its own", job.Key)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -354,7 +361,7 @@ func (s *Server) execute(ctx context.Context, job Job, lease int64) (res *Result
 	opt.SpillDir = s.spillRoot
 	opt.CheckpointDir = ""
 	if s.opt.CheckpointRoot != "" && job.Key != "" {
-		opt.CheckpointDir = filepath.Join(s.opt.CheckpointRoot, sanitizeKey(job.Key))
+		opt.CheckpointDir = filepath.Join(s.opt.CheckpointRoot, job.Key)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -627,15 +634,6 @@ func translateSched(err error) error {
 	}
 }
 
-// sanitizeKey maps an arbitrary job key onto a single path segment.
-func sanitizeKey(key string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
-}
+// checkpointKey matches a job key that, once "." and ".." are ruled out,
+// names a directory inside ServerOptions.CheckpointRoot and no other key's.
+var checkpointKey = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)

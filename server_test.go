@@ -395,6 +395,66 @@ func TestServerShutdownDrainsAndSweeps(t *testing.T) {
 	}
 }
 
+// TestServerCheckpointKeys: under a CheckpointRoot a job's key is the name
+// of its checkpoint directory. A key naming the root, its parent, a nested
+// path or a name another key shares is refused before admission, with
+// nothing written anywhere; a plain key checkpoints in root/key and its
+// resubmission replays every stage.
+func TestServerCheckpointKeys(t *testing.T) {
+	parent := t.TempDir()
+	root := filepath.Join(parent, "ckpt")
+	srv, err := NewServer(ServerOptions{MemoryBudget: 1 << 20, CheckpointRoot: root, SpillRoot: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	texts := corpus(40, 7)
+	job := func(key string) Job {
+		return Job{Collection: NewDictionary().NewTextCollection(texts), Options: Options{Threshold: 0.7}, Key: key}
+	}
+	files := func() []string {
+		var out []string
+		filepath.WalkDir(parent, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				out = append(out, path)
+			}
+			return err
+		})
+		return out
+	}
+	for _, key := range []string{"..", ".", "a/b", "a?b", "a\\b"} {
+		if _, err := srv.Run(context.Background(), job(key)); err == nil {
+			t.Errorf("key %q was accepted", key)
+		}
+	}
+	if st := srv.Stats(); st.Admitted != 0 {
+		t.Fatalf("a refused key was admitted: %+v", st)
+	}
+	if got := files(); len(got) != 0 {
+		t.Fatalf("refused keys wrote %v", got)
+	}
+
+	first, err := srv.Run(context.Background(), job("job-3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := files()
+	for _, path := range written {
+		if filepath.Dir(path) != filepath.Join(root, "job-3") {
+			t.Errorf("job-3 wrote %s", path)
+		}
+	}
+	again, err := srv.Run(context.Background(), job("job-3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(len(written)); n == 0 || first.Stats.CheckpointMisses != n ||
+		again.Stats.CheckpointHits != n || again.Stats.CheckpointMisses != 0 {
+		t.Fatalf("%d checkpoint files; first run %d misses, resubmission %d hits and %d misses",
+			n, first.Stats.CheckpointMisses, again.Stats.CheckpointHits, again.Stats.CheckpointMisses)
+	}
+}
+
 // TestServerShutdownCancelsRunning pins the impatient-drain path: once
 // Shutdown's context expires, running jobs are cancelled mid-flight and
 // return an error chaining to context.Canceled.
