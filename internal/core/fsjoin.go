@@ -233,7 +233,7 @@ func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 	segs := m.splitter.Split(rec)
 	for _, asg := range m.horiz.Assign(rec.Len()) {
 		for _, seg := range segs {
-			ctx.Emit(mapreduce.PairKey(uint32(asg.Partition), uint32(seg.Fragment)), fragjoin.Seg{
+			mapreduce.EmitPair(ctx, uint32(asg.Partition), uint32(seg.Fragment), fragjoin.Seg{
 				RID:    rec.RID,
 				Origin: tr.Origin,
 				Role:   asg.Role,
@@ -258,7 +258,7 @@ func (r *filterReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 		segs[i] = v.(fragjoin.Seg)
 	}
 	fragjoin.Join(ctx, segs, r.params, func(a, b *fragjoin.Seg, c int) {
-		ctx.Emit(mapreduce.PairKey(uint32(a.RID), uint32(b.RID)),
+		mapreduce.EmitPair(ctx, uint32(a.RID), uint32(b.RID),
 			result.Overlap{C: int32(c), La: a.StrLen, Lb: b.StrLen})
 	})
 }

@@ -1,5 +1,7 @@
 package mapreduce
 
+import "fsjoin/internal/spill"
+
 // ChainsViaRun makes every pipeline run in env execute Feed as Run and
 // Chain as Run of IdentityMapper over the previous Output: the reference a
 // chain is held to.
@@ -12,4 +14,27 @@ func StageCounters(p *Pipeline) []map[string]int64 {
 		out[i] = s.counters
 	}
 	return out
+}
+
+// NewMapContext returns the context of a map task that routes what it
+// emits into reducers partitions, as a job with a reduce phase does.
+func NewMapContext(reducers int) *Context {
+	return &Context{shuffle: newShuffleSink(DefaultPartitioner, reducers, nil, 0, "", nil)}
+}
+
+// Emitted returns what ctx has emitted: a reduce task's output, or each
+// shuffle partition of a map task's, drained into records of its own.
+func Emitted(ctx *Context) ([]*spill.Records, error) {
+	if ctx.shuffle == nil {
+		return []*spill.Records{&ctx.out}, nil
+	}
+	defer ctx.shuffle.close()
+	parts := make([]*spill.Records, ctx.shuffle.reducers)
+	for p := range parts {
+		parts[p] = new(spill.Records)
+		if _, err := ctx.shuffle.buf.DrainTo(p, parts[p]); err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }

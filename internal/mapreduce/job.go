@@ -292,6 +292,24 @@ func (c *Context) Emit(key string, value any) {
 	c.out.Append(key, value, recordBytes(key, c.sizer.Size(value)))
 }
 
+// EmitPair is ctx.Emit(PairKey(a, b), v) — the same record, key bytes and
+// accounted size — for a caller that holds a T. Once the task's output
+// column holds values of T's registered, pointer-free type, the value goes
+// in unboxed, sized by the column's codec, and the key as the eight bytes
+// it is: no box and no key string. Anything else — the output's first
+// record, a column of another kind, a partition that has met a long key, a
+// map task that shuffles — takes Emit.
+func EmitPair[T any](ctx *Context, a, b uint32, v T) {
+	k := spill.KeyIndex{Prefix: uint64(a)<<32 | uint64(b), Len: 8}
+	if ctx.shuffle == nil && spill.AppendTyped(&ctx.out, k, v, pairOverhead) {
+		return
+	}
+	ctx.Emit(PairKey(a, b), v)
+}
+
+// pairOverhead is what recordBytes charges a pair record beside its value.
+var pairOverhead = recordBytes(PairKey(0, 0), 0)
+
 // Inc adds delta to a job counter. Increments accumulate task-locally and
 // are merged into the job counters when the task finishes.
 func (c *Context) Inc(counter string, delta int64) {

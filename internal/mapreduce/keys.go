@@ -1,6 +1,9 @@
 package mapreduce
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Key-encoding helpers. Keys are binary strings; encoding integers
 // big-endian makes lexicographic key order equal numeric order, which keeps
@@ -13,9 +16,13 @@ func U32Key(x uint32) string {
 	return string(b[:])
 }
 
-// DecodeU32Key decodes a key produced by U32Key.
+// DecodeU32Key decodes a key produced by U32Key. It panics on a key of
+// another length.
 func DecodeU32Key(k string) uint32 {
-	return binary.BigEndian.Uint32([]byte(k))
+	if len(k) != 4 {
+		badKeyLen(k, 4)
+	}
+	return be32(k)
 }
 
 // PairKey encodes an ordered pair of uint32s as an 8-byte key — used for
@@ -27,10 +34,25 @@ func PairKey(a, b uint32) string {
 	return string(buf[:])
 }
 
-// DecodePairKey decodes a key produced by PairKey.
+// DecodePairKey decodes a key produced by PairKey. It panics on a key of
+// another length.
 func DecodePairKey(k string) (a, b uint32) {
-	bs := []byte(k)
-	return binary.BigEndian.Uint32(bs[:4]), binary.BigEndian.Uint32(bs[4:])
+	if len(k) != 8 {
+		badKeyLen(k, 8)
+	}
+	return be32(k), be32(k[4:])
+}
+
+// be32 reads k's first four bytes, big-endian, in place.
+func be32(k string) uint32 {
+	_ = k[3]
+	return uint32(k[0])<<24 | uint32(k[1])<<16 | uint32(k[2])<<8 | uint32(k[3])
+}
+
+// badKeyLen panics on a key that is not the n bytes its decoder reads,
+// naming both lengths.
+func badKeyLen(k string, n int) {
+	panic(fmt.Sprintf("mapreduce: decoding a %d-byte key, want %d bytes", len(k), n))
 }
 
 // OriginKey encodes an input-record key for a join that may read two

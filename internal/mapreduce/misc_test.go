@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,6 +30,49 @@ func TestPairKeyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDecodeKeys: the decoders read a key of their length in place and
+// panic, naming the length, on any other.
+func TestDecodeKeys(t *testing.T) {
+	for _, tc := range []struct {
+		key    string
+		decode func(string) []uint32
+		want   []uint32 // nil: the key is of the wrong length
+		panic  string
+	}{
+		{U32Key(0), u32, []uint32{0}, ""},
+		{U32Key(0xdeadbeef), u32, []uint32{0xdeadbeef}, ""},
+		{PairKey(0, 0), pair, []uint32{0, 0}, ""},
+		{PairKey(1, 0xffffffff), pair, []uint32{1, 0xffffffff}, ""},
+		{PairKey(0x01020304, 0x05060708), pair, []uint32{0x01020304, 0x05060708}, ""},
+		{"", u32, nil, "mapreduce: decoding a 0-byte key, want 4 bytes"},
+		{"abc", u32, nil, "mapreduce: decoding a 3-byte key, want 4 bytes"},
+		{PairKey(1, 2), u32, nil, "mapreduce: decoding a 8-byte key, want 4 bytes"},
+		{U32Key(7), pair, nil, "mapreduce: decoding a 4-byte key, want 8 bytes"},
+		{"123456789", pair, nil, "mapreduce: decoding a 9-byte key, want 8 bytes"},
+	} {
+		var got []uint32
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			got = tc.decode(tc.key)
+			return ""
+		}()
+		if !reflect.DeepEqual(got, tc.want) || msg != tc.panic {
+			t.Errorf("decoding %x: %v, panic %q; want %v, panic %q", tc.key, got, msg, tc.want, tc.panic)
+		}
+	}
+}
+
+func u32(k string) []uint32 { return []uint32{DecodeU32Key(k)} }
+
+func pair(k string) []uint32 {
+	a, b := DecodePairKey(k)
+	return []uint32{a, b}
 }
 
 func TestOriginKeyRoundTripAndDisambiguation(t *testing.T) {

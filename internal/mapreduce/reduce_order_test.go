@@ -256,6 +256,10 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // row is the fold job run by Chain over a map-only job's Feed. Only the
 // chained job is measured, so it pays for what the []KV rows are handed: a
 // 4-byte position and an 8-byte rebuilt key per record, no box and no KV.
+// The emit-pair row is no shuffle: one reduce task emits n pair records
+// through EmitPair into a Feed output, the filtering reducer's shape. It
+// measured 25 (limit 31): the records' columns; through Emit(PairKey(a, b),
+// v) the same records cost 41, a key string and a box more each.
 func TestShuffleAllocationBudget(t *testing.T) {
 	const n = 120_000
 	input := make([]KV, n)
@@ -268,11 +272,12 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		combiner Folder // nil, or folding at emit as the verification job does
 		reducer  Reducer
 		limit    float64
-		chain    bool
+		how      string // "run", "chain" or "feed"
 	}{
-		{"plain", nil, plainSum{}, 191, false},
-		{"fold", foldSum{}, foldSum{}, 243, false},
-		{"chain", foldSum{}, foldSum{}, 258, true},
+		{"plain", nil, plainSum{}, 191, "run"},
+		{"fold", foldSum{}, foldSum{}, 243, "run"},
+		{"chain", foldSum{}, foldSum{}, 258, "chain"},
+		{"emit-pair", nil, pairEmitter{n}, 31, "feed"},
 	} {
 		p := NewPipeline("budget", cl)
 		fed, err := p.Feed(Config{MemoryBudgetBytes: -1}, input, IdentityMapper, nil)
@@ -282,9 +287,12 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		run := func() {
 			cfg := Config{Cluster: cl, ReduceTasks: 30, MemoryBudgetBytes: -1, Combiner: tc.combiner}
 			var err error
-			if tc.chain {
+			switch tc.how {
+			case "chain":
 				_, err = p.Chain(cfg, fed, tc.reducer)
-			} else {
+			case "feed":
+				_, err = p.Feed(cfg, input[:1], IdentityMapper, tc.reducer)
+			default:
 				_, err = Run(cfg, input, IdentityMapper, tc.reducer)
 			}
 			if err != nil {
@@ -301,5 +309,15 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		if perRecord > tc.limit {
 			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, tc.limit)
 		}
+	}
+}
+
+// pairEmitter emits n pair records per key group through EmitPair, each an
+// int64 past the values Go keeps preallocated boxes for.
+type pairEmitter struct{ n int }
+
+func (e pairEmitter) Reduce(ctx *Context, key string, values []any) {
+	for i := 0; i < e.n; i++ {
+		EmitPair(ctx, uint32(i%4000), uint32(i%7), int64(1000+i))
 	}
 }

@@ -164,7 +164,7 @@ func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 		if a > b {
 			a, b = b, a
 		}
-		ctx.Emit(mapreduce.PairKey(uint32(a), uint32(b)),
+		mapreduce.EmitPair(ctx, uint32(a), uint32(b),
 			result.Scored{C: int32(c), Sim: r.opt.Fn.Sim(c, len(own.Tokens), len(cand.Tokens))})
 	}
 }

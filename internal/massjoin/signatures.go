@@ -143,7 +143,7 @@ func (r *sigReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
 			if a > b {
 				a, b = b, a
 			}
-			ctx.Emit(mapreduce.PairKey(uint32(a), uint32(b)), result.Candidate{})
+			mapreduce.EmitPair(ctx, uint32(a), uint32(b), result.Candidate{})
 		}
 	}
 }

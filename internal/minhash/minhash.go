@@ -278,7 +278,7 @@ func (j *bucketJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) 
 				continue
 			}
 			ctx.Inc("minhash.bucket.pairs", 1)
-			ctx.Emit(mapreduce.PairKey(uint32(a.RID), uint32(b.RID)), result.Candidate{})
+			mapreduce.EmitPair(ctx, uint32(a.RID), uint32(b.RID), result.Candidate{})
 		}
 	}
 }
@@ -340,7 +340,7 @@ func (v *verifier) Reduce(ctx *mapreduce.Context, key string, values []any) {
 			if v.rs {
 				ctx.Inc(result.CtrRSEmitted, 1)
 			}
-			ctx.Emit(mapreduce.PairKey(uint32(rid), uint32(p)),
+			mapreduce.EmitPair(ctx, uint32(rid), uint32(p),
 				result.Scored{C: int32(c), Sim: fn.Sim(c, own.Len(), other.Len())})
 		}
 	}

@@ -224,7 +224,7 @@ func (g *groupJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) {
 			} else if a.Rec.RID > b.Rec.RID {
 				x, y = b, a
 			}
-			ctx.Emit(mapreduce.PairKey(uint32(x.Rec.RID), uint32(y.Rec.RID)),
+			mapreduce.EmitPair(ctx, uint32(x.Rec.RID), uint32(y.Rec.RID),
 				result.Overlap{C: int32(c), La: int32(x.Rec.Len()), Lb: int32(y.Rec.Len())})
 		}
 	}

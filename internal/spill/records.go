@@ -2,6 +2,7 @@ package spill
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 )
 
@@ -58,6 +59,35 @@ func (r *Records) Bytes() int64 { return r.bytes }
 // Append stores one record of the given accounted size.
 func (r *Records) Append(key string, v any, bytes int64) {
 	r.append(MakeKeyIndex(key, 0), key, v, bytes, false)
+}
+
+// AppendTyped is Append of a record whose key k abbreviates — a key of at
+// most eight bytes, which k holds whole — and whose value v is stored
+// unboxed, accounted at overhead plus its Codec.Size. It does so only when
+// the column already holds values of v's registered, pointer-free type and
+// no key so far was longer than eight bytes, and reports whether it did;
+// otherwise it stores nothing and the caller appends the record boxed,
+// which is how a partition's first value picks its column and how a column
+// changes kind.
+func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
+	c, ok := r.vals.(*column[T])
+	if !ok || c.codec == nil || k.Len > 8 || r.long.Len() > 0 {
+		return false
+	}
+	bytes := overhead + int64(c.codec.Size(v))
+	r.heads.Append(makeHead(k, bytes, false))
+	r.bytes += bytes
+	c.vals.Append(v)
+	return true
+}
+
+// Column names the value column's Go type — a column of one value type, or
+// of any — and is "" before the first record.
+func (r *Records) Column() string {
+	if r.vals == nil {
+		return ""
+	}
+	return fmt.Sprintf("%T", r.vals)
 }
 
 // column returns the value column, made for v when v is the first value.
@@ -185,8 +215,9 @@ func (r *Records) At(i int) (key string, v any) {
 	return r.Key(i, NewKeyArena(1)), r.vals.at(i)
 }
 
-// appendRecord appends record i in AppendRecord's form.
-func (r *Records) appendRecord(buf []byte, i int) ([]byte, error) {
+// Frame appends record i to buf in AppendRecord's form, a typed column's
+// value encoded unboxed. On error buf is returned as given.
+func (r *Records) Frame(buf []byte, i int) ([]byte, error) {
 	h := r.heads.At(i)
 	out := buf
 	if h.len() == 9 {

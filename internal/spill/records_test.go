@@ -185,6 +185,43 @@ func TestRecordsHoldAnything(t *testing.T) {
 	}
 }
 
+// TestAppendTypedRefuses: AppendTyped stores a record only into a column
+// already of its value's registered, pointer-free type while every key is
+// short, and otherwise stores nothing; what it stores is sized by the
+// column's codec.
+func TestAppendTypedRefuses(t *testing.T) {
+	k := MakeKeyIndex("pair-key", 0)
+	for _, tc := range []struct {
+		name  string
+		first func(r *Records) // nil: the records are empty
+		store func(r *Records) bool
+		want  bool
+	}{
+		{"empty", nil, func(r *Records) bool { return AppendTyped(r, k, int64(1), 16) }, false},
+		{"typed", func(r *Records) { r.Append("k", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, k, int64(1), 16) }, true},
+		{"other type", func(r *Records) { r.Append("k", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, k, int32(1), 16) }, false},
+		{"boxed", func(r *Records) { r.Append("k", "s", 17) }, func(r *Records) bool { return AppendTyped[any](r, k, int64(1), 16) }, false},
+		{"pointerful", func(r *Records) { r.Append("k", pointerful{}, 17) }, func(r *Records) bool { return AppendTyped(r, k, pointerful{}, 16) }, false},
+		{"long key kept", func(r *Records) { r.Append("nine-byte", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, k, int64(1), 16) }, false},
+		{"long key given", func(r *Records) { r.Append("k", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, MakeKeyIndex("nine-byte", 0), int64(1), 16) }, false},
+	} {
+		var r Records
+		if tc.first != nil {
+			tc.first(&r)
+		}
+		n, b := r.Len(), r.Bytes()
+		if got := tc.store(&r); got != tc.want {
+			t.Errorf("%s: AppendTyped reported %v, want %v", tc.name, got, tc.want)
+		}
+		switch {
+		case !tc.want && (r.Len() != n || r.Bytes() != b):
+			t.Errorf("%s: refused, yet %d records of %d bytes became %d of %d", tc.name, n, b, r.Len(), r.Bytes())
+		case tc.want && (r.Len() != n+1 || r.Bytes() != b+16+8):
+			t.Errorf("%s: %d records of %d bytes, want %d of %d", tc.name, r.Len(), r.Bytes(), n+1, b+16+8)
+		}
+	}
+}
+
 // pointerful is registered, and holds a pointer: no []pointerful column.
 type pointerful struct{ xs []int32 }
 
@@ -288,7 +325,7 @@ func TestAppendRecordFromColumns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := recs.appendRecord([]byte("prefix"), i)
+			got, err := recs.Frame([]byte("prefix"), i)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("record %d (%q, %v): %x (%v), want %x", i, k, v, got, err, want)
 			}
@@ -299,14 +336,14 @@ func TestAppendRecordFromColumns(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() {
 		for i := range keys {
-			buf, _ = typed.appendRecord(buf[:0], i)
+			buf, _ = typed.Frame(buf[:0], i)
 		}
 	}); n != 0 {
 		t.Fatalf("%v allocations to encode %d int64 records from their column", n, len(keys))
 	}
 	var none Records
 	none.Append("k", unregistered{n: 1}, 1)
-	if got, err := none.appendRecord([]byte("as given"), 0); err == nil || string(got) != "as given" {
+	if got, err := none.Frame([]byte("as given"), 0); err == nil || string(got) != "as given" {
 		t.Fatalf("a value without a codec encoded to %q, %v", got, err)
 	}
 
@@ -327,7 +364,7 @@ func TestAppendRecordFromColumns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := recs.appendRecord(nil, j); err != nil || !bytes.Equal(got, want) {
+			if got, err := recs.Frame(nil, j); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s record %d: %x (%v) out of a %T, want %x", g.typ, j, got, err, recs.vals, want)
 			}
 		}

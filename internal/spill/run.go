@@ -67,7 +67,7 @@ func (w *runWriter) add(p int, key string, v any) error {
 // addAt appends record i of r to partition p, encoded out of its columns.
 func (w *runWriter) addAt(p int, r *Records, i int) error {
 	var err error
-	if w.scratch, err = r.appendRecord(w.scratch[:0], i); err != nil {
+	if w.scratch, err = r.Frame(w.scratch[:0], i); err != nil {
 		return err
 	}
 	return w.write(p)

@@ -170,7 +170,7 @@ func (e *pairEnumerator) Reduce(ctx *mapreduce.Context, key string, values []any
 				continue
 			}
 			ctx.Inc("vsmart.pair.emits", 1)
-			ctx.Emit(mapreduce.PairKey(uint32(a.RID), uint32(b.RID)),
+			mapreduce.EmitPair(ctx, uint32(a.RID), uint32(b.RID),
 				result.Overlap{C: 1, La: a.Len, Lb: b.Len})
 		}
 	}
