@@ -6,7 +6,20 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"fsjoin/internal/mapreduce"
 )
+
+// seededChaos injects the seeded schedule mapreduce.NewSeededPlan builds
+// for seed at rate (the fraction of (phase, task) pairs it targets; 0
+// means 0.3) into every task attempt, through the unexported test hook.
+// Two runs with equal arguments inject identical schedules.
+func seededChaos(seed int64, rate float64) FaultOptions {
+	return FaultOptions{injector: mapreduce.NewSeededPlan(mapreduce.PlanConfig{Seed: seed, TargetRate: rate})}
+}
+
+// chaosSeed is the seed of schedule i of the chaos matrix.
+func chaosSeed(i int) int64 { return 9000 + int64(i)*1_000_003 }
 
 // chaosSchedules is the top-level chaos matrix: 28 seeded fault schedules
 // (each mixing panics, transient errors, emit-phase failures and
@@ -17,11 +30,8 @@ import (
 func chaosSchedules(n int) []FaultOptions {
 	out := make([]FaultOptions, n)
 	for i := range out {
-		f := FaultOptions{
-			ChaosSeed:      9000 + int64(i)*1_000_003,
-			ChaosIntensity: []float64{0.2, 0.35, 0.5, 0.8}[i%4],
-			MaxAttempts:    4,
-		}
+		f := seededChaos(chaosSeed(i), []float64{0.2, 0.35, 0.5, 0.8}[i%4])
+		f.MaxAttempts = 4
 		if i%2 == 1 {
 			f.SpeculativeDelay = 500 * time.Microsecond
 		}
@@ -73,15 +83,15 @@ func TestChaosEquivalenceAllAlgorithms(t *testing.T) {
 					opts.Fault = fault
 					got, err := SelfJoinStrings(texts, opts)
 					if err != nil {
-						t.Fatalf("schedule %d (seed %d) par %d: %v", i, fault.ChaosSeed, par, err)
+						t.Fatalf("schedule %d (seed %d) par %d: %v", i, chaosSeed(i), par, err)
 					}
 					if !reflect.DeepEqual(got.Pairs, want.Pairs) {
 						t.Fatalf("schedule %d (seed %d) par %d: pairs differ (%d vs %d)",
-							i, fault.ChaosSeed, par, len(got.Pairs), len(want.Pairs))
+							i, chaosSeed(i), par, len(got.Pairs), len(want.Pairs))
 					}
 					if g, w := det(got.Stats), det(want.Stats); g != w {
 						t.Fatalf("schedule %d (seed %d) par %d: stats differ\n got %+v\nwant %+v",
-							i, fault.ChaosSeed, par, g, w)
+							i, chaosSeed(i), par, g, w)
 					}
 				}
 			}
@@ -127,15 +137,15 @@ func TestChaosEquivalenceRS(t *testing.T) {
 					opts.Fault = fault
 					got, err := runMatrixJoin(texts, opts, true)
 					if err != nil {
-						t.Fatalf("schedule %d (seed %d) par %d: %v", i, fault.ChaosSeed, par, err)
+						t.Fatalf("schedule %d (seed %d) par %d: %v", i, chaosSeed(i), par, err)
 					}
 					if !reflect.DeepEqual(got.Pairs, want.Pairs) {
 						t.Fatalf("schedule %d (seed %d) par %d: pairs differ (%d vs %d)",
-							i, fault.ChaosSeed, par, len(got.Pairs), len(want.Pairs))
+							i, chaosSeed(i), par, len(got.Pairs), len(want.Pairs))
 					}
 					if g, w := det(got.Stats), det(want.Stats); g != w {
 						t.Fatalf("schedule %d (seed %d) par %d: stats differ\n got %+v\nwant %+v",
-							i, fault.ChaosSeed, par, g, w)
+							i, chaosSeed(i), par, g, w)
 					}
 				}
 			}
@@ -203,16 +213,16 @@ func TestChaosTinyBudgetEquivalence(t *testing.T) {
 			got, err := SelfJoinStrings(texts, opts)
 			label := fmt.Sprintf("schedule %d", i)
 			if err != nil {
-				t.Fatalf("%s (seed %d) par %d: %v", label, fault.ChaosSeed, par, err)
+				t.Fatalf("%s (seed %d) par %d: %v", label, chaosSeed(i), par, err)
 			}
 			if !reflect.DeepEqual(got.Pairs, want.Pairs) {
 				t.Fatalf("%s (seed %d) par %d: pairs differ (%d vs %d)",
-					label, fault.ChaosSeed, par, len(got.Pairs), len(want.Pairs))
+					label, chaosSeed(i), par, len(got.Pairs), len(want.Pairs))
 			}
 			if got.Stats.ShuffleRecords != want.Stats.ShuffleRecords ||
 				got.Stats.ShuffleBytes != want.Stats.ShuffleBytes {
 				t.Fatalf("%s (seed %d) par %d: shuffle accounting drifted: (%d,%d) vs (%d,%d)",
-					label, fault.ChaosSeed, par,
+					label, chaosSeed(i), par,
 					got.Stats.ShuffleRecords, got.Stats.ShuffleBytes,
 					want.Stats.ShuffleRecords, want.Stats.ShuffleBytes)
 			}
@@ -221,13 +231,13 @@ func TestChaosTinyBudgetEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosSeedReproducible: the same ChaosSeed injects the same schedule
+// TestChaosSeedReproducible: the same seed injects the same schedule
 // — two chaotic runs agree with each other (and, transitively through the
 // equivalence test above, with the fault-free run).
 func TestChaosSeedReproducible(t *testing.T) {
 	texts := corpus(50, 11)
 	opts := Options{Threshold: 0.7, Nodes: 3, LocalParallelism: 1,
-		Fault: FaultOptions{ChaosSeed: 424242, ChaosIntensity: 0.8}}
+		Fault: seededChaos(424242, 0.8)}
 	a, err := SelfJoinStrings(texts, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +262,9 @@ func TestChaosRetryBudgetExhaustion(t *testing.T) {
 	}
 	failed := false
 	for seed := int64(1); seed <= 10 && !failed; seed++ {
-		res, err := SelfJoinStrings(texts, Options{Threshold: 0.7, Nodes: 3, LocalParallelism: 1,
-			Fault: FaultOptions{ChaosSeed: seed, ChaosIntensity: 0.9, MaxAttempts: 1}})
+		fault := seededChaos(seed, 0.9)
+		fault.MaxAttempts = 1
+		res, err := SelfJoinStrings(texts, Options{Threshold: 0.7, Nodes: 3, LocalParallelism: 1, Fault: fault})
 		if err != nil {
 			failed = true
 			continue

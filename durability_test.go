@@ -219,8 +219,8 @@ func TestServerMaintainPanicIsolated(t *testing.T) {
 // TestPreviousFormatsRefused: files written before the framed-file format
 // (testdata/legacy, produced by the last commit that wrote FSCKPT01
 // checkpoints, FSSHUF1 frames and FSWAL001 logs) are refused cleanly, never
-// misread: a checkpoint reads as Corrupt and is recomputed, a frame is an
-// invalid generation, an index directory is "no usable index: corrupt
+// misread: a checkpoint reads as Corrupt and is recomputed, a frame is
+// refused as invalid, an index directory is "no usable index: corrupt
 // snapshot" (rebuild), and a log next to a valid snapshot is rejected whole.
 func TestPreviousFormatsRefused(t *testing.T) {
 	legacy := func(t *testing.T, name, dst string) {
@@ -257,9 +257,9 @@ func TestPreviousFormatsRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy(t, "m0.g1-1", filepath.Join(dir, "s001-legacy", "m0.g1"))
+			legacy(t, "m0.g1-1", filepath.Join(dir, "s001-legacy", "m0"))
 			if _, err := jt.MapMeta(0); err == nil || !strings.Contains(err.Error(), "no valid frame") {
-				t.Fatalf("MapMeta = %v, want an invalid generation", err)
+				t.Fatalf("MapMeta = %v, want an invalid frame", err)
 			}
 			if _, err := jt.FetchPartition(0, 0, new(spill.Records)); err == nil {
 				t.Fatal("FetchPartition served a frame of the previous format")

@@ -236,11 +236,10 @@ type Options struct {
 }
 
 // FaultOptions is the public face of the engine's fault model (DESIGN.md
-// §7): how failing or straggling tasks are retried, and — for chaos
-// testing — a seeded, reproducible fault schedule injected into every
-// MapReduce task attempt. Under any schedule a join either returns output
-// identical to the fault-free run or an error; results are never silently
-// perturbed.
+// §7): how failing or straggling tasks are retried, raced or skipped.
+// Under any fault a join either returns output identical to the
+// fault-free run or an error; results are never silently perturbed, which
+// the package's tests check under seeded fault schedules.
 type FaultOptions struct {
 	// MaxAttempts is the per-task attempt budget; 0 means 4, Hadoop's
 	// default.
@@ -252,22 +251,6 @@ type FaultOptions struct {
 	// running after this duration and keeps the first copy to finish
 	// (straggler mitigation); 0 disables speculation.
 	SpeculativeDelay time.Duration
-	// ChaosSeed, when non-zero, injects a reproducible schedule of task
-	// panics, transient errors, emit-phase failures and straggler delays
-	// derived from the seed into every task attempt of every job. Two runs
-	// with the same seed (and options) inject identical schedules.
-	ChaosSeed int64
-	// ChaosIntensity is the fraction of (phase, task) pairs the schedule
-	// targets; 0 means 0.3. Meaningful only with ChaosSeed set.
-	ChaosIntensity float64
-	// ChaosTransportFaults mixes the transport fault kinds into the
-	// ChaosSeed schedule: worker-loss reassignments and duplicate partition
-	// deliveries injected at the map→reduce hand-off, exercising the
-	// idempotent-delivery contract (Stats.TasksReassigned and
-	// Stats.PartitionsRedelivered record them). Results remain
-	// byte-identical under any schedule. Meaningful only with ChaosSeed
-	// set.
-	ChaosTransportFaults bool
 	// SkipBadRecords enables Hadoop-style skip mode: when a task exhausts
 	// its attempts on the same deterministic panic, the engine bisects to
 	// the poison input record, quarantines it (Stats.RecordsSkipped, the
@@ -284,8 +267,9 @@ type FaultOptions struct {
 	// Calls are serialised by the engine.
 	OnQuarantine func(QuarantinedRecord)
 
-	// injector lets in-package tests schedule precise faults (including
-	// poison records) without widening the public API.
+	// injector lets in-package tests inject faults into every task
+	// attempt — seeded chaos schedules (mapreduce.NewSeededPlan) or precise
+	// faults such as poison records — without widening the public API.
 	injector mapreduce.Injector
 }
 
@@ -316,23 +300,7 @@ func (o Options) faultPolicy() mapreduce.FaultPolicy {
 	if f.RetryBackoffBase > 0 {
 		fp.Backoff = mapreduce.ExponentialBackoff(f.RetryBackoffBase, 8*f.RetryBackoffBase)
 	}
-	if f.ChaosSeed != 0 {
-		pc := mapreduce.PlanConfig{
-			Seed:       f.ChaosSeed,
-			TargetRate: f.ChaosIntensity,
-		}
-		if f.ChaosTransportFaults {
-			pc.Kinds = []mapreduce.FaultKind{
-				mapreduce.FaultPanic, mapreduce.FaultEmitPanic,
-				mapreduce.FaultError, mapreduce.FaultDelay,
-				mapreduce.FaultWorkerLoss, mapreduce.FaultRedeliver,
-			}
-		}
-		fp.Injector = mapreduce.NewSeededPlan(pc)
-	}
-	if f.injector != nil {
-		fp.Injector = f.injector
-	}
+	fp.Injector = f.injector
 	fp.SkipBadRecords = f.SkipBadRecords
 	fp.MaxSkippedRecords = f.MaxSkippedRecords
 	if sink := f.OnQuarantine; sink != nil {
@@ -473,13 +441,6 @@ type Stats struct {
 	// len(Result.Pairs) there. Always zero for self-joins.
 	RSCandidates int64
 	RSPairs      int64
-	// TasksReassigned and PartitionsRedelivered report the transport faults
-	// Fault.ChaosTransportFaults injected: tasks re-executed after a
-	// simulated worker loss, and partition deliveries that duplicated an
-	// already-committed generation (idempotent redelivery). Both zero
-	// without injected transport faults.
-	TasksReassigned       int64
-	PartitionsRedelivered int64
 	// QueueWait is how long the job waited for admission when run through
 	// a Server (zero for direct Join/SelfJoin calls, or when admitted
 	// immediately).

@@ -5,11 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"fsjoin/internal/frame"
+	"fsjoin/internal/mapreduce"
 )
 
 // The suites of this file run joins over the filesystem shuffle transport
@@ -107,15 +107,13 @@ func TestFileShuffleHonoursSpillDirEnv(t *testing.T) {
 }
 
 // commitBoundaries split a FileShuffle join's frame writes by the commit
-// they belong to, told apart by the frame's file name: a map task's
-// partitions (generation 1), their redelivery at the map→reduce hand-off
-// (a later generation) and a task's final output.
+// they belong to, told apart by the first letter of the frame's file
+// name: a map task's partitions and a task's final output.
 var commitBoundaries = []struct {
 	name string
 	hit  func(frame string) bool
 }{
-	{"map", func(n string) bool { return n[0] == 'm' && strings.HasSuffix(n, ".g1") }},
-	{"handoff", func(n string) bool { return n[0] == 'm' && !strings.HasSuffix(n, ".g1") }},
+	{"map", func(n string) bool { return n[0] == 'm' }},
 	{"output", func(n string) bool { return n[0] == 'o' }},
 }
 
@@ -123,9 +121,7 @@ var commitBoundaries = []struct {
 // boundary of a FileShuffle join at parallelism 4, for every n up to one
 // past the run's last write there: a commit that cannot reach the disk must
 // end the join with that error, and a run the failure never reaches must
-// return the in-memory pairs. Either way nothing is left under SpillDir. A
-// seeded chaos schedule with transport faults supplies the redeliveries
-// the hand-off boundary needs.
+// return the in-memory pairs. Either way nothing is left under SpillDir.
 func TestFileShuffleFailedCommit(t *testing.T) {
 	texts := corpus(60, 7)
 	t.Cleanup(func() { frame.SetFailHook(nil) })
@@ -137,10 +133,6 @@ func TestFileShuffleFailedCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base.Fault.MaxAttempts = 4
-			base.Fault.ChaosSeed = 8100
-			base.Fault.ChaosIntensity = 0.8
-			base.Fault.ChaosTransportFaults = true
 			for _, b := range commitBoundaries {
 				t.Run(b.name, func(t *testing.T) {
 					// run joins over the file shuffle, failing the n-th write at
@@ -186,14 +178,28 @@ func TestFileShuffleFailedCommit(t *testing.T) {
 	}
 }
 
-// TestChaosTransportEquivalence is the seeded-chaos face of the delivery
-// contract: schedules that mix worker-loss reassignments and duplicate
-// partition deliveries into the ordinary fault kinds must leave pairs and
-// deterministic statistics untouched at parallelism 1 and 4, on both the
-// in-memory and the filesystem transport.
+// countingInjector passes through the decisions of the injector it wraps
+// and counts those that inject a fault, so a chaos suite can prove its
+// schedules fired.
+type countingInjector struct {
+	mapreduce.Injector
+	faults *atomic.Int64
+}
+
+func (c countingInjector) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+	f := c.Injector.Decide(phase, task, attempt)
+	if f.Kind != mapreduce.FaultNone {
+		c.faults.Add(1)
+	}
+	return f
+}
+
+// TestChaosTransportEquivalence: seeded chaos schedules must leave pairs
+// and deterministic statistics untouched at parallelism 1 and 4, on both
+// the in-memory and the filesystem transport. Each algorithm must see
+// injected faults, or the sweep proved nothing.
 func TestChaosTransportEquivalence(t *testing.T) {
 	texts := corpus(60, 7)
-	var reassigned, redelivered int64
 	for _, a := range transportAlgos {
 		a := a
 		t.Run(a.name, func(t *testing.T) {
@@ -202,6 +208,7 @@ func TestChaosTransportEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fault-free: %v", err)
 			}
+			var faults atomic.Int64
 			for i := 0; i < 4; i++ {
 				for _, par := range []int{1, 4} {
 					opt := base
@@ -209,9 +216,10 @@ func TestChaosTransportEquivalence(t *testing.T) {
 					opt.FileShuffle = i%2 == 1
 					opt.SpillDir = t.TempDir()
 					opt.Fault.MaxAttempts = 4
-					opt.Fault.ChaosSeed = 8100 + int64(i)*1_000_003
-					opt.Fault.ChaosIntensity = 0.8
-					opt.Fault.ChaosTransportFaults = true
+					opt.Fault.injector = countingInjector{
+						mapreduce.NewSeededPlan(mapreduce.PlanConfig{Seed: 8100 + int64(i)*1_000_003, TargetRate: 0.8}),
+						&faults,
+					}
 					got, err := SelfJoinStrings(texts, opt)
 					if err != nil {
 						t.Fatalf("schedule %d par %d: %v", i, par, err)
@@ -220,13 +228,11 @@ func TestChaosTransportEquivalence(t *testing.T) {
 					if d, w := clusterDetOf(got.Stats), clusterDetOf(want.Stats); d != w {
 						t.Fatalf("schedule %d par %d stats diverge: %+v, want %+v", i, par, d, w)
 					}
-					reassigned += got.Stats.TasksReassigned
-					redelivered += got.Stats.PartitionsRedelivered
 				}
 			}
+			if faults.Load() == 0 {
+				t.Fatal("chaos schedules injected no fault")
+			}
 		})
-	}
-	if reassigned == 0 || redelivered == 0 {
-		t.Fatalf("chaos schedules proved nothing: reassigned=%d redelivered=%d", reassigned, redelivered)
 	}
 }

@@ -88,15 +88,13 @@ func Schedules(base int64, n int) []Schedule {
 }
 
 // DeterministicCounters strips the engine's fault-handling bookkeeping
-// ("mapreduce.task.*" retry/speculation/backoff counts,
-// "mapreduce.fault.*" injection counts and "transport.*" delivery
-// accounting) from a counter snapshot, leaving exactly the counters a
-// fault-free run must reproduce.
+// ("mapreduce.task.*" retry/speculation/backoff counts and
+// "mapreduce.fault.*" injection counts) from a counter snapshot, leaving
+// exactly the counters a fault-free run must reproduce.
 func DeterministicCounters(snap map[string]int64) map[string]int64 {
 	out := make(map[string]int64, len(snap))
 	for k, v := range snap {
-		if hasPrefix(k, "mapreduce.task.") || hasPrefix(k, "mapreduce.fault.") ||
-			hasPrefix(k, "transport.") {
+		if hasPrefix(k, "mapreduce.task.") || hasPrefix(k, "mapreduce.fault.") {
 			continue
 		}
 		out[k] = v

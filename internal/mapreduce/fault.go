@@ -72,19 +72,6 @@ const (
 	// Realised in the map and reduce phases only (the combine point has no
 	// records). Not part of SeededPlan's default mix.
 	FaultRecordPanic
-	// FaultWorkerLoss models a worker dying after committing a map task but
-	// before its completion was acknowledged: the task is reassigned and
-	// the survivor's re-execution delivers the same partitions
-	// again under a newer generation. Realised at the transport commit
-	// boundary (DeliveryAttempt), not inside an attempt; output must be
-	// byte-identical because delivery is idempotent. Not part of
-	// SeededPlan's default mix.
-	FaultWorkerLoss
-	// FaultRedeliver models a duplicate partition delivery without a worker
-	// death — a retried hand-off whose first copy also arrived. Like
-	// FaultWorkerLoss it is realised at the commit boundary and must leave
-	// output byte-identical. Not part of SeededPlan's default mix.
-	FaultRedeliver
 )
 
 // String implements fmt.Stringer.
@@ -102,10 +89,6 @@ func (k FaultKind) String() string {
 		return "delay"
 	case FaultRecordPanic:
 		return "record-panic"
-	case FaultWorkerLoss:
-		return "worker-loss"
-	case FaultRedeliver:
-		return "redeliver"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -162,20 +145,6 @@ const SpeculativeAttempt = 1 << 16
 // record (FaultRecordPanic, pure in phase and task) reproduce it for the
 // probes to find.
 const ProbeAttempt = 2 << 16
-
-// DeliveryAttempt is the attempt index the engine passes to Decide when a
-// map task's committed partitions are about to be handed to the reduce
-// phase — the transport commit boundary. It is consulted once per map
-// task, after the attempt loop has produced a winner, and realises only
-// the transport fault kinds (FaultWorkerLoss, FaultRedeliver); seeded
-// plans whose Kinds include neither leave the boundary fault-free.
-const DeliveryAttempt = 3 << 16
-
-// isDeliveryKind reports whether a kind is realised at the transport
-// commit boundary rather than inside a task attempt.
-func isDeliveryKind(k FaultKind) bool {
-	return k == FaultWorkerLoss || k == FaultRedeliver
-}
 
 // BackoffFunc maps a retry number (1 = first retry) to the sleep taken
 // before that retry starts.
@@ -364,10 +333,7 @@ type PlanConfig struct {
 	// this small so dozens of schedules stay fast).
 	MaxDelay time.Duration
 	// Kinds is the fault mix drawn from (default: FaultPanic,
-	// FaultEmitPanic, FaultError and FaultDelay). The transport kinds
-	// (FaultWorkerLoss, FaultRedeliver) may be mixed in; they are drawn
-	// from an independent per-task decision at the commit boundary
-	// (DeliveryAttempt) instead of the attempt loop.
+	// FaultEmitPanic, FaultError and FaultDelay).
 	Kinds []FaultKind
 }
 
@@ -401,31 +367,16 @@ func (c PlanConfig) withDefaults() PlanConfig {
 // attempts run clean, modelling re-execution on a healthy node.
 type SeededPlan struct {
 	cfg PlanConfig
-	// attemptKinds and deliveryKinds split cfg.Kinds by injection site:
-	// attempt-loop faults versus transport commit-boundary faults.
-	attemptKinds  []FaultKind
-	deliveryKinds []FaultKind
 }
 
 // NewSeededPlan builds the schedule for one seed.
 func NewSeededPlan(cfg PlanConfig) *SeededPlan {
-	p := &SeededPlan{cfg: cfg.withDefaults()}
-	for _, k := range p.cfg.Kinds {
-		if isDeliveryKind(k) {
-			p.deliveryKinds = append(p.deliveryKinds, k)
-		} else {
-			p.attemptKinds = append(p.attemptKinds, k)
-		}
-	}
-	return p
+	return &SeededPlan{cfg: cfg.withDefaults()}
 }
 
 // Decide implements Injector.
 func (p *SeededPlan) Decide(phase Phase, task, attempt int) Fault {
-	if attempt >= DeliveryAttempt {
-		return p.decideDelivery(phase, task)
-	}
-	if attempt >= SpeculativeAttempt || len(p.attemptKinds) == 0 {
+	if attempt >= SpeculativeAttempt {
 		return Fault{}
 	}
 	h := mix64(uint64(p.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(phase)*0xbf58476d1ce4e5b9 + uint64(task)*0x94d049bb133111eb + 1)
@@ -433,7 +384,7 @@ func (p *SeededPlan) Decide(phase Phase, task, attempt int) Fault {
 		return Fault{}
 	}
 	h2 := mix64(h)
-	kind := p.attemptKinds[int(h2%uint64(len(p.attemptKinds)))]
+	kind := p.cfg.Kinds[int(h2%uint64(len(p.cfg.Kinds)))]
 	switch kind {
 	case FaultDelay:
 		if attempt > 0 {
@@ -450,23 +401,6 @@ func (p *SeededPlan) Decide(phase Phase, task, attempt int) Fault {
 			"injected %s fault: seed=%d phase=%s task=%d attempt=%d",
 			kind, p.cfg.Seed, phase, task, attempt)}
 	}
-}
-
-// decideDelivery is the commit-boundary decision: a pure hash of (seed,
-// phase, task) on an independent stream from the attempt-loop decisions,
-// so mixing transport kinds into a plan does not perturb which tasks the
-// attempt faults target. Only map tasks have a partition hand-off, so
-// other phases are never targeted.
-func (p *SeededPlan) decideDelivery(phase Phase, task int) Fault {
-	if phase != PhaseMap || len(p.deliveryKinds) == 0 {
-		return Fault{}
-	}
-	h := mix64(uint64(p.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(phase)*0xbf58476d1ce4e5b9 + uint64(task)*0x94d049bb133111eb + 0x2545f4914f6cdd1d)
-	if float64(h>>11)/float64(1<<53) >= p.cfg.TargetRate {
-		return Fault{}
-	}
-	h2 := mix64(h)
-	return Fault{Kind: p.deliveryKinds[int(h2%uint64(len(p.deliveryKinds)))]}
 }
 
 // mix64 is the SplitMix64 finalizer — a cheap, well-distributed bijection

@@ -7,9 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,10 +18,9 @@ import (
 // FSTransport is the filesystem shuffle transport (DESIGN.md §15): every
 // committed task becomes one framed file (internal/frame, DESIGN.md §16)
 // under a root directory, bound to the job's fingerprint and published
-// atomically. Commits are generation-stamped and reads are
-// newest-complete-wins, so a duplicate delivery (Redeliver) is harmless by
-// construction: tasks are deterministic, hence every complete generation
-// of a task carries identical bytes.
+// atomically. The engine commits each task once, and every job has a fresh
+// stage directory, so a task has exactly one frame file, named after it:
+// a reader finds the whole frame or none.
 //
 // One FSTransport value serves a whole pipeline: each stage's Open gets
 // the next stage sequence number, hence its own stage directory.
@@ -65,7 +61,7 @@ func (f *FSTransport) Open(spec TransportSpec) (JobTransport, error) {
 // held. Record byte accounting is recomputed at fetch with the engine's
 // size function, so frames carry no sizes.
 //
-// A frame's kind is also the first letter of its file name.
+// A frame's file name is its kind followed by the task number (taskName).
 const (
 	fsKindMap    = 'm'
 	fsKindOutput = 'o'
@@ -78,7 +74,7 @@ type fsJob struct {
 	fp   string
 
 	mu     sync.Mutex
-	frames map[string]*fsFrame // validated newest frame by taskPrefix
+	frames map[string]*fsFrame // validated frame by taskName
 }
 
 // fsPart is one partition of a validated frame: its record count, the
@@ -95,66 +91,50 @@ type fsFrame struct {
 	meta  TaskMeta
 }
 
-// taskFileName names one committed generation; gen orders deliveries
-// (newest-complete-wins).
-func taskFileName(kind byte, task int, gen int64) string {
-	return fmt.Sprintf("%sg%d", taskPrefix(kind, task), gen)
-}
+// taskName names a task's frame file: its kind, then the task number.
+func taskName(kind byte, t int) string { return fmt.Sprintf("%c%d", kind, t) }
 
-// parseGen extracts gen from a task file name, reporting ok=false for temp
-// files and aliens.
-func parseGen(name string) (gen int64, ok bool) {
-	i := strings.IndexByte(name, 'g')
-	if i < 0 || !strings.Contains(name[:i], ".") {
-		return 0, false
-	}
-	g, err := strconv.ParseInt(name[i+1:], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return g, true
-}
+// path is the file of a task's frame.
+func (j *fsJob) path(kind byte, t int) string { return filepath.Join(j.dir, taskName(kind, t)) }
 
 // CommitMap implements JobTransport: the sink is drained into a frame,
 // partition by partition, recording the drain's merge fan-in so
 // reduce-side spill accounting is identical to the in-memory path — and
 // the transport owns (closes) the sink from here.
-func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
+func (j *fsJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) error {
 	defer sink.close()
-	info, err := j.commitFrame(fsKindMap, t, j.spec.ReduceTasks, meta, sink.buf.Drain)
-	if err != nil {
-		return info, fmt.Errorf("transport: commit map task %d: %w", t, err)
+	if err := j.commitFrame(fsKindMap, t, j.spec.ReduceTasks, meta, sink.buf.Drain); err != nil {
+		return fmt.Errorf("transport: commit map task %d: %w", t, err)
 	}
-	return info, nil
+	return nil
 }
 
 // CommitOutput implements JobTransport.
-func (j *fsJob) CommitOutput(t int, out *spill.Records, meta TaskMeta) (CommitInfo, error) {
-	info, err := j.commitFrame(fsKindOutput, t, 1, meta, func(_ int, add func(string, any, int64)) (int, error) {
+func (j *fsJob) CommitOutput(t int, out *spill.Records, meta TaskMeta) error {
+	err := j.commitFrame(fsKindOutput, t, 1, meta, func(_ int, add func(string, any, int64)) (int, error) {
 		out.Each(func(key string, v any, bytes int64) bool { add(key, v, bytes); return true })
 		return 0, nil
 	})
 	if err != nil {
-		return info, fmt.Errorf("transport: commit output %d: %w", t, err)
+		return fmt.Errorf("transport: commit output %d: %w", t, err)
 	}
-	return info, nil
+	return nil
 }
 
 // header binds a frame to its job, kind and task.
 func (j *fsJob) header(kind byte, t int) []byte {
-	return fmt.Appendf(nil, "shuffle %s %s", j.fp, taskPrefix(kind, t))
+	return fmt.Appendf(nil, "shuffle %s %s", j.fp, taskName(kind, t))
 }
 
-// commitFrame publishes one frame as the task's next generation: each
-// partition's records as drain(r) emits them (spill.Buffer.Drain's shape;
-// the accounted size is not stored), then the index. It reports whether a
-// complete generation already existed (a redelivery).
-func (j *fsJob) commitFrame(kind byte, t, parts int, meta TaskMeta, drain func(r int, emit func(key string, v any, bytes int64)) (ways int, err error)) (CommitInfo, error) {
+// commitFrame atomically publishes a task's frame: each partition's
+// records as drain(r) emits them (spill.Buffer.Drain's shape; the
+// accounted size is not stored), then the index.
+func (j *fsJob) commitFrame(kind byte, t, parts int, meta TaskMeta, drain func(r int, emit func(key string, v any, bytes int64)) (ways int, err error)) error {
 	mj, err := json.Marshal(meta)
 	if err != nil {
-		return CommitInfo{}, fmt.Errorf("meta: %w", err)
+		return fmt.Errorf("meta: %w", err)
 	}
-	redelivered, err := j.publish(kind, t, func(w *frame.Writer) error {
+	return frame.Publish(j.dir, taskName(kind, t), j.header(kind, t), false, func(w *frame.Writer) error {
 		index := binary.AppendUvarint(nil, uint64(parts))
 		for r := 0; r < parts; r++ {
 			var count uint64
@@ -182,83 +162,26 @@ func (j *fsJob) commitFrame(kind byte, t, parts int, meta TaskMeta, drain func(r
 		index = binary.AppendUvarint(index, uint64(len(mj)))
 		return w.Section(append(index, mj...))
 	})
-	return CommitInfo{Redelivered: redelivered, Partitions: parts}, err
 }
 
-// publish makes what fill writes the task's next generation, so a reader
-// only ever sees complete frames. It reports whether a generation already
-// existed (the publish is a redelivery).
-func (j *fsJob) publish(kind byte, t int, fill func(*frame.Writer) error) (redelivered bool, err error) {
-	var gen int64
-	if c := j.candidates(kind, t); len(c) > 0 {
-		gen = c[0].gen // newest first
-	}
-	name := taskFileName(kind, t, gen+1)
-	return gen > 0, frame.Publish(j.dir, name, j.header(kind, t), false, fill)
-}
-
-// fsCandidate is one on-disk generation of a task.
-type fsCandidate struct {
-	path string
-	gen  int64
-}
-
-// candidates lists a task's committed generations, newest first.
-func (j *fsJob) candidates(kind byte, t int) []fsCandidate {
-	prefix := taskPrefix(kind, t)
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return nil
-	}
-	var out []fsCandidate
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		gen, ok := parseGen(name)
-		if !ok {
-			continue
-		}
-		out = append(out, fsCandidate{path: filepath.Join(j.dir, name), gen: gen})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].gen > out[b].gen })
-	return out
-}
-
-// taskPrefix is the file-name prefix shared by all of a task's
-// generations, dot-terminated so task 1 does not match task 12.
-func taskPrefix(kind byte, t int) string { return fmt.Sprintf("%c%d.", kind, t) }
-
-// frame returns the validated newest complete frame for a task,
-// falling back to older generations when the newest fails validation
-// (newest-complete-wins). The parsed index is cached: once a complete
-// generation is visible its content is final — later generations are
-// byte-identical by the determinism contract.
+// frame returns a task's validated frame. The parsed index is cached: a
+// published frame is never replaced.
 func (j *fsJob) frame(kind byte, t int) (*fsFrame, error) {
-	key := taskPrefix(kind, t)
+	name := taskName(kind, t)
 	j.mu.Lock()
-	fr, ok := j.frames[key]
+	fr, ok := j.frames[name]
 	j.mu.Unlock()
 	if ok {
 		return fr, nil
 	}
-	var lastErr error
-	for _, c := range j.candidates(kind, t) {
-		fr, err := j.validateFrame(c.path, kind, t)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		j.mu.Lock()
-		j.frames[key] = fr
-		j.mu.Unlock()
-		return fr, nil
+	fr, err := j.validateFrame(j.path(kind, t), kind, t)
+	if err != nil {
+		return nil, fmt.Errorf("transport: no valid frame for task %d: %w", t, err)
 	}
-	if lastErr != nil {
-		return nil, fmt.Errorf("transport: no valid frame for task %d: %w", t, lastErr)
-	}
-	return nil, fmt.Errorf("transport: task %d has no committed frame", t)
+	j.mu.Lock()
+	j.frames[name] = fr
+	j.mu.Unlock()
+	return fr, nil
 }
 
 // validateFrame reads one frame file end-to-end (frame.Read checks every
@@ -341,35 +264,8 @@ func readRecords(fr *fsFrame, r int, dst *spill.Records) error {
 	return err
 }
 
-// Redeliver implements JobTransport: the newest complete generation is
-// re-published verbatim as the next generation — what a reassigned
-// worker's re-execution would deliver, without re-executing.
-func (j *fsJob) Redeliver(t int) (CommitInfo, error) {
-	fr, err := j.frame(fsKindMap, t)
-	if err != nil {
-		return CommitInfo{}, err
-	}
-	old, err := frame.Read(fr.path)
-	if err != nil {
-		return CommitInfo{}, fmt.Errorf("transport: %w", err)
-	}
-	_, err = j.publish(fsKindMap, t, func(w *frame.Writer) error {
-		for i := range old.Sections {
-			if err := w.Section(old.Payload(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return CommitInfo{}, fmt.Errorf("transport: %w", err)
-	}
-	return CommitInfo{Redelivered: true, Partitions: len(fr.parts)}, nil
-}
-
-// ReleasePartition implements JobTransport. Frames must outlive any one
-// consumer (a reassigned reduce task may re-fetch), so release is a no-op;
-// Close reclaims the stage directory.
+// ReleasePartition implements JobTransport. A frame holds every partition
+// of its task, so release is a no-op; Close reclaims the stage directory.
 func (j *fsJob) ReleasePartition(t, r int) {}
 
 // MapMeta implements JobTransport.

@@ -171,6 +171,23 @@ func (c Config) cancelled() error {
 	return nil
 }
 
+// wait sleeps for d, or returns the context's error as soon as the job is
+// cancelled.
+func (c Config) wait(d time.Duration) error {
+	if c.Context == nil {
+		time.Sleep(d)
+		return nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-c.Context.Done():
+		return c.Context.Err()
+	}
+}
+
 // cancelCheck returns the polling form of cancelled for components that
 // cannot see the Config (the spill merge); nil when the job has no
 // context, so the unconfigured path stays a nil comparison.
@@ -636,19 +653,8 @@ func mapTask[U any](env *jobEnv, jt JobTransport, t int, split []U, body taskBod
 		err = env.commitOutput(jt, t, ctx, tc, meta)
 	} else {
 		meta.Spill = env.finishMapTask(tc, ctx)
-		// A scheduled delivery fault is counted before the snapshot — its
-		// counters must travel with the meta — and realised right after the
-		// commit: the partitions are delivered again under a newer
-		// generation, which the reduce phase must not notice.
-		df := cfg.decideFault(PhaseMap, t, DeliveryAttempt)
-		if isDeliveryKind(df.Kind) {
-			countDeliveryFault(df, tc, env.reduceTasks)
-		}
 		meta.Counters = tc.Snapshot()
-		_, err = jt.CommitMap(t, ctx.shuffle, meta)
-		if err == nil && isDeliveryKind(df.Kind) {
-			_, err = jt.Redeliver(t)
-		}
+		err = jt.CommitMap(t, ctx.shuffle, meta)
 	}
 	if err != nil {
 		return taskErr(cfg.Name, PhaseMap, t, err)
@@ -695,8 +701,7 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
 func (env *jobEnv) commitOutput(jt JobTransport, t int, ctx *Context, tc *Counters, meta TaskMeta) error {
 	ctx.flushCounters()
 	meta.Counters = tc.Snapshot()
-	_, err := jt.CommitOutput(t, &ctx.out, meta)
-	return err
+	return jt.CommitOutput(t, &ctx.out, meta)
 }
 
 // collectOutput gathers a phase's committed task outputs in task order —

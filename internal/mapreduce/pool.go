@@ -74,20 +74,26 @@ func guard(task func()) (err error) {
 // withRetries re-attempts a failing task up to the job's MaxAttempts,
 // passing the attempt index (0 = first attempt) to each try, counting
 // retries in the "mapreduce.task.retries" counter, and sleeping per the
-// job's backoff policy before each retry. Tasks run over identical inputs
-// on every attempt, so when a retry fails with exactly the first attempt's
-// error the failure is deterministic and the remaining attempts are
-// skipped — they cannot succeed, and burning them would both waste work
-// and overstate the retry counter.
+// job's backoff policy before each retry. A cancelled job stops retrying,
+// during a backoff wait too. Tasks run over identical inputs on every
+// attempt, so when a retry fails with exactly the first attempt's error the
+// failure is deterministic and the remaining attempts are skipped — they
+// cannot succeed, and burning them would both waste work and overstate the
+// retry counter.
 func withRetries(cfg Config, counters *Counters, attempt func(a int) error) error {
 	var first, err error
 	for a := 0; a < cfg.maxAttempts(); a++ {
 		if a > 0 {
+			if err := cfg.cancelled(); err != nil {
+				return err
+			}
 			counters.Inc(CounterRetries, 1)
 			if b := cfg.Fault.Backoff; b != nil {
 				if d := b(a); d > 0 {
 					counters.Inc(CounterBackoffs, 1)
-					time.Sleep(d)
+					if err := cfg.wait(d); err != nil {
+						return err
+					}
 				}
 			}
 		}

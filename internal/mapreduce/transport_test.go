@@ -156,96 +156,6 @@ func TestFSTransportMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestInjectedDeliveryFaults proves the idempotent-delivery contract: a
-// schedule redelivering every map task's partitions (half as worker-loss
-// reassignments, half as duplicate hand-offs) leaves output and
-// deterministic counters byte-identical on both transports, while the
-// transport counters record what happened.
-func TestInjectedDeliveryFaults(t *testing.T) {
-	inj := injFunc(func(phase Phase, task, attempt int) Fault {
-		if phase == PhaseMap && attempt == DeliveryAttempt {
-			if task%2 == 0 {
-				return Fault{Kind: FaultWorkerLoss}
-			}
-			return Fault{Kind: FaultRedeliver}
-		}
-		return Fault{}
-	})
-	clean, _ := transportFixture(t, nil)
-	for _, tr := range []struct {
-		name string
-		make func() Transport
-	}{
-		{"memory", func() Transport { return nil }},
-		{"fs", func() Transport { return NewFSTransport(t.TempDir()) }},
-	} {
-		t.Run(tr.name, func(t *testing.T) {
-			var lines []string
-			for i := 0; i < 40; i++ {
-				lines = append(lines, fmt.Sprintf("w%d a b common w%d w%d", i%7, i%3, i))
-			}
-			cfg := Config{Name: "wc-transport", Cluster: tinyCluster(), MapTasks: 5}
-			cfg.Fault.Injector = inj
-			cfg.Transport = tr.make()
-			res, err := Run(cfg, wcInput(lines...), wcMapper{}, wcReducer{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(clean.Output, res.Output) {
-				t.Fatal("output differs under injected delivery faults")
-			}
-			if n := res.Counters.Get(CounterPartitionsRedelivered); n == 0 {
-				t.Fatal("expected redelivered partitions > 0")
-			}
-			if n := res.Counters.Get(CounterTasksReassigned); n == 0 {
-				t.Fatal("expected reassigned tasks > 0")
-			}
-		})
-	}
-}
-
-// TestSeededPlanTransportKinds proves the satellite contract: a seeded
-// chaos schedule drawing worker-loss/redelivery kinds (alongside the
-// regular mix) yields byte-identical output at parallelism 1 and 4.
-func TestSeededPlanTransportKinds(t *testing.T) {
-	var lines []string
-	for i := 0; i < 60; i++ {
-		lines = append(lines, fmt.Sprintf("k%d v%d shared k%d", i%11, i, i%5))
-	}
-	input := wcInput(lines...)
-	var redelivered int64
-	for seed := int64(1); seed <= 4; seed++ {
-		plan := NewSeededPlan(PlanConfig{
-			Seed:       seed,
-			TargetRate: 0.9,
-			Kinds: []FaultKind{
-				FaultPanic, FaultError, FaultWorkerLoss, FaultRedeliver,
-			},
-		})
-		run := func(par int) *Result {
-			cfg := Config{Name: "wc-chaos", Cluster: tinyCluster(), MapTasks: 6, Parallelism: par}
-			cfg.Fault.Injector = plan
-			cfg.Transport = NewFSTransport(t.TempDir())
-			res, err := Run(cfg, input, wcMapper{}, wcReducer{})
-			if err != nil {
-				t.Fatalf("seed %d par %d: %v", seed, par, err)
-			}
-			return res
-		}
-		r1, r4 := run(1), run(4)
-		if !reflect.DeepEqual(r1.Output, r4.Output) {
-			t.Fatalf("seed %d: output differs between parallelism 1 and 4", seed)
-		}
-		if !reflect.DeepEqual(r1.Counters.Snapshot(), r4.Counters.Snapshot()) {
-			t.Fatalf("seed %d: counters differ between parallelism 1 and 4", seed)
-		}
-		redelivered += r1.Counters.Get(CounterPartitionsRedelivered)
-	}
-	if redelivered == 0 {
-		t.Fatal("no seed's schedule injected a transport fault")
-	}
-}
-
 // frameCorruptions are ways a committed frame file goes bad. The envelope
 // ones damage bytes; the index ones keep every checksum valid and make one
 // length or count of the index — the partition count, a partition's record
@@ -337,69 +247,38 @@ func fetchEach(jt JobTransport, t, r int, emit func(key string, v any, bytes int
 	return ways, err
 }
 
-// TestFSTransportCorruptFallback proves newest-complete-wins: when the
-// newest generation of a task's partitions is corrupt — in any of
-// frameCorruptions' ways — the fetch falls back to the previous complete
-// generation, and with no complete generation left every read is an error.
+// TestFSTransportCorruptFallback: a task has one frame, so when it is
+// corrupt — in any of frameCorruptions' ways — there is nothing to fall
+// back to, and every read of the task through a fresh transport handle is
+// an error.
 func TestFSTransportCorruptFallback(t *testing.T) {
 	for name, corrupt := range frameCorruptions {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			tr := NewFSTransport(dir)
-			jtI, err := tr.Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
+			spec := TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2}
+			jt, err := NewFSTransport(dir).Open(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			jt := jtI.(*fsJob)
 			sink := newShuffleSink(DefaultPartitioner, 2, nil, 0, "", nil)
 			sink.add("alpha", int64(1))
 			sink.add("beta", int64(2))
 			sink.add("gamma", int64(3))
-			if _, err := jt.CommitMap(0, sink, TaskMeta{Records: 3}); err != nil {
+			if err := jt.CommitMap(0, sink, TaskMeta{Records: 3}); err != nil {
 				t.Fatal(err)
 			}
-			if info, err := jt.Redeliver(0); err != nil || !info.Redelivered {
-				t.Fatalf("redeliver: info=%+v err=%v", info, err)
+			corrupt(t, jt.(*fsJob).path(fsKindMap, 0))
+			jt2, err := NewFSTransport(dir).Open(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Corrupt the newest generation and force a fresh read through a
-			// second transport handle on the same directory.
-			cands := jt.candidates(fsKindMap, 0)
-			if len(cands) != 2 {
-				t.Fatalf("expected 2 generations, got %d", len(cands))
+			if _, err := jt2.MapMeta(0); err == nil {
+				t.Fatal("MapMeta served a corrupt frame")
 			}
-			corrupt(t, cands[0].path)
-			reopen := func() JobTransport {
-				jt, err := NewFSTransport(dir).Open(TransportSpec{Job: "fallback", MapTasks: 1, ReduceTasks: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return jt
-			}
-			jt2 := reopen()
-			var got []string
 			for r := 0; r < 2; r++ {
-				if _, err := fetchEach(jt2, 0, r, func(key string, v any, b int64) {
-					got = append(got, fmt.Sprintf("%s=%d", key, v.(int64)))
-				}); err != nil {
-					t.Fatalf("fetch after corruption: %v", err)
+				if _, err := jt2.FetchPartition(0, r, new(spill.Records)); err == nil {
+					t.Fatalf("FetchPartition served partition %d of a corrupt frame", r)
 				}
-			}
-			if len(got) != 3 {
-				t.Fatalf("expected 3 records from fallback generation, got %v", got)
-			}
-			meta, err := jt2.MapMeta(0)
-			if err != nil || meta.Records != 3 {
-				t.Fatalf("meta after fallback: %+v err=%v", meta, err)
-			}
-
-			// The older generation goes the same way: nothing valid is left.
-			corrupt(t, cands[1].path)
-			jt3 := reopen()
-			if _, err := jt3.MapMeta(0); err == nil {
-				t.Fatal("MapMeta served a task with no valid generation")
-			}
-			if _, err := jt3.FetchPartition(0, 0, new(spill.Records)); err == nil {
-				t.Fatal("FetchPartition served a task with no valid generation")
 			}
 		})
 	}
@@ -407,8 +286,7 @@ func TestFSTransportCorruptFallback(t *testing.T) {
 
 // TestFSTransportRecordLargerThanASection: a shuffle record has no size
 // limit even though a frame section has. One of over 64 MiB is committed
-// across sections, fetched back whole beside its small neighbours, and
-// survives a verbatim redelivery.
+// across sections and fetched back whole beside its small neighbours.
 func TestFSTransportRecordLargerThanASection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("commits and fetches a record of over 64 MiB")
@@ -428,42 +306,33 @@ func TestFSTransportRecordLargerThanASection(t *testing.T) {
 	sink.add("0-long", big)
 	sink.add("0-after", int64(2))
 	sink.add("1-other", int64(3))
-	if _, err := jt.CommitMap(0, sink, TaskMeta{Records: 4}); err != nil {
+	if err := jt.CommitMap(0, sink, TaskMeta{Records: 4}); err != nil {
 		t.Fatal(err)
 	}
-	check := func() {
-		t.Helper()
-		var keys []string
-		for r := 0; r < 2; r++ {
-			_, err := fetchEach(jt, 0, r, func(key string, v any, _ int64) {
-				keys = append(keys, key)
-				if got, _ := v.([]uint32); key == "0-long" && !slices.Equal(got, big) {
-					t.Fatal("the long record differs")
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+	var keys []string
+	for r := 0; r < 2; r++ {
+		_, err := fetchEach(jt, 0, r, func(key string, v any, _ int64) {
+			keys = append(keys, key)
+			if got, _ := v.([]uint32); key == "0-long" && !slices.Equal(got, big) {
+				t.Fatal("the long record differs")
 			}
-		}
-		slices.Sort(keys)
-		if want := []string{"0-after", "0-before", "0-long", "1-other"}; !slices.Equal(keys, want) {
-			t.Fatalf("fetched %v, want %v", keys, want)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	check()
-	if n := len(jt.frames[taskPrefix(fsKindMap, 0)].parts[0].secs); n < 2 {
+	slices.Sort(keys)
+	if want := []string{"0-after", "0-before", "0-long", "1-other"}; !slices.Equal(keys, want) {
+		t.Fatalf("fetched %v, want %v", keys, want)
+	}
+	if n := len(jt.frames[taskName(fsKindMap, 0)].parts[0].secs); n < 2 {
 		t.Fatalf("partition 0 holds %d sections", n)
 	}
-	if _, err := jt.Redeliver(0); err != nil {
-		t.Fatal(err)
-	}
-	jt.frames = map[string]*fsFrame{}
-	check()
 }
 
 // corruptingTransport damages every map frame right after its commit, so
 // the job driver's own reads (MapMeta first, outside any task's guard) meet
-// a task whose only generation is invalid.
+// a task whose frame is invalid.
 type corruptingTransport struct {
 	Transport
 	corrupt func(path string)
@@ -482,12 +351,12 @@ type corruptingJob struct {
 	corrupt func(path string)
 }
 
-func (c corruptingJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) (CommitInfo, error) {
-	info, err := c.fsJob.CommitMap(t, sink, meta)
-	for _, cand := range c.candidates(fsKindMap, t) {
-		c.corrupt(cand.path)
+func (c corruptingJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) error {
+	if err := c.fsJob.CommitMap(t, sink, meta); err != nil {
+		return err
 	}
-	return info, err
+	c.corrupt(c.path(fsKindMap, t))
+	return nil
 }
 
 // TestFSTransportCorruptFrameFailsJob: a job whose map frames are all
@@ -532,13 +401,13 @@ func FuzzFSFrame(f *testing.F) {
 			sink.add(kv.Key, kv.Value)
 			out.Append(kv.Key, kv.Value, recordBytes(kv.Key, sz.Size(kv.Value)))
 		}
-		if _, err := jt.CommitMap(0, sink, wantMeta); err != nil {
+		if err := jt.CommitMap(0, sink, wantMeta); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := jt.CommitOutput(0, out, wantMeta); err != nil {
+		if err := jt.CommitOutput(0, out, wantMeta); err != nil {
 			tb.Fatal(err)
 		}
-		return jt.candidates(fsKindMap, 0)[0].path, jt.candidates(fsKindOutput, 0)[0].path
+		return jt.path(fsKindMap, 0), jt.path(fsKindOutput, 0)
 	}
 	mapPath, outPath := commit(f, f.TempDir())
 	for _, p := range []string{mapPath, outPath} {
@@ -620,7 +489,7 @@ func TestFSTransportFingerprintRejected(t *testing.T) {
 	}
 	sink := newShuffleSink(DefaultPartitioner, 1, nil, 0, "", nil)
 	sink.add("k", int64(1))
-	if _, err := jt.CommitMap(0, sink, TaskMeta{}); err != nil {
+	if err := jt.CommitMap(0, sink, TaskMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	// A second transport over the same directory restarts its stage
@@ -633,7 +502,7 @@ func TestFSTransportFingerprintRejected(t *testing.T) {
 	}
 	var planted bool
 	for _, e := range frames {
-		if strings.HasPrefix(e.Name(), "m0.") {
+		if e.Name() == "m0" {
 			planted = true
 		}
 	}

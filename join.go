@@ -218,25 +218,23 @@ func publish(pairs []result.Pair, p *mapreduce.Pipeline, candidates int64) *Resu
 	}
 	ck := p.CheckpointStats()
 	out.Stats = Stats{
-		SimulatedTime:         p.TotalSimulatedTime(),
-		ShuffleRecords:        p.TotalShuffleRecords(),
-		ShuffleBytes:          p.TotalShuffleBytes(),
-		LoadImbalance:         p.MaxLoadImbalance(),
-		Candidates:            candidates,
-		BitmapBuilt:           p.Counter(filters.CtrBitmapBuilt),
-		BitmapRejected:        p.Counter(filters.CtrBitmapRejected),
-		BitmapPassed:          p.Counter(filters.CtrBitmapPassed),
-		VerifiedCandidates:    p.Counter(filters.CtrVerifyCandidates),
-		SpillRuns:             p.Counter(mapreduce.CounterSpillRuns),
-		SpillBytes:            p.Counter(mapreduce.CounterSpillBytes),
-		ShufflePeakBytes:      p.MaxCounter(mapreduce.CounterShufflePeak),
-		RecordsSkipped:        p.Counter(mapreduce.CounterRecordsSkipped),
-		CheckpointHits:        ck.Hits,
-		CheckpointMisses:      ck.Misses,
-		TasksReassigned:       p.Counter(mapreduce.CounterTasksReassigned),
-		PartitionsRedelivered: p.Counter(mapreduce.CounterPartitionsRedelivered),
-		RSCandidates:          p.Counter(result.CtrRSCandidates),
-		RSPairs:               p.Counter(result.CtrRSEmitted),
+		SimulatedTime:      p.TotalSimulatedTime(),
+		ShuffleRecords:     p.TotalShuffleRecords(),
+		ShuffleBytes:       p.TotalShuffleBytes(),
+		LoadImbalance:      p.MaxLoadImbalance(),
+		Candidates:         candidates,
+		BitmapBuilt:        p.Counter(filters.CtrBitmapBuilt),
+		BitmapRejected:     p.Counter(filters.CtrBitmapRejected),
+		BitmapPassed:       p.Counter(filters.CtrBitmapPassed),
+		VerifiedCandidates: p.Counter(filters.CtrVerifyCandidates),
+		SpillRuns:          p.Counter(mapreduce.CounterSpillRuns),
+		SpillBytes:         p.Counter(mapreduce.CounterSpillBytes),
+		ShufflePeakBytes:   p.MaxCounter(mapreduce.CounterShufflePeak),
+		RecordsSkipped:     p.Counter(mapreduce.CounterRecordsSkipped),
+		CheckpointHits:     ck.Hits,
+		CheckpointMisses:   ck.Misses,
+		RSCandidates:       p.Counter(result.CtrRSCandidates),
+		RSPairs:            p.Counter(result.CtrRSEmitted),
 	}
 	return out
 }

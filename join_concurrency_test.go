@@ -17,10 +17,8 @@ import (
 // mutation would actually trip.
 func TestConcurrentJoinsSharedOptions(t *testing.T) {
 	texts := corpus(50, 11)
-	shared := Options{
-		Threshold: 0.7, Algorithm: FSJoin, Nodes: 3,
-		Fault: FaultOptions{ChaosSeed: 424243, ChaosIntensity: 0.3, MaxAttempts: 4},
-	}
+	shared := Options{Threshold: 0.7, Algorithm: FSJoin, Nodes: 3, Fault: seededChaos(424243, 0.3)}
+	shared.Fault.MaxAttempts = 4
 	before := shared
 	want, err := SelfJoinStrings(texts, shared)
 	if err != nil {

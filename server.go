@@ -276,11 +276,54 @@ func (s *Server) Run(ctx context.Context, job Job) (*Result, error) {
 	if queueTimeout == 0 {
 		queueTimeout = s.opt.QueueTimeout
 	}
+	deadline := job.Deadline
+	if deadline == 0 {
+		deadline = s.opt.DefaultDeadline
+	}
+	label := job.Key
+	if label == "" {
+		label = "(unkeyed)"
+	}
+	var res *Result
+	err := s.serve(ctx, admission{
+		lease: lease, priority: job.Priority, queueTimeout: queueTimeout,
+		parent: job.Options.Context, deadline: deadline, label: label,
+	}, func(jctx context.Context, lease int64, queueWait time.Duration) (err error) {
+		res, err = s.execute(jctx, job, lease)
+		if res != nil {
+			res.Stats.QueueWait = queueWait
+			res.Stats.MemoryLease = lease
+		}
+		return err
+	})
+	return res, err
+}
 
+// admission is what one job asks of the server's admission gate.
+type admission struct {
+	lease        int64
+	priority     int
+	queueTimeout time.Duration
+	// parent, when non-nil, replaces the submission context as the
+	// execution context's parent; deadline, when positive, bounds
+	// execution only — queue wait is charged against queueTimeout.
+	parent   context.Context
+	deadline time.Duration
+	// label names the job in the *JobError a panic becomes.
+	label string
+}
+
+// serve is the admission path Run and ProbeBatch share: a job is refused
+// once the server is closed, joins the drain, waits for its lease, and
+// runs under a per-job context Shutdown can cancel. Its outcome is
+// counted, and a panic in run is recovered into a *JobError so one broken
+// job cannot take down its siblings. run gets the execution context, the
+// granted lease and the time spent queued.
+func (s *Server) serve(ctx context.Context, a admission, run func(jctx context.Context, lease int64, queueWait time.Duration) error) (err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrServerClosed
+		return ErrServerClosed
 	}
 	// Joining the WaitGroup before unlocking keeps Shutdown's Wait from
 	// missing a job admitted concurrently with the close.
@@ -289,30 +332,23 @@ func (s *Server) Run(ctx context.Context, job Job) (*Result, error) {
 	defer s.running.Done()
 
 	waitStart := time.Now()
-	grant, err := s.gate.Acquire(ctx, lease, job.Priority, queueTimeout)
+	grant, err := s.gate.Acquire(ctx, a.lease, a.priority, a.queueTimeout)
 	if err != nil {
-		return nil, translateSched(err)
+		return translateSched(err)
 	}
 	defer grant.Release()
 	queueWait := time.Since(waitStart)
 
-	// Per-job execution context: the job's own Context (when set) is the
-	// parent, else the submission context; the deadline bounds execution
-	// only — queue wait was already charged against queueTimeout.
 	parent := ctx
-	if job.Options.Context != nil {
-		parent = job.Options.Context
-	}
-	deadline := job.Deadline
-	if deadline == 0 {
-		deadline = s.opt.DefaultDeadline
+	if a.parent != nil {
+		parent = a.parent
 	}
 	var (
 		jctx   context.Context
 		cancel context.CancelFunc
 	)
-	if deadline > 0 {
-		jctx, cancel = context.WithTimeout(parent, deadline)
+	if a.deadline > 0 {
+		jctx, cancel = context.WithTimeout(parent, a.deadline)
 	} else {
 		jctx, cancel = context.WithCancel(parent)
 	}
@@ -322,7 +358,7 @@ func (s *Server) Run(ctx context.Context, job Job) (*Result, error) {
 	if s.closed {
 		// Shutdown won the race after admission: refuse to start.
 		s.mu.Unlock()
-		return nil, ErrServerClosed
+		return ErrServerClosed
 	}
 	id := s.nextID
 	s.nextID++
@@ -331,30 +367,26 @@ func (s *Server) Run(ctx context.Context, job Job) (*Result, error) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.cancels, id)
+		if err != nil {
+			s.failed++
+			if _, ok := err.(*JobError); ok {
+				s.panicked++
+			}
+		} else {
+			s.completed++
+		}
 		s.mu.Unlock()
 	}()
-
-	res, err := s.execute(jctx, job, grant.Bytes())
-	s.mu.Lock()
-	if err != nil {
-		s.failed++
-		if _, ok := err.(*JobError); ok {
-			s.panicked++
+	defer func() {
+		if r := recover(); r != nil {
+			err = &JobError{Job: a.label, Value: r, Stack: debug.Stack()}
 		}
-	} else {
-		s.completed++
-	}
-	s.mu.Unlock()
-	if res != nil {
-		res.Stats.QueueWait = queueWait
-		res.Stats.MemoryLease = grant.Bytes()
-	}
-	return res, err
+	}()
+	return run(jctx, grant.Bytes(), queueWait)
 }
 
-// execute runs one admitted job with its lease applied, recovering any
-// panic into a *JobError so one broken job cannot take down its siblings.
-func (s *Server) execute(ctx context.Context, job Job, lease int64) (res *Result, err error) {
+// execute runs one admitted job with its lease applied.
+func (s *Server) execute(ctx context.Context, job Job, lease int64) (*Result, error) {
 	opt := job.Options // private copy; the caller's value is never touched
 	opt.Context = ctx
 	opt.MemoryBudget = lease
@@ -363,15 +395,6 @@ func (s *Server) execute(ctx context.Context, job Job, lease int64) (res *Result
 	if s.opt.CheckpointRoot != "" && job.Key != "" {
 		opt.CheckpointDir = filepath.Join(s.opt.CheckpointRoot, job.Key)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			label := job.Key
-			if label == "" {
-				label = "(unkeyed)"
-			}
-			res, err = nil, &JobError{Job: label, Value: r, Stack: debug.Stack()}
-		}
-	}()
 	if job.testHookPreRun != nil {
 		job.testHookPreRun()
 	}
@@ -408,9 +431,10 @@ func (s *Server) Probe(ctx context.Context, ix *Index, set []string) ([]Match, e
 }
 
 // ProbeBatch serves many probes under one admission grant: the batch is
-// admitted once, then each set is answered in order (ctx is honoured
-// between sets). Element i of the result answers sets[i].
-func (s *Server) ProbeBatch(ctx context.Context, ix *Index, sets [][]string) (_ [][]Match, err error) {
+// admitted once, then each set is answered in order. Between sets the
+// batch stops if ctx is done or Shutdown runs out of patience. Element i
+// of the result answers sets[i].
+func (s *Server) ProbeBatch(ctx context.Context, ix *Index, sets [][]string) ([][]Match, error) {
 	if ix == nil {
 		return nil, errors.New("fsjoin: probe against nil index")
 	}
@@ -425,53 +449,20 @@ func (s *Server) ProbeBatch(ctx context.Context, ix *Index, sets [][]string) (_ 
 		lease = probeLeaseCap
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrServerClosed
-	}
-	s.running.Add(1)
-	s.mu.Unlock()
-	defer s.running.Done()
-
-	grant, err := s.gate.Acquire(ctx, lease, probePriority, s.opt.QueueTimeout)
-	if err != nil {
-		return nil, translateSched(err)
-	}
-	defer grant.Release()
-
-	s.mu.Lock()
-	if s.closed {
-		// Shutdown won the race after admission: refuse to start.
-		s.mu.Unlock()
-		return nil, ErrServerClosed
-	}
-	s.mu.Unlock()
-
-	defer func() {
-		s.mu.Lock()
-		if err != nil {
-			s.failed++
-			if _, ok := err.(*JobError); ok {
-				s.panicked++
+	var out [][]Match
+	err := s.serve(ctx, admission{lease: lease, priority: probePriority, queueTimeout: s.opt.QueueTimeout, label: "probe"},
+		func(jctx context.Context, _ int64, _ time.Duration) error {
+			out = make([][]Match, len(sets))
+			for i, set := range sets {
+				if err := jctx.Err(); err != nil {
+					return err
+				}
+				out[i] = ix.Probe(set)
 			}
-		} else {
-			s.completed++
-		}
-		s.mu.Unlock()
-	}()
-
-	out := make([][]Match, len(sets))
-	defer func() {
-		if r := recover(); r != nil {
-			err = &JobError{Job: "probe", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	for i, set := range sets {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		out[i] = ix.Probe(set)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // probeFixture builds a server, a corpus collection and its probe index.
@@ -119,6 +120,43 @@ func TestServerProbeSheddingAndShutdown(t *testing.T) {
 	}
 	if _, err := srv.Probe(context.Background(), ix, set); !errorsIsAny(err, ErrServerClosed) {
 		t.Fatalf("probe after shutdown: err = %v, want ErrServerClosed", err)
+	}
+}
+
+// TestServerShutdownCancelsProbeBatch: a probe batch is a running job like
+// any other, so a Shutdown out of patience cancels it between sets and the
+// batch returns the cancellation instead of finishing.
+func TestServerShutdownCancelsProbeBatch(t *testing.T) {
+	srv, _, ix, texts := probeFixture(t, ServerOptions{MemoryBudget: 1 << 20, MaxConcurrent: 1})
+	sets := make([][]string, 300_000)
+	for i := range sets {
+		sets[i] = strings.Fields(texts[i%len(texts)])
+	}
+	batchErr := make(chan error, 1)
+	go func() {
+		_, err := srv.ProbeBatch(context.Background(), ix, sets)
+		batchErr <- err
+	}()
+	for srv.Stats().Running == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Wait for the batch's cancel to be registered; bounded, so a batch
+	// that registers none still meets the Shutdown.
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		srv.mu.Lock()
+		n := len(srv.cancels)
+		srv.mu.Unlock()
+		if n > 0 {
+			break
+		}
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Shutdown(expired); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-batchErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("running batch err = %v, want context.Canceled", err)
 	}
 }
 

@@ -36,8 +36,8 @@ func TestPublicSurface(t *testing.T) {
 			"LocalParallelism", "Fault", "MemoryBudget", "SpillDir", "CheckpointDir", "FileShuffle",
 		}},
 		{"FaultOptions", fields(FaultOptions{}), []string{
-			"MaxAttempts", "RetryBackoffBase", "SpeculativeDelay", "ChaosSeed", "ChaosIntensity",
-			"ChaosTransportFaults", "SkipBadRecords", "MaxSkippedRecords", "OnQuarantine",
+			"MaxAttempts", "RetryBackoffBase", "SpeculativeDelay",
+			"SkipBadRecords", "MaxSkippedRecords", "OnQuarantine",
 		}},
 		{"IndexOptions", fields(IndexOptions{}), []string{"Threshold", "Function"}},
 		{"ServerOptions", fields(ServerOptions{}), []string{
@@ -49,7 +49,7 @@ func TestPublicSurface(t *testing.T) {
 			"BitmapBuilt", "BitmapRejected", "BitmapPassed", "VerifiedCandidates",
 			"SpillRuns", "SpillBytes", "ShufflePeakBytes", "RecordsSkipped",
 			"CheckpointHits", "CheckpointMisses", "RSCandidates", "RSPairs",
-			"TasksReassigned", "PartitionsRedelivered", "QueueWait", "MemoryLease",
+			"QueueWait", "MemoryLease",
 		}},
 	} {
 		if !slices.Equal(c.got, c.want) {
