@@ -57,10 +57,11 @@ test-env:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-pairs measures this checkout against a parent checkout on one
-# workload of the repository's benchmark, in alternating pairs — the table
-# a performance claim rests on (scripts/benchpairs.sh):
-#   make bench-pairs PARENT=/path/to/parent WORKLOAD=self_wiki_inmem [PAIRS=10] [SECONDS=15]
+# bench-pairs measures this checkout against a parent — a checkout's
+# directory, or a git revision checked out for the run — on one workload
+# of the repository's benchmark, in alternating pairs: the table a
+# performance claim rests on, with a verdict per metric (scripts/benchpairs.sh):
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=self_wiki_inmem [PAIRS=10] [SECONDS=15]
 PAIRS ?= 10
 SECONDS ?= 15
 bench-pairs:

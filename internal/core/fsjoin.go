@@ -16,6 +16,7 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -100,8 +101,9 @@ func (o Options) withDefaults() (Options, error) {
 	if err := o.Bitmap.Validate(); err != nil {
 		return o, err
 	}
-	o.Bitmap = o.Bitmap.ResolveEnv()
-	return o, nil
+	var err error
+	o.Bitmap, err = o.Bitmap.Resolve()
+	return o, err
 }
 
 // Result carries the join output and every measurement the experiments use.
@@ -285,15 +287,36 @@ func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 
 // FinishFold implements mapreduce.FoldingReducer.
 func (r *verifyReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) {
+	if sum := acc.(result.Overlap); r.keep(ctx, sum) {
+		ctx.Emit(key, sum)
+	}
+}
+
+// FinishGroup implements mapreduce.GroupFinisher: FinishFold of a pair's
+// group without its key string or a boxed accumulator.
+func (r *verifyReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	a, b, sum, ok := result.OverlapGroup(g, i)
+	if !ok {
+		r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
+		return
+	}
+	if r.keep(ctx, sum) {
+		mapreduce.EmitPair(ctx, a, b, sum)
+	}
+}
+
+// keep counts one aggregated candidate pair and reports whether it meets
+// the threshold.
+func (r *verifyReducer) keep(ctx *mapreduce.Context, sum result.Overlap) bool {
 	ctx.Inc(filters.CtrVerifyCandidates, 1)
 	if r.rs {
 		ctx.Inc(result.CtrRSCandidates, 1)
 	}
-	sum := acc.(result.Overlap)
-	if r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
-		if r.rs {
-			ctx.Inc(result.CtrRSEmitted, 1)
-		}
-		ctx.Emit(key, sum)
+	if !r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
+		return false
 	}
+	if r.rs {
+		ctx.Inc(result.CtrRSEmitted, 1)
+	}
+	return true
 }

@@ -12,6 +12,7 @@ import (
 	"fsjoin/internal/partition"
 	"fsjoin/internal/result"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/testutil"
 	"fsjoin/internal/tokens"
 )
 
@@ -137,5 +138,14 @@ func TestZeroOptionsResolve(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("zero Options: %s = %v, want %v", c.field, c.got, c.want)
 		}
+	}
+}
+
+// TestVerifyFinishGroup: the verification reducer's FinishGroup is its
+// FinishFold — output and counters, self and R-S, on typed and boxed
+// groups.
+func TestVerifyFinishGroup(t *testing.T) {
+	for _, rs := range []bool{false, true} {
+		testutil.AssertFinishGroupAgrees(t, &verifyReducer{fn: similarity.Jaccard, theta: 0.5, rs: rs})
 	}
 }

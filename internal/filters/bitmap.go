@@ -109,19 +109,30 @@ func (c BitmapConfig) Validate() error {
 	}
 }
 
-// ResolveEnv applies the FSJOIN_BITMAP test switch ("on"/"off") to an
+// Resolve applies the FSJOIN_BITMAP test switch ("on"/"off") to an
 // auto-mode config, mirroring FSJOIN_MEMORY_BUDGET: an explicit Mode wins,
-// auto defers to the environment. An invalid value is ignored (the
-// environment must never break a join). Call once per pipeline, not per
-// reduce group.
-func (c BitmapConfig) ResolveEnv() BitmapConfig {
+// auto defers to the environment. A value ParseBitmapMode refuses is an
+// error naming it: a mistyped switch must not run the default path and
+// pass. Call once per pipeline, not per reduce group.
+func (c BitmapConfig) Resolve() (BitmapConfig, error) {
 	if c.Mode != BitmapAuto {
-		return c
+		return c, nil
 	}
-	if m, err := ParseBitmapMode(os.Getenv("FSJOIN_BITMAP")); err == nil {
-		c.Mode = m
+	s := os.Getenv("FSJOIN_BITMAP")
+	m, err := ParseBitmapMode(s)
+	if err != nil {
+		return c, fmt.Errorf("filters: FSJOIN_BITMAP=%q (want auto, on or off)", s)
 	}
-	return c
+	c.Mode = m
+	return c, nil
+}
+
+// ResolveEnv is Resolve for a caller with no error to return, which leaves
+// c as it is on a malformed switch. Joins and indexes resolve through
+// Resolve.
+func (c BitmapConfig) ResolveEnv() BitmapConfig {
+	r, _ := c.Resolve()
+	return r
 }
 
 // Enabled reports whether signatures should be built at all.

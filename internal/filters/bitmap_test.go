@@ -2,6 +2,7 @@ package filters
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +206,22 @@ func TestBitmapResolveEnv(t *testing.T) {
 	}
 	if (BitmapConfig{Mode: BitmapOff}).Enabled() {
 		t.Fatal("off mode should be disabled")
+	}
+}
+
+// TestBitmapResolve: Resolve applies the switch as ResolveEnv does, and a
+// value ParseBitmapMode refuses is an error that names the variable and
+// the value, unless an explicit mode makes the switch moot.
+func TestBitmapResolve(t *testing.T) {
+	t.Setenv("FSJOIN_BITMAP", "off")
+	if got, err := (BitmapConfig{Width: 64}).Resolve(); err != nil || got.Mode != BitmapOff || got.Width != 64 {
+		t.Fatalf("Resolve under off: %+v, %v", got, err)
+	}
+	t.Setenv("FSJOIN_BITMAP", "of")
+	if _, err := (BitmapConfig{}).Resolve(); err == nil || !strings.Contains(err.Error(), `FSJOIN_BITMAP="of"`) {
+		t.Fatalf("malformed switch: error %v, want one naming FSJOIN_BITMAP and its value", err)
+	}
+	if got, err := (BitmapConfig{Mode: BitmapOn}).Resolve(); err != nil || got.Mode != BitmapOn {
+		t.Fatalf("explicit mode under a malformed switch: %+v, %v", got, err)
 	}
 }

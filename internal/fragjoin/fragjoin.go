@@ -142,7 +142,7 @@ type Params struct {
 	// Bitmap configures the hashed signature filter (DESIGN.md §11): a
 	// per-segment fixed-width token bitmap whose XOR+popcount overlap
 	// upper bound rejects candidate pairs before any exact intersection.
-	// Callers resolve the environment override (BitmapConfig.ResolveEnv)
+	// Callers resolve the environment override (BitmapConfig.Resolve)
 	// once per pipeline; the zero value here means auto = enabled.
 	Bitmap filters.BitmapConfig
 }

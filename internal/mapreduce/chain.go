@@ -58,9 +58,13 @@ func (c *chainInput) at(pos int32) (string, any) {
 }
 
 // mapUnits is a chained job's map task body: the identity map over
-// ascending positions, counted as a []KV's records would be.
+// ascending positions, counted as a []KV's records would be. With a
+// combiner, each partition's fold table starts with room for the keys an
+// identity map sends it on average, at most one per unit.
 func (c *chainInput) mapUnits(ctx *Context, units []int32, f Fault, counters *Counters) {
-	keys := spill.NewKeyArena(len(units))
+	if ctx.shuffle != nil { // a skip-mode probe has none
+		ctx.shuffle.buf.ExpectKeys((len(units) + ctx.shuffle.reducers - 1) / ctx.shuffle.reducers)
+	}
 	k := 0
 	for n, pos := range units {
 		ctx.CheckCancel()
@@ -68,9 +72,8 @@ func (c *chainInput) mapUnits(ctx *Context, units []int32, f Fault, counters *Co
 		for int(pos) >= c.starts[k+1] {
 			k++
 		}
-		if ctx.shuffle != nil { // a skip-mode probe has none
-			out, i := c.outs[k], int(pos)-c.starts[k]
-			ctx.shuffle.addFrom(out.Key(i, keys), out, i)
+		if ctx.shuffle != nil {
+			ctx.shuffle.addFrom(c.outs[k], int(pos)-c.starts[k])
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"time"
 
@@ -82,6 +81,18 @@ type FoldingReducer interface {
 	Folder
 	// FinishFold emits the output for one key from its folded accumulator.
 	FinishFold(ctx *Context, key string, acc any)
+}
+
+// GroupFinisher is what a FoldingReducer may offer besides FinishFold: the
+// same output for group i of g, read from the group itself. The reduce
+// phase then calls FinishGroup instead of FinishFold, and builds no key
+// string and boxes no accumulator for it: g.Abbrev(i) holds a key of at
+// most eight bytes whole, and spill.GroupAcc the accumulator of a typed
+// column unboxed. FinishGroup may call FinishFold for a group it has no
+// faster way for. g is shared by every attempt of the reduce task and must
+// only be read.
+type GroupFinisher interface {
+	FinishGroup(ctx *Context, g *spill.Groups, i int)
 }
 
 // IdentityMapper forwards its input unchanged.
@@ -239,20 +250,21 @@ func (c Config) resolvedReduceTasks() int {
 // memoryBudget resolves the effective shuffle memory budget: an explicit
 // positive value wins, zero defers to FSJOIN_MEMORY_BUDGET (so a CI job
 // can force the whole suite through the spill path), and any negative
-// value — from config or environment — means unbounded.
-func (c Config) memoryBudget() int64 {
+// value — from config or environment — means unbounded. A variable that is
+// not an integer is refused: a mistyped test switch must not run the
+// unbounded path and pass.
+func (c Config) memoryBudget() (int64, error) {
 	b := c.MemoryBudgetBytes
 	if b == 0 {
 		if s := os.Getenv("FSJOIN_MEMORY_BUDGET"); s != "" {
-			if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-				b = v
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				return 0, fmt.Errorf("mapreduce: FSJOIN_MEMORY_BUDGET=%q is not a byte count", s)
 			}
+			b = v
 		}
 	}
-	if b < 0 {
-		return 0
-	}
-	return b
+	return max(b, 0), nil
 }
 
 // SpillDir resolves a configured spill directory to where the engine's
@@ -426,17 +438,30 @@ type Result struct {
 	chain *chainInput
 }
 
+// FNV-1a's 32-bit parameters.
+const (
+	offset32 = 2166136261
+	prime32  = 16777619
+)
+
 // DefaultPartitioner hashes the key with FNV-1a. The loop is inlined over
 // the string — routing is bit-identical to hash/fnv, without allocating a
 // hasher or a []byte copy per key.
 func DefaultPartitioner(key string, reducers int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
 	h := uint32(offset32)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return int(h % uint32(reducers))
+}
+
+// prefixPartition is DefaultPartitioner of the key of at most eight bytes
+// that k holds, hashed from k's prefix, most significant byte first.
+func prefixPartition(k spill.KeyIndex, reducers int) int {
+	h := uint32(offset32)
+	for s := 56; s > 56-8*int(k.Len); s -= 8 {
+		h ^= uint32(byte(k.Prefix >> s))
 		h *= prime32
 	}
 	return int(h % uint32(reducers))
@@ -474,23 +499,22 @@ func run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*R
 	if mapTasks < 1 {
 		mapTasks = 1
 	}
-	reduceTasks := cfg.resolvedReduceTasks()
-	part := cfg.Partitioner
-	if part == nil {
-		part = DefaultPartitioner
+	budget, err := cfg.memoryBudget()
+	if err != nil {
+		return nil, err
 	}
+	reduceTasks := cfg.resolvedReduceTasks()
 	foldingReducer, folding := reducer.(FoldingReducer)
 	env := &jobEnv{
 		cfg:            cfg,
 		cl:             cl,
 		mapper:         mapper,
 		reducer:        reducer,
-		part:           part,
 		mapTasks:       mapTasks,
 		reduceTasks:    reduceTasks,
 		folding:        folding,
 		foldingReducer: foldingReducer,
-		budget:         cfg.memoryBudget(),
+		budget:         budget,
 		sdir:           SpillDir(cfg.SpillDir),
 		quarantine:     &quarantineState{},
 		in:             in,
@@ -506,7 +530,6 @@ type jobEnv struct {
 	cl             *Cluster
 	mapper         Mapper
 	reducer        Reducer
-	part           func(string, int) int
 	mapTasks       int
 	reduceTasks    int
 	folding        bool
@@ -565,11 +588,7 @@ func runJob(env *jobEnv) (*Result, error) {
 	// ---- Map phase: splits of the KVs, or of positions in fed columns
 	// (Chain checks they fit an int32) ----
 	if c := env.in.chain; c != nil {
-		positions := make([]int32, c.len())
-		for i := range positions {
-			positions[i] = int32(i)
-		}
-		splits := splitInput(positions, mapTasks)
+		splits := splitInput(positions(c.len()), mapTasks)
 		err = env.runPhase(mapTasks, func(t int) error { return mapTask(env, jt, t, splits[t], c.mapUnits, c.at) })
 	} else {
 		splits := splitInput(env.in.kvs, mapTasks)
@@ -675,13 +694,13 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
 		tc.Max(CounterSpillMergeWays, int64(in.maxWays))
 	}
 	start := time.Now()
-	ctx, err := attempts(env, tc, PhaseReduce, t, in.Keys, env.reduceKeys(in),
-		func(key string) (string, any) { return key, nil })
+	ctx, err := attempts(env, tc, PhaseReduce, t, positions(in.Len()), env.reduceGroups(in),
+		func(g int32) (string, any) { return in.Key(int(g), spill.NewKeyArena(1)), nil })
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
 	meta := TaskMeta{
-		Records: in.recs, Bytes: in.bytes, Groups: int64(len(in.Keys)),
+		Records: in.recs, Bytes: in.bytes, Groups: int64(in.Len()),
 		TaskNanos: int64(time.Since(start)),
 	}
 	for _, b := range in.Sizes {
@@ -756,7 +775,7 @@ func attempts[U any](env *jobEnv, counters *Counters, phase Phase, t int, units 
 		return runAttempts(cfg, counters, func(a int) (*Context, error) {
 			ctx := &Context{TaskID: t, Job: cfg, counters: counters}
 			if shuffles {
-				ctx.shuffle = newShuffleSink(env.part, env.reduceTasks, cfg.Combiner, env.budget, env.sdir, cfg.cancelCheck())
+				ctx.shuffle = newShuffleSink(cfg.Partitioner, env.reduceTasks, cfg.Combiner, env.budget, env.sdir, cfg.cancelCheck())
 			}
 			f := cfg.decideFault(phase, t, a)
 			if err := f.injectErr(counters); err != nil {
@@ -845,27 +864,28 @@ func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error
 	return in, nil
 }
 
-// reduceKeys returns a reduce task's body over fetched input: the reducer
-// run over one key slice — in.Keys itself, or in skip mode what is left of
-// it after quarantining.
-func (env *jobEnv) reduceKeys(in *reduceInput) taskBody[string] {
+// reduceGroups returns a reduce task's body over fetched input: the reducer
+// run over groups by index — every group of in, or in skip mode those left
+// after quarantining. An attempt builds key strings, where its reducer
+// takes them, in an arena of its own.
+func (env *jobEnv) reduceGroups(in *reduceInput) taskBody[int32] {
 	reducer := env.reducer
-	return func(ctx *Context, ks []string, f Fault, counters *Counters) {
+	finisher, _ := reducer.(GroupFinisher)
+	return func(ctx *Context, groups []int32, f Fault, counters *Counters) {
 		if s, ok := reducer.(Setupper); ok {
 			s.Setup(ctx)
 		}
-		for i, k := range ks {
-			// After quarantining the group is found by search.
-			g := i
-			if in.Keys[g] != k {
-				g, _ = slices.BinarySearch(in.Keys, k)
-			}
+		keys := spill.NewKeyArena(len(groups))
+		for n, g := range groups {
 			ctx.CheckCancel()
-			f.injectRecord(i, counters)
-			if env.folding {
-				env.foldingReducer.FinishFold(ctx, k, in.Acc(g))
-			} else {
-				reducer.Reduce(ctx, k, in.Values(g))
+			f.injectRecord(n, counters)
+			switch {
+			case !env.folding:
+				reducer.Reduce(ctx, in.Key(int(g), keys), in.Values(int(g)))
+			case finisher != nil:
+				finisher.FinishGroup(ctx, in.Groups, int(g))
+			default:
+				env.foldingReducer.FinishFold(ctx, in.Key(int(g), keys), in.Acc(int(g)))
 			}
 		}
 		if c, ok := reducer.(Cleanupper); ok {
@@ -918,6 +938,16 @@ func simPhase(cl *Cluster, taskTimes []time.Duration) time.Duration {
 		durs[i] = cl.scaleCPU(d) + cl.TaskOverhead
 	}
 	return cl.makespan(durs)
+}
+
+// positions returns 0, 1, …, n-1: the units of a task over records or
+// groups addressed by position.
+func positions(n int) []int32 {
+	p := make([]int32, n)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	return p
 }
 
 // splitInput slices input into n contiguous, near-equal splits.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -351,4 +352,30 @@ func TestPipelineInheritsMemoryBudget(t *testing.T) {
 		t.Fatal("max across stages exceeds sum across stages")
 	}
 	noSpillFiles(t, dir, 0)
+}
+
+// TestMemoryBudgetEnvMalformed: an FSJOIN_MEMORY_BUDGET that is not an
+// integer fails the job before any task runs, with an error naming the
+// variable and its value, through Run and a Pipeline alike; an explicit
+// budget makes the variable moot.
+func TestMemoryBudgetEnvMalformed(t *testing.T) {
+	t.Setenv("FSJOIN_MEMORY_BUDGET", "4k")
+	input := budgetInput(16, 40, 80)
+	var mapped atomic.Int64
+	mapper := MapFunc(func(ctx *Context, kv KV) { mapped.Add(1); wcMapper{}.Map(ctx, kv) })
+	cfg := Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2}
+	_, err := Run(cfg, input, mapper, wcReducer{})
+	_, perr := NewPipeline("budget", tinyCluster()).Run(cfg, input, mapper, wcReducer{})
+	for _, err := range []error{err, perr} {
+		if err == nil || !strings.Contains(err.Error(), `FSJOIN_MEMORY_BUDGET="4k"`) {
+			t.Fatalf("error %v, want one naming FSJOIN_MEMORY_BUDGET and its value", err)
+		}
+	}
+	if n := mapped.Load(); n != 0 {
+		t.Fatalf("%d records mapped before the budget was refused", n)
+	}
+	cfg.MemoryBudgetBytes = -1
+	if _, err := Run(cfg, input, mapper, wcReducer{}); err != nil {
+		t.Fatalf("explicit budget under a malformed variable: %v", err)
+	}
 }

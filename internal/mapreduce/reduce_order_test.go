@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsjoin/internal/spill"
 )
 
 // hardKeys are the keys the abbreviated-key index sort could get wrong:
@@ -249,14 +251,20 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // TestShuffleAllocationBudget is the deterministic guard against the
 // shuffle regrowing or re-hashing per record: an identity job over 8-byte
 // keys through 30 reducers may allocate this many bytes per input record.
-// The limits are the measured values (153, 194 and 206) plus 25 %; with one
-// pointer-carrying struct per buffered and per fetched record the first two
-// jobs allocated 215 (plain) and 230 (fold) bytes per record, and with
-// slices that regrow and string-keyed grouping maps 288 and 346. The chain
-// row is the fold job run by Chain over a map-only job's Feed. Only the
-// chained job is measured, so it pays for what the []KV rows are handed: a
-// 4-byte position and an 8-byte rebuilt key per record, no box and no KV.
-// The emit-pair row is no shuffle: one reduce task emits n pair records
+// The limits are the largest of three measurements (122, 168, 154 and 144)
+// plus 25 %. Before reduce tasks borrowed their sort index and radix
+// scratch from a pool, chained records were routed by their key's integer
+// and a chained task's fold tables were sized once, the first three rows
+// measured 153, 194 and 206; with one pointer-carrying struct per buffered
+// and per fetched record the first two jobs allocated 215 (plain) and 230
+// (fold) bytes per record, and with slices that regrow and string-keyed
+// grouping maps 288 and 346. The chain row is the fold job run by Chain
+// over a map-only job's Feed. Only the chained job is measured, so it pays
+// for what the []KV rows are handed: a 4-byte position per record, no key
+// string, no box and no KV. The chain-group row is the chain row with a
+// reducer that folds unboxed and finishes each group by FinishGroup, the
+// verification reducer's shape: no key string and no box per group. The
+// emit-pair row is no shuffle: one reduce task emits n pair records
 // through EmitPair into a Feed output, the filtering reducer's shape. It
 // measured 25 (limit 31): the records' columns; through Emit(PairKey(a, b),
 // v) the same records cost 41, a key string and a box more each.
@@ -274,9 +282,10 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		limit    float64
 		how      string // "run", "chain" or "feed"
 	}{
-		{"plain", nil, plainSum{}, 191, "run"},
-		{"fold", foldSum{}, foldSum{}, 243, "run"},
-		{"chain", foldSum{}, foldSum{}, 258, "chain"},
+		{"plain", nil, plainSum{}, 152, "run"},
+		{"fold", foldSum{}, foldSum{}, 210, "run"},
+		{"chain", foldSum{}, foldSum{}, 192, "chain"},
+		{"chain-group", groupSum{}, groupSum{}, 180, "chain"},
 		{"emit-pair", nil, pairEmitter{n}, 31, "feed"},
 	} {
 		p := NewPipeline("budget", cl)
@@ -310,6 +319,21 @@ func TestShuffleAllocationBudget(t *testing.T) {
 			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, tc.limit)
 		}
 	}
+}
+
+// groupSum is foldSum with an unboxed fold and FinishGroup: the
+// verification reducer's shape over int64 counts.
+type groupSum struct{ foldSum }
+
+func (groupSum) FoldTyped(acc *int64, v int64) { *acc += v }
+
+func (s groupSum) FinishGroup(ctx *Context, g *spill.Groups, i int) {
+	acc, ok := spill.GroupAcc[int64](g, i)
+	if k := g.Abbrev(i); ok && k.Len == 8 {
+		EmitPair(ctx, uint32(k.Prefix>>32), uint32(k.Prefix), acc)
+		return
+	}
+	s.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
 }
 
 // pairEmitter emits n pair records per key group through EmitPair, each an

@@ -21,12 +21,15 @@ import (
 // order, which the reduce phase's group-and-sort normalises to the same
 // downstream bytes.
 type shuffleSink struct {
+	// part is the job's Partitioner; nil routes by DefaultPartitioner, which
+	// a record whose key is at most eight bytes needs no key string for.
 	part     func(key string, reducers int) int
 	reducers int
 	// sizer sizes buf's values: as they are added, and in the concurrent
 	// merges of its partitions.
 	sizer spill.Sizer
 	buf   spill.Buffer
+	keys  spill.KeyArena // key strings addFrom hands a partitioner
 }
 
 func newShuffleSink(part func(string, int) int, reducers int, folder Folder, budget int64, dir string, cancel func() error) *shuffleSink {
@@ -56,14 +59,25 @@ func (s *shuffleSink) add(key string, value any) {
 	}
 }
 
-// addFrom is add of src's record i, whose key is key (spill.Buffer.AddFrom).
-func (s *shuffleSink) addFrom(key string, src *spill.Records, i int) {
-	if err := s.buf.AddFrom(s.route(key), key, src, i); err != nil {
+// addFrom is add of src's record i (spill.Buffer.AddFrom). Under the
+// default partitioner a key of at most eight bytes is routed by the
+// integer it is held in; any other key is handed over as a string.
+func (s *shuffleSink) addFrom(src *spill.Records, i int) {
+	var r int
+	if k := src.Abbrev(i); s.part == nil && k.Len <= 8 {
+		r = prefixPartition(k, s.reducers)
+	} else {
+		r = s.route(src.Key(i, &s.keys))
+	}
+	if err := s.buf.AddFrom(r, src, i); err != nil {
 		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
 	}
 }
 
 func (s *shuffleSink) route(key string) int {
+	if s.part == nil {
+		return DefaultPartitioner(key, s.reducers)
+	}
 	r := s.part(key, s.reducers)
 	if r < 0 || r >= s.reducers {
 		panic(&enginePanic{err: fmt.Errorf("partitioner returned %d for %d reducers", r, s.reducers)})

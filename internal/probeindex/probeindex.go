@@ -90,7 +90,11 @@ func (o Options) validate() error {
 	default:
 		return fmt.Errorf("probeindex: unknown similarity function %d", int(o.Fn))
 	}
-	return o.Bitmap.Validate()
+	if err := o.Bitmap.Validate(); err != nil {
+		return err
+	}
+	_, err := o.Bitmap.Resolve()
+	return err
 }
 
 // Match is one probe result: an indexed record meeting the threshold.
@@ -282,7 +286,7 @@ func newIndex(opt Options) *Index {
 	ix := &Index{
 		fn:      opt.Fn,
 		theta:   opt.Theta,
-		bitmap:  opt.Bitmap.ResolveEnv(),
+		bitmap:  opt.Bitmap.ResolveEnv(), // validate refused a malformed switch
 		tokRank: map[string]uint32{},
 		slotOf:  map[int32]int{},
 		logSlot: map[int32]int{},

@@ -88,6 +88,18 @@ func (SumOverlaps) FoldTyped(acc *Overlap, v Overlap) { acc.C += v.C }
 
 var _ mapreduce.TypedFolder[Overlap] = SumOverlaps{}
 
+// OverlapGroup returns folded group i of g as the rid pair its PairKey
+// encodes and its summed Overlap, unboxed: what a threshold reducer's
+// FinishGroup reads. It is false when the key is not eight bytes or the
+// groups were folded boxed; FinishFold then takes the group.
+func OverlapGroup(g *spill.Groups, i int) (a, b uint32, sum Overlap, ok bool) {
+	k := g.Abbrev(i)
+	if sum, ok = spill.GroupAcc[Overlap](g, i); !ok || k.Len != 8 {
+		return 0, 0, sum, false
+	}
+	return uint32(k.Prefix >> 32), uint32(k.Prefix), sum, true
+}
+
 // Pairs decodes a final job's output — pair keys carrying Overlap values,
 // which fn scores — into canonically sorted result pairs.
 func Pairs(kvs []mapreduce.KV, fn similarity.Func) []Pair {

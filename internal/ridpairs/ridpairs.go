@@ -78,6 +78,10 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	if opt.Cluster == nil {
 		opt.Cluster = mapreduce.DefaultCluster()
 	}
+	bitmap, err := opt.Bitmap.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	rs := s != nil
 	p := mapreduce.NewPipeline("ridpairs-ppjoin", opt.Cluster)
 	p.Parallelism = opt.Parallelism
@@ -98,7 +102,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	kernelRes, err := p.Feed(mapreduce.Config{Name: "rid-pairs"},
 		input,
 		&prefixMapper{fn: opt.Fn, theta: opt.Theta},
-		&groupJoiner{fn: opt.Fn, theta: opt.Theta, rs: rs, bitmap: opt.Bitmap.ResolveEnv()})
+		&groupJoiner{fn: opt.Fn, theta: opt.Theta, rs: rs, bitmap: bitmap})
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func TestAddFromAllocatesNothing(t *testing.T) {
 		// Folding, the first pass books every key and each later one folds.
 		i := 0
 		add := func() {
-			if err := b.AddFrom(0, keys[i%n], &src, i%n); err != nil {
+			if err := b.AddFrom(0, &src, i%n); err != nil {
 				t.Fatal(err)
 			}
 			i++

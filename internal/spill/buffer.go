@@ -142,24 +142,40 @@ func (b *Buffer) Add(part int, key string, v any) error {
 	return b.booked(bytes, pinned)
 }
 
-// AddFrom is Add of src's record i, whose key is key, under the size src
-// holds for it: column to column, without a box when both hold one type.
-// src is only read.
-func (b *Buffer) AddFrom(part int, key string, src *Records, i int) error {
+// AddFrom is Add of src's record i under the size src holds for it: column
+// to column, without a box when both hold one type, and a key of at most
+// eight bytes as the integers it is held in. src is only read.
+func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 	h := *src.heads.At(i)
-	r, j, err := b.find(part, h.key(), key)
+	k, key := h.key(), ""
+	if k.Len == 9 {
+		key = src.longKey(int32(i))
+	}
+	r, j, err := b.find(part, k, key)
 	if err != nil {
 		return err
 	}
 	if j >= 0 {
 		if !r.vals.foldFrom(j, src.vals, i, &b.fold) {
+			if k.Len < 9 {
+				key = shortKey(k) // Size takes the key
+			}
 			b.foldInto(r, j, key, src.vals.at(i))
 		}
 		return b.checkBudget()
 	}
 	pinned := b.cfg.Budget > 0 && !src.vals.encodableAt(i)
-	r.appendFrom(h.key(), key, src.vals, i, h.bytes(), pinned)
+	r.appendFrom(k, key, src.vals, i, h.bytes(), pinned)
 	return b.booked(h.bytes(), pinned)
+}
+
+// ExpectKeys sizes every partition's fold table, when the buffer folds, to
+// hold n keys without growing, for a task that knows about how many
+// records it will add; a table still grows past n.
+func (b *Buffer) ExpectKeys(n int) {
+	for p := range b.slots {
+		b.slots[p].expect(n)
+	}
 }
 
 // find returns partition part and, when the buffer folds, where key's

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // KeyIndex stands in for one record while records are put in key order:
@@ -131,7 +132,9 @@ func SortIndex(idx []KeyIndex, key func(pos int32) string) {
 // cost a small index more to clear than to sort), its prefix sums, and one
 // scatter into the other of two arrays.
 func radixByPrefix(idx []KeyIndex, diff uint64) {
-	src, dst := idx, make([]KeyIndex, len(idx))
+	scratch := getIndex(len(idx))
+	defer putIndex(scratch)
+	src, dst := idx, (*scratch)[:len(idx)]
 	for s := uint(0); s < 64; s += 8 {
 		if diff>>s&0xff == 0 {
 			continue
@@ -155,3 +158,25 @@ func radixByPrefix(idx []KeyIndex, diff uint64) {
 		copy(idx, src)
 	}
 }
+
+// indexPool holds sort indexes and radix scratch arrays between uses: a
+// reduce task's grouping and every sort need one as long as the records
+// being sorted, and only until the call returns.
+var indexPool sync.Pool // of *[]KeyIndex
+
+// getIndex returns an empty index with room for n entries, from the pool
+// when it has one that large. Give it back with putIndex.
+func getIndex(n int) *[]KeyIndex {
+	p, _ := indexPool.Get().(*[]KeyIndex)
+	if p == nil {
+		p = new([]KeyIndex)
+	}
+	if cap(*p) < n {
+		*p = make([]KeyIndex, 0, n)
+	}
+	*p = (*p)[:0]
+	return p
+}
+
+// putIndex gives back an index of getIndex's; nothing may use it after.
+func putIndex(p *[]KeyIndex) { indexPool.Put(p) }

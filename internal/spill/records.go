@@ -115,7 +115,8 @@ func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool
 }
 
 // appendFrom is append of src's value i, copied column to column when both
-// hold one type, into a column of src's kind. It repeats append's head: a
+// hold one type, into a column of src's kind; key is read only when k says
+// it is longer than eight bytes. It repeats append's head: a
 // shared one is a call more on Add's path, measurably slower.
 func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes int64, pinned bool) {
 	if r.vals == nil {
@@ -173,7 +174,8 @@ func (r *Records) appendAll(src *Records) {
 func (r *Records) longKey(pos int32) string { return *r.long.At(int(pos)) }
 
 // KeyArena turns stored keys back into strings, carving the short ones out
-// of one allocation instead of making one each.
+// of one allocation instead of making one each. The zero value is an arena
+// that grows as it is asked.
 type KeyArena struct {
 	b strings.Builder
 	n int // how many keys it may be asked for
@@ -182,23 +184,39 @@ type KeyArena struct {
 // NewKeyArena returns an arena for about n keys.
 func NewKeyArena(n int) *KeyArena { return &KeyArena{n: n} }
 
+// short returns the key of at most eight bytes k holds, cut out of a.
+func (a *KeyArena) short(k KeyIndex) string {
+	if a.b.Cap() == 0 {
+		a.b.Grow(8 * a.n)
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], k.Prefix)
+	// Should the arena be asked for more than it said, the builder grows
+	// and the strings it handed out keep the bytes they were cut from.
+	off := a.b.Len()
+	a.b.Write(b[:k.Len])
+	return a.b.String()[off:]
+}
+
+// shortKey is the key of at most eight bytes k holds, a string of its own.
+func shortKey(k KeyIndex) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], k.Prefix)
+	return string(b[:k.Len])
+}
+
 // Key returns record i's key, a key of at most eight bytes cut out of a.
 func (r *Records) Key(i int, a *KeyArena) string {
 	h := r.heads.At(i)
 	if h.len() == 9 {
 		return *r.long.At(i)
 	}
-	if a.b.Cap() == 0 {
-		a.b.Grow(8 * a.n)
-	}
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], h.prefix)
-	// Should the arena be asked for more than it said, the builder grows
-	// and the strings it handed out keep the bytes they were cut from.
-	off := a.b.Len()
-	a.b.Write(k[:h.len()])
-	return a.b.String()[off:]
+	return a.short(h.key())
 }
+
+// Abbrev returns record i's key abbreviated, with position 0: for a key of
+// at most eight bytes, all of it.
+func (r *Records) Abbrev(i int) KeyIndex { return r.heads.At(i).key() }
 
 // Each calls emit with every record in order, until it returns false.
 func (r *Records) Each(emit func(key string, v any, bytes int64) bool) {
@@ -270,11 +288,16 @@ func (r *Records) trim() {
 	}
 }
 
-// Groups is a Records cut into key groups, in key order: group g has key
-// Keys[g] and accounted size Sizes[g].
+// Groups is a Records cut into key groups, in key order: group g has the
+// key Abbrev(g) abbreviates — Key(g, a) as a string — and accounted size
+// Sizes[g]. A Groups holds nothing of the records it was cut from, and
+// nothing a reader changes: the reduce attempts of one task, speculative
+// ones included, read one Groups at once, each building key strings in an
+// arena of its own.
 type Groups struct {
-	Keys  []string
 	Sizes []int64
+	keys  []KeyIndex // group g's key abbreviated, position 0
+	long  []string   // group g's key where longer than eight bytes; nil when none is
 	// A folded group is one accumulator in accs; otherwise group g's values
 	// are vals[starts[g]:starts[g+1]], in record order.
 	accs   values
@@ -287,10 +310,13 @@ type Groups struct {
 // group's values are folded in record order into one accumulator — in
 // place in a []T when the column is typed and typed (see Config.TypedFold)
 // offers the fold unboxed, through fold otherwise; without one the values
-// are boxed for Values to hand out.
+// are boxed for Values to hand out. The index is borrowed from a pool and
+// given back before Group returns.
 func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
 	n := r.Len()
-	idx, err := r.sortedIndex(make([]KeyIndex, 0, n), true)
+	p := getIndex(n)
+	defer putIndex(p)
+	idx, err := r.sortedIndex(*p, true)
 	if err != nil {
 		return nil, err
 	}
@@ -304,10 +330,16 @@ func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
 	}
 	groups := len(starts)
 	starts = append(starts, int32(n))
-	g := &Groups{Keys: make([]string, groups), Sizes: make([]int64, groups)}
-	a := NewKeyArena(groups)
+	g := &Groups{Sizes: make([]int64, groups), keys: make([]KeyIndex, groups)}
 	for i := 0; i < groups; i++ {
-		g.Keys[i] = r.Key(int(idx[starts[i]].Pos), a)
+		first := idx[starts[i]]
+		g.keys[i] = KeyIndex{Prefix: first.Prefix, Len: first.Len}
+		if first.Len == 9 {
+			if g.long == nil {
+				g.long = make([]string, groups)
+			}
+			g.long[i] = r.longKey(first.Pos)
+		}
 		for _, ix := range idx[starts[i]:starts[i+1]] {
 			g.Sizes[i] += r.heads.At(int(ix.Pos)).bytes()
 		}
@@ -326,8 +358,34 @@ func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
 	return g, nil
 }
 
+// Len returns the number of groups.
+func (g *Groups) Len() int { return len(g.keys) }
+
+// Abbrev returns group i's key abbreviated, with position 0: for a key of
+// at most eight bytes, all of it.
+func (g *Groups) Abbrev(i int) KeyIndex { return g.keys[i] }
+
+// Key returns group i's key, a key of at most eight bytes cut out of a.
+func (g *Groups) Key(i int, a *KeyArena) string {
+	if k := g.keys[i]; k.Len < 9 {
+		return a.short(k)
+	}
+	return g.long[i]
+}
+
 // Acc returns folded group i's accumulator.
 func (g *Groups) Acc(i int) any { return g.accs.at(i) }
+
+// GroupAcc returns folded group i's accumulator unboxed, when the groups
+// were folded in a column of T's registered, pointer-free type; false
+// otherwise, and Acc has it.
+func GroupAcc[T any](g *Groups, i int) (T, bool) {
+	if c, ok := g.accs.(*column[T]); ok && c.codec != nil {
+		return *c.vals.At(i), true
+	}
+	var zero T
+	return zero, false
+}
 
 // Values returns unfolded group i's values, the slice's capacity capped so
 // that appending to it cannot write into the next group.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -100,12 +101,13 @@ func TestTypedFoldMatchesBoxedFold(t *testing.T) {
 	if _, ok := gt.accs.(*column[int64]); !ok {
 		t.Fatalf("accumulators are held in a %T, want the int64 column", gt.accs)
 	}
-	if !reflect.DeepEqual(gt.Keys, gb.Keys) || !reflect.DeepEqual(gt.Sizes, gb.Sizes) || !sort.StringsAreSorted(gt.Keys) {
-		t.Fatalf("groups differ: %v %v / %v %v", gt.Keys, gt.Sizes, gb.Keys, gb.Sizes)
+	kt, kb := groupKeys(gt), groupKeys(gb)
+	if !reflect.DeepEqual(kt, kb) || !reflect.DeepEqual(gt.Sizes, gb.Sizes) || !sort.StringsAreSorted(kt) {
+		t.Fatalf("groups differ: %v %v / %v %v", kt, gt.Sizes, kb, gb.Sizes)
 	}
-	for g := range gt.Keys {
+	for g := range kt {
 		if gt.Acc(g) != gb.Acc(g) {
-			t.Fatalf("key %q: %v unboxed, %v boxed", gt.Keys[g], gt.Acc(g), gb.Acc(g))
+			t.Fatalf("key %q: %v unboxed, %v boxed", kt[g], gt.Acc(g), gb.Acc(g))
 		}
 	}
 }
@@ -418,13 +420,12 @@ func TestAddFromMatchesAdd(t *testing.T) {
 					boxed, columns := NewBuffer(cfg), NewBuffer(cfg)
 					defer boxed.Close()
 					defer columns.Close()
-					a := NewKeyArena(src.Len())
 					for i := 0; i < src.Len(); i++ {
 						k, v := src.At(i)
 						if err := boxed.Add(len(k)%2, k, v); err != nil {
 							t.Fatal(err)
 						}
-						if err := columns.AddFrom(len(k)%2, src.Key(i, a), &src, i); err != nil {
+						if err := columns.AddFrom(len(k)%2, &src, i); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -449,4 +450,55 @@ func TestAddFromMatchesAdd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupConcurrent: Group borrows its sort index and radix scratch from
+// a pool shared by every goroutine. Eight goroutines grouping records of
+// their own, over and over — unfolded, folded unboxed and folded boxed, in
+// sizes that reuse and outgrow pooled arrays — must each get what grouping
+// alone gives; under -race a pooled array handed out twice is a report.
+func TestGroupConcurrent(t *testing.T) {
+	var f sumTyped
+	keys := mixedLengthKeys()
+	const workers = 8
+	recs := make([]*Records, workers)
+	want := make([][3]*Groups, workers)
+	group := func(r *Records) ([3]*Groups, error) {
+		var out [3]*Groups
+		for i, fold := range []struct {
+			boxed func(acc, v any) any
+			typed any
+		}{{nil, nil}, {f.Fold, f}, {f.Fold, nil}} {
+			g, err := r.Group(fold.boxed, fold.typed)
+			if err != nil {
+				return out, err
+			}
+			out[i] = g
+		}
+		return out, nil
+	}
+	for w := range recs {
+		recs[w] = new(Records)
+		for i := 0; i < 300*(w+1); i++ {
+			recs[w].Append(keys[(i*7+w)%len(keys)], int64(i), int64(8+w))
+		}
+		var err error
+		if want[w], err = group(recs[w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				if got, err := group(recs[w]); err != nil || !reflect.DeepEqual(got, want[w]) {
+					t.Errorf("worker %d, round %d: groups differ from grouping alone (%v)", w, round, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

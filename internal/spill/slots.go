@@ -77,6 +77,16 @@ func (t *slotTable) findOrAdd(r *Records, k KeyIndex, key string, n int) (int, e
 	return -1, nil
 }
 
+// expect makes an empty table room for n keys: the power of two at least
+// 2n, and at least the 16 slots a table starts at.
+func (t *slotTable) expect(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	t.slots, t.used = make([]slot, size), 0
+}
+
 // reset empties the table, keeping its memory.
 func (t *slotTable) reset() {
 	clear(t.slots)

@@ -10,6 +10,7 @@ import (
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/result"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -101,6 +102,72 @@ func AssertTypedFoldAgrees(t *testing.T, input []mapreduce.KV, fr mapreduce.Fold
 		}
 		if len(typed.Output) == 0 || int64(len(typed.Output)) == mt.ShuffleRecords {
 			t.Fatalf("budget %d: %d records folded into %d: nothing was folded on the reduce side", budget, mt.ShuffleRecords, len(typed.Output))
+		}
+	}
+}
+
+// typedFinishFold is a threshold reducer over Overlap sums with its
+// FinishGroup hidden and its unboxed fold kept: typed groups, FinishFold.
+type typedFinishFold struct{ mapreduce.FoldingReducer }
+
+func (r typedFinishFold) FoldTyped(acc *result.Overlap, v result.Overlap) {
+	r.FoldingReducer.(mapreduce.TypedFolder[result.Overlap]).FoldTyped(acc, v)
+}
+
+// boxedFinishGroup is one with its unboxed fold hidden and its FinishGroup
+// kept: boxed groups, FinishGroup.
+type boxedFinishGroup struct{ mapreduce.FoldingReducer }
+
+func (r boxedFinishGroup) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	r.FoldingReducer.(mapreduce.GroupFinisher).FinishGroup(ctx, g, i)
+}
+
+// AssertFinishGroupAgrees runs a verification job — pair keys to partial
+// Overlap counts, summed by a combiner, then by fr — four ways:
+// the reduce side's groups folded unboxed and boxed, each finished by fr's
+// FinishGroup and by its FinishFold. Output and counters must not tell them
+// apart, and fr must keep some pairs and drop others.
+func AssertFinishGroupAgrees(t *testing.T, fr mapreduce.FoldingReducer) {
+	t.Helper()
+	if _, ok := fr.(mapreduce.GroupFinisher); !ok {
+		t.Fatalf("%T has no FinishGroup", fr)
+	}
+	// 600 pairs of records 6 to 17 tokens long, with one to four partial
+	// counts each.
+	var input []mapreduce.KV
+	for i := uint32(0); i < 1500; i++ {
+		p := i % 600
+		input = append(input, mapreduce.KV{
+			Key:   mapreduce.PairKey(p/30, 100+p%30),
+			Value: result.Overlap{C: int32(1 + i%3), La: int32(6 + p%12), Lb: int32(6 + p%7)},
+		})
+	}
+	for _, budget := range []int64{-1, 512} {
+		var want *mapreduce.Result
+		for _, arm := range []struct {
+			name string
+			r    mapreduce.FoldingReducer
+		}{{"typed, FinishGroup", fr}, {"typed, FinishFold", typedFinishFold{fr}},
+			{"boxed, FinishGroup", boxedFinishGroup{fr}}, {"boxed, FinishFold", boxedOnly{fr}}} {
+			cfg := mapreduce.Config{Cluster: SmallCluster(), MapTasks: 4, ReduceTasks: 3,
+				MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Combiner: result.SumOverlaps{}}
+			res, err := mapreduce.Run(cfg, input, mapreduce.IdentityMapper, arm.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = res
+				if n := len(res.Output); n == 0 || int64(n) == res.Metrics.ReduceInputGroups {
+					t.Fatalf("budget %d: %d of %d pairs kept: the threshold decides nothing", budget, n, res.Metrics.ReduceInputGroups)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res.Output, want.Output) {
+				t.Fatalf("budget %d, %s: output differs:\n%v\nwant %v", budget, arm.name, res.Output, want.Output)
+			}
+			if got, w := res.Counters.Snapshot(), want.Counters.Snapshot(); !reflect.DeepEqual(got, w) {
+				t.Fatalf("budget %d, %s: counters %v, want %v", budget, arm.name, got, w)
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -197,14 +198,35 @@ func (r *thresholdReducer) Reduce(ctx *mapreduce.Context, key string, values []a
 
 // FinishFold implements mapreduce.FoldingReducer.
 func (r *thresholdReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) {
-	sum := acc.(result.Overlap)
+	if sum := acc.(result.Overlap); r.keep(ctx, sum) {
+		ctx.Emit(key, sum)
+	}
+}
+
+// FinishGroup implements mapreduce.GroupFinisher: FinishFold of a pair's
+// group without its key string or a boxed accumulator.
+func (r *thresholdReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	a, b, sum, ok := result.OverlapGroup(g, i)
+	if !ok {
+		r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
+		return
+	}
+	if r.keep(ctx, sum) {
+		mapreduce.EmitPair(ctx, a, b, sum)
+	}
+}
+
+// keep counts one aggregated pair in R-S mode and reports whether it meets
+// the threshold.
+func (r *thresholdReducer) keep(ctx *mapreduce.Context, sum result.Overlap) bool {
 	if r.rs {
 		ctx.Inc(result.CtrRSCandidates, 1)
 	}
-	if r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
-		if r.rs {
-			ctx.Inc(result.CtrRSEmitted, 1)
-		}
-		ctx.Emit(key, sum)
+	if !r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
+		return false
 	}
+	if r.rs {
+		ctx.Inc(result.CtrRSEmitted, 1)
+	}
+	return true
 }

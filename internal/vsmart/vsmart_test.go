@@ -70,3 +70,12 @@ func TestVSmartBudget(t *testing.T) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
 }
+
+// TestThresholdFinishGroup: the similarity job's FinishGroup is its
+// FinishFold — output and counters, self and R-S, on typed and boxed
+// groups.
+func TestThresholdFinishGroup(t *testing.T) {
+	for _, rs := range []bool{false, true} {
+		testutil.AssertFinishGroupAgrees(t, &thresholdReducer{fn: similarity.Jaccard, theta: 0.5, rs: rs})
+	}
+}

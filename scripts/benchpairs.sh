@@ -2,26 +2,39 @@
 # Paired benchmark runs of a parent checkout against this one: the table
 # the choosing-metrics guide (§8) asks a performance claim to rest on.
 #
-#   scripts/benchpairs.sh PARENT_DIR WORKLOAD [PAIRS=10] [SECONDS=15]
+#   scripts/benchpairs.sh PARENT WORKLOAD [PAIRS=10] [SECONDS=15]
 #
-# Each side is built and run through its own bench/run.sh, so each measures
-# the benchmark as committed beside it. Pair i runs both sides with seed i;
-# odd pairs run the parent first, even pairs this checkout first. Every
-# run's metric lines are kept under .bench_build/pairs/ and every run made
-# is in the table: per end-to-end metric, each side's median [quartiles],
-# the change of the medians, and in how many pairs this checkout read
-# better (ties count for neither). Nothing under bench/ is touched.
+# PARENT is a checkout's directory or a git revision of this repository
+# (HEAD~1, a branch, a sha); a revision is checked out as a detached
+# worktree under .bench_build/parent-<short sha> for the run and removed
+# when the script exits. Each side is built and run through its own
+# bench/run.sh, so each measures the benchmark as committed beside it.
+# Pair i runs both sides with seed i; odd pairs run the parent first, even
+# pairs this checkout first. Every run's metric lines are kept under
+# .bench_build/pairs/ and every run made is in the table: per end-to-end
+# metric, each side's median [quartiles], the change of the medians, in
+# how many pairs this checkout read better (ties count for neither), and a
+# verdict — "gain" when it read better in at least 9 of 10 pairs and the
+# medians differ by more than the parent's interquartile range, else "no
+# verdict". Nothing under bench/ is touched.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,14p' "$0" >&2
+	sed -n '2,19p' "$0" >&2
 	exit 2
 fi
-parent=$(cd "$1" && pwd)
+change=$(cd "$(dirname "$0")/.." && pwd)
+if [ -d "$1" ]; then
+	parent=$(cd "$1" && pwd)
+else
+	sha=$(git -C "$change" rev-parse --verify --short "$1^{commit}")
+	parent="$change/.bench_build/parent-$sha"
+	git -C "$change" worktree add --detach --force "$parent" "$sha" >&2
+	trap 'git -C "$change" worktree remove --force "$parent"' EXIT
+fi
 workload=$2
 pairs=${3:-10}
 seconds=${4:-15}
-change=$(cd "$(dirname "$0")/.." && pwd)
 out="$change/.bench_build/pairs/$workload"
 rm -rf "$out"
 mkdir -p "$out"
@@ -62,6 +75,7 @@ function summary(side, m,    n, i, j, t, a) {
 	for (i = 1; i <= pairs; i++) if ((side, i, m) in v) a[++n] = v[side, i, m]
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 	med[side] = quantile(a, n, 0.5)
+	iqr[side] = quantile(a, n, 0.75) - quantile(a, n, 0.25)
 	return sprintf("%.4g [%.4g,%.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
 }
 { v[$1, $2, $3] = $4 }
@@ -78,7 +92,9 @@ END {
 		}
 		ps = summary("parent", m); cs = summary("change", m)
 		delta = med["parent"] != 0 ? 100 * (med["change"] - med["parent"]) / med["parent"] : 0
-		printf "  %-16s %s -> %s (%+.1f%%, change better in %d/%d)\n", m, ps, cs, delta, wins, both
+		shift = m == "ops_per_s" ? med["change"] - med["parent"] : med["parent"] - med["change"]
+		verdict = both > 0 && 10 * wins >= 9 * both && shift > iqr["parent"] ? "gain" : "no verdict"
+		printf "  %-16s %s -> %s (%+.1f%%, change better in %d/%d): %s\n", m, ps, cs, delta, wins, both, verdict
 	}
 }'
 # bench exits non-zero when an operation failed or an answer was wrong.
