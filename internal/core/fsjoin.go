@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"fsjoin/internal/filters"
 	"fsjoin/internal/fragjoin"
@@ -125,7 +126,7 @@ type Result struct {
 
 // SelfJoin runs FS-Join over one collection.
 func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
-	return run(c, nil, opt)
+	return run(c, nil, opt, nil)
 }
 
 // Join runs FS-Join across two collections (R-S join); result pairs carry
@@ -134,10 +135,13 @@ func Join(r, s *tokens.Collection, opt Options) (*Result, error) {
 	if s == nil {
 		return nil, errors.New("fsjoin: nil S collection")
 	}
-	return run(r, s, opt)
+	return run(r, s, opt, nil)
 }
 
-func run(r, s *tokens.Collection, opt Options) (*Result, error) {
+// run executes the three phases. watch, when non-nil, is handed the
+// filtering job's reducer and returns the reducer the job runs instead — a
+// wrapper that observes its scratch.
+func run(r, s *tokens.Collection, opt Options, watch func(*filterReducer) mapreduce.Reducer) (*Result, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
@@ -187,6 +191,11 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 		PaperPrefix: opt.PaperPrefix,
 		Bitmap:      opt.Bitmap,
 	}
+	fr := &filterReducer{params: params}
+	var reducer mapreduce.Reducer = fr
+	if watch != nil {
+		reducer = watch(fr)
+	}
 	filterRes, err := p.Feed(mapreduce.Config{
 		Name: "filtering",
 		// Fragments are routed round-robin to reducers, the paper's
@@ -195,7 +204,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 			h, v := mapreduce.DecodePairKey(key)
 			return int(h*uint32(nv)+v) % reducers
 		},
-	}, input, &filterMapper{splitter: splitter, horiz: horiz}, &filterReducer{params: params})
+	}, input, &filterMapper{splitter: splitter, horiz: horiz}, reducer)
 	if err != nil {
 		return nil, err
 	}
@@ -225,6 +234,13 @@ type filterMapper struct {
 	horiz    *partition.Horizontal
 }
 
+// mapScratch is one map attempt's split and assignment buffers, kept in
+// Context.Local and refilled per record.
+type mapScratch struct {
+	segs []partition.Segment
+	asgs []partition.Assignment
+}
+
 // Map implements mapreduce.Mapper.
 func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 	tr := kv.Value.(rsinput.Record)
@@ -232,9 +248,15 @@ func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 	if rec.Len() == 0 {
 		return
 	}
-	segs := m.splitter.Split(rec)
-	for _, asg := range m.horiz.Assign(rec.Len()) {
-		for _, seg := range segs {
+	s, _ := ctx.Local.(*mapScratch)
+	if s == nil {
+		s = &mapScratch{}
+		ctx.Local = s
+	}
+	s.segs = m.splitter.SplitAppend(s.segs[:0], rec)
+	s.asgs = m.horiz.AssignAppend(s.asgs[:0], rec.Len())
+	for _, asg := range s.asgs {
+		for _, seg := range s.segs {
 			mapreduce.EmitPair(ctx, uint32(asg.Partition), uint32(seg.Fragment), fragjoin.Seg{
 				RID:    rec.RID,
 				Origin: tr.Origin,
@@ -249,20 +271,68 @@ func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 }
 
 // filterReducer joins one fragment's segments and emits partial counts.
+//
+// Its scratch — the fragment's segments and the kernel's workspace — is the
+// reduce attempt's, kept in Context.Local like the ordering job's counts
+// (order.denseCounter): the first Reduce of an attempt takes one from the
+// job's free list and Cleanup hands it back, so a job allocates as many as
+// it runs attempts at once and every fragment after an attempt's first
+// reuses arrays already grown. An attempt that panics or is cancelled
+// never reaches Cleanup, and its scratch is dropped with its Context.
 type filterReducer struct {
 	params fragjoin.Params
+
+	mu   sync.Mutex
+	free []*filterScratch
+}
+
+// filterScratch is one reduce attempt's scratch.
+type filterScratch struct {
+	segs []fragjoin.Seg
+	w    fragjoin.Workspace
 }
 
 // Reduce implements mapreduce.Reducer.
 func (r *filterReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	segs := make([]fragjoin.Seg, len(values))
-	for i, v := range values {
-		segs[i] = v.(fragjoin.Seg)
+	s, _ := ctx.Local.(*filterScratch)
+	if s == nil {
+		s = r.get()
+		ctx.Local = s
 	}
-	fragjoin.Join(ctx, segs, r.params, func(a, b *fragjoin.Seg, c int) {
+	s.segs = s.segs[:0]
+	for _, v := range values {
+		s.segs = append(s.segs, v.(fragjoin.Seg))
+	}
+	s.w.Join(ctx, s.segs, r.params, func(a, b *fragjoin.Seg, c int) {
 		mapreduce.EmitPair(ctx, uint32(a.RID), uint32(b.RID),
 			result.Overlap{C: int32(c), La: a.StrLen, Lb: b.StrLen})
 	})
+}
+
+// Cleanup implements mapreduce.Cleanupper: it hands the attempt's scratch
+// back to the free list, holding no segment of the task.
+func (r *filterReducer) Cleanup(ctx *mapreduce.Context) {
+	s, _ := ctx.Local.(*filterScratch)
+	if s == nil {
+		return
+	}
+	clear(s.segs[:cap(s.segs)])
+	ctx.Local = nil
+	r.mu.Lock()
+	r.free = append(r.free, s)
+	r.mu.Unlock()
+}
+
+// get returns a scratch from the free list, or a new one.
+func (r *filterReducer) get() *filterScratch {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.free); n > 0 {
+		s := r.free[n-1]
+		r.free = r.free[:n-1]
+		return s
+	}
+	return &filterScratch{}
 }
 
 // verifyReducer implements Section V-B: aggregate common-token counts and

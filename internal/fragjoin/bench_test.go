@@ -55,7 +55,9 @@ func benchParams(m Method) Params {
 // region segments of one origin, an R-S region fragment (every other segment
 // on the S side) and a boundary fragment (every other segment small, the
 // rest large) — with the bitmap signature filter on ("bitmap", the default)
-// and forced off ("nobitmap").
+// and forced off ("nobitmap"), each through a one-shot Join and through one
+// Workspace reused across iterations ("/reused", as a filtering reduce task
+// runs its fragments).
 func BenchmarkKernels(b *testing.B) {
 	region := benchFragment(600, 4096, 1)
 	rs, boundary := slices.Clone(region), slices.Clone(region)
@@ -78,12 +80,22 @@ func BenchmarkKernels(b *testing.B) {
 				p := benchParams(m)
 				p.RS = frag.rs
 				p.Bitmap = filters.BitmapConfig{Mode: arm.mode}
-				b.Run(frag.name+"/"+m.String()+"/"+arm.name, func(b *testing.B) {
+				name := frag.name + "/" + m.String() + "/" + arm.name
+				b.Run(name, func(b *testing.B) {
 					b.ReportAllocs()
 					cp := make([]Seg, len(frag.segs))
 					for i := 0; i < b.N; i++ {
 						copy(cp, frag.segs)
 						Join(nil, cp, p, emit)
+					}
+				})
+				b.Run(name+"/reused", func(b *testing.B) {
+					b.ReportAllocs()
+					cp := make([]Seg, len(frag.segs))
+					var w Workspace
+					for i := 0; i < b.N; i++ {
+						copy(cp, frag.segs)
+						w.Join(nil, cp, p, emit)
 					}
 				})
 			}

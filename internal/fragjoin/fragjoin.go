@@ -165,24 +165,45 @@ const (
 
 // Join runs the configured kernel over one fragment's segments. ctx may be
 // nil (counters are then skipped). Segments are processed in a canonical
-// (Origin, RID) order so output is deterministic.
+// (Origin, RID) order so output is deterministic. It is a one-shot
+// Workspace; a caller joining many fragments keeps one Workspace instead.
 func Join(ctx *mapreduce.Context, segs []Seg, p Params, emit Emit) {
+	var w Workspace
+	w.Join(ctx, segs, p, emit)
+}
+
+// Workspace is one worker's kernel scratch, reused across the fragments it
+// joins: the signatures, the plan, the postings, the candidate counters
+// and the packed bitmaps are resized per fragment, never reallocated while
+// they are large enough. A Workspace holds nothing of a fragment once Join
+// returns, and every array is reset when the next Join starts, so reuse is
+// invisible in what a join emits and counts — even after a join that
+// panicked. The zero value is ready; a Workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	j joiner
+}
+
+// Join is the package-level Join run in w's scratch.
+func (w *Workspace) Join(ctx *mapreduce.Context, segs []Seg, p Params, emit Emit) {
 	slices.SortFunc(segs, func(a, b Seg) int {
 		if a.Origin != b.Origin {
 			return int(a.Origin) - int(b.Origin)
 		}
 		return int(a.RID) - int(b.RID)
 	})
-	j := &joiner{ctx: ctx, p: p, emit: emit, segs: segs}
+	j := &w.j
+	j.ctx, j.p, j.emit, j.segs = ctx, p, emit, segs
+	j.n, j.sigW = counters{}, 0
 	j.buildSigs()
 	switch p.Method {
 	case Loop:
-		j.bitmaps = make([]segBitmap, len(segs))
+		j.resetBitmaps()
 		j.loop()
 	case Index:
 		j.inverted(true)
 	case Prefix:
-		j.bitmaps = make([]segBitmap, len(segs))
+		j.resetBitmaps()
 		j.inverted(false)
 	default:
 		panic("fragjoin: unknown method")
@@ -190,6 +211,16 @@ func Join(ctx *mapreduce.Context, segs []Seg, p Params, emit Emit) {
 	if ctx != nil {
 		j.n.flush(ctx)
 	}
+	j.ctx, j.emit, j.segs = nil, nil, nil
+}
+
+// resize returns s at length n, reallocated only when its capacity is
+// short; the elements it keeps are left as they were.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // counters are one Join's counter increments, kept as plain integers in
@@ -223,6 +254,8 @@ func (n *counters) flush(ctx *mapreduce.Context) {
 	}
 }
 
+// joiner is one fragment's join: what the kernels read and count, and the
+// scratch arrays a Workspace keeps across fragments.
 type joiner struct {
 	ctx  *mapreduce.Context
 	p    Params
@@ -233,8 +266,9 @@ type joiner struct {
 	// Generation-stamped sparse counters: counts[i] is segment i's running
 	// overlap with the probing segment, valid only while stamp[i] == gen.
 	// Bumping gen invalidates every counter at once, so nothing is cleared
-	// between probe rounds. touched has one bit per segment index, set when
-	// the segment is registered as a candidate of the round and cleared as
+	// between probe rounds; stamp is cleared and gen restarted per
+	// fragment. touched has one bit per segment index, set when the
+	// segment is registered as a candidate of the round and cleared as
 	// drain visits it; loWord..hiWord bound the words that hold a set bit.
 	counts         []int32
 	stamp          []uint32
@@ -242,9 +276,16 @@ type joiner struct {
 	touched        []uint64
 	loWord, hiWord int
 
+	// plans and inv are the inverted-list kernel's segment plan and
+	// postings (Index and Prefix kernels).
+	plans []segPlan
+	inv   postings
+
 	// bitmaps are the lazily built word-packed token sets for the exact
-	// intersection fast path (Loop and Prefix kernels).
+	// intersection fast path (Loop and Prefix kernels); their words are
+	// cut from arena.
 	bitmaps []segBitmap
+	arena   []uint64
 
 	// sigs are the fixed-width hashed signatures (filters.Signature) built
 	// once per segment; sigW is their word width, 0 when the bitmap filter
@@ -265,7 +306,7 @@ func (j *joiner) buildSigs() {
 		total += len(j.segs[i].Tokens)
 	}
 	j.sigW = j.p.Bitmap.Words(float64(total) / float64(len(j.segs)))
-	j.sigs = make([]filters.Signature, len(j.segs))
+	j.sigs = resize(j.sigs, len(j.segs))
 	for i := range j.segs {
 		filters.BuildSignature(&j.sigs[i], j.segs[i].Tokens, j.sigW)
 	}
@@ -418,8 +459,8 @@ func (pl segPlan) index() int32 {
 	return 0
 }
 
-// plan lays out every segment's part in the kernel.
-func (j *joiner) plan(exact bool) []segPlan {
+// plan lays out every segment's part in the kernel, in j.plans.
+func (j *joiner) plan(exact bool) {
 	partnerRole := [...]partition.Role{
 		partition.RoleRegion: partition.RoleRegion,
 		partition.RoleSmall:  partition.RoleLarge,
@@ -428,7 +469,8 @@ func (j *joiner) plan(exact bool) []segPlan {
 	// lastProbe[c] is the last segment that probes class c; a segment is
 	// indexed when that is a later one, so 0 also serves as "none".
 	var lastProbe [numClasses + 1]int
-	plan := make([]segPlan, len(j.segs))
+	plan := resize(j.plans, len(j.segs))
+	j.plans = plan
 	for i := range j.segs {
 		s, pl := &j.segs[i], &plan[i]
 		switch {
@@ -457,7 +499,6 @@ func (j *joiner) plan(exact bool) []segPlan {
 	for i := range plan {
 		plan[i].indexed = lastProbe[plan[i].class] > i
 	}
-	return plan
 }
 
 // inverted is the inverted-list kernel behind Index and Prefix: postings
@@ -468,11 +509,16 @@ func (j *joiner) plan(exact bool) []segPlan {
 // (DESIGN.md §3) and gets the exact intersection of a discovered pair from
 // the bitmap fast path or a merge.
 func (j *joiner) inverted(exact bool) {
-	plan := j.plan(exact)
-	inv := newPostings(j.segs, plan)
-	j.counts = make([]int32, len(j.segs))
-	j.stamp = make([]uint32, len(j.segs))
-	j.touched = make([]uint64, (len(j.segs)+63)/64)
+	j.plan(exact)
+	plan, inv := j.plans, &j.inv
+	inv.build(j.segs, plan)
+	n := len(j.segs)
+	j.counts = resize(j.counts, n)
+	j.stamp = resize(j.stamp, n)
+	clear(j.stamp)
+	j.gen = 0
+	j.touched = resize(j.touched, (n+63)/64)
+	clear(j.touched)
 	for k := range j.segs {
 		toks, pl := j.segs[k].Tokens, plan[k]
 		j.beginRound()
@@ -563,6 +609,28 @@ type segBitmap struct {
 // so typical segments span a handful of words.
 const bitmapMaxWords = 128
 
+// resetBitmaps marks every segment's bitmap unbuilt and empties the arena
+// their words are cut from.
+func (j *joiner) resetBitmaps() {
+	j.bitmaps = resize(j.bitmaps, len(j.segs))
+	clear(j.bitmaps)
+	j.arena = j.arena[:0]
+}
+
+// words cuts n zeroed words from the arena. An arena too short for them is
+// replaced by one at least twice its size: words cut earlier keep the old
+// one alive until the fragment ends, and the next fragment fits the new.
+func (j *joiner) words(n int) []uint64 {
+	l := len(j.arena)
+	if l+n > cap(j.arena) {
+		j.arena, l = make([]uint64, 0, max(2*cap(j.arena), n, 256)), 0
+	}
+	j.arena = j.arena[:l+n]
+	w := j.arena[l : l+n : l+n]
+	clear(w)
+	return w
+}
+
 func (j *joiner) bitmap(i int) *segBitmap {
 	bm := &j.bitmaps[i]
 	if bm.state != 0 {
@@ -581,7 +649,7 @@ func (j *joiner) bitmap(i int) *segBitmap {
 		return bm
 	}
 	bm.first = lo
-	bm.words = make([]uint64, hi-lo+1)
+	bm.words = j.words(int(hi - lo + 1))
 	for _, t := range toks {
 		bm.words[(t>>6)-lo] |= 1 << (t & 63)
 	}
@@ -610,11 +678,11 @@ func (j *joiner) intersect(i, k int) int {
 // fragment's vertical range, so the index is a CSR layout: every posting
 // list's final size is known up front (segPlan.index), one flat backing
 // array holds all lists and starts/lens slice it per token, one row of span
-// entries per indexed class — three allocations for the whole fragment, and
-// no row for a class nothing is indexed under. A sparse map fallback covers
-// degenerate fragments whose token span dwarfs their token count. A segment
-// probes another class's lists, so get answers any token and any class: what
-// was never indexed has an empty list.
+// entries per indexed class — three arrays, kept across the fragments of a
+// Workspace, and no row for a class nothing is indexed under. A sparse map
+// fallback covers degenerate fragments whose token span dwarfs their token
+// count. A segment probes another class's lists, so get answers any token
+// and any class: what was never indexed has an empty list.
 type postings struct {
 	base   tokens.ID
 	span   int
@@ -623,14 +691,16 @@ type postings struct {
 	lens   []int32
 	flat   []int32
 	sparse map[uint64][]int32
+	mapped bool // the fragment's lists are in sparse
 }
 
-// newPostings sizes the index for the tokens the plan says will be added.
-func newPostings(segs []Seg, plan []segPlan) *postings {
-	p := &postings{}
+// build empties the index and sizes it for the tokens the plan says will
+// be added.
+func (p *postings) build(segs []Seg, plan []segPlan) {
 	for c := range p.row {
 		p.row[c] = -1
 	}
+	p.mapped = false
 	var lo, hi tokens.ID
 	total := 0
 	for i := range segs {
@@ -649,14 +719,18 @@ func newPostings(segs []Seg, plan []segPlan) *postings {
 		p.row[plan[i].class] = 0 // has a row; placed below
 	}
 	if total == 0 {
-		return p
+		return
 	}
 	p.base, p.span = lo, int(hi-lo)+1
 	// The span of one row, not of all rows: how many classes are indexed
 	// says nothing about how sparse the tokens are.
 	if p.span > 1<<16 && p.span > 4*total {
-		p.sparse = make(map[uint64][]int32, total)
-		return p
+		if p.sparse == nil {
+			p.sparse = make(map[uint64][]int32, total)
+		}
+		clear(p.sparse)
+		p.mapped = true
+		return
 	}
 	cells := 0
 	for c := range p.row {
@@ -665,7 +739,8 @@ func newPostings(segs []Seg, plan []segPlan) *postings {
 			cells += p.span
 		}
 	}
-	p.starts = make([]int32, cells)
+	p.starts = resize(p.starts, cells)
+	clear(p.starts)
 	for i := range segs {
 		n := plan[i].index()
 		if n == 0 {
@@ -681,16 +756,16 @@ func newPostings(segs []Seg, plan []segPlan) *postings {
 		p.starts[o] = off
 		off += n
 	}
-	p.lens = make([]int32, len(p.starts))
-	p.flat = make([]int32, total)
-	return p
+	p.lens = resize(p.lens, cells)
+	clear(p.lens)
+	p.flat = resize(p.flat, total)
 }
 
 func sparseKey(t tokens.ID, c uint8) uint64 { return uint64(c)<<32 | uint64(t) }
 
 // get returns the segments indexed so far under token t in class c.
 func (p *postings) get(t tokens.ID, c uint8) []int32 {
-	if p.flat == nil {
+	if p.mapped {
 		return p.sparse[sparseKey(t, c)]
 	}
 	o, r := int(t)-int(p.base), p.row[c]
@@ -702,9 +777,9 @@ func (p *postings) get(t tokens.ID, c uint8) []int32 {
 }
 
 // add appends segment k to token t's list in class c; the caller adds only
-// what newPostings counted.
+// what build counted.
 func (p *postings) add(t tokens.ID, c uint8, k int32) {
-	if p.flat == nil {
+	if p.mapped {
 		p.sparse[sparseKey(t, c)] = append(p.sparse[sparseKey(t, c)], k)
 		return
 	}

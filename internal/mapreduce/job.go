@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"fsjoin/internal/spill"
@@ -539,6 +540,28 @@ type jobEnv struct {
 	quarantine     *quarantineState
 	in             jobInput
 	feed           bool
+
+	// pos is the job's one ascending 0, 1, 2, … array: see positions.
+	posMu sync.Mutex
+	pos   []int32
+}
+
+// positions returns 0, 1, …, n-1: the units of a task over records or
+// groups addressed by position. Every task of the job gets a prefix of one
+// shared array, capped at n so no holder can append into it. Units are
+// only read (skip mode edits a copy), and a longer request grows into a
+// new array, so an array a task holds is never written again.
+func (env *jobEnv) positions(n int) []int32 {
+	env.posMu.Lock()
+	defer env.posMu.Unlock()
+	if len(env.pos) < n {
+		p := make([]int32, max(n, 2*len(env.pos)))
+		for i := range p {
+			p[i] = int32(i)
+		}
+		env.pos = p
+	}
+	return env.pos[:n:n]
 }
 
 // openTransport opens the job's shuffle channel on the configured (or
@@ -588,7 +611,7 @@ func runJob(env *jobEnv) (*Result, error) {
 	// ---- Map phase: splits of the KVs, or of positions in fed columns
 	// (Chain checks they fit an int32) ----
 	if c := env.in.chain; c != nil {
-		splits := splitInput(positions(c.len()), mapTasks)
+		splits := splitInput(env.positions(c.len()), mapTasks)
 		err = env.runPhase(mapTasks, func(t int) error { return mapTask(env, jt, t, splits[t], c.mapUnits, c.at) })
 	} else {
 		splits := splitInput(env.in.kvs, mapTasks)
@@ -694,7 +717,7 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
 		tc.Max(CounterSpillMergeWays, int64(in.maxWays))
 	}
 	start := time.Now()
-	ctx, err := attempts(env, tc, PhaseReduce, t, positions(in.Len()), env.reduceGroups(in),
+	ctx, err := attempts(env, tc, PhaseReduce, t, env.positions(in.Len()), env.reduceGroups(in),
 		func(g int32) (string, any) { return in.Key(int(g), spill.NewKeyArena(1)), nil })
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
@@ -938,16 +961,6 @@ func simPhase(cl *Cluster, taskTimes []time.Duration) time.Duration {
 		durs[i] = cl.scaleCPU(d) + cl.TaskOverhead
 	}
 	return cl.makespan(durs)
-}
-
-// positions returns 0, 1, …, n-1: the units of a task over records or
-// groups addressed by position.
-func positions(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	return p
 }
 
 // splitInput slices input into n contiguous, near-equal splits.

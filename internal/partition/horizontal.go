@@ -125,28 +125,34 @@ func (h *Horizontal) RegionOf(l int) int {
 // its region, plus up to two adjacent boundary partitions whose length
 // window contains l. Length-0 records are assigned nowhere.
 func (h *Horizontal) Assign(l int) []Assignment {
+	return h.AssignAppend(nil, l)
+}
+
+// AssignAppend appends what Assign returns to dst and returns the extended
+// slice, so a caller can reuse one buffer across records.
+func (h *Horizontal) AssignAppend(dst []Assignment, l int) []Assignment {
 	if l <= 0 {
-		return nil
+		return dst
 	}
 	region := h.RegionOf(l)
-	out := []Assignment{{Partition: region, Role: RoleRegion}}
+	dst = append(dst, Assignment{Partition: region, Role: RoleRegion})
 	t := len(h.pivots)
 	// Boundary i sits between regions i−1 and i (pivot index i−1).
 	// As the short side: record in region i−1 with l ≥ MinLen(L_i).
 	if region < t {
 		pivot := h.pivots[region]
 		if l >= h.fn.MinLen(h.theta, pivot) {
-			out = append(out, Assignment{Partition: t + 1 + region, Role: RoleSmall})
+			dst = append(dst, Assignment{Partition: t + 1 + region, Role: RoleSmall})
 		}
 	}
 	// As the long side: record in region i with l ≤ MaxLen(L_i).
 	if region > 0 {
 		pivot := h.pivots[region-1]
 		if l <= h.fn.MaxLen(h.theta, pivot) {
-			out = append(out, Assignment{Partition: t + region, Role: RoleLarge})
+			dst = append(dst, Assignment{Partition: t + region, Role: RoleLarge})
 		}
 	}
-	return out
+	return dst
 }
 
 // Joinable reports whether two records with the given roles may be paired

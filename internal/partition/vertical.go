@@ -155,11 +155,17 @@ type Segment struct {
 // Split cuts a canonical record into its non-empty segments in fragment
 // order. Segments share the record's token storage.
 func (sp *Splitter) Split(rec tokens.Record) []Segment {
-	ts := rec.Tokens
-	if len(ts) == 0 {
+	if len(rec.Tokens) == 0 {
 		return nil
 	}
-	segs := make([]Segment, 0, 4)
+	return sp.SplitAppend(make([]Segment, 0, 4), rec)
+}
+
+// SplitAppend appends rec's segments, as Split returns them, to dst and
+// returns the extended slice: a caller splitting record after record into
+// one reused buffer allocates nothing once it has grown.
+func (sp *Splitter) SplitAppend(dst []Segment, rec tokens.Record) []Segment {
+	ts := rec.Tokens
 	start := 0
 	for start < len(ts) {
 		frag := sp.FragmentOf(ts[start])
@@ -172,7 +178,7 @@ func (sp *Splitter) Split(rec tokens.Record) []Segment {
 		} else {
 			end = len(ts)
 		}
-		segs = append(segs, Segment{
+		dst = append(dst, Segment{
 			Fragment: frag,
 			Tokens:   ts[start:end],
 			StrLen:   len(ts),
@@ -181,5 +187,5 @@ func (sp *Splitter) Split(rec tokens.Record) []Segment {
 		})
 		start = end
 	}
-	return segs
+	return dst
 }
