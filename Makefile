@@ -22,9 +22,12 @@ race:
 	$(GO) test -race ./...
 
 # chaos runs the seeded fault-injection equivalence suites under the race
-# detector (DESIGN.md §7). Any failure is re-runnable from its seed.
+# detector (DESIGN.md §7). Any failure is re-runnable from its seed. It
+# then repeats the attempt-loop tests 20 times: their spill-leak checks
+# assert once, when the job returns, so a late cleanup fails them.
 chaos:
 	$(GO) test -race -run 'TestChaos' . ./internal/mapreduce/chaos/
+	$(GO) test -race -count=20 -run 'TestSkip|Cancel|TestSpillCleanup|TestChainAttempts|TestWithRetries|TestRetries' ./internal/mapreduce/
 
 # fuzz smoke-runs every native fuzz target briefly; CI uses the same
 # budget. The targets are whatever `go test -list` finds, package by

@@ -5,7 +5,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-	"time"
 
 	"fsjoin/internal/mapreduce"
 )
@@ -25,19 +24,12 @@ func chaosSeed(i int) int64 { return 9000 + int64(i)*1_000_003 }
 // (each mixing panics, transient errors, emit-phase failures and
 // straggler delays across map, combine and reduce tasks) derived from the
 // schedule index alone, so any failure is re-runnable from its seed. The
-// knob derivation cycles intensity through {0.2, 0.35, 0.5, 0.8}, enables
-// speculative execution on odd indices and retry backoff on every third.
+// derivation cycles intensity through {0.2, 0.35, 0.5, 0.8}.
 func chaosSchedules(n int) []FaultOptions {
 	out := make([]FaultOptions, n)
 	for i := range out {
 		f := seededChaos(chaosSeed(i), []float64{0.2, 0.35, 0.5, 0.8}[i%4])
 		f.MaxAttempts = 4
-		if i%2 == 1 {
-			f.SpeculativeDelay = 500 * time.Microsecond
-		}
-		if i%3 == 0 {
-			f.RetryBackoffBase = 50 * time.Microsecond
-		}
 		out[i] = f
 	}
 	return out
@@ -47,8 +39,8 @@ func chaosSchedules(n int) []FaultOptions {
 // pipeline and every baseline under the chaos matrix at parallelism 4
 // (and, for a third of the schedules, sequentially) and asserts pairs and
 // every deterministic statistic are byte-identical to the fault-free run.
-// Under -race this doubles as a concurrency audit of the retry,
-// speculation and injection paths.
+// Under -race this doubles as a concurrency audit of the retry and
+// injection paths.
 func TestChaosEquivalenceAllAlgorithms(t *testing.T) {
 	texts := corpus(60, 7)
 	schedules := chaosSchedules(28)
@@ -153,22 +145,12 @@ func TestChaosEquivalenceRS(t *testing.T) {
 	}
 }
 
-// waitNoSpillFiles asserts dir drains to empty, polling briefly because a
-// lost speculative attempt's spill files are discarded by a reaper
-// goroutine after the loser finishes, which may be shortly after the job
-// itself returns.
-func waitNoSpillFiles(t *testing.T, label, dir string) {
+// noSpillFiles asserts dir is empty. Every failed attempt is discarded
+// before the job returns, so the check is made once, at return.
+func noSpillFiles(t *testing.T, label, dir string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		ents, err := os.ReadDir(dir)
-		if err == nil && len(ents) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: spill files leaked: %v (read err %v)", label, ents, err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) > 0 {
+		t.Fatalf("%s: spill files leaked: %v (read err %v)", label, ents, err)
 	}
 }
 
@@ -176,8 +158,8 @@ func waitNoSpillFiles(t *testing.T, label, dir string) {
 // out-of-core shuffle: ten seeded fault schedules, a 1 KiB memory budget
 // that provably spills, parallelism 1 and 4. Every run must reproduce the
 // fault-free unbounded pairs and shuffle accounting byte-for-byte, and
-// every spill directory must drain to empty even when attempts are
-// retried or lose a speculative race mid-spill.
+// every spill directory must be empty when the join returns, even when
+// attempts were retried mid-spill.
 func TestChaosTinyBudgetEquivalence(t *testing.T) {
 	texts := corpus(200, 7)
 	base := Options{Threshold: 0.7, Nodes: 3, LocalParallelism: 1}
@@ -226,7 +208,7 @@ func TestChaosTinyBudgetEquivalence(t *testing.T) {
 					got.Stats.ShuffleRecords, got.Stats.ShuffleBytes,
 					want.Stats.ShuffleRecords, want.Stats.ShuffleBytes)
 			}
-			waitNoSpillFiles(t, label, dir)
+			noSpillFiles(t, label, dir)
 		}
 	}
 }

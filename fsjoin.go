@@ -192,10 +192,9 @@ type Options struct {
 	// worker pool. Results, counters and shuffle metrics are identical at
 	// every setting — only wall-clock time changes.
 	LocalParallelism int
-	// Fault configures task-level fault tolerance (retry budget, backoff,
-	// speculative execution) and, for testing, seeded fault injection for
-	// every algorithm. The zero value keeps Hadoop-style defaults and
-	// injects nothing.
+	// Fault configures task-level fault tolerance — the retry budget and
+	// skip mode — for every algorithm. The zero value keeps Hadoop-style
+	// defaults: four attempts per task, no record skipped.
 	Fault FaultOptions
 	// MemoryBudget caps each simulated map task's in-memory shuffle buffer,
 	// in bytes. Records beyond the budget spill to sorted runs in temp
@@ -236,7 +235,7 @@ type Options struct {
 }
 
 // FaultOptions is the public face of the engine's fault model (DESIGN.md
-// §7): how failing or straggling tasks are retried, raced or skipped.
+// §7): how failing tasks are retried, and poison records skipped.
 // Under any fault a join either returns output identical to the
 // fault-free run or an error; results are never silently perturbed, which
 // the package's tests check under seeded fault schedules.
@@ -244,13 +243,6 @@ type FaultOptions struct {
 	// MaxAttempts is the per-task attempt budget; 0 means 4, Hadoop's
 	// default.
 	MaxAttempts int
-	// RetryBackoffBase enables exponential backoff between task retries
-	// (base, doubling, capped at 8× base); 0 disables backoff.
-	RetryBackoffBase time.Duration
-	// SpeculativeDelay launches a backup copy of any task attempt still
-	// running after this duration and keeps the first copy to finish
-	// (straggler mitigation); 0 disables speculation.
-	SpeculativeDelay time.Duration
 	// SkipBadRecords enables Hadoop-style skip mode: when a task exhausts
 	// its attempts on the same deterministic panic, the engine bisects to
 	// the poison input record, quarantines it (Stats.RecordsSkipped, the
@@ -294,15 +286,11 @@ type QuarantinedRecord struct {
 func (o Options) faultPolicy() mapreduce.FaultPolicy {
 	f := o.Fault
 	fp := mapreduce.FaultPolicy{
-		MaxAttempts:      f.MaxAttempts,
-		SpeculativeDelay: f.SpeculativeDelay,
+		MaxAttempts:       f.MaxAttempts,
+		Injector:          f.injector,
+		SkipBadRecords:    f.SkipBadRecords,
+		MaxSkippedRecords: f.MaxSkippedRecords,
 	}
-	if f.RetryBackoffBase > 0 {
-		fp.Backoff = mapreduce.ExponentialBackoff(f.RetryBackoffBase, 8*f.RetryBackoffBase)
-	}
-	fp.Injector = f.injector
-	fp.SkipBadRecords = f.SkipBadRecords
-	fp.MaxSkippedRecords = f.MaxSkippedRecords
 	if sink := f.OnQuarantine; sink != nil {
 		fp.Quarantine = func(r mapreduce.QuarantinedRecord) {
 			sink(QuarantinedRecord{

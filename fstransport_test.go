@@ -186,8 +186,8 @@ type countingInjector struct {
 	faults *atomic.Int64
 }
 
-func (c countingInjector) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
-	f := c.Injector.Decide(phase, task, attempt)
+func (c countingInjector) Decide(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+	f := c.Injector.Decide(job, phase, task, attempt)
 	if f.Kind != mapreduce.FaultNone {
 		c.faults.Add(1)
 	}

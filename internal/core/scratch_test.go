@@ -134,7 +134,7 @@ func (w *watchedFilter) checkFreeList(label string) (dead int) {
 // first (the scratch is held).
 type faultsInFilterReduce struct{ seed int64 }
 
-func (f faultsInFilterReduce) DecideJob(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+func (f faultsInFilterReduce) Decide(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
 	if job != "filtering" || phase != mapreduce.PhaseReduce || attempt != 0 {
 		return mapreduce.Fault{}
 	}
@@ -148,10 +148,6 @@ func (f faultsInFilterReduce) DecideJob(job string, phase mapreduce.Phase, task,
 		return mapreduce.Fault{Kind: mapreduce.FaultRecordPanic, Msg: msg, Record: 1 + task%3}
 	}
 	return mapreduce.Fault{}
-}
-
-func (f faultsInFilterReduce) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
-	return f.DecideJob("", phase, task, attempt)
 }
 
 // deterministic is what a run must reproduce whatever its faults: pairs,

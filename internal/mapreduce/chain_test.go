@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // chainMapFault injects into the map tasks of the job named job: fault, on
@@ -19,9 +18,7 @@ type chainMapFault struct {
 	fault Fault
 }
 
-func (chainMapFault) Decide(Phase, int, int) Fault { return Fault{} }
-
-func (i chainMapFault) DecideJob(job string, phase Phase, task, attempt int) Fault {
+func (i chainMapFault) Decide(job string, phase Phase, task, attempt int) Fault {
 	if job != i.job || phase != PhaseMap || task != i.task || attempt >= i.until {
 		return Fault{}
 	}
@@ -88,47 +85,35 @@ func TestChainSkipsPoisonRecord(t *testing.T) {
 }
 
 // TestChainAttemptsLeaveNoSpillFiles: a chained map attempt that fails
-// after it spilled, and one that loses to its speculative copy, leave no
-// file behind under a 1 KiB budget, and the output is the fault-free one.
+// after it spilled leaves no file behind under a 1 KiB budget once the job
+// returns, and the output is the fault-free one.
 func TestChainAttemptsLeaveNoSpillFiles(t *testing.T) {
 	input := budgetInput(24, 40, 400)
 	want, _ := runChained(t, Env{}, false, input)
-	for _, tc := range []struct {
-		name    string
-		fault   Fault
-		counter string
-	}{
-		{"retried", Fault{Kind: FaultEmitPanic}, CounterRetries},
-		{"lost speculation", Fault{Kind: FaultDelay, Delay: 50 * time.Millisecond}, CounterSpeculative},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			env := Env{SpillDir: dir, Fault: FaultPolicy{
-				Injector: chainMapFault{job: "dedup", task: 0, until: 1, fault: tc.fault},
-			}}
-			if tc.fault.Kind == FaultDelay {
-				env.Fault.SpeculativeDelay = 2 * time.Millisecond
-			}
-			p := NewPipeline("chain", tinyCluster())
-			p.Env, p.MemoryBudgetBytes = env, 1<<10
-			first, err := p.Feed(Config{Name: "count", MapTasks: 2, ReduceTasks: 3}, input, wcMapper{}, wcReducer{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := p.Chain(Config{Name: "dedup", MapTasks: 3, ReduceTasks: 2}, first, FirstValue{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Output, want.Output) {
-				t.Fatal("chained output differs from the fault-free run")
-			}
-			if res.Counters.Get(tc.counter) == 0 || res.Metrics.SpillRuns == 0 {
-				t.Fatalf("%s = %d, %d spill runs: the fault did not play out", tc.counter,
-					res.Counters.Get(tc.counter), res.Metrics.SpillRuns)
-			}
-			noSpillFiles(t, dir, 2*time.Second)
-		})
-	}
+	t.Run("retried", func(t *testing.T) {
+		dir := t.TempDir()
+		p := NewPipeline("chain", tinyCluster())
+		p.Env = Env{SpillDir: dir, Fault: FaultPolicy{
+			Injector: chainMapFault{job: "dedup", task: 0, until: 1, fault: Fault{Kind: FaultEmitPanic}},
+		}}
+		p.MemoryBudgetBytes = 1 << 10
+		first, err := p.Feed(Config{Name: "count", MapTasks: 2, ReduceTasks: 3}, input, wcMapper{}, wcReducer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Chain(Config{Name: "dedup", MapTasks: 3, ReduceTasks: 2}, first, FirstValue{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Output, want.Output) {
+			t.Fatal("chained output differs from the fault-free run")
+		}
+		if res.Counters.Get(CounterRetries) == 0 || res.Metrics.SpillRuns == 0 {
+			t.Fatalf("%s = %d, %d spill runs: the fault did not play out", CounterRetries,
+				res.Counters.Get(CounterRetries), res.Metrics.SpillRuns)
+		}
+		noSpillFiles(t, dir)
+	})
 }
 
 // TestChainNeedsAFedStage: Chain refuses a result whose output was

@@ -18,8 +18,7 @@ import (
 )
 
 // Schedule describes one reproducible chaos run: the seeded fault plan
-// plus the fault-tolerance knobs (attempts, backoff, speculation) active
-// while it plays out. Every field is derived deterministically from
+// plus the retry budget it plays out under. Every field is derived deterministically from
 // (BaseSeed, Index) by Schedules.
 type Schedule struct {
 	// Seed drives the fault plan; see mapreduce.PlanConfig.Seed.
@@ -32,17 +31,12 @@ type Schedule struct {
 	MaxDelay time.Duration
 	// MaxAttempts is the engine retry budget the schedule runs under.
 	MaxAttempts int
-	// BackoffBase, when positive, enables exponential retry backoff.
-	BackoffBase time.Duration
-	// SpeculativeDelay, when positive, enables speculative re-execution.
-	SpeculativeDelay time.Duration
 }
 
 // Policy converts the schedule into the engine policy that realises it.
 func (s Schedule) Policy() mapreduce.FaultPolicy {
-	p := mapreduce.FaultPolicy{
-		MaxAttempts:      s.MaxAttempts,
-		SpeculativeDelay: s.SpeculativeDelay,
+	return mapreduce.FaultPolicy{
+		MaxAttempts: s.MaxAttempts,
 		Injector: mapreduce.NewSeededPlan(mapreduce.PlanConfig{
 			Seed:        s.Seed,
 			TargetRate:  s.Intensity,
@@ -50,32 +44,21 @@ func (s Schedule) Policy() mapreduce.FaultPolicy {
 			MaxDelay:    s.MaxDelay,
 		}),
 	}
-	if s.BackoffBase > 0 {
-		p.Backoff = mapreduce.ExponentialBackoff(s.BackoffBase, 8*s.BackoffBase)
-	}
-	return p
 }
 
 // At derives the i-th schedule of a base seed. The derivation varies
-// intensity, failure depth, backoff and speculation across indices so a
-// modest schedule count still covers the policy space: every third
-// schedule adds backoff, every second adds speculation, intensity cycles
-// through {0.2, 0.35, 0.5, 0.8}, and failure depth through {1, 2}.
+// intensity, failure depth and straggler length across indices so a
+// modest schedule count still covers the policy space: intensity cycles
+// through {0.2, 0.35, 0.5, 0.8}, failure depth through {1, 2}, and the
+// longest injected delay through {1, 2, 3} ms.
 func At(base int64, i int) Schedule {
-	s := Schedule{
+	return Schedule{
 		Seed:        base + int64(i)*1_000_003,
 		Intensity:   []float64{0.2, 0.35, 0.5, 0.8}[i%4],
 		MaxFailures: 1 + i%2,
 		MaxDelay:    time.Duration(1+i%3) * time.Millisecond,
 		MaxAttempts: 4,
 	}
-	if i%3 == 0 {
-		s.BackoffBase = 50 * time.Microsecond
-	}
-	if i%2 == 1 {
-		s.SpeculativeDelay = 500 * time.Microsecond
-	}
-	return s
 }
 
 // Schedules derives n schedules from a base seed.
@@ -88,7 +71,7 @@ func Schedules(base int64, n int) []Schedule {
 }
 
 // DeterministicCounters strips the engine's fault-handling bookkeeping
-// ("mapreduce.task.*" retry/speculation/backoff counts and
+// ("mapreduce.task.*" retry counts and
 // "mapreduce.fault.*" injection counts) from a counter snapshot, leaving
 // exactly the counters a fault-free run must reproduce.
 func DeterministicCounters(snap map[string]int64) map[string]int64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fsjoin/internal/mapreduce"
@@ -107,11 +108,20 @@ func TestChaosEngineEquivalence(t *testing.T) {
 }
 
 // TestChaosScheduleReRunnable: a schedule is reproducible from its seed
-// alone — two runs of the same schedule agree on output, and, for
-// schedules without speculation (whose backup launches are wall-clock
-// dependent) at parallelism 1, on the complete counter set including
-// retry and injection bookkeeping.
+// alone — two runs of the same schedule agree on output and, at
+// parallelism 1, on the complete counter set including retry and
+// injection bookkeeping.
 func TestChaosScheduleReRunnable(t *testing.T) {
+	full := func(i int, p mapreduce.FaultPolicy) map[string]int64 {
+		res, err := mapreduce.Run(mapreduce.Config{
+			Name: "rerun", Cluster: cluster(), MapTasks: 4, ReduceTasks: 3,
+			Combiner: chaosReducer{}, Fault: p,
+		}, chaosInput(24), chaosMapper{}, chaosReducer{})
+		if err != nil {
+			t.Fatalf("schedule %d: %v", i, err)
+		}
+		return res.Counters.Snapshot()
+	}
 	for i := 0; i < 8; i++ {
 		sched := At(977, i)
 		a := runJob(t, 1, sched.Policy())
@@ -119,20 +129,8 @@ func TestChaosScheduleReRunnable(t *testing.T) {
 		if !reflect.DeepEqual(a.output, b.output) {
 			t.Fatalf("schedule %d: re-run changed output", i)
 		}
-		if sched.SpeculativeDelay == 0 {
-			full := func(p mapreduce.FaultPolicy) map[string]int64 {
-				res, err := mapreduce.Run(mapreduce.Config{
-					Name: "rerun", Cluster: cluster(), MapTasks: 4, ReduceTasks: 3,
-					Combiner: chaosReducer{}, Fault: p,
-				}, chaosInput(24), chaosMapper{}, chaosReducer{})
-				if err != nil {
-					t.Fatalf("schedule %d: %v", i, err)
-				}
-				return res.Counters.Snapshot()
-			}
-			if x, y := full(sched.Policy()), full(sched.Policy()); !reflect.DeepEqual(x, y) {
-				t.Fatalf("schedule %d: bookkeeping counters not reproducible\n%v\n%v", i, x, y)
-			}
+		if x, y := full(i, sched.Policy()), full(i, sched.Policy()); !reflect.DeepEqual(x, y) {
+			t.Fatalf("schedule %d: bookkeeping counters not reproducible\n%v\n%v", i, x, y)
 		}
 	}
 }
@@ -160,10 +158,60 @@ func TestChaosFaultsActuallyFire(t *testing.T) {
 		"mapreduce.fault.injected.error",
 		"mapreduce.fault.injected.delay",
 		"mapreduce.task.retries",
-		"mapreduce.task.backoffs",
 	} {
 		if totals[want] == 0 {
 			t.Errorf("no %s across 40 schedules — harness inert", want)
+		}
+	}
+}
+
+// inFlight counts the calls into user code under way and keeps the
+// largest count seen.
+type inFlight struct{ now, max atomic.Int64 }
+
+func (f *inFlight) enter() {
+	n := f.now.Add(1)
+	for m := f.max.Load(); n > m && !f.max.CompareAndSwap(m, n); m = f.max.Load() {
+	}
+}
+
+func (f *inFlight) exit() { f.now.Add(-1) }
+
+// TestChaosParallelismOneIsSerial: at Parallelism 1 no two calls into
+// user code overlap — not under seeded faults and retries, and not while
+// skip mode bisects a poison record out of a map task.
+func TestChaosParallelismOneIsSerial(t *testing.T) {
+	input := chaosInput(40)
+	input[17].Value = "alpha POISON beta"
+	for _, sched := range Schedules(4321, 20) {
+		calls := &inFlight{}
+		mapper := mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
+			calls.enter()
+			defer calls.exit()
+			if strings.Contains(kv.Value.(string), "POISON") {
+				panic("poison record")
+			}
+			chaosMapper{}.Map(ctx, kv)
+		})
+		reducer := mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
+			calls.enter()
+			defer calls.exit()
+			chaosReducer{}.Reduce(ctx, key, values)
+		})
+		fault := sched.Policy()
+		fault.SkipBadRecords = true
+		res, err := mapreduce.Run(mapreduce.Config{
+			Name: "serial", Cluster: cluster(), MapTasks: 6, ReduceTasks: 5,
+			Parallelism: 1, Combiner: chaosReducer{}, Fault: fault,
+		}, input, mapper, reducer)
+		if err != nil {
+			t.Fatalf("seed %d: %v", sched.Seed, err)
+		}
+		if n := res.Counters.Get(mapreduce.CounterRecordsSkipped); n != 1 {
+			t.Fatalf("seed %d: %d records skipped, want the poison alone", sched.Seed, n)
+		}
+		if m := calls.max.Load(); m != 1 {
+			t.Fatalf("seed %d: %d calls into user code at once at parallelism 1", sched.Seed, m)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file is the engine's fault model: what can go wrong inside a task
 // attempt, how faults are injected deterministically for chaos testing,
-// and the retry/backoff/speculation policy that recovers from them. The
+// and the retry and skip policy that recovers from them. The
 // execution wiring lives in pool.go (attempt loop) and job.go (the
 // map/combine/reduce injection points); DESIGN.md §7 documents the model.
 
@@ -60,8 +60,8 @@ const (
 	// panic.
 	FaultError
 	// FaultDelay makes the attempt a straggler: it sleeps, then proceeds
-	// normally. Recoverable only by waiting — or by speculative
-	// re-execution (FaultPolicy.SpeculativeDelay).
+	// normally. Nothing recovers it but waiting; chaos runs use it to
+	// perturb task timing.
 	FaultDelay
 	// FaultRecordPanic panics when the task reaches its Fault.Record'th
 	// input record (map) or key group (reduce) — a poison record. Unlike
@@ -112,79 +112,37 @@ type Fault struct {
 	Record int
 }
 
-// Injector schedules faults. Decide is consulted once per (phase, task,
-// attempt) at the start of every attempt. Implementations must be pure
+// Injector schedules faults. Decide is consulted once per (job, phase,
+// task, attempt) at the start of every attempt. The job name lets one
+// injector inherited through a Pipeline target a specific stage — how
+// crash/recovery tests kill an algorithm "after stage k" without knowing
+// its task layout; most injectors ignore it. Implementations must be pure
 // functions of their arguments: the engine calls Decide from concurrent
 // workers in nondeterministic order, and a chaos run is reproducible only
 // because the schedule depends on nothing else.
 type Injector interface {
-	Decide(phase Phase, task, attempt int) Fault
+	Decide(job string, phase Phase, task, attempt int) Fault
 }
-
-// JobAwareInjector is an optional Injector extension consulted with the
-// job's name, letting one injector inherited through a Pipeline target a
-// specific stage — how crash/recovery tests kill an algorithm "after
-// stage k" without knowing its task layout. When an injector implements
-// both interfaces, DecideJob wins; the same purity contract applies.
-type JobAwareInjector interface {
-	DecideJob(job string, phase Phase, task, attempt int) Fault
-}
-
-// SpeculativeAttempt is the offset added to the attempt index passed to
-// Decide for speculative backup copies (see FaultPolicy.SpeculativeDelay).
-// Backups model re-execution on a healthy node, so seeded plans leave
-// attempts at or above this offset fault-free; a custom Injector may
-// target them to chaos-test speculation itself.
-const SpeculativeAttempt = 1 << 16
 
 // ProbeAttempt is the attempt index skip-mode bisection probes pass to
 // Decide (see FaultPolicy.SkipBadRecords). Probes replay prefixes of a
 // deterministically failing task's input outside the normal attempt loop;
-// like speculative backups they sit above SpeculativeAttempt, so seeded
-// chaos plans leave them fault-free, while injectors modelling a poison
-// record (FaultRecordPanic, pure in phase and task) reproduce it for the
-// probes to find.
-const ProbeAttempt = 2 << 16
-
-// BackoffFunc maps a retry number (1 = first retry) to the sleep taken
-// before that retry starts.
-type BackoffFunc func(retry int) time.Duration
-
-// ExponentialBackoff returns base << (retry-1), capped at max — the
-// standard doubling schedule. A non-positive base disables backoff.
-func ExponentialBackoff(base, max time.Duration) BackoffFunc {
-	return func(retry int) time.Duration {
-		if base <= 0 || retry < 1 {
-			return 0
-		}
-		d := base
-		for i := 1; i < retry && d < max; i++ {
-			d <<= 1
-		}
-		if max > 0 && d > max {
-			d = max
-		}
-		return d
-	}
-}
+// seeded chaos plans leave attempts at or above it fault-free, while
+// injectors modelling a poison record (FaultRecordPanic, pure in phase and
+// task) reproduce it for the probes to find.
+const ProbeAttempt = 1 << 16
 
 // FaultPolicy bundles a job's fault-tolerance and fault-injection knobs so
 // pipelines and algorithm options can carry them as one value. The zero
 // value keeps the engine's default behaviour: four attempts per task, no
-// backoff, no speculation, no injection.
+// injection. Whatever the policy, the attempts of one task run one at a
+// time, so at Config.Parallelism 1 one goroutine runs all user code.
 type FaultPolicy struct {
 	// MaxAttempts is how many times a failing (panicking) task is tried
 	// before the job aborts, mirroring Hadoop's task-level fault
-	// tolerance; 0 means 4, Hadoop's default.
+	// tolerance; 0 means 4, Hadoop's default. A retry starts as soon as
+	// the failed attempt has been discarded.
 	MaxAttempts int
-	// Backoff, when non-nil, sleeps between retry attempts.
-	Backoff BackoffFunc
-	// SpeculativeDelay, when positive, launches a backup copy of any
-	// attempt still running after this duration (straggler mitigation,
-	// Hadoop's speculative execution). The first copy to finish decides
-	// the attempt; the loser is abandoned. Requires the same concurrency
-	// safety from user code as Config.Parallelism > 1.
-	SpeculativeDelay time.Duration
 	// Injector, when non-nil, injects scheduled faults into every task
 	// attempt. Intended for tests; production jobs leave it nil.
 	Injector Injector
@@ -238,16 +196,11 @@ type QuarantinedRecord struct {
 
 // Counter names under which the engine surfaces every fault-handling
 // decision. The "mapreduce.task." and "mapreduce.fault." namespaces are
-// bookkeeping: they vary with the fault schedule (and, for speculation,
-// with wall-clock timing), so equivalence checks compare counters modulo
-// these prefixes — see chaos.DeterministicCounters.
+// bookkeeping: they vary with the fault schedule, so equivalence checks
+// compare counters modulo these prefixes — see chaos.DeterministicCounters.
 const (
 	// CounterRetries counts re-attempts after a failed task attempt.
 	CounterRetries = "mapreduce.task.retries"
-	// CounterSpeculative counts speculative backup launches.
-	CounterSpeculative = "mapreduce.task.speculative"
-	// CounterBackoffs counts backoff sleeps taken before retries.
-	CounterBackoffs = "mapreduce.task.backoffs"
 	// counterInjectedPrefix prefixes one counter per injected fault kind,
 	// e.g. "mapreduce.fault.injected.panic".
 	counterInjectedPrefix = "mapreduce.fault.injected."
@@ -263,10 +216,7 @@ func (c Config) decideFault(phase Phase, task, attempt int) Fault {
 	if c.Fault.Injector == nil {
 		return Fault{}
 	}
-	if ja, ok := c.Fault.Injector.(JobAwareInjector); ok {
-		return ja.DecideJob(c.Name, phase, task, attempt)
-	}
-	return c.Fault.Injector.Decide(phase, task, attempt)
+	return c.Fault.Injector.Decide(c.Name, phase, task, attempt)
 }
 
 // injectErr realises FaultError at the top of an attempt, outside the
@@ -363,8 +313,8 @@ func (c PlanConfig) withDefaults() PlanConfig {
 // kind; crash kinds fail the task's first 1..MaxFailures attempts with
 // attempt-varying messages (transient faults present different symptoms
 // each time, so the deterministic-failure early stop never trips), and
-// delay kinds make the first attempt a straggler. Speculative backup
-// attempts run clean, modelling re-execution on a healthy node.
+// delay kinds make the first attempt a straggler. Skip-mode probes
+// (ProbeAttempt) run clean.
 type SeededPlan struct {
 	cfg PlanConfig
 }
@@ -374,9 +324,9 @@ func NewSeededPlan(cfg PlanConfig) *SeededPlan {
 	return &SeededPlan{cfg: cfg.withDefaults()}
 }
 
-// Decide implements Injector.
-func (p *SeededPlan) Decide(phase Phase, task, attempt int) Fault {
-	if attempt >= SpeculativeAttempt {
+// Decide implements Injector; the plan targets every job alike.
+func (p *SeededPlan) Decide(_ string, phase Phase, task, attempt int) Fault {
+	if attempt >= ProbeAttempt {
 		return Fault{}
 	}
 	h := mix64(uint64(p.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(phase)*0xbf58476d1ce4e5b9 + uint64(task)*0x94d049bb133111eb + 1)

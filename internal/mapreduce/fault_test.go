@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // flakyMapper panics on its first failUntil attempts of each task, then
@@ -15,8 +14,8 @@ import (
 // panic message carries the attempt number: a transient fault presents a
 // different symptom each time, unlike a deterministic bug, which the engine
 // gives up on after one identical confirming retry. The attempt counters
-// are mutex-guarded: with Parallelism > 1 (or speculation) concurrent task
-// attempts hit the shared map.
+// are mutex-guarded: with Parallelism > 1 concurrent tasks hit the shared
+// map.
 type flakyMapper struct {
 	mu        sync.Mutex
 	attempts  map[int]int
@@ -215,22 +214,23 @@ func TestWithRetriesTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			counters := NewCounters()
 			attempts := 0
-			err := withRetries(Config{Fault: FaultPolicy{MaxAttempts: tc.maxAttempts}}, counters, func(a int) error {
+			won := &Context{}
+			ctx, err := withRetries(Config{Fault: FaultPolicy{MaxAttempts: tc.maxAttempts}}, counters, func(a int) (*Context, error) {
 				if a != attempts {
 					t.Fatalf("attempt index %d, want %d", a, attempts)
 				}
 				attempts++
 				if a < len(tc.failures) && tc.failures[a] != "" {
-					return errors.New(tc.failures[a])
+					return &Context{}, errors.New(tc.failures[a])
 				}
-				return nil
+				return won, nil
 			})
 			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("err = %v, want success", err)
+				if err != nil || ctx != won {
+					t.Fatalf("ctx, err = %p, %v, want the winning attempt's context", ctx, err)
 				}
-			} else if err == nil || err.Error() != tc.wantErr {
-				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			} else if err == nil || err.Error() != tc.wantErr || ctx != nil {
+				t.Fatalf("ctx, err = %p, %v, want nil, %q", ctx, err, tc.wantErr)
 			}
 			if attempts != tc.wantAttempts {
 				t.Fatalf("attempts = %d, want %d", attempts, tc.wantAttempts)
@@ -239,36 +239,5 @@ func TestWithRetriesTable(t *testing.T) {
 				t.Fatalf("retries = %d, want %d", got, tc.wantRetries)
 			}
 		})
-	}
-}
-
-// TestWithRetriesBackoff: a backoff policy is consulted before every
-// retry (not the first attempt) and its sleeps are counted.
-func TestWithRetriesBackoff(t *testing.T) {
-	counters := NewCounters()
-	var consulted []int
-	cfg := Config{Fault: FaultPolicy{
-		MaxAttempts: 3,
-		Backoff: func(retry int) time.Duration {
-			consulted = append(consulted, retry)
-			return time.Microsecond
-		},
-	}}
-	calls := 0
-	err := withRetries(cfg, counters, func(a int) error {
-		calls++
-		if a < 2 {
-			return fmt.Errorf("fail %d", a)
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	if !reflect.DeepEqual(consulted, []int{1, 2}) {
-		t.Fatalf("backoff consulted for retries %v, want [1 2]", consulted)
-	}
-	if counters.Get(CounterBackoffs) != 2 {
-		t.Fatalf("backoffs = %d, want 2", counters.Get(CounterBackoffs))
 	}
 }

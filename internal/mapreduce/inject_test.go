@@ -14,7 +14,7 @@ type scriptedInjector struct {
 	faults map[[3]int]Fault // (phase, task, attempt) -> fault
 }
 
-func (s scriptedInjector) Decide(phase Phase, task, attempt int) Fault {
+func (s scriptedInjector) Decide(_ string, phase Phase, task, attempt int) Fault {
 	return s.faults[[3]int{int(phase), task, attempt}]
 }
 
@@ -120,59 +120,6 @@ func TestFaultPolicyMaxAttemptsOverrides(t *testing.T) {
 
 func fmt_attempt(n int64) string { return "boom " + string(rune('0'+n)) }
 
-// TestSpeculativeExecutionBeatsStraggler: an injected straggler delay far
-// above the speculative threshold is rescued by a clean backup copy —
-// identical output, speculation counted.
-func TestSpeculativeExecutionBeatsStraggler(t *testing.T) {
-	inj := scriptedInjector{faults: map[[3]int]Fault{
-		{int(PhaseMap), 0, 0}: {Kind: FaultDelay, Delay: 200 * time.Millisecond},
-	}}
-	input := wcInput("a b a c", "b c d", "d e a")
-	cfg := Config{Cluster: tinyCluster(), MapTasks: 3, ReduceTasks: 2}
-	want, err := Run(cfg, input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Fault = FaultPolicy{Injector: inj, SpeculativeDelay: 2 * time.Millisecond}
-	start := time.Now()
-	got, err := Run(cfg, input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Output, want.Output) {
-		t.Fatal("speculative execution changed output")
-	}
-	if got.Counters.Get(CounterSpeculative) == 0 {
-		t.Fatal("no speculative launch counted")
-	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("job waited out the straggler (%v) — speculation ineffective", elapsed)
-	}
-}
-
-// TestSpeculativeBackupFailureFallsBack: if the backup crashes while the
-// original is merely slow, the original's result is kept.
-func TestSpeculativeBackupFailureFallsBack(t *testing.T) {
-	inj := scriptedInjector{faults: map[[3]int]Fault{
-		{int(PhaseMap), 0, 0}:                      {Kind: FaultDelay, Delay: 20 * time.Millisecond},
-		{int(PhaseMap), 0, 0 + SpeculativeAttempt}: {Kind: FaultPanic, Msg: "backup dies"},
-	}}
-	input := wcInput("a b a c", "b c d")
-	cfg := Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2}
-	want, err := Run(cfg, input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Fault = FaultPolicy{Injector: inj, SpeculativeDelay: time.Millisecond}
-	got, err := Run(cfg, input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Output, want.Output) {
-		t.Fatal("backup failure corrupted output")
-	}
-}
-
 // TestSeededPlanDeterministicAndOrderIndependent: Decide is a pure
 // function of (seed, phase, task, attempt) — same inputs, same fault, in
 // any call order — and distinct seeds differ somewhere.
@@ -184,11 +131,11 @@ func TestSeededPlanDeterministicAndOrderIndependent(t *testing.T) {
 	for task := 19; task >= 0; task-- { // reversed order on purpose
 		for _, ph := range []Phase{PhaseMap, PhaseCombine, PhaseReduce} {
 			for attempt := 0; attempt < 3; attempt++ {
-				x := a.Decide(ph, task, attempt)
-				if y := b.Decide(ph, task, attempt); x != y {
+				x := a.Decide("", ph, task, attempt)
+				if y := b.Decide("", ph, task, attempt); x != y {
 					t.Fatalf("same seed diverged at (%v,%d,%d): %+v vs %+v", ph, task, attempt, x, y)
 				}
-				if x != other.Decide(ph, task, attempt) {
+				if x != other.Decide("", ph, task, attempt) {
 					differs = true
 				}
 			}
@@ -200,27 +147,27 @@ func TestSeededPlanDeterministicAndOrderIndependent(t *testing.T) {
 }
 
 // TestSeededPlanRespectsContract: failures per task stay within
-// MaxFailures, messages vary by attempt (transient symptom), backups run
-// clean, and a zero-rate plan injects nothing.
+// MaxFailures, messages vary by attempt (transient symptom), skip-mode
+// probes run clean, and a zero-rate plan injects nothing.
 func TestSeededPlanRespectsContract(t *testing.T) {
 	p := NewSeededPlan(PlanConfig{Seed: 7, TargetRate: 1, MaxFailures: 2})
 	sawFault := false
 	for task := 0; task < 30; task++ {
 		for _, ph := range []Phase{PhaseMap, PhaseReduce} {
-			first := p.Decide(ph, task, 0)
+			first := p.Decide("", ph, task, 0)
 			if first.Kind == FaultNone {
 				continue
 			}
 			sawFault = true
-			if p.Decide(ph, task, 2).Kind != FaultNone && first.Kind != FaultDelay {
+			if p.Decide("", ph, task, 2).Kind != FaultNone && first.Kind != FaultDelay {
 				t.Fatalf("(%v,%d): still failing at attempt 2 with MaxFailures 2", ph, task)
 			}
-			second := p.Decide(ph, task, 1)
+			second := p.Decide("", ph, task, 1)
 			if second.Kind == first.Kind && second.Msg == first.Msg && first.Msg != "" {
 				t.Fatalf("(%v,%d): identical message across attempts defeats transient retry", ph, task)
 			}
-			if bk := p.Decide(ph, task, SpeculativeAttempt); bk.Kind != FaultNone {
-				t.Fatalf("(%v,%d): speculative backup not clean: %+v", ph, task, bk)
+			if pr := p.Decide("", ph, task, ProbeAttempt); pr.Kind != FaultNone {
+				t.Fatalf("(%v,%d): skip-mode probe not clean: %+v", ph, task, pr)
 			}
 		}
 	}
@@ -234,30 +181,11 @@ func TestSeededPlanRespectsContract(t *testing.T) {
 	none := 0
 	tiny := NewSeededPlan(PlanConfig{Seed: 7, TargetRate: 1e-12})
 	for task := 0; task < 50; task++ {
-		if tiny.Decide(PhaseMap, task, 0).Kind == FaultNone {
+		if tiny.Decide("", PhaseMap, task, 0).Kind == FaultNone {
 			none++
 		}
 	}
 	if none != 50 {
 		t.Fatalf("near-zero rate injected %d faults", 50-none)
-	}
-}
-
-// TestExponentialBackoff pins the doubling-and-cap shape.
-func TestExponentialBackoff(t *testing.T) {
-	b := ExponentialBackoff(10*time.Millisecond, 40*time.Millisecond)
-	for retry, want := range map[int]time.Duration{
-		0: 0,
-		1: 10 * time.Millisecond,
-		2: 20 * time.Millisecond,
-		3: 40 * time.Millisecond,
-		4: 40 * time.Millisecond, // capped
-	} {
-		if got := b(retry); got != want {
-			t.Errorf("backoff(%d) = %v, want %v", retry, got, want)
-		}
-	}
-	if d := ExponentialBackoff(0, time.Second)(3); d != 0 {
-		t.Errorf("zero base must disable backoff, got %v", d)
 	}
 }

@@ -138,18 +138,19 @@ type Config struct {
 	// context aborts the job with the context's error. Long joins remain
 	// cancellable without cooperative checks inside user map/reduce code.
 	Context context.Context
-	// Fault bundles retry backoff, speculative execution of stragglers and
-	// (for tests) scheduled fault injection; the zero value keeps the
-	// engine's default fault tolerance. See FaultPolicy.
+	// Fault bundles task retries, skip mode and (for tests) scheduled
+	// fault injection; the zero value keeps the engine's default fault
+	// tolerance. See FaultPolicy.
 	Fault FaultPolicy
 	// Parallelism is the number of tasks executed concurrently on the
 	// local machine; 0 or 1 means sequential (the default, which also
 	// gives the most accurate per-task CPU measurements for the cost
 	// model), and a negative value (AutoParallelism) means one worker per
-	// core. Values other than 0 and 1 require the mapper, combiner and
-	// reducer to be safe for concurrent use (the Context emit surface is
-	// always per-task). Output, counters and shuffle metrics are identical
-	// at every parallelism level.
+	// core. At 0 or 1 one goroutine runs all user code, retries and skip
+	// mode included. Values other than 0 and 1 require the mapper,
+	// combiner and reducer to be safe for concurrent use (the Context emit
+	// surface is always per-task). Output, counters and shuffle metrics
+	// are identical at every parallelism level.
 	Parallelism int
 	// MemoryBudgetBytes caps the intermediate bytes one map task buffers
 	// in memory before sorting and spilling a run to a temp file
@@ -181,23 +182,6 @@ func (c Config) cancelled() error {
 	default:
 	}
 	return nil
-}
-
-// wait sleeps for d, or returns the context's error as soon as the job is
-// cancelled.
-func (c Config) wait(d time.Duration) error {
-	if c.Context == nil {
-		time.Sleep(d)
-		return nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-c.Context.Done():
-		return c.Context.Err()
-	}
 }
 
 // cancelCheck returns the polling form of cancelled for components that
@@ -289,8 +273,8 @@ type Context struct {
 	// Local is the task attempt's own state: nil when the attempt starts,
 	// whatever the mapper or reducer stores there afterwards, and dropped
 	// with the attempt. The engine shares one Mapper (and one Reducer)
-	// across every task of the job and across concurrent speculative
-	// attempts of one task, so state that belongs to a single attempt — an
+	// across every task of the job, and tasks run concurrently under
+	// Config.Parallelism, so state that belongs to a single attempt — an
 	// in-mapper combiner's counts, filled in Map and emitted in Cleanup —
 	// cannot live in the mapper; a failed attempt's Local is never seen by
 	// its retry.
@@ -360,11 +344,10 @@ func (c *Context) flushCounters() {
 	c.local = nil
 }
 
-// discard releases everything a failed or abandoned task attempt buffered
-// — notably its shuffle sink's spill files. Only losing attempts are
-// discarded (retry predecessors, lost speculative copies, final failures);
-// the winning context's sink is handed to the reduce phase and reclaimed
-// through release.
+// discard releases everything a failed task attempt buffered — notably
+// its shuffle sink's spill files. Only failed attempts are discarded, by
+// the attempt loop before it moves on; the winning context's sink is
+// handed to the reduce phase and reclaimed through release.
 func (c *Context) discard() {
 	if c == nil {
 		return
@@ -483,6 +466,15 @@ func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error
 
 // run is Run over either kind of input; feed keeps the output for Chain.
 func run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*Result, error) {
+	env, err := newJobEnv(cfg, in, mapper, reducer, feed)
+	if err != nil {
+		return nil, err
+	}
+	return runJob(env)
+}
+
+// newJobEnv validates a job and resolves its execution parameters.
+func newJobEnv(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*jobEnv, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", cfg.Name)
 	}
@@ -506,7 +498,7 @@ func run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*R
 	}
 	reduceTasks := cfg.resolvedReduceTasks()
 	foldingReducer, folding := reducer.(FoldingReducer)
-	env := &jobEnv{
+	return &jobEnv{
 		cfg:            cfg,
 		cl:             cl,
 		mapper:         mapper,
@@ -520,8 +512,7 @@ func run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed bool) (*R
 		quarantine:     &quarantineState{},
 		in:             in,
 		feed:           feed,
-	}
-	return runJob(env)
+	}, nil
 }
 
 // jobEnv bundles one run's resolved execution parameters, shared by every
@@ -780,8 +771,8 @@ func (env *jobEnv) collectOutput(jt JobTransport, res *Result, phase Phase, task
 // probes, which inject without counting.
 type taskBody[U any] func(ctx *Context, units []U, f Fault, counters *Counters)
 
-// attempts executes one task's full attempt loop — retries, speculation
-// and, on deterministic failure, skip mode — and returns the winning
+// attempts executes one task's full attempt loop — retries and, on
+// deterministic failure, skip mode — and returns the winning
 // context. Every attempt is one Hadoop task attempt: its phase's scheduled
 // fault brackets the body, and for a map task of a job with a combiner the
 // combine fault fires inside that bracket, after the body (the folding
@@ -795,7 +786,7 @@ func attempts[U any](env *jobEnv, counters *Counters, phase Phase, t int, units 
 	cfg := env.cfg
 	shuffles := phase == PhaseMap && env.reducer != nil
 	loop := func(units []U) (*Context, error) {
-		return runAttempts(cfg, counters, func(a int) (*Context, error) {
+		return withRetries(cfg, counters, func(a int) (*Context, error) {
 			ctx := &Context{TaskID: t, Job: cfg, counters: counters}
 			if shuffles {
 				ctx.shuffle = newShuffleSink(cfg.Partitioner, env.reduceTasks, cfg.Combiner, env.budget, env.sdir, cfg.cancelCheck())

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // budgetInput is a wordcount corpus big enough that a few-KiB budget forces
@@ -24,28 +23,20 @@ func budgetInput(lines, wordsPerLine, vocab int) []KV {
 	return kvs
 }
 
-// noSpillFiles fails the test if dir still holds any entries. wait allows
-// asynchronous cleanup (a lost speculative copy is discarded by a reaper
-// goroutine) to finish.
-func noSpillFiles(t *testing.T, dir string, wait time.Duration) {
+// noSpillFiles fails the test if dir still holds any entries. Nothing
+// cleans up after a job has returned, so the check is made once.
+func noSpillFiles(t *testing.T, dir string) {
 	t.Helper()
-	deadline := time.Now().Add(wait)
-	for {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) > 0 {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
 		}
-		if len(ents) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			names := make([]string, len(ents))
-			for i, e := range ents {
-				names[i] = e.Name()
-			}
-			t.Fatalf("spill files leaked in %s: %v", dir, names)
-		}
-		time.Sleep(5 * time.Millisecond)
+		t.Fatalf("spill files leaked in %s: %v", dir, names)
 	}
 }
 
@@ -94,7 +85,7 @@ func TestMemoryBudgetEquivalence(t *testing.T) {
 					if budget == 4<<10 && res.Counters.Get(CounterSpillRuns) == 0 {
 						t.Fatalf("budget %d par %d: nothing spilled", budget, par)
 					}
-					noSpillFiles(t, cfg.SpillDir, 0)
+					noSpillFiles(t, cfg.SpillDir)
 				}
 			}
 		})
@@ -176,7 +167,7 @@ func TestMemoryBudgetEnvDefault(t *testing.T) {
 	if res.Counters.Get(CounterSpillRuns) == 0 {
 		t.Fatal("env budget did not take effect")
 	}
-	noSpillFiles(t, dir, 0)
+	noSpillFiles(t, dir)
 
 	forced, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2,
 		MemoryBudgetBytes: -1}, input, wcMapper{}, wcReducer{})
@@ -209,7 +200,7 @@ func TestSpillCleanupOnJobAbort(t *testing.T) {
 	if err == nil {
 		t.Fatal("job should have aborted")
 	}
-	noSpillFiles(t, dir, time.Second)
+	noSpillFiles(t, dir)
 }
 
 // TestSpillCleanupOnRetry: attempts that fail after spilling are discarded
@@ -251,39 +242,7 @@ func TestSpillCleanupOnRetry(t *testing.T) {
 	if res.Counters.Get(CounterRetries) == 0 {
 		t.Fatal("no retry happened")
 	}
-	noSpillFiles(t, dir, time.Second)
-}
-
-// TestSpillCleanupAfterLostSpeculation: a straggling original keeps
-// spilling after the backup wins; the reaper goroutine must still remove
-// the loser's files.
-func TestSpillCleanupAfterLostSpeculation(t *testing.T) {
-	input := budgetInput(16, 40, 80)
-	want, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2},
-		input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	inj := scriptedInjector{faults: map[[3]int]Fault{
-		{int(PhaseMap), 0, 0}: {Kind: FaultDelay, Delay: 50 * time.Millisecond},
-	}}
-	cfg := Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2,
-		MemoryBudgetBytes: 1 << 10, SpillDir: dir,
-		Fault: FaultPolicy{Injector: inj, SpeculativeDelay: 2 * time.Millisecond}}
-	res, err := Run(cfg, input, wcMapper{}, wcReducer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Output, want.Output) {
-		t.Fatal("speculative spilling job output differs")
-	}
-	if res.Counters.Get(CounterSpeculative) == 0 {
-		t.Fatal("no speculation launched")
-	}
-	// The losing copy finishes asynchronously; its discard must remove
-	// every file eventually.
-	noSpillFiles(t, dir, 2*time.Second)
+	noSpillFiles(t, dir)
 }
 
 // TestSpillUnencodableValuesStayCorrect: a job shuffling values without a
@@ -322,7 +281,7 @@ func TestSpillUnencodableValuesStayCorrect(t *testing.T) {
 	if res.Counters.Get(CounterSpillRuns) != 0 {
 		t.Fatal("unencodable values were spilled")
 	}
-	noSpillFiles(t, dir, 0)
+	noSpillFiles(t, dir)
 }
 
 // TestPipelineInheritsMemoryBudget: stages inherit the pipeline's budget
@@ -351,7 +310,7 @@ func TestPipelineInheritsMemoryBudget(t *testing.T) {
 	if p.MaxCounter(CounterShufflePeak) > p.Counter(CounterShufflePeak) {
 		t.Fatal("max across stages exceeds sum across stages")
 	}
-	noSpillFiles(t, dir, 0)
+	noSpillFiles(t, dir)
 }
 
 // TestMemoryBudgetEnvMalformed: an FSJOIN_MEMORY_BUDGET that is not an

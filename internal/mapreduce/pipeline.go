@@ -44,9 +44,9 @@ type Env struct {
 	// Context, when non-nil, cancels the pipeline at the next task
 	// boundary with the context's error.
 	Context context.Context
-	// Fault is the retry, speculation, skip-mode and (for tests) fault
-	// injection policy of every stage; see FaultPolicy. This is how a chaos
-	// schedule reaches every job of a multi-stage algorithm.
+	// Fault is the retry, skip-mode and (for tests) fault injection policy
+	// of every stage; see FaultPolicy. This is how a chaos schedule reaches
+	// every job of a multi-stage algorithm.
 	Fault FaultPolicy
 	// SpillDir is the parent directory for spill files; see
 	// Config.SpillDir.

@@ -197,14 +197,12 @@ func TestPipelineCheckpointTempSwept(t *testing.T) {
 	}
 }
 
-// killInjector fails every real attempt of one named job — the
-// JobAwareInjector hook crash tests use to stop a pipeline at stage k.
+// killInjector fails every real attempt of one named job — the hook
+// crash tests use to stop a pipeline at stage k.
 type killInjector struct{ job string }
 
-func (k killInjector) Decide(phase Phase, task, attempt int) Fault { return Fault{} }
-
-func (k killInjector) DecideJob(job string, phase Phase, task, attempt int) Fault {
-	if job == k.job && phase == PhaseMap && attempt < SpeculativeAttempt {
+func (k killInjector) Decide(job string, phase Phase, task, attempt int) Fault {
+	if job == k.job && phase == PhaseMap && attempt < ProbeAttempt {
 		return Fault{Kind: FaultError, Msg: "injected crash"}
 	}
 	return Fault{}

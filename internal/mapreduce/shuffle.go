@@ -85,9 +85,8 @@ func (s *shuffleSink) route(key string) int {
 	return r
 }
 
-// close removes any spill files. Used for sinks that lose their attempt
-// (retry, lost speculation) or whose job aborts; Buffer.Release covers the
-// happy path.
+// close removes any spill files. Used for sinks of a failed attempt or of
+// a job that aborts; Buffer.Release covers the happy path.
 func (s *shuffleSink) close() {
 	if s != nil {
 		s.buf.Close()

@@ -24,7 +24,9 @@ import (
 // re-executes the real attempt loop over the shrunken working set. size
 // reports the working set's current length. orig is the attempt-loop
 // failure that triggered skip mode, returned verbatim whenever the
-// failure turns out not to be record-skippable.
+// failure turns out not to be record-skippable. A probe or rerun that
+// fails with a cancellation ends skip mode with that error: a probe the
+// job's context stopped says nothing about the record it stopped at.
 func skipRun(size func() int, probe func(n int) error,
 	quarantine func(i int, cause error) error,
 	rerun func() (*Context, error), orig error) (*Context, error) {
@@ -37,7 +39,13 @@ func skipRun(size func() int, probe func(n int) error,
 			// not replay (combiner, injected attempt-scoped faults).
 			return nil, orig
 		}
-		if probe(0) != nil {
+		if isCancellation(cause) {
+			return nil, cause
+		}
+		if err := probe(0); err != nil {
+			if isCancellation(err) {
+				return nil, err
+			}
 			// Even the empty prefix fails: Setup/Cleanup is broken, no
 			// record is to blame.
 			return nil, orig
@@ -46,9 +54,13 @@ func skipRun(size func() int, probe func(n int) error,
 		lo, hi := 0, n
 		for hi-lo > 1 {
 			mid := lo + (hi-lo)/2
-			if err := probe(mid); err != nil {
+			err := probe(mid)
+			switch {
+			case isCancellation(err):
+				return nil, err
+			case err != nil:
 				hi, cause = mid, err
-			} else {
+			default:
 				lo = mid
 			}
 		}
@@ -56,8 +68,8 @@ func skipRun(size func() int, probe func(n int) error,
 			return nil, err
 		}
 		ctx, err := rerun()
-		if err == nil {
-			return ctx, nil
+		if err == nil || isCancellation(err) {
+			return ctx, err
 		}
 		// Another poison (or a genuinely new failure) — keep bisecting.
 		orig = err

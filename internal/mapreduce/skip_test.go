@@ -1,6 +1,9 @@
 package mapreduce
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -200,7 +203,7 @@ type recordFaultInjector struct {
 	task, record int
 }
 
-func (i recordFaultInjector) Decide(phase Phase, task, attempt int) Fault {
+func (i recordFaultInjector) Decide(_ string, phase Phase, task, attempt int) Fault {
 	if phase == PhaseMap && task == i.task {
 		return Fault{Kind: FaultRecordPanic, Record: i.record, Msg: "injected record fault"}
 	}
@@ -274,5 +277,71 @@ func TestSkipDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if seqSkip != 2 {
 		t.Errorf("skipped = %d, want 2", seqSkip)
+	}
+}
+
+// cancelAtProbe cancels the job when skip mode asks for its probe fault,
+// so every probe of the bisection runs under a cancelled context.
+type cancelAtProbe struct{ cancel context.CancelFunc }
+
+func (c cancelAtProbe) Decide(_ string, _ Phase, _, attempt int) Fault {
+	if attempt == ProbeAttempt {
+		c.cancel()
+	}
+	return Fault{}
+}
+
+// TestSkipEndsOnCancel: a job cancelled while skip mode bisects a map or a
+// reduce task ends with the cancellation and quarantines nothing. The
+// poison sits past the first CheckCancel stride, so every probe longer
+// than the stride fails with the cancellation, not the poison — a failure
+// that must not be taken for a poison record's.
+func TestSkipEndsOnCancel(t *testing.T) {
+	const units, poison = 4000, 3000
+	input := make([]KV, units)
+	for i := range input {
+		input[i] = KV{Key: fmt.Sprintf("k%04d", i)}
+	}
+	bad := input[poison].Key
+	count := MapFunc(func(ctx *Context, kv KV) { ctx.Emit(kv.Key, int64(1)) })
+	for _, tc := range []struct {
+		name    string
+		mapper  Mapper
+		reducer Reducer
+	}{
+		{"map", MapFunc(func(ctx *Context, kv KV) {
+			if kv.Key == bad {
+				panic("poison record " + bad)
+			}
+			count(ctx, kv)
+		}), wcReducer{}},
+		{"reduce", count, poisonKeyReducer{key: bad}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sinkCalls := 0
+			cfg := Config{
+				Name: "skip-cancel", Cluster: tinyCluster(), MapTasks: 1, ReduceTasks: 1, Context: ctx,
+				Fault: FaultPolicy{
+					MaxAttempts: 2, SkipBadRecords: true, Injector: cancelAtProbe{cancel},
+					Quarantine: func(QuarantinedRecord) { sinkCalls++ },
+				},
+			}
+			// A failed job returns no counters: the skip charge it keeps is
+			// what CounterRecordsSkipped would have summed.
+			env, err := newJobEnv(cfg, jobInput{kvs: input}, tc.mapper, tc.reducer, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = runJob(env)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if sinkCalls != 0 || env.quarantine.skipped != 0 {
+				t.Fatalf("quarantined %d records (%d sink calls) of a cancelled job, want none",
+					env.quarantine.skipped, sinkCalls)
+			}
+		})
 	}
 }

@@ -19,7 +19,9 @@ import (
 // injFunc adapts a function to Injector for scripted schedules.
 type injFunc func(phase Phase, task, attempt int) Fault
 
-func (f injFunc) Decide(phase Phase, task, attempt int) Fault { return f(phase, task, attempt) }
+func (f injFunc) Decide(_ string, phase Phase, task, attempt int) Fault {
+	return f(phase, task, attempt)
+}
 
 // transportFixture runs wordcount over a meaty input with the given
 // config mutations on both transports and returns the two results.

@@ -195,10 +195,10 @@ func (sumReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) { ctx.
 // folding every occurrence on the way.
 //
 // The counts are the attempt's, kept in Context.Local: the engine shares
-// this one mapper across tasks and across concurrent speculative attempts.
-// The mapper itself holds only the job's free list of zeroed count arrays,
-// so a job allocates as many as it runs attempts at once, not one per task
-// (40 tasks × 2 MB on a 250 000-token domain).
+// this one mapper across tasks, which run concurrently under
+// Config.Parallelism. The mapper itself holds only the job's free list of
+// zeroed count arrays, so a job allocates as many as it runs tasks at
+// once, not one per task (40 tasks × 2 MB on a 250 000-token domain).
 type denseCounter struct {
 	domain int // largest token id + 1
 

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/testutil"
@@ -249,7 +248,7 @@ func checkAgainstOracle(t *testing.T, o *Order, c *tokens.Collection, skip int32
 // anywhere else.
 type scripted func(task, attempt int) mapreduce.Fault
 
-func (s scripted) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+func (s scripted) Decide(_ string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
 	if phase != mapreduce.PhaseMap {
 		return mapreduce.Fault{}
 	}
@@ -257,8 +256,9 @@ func (s scripted) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fau
 }
 
 // TestOrderMatchesBruteForce pins the in-mapper counts to a brute-force
-// count wherever an attempt's state could leak: retried, raced, probed and
-// spilled map tasks, sequential and concurrent.
+// count wherever an attempt's state could leak: retried, probed and
+// spilled map tasks, sequential and concurrent (par4 drives concurrent
+// tasks through the one shared mapper).
 func TestOrderMatchesBruteForce(t *testing.T) {
 	c := randomCollection(3000, 700, 30, 11)
 	const noSkip = int32(-1)
@@ -269,23 +269,6 @@ func TestOrderMatchesBruteForce(t *testing.T) {
 		{"clean", func(*int32) mapreduce.FaultPolicy { return mapreduce.FaultPolicy{} }},
 		{"seeded chaos", func(*int32) mapreduce.FaultPolicy {
 			return mapreduce.FaultPolicy{Injector: mapreduce.NewSeededPlan(mapreduce.PlanConfig{Seed: 3, TargetRate: 0.6})}
-		}},
-		// The original of map task 1 sleeps 30 ms; its backup starts after
-		// 5 ms and sleeps 25 ms, so both run the split at the same moment
-		// through the one shared mapper.
-		{"two attempts at once", func(*int32) mapreduce.FaultPolicy {
-			return mapreduce.FaultPolicy{
-				SpeculativeDelay: 5 * time.Millisecond,
-				Injector: scripted(func(task, attempt int) mapreduce.Fault {
-					switch {
-					case task == 1 && attempt == 0:
-						return mapreduce.Fault{Kind: mapreduce.FaultDelay, Delay: 30 * time.Millisecond}
-					case task == 1 && attempt == mapreduce.SpeculativeAttempt:
-						return mapreduce.Fault{Kind: mapreduce.FaultDelay, Delay: 25 * time.Millisecond}
-					}
-					return mapreduce.Fault{}
-				}),
-			}
 		}},
 		// The first attempt of every map task dies with half its split
 		// counted; the retry must start from zero.

@@ -77,10 +77,13 @@ type Stats struct {
 var errClosed = errors.New("spill: buffer closed")
 
 // Buffer is a partitioned KV buffer with a memory budget. One task
-// goroutine Adds; after the map barrier, concurrent reduce goroutines may
-// Drain and Release distinct partitions. Close may race only with Add
-// (an abandoned speculative attempt being discarded mid-emit) — the
-// mutex covers exactly that pair.
+// goroutine Adds, spills and reads Stats; after the map barrier,
+// concurrent reduce goroutines may Drain and Release distinct partitions,
+// and the last Release — or the job's transport, when the job aborts —
+// Closes it. Each task attempt has a buffer of its own, discarded before
+// the next attempt starts, so nothing Adds to a buffer being closed. The
+// mutex guards the spill state Close tears down (dir, runs and their
+// counts), so Close is safe from whichever goroutine ends the buffer.
 type Buffer struct {
 	cfg       Config
 	fold      folder
@@ -430,9 +433,7 @@ func (b *Buffer) Release(part int) {
 }
 
 // Close removes the buffer's spill files and directory. Idempotent; a
-// closed buffer rejects further spills (its in-memory tail still Adds,
-// which only matters for abandoned speculative attempts whose output is
-// discarded anyway).
+// closed buffer rejects further spills.
 func (b *Buffer) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -291,9 +291,9 @@ func (r *Records) trim() {
 // Groups is a Records cut into key groups, in key order: group g has the
 // key Abbrev(g) abbreviates — Key(g, a) as a string — and accounted size
 // Sizes[g]. A Groups holds nothing of the records it was cut from, and
-// nothing a reader changes: the reduce attempts of one task, speculative
-// ones included, read one Groups at once, each building key strings in an
-// arena of its own.
+// nothing a reader changes: the attempts of one reduce task and skip
+// mode's probes read the one Groups in turn, each building key strings in
+// an arena of its own.
 type Groups struct {
 	Sizes []int64
 	keys  []KeyIndex // group g's key abbreviated, position 0

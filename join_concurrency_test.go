@@ -55,7 +55,7 @@ func TestConcurrentJoinsSharedOptions(t *testing.T) {
 // deterministic failure and stops retrying.
 type deterministicCrash struct{}
 
-func (deterministicCrash) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+func (deterministicCrash) Decide(_ string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
 	if phase == mapreduce.PhaseMap && task == 0 {
 		return mapreduce.Fault{Kind: mapreduce.FaultPanic, Msg: "injected deterministic crash"}
 	}

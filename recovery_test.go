@@ -22,11 +22,7 @@ type jobRecorder struct {
 	jobs []string
 }
 
-func (r *jobRecorder) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
-	return mapreduce.Fault{}
-}
-
-func (r *jobRecorder) DecideJob(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+func (r *jobRecorder) Decide(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
 	r.mu.Lock()
 	if !r.seen[job] {
 		if r.seen == nil {
@@ -43,12 +39,8 @@ func (r *jobRecorder) DecideJob(job string, phase mapreduce.Phase, task, attempt
 // that pipeline stage.
 type jobKiller struct{ job string }
 
-func (k jobKiller) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
-	return mapreduce.Fault{}
-}
-
-func (k jobKiller) DecideJob(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
-	if job == k.job && phase == mapreduce.PhaseMap && attempt < mapreduce.SpeculativeAttempt {
+func (k jobKiller) Decide(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+	if job == k.job && phase == mapreduce.PhaseMap && attempt < mapreduce.ProbeAttempt {
 		return mapreduce.Fault{Kind: mapreduce.FaultError, Msg: "injected crash"}
 	}
 	return mapreduce.Fault{}
@@ -307,11 +299,7 @@ type recordPoisoner struct {
 	allTasks bool
 }
 
-func (p recordPoisoner) Decide(phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
-	return mapreduce.Fault{}
-}
-
-func (p recordPoisoner) DecideJob(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
+func (p recordPoisoner) Decide(job string, phase mapreduce.Phase, task, attempt int) mapreduce.Fault {
 	if phase != mapreduce.PhaseMap {
 		return mapreduce.Fault{}
 	}

@@ -313,7 +313,7 @@ func TestRSJoinSpillEquivalence(t *testing.T) {
 					got.Stats.RSCandidates, got.Stats.RSPairs,
 					want.Stats.RSCandidates, want.Stats.RSPairs)
 			}
-			waitNoSpillFiles(t, cfg.label, dir)
+			noSpillFiles(t, cfg.label, dir)
 		})
 	}
 }

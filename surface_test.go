@@ -36,8 +36,7 @@ func TestPublicSurface(t *testing.T) {
 			"LocalParallelism", "Fault", "MemoryBudget", "SpillDir", "CheckpointDir", "FileShuffle",
 		}},
 		{"FaultOptions", fields(FaultOptions{}), []string{
-			"MaxAttempts", "RetryBackoffBase", "SpeculativeDelay",
-			"SkipBadRecords", "MaxSkippedRecords", "OnQuarantine",
+			"MaxAttempts", "SkipBadRecords", "MaxSkippedRecords", "OnQuarantine",
 		}},
 		{"IndexOptions", fields(IndexOptions{}), []string{"Threshold", "Function"}},
 		{"ServerOptions", fields(ServerOptions{}), []string{
