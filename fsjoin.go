@@ -121,14 +121,16 @@ const (
 	RandomPivots
 )
 
-func (p PivotSelection) internal() partition.PivotMethod {
+func (p PivotSelection) internal() (partition.PivotMethod, error) {
 	switch p {
+	case EvenTF:
+		return partition.EvenTF, nil
 	case EvenInterval:
-		return partition.EvenInterval
+		return partition.EvenInterval, nil
 	case RandomPivots:
-		return partition.Random
+		return partition.Random, nil
 	default:
-		return partition.EvenTF
+		return 0, fmt.Errorf("fsjoin: unknown pivot selection %d", int(p))
 	}
 }
 
@@ -145,14 +147,16 @@ const (
 	LoopJoin
 )
 
-func (j JoinMethod) internal() fragjoin.Method {
+func (j JoinMethod) internal() (fragjoin.Method, error) {
 	switch j {
+	case PrefixJoin:
+		return fragjoin.Prefix, nil
 	case IndexJoin:
-		return fragjoin.Index
+		return fragjoin.Index, nil
 	case LoopJoin:
-		return fragjoin.Loop
+		return fragjoin.Loop, nil
 	default:
-		return fragjoin.Prefix
+		return 0, fmt.Errorf("fsjoin: unknown join method %d", int(j))
 	}
 }
 

@@ -200,6 +200,15 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := SelfJoinStrings(texts, Options{Threshold: 0.5, Function: Similarity(99)}); err == nil {
 		t.Fatal("unknown function accepted")
 	}
+	// An unknown kernel or pivot selection used to run as the default.
+	for _, algo := range []Algorithm{FSJoin, FSJoinV, RIDPairsPPJoin, VSmartJoin, MassJoinMerge, MassJoinMergeLight, ApproxLSHJoin} {
+		if _, err := SelfJoinStrings(texts, Options{Threshold: 0.5, Algorithm: algo, JoinMethod: JoinMethod(9)}); err == nil {
+			t.Fatalf("%v: unknown join method accepted", algo)
+		}
+		if _, err := SelfJoinStrings(texts, Options{Threshold: 0.5, Algorithm: algo, PivotSelection: PivotSelection(9)}); err == nil {
+			t.Fatalf("%v: unknown pivot selection accepted", algo)
+		}
+	}
 }
 
 func TestWorkBudgetSurfacesError(t *testing.T) {

@@ -46,21 +46,28 @@ var transportAlgos = []struct {
 
 // TestFileShuffleEquivalence proves Options.FileShuffle is invisible:
 // pairs and deterministic statistics match the in-memory shuffle exactly,
-// for self-joins and R-S joins alike.
+// for every algorithm, self-joins and R-S joins alike. A file shuffle
+// encodes every value a stage shuffles or outputs, so this is also the
+// guard that each of them has a codec.
 func TestFileShuffleEquivalence(t *testing.T) {
 	texts := corpus(60, 7)
-	type tc struct {
+	cases := []struct {
 		name string
 		algo Algorithm
 		rs   bool
-	}
-	var cases []tc
-	for _, a := range transportAlgos {
-		cases = append(cases, tc{a.name, a.algo, false})
-	}
-	cases = append(cases, tc{"massjoin", MassJoinMerge, false})
-	for _, a := range transportAlgos {
-		cases = append(cases, tc{a.name + "-rs", a.algo, true})
+	}{
+		{"fs", FSJoin, false},
+		{"fs-v", FSJoinV, false},
+		{"ridpairs", RIDPairsPPJoin, false},
+		{"vsmart", VSmartJoin, false},
+		{"massjoin", MassJoinMerge, false},
+		{"massjoin-light", MassJoinMergeLight, false},
+		{"approx", ApproxLSHJoin, false},
+		{"fs-rs", FSJoin, true},
+		{"fs-v-rs", FSJoinV, true},
+		{"ridpairs-rs", RIDPairsPPJoin, true},
+		{"vsmart-rs", VSmartJoin, true},
+		{"approx-rs", ApproxLSHJoin, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -31,13 +31,6 @@ import (
 // or the meaning of the sections does.
 const formatVersion = 2
 
-// ErrUnencodable marks a snapshot whose values have no spill codec. The
-// pipeline treats it as "this stage cannot be checkpointed" and keeps
-// running — mirroring the spill buffer, which pins unencodable values in
-// memory instead of failing the job. Every other failure of a save (the
-// disk, the section guard) is not this error and fails the stage.
-var ErrUnencodable = frame.ErrEncode
-
 // Record is one persisted output pair.
 type Record struct {
 	Key   string
@@ -170,7 +163,7 @@ func (s *Store) fileName(stage int, job string) string {
 
 // Save atomically and durably persists one stage (frame.Publish), so
 // readers only ever observe complete checkpoints. A value without a spill
-// codec aborts the write and returns ErrUnencodable.
+// codec aborts the write with spill.ErrNoCodec.
 func (s *Store) Save(m Manifest, recs []Record) error {
 	m.Format = formatVersion
 	m.Records = int64(len(recs))

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fsjoin/internal/frame"
+	"fsjoin/internal/spill"
 )
 
 // testSnapshot is a representative stage result: builtin-codec values of
@@ -179,8 +180,8 @@ func TestSaveUnencodableValue(t *testing.T) {
 	m, _ := testSnapshot()
 	type opaque struct{ ch chan int }
 	err := s.Save(m, []Record{{Key: "k", Value: opaque{}}})
-	if !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("Save = %v, want ErrUnencodable", err)
+	if !errors.Is(err, spill.ErrNoCodec) {
+		t.Fatalf("Save = %v, want spill.ErrNoCodec", err)
 	}
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
@@ -190,7 +191,7 @@ func TestSaveUnencodableValue(t *testing.T) {
 
 // TestSaveWriteFailureIsNotUnencodable: a checkpoint over a megabyte flushes
 // sections to disk from inside Record. A disk error there is a failed save
-// that the pipeline must see — not ErrUnencodable, which it skips.
+// of its own — not spill.ErrNoCodec, which names the caller's data.
 func TestSaveWriteFailureIsNotUnencodable(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -209,8 +210,8 @@ func TestSaveWriteFailureIsNotUnencodable(t *testing.T) {
 		})
 		err := s.Save(m, recs)
 		frame.SetFailHook(nil)
-		if !errors.Is(err, boom) || errors.Is(err, ErrUnencodable) {
-			t.Fatalf("%s failure: Save = %v, want the injected error and not ErrUnencodable", op, err)
+		if !errors.Is(err, boom) || errors.Is(err, spill.ErrNoCodec) {
+			t.Fatalf("%s failure: Save = %v, want the injected error and not spill.ErrNoCodec", op, err)
 		}
 		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 			t.Fatalf("%s failure: Save left %s behind", op, entries[0].Name())
@@ -292,7 +293,7 @@ func TestFingerprint(t *testing.T) {
 	// An unencodable value poisons the fingerprint.
 	z := NewFingerprint()
 	z.KV("k", struct{ ch chan int }{})
-	if z.Err() == nil || z.Hex() != "" {
-		t.Fatalf("unencodable value: Err=%v Hex=%q, want error and empty", z.Err(), z.Hex())
+	if !errors.Is(z.Err(), spill.ErrNoCodec) || z.Hex() != "" {
+		t.Fatalf("unencodable value: Err=%v Hex=%q, want spill.ErrNoCodec and empty", z.Err(), z.Hex())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 
 	"fsjoin/internal/spill"
@@ -14,8 +15,7 @@ import (
 // input content — into one SHA-256 digest. Every field is length-framed
 // before hashing so distinct field sequences can never collide by
 // concatenation. Input values are hashed in their spill encoding; a value
-// with no codec poisons the fingerprint (Err reports it), which callers
-// treat as "this stage cannot be fingerprinted, run it uncheckpointed".
+// with no codec poisons the fingerprint, and Err reports spill.ErrNoCodec.
 type Fingerprint struct {
 	h       hash.Hash
 	scratch []byte
@@ -49,7 +49,7 @@ func (f *Fingerprint) KV(key string, v any) {
 	f.Str(key)
 	val, err := spill.AppendEncoded(f.scratch[:0], v)
 	if err != nil {
-		f.err = ErrUnencodable
+		f.err = fmt.Errorf("checkpoint: stage input: %w", err)
 		return
 	}
 	f.scratch = val
@@ -58,7 +58,8 @@ func (f *Fingerprint) KV(key string, v any) {
 	f.h.Write(val)
 }
 
-// Err reports whether any folded value was unencodable.
+// Err returns the error of the first input value that could not be
+// encoded, nil while there is none.
 func (f *Fingerprint) Err() error { return f.err }
 
 // Hex returns the accumulated digest ("" once Err is set).

@@ -55,10 +55,6 @@ const (
 	recLast, recMore = 0, 1
 )
 
-// ErrEncode marks a Record whose value has no spill codec — the one
-// Publish failure that is the caller's data, not the disk.
-var ErrEncode = errors.New("record value has no spill codec")
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Test seams, nil in production. The kill hook is called with the name of
@@ -158,14 +154,15 @@ func (w *Writer) put(payload []byte) error {
 }
 
 // Record adds one shuffle record; records are packed into sections of
-// about a megabyte that Records and ReadRecords decode.
+// about a megabyte that Records and ReadRecords decode. A value with no
+// codec fails it with spill.ErrNoCodec.
 func (w *Writer) Record(key string, v any) error {
 	if len(w.chunk) == 0 {
 		w.chunk = append(w.chunk, recLast)
 	}
 	chunk, err := spill.AppendRecord(w.chunk, key, v)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrEncode, err)
+		return fmt.Errorf("frame: %w", err)
 	}
 	if w.chunk = chunk; len(chunk) >= chunkBytes {
 		return w.Flush()

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"fsjoin/internal/spill"
 )
 
 var testHeader = []byte("test-owner fp=abc")
@@ -156,8 +158,8 @@ func TestRecordsRoundTrip(t *testing.T) {
 	}
 	type opaque struct{ ch chan int }
 	err = Publish(dir, "bad", testHeader, false, func(w *Writer) error { return w.Record("k", opaque{}) })
-	if !errors.Is(err, ErrEncode) {
-		t.Fatalf("Publish of an unencodable record: %v, want ErrEncode", err)
+	if !errors.Is(err, spill.ErrNoCodec) {
+		t.Fatalf("Publish of an unencodable record: %v, want spill.ErrNoCodec", err)
 	}
 	if got := fileNames(t, dir); !reflect.DeepEqual(got, []string{"r"}) {
 		t.Fatalf("failed publish left %v", got)

@@ -14,9 +14,9 @@ package mapreduce
 
 // KV is a key/value pair flowing through a MapReduce job. Keys are strings
 // (binary-safe); values are arbitrary. A value crossing the shuffle is
-// accounted at its type's registered spill.Codec.Size (spill.Sizer), and
-// one of a type with no codec stays in memory instead of spilling under a
-// memory budget.
+// accounted at its type's registered spill.Codec.Size (spill.Sizer). A
+// value of a type with no codec fails the job with spill.ErrNoCodec where
+// it must cross the disk: a spill run, a checkpoint or a transport frame.
 type KV struct {
 	// Key groups values in the shuffle.
 	Key string

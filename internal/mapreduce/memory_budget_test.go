@@ -245,45 +245,6 @@ func TestSpillCleanupOnRetry(t *testing.T) {
 	noSpillFiles(t, dir)
 }
 
-// TestSpillUnencodableValuesStayCorrect: a job shuffling values without a
-// codec still runs correctly under a tiny budget (records pin in memory
-// instead of spilling — the process-wide env budget must never break
-// arbitrary jobs).
-func TestSpillUnencodableValuesStayCorrect(t *testing.T) {
-	type opaque struct{ n int64 } // no spill codec registered
-	input := budgetInput(8, 20, 30)
-	mapper := MapFunc(func(ctx *Context, kv KV) {
-		for _, w := range strings.Fields(kv.Value.(string)) {
-			ctx.Emit(w, opaque{n: 1})
-		}
-	})
-	reducer := ReduceFunc(func(ctx *Context, key string, values []any) {
-		var n int64
-		for _, v := range values {
-			n += v.(opaque).n
-		}
-		ctx.Emit(key, n)
-	})
-	dir := t.TempDir()
-	res, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2,
-		MemoryBudgetBytes: 256, SpillDir: dir}, input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2},
-		input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Output, want.Output) {
-		t.Fatal("pinned-value job output differs")
-	}
-	if res.Counters.Get(CounterSpillRuns) != 0 {
-		t.Fatal("unencodable values were spilled")
-	}
-	noSpillFiles(t, dir)
-}
-
 // TestPipelineInheritsMemoryBudget: stages inherit the pipeline's budget
 // and spill dir, and MaxCounter aggregates the peak across stages.
 func TestPipelineInheritsMemoryBudget(t *testing.T) {

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -32,7 +31,7 @@ type Pipeline struct {
 	Env
 
 	stages []stageResult
-	stores map[string]*checkpoint.Store
+	store  *checkpoint.Store // opened on the first checkpointed stage
 	ckpt   CheckpointStats
 }
 
@@ -57,9 +56,9 @@ type Env struct {
 	// name + CheckpointSalt + stage position + job name + reduce-task
 	// count + full input content) matches replays the stage from disk
 	// byte-identically instead of re-executing it. Stale or corrupt
-	// checkpoints are discarded and recomputed, never trusted. Stages
-	// whose input or output values have no spill codec are run
-	// uncheckpointed (counted in CheckpointStats.Skipped).
+	// checkpoints are discarded and recomputed, never trusted. A stage
+	// whose input or output holds a value with no spill codec fails with
+	// spill.ErrNoCodec.
 	CheckpointDir string
 	// CheckpointSalt folds the caller's configuration into every stage
 	// fingerprint, so one directory reused under different algorithm
@@ -80,10 +79,10 @@ func (e Env) inherit(cfg *Config) {
 }
 
 // CheckpointStats reports a pipeline's checkpoint activity. Every stage
-// that runs with a checkpoint directory lands in exactly one of Hits,
-// Misses or Skipped; Corrupt additionally counts the subset of misses
-// caused by a checksum-failing or undecodable file (a stale fingerprint —
-// ordinary configuration or input drift — is a plain miss).
+// that runs with a checkpoint directory is either a hit or a miss; Corrupt
+// additionally counts the subset of misses caused by a checksum-failing or
+// undecodable file (a stale fingerprint — ordinary configuration or input
+// drift — is a plain miss).
 type CheckpointStats struct {
 	// Hits is the number of stages replayed from disk.
 	Hits int64
@@ -91,9 +90,6 @@ type CheckpointStats struct {
 	Misses int64
 	// Corrupt is the number of discarded corrupt checkpoint files.
 	Corrupt int64
-	// Skipped is the number of stages that could not be checkpointed
-	// because a value had no spill codec.
-	Skipped int64
 }
 
 type stageResult struct {
@@ -145,21 +141,18 @@ func (p *Pipeline) run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, 
 	}
 	p.inherit(&cfg)
 	stage := len(p.stages)
-	var (
-		store *checkpoint.Store
-		fp    string
-	)
+	var fp string
 	if cfg.CheckpointDir != "" {
 		var err error
-		if store, err = p.store(cfg.CheckpointDir); err != nil {
-			return nil, fmt.Errorf("pipeline %s: %w", p.Name, err)
+		if p.store == nil {
+			if p.store, err = checkpoint.Open(cfg.CheckpointDir); err != nil {
+				return nil, fmt.Errorf("pipeline %s: %w", p.Name, err)
+			}
 		}
-		fp = p.stageFingerprint(stage, cfg, in)
-		if fp == "" {
-			// An input value has no spill codec: the stage cannot be
-			// fingerprinted, so it runs uncheckpointed.
-			store, p.ckpt.Skipped = nil, p.ckpt.Skipped+1
-		} else if res := p.replay(store, stage, cfg, fp, feed); res != nil {
+		if fp, err = p.stageFingerprint(stage, cfg, in); err != nil {
+			return nil, fmt.Errorf("pipeline %s: job %q: %w", p.Name, cfg.Name, err)
+		}
+		if res := p.replay(stage, cfg, fp, feed); res != nil {
 			p.stages = append(p.stages, stageResult{metrics: res.Metrics, counters: res.Counters.Snapshot()})
 			return res, nil
 		}
@@ -168,29 +161,13 @@ func (p *Pipeline) run(cfg Config, in jobInput, mapper Mapper, reducer Reducer, 
 	if err != nil {
 		return nil, fmt.Errorf("pipeline %s: %w", p.Name, err)
 	}
-	if store != nil {
-		if err := p.save(store, stage, cfg, fp, res); err != nil {
-			return nil, fmt.Errorf("pipeline %s: %w", p.Name, err)
+	if cfg.CheckpointDir != "" {
+		if err := p.save(stage, cfg, fp, res); err != nil {
+			return nil, fmt.Errorf("pipeline %s: job %q: %w", p.Name, cfg.Name, err)
 		}
 	}
 	p.stages = append(p.stages, stageResult{metrics: res.Metrics, counters: res.Counters.Snapshot()})
 	return res, nil
-}
-
-// store opens (and caches) the checkpoint store for one directory.
-func (p *Pipeline) store(dir string) (*checkpoint.Store, error) {
-	if s, ok := p.stores[dir]; ok {
-		return s, nil
-	}
-	s, err := checkpoint.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	if p.stores == nil {
-		p.stores = map[string]*checkpoint.Store{}
-	}
-	p.stores[dir] = s
-	return s, nil
 }
 
 // stageFingerprint derives the stage's checkpoint key. It covers
@@ -198,8 +175,8 @@ func (p *Pipeline) store(dir string) (*checkpoint.Store, error) {
 // caller configuration salt, stage position, job name, resolved
 // reduce-task count (partitioning differs with it) and the stage's full
 // input content in spill encoding (a chained stage's read out of the
-// columns). Returns "" when an input value has no codec.
-func (p *Pipeline) stageFingerprint(stage int, cfg Config, in jobInput) string {
+// columns). An input value with no codec fails it with spill.ErrNoCodec.
+func (p *Pipeline) stageFingerprint(stage int, cfg Config, in jobInput) (string, error) {
 	f := checkpoint.NewFingerprint()
 	f.Str("fsjoin/checkpoint/v1")
 	f.Str(p.Name)
@@ -209,15 +186,15 @@ func (p *Pipeline) stageFingerprint(stage int, cfg Config, in jobInput) string {
 	f.I64(int64(cfg.resolvedReduceTasks()))
 	f.I64(int64(in.len()))
 	in.each(f.KV)
-	return f.Hex()
+	return f.Hex(), f.Err()
 }
 
 // replay loads a fingerprint-matched checkpoint for the stage, rebuilding
 // the stage result the original execution produced (a fed stage's in
 // columns). A miss — including a discarded stale or corrupt file — returns
 // nil and the stage runs.
-func (p *Pipeline) replay(store *checkpoint.Store, stage int, cfg Config, fp string, feed bool) *Result {
-	snap, status := store.Load(stage, cfg.Name, fp)
+func (p *Pipeline) replay(stage int, cfg Config, fp string, feed bool) *Result {
+	snap, status := p.store.Load(stage, cfg.Name, fp)
 	switch status {
 	case checkpoint.Corrupt:
 		p.ckpt.Corrupt++
@@ -251,11 +228,10 @@ func (p *Pipeline) replay(store *checkpoint.Store, stage int, cfg Config, fp str
 	return res
 }
 
-// save persists one completed stage. A stage whose output values have no
-// spill codec is left uncheckpointed (Skipped); any other failure is a
-// real durability error and aborts, because the caller asked for a
-// guarantee the engine cannot give.
-func (p *Pipeline) save(store *checkpoint.Store, stage int, cfg Config, fp string, res *Result) error {
+// save persists one completed stage. Any failure — an output value with no
+// spill codec included — aborts, because the caller asked for a guarantee
+// the engine cannot give.
+func (p *Pipeline) save(stage int, cfg Config, fp string, res *Result) error {
 	metrics, err := json.Marshal(res.Metrics)
 	if err != nil {
 		return err
@@ -263,7 +239,7 @@ func (p *Pipeline) save(store *checkpoint.Store, stage int, cfg Config, fp strin
 	out := jobInput{kvs: res.Output, chain: res.chain}
 	recs := make([]checkpoint.Record, 0, out.len())
 	out.each(func(key string, v any) { recs = append(recs, checkpoint.Record{Key: key, Value: v}) })
-	err = store.Save(checkpoint.Manifest{
+	return p.store.Save(checkpoint.Manifest{
 		Pipeline:    p.Name,
 		Stage:       stage,
 		Job:         cfg.Name,
@@ -271,12 +247,6 @@ func (p *Pipeline) save(store *checkpoint.Store, stage int, cfg Config, fp strin
 		Counters:    res.Counters.Snapshot(),
 		Metrics:     metrics,
 	}, recs)
-	if errors.Is(err, checkpoint.ErrUnencodable) {
-		p.ckpt.Misses--
-		p.ckpt.Skipped++
-		return nil
-	}
-	return err
 }
 
 // CheckpointStats reports the pipeline's checkpoint activity so far.

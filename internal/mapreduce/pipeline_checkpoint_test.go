@@ -146,36 +146,6 @@ func TestPipelineCheckpointInputChangeMisses(t *testing.T) {
 	}
 }
 
-// unencodableValue has no spill codec, so stages consuming or producing it
-// must run uncheckpointed rather than fail.
-type unencodableValue struct{ ch chan int }
-
-type emitUnencodable struct{}
-
-func (emitUnencodable) Map(ctx *Context, kv KV) { ctx.Emit(kv.Key, unencodableValue{}) }
-
-func TestPipelineCheckpointSkipsUnencodable(t *testing.T) {
-	dir := t.TempDir()
-	p := NewPipeline("ckpt-pipe", tinyCluster())
-	p.CheckpointDir = dir
-	// Stage 1: output is unencodable → save aborts, stage counts Skipped.
-	r1, err := p.Run(Config{Name: "emit"}, wcInput("a"), emitUnencodable{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stage 2: input is unencodable → no fingerprint, stage counts Skipped.
-	if _, err := p.Run(Config{Name: "consume"}, r1.Output, identityMapper{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.CheckpointStats(); st.Skipped != 2 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 2 skipped", st)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if len(files) != 0 {
-		t.Errorf("unencodable stages left checkpoint files: %v", files)
-	}
-}
-
 // TestPipelineCheckpointTempSwept models a crash mid-save: a leftover temp
 // file must be swept on the next open and never treated as a checkpoint.
 func TestPipelineCheckpointTempSwept(t *testing.T) {

@@ -14,10 +14,8 @@
 // Values cross the disk boundary through a type-tagged codec registry
 // (codec.go): one Register call per value type gives it its wire tag, its
 // codec and, when it is pointer-free, its unboxed column in the buffer. A
-// record whose value type has no codec is pinned in memory instead of
-// spilled — the budget turns soft rather than the job failing — so
-// arbitrary jobs (engine tests, user code) stay correct under a
-// process-wide FSJOIN_MEMORY_BUDGET.
+// spill that meets a value whose type has no codec fails with ErrNoCodec;
+// a buffer that never spills holds any value.
 package spill
 
 import (
@@ -85,14 +83,13 @@ var errClosed = errors.New("spill: buffer closed")
 // mutex guards the spill state Close tears down (dir, runs and their
 // counts), so Close is safe from whichever goroutine ends the buffer.
 type Buffer struct {
-	cfg       Config
-	fold      folder
-	parts     []Records
-	slots     []slotTable // per-partition key -> position, Fold only
-	idx       []KeyIndex  // spill's sort index, reused across spills
-	mem       int64
-	pinnedMem int64
-	peak      int64
+	cfg   Config
+	fold  folder
+	parts []Records
+	slots []slotTable // per-partition key -> position, Fold only
+	idx   []KeyIndex  // spill's sort index, reused across spills
+	mem   int64
+	peak  int64
 
 	mu       sync.Mutex // guards dir, seq, runs, runCount, spilledBytes, closed
 	dir      string
@@ -139,10 +136,9 @@ func (b *Buffer) Add(part int, key string, v any) error {
 		return b.checkBudget()
 	}
 	bytes := b.cfg.Size(key, v)
-	// The column answers, so that asking costs no registry lookup a record.
-	pinned := b.cfg.Budget > 0 && !r.column(v).encodable(v)
-	r.append(k, key, v, bytes, pinned)
-	return b.booked(bytes, pinned)
+	r.append(k, key, v, bytes)
+	b.mem += bytes
+	return b.checkBudget()
 }
 
 // AddFrom is Add of src's record i under the size src holds for it: column
@@ -167,9 +163,9 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 		}
 		return b.checkBudget()
 	}
-	pinned := b.cfg.Budget > 0 && !src.vals.encodableAt(i)
-	r.appendFrom(k, key, src.vals, i, h.bytes(), pinned)
-	return b.booked(h.bytes(), pinned)
+	r.appendFrom(k, key, src.vals, i, h.bytes())
+	b.mem += h.bytes()
+	return b.checkBudget()
 }
 
 // ExpectKeys sizes every partition's fold table, when the buffer folds, to
@@ -195,15 +191,6 @@ func (b *Buffer) find(part int, k KeyIndex, key string) (*Records, int, error) {
 	return r, i, err
 }
 
-// booked counts a record just appended against the budget.
-func (b *Buffer) booked(bytes int64, pinned bool) error {
-	if pinned {
-		b.pinnedMem += bytes
-	}
-	b.mem += bytes
-	return b.checkBudget()
-}
-
 // foldInto folds v into the accumulator of record i of r, whose key is
 // key. Unboxed, the accumulator changes in place and is of the type and
 // size it was; through Fold it may come back as anything.
@@ -217,32 +204,26 @@ func (b *Buffer) foldInto(r *Records, i int, key string, v any) {
 		r.vals.set(i, acc)
 	}
 	h := r.heads.At(i)
-	if h.pinned() {
-		b.pinnedMem -= h.bytes()
-	}
-	nb, pinned := b.cfg.Size(key, acc), b.cfg.Budget > 0 && !r.vals.encodable(acc)
+	nb := b.cfg.Size(key, acc)
 	b.mem += nb - h.bytes()
 	r.bytes += nb - h.bytes()
-	*h = makeHead(h.key(), nb, pinned)
-	if pinned {
-		b.pinnedMem += nb
-	}
+	*h = makeHead(h.key(), nb)
 }
 
 func (b *Buffer) checkBudget() error {
 	if b.mem > b.peak {
 		b.peak = b.mem
 	}
-	if b.cfg.Budget <= 0 || b.mem <= b.cfg.Budget || b.mem == b.pinnedMem {
+	if b.cfg.Budget <= 0 || b.mem <= b.cfg.Budget {
 		return nil
 	}
 	return b.spill()
 }
 
-// spill writes every partition's spillable records as one run, each
-// partition in (key, emission) order through a sort index — no record
-// moves — and keeps pinned records (and the fold slots over them) in
-// memory.
+// spill writes every partition's records as one run, each partition in
+// (key, emission) order through a sort index — no record moves — and
+// empties the partitions and their fold slots. A value with no codec fails
+// it with ErrNoCodec.
 func (b *Buffer) spill() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -267,7 +248,7 @@ func (b *Buffer) spill() error {
 		if l.Len() == 0 {
 			continue
 		}
-		idx, err := l.sortedIndex(b.idx[:0], false)
+		idx, err := l.sortedIndex(b.idx[:0])
 		if err != nil {
 			w.abort()
 			return err
@@ -280,7 +261,10 @@ func (b *Buffer) spill() error {
 			}
 			written += l.heads.At(int(ix.Pos)).bytes()
 		}
-		b.keepPinned(p, l.Len()-len(idx))
+		l.reset()
+		if b.slots != nil {
+			b.slots[p].reset()
+		}
 	}
 	r, err := w.finish()
 	if err != nil {
@@ -289,42 +273,8 @@ func (b *Buffer) spill() error {
 	b.runs = append(b.runs, r)
 	b.runCount++
 	b.spilled += written
-	b.mem = b.pinnedMem
+	b.mem = 0
 	return nil
-}
-
-// keepPinned shrinks partition p to its pinned records, in order, and
-// re-points the partition's fold slots at them.
-func (b *Buffer) keepPinned(p, pinned int) {
-	l := &b.parts[p]
-	if pinned == 0 {
-		l.reset()
-		if b.slots != nil {
-			b.slots[p].reset()
-		}
-		return
-	}
-	var kept Records
-	var slots slotTable
-	for i := 0; kept.Len() < pinned; i++ {
-		h := l.heads.At(i)
-		if !h.pinned() {
-			continue
-		}
-		k, key := h.key(), ""
-		if k.Len == 9 {
-			key = *l.long.At(i)
-		}
-		if b.slots != nil {
-			// Positions only shrink here, so the slot is never refused.
-			slots.findOrAdd(&kept, k, key, kept.Len())
-		}
-		kept.append(k, key, l.vals.at(i), h.bytes(), true)
-	}
-	*l = kept
-	if b.slots != nil {
-		b.slots[p] = slots
-	}
 }
 
 // Drain replays one partition — runs first (in creation order), then the
@@ -397,7 +347,7 @@ func (b *Buffer) merge(part int, emit func(key string, v any, bytes int64)) (int
 	if tail.Len() > 0 {
 		// Concurrent drains of distinct partitions each need their own
 		// index, so this one is not the buffer's.
-		idx, err := tail.sortedIndex(make([]KeyIndex, 0, tail.Len()), true)
+		idx, err := tail.sortedIndex(make([]KeyIndex, 0, tail.Len()))
 		if err != nil {
 			return 0, err
 		}

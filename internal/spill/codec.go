@@ -251,6 +251,11 @@ func bareTag(v any) (tag byte, ok bool) {
 	return 0, false
 }
 
+// ErrNoCodec is returned, wrapped, wherever a value must cross the disk —
+// a spill run, a checkpoint, a transport frame — and its type has no
+// registered codec.
+var ErrNoCodec = errors.New("spill: no codec registered")
+
 // appendKind appends tag + payload for v, whose kind the caller has looked
 // up: nil for a value that is its own tag, or has no codec.
 func appendKind(buf []byte, v any, k *kind) ([]byte, error) {
@@ -260,7 +265,7 @@ func appendKind(buf []byte, v any, k *kind) ([]byte, error) {
 	if tag, ok := bareTag(v); ok {
 		return append(buf, tag), nil
 	}
-	return nil, fmt.Errorf("spill: no codec registered for %T", v)
+	return nil, fmt.Errorf("%w for %T", ErrNoCodec, v)
 }
 
 // AppendEncoded appends v's tag + payload frame to buf — the exact bytes a

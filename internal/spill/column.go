@@ -5,11 +5,6 @@ import "reflect"
 // values is the value column of a Records: a *column[T] for one registered
 // pointer-free T, or a *column[any].
 type values interface {
-	// encodable reports whether v, about to be added, has a codec.
-	encodable(v any) bool
-	// encodableAt is encodable of value i, safe while other goroutines ask
-	// the same column.
-	encodableAt(i int) bool
 	// add appends v; false when v is not of the column's type.
 	add(v any) bool
 	// addFrom appends src's value i; false when src is another kind of column.
@@ -67,8 +62,8 @@ type column[T any] struct {
 	resolved bool
 
 	// T's tag and codec, 0 and nil when T is any, whose values each have
-	// their own; and the kinds of the values asked about, found one type at
-	// a time: a partition's values are nearly always of one type.
+	// their own; and the kinds of the values encoded, found one type at a
+	// time: a partition's values are nearly always of one type.
 	tag   byte
 	codec *Codec[T]
 	kinds Sizer
@@ -100,16 +95,6 @@ func (c *column[T]) unbox(v any) (T, bool) {
 	// A nil any fails the assertion to any itself, and is its zero value.
 	return x, ok || c.codec == nil
 }
-
-func (c *column[T]) encodable(v any) bool {
-	if c.kinds.kindOf(v) != nil {
-		return true
-	}
-	_, bare := bareTag(v)
-	return bare
-}
-
-func (c *column[T]) encodableAt(i int) bool { return c.codec != nil || c.encodable(c.at(i)) }
 
 func (c *column[T]) add(v any) bool {
 	x, ok := c.unbox(v)

@@ -131,67 +131,3 @@ func TestBufferFoldSlotsSurviveGrowth(t *testing.T) {
 		b.Close()
 	}
 }
-
-// TestBufferSpillKeepsPinnedSlots: with unencodable accumulators pinned
-// between spillable ones, every spill must leave the pinned records in
-// place, in order, and still reachable through their fold slots — a later
-// emission for a pinned key folds into it instead of opening a second
-// record.
-func TestBufferSpillKeepsPinnedSlots(t *testing.T) {
-	fold := func(acc, v any) any {
-		if a, ok := acc.(unregistered); ok {
-			return unregistered{n: a.n + v.(unregistered).n}
-		}
-		return acc.(int64) + v.(int64)
-	}
-	const keys, rounds = 300, 4
-	b := NewBuffer(Config{Parts: 1, Budget: 2048, Size: testSize, Fold: fold, Dir: t.TempDir()})
-	defer b.Close()
-	for round := 0; round < rounds; round++ {
-		for i := 0; i < keys; i++ {
-			var v any = int64(1)
-			if i%7 == 0 {
-				v = unregistered{n: 1}
-			}
-			if err := b.Add(0, fmt.Sprintf("k%03d", i), v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The drain below would re-fold a split key, so look inside.
-		l, pinned := &b.parts[0], 0
-		for i := 0; i < l.Len(); i++ {
-			key, _ := l.At(i)
-			if at, err := b.slots[0].findOrAdd(l, MakeKeyIndex(key, 0), key, l.Len()); at != i || err != nil {
-				t.Fatalf("round %d: slot of %s is %d (%v), record is at %d", round, key, at, err, i)
-			}
-			if l.heads.At(i).pinned() {
-				pinned++
-			}
-		}
-		if b.slots[0].used != l.Len() || pinned != (keys+6)/7 {
-			t.Fatalf("round %d: %d slots over %d records, %d pinned", round, b.slots[0].used, l.Len(), pinned)
-		}
-	}
-	if b.Stats().Runs < 2 {
-		t.Fatalf("only %d runs: the budget no longer forces repeated spills", b.Stats().Runs)
-	}
-	ks, vs := drainAll(t, b, 1)
-	if len(ks[0]) != keys {
-		t.Fatalf("%d records, want %d (a pinned key was split)", len(ks[0]), keys)
-	}
-	for j, k := range ks[0] {
-		if want := fmt.Sprintf("k%03d", j); k != want {
-			t.Fatalf("record %d is %s, want %s", j, k, want)
-		}
-		switch v := vs[0][j].(type) {
-		case unregistered:
-			if j%7 != 0 || v.n != rounds {
-				t.Fatalf("%s = %#v", k, v)
-			}
-		case int64:
-			if j%7 == 0 || v != rounds {
-				t.Fatalf("%s = %d", k, v)
-			}
-		}
-	}
-}

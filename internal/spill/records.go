@@ -29,25 +29,17 @@ type Records struct {
 type head struct {
 	prefix uint64 // KeyIndex.Prefix
 	// meta packs the rest into one word, so that a head is sixteen bytes:
-	// the accounted size above bit 5; bit 4, pinned — the value has no
-	// codec, the record stays when its buffer spills; and in the low four
-	// bits KeyIndex.Len, the key's length capped at nine.
+	// the accounted size above bit 4, and in the low four bits
+	// KeyIndex.Len, the key's length capped at nine.
 	meta uint64
 }
 
-const headPinned = 1 << 4
-
-func makeHead(k KeyIndex, bytes int64, pinned bool) head {
-	h := head{prefix: k.Prefix, meta: uint64(bytes)<<5 | uint64(k.Len)}
-	if pinned {
-		h.meta |= headPinned
-	}
-	return h
+func makeHead(k KeyIndex, bytes int64) head {
+	return head{prefix: k.Prefix, meta: uint64(bytes)<<4 | uint64(k.Len)}
 }
 
 func (h head) len() uint8    { return uint8(h.meta & 15) }
-func (h head) pinned() bool  { return h.meta&headPinned != 0 }
-func (h head) bytes() int64  { return int64(h.meta >> 5) }
+func (h head) bytes() int64  { return int64(h.meta >> 4) }
 func (h head) key() KeyIndex { return KeyIndex{Prefix: h.prefix, Len: h.len()} }
 
 // Len returns the number of records.
@@ -58,7 +50,7 @@ func (r *Records) Bytes() int64 { return r.bytes }
 
 // Append stores one record of the given accounted size.
 func (r *Records) Append(key string, v any, bytes int64) {
-	r.append(MakeKeyIndex(key, 0), key, v, bytes, false)
+	r.append(MakeKeyIndex(key, 0), key, v, bytes)
 }
 
 // AppendTyped is Append of a record whose key k abbreviates — a key of at
@@ -75,7 +67,7 @@ func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
 		return false
 	}
 	bytes := overhead + int64(c.codec.Size(v))
-	r.heads.Append(makeHead(k, bytes, false))
+	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
 	c.vals.Append(v)
 	return true
@@ -90,15 +82,7 @@ func (r *Records) Column() string {
 	return fmt.Sprintf("%T", r.vals)
 }
 
-// column returns the value column, made for v when v is the first value.
-func (r *Records) column(v any) values {
-	if r.vals == nil {
-		r.vals = columnFor(v)
-	}
-	return r.vals
-}
-
-func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool) {
+func (r *Records) append(k KeyIndex, key string, v any, bytes int64) {
 	if k.Len == 9 || r.long.Len() > 0 {
 		r.padLong()
 		if k.Len < 9 {
@@ -106,9 +90,12 @@ func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool
 		}
 		r.long.Append(key)
 	}
-	r.heads.Append(makeHead(k, bytes, pinned))
+	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
-	if !r.column(v).add(v) {
+	if r.vals == nil {
+		r.vals = columnFor(v)
+	}
+	if !r.vals.add(v) {
 		r.vals = r.vals.boxed()
 		r.vals.add(v)
 	}
@@ -118,12 +105,12 @@ func (r *Records) append(k KeyIndex, key string, v any, bytes int64, pinned bool
 // hold one type, into a column of src's kind; key is read only when k says
 // it is longer than eight bytes. It repeats append's head: a
 // shared one is a call more on Add's path, measurably slower.
-func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes int64, pinned bool) {
+func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes int64) {
 	if r.vals == nil {
 		r.vals = src.empty()
 	}
 	if !r.vals.addFrom(src, i) {
-		r.append(k, key, src.at(i), bytes, pinned)
+		r.append(k, key, src.at(i), bytes)
 		return
 	}
 	if k.Len == 9 || r.long.Len() > 0 {
@@ -133,7 +120,7 @@ func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes in
 		}
 		r.long.Append(key)
 	}
-	r.heads.Append(makeHead(k, bytes, pinned))
+	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
 }
 
@@ -253,17 +240,15 @@ func (r *Records) Frame(buf []byte, i int) ([]byte, error) {
 	return frameValue(out, at), nil
 }
 
-// sortedIndex appends to idx a key index over the records — the pinned
-// ones only when asked — in record order, as SortIndex wants it, and sorts
-// it.
-func (r *Records) sortedIndex(idx []KeyIndex, pinned bool) ([]KeyIndex, error) {
+// sortedIndex appends to idx a key index over the records, in record
+// order as SortIndex wants it, and sorts it.
+func (r *Records) sortedIndex(idx []KeyIndex) ([]KeyIndex, error) {
 	if err := Indexable(r.Len()); err != nil {
 		return nil, err
 	}
 	for i := 0; i < r.Len(); i++ {
-		if h := r.heads.At(i); pinned || !h.pinned() {
-			idx = append(idx, KeyIndex{Prefix: h.prefix, Len: h.len(), Pos: int32(i)})
-		}
+		h := r.heads.At(i)
+		idx = append(idx, KeyIndex{Prefix: h.prefix, Len: h.len(), Pos: int32(i)})
 	}
 	SortIndex(idx, r.longKey)
 	return idx, nil
@@ -316,7 +301,7 @@ func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
 	n := r.Len()
 	p := getIndex(n)
 	defer putIndex(p)
-	idx, err := r.sortedIndex(*p, true)
+	idx, err := r.sortedIndex(*p)
 	if err != nil {
 		return nil, err
 	}

@@ -72,10 +72,6 @@ func TestCodecRoundTripBuiltins(t *testing.T) {
 		[]int{-5, 5}, []string{"a", "", "bc"},
 	}
 	for _, v := range cases {
-		if !columnFor(v).encodable(v) {
-			t.Errorf("encodable(%T %v) = false", v, v)
-			continue
-		}
 		buf, err := AppendEncoded(nil, v)
 		if err != nil {
 			t.Errorf("encode %T: %v", v, err)
@@ -116,11 +112,8 @@ func TestCodecSliceCountOverflow(t *testing.T) {
 }
 
 func TestCodecUnregisteredType(t *testing.T) {
-	if columnFor(nil).encodable(unregistered{1}) {
-		t.Fatal("encodable(unregistered) = true")
-	}
-	if _, err := AppendEncoded(nil, unregistered{1}); err == nil {
-		t.Fatal("encode of unregistered type succeeded")
+	if _, err := AppendEncoded(nil, unregistered{1}); !errors.Is(err, ErrNoCodec) {
+		t.Fatalf("encode of unregistered type: %v, want ErrNoCodec", err)
 	}
 }
 
@@ -146,9 +139,6 @@ func init() {
 
 func TestCodecRegisteredType(t *testing.T) {
 	v := registered{n: -42}
-	if !columnFor(v).encodable(v) {
-		t.Fatal("encodable(registered) = false")
-	}
 	buf, err := AppendEncoded(nil, v)
 	if err != nil {
 		t.Fatal(err)
@@ -312,61 +302,6 @@ func TestBufferFoldEquivalence(t *testing.T) {
 	sr, sb := drainTotals(t, spilled, 2)
 	if rr != sr || rb != sb {
 		t.Fatalf("totals differ: (%d,%d) vs (%d,%d)", rr, rb, sr, sb)
-	}
-}
-
-// TestBufferPinsUnencodable: records whose values have no codec make the
-// budget soft — they stay in memory and never corrupt a run file.
-func TestBufferPinsUnencodable(t *testing.T) {
-	dir := t.TempDir()
-	b := NewBuffer(Config{Parts: 1, Budget: 64, Size: testSize, Dir: dir})
-	defer b.Close()
-	for i := 0; i < 100; i++ {
-		if err := b.Add(0, fmt.Sprintf("k%d", i), unregistered{n: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := b.Stats(); st.Runs != 0 {
-		t.Fatalf("pinned-only buffer wrote %d runs", st.Runs)
-	}
-	keys, vals := drainAll(t, b, 1)
-	if len(keys[0]) != 100 {
-		t.Fatalf("drained %d records, want 100", len(keys[0]))
-	}
-	for i, v := range vals[0] {
-		if v.(unregistered).n != i {
-			t.Fatalf("record %d perturbed: %#v", i, v)
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("pinned buffer left files: %v", ents)
-	}
-}
-
-// TestBufferMixedPinnedAndSpilled: encodable records spill around pinned
-// ones and the merged drain carries both.
-func TestBufferMixedPinnedAndSpilled(t *testing.T) {
-	b := NewBuffer(Config{Parts: 1, Budget: 128, Size: testSize, Dir: t.TempDir()})
-	defer b.Close()
-	for i := 0; i < 200; i++ {
-		var v any = int64(i)
-		if i%5 == 0 {
-			v = unregistered{n: i}
-		}
-		if err := b.Add(0, fmt.Sprintf("k%03d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := b.Stats(); st.Runs == 0 {
-		t.Fatal("mixed buffer never spilled")
-	}
-	keys, _ := drainAll(t, b, 1)
-	if len(keys[0]) != 200 {
-		t.Fatalf("drained %d records, want 200", len(keys[0]))
 	}
 }
 

@@ -129,6 +129,14 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	pivots, err := opt.PivotSelection.internal()
+	if err != nil {
+		return nil, err
+	}
+	kernel, err := opt.JoinMethod.internal()
+	if err != nil {
+		return nil, err
+	}
 	cl, par, env := opt.cluster(), opt.localParallelism(), opt.env(tr)
 	switch opt.Algorithm {
 	case FSJoin, FSJoinV:
@@ -139,9 +147,9 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 			hp = 10
 		}
 		res, err := dispatch(r, s, core.SelfJoin, core.Join, core.Options{
-			Fn: fn, Theta: opt.Threshold, PivotMethod: opt.PivotSelection.internal(),
+			Fn: fn, Theta: opt.Threshold, PivotMethod: pivots,
 			VerticalPartitions: opt.VerticalPartitions, HorizontalPivots: hp,
-			JoinMethod: opt.JoinMethod.internal(), Seed: opt.Seed,
+			JoinMethod: kernel, Seed: opt.Seed,
 			Cluster: cl, LocalParallelism: par, MemoryBudget: opt.MemoryBudget, Env: env,
 		})
 		if err != nil {
