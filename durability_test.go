@@ -261,7 +261,7 @@ func TestPreviousFormatsRefused(t *testing.T) {
 			if _, err := jt.MapMeta(0); err == nil || !strings.Contains(err.Error(), "no valid frame") {
 				t.Fatalf("MapMeta = %v, want an invalid frame", err)
 			}
-			if _, err := jt.FetchPartition(0, 0, new(spill.Records)); err == nil {
+			if _, _, err := jt.FetchPartition(0, 0, new(spill.Records)); err == nil {
 				t.Fatal("FetchPartition served a frame of the previous format")
 			}
 		}},

@@ -23,7 +23,8 @@ func NewMapContext(reducers int) *Context {
 }
 
 // Emitted returns what ctx has emitted: a reduce task's output, or each
-// shuffle partition of a map task's, drained into records of its own.
+// shuffle partition of a map task's, as a reduce task fetches it — all of
+// the records returned for it.
 func Emitted(ctx *Context) ([]*spill.Records, error) {
 	if ctx.shuffle == nil {
 		return []*spill.Records{&ctx.out}, nil
@@ -32,8 +33,12 @@ func Emitted(ctx *Context) ([]*spill.Records, error) {
 	parts := make([]*spill.Records, ctx.shuffle.reducers)
 	for p := range parts {
 		parts[p] = new(spill.Records)
-		if _, err := ctx.shuffle.buf.DrainTo(p, parts[p]); err != nil {
+		src, _, err := ctx.shuffle.buf.Fetch(p, parts[p])
+		if err != nil {
 			return nil, err
+		}
+		if src.Recs != nil {
+			parts[p] = src.Recs
 		}
 	}
 	return parts, nil

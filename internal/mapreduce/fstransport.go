@@ -237,20 +237,21 @@ func (j *fsJob) validateFrame(path string, kind byte, t int) (*fsFrame, error) {
 
 // FetchPartition implements JobTransport: the partition's sections are
 // re-read from the committed frame, checksum-verified, decoded through the
-// spill codec and stored with byte accounting recomputed by the engine's
-// size function — identical to what the in-memory sink reports.
-func (j *fsJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
+// spill codec and appended to dst with byte accounting recomputed by the
+// engine's size function — identical to what the in-memory sink reports.
+func (j *fsJob) FetchPartition(t, r int, dst *spill.Records) (spill.Source, int, error) {
 	fr, err := j.frame(fsKindMap, t)
 	if err != nil {
-		return 0, err
+		return spill.Source{}, 0, err
 	}
 	if r < 0 || r >= len(fr.parts) {
-		return 0, fmt.Errorf("transport: partition %d out of range", r)
+		return spill.Source{}, 0, fmt.Errorf("transport: partition %d out of range", r)
 	}
+	lo := dst.Len()
 	if err := readRecords(fr, r, dst); err != nil {
-		return 0, fmt.Errorf("transport: task %d partition %d: %w", t, r, err)
+		return spill.Source{}, 0, fmt.Errorf("transport: task %d partition %d: %w", t, r, err)
 	}
-	return int(fr.parts[r].ways), nil
+	return spill.Source{Recs: dst, Lo: lo, Hi: dst.Len()}, int(fr.parts[r].ways), nil
 }
 
 // readRecords reads one partition's sections again and appends its records

@@ -454,8 +454,10 @@ func prefixPartition(k spill.KeyIndex, reducers int) int {
 // Run executes one MapReduce job over the input. A nil reducer makes the
 // job map-only. Map tasks emit straight into per-reduce-task buffers
 // (map-side pre-partitioning), so there is no separate partition pass; each
-// reduce task then fetches, groups and sorts its own partition — through
-// the configured transport (Config.Transport), in memory by default. Tasks
+// reduce task then fetches its partition of every map task — through the
+// configured transport (Config.Transport), in memory by default — and
+// sorts and groups them by key where they lie, copying only what a spill
+// merge or a transport decode produces. Tasks
 // run sequentially or on a bounded worker pool per Config.Parallelism,
 // with per-task output slots so assembly order — and therefore Output,
 // counters and every shuffle metric — is identical at any parallelism
@@ -495,6 +497,9 @@ func newJobEnv(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed boo
 	budget, err := cfg.memoryBudget()
 	if err != nil {
 		return nil, err
+	}
+	if err := spill.Groupable(mapTasks); reducer != nil && err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q has %d map tasks, and its reduce tasks group one partition of each: %w", cfg.Name, mapTasks, err)
 	}
 	reduceTasks := cfg.resolvedReduceTasks()
 	foldingReducer, folding := reducer.(FoldingReducer)
@@ -845,33 +850,40 @@ type reduceInput struct {
 	bytes   int64
 }
 
-// fetchReduceInput pulls reduce task t's partition from every map task, in
-// map-task order, into one set of columns and groups it by key. Whether a
-// map task's partition arrives in emission order (in memory) or as the
+// fetchReduceInput pulls reduce task t's partition from every map task and
+// groups them by key, in map-task order, as one stream: a partition still
+// in memory is read where it lies, and only a spilled one's merge or a
+// decoded frame is copied, into columns the task's fetches share. Whether
+// a map task's partition arrives in emission order (in memory) or as the
 // key-sorted merge of its runs (spilled), the grouping sees the same
 // stream: arrival order within one key is map-task then emission order
 // either way. Guarded so a panicking Fold aborts the task, not the process.
 func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error) {
 	in := &reduceInput{}
 	if gerr := guard(func() {
-		var recs spill.Records
-		for mt := 0; mt < env.mapTasks; mt++ {
-			ways, err := jt.FetchPartition(mt, t, &recs)
+		var fetched spill.Records
+		srcs := make([]spill.Source, env.mapTasks)
+		for mt := range srcs {
+			src, ways, err := jt.FetchPartition(mt, t, &fetched)
 			if err != nil {
 				panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
 			}
+			srcs[mt] = src
 			in.maxWays = max(in.maxWays, ways)
+			in.recs += int64(src.Hi - src.Lo)
 		}
-		in.recs, in.bytes = int64(recs.Len()), recs.Bytes()
 		var fold func(acc, v any) any
 		if env.folding {
 			fold = env.foldingReducer.Fold
 		}
-		groups, err := recs.Group(fold, env.foldingReducer)
+		groups, err := spill.Group(srcs, fold, env.foldingReducer)
 		if err != nil {
 			panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
 		}
 		in.Groups = groups
+		for _, b := range groups.Sizes {
+			in.bytes += b
+		}
 	}); gerr != nil {
 		return nil, gerr
 	}

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"fsjoin/internal/spill"
 )
 
 // budgetInput is a wordcount corpus big enough that a few-KiB budget forces
@@ -297,5 +301,159 @@ func TestMemoryBudgetEnvMalformed(t *testing.T) {
 	cfg.MemoryBudgetBytes = -1
 	if _, err := Run(cfg, input, mapper, wcReducer{}); err != nil {
 		t.Fatalf("explicit budget under a malformed variable: %v", err)
+	}
+}
+
+// sourceSpy records, for every reduce task, whether its fetches handed
+// over a partition where it lies (resident) or appended one to the task's
+// shared records (a spilled partition's merge).
+type sourceSpy struct {
+	mu       sync.Mutex
+	resident map[int]bool
+	merged   map[int]bool
+}
+
+func (s *sourceSpy) Open(spec TransportSpec) (JobTransport, error) {
+	jt, err := MemoryTransport().Open(spec)
+	return spyJob{jt, s}, err
+}
+
+type spyJob struct {
+	JobTransport
+	spy *sourceSpy
+}
+
+func (j spyJob) FetchPartition(t, r int, dst *spill.Records) (spill.Source, int, error) {
+	src, ways, err := j.JobTransport.FetchPartition(t, r, dst)
+	if src.Hi > src.Lo {
+		j.spy.mu.Lock()
+		if src.Recs == dst {
+			j.spy.merged[r] = true
+		} else {
+			j.spy.resident[r] = true
+		}
+		j.spy.mu.Unlock()
+	}
+	return src, ways, err
+}
+
+// orderedValues is a plain reducer whose output is every value of a key in
+// the order it arrived.
+type orderedValues struct{}
+
+func (orderedValues) Reduce(ctx *Context, key string, values []any) {
+	ctx.Inc("values.seen", int64(len(values)))
+	ctx.Emit(key, fmt.Sprint(values...))
+}
+
+// TestMixedResidentAndSpilledSources: under a budget only the map tasks of
+// long lines exceed, each reduce task groups partitions read where they lie
+// together with spilled ones merged into its own records — typed and boxed
+// columns among them — and the job's output, user counters and
+// deterministic metrics are those of the unbudgeted run, at parallelism 1
+// and 4.
+func TestMixedResidentAndSpilledSources(t *testing.T) {
+	// Four map tasks of six lines each; the first two tasks' lines are
+	// long. Every other line's values are strings, so some partitions are
+	// boxed.
+	input := make([]KV, 24)
+	for i := range input {
+		words := 4
+		if i < 12 {
+			words = 150
+		}
+		var b strings.Builder
+		for j := 0; j < words; j++ {
+			fmt.Fprintf(&b, "w%03d ", (i*words+j*7)%300)
+		}
+		input[i] = KV{Key: fmt.Sprint(i), Value: b.String()}
+	}
+	mapper := MapFunc(func(ctx *Context, kv KV) {
+		line, _ := strconv.Atoi(kv.Key)
+		for j, w := range strings.Fields(kv.Value.(string)) {
+			ctx.Inc("words.mapped", 1)
+			if line%2 == 1 {
+				ctx.Emit(w, fmt.Sprint(line, ".", j))
+			} else {
+				ctx.Emit(w, int64(line*1000+j))
+			}
+		}
+	})
+	intMapper := MapFunc(func(ctx *Context, kv KV) {
+		for _, w := range strings.Fields(kv.Value.(string)) {
+			ctx.Emit(w, int64(1))
+		}
+	})
+	for _, tc := range []struct {
+		name     string
+		mapper   Mapper
+		combiner Folder
+		reducer  Reducer
+	}{
+		{"plain", mapper, nil, orderedValues{}},
+		{"folding", intMapper, foldingWC{}, foldingWC{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(par int, budget int64, tr Transport) Config {
+				return Config{Cluster: tinyCluster(), MapTasks: 4, ReduceTasks: 3, Parallelism: par,
+					Combiner: tc.combiner, MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Transport: tr}
+			}
+			base, err := Run(mk(1, -1, nil), input, tc.mapper, tc.reducer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 4} {
+				spy := &sourceSpy{resident: map[int]bool{}, merged: map[int]bool{}}
+				cfg := mk(par, 2<<10, spy)
+				res, err := Run(cfg, input, tc.mapper, tc.reducer)
+				if err != nil {
+					t.Fatalf("par %d: %v", par, err)
+				}
+				mixed := 0
+				for r := 0; r < 3; r++ {
+					if spy.resident[r] && spy.merged[r] {
+						mixed++
+					}
+				}
+				if mixed == 0 {
+					t.Fatalf("par %d: no reduce task grouped both kinds of source (resident %v, merged %v)", par, spy.resident, spy.merged)
+				}
+				if !reflect.DeepEqual(res.Output, base.Output) {
+					t.Fatalf("par %d: output differs from the unbudgeted run", par)
+				}
+				got := res.Counters.Snapshot()
+				for _, k := range []string{CounterSpillRuns, CounterSpillBytes, CounterSpillMergeWays, CounterShufflePeak} {
+					delete(got, k)
+				}
+				if want := base.Counters.Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("par %d: counters %v, want %v", par, got, want)
+				}
+				sameMetrics(t, fmt.Sprint("par ", par), &res.Metrics, &base.Metrics)
+				if !reflect.DeepEqual(res.Metrics.GroupSpillTime, base.Metrics.GroupSpillTime) {
+					t.Fatalf("par %d: GroupSpillTime %v, want %v", par, res.Metrics.GroupSpillTime, base.Metrics.GroupSpillTime)
+				}
+				noSpillFiles(t, cfg.SpillDir)
+			}
+		})
+	}
+}
+
+// TestMapTaskBound: a reduce task numbers its sources in a uint16, so a job
+// with a reducer and more map tasks than spill.MaxSources is refused before
+// any task runs, with an error that names the limit; a map-only job is not
+// bounded.
+func TestMapTaskBound(t *testing.T) {
+	input := make([]KV, spill.MaxSources+1)
+	cfg := Config{Cluster: tinyCluster(), MapTasks: len(input)}
+	_, err := newJobEnv(cfg, jobInput{kvs: input}, IdentityMapper, wcReducer{}, false)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(spill.MaxSources)) {
+		t.Fatalf("a job of %d map tasks: %v, want an error naming the limit %d", len(input), err, spill.MaxSources)
+	}
+	if _, err := newJobEnv(cfg, jobInput{kvs: input}, IdentityMapper, nil, false); err != nil {
+		t.Fatalf("map-only job of %d map tasks: %v", len(input), err)
+	}
+	cfg.MapTasks = spill.MaxSources
+	if _, err := newJobEnv(cfg, jobInput{kvs: input}, IdentityMapper, wcReducer{}, false); err != nil {
+		t.Fatalf("%d map tasks: %v", spill.MaxSources, err)
 	}
 }

@@ -251,7 +251,15 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // TestShuffleAllocationBudget is the deterministic guard against the
 // shuffle regrowing or re-hashing per record: an identity job over 8-byte
 // keys through 30 reducers may allocate this many bytes per input record.
-// The limits are the largest of three measurements (122, 168, 154 and 144)
+// The first four limits sit about 15 % above the median of twenty
+// measurements on a two-core x86-64 host (97, 138, 120 and 115), and below what the same jobs
+// allocated while a reduce task still copied every map task's in-memory
+// partition into one Records before grouping (121, 164, 144 and 138): a
+// return of that copy fails them. Under the race detector, whose
+// sync.Pool drops a share of the sort indexes given back, the jobs
+// allocate 16 to 19 bytes per record more (113, 156, 139 and 131 at
+// most), and each limit is raised by raceAllowance. Earlier, the
+// limits were the largest of three measurements (122, 168, 154 and 144)
 // plus 25 %. Before reduce tasks borrowed their sort index and radix
 // scratch from a pool, chained records were routed by their key's integer
 // and a chained task's fold tables were sized once, the first three rows
@@ -269,6 +277,7 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // measured 25 (limit 31): the records' columns; through Emit(PairKey(a, b),
 // v) the same records cost 41, a key string and a box more each.
 func TestShuffleAllocationBudget(t *testing.T) {
+	const raceAllowance = 24
 	const n = 120_000
 	input := make([]KV, n)
 	for i := range input {
@@ -282,10 +291,10 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		limit    float64
 		how      string // "run", "chain" or "feed"
 	}{
-		{"plain", nil, plainSum{}, 152, "run"},
-		{"fold", foldSum{}, foldSum{}, 210, "run"},
-		{"chain", foldSum{}, foldSum{}, 192, "chain"},
-		{"chain-group", groupSum{}, groupSum{}, 180, "chain"},
+		{"plain", nil, plainSum{}, 116, "run"},
+		{"fold", foldSum{}, foldSum{}, 156, "run"},
+		{"chain", foldSum{}, foldSum{}, 140, "chain"},
+		{"chain-group", groupSum{}, groupSum{}, 134, "chain"},
 		{"emit-pair", nil, pairEmitter{n}, 31, "feed"},
 	} {
 		p := NewPipeline("budget", cl)
@@ -314,9 +323,13 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		run()
 		runtime.ReadMemStats(&m1)
 		perRecord := float64(m1.TotalAlloc-m0.TotalAlloc) / n
-		t.Logf("%s: %.0f B/record (limit %.0f)", tc.name, perRecord, tc.limit)
-		if perRecord > tc.limit {
-			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, tc.limit)
+		limit := tc.limit
+		if raceDetector && tc.how != "feed" {
+			limit += raceAllowance
+		}
+		t.Logf("%s: %.0f B/record (limit %.0f)", tc.name, perRecord, limit)
+		if perRecord > limit {
+			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, limit)
 		}
 	}
 }

@@ -71,10 +71,13 @@ type JobTransport interface {
 	// for the reduce phase; a serialising transport drains it into its
 	// frames and closes it.
 	CommitMap(t int, sink *shuffleSink, meta TaskMeta) error
-	// FetchPartition appends map task t's partition r to dst in committed
-	// order, each record with its accounted size, and reports the merge
-	// fan-in that produced it (spill accounting).
-	FetchPartition(t, r int, dst *spill.Records) (ways int, err error)
+	// FetchPartition returns map task t's partition r in committed order,
+	// each record with its accounted size, as a source for spill.Group,
+	// and reports the merge fan-in that produced it (spill accounting). A
+	// partition held in memory may be handed over where it lies, valid
+	// until it is released; any other is appended to dst, which the reduce
+	// task shares across its fetches, and the source is what was appended.
+	FetchPartition(t, r int, dst *spill.Records) (src spill.Source, ways int, err error)
 	// ReleasePartition reclaims partition (t, r) once a reduce task has
 	// consumed it. Transports whose partitions outlive one read treat it
 	// as a no-op.
@@ -126,10 +129,10 @@ func (j *memJob) CommitMap(t int, sink *shuffleSink, meta TaskMeta) error {
 	return nil
 }
 
-// FetchPartition implements JobTransport: a partition still in memory is
-// handed over column by column.
-func (j *memJob) FetchPartition(t, r int, dst *spill.Records) (int, error) {
-	return j.maps[t].sink.buf.DrainTo(r, dst)
+// FetchPartition implements JobTransport: a partition that never spilled
+// is handed over where it lies, a spilled one merged onto dst.
+func (j *memJob) FetchPartition(t, r int, dst *spill.Records) (spill.Source, int, error) {
+	return j.maps[t].sink.buf.Fetch(r, dst)
 }
 
 // ReleasePartition implements JobTransport.

@@ -237,14 +237,11 @@ func replaceIndex(tb testing.TB, path string, index []byte) {
 }
 
 // fetchEach fetches one partition and replays it record by record.
-func fetchEach(jt JobTransport, t, r int, emit func(key string, v any, bytes int64)) (int, error) {
+func fetchEach(jt JobTransport, t, r int, emit func(key string, v any)) (int, error) {
 	var recs spill.Records
-	ways, err := jt.FetchPartition(t, r, &recs)
-	if err == nil {
-		recs.Each(func(key string, v any, bytes int64) bool {
-			emit(key, v, bytes)
-			return true
-		})
+	src, ways, err := jt.FetchPartition(t, r, &recs)
+	for i := src.Lo; err == nil && i < src.Hi; i++ {
+		emit(src.Recs.At(i))
 	}
 	return ways, err
 }
@@ -278,7 +275,7 @@ func TestFSTransportCorruptFallback(t *testing.T) {
 				t.Fatal("MapMeta served a corrupt frame")
 			}
 			for r := 0; r < 2; r++ {
-				if _, err := jt2.FetchPartition(0, r, new(spill.Records)); err == nil {
+				if _, _, err := jt2.FetchPartition(0, r, new(spill.Records)); err == nil {
 					t.Fatalf("FetchPartition served partition %d of a corrupt frame", r)
 				}
 			}
@@ -313,7 +310,7 @@ func TestFSTransportRecordLargerThanASection(t *testing.T) {
 	}
 	var keys []string
 	for r := 0; r < 2; r++ {
-		_, err := fetchEach(jt, 0, r, func(key string, v any, _ int64) {
+		_, err := fetchEach(jt, 0, r, func(key string, v any) {
 			keys = append(keys, key)
 			if got, _ := v.([]uint32); key == "0-long" && !slices.Equal(got, big) {
 				t.Fatal("the long record differs")
@@ -435,7 +432,7 @@ func FuzzFSFrame(f *testing.F) {
 		var got []KV
 		complete := true
 		for r := 0; r < spec.ReduceTasks; r++ {
-			if _, err := fetchEach(jt, 0, r, func(key string, v any, _ int64) {
+			if _, err := fetchEach(jt, 0, r, func(key string, v any) {
 				got = append(got, KV{Key: key, Value: v})
 			}); err != nil {
 				complete = false
@@ -516,7 +513,7 @@ func TestFSTransportFingerprintRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jt2.FetchPartition(0, 0, new(spill.Records)); err == nil {
+	if _, _, err := jt2.FetchPartition(0, 0, new(spill.Records)); err == nil {
 		t.Fatal("expected fingerprint/shape mismatch error")
 	} else if !strings.Contains(err.Error(), "fingerprint") && !strings.Contains(err.Error(), "no valid frame") {
 		t.Fatalf("unexpected error: %v", err)

@@ -148,7 +148,7 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 	h := *src.heads.At(i)
 	k, key := h.key(), ""
 	if k.Len == 9 {
-		key = src.longKey(int32(i))
+		key = *src.long.At(i)
 	}
 	r, j, err := b.find(part, k, key)
 	if err != nil {
@@ -285,14 +285,14 @@ func (b *Buffer) spill() error {
 // exactly like the in-memory fast path. Concurrent Drains of distinct
 // partitions are safe.
 func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int, error) {
-	ways, err := b.merge(part, emit)
-	if ways != 0 || err != nil {
-		return ways, err
+	if b.hasRuns(part) {
+		return b.merge(part, emit)
 	}
 	tail := &b.parts[part]
 	if tail.Len() == 0 {
 		return 0, nil
 	}
+	var err error
 	i := 0
 	tail.Each(func(key string, v any, bytes int64) bool {
 		if b.cfg.Cancel != nil && i&(cancelStride-1) == 0 {
@@ -310,29 +310,42 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 	return 1, nil
 }
 
-// DrainTo is Drain into dst: a partition that never spilled is appended
-// column by column, without boxing a value or rebuilding a key.
-func (b *Buffer) DrainTo(part int, dst *Records) (int, error) {
-	ways, err := b.merge(part, dst.Append)
-	if ways != 0 || err != nil {
-		return ways, err
+// Fetch is Drain for a reduce task that groups partitions where they lie
+// (Group): a partition that never spilled is handed over in place, as a
+// Source over the buffer's own records, which must then outlive it; one
+// that spilled is merged onto the end of dst, and the Source is what was
+// appended. The fan-in is Drain's.
+func (b *Buffer) Fetch(part int, dst *Records) (Source, int, error) {
+	if b.hasRuns(part) {
+		lo := dst.Len()
+		ways, err := b.merge(part, dst.Append)
+		return Source{Recs: dst, Lo: lo, Hi: dst.Len()}, ways, err
 	}
 	tail := &b.parts[part]
 	if tail.Len() == 0 {
-		return 0, nil
+		return Source{}, 0, nil
 	}
 	if b.cfg.Cancel != nil {
 		if err := b.cfg.Cancel(); err != nil {
-			return 0, err
+			return Source{}, 0, err
 		}
 	}
-	dst.appendAll(tail)
-	return 1, nil
+	return Source{Recs: tail, Hi: tail.Len()}, 1, nil
+}
+
+// hasRuns reports whether any run holds records of partition part, read
+// from the runs' segment counts without opening one.
+func (b *Buffer) hasRuns(part int) bool {
+	for _, r := range b.runs {
+		if r.segs[part].records > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // merge replays a partition that spilled through the k-way merge and
-// returns its fan-in; 0 with no error means it never spilled, and nothing
-// was emitted.
+// returns its fan-in.
 func (b *Buffer) merge(part int, emit func(key string, v any, bytes int64)) (int, error) {
 	tail := &b.parts[part]
 	var sources []mergeSource
@@ -340,9 +353,6 @@ func (b *Buffer) merge(part int, emit func(key string, v any, bytes int64)) (int
 		if c := r.open(part); c != nil {
 			sources = append(sources, c)
 		}
-	}
-	if len(sources) == 0 {
-		return 0, nil
 	}
 	if tail.Len() > 0 {
 		// Concurrent drains of distinct partitions each need their own
@@ -374,9 +384,6 @@ func (b *Buffer) Trim() {
 // been released the buffer closes itself, removing its spill files.
 func (b *Buffer) Release(part int) {
 	b.parts[part] = Records{}
-	if b.slots != nil {
-		b.slots[part] = slotTable{}
-	}
 	if int(b.released.Add(1)) == b.cfg.Parts {
 		b.Close()
 	}

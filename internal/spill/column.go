@@ -9,8 +9,6 @@ type values interface {
 	add(v any) bool
 	// addFrom appends src's value i; false when src is another kind of column.
 	addFrom(src values, i int) bool
-	// addAll appends src's values; false when src is another kind of column.
-	addAll(src values) bool
 	// at returns value i, boxing it when the column is typed.
 	at(i int) any
 	// set replaces value i; false when v is not of the column's type.
@@ -24,9 +22,10 @@ type values interface {
 	fold(i int, v any, f *folder) bool
 	// foldFrom is fold of src's value j; false also for another kind of src.
 	foldFrom(i int, src values, j int, f *folder) bool
-	// foldGroups returns a column holding, for each group g, the values at
-	// idx[starts[g]:starts[g+1]] folded in that order — unboxed where f can.
-	foldGroups(idx []KeyIndex, starts []int32, f *folder) values
+	// foldGroups returns a column holding, for each group g, the values of
+	// s at idx[starts[g]:starts[g+1]] folded in that order — unboxed where
+	// every source holds this column's type and f has an unboxed form.
+	foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values
 	// appendValue appends value i as the run codec frames it.
 	appendValue(buf []byte, i int) ([]byte, error)
 	reset()
@@ -112,14 +111,6 @@ func (c *column[T]) addFrom(src values, i int) bool {
 	return ok
 }
 
-func (c *column[T]) addAll(src values) bool {
-	s, ok := src.(*column[T])
-	if ok {
-		c.vals.AppendList(&s.vals)
-	}
-	return ok
-}
-
 func (c *column[T]) at(i int) any { return *c.vals.At(i) }
 
 func (c *column[T]) set(i int, v any) bool {
@@ -164,23 +155,39 @@ func (c *column[T]) foldValue(i int, x T, f *folder) bool {
 	return c.unboxed != nil
 }
 
-func (c *column[T]) foldGroups(idx []KeyIndex, starts []int32, f *folder) values {
-	if fold := unboxedFold[T](f); fold != nil {
-		out := newColumn(c.tag, c.codec)
-		for g := 0; g+1 < len(starts); g++ {
-			out.vals.Append(*c.vals.At(int(idx[starts[g]].Pos)))
-			acc := out.vals.At(g)
-			for _, ix := range idx[starts[g]+1 : starts[g+1]] {
-				fold(acc, *c.vals.At(int(ix.Pos)))
-			}
-		}
-		return out
+func (c *column[T]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values {
+	fold := unboxedFold[T](f)
+	if fold == nil {
+		return foldBoxed(s, idx, starts, f)
 	}
+	cols := make([]*column[T], len(s.srcs))
+	for i, src := range s.srcs {
+		col, ok := src.Recs.vals.(*column[T])
+		if !ok {
+			return foldBoxed(s, idx, starts, f)
+		}
+		cols[i] = col
+	}
+	out := newColumn(c.tag, c.codec)
+	at := func(k KeyIndex) T { return *cols[k.Src].vals.At(int(k.Pos + s.off[k.Src])) }
+	for g := 0; g+1 < len(starts); g++ {
+		out.vals.Append(at(idx[starts[g]]))
+		acc := out.vals.At(g)
+		for _, ix := range idx[starts[g]+1 : starts[g+1]] {
+			fold(acc, at(ix))
+		}
+	}
+	return out
+}
+
+// foldBoxed is foldGroups through f's boxed form, each value boxed as it
+// is read: for sources whose columns differ, or a fold with no unboxed form.
+func foldBoxed(s *sources, idx []KeyIndex, starts []int32, f *folder) values {
 	out := newAnyColumn()
 	for g := 0; g+1 < len(starts); g++ {
-		acc := c.at(int(idx[starts[g]].Pos))
+		acc := s.value(idx[starts[g]])
 		for _, ix := range idx[starts[g]+1 : starts[g+1]] {
-			acc = f.boxed(acc, c.at(int(ix.Pos)))
+			acc = f.boxed(acc, s.value(ix))
 		}
 		out.vals.Append(acc)
 	}

@@ -12,8 +12,10 @@ import (
 
 // KeyIndex stands in for one record while records are put in key order:
 // the key's first eight bytes as a big-endian integer (zero-padded), its
-// length capped at nine, and the record's position in whatever holds it.
-// Sixteen pointer-free bytes, so sorting moves no record and the garbage
+// length capped at nine, and the record's position in whatever holds it —
+// for a Group over several sources, which source, in the bytes the struct
+// would otherwise pad, and a position ascending across them all. Sixteen
+// pointer-free bytes, so sorting moves no record and the garbage
 // collector never scans the array.
 //
 // Zero-padding makes two keys of at most eight bytes with equal prefixes
@@ -24,6 +26,7 @@ import (
 type KeyIndex struct {
 	Prefix uint64
 	Len    uint8
+	Src    uint16
 	Pos    int32
 }
 
@@ -35,9 +38,10 @@ func MakeKeyIndex(key string, pos int) KeyIndex {
 }
 
 // CompareKeys orders two abbreviated keys exactly as strings.Compare orders
-// the keys they stand for. key returns the full key at a position and is
-// called only when both keys exceed eight bytes and share them.
-func CompareKeys(a, b KeyIndex, key func(pos int32) string) int {
+// the keys they stand for. key returns the full key of the record an
+// index entry stands for and is called only when both keys exceed eight
+// bytes and share them.
+func CompareKeys(a, b KeyIndex, key func(KeyIndex) string) int {
 	// Nearly every comparison ends here, so this much must inline.
 	if a.Prefix != b.Prefix {
 		if a.Prefix < b.Prefix {
@@ -49,12 +53,12 @@ func CompareKeys(a, b KeyIndex, key func(pos int32) string) int {
 }
 
 // compareTails orders two keys whose first eight bytes agree.
-func compareTails(a, b KeyIndex, key func(pos int32) string) int {
+func compareTails(a, b KeyIndex, key func(KeyIndex) string) int {
 	if a.Len != b.Len {
 		return cmp.Compare(a.Len, b.Len)
 	}
 	if a.Len == 9 {
-		return strings.Compare(key(a.Pos)[8:], key(b.Pos)[8:])
+		return strings.Compare(key(a)[8:], key(b)[8:])
 	}
 	return 0
 }
@@ -66,6 +70,20 @@ func compareTails(a, b KeyIndex, key func(pos int32) string) int {
 func Indexable(n int) error {
 	if n > math.MaxInt32 {
 		return fmt.Errorf("spill: %d records in one partition, a sort index addresses at most %d", n, math.MaxInt32)
+	}
+	return nil
+}
+
+// MaxSources is the most sources one Group takes: KeyIndex.Src is a uint16.
+const MaxSources = math.MaxUint16
+
+// Groupable reports whether n sources can be grouped together, the bound
+// Indexable is for positions: a source number that wrapped would read
+// records of the wrong source. A job checks its map task count with this
+// before any task runs.
+func Groupable(n int) error {
+	if n > MaxSources {
+		return fmt.Errorf("spill: %d sources in one group, a sort index addresses at most %d", n, MaxSources)
 	}
 	return nil
 }
@@ -86,7 +104,7 @@ func Indexable(n int) error {
 // still in position order. Only a run of equal prefixes that holds a key
 // longer than eight bytes, or keys of different lengths, is then put in
 // order by comparison, full keys included.
-func SortIndex(idx []KeyIndex, key func(pos int32) string) {
+func SortIndex(idx []KeyIndex, key func(KeyIndex) string) {
 	if len(idx) < 2 {
 		return
 	}

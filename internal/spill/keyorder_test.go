@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // checkKeyOrder is the oracle for SortIndex: the permutation it produces
@@ -22,7 +23,7 @@ func checkKeyOrder(t *testing.T, keys []string) {
 		idx[i] = MakeKeyIndex(k, i)
 		want[i] = int32(i)
 	}
-	key := func(pos int32) string { return keys[pos] }
+	key := func(k KeyIndex) string { return keys[k.Pos] }
 	SortIndex(idx, key)
 	sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
 	for i := range idx {
@@ -40,7 +41,7 @@ func checkKeyOrder(t *testing.T, keys []string) {
 	}
 }
 
-// checkGroupOrder holds Records.Group — keys stored inline or in the side
+// checkGroupOrder holds Group — keys stored inline or in the side
 // list, values in a typed column or, when mixed, boxed — to the same oracle:
 // distinct keys in key order, each with its values in record order.
 func checkGroupOrder(t *testing.T, keys []string, mixed bool) {
@@ -55,7 +56,7 @@ func checkGroupOrder(t *testing.T, keys []string, mixed bool) {
 		recs.Append(k, v, int64(len(k)))
 		want[k] = append(want[k], v)
 	}
-	g, err := recs.Group(nil, nil)
+	g, err := Group(whole(&recs), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +177,28 @@ func TestSortIndexRejectsDescendingPositions(t *testing.T) {
 			for i, k := range keys {
 				idx[i] = MakeKeyIndex(k, pos[i])
 			}
-			SortIndex(idx, func(pos int32) string { return keys[pos] })
+			SortIndex(idx, func(k KeyIndex) string { return keys[k.Pos] })
 		})
 	}
 }
 
+// TestIndexableBound: positions and source numbers are refused before
+// they could wrap, and the source number costs the index entry no byte.
 func TestIndexableBound(t *testing.T) {
 	if err := Indexable(math.MaxInt32); err != nil {
 		t.Fatalf("2^31-1 records rejected: %v", err)
 	}
 	if err := Indexable(math.MaxInt32 + 1); err == nil {
 		t.Fatal("2^31 records accepted: positions would wrap")
+	}
+	if err := Groupable(math.MaxUint16); err != nil {
+		t.Fatalf("2^16-1 sources rejected: %v", err)
+	}
+	if _, err := Group(make([]Source, math.MaxUint16+1), nil, nil); err == nil {
+		t.Fatal("2^16 sources grouped: source numbers would wrap")
+	}
+	if n := unsafe.Sizeof(KeyIndex{}); n != 16 {
+		t.Fatalf("a KeyIndex takes %d bytes, want 16", n)
 	}
 }
 
@@ -211,7 +223,7 @@ func BenchmarkSortIndex(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(idx, fresh)
-				SortIndex(idx, func(pos int32) string { return keys[pos] })
+				SortIndex(idx, func(k KeyIndex) string { return keys[k.Pos] })
 			}
 		})
 	}

@@ -88,22 +88,3 @@ func (l *List[T]) Trim() {
 	clear(l.chunks[used:])
 	l.chunks = l.chunks[:used]
 }
-
-// AppendList stores src's records, in position order, after the list's own:
-// a copy per chunk, not per record.
-func (l *List[T]) AppendList(src *List[T]) {
-	left := src.n
-	for _, c := range src.chunks {
-		c = c[:min(left, len(c))]
-		left -= len(c)
-		for len(c) > 0 {
-			k, off := locate(l.n)
-			if k == len(l.chunks) {
-				l.grow(k)
-			}
-			n := copy(l.chunks[k][off:], c)
-			l.n += n
-			c = c[n:]
-		}
-	}
-}

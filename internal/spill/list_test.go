@@ -34,17 +34,6 @@ func TestListMatchesSlice(t *testing.T) {
 		if n > 0 && first != l.At(0) {
 			t.Fatalf("n=%d: growth moved record 0", n)
 		}
-		var copied List[int]
-		copied.Append(-1)
-		copied.AppendList(&l)
-		for i := range want {
-			if *copied.At(i + 1) != want[i] {
-				t.Fatalf("n=%d: AppendList put %d at %d, want %d", n, *copied.At(i + 1), i+1, want[i])
-			}
-		}
-		if copied.Len() != n+1 || *copied.At(0) != -1 {
-			t.Fatalf("n=%d: AppendList left %d records, first %d", n, copied.Len(), *copied.At(0))
-		}
 	}
 }
 

@@ -131,34 +131,9 @@ func (r *Records) padLong() {
 	}
 }
 
-// appendAll stores src's records after r's own, column by column: nothing
-// is boxed unless the two hold values of different types.
-func (r *Records) appendAll(src *Records) {
-	if src.Len() == 0 {
-		return
-	}
-	if src.long.Len() > 0 || r.long.Len() > 0 {
-		r.padLong()
-		r.long.AppendList(&src.long)
-	}
-	r.heads.AppendList(&src.heads)
-	if r.long.Len() > 0 {
-		r.padLong()
-	}
-	r.bytes += src.bytes
-	if r.vals == nil {
-		r.vals = src.vals.empty()
-	}
-	if !r.vals.addAll(src.vals) {
-		r.vals = r.vals.boxed()
-		for i := 0; i < src.Len(); i++ {
-			r.vals.add(src.vals.at(i))
-		}
-	}
-}
-
-// longKey returns the key at pos, which must be longer than eight bytes.
-func (r *Records) longKey(pos int32) string { return *r.long.At(int(pos)) }
+// longKey returns the key of the record k stands for, which must be longer
+// than eight bytes.
+func (r *Records) longKey(k KeyIndex) string { return *r.long.At(int(k.Pos)) }
 
 // KeyArena turns stored keys back into strings, carving the short ones out
 // of one allocation instead of making one each. The zero value is an arena
@@ -273,7 +248,7 @@ func (r *Records) trim() {
 	}
 }
 
-// Groups is a Records cut into key groups, in key order: group g has the
+// Groups is records cut into key groups, in key order: group g has the
 // key Abbrev(g) abbreviates — Key(g, a) as a string — and accounted size
 // Sizes[g]. A Groups holds nothing of the records it was cut from, and
 // nothing a reader changes: the attempts of one reduce task and skip
@@ -290,26 +265,77 @@ type Groups struct {
 	starts []int32
 }
 
-// Group sorts an index over the records by (key, position) and sweeps it
-// once, cutting a group wherever the key changes. With a fold, each
-// group's values are folded in record order into one accumulator — in
-// place in a []T when the column is typed and typed (see Config.TypedFold)
-// offers the fold unboxed, through fold otherwise; without one the values
-// are boxed for Values to hand out. The index is borrowed from a pool and
-// given back before Group returns.
-func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
-	n := r.Len()
-	p := getIndex(n)
-	defer putIndex(p)
-	idx, err := r.sortedIndex(*p)
-	if err != nil {
+// Source is the records at positions [Lo, Hi) of one Records: a reduce
+// task groups one per map task, where it lies.
+type Source struct {
+	Recs   *Records
+	Lo, Hi int
+}
+
+// sources is what Group indexes: the records of its non-empty sources at
+// one position each, ascending across them in order. Position p of source
+// s is record p+off[s] of srcs[s].Recs.
+type sources struct {
+	srcs []Source
+	off  []int32
+}
+
+// at returns the records and the position in them of the record k stands
+// for.
+func (s *sources) at(k KeyIndex) (*Records, int) {
+	return s.srcs[k.Src].Recs, int(k.Pos + s.off[k.Src])
+}
+
+func (s *sources) longKey(k KeyIndex) string {
+	r, i := s.at(k)
+	return *r.long.At(i)
+}
+
+func (s *sources) value(k KeyIndex) any {
+	r, i := s.at(k)
+	return r.vals.at(i)
+}
+
+// Group cuts the records of srcs, taken in order as if concatenated, into
+// key groups: it sorts an index over them by (key, position) and sweeps it
+// once, cutting a group wherever the key changes, so each group holds its
+// values in source then record order. No record is copied. With a fold,
+// each group's values are folded in that order into one accumulator — in
+// place in a []T when every source holds the same typed column and typed
+// (see Config.TypedFold) offers the fold unboxed, through fold otherwise;
+// without one the values are boxed for Values to hand out. The index is
+// borrowed from a pool and given back before Group returns.
+func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error) {
+	if err := Groupable(len(srcs)); err != nil {
 		return nil, err
 	}
+	var s sources
+	n := 0
+	for _, src := range srcs {
+		if src.Hi > src.Lo {
+			s.srcs = append(s.srcs, src)
+			s.off = append(s.off, int32(src.Lo-n))
+			n += src.Hi - src.Lo
+		}
+	}
+	if err := Indexable(n); err != nil {
+		return nil, err
+	}
+	p := getIndex(n)
+	defer putIndex(p)
+	idx := *p
+	for si, src := range s.srcs {
+		for i := src.Lo; i < src.Hi; i++ {
+			h := src.Recs.heads.At(i)
+			idx = append(idx, KeyIndex{Prefix: h.prefix, Len: h.len(), Src: uint16(si), Pos: int32(len(idx))})
+		}
+	}
+	SortIndex(idx, s.longKey)
 	// starts[g] is where group g begins in idx; found on the index alone
 	// so the group arrays below are allocated at their size.
 	starts := make([]int32, 0, n+1)
 	for i := range idx {
-		if i == 0 || CompareKeys(idx[i-1], idx[i], r.longKey) != 0 {
+		if i == 0 || CompareKeys(idx[i-1], idx[i], s.longKey) != 0 {
 			starts = append(starts, int32(i))
 		}
 	}
@@ -323,21 +349,22 @@ func (r *Records) Group(fold func(acc, v any) any, typed any) (*Groups, error) {
 			if g.long == nil {
 				g.long = make([]string, groups)
 			}
-			g.long[i] = r.longKey(first.Pos)
+			g.long[i] = s.longKey(first)
 		}
 		for _, ix := range idx[starts[i]:starts[i+1]] {
-			g.Sizes[i] += r.heads.At(int(ix.Pos)).bytes()
+			r, j := s.at(ix)
+			g.Sizes[i] += r.heads.At(j).bytes()
 		}
 	}
 	switch {
 	case n == 0:
 	case fold != nil:
-		g.accs = r.vals.foldGroups(idx, starts, &folder{boxed: fold, typed: typed})
+		g.accs = s.srcs[0].Recs.vals.foldGroups(&s, idx, starts, &folder{boxed: fold, typed: typed})
 	default:
 		g.starts = starts
 		g.vals = make([]any, n)
 		for i, ix := range idx {
-			g.vals[i] = r.vals.at(int(ix.Pos))
+			g.vals[i] = s.value(ix)
 		}
 	}
 	return g, nil

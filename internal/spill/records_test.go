@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -30,21 +31,26 @@ func mixedLengthKeys() []string {
 	return keys
 }
 
-// drainRecords replays every partition of b through DrainTo.
+// drainRecords fetches every partition of b as a reduce task does and
+// reads its records back.
 func drainRecords(t *testing.T, b *Buffer, parts int) (keys []string, vals []any, sizes []int64) {
 	t.Helper()
 	for p := 0; p < parts; p++ {
 		var recs Records
-		if _, err := b.DrainTo(p, &recs); err != nil {
+		src, _, err := b.Fetch(p, &recs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		recs.Each(func(k string, v any, sz int64) bool {
-			keys, vals, sizes = append(keys, k), append(vals, v), append(sizes, sz)
-			return true
-		})
+		for i := src.Lo; i < src.Hi; i++ {
+			k, v := src.Recs.At(i)
+			keys, vals, sizes = append(keys, k), append(vals, v), append(sizes, src.Recs.heads.At(i).bytes())
+		}
 	}
 	return keys, vals, sizes
 }
+
+// whole is all of r, as the one source of a Group.
+func whole(r *Records) []Source { return []Source{{Recs: r, Hi: r.Len()}} }
 
 // TestTypedFoldMatchesBoxedFold: the same stream folded unboxed and boxed
 // leaves identical accumulators, sizes and spill statistics — at emit in
@@ -91,11 +97,11 @@ func TestTypedFoldMatchesBoxedFold(t *testing.T) {
 	for i := 0; i < n; i++ {
 		recs.Append(keys[(i*3)%len(keys)], int64(i), 24)
 	}
-	gt, err := recs.Group(f.Fold, f)
+	gt, err := Group(whole(&recs), f.Fold, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := recs.Group(f.Fold, nil)
+	gb, err := Group(whole(&recs), f.Fold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,25 +172,41 @@ func TestRecordsHoldAnything(t *testing.T) {
 		want = append(want, v)
 		recs.Append("a-key-longer-than-eight-bytes", v, 10)
 	}
-	// A typed batch appended to a boxed one, and a boxed one to a typed.
-	other.Append("u", uint32(1), 10)
-	other.Append("v", uint32(2), 10)
-	recs.appendAll(&other)
-	want = append(want, uint32(1), uint32(2))
-	var typed Records
-	typed.Append("u", uint32(0), 10)
-	typed.appendAll(&recs)
 	var got []any
 	var keys []string
-	typed.Each(func(k string, v any, sz int64) bool {
+	recs.Each(func(k string, v any, sz int64) bool {
 		got, keys = append(got, v), append(keys, k)
 		return sz == 10
 	})
-	if !reflect.DeepEqual(got[1:], want) || typed.Len() != len(want)+1 || typed.Bytes() != int64(10*typed.Len()) {
-		t.Fatalf("read back %v (%d records, %d bytes), stored %v", got, typed.Len(), typed.Bytes(), want)
+	if !reflect.DeepEqual(got, want) || recs.Len() != len(want) || recs.Bytes() != int64(10*recs.Len()) {
+		t.Fatalf("read back %v (%d records, %d bytes), stored %v", got, recs.Len(), recs.Bytes(), want)
 	}
-	if wantKeys := "u k0 k1" + strings.Repeat(" a-key-longer-than-eight-bytes", 4) + " u v"; strings.Join(keys, " ") != wantKeys {
+	if wantKeys := "k0 k1" + strings.Repeat(" a-key-longer-than-eight-bytes", 4); strings.Join(keys, " ") != wantKeys {
 		t.Fatalf("keys %q, want %q", keys, wantKeys)
+	}
+
+	// Grouped with a typed source before and after it, the boxed records
+	// and the typed ones come out together, in source order.
+	other.Append("u", uint32(1), 10)
+	other.Append("v", uint32(2), 10)
+	var typed Records
+	typed.Append("u", uint32(0), 10)
+	g, err := Group([]Source{{Recs: &typed, Hi: 1}, {Recs: &recs, Hi: recs.Len()}, {Recs: &other, Hi: 2}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string][]any{}
+	for i, k := range groupKeys(g) {
+		byKey[k] = g.Values(i)
+	}
+	if wantGroups := map[string][]any{
+		"a-key-longer-than-eight-bytes": want[2:],
+		"k0":                            {int64(7)},
+		"k1":                            {int64(8)},
+		"u":                             {uint32(0), uint32(1)},
+		"v":                             {uint32(2)},
+	}; !reflect.DeepEqual(byKey, wantGroups) {
+		t.Fatalf("groups %v, want %v", byKey, wantGroups)
 	}
 }
 
@@ -476,7 +498,7 @@ func TestGroupConcurrent(t *testing.T) {
 			boxed func(acc, v any) any
 			typed any
 		}{{nil, nil}, {f.Fold, f}, {f.Fold, nil}} {
-			g, err := r.Group(fold.boxed, fold.typed)
+			g, err := Group(whole(r), fold.boxed, fold.typed)
 			if err != nil {
 				return out, err
 			}
@@ -508,4 +530,160 @@ func TestGroupConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// sumAny folds counts of several kinds into an int64: boxed from any of
+// them, unboxed only over an int64 column. A string counts as its length,
+// nil as nothing.
+type sumAny struct{}
+
+func (sumAny) Fold(acc, v any) any { return count(acc) + count(v) }
+
+func (sumAny) FoldTyped(acc *int64, v int64) { *acc += v }
+
+func count(v any) int64 {
+	switch x := v.(type) {
+	case int64:
+		return x
+	case uint32:
+		return int64(x)
+	case string:
+		return int64(len(x))
+	}
+	return 0
+}
+
+// TestGroupMatchesConcatenation: Group over random sources — empty ones,
+// several lying in one shared Records between records of no source, keys
+// of every length, int64, uint32 and []any columns mixed across sources —
+// cuts the same groups as Group over one Records the sources' records are
+// appended to in order: the same keys, sizes and values, unfolded, folded
+// unboxed or folded boxed, and accumulators unboxed exactly when the
+// concatenation's are.
+func TestGroupMatchesConcatenation(t *testing.T) {
+	keys := mixedLengthKeys()
+	folds := map[string]*folder{
+		"plain": nil,
+		"typed": {boxed: sumAny{}.Fold, typed: sumAny{}},
+		"boxed": {boxed: sumAny{}.Fold},
+	}
+	kinds := []func(i int) any{
+		func(i int) any { return int64(i) },
+		func(i int) any { return uint32(i) },
+		func(i int) any {
+			switch i % 5 {
+			case 1:
+				return fmt.Sprint(i)
+			case 3:
+				return nil
+			}
+			return int64(i)
+		},
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Every source draws its values from one kind; half the time all
+		// sources draw from the first, so typed columns meet often.
+		kind := func() func(int) any { return kinds[0] }
+		if seed%2 == 1 {
+			kind = func() func(int) any { return kinds[rng.Intn(len(kinds))] }
+		}
+		shared := new(Records)
+		var srcs []Source
+		var concat Records
+		for s, n := 0, rng.Intn(7); s < n; s++ {
+			recs, value := shared, kind()
+			if rng.Intn(2) == 0 {
+				recs = new(Records)
+			}
+			add := func(n int, value func(int) any) {
+				for i := 0; i < n; i++ {
+					k, v := keys[rng.Intn(len(keys))], value(rng.Intn(1000))
+					recs.Append(k, v, testSize(k, v))
+				}
+			}
+			// Records of no source, of the kind that leaves a column as
+			// the sources' records make it.
+			add(rng.Intn(3), kinds[0])
+			lo, length := recs.Len(), rng.Intn(60)
+			if rng.Intn(4) == 0 {
+				length = 0
+			}
+			add(length, value)
+			srcs = append(srcs, Source{Recs: recs, Lo: lo, Hi: recs.Len()})
+			for i := lo; i < recs.Len(); i++ {
+				k, v := recs.At(i)
+				concat.Append(k, v, recs.heads.At(i).bytes())
+			}
+		}
+		for name, f := range folds {
+			var fold func(acc, v any) any
+			var typed any
+			if f != nil {
+				fold, typed = f.boxed, f.typed
+			}
+			got, err := Group(srcs, fold, typed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Group(whole(&concat), fold, typed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := diffGroups(got, want, f != nil); msg != "" {
+				t.Fatalf("seed %d, %s, %d sources: %s", seed, name, len(srcs), msg)
+			}
+		}
+	}
+}
+
+// diffGroups describes the first way got and want differ, or returns "".
+func diffGroups(got, want *Groups, folded bool) string {
+	if got.Len() != want.Len() {
+		return fmt.Sprintf("%d groups, want %d", got.Len(), want.Len())
+	}
+	if !reflect.DeepEqual(got.Sizes, want.Sizes) {
+		return fmt.Sprintf("sizes %v, want %v", got.Sizes, want.Sizes)
+	}
+	ga, wa := NewKeyArena(got.Len()), NewKeyArena(want.Len())
+	for i := 0; i < got.Len(); i++ {
+		if got.Abbrev(i) != want.Abbrev(i) || got.Key(i, ga) != want.Key(i, wa) {
+			return fmt.Sprintf("group %d: key %q, want %q", i, got.Key(i, ga), want.Key(i, wa))
+		}
+		if !folded {
+			if !reflect.DeepEqual(got.Values(i), want.Values(i)) {
+				return fmt.Sprintf("group %d: values %v, want %v", i, got.Values(i), want.Values(i))
+			}
+			continue
+		}
+		if got.Acc(i) != want.Acc(i) {
+			return fmt.Sprintf("group %d: accumulator %v, want %v", i, got.Acc(i), want.Acc(i))
+		}
+		gv, gok := GroupAcc[int64](got, i)
+		wv, wok := GroupAcc[int64](want, i)
+		if gv != wv || gok != wok {
+			return fmt.Sprintf("group %d: unboxed accumulator %v (%v), want %v (%v)", i, gv, gok, wv, wok)
+		}
+	}
+	if reflect.TypeOf(got.accs) != reflect.TypeOf(want.accs) {
+		return fmt.Sprintf("accumulators in a %T, want a %T", got.accs, want.accs)
+	}
+	return ""
+}
+
+// TestFetchChecksCancel: a partition handed over in place still answers a
+// cancelled job, once per partition, as the merge of a spilled one does.
+func TestFetchChecksCancel(t *testing.T) {
+	stop := errors.New("cancelled")
+	b := NewBuffer(Config{Parts: 2, Size: testSize, Cancel: func() error { return stop }})
+	defer b.Close()
+	if err := b.Add(0, "k", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Fetch(0, new(Records)); err != stop {
+		t.Fatalf("Fetch of a resident partition = %v, want the cancellation", err)
+	}
+	if src, ways, err := b.Fetch(1, new(Records)); err != nil || ways != 0 || src.Hi != src.Lo {
+		t.Fatalf("Fetch of an empty partition = %+v, %d, %v", src, ways, err)
+	}
 }

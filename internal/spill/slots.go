@@ -64,7 +64,7 @@ func (t *slotTable) findOrAdd(r *Records, k KeyIndex, key string, n int) (int, e
 	i := hash & mask
 	for ; t.slots[i].pos != 0; i = (i + 1) & mask {
 		if s := t.slots[i]; s.hash == hash {
-			if h := r.heads.At(int(s.pos - 1)); h.prefix == k.Prefix && h.len() == k.Len && (k.Len < 9 || r.longKey(s.pos-1) == key) {
+			if h := r.heads.At(int(s.pos - 1)); h.prefix == k.Prefix && h.len() == k.Len && (k.Len < 9 || *r.long.At(int(s.pos - 1)) == key) {
 				return int(s.pos - 1), nil
 			}
 		}
