@@ -5,12 +5,10 @@
 // Usage:
 //
 //	fsjoin -theta 0.8 [-algo fs|fs-v|ridpairs|vsmart|massjoin|massjoin-light|approx]
-//	       [-fn jaccard|dice|cosine] [-q N] [-nodes N] [-stats] [-file-shuffle]
+//	       [-fn jaccard|dice|cosine] [-q N] [-nodes N] [-stats]
 //	       [-checkpoint DIR [-resume]] [-skip-bad-records] [-rs] R.txt [S.txt]
 //
-// -file-shuffle routes the shuffle through the filesystem transport
-// (DESIGN.md §15); output is byte-identical to the default in-memory
-// shuffle. The bitmap signature filter is always on; the FSJOIN_BITMAP=off
+// The bitmap signature filter is always on; the FSJOIN_BITMAP=off
 // environment variable disables it for testing (DESIGN.md §11).
 //
 // With one input file a self-join is performed; with two, an R-S join:
@@ -74,7 +72,6 @@ func main() {
 		skip   = flag.Bool("skip-bad-records", false, "quarantine records that deterministically crash a task instead of failing the join")
 		maxSk  = flag.Int("max-skipped-records", 0, "abort after this many quarantined records (0 = default limit)")
 		rs     = flag.Bool("rs", false, "require an R-S join: exactly two input files (implied when two files are given)")
-		fileSh = flag.Bool("file-shuffle", false, "run every job over the filesystem shuffle transport (hand-off and task outputs as frame files)")
 
 		probe    = flag.String("probe", "", "probe mode: answer each record of this file against a persistent index of the corpus")
 		indexDir = flag.String("index-dir", "", "probe mode: load the index from this directory if present, else build and save it there")
@@ -111,8 +108,7 @@ func main() {
 	if (*walSync != "" || *autoComp != 0) && *indexDir == "" {
 		fatal("-wal-sync and -auto-compact require -probe with -index-dir")
 	}
-	opt := fsjoin.Options{Threshold: *theta, Nodes: *nodes, WorkBudget: *budget, LocalParallelism: *par, CheckpointDir: *ckpt,
-		FileShuffle: *fileSh}
+	opt := fsjoin.Options{Threshold: *theta, Nodes: *nodes, WorkBudget: *budget, LocalParallelism: *par, CheckpointDir: *ckpt}
 	if *ckpt != "" && !*resume {
 		// A fresh (non-resume) run must not reuse checkpoints left over
 		// from an earlier invocation with different inputs.

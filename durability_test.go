@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"fsjoin/internal/checkpoint"
-	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/probeindex"
 	"fsjoin/internal/similarity"
-	"fsjoin/internal/spill"
 )
 
 // TestDurableIndexRoundTrip drives the public durability API end to end:
@@ -218,10 +216,10 @@ func TestServerMaintainPanicIsolated(t *testing.T) {
 
 // TestPreviousFormatsRefused: files written before the framed-file format
 // (testdata/legacy, produced by the last commit that wrote FSCKPT01
-// checkpoints, FSSHUF1 frames and FSWAL001 logs) are refused cleanly, never
-// misread: a checkpoint reads as Corrupt and is recomputed, a frame is
-// refused as invalid, an index directory is "no usable index: corrupt
-// snapshot" (rebuild), and a log next to a valid snapshot is rejected whole.
+// checkpoints and FSWAL001 logs) are refused cleanly, never misread: a
+// checkpoint reads as Corrupt and is recomputed, an index directory is "no
+// usable index: corrupt snapshot" (rebuild), and a log next to a valid
+// snapshot is rejected whole.
 func TestPreviousFormatsRefused(t *testing.T) {
 	legacy := func(t *testing.T, name, dst string) {
 		t.Helper()
@@ -249,20 +247,6 @@ func TestPreviousFormatsRefused(t *testing.T) {
 			}
 			if _, status := st.Load(1, "legacy", "legacy-fp"); status != checkpoint.Miss {
 				t.Fatalf("the refused file was left in place: second Load = %v", status)
-			}
-		}},
-		{"FSSHUF1", func(t *testing.T, dir string) {
-			spec := mapreduce.TransportSpec{Job: "legacy", MapTasks: 1, ReduceTasks: 2}
-			jt, err := mapreduce.NewFSTransport(dir).Open(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy(t, "m0.g1-1", filepath.Join(dir, "s001-legacy", "m0"))
-			if _, err := jt.MapMeta(0); err == nil || !strings.Contains(err.Error(), "no valid frame") {
-				t.Fatalf("MapMeta = %v, want an invalid frame", err)
-			}
-			if _, _, err := jt.FetchPartition(0, 0, new(spill.Records)); err == nil {
-				t.Fatal("FetchPartition served a frame of the previous format")
 			}
 		}},
 		{"FSCKPT01 (index snapshot)", func(t *testing.T, dir string) {

@@ -24,7 +24,6 @@ package fsjoin
 import (
 	"context"
 	"fmt"
-	"os"
 	"strconv"
 	"time"
 
@@ -209,10 +208,9 @@ type Options struct {
 	// FSJOIN_MEMORY_BUDGET environment variable (unbounded when unset);
 	// a negative value forces unbounded buffering.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files and FileShuffle
-	// frames; "" defers to the FSJOIN_SPILL_DIR environment variable, then
-	// the OS temp dir. Each join creates and removes its own
-	// subdirectories.
+	// SpillDir is the parent directory for spill files; "" defers to the
+	// FSJOIN_SPILL_DIR environment variable, then the OS temp dir. Each
+	// join creates and removes its own subdirectories.
 	SpillDir string
 	// CheckpointDir, when non-empty, makes the join durable: after every
 	// MapReduce stage completes, its output, counters and metrics are
@@ -226,16 +224,6 @@ type Options struct {
 	// Stats.CheckpointHits/CheckpointMisses report the replay activity.
 	// Directories must not be reused across library versions.
 	CheckpointDir string
-	// FileShuffle runs every job over the filesystem shuffle transport
-	// (DESIGN.md §15): the map→reduce hand-off and each task's output
-	// (reduce and map-only) are published as checksummed framed files
-	// (DESIGN.md §16) in a temporary directory under SpillDir and read
-	// back, so every shuffled and emitted value must be spill-encodable.
-	// The directory is removed when the call returns and nothing can resume
-	// from it, so these frames are published atomically but not fsynced.
-	// Results are byte-identical to the in-memory shuffle; useful for
-	// validating the transport.
-	FileShuffle bool
 }
 
 // FaultOptions is the public face of the engine's fault model (DESIGN.md
@@ -308,16 +296,14 @@ func (o Options) faultPolicy() mapreduce.FaultPolicy {
 
 // env lowers the public execution knobs onto the engine environment every
 // algorithm forwards to its pipeline — the one place a new engine-wide
-// setting is wired. tr is the resolved FileShuffle transport (nil: in
-// memory).
-func (o Options) env(tr mapreduce.Transport) mapreduce.Env {
+// setting is wired.
+func (o Options) env() mapreduce.Env {
 	return mapreduce.Env{
 		Context:        o.Context,
 		Fault:          o.faultPolicy(),
 		SpillDir:       o.SpillDir,
 		CheckpointDir:  o.CheckpointDir,
 		CheckpointSalt: o.checkpointSalt(),
-		Transport:      tr,
 	}
 }
 
@@ -343,21 +329,6 @@ func (o Options) cluster() *mapreduce.Cluster {
 		cl.Nodes = o.Nodes
 	}
 	return cl
-}
-
-// resolveTransport realises Options.FileShuffle: the shuffle and the task
-// outputs go through framed files in a fresh directory under the spill
-// directory, resolved as the spill runs resolve it and removed by the
-// returned cleanup. Without FileShuffle the transport is nil (in memory).
-func (o Options) resolveTransport() (mapreduce.Transport, func(), error) {
-	if !o.FileShuffle {
-		return nil, func() {}, nil
-	}
-	dir, err := os.MkdirTemp(mapreduce.SpillDir(o.SpillDir), "fsjoin-shuffle-")
-	if err != nil {
-		return nil, nil, fmt.Errorf("fsjoin: FileShuffle: %w", err)
-	}
-	return mapreduce.NewFSTransport(dir), func() { os.RemoveAll(dir) }, nil
 }
 
 // localParallelism resolves Options.LocalParallelism for the engine: the

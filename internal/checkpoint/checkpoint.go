@@ -143,9 +143,9 @@ func (s *Store) Clear() error {
 	return nil
 }
 
-// SafeName maps a job name onto a conservative character set so it is
+// safeName maps a job name onto a conservative character set so it is
 // always a valid path component.
-func SafeName(job string) string {
+func safeName(job string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '_', r == '-':
@@ -158,7 +158,7 @@ func SafeName(job string) string {
 
 // fileName derives the stage's checkpoint path.
 func (s *Store) fileName(stage int, job string) string {
-	return filepath.Join(s.dir, fmt.Sprintf("stage-%03d-%s.ckpt", stage, SafeName(job)))
+	return filepath.Join(s.dir, fmt.Sprintf("stage-%03d-%s.ckpt", stage, safeName(job)))
 }
 
 // Save atomically and durably persists one stage (frame.Publish), so
@@ -171,7 +171,7 @@ func (s *Store) Save(m Manifest, recs []Record) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	err = frame.Publish(s.dir, filepath.Base(s.fileName(m.Stage, m.Job)), manifest, true, func(w *frame.Writer) error {
+	err = frame.Publish(s.dir, filepath.Base(s.fileName(m.Stage, m.Job)), manifest, func(w *frame.Writer) error {
 		for _, r := range recs {
 			if err := w.Record(r.Key, r.Value); err != nil {
 				return err

@@ -51,7 +51,7 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, manifest, body []byte) {
 		dir := t.TempDir()
-		err := frame.Publish(dir, "img", manifest, false, func(w *frame.Writer) error {
+		err := frame.Publish(dir, "img", manifest, func(w *frame.Writer) error {
 			if len(body) == 0 {
 				return nil
 			}

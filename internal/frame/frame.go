@@ -1,7 +1,7 @@
 // Package frame is the one module that knows how a durable file is laid
 // out, published and read back (DESIGN.md §16). Checkpoint snapshots, the
-// probe-index snapshot, filesystem-transport frames and the probe-index
-// write-ahead log are all framed files:
+// probe-index snapshot and the probe-index write-ahead log are all framed
+// files:
 //
 //	"FSFRAME1"                      magic; the last byte is the version
 //	section 0                       the header: the owner's binding (fingerprint, …)
@@ -15,8 +15,8 @@
 // checks every byte before it hands out a payload. A Log is the same file
 // without the end marker, appended to in place; ReplayLog walks it to the
 // last valid section and truncates what follows. What the sections mean is
-// the owner's business; Writer.Record, File.Records and ReadRecords cover the
-// one payload all owners share, a stream of shuffle records in
+// the owner's business; Writer.Record and File.Records cover the one
+// payload all owners share, a stream of shuffle records in
 // spill.AppendRecord's form that may run across sections, so no record is
 // too large to write.
 package frame
@@ -129,12 +129,12 @@ type Writer struct {
 	bw    *bufio.Writer
 	n     int    // sections written, header included
 	chunk []byte // flag byte and records not yet closed into a section
-	limit int    // maxSection; where Flush cuts a longer chunk
+	limit int    // maxSection; where flush cuts a longer chunk
 }
 
 // Section writes one payload section, after any pending records.
 func (w *Writer) Section(payload []byte) error {
-	if err := w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		return err
 	}
 	return w.put(payload)
@@ -154,8 +154,8 @@ func (w *Writer) put(payload []byte) error {
 }
 
 // Record adds one shuffle record; records are packed into sections of
-// about a megabyte that Records and ReadRecords decode. A value with no
-// codec fails it with spill.ErrNoCodec.
+// about a megabyte that File.Records decodes. A value with no codec fails
+// it with spill.ErrNoCodec.
 func (w *Writer) Record(key string, v any) error {
 	if len(w.chunk) == 0 {
 		w.chunk = append(w.chunk, recLast)
@@ -165,15 +165,15 @@ func (w *Writer) Record(key string, v any) error {
 		return fmt.Errorf("frame: %w", err)
 	}
 	if w.chunk = chunk; len(chunk) >= chunkBytes {
-		return w.Flush()
+		return w.flush()
 	}
 	return nil
 }
 
-// Flush closes the pending records into a section, so that what follows
+// flush closes the pending records into a section, so that what follows
 // starts a new one — or into several when a record is longer than a
 // section may be: every piece but the last is full and flagged recMore.
-func (w *Writer) Flush() error {
+func (w *Writer) flush() error {
 	b := w.chunk
 	w.chunk = w.chunk[:0]
 	for len(b) > w.limit {
@@ -191,19 +191,16 @@ func (w *Writer) Flush() error {
 	return w.put(b)
 }
 
-// Sections returns how many payload sections have been written.
-func (w *Writer) Sections() int { return w.n - 1 }
-
-// Publish atomically makes dir/name a closed framed file with the given
-// header and whatever fill writes: readers see the old file or the whole
-// new one, and no error path leaves the temp file behind. durable adds the
-// two fsyncs (file before the rename, directory after) that make the
-// publish survive power loss; files no restart can resume from pass false.
-func Publish(dir, name string, header []byte, durable bool, fill func(*Writer) error) error {
-	return publish(dir, name, header, durable, true, fill)
+// Publish atomically and durably makes dir/name a closed framed file with
+// the given header and whatever fill writes: readers see the old file or
+// the whole new one, no error path leaves the temp file behind, and two
+// fsyncs (file before the rename, directory after) make the publish
+// survive power loss.
+func Publish(dir, name string, header []byte, fill func(*Writer) error) error {
+	return publish(dir, name, header, true, fill)
 }
 
-func publish(dir, name string, header []byte, durable, closed bool, fill func(*Writer) error) (err error) {
+func publish(dir, name string, header []byte, closed bool, fill func(*Writer) error) (err error) {
 	f, err := os.CreateTemp(dir, TempPrefix+"*")
 	if err != nil {
 		return err
@@ -221,7 +218,7 @@ func publish(dir, name string, header []byte, durable, closed bool, fill func(*W
 	w.bw.WriteString(magic)
 	if err = w.put(header); err == nil && fill != nil {
 		if err = fill(w); err == nil {
-			err = w.Flush()
+			err = w.flush()
 		}
 	}
 	if err == nil && closed {
@@ -233,7 +230,7 @@ func publish(dir, name string, header []byte, durable, closed bool, fill func(*W
 	if err == nil {
 		err = w.bw.Flush()
 	}
-	if err == nil && durable {
+	if err == nil {
 		err = h.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -247,10 +244,7 @@ func publish(dir, name string, header []byte, durable, closed bool, fill func(*W
 		return err
 	}
 	Kill("save.renamed")
-	if durable {
-		err = SyncDir(dir)
-	}
-	return err
+	return SyncDir(dir)
 }
 
 // SyncDir fsyncs a directory so a created or renamed entry survives a
@@ -294,8 +288,7 @@ func SweepTemps(dir string, recursive bool) error {
 	})
 }
 
-// Section locates one validated payload inside its file, so it can be
-// read again alone (ReadRecords).
+// Section locates one validated payload inside its file.
 type Section struct {
 	Off, Len int64
 	Sum      uint32
@@ -354,16 +347,13 @@ func Parse(data []byte) (*File, error) {
 	return &File{Header: secs[0].of(data), Sections: secs[1:], data: data}, nil
 }
 
-// readRecords joins and decodes the record sections of one stream, each
-// fetched by payload, and reports how many records it emitted. A torn
+// Records decodes the payload sections as one stream of records written
+// through Writer.Record, and reports how many records it emitted. A torn
 // record, trailing bytes or a stream that stops inside a record is an error.
-func readRecords(secs []Section, payload func(Section) ([]byte, error), emit func(key string, v any)) (n int64, err error) {
+func (f *File) Records(emit func(key string, v any)) (n int64, err error) {
 	var carry []byte // the bytes of recMore sections, until the section that ends them
-	for _, s := range secs {
-		p, err := payload(s)
-		if err != nil {
-			return n, err
-		}
+	for _, s := range f.Sections {
+		p := s.of(f.data)
 		if len(p) == 0 || p[0] > recMore {
 			return n, errors.New("frame: not a record section")
 		}
@@ -389,40 +379,6 @@ func readRecords(secs []Section, payload func(Section) ([]byte, error), emit fun
 	return n, nil
 }
 
-// Records decodes the payload sections as one stream of records written
-// through Writer.Record.
-func (f *File) Records(emit func(key string, v any)) (int64, error) {
-	return readRecords(f.Sections, func(s Section) ([]byte, error) { return s.of(f.data), nil }, emit)
-}
-
-// ReadRecords does the same for the given sections of a validated file —
-// one record stream among several, a shuffle partition — reading each
-// section again alone and re-checking its checksum.
-func ReadRecords(path string, secs []Section, emit func(key string, v any)) (int64, error) {
-	if len(secs) == 0 {
-		return 0, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var buf []byte
-	return readRecords(secs, func(s Section) ([]byte, error) {
-		if int64(cap(buf)) < s.Len {
-			buf = make([]byte, s.Len)
-		}
-		buf = buf[:s.Len]
-		if _, err := f.ReadAt(buf, s.Off); err != nil {
-			return nil, err
-		}
-		if crc32.Checksum(buf, castagnoli) != s.Sum {
-			return nil, fmt.Errorf("frame: %s: checksum mismatch at offset %d", path, s.Off)
-		}
-		return buf, nil
-	}, emit)
-}
-
 // Log is an open framed file being appended to: header, then sections, no
 // end marker. It does not lock; its owner serialises calls.
 type Log struct {
@@ -435,7 +391,7 @@ type Log struct {
 // CreateLog publishes a fresh log holding only its header (durably — the
 // log exists after a crash that follows) and opens it for appending.
 func CreateLog(dir, name string, header []byte) (*Log, error) {
-	if err := publish(dir, name, header, true, false, nil); err != nil {
+	if err := publish(dir, name, header, false, nil); err != nil {
 		return nil, err
 	}
 	path := filepath.Join(dir, name)

@@ -18,8 +18,8 @@ import (
 var testHeader = []byte("test-owner fp=abc")
 
 // publishSections publishes name with the given payload sections.
-func publishSections(dir, name string, durable bool, payloads ...[]byte) error {
-	return Publish(dir, name, testHeader, durable, func(w *Writer) error {
+func publishSections(dir, name string, payloads ...[]byte) error {
+	return Publish(dir, name, testHeader, func(w *Writer) error {
 		for _, p := range payloads {
 			if err := w.Section(p); err != nil {
 				return err
@@ -60,19 +60,17 @@ func fileNames(t *testing.T, dir string) []string {
 }
 
 func TestPublishReadRoundTrip(t *testing.T) {
-	for _, durable := range []bool{true, false} {
-		dir := t.TempDir()
-		want := [][]byte{[]byte("one"), bytes.Repeat([]byte{7}, 200_000), []byte("3")}
-		if err := publishSections(dir, "f", durable, want...); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "f")
-		if got := payloadsOf(t, path); !reflect.DeepEqual(got, want) {
-			t.Fatalf("durable=%v: payloads differ", durable)
-		}
-		if got := fileNames(t, dir); !reflect.DeepEqual(got, []string{"f"}) {
-			t.Fatalf("directory holds %v", got)
-		}
+	dir := t.TempDir()
+	want := [][]byte{[]byte("one"), bytes.Repeat([]byte{7}, 200_000), []byte("3")}
+	if err := publishSections(dir, "f", want...); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "f")
+	if got := payloadsOf(t, path); !reflect.DeepEqual(got, want) {
+		t.Fatal("payloads differ")
+	}
+	if got := fileNames(t, dir); !reflect.DeepEqual(got, []string{"f"}) {
+		t.Fatalf("directory holds %v", got)
 	}
 }
 
@@ -87,14 +85,14 @@ func TestRecordsRoundTrip(t *testing.T) {
 		want = append(want, rec{fmt.Sprintf("key-%05d", i), strings.Repeat("v", 1+i%900)})
 	}
 	var firstPart int
-	err := Publish(dir, "r", testHeader, false, func(w *Writer) error {
+	err := Publish(dir, "r", testHeader, func(w *Writer) error {
 		for i, r := range want {
 			if i == 10 {
-				// Flush ends a run of records: what follows starts a new section.
-				if err := w.Flush(); err != nil {
+				// flush ends a run of records: what follows starts a new section.
+				if err := w.flush(); err != nil {
 					return err
 				}
-				firstPart = w.Sections()
+				firstPart = w.n - 1
 			}
 			if err := w.Record(r.k, r.v); err != nil {
 				return err
@@ -125,26 +123,8 @@ func TestRecordsRoundTrip(t *testing.T) {
 	if n, err := f.Records(collect); err != nil || n != int64(len(want)) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Records: n=%d err=%v", n, err)
 	}
-	// A stream can be read again alone from its index entries...
-	path := filepath.Join(dir, "r")
-	got = nil
-	if n, err := ReadRecords(path, f.Sections[:1], collect); err != nil || n != 10 || !reflect.DeepEqual(got, want[:10]) {
-		t.Fatalf("ReadRecords of the first stream: n=%d err=%v", n, err)
-	}
-	if n, err := ReadRecords(path, f.Sections[1:], collect); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadRecords of the second stream: n=%d err=%v", n, err)
-	}
-	if n, err := ReadRecords(filepath.Join(dir, "absent"), nil, collect); n != 0 || err != nil {
-		t.Fatalf("ReadRecords of no sections: n=%d err=%v", n, err)
-	}
-	// ...and a stale index entry is caught by its checksum.
-	stale := f.Sections[2]
-	stale.Sum++
-	if _, err := ReadRecords(path, []Section{stale}, collect); err == nil {
-		t.Fatal("ReadRecords accepted a checksum mismatch")
-	}
 	for _, bad := range [][]byte{{recLast, 1, 'k', 9}, {2, 0}} {
-		if err := publishSections(dir, "bad", false, bad); err != nil {
+		if err := publishSections(dir, "bad", bad); err != nil {
 			t.Fatal(err)
 		}
 		f, err := Read(filepath.Join(dir, "bad"))
@@ -157,7 +137,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 		os.Remove(filepath.Join(dir, "bad"))
 	}
 	type opaque struct{ ch chan int }
-	err = Publish(dir, "bad", testHeader, false, func(w *Writer) error { return w.Record("k", opaque{}) })
+	err = Publish(dir, "bad", testHeader, func(w *Writer) error { return w.Record("k", opaque{}) })
 	if !errors.Is(err, spill.ErrNoCodec) {
 		t.Fatalf("Publish of an unencodable record: %v, want spill.ErrNoCodec", err)
 	}
@@ -179,18 +159,18 @@ func TestRecordsSpanSections(t *testing.T) {
 	}
 	for size := 1; size < 4*limit; size++ {
 		want := []rec{{"small", "x"}, {"big", strings.Repeat("b", size)}, {"after", []uint32{1, 2, 3}}}
-		var parts []int // sections per Flush
-		err := Publish(dir, "f", testHeader, false, func(w *Writer) error {
+		var parts []int // sections per flush
+		err := Publish(dir, "f", testHeader, func(w *Writer) error {
 			w.limit = limit
 			for _, r := range want {
-				before := w.Sections()
+				before := w.n
 				if err := w.Record(r.k, r.v); err != nil {
 					return err
 				}
-				if err := w.Flush(); err != nil {
+				if err := w.flush(); err != nil {
 					return err
 				}
-				parts = append(parts, w.Sections()-before)
+				parts = append(parts, w.n-before)
 			}
 			return w.Record("tail", "t") // Publish flushes what is pending
 		})
@@ -201,9 +181,10 @@ func TestRecordsSpanSections(t *testing.T) {
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
-		path := filepath.Join(dir, "f")
 		var got []rec
 		collect := func(k string, v any) { got = append(got, rec{k, v}) }
+		// Each flushed run of sections is a record stream of its own.
+		stream := func(secs []Section) *File { return &File{Sections: secs, data: f.data} }
 		next := 0
 		for _, n := range append(parts, 1) {
 			for _, s := range f.Sections[next : next+n] {
@@ -211,7 +192,7 @@ func TestRecordsSpanSections(t *testing.T) {
 					t.Fatalf("size %d: section of %d bytes", size, s.Len)
 				}
 			}
-			if _, err := ReadRecords(path, f.Sections[next:next+n], collect); err != nil {
+			if _, err := stream(f.Sections[next : next+n]).Records(collect); err != nil {
 				t.Fatalf("size %d: %v", size, err)
 			}
 			next += n
@@ -228,7 +209,7 @@ func TestRecordsSpanSections(t *testing.T) {
 		}
 		// A stream that loses its last section stops inside a record.
 		if parts[1] > 1 {
-			n, err := ReadRecords(path, f.Sections[1:parts[1]], func(string, any) {})
+			n, err := stream(f.Sections[1:parts[1]]).Records(func(string, any) {})
 			if n != 0 || err == nil {
 				t.Fatalf("size %d: a cut stream read as %d records, err=%v", size, n, err)
 			}
@@ -238,13 +219,13 @@ func TestRecordsSpanSections(t *testing.T) {
 
 func TestSectionSizeGuard(t *testing.T) {
 	dir := t.TempDir()
-	if err := publishSections(dir, "f", false, nil); err == nil {
+	if err := publishSections(dir, "f", nil); err == nil {
 		t.Fatal("empty section accepted")
 	}
-	if err := publishSections(dir, "f", false, make([]byte, maxSection+1)); err == nil {
+	if err := publishSections(dir, "f", make([]byte, maxSection+1)); err == nil {
 		t.Fatal("oversized section accepted")
 	}
-	if err := Publish(dir, "f", nil, false, nil); err == nil {
+	if err := Publish(dir, "f", nil, nil); err == nil {
 		t.Fatal("empty header accepted")
 	}
 	if got := fileNames(t, dir); len(got) != 0 {
@@ -256,7 +237,7 @@ func TestSectionSizeGuard(t *testing.T) {
 // extends it: no damaged image parses.
 func TestEveryByteValidated(t *testing.T) {
 	dir := t.TempDir()
-	if err := publishSections(dir, "f", false, []byte("alpha"), []byte("beta-beta")); err != nil {
+	if err := publishSections(dir, "f", []byte("alpha"), []byte("beta-beta")); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := os.ReadFile(filepath.Join(dir, "f"))
@@ -353,10 +334,10 @@ func TestKillAtEveryBoundary(t *testing.T) {
 	} {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := publishSections(dir, "f", true, oldV...); err != nil {
+			if err := publishSections(dir, "f", oldV...); err != nil {
 				t.Fatal(err)
 			}
-			if !dieAt(t, tc.point, 0, func() { publishSections(dir, "f", true, newV...) }) {
+			if !dieAt(t, tc.point, 0, func() { publishSections(dir, "f", newV...) }) {
 				t.Fatal("kill point never fired")
 			}
 			want := oldV
@@ -421,13 +402,13 @@ func TestKillAtEveryBoundary(t *testing.T) {
 }
 
 // TestInjectedFailures: a failing write or fsync fails the publish, leaves
-// no temp file and leaves the published file as it was; a non-durable
-// publish never syncs.
+// no temp file and leaves the published file as it was; a publish syncs
+// the file once.
 func TestInjectedFailures(t *testing.T) {
 	boom := errors.New("disk on fire")
 	for _, op := range []string{"write", "sync"} {
 		dir := t.TempDir()
-		if err := publishSections(dir, "f", true, []byte("old")); err != nil {
+		if err := publishSections(dir, "f", []byte("old")); err != nil {
 			t.Fatal(err)
 		}
 		SetFailHook(func(o, name string) error {
@@ -436,7 +417,7 @@ func TestInjectedFailures(t *testing.T) {
 			}
 			return nil
 		})
-		err := publishSections(dir, "f", true, []byte("new"))
+		err := publishSections(dir, "f", []byte("new"))
 		_, lerr := CreateLog(dir, "f", testHeader)
 		SetFailHook(nil)
 		if !errors.Is(err, boom) || !errors.Is(lerr, boom) {
@@ -457,11 +438,8 @@ func TestInjectedFailures(t *testing.T) {
 		return nil
 	})
 	defer SetFailHook(nil)
-	if err := publishSections(t.TempDir(), "f", false, []byte("x")); err != nil || syncs != 0 {
-		t.Fatalf("non-durable publish: err=%v, %d syncs", err, syncs)
-	}
-	if err := publishSections(t.TempDir(), "f", true, []byte("x")); err != nil || syncs != 1 {
-		t.Fatalf("durable publish: err=%v, %d syncs", err, syncs)
+	if err := publishSections(t.TempDir(), "f", []byte("x")); err != nil || syncs != 1 {
+		t.Fatalf("publish: err=%v, %d syncs", err, syncs)
 	}
 }
 
@@ -548,7 +526,7 @@ func TestLogReplay(t *testing.T) {
 	if fi, _ := os.Stat(l.path); fi.Size() != keep {
 		t.Fatal("a rejected log was modified")
 	}
-	if err := publishSections(dir, "closed", false, []byte("x")); err != nil {
+	if err := publishSections(dir, "closed", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if n, cut, err := ReplayLog(filepath.Join(dir, "closed"), testHeader, func([]byte) error { return nil }); n != 1 || !cut || err != nil {
@@ -601,7 +579,7 @@ func TestSweepTemps(t *testing.T) {
 // leaves a file that replays the same way with nothing left to cut.
 func FuzzFrame(f *testing.F) {
 	dir := f.TempDir()
-	if err := publishSections(dir, "closed", false, []byte("alpha"), []byte("beta")); err != nil {
+	if err := publishSections(dir, "closed", []byte("alpha"), []byte("beta")); err != nil {
 		f.Fatal(err)
 	}
 	l, err := CreateLog(dir, "log", testHeader)
@@ -611,7 +589,7 @@ func FuzzFrame(f *testing.F) {
 	l.Append([]byte("op-1"))
 	l.Append([]byte("op-2"))
 	l.Close()
-	err = Publish(dir, "records", testHeader, false, func(w *Writer) error {
+	err = Publish(dir, "records", testHeader, func(w *Writer) error {
 		w.limit = 16 // the second record runs across sections
 		w.Record("k", "v")
 		return w.Record("long", strings.Repeat("r", 40))
@@ -648,7 +626,7 @@ func FuzzFrame(f *testing.F) {
 		if file, err := Parse(data); err == nil {
 			file.Records(func(string, any) {}) // the sections may or may not be records: an error, never a panic
 			dir := t.TempDir()
-			err := Publish(dir, "again", file.Header, false, func(w *Writer) error {
+			err := Publish(dir, "again", file.Header, func(w *Writer) error {
 				for i, s := range file.Sections {
 					checkSection(t, data, file.Payload(i), s)
 					if err := w.Section(file.Payload(i)); err != nil {

@@ -111,3 +111,16 @@ func (c *Counters) String() string {
 	}
 	return b.String()
 }
+
+// mergeTaskCounters folds one task's counter snapshot into the job
+// counters, routing the engine's max-valued counters through Max.
+func mergeTaskCounters(dst *Counters, snap map[string]int64) {
+	for k, v := range snap {
+		switch k {
+		case CounterSpillMergeWays, CounterShufflePeak:
+			dst.Max(k, v)
+		default:
+			dst.Inc(k, v)
+		}
+	}
+}

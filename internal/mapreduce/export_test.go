@@ -43,3 +43,35 @@ func Emitted(ctx *Context) ([]*spill.Records, error) {
 	}
 	return parts, nil
 }
+
+// FetchedSources runs the map phase of Run(cfg, input, mapper, reducer) and
+// fetches every reduce task's partition of each map task as the reduce task
+// would. It reports, per reduce task, whether some non-empty partition was
+// handed over where it lies (resident) and whether some was merged from
+// spill runs into the task's own records (merged).
+func FetchedSources(cfg Config, input []KV, mapper Mapper, reducer Reducer) (resident, merged []bool, err error) {
+	env, err := newJobEnv(cfg, jobInput{kvs: input}, mapper, reducer, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := newCommits(env)
+	defer c.close()
+	if err := env.mapPhase(c); err != nil {
+		return nil, nil, err
+	}
+	resident, merged = make([]bool, env.reduceTasks), make([]bool, env.reduceTasks)
+	for r := range resident {
+		var fetched spill.Records
+		for _, s := range c.sinks {
+			src, _, err := s.buf.Fetch(r, &fetched)
+			if err != nil {
+				return nil, nil, err
+			}
+			if src.Hi > src.Lo {
+				merged[r] = merged[r] || src.Recs == &fetched
+				resident[r] = resident[r] || src.Recs != &fetched
+			}
+		}
+	}
+	return resident, merged, nil
+}

@@ -166,9 +166,6 @@ type Config struct {
 	// on a fingerprint-matched re-run (crash/restart recovery, DESIGN.md
 	// §9). Plain Run ignores it; inheritance and replay live in Pipeline.
 	CheckpointDir string
-	// Transport carries what the job's tasks commit (DESIGN.md §15); nil
-	// means the in-memory transport.
-	Transport Transport
 }
 
 // cancelled reports the context's error once it is done.
@@ -252,11 +249,10 @@ func (c Config) memoryBudget() (int64, error) {
 	return max(b, 0), nil
 }
 
-// SpillDir resolves a configured spill directory to where the engine's
+// spillDir resolves a configured spill directory to where the engine's
 // temp dirs are created: dir itself, else FSJOIN_SPILL_DIR, else "" (the OS
-// temp dir). Spill runs and the public layer's file-shuffle frames share
-// this one resolution.
-func SpillDir(dir string) string {
+// temp dir).
+func spillDir(dir string) string {
 	if dir != "" {
 		return dir
 	}
@@ -453,15 +449,13 @@ func prefixPartition(k spill.KeyIndex, reducers int) int {
 
 // Run executes one MapReduce job over the input. A nil reducer makes the
 // job map-only. Map tasks emit straight into per-reduce-task buffers
-// (map-side pre-partitioning), so there is no separate partition pass; each
-// reduce task then fetches its partition of every map task — through the
-// configured transport (Config.Transport), in memory by default — and
-// sorts and groups them by key where they lie, copying only what a spill
-// merge or a transport decode produces. Tasks
-// run sequentially or on a bounded worker pool per Config.Parallelism,
-// with per-task output slots so assembly order — and therefore Output,
-// counters and every shuffle metric — is identical at any parallelism
-// level and over any transport.
+// (map-side pre-partitioning), so there is no separate partition pass; the
+// job driver hands each map task's buffer to the reduce tasks directly, and
+// each reduce task sorts and groups its partition of every map task where
+// it lies, copying only what a spill merge produces. Tasks run sequentially
+// or on a bounded worker pool per Config.Parallelism, with per-task slots
+// so assembly order — and therefore Output, counters and every shuffle
+// metric — is identical at any parallelism level.
 func Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
 	return run(cfg, jobInput{kvs: input}, mapper, reducer, false)
 }
@@ -513,7 +507,7 @@ func newJobEnv(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed boo
 		folding:        folding,
 		foldingReducer: foldingReducer,
 		budget:         budget,
-		sdir:           SpillDir(cfg.SpillDir),
+		sdir:           spillDir(cfg.SpillDir),
 		quarantine:     &quarantineState{},
 		in:             in,
 		feed:           feed,
@@ -560,16 +554,6 @@ func (env *jobEnv) positions(n int) []int32 {
 	return env.pos[:n:n]
 }
 
-// openTransport opens the job's shuffle channel on the configured (or
-// default in-memory) transport.
-func (env *jobEnv) openTransport() (JobTransport, error) {
-	tr := env.cfg.Transport
-	if tr == nil {
-		tr = MemoryTransport()
-	}
-	return tr.Open(TransportSpec{Job: env.cfg.Name, MapTasks: env.mapTasks, ReduceTasks: env.reduceTasks})
-}
-
 // jobErr tags a failure that belongs to no single task with the job.
 func (env *jobEnv) jobErr(err error) error {
 	return fmt.Errorf("mapreduce: job %q: %w", env.cfg.Name, err)
@@ -586,16 +570,60 @@ func (env *jobEnv) runPhase(n int, task func(t int) error) error {
 	})
 }
 
+// taskMeta travels with a committed task: the measured facts the job
+// driver assembles Metrics and Counters from.
+type taskMeta struct {
+	// Records and Bytes are what a reduce task fetched — its share of the
+	// shuffle, and the only place the shuffle is counted.
+	Records int64
+	Bytes   int64
+	// Groups is the reduce task's key-group count.
+	Groups int64
+	// TaskNanos is the measured task execution time.
+	TaskNanos int64
+	// GroupSpillNanos is the reduce task's external-memory charge for
+	// oversized key groups (cost model).
+	GroupSpillNanos int64
+	// Spill is the winning map attempt's out-of-core shuffle accounting.
+	Spill spill.Stats
+	// Counters is the task-local counter snapshot.
+	Counters map[string]int64
+}
+
+// commits holds one job's committed tasks in per-task slots. Tasks fill
+// their own slots, so they may commit concurrently.
+type commits struct {
+	sinks   []*shuffleSink // by map task: its partitions, live for the reduce tasks
+	mapMeta []taskMeta
+	outs    []*spill.Records // by the task that committed an output
+	outMeta []taskMeta
+}
+
+func newCommits(env *jobEnv) *commits {
+	outs := max(env.mapTasks, env.reduceTasks)
+	return &commits{
+		sinks:   make([]*shuffleSink, env.mapTasks),
+		mapMeta: make([]taskMeta, env.mapTasks),
+		outs:    make([]*spill.Records, outs),
+		outMeta: make([]taskMeta, outs),
+	}
+}
+
+// close reclaims the spill files of every sink that survives, on every
+// return path of the job, an aborted reduce phase included.
+func (c *commits) close() {
+	for _, s := range c.sinks {
+		s.close()
+	}
+}
+
 // runJob is the engine's one job driver. A task commits its artifact
-// together with everything measured about it through the job transport,
-// and the Result is assembled from those commits alone.
+// together with everything measured about it into its own slots, and the
+// Result is assembled from those commits alone.
 func runJob(env *jobEnv) (*Result, error) {
 	cfg, cl, mapTasks, reduceTasks := env.cfg, env.cl, env.mapTasks, env.reduceTasks
-	jt, err := env.openTransport()
-	if err != nil {
-		return nil, env.jobErr(err)
-	}
-	defer jt.Close()
+	c := newCommits(env)
+	defer c.close()
 	res := &Result{Counters: NewCounters()}
 	m := &res.Metrics
 	m.Job = cfg.Name
@@ -604,28 +632,15 @@ func runJob(env *jobEnv) (*Result, error) {
 	m.MapInputRecords = int64(env.in.len())
 	wallStart := time.Now()
 
-	// ---- Map phase: splits of the KVs, or of positions in fed columns
-	// (Chain checks they fit an int32) ----
-	if c := env.in.chain; c != nil {
-		splits := splitInput(env.positions(c.len()), mapTasks)
-		err = env.runPhase(mapTasks, func(t int) error { return mapTask(env, jt, t, splits[t], c.mapUnits, c.at) })
-	} else {
-		splits := splitInput(env.in.kvs, mapTasks)
-		err = env.runPhase(mapTasks, func(t int) error {
-			return mapTask(env, jt, t, splits[t], env.mapKVs, func(kv KV) (string, any) { return kv.Key, kv.Value })
-		})
-	}
-	if err != nil {
+	if err := env.mapPhase(c); err != nil {
 		return nil, err
 	}
 	m.MapTaskTime = make([]time.Duration, mapTasks)
 	if env.reducer == nil {
 		// Map-only job: the map tasks' outputs in task order are the result.
-		if err := env.collectOutput(jt, res, PhaseMap, mapTasks, func(t int, meta TaskMeta) {
+		env.collectOutput(c, res, mapTasks, func(t int, meta taskMeta) {
 			m.MapTaskTime[t] = time.Duration(meta.TaskNanos)
-		}); err != nil {
-			return nil, err
-		}
+		})
 		m.ShuffleRecords, m.ShuffleBytes = m.OutputRecords, m.OutputBytes
 		m.MapOutputRecords, m.MapOutputBytes = m.OutputRecords, m.OutputBytes
 		m.ReduceTasks = 0
@@ -634,11 +649,7 @@ func runJob(env *jobEnv) (*Result, error) {
 		m.WallTime = time.Since(wallStart)
 		return res, nil
 	}
-	for t := 0; t < mapTasks; t++ {
-		meta, err := jt.MapMeta(t)
-		if err != nil {
-			return nil, taskErr(cfg.Name, PhaseMap, t, err)
-		}
+	for t, meta := range c.mapMeta {
 		m.MapTaskTime[t] = time.Duration(meta.TaskNanos)
 		m.SpillRuns += meta.Spill.Runs
 		m.SpillBytes += meta.Spill.SpilledBytes
@@ -648,7 +659,7 @@ func runJob(env *jobEnv) (*Result, error) {
 
 	// ---- Reduce phase (per-reducer shuffle, group, sort, reduce) ----
 	if err := env.runPhase(reduceTasks, func(t int) error {
-		return env.reduceTask(jt, t)
+		return env.reduceTask(c, t)
 	}); err != nil {
 		return nil, err
 	}
@@ -658,7 +669,7 @@ func runJob(env *jobEnv) (*Result, error) {
 	m.GroupSpillTime = make([]time.Duration, reduceTasks)
 	// The shuffle is measured once, where it moves: the job's totals are
 	// the sum of what its reduce tasks fetched.
-	if err := env.collectOutput(jt, res, PhaseReduce, reduceTasks, func(t int, meta TaskMeta) {
+	env.collectOutput(c, res, reduceTasks, func(t int, meta taskMeta) {
 		m.PerReduceRecords[t] = meta.Records
 		m.PerReduceBytes[t] = meta.Bytes
 		m.ShuffleRecords += meta.Records
@@ -666,45 +677,52 @@ func runJob(env *jobEnv) (*Result, error) {
 		m.ReduceTaskTime[t] = time.Duration(meta.TaskNanos)
 		m.GroupSpillTime[t] = time.Duration(meta.GroupSpillNanos)
 		m.ReduceInputGroups += meta.Groups
-	}); err != nil {
-		return nil, err
-	}
+	})
 	m.MapOutputRecords, m.MapOutputBytes = m.ShuffleRecords, m.ShuffleBytes
 	applyCostModel(cl, m, mapTasks, reduceTasks)
 	m.WallTime = time.Since(wallStart)
 	return res, nil
 }
 
+// mapPhase runs the job's map tasks over splits of the KVs, or of positions
+// in fed columns (Chain checks they fit an int32), committing each into c.
+func (env *jobEnv) mapPhase(c *commits) error {
+	if ch := env.in.chain; ch != nil {
+		splits := splitInput(env.positions(ch.len()), env.mapTasks)
+		return env.runPhase(env.mapTasks, func(t int) error { return mapTask(env, c, t, splits[t], ch.mapUnits, ch.at) })
+	}
+	splits := splitInput(env.in.kvs, env.mapTasks)
+	return env.runPhase(env.mapTasks, func(t int) error {
+		return mapTask(env, c, t, splits[t], env.mapKVs, func(kv KV) (string, any) { return kv.Key, kv.Value })
+	})
+}
+
 // mapTask is one map task: the attempt loop against a task-local counter
 // set, then the commit — of the partitioned shuffle output, or for a
 // map-only job of the output itself.
-func mapTask[U any](env *jobEnv, jt JobTransport, t int, split []U, body taskBody[U], describe func(U) (string, any)) error {
-	cfg := env.cfg
+func mapTask[U any](env *jobEnv, c *commits, t int, split []U, body taskBody[U], describe func(U) (string, any)) error {
 	tc := NewCounters()
 	start := time.Now()
 	ctx, err := attempts(env, tc, PhaseMap, t, split, body, describe)
 	if err != nil {
-		return taskErr(cfg.Name, PhaseMap, t, err)
+		return taskErr(env.cfg.Name, PhaseMap, t, err)
 	}
-	meta := TaskMeta{TaskNanos: int64(time.Since(start))}
+	meta := taskMeta{TaskNanos: int64(time.Since(start))}
 	if env.reducer == nil {
-		err = env.commitOutput(jt, t, ctx, tc, meta)
-	} else {
-		meta.Spill = env.finishMapTask(tc, ctx)
-		meta.Counters = tc.Snapshot()
-		err = jt.CommitMap(t, ctx.shuffle, meta)
+		c.commitOutput(t, ctx, tc, meta)
+		return nil
 	}
-	if err != nil {
-		return taskErr(cfg.Name, PhaseMap, t, err)
-	}
+	meta.Spill = env.finishMapTask(tc, ctx)
+	meta.Counters = tc.Snapshot()
+	c.sinks[t], c.mapMeta[t] = ctx.shuffle, meta
 	return nil
 }
 
 // reduceTask is one reduce task: fetch and group its partition, run the
 // attempt loop, commit the output and release the consumed partitions.
-func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
+func (env *jobEnv) reduceTask(c *commits, t int) error {
 	cfg := env.cfg
-	in, err := env.fetchReduceInput(jt, t)
+	in, err := env.fetchReduceInput(c, t)
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
@@ -718,56 +736,48 @@ func (env *jobEnv) reduceTask(jt JobTransport, t int) error {
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
-	meta := TaskMeta{
+	meta := taskMeta{
 		Records: in.recs, Bytes: in.bytes, Groups: int64(in.Len()),
 		TaskNanos: int64(time.Since(start)),
 	}
 	for _, b := range in.Sizes {
 		meta.GroupSpillNanos += int64(env.cl.groupSpillTime(b))
 	}
-	if err := env.commitOutput(jt, t, ctx, tc, meta); err != nil {
-		return taskErr(cfg.Name, PhaseReduce, t, err)
-	}
-	for mt := 0; mt < env.mapTasks; mt++ {
-		jt.ReleasePartition(mt, t)
+	c.commitOutput(t, ctx, tc, meta)
+	for _, s := range c.sinks {
+		s.buf.Release(t)
 	}
 	return nil
 }
 
-// commitOutput publishes a winning attempt's emissions as task t's final
+// commitOutput keeps a winning attempt's emissions as task t's final
 // output.
-func (env *jobEnv) commitOutput(jt JobTransport, t int, ctx *Context, tc *Counters, meta TaskMeta) error {
+func (c *commits) commitOutput(t int, ctx *Context, tc *Counters, meta taskMeta) {
 	ctx.flushCounters()
 	meta.Counters = tc.Snapshot()
-	return jt.CommitOutput(t, &ctx.out, meta)
+	c.outs[t], c.outMeta[t] = &ctx.out, meta
 }
 
 // collectOutput gathers a phase's committed task outputs in task order —
 // kept for Chain, or boxed into Result.Output allocated at its length —
 // folding each task's counters into the job's and handing its meta to each.
-func (env *jobEnv) collectOutput(jt JobTransport, res *Result, phase Phase, tasks int, each func(t int, meta TaskMeta)) error {
-	outs := make([]*spill.Records, tasks)
-	for t := range outs {
-		out, meta, err := jt.FetchOutput(t)
-		if err != nil {
-			return taskErr(env.cfg.Name, phase, t, err)
-		}
-		outs[t] = out
+func (env *jobEnv) collectOutput(c *commits, res *Result, tasks int, each func(t int, meta taskMeta)) {
+	outs := c.outs[:tasks]
+	for t, out := range outs {
 		res.Metrics.OutputBytes += out.Bytes()
-		mergeTaskCounters(res.Counters, meta.Counters)
-		each(t, meta)
+		mergeTaskCounters(res.Counters, c.outMeta[t].Counters)
+		each(t, c.outMeta[t])
 	}
 	chain := newChainInput(outs)
 	res.Metrics.OutputRecords = int64(chain.len())
 	if env.feed {
 		res.chain = chain
-		return nil
+		return
 	}
 	if n := chain.len(); n > 0 {
 		res.Output = make([]KV, 0, n)
 	}
 	jobInput{chain: chain}.each(func(key string, v any) { res.Output = append(res.Output, KV{Key: key, Value: v}) })
-	return nil
 }
 
 // taskBody runs one task over its input units — a map task's input
@@ -850,21 +860,21 @@ type reduceInput struct {
 	bytes   int64
 }
 
-// fetchReduceInput pulls reduce task t's partition from every map task and
-// groups them by key, in map-task order, as one stream: a partition still
-// in memory is read where it lies, and only a spilled one's merge or a
-// decoded frame is copied, into columns the task's fetches share. Whether
-// a map task's partition arrives in emission order (in memory) or as the
+// fetchReduceInput pulls reduce task t's partition from every map task's
+// sink and groups them by key, in map-task order, as one stream: a
+// partition still in memory is read where it lies, and only a spilled
+// one's merge is copied, into columns the task's fetches share. Whether a
+// map task's partition arrives in emission order (in memory) or as the
 // key-sorted merge of its runs (spilled), the grouping sees the same
 // stream: arrival order within one key is map-task then emission order
 // either way. Guarded so a panicking Fold aborts the task, not the process.
-func (env *jobEnv) fetchReduceInput(jt JobTransport, t int) (*reduceInput, error) {
+func (env *jobEnv) fetchReduceInput(c *commits, t int) (*reduceInput, error) {
 	in := &reduceInput{}
 	if gerr := guard(func() {
 		var fetched spill.Records
 		srcs := make([]spill.Source, env.mapTasks)
 		for mt := range srcs {
-			src, ways, err := jt.FetchPartition(mt, t, &fetched)
+			src, ways, err := c.sinks[mt].buf.Fetch(t, &fetched)
 			if err != nil {
 				panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
 			}

@@ -16,7 +16,7 @@ package mapreduce
 // (binary-safe); values are arbitrary. A value crossing the shuffle is
 // accounted at its type's registered spill.Codec.Size (spill.Sizer). A
 // value of a type with no codec fails the job with spill.ErrNoCodec where
-// it must cross the disk: a spill run, a checkpoint or a transport frame.
+// it must cross the disk: a spill run or a checkpoint.
 type KV struct {
 	// Key groups values in the shuffle.
 	Key string

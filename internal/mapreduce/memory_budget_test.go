@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -304,39 +303,6 @@ func TestMemoryBudgetEnvMalformed(t *testing.T) {
 	}
 }
 
-// sourceSpy records, for every reduce task, whether its fetches handed
-// over a partition where it lies (resident) or appended one to the task's
-// shared records (a spilled partition's merge).
-type sourceSpy struct {
-	mu       sync.Mutex
-	resident map[int]bool
-	merged   map[int]bool
-}
-
-func (s *sourceSpy) Open(spec TransportSpec) (JobTransport, error) {
-	jt, err := MemoryTransport().Open(spec)
-	return spyJob{jt, s}, err
-}
-
-type spyJob struct {
-	JobTransport
-	spy *sourceSpy
-}
-
-func (j spyJob) FetchPartition(t, r int, dst *spill.Records) (spill.Source, int, error) {
-	src, ways, err := j.JobTransport.FetchPartition(t, r, dst)
-	if src.Hi > src.Lo {
-		j.spy.mu.Lock()
-		if src.Recs == dst {
-			j.spy.merged[r] = true
-		} else {
-			j.spy.resident[r] = true
-		}
-		j.spy.mu.Unlock()
-	}
-	return src, ways, err
-}
-
 // orderedValues is a plain reducer whose output is every value of a key in
 // the order it arrived.
 type orderedValues struct{}
@@ -394,29 +360,33 @@ func TestMixedResidentAndSpilledSources(t *testing.T) {
 		{"folding", intMapper, foldingWC{}, foldingWC{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func(par int, budget int64, tr Transport) Config {
+			mk := func(par int, budget int64) Config {
 				return Config{Cluster: tinyCluster(), MapTasks: 4, ReduceTasks: 3, Parallelism: par,
-					Combiner: tc.combiner, MemoryBudgetBytes: budget, SpillDir: t.TempDir(), Transport: tr}
+					Combiner: tc.combiner, MemoryBudgetBytes: budget, SpillDir: t.TempDir()}
 			}
-			base, err := Run(mk(1, -1, nil), input, tc.mapper, tc.reducer)
+			base, err := Run(mk(1, -1), input, tc.mapper, tc.reducer)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4} {
-				spy := &sourceSpy{resident: map[int]bool{}, merged: map[int]bool{}}
-				cfg := mk(par, 2<<10, spy)
-				res, err := Run(cfg, input, tc.mapper, tc.reducer)
+				cfg := mk(par, 2<<10)
+				resident, merged, err := FetchedSources(cfg, input, tc.mapper, tc.reducer)
 				if err != nil {
 					t.Fatalf("par %d: %v", par, err)
 				}
 				mixed := 0
-				for r := 0; r < 3; r++ {
-					if spy.resident[r] && spy.merged[r] {
+				for r := range resident {
+					if resident[r] && merged[r] {
 						mixed++
 					}
 				}
 				if mixed == 0 {
-					t.Fatalf("par %d: no reduce task grouped both kinds of source (resident %v, merged %v)", par, spy.resident, spy.merged)
+					t.Fatalf("par %d: no reduce task grouped both kinds of source (resident %v, merged %v)", par, resident, merged)
+				}
+				noSpillFiles(t, cfg.SpillDir)
+				res, err := Run(cfg, input, tc.mapper, tc.reducer)
+				if err != nil {
+					t.Fatalf("par %d: %v", par, err)
 				}
 				if !reflect.DeepEqual(res.Output, base.Output) {
 					t.Fatalf("par %d: output differs from the unbudgeted run", par)

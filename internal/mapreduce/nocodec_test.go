@@ -28,7 +28,7 @@ var sumOpaque = ReduceFunc(func(ctx *Context, key string, values []any) {
 
 // TestNoCodecFailsAtEveryCrossing: a value with no codec fails the job
 // wherever it must cross the disk — a spill run, a checkpoint's stage
-// output or stage-input fingerprint, a transport frame — with
+// output or stage-input fingerprint — with
 // spill.ErrNoCodec, and leaves no file behind. The spill case runs again
 // in skip mode: its probes shuffle nothing, so no record is quarantined.
 func TestNoCodecFailsAtEveryCrossing(t *testing.T) {
@@ -53,12 +53,6 @@ func TestNoCodecFailsAtEveryCrossing(t *testing.T) {
 			p.SpillDir, p.CheckpointDir = spillDir, ckptDir
 			held := []KV{{Key: "a", Value: int64(1)}, {Key: "b", Value: opaque{n: 1}}}
 			_, err := p.Run(Config{Name: "consume"}, held, identityMapper{}, nil)
-			return err
-		}},
-		{"transport commit", func(spillDir, _ string) error {
-			_, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2,
-				MemoryBudgetBytes: -1, SpillDir: spillDir, Transport: NewFSTransport(spillDir)},
-				input, emitOpaque, sumOpaque)
 			return err
 		}},
 	} {

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -163,5 +164,77 @@ func TestRunPhaseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lineCountingWC is wordcount that also counts its input lines, so a user
+// counter travels with every map task.
+type lineCountingWC struct{ wcMapper }
+
+func (m lineCountingWC) Map(ctx *Context, kv KV) {
+	ctx.Inc("wc.lines", 1)
+	m.wcMapper.Map(ctx, kv)
+}
+
+// TestParallelResultMatchesSerial proves the one driver end to end: whether
+// the job runs one task at a time or three, the Result assembled from the
+// per-task slots is the same in output, in counters and in every metric
+// that is not a measured duration — for reducing, folding and map-only
+// jobs, with and without spilling.
+func TestParallelResultMatchesSerial(t *testing.T) {
+	var lines []string
+	for i := 0; i < 200; i++ {
+		lines = append(lines, fmt.Sprintf("d%d x y shared d%d u%d", i%9, i%4, i))
+	}
+	input := wcInput(lines...)
+	jobs := []struct {
+		name     string
+		combiner Folder
+		reducer  Reducer
+	}{
+		{"plain", nil, wcReducer{}},
+		{"folding", foldSum{}, foldSum{}},
+		{"map-only", nil, nil},
+	}
+	// untimed blanks the metrics that are, or derive from, measured task
+	// durations.
+	untimed := func(m Metrics) Metrics {
+		m.MapTaskTime, m.ReduceTaskTime = nil, nil
+		m.SimulatedMapTime, m.SimulatedReduce, m.SimulatedTotalTime, m.WallTime = 0, 0, 0, 0
+		return m
+	}
+	for _, job := range jobs {
+		for _, budget := range []int64{-1, 1024} {
+			t.Run(fmt.Sprintf("%s/budget=%d", job.name, budget), func(t *testing.T) {
+				run := func(par int) *Result {
+					cfg := Config{Name: "wc-local", Cluster: tinyCluster(), MapTasks: 4, Parallelism: par,
+						Combiner: job.combiner, MemoryBudgetBytes: budget, SpillDir: t.TempDir()}
+					res, err := Run(cfg, input, lineCountingWC{}, job.reducer)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				serial, par := run(1), run(3)
+				if !reflect.DeepEqual(serial.Output, par.Output) {
+					t.Fatalf("parallel output differs from serial: %d vs %d records", len(par.Output), len(serial.Output))
+				}
+				if sc, pc := serial.Counters.Snapshot(), par.Counters.Snapshot(); !reflect.DeepEqual(sc, pc) {
+					t.Fatalf("counters differ:\nserial   %v\nparallel %v", sc, pc)
+				}
+				if sm, pm := untimed(serial.Metrics), untimed(par.Metrics); !reflect.DeepEqual(sm, pm) {
+					t.Fatalf("metrics differ:\nserial   %+v\nparallel %+v", sm, pm)
+				}
+				if len(par.Metrics.MapTaskTime) != 4 || len(par.Metrics.ReduceTaskTime) != par.Metrics.ReduceTasks {
+					t.Fatalf("task times: %d map, %d reduce", len(par.Metrics.MapTaskTime), len(par.Metrics.ReduceTaskTime))
+				}
+				if got := serial.Counters.Get("wc.lines"); got != int64(len(lines)) {
+					t.Fatalf("wc.lines = %d, want %d", got, len(lines))
+				}
+				if spilled := serial.Counters.Get(CounterSpillRuns) > 0; spilled != (budget > 0 && job.reducer != nil) {
+					t.Fatalf("budget %d: spill.runs = %d", budget, serial.Counters.Get(CounterSpillRuns))
+				}
+			})
+		}
 	}
 }

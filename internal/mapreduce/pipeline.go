@@ -64,9 +64,6 @@ type Env struct {
 	// fingerprint, so one directory reused under different algorithm
 	// options recomputes instead of replaying mismatched state.
 	CheckpointSalt string
-	// Transport carries every stage's commits (DESIGN.md §15); nil means
-	// the in-memory transport. One value serves all stages.
-	Transport Transport
 
 	viaRun bool // tests: Feed and Chain as the Run and Run(IdentityMapper) they replace
 }
@@ -74,8 +71,7 @@ type Env struct {
 // inherit makes e the stage's environment. No stage of any pipeline sets
 // these Config fields itself, so there is nothing to merge.
 func (e Env) inherit(cfg *Config) {
-	cfg.Context, cfg.Fault, cfg.SpillDir = e.Context, e.Fault, e.SpillDir
-	cfg.CheckpointDir, cfg.Transport = e.CheckpointDir, e.Transport
+	cfg.Context, cfg.Fault, cfg.SpillDir, cfg.CheckpointDir = e.Context, e.Fault, e.SpillDir, e.CheckpointDir
 }
 
 // CheckpointStats reports a pipeline's checkpoint activity. Every stage

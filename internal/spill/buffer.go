@@ -77,8 +77,8 @@ var errClosed = errors.New("spill: buffer closed")
 // Buffer is a partitioned KV buffer with a memory budget. One task
 // goroutine Adds, spills and reads Stats; after the map barrier,
 // concurrent reduce goroutines may Drain and Release distinct partitions,
-// and the last Release — or the job's transport, when the job aborts —
-// Closes it. Each task attempt has a buffer of its own, discarded before
+// and the last Release — or the job driver, when the job aborts — Closes
+// it. Each task attempt has a buffer of its own, discarded before
 // the next attempt starts, so nothing Adds to a buffer being closed. The
 // mutex guards the spill state Close tears down (dir, runs and their
 // counts), so Close is safe from whichever goroutine ends the buffer.

@@ -252,8 +252,7 @@ func bareTag(v any) (tag byte, ok bool) {
 }
 
 // ErrNoCodec is returned, wrapped, wherever a value must cross the disk —
-// a spill run, a checkpoint, a transport frame — and its type has no
-// registered codec.
+// a spill run or a checkpoint — and its type has no registered codec.
 var ErrNoCodec = errors.New("spill: no codec registered")
 
 // appendKind appends tag + payload for v, whose kind the caller has looked
@@ -286,7 +285,7 @@ func DecodeEncoded(b []byte) (any, error) {
 }
 
 // AppendRecord appends one shuffle record in the wire form every persisted
-// record shares — spill runs, transport frames and checkpoint files:
+// record shares — spill runs and checkpoint files:
 //
 //	uvarint(len(key)) key uvarint(len(tag+payload)) tag payload
 //

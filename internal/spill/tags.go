@@ -2,8 +2,8 @@ package spill
 
 // Every wire tag, builtin and registered, in one list: a value is stored as
 // one of these bytes followed by a tag-specific payload, so a number here is
-// part of the format of every spill run, transport frame and checkpoint
-// snapshot ever written and is never reused or renumbered. The first three
+// part of the format of every spill run and checkpoint snapshot ever
+// written and is never reused or renumbered. The first three
 // are whole values — a tag and no payload; every other tag is installed by
 // one Register call, the builtin kinds' from this package's init and the rest
 // from the init of the package that declares the type.

@@ -48,8 +48,8 @@ type Options struct {
 	// are byte-identical at any budget.
 	MemoryBudget int64
 	// Env is the execution environment (cancellation, fault policy, spill
-	// and checkpoint directories, transport) handed to the pipeline as is;
-	// see mapreduce.Env.
+	// and checkpoint directories) handed to the pipeline as is; see
+	// mapreduce.Env.
 	Env mapreduce.Env
 }
 

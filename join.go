@@ -120,11 +120,6 @@ func (c *Collection) Join(s *Collection, opt Options) (*Result, error) {
 // run is the one dispatch path of every join: a nil s is a self-join of r,
 // as in the algorithm packages beneath it.
 func run(r, s *Collection, opt Options) (*Result, error) {
-	tr, cleanup, err := opt.resolveTransport()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
 	fn, err := opt.Function.internal()
 	if err != nil {
 		return nil, err
@@ -137,7 +132,7 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, par, env := opt.cluster(), opt.localParallelism(), opt.env(tr)
+	cl, par, env := opt.cluster(), opt.localParallelism(), opt.env()
 	switch opt.Algorithm {
 	case FSJoin, FSJoinV:
 		hp := opt.HorizontalPivots

@@ -179,6 +179,45 @@ func TestCrashResumeEquivalence(t *testing.T) {
 						k, job, got.Stats.CheckpointMisses, wantMiss)
 				}
 			}
+
+			// Full replay: a spilling run persists every stage, then a run
+			// without a budget replays all of them, the last included. The
+			// values a stage shuffles cross spill runs and the values it
+			// emits a checkpoint, so a codec that decodes wrongly changes the
+			// pairs or the replayed stage count here. The corpus is larger
+			// than the crash legs' so that every stage that shuffles a value
+			// of its own type spills it at 1 KiB (minhash's verify job is
+			// the last to).
+			big := corpus(200, 7)
+			want, err = runMatrixJoin(big, m.opt, m.rs)
+			if err != nil {
+				t.Fatalf("full replay: baseline: %v", err)
+			}
+			dir := t.TempDir()
+			spilled := m.opt
+			spilled.CheckpointDir = dir
+			spilled.MemoryBudget = 1 << 10
+			first, err := runMatrixJoin(big, spilled, m.rs)
+			if err != nil {
+				t.Fatalf("full replay: spilling run: %v", err)
+			}
+			if first.Stats.SpillRuns == 0 {
+				t.Fatal("full replay: the spilling run wrote no spill run")
+			}
+			replay := m.opt
+			replay.CheckpointDir = dir
+			got, err := runMatrixJoin(big, replay, m.rs)
+			if err != nil {
+				t.Fatalf("full replay: %v", err)
+			}
+			if got.Stats.CheckpointHits != int64(len(rec.jobs)) {
+				t.Errorf("full replay replayed %d stages, want %d", got.Stats.CheckpointHits, len(rec.jobs))
+			}
+			for _, r := range []*Result{first, got} {
+				if !reflect.DeepEqual(r.Pairs, want.Pairs) {
+					t.Fatalf("full replay: pairs differ from the baseline (%d vs %d)", len(r.Pairs), len(want.Pairs))
+				}
+			}
 		})
 	}
 }

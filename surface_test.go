@@ -33,7 +33,7 @@ func TestPublicSurface(t *testing.T) {
 		{"Options", fields(Options{}), []string{
 			"Threshold", "Function", "Algorithm", "VerticalPartitions", "HorizontalPivots",
 			"PivotSelection", "JoinMethod", "Nodes", "Seed", "WorkBudget", "Context",
-			"LocalParallelism", "Fault", "MemoryBudget", "SpillDir", "CheckpointDir", "FileShuffle",
+			"LocalParallelism", "Fault", "MemoryBudget", "SpillDir", "CheckpointDir",
 		}},
 		{"FaultOptions", fields(FaultOptions{}), []string{
 			"MaxAttempts", "SkipBadRecords", "MaxSkippedRecords", "OnQuarantine",
