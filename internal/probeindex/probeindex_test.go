@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -216,6 +217,97 @@ func TestInsertDeleteCompactMatchesOracle(t *testing.T) {
 		}
 		if _, err := ix.ProbeRecord(99999); err == nil {
 			t.Fatal("ProbeRecord of unknown rid succeeded")
+		}
+	}
+}
+
+// TestCompactMatchesBuild: after rounds of inserts (old and new tokens) and
+// deletes (base and overlay), Compact lays the index out exactly as a fresh
+// Build over the live records under the same RIDs: the same token table,
+// CSR base, postings and signatures, and an empty overlay.
+func TestCompactMatchesBuild(t *testing.T) {
+	c := testutil.RandomCollection(80, 40, 16, 27)
+	for _, mode := range []filters.BitmapMode{filters.BitmapOn, filters.BitmapOff} {
+		opt := Options{Fn: similarity.Jaccard, Theta: 0.7, Bitmap: filters.BitmapConfig{Mode: mode}}
+		ix, err := Build(c, tokenName, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(41 + mode)))
+		for round := 0; round < 3; round++ {
+			for k := 0; k < 8; k++ {
+				set := names(c.Records[rng.Intn(len(c.Records))].Tokens)
+				for j := rng.Intn(4); j > 0; j-- {
+					set = append(set, fmt.Sprintf("new-%d", rng.Intn(10)))
+				}
+				if _, err := ix.Insert(set); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var rids []int32
+			for rid := range liveSets(ix) {
+				rids = append(rids, rid)
+			}
+			sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
+			for _, k := range rng.Perm(len(rids))[:5] {
+				if err := ix.Delete(rids[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := ix.Compact(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The fresh build: live records under their RIDs, token ids assigned
+		// in map order (the order must not depend on them).
+		live := liveSets(ix)
+		var strs []string
+		id := map[string]tokens.ID{}
+		fresh := &tokens.Collection{}
+		for rid, toks := range live {
+			ids := make([]tokens.ID, len(toks))
+			for i, s := range toks {
+				if _, ok := id[s]; !ok {
+					id[s] = tokens.ID(len(strs))
+					strs = append(strs, s)
+				}
+				ids[i] = id[s]
+			}
+			fresh.Records = append(fresh.Records, tokens.NewRecord(rid, ids))
+		}
+		sort.Slice(fresh.Records, func(i, j int) bool { return fresh.Records[i].RID < fresh.Records[j].RID })
+		want, err := Build(fresh, func(t tokens.ID) string { return strs[t] }, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if len(ix.log) != 0 || ix.logLive != 0 || ix.baseDead != 0 {
+			t.Fatalf("bitmap=%v: overlay not empty after Compact", mode)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"tokStr", ix.tokStr, want.tokStr},
+			{"tokRank", ix.tokRank, want.tokRank},
+			{"recOff", ix.recOff, want.recOff},
+			{"recTok", ix.recTok, want.recTok},
+			{"recRID", ix.recRID, want.recRID},
+			{"dead", ix.dead, want.dead},
+			{"slotOf", ix.slotOf, want.slotOf},
+			{"sigWords", ix.sigWords, want.sigWords},
+			{"recSig", ix.recSig, want.recSig},
+			{"postOff", ix.postOff, want.postOff},
+			{"postSlot", ix.postSlot, want.postSlot},
+			{"postPos", ix.postPos, want.postPos},
+		} {
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Errorf("bitmap=%v: %s differs from a fresh Build\n got: %v\nwant: %v", mode, f.name, f.got, f.want)
+			}
+		}
+		if mode == filters.BitmapOn && ix.sigWords == 0 {
+			t.Errorf("bitmap=on built no signatures")
 		}
 	}
 }
