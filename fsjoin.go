@@ -208,9 +208,9 @@ type Options struct {
 	// FSJOIN_MEMORY_BUDGET environment variable (unbounded when unset);
 	// a negative value forces unbounded buffering.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files; "" defers to the
-	// FSJOIN_SPILL_DIR environment variable, then the OS temp dir. Each
-	// join creates and removes its own subdirectories.
+	// SpillDir is the parent directory for spill files; "" is the OS temp
+	// dir (os.TempDir, which honours TMPDIR). Each join creates and removes
+	// its own subdirectories.
 	SpillDir string
 	// CheckpointDir, when non-empty, makes the join durable: after every
 	// MapReduce stage completes, its output, counters and metrics are

@@ -122,9 +122,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Clear removes every completed checkpoint file in the store, leaving
 // unrelated files alone. Used by callers that want fresh-run semantics in
 // a reused directory.

@@ -39,11 +39,6 @@ type Config struct {
 	Budget int64
 }
 
-// DefaultConfig returns the calibrated configuration.
-func DefaultConfig(out io.Writer) Config {
-	return Config{Scale: 1.0, Seed: 1, Out: out, Budget: 3_000_000}
-}
-
 // Runner executes experiments, caching generated datasets across them.
 type Runner struct {
 	cfg   Config

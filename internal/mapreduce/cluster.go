@@ -115,16 +115,6 @@ func (c *Cluster) makespan(durations []time.Duration) time.Duration {
 	return max
 }
 
-// shuffleTime converts total shuffle bytes into transfer seconds, assuming
-// all nodes drain the network concurrently.
-func (c *Cluster) shuffleTime(bytes int64) time.Duration {
-	if bytes <= 0 || c.ShuffleBytesPerSec <= 0 {
-		return 0
-	}
-	sec := float64(bytes) * c.dataScale() / (c.ShuffleBytesPerSec * float64(c.Nodes))
-	return time.Duration(sec * float64(time.Second))
-}
-
 // dataScale returns the byte-volume multiplier (≥ 1).
 func (c *Cluster) dataScale() float64 {
 	if c.DataScaleFactor < 1 {

@@ -48,24 +48,39 @@ func TestMakespanDominatedByLongest(t *testing.T) {
 	}
 }
 
+// TestShuffleTimeScalesWithNodes: one shuffle volume spread over 3 × nodes
+// reduce tasks, priced the way applyCostModel prices a job, drains faster
+// on more nodes; no bytes cost no transfer time.
 func TestShuffleTimeScalesWithNodes(t *testing.T) {
-	cl := DefaultCluster()
-	t5 := cl.WithNodes(5).shuffleTime(1 << 20)
-	t10 := cl.WithNodes(10).shuffleTime(1 << 20)
+	reduce := func(nodes int, bytes int64) time.Duration {
+		tasks := 3 * nodes
+		m := &Metrics{
+			PerReduceBytes: make([]int64, tasks),
+			ReduceTaskTime: make([]time.Duration, tasks),
+			GroupSpillTime: make([]time.Duration, tasks),
+		}
+		for i := range m.PerReduceBytes {
+			m.PerReduceBytes[i] = bytes / int64(tasks)
+		}
+		cl := DefaultCluster().WithNodes(nodes)
+		applyCostModel(cl, m, 0, tasks)
+		return m.SimulatedReduce - cl.TaskOverhead
+	}
+	t5, t10 := reduce(5, 1<<20), reduce(10, 1<<20)
 	if t10 >= t5 {
 		t.Fatalf("shuffle does not speed up with nodes: %v vs %v", t10, t5)
 	}
-	if cl.shuffleTime(0) != 0 {
-		t.Fatal("zero bytes should take zero time")
+	if d := reduce(10, 0); d != 0 {
+		t.Fatalf("zero bytes took %v to shuffle", d)
 	}
 }
 
 func TestShuffleTimeUsesDataScale(t *testing.T) {
 	cl := DefaultCluster()
 	cl.DataScaleFactor = 1
-	base := cl.shuffleTime(1 << 20)
+	base := cl.fetchTime(1 << 20)
 	cl.DataScaleFactor = 1000
-	scaled := cl.shuffleTime(1 << 20)
+	scaled := cl.fetchTime(1 << 20)
 	if scaled < 900*base {
 		t.Fatalf("data scale not applied: %v vs %v", scaled, base)
 	}

@@ -158,8 +158,8 @@ type Config struct {
 	// FSJOIN_MEMORY_BUDGET environment variable (unbounded when unset);
 	// negative forces unbounded. Output is byte-identical at any budget.
 	MemoryBudgetBytes int64
-	// SpillDir is the parent directory for spill files; "" defers to
-	// FSJOIN_SPILL_DIR, then the OS temp dir.
+	// SpillDir is the parent directory for spill files; "" is the OS temp
+	// dir (os.TempDir, which honours TMPDIR).
 	SpillDir string
 	// CheckpointDir, when non-empty and the job runs as a pipeline stage,
 	// persists the stage's result there after it completes and replays it
@@ -247,16 +247,6 @@ func (c Config) memoryBudget() (int64, error) {
 		}
 	}
 	return max(b, 0), nil
-}
-
-// spillDir resolves a configured spill directory to where the engine's
-// temp dirs are created: dir itself, else FSJOIN_SPILL_DIR, else "" (the OS
-// temp dir).
-func spillDir(dir string) string {
-	if dir != "" {
-		return dir
-	}
-	return os.Getenv("FSJOIN_SPILL_DIR")
 }
 
 // Context is the per-task emit/counter surface handed to mappers and
@@ -507,7 +497,6 @@ func newJobEnv(cfg Config, in jobInput, mapper Mapper, reducer Reducer, feed boo
 		folding:        folding,
 		foldingReducer: foldingReducer,
 		budget:         budget,
-		sdir:           spillDir(cfg.SpillDir),
 		quarantine:     &quarantineState{},
 		in:             in,
 		feed:           feed,
@@ -526,7 +515,6 @@ type jobEnv struct {
 	folding        bool
 	foldingReducer FoldingReducer
 	budget         int64
-	sdir           string
 	quarantine     *quarantineState
 	in             jobInput
 	feed           bool
@@ -804,7 +792,7 @@ func attempts[U any](env *jobEnv, counters *Counters, phase Phase, t int, units 
 		return withRetries(cfg, counters, func(a int) (*Context, error) {
 			ctx := &Context{TaskID: t, Job: cfg, counters: counters}
 			if shuffles {
-				ctx.shuffle = newShuffleSink(cfg.Partitioner, env.reduceTasks, cfg.Combiner, env.budget, env.sdir, cfg.cancelCheck())
+				ctx.shuffle = newShuffleSink(cfg.Partitioner, env.reduceTasks, cfg.Combiner, env.budget, cfg.SpillDir, cfg.cancelCheck())
 			}
 			f := cfg.decideFault(phase, t, a)
 			if err := f.injectErr(counters); err != nil {

@@ -161,7 +161,7 @@ func TestMemoryBudgetEnvDefault(t *testing.T) {
 	t.Setenv("FSJOIN_MEMORY_BUDGET", "2048")
 	input := budgetInput(16, 40, 80)
 	dir := t.TempDir()
-	t.Setenv("FSJOIN_SPILL_DIR", dir)
+	t.Setenv("TMPDIR", dir)
 	res, err := Run(Config{Cluster: tinyCluster(), MapTasks: 2, ReduceTasks: 2},
 		input, wcMapper{}, wcReducer{})
 	if err != nil {

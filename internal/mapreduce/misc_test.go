@@ -212,9 +212,6 @@ func TestPipelineAggregation(t *testing.T) {
 	if p.TotalSimulatedTime() < p.StageTime("first") {
 		t.Fatal("total below stage")
 	}
-	if !strings.Contains(p.Report(), "pipeline test") {
-		t.Fatal("report missing name")
-	}
 	if p.MaxLoadImbalance() < 1.0 {
 		t.Fatalf("MaxLoadImbalance = %v", p.MaxLoadImbalance())
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"fsjoin/internal/checkpoint"
@@ -328,22 +327,4 @@ func (p *Pipeline) MaxLoadImbalance() float64 {
 		}
 	}
 	return worst
-}
-
-// Report renders a per-stage summary table.
-func (p *Pipeline) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline %s\n", p.Name)
-	fmt.Fprintf(&b, "%-24s %12s %14s %12s %12s %8s\n",
-		"stage", "map-out", "shuffle-bytes", "groups", "output", "sim-time")
-	for _, s := range p.stages {
-		m := s.metrics
-		fmt.Fprintf(&b, "%-24s %12d %14d %12d %12d %8.1fs\n",
-			m.Job, m.MapOutputRecords, m.ShuffleBytes, m.ReduceInputGroups,
-			m.OutputRecords, m.SimulatedTotalTime.Seconds())
-	}
-	fmt.Fprintf(&b, "%-24s %12d %14d %12s %12s %8.1fs\n",
-		"TOTAL", p.TotalShuffleRecords(), p.TotalShuffleBytes(), "", "",
-		p.TotalSimulatedTime().Seconds())
-	return b.String()
 }

@@ -3,17 +3,18 @@
 // generation is written and an empty WAL opened, after which every
 // acknowledged Insert/Delete is WAL-logged before it is applied. The
 // AutoCompact policy then keeps the index healthy without operator help:
-// MaybeCompact (driven by fsjoin.Server's maintenance goroutine, or by any
+// Maintain (driven by fsjoin.Server's maintenance goroutine, or by any
 // caller on its own schedule) folds the overlay and rolls the generation
 // forward when the side-log outgrows its thresholds.
 //
-// Checkpoint crash protocol (checkpointLocked): write snapshot g+1
-// (via internal/checkpoint) → create empty wal.g+1 (both frame.Publish:
-// temp → fsync → rename → fsync directory) → switch appends to the new log → retire
-// wal.g and snapshot g. A crash at any boundary recovers from either the
-// old snapshot+WAL or the new snapshot — never a mix — because recovery
-// always picks the newest loadable snapshot generation and replays only
-// that generation's WAL (the header binds gen and fingerprint).
+// Generation roll (rollLocked, the one sequence Persist and every durable
+// compaction run): write snapshot g+1 (via internal/checkpoint) → create
+// empty wal.g+1 (both frame.Publish: temp → fsync → rename → fsync
+// directory) → switch appends to the new log → retire wal.g and snapshot g.
+// A crash at any boundary recovers from either the old snapshot+WAL or the
+// new snapshot — never a mix — because recovery always picks the newest
+// loadable snapshot generation and replays only that generation's WAL (the
+// header binds gen and fingerprint).
 package probeindex
 
 import (
@@ -22,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"fsjoin/internal/checkpoint"
 	"fsjoin/internal/frame"
 )
 
@@ -85,25 +85,12 @@ func (ix *Index) Persist(dir string, d DurableOptions) error {
 	if ix.wal != nil {
 		return fmt.Errorf("probeindex: index already durable in %s", ix.dir)
 	}
-	st, err := checkpoint.Open(dir)
-	if err != nil {
-		return err
-	}
-	gen := maxGeneration(dir) + 1
 	ix.dir, ix.dopt = dir, d
-	if err := ix.writeSnapshotLocked(st, gen); err != nil {
+	if err := ix.rollLocked(); err != nil {
 		ix.dir = ""
 		return err
 	}
-	w, err := createWAL(dir, gen, fingerprint(ix.fn, ix.theta, ix.bitmap), d.Sync)
-	if err != nil {
-		os.Remove(snapshotPath(dir, gen))
-		ix.dir = ""
-		return err
-	}
-	ix.wal, ix.gen = w, gen
 	ix.lastCompact = time.Now()
-	retireGenerations(dir, gen)
 	return nil
 }
 
@@ -135,110 +122,84 @@ func (ix *Index) Durable() bool {
 // fsjoin.Server drives this from its supervised maintenance goroutine.
 func (ix *Index) Maintain() error {
 	ix.mu.Lock()
-	if ix.wal != nil && ix.wal.policy.Mode == SyncInterval &&
-		time.Since(ix.wal.lastSync) >= ix.wal.policy.interval() {
+	defer ix.mu.Unlock()
+	if ix.wal == nil {
+		return nil
+	}
+	if ix.wal.policy.Mode == SyncInterval && time.Since(ix.wal.lastSync) >= ix.wal.policy.interval() {
 		synced, err := ix.wal.flush()
 		ix.walSynced.Add(synced)
 		if err != nil {
-			ix.mu.Unlock()
 			return err
 		}
 	}
-	ix.mu.Unlock()
-	_, err := ix.MaybeCompact()
-	return err
+	return ix.maybeCompactLocked()
 }
 
-// MaybeCompact compacts and checkpoints if the auto-compaction policy says
-// the overlay has outgrown its thresholds, reporting whether it ran. A
-// non-durable index, a disabled policy, an empty overlay or an unelapsed
-// MinInterval all make it a cheap no-op.
-func (ix *Index) MaybeCompact() (bool, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+// maybeCompactLocked compacts and checkpoints if the auto-compaction policy
+// says the overlay has outgrown its thresholds. A disabled policy, an empty
+// overlay or an unelapsed MinInterval all make it a cheap no-op.
+func (ix *Index) maybeCompactLocked() error {
 	p := ix.dopt.AutoCompact
-	if ix.wal == nil || !p.enabled() {
-		return false, nil
-	}
 	logSize := ix.logLive + ix.baseDead
-	if logSize == 0 {
-		return false, nil
+	if !p.enabled() || logSize == 0 {
+		return nil
 	}
-	due := p.MaxLogRecords > 0 && logSize >= p.MaxLogRecords
-	if !due && p.LogFraction > 0 {
-		base := ix.liveN
-		if base < 1 {
-			base = 1
-		}
-		due = float64(logSize) >= p.LogFraction*float64(base)
+	due := p.MaxLogRecords > 0 && logSize >= p.MaxLogRecords ||
+		p.LogFraction > 0 && float64(logSize) >= p.LogFraction*float64(max(ix.liveN, 1))
+	if !due || p.MinInterval > 0 && time.Since(ix.lastCompact) < p.MinInterval {
+		return nil
 	}
-	if !due {
-		return false, nil
-	}
-	if p.MinInterval > 0 && time.Since(ix.lastCompact) < p.MinInterval {
-		return false, nil
-	}
-	if err := ix.checkpointLocked(true); err != nil {
-		return false, err
+	if err := ix.checkpointLocked(); err != nil {
+		return err
 	}
 	ix.autoCompactions.Add(1)
-	return true, nil
+	return nil
 }
 
-// checkpointLocked rolls the durable state one generation forward under a
-// held write lock: optionally fold the overlay, write snapshot gen+1,
-// install a fresh WAL, retire the old generation. Failure handling keeps
-// the invariant "the newest snapshot on disk + its WAL = the acknowledged
-// history":
+// checkpointLocked folds the overlay and rolls the durable state one
+// generation forward under a held write lock (Compact and the
+// auto-compaction policy on a durable index).
+func (ix *Index) checkpointLocked() error {
+	frame.Kill("compact.pre")
+	ix.compactLocked()
+	return ix.rollLocked()
+}
+
+// rollLocked makes a new generation current under a held write lock: write
+// the index as the snapshot one past the newest generation in ix.dir,
+// install a fresh WAL for it, close the old log and retire every older
+// generation. Persist rolls with no old log; a checkpoint rolls after its
+// fold. Failure handling keeps the invariant "the newest snapshot on disk +
+// its WAL = the acknowledged history":
 //
 //   - snapshot write fails → nothing changed on disk; the old generation
-//     (snapshot + WAL) stays authoritative. The in-memory fold is harmless:
-//     WAL records are logical (strings and rids), so appends to the OLD log
-//     still replay correctly onto the OLD snapshot.
+//     (snapshot + WAL) stays authoritative. A checkpoint's in-memory fold is
+//     harmless: WAL records are logical (strings and rids), so appends to
+//     the OLD log still replay correctly onto the OLD snapshot.
 //   - WAL create fails → the new snapshot must not be left to shadow the
 //     still-active old WAL; it is removed. If even that fails the old log
 //     is poisoned so no further mutation can be acknowledged against a
 //     directory whose recovery would diverge.
-func (ix *Index) checkpointLocked(fold bool) error {
-	frame.Kill("compact.pre")
-	if fold {
-		ix.compactLocked()
-	}
-	st, err := checkpoint.Open(ix.dir)
+func (ix *Index) rollLocked() error {
+	gen, err := ix.writeGenerationLocked(ix.dir)
 	if err != nil {
-		return err
-	}
-	newGen := ix.gen + 1
-	if err := ix.writeSnapshotLocked(st, newGen); err != nil {
 		return err
 	}
 	frame.Kill("compact.snapshot.written")
-	w, err := createWAL(ix.dir, newGen, fingerprint(ix.fn, ix.theta, ix.bitmap), ix.dopt.Sync)
+	w, err := createWAL(ix.dir, gen, fingerprint(ix.fn, ix.theta, ix.bitmap), ix.dopt.Sync)
 	if err != nil {
-		if rerr := os.Remove(snapshotPath(ix.dir, newGen)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+		if rerr := os.Remove(snapshotPath(ix.dir, gen)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) && ix.wal != nil {
 			ix.wal.broken = true
 		}
 		return err
 	}
 	frame.Kill("compact.wal.created")
-	old := ix.wal
-	ix.wal, ix.gen = w, newGen
-	old.close()
-	os.Remove(walPath(ix.dir, newGen-1))
-	os.Remove(snapshotPath(ix.dir, newGen-1))
-	retireGenerations(ix.dir, newGen)
+	if ix.wal != nil {
+		ix.wal.close()
+	}
+	ix.wal, ix.gen = w, gen
+	retireGenerations(ix.dir, gen)
 	frame.Kill("compact.retired")
 	return nil
-}
-
-// Checkpoint forces a durable snapshot of the current state (overlay
-// included, not folded) and a WAL rotation — Save for a live durable
-// index. Callers wanting the fold too use Compact.
-func (ix *Index) Checkpoint() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.wal == nil {
-		return errors.New("probeindex: Checkpoint on a non-durable index (use Save)")
-	}
-	return ix.checkpointLocked(false)
 }

@@ -135,95 +135,85 @@ func snapshotPath(dir string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("stage-%03d-%s.ckpt", gen, persistJob))
 }
 
-func genOfSnapshot(name string) (int, bool) {
-	const pre = "stage-"
-	const suf = "-" + persistJob + ".ckpt"
-	if !strings.HasPrefix(name, pre) || !strings.HasSuffix(name, suf) {
+// genOf parses a snapshot or WAL file name into its generation.
+func genOf(name string) (int, bool) {
+	var digits string
+	if rest, ok := strings.CutPrefix(name, "stage-"); ok {
+		digits, ok = strings.CutSuffix(rest, "-"+persistJob+".ckpt")
+		if !ok {
+			return 0, false
+		}
+	} else if digits, ok = strings.CutPrefix(name, "wal.g"); !ok {
 		return 0, false
 	}
-	g, err := strconv.Atoi(name[len(pre) : len(name)-len(suf)])
+	g, err := strconv.Atoi(digits)
 	if err != nil || g < 0 {
 		return 0, false
 	}
 	return g, true
 }
 
-func genOfWAL(name string) (int, bool) {
-	const pre = "wal.g"
-	if !strings.HasPrefix(name, pre) {
-		return 0, false
-	}
-	g, err := strconv.Atoi(name[len(pre):])
-	if err != nil || g < 0 {
-		return 0, false
-	}
-	return g, true
-}
-
-// maxGeneration scans dir for the highest generation present as either a
-// snapshot or a WAL (a crash can leave one without the other); 0 when the
-// directory holds neither.
-func maxGeneration(dir string) int {
-	max := 0
+// eachGeneration calls visit for every snapshot and WAL file in dir with
+// its generation (a crash can leave one without the other).
+func eachGeneration(dir string, visit func(name string, gen int)) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		return
 	}
 	for _, e := range ents {
-		if g, ok := genOfSnapshot(e.Name()); ok && g > max {
-			max = g
-		}
-		if g, ok := genOfWAL(e.Name()); ok && g > max {
-			max = g
+		if g, ok := genOf(e.Name()); ok {
+			visit(e.Name(), g)
 		}
 	}
-	return max
+}
+
+// maxGeneration is the highest generation present in dir as either a
+// snapshot or a WAL; 0 when the directory holds neither.
+func maxGeneration(dir string) int {
+	top := 0
+	eachGeneration(dir, func(_ string, g int) { top = max(top, g) })
+	return top
 }
 
 // retireGenerations removes every snapshot and WAL older than keep. Best
 // effort: a straggler only wastes disk, it can never be loaded over a
 // newer valid generation.
 func retireGenerations(dir string, keep int) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if g, ok := genOfSnapshot(e.Name()); ok && g < keep {
-			os.Remove(filepath.Join(dir, e.Name()))
+	eachGeneration(dir, func(name string, g int) {
+		if g < keep {
+			os.Remove(filepath.Join(dir, name))
 		}
-		if g, ok := genOfWAL(e.Name()); ok && g < keep {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
+	})
 }
 
 // Save atomically persists the index into dir as a fresh generation
 // (checkpoint.Store.Save) and retires older generations.
 // Cumulative counters travel in the manifest so a restart keeps its
 // history. Save serves the in-memory index; a durable one checkpoints
-// through Compact/Checkpoint, which also rotate the WAL.
+// through Compact, which also rotates the WAL.
 func (ix *Index) Save(dir string) error {
-	st, err := checkpoint.Open(dir)
-	if err != nil {
-		return err
-	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.wal != nil {
-		return errors.New("probeindex: Save on a durable index (use Checkpoint or Compact)")
+		return errors.New("probeindex: Save on a durable index (use Compact)")
 	}
-	gen := maxGeneration(dir) + 1
-	if err := ix.writeSnapshotLocked(st, gen); err != nil {
+	gen, err := ix.writeGenerationLocked(dir)
+	if err != nil {
 		return err
 	}
 	retireGenerations(dir, gen)
 	return nil
 }
 
-// writeSnapshotLocked writes the current state as generation gen's
-// snapshot. Callers hold at least the read lock.
-func (ix *Index) writeSnapshotLocked(st *checkpoint.Store, gen int) error {
+// writeGenerationLocked writes the current state into dir as the snapshot
+// of the generation one past the newest there, and returns that
+// generation. Callers hold at least the read lock.
+func (ix *Index) writeGenerationLocked(dir string) (int, error) {
+	st, err := checkpoint.Open(dir)
+	if err != nil {
+		return 0, err
+	}
+	gen := maxGeneration(dir) + 1
 	var deleted []int32
 	for s, d := range ix.dead {
 		if d {
@@ -246,7 +236,7 @@ func (ix *Index) writeSnapshotLocked(st *checkpoint.Store, gen int) error {
 		LogN:    len(logRIDs),
 	})
 	if err != nil {
-		return fmt.Errorf("probeindex: %w", err)
+		return 0, fmt.Errorf("probeindex: %w", err)
 	}
 	recs := []checkpoint.Record{
 		{Key: "meta", Value: string(meta)},
@@ -276,12 +266,12 @@ func (ix *Index) writeSnapshotLocked(st *checkpoint.Store, gen int) error {
 		},
 	}
 	if err := st.Save(m, recs); err != nil {
-		return err
+		return 0, err
 	}
-	if fi, err := os.Stat(snapshotPath(st.Dir(), gen)); err == nil {
+	if fi, err := os.Stat(snapshotPath(dir, gen)); err == nil {
 		ix.snapshotBytes.Store(fi.Size())
 	}
-	return nil
+	return gen, nil
 }
 
 func logKey(i int) string { return fmt.Sprintf("log.%08d", i) }
@@ -446,85 +436,66 @@ func (ix *Index) restore(snap *checkpoint.Snapshot) error {
 		tokRank[s] = uint32(r)
 	}
 
-	// CSR shape: monotone offsets bracketing rectok; per-record token
-	// slices strictly increasing with ranks inside the table; unique rids.
+	// Every stored record, base or side-log: ranks inside the table and
+	// strictly increasing, rid unique.
+	maxRID := int32(-1)
+	seenRID := make(map[int32]bool, len(recRID)+len(logRIDs))
+	checkRecord := func(what string, i int, rid int32, ts []uint32) error {
+		for j, t := range ts {
+			if int(t) >= len(tokStr) {
+				return fmt.Errorf("%s %d rank %d outside token table", what, i, t)
+			}
+			if j > 0 && ts[j-1] >= t {
+				return fmt.Errorf("%s %d tokens not strictly increasing", what, i)
+			}
+		}
+		if seenRID[rid] {
+			return fmt.Errorf("duplicate rid %d", rid)
+		}
+		seenRID[rid] = true
+		maxRID = max(maxRID, rid)
+		return nil
+	}
+
+	// CSR shape: monotone offsets bracketing rectok.
 	if len(recOff) == 0 || recOff[0] != 0 || recOff[len(recOff)-1] != len(recTok) {
 		return errors.New("recoff does not bracket rectok")
 	}
 	if len(recRID) != len(recOff)-1 {
 		return errors.New("recrid length disagrees with recoff")
 	}
-	maxRID := int32(-1)
-	seenRID := make(map[int32]bool, len(recRID)+len(logRIDs))
 	recs := make([]baseRec, len(recRID))
 	for s := range recRID {
 		lo, hi := recOff[s], recOff[s+1]
 		if lo > hi || hi > len(recTok) {
 			return fmt.Errorf("recoff not monotone at slot %d", s)
 		}
-		ts := recTok[lo:hi]
-		for i, t := range ts {
-			if int(t) >= len(tokStr) {
-				return fmt.Errorf("slot %d rank %d outside token table", s, t)
-			}
-			if i > 0 && ts[i-1] >= t {
-				return fmt.Errorf("slot %d tokens not strictly increasing", s)
-			}
+		if err := checkRecord("slot", s, recRID[s], recTok[lo:hi]); err != nil {
+			return err
 		}
-		rid := recRID[s]
-		if seenRID[rid] {
-			return fmt.Errorf("duplicate rid %d", rid)
-		}
-		seenRID[rid] = true
-		if rid > maxRID {
-			maxRID = rid
-		}
-		recs[s] = baseRec{rid: rid, toks: ts}
+		recs[s] = baseRec{rid: recRID[s], toks: recTok[lo:hi]}
 	}
 
 	// Rebuild derived structure (postings, signatures, maps) from the
-	// validated records, then replay the overlay.
+	// validated records, then replay the overlay the way mutations build it.
 	ix.tokStr = tokStr
 	ix.tokRank = tokRank
 	ix.assemble(recs)
 
 	for _, rid := range deleted {
-		s, ok := ix.slotOf[rid]
-		if !ok || ix.dead[s] {
-			return fmt.Errorf("tombstone for unknown rid %d", rid)
+		if err := ix.applyDeleteLocked(rid); err != nil {
+			return fmt.Errorf("tombstone: %w", err)
 		}
-		ix.dead[s] = true
-		ix.baseDead++
-		ix.liveN--
 	}
 	for i, rid := range logRIDs {
 		ts, ok := vals[logKey(i)].([]uint32)
 		if !ok {
 			return fmt.Errorf("missing log record %d", i)
 		}
-		for j, t := range ts {
-			if int(t) >= len(tokStr) {
-				return fmt.Errorf("log %d rank %d outside token table", i, t)
-			}
-			if j > 0 && ts[j-1] >= t {
-				return fmt.Errorf("log %d tokens not strictly increasing", i)
-			}
+		if err := checkRecord("log", i, rid, ts); err != nil {
+			return err
 		}
-		if seenRID[rid] {
-			return fmt.Errorf("duplicate rid %d", rid)
-		}
-		seenRID[rid] = true
-		if rid > maxRID {
-			maxRID = rid
-		}
-		e := logRec{rid: rid, toks: ts}
-		if ix.sigWords > 0 {
-			filters.BuildSignature(&e.sig, ts, ix.sigWords)
-		}
-		ix.logSlot[rid] = len(ix.log)
-		ix.log = append(ix.log, e)
-		ix.logLive++
-		ix.liveN++
+		ix.admitLocked(rid, ts)
 	}
 	if meta.NextRID <= maxRID {
 		return fmt.Errorf("next_rid %d not past max rid %d", meta.NextRID, maxRID)

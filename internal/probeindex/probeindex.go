@@ -25,6 +25,7 @@ package probeindex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -224,59 +225,15 @@ func Build(c *tokens.Collection, tokenOf func(tokens.ID) string, opt Options) (*
 		return nil, fmt.Errorf("probeindex: %w", err)
 	}
 	ix := newIndex(opt)
-
-	// Global order: frequency ascending, ties by token string — the same
-	// rare-first order the batch pipeline computes, made self-contained so
-	// the index needs no external order to probe.
-	freq := make([]int64, int(c.MaxToken())+1)
-	for _, r := range c.Records {
-		for _, t := range r.Tokens {
-			freq[t]++
-		}
-	}
-	ids := make([]tokens.ID, 0, len(freq))
-	for id, f := range freq {
-		if f > 0 {
-			ids = append(ids, tokens.ID(id))
-		}
-	}
-	strOf := make([]string, len(freq))
-	for _, id := range ids {
-		strOf[id] = tokenOf(id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if freq[a] != freq[b] {
-			return freq[a] < freq[b]
-		}
-		return strOf[a] < strOf[b]
-	})
-	rankOf := make([]uint32, len(freq))
-	ix.tokStr = make([]string, len(ids))
-	ix.tokRank = make(map[string]uint32, len(ids))
-	for rank, id := range ids {
-		s := strOf[id]
-		if _, dup := ix.tokRank[s]; dup {
-			return nil, fmt.Errorf("probeindex: tokenOf not injective at %q", s)
-		}
-		rankOf[id] = uint32(rank)
-		ix.tokStr[rank] = s
-		ix.tokRank[s] = uint32(rank)
-	}
-
-	// Re-encode records into ranks, sorted per record.
-	recs := make([]baseRec, 0, len(c.Records))
-	ix.nextRID = 0
-	for _, r := range c.Records {
-		rs := make([]uint32, len(r.Tokens))
-		for i, t := range r.Tokens {
-			rs[i] = rankOf[t]
-		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		recs = append(recs, baseRec{rid: r.RID, toks: rs})
+	recs := make([]baseRec, len(c.Records))
+	for i, r := range c.Records {
+		recs[i] = baseRec{rid: r.RID, toks: r.Tokens}
 		if r.RID >= ix.nextRID {
 			ix.nextRID = r.RID + 1
 		}
+	}
+	if err := ix.order(recs, int(c.MaxToken())+1, tokenOf); err != nil {
+		return nil, err
 	}
 	ix.assemble(recs)
 	return ix, nil
@@ -299,6 +256,59 @@ func newIndex(opt Options) *Index {
 type baseRec struct {
 	rid  int32
 	toks []uint32
+}
+
+// order sets the global token order from recs, whose tokens are ids in
+// [0, n) named by name: frequency ascending, ties by token string — the
+// same rare-first order the batch pipeline computes, made self-contained so
+// the index needs no external order to probe. Ids no record holds get no
+// rank. Each record's tokens are replaced by a fresh slice of its sorted
+// ranks. Build orders the collection's dictionary ids, compaction the live
+// records' current ranks; it fails only if name gives two ids in use the
+// same string.
+func (ix *Index) order(recs []baseRec, n int, name func(uint32) string) error {
+	freq := make([]int64, n)
+	for _, r := range recs {
+		for _, t := range r.toks {
+			freq[t]++
+		}
+	}
+	ids := make([]uint32, 0, n)
+	strOf := make([]string, n)
+	for id, f := range freq {
+		if f > 0 {
+			ids = append(ids, uint32(id))
+			strOf[id] = name(uint32(id))
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := ids[i], ids[j]
+		if freq[a] != freq[b] {
+			return freq[a] < freq[b]
+		}
+		return strOf[a] < strOf[b]
+	})
+	rankOf := make([]uint32, n)
+	ix.tokStr = make([]string, len(ids))
+	ix.tokRank = make(map[string]uint32, len(ids))
+	for rank, id := range ids {
+		s := strOf[id]
+		if _, dup := ix.tokRank[s]; dup {
+			return fmt.Errorf("probeindex: tokenOf not injective at %q", s)
+		}
+		rankOf[id] = uint32(rank)
+		ix.tokStr[rank] = s
+		ix.tokRank[s] = uint32(rank)
+	}
+	for i, r := range recs {
+		rs := make([]uint32, len(r.toks))
+		for j, t := range r.toks {
+			rs[j] = rankOf[t]
+		}
+		slices.Sort(rs)
+		recs[i].toks = rs
+	}
+	return nil
 }
 
 // assemble (re)builds the CSR base, signatures and postings from rank-coded
@@ -404,16 +414,9 @@ func (ix *Index) canonicalize(set []string) (ranks []uint32, total int) {
 			unk[tok] = struct{}{}
 		}
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	w := 0
-	for i, r := range ranks {
-		if i == 0 || r != ranks[i-1] {
-			ranks[w] = r
-			w++
-		}
-	}
-	ranks = ranks[:w]
-	return ranks, w + len(unk)
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+	return ranks, len(ranks) + len(unk)
 }
 
 // Probe returns every live indexed record θ-similar to the given token set,
@@ -460,9 +463,9 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 	var out []Match
 	var cand int64
 
-	var psig filters.Signature
+	q := query{ranks: ranks, total: total}
 	if ix.sigWords > 0 {
-		filters.BuildSignature(&psig, ranks, ix.sigWords)
+		filters.BuildSignature(&q.sig, ranks, ix.sigWords)
 	}
 
 	nBase := len(ix.recRID)
@@ -514,19 +517,11 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 			if bound := 1 + min(total-i-1, lx-int(ix.postPos[k])-1); bound < required {
 				continue
 			}
-			if ix.sigWords > 0 &&
-				filters.SigPrune(&psig, &ix.recSig[slot], ix.sigWords, len(ranks), lx, required) {
-				// psig covers only the known ranks, but unknown probe tokens
-				// cannot intersect an indexed set, so the bound on the known
-				// part bounds the true overlap; required still reflects the
-				// full probe length. Exact, never lossy.
-				continue
+			var sig *filters.Signature
+			if ix.sigWords > 0 {
+				sig = &ix.recSig[slot]
 			}
-			c, ok := filters.VerifyOverlap(ranks, ts, required)
-			if !ok || !ix.fn.AtLeast(c, total, lx, ix.theta) {
-				continue
-			}
-			out = append(out, Match{RID: rid, Common: int32(c), Sim: ix.fn.Sim(c, total, lx)})
+			out = ix.verify(&q, out, rid, ts, sig, required)
 		}
 	}
 	ix.scratchPool.Put(sc)
@@ -535,10 +530,7 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 	// minus the positional filter (the log has no postings positions).
 	for li := range ix.log {
 		e := &ix.log[li]
-		if e.dead || len(e.toks) == 0 {
-			continue
-		}
-		if hasExcl && e.rid == exclude {
+		if e.dead || len(e.toks) == 0 || hasExcl && e.rid == exclude {
 			continue
 		}
 		cand++
@@ -546,22 +538,40 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 		if filters.StrLPrune(ix.fn, ix.theta, total, lx) {
 			continue
 		}
-		required := ix.fn.MinOverlap(ix.theta, total, lx)
-		if ix.sigWords > 0 &&
-			filters.SigPrune(&psig, &e.sig, ix.sigWords, len(ranks), lx, required) {
-			continue
-		}
-		c, ok := filters.VerifyOverlap(ranks, e.toks, required)
-		if !ok || !ix.fn.AtLeast(c, total, lx, ix.theta) {
-			continue
-		}
-		out = append(out, Match{RID: e.rid, Common: int32(c), Sim: ix.fn.Sim(c, total, lx)})
+		out = ix.verify(&q, out, e.rid, e.toks, &e.sig, ix.fn.MinOverlap(ix.theta, total, lx))
 	}
 
 	sort.Slice(out, func(i, j int) bool { return out[i].RID < out[j].RID })
 	ix.candidates.Add(cand)
 	ix.hits.Add(int64(len(out)))
 	return out
+}
+
+// query is a probe in canonical form.
+type query struct {
+	ranks []uint32          // known ranks, sorted and duplicate-free
+	total int               // full length, unknown tokens included
+	sig   filters.Signature // over ranks; unused when the filter is off
+}
+
+// verify ends the filter chain base slots and overlay records share: the
+// bitmap bound (sig is the candidate's signature, unread when the filter is
+// off), then exact verification against the threshold. A match is appended
+// to out.
+func (ix *Index) verify(q *query, out []Match, rid int32, ts []uint32, sig *filters.Signature, required int) []Match {
+	lx := len(ts)
+	// q.sig covers only the known ranks, but unknown probe tokens cannot
+	// intersect an indexed set, so the bound on the known part bounds the
+	// true overlap; required still reflects the full probe length. Exact,
+	// never lossy.
+	if ix.sigWords > 0 && filters.SigPrune(&q.sig, sig, ix.sigWords, len(q.ranks), lx, required) {
+		return out
+	}
+	c, ok := filters.VerifyOverlap(q.ranks, ts, required)
+	if !ok || !ix.fn.AtLeast(c, q.total, lx, ix.theta) {
+		return out
+	}
+	return append(out, Match{RID: rid, Common: int32(c), Sim: ix.fn.Sim(c, q.total, lx)})
 }
 
 // Insert adds a record to the side-log overlay and returns its assigned
@@ -600,15 +610,14 @@ func (ix *Index) applyInsertLocked(rid int32, set []string) {
 		}
 		ranks = append(ranks, r)
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	w := 0
-	for i, r := range ranks {
-		if i == 0 || r != ranks[i-1] {
-			ranks[w] = r
-			w++
-		}
-	}
-	ranks = ranks[:w]
+	slices.Sort(ranks)
+	ix.admitLocked(rid, slices.Compact(ranks))
+}
+
+// admitLocked appends a live record to the side-log overlay under a held
+// write lock: ranks sorted and duplicate-free, rid not yet in the index.
+// Insert and the restore of a snapshot's side-log both come through here.
+func (ix *Index) admitLocked(rid int32, ranks []uint32) {
 	e := logRec{rid: rid, toks: ranks}
 	if ix.sigWords > 0 {
 		filters.BuildSignature(&e.sig, ranks, ix.sigWords)
@@ -684,78 +693,36 @@ func (ix *Index) walAppendLocked(op []byte) error {
 //
 // On a durable index compaction also checkpoints: a fresh snapshot
 // generation is written atomically, a new empty WAL is installed and the
-// old generation retired — see checkpointLocked for the crash protocol.
+// old generation retired — see rollLocked for the crash protocol.
 func (ix *Index) Compact() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.wal != nil {
-		return ix.checkpointLocked(true)
+		return ix.checkpointLocked()
 	}
 	ix.compactLocked()
 	return nil
 }
 
 // compactLocked is the in-memory fold, shared by Compact and the durable
-// checkpoint path.
+// checkpoint path: the live records, in their current ranks, are ordered
+// afresh and assembled into a new base.
 func (ix *Index) compactLocked() {
-	// Collect live records in old ranks.
-	type oldRec struct {
-		rid  int32
-		toks []uint32
-	}
-	live := make([]oldRec, 0, ix.liveN)
+	live := make([]baseRec, 0, ix.liveN)
 	for s := range ix.recRID {
 		if !ix.dead[s] {
-			live = append(live, oldRec{rid: ix.recRID[s], toks: ix.slotToks(s)})
+			live = append(live, baseRec{rid: ix.recRID[s], toks: ix.slotToks(s)})
 		}
 	}
 	for li := range ix.log {
 		if !ix.log[li].dead {
-			live = append(live, oldRec{rid: ix.log[li].rid, toks: ix.log[li].toks})
+			live = append(live, baseRec{rid: ix.log[li].rid, toks: ix.log[li].toks})
 		}
 	}
-
-	// Recompute the order over surviving tokens.
-	freq := make([]int64, len(ix.tokStr))
-	for _, r := range live {
-		for _, t := range r.toks {
-			freq[t]++
-		}
-	}
-	oldRanks := make([]uint32, 0, len(ix.tokStr))
-	for t, f := range freq {
-		if f > 0 {
-			oldRanks = append(oldRanks, uint32(t))
-		}
-	}
-	sort.Slice(oldRanks, func(i, j int) bool {
-		a, b := oldRanks[i], oldRanks[j]
-		if freq[a] != freq[b] {
-			return freq[a] < freq[b]
-		}
-		return ix.tokStr[a] < ix.tokStr[b]
-	})
-	oldToNew := make([]uint32, len(ix.tokStr))
-	newStr := make([]string, len(oldRanks))
-	newRank := make(map[string]uint32, len(oldRanks))
-	for nr, or := range oldRanks {
-		oldToNew[or] = uint32(nr)
-		newStr[nr] = ix.tokStr[or]
-		newRank[ix.tokStr[or]] = uint32(nr)
-	}
-	ix.tokStr = newStr
-	ix.tokRank = newRank
-
-	recs := make([]baseRec, len(live))
-	for i, r := range live {
-		rs := make([]uint32, len(r.toks))
-		for j, t := range r.toks {
-			rs[j] = oldToNew[t]
-		}
-		sort.Slice(rs, func(a, b int) bool { return rs[a] < rs[b] })
-		recs[i] = baseRec{rid: r.rid, toks: rs}
-	}
-	ix.assemble(recs)
+	old := ix.tokStr
+	// old names every rank once, so the order cannot fail.
+	_ = ix.order(live, len(old), func(r uint32) string { return old[r] })
+	ix.assemble(live)
 	ix.compactions.Add(1)
 	ix.lastCompact = time.Now()
 }
@@ -765,11 +732,6 @@ func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.liveN
-}
-
-// Options returns the build-time configuration (bitmap already resolved).
-func (ix *Index) Options() Options {
-	return Options{Fn: ix.fn, Theta: ix.theta, Bitmap: ix.bitmap}
 }
 
 // Stats snapshots the index counters.

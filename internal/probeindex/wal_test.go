@@ -391,17 +391,14 @@ func TestPersistValidation(t *testing.T) {
 	if err := ix.Persist(dir, DurableOptions{AutoCompact: AutoCompactPolicy{LogFraction: -1}}); err == nil {
 		t.Fatal("negative auto-compact policy accepted")
 	}
-	// Save on a durable index is refused; Checkpoint on a plain one too.
-	if err := ix.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on non-durable index accepted")
-	}
+	// Save on a durable index is refused; Compact checkpoints it instead.
 	if err := ix.Persist(dir, DurableOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Save(dir); err == nil {
 		t.Fatal("Save on durable index accepted")
 	}
-	if err := ix.Checkpoint(); err != nil {
+	if err := ix.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	ix.Close()
@@ -470,7 +467,7 @@ func TestWALCreateSyncFailure(t *testing.T) {
 
 		frame.SetFailHook(failWALSync)
 		defer frame.SetFailHook(nil)
-		assertCreateError(ix.Checkpoint())
+		assertCreateError(ix.Compact())
 		frame.SetFailHook(nil)
 
 		if got := fileNames(dir); !reflect.DeepEqual(got, before) {

@@ -85,7 +85,7 @@ func TestPublicSurface(t *testing.T) {
 	}
 	slices.Sort(vars)
 	vars = slices.Compact(vars)
-	if want := []string{"FSJOIN_BITMAP", "FSJOIN_MEMORY_BUDGET", "FSJOIN_SPILL_DIR"}; !slices.Equal(vars, want) {
+	if want := []string{"FSJOIN_BITMAP", "FSJOIN_MEMORY_BUDGET"}; !slices.Equal(vars, want) {
 		t.Errorf("FSJOIN_* variables read:\n got  %q\n want %q", vars, want)
 	}
 }
