@@ -31,7 +31,7 @@ type BitmapMode uint8
 const (
 	// BitmapAuto enables the filter with the width chosen from length
 	// statistics; the FSJOIN_BITMAP environment variable may override it
-	// (CI's env matrix forces both directions through it).
+	// (CI's env matrix forces it off; the default run has it on).
 	BitmapAuto BitmapMode = iota
 	// BitmapOn forces the filter on, ignoring the environment.
 	BitmapOn

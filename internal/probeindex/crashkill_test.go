@@ -263,6 +263,99 @@ func TestCrashKillMatrix(t *testing.T) {
 	}
 }
 
+// TestCrashKillPersist dies at each boundary of the generation roll while
+// Persist re-attaches a loaded index to its own directory — the roll every
+// restart runs, which shares its kill points with compaction — and proves
+// the directory still loads the acknowledged state and stays writable.
+// TestCrashKillMatrix arms its hook only after the first Persist, so it
+// never kills inside one. The save.* points fire twice per roll: once
+// publishing the snapshot, once creating the WAL.
+func TestCrashKillPersist(t *testing.T) {
+	d := DurableOptions{Sync: SyncPolicy{Mode: SyncAlways}}
+	for _, point := range []string{
+		"save.start", "save.synced", "save.renamed",
+		"compact.snapshot.written", "compact.wal.created", "compact.retired",
+	} {
+		t.Run(point, func(t *testing.T) {
+			fired := 0
+			for after := 0; after < 2; after++ {
+				dir := t.TempDir()
+				ix, live := buildDurable(t, dir, d)
+				for _, op := range killScript()[:5] { // inserts and deletes: a non-empty WAL
+					if err := op.run(ix); err != nil {
+						t.Fatalf("%s: %s: %v", point, op.desc, err)
+					}
+					op.apply(live)
+				}
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				ld, err := Load(dir, durOpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				hits, killed := 0, false
+				frame.SetKillHook(func(p string) {
+					if p == point {
+						if hits++; hits > after {
+							panic(killPanic{p})
+						}
+					}
+				})
+				func() {
+					defer frame.SetKillHook(nil)
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(killPanic); !ok {
+								panic(r)
+							}
+							killed = true
+						}
+					}()
+					if err := ld.Persist(dir, d); err != nil {
+						t.Fatalf("%s: Persist: %v", point, err)
+					}
+				}()
+				if !killed {
+					continue
+				}
+				fired++
+
+				re, err := Load(dir, durOpt)
+				if err != nil {
+					t.Fatalf("%s (hit %d): recovery failed: %v", point, after+1, err)
+				}
+				if got := liveSets(re); !stateEqual(got, live) {
+					t.Fatalf("%s (hit %d): recovered state differs from the acknowledged one\n got: %v\nwant: %v", point, after+1, got, live)
+				}
+				checkProbeOracle(t, point, re, live)
+				if err := re.Persist(dir, d); err != nil {
+					t.Fatalf("%s: re-Persist after recovery: %v", point, err)
+				}
+				rid, err := re.Insert([]string{"post-crash"})
+				if err != nil {
+					t.Fatalf("%s: insert after recovery: %v", point, err)
+				}
+				live[rid] = []string{"post-crash"}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				again, err := Load(dir, durOpt)
+				if err != nil {
+					t.Fatalf("%s: second recovery: %v", point, err)
+				}
+				if !stateEqual(liveSets(again), live) {
+					t.Fatalf("%s: post-crash mutation lost across reopen", point)
+				}
+			}
+			if fired == 0 {
+				t.Fatalf("kill point %s never fired inside Persist", point)
+			}
+		})
+	}
+}
+
 // --- Forked-process SIGKILL harness -----------------------------------
 
 // crashChild is the re-exec'd workload: build, persist, then hammer the
