@@ -38,8 +38,9 @@ const (
 	CounterSpillRuns = "spill.runs"
 	// CounterSpillBytes totals the accounted bytes those runs carried.
 	CounterSpillBytes = "spill.bytes"
-	// CounterSpillMergeWays is the widest k-way merge fan-in any reduce
-	// fetch needed (max-valued, via Counters.Max).
+	// CounterSpillMergeWays is the widest fan-in any reduce fetch needed:
+	// the runs holding its partition, plus one for a non-empty in-memory
+	// tail (max-valued, via Counters.Max).
 	CounterSpillMergeWays = "spill.merge.ways"
 	// CounterShufflePeak is the largest in-memory shuffle buffer any map
 	// task held (max-valued, via Counters.Max).

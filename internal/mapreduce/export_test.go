@@ -33,7 +33,7 @@ func Emitted(ctx *Context) ([]*spill.Records, error) {
 	parts := make([]*spill.Records, ctx.shuffle.reducers)
 	for p := range parts {
 		parts[p] = new(spill.Records)
-		src, _, err := ctx.shuffle.buf.Fetch(p, parts[p])
+		src, _, err := ctx.shuffle.buf.Fetch(p, parts[p], new(spill.Fetcher))
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +47,7 @@ func Emitted(ctx *Context) ([]*spill.Records, error) {
 // FetchedSources runs the map phase of Run(cfg, input, mapper, reducer) and
 // fetches every reduce task's partition of each map task as the reduce task
 // would. It reports, per reduce task, whether some non-empty partition was
-// handed over where it lies (resident) and whether some was merged from
+// handed over where it lies (resident) and whether some was decoded from
 // spill runs into the task's own records (merged).
 func FetchedSources(cfg Config, input []KV, mapper Mapper, reducer Reducer) (resident, merged []bool, err error) {
 	env, err := newJobEnv(cfg, jobInput{kvs: input}, mapper, reducer, false)
@@ -62,8 +62,9 @@ func FetchedSources(cfg Config, input []KV, mapper Mapper, reducer Reducer) (res
 	resident, merged = make([]bool, env.reduceTasks), make([]bool, env.reduceTasks)
 	for r := range resident {
 		var fetched spill.Records
+		var f spill.Fetcher
 		for _, s := range c.sinks {
-			src, _, err := s.buf.Fetch(r, &fetched)
+			src, _, err := s.buf.Fetch(r, &fetched, &f)
 			if err != nil {
 				return nil, nil, err
 			}

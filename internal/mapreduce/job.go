@@ -182,7 +182,7 @@ func (c Config) cancelled() error {
 }
 
 // cancelCheck returns the polling form of cancelled for components that
-// cannot see the Config (the spill merge); nil when the job has no
+// cannot see the Config (the spill fetch); nil when the job has no
 // context, so the unconfigured path stays a nil comparison.
 func (c Config) cancelCheck() func() error {
 	if c.Context == nil {
@@ -442,7 +442,7 @@ func prefixPartition(k spill.KeyIndex, reducers int) int {
 // (map-side pre-partitioning), so there is no separate partition pass; the
 // job driver hands each map task's buffer to the reduce tasks directly, and
 // each reduce task sorts and groups its partition of every map task where
-// it lies, copying only what a spill merge produces. Tasks run sequentially
+// it lies, copying only what it decodes from spill runs. Tasks run sequentially
 // or on a bounded worker pool per Config.Parallelism, with per-task slots
 // so assembly order — and therefore Output, counters and every shuffle
 // metric — is identical at any parallelism level.
@@ -850,19 +850,21 @@ type reduceInput struct {
 
 // fetchReduceInput pulls reduce task t's partition from every map task's
 // sink and groups them by key, in map-task order, as one stream: a
-// partition still in memory is read where it lies, and only a spilled
-// one's merge is copied, into columns the task's fetches share. Whether a
-// map task's partition arrives in emission order (in memory) or as the
-// key-sorted merge of its runs (spilled), the grouping sees the same
-// stream: arrival order within one key is map-task then emission order
-// either way. Guarded so a panicking Fold aborts the task, not the process.
+// partition still in memory is read where it lies, and only a spilled one
+// is decoded, into columns the task's fetches share, through one
+// spill.Fetcher they share too. Either way a map task's partition
+// arrives in emission order — a spilled one's runs in the order they were
+// written, then its tail — so arrival order within one key is map-task
+// then emission order. Guarded so a panicking Fold aborts the task, not
+// the process.
 func (env *jobEnv) fetchReduceInput(c *commits, t int) (*reduceInput, error) {
 	in := &reduceInput{}
 	if gerr := guard(func() {
 		var fetched spill.Records
+		var f spill.Fetcher
 		srcs := make([]spill.Source, env.mapTasks)
 		for mt := range srcs {
-			src, ways, err := c.sinks[mt].buf.Fetch(t, &fetched)
+			src, ways, err := c.sinks[mt].buf.Fetch(t, &fetched, &f)
 			if err != nil {
 				panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
 			}

@@ -11,22 +11,22 @@ import (
 // partitioner (map-side pre-partitioning). When the job has a combiner,
 // emissions fold into per-key accumulator slots as they arrive — the
 // engine's only combine path. Under a memory budget the buffer sorts and
-// spills runs to disk and the reduce-side drain merges them back
+// spills runs to disk and a reduce task's fetch decodes them back
 // (DESIGN.md §8); with no budget it is a pure in-memory buffer, the
 // engine's historical behaviour.
 //
-// Record order within a partition equals the order a global partition pass
-// would produce: without spilling, the restriction of the task's emission
-// order to one partition; with spilling, the key-sorted merge of that
-// order, which the reduce phase's group-and-sort normalises to the same
-// downstream bytes.
+// Record order within a partition, as a reduce task fetches it, equals the
+// order a global partition pass would produce: the restriction of the
+// task's emission order to one partition, spilled or not — except that a
+// folding buffer that spilled hands over one folded record per key, in key
+// order — which the reduce phase's group-and-sort puts in key order.
 type shuffleSink struct {
 	// part is the job's Partitioner; nil routes by DefaultPartitioner, which
 	// a record whose key is at most eight bytes needs no key string for.
 	part     func(key string, reducers int) int
 	reducers int
 	// sizer sizes buf's values: as they are added, and in the concurrent
-	// merges of its partitions.
+	// fetches of its partitions.
 	sizer spill.Sizer
 	buf   spill.Buffer
 	keys  spill.KeyArena // key strings addFrom hands a partitioner

@@ -1,13 +1,14 @@
 // Package spill gives the MapReduce engine an out-of-core shuffle: a
 // size-accounting partitioned KV buffer that, once a memory budget is
-// exceeded, writes its spillable records in (key, emission) order as a
-// length-prefixed sorted run to a temp file, then replays everything
-// through a k-way heap merge in an order byte-identical (after the reduce
-// phase's key-ordered grouping) to what the pure in-memory buffer produces
-// — fold/combiner semantics included. The record container (List) and the
-// key ordering (SortIndex) are shared with the engine's reduce side. This
-// is the Hadoop sort-spill-merge
-// pipeline DESIGN.md §2 originally substituted away, reintroduced so the
+// exceeded, writes its records in (key, emission) order as a
+// length-prefixed sorted run to a temp file. A reduce task's fetch decodes
+// a spilled partition's runs, in the order they were written, and then
+// its in-memory tail onto the task's columns: that is emission order, so
+// Group's one sort by (key, position) groups it exactly as it groups the
+// partition had it stayed in memory — fold/combiner semantics included.
+// The record container (List) and the key ordering (SortIndex) are shared
+// with the engine's reduce side. This is the Hadoop sort-spill pipeline
+// DESIGN.md §2 originally substituted away, reintroduced so the
 // reproduction no longer caps out at datasets that fit in RAM (DESIGN.md
 // §8).
 //
@@ -40,8 +41,8 @@ type Config struct {
 	// Fold, when non-nil, folds a new value into an existing accumulator
 	// for the same key (the engine's fold-at-emit combiner). It must be
 	// merge-capable — folding two accumulators must equal folding their
-	// constituent values — because the k-way merge re-folds keys whose
-	// records were split across runs.
+	// constituent values — because a fetch re-folds, oldest run first, the
+	// keys whose records were split across runs.
 	Fold func(acc, v any) any
 	// TypedFold, when non-nil, is where the buffer looks for Fold's unboxed
 	// form once a partition's values sit in a []T column (Register):
@@ -54,10 +55,11 @@ type Config struct {
 	// pure function of (key, value) so spilled records account identically
 	// after decode.
 	Size func(key string, v any) int64
-	// Cancel, when non-nil, is polled on a bounded stride inside Drain's
-	// replay loops (including the k-way merge); a non-nil return aborts the
-	// drain with that error, so a cancelled job stops mid-merge instead of
-	// replaying every spilled record first.
+	// Cancel, when non-nil, is polled on a bounded stride inside Fetch's
+	// decode and fold loops and Drain's replay, and once by a Fetch that
+	// hands a partition over in place; a non-nil return aborts the fetch
+	// or drain with that error, so a cancelled job stops partway through
+	// a spilled partition instead of decoding all of it first.
 	Cancel func() error
 }
 
@@ -88,6 +90,7 @@ type Buffer struct {
 	parts []Records
 	slots []slotTable // per-partition key -> position, Fold only
 	idx   []KeyIndex  // spill's sort index, reused across spills
+	w     runWriter   // reused across spills
 	mem   int64
 	peak  int64
 
@@ -132,7 +135,7 @@ func (b *Buffer) Add(part int, key string, v any) error {
 		return err
 	}
 	if i >= 0 {
-		b.foldInto(r, i, key, v)
+		b.mem += r.foldAt(i, key, v, &b.fold, b.cfg.Size)
 		return b.checkBudget()
 	}
 	bytes := b.cfg.Size(key, v)
@@ -159,7 +162,7 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 			if k.Len < 9 {
 				key = shortKey(k) // Size takes the key
 			}
-			b.foldInto(r, j, key, src.vals.at(i))
+			b.mem += r.foldAt(j, key, src.vals.at(i), &b.fold, b.cfg.Size)
 		}
 		return b.checkBudget()
 	}
@@ -191,25 +194,6 @@ func (b *Buffer) find(part int, k KeyIndex, key string) (*Records, int, error) {
 	return r, i, err
 }
 
-// foldInto folds v into the accumulator of record i of r, whose key is
-// key. Unboxed, the accumulator changes in place and is of the type and
-// size it was; through Fold it may come back as anything.
-func (b *Buffer) foldInto(r *Records, i int, key string, v any) {
-	if r.vals.fold(i, v, &b.fold) {
-		return
-	}
-	acc := b.fold.boxed(r.vals.at(i), v)
-	if !r.vals.set(i, acc) {
-		r.vals = r.vals.boxed()
-		r.vals.set(i, acc)
-	}
-	h := r.heads.At(i)
-	nb := b.cfg.Size(key, acc)
-	b.mem += nb - h.bytes()
-	r.bytes += nb - h.bytes()
-	*h = makeHead(h.key(), nb)
-}
-
 func (b *Buffer) checkBudget() error {
 	if b.mem > b.peak {
 		b.peak = b.mem
@@ -237,8 +221,8 @@ func (b *Buffer) spill() error {
 		}
 		b.dir = d
 	}
-	w, err := newRunWriter(b.dir, b.seq, b.cfg.Parts)
-	if err != nil {
+	w := &b.w
+	if err := w.start(b.dir, b.seq, b.cfg.Parts); err != nil {
 		return err
 	}
 	b.seq++
@@ -277,48 +261,46 @@ func (b *Buffer) spill() error {
 	return nil
 }
 
-// Drain replays one partition — runs first (in creation order), then the
-// still-buffered tail — through the k-way merge, emitting each record with
-// its accounted size, and returns the merge fan-in (1 when the partition
-// never spilled). With a Fold configured, keys split across sources are
-// re-folded so the partition again carries at most one record per key,
-// exactly like the in-memory fast path. Concurrent Drains of distinct
-// partitions are safe.
+// Drain replays one partition in key order, equal keys in emission order,
+// emitting each record with its accounted size, and returns the fan-in:
+// the runs that hold the partition, plus one for the in-memory tail when it
+// holds any of it. It replays what Fetch hands over, so with a Fold
+// configured a partition carries at most one record per key whether it
+// spilled or not. Concurrent Drains of distinct partitions are safe.
 func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int, error) {
-	if b.hasRuns(part) {
-		return b.merge(part, emit)
+	var fetched Records
+	src, ways, err := b.Fetch(part, &fetched, new(Fetcher))
+	if err != nil || ways == 0 {
+		return 0, err
 	}
-	tail := &b.parts[part]
-	if tail.Len() == 0 {
-		return 0, nil
-	}
-	var err error
-	i := 0
-	tail.Each(func(key string, v any, bytes int64) bool {
-		if b.cfg.Cancel != nil && i&(cancelStride-1) == 0 {
-			err = b.cfg.Cancel()
-		}
-		i++
-		if err == nil {
-			emit(key, v, bytes)
-		}
-		return err == nil
-	})
+	r := src.Recs // all of it
+	idx, err := r.sortedIndex(make([]KeyIndex, 0, r.Len()))
 	if err != nil {
 		return 0, err
 	}
-	return 1, nil
+	keys := NewKeyArena(len(idx))
+	for j, ix := range idx {
+		if b.cfg.Cancel != nil && j&(cancelStride-1) == 0 {
+			if err := b.cfg.Cancel(); err != nil {
+				return 0, err
+			}
+		}
+		i := int(ix.Pos)
+		emit(r.Key(i, keys), r.vals.at(i), r.heads.At(i).bytes())
+	}
+	return ways, nil
 }
 
 // Fetch is Drain for a reduce task that groups partitions where they lie
 // (Group): a partition that never spilled is handed over in place, as a
-// Source over the buffer's own records, which must then outlive it; one
-// that spilled is merged onto the end of dst, and the Source is what was
-// appended. The fan-in is Drain's.
-func (b *Buffer) Fetch(part int, dst *Records) (Source, int, error) {
+// Source over the buffer's own records, which must then outlive it. One
+// that spilled is decoded with f onto the end of dst (fetchSpilled), and
+// the Source is what was appended. A reduce task hands the same dst and f
+// to each of its fetches. The fan-in is Drain's.
+func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) {
 	if b.hasRuns(part) {
 		lo := dst.Len()
-		ways, err := b.merge(part, dst.Append)
+		ways, err := b.fetchSpilled(part, dst, f)
 		return Source{Recs: dst, Lo: lo, Hi: dst.Len()}, ways, err
 	}
 	tail := &b.parts[part]
@@ -344,40 +326,15 @@ func (b *Buffer) hasRuns(part int) bool {
 	return false
 }
 
-// merge replays a partition that spilled through the k-way merge and
-// returns its fan-in.
-func (b *Buffer) merge(part int, emit func(key string, v any, bytes int64)) (int, error) {
-	tail := &b.parts[part]
-	var sources []mergeSource
-	for _, r := range b.runs {
-		if c := r.open(part); c != nil {
-			sources = append(sources, c)
-		}
-	}
-	if tail.Len() > 0 {
-		// Concurrent drains of distinct partitions each need their own
-		// index, so this one is not the buffer's.
-		idx, err := tail.sortedIndex(make([]KeyIndex, 0, tail.Len()))
-		if err != nil {
-			return 0, err
-		}
-		sources = append(sources, &memSource{rs: tail, idx: idx, keys: KeyArena{n: len(idx)}})
-	}
-	err := kmerge(sources, b.cfg.Fold, b.cfg.Cancel, func(k string, v any) {
-		emit(k, v, b.cfg.Size(k, v))
-	})
-	return len(sources), err
-}
-
-// Trim gives back the memory a buffer that spilled keeps for refilling, and
-// the fold slots, which only Add reads. The task calls it when it has added
-// its last record: the buffer then waits, possibly for the whole map phase,
-// to be drained.
+// Trim gives back the memory a buffer that spilled keeps for refilling and
+// spilling again, and the fold slots, which only Add reads. The task calls
+// it when it has added its last record: the buffer then waits, possibly
+// for the whole map phase, to be drained.
 func (b *Buffer) Trim() {
 	for p := range b.parts {
 		b.parts[p].trim()
 	}
-	b.idx, b.slots = nil, nil
+	b.idx, b.slots, b.w = nil, nil, runWriter{}
 }
 
 // Release drops one fully consumed partition; when every partition has

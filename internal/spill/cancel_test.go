@@ -7,7 +7,7 @@ import (
 )
 
 // TestDrainCancellation proves Config.Cancel interrupts both drain paths:
-// the k-way merge over spilled runs and the pure in-memory replay.
+// the decode of spilled runs and the pure in-memory replay.
 func TestDrainCancellation(t *testing.T) {
 	errStop := errors.New("stop")
 	for _, spilled := range []bool{true, false} {
@@ -35,7 +35,7 @@ func TestDrainCancellation(t *testing.T) {
 				}
 			}
 			if spilled && b.Stats().Runs == 0 {
-				t.Fatal("budget never spilled; test proves nothing about the merge")
+				t.Fatal("budget never spilled; test proves nothing about the decode")
 			}
 			// Uncancelled drain replays everything.
 			n := 0

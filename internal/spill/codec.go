@@ -457,10 +457,16 @@ func (d *Dec) frame() []byte {
 
 // Record consumes one record written by AppendRecord.
 func (d *Dec) Record() (key string, v any) {
-	key = d.String()
+	k, v := d.record()
+	return string(k), v
+}
+
+// record is Record with the key unowned, d's own bytes.
+func (d *Dec) record() (key []byte, v any) {
+	key = d.frame()
 	val := d.frame()
 	if d.err != nil {
-		return "", nil
+		return nil, nil
 	}
 	// The value is read by this Dec, cut off where the value ends.
 	rest := d.end
@@ -470,7 +476,7 @@ func (d *Dec) Record() (key string, v any) {
 		// Wrapped, so a bad value inside a complete frame is never taken
 		// for errTruncated.
 		d.err = fmt.Errorf("spill: record value: %w", d.err)
-		return "", nil
+		return nil, nil
 	}
 	d.end = rest
 	return key, v

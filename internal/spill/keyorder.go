@@ -31,7 +31,10 @@ type KeyIndex struct {
 }
 
 // MakeKeyIndex abbreviates key for the record at position pos.
-func MakeKeyIndex(key string, pos int) KeyIndex {
+func MakeKeyIndex(key string, pos int) KeyIndex { return makeKeyIndex(key, pos) }
+
+// makeKeyIndex is MakeKeyIndex of a key given as a string or as bytes.
+func makeKeyIndex[K string | []byte](key K, pos int) KeyIndex {
 	var prefix [8]byte
 	copy(prefix[:], key)
 	return KeyIndex{Prefix: binary.BigEndian.Uint64(prefix[:]), Len: uint8(min(len(key), 9)), Pos: int32(pos)}

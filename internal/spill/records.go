@@ -124,6 +124,37 @@ func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes in
 	r.bytes += bytes
 }
 
+// foldAt folds v into the value of record i, whose key is key: in place
+// through f's unboxed form where the column has one, and otherwise through
+// its boxed form, after which the record is accounted anew with size — the
+// accumulator may come back as anything. It returns how many bytes the
+// record's accounted size grew by.
+func (r *Records) foldAt(i int, key string, v any, f *folder, size func(key string, v any) int64) int64 {
+	if r.vals.fold(i, v, f) {
+		return 0
+	}
+	acc := f.boxed(r.vals.at(i), v)
+	if !r.vals.set(i, acc) {
+		r.vals = r.vals.boxed()
+		r.vals.set(i, acc)
+	}
+	h := r.heads.At(i)
+	grew := size(key, acc) - h.bytes()
+	r.bytes += grew
+	*h = makeHead(h.key(), h.bytes()+grew)
+	return grew
+}
+
+// appendAt appends src's record i, column to column where they agree.
+func (r *Records) appendAt(src *Records, i int) {
+	h := src.heads.At(i)
+	key := ""
+	if h.len() == 9 {
+		key = *src.long.At(i)
+	}
+	r.appendFrom(h.key(), key, src.vals, i, h.bytes())
+}
+
 // padLong brings long up to one entry per record.
 func (r *Records) padLong() {
 	for r.long.Len() < r.heads.Len() {

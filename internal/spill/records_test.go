@@ -37,7 +37,7 @@ func drainRecords(t *testing.T, b *Buffer, parts int) (keys []string, vals []any
 	t.Helper()
 	for p := 0; p < parts; p++ {
 		var recs Records
-		src, _, err := b.Fetch(p, &recs)
+		src, _, err := b.Fetch(p, &recs, new(Fetcher))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func whole(r *Records) []Source { return []Source{{Recs: r, Hi: r.Len()}} }
 
 // TestTypedFoldMatchesBoxedFold: the same stream folded unboxed and boxed
 // leaves identical accumulators, sizes and spill statistics — at emit in
-// memory, re-folded by the k-way merge across runs, and folded per group on
+// memory, re-folded by the fetch across runs, and folded per group on
 // the reduce side.
 func TestTypedFoldMatchesBoxedFold(t *testing.T) {
 	var f sumTyped
@@ -672,7 +672,7 @@ func diffGroups(got, want *Groups, folded bool) string {
 }
 
 // TestFetchChecksCancel: a partition handed over in place still answers a
-// cancelled job, once per partition, as the merge of a spilled one does.
+// cancelled job, once per partition, as the decode of a spilled one does.
 func TestFetchChecksCancel(t *testing.T) {
 	stop := errors.New("cancelled")
 	b := NewBuffer(Config{Parts: 2, Size: testSize, Cancel: func() error { return stop }})
@@ -680,10 +680,10 @@ func TestFetchChecksCancel(t *testing.T) {
 	if err := b.Add(0, "k", int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Fetch(0, new(Records)); err != stop {
+	if _, _, err := b.Fetch(0, new(Records), new(Fetcher)); err != stop {
 		t.Fatalf("Fetch of a resident partition = %v, want the cancellation", err)
 	}
-	if src, ways, err := b.Fetch(1, new(Records)); err != nil || ways != 0 || src.Hi != src.Lo {
+	if src, ways, err := b.Fetch(1, new(Records), new(Fetcher)); err != nil || ways != 0 || src.Hi != src.Lo {
 		t.Fatalf("Fetch of an empty partition = %+v, %d, %v", src, ways, err)
 	}
 }

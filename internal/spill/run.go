@@ -37,7 +37,8 @@ func (r *run) close() {
 }
 
 // runWriter streams one run to disk. Partitions must be written in
-// non-decreasing order.
+// non-decreasing order. A buffer has one, and its write buffer serves each
+// of the buffer's runs in turn.
 type runWriter struct {
 	f       *os.File
 	w       *bufio.Writer
@@ -46,13 +47,21 @@ type runWriter struct {
 	scratch []byte
 }
 
-func newRunWriter(dir string, seq, parts int) (*runWriter, error) {
+// start begins run seq of a buffer of parts partitions, in a new file in
+// dir.
+func (w *runWriter) start(dir string, seq, parts int) error {
 	f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("run-%06d", seq)),
 		os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &runWriter{f: f, w: bufio.NewWriterSize(f, 64<<10), segs: make([]segment, parts)}, nil
+	if w.w == nil {
+		w.w = bufio.NewWriterSize(f, 64<<10)
+	} else {
+		w.w.Reset(f)
+	}
+	w.f, w.off, w.segs = f, 0, make([]segment, parts)
+	return nil
 }
 
 // add appends one record to partition p.
@@ -106,69 +115,78 @@ func (w *runWriter) abort() {
 	os.Remove(name)
 }
 
-// cursor iterates one partition's records within a run, in stored (key)
-// order, decoding them out of a window it slides along the segment.
-type cursor struct {
-	r   *io.SectionReader
-	buf []byte // buf[pos:] is read from the segment and not yet decoded
-	pos int
+// window is what a fetch reads a partition's segments through, one run
+// after another: a buffer it slides along each segment, decoding records
+// out of it.
+type window struct {
+	r   io.SectionReader
+	buf []byte // read from the segment; d reads what is not yet decoded
 	eof bool
-	// d reads buf[pos:]. A field, because a local handed to a codec's Read
-	// would be allocated once per record.
+	// d reads buf. A field, because a local handed to a codec's Read would
+	// be allocated once per record; and it is set only when buf changes, so
+	// that a record costs no pointer write.
 	d Dec
 }
 
-// open returns a cursor over partition p, or nil when the run holds no
-// records for it. Cursors over distinct partitions are independent, so
-// concurrent reduce tasks can read the same run file. The window is sized
-// by the segment: a job has one cursor per (run, partition), and most
-// segments are far smaller than 32 KiB.
-func (r *run) open(p int) *cursor {
-	seg := r.segs[p]
-	if seg.records == 0 {
-		return nil
+// fit makes w at least as large as the largest of partition p's segments
+// in runs, up to 32 KiB: most segments are far smaller.
+func (w *window) fit(runs []*run, p int) {
+	size := int64(1)
+	for _, r := range runs {
+		size = max(size, r.segs[p].end-r.segs[p].off)
 	}
-	size := seg.end - seg.off
-	return &cursor{r: io.NewSectionReader(r.f, seg.off, size), buf: make([]byte, 0, min(32<<10, size))}
+	if size = min(32<<10, size); int64(cap(w.buf)) < size {
+		w.buf = make([]byte, 0, size)
+	}
 }
 
-// next returns the cursor's next record; ok is false at the end of the
-// segment.
-func (c *cursor) next() (key string, v any, ok bool, err error) {
+// open points w at partition p's segment in r. Windows over distinct
+// partitions are independent, so concurrent reduce tasks can read the same
+// run file.
+func (w *window) open(r *run, p int) {
+	seg := r.segs[p]
+	w.r = *io.NewSectionReader(r.f, seg.off, seg.end-seg.off)
+	w.buf, w.eof = w.buf[:0], false
+	w.d = dec(w.buf)
+}
+
+// next returns the segment's next record, its key in w's bytes until the
+// next call; ok is false at the end of the segment.
+func (w *window) next() (key []byte, v any, ok bool, err error) {
 	for {
-		c.d = dec(c.buf[c.pos:])
-		if key, v = c.d.Record(); c.d.err == nil {
-			c.pos = len(c.buf) - c.d.Rest()
+		at := w.d.at
+		if key, v = w.d.record(); w.d.err == nil {
 			return key, v, true, nil
 		}
-		if c.d.err != errTruncated {
-			return "", nil, false, c.d.err
+		if w.d.err != errTruncated {
+			return nil, nil, false, w.d.err
 		}
-		if c.eof {
-			if c.pos == len(c.buf) {
-				return "", nil, false, nil
+		if w.eof {
+			if at == len(w.buf) {
+				return nil, nil, false, nil
 			}
-			return "", nil, false, fmt.Errorf("spill: truncated record: %w", io.ErrUnexpectedEOF)
+			return nil, nil, false, fmt.Errorf("spill: truncated record: %w", io.ErrUnexpectedEOF)
 		}
-		if err := c.fill(); err != nil {
-			return "", nil, false, err
+		if err := w.fill(at); err != nil {
+			return nil, nil, false, err
 		}
 	}
 }
 
-// fill moves the undecoded tail to the front of the window — doubling it
-// first when one record already fills it — and reads on from the segment.
-func (c *cursor) fill() error {
-	rest := c.buf[c.pos:]
-	if len(rest) == cap(c.buf) {
-		c.buf = make([]byte, 0, 2*cap(c.buf))
+// fill moves the undecoded bytes, buf[at:], to the front of the window —
+// doubling it first when they already fill it — and reads on from the
+// segment.
+func (w *window) fill(at int) error {
+	rest := w.buf[at:]
+	if len(rest) == cap(w.buf) {
+		w.buf = make([]byte, 0, 2*cap(w.buf))
 	}
-	c.buf = c.buf[:copy(c.buf[:cap(c.buf)], rest)]
-	c.pos = 0
-	n, err := io.ReadFull(c.r, c.buf[len(c.buf):cap(c.buf)])
-	c.buf = c.buf[:len(c.buf)+n]
+	w.buf = w.buf[:copy(w.buf[:cap(w.buf)], rest)]
+	n, err := io.ReadFull(&w.r, w.buf[len(w.buf):cap(w.buf)])
+	w.buf = w.buf[:len(w.buf)+n]
+	w.d = dec(w.buf)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		c.eof, err = true, nil
+		w.eof, err = true, nil
 	}
 	return err
 }

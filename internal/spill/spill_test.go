@@ -452,27 +452,29 @@ func TestSpillDirNamePattern(t *testing.T) {
 	}
 }
 
-// readCursor reads partition 0 of r to its end.
-func readCursor(r *run) (keys []string, vals []any, err error) {
-	c := r.open(0)
-	for {
-		k, v, ok, err := c.next()
-		if err != nil || !ok {
-			return keys, vals, err
-		}
+// readRun decodes partition p of r onto Records as a fetch does, and
+// returns the records decoded, up to an error included.
+func readRun(r *run, p int) (keys []string, vals []any, err error) {
+	var recs Records
+	var f Fetcher
+	f.win.fit([]*run{r}, p)
+	err = (&Buffer{cfg: Config{Size: testSize}}).decode(r, p, &recs, &f)
+	recs.Each(func(k string, v any, _ int64) bool {
 		keys, vals = append(keys, k), append(vals, v)
-	}
+		return true
+	})
+	return keys, vals, err
 }
 
-// TestRunCursorWindow drives the cursor's sliding window: a segment several
+// TestRunCursorWindow drives the fetch's sliding window: a segment several
 // windows long (records straddle every refill), one record larger than
 // twice the initial window (the doubling path), a one-record segment (the
 // window is no larger than it), a segment cut mid-record, and a complete
 // frame whose value is short inside — which must surface as a decode
 // error, not be taken for a record that needs more bytes.
 func TestRunCursorWindow(t *testing.T) {
-	w, err := newRunWriter(t.TempDir(), 0, 2)
-	if err != nil {
+	var w runWriter
+	if err := w.start(t.TempDir(), 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	var keys []string
@@ -497,7 +499,7 @@ func TestRunCursorWindow(t *testing.T) {
 	if size := r.segs[0].end - r.segs[0].off; size < 5*(32<<10) {
 		t.Fatalf("segment is %d bytes, want several windows", size)
 	}
-	gotK, gotV, err := readCursor(r)
+	gotK, gotV, err := readRun(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,21 +509,19 @@ func TestRunCursorWindow(t *testing.T) {
 
 	// The one-record segment is read through a window of its own size, and
 	// ends cleanly after its record.
-	c := r.open(1)
-	if size := r.segs[1].end - r.segs[1].off; int64(cap(c.buf)) > size {
-		t.Fatalf("one-record segment of %d bytes got a %d-byte window", size, cap(c.buf))
+	var win window
+	win.fit([]*run{r}, 1)
+	if size := r.segs[1].end - r.segs[1].off; int64(cap(win.buf)) > size {
+		t.Fatalf("one-record segment of %d bytes got a %d-byte window", size, cap(win.buf))
 	}
-	if k, v, ok, err := c.next(); err != nil || !ok || k != "lone" || v != int64(7) {
-		t.Fatalf("one-record segment: (%q, %v, %v, %v)", k, v, ok, err)
-	}
-	if _, _, ok, err := c.next(); ok || err != nil {
-		t.Fatalf("after the one record: ok = %v, err = %v; want a clean end", ok, err)
+	if k, v, err := readRun(r, 1); err != nil || !reflect.DeepEqual(k, []string{"lone"}) || !reflect.DeepEqual(v, []any{int64(7)}) {
+		t.Fatalf("one-record segment: (%q, %v, %v), want the one record and a clean end", k, v, err)
 	}
 
 	// Cut the segment inside its last record: every record before it still
-	// decodes, then the cursor reports the truncation.
+	// decodes, then the decode reports the truncation.
 	r.segs[0].end -= 3
-	gotK, _, err = readCursor(r)
+	gotK, _, err = readRun(r, 0)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated segment: err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -530,7 +530,7 @@ func TestRunCursorWindow(t *testing.T) {
 	}
 
 	// A whole frame holding a []uint32 that claims five words and carries
-	// one, followed by a good record the cursor must not go on to read.
+	// one, followed by a good record the decode must not go on to read.
 	bad := append([]byte{1, 'k', 6, tagU32Slice, 5}, 0, 0, 0, 0)
 	bad, err = AppendRecord(bad, "after", int64(1))
 	if err != nil {
@@ -545,7 +545,7 @@ func TestRunCursorWindow(t *testing.T) {
 	}
 	corrupt := &run{f: f, segs: []segment{{end: int64(len(bad)), records: 2}}}
 	defer corrupt.close()
-	gotK, _, err = readCursor(corrupt)
+	gotK, _, err = readRun(corrupt, 0)
 	if err == nil || errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, errTruncated) || len(gotK) != 0 {
 		t.Fatalf("corrupt value: %d records, err = %v; want the wrapped decode error at once", len(gotK), err)
 	}

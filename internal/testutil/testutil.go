@@ -71,7 +71,7 @@ type boxedOnly struct{ mapreduce.FoldingReducer }
 
 // AssertTypedFoldAgrees runs an identity job over input with fr as combiner
 // and folding reducer — unbounded, and under a budget that makes the map
-// tasks spill and the merge re-fold — twice: as given, so that the engine
+// tasks spill and the reduce-side fetch re-fold — twice: as given, so that the engine
 // folds through the unboxed form fr offers (FoldTyped or KeepsFirst), and
 // with that form hidden. Output, counters and the shuffle's metrics must
 // not tell the two apart.
