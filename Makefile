@@ -25,9 +25,11 @@ race:
 # detector (DESIGN.md §7). Any failure is re-runnable from its seed. It
 # then repeats the attempt-loop tests 20 times: their spill-leak checks
 # assert once, when the job returns, so a late cleanup fails them.
+# TestWALGroupCommitFlush runs 100 times: under -race it flaked when its sync window ran out inside a slow Insert.
 chaos:
 	$(GO) test -race -run 'TestChaos' . ./internal/mapreduce/chaos/
 	$(GO) test -race -count=20 -run 'TestSkip|Cancel|TestSpillCleanup|TestChainAttempts|TestWithRetries|TestRetries' ./internal/mapreduce/
+	$(GO) test -race -count=100 -run 'TestWALGroupCommitFlush$$' ./internal/probeindex/
 
 # fuzz smoke-runs every native fuzz target briefly; CI uses the same
 # budget. The targets are whatever `go test -list` finds, package by

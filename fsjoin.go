@@ -200,17 +200,19 @@ type Options struct {
 	// defaults: four attempts per task, no record skipped.
 	Fault FaultOptions
 	// MemoryBudget caps each simulated map task's in-memory shuffle buffer,
-	// in bytes. Records beyond the budget spill to sorted runs in temp
-	// files and are merged back at reduce time, so joins over data larger
-	// than RAM complete instead of exhausting memory. Results are
+	// in bytes. Each time a map task's records exceed it, the task appends
+	// them to its one spill file, and reduce tasks read them back from
+	// there, so joins over data larger than RAM complete instead of
+	// exhausting memory. Results are
 	// byte-identical at any budget; only Stats.SpillRuns/SpillBytes and
 	// wall-clock time change. 0 (the default) defers to the
 	// FSJOIN_MEMORY_BUDGET environment variable (unbounded when unset);
 	// a negative value forces unbounded buffering.
 	MemoryBudget int64
-	// SpillDir is the parent directory for spill files; "" is the OS temp
-	// dir (os.TempDir, which honours TMPDIR). Each join creates and removes
-	// its own subdirectories.
+	// SpillDir is the directory of spill files; "" is the OS temp dir
+	// (os.TempDir, which honours TMPDIR). Each map task that spills
+	// creates one fsjoin-spill-* file there, removed when the stage's
+	// reduce tasks have read it.
 	SpillDir string
 	// CheckpointDir, when non-empty, makes the join durable: after every
 	// MapReduce stage completes, its output, counters and metrics are
@@ -380,7 +382,7 @@ type Stats struct {
 	// RIDPairsPPJoin (FS-Join's verification input is already exact and
 	// unchanged by the filter).
 	VerifiedCandidates int64
-	// SpillRuns and SpillBytes total the sorted runs (and their accounted
+	// SpillRuns and SpillBytes total the spills (and their accounted
 	// bytes) the out-of-core shuffle wrote under Options.MemoryBudget;
 	// both are zero when no budget is active or nothing spilled.
 	SpillRuns  int64

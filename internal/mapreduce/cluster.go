@@ -140,8 +140,8 @@ func (c *Cluster) spillTime(mapOutputBytes int64, mapTasks int) time.Duration {
 
 // measuredSpillTime charges disk time for bytes the out-of-core shuffle
 // actually spilled under a memory budget (Metrics.SpillBytes): each byte
-// is written once into a sorted run and read back once by a reduce task's
-// fetch. This complements spillTime, which models the buffer Hadoop
+// is written once into a map task's spill file and read back once by a
+// reduce task's fetch. This complements spillTime, which models the buffer Hadoop
 // would have had; this term reflects the buffer this engine really had.
 func (c *Cluster) measuredSpillTime(spilledBytes int64) time.Duration {
 	if spilledBytes <= 0 || c.SpillBytesPerSec <= 0 {

@@ -33,14 +33,15 @@ func RestoreCounters(snap map[string]int64) *Counters {
 // active, from winning attempts only, so they are deterministic at any
 // parallelism and under any chaos schedule for a fixed budget.
 const (
-	// CounterSpillRuns counts sorted runs written by map-side shuffle
-	// buffers that exceeded the memory budget.
+	// CounterSpillRuns counts the spills of map-side shuffle buffers that
+	// exceeded the memory budget: each appends one segment per non-empty
+	// partition to its map task's one spill file.
 	CounterSpillRuns = "spill.runs"
-	// CounterSpillBytes totals the accounted bytes those runs carried.
+	// CounterSpillBytes totals the accounted bytes those spills carried.
 	CounterSpillBytes = "spill.bytes"
 	// CounterSpillMergeWays is the widest fan-in any reduce fetch needed:
-	// the runs holding its partition, plus one for a non-empty in-memory
-	// tail (max-valued, via Counters.Max).
+	// the spill-file segments holding its partition, plus one for a
+	// non-empty in-memory tail (max-valued, via Counters.Max).
 	CounterSpillMergeWays = "spill.merge.ways"
 	// CounterShufflePeak is the largest in-memory shuffle buffer any map
 	// task held (max-valued, via Counters.Max).

@@ -48,7 +48,7 @@ func Emitted(ctx *Context) ([]*spill.Records, error) {
 // fetches every reduce task's partition of each map task as the reduce task
 // would. It reports, per reduce task, whether some non-empty partition was
 // handed over where it lies (resident) and whether some was decoded from
-// spill runs into the task's own records (merged).
+// a spill file into the task's own records (merged).
 func FetchedSources(cfg Config, input []KV, mapper Mapper, reducer Reducer) (resident, merged []bool, err error) {
 	env, err := newJobEnv(cfg, jobInput{kvs: input}, mapper, reducer, false)
 	if err != nil {

@@ -52,7 +52,7 @@ func (f ReduceFunc) Reduce(ctx *Context, key string, values []any) { f(ctx, key,
 // it, so there is no combine pass. Fold must return the merged value; it
 // may mutate and return acc. It must be merge-capable — folding two
 // accumulators equals folding their constituent values — because a map
-// task that spilled re-folds keys split across its runs.
+// task that spilled re-folds keys split across its spills.
 type Folder interface {
 	Fold(acc, v any) any
 }
@@ -153,13 +153,15 @@ type Config struct {
 	// are identical at every parallelism level.
 	Parallelism int
 	// MemoryBudgetBytes caps the intermediate bytes one map task buffers
-	// in memory before sorting and spilling a run to a temp file
-	// (out-of-core shuffle, DESIGN.md §8). 0 defers to the
-	// FSJOIN_MEMORY_BUDGET environment variable (unbounded when unset);
-	// negative forces unbounded. Output is byte-identical at any budget.
+	// in memory; each time it is exceeded the task appends what it holds,
+	// in emission order, to its one spill file (out-of-core shuffle,
+	// DESIGN.md §8). 0 defers to the FSJOIN_MEMORY_BUDGET environment
+	// variable (unbounded when unset); negative forces unbounded. Output
+	// is byte-identical at any budget.
 	MemoryBudgetBytes int64
-	// SpillDir is the parent directory for spill files; "" is the OS temp
-	// dir (os.TempDir, which honours TMPDIR).
+	// SpillDir is the directory of the map tasks' spill files, one
+	// fsjoin-spill-* file per map task that spills; "" is the OS temp dir
+	// (os.TempDir, which honours TMPDIR).
 	SpillDir string
 	// CheckpointDir, when non-empty and the job runs as a pipeline stage,
 	// persists the stage's result there after it completes and replays it
@@ -363,9 +365,9 @@ type Metrics struct {
 	// GroupSpillTime is the per-reduce-task external-memory charge for key
 	// groups exceeding the reducer memory (see Cluster.ReducerMemoryBytes).
 	GroupSpillTime []time.Duration
-	// SpillRuns and SpillBytes total the sorted runs the out-of-core
-	// shuffle wrote under Config.MemoryBudgetBytes (winning attempts
-	// only); ShufflePeakBytes is the largest in-memory shuffle buffer any
+	// SpillRuns and SpillBytes total the spills the out-of-core shuffle
+	// wrote under Config.MemoryBudgetBytes (winning attempts only);
+	// ShufflePeakBytes is the largest in-memory shuffle buffer any
 	// map task held. All zero when the budget is unbounded.
 	SpillRuns          int64
 	SpillBytes         int64
@@ -442,7 +444,7 @@ func prefixPartition(k spill.KeyIndex, reducers int) int {
 // (map-side pre-partitioning), so there is no separate partition pass; the
 // job driver hands each map task's buffer to the reduce tasks directly, and
 // each reduce task sorts and groups its partition of every map task where
-// it lies, copying only what it decodes from spill runs. Tasks run sequentially
+// it lies, copying only what it decodes from spill files. Tasks run sequentially
 // or on a bounded worker pool per Config.Parallelism, with per-task slots
 // so assembly order — and therefore Output, counters and every shuffle
 // metric — is identical at any parallelism level.
@@ -819,7 +821,7 @@ func attempts[U any](env *jobEnv, counters *Counters, phase Phase, t int, units 
 
 // finishMapTask settles a winning map attempt's shuffle accounting: spill
 // counters are flushed winner-only (the surviving attempt's buffer is the
-// one whose runs the reduce phase merges; counters are recorded only
+// one whose partitions the reduce phase fetches; counters are recorded only
 // under an active budget so unbounded runs keep their historical counter
 // surface). What the task shuffled is not counted here: the reduce tasks
 // count it as they fetch it.

@@ -2,7 +2,9 @@ package mapreduce
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -425,5 +427,85 @@ func TestMapTaskBound(t *testing.T) {
 	cfg.MapTasks = spill.MaxSources
 	if _, err := newJobEnv(cfg, jobInput{kvs: input}, IdentityMapper, wcReducer{}, false); err != nil {
 		t.Fatalf("%d map tasks: %v", spill.MaxSources, err)
+	}
+}
+
+// TestSpillFilesBoundedPerMapTask: a map task's spills all go to one file,
+// held open on one descriptor, however often it spills. A 1 KiB budget
+// makes four map tasks spill hundreds of times; during the reduce phase,
+// while every map task's spilled partitions wait to be fetched, SpillDir
+// holds at most one regular file per map task, and the process at most
+// one descriptor more per map task — and a few of the runtime's own — than
+// before the job. The descriptor check is skipped where /proc/self/fd
+// cannot be read.
+func TestSpillFilesBoundedPerMapTask(t *testing.T) {
+	const mapTasks = 4
+	input := make([]KV, 20000)
+	for i := range input {
+		input[i] = KV{Key: fmt.Sprintf("k%05d", i), Value: int64(i)}
+	}
+	w := &peakWatcher{dir: t.TempDir(), fdBase: -1}
+	if n, err := openFDs(); err == nil {
+		w.fdBase = n
+	} else {
+		t.Logf("descriptor check skipped: %v", err)
+	}
+	cfg := Config{Cluster: tinyCluster(), MapTasks: mapTasks, ReduceTasks: 4,
+		MemoryBudgetBytes: 1 << 10, SpillDir: w.dir}
+	res, err := Run(cfg, input, IdentityMapper, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := res.Counters.Get(CounterSpillRuns); runs < 100 {
+		t.Fatalf("spill.runs = %d, want >= 100", runs)
+	}
+	t.Logf("%d spills; peaks: %d spill files, %d descriptors above %d", res.Counters.Get(CounterSpillRuns),
+		w.files.Load(), w.fds.Load(), w.fdBase)
+	if n := w.files.Load(); n == 0 || n > mapTasks {
+		t.Fatalf("peak of %d spill files under SpillDir, want 1 to %d (one per map task)", n, mapTasks)
+	}
+	if n := w.fds.Load(); w.fdBase >= 0 && n > mapTasks+4 {
+		t.Fatalf("peak of %d descriptors above the %d before the job, want <= %d", n, w.fdBase, mapTasks+4)
+	}
+	noSpillFiles(t, w.dir)
+}
+
+// peakWatcher is an identity reducer that samples, every 64th group, how
+// many regular files are under dir and how many descriptors the process
+// has open above fdBase (when fdBase >= 0), and keeps the peaks.
+type peakWatcher struct {
+	dir        string
+	fdBase     int
+	calls      atomic.Int64
+	files, fds atomic.Int64
+}
+
+func (w *peakWatcher) Reduce(ctx *Context, key string, values []any) {
+	if w.calls.Add(1)%64 == 1 {
+		files := 0
+		filepath.WalkDir(w.dir, func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && d.Type().IsRegular() {
+				files++
+			}
+			return nil
+		})
+		storeMax(&w.files, int64(files))
+		if n, err := openFDs(); err == nil && w.fdBase >= 0 {
+			storeMax(&w.fds, int64(n-w.fdBase))
+		}
+	}
+	for _, v := range values {
+		ctx.Emit(key, v)
+	}
+}
+
+// openFDs counts the process's open descriptors.
+func openFDs() (int, error) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err
+}
+
+func storeMax(x *atomic.Int64, v int64) {
+	for old := x.Load(); v > old && !x.CompareAndSwap(old, v); old = x.Load() {
 	}
 }

@@ -10,9 +10,10 @@ import (
 // with one partition per reduce task, filled at Emit time through the job
 // partitioner (map-side pre-partitioning). When the job has a combiner,
 // emissions fold into per-key accumulator slots as they arrive — the
-// engine's only combine path. Under a memory budget the buffer sorts and
-// spills runs to disk and a reduce task's fetch decodes them back
-// (DESIGN.md §8); with no budget it is a pure in-memory buffer, the
+// engine's only combine path. Under a memory budget the buffer appends
+// what it holds, unsorted, to its one spill file each time the budget is
+// exceeded, and a reduce task's fetch decodes its partition's segments
+// back (DESIGN.md §8); with no budget it is a pure in-memory buffer, the
 // engine's historical behaviour.
 //
 // Record order within a partition, as a reduce task fetches it, equals the
@@ -85,7 +86,7 @@ func (s *shuffleSink) route(key string) int {
 	return r
 }
 
-// close removes any spill files. Used for sinks of a failed attempt or of
+// close removes the sink's spill file, if any. Used for sinks of a failed attempt or of
 // a job that aborts; Buffer.Release covers the happy path.
 func (s *shuffleSink) close() {
 	if s != nil {

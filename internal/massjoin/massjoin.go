@@ -78,11 +78,7 @@ type Options struct {
 	// Parallelism is the local engine parallelism for every stage; see
 	// mapreduce.Config.Parallelism.
 	Parallelism int
-	// MemoryBudget caps each map task's in-memory shuffle buffer; records
-	// beyond it spill to sorted runs on disk and merge back at reduce time
-	// (see mapreduce.Config.MemoryBudgetBytes). 0 defers to the engine
-	// default (FSJOIN_MEMORY_BUDGET); negative forces unbounded. Results
-	// are byte-identical at any budget.
+	// MemoryBudget is mapreduce.Config.MemoryBudgetBytes for every stage.
 	MemoryBudget int64
 	// Env is the execution environment (cancellation, fault policy, spill
 	// and checkpoint directories) handed to the pipeline as is; see

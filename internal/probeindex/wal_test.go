@@ -347,9 +347,11 @@ func TestWALErrorPoisonsLog(t *testing.T) {
 
 // TestWALGroupCommitFlush: under SyncInterval, Maintain flushes pending
 // bytes once the window elapses, and the synced-bytes counter advances.
+// The window is an hour, so no Insert, however slow, outlives it; the test
+// moves the last sync an hour back instead of sleeping.
 func TestWALGroupCommitFlush(t *testing.T) {
 	dir := t.TempDir()
-	ix, _ := buildDurable(t, dir, DurableOptions{Sync: SyncPolicy{Mode: SyncInterval, Interval: time.Millisecond}})
+	ix, _ := buildDurable(t, dir, DurableOptions{Sync: SyncPolicy{Mode: SyncInterval, Interval: time.Hour}})
 	if _, err := ix.Insert([]string{"grouped"}); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +361,9 @@ func TestWALGroupCommitFlush(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("append was synced eagerly under interval mode")
 	}
-	time.Sleep(2 * time.Millisecond)
+	ix.mu.Lock()
+	ix.wal.lastSync = ix.wal.lastSync.Add(-time.Hour)
+	ix.mu.Unlock()
 	if err := ix.Maintain(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,17 @@
 // Package spill gives the MapReduce engine an out-of-core shuffle: a
 // size-accounting partitioned KV buffer that, once a memory budget is
-// exceeded, writes its records in (key, emission) order as a
-// length-prefixed sorted run to a temp file. A reduce task's fetch decodes
-// a spilled partition's runs, in the order they were written, and then
-// its in-memory tail onto the task's columns: that is emission order, so
-// Group's one sort by (key, position) groups it exactly as it groups the
-// partition had it stayed in memory — fold/combiner semantics included.
-// The record container (List) and the key ordering (SortIndex) are shared
-// with the engine's reduce side. This is the Hadoop sort-spill pipeline
-// DESIGN.md §2 originally substituted away, reintroduced so the
-// reproduction no longer caps out at datasets that fit in RAM (DESIGN.md
-// §8).
+// exceeded, appends its records, each partition in emission order and
+// length-prefixed, to the end of one temp file of its own. A reduce task's
+// fetch decodes a spilled partition's segments of that file, in the order
+// they were written, and then its in-memory tail onto the task's columns:
+// that is emission order, so Group's one sort by (key, position) groups it
+// exactly as it groups the partition had it stayed in memory —
+// fold/combiner semantics included. Nothing sorts at spill time. The
+// record container (List) and the key ordering (SortIndex) are shared
+// with the engine's reduce side. This is the out-of-core half of Hadoop's
+// sort-spill pipeline, which DESIGN.md §2 originally substituted away,
+// reintroduced so the reproduction no longer caps out at datasets that fit
+// in RAM (DESIGN.md §8).
 //
 // Values cross the disk boundary through a type-tagged codec registry
 // (codec.go): one Register call per value type gives it its wire tag, its
@@ -20,8 +21,10 @@
 package spill
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -34,15 +37,15 @@ type Config struct {
 	// Budget caps buffered bytes before a spill; <= 0 means unbounded (no
 	// file is ever created, matching the engine's historical behaviour).
 	Budget int64
-	// Dir is the parent directory for the buffer's private temp dir; ""
-	// means the OS temp dir. The private dir is created lazily on first
-	// spill and removed by Close.
+	// Dir is the directory of the buffer's spill file, an fsjoin-spill-*
+	// temp file; "" means the OS temp dir. The file is created on the
+	// first spill and removed by Close.
 	Dir string
 	// Fold, when non-nil, folds a new value into an existing accumulator
 	// for the same key (the engine's fold-at-emit combiner). It must be
 	// merge-capable — folding two accumulators must equal folding their
-	// constituent values — because a fetch re-folds, oldest run first, the
-	// keys whose records were split across runs.
+	// constituent values — because a fetch re-folds, oldest spill first,
+	// the keys whose records were split across spills.
 	Fold func(acc, v any) any
 	// TypedFold, when non-nil, is where the buffer looks for Fold's unboxed
 	// form once a partition's values sit in a []T column (Register):
@@ -66,9 +69,10 @@ type Config struct {
 // Stats is a Buffer's spill activity. Deterministic for a fixed input,
 // budget and partitioner.
 type Stats struct {
-	// Runs is the number of sorted runs written.
+	// Runs is the number of spills: each appends one segment to the spill
+	// file for every partition that holds records.
 	Runs int64
-	// SpilledBytes is the accounted bytes across all runs.
+	// SpilledBytes is the accounted bytes across all spills.
 	SpilledBytes int64
 	// PeakBytes is the in-memory high-water mark.
 	PeakBytes int64
@@ -82,22 +86,21 @@ var errClosed = errors.New("spill: buffer closed")
 // and the last Release — or the job driver, when the job aborts — Closes
 // it. Each task attempt has a buffer of its own, discarded before
 // the next attempt starts, so nothing Adds to a buffer being closed. The
-// mutex guards the spill state Close tears down (dir, runs and their
-// counts), so Close is safe from whichever goroutine ends the buffer.
+// mutex guards the spill state Close tears down (the file, its segments
+// and the counts), so Close is safe from whichever goroutine ends the
+// buffer.
 type Buffer struct {
 	cfg   Config
 	fold  folder
 	parts []Records
 	slots []slotTable // per-partition key -> position, Fold only
-	idx   []KeyIndex  // spill's sort index, reused across spills
-	w     runWriter   // reused across spills
 	mem   int64
 	peak  int64
 
-	mu       sync.Mutex // guards dir, seq, runs, runCount, spilledBytes, closed
-	dir      string
-	seq      int
-	runs     []*run
+	mu       sync.Mutex // guards f, end, segs, runCount, spilled, closed
+	f        *os.File   // the spill file, created by the first spill
+	end      int64      // where the next spill writes in f
+	segs     [][]segment
 	runCount int64
 	spilled  int64
 	closed   bool
@@ -204,69 +207,90 @@ func (b *Buffer) checkBudget() error {
 	return b.spill()
 }
 
-// spill writes every partition's records as one run, each partition in
-// (key, emission) order through a sort index — no record moves — and
-// empties the partitions and their fold slots. A value with no codec fails
-// it with ErrNoCodec.
+// writers holds the 64 KiB write buffers spills go through, one per
+// spill in progress rather than one per buffer that ever spilled.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// spill appends every partition's records, in the order they sit in
+// memory, to the end of the spill file — one segment per partition that
+// holds any — and empties the partitions and their fold slots. A value
+// with no codec fails it with ErrNoCodec; a failed spill indexes nothing
+// and empties nothing, and the bytes it wrote past end are overwritten by
+// the next spill or removed with the file.
 func (b *Buffer) spill() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return errClosed
 	}
-	if b.dir == "" {
-		d, err := os.MkdirTemp(b.cfg.Dir, "fsjoin-spill-")
+	if b.f == nil {
+		f, err := os.CreateTemp(b.cfg.Dir, "fsjoin-spill-")
 		if err != nil {
 			return err
 		}
-		b.dir = d
+		b.f, b.segs = f, make([][]segment, b.cfg.Parts)
 	}
-	w := &b.w
-	if err := w.start(b.dir, b.seq, b.cfg.Parts); err != nil {
+	w := writers.Get().(*bufio.Writer)
+	defer func() {
+		w.Reset(nil) // the pool holds no file
+		writers.Put(w)
+	}()
+	w.Reset(io.NewOffsetWriter(b.f, b.end))
+	end, err := b.write(w)
+	if err != nil {
+		for p, s := range b.segs {
+			if n := len(s); n > 0 && s[n-1].off >= b.end {
+				b.segs[p] = s[:n-1]
+			}
+		}
 		return err
 	}
-	b.seq++
-	var written int64
+	for p := range b.parts {
+		b.spilled += b.parts[p].Bytes()
+		b.parts[p].reset()
+		if b.slots != nil {
+			b.slots[p].reset()
+		}
+	}
+	b.end = end
+	b.runCount++
+	b.mem = 0
+	return nil
+}
+
+// write writes every partition's records through w, which writes at
+// b.end, appends each partition's segment to its list, and returns where
+// the written bytes end.
+func (b *Buffer) write(w *bufio.Writer) (int64, error) {
+	at := b.end
 	for p := range b.parts {
 		l := &b.parts[p]
 		if l.Len() == 0 {
 			continue
 		}
-		idx, err := l.sortedIndex(b.idx[:0])
-		if err != nil {
-			w.abort()
-			return err
-		}
-		b.idx = idx
-		for _, ix := range idx {
-			if err := w.addAt(p, l, int(ix.Pos)); err != nil {
-				w.abort()
-				return err
+		seg := segment{off: at, records: int64(l.Len())}
+		for i := 0; i < l.Len(); i++ {
+			frame, err := l.Frame(w.AvailableBuffer(), i)
+			if err != nil {
+				return 0, err
 			}
-			written += l.heads.At(int(ix.Pos)).bytes()
+			if _, err := w.Write(frame); err != nil {
+				return 0, err
+			}
+			at += int64(len(frame))
 		}
-		l.reset()
-		if b.slots != nil {
-			b.slots[p].reset()
-		}
+		seg.end = at
+		b.segs[p] = append(b.segs[p], seg)
 	}
-	r, err := w.finish()
-	if err != nil {
-		return err
-	}
-	b.runs = append(b.runs, r)
-	b.runCount++
-	b.spilled += written
-	b.mem = 0
-	return nil
+	return at, w.Flush()
 }
 
 // Drain replays one partition in key order, equal keys in emission order,
 // emitting each record with its accounted size, and returns the fan-in:
-// the runs that hold the partition, plus one for the in-memory tail when it
-// holds any of it. It replays what Fetch hands over, so with a Fold
-// configured a partition carries at most one record per key whether it
-// spilled or not. Concurrent Drains of distinct partitions are safe.
+// the partition's segments in the spill file, plus one for the in-memory
+// tail when it holds any of it. It replays what Fetch hands over, so with
+// a Fold configured a partition carries at most one record per key
+// whether it spilled or not. Concurrent Drains of distinct partitions are safe.
 func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int, error) {
 	var fetched Records
 	src, ways, err := b.Fetch(part, &fetched, new(Fetcher))
@@ -298,7 +322,7 @@ func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int
 // the Source is what was appended. A reduce task hands the same dst and f
 // to each of its fetches. The fan-in is Drain's.
 func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) {
-	if b.hasRuns(part) {
+	if part < len(b.segs) && len(b.segs[part]) > 0 {
 		lo := dst.Len()
 		ways, err := b.fetchSpilled(part, dst, f)
 		return Source{Recs: dst, Lo: lo, Hi: dst.Len()}, ways, err
@@ -315,17 +339,6 @@ func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) 
 	return Source{Recs: tail, Hi: tail.Len()}, 1, nil
 }
 
-// hasRuns reports whether any run holds records of partition part, read
-// from the runs' segment counts without opening one.
-func (b *Buffer) hasRuns(part int) bool {
-	for _, r := range b.runs {
-		if r.segs[part].records > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Trim gives back the memory a buffer that spilled keeps for refilling and
 // spilling again, and the fold slots, which only Add reads. The task calls
 // it when it has added its last record: the buffer then waits, possibly
@@ -334,11 +347,11 @@ func (b *Buffer) Trim() {
 	for p := range b.parts {
 		b.parts[p].trim()
 	}
-	b.idx, b.slots, b.w = nil, nil, runWriter{}
+	b.slots = nil
 }
 
 // Release drops one fully consumed partition; when every partition has
-// been released the buffer closes itself, removing its spill files.
+// been released the buffer closes itself, removing its spill file.
 func (b *Buffer) Release(part int) {
 	b.parts[part] = Records{}
 	if int(b.released.Add(1)) == b.cfg.Parts {
@@ -346,8 +359,8 @@ func (b *Buffer) Release(part int) {
 	}
 }
 
-// Close removes the buffer's spill files and directory. Idempotent; a
-// closed buffer rejects further spills.
+// Close closes and removes the buffer's spill file. Idempotent; a closed
+// buffer rejects further spills.
 func (b *Buffer) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -355,13 +368,10 @@ func (b *Buffer) Close() error {
 		return nil
 	}
 	b.closed = true
-	for _, r := range b.runs {
-		r.close()
-	}
-	b.runs = nil
-	if b.dir != "" {
-		os.RemoveAll(b.dir)
-		b.dir = ""
+	if b.f != nil {
+		b.f.Close()
+		os.Remove(b.f.Name())
+		b.f, b.segs = nil, nil
 	}
 	return nil
 }

@@ -285,7 +285,7 @@ func DecodeEncoded(b []byte) (any, error) {
 }
 
 // AppendRecord appends one shuffle record in the wire form every persisted
-// record shares — spill runs and checkpoint files:
+// record shares — spill files and checkpoint files:
 //
 //	uvarint(len(key)) key uvarint(len(tag+payload)) tag payload
 //

@@ -3,7 +3,7 @@ package spill
 import "reflect"
 
 // A Fetcher is what a reduce task fetches spilled partitions with, one
-// after another: the window their runs are read through and the scratch
+// after another: the window their segments are read through and the scratch
 // records a folding buffer's partition is decoded into, both reused from
 // fetch to fetch. The zero value is ready for use.
 type Fetcher struct {
@@ -20,13 +20,13 @@ type Fetcher struct {
 const cancelStride = 1024
 
 // fetchSpilled decodes partition part, which spilled, onto the end of dst
-// and returns its fan-in. It decodes the partition's segment of each run in
-// the order the runs were written, then copies the in-memory tail, which
-// yields the partition's records in emission order: a run is sorted
-// stably, so it holds a key's records in the order they were emitted, run
-// k holds only records emitted after those of run k-1, and the tail holds
-// the latest. Group, sorting by (key, position), thus sees each key's
-// records in the order it would have seen them had nothing spilled.
+// and returns its fan-in. It decodes the partition's segments in the order
+// they were written, then copies the in-memory tail, which yields the
+// partition's records in emission order: a segment holds them in the order
+// they were emitted, segment k holds only records emitted after those of
+// segment k-1, and the tail holds the latest. Group, sorting by (key,
+// position), thus sees each key's records in the order it would have seen
+// them had nothing spilled.
 //
 // A folding buffer decodes into f's scratch instead and folds that onto
 // dst (foldOnto), so dst again gets at most one record per key. Either way
@@ -43,17 +43,13 @@ func (b *Buffer) fetchSpilled(part int, dst *Records, f *Fetcher) (int, error) {
 	if out.Len() == 0 && tail.vals != nil && reflect.TypeOf(out.vals) != reflect.TypeOf(tail.vals) {
 		out.vals = tail.vals.empty()
 	}
-	f.win.fit(b.runs, part)
+	segs := b.segs[part]
+	f.win.fit(segs)
 	f.polls = 0
-	ways := 0
-	for _, r := range b.runs {
-		if r.segs[part].records > 0 {
-			ways++
-			if err := b.decode(r, part, out, f); err != nil {
-				return 0, err
-			}
-		}
+	if err := b.decode(segs, out, f); err != nil {
+		return 0, err
 	}
+	ways := len(segs)
 	if tail.Len() > 0 {
 		ways++
 		for i := 0; i < tail.Len(); i++ {
@@ -109,27 +105,33 @@ func (b *Buffer) poll(f *Fetcher) error {
 	return nil
 }
 
-// decode appends partition p's records in run r to out, in stored order,
-// reading them through f's window: a key of at most eight bytes as the
-// head's prefix and length, a longer one as a string of its own, and each
-// record accounted with Config.Size.
-func (b *Buffer) decode(r *run, p int, out *Records, f *Fetcher) error {
-	f.win.open(r, p)
-	f.keys = KeyArena{n: int(r.segs[p].records)}
-	for {
-		kb, v, ok, err := f.win.next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := b.poll(f); err != nil {
-			return err
-		}
-		k, key := makeKeyIndex(kb, 0), ""
-		if k.Len == 9 {
-			key = string(kb)
-			out.append(k, key, v, b.cfg.Size(key, v))
-		} else {
-			out.append(k, key, v, b.cfg.Size(f.keys.short(k), v))
+// decode appends the records of segs, segments of the spill file, to out
+// in stored order, reading them through f's window: a key of at most eight
+// bytes as the head's prefix and length, a longer one as a string of its
+// own, and each record accounted with Config.Size.
+func (b *Buffer) decode(segs []segment, out *Records, f *Fetcher) error {
+	for _, s := range segs {
+		f.win.open(b.f, s)
+		f.keys = KeyArena{n: int(s.records)}
+		for {
+			kb, v, ok, err := f.win.next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if err := b.poll(f); err != nil {
+				return err
+			}
+			k, key := makeKeyIndex(kb, 0), ""
+			if k.Len == 9 {
+				key = string(kb)
+				out.append(k, key, v, b.cfg.Size(key, v))
+			} else {
+				out.append(k, key, v, b.cfg.Size(f.keys.short(k), v))
+			}
 		}
 	}
+	return nil
 }

@@ -94,8 +94,8 @@ func Groupable(n int) error {
 // SortIndex sorts idx by key, then position. Position as the final
 // tie-break makes the order total, so the sort is stable by construction:
 // records with equal keys stay in position order. This is the one key
-// ordering of the shuffle — spill runs, the drain of a spilled buffer's
-// in-memory tail and reduce-side grouping all use it.
+// ordering of the shuffle — a buffer's drain, a folding fetch and
+// reduce-side grouping all use it.
 //
 // idx must arrive in strictly ascending position order, which is how every
 // caller builds it (one append per record, in record order); SortIndex

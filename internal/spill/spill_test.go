@@ -7,9 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -432,7 +432,8 @@ func TestRunWriterEmptyPartitionsSkipped(t *testing.T) {
 }
 
 // TestSpillDirNamePattern pins the on-disk layout other cleanup code greps
-// for: a private fsjoin-spill-* dir holding run-%06d files.
+// for: however often it spills, a buffer holds one fsjoin-spill-* regular
+// file directly in Dir, and Close removes it.
 func TestSpillDirNamePattern(t *testing.T) {
 	dir := t.TempDir()
 	b := NewBuffer(Config{Parts: 1, Budget: 32, Size: testSize, Dir: dir})
@@ -442,23 +443,31 @@ func TestSpillDirNamePattern(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	subs, err := filepath.Glob(filepath.Join(dir, "fsjoin-spill-*"))
-	if err != nil || len(subs) != 1 {
-		t.Fatalf("spill subdirs = %v (err %v)", subs, err)
+	if runs := b.Stats().Runs; runs < 2 {
+		t.Fatalf("%d spills, want >= 2", runs)
 	}
-	files, err := filepath.Glob(filepath.Join(subs[0], "run-*"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("run files = %v (err %v)", files, err)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || !ents[0].Type().IsRegular() || !strings.HasPrefix(ents[0].Name(), "fsjoin-spill-") {
+		t.Fatalf("spill dir holds %v, want one fsjoin-spill-* regular file", ents)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("after Close the spill dir holds %v (err %v)", ents, err)
 	}
 }
 
-// readRun decodes partition p of r onto Records as a fetch does, and
-// returns the records decoded, up to an error included.
-func readRun(r *run, p int) (keys []string, vals []any, err error) {
+// readSegs decodes segs of f onto Records as a fetch does, and returns the
+// records decoded, up to an error included.
+func readSegs(f *os.File, segs ...segment) (keys []string, vals []any, err error) {
 	var recs Records
-	var f Fetcher
-	f.win.fit([]*run{r}, p)
-	err = (&Buffer{cfg: Config{Size: testSize}}).decode(r, p, &recs, &f)
+	var fe Fetcher
+	fe.win.fit(segs)
+	err = (&Buffer{cfg: Config{Size: testSize}, f: f}).decode(segs, &recs, &fe)
 	recs.Each(func(k string, v any, _ int64) bool {
 		keys, vals = append(keys, k), append(vals, v)
 		return true
@@ -466,17 +475,16 @@ func readRun(r *run, p int) (keys []string, vals []any, err error) {
 	return keys, vals, err
 }
 
-// TestRunCursorWindow drives the fetch's sliding window: a segment several
-// windows long (records straddle every refill), one record larger than
-// twice the initial window (the doubling path), a one-record segment (the
-// window is no larger than it), a segment cut mid-record, and a complete
-// frame whose value is short inside — which must surface as a decode
-// error, not be taken for a record that needs more bytes.
+// TestRunCursorWindow drives the fetch's sliding window over segments a
+// spill wrote: a segment several windows long (records straddle every
+// refill), one record larger than twice the initial window (the doubling
+// path), a one-record segment (the window is no larger than it), a segment
+// cut mid-record, and a complete frame whose value is short inside — which
+// must surface as a decode error, not be taken for a record that needs
+// more bytes.
 func TestRunCursorWindow(t *testing.T) {
-	var w runWriter
-	if err := w.start(t.TempDir(), 0, 2); err != nil {
-		t.Fatal(err)
-	}
+	b := NewBuffer(Config{Parts: 2, Size: testSize, Dir: t.TempDir()})
+	defer b.Close()
 	var keys []string
 	var vals []any
 	for i := 0; i < 6000; i++ { // ~30 B a record: about five 32 KiB windows
@@ -484,22 +492,21 @@ func TestRunCursorWindow(t *testing.T) {
 		if i == 3000 {
 			vals[i] = string(make([]byte, 100<<10))
 		}
-		if err := w.add(0, keys[i], vals[i]); err != nil {
+		if err := b.Add(0, keys[i], vals[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.add(1, "lone", int64(7)); err != nil {
+	if err := b.Add(1, "lone", int64(7)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := w.finish()
-	if err != nil {
+	if err := b.spill(); err != nil {
 		t.Fatal(err)
 	}
-	defer r.close()
-	if size := r.segs[0].end - r.segs[0].off; size < 5*(32<<10) {
+	seg, lone := b.segs[0][0], b.segs[1][0]
+	if size := seg.end - seg.off; size < 5*(32<<10) {
 		t.Fatalf("segment is %d bytes, want several windows", size)
 	}
-	gotK, gotV, err := readRun(r, 0)
+	gotK, gotV, err := readSegs(b.f, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,18 +517,18 @@ func TestRunCursorWindow(t *testing.T) {
 	// The one-record segment is read through a window of its own size, and
 	// ends cleanly after its record.
 	var win window
-	win.fit([]*run{r}, 1)
-	if size := r.segs[1].end - r.segs[1].off; int64(cap(win.buf)) > size {
+	win.fit([]segment{lone})
+	if size := lone.end - lone.off; int64(cap(win.buf)) > size {
 		t.Fatalf("one-record segment of %d bytes got a %d-byte window", size, cap(win.buf))
 	}
-	if k, v, err := readRun(r, 1); err != nil || !reflect.DeepEqual(k, []string{"lone"}) || !reflect.DeepEqual(v, []any{int64(7)}) {
+	if k, v, err := readSegs(b.f, lone); err != nil || !reflect.DeepEqual(k, []string{"lone"}) || !reflect.DeepEqual(v, []any{int64(7)}) {
 		t.Fatalf("one-record segment: (%q, %v, %v), want the one record and a clean end", k, v, err)
 	}
 
 	// Cut the segment inside its last record: every record before it still
 	// decodes, then the decode reports the truncation.
-	r.segs[0].end -= 3
-	gotK, _, err = readRun(r, 0)
+	seg.end -= 3
+	gotK, _, err = readSegs(b.f, seg)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated segment: err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -540,12 +547,11 @@ func TestRunCursorWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	if _, err := f.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := &run{f: f, segs: []segment{{end: int64(len(bad)), records: 2}}}
-	defer corrupt.close()
-	gotK, _, err = readRun(corrupt, 0)
+	gotK, _, err = readSegs(f, segment{end: int64(len(bad)), records: 2})
 	if err == nil || errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, errTruncated) || len(gotK) != 0 {
 		t.Fatalf("corrupt value: %d records, err = %v; want the wrapped decode error at once", len(gotK), err)
 	}

@@ -1,0 +1,91 @@
+package spill
+
+import (
+	"fmt"
+	"io"
+)
+
+// A segment is one spill's records of one partition: bytes [off, end) of
+// the buffer's spill file, in AppendRecord's form and in the order they
+// were emitted. A partition's segments are kept in memory, so each reduce
+// task reads exactly its partition's byte ranges through an independent
+// SectionReader.
+type segment struct {
+	off     int64
+	end     int64
+	records int64
+}
+
+// window is what a fetch reads a partition's segments through, one after
+// another: a buffer it slides along each segment, decoding records out of
+// it.
+type window struct {
+	r   io.SectionReader
+	buf []byte // read from the segment; d reads what is not yet decoded
+	eof bool
+	// d reads buf. A field, because a local handed to a codec's Read would
+	// be allocated once per record; and it is set only when buf changes, so
+	// that a record costs no pointer write.
+	d Dec
+}
+
+// fit makes w at least as large as the largest of segs, up to 32 KiB:
+// most segments are far smaller.
+func (w *window) fit(segs []segment) {
+	size := int64(1)
+	for _, s := range segs {
+		size = max(size, s.end-s.off)
+	}
+	if size = min(32<<10, size); int64(cap(w.buf)) < size {
+		w.buf = make([]byte, 0, size)
+	}
+}
+
+// open points w at segment s of f. Windows over distinct segments are
+// independent, so concurrent reduce tasks can read the same spill file.
+func (w *window) open(f io.ReaderAt, s segment) {
+	w.r = *io.NewSectionReader(f, s.off, s.end-s.off)
+	w.buf, w.eof = w.buf[:0], false
+	w.d = dec(w.buf)
+}
+
+// next returns the segment's next record, its key in w's bytes until the
+// next call; ok is false at the end of the segment.
+func (w *window) next() (key []byte, v any, ok bool, err error) {
+	for {
+		at := w.d.at
+		if key, v = w.d.record(); w.d.err == nil {
+			return key, v, true, nil
+		}
+		if w.d.err != errTruncated {
+			return nil, nil, false, w.d.err
+		}
+		if w.eof {
+			if at == len(w.buf) {
+				return nil, nil, false, nil
+			}
+			return nil, nil, false, fmt.Errorf("spill: truncated record: %w", io.ErrUnexpectedEOF)
+		}
+		if err := w.fill(at); err != nil {
+			return nil, nil, false, err
+		}
+	}
+}
+
+// fill moves the undecoded bytes, buf[at:], to the front of the window —
+// doubling it first when they already fill it — and reads on from the
+// segment.
+func (w *window) fill(at int) error {
+	rest := w.buf[at:]
+	if len(rest) == cap(w.buf) {
+		w.buf = make([]byte, 0, 2*cap(w.buf))
+	}
+	w.buf = w.buf[:copy(w.buf[:cap(w.buf)], rest)]
+	n, err := io.ReadFull(&w.r, w.buf[len(w.buf):cap(w.buf)])
+	w.buf = w.buf[:len(w.buf)+n]
+	w.d = dec(w.buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		w.eof, err = true, nil
+	}
+	return err
+}

@@ -568,8 +568,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // sweep removes serving temp state: the private spill root (or leftover
-// per-job spill dirs under a caller-provided one) and in-flight checkpoint
-// temp files. Durable checkpoints are kept.
+// fsjoin-spill-* files under a caller-provided one) and in-flight
+// checkpoint temp files. Durable checkpoints are kept.
 func (s *Server) sweep() error {
 	var firstErr error
 	if s.ownSpill {
