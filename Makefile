@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz cover test-env bench-check bench-pairs loc all
+.PHONY: build test vet race chaos fuzz cover test-env cli-smoke bench-check bench-pairs loc all
 
 all: build vet test bench-check
 
@@ -57,6 +57,13 @@ fuzz:
 #                              runs what the default auto mode runs)
 test-env:
 	env $(ENV) $(GO) test -race ./...
+
+# cli-smoke builds cmd/fsjoin and runs it once per algorithm on the golden
+# corpus, self and R-S: stdout must not depend on -par, and -stats must
+# report verified candidates; massjoin given two files must exit 1
+# (scripts/clismoke.sh).
+cli-smoke:
+	GO=$(GO) bash scripts/clismoke.sh
 
 # bench-check vets and tests bench/, its own module frozen by
 # BENCHMARK.json: a library refactor that breaks what it uses fails here.

@@ -52,6 +52,35 @@ func TestBitmapFilterGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// TestVerifiedCandidatesEveryAlgorithm: every algorithm counts the pairs its
+// final stage verifies exactly. A self-join verifies at least every pair it
+// returns; in an R-S join every verified pair is a cross-relation one, so
+// the count equals RSCandidates.
+func TestVerifiedCandidatesEveryAlgorithm(t *testing.T) {
+	texts, queries := readLines(t, goldenTexts), readLines(t, goldenRSQueries)
+	for _, algo := range []Algorithm{
+		FSJoin, FSJoinV, RIDPairsPPJoin, VSmartJoin, MassJoinMerge, MassJoinMergeLight, ApproxLSHJoin,
+	} {
+		opt := Options{Threshold: goldenTheta, Algorithm: algo, LocalParallelism: 1}
+		res, err := SelfJoinStrings(texts, opt)
+		if err != nil {
+			t.Fatalf("%v self: %v", algo, err)
+		}
+		if s := res.Stats; len(res.Pairs) == 0 || s.VerifiedCandidates < int64(len(res.Pairs)) {
+			t.Errorf("%v self: verified candidates %d, pairs %d", algo, s.VerifiedCandidates, len(res.Pairs))
+		}
+		if algo == MassJoinMerge || algo == MassJoinMergeLight {
+			continue
+		}
+		if res, err = JoinStrings(queries, texts, opt); err != nil {
+			t.Fatalf("%v rs: %v", algo, err)
+		}
+		if s := res.Stats; s.RSCandidates == 0 || s.VerifiedCandidates != s.RSCandidates {
+			t.Errorf("%v rs: verified candidates %d, rs candidates %d", algo, s.VerifiedCandidates, s.RSCandidates)
+		}
+	}
+}
+
 // TestBitmapEnvOverride checks the FSJOIN_BITMAP test switch: the filter
 // is on by default and the switch turns it off and back on.
 func TestBitmapEnvOverride(t *testing.T) {

@@ -378,9 +378,12 @@ type Stats struct {
 	BitmapRejected int64
 	BitmapPassed   int64
 	// VerifiedCandidates counts candidate pairs that reached exact
-	// verification — the quantity the bitmap filter cuts for
-	// RIDPairsPPJoin (FS-Join's verification input is already exact and
-	// unchanged by the filter).
+	// verification in the algorithm's final stage, for every algorithm:
+	// aggregated pairs thresholded by FS-Join and VSmartJoin, pairs
+	// intersected by RIDPairsPPJoin (per prefix group, before dedup),
+	// MassJoin and ApproxLSHJoin. It is the quantity the bitmap filter cuts
+	// for RIDPairsPPJoin (FS-Join's verification input is already exact and
+	// unchanged by the filter); in an R-S join it equals RSCandidates.
 	VerifiedCandidates int64
 	// SpillRuns and SpillBytes total the spills (and their accounted
 	// bytes) the out-of-core shuffle wrote under Options.MemoryBudget;

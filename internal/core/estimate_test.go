@@ -35,7 +35,7 @@ func TestEstimateTracksMeasuredVolumes(t *testing.T) {
 		t.Fatalf("MapRecords %d != total tokens %d", est.MapRecords, c.TotalTokens())
 	}
 	filter := res.Pipeline.Stages()[1]
-	segs := filter.MapOutputRecords
+	segs := filter.ShuffleRecords
 	if ratio := float64(est.ExpectedSegments) / float64(segs); ratio < 0.5 || ratio > 2.0 {
 		t.Fatalf("segment estimate %d vs measured %d (ratio %.2f)", est.ExpectedSegments, segs, ratio)
 	}

@@ -17,7 +17,6 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
-	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -209,7 +208,7 @@ func run(r, s *tokens.Collection, opt Options, watch func(*filterReducer) mapred
 	verifyRes, err := p.Chain(mapreduce.Config{
 		Name:     "verification",
 		Combiner: result.SumOverlaps{},
-	}, filterRes, &verifyReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
+	}, filterRes, &result.Verifier{Fn: opt.Fn, Theta: opt.Theta, RS: rs})
 	if err != nil {
 		return nil, err
 	}
@@ -329,60 +328,4 @@ func (r *filterReducer) get() *filterScratch {
 		return s
 	}
 	return &filterScratch{}
-}
-
-// verifyReducer implements Section V-B: aggregate common-token counts and
-// apply the threshold algebraically. It uses the engine's fold fast path.
-// In R-S mode it also feeds the rs.pairs.* counters surfaced through
-// fsjoin.Stats.
-type verifyReducer struct {
-	result.SumOverlaps
-	fn    similarity.Func
-	theta float64
-	rs    bool
-}
-
-// Reduce implements mapreduce.Reducer.
-func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	acc := values[0]
-	for _, v := range values[1:] {
-		acc = r.Fold(acc, v)
-	}
-	r.FinishFold(ctx, key, acc)
-}
-
-// FinishFold implements mapreduce.FoldingReducer.
-func (r *verifyReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) {
-	if sum := acc.(result.Overlap); r.keep(ctx, sum) {
-		ctx.Emit(key, sum)
-	}
-}
-
-// FinishGroup implements mapreduce.GroupFinisher: FinishFold of a pair's
-// group without its key string or a boxed accumulator.
-func (r *verifyReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
-	a, b, sum, ok := result.OverlapGroup(g, i)
-	if !ok {
-		r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
-		return
-	}
-	if r.keep(ctx, sum) {
-		mapreduce.EmitPair(ctx, a, b, sum)
-	}
-}
-
-// keep counts one aggregated candidate pair and reports whether it meets
-// the threshold.
-func (r *verifyReducer) keep(ctx *mapreduce.Context, sum result.Overlap) bool {
-	ctx.Inc(filters.CtrVerifyCandidates, 1)
-	if r.rs {
-		ctx.Inc(result.CtrRSCandidates, 1)
-	}
-	if !r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
-		return false
-	}
-	if r.rs {
-		ctx.Inc(result.CtrRSEmitted, 1)
-	}
-	return true
 }

@@ -146,6 +146,6 @@ func TestZeroOptionsResolve(t *testing.T) {
 // groups.
 func TestVerifyFinishGroup(t *testing.T) {
 	for _, rs := range []bool{false, true} {
-		testutil.AssertFinishGroupAgrees(t, &verifyReducer{fn: similarity.Jaccard, theta: 0.5, rs: rs})
+		testutil.AssertFinishGroupAgrees(t, &result.Verifier{Fn: similarity.Jaccard, Theta: 0.5, RS: rs})
 	}
 }

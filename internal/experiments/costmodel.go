@@ -45,7 +45,7 @@ func (r *Runner) CostModel() error {
 		rows = append(rows, []string{
 			p.Name,
 			fmt.Sprintf("%d", inputTokens),
-			fmt.Sprintf("%d", filter.MapOutputRecords),
+			fmt.Sprintf("%d", filter.ShuffleRecords),
 			fmt.Sprintf("%d", est.ExpectedSegments),
 			fmt.Sprintf("%d", segTokens),
 			dupFree,

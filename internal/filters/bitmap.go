@@ -94,8 +94,10 @@ const (
 	CtrBitmapPassed = "bitmap.passed"
 	// CtrVerifyCandidates counts candidate pairs reaching exact
 	// verification, so the bitmap filter's verified-candidate delta is a
-	// number: ridpairs increments it per verifyOverlap call, FS-Join per
-	// aggregated pair reaching the verification reducer.
+	// number, and so are the verification volumes of all five algorithms:
+	// ridpairs increments it per verifyOverlap call, FS-Join and
+	// V-Smart-Join per aggregated pair reaching result.Verifier, MassJoin
+	// and ApproxLSHJoin per pair result.Score intersects.
 	CtrVerifyCandidates = "verify.candidates"
 )
 

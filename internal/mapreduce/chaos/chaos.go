@@ -95,8 +95,6 @@ type Fingerprint struct {
 	MapTasks          int
 	ReduceTasks       int
 	MapInputRecords   int64
-	MapOutputRecords  int64
-	MapOutputBytes    int64
 	ShuffleRecords    int64
 	ShuffleBytes      int64
 	ReduceInputGroups int64
@@ -112,8 +110,6 @@ func FingerprintOf(m mapreduce.Metrics) Fingerprint {
 		MapTasks:          m.MapTasks,
 		ReduceTasks:       m.ReduceTasks,
 		MapInputRecords:   m.MapInputRecords,
-		MapOutputRecords:  m.MapOutputRecords,
-		MapOutputBytes:    m.MapOutputBytes,
 		ShuffleRecords:    m.ShuffleRecords,
 		ShuffleBytes:      m.ShuffleBytes,
 		ReduceInputGroups: m.ReduceInputGroups,

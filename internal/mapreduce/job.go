@@ -351,8 +351,6 @@ type Metrics struct {
 	MapTasks          int
 	ReduceTasks       int
 	MapInputRecords   int64
-	MapOutputRecords  int64
-	MapOutputBytes    int64
 	ShuffleRecords    int64 // after combiner: what the reduce tasks fetched
 	ShuffleBytes      int64 // after combiner: what the reduce tasks fetched
 	ReduceInputGroups int64
@@ -632,7 +630,6 @@ func runJob(env *jobEnv) (*Result, error) {
 			m.MapTaskTime[t] = time.Duration(meta.TaskNanos)
 		})
 		m.ShuffleRecords, m.ShuffleBytes = m.OutputRecords, m.OutputBytes
-		m.MapOutputRecords, m.MapOutputBytes = m.OutputRecords, m.OutputBytes
 		m.ReduceTasks = 0
 		m.SimulatedMapTime = simPhase(cl, m.MapTaskTime)
 		m.SimulatedTotalTime = m.SimulatedMapTime
@@ -668,7 +665,6 @@ func runJob(env *jobEnv) (*Result, error) {
 		m.GroupSpillTime[t] = time.Duration(meta.GroupSpillNanos)
 		m.ReduceInputGroups += meta.Groups
 	})
-	m.MapOutputRecords, m.MapOutputBytes = m.ShuffleRecords, m.ShuffleBytes
 	applyCostModel(cl, m, mapTasks, reduceTasks)
 	m.WallTime = time.Since(wallStart)
 	return res, nil
@@ -925,7 +921,7 @@ func (env *jobEnv) reduceGroups(in *reduceInput) taskBody[int32] {
 // applyCostModel fills the simulated cluster times from measured metrics.
 func applyCostModel(cl *Cluster, m *Metrics, mapTasks, reduceTasks int) {
 	m.SimulatedMapTime = simPhase(cl, m.MapTaskTime)
-	m.SimulatedShuffle = cl.spillTime(m.MapOutputBytes, mapTasks) +
+	m.SimulatedShuffle = cl.spillTime(m.ShuffleBytes, mapTasks) +
 		cl.measuredSpillTime(m.SpillBytes)
 	reduceDurs := make([]time.Duration, reduceTasks)
 	for t := range reduceDurs {

@@ -49,18 +49,17 @@ var countingWCMapper = MapFunc(func(ctx *Context, kv KV) {
 func sameMetrics(t *testing.T, label string, got, want *Metrics) {
 	t.Helper()
 	type det struct {
-		MapTasks, ReduceTasks                             int
-		MapInputRecords, MapOutputRecords, MapOutputBytes int64
-		ShuffleRecords, ShuffleBytes                      int64
-		ReduceInputGroups, OutputRecords, OutputBytes     int64
-		PerReduceRecords, PerReduceBytes                  []int64
-		LoadImbalance                                     float64
+		MapTasks, ReduceTasks                         int
+		MapInputRecords                               int64
+		ShuffleRecords, ShuffleBytes                  int64
+		ReduceInputGroups, OutputRecords, OutputBytes int64
+		PerReduceRecords, PerReduceBytes              []int64
+		LoadImbalance                                 float64
 	}
 	extract := func(m *Metrics) det {
 		return det{
 			MapTasks: m.MapTasks, ReduceTasks: m.ReduceTasks,
-			MapInputRecords: m.MapInputRecords, MapOutputRecords: m.MapOutputRecords,
-			MapOutputBytes: m.MapOutputBytes, ShuffleRecords: m.ShuffleRecords,
+			MapInputRecords: m.MapInputRecords, ShuffleRecords: m.ShuffleRecords,
 			ShuffleBytes: m.ShuffleBytes, ReduceInputGroups: m.ReduceInputGroups,
 			OutputRecords: m.OutputRecords, OutputBytes: m.OutputBytes,
 			PerReduceRecords: m.PerReduceRecords, PerReduceBytes: m.PerReduceBytes,

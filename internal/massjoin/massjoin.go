@@ -90,6 +90,8 @@ type Options struct {
 type Result struct {
 	// Pairs are the similar pairs, sorted canonically.
 	Pairs []result.Pair
+	// Candidates is the number of distinct candidate pairs verified.
+	Candidates int64
 	// Pipeline exposes per-stage metrics.
 	Pipeline *mapreduce.Pipeline
 }

@@ -17,9 +17,6 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	if opt.Theta <= 0 || opt.Theta > 1 {
 		return nil, fmt.Errorf("massjoin: theta %v outside (0, 1]", opt.Theta)
 	}
-	if opt.Cluster == nil {
-		opt.Cluster = mapreduce.DefaultCluster()
-	}
 	p := mapreduce.NewPipeline("massjoin-"+opt.Variant.String(), opt.Cluster)
 	p.Parallelism = opt.Parallelism
 	p.MemoryBudgetBytes = opt.MemoryBudget
@@ -48,7 +45,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("%w (budget %d, dropped %d signatures)",
 			ErrBudgetExceeded, opt.MaxSignatures, dropped)
 	}
-	candRes, err := p.Chain(mapreduce.Config{Name: "candidates"}, sigRes, candDedup{})
+	candRes, err := p.Chain(mapreduce.Config{Name: "candidates"}, sigRes, mapreduce.FirstValue{})
 	if err != nil {
 		return nil, err
 	}
@@ -110,25 +107,11 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	return &Result{Pairs: result.ScoredPairs(verifyRes.Output), Pipeline: p}, nil
-}
-
-// candDedup collapses duplicate candidate pairs (fold fast path).
-type candDedup struct{}
-
-// Reduce implements mapreduce.Reducer.
-func (candDedup) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	ctx.Inc("massjoin.candidates", 1)
-	ctx.Emit(key, result.Candidate{})
-}
-
-// Fold implements mapreduce.Folder.
-func (candDedup) Fold(acc, v any) any { return acc }
-
-// FinishFold implements mapreduce.FoldingReducer.
-func (candDedup) FinishFold(ctx *mapreduce.Context, key string, acc any) {
-	ctx.Inc("massjoin.candidates", 1)
-	ctx.Emit(key, result.Candidate{})
+	return &Result{
+		Pairs:      result.ScoredPairs(verifyRes.Output),
+		Candidates: int64(len(candRes.Output)),
+		Pipeline:   p,
+	}, nil
 }
 
 // verifyReducer distinguishes the reducer's own record (matching rid) from
@@ -155,16 +138,10 @@ func (r *verifyReducer) Reduce(ctx *mapreduce.Context, key string, values []any)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].RID < cands[j].RID })
 	for _, cand := range cands {
-		ctx.Inc("massjoin.verifications", 1)
-		c := tokens.Intersect(own.Tokens, cand.Tokens)
-		if !r.opt.Fn.AtLeast(c, len(own.Tokens), len(cand.Tokens), r.opt.Theta) {
-			continue
+		x, y := cand, own
+		if x.RID > y.RID {
+			x, y = y, x
 		}
-		a, b := cand.RID, own.RID
-		if a > b {
-			a, b = b, a
-		}
-		mapreduce.EmitPair(ctx, uint32(a), uint32(b),
-			result.Scored{C: int32(c), Sim: r.opt.Fn.Sim(c, len(own.Tokens), len(cand.Tokens))})
+		result.Score(ctx, r.opt.Fn, r.opt.Theta, x, y, false)
 	}
 }

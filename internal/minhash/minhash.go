@@ -107,9 +107,6 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	if p.Bands <= 0 || p.Rows <= 0 {
 		p.Bands, p.Rows = Auto(p.Theta)
 	}
-	if p.Cluster == nil {
-		p.Cluster = mapreduce.DefaultCluster()
-	}
 	rs := s != nil
 	pipe := mapreduce.NewPipeline("minhash-lsh", p.Cluster)
 	pipe.Parallelism = p.Parallelism
@@ -306,7 +303,6 @@ type verifier struct {
 
 // Reduce implements mapreduce.Reducer.
 func (v *verifier) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	rid := int32(mapreduce.DecodeU32Key(key))
 	var own tokens.Record
 	var partners []int32
 	for _, val := range values {
@@ -321,23 +317,9 @@ func (v *verifier) Reduce(ctx *mapreduce.Context, key string, values []any) {
 		return
 	}
 	sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
-	fn := similarity.Jaccard
 	for _, p := range partners {
-		other, ok := v.byRID[p]
-		if !ok {
-			continue
-		}
-		ctx.Inc("minhash.verifications", 1)
-		if v.rs {
-			ctx.Inc(result.CtrRSCandidates, 1)
-		}
-		c := tokens.Intersect(own.Tokens, other.Tokens)
-		if fn.AtLeast(c, own.Len(), other.Len(), v.theta) {
-			if v.rs {
-				ctx.Inc(result.CtrRSEmitted, 1)
-			}
-			mapreduce.EmitPair(ctx, uint32(rid), uint32(p),
-				result.Scored{C: int32(c), Sim: fn.Sim(c, own.Len(), other.Len())})
+		if other, ok := v.byRID[p]; ok {
+			result.Score(ctx, similarity.Jaccard, v.theta, own, other, v.rs)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package result defines the join-result pair type shared by all join
 // implementations and the brute-force oracle, plus comparison helpers used
-// by the correctness tests.
+// by the correctness tests, and the final verification the joins share:
+// Verifier for summed partial counts, Score for one exactly intersected
+// pair.
 package result
 
 import (

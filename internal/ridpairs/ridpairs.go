@@ -71,9 +71,6 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	if opt.Theta <= 0 || opt.Theta > 1 {
 		return nil, fmt.Errorf("ridpairs: theta %v outside (0, 1]", opt.Theta)
 	}
-	if opt.Cluster == nil {
-		opt.Cluster = mapreduce.DefaultCluster()
-	}
 	bitmap, err := opt.Bitmap.Resolve()
 	if err != nil {
 		return nil, err

@@ -32,11 +32,11 @@ func TestPlainReducePathsEquivalent(t *testing.T) {
 		t.Fatalf("plain sum = %v", direct)
 	}
 
-	// thresholdReducer.Reduce: 4 of {4,5} → Jaccard 4/5 = 0.8.
+	// result.Verifier.Reduce: 4 of {4,5} → Jaccard 4/5 = 0.8.
 	res, err := mapreduce.Run(mapreduce.Config{Name: "thr"},
 		in, mapreduce.IdentityMapper,
 		mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
-			(&thresholdReducer{fn: 0, theta: 0.8}).Reduce(ctx, key, values)
+			(&result.Verifier{Fn: 0, Theta: 0.8}).Reduce(ctx, key, values)
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestPlainReducePathsEquivalent(t *testing.T) {
 	res2, err := mapreduce.Run(mapreduce.Config{Name: "thr2"},
 		in, mapreduce.IdentityMapper,
 		mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
-			(&thresholdReducer{fn: 0, theta: 0.81}).Reduce(ctx, key, values)
+			(&result.Verifier{Fn: 0, Theta: 0.81}).Reduce(ctx, key, values)
 		}))
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
-	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -75,9 +74,6 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 	if opt.Theta <= 0 || opt.Theta > 1 {
 		return nil, fmt.Errorf("vsmart: theta %v outside (0, 1]", opt.Theta)
 	}
-	if opt.Cluster == nil {
-		opt.Cluster = mapreduce.DefaultCluster()
-	}
 	rs := s != nil
 	p := mapreduce.NewPipeline("v-smart-join", opt.Cluster)
 	p.Parallelism = opt.Parallelism
@@ -116,7 +112,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 
 	// Similarity phase: aggregate counts per pair, apply the threshold.
 	simRes, err := p.Chain(mapreduce.Config{Name: "similarity", Combiner: result.SumOverlaps{}},
-		joinRes, &thresholdReducer{fn: opt.Fn, theta: opt.Theta, rs: rs})
+		joinRes, &result.Verifier{Fn: opt.Fn, Theta: opt.Theta, RS: rs})
 	if err != nil {
 		return nil, err
 	}
@@ -171,58 +167,4 @@ func (e *pairEnumerator) Reduce(ctx *mapreduce.Context, key string, values []any
 				result.Overlap{C: 1, La: a.Len, Lb: b.Len})
 		}
 	}
-}
-
-// thresholdReducer aggregates per-pair counts and applies the threshold,
-// using the engine's fold fast path. In R-S mode it also feeds the
-// rs.pairs.* counters surfaced through fsjoin.Stats.
-type thresholdReducer struct {
-	result.SumOverlaps
-	fn    similarity.Func
-	theta float64
-	rs    bool
-}
-
-// Reduce implements mapreduce.Reducer.
-func (r *thresholdReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	acc := values[0]
-	for _, v := range values[1:] {
-		acc = r.Fold(acc, v)
-	}
-	r.FinishFold(ctx, key, acc)
-}
-
-// FinishFold implements mapreduce.FoldingReducer.
-func (r *thresholdReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) {
-	if sum := acc.(result.Overlap); r.keep(ctx, sum) {
-		ctx.Emit(key, sum)
-	}
-}
-
-// FinishGroup implements mapreduce.GroupFinisher: FinishFold of a pair's
-// group without its key string or a boxed accumulator.
-func (r *thresholdReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
-	a, b, sum, ok := result.OverlapGroup(g, i)
-	if !ok {
-		r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
-		return
-	}
-	if r.keep(ctx, sum) {
-		mapreduce.EmitPair(ctx, a, b, sum)
-	}
-}
-
-// keep counts one aggregated pair in R-S mode and reports whether it meets
-// the threshold.
-func (r *thresholdReducer) keep(ctx *mapreduce.Context, sum result.Overlap) bool {
-	if r.rs {
-		ctx.Inc(result.CtrRSCandidates, 1)
-	}
-	if !r.fn.AtLeast(int(sum.C), int(sum.La), int(sum.Lb), r.theta) {
-		return false
-	}
-	if r.rs {
-		ctx.Inc(result.CtrRSEmitted, 1)
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fsjoin/internal/bruteforce"
+	"fsjoin/internal/result"
 	"fsjoin/internal/similarity"
 	"fsjoin/internal/testutil"
 )
@@ -76,6 +77,6 @@ func TestVSmartBudget(t *testing.T) {
 // groups.
 func TestThresholdFinishGroup(t *testing.T) {
 	for _, rs := range []bool{false, true} {
-		testutil.AssertFinishGroupAgrees(t, &thresholdReducer{fn: similarity.Jaccard, theta: 0.5, rs: rs})
+		testutil.AssertFinishGroupAgrees(t, &result.Verifier{Fn: similarity.Jaccard, Theta: 0.5, RS: rs})
 	}
 }

@@ -196,7 +196,7 @@ func run(r, s *Collection, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return publish(res.Pairs, res.Pipeline, res.Pipeline.Counter("massjoin.candidates")), nil
+		return publish(res.Pairs, res.Pipeline, res.Candidates), nil
 	default:
 		return nil, fmt.Errorf("fsjoin: unknown algorithm %d", int(opt.Algorithm))
 	}
