@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -465,6 +466,10 @@ func readTSVSets(path string) [][]string {
 }
 
 func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fsjoin: "+format+"\n", args...)
+	msg := fmt.Sprintf(format, args...)
+	if !strings.HasPrefix(msg, "fsjoin:") {
+		msg = "fsjoin: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

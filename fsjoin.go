@@ -364,8 +364,17 @@ type Stats struct {
 	// LoadImbalance is the worst per-reducer max/mean shuffle-byte ratio
 	// across jobs (1.0 = perfectly balanced).
 	LoadImbalance float64
-	// Candidates is the number of candidate-pair records generated before
-	// verification.
+	// Candidates counts the work each algorithm generates before
+	// verification, in a unit of its own, so it compares runs of one
+	// algorithm and not one algorithm with another:
+	//   - FSJoin and FSJoinV: (pair, partial overlap) records the
+	//     filtering job emits, up to one per fragment for each pair;
+	//   - RIDPairsPPJoin: pair comparisons, before any filter;
+	//   - VSmartJoin: (pair, 1) partial emissions, one per token a pair
+	//     shares;
+	//   - MassJoinMerge, MassJoinMergeLight and ApproxLSHJoin: distinct
+	//     candidate pairs.
+	// VerifiedCandidates is the one count every algorithm shares.
 	Candidates int64
 	// BitmapBuilt, BitmapRejected and BitmapPassed report the bitmap
 	// signature filter's activity (DESIGN.md §11): signatures built,

@@ -77,3 +77,30 @@ func (c *chainInput) mapUnits(ctx *Context, units []int32, f Fault, counters *Co
 		}
 	}
 }
+
+// EachU32 calls fn with every output record of res, a Feed result, in the
+// order Output would hold them, its key as DecodeU32Key decodes it: the
+// records of a task whose output column holds T's values unboxed, with no
+// key string and no box, and those of any other task as Output would hold
+// them. It returns false, having called nothing, for a result that holds
+// its output in Output, which the caller reads instead. A key of another
+// length, or a value of another type, panics.
+func EachU32[T any](res *Result, fn func(key uint32, v T)) bool {
+	if res.chain == nil {
+		return false
+	}
+	for _, out := range res.chain.outs {
+		if !spill.EachTyped(out, func(k spill.KeyIndex, v T) {
+			if k.Len != 4 {
+				badKeyLen(spill.ShortKey(k), 4)
+			}
+			fn(uint32(k.Prefix>>32), v)
+		}) {
+			out.Each(func(key string, v any, _ int64) bool {
+				fn(DecodeU32Key(key), v.(T))
+				return true
+			})
+		}
+	}
+	return true
+}

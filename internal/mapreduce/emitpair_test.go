@@ -26,6 +26,13 @@ func pair[T any](a, b uint32, v T) step {
 	}
 }
 
+func u32[T any](x uint32, v T) step {
+	return step{
+		typed: func(ctx *mapreduce.Context) { mapreduce.EmitU32(ctx, x, v) },
+		boxed: func(ctx *mapreduce.Context) { ctx.Emit(mapreduce.U32Key(x), v) },
+	}
+}
+
 func keyed(key string, v any) step {
 	emit := func(ctx *mapreduce.Context) { ctx.Emit(key, v) }
 	return step{emit, emit}
@@ -40,6 +47,15 @@ func pairs[T any](n int, v func(i int) T) []step {
 	return s
 }
 
+// u32s is n U32Key emissions, the i-th of value v(i).
+func u32s[T any](n int, v func(i int) T) []step {
+	s := make([]step, n)
+	for i := range s {
+		s[i] = u32(uint32(i*7919), v(i))
+	}
+	return s
+}
+
 // unregistered is a pointer-free pair value with no codec.
 type unregistered struct{ A, B int32 }
 
@@ -48,7 +64,9 @@ func overlapAt(i int) result.Overlap {
 }
 
 // TestEmitPairMatchesEmit fills one task's output through EmitPair and
-// another's through Emit(PairKey(a, b), v), step for step, and demands the
+// EmitU32 and another's through Emit(PairKey(a, b), v) and Emit(U32Key(x),
+// v), step for step — a reduce task's output, or a map task's partitions
+// — and demands the
 // same records: count, accounted bytes in total and per record, key and
 // value, wire frame, and the kind of column they end up in — whether the
 // typed path took them or the values had to be boxed.
@@ -79,6 +97,12 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 		{"long-key-before", slices.Concat([]step{keyed(longKey, overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0},
 		{"long-key-after", slices.Concat(pairs(50, overlapAt), []step{keyed(longKey, overlapAt(1))}, pairs(50, overlapAt)), "result.Overlap", 0},
 		{"map-task", pairs(n, overlapAt), "result.Overlap", 7},
+		{"u32", u32s(n, count), "int64", 0},
+		{"u32-then-pairs", slices.Concat(u32s(50, count), pairs(50, count)), "int64", 0},
+		{"map-task-u32", u32s(n, count), "int64", 7},
+		{"map-task-seg", pairs(n, seg), "interface {}", 7},
+		{"map-task-mixed", slices.Concat(u32s(50, count), pairs(50, overlapAt), u32s(50, count)), "", 7},
+		{"map-task-long-key", slices.Concat(pairs(50, count), []step{keyed(longKey, count(1))}, u32s(50, count)), "int64", 3},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			emitted := func(typed bool) []*spill.Records {

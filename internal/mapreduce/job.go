@@ -295,22 +295,39 @@ func (c *Context) Emit(key string, value any) {
 }
 
 // EmitPair is ctx.Emit(PairKey(a, b), v) — the same record, key bytes and
-// accounted size — for a caller that holds a T. Once the task's output
-// column holds values of T's registered, pointer-free type, the value goes
-// in unboxed, sized by the column's codec, and the key as the eight bytes
-// it is: no box and no key string. Anything else — the output's first
-// record, a column of another kind, a partition that has met a long key, a
-// map task that shuffles — takes Emit.
+// accounted size — for a caller that holds a T. Once the column the record
+// goes to — the task's output, or in a map task that shuffles the reduce
+// partition the key routes to — holds values of T's registered,
+// pointer-free type, the value goes in unboxed, sized by the column's
+// codec, and the key as the eight bytes it is: no box and no key string.
+// Anything else — a column's first record, a column of another kind, one
+// that has met a long key, a combiner with no unboxed fold — takes Emit.
 func EmitPair[T any](ctx *Context, a, b uint32, v T) {
-	k := spill.KeyIndex{Prefix: uint64(a)<<32 | uint64(b), Len: 8}
-	if ctx.shuffle == nil && spill.AppendTyped(&ctx.out, k, v, pairOverhead) {
-		return
-	}
-	ctx.Emit(PairKey(a, b), v)
+	emitTyped(ctx, spill.KeyIndex{Prefix: uint64(a)<<32 | uint64(b), Len: 8}, v, pairOverhead)
 }
 
-// pairOverhead is what recordBytes charges a pair record beside its value.
-var pairOverhead = recordBytes(PairKey(0, 0), 0)
+// EmitU32 is ctx.Emit(U32Key(x), v), as EmitPair is of a pair key.
+func EmitU32[T any](ctx *Context, x uint32, v T) {
+	emitTyped(ctx, spill.KeyIndex{Prefix: uint64(x) << 32, Len: 4}, v, u32Overhead)
+}
+
+// What recordBytes charges a pair record and a U32Key record beside its
+// value.
+var pairOverhead, u32Overhead = recordBytes(PairKey(0, 0), 0), recordBytes(U32Key(0), 0)
+
+// emitTyped is ctx.Emit of the key of at most eight bytes k holds, whose
+// record is accounted at overhead plus v's size: the typed emit EmitPair
+// and EmitU32 share. A reduce task's output takes it through
+// spill.AppendTyped, and where that refuses through Emit; a map task's
+// partition through spill.AddTyped (shuffleSink.addTyped), and where that
+// refuses through Buffer.Add.
+func emitTyped[T any](ctx *Context, k spill.KeyIndex, v T, overhead int64) {
+	if ctx.shuffle != nil {
+		addTyped(ctx.shuffle, k, v, overhead)
+	} else if !spill.AppendTyped(&ctx.out, k, v, overhead) {
+		ctx.Emit(spill.ShortKey(k), v)
+	}
+}
 
 // Inc adds delta to a job counter. Increments accumulate task-locally and
 // are merged into the job counters when the task finishes.

@@ -104,8 +104,9 @@ func (p *Pipeline) Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (
 	return p.run(cfg, jobInput{kvs: input}, mapper, reducer, false)
 }
 
-// Feed is Run for a stage whose output only Chain reads: it stays in the
-// columns its tasks committed, and Result.Output is nil.
+// Feed is Run for a stage whose output only Chain, or a typed reader such
+// as EachU32, reads: it stays in the columns its tasks committed, and
+// Result.Output is nil.
 func (p *Pipeline) Feed(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
 	return p.run(cfg, jobInput{kvs: input}, mapper, reducer, !p.viaRun)
 }

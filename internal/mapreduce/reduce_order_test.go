@@ -275,13 +275,21 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // emit-pair row is no shuffle: one reduce task emits n pair records
 // through EmitPair into a Feed output, the filtering reducer's shape. It
 // measured 25 (limit 31): the records' columns; through Emit(PairKey(a, b),
-// v) the same records cost 41, a key string and a box more each. The two
+// v) the same records cost 41, a key string and a box more each. The
+// emit-map row is its map-side twin, the ordering job's shape: one map
+// task emits n int64 counts under four-byte keys through EmitU32 into its
+// 30 partitions, and a reducer that folds unboxed sums them. It measured
+// 35 (limit 41): a head and a count in the partitions' columns, and the
+// reduce tasks' group bounds; through Emit(U32Key(x), v) the same job
+// costs 51, a key string and a box more each. The two
 // spill rows are the first two under a 32 KiB budget, in which every map
 // task spills two runs and a reduce task decodes them, and the tail, onto
 // its columns. Their limits sit about 15 % above the median of ten
 // measurements (108 and 114), and below what the same jobs allocated while
 // the fetch replayed the runs through a k-way merge of (string, any)
-// records, a key string and a heap item per record (146 and 148). Under the race
+// records, a key string and a heap item per record (146 and 148). Since a
+// fetch decodes an int64 straight into its column and reads each record's
+// accounted size out of its frame, they measure 86 and 92. Under the race
 // detector they allocated up to 135 and 167: a folding fetch sorts its
 // scratch with two more indexes from the pool, which the race detector
 // makes drop some of what it is given back, so the spill rows get
@@ -299,7 +307,7 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		combiner Folder // nil, or folding at emit as the verification job does
 		reducer  Reducer
 		limit    float64
-		how      string // "run", "chain" or "feed"
+		how      string // "run", "chain", "feed" or "map"
 		budget   int64  // MemoryBudgetBytes; -1 keeps the shuffle in memory
 	}{
 		{"plain", nil, plainSum{}, 116, "run", -1},
@@ -307,6 +315,7 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		{"chain", foldSum{}, foldSum{}, 140, "chain", -1},
 		{"chain-group", groupSum{}, groupSum{}, 134, "chain", -1},
 		{"emit-pair", nil, pairEmitter{n}, 31, "feed", -1},
+		{"emit-map", nil, groupSum{}, 41, "map", -1},
 		{"spill-plain", nil, plainSum{}, 124, "run", 32 << 10},
 		{"spill-fold", foldSum{}, foldSum{}, 131, "run", 32 << 10},
 	} {
@@ -323,6 +332,8 @@ func TestShuffleAllocationBudget(t *testing.T) {
 				_, err = p.Chain(cfg, fed, tc.reducer)
 			case "feed":
 				_, err = p.Feed(cfg, input[:1], IdentityMapper, tc.reducer)
+			case "map":
+				_, err = Run(cfg, input[:1], u32Emitter{n}, tc.reducer)
 			default:
 				var res *Result
 				res, err = Run(cfg, input, IdentityMapper, tc.reducer)
@@ -352,6 +363,17 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		if perRecord > limit {
 			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, limit)
 		}
+	}
+}
+
+// u32Emitter emits n records per input record through EmitU32, under 4000
+// distinct four-byte keys, each an int64 past the values Go keeps
+// preallocated boxes for.
+type u32Emitter struct{ n int }
+
+func (e u32Emitter) Map(ctx *Context, _ KV) {
+	for i := 0; i < e.n; i++ {
+		EmitU32(ctx, uint32(i%4000), int64(1000+i))
 	}
 }
 

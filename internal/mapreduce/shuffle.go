@@ -30,7 +30,7 @@ type shuffleSink struct {
 	// fetches of its partitions.
 	sizer spill.Sizer
 	buf   spill.Buffer
-	keys  spill.KeyArena // key strings addFrom hands a partitioner
+	keys  spill.KeyArena // key strings addFrom and addTyped hand a partitioner
 }
 
 func newShuffleSink(part func(string, int) int, reducers int, folder Folder, budget int64, dir string, cancel func() error) *shuffleSink {
@@ -71,6 +71,36 @@ func (s *shuffleSink) addFrom(src *spill.Records, i int) {
 		r = s.route(src.Key(i, &s.keys))
 	}
 	if err := s.buf.AddFrom(r, src, i); err != nil {
+		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
+	}
+}
+
+// addTyped is add of a record whose key k holds whole and whose value is a
+// T, through spill.AddTyped, routed as addFrom routes: by k's integer under
+// the default partitioner, and otherwise by the key cut out of the sink's
+// arena. A record AddTyped refuses is added boxed, to the partition it was
+// routed to; a T no column holds goes to add before anything else.
+func addTyped[T any](s *shuffleSink, k spill.KeyIndex, v T, overhead int64) {
+	var r int
+	key := ""
+	switch {
+	case s.part == nil:
+		r = prefixPartition(k, s.reducers)
+	case spill.Columnar[T]():
+		key = s.keys.Short(k)
+		r = s.route(key)
+	default:
+		s.add(spill.ShortKey(k), v)
+		return
+	}
+	ok, err := spill.AddTyped(&s.buf, r, k, v, overhead)
+	if err == nil && !ok {
+		if key == "" {
+			key = spill.ShortKey(k)
+		}
+		err = s.buf.Add(r, key, v)
+	}
+	if err != nil {
 		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
 	}
 }

@@ -186,6 +186,19 @@ var _ mapreduce.TypedFolder[int64] = sumReducer{}
 // FinishFold implements mapreduce.FoldingReducer.
 func (sumReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) { ctx.Emit(key, acc) }
 
+// FinishGroup implements mapreduce.GroupFinisher: FinishFold of a token's
+// count, emitted as the (token, count) it is when the group was folded
+// unboxed and its key is a token's four bytes.
+func (r sumReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	if n, ok := spill.GroupAcc[int64](g, i); ok {
+		if k := g.Abbrev(i); k.Len == 4 {
+			mapreduce.EmitU32(ctx, uint32(k.Prefix>>32), n)
+			return
+		}
+	}
+	r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
+}
+
 // denseCounter is the ordering job's mapper, an in-mapper combiner: token
 // ids are dense interned integers, so a task attempt counts occurrences in
 // an array indexed by token id and emits each token it met once, with its
@@ -229,23 +242,17 @@ func (m *denseCounter) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 
 // Cleanup implements mapreduce.Cleanupper: it emits the attempt's counts
 // in first-occurrence order — the order a combiner's fold slots filled in —
-// and hands the array back zeroed. An attempt that dies before this point
-// never gets here, so its array is dropped with its Context instead of
-// being reused dirty.
+// through EmitU32, which puts each into its partition's column of counts
+// as the token id and count it is, and hands the array back zeroed. An
+// attempt that dies before this point never gets here, so its array is
+// dropped with its Context instead of being reused dirty.
 func (m *denseCounter) Cleanup(ctx *mapreduce.Context) {
 	tc, _ := ctx.Local.(*tokenCounts)
 	if tc == nil {
 		return
 	}
-	// Every key is a substring of one per-task string: one allocation
-	// where U32Key would make one per token.
-	blob := make([]byte, 0, 4*len(tc.touched))
 	for _, t := range tc.touched {
-		blob = binary.BigEndian.AppendUint32(blob, t)
-	}
-	keys := string(blob)
-	for i, t := range tc.touched {
-		ctx.Emit(keys[4*i:4*i+4], tc.n[t])
+		mapreduce.EmitU32(ctx, t, tc.n[t])
 		tc.n[t] = 0
 	}
 	tc.touched = tc.touched[:0]
@@ -277,30 +284,41 @@ func Compute(p *mapreduce.Pipeline, c *tokens.Collection) (*Order, error) {
 // builds the global order of the given kind. The job is [18]'s term
 // frequency count with the combiner moved into the mapper (denseCounter):
 // each map task emits (token, count) once per distinct token, the reducer
-// sums, and the driver ranks the tokens from a dense frequency table with
-// a stable radix sort on frequency, so ties fall to the smaller token id
-// for every kind. c's records must be canonical (package tokens). An
-// unknown kind is an error.
+// sums, and ComputeKind reads the sums out of the columns the reduce
+// tasks committed and ranks the tokens from a dense frequency table with a
+// stable radix sort on frequency, so ties fall to the smaller token id for
+// every kind. c's records must be canonical (package tokens). An unknown
+// kind is an error.
 func ComputeKind(p *mapreduce.Pipeline, c *tokens.Collection, kind Kind) (*Order, error) {
 	if kind < FreqAscending || kind > Lexicographic {
 		return nil, fmt.Errorf("order: unknown kind %v", kind)
 	}
 	domain := int(c.MaxToken()) + 1
-	res, err := p.Run(mapreduce.Config{Name: "ordering"}, RecordsToKV(c), &denseCounter{domain: domain}, sumReducer{})
+	res, err := p.Feed(mapreduce.Config{Name: "ordering"}, RecordsToKV(c), &denseCounter{domain: domain}, sumReducer{})
 	if err != nil {
 		return nil, err
 	}
+	return fromCounts(res, domain, kind, p.Parallelism), nil
+}
 
+// fromCounts builds the order of the given kind from the ordering job's
+// result: (token, count) records, read typed out of a Feed result's
+// columns, or out of Output when the job ran as Run.
+func fromCounts(res *mapreduce.Result, domain int, kind Kind, par int) *Order {
 	freq := make([]int64, domain)
 	var maxFreq int64
-	for _, kv := range res.Output {
-		f := kv.Value.(int64)
-		freq[mapreduce.DecodeU32Key(kv.Key)] = f
+	count := func(t uint32, f int64) {
+		freq[t] = f
 		maxFreq = max(maxFreq, f)
+	}
+	if !mapreduce.EachU32(res, count) {
+		for _, kv := range res.Output {
+			count(mapreduce.DecodeU32Key(kv.Key), kv.Value.(int64))
+		}
 	}
 	// The scan leaves the tokens in id order — Lexicographic as it stands,
 	// and the tie order a stable sort on frequency keeps.
-	toks := make([]uint32, 0, len(res.Output))
+	toks := make([]uint32, 0, res.Metrics.OutputRecords)
 	for t, f := range freq {
 		if f > 0 {
 			toks = append(toks, uint32(t))
@@ -313,7 +331,7 @@ func ComputeKind(p *mapreduce.Pipeline, c *tokens.Collection, kind Kind) (*Order
 		radixSortBy(toks, maxFreq, func(t uint32) int64 { return maxFreq - freq[t] })
 	}
 
-	o := &Order{TokenAt: toks, FreqByRank: make([]int64, len(toks)), par: p.Parallelism}
+	o := &Order{TokenAt: toks, FreqByRank: make([]int64, len(toks)), par: par}
 	if len(toks) > 0 {
 		o.RankOf = make([]uint32, domain)
 		for i := range o.RankOf {
@@ -325,7 +343,7 @@ func ComputeKind(p *mapreduce.Pipeline, c *tokens.Collection, kind Kind) (*Order
 		o.FreqByRank[rank] = freq[t]
 		o.TotalFreq += freq[t]
 	}
-	return o, nil
+	return o
 }
 
 // radixSortBy stably sorts toks ascending by key(t), a value in

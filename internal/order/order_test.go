@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"fsjoin/internal/mapreduce"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/testutil"
 	"fsjoin/internal/tokens"
 )
@@ -444,4 +446,109 @@ func TestSumReducerFoldsUnboxed(t *testing.T) {
 		input = append(input, mapreduce.KV{Key: mapreduce.U32Key(i % 211), Value: int64(i%9 + 1)})
 	}
 	testutil.AssertTypedFoldAgrees(t, input, sumReducer{})
+}
+
+// typedGroups is the ordering job's reducer, failing t for any group its
+// reduce task did not fold in a column of int64 counts: a group is folded
+// so only when every partition the task fetched — in memory, or decoded
+// out of a spill file — held its counts in one.
+type typedGroups struct {
+	sumReducer
+	t *testing.T
+}
+
+func (r typedGroups) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	if _, ok := spill.GroupAcc[int64](g, i); !ok {
+		r.t.Errorf("group %d of a reduce task folded boxed: a partition's counts were not a column of int64", i)
+	}
+	r.sumReducer.FinishGroup(ctx, g, i)
+}
+
+// TestOrderingShuffleIsTyped: the ordering job's map tasks fill their
+// partitions with int64 counts held in columns of int64, in memory and
+// through a spill, and the order fromCounts reads typed out of a Feed
+// result's columns is the order it reads out of a Run result's Output —
+// for every kind, and the one ComputeKind returns.
+func TestOrderingShuffleIsTyped(t *testing.T) {
+	c := randomCollection(1500, 400, 30, 17)
+	domain := int(c.MaxToken()) + 1
+	for _, budget := range []int64{-1, 4096} {
+		job := func(feed bool) *mapreduce.Result {
+			p := pipeline()
+			p.MemoryBudgetBytes = budget
+			run := p.Run
+			if feed {
+				run = p.Feed
+			}
+			res, err := run(mapreduce.Config{Name: "ordering", SpillDir: t.TempDir()}, RecordsToKV(c),
+				&denseCounter{domain: domain}, typedGroups{t: t})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if budget > 0 && res.Counters.Get(mapreduce.CounterSpillRuns) == 0 {
+				t.Fatalf("budget %d: nothing spilled", budget)
+			}
+			return res
+		}
+		fed, ran := job(true), job(false)
+		if fed.Output != nil || ran.Output == nil {
+			t.Fatalf("budget %d: Feed left %d records in Output, Run %d", budget, len(fed.Output), len(ran.Output))
+		}
+		for _, kind := range []Kind{FreqAscending, FreqDescending, Lexicographic} {
+			typed, boxed := fromCounts(fed, domain, kind, 0), fromCounts(ran, domain, kind, 0)
+			if !reflect.DeepEqual(typed, boxed) {
+				t.Fatalf("budget %d, %v: the typed read and Output disagree", budget, kind)
+			}
+			p := pipeline()
+			p.MemoryBudgetBytes = budget
+			computed, err := ComputeKind(p, c, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(computed, typed) {
+				t.Fatalf("budget %d, %v: ComputeKind disagrees with the job it runs", budget, kind)
+			}
+		}
+	}
+}
+
+// cleanupAllocs is the ordering job's mapper, counting the heap
+// allocations its Cleanup makes and the records it emits.
+type cleanupAllocs struct {
+	*denseCounter
+	mallocs, records *uint64
+}
+
+func (m cleanupAllocs) Cleanup(ctx *mapreduce.Context) {
+	*m.records += uint64(len(ctx.Local.(*tokenCounts).touched))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.denseCounter.Cleanup(ctx)
+	runtime.ReadMemStats(&after)
+	*m.mallocs += after.Mallocs - before.Mallocs
+}
+
+// TestCleanupAllocatesNothingPerRecord: a map task's Cleanup puts its
+// counts into its partitions' columns as they are, so what it allocates
+// is those columns' chunks, not a key string or a box a record. Every
+// count is past the values Go keeps preallocated boxes for.
+func TestCleanupAllocatesNothingPerRecord(t *testing.T) {
+	const distinct, copies = 4000, 300
+	ids := make([]tokens.ID, distinct)
+	for i := range ids {
+		ids[i] = tokens.ID(i)
+	}
+	c := &tokens.Collection{}
+	for i := 0; i < copies; i++ {
+		c.Records = append(c.Records, tokens.NewRecord(int32(i), ids))
+	}
+	var mallocs, records uint64
+	m := cleanupAllocs{denseCounter: &denseCounter{domain: distinct}, mallocs: &mallocs, records: &records}
+	if _, err := pipeline().Run(mapreduce.Config{Name: "ordering", MapTasks: 1, MemoryBudgetBytes: -1}, RecordsToKV(c), m, sumReducer{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Cleanup: %d allocations for %d records", mallocs, records)
+	if records != distinct || mallocs*20 > records {
+		t.Fatalf("Cleanup allocated %d times for %d records, want under one per 20", mallocs, records)
+	}
 }

@@ -55,8 +55,10 @@ type Config struct {
 	// and leave Size(key, acc) as it was: the buffer does not ask again.
 	TypedFold any
 	// Size returns one record's accounted bytes; required. It must be a
-	// pure function of (key, value) so spilled records account identically
-	// after decode.
+	// pure function of (key, value), so that an accumulator a fetch
+	// re-folds is accounted as Add would have accounted it. A spilled
+	// record carries the size it was accounted at, and a fetch does not
+	// ask again.
 	Size func(key string, v any) int64
 	// Cancel, when non-nil, is polled on a bounded stride inside Fetch's
 	// decode and fold loops and Drain's replay, and once by a Fetch that
@@ -163,7 +165,7 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 	if j >= 0 {
 		if !r.vals.foldFrom(j, src.vals, i, &b.fold) {
 			if k.Len < 9 {
-				key = shortKey(k) // Size takes the key
+				key = ShortKey(k) // Size takes the key
 			}
 			b.mem += r.foldAt(j, key, src.vals.at(i), &b.fold, b.cfg.Size)
 		}
@@ -172,6 +174,36 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 	r.appendFrom(k, key, src.vals, i, h.bytes())
 	b.mem += h.bytes()
 	return b.checkBudget()
+}
+
+// AddTyped is Add of a record whose key k abbreviates — a key of at most
+// eight bytes, which k holds whole — and whose value v is held unboxed and
+// accounted at overhead plus its Codec.Size, as AppendTyped appends one:
+// folded in place into the key's accumulator, or appended to the
+// partition's column, then the budget checked. It adds nothing and
+// reports false when the partition's column cannot take v unboxed
+// (AppendTyped), or when the buffer folds and its fold has no unboxed form
+// for the column; the caller then Adds the record.
+func AddTyped[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool, error) {
+	if part < 0 || part >= len(b.parts) {
+		return false, nil // Add reports it
+	}
+	c := typedColumn[T](&b.parts[part], k)
+	if c == nil || b.slots != nil && !c.foldsUnboxed(&b.fold) {
+		return false, nil
+	}
+	r, i, err := b.find(part, k, "")
+	if err != nil {
+		return true, err
+	}
+	if i >= 0 {
+		c.foldValue(i, v, &b.fold)
+		return true, b.checkBudget()
+	}
+	bytes := overhead + int64(c.codec.Size(v))
+	appendTyped(r, c, k, v, bytes)
+	b.mem += bytes
+	return true, b.checkBudget()
 }
 
 // ExpectKeys sizes every partition's fold table, when the buffer folds, to
@@ -270,7 +302,7 @@ func (b *Buffer) write(w *bufio.Writer) (int64, error) {
 		}
 		seg := segment{off: at, records: int64(l.Len())}
 		for i := 0; i < l.Len(); i++ {
-			frame, err := l.Frame(w.AvailableBuffer(), i)
+			frame, err := appendSpilled(w.AvailableBuffer(), l, i)
 			if err != nil {
 				return 0, err
 			}

@@ -86,6 +86,13 @@ func Register[T any](tag byte, c Codec[T]) {
 	kindsByTag[tag], kindsByType[t] = k, k
 }
 
+// Columnar reports whether values of T are held unboxed, in a column of
+// their own (Register): whether T is registered and pointer-free.
+func Columnar[T any]() bool {
+	k := kindsByType[reflect.TypeFor[T]()]
+	return k != nil && k.column != nil
+}
+
 func pointerFree(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -457,16 +464,10 @@ func (d *Dec) frame() []byte {
 
 // Record consumes one record written by AppendRecord.
 func (d *Dec) Record() (key string, v any) {
-	k, v := d.record()
-	return string(k), v
-}
-
-// record is Record with the key unowned, d's own bytes.
-func (d *Dec) record() (key []byte, v any) {
-	key = d.frame()
+	k := d.frame()
 	val := d.frame()
 	if d.err != nil {
-		return nil, nil
+		return "", nil
 	}
 	// The value is read by this Dec, cut off where the value ends.
 	rest := d.end
@@ -476,10 +477,10 @@ func (d *Dec) record() (key []byte, v any) {
 		// Wrapped, so a bad value inside a complete frame is never taken
 		// for errTruncated.
 		d.err = fmt.Errorf("spill: record value: %w", d.err)
-		return nil, nil
+		return "", nil
 	}
 	d.end = rest
-	return key, v
+	return string(k), v
 }
 
 // value consumes all that is left as one value, tag and payload: a byte the
@@ -497,13 +498,18 @@ func (d *Dec) value() (v any) {
 	default:
 		v = kindsByTag[tag].read(d)
 	}
-	if d.err == nil && d.Rest() > 0 {
-		d.err = fmt.Errorf("spill: %d bytes left over after a value", d.Rest())
-	}
+	d.consumed()
 	if d.err != nil {
 		return nil
 	}
 	return v
+}
+
+// consumed fails d when a value's codec left some of it unread.
+func (d *Dec) consumed() {
+	if d.err == nil && d.Rest() > 0 {
+		d.err = fmt.Errorf("spill: %d bytes left over after a value", d.Rest())
+	}
 }
 
 // tail consumes everything left and returns it, unowned.

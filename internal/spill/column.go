@@ -28,6 +28,10 @@ type values interface {
 	foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values
 	// appendValue appends value i as the run codec frames it.
 	appendValue(buf []byte, i int) ([]byte, error)
+	// decode appends the value d holds, tag and payload, read straight into
+	// the column when it is of the column's registered type; false, with
+	// nothing read, when it is not. d's error says whether it was read.
+	decode(d *Dec) bool
 	reset()
 	trim()
 }
@@ -146,11 +150,17 @@ func (c *column[T]) foldFrom(i int, src values, j int, f *folder) bool {
 
 // foldValue adds x into value i through f's unboxed form, if it has one.
 func (c *column[T]) foldValue(i int, x T, f *folder) bool {
+	if c.foldsUnboxed(f) {
+		c.unboxed(c.vals.At(i), x)
+		return true
+	}
+	return false
+}
+
+// foldsUnboxed reports whether f has an unboxed form for the column.
+func (c *column[T]) foldsUnboxed(f *folder) bool {
 	if !c.resolved {
 		c.unboxed, c.resolved = unboxedFold[T](f), true
-	}
-	if c.unboxed != nil {
-		c.unboxed(c.vals.At(i), x)
 	}
 	return c.unboxed != nil
 }
@@ -200,6 +210,18 @@ func (c *column[T]) appendValue(buf []byte, i int) ([]byte, error) {
 	}
 	v := c.at(i)
 	return appendKind(buf, v, c.kinds.kindOf(v))
+}
+
+func (c *column[T]) decode(d *Dec) bool {
+	if c.codec == nil || d.Rest() == 0 || d.b[d.at] != c.tag {
+		return false
+	}
+	d.at++
+	x := c.codec.Read(d)
+	if d.consumed(); d.err == nil {
+		c.vals.Append(x)
+	}
+	return true
 }
 
 func (c *column[T]) reset() { c.vals.Reset() }

@@ -9,7 +9,7 @@ import "reflect"
 type Fetcher struct {
 	win     window
 	scratch Records
-	keys    KeyArena // the short keys Config.Size is called with
+	keys    KeyArena // the short keys a boxed fold's Config.Size is called with
 	polls   int      // records the fetch has decoded or folded
 }
 
@@ -108,13 +108,13 @@ func (b *Buffer) poll(f *Fetcher) error {
 // decode appends the records of segs, segments of the spill file, to out
 // in stored order, reading them through f's window: a key of at most eight
 // bytes as the head's prefix and length, a longer one as a string of its
-// own, and each record accounted with Config.Size.
+// own, a value of the type of out's typed column straight into it, and
+// each record at the accounted size its frame carries.
 func (b *Buffer) decode(segs []segment, out *Records, f *Fetcher) error {
 	for _, s := range segs {
 		f.win.open(b.f, s)
-		f.keys = KeyArena{n: int(s.records)}
 		for {
-			kb, v, ok, err := f.win.next()
+			ok, err := f.win.next(out)
 			if err != nil {
 				return err
 			}
@@ -123,13 +123,6 @@ func (b *Buffer) decode(segs []segment, out *Records, f *Fetcher) error {
 			}
 			if err := b.poll(f); err != nil {
 				return err
-			}
-			k, key := makeKeyIndex(kb, 0), ""
-			if k.Len == 9 {
-				key = string(kb)
-				out.append(k, key, v, b.cfg.Size(key, v))
-			} else {
-				out.append(k, key, v, b.cfg.Size(f.keys.short(k), v))
 			}
 		}
 	}

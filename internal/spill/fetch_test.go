@@ -107,6 +107,47 @@ func TestSpilledFetchMatchesMemory(t *testing.T) {
 	}
 }
 
+// TestSpilledDecodeAllocatesNothing: a fetch decodes a spilled partition
+// of int64 values under four-byte keys straight into a column of int64,
+// each record accounted at the size its frame carries: once the records
+// and the fetcher it decodes with have grown to the partition, fetching it
+// again allocates nothing — no box, no key string, not one allocation a
+// record.
+func TestSpilledDecodeAllocatesNothing(t *testing.T) {
+	const n = 20_000
+	b := NewBuffer(Config{Parts: 1, Budget: 16 << 10, Size: fetchSize, Dir: t.TempDir()})
+	defer b.Close()
+	want := int64(0)
+	for i := 0; i < n; i++ {
+		key := string([]byte{0, 0, byte(i >> 8), byte(i)})
+		if err := b.Add(0, key, int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+		want += fetchSize(key, int64(1000+i))
+	}
+	if runs := b.Stats().Runs; runs < 2 {
+		t.Fatalf("%d spills, want several", runs)
+	}
+	var dst Records
+	var f Fetcher
+	fetch := func() {
+		dst.reset()
+		if _, _, err := b.Fetch(0, &dst, &f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch()
+	if dst.Len() != n || dst.Bytes() != want || dst.Column() != "*spill.column[int64]" {
+		t.Fatalf("fetched %d records of %d bytes into a %s, want %d of %d into a *spill.column[int64]",
+			dst.Len(), dst.Bytes(), dst.Column(), n, want)
+	}
+	a := testing.AllocsPerRun(10, fetch)
+	t.Logf("fetch: %v allocations for %d spilled int64 records", a, n)
+	if a != 0 {
+		t.Fatalf("fetching %d spilled int64 records allocated %v times", n, a)
+	}
+}
+
 // fetchGroups fetches partition p of every buffer into one Records, as a
 // reduce task does, and groups what it fetched; it returns the groups and
 // the records and bytes fetched.

@@ -62,14 +62,49 @@ func (r *Records) Append(key string, v any, bytes int64) {
 // which is how a partition's first value picks its column and how a column
 // changes kind.
 func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
-	c, ok := r.vals.(*column[T])
-	if !ok || c.codec == nil || k.Len > 8 || r.long.Len() > 0 {
+	c := typedColumn[T](r, k)
+	if c == nil {
 		return false
 	}
-	bytes := overhead + int64(c.codec.Size(v))
+	appendTyped(r, c, k, v, overhead+int64(c.codec.Size(v)))
+	return true
+}
+
+// typedColumn returns r's column if it holds values of T's registered,
+// pointer-free type and a record keyed k can join it without a box or a
+// key string; nil if not.
+func typedColumn[T any](r *Records, k KeyIndex) *column[T] {
+	c, ok := r.vals.(*column[T])
+	if !ok || c.codec == nil || k.Len > 8 || r.long.Len() > 0 {
+		return nil
+	}
+	return c
+}
+
+// appendTyped appends a record of short key k and value v, c being r's
+// column.
+func appendTyped[T any](r *Records, c *column[T], k KeyIndex, v T, bytes int64) {
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
 	c.vals.Append(v)
+}
+
+// EachTyped calls fn with every record's key, abbreviated, and value in
+// order, when the values sit unboxed in a column of T's registered type
+// and no key is longer than eight bytes, so that k holds each key whole;
+// it reports false, having called nothing, otherwise. Records with no
+// record are read as either.
+func EachTyped[T any](r *Records, fn func(k KeyIndex, v T)) bool {
+	if r.Len() == 0 {
+		return true
+	}
+	c, ok := r.vals.(*column[T])
+	if !ok || c.codec == nil || r.long.Len() > 0 {
+		return false
+	}
+	for i := 0; i < r.Len(); i++ {
+		fn(r.heads.At(i).key(), *c.vals.At(i))
+	}
 	return true
 }
 
@@ -119,6 +154,33 @@ func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes in
 			key = ""
 		}
 		r.long.Append(key)
+	}
+	r.heads.Append(makeHead(k, bytes))
+	r.bytes += bytes
+}
+
+// decode appends a record of key key, k abbreviated, whose value is what
+// d has left — tag and payload — and whose accounted size is bytes: a
+// value of the type of a typed column read straight into it, any other
+// value boxed and appended as append appends it. If d fails, nothing is
+// appended.
+func (r *Records) decode(k KeyIndex, key []byte, d *Dec, bytes int64) {
+	long := ""
+	if k.Len == 9 {
+		long = string(key)
+	}
+	if r.vals == nil || !r.vals.decode(d) {
+		if v := d.value(); d.err == nil {
+			r.append(k, long, v, bytes)
+		}
+		return
+	}
+	if d.err != nil {
+		return
+	}
+	if k.Len == 9 || r.long.Len() > 0 {
+		r.padLong()
+		r.long.Append(long)
 	}
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
@@ -177,8 +239,8 @@ type KeyArena struct {
 // NewKeyArena returns an arena for about n keys.
 func NewKeyArena(n int) *KeyArena { return &KeyArena{n: n} }
 
-// short returns the key of at most eight bytes k holds, cut out of a.
-func (a *KeyArena) short(k KeyIndex) string {
+// Short returns the key of at most eight bytes k holds, cut out of a.
+func (a *KeyArena) Short(k KeyIndex) string {
 	if a.b.Cap() == 0 {
 		a.b.Grow(8 * a.n)
 	}
@@ -191,8 +253,8 @@ func (a *KeyArena) short(k KeyIndex) string {
 	return a.b.String()[off:]
 }
 
-// shortKey is the key of at most eight bytes k holds, a string of its own.
-func shortKey(k KeyIndex) string {
+// ShortKey is the key of at most eight bytes k holds, a string of its own.
+func ShortKey(k KeyIndex) string {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], k.Prefix)
 	return string(b[:k.Len])
@@ -204,7 +266,7 @@ func (r *Records) Key(i int, a *KeyArena) string {
 	if h.len() == 9 {
 		return *r.long.At(i)
 	}
-	return a.short(h.key())
+	return a.Short(h.key())
 }
 
 // Abbrev returns record i's key abbreviated, with position 0: for a key of
@@ -411,7 +473,7 @@ func (g *Groups) Abbrev(i int) KeyIndex { return g.keys[i] }
 // Key returns group i's key, a key of at most eight bytes cut out of a.
 func (g *Groups) Key(i int, a *KeyArena) string {
 	if k := g.keys[i]; k.Len < 9 {
-		return a.short(k)
+		return a.Short(k)
 	}
 	return g.long[i]
 }

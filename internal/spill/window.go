@@ -1,15 +1,16 @@
 package spill
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 )
 
 // A segment is one spill's records of one partition: bytes [off, end) of
-// the buffer's spill file, in AppendRecord's form and in the order they
-// were emitted. A partition's segments are kept in memory, so each reduce
-// task reads exactly its partition's byte ranges through an independent
-// SectionReader.
+// the buffer's spill file, in the order they were emitted, each a spill
+// frame (appendSpilled). A partition's segments are kept in memory, so
+// each reduce task reads exactly its partition's byte ranges through an
+// independent SectionReader.
 type segment struct {
 	off     int64
 	end     int64
@@ -49,25 +50,25 @@ func (w *window) open(f io.ReaderAt, s segment) {
 	w.d = dec(w.buf)
 }
 
-// next returns the segment's next record, its key in w's bytes until the
-// next call; ok is false at the end of the segment.
-func (w *window) next() (key []byte, v any, ok bool, err error) {
+// next decodes the segment's next record onto out; ok is false at the end
+// of the segment.
+func (w *window) next(out *Records) (ok bool, err error) {
 	for {
 		at := w.d.at
-		if key, v = w.d.record(); w.d.err == nil {
-			return key, v, true, nil
+		if w.d.spilled(out); w.d.err == nil {
+			return true, nil
 		}
 		if w.d.err != errTruncated {
-			return nil, nil, false, w.d.err
+			return false, w.d.err
 		}
 		if w.eof {
 			if at == len(w.buf) {
-				return nil, nil, false, nil
+				return false, nil
 			}
-			return nil, nil, false, fmt.Errorf("spill: truncated record: %w", io.ErrUnexpectedEOF)
+			return false, fmt.Errorf("spill: truncated record: %w", io.ErrUnexpectedEOF)
 		}
 		if err := w.fill(at); err != nil {
-			return nil, nil, false, err
+			return false, err
 		}
 	}
 }
@@ -88,4 +89,39 @@ func (w *window) fill(at int) error {
 		w.eof, err = true, nil
 	}
 	return err
+}
+
+// appendSpilled appends record i of r as a spill file holds it: the record
+// in AppendRecord's form, then its accounted size as a uvarint, so that a
+// fetch accounts the decoded record without sizing its value again. The
+// size never leaves the process that wrote it: a spill file is read only
+// by the job that spilled it. On error buf is returned as given.
+func appendSpilled(buf []byte, r *Records, i int) ([]byte, error) {
+	out, err := r.Frame(buf, i)
+	if err != nil {
+		return buf, err
+	}
+	return binary.AppendUvarint(out, uint64(r.heads.At(i).bytes())), nil
+}
+
+// spilled consumes one frame appendSpilled wrote and appends its record
+// to out (Records.decode). A frame that ends early fails d with
+// errTruncated and appends nothing; a value that is short or bad inside a
+// whole frame fails it with a wrapped error, never taken for errTruncated.
+func (d *Dec) spilled(out *Records) {
+	key := d.frame()
+	val := d.frame()
+	end := d.at
+	bytes := d.Uvarint()
+	if d.err != nil {
+		return
+	}
+	// The value is read by this Dec, cut off where the value ends.
+	next, rest := d.at, d.end
+	d.at, d.end = end-len(val), end
+	if out.decode(makeKeyIndex(key, 0), key, d, int64(bytes)); d.err != nil {
+		d.err = fmt.Errorf("spill: record value: %w", d.err)
+		return
+	}
+	d.at, d.end = next, rest
 }

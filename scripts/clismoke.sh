@@ -5,7 +5,8 @@
 #     the five R-S algorithms join rs_queries.txt against texts.txt; each
 #     run's stdout must be byte-identical between -par 1 and -par 4, and
 #     its -stats line must report verified-candidates=[1-9]...;
-#   - -algo massjoin (self-join only) given two files must exit 1.
+#   - -algo massjoin (self-join only) given two files must exit 1, its
+#     error prefixed with "fsjoin: " once.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -46,6 +47,11 @@ status=0
 	>/dev/null 2>"$tmp/err" || status=$?
 if [ "$status" -ne 1 ]; then
 	echo "cli-smoke: massjoin with two files exited $status, want 1:" >&2
+	cat "$tmp/err" >&2
+	exit 1
+fi
+if grep -q 'fsjoin: fsjoin:' "$tmp/err"; then
+	echo "cli-smoke: massjoin with two files: the error's prefix is doubled:" >&2
 	cat "$tmp/err" >&2
 	exit 1
 fi
