@@ -24,11 +24,13 @@ race:
 # chaos runs the seeded fault-injection equivalence suites under the race
 # detector (DESIGN.md §7). Any failure is re-runnable from its seed. It
 # then repeats the attempt-loop tests 20 times: their spill-leak checks
-# assert once, when the job returns, so a late cleanup fails them.
+# assert once, when the job returns, so a late cleanup fails them. With
+# them run two pipelines side by side that share the shuffle's chunk
+# pools: a chunk in two lists at once is a race report or a wrong answer.
 # TestWALGroupCommitFlush runs 100 times: under -race it flaked when its sync window ran out inside a slow Insert.
 chaos:
 	$(GO) test -race -run 'TestChaos' . ./internal/mapreduce/chaos/
-	$(GO) test -race -count=20 -run 'TestSkip|Cancel|TestSpillCleanup|TestChainAttempts|TestWithRetries|TestRetries' ./internal/mapreduce/
+	$(GO) test -race -count=20 -run 'TestSkip|Cancel|TestSpillCleanup|TestChainAttempts|TestWithRetries|TestRetries|TestPipelinesShareChunkPools' ./internal/mapreduce/
 	$(GO) test -race -count=100 -run 'TestWALGroupCommitFlush$$' ./internal/probeindex/
 
 # fuzz smoke-runs every native fuzz target briefly; CI uses the same

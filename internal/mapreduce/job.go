@@ -349,15 +349,20 @@ func (c *Context) flushCounters() {
 	c.local = nil
 }
 
-// discard releases everything a failed task attempt buffered — notably
-// its shuffle sink's spill files. Only failed attempts are discarded, by
-// the attempt loop before it moves on; the winning context's sink is
-// handed to the reduce phase and reclaimed through release.
+// discard releases everything a failed task attempt buffered: its shuffle
+// sink's partitions, whose chunks go back to their pools, and with the
+// last of them its spill file. Only failed attempts are discarded, by the
+// attempt loop before it moves on; the winning context's sink is handed to
+// the reduce phase, whose tasks release its partitions one each.
 func (c *Context) discard() {
 	if c == nil {
 		return
 	}
-	c.shuffle.close()
+	if c.shuffle != nil {
+		for p := 0; p < c.shuffle.reducers; p++ {
+			c.shuffle.buf.Release(p)
+		}
+	}
 	c.local = nil
 }
 
@@ -721,8 +726,8 @@ func mapTask[U any](env *jobEnv, c *commits, t int, split []U, body taskBody[U],
 	return nil
 }
 
-// reduceTask is one reduce task: fetch and group its partition, run the
-// attempt loop, commit the output and release the consumed partitions.
+// reduceTask is one reduce task: fetch and group its partition, releasing
+// what it fetched, run the attempt loop and commit the output.
 func (env *jobEnv) reduceTask(c *commits, t int) error {
 	cfg := env.cfg
 	in, err := env.fetchReduceInput(c, t)
@@ -747,9 +752,6 @@ func (env *jobEnv) reduceTask(c *commits, t int) error {
 		meta.GroupSpillNanos += int64(env.cl.groupSpillTime(b))
 	}
 	c.commitOutput(t, ctx, tc, meta)
-	for _, s := range c.sinks {
-		s.buf.Release(t)
-	}
 	return nil
 }
 
@@ -870,8 +872,10 @@ type reduceInput struct {
 // spill.Fetcher they share too. Either way a map task's partition
 // arrives in emission order — a spilled one's runs in the order they were
 // written, then its tail — so arrival order within one key is map-task
-// then emission order. Guarded so a panicking Fold aborts the task, not
-// the process.
+// then emission order. Once grouped, every fetched partition and the
+// columns it was decoded onto are released, their chunks going back to
+// the pools the next partitions grow from: the groups hold nothing of
+// them. Guarded so a panicking Fold aborts the task, not the process.
 func (env *jobEnv) fetchReduceInput(c *commits, t int) (*reduceInput, error) {
 	in := &reduceInput{}
 	if gerr := guard(func() {
@@ -894,6 +898,11 @@ func (env *jobEnv) fetchReduceInput(c *commits, t int) (*reduceInput, error) {
 		groups, err := spill.Group(srcs, fold, env.foldingReducer)
 		if err != nil {
 			panic(&enginePanic{err: fmt.Errorf("shuffle fetch: %w", err)})
+		}
+		fetched.Release()
+		f.Release()
+		for _, s := range c.sinks {
+			s.buf.Release(t)
 		}
 		in.Groups = groups
 		for _, b := range groups.Sizes {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -293,7 +294,12 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // detector they allocated up to 135 and 167: a folding fetch sorts its
 // scratch with two more indexes from the pool, which the race detector
 // makes drop some of what it is given back, so the spill rows get
-// spillRaceAllowance instead.
+// spillRaceAllowance instead. Since a reduce task hands its partitions'
+// chunks back once it has grouped them, and the measured run grows its
+// partitions into what the warm-up run gave back, the eight rows measure
+// 52, 92, 74, 70, 25, 4, 49 and 51 (medians of five), and up to 81, 125,
+// 106, 104, 25, 31, 90 and 121 under the race detector; the limits stay
+// where the heap-allocated chunks put them.
 func TestShuffleAllocationBudget(t *testing.T) {
 	const raceAllowance, spillRaceAllowance = 24, 48
 	const n = 120_000
@@ -363,6 +369,46 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		if perRecord > limit {
 			t.Errorf("%s: %.0f B allocated per record, limit %.0f", tc.name, perRecord, limit)
 		}
+	}
+}
+
+// TestShuffleChunksRecycled: a reduce task hands its partitions' chunks
+// back once it has grouped them, and the next job's partitions grow into
+// them. Of two identical folding jobs run back to back, with the pools
+// emptied before the first and the collector held off across both so that
+// it empties nothing between them, the second must allocate clearly fewer
+// bytes per record: on a two-core x86-64 host it measured 131 then 87.
+// Where every chunk came from the heap, the second job saved only what the
+// sort-index pool saves, 139 then 132. Under the race detector, whose
+// sync.Pool drops a share of what it is given, the second job measured
+// 113 to 120 against 142 to 154, too close to the limit to hold it there.
+func TestShuffleChunksRecycled(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops a share of the chunks given back")
+	}
+	const n = 120_000
+	input := make([]KV, n)
+	for i := range input {
+		input[i] = KV{Key: PairKey(uint32(i%4000), uint32(i%7)), Value: int64(1)}
+	}
+	cfg := Config{Cluster: DefaultCluster(), ReduceTasks: 30, MemoryBudgetBytes: -1, Combiner: groupSum{}}
+	run := func() float64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := Run(cfg, input, IdentityMapper, groupSum{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	}
+	run() // codec registries, the map's first growth
+	runtime.GC()
+	runtime.GC() // a pool keeps what it holds across one collection
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first, second := run(), run()
+	t.Logf("first job %.0f B/record, second %.0f", first, second)
+	if second > 0.75*first {
+		t.Errorf("the second job allocated %.0f B per record, the first %.0f: chunks were not reused", second, first)
 	}
 }
 

@@ -116,8 +116,8 @@ func (s *shuffleSink) route(key string) int {
 	return r
 }
 
-// close removes the sink's spill file, if any. Used for sinks of a failed attempt or of
-// a job that aborts; Buffer.Release covers the happy path.
+// close removes the sink's spill file, if any. Used for the sinks of a job
+// that aborts; Buffer.Release covers the happy path and a failed attempt.
 func (s *shuffleSink) close() {
 	if s != nil {
 		s.buf.Close()

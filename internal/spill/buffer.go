@@ -382,10 +382,13 @@ func (b *Buffer) Trim() {
 	b.slots = nil
 }
 
-// Release drops one fully consumed partition; when every partition has
-// been released the buffer closes itself, removing its spill file.
+// Release drops one fully consumed partition, handing its chunks back for
+// reuse (Records.Release): the reduce task that fetched it must read
+// nothing of it after, a partition is released once, and a Fetch must not
+// follow. When every partition has been released the buffer closes
+// itself, removing its spill file.
 func (b *Buffer) Release(part int) {
-	b.parts[part] = Records{}
+	b.parts[part].Release()
 	if int(b.released.Add(1)) == b.cfg.Parts {
 		b.Close()
 	}

@@ -56,11 +56,11 @@ var (
 // Register installs T's tag and codec, and — when T is pointer-free: no
 // pointer, string, slice, map, interface, channel or function anywhere in
 // it — lets the shuffle hold a partition's values of type T unboxed in a
-// []T, which the garbage collector never scans; values of every other type,
-// and of mixed types, are held boxed. The tag is a constant of tags.go; a
-// tag or type registered twice panics, so a collision surfaces at program
-// start. Must be called from init(): the registry is read without locking
-// once jobs run.
+// []T, which the garbage collector never scans, in chunks a pool recycles
+// (List); values of every other type, and of mixed types, are held boxed.
+// The tag is a constant of tags.go; a tag or type registered twice panics,
+// so a collision surfaces at program start. Must be called from init():
+// the registry is read without locking once jobs run.
 func Register[T any](tag byte, c Codec[T]) {
 	t := reflect.TypeFor[T]()
 	switch {
@@ -82,6 +82,7 @@ func Register[T any](tag byte, c Codec[T]) {
 	}
 	if pointerFree(t) {
 		k.column = func() values { return newColumn(tag, &c) }
+		chunkPools[t] = new(chunkPool[T])
 	}
 	kindsByTag[tag], kindsByType[t] = k, k
 }

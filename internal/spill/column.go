@@ -34,6 +34,7 @@ type values interface {
 	decode(d *Dec) bool
 	reset()
 	trim()
+	release()
 }
 
 // folder is a fold in both its forms: the boxed one every fold has, and
@@ -224,5 +225,6 @@ func (c *column[T]) decode(d *Dec) bool {
 	return true
 }
 
-func (c *column[T]) reset() { c.vals.Reset() }
-func (c *column[T]) trim()  { c.vals.Trim() }
+func (c *column[T]) reset()   { c.vals.Reset() }
+func (c *column[T]) trim()    { c.vals.Trim() }
+func (c *column[T]) release() { c.vals.release() }

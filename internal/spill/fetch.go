@@ -13,6 +13,10 @@ type Fetcher struct {
 	polls   int      // records the fetch has decoded or folded
 }
 
+// Release hands back the chunks of f's scratch (Records.Release), once
+// the reduce task has fetched its last partition.
+func (f *Fetcher) Release() { f.scratch.Release() }
+
 // cancelStride bounds how many records a fetch decodes or folds, or a
 // drain replays, between Cancel polls — matched to the engine's per-record
 // cancellation stride so a deadline interrupts a wide partition within ~a
@@ -73,8 +77,8 @@ func (b *Buffer) fetchSpilled(part int, dst *Records, f *Fetcher) (int, error) {
 // one the buffer would have held had it never spilled.
 func (b *Buffer) foldOnto(dst *Records, f *Fetcher) error {
 	scratch := &f.scratch
-	p := getIndex(scratch.Len())
-	defer putIndex(p)
+	p := indexPool.get(scratch.Len())
+	defer indexPool.put(p)
 	idx, err := scratch.sortedIndex(*p)
 	if err != nil {
 		return err

@@ -153,8 +153,8 @@ func SortIndex(idx []KeyIndex, key func(KeyIndex) string) {
 // cost a small index more to clear than to sort), its prefix sums, and one
 // scatter into the other of two arrays.
 func radixByPrefix(idx []KeyIndex, diff uint64) {
-	scratch := getIndex(len(idx))
-	defer putIndex(scratch)
+	scratch := indexPool.get(len(idx))
+	defer indexPool.put(scratch)
 	src, dst := idx, (*scratch)[:len(idx)]
 	for s := uint(0); s < 64; s += 8 {
 		if diff>>s&0xff == 0 {
@@ -180,24 +180,28 @@ func radixByPrefix(idx []KeyIndex, diff uint64) {
 	}
 }
 
-// indexPool holds sort indexes and radix scratch arrays between uses: a
-// reduce task's grouping and every sort need one as long as the records
-// being sorted, and only until the call returns.
-var indexPool sync.Pool // of *[]KeyIndex
+// slicePool holds slices of T between uses, each as a pointer to its
+// header, so that giving one back allocates nothing.
+type slicePool[T any] struct{ sync.Pool }
 
-// getIndex returns an empty index with room for n entries, from the pool
-// when it has one that large. Give it back with putIndex.
-func getIndex(n int) *[]KeyIndex {
-	p, _ := indexPool.Get().(*[]KeyIndex)
-	if p == nil {
-		p = new([]KeyIndex)
+// get returns an empty slice with room for n elements, from the pool when
+// it has one that large. Give it back with put.
+func (p *slicePool[T]) get(n int) *[]T {
+	s, _ := p.Get().(*[]T)
+	if s == nil {
+		s = new([]T)
 	}
-	if cap(*p) < n {
-		*p = make([]KeyIndex, 0, n)
+	if cap(*s) < n {
+		*s = make([]T, 0, n)
 	}
-	*p = (*p)[:0]
-	return p
+	*s = (*s)[:0]
+	return s
 }
 
-// putIndex gives back an index of getIndex's; nothing may use it after.
-func putIndex(p *[]KeyIndex) { indexPool.Put(p) }
+// put gives back a slice of get's; nothing may use it after.
+func (p *slicePool[T]) put(s *[]T) { p.Put(s) }
+
+// indexPool holds sort indexes and radix scratch arrays: a reduce task's
+// grouping and every sort need one as long as the records being sorted,
+// and only until the call returns.
+var indexPool slicePool[KeyIndex]

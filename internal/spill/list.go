@@ -1,6 +1,11 @@
 package spill
 
-import "math/bits"
+import (
+	"math/bits"
+	"reflect"
+	"sync"
+	"unsafe"
+)
 
 // Chunk k of a List holds firstChunk<<k records up to maxChunk, and
 // maxChunk from there on. The first chunk is small because a job has map
@@ -19,9 +24,17 @@ const (
 // so the address At returns stays valid for the list's lifetime. Positions
 // are dense, which is what lets fold slots and sort indexes refer to
 // records by int. The zero value is an empty list.
+//
+// A list of a pointer-free element type that has a chunk pool — a
+// partition's heads, a column of a type Register made columnar — takes its
+// chunks from the pool before it allocates one, and gives them back on
+// release and Trim: where the owner knows no record of them is read again.
+// A list that releases nothing leaves its chunks to the garbage collector.
 type List[T any] struct {
 	chunks [][]T // each chunk's len is its cap
 	n      int
+	pool   *chunkPool[T] // nil when T's chunks are not recycled
+	seeded bool          // chunks[0] is the owner's memory, never pooled
 }
 
 // locate maps a position to its chunk and the offset inside it.
@@ -47,19 +60,24 @@ func (l *List[T]) Append(v T) {
 	l.n++
 }
 
-// grow allocates chunk k, the next one. The chunk table starts with room
-// for four: a list of up to 120 records allocates it once.
+// grow adds chunk k, the next one, from T's pool when it has one. The
+// chunk table starts with room for four: a list of up to 120 records
+// allocates it once.
 func (l *List[T]) grow(k int) {
 	if l.chunks == nil {
 		l.chunks = make([][]T, 0, 4)
+		l.pool = poolOf[T]()
 	}
-	l.chunks = append(l.chunks, make([]T, firstChunk<<min(k, maxShift-firstShift)))
+	l.chunks = append(l.chunks, l.pool.get(min(k, maxShift-firstShift)))
 }
 
 // seed gives an empty list its chunk table and first chunk out of memory the
-// caller allocated along with something else.
+// caller allocated along with something else. The first chunk stays the
+// list's: Trim and release keep it.
 func (l *List[T]) seed(table [][]T, first *[firstChunk]T) {
 	l.chunks = append(table[:0], first[:])
+	l.pool = poolOf[T]()
+	l.seeded = true
 }
 
 // At returns the record at position i, which must be in [0, Len()).
@@ -78,13 +96,68 @@ func (l *List[T]) Reset() {
 	}
 }
 
-// Trim frees the chunks Reset kept that hold no record.
+// Trim gives up the chunks Reset kept that hold no record — to T's pool,
+// where it has one — but a seeded first chunk.
 func (l *List[T]) Trim() {
 	used := 0
 	if l.n > 0 {
 		used, _ = locate(l.n - 1)
 		used++
 	}
+	if l.seeded {
+		used = max(used, 1)
+	}
+	for _, c := range l.chunks[used:] {
+		l.pool.put(c)
+	}
 	clear(l.chunks[used:])
 	l.chunks = l.chunks[:used]
+}
+
+// release empties the list and gives up its chunks as Trim does. Nothing
+// may read a record of it, or keep a pointer At returned, after.
+func (l *List[T]) release() {
+	l.n = 0
+	l.Trim()
+}
+
+// chunkPool recycles the chunks of lists of one pointer-free element type,
+// one sync.Pool per chunk size. The garbage collector empties the pools: a
+// chunk nobody takes is freed by the collection after the next. A chunk is
+// pooled as a pointer to its first record, which neither Put nor Get
+// allocates for.
+type chunkPool[T any] [maxShift - firstShift + 1]sync.Pool
+
+// get returns a zeroed chunk of firstChunk<<class records, from the pool
+// when it has one — cleared, so that no list shows past its end what a
+// released one held — and from the heap otherwise; a nil pool always
+// allocates.
+func (p *chunkPool[T]) get(class int) []T {
+	n := firstChunk << class
+	if p != nil {
+		if c, _ := p[class].Get().(*T); c != nil {
+			s := unsafe.Slice(c, n)
+			clear(s)
+			return s
+		}
+	}
+	return make([]T, n)
+}
+
+// put gives back a chunk of get's; a nil pool drops it.
+func (p *chunkPool[T]) put(c []T) {
+	if p != nil {
+		p[bits.Len(uint(len(c)))-1-firstShift].Put(&c[0])
+	}
+}
+
+// chunkPools holds the *chunkPool of every element type whose chunks are
+// recycled: head, and each pointer-free type Register installs. Written
+// only at program start, like the codec registry.
+var chunkPools = map[reflect.Type]any{reflect.TypeFor[head](): new(chunkPool[head])}
+
+// poolOf returns T's chunk pool, nil when T's chunks are not recycled.
+func poolOf[T any]() *chunkPool[T] {
+	p, _ := chunkPools[reflect.TypeFor[T]()].(*chunkPool[T])
+	return p
 }

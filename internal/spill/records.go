@@ -3,6 +3,7 @@ package spill
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -14,7 +15,8 @@ import (
 // registered with Register and a []any otherwise. So a partition of short
 // keys and such values — rid pairs to overlap counts, token ids to
 // frequencies — holds no pointer and costs the garbage collector nothing to
-// keep. The zero value is empty.
+// keep, and its chunks go back to a pool when the records are released
+// (Release) rather than to the garbage collector. The zero value is empty.
 type Records struct {
 	heads List[head]
 	// long holds the full key of every record once any key is longer than
@@ -341,6 +343,20 @@ func (r *Records) trim() {
 	}
 }
 
+// Release empties the records and gives their heads' chunks, and a typed
+// column's, back to the pools they came from (List), for the next
+// partition to grow into. Only their owner may call it, once it knows
+// nothing reads them again: not a record, not a Source over them, not a
+// pointer into them. A Groups cut from them holds nothing of them, so
+// Release may follow Group.
+func (r *Records) Release() {
+	r.heads.release()
+	if r.vals != nil {
+		r.vals.release()
+	}
+	*r = Records{}
+}
+
 // Groups is records cut into key groups, in key order: group g has the
 // key Abbrev(g) abbreviates — Key(g, a) as a string — and accounted size
 // Sizes[g]. A Groups holds nothing of the records it was cut from, and
@@ -396,8 +412,9 @@ func (s *sources) value(k KeyIndex) any {
 // each group's values are folded in that order into one accumulator — in
 // place in a []T when every source holds the same typed column and typed
 // (see Config.TypedFold) offers the fold unboxed, through fold otherwise;
-// without one the values are boxed for Values to hand out. The index is
-// borrowed from a pool and given back before Group returns.
+// without one the values are boxed for Values to hand out. The index and
+// the group bounds are borrowed from pools and given back before Group
+// returns.
 func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error) {
 	if err := Groupable(len(srcs)); err != nil {
 		return nil, err
@@ -414,8 +431,8 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	if err := Indexable(n); err != nil {
 		return nil, err
 	}
-	p := getIndex(n)
-	defer putIndex(p)
+	p := indexPool.get(n)
+	defer indexPool.put(p)
 	idx := *p
 	for si, src := range s.srcs {
 		for i := src.Lo; i < src.Hi; i++ {
@@ -426,7 +443,9 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	SortIndex(idx, s.longKey)
 	// starts[g] is where group g begins in idx; found on the index alone
 	// so the group arrays below are allocated at their size.
-	starts := make([]int32, 0, n+1)
+	ps := startsPool.get(n + 1)
+	defer startsPool.put(ps)
+	starts := *ps
 	for i := range idx {
 		if i == 0 || CompareKeys(idx[i-1], idx[i], s.longKey) != 0 {
 			starts = append(starts, int32(i))
@@ -454,7 +473,7 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	case fold != nil:
 		g.accs = s.srcs[0].Recs.vals.foldGroups(&s, idx, starts, &folder{boxed: fold, typed: typed})
 	default:
-		g.starts = starts
+		g.starts = slices.Clone(starts)
 		g.vals = make([]any, n)
 		for i, ix := range idx {
 			g.vals[i] = s.value(ix)
@@ -462,6 +481,9 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	}
 	return g, nil
 }
+
+// startsPool holds Group's group bounds, one per record at most.
+var startsPool slicePool[int32]
 
 // Len returns the number of groups.
 func (g *Groups) Len() int { return len(g.keys) }

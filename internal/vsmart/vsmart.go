@@ -97,7 +97,7 @@ func run(r, s *tokens.Collection, opt Options) (*Result, error) {
 		mapreduce.MapFunc(func(ctx *mapreduce.Context, kv mapreduce.KV) {
 			tr := kv.Value.(rsinput.Record)
 			for _, t := range tr.Rec.Tokens {
-				ctx.Emit(mapreduce.U32Key(t),
+				mapreduce.EmitU32(ctx, t,
 					rsinput.Posting{RID: tr.Rec.RID, Len: int32(tr.Rec.Len()), Origin: tr.Origin})
 			}
 		}),
