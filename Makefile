@@ -61,9 +61,9 @@ test-env:
 	env $(ENV) $(GO) test -race ./...
 
 # cli-smoke builds cmd/fsjoin and runs it once per algorithm on the golden
-# corpus, self and R-S: stdout must not depend on -par, and -stats must
-# report verified candidates; massjoin given two files must exit 1
-# (scripts/clismoke.sh).
+# corpus, self and R-S: stdout must not depend on -par, the exact
+# algorithms must print the same pairs, and -stats must report verified
+# candidates; massjoin given two files must exit 1 (scripts/clismoke.sh).
 cli-smoke:
 	GO=$(GO) bash scripts/clismoke.sh
 

@@ -48,6 +48,18 @@ func FuzzDecode(f *testing.F) {
 	f.Add(manifest, seed[:len(seed)/2])
 	f.Add([]byte(`{"format":2,"records":-1}`), seed)
 	f.Add([]byte("{}"), []byte{})
+	// One record under a 9-byte key, longer than any stage emits: it decodes
+	// here, and the pipeline's replay takes it for corrupt.
+	m.Records = 1
+	one, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	long, err := spill.AppendRecord(nil, "123456789", int64(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one, long)
 
 	f.Fuzz(func(t *testing.T, manifest, body []byte) {
 		dir := t.TempDir()

@@ -195,8 +195,8 @@ func run(r, s *tokens.Collection, opt Options, watch func(*filterReducer) mapred
 		Name: "filtering",
 		// Fragments are routed round-robin to reducers, the paper's
 		// fragment-per-node layout.
-		Partitioner: func(key string, reducers int) int {
-			h, v := mapreduce.DecodePairKey(key)
+		Partitioner: func(key uint64, reducers int) int {
+			h, v := uint32(key>>32), uint32(key)
 			return int(h*uint32(nv)+v) % reducers
 		},
 	}, input, &filterMapper{splitter: splitter, horiz: horiz}, reducer)

@@ -302,9 +302,10 @@ func TestChainedRecordSizes(t *testing.T) {
 			t.Errorf("tag %d is registered and oneOfEach has no value of it", tag)
 		}
 	}
-	// Record i goes to reducer i, whose fetched bytes are its size.
-	byIndex := func(key string, _ int) int {
-		i, _ := strconv.Atoi(key)
+	// Record i, keyed by its two digits, goes to reducer i, whose fetched
+	// bytes are its size.
+	byIndex := func(key uint64, _ int) int {
+		i, _ := strconv.Atoi(string([]byte{byte(key >> 56), byte(key >> 48)}))
 		return i
 	}
 	var sizes [2][]int64

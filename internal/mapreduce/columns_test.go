@@ -27,7 +27,8 @@ func init() {
 	})
 }
 
-// columnJob emits counts under keys of every stored shape, as int64 or —
+// columnJob emits counts under keys of 0, 4, 6, 7 and 8 bytes — PairKey(a,
+// 0) sharing U32Key(a)'s bytes — as int64 or —
 // wrap set — as wrappedCount, and sums them per key. Beside the counts go a
 // nil value and, late in each task, a string: partitions whose values stop
 // being of one type.
@@ -57,13 +58,13 @@ func (j columnJob) Map(ctx *Context, kv KV) {
 	ctx.Emit("", j.count(1))
 	ctx.Emit(U32Key(uint32(i%37)), j.count(i))
 	ctx.Emit(PairKey(uint32(i%11), uint32(i%5)), j.count(2*i))
-	ctx.Emit(fmt.Sprintf("k%08d", i%13), j.count(3))
-	ctx.Emit(fmt.Sprintf("%020d", i%7), j.count(i+1))
+	ctx.Emit(fmt.Sprintf("k%06d", i%13), j.count(3))
+	ctx.Emit(fmt.Sprintf("%06d", i%7), j.count(i+1))
 	if i%50 == 0 {
 		ctx.Emit(U32Key(uint32(i%3)), nil)
 	}
 	if i%97 == 96 {
-		ctx.Emit(fmt.Sprintf("k%08d", i%13), "a string among the counts")
+		ctx.Emit(fmt.Sprintf("k%06d", i%13), "a string among the counts")
 	}
 }
 

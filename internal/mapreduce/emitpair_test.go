@@ -76,7 +76,7 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 	seg := func(i int) fragjoin.Seg {
 		return fragjoin.Seg{RID: int32(i), StrLen: 9, Head: 2, Tail: 4, Tokens: []tokens.ID{tokens.ID(i), tokens.ID(i + 1)}}
 	}
-	const longKey = "123456789"
+	const oddKey = "1234567" // neither a U32Key's length nor a PairKey's
 	for _, row := range []struct {
 		name  string
 		steps []step
@@ -94,15 +94,15 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 		{"overlap-then-int64", slices.Concat(pairs(50, overlapAt), pairs(50, count), pairs(50, overlapAt)), "interface {}", 0},
 		{"int64-then-overlap", slices.Concat(pairs(50, count), pairs(50, overlapAt), pairs(50, count)), "interface {}", 0},
 		{"short-key-before", slices.Concat([]step{keyed(mapreduce.U32Key(5), overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0},
-		{"long-key-before", slices.Concat([]step{keyed(longKey, overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0},
-		{"long-key-after", slices.Concat(pairs(50, overlapAt), []step{keyed(longKey, overlapAt(1))}, pairs(50, overlapAt)), "result.Overlap", 0},
+		{"7-byte-key-before", slices.Concat([]step{keyed(oddKey, overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0},
+		{"7-byte-key-after", slices.Concat(pairs(50, overlapAt), []step{keyed(oddKey, overlapAt(1))}, pairs(50, overlapAt)), "result.Overlap", 0},
 		{"map-task", pairs(n, overlapAt), "result.Overlap", 7},
 		{"u32", u32s(n, count), "int64", 0},
 		{"u32-then-pairs", slices.Concat(u32s(50, count), pairs(50, count)), "int64", 0},
 		{"map-task-u32", u32s(n, count), "int64", 7},
 		{"map-task-seg", pairs(n, seg), "interface {}", 7},
 		{"map-task-mixed", slices.Concat(u32s(50, count), pairs(50, overlapAt), u32s(50, count)), "", 7},
-		{"map-task-long-key", slices.Concat(pairs(50, count), []step{keyed(longKey, count(1))}, u32s(50, count)), "int64", 3},
+		{"map-task-7-byte-key", slices.Concat(pairs(50, count), []step{keyed(oddKey, count(1))}, u32s(50, count)), "int64", 3},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			emitted := func(typed bool) []*spill.Records {

@@ -1,6 +1,11 @@
 package mapreduce
 
-import "fsjoin/internal/spill"
+import (
+	"encoding/binary"
+	"strings"
+
+	"fsjoin/internal/spill"
+)
 
 // ChainsViaRun makes every pipeline run in env execute Feed as Run and
 // Chain as Run of IdentityMapper over the previous Output: the reference a
@@ -19,7 +24,7 @@ func StageCounters(p *Pipeline) []map[string]int64 {
 // NewMapContext returns the context of a map task that routes what it
 // emits into reducers partitions, as a job with a reduce phase does.
 func NewMapContext(reducers int) *Context {
-	return &Context{shuffle: newShuffleSink(DefaultPartitioner, reducers, nil, 0, "", nil)}
+	return &Context{shuffle: newShuffleSink(nil, reducers, nil, 0, "", nil)}
 }
 
 // Emitted returns what ctx has emitted: a reduce task's output, or each
@@ -75,4 +80,10 @@ func FetchedSources(cfg Config, input []KV, mapper Mapper, reducer Reducer) (res
 		}
 	}
 	return resident, merged, nil
+}
+
+// unpad returns the key a Partitioner is handed as its integer, for a key
+// that does not end in a zero byte.
+func unpad(key uint64) string {
+	return strings.TrimRight(string(binary.BigEndian.AppendUint64(nil, key)), "\x00")
 }

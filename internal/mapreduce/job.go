@@ -87,11 +87,10 @@ type FoldingReducer interface {
 // GroupFinisher is what a FoldingReducer may offer besides FinishFold: the
 // same output for group i of g, read from the group itself. The reduce
 // phase then calls FinishGroup instead of FinishFold, and builds no key
-// string and boxes no accumulator for it: g.Abbrev(i) holds a key of at
-// most eight bytes whole, and spill.GroupAcc the accumulator of a typed
-// column unboxed. FinishGroup may call FinishFold for a group it has no
-// faster way for. g is shared by every attempt of the reduce task and must
-// only be read.
+// string and boxes no accumulator for it: g.Abbrev(i) holds the key
+// whole, and spill.GroupAcc the accumulator of a typed column unboxed.
+// FinishGroup may call FinishFold for a group it has no faster way for. g
+// is shared by every attempt of the reduce task and must only be read.
 type GroupFinisher interface {
 	FinishGroup(ctx *Context, g *spill.Groups, i int)
 }
@@ -125,8 +124,10 @@ type Config struct {
 	// ReduceTasks is the number of reduce tasks; 0 means 3 × nodes, the
 	// paper's setting. Ignored for map-only jobs.
 	ReduceTasks int
-	// Partitioner routes keys to reduce tasks; nil means FNV-1a hashing.
-	Partitioner func(key string, reducers int) int
+	// Partitioner routes keys to reduce tasks; nil means FNV-1a hashing
+	// (DefaultPartitioner). It is handed the key's bytes read big-endian,
+	// zero-padded to eight: PairKey(a, b) as a<<32 | b, U32Key(x) as x<<32.
+	Partitioner func(key uint64, reducers int) int
 	// Combiner, when non-nil, folds each map task's emissions per key as
 	// they are emitted, to shrink shuffle volume (map-side aggregation).
 	// Only a job with a reduce phase may set it: like Hadoop, the engine
@@ -285,8 +286,12 @@ type localCounter struct {
 }
 
 // Emit appends an output pair, sized here. Map tasks of jobs with a reduce
-// phase route the pair straight into its reduce partition.
+// phase route the pair straight into its reduce partition. A key longer
+// than spill.MaxKeyLen fails the task with spill.ErrLongKey.
 func (c *Context) Emit(key string, value any) {
+	if err := spill.CheckKey(key); err != nil {
+		panic(&enginePanic{err: fmt.Errorf("emit: %w", err)})
+	}
 	if c.shuffle != nil {
 		c.shuffle.add(key, value)
 		return
@@ -300,8 +305,8 @@ func (c *Context) Emit(key string, value any) {
 // partition the key routes to — holds values of T's registered,
 // pointer-free type, the value goes in unboxed, sized by the column's
 // codec, and the key as the eight bytes it is: no box and no key string.
-// Anything else — a column's first record, a column of another kind, one
-// that has met a long key, a combiner with no unboxed fold — takes Emit.
+// Anything else — a column's first record, a column of another kind, a
+// combiner with no unboxed fold — takes Emit.
 func EmitPair[T any](ctx *Context, a, b uint32, v T) {
 	emitTyped(ctx, spill.KeyIndex{Prefix: uint64(a)<<32 | uint64(b), Len: 8}, v, pairOverhead)
 }
@@ -315,9 +320,9 @@ func EmitU32[T any](ctx *Context, x uint32, v T) {
 // value.
 var pairOverhead, u32Overhead = recordBytes(PairKey(0, 0), 0), recordBytes(U32Key(0), 0)
 
-// emitTyped is ctx.Emit of the key of at most eight bytes k holds, whose
-// record is accounted at overhead plus v's size: the typed emit EmitPair
-// and EmitU32 share. A reduce task's output takes it through
+// emitTyped is ctx.Emit of the key k holds, whose record is accounted at
+// overhead plus v's size: the typed emit EmitPair and EmitU32 share. A
+// reduce task's output takes it through
 // spill.AppendTyped, and where that refuses through Emit; a map task's
 // partition through spill.AddTyped (shuffleSink.addTyped), and where that
 // refuses through Buffer.Add.
@@ -436,21 +441,11 @@ const (
 	prime32  = 16777619
 )
 
-// DefaultPartitioner hashes the key with FNV-1a. The loop is inlined over
-// the string — routing is bit-identical to hash/fnv, without allocating a
-// hasher or a []byte copy per key.
-func DefaultPartitioner(key string, reducers int) int {
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % uint32(reducers))
-}
-
-// prefixPartition is DefaultPartitioner of the key of at most eight bytes
-// that k holds, hashed from k's prefix, most significant byte first.
-func prefixPartition(k spill.KeyIndex, reducers int) int {
+// DefaultPartitioner routes the key k holds by its 32-bit FNV-1a hash,
+// modulo reducers: hashed from k's prefix, most significant byte first, so
+// routing is bit-identical to hash/fnv over the key's bytes without a
+// hasher or a key string.
+func DefaultPartitioner(k spill.KeyIndex, reducers int) int {
 	h := uint32(offset32)
 	for s := 56; s > 56-8*int(k.Len); s -= 8 {
 		h ^= uint32(byte(k.Prefix >> s))

@@ -140,7 +140,7 @@ func TestKeysSortedWithinReducer(t *testing.T) {
 }
 
 func TestCustomPartitioner(t *testing.T) {
-	part := func(key string, n int) int { return 0 } // everything to reducer 0
+	part := func(key uint64, n int) int { return 0 } // everything to reducer 0
 	res, err := Run(Config{Cluster: tinyCluster(), Partitioner: part, ReduceTasks: 4},
 		wcInput("a b c d e"), wcMapper{}, wcReducer{})
 	if err != nil {
@@ -160,7 +160,7 @@ func TestCustomPartitioner(t *testing.T) {
 }
 
 func TestBadPartitionerRejected(t *testing.T) {
-	part := func(key string, n int) int { return n } // out of range
+	part := func(key uint64, n int) int { return n } // out of range
 	if _, err := Run(Config{Cluster: tinyCluster(), Partitioner: part},
 		wcInput("a"), wcMapper{}, wcReducer{}); err == nil {
 		t.Fatal("out-of-range partition accepted")

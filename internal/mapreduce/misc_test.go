@@ -126,7 +126,7 @@ func TestCountersGetMissing(t *testing.T) {
 // in emission order, and the drain's merge fan-in.
 func drainBytes(t *testing.T, budget int64, vals []any) ([]int64, int) {
 	t.Helper()
-	sink := newShuffleSink(DefaultPartitioner, 1, nil, budget, t.TempDir(), nil)
+	sink := newShuffleSink(nil, 1, nil, budget, t.TempDir(), nil)
 	defer sink.close()
 	for i, v := range vals {
 		sink.add(U32Key(uint32(i)), v)

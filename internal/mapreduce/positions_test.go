@@ -49,8 +49,8 @@ func TestSharedPositions(t *testing.T) {
 		want[w] = int64(i%3 + 1)
 	}
 	cfg := Config{Name: "skewed", Cluster: tinyCluster(), MapTasks: 4, ReduceTasks: 8,
-		Partitioner: func(key string, reducers int) int {
-			i, _ := strconv.Atoi(key[1:])
+		Partitioner: func(key uint64, reducers int) int {
+			i, _ := strconv.Atoi(unpad(key)[1:])
 			return bits.Len(uint(i)) % reducers
 		}}
 	for _, par := range []int{1, 4} {

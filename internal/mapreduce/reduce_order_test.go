@@ -14,11 +14,11 @@ import (
 )
 
 // hardKeys are the keys the abbreviated-key index sort could get wrong:
-// empty, differing only by trailing zero bytes, on either side of the
-// eight-byte prefix, and long with a shared prefix.
+// empty, differing only by trailing zero bytes, of mixed lengths up to
+// the eight bytes a key may have, and sharing all but their last byte.
 var hardKeys = []string{
-	"", "\x00", "ab", "ab\x00", "abcd", "abcdefg", "abcdefg\x00", "abcdefgh", "abcdefgh\x00",
-	"abcdefghi", "abcdefghj", "shared-prefix-a", "shared-prefix-b", "shared-prefix-", "\xff\xff",
+	"", "\x00", "ab", "ab\x00", "abcd", "abcdef", "abcdef\x00", "abcdefg", "abcdefg\x00",
+	"abcdefgh", "abcdefgi", "shared-a", "shared-b", "shared-", "\xff\xff",
 }
 
 // hardKeyMapper emits, for input record i, three records whose keys walk
@@ -64,7 +64,7 @@ func (concatReducer) FinishFold(ctx *Context, key string, acc any) { ctx.Emit(ke
 // hardKeyOracle groups the same emissions the way the engine did before
 // the index sort: a map per reduce partition, keys sorted with
 // sort.Strings. combine folds each map task's values per key first.
-func hardKeyOracle(cl *Cluster, n, mapTasks, reduceTasks int, combine bool) (out []KV, recs, bytes []int64, spill []time.Duration) {
+func hardKeyOracle(cl *Cluster, n, mapTasks, reduceTasks int, combine bool) (out []KV, recs, bytes []int64, groupSpill []time.Duration) {
 	input := make([]KV, n)
 	groups := make([]map[string][]string, reduceTasks)
 	gBytes := make([]map[string]int64, reduceTasks)
@@ -72,7 +72,7 @@ func hardKeyOracle(cl *Cluster, n, mapTasks, reduceTasks int, combine bool) (out
 		groups[r], gBytes[r] = map[string][]string{}, map[string]int64{}
 	}
 	recs, bytes = make([]int64, reduceTasks), make([]int64, reduceTasks)
-	spill = make([]time.Duration, reduceTasks)
+	groupSpill = make([]time.Duration, reduceTasks)
 	off := 0
 	for _, split := range splitInput(input, mapTasks) {
 		var order []string
@@ -91,7 +91,7 @@ func hardKeyOracle(cl *Cluster, n, mapTasks, reduceTasks int, combine bool) (out
 			if combine {
 				vs = []string{strings.Join(vs, ",")}
 			}
-			r := DefaultPartitioner(k, reduceTasks)
+			r := DefaultPartitioner(spill.MakeKeyIndex(k, 0), reduceTasks)
 			for _, v := range vs {
 				b := int64(len(k) + len(v) + 8)
 				groups[r][k] = append(groups[r][k], v)
@@ -109,10 +109,10 @@ func hardKeyOracle(cl *Cluster, n, mapTasks, reduceTasks int, combine bool) (out
 		sort.Strings(keys)
 		for _, k := range keys {
 			out = append(out, KV{Key: k, Value: strings.Join(groups[r][k], ",")})
-			spill[r] += cl.groupSpillTime(gBytes[r][k])
+			groupSpill[r] += cl.groupSpillTime(gBytes[r][k])
 		}
 	}
-	return out, recs, bytes, spill
+	return out, recs, bytes, groupSpill
 }
 
 // TestReduceInputMatchesMapGrouping holds the index-sorted reduce input to
@@ -167,12 +167,12 @@ func TestReduceInputMatchesMapGrouping(t *testing.T) {
 	}
 }
 
-// TestSkipReducePoisonGroupLongKeys: with a group quarantined out of the
-// middle of a partition, the surviving keys no longer line up with the
-// fetched input's group positions; keys that only differ past their
-// eighth byte make the lookup depend on the full strings.
-func TestSkipReducePoisonGroupLongKeys(t *testing.T) {
-	keys := []string{"record-key-0001", "record-key-0002", "record-key-0003", "record-key-0004", "record-key-0005"}
+// TestSkipReducePoisonGroupSharedPrefixKeys: with a group quarantined out
+// of the middle of a partition, the surviving keys no longer line up with
+// the fetched input's group positions; 8-byte keys that differ only in
+// their last byte make the lookup depend on every byte of the key.
+func TestSkipReducePoisonGroupSharedPrefixKeys(t *testing.T) {
+	keys := []string{"reckey01", "reckey02", "reckey03", "reckey04", "reckey05"}
 	input := wcInput(strings.Join(keys, " "), strings.Join(keys[1:4], " "), keys[2])
 	poison := keys[2]
 	for _, reducer := range []Reducer{poisonKeyReducer{key: poison}, poisonFoldReducer{key: poison}} {

@@ -22,18 +22,16 @@ import (
 // folding buffer that spilled hands over one folded record per key, in key
 // order — which the reduce phase's group-and-sort puts in key order.
 type shuffleSink struct {
-	// part is the job's Partitioner; nil routes by DefaultPartitioner, which
-	// a record whose key is at most eight bytes needs no key string for.
-	part     func(key string, reducers int) int
+	// part is the job's Partitioner; nil routes by DefaultPartitioner.
+	part     func(key uint64, reducers int) int
 	reducers int
 	// sizer sizes buf's values: as they are added, and in the concurrent
 	// fetches of its partitions.
 	sizer spill.Sizer
 	buf   spill.Buffer
-	keys  spill.KeyArena // key strings addFrom and addTyped hand a partitioner
 }
 
-func newShuffleSink(part func(string, int) int, reducers int, folder Folder, budget int64, dir string, cancel func() error) *shuffleSink {
+func newShuffleSink(part func(uint64, int) int, reducers int, folder Folder, budget int64, dir string, cancel func() error) *shuffleSink {
 	s := &shuffleSink{part: part, reducers: reducers}
 	sc := spill.Config{
 		Parts:  reducers,
@@ -50,66 +48,44 @@ func newShuffleSink(part func(string, int) int, reducers int, folder Folder, bud
 	return s
 }
 
-// add routes one emission to its reduce partition, folding into an existing
-// accumulator slot when a combiner is active. A spill failure (disk full,
-// unwritable dir) panics like any task fault, so the attempt fails and the
-// engine's retry machinery takes over.
+// add routes one emission, of a key Emit has checked, to its reduce
+// partition, folding into an existing accumulator slot when a combiner is
+// active. A spill failure (disk full, unwritable dir) panics like any task
+// fault, so the attempt fails and the engine's retry machinery takes over.
 func (s *shuffleSink) add(key string, value any) {
-	if err := s.buf.Add(s.route(key), key, value); err != nil {
+	if err := s.buf.Add(s.route(spill.MakeKeyIndex(key, 0)), key, value); err != nil {
 		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
 	}
 }
 
-// addFrom is add of src's record i (spill.Buffer.AddFrom). Under the
-// default partitioner a key of at most eight bytes is routed by the
-// integer it is held in; any other key is handed over as a string.
+// addFrom is add of src's record i (spill.Buffer.AddFrom), routed by the
+// integer its key is held in.
 func (s *shuffleSink) addFrom(src *spill.Records, i int) {
-	var r int
-	if k := src.Abbrev(i); s.part == nil && k.Len <= 8 {
-		r = prefixPartition(k, s.reducers)
-	} else {
-		r = s.route(src.Key(i, &s.keys))
-	}
-	if err := s.buf.AddFrom(r, src, i); err != nil {
+	if err := s.buf.AddFrom(s.route(src.Abbrev(i)), src, i); err != nil {
 		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
 	}
 }
 
-// addTyped is add of a record whose key k holds whole and whose value is a
-// T, through spill.AddTyped, routed as addFrom routes: by k's integer under
-// the default partitioner, and otherwise by the key cut out of the sink's
-// arena. A record AddTyped refuses is added boxed, to the partition it was
-// routed to; a T no column holds goes to add before anything else.
+// addTyped is add of a record whose key k holds and whose value is a T,
+// through spill.AddTyped. A record AddTyped refuses is added boxed, to the
+// partition it was routed to.
 func addTyped[T any](s *shuffleSink, k spill.KeyIndex, v T, overhead int64) {
-	var r int
-	key := ""
-	switch {
-	case s.part == nil:
-		r = prefixPartition(k, s.reducers)
-	case spill.Columnar[T]():
-		key = s.keys.Short(k)
-		r = s.route(key)
-	default:
-		s.add(spill.ShortKey(k), v)
-		return
-	}
+	r := s.route(k)
 	ok, err := spill.AddTyped(&s.buf, r, k, v, overhead)
 	if err == nil && !ok {
-		if key == "" {
-			key = spill.ShortKey(k)
-		}
-		err = s.buf.Add(r, key, v)
+		err = s.buf.Add(r, spill.ShortKey(k), v)
 	}
 	if err != nil {
 		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
 	}
 }
 
-func (s *shuffleSink) route(key string) int {
+// route returns the reduce partition of the key k holds.
+func (s *shuffleSink) route(k spill.KeyIndex) int {
 	if s.part == nil {
-		return DefaultPartitioner(key, s.reducers)
+		return DefaultPartitioner(k, s.reducers)
 	}
-	r := s.part(key, s.reducers)
+	r := s.part(k.Prefix, s.reducers)
 	if r < 0 || r >= s.reducers {
 		panic(&enginePanic{err: fmt.Errorf("partitioner returned %d for %d reducers", r, s.reducers)})
 	}

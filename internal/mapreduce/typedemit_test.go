@@ -32,10 +32,10 @@ func TestTypedEmitMatchesEmit(t *testing.T) {
 	for i := range input {
 		input[i] = KV{Key: U32Key(uint32(i)), Value: int64(i)}
 	}
-	custom := func(key string, reducers int) int { return int(key[len(key)-1]) % reducers }
+	custom := func(key uint64, reducers int) int { return int((key>>32 ^ key) % uint64(reducers)) }
 	for _, combiner := range []Folder{nil, groupSum{}, foldSum{}} {
 		for _, budget := range []int64{-1, 512} {
-			for _, part := range []func(string, int) int{nil, custom} {
+			for _, part := range []func(uint64, int) int{nil, custom} {
 				name := fmt.Sprintf("combiner %T, budget %d, custom partitioner %v", combiner, budget, part != nil)
 				run := func(typed bool) *Result {
 					cfg := Config{Cluster: tinyCluster(), MapTasks: 3, ReduceTasks: 5, Combiner: combiner,

@@ -187,14 +187,20 @@ func segBounds(l, m int) []int {
 	return bounds
 }
 
-// sigKey encodes a signature key: partner length ℓ, segment index, token
-// hash. The match-all signature uses segment index 0xFFFF and hash 0.
+// sigKey encodes a signature key, 8 bytes: the FNV-1a hash of partner
+// length ℓ, segment index and token hash. The match-all signature uses
+// segment index 0xFFFF and hash 0.
 func sigKey(l int, seg uint16, h uint64) string {
 	var b [14]byte
 	binary.BigEndian.PutUint32(b[0:], uint32(l))
 	binary.BigEndian.PutUint16(b[4:], seg)
 	binary.BigEndian.PutUint64(b[6:], h)
-	return string(b[:])
+	x := uint64(14695981039346656037) // FNV-1a, 64-bit
+	for _, c := range b {
+		x = (x ^ uint64(c)) * 1099511628211
+	}
+	binary.BigEndian.PutUint64(b[:], x)
+	return string(b[:8])
 }
 
 const allSeg = uint16(0xFFFF)

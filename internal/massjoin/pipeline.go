@@ -84,7 +84,7 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 			sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
 			for _, t := range partners {
 				ctx.Inc("massjoin.records.shipped", 1)
-				ctx.Emit(mapreduce.U32Key(uint32(t)), rec)
+				mapreduce.EmitU32(ctx, uint32(t), rec)
 			}
 		}))
 	if err != nil {

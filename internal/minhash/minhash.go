@@ -211,7 +211,9 @@ func (f *family) signature(ts []tokens.ID) []uint64 {
 	return sig
 }
 
-// bandKey hashes one band's rows into a bucket key.
+// bandKey hashes one band's index and rows into an 8-byte bucket key: the
+// FNV-1a hash of them all, so two bands' buckets differ as two buckets of
+// one band do.
 func bandKey(band int, rows []uint64) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -221,10 +223,8 @@ func bandKey(band int, rows []uint64) string {
 		binary.BigEndian.PutUint64(buf[:], r)
 		_, _ = h.Write(buf[:])
 	}
-	var out [10]byte
-	binary.BigEndian.PutUint16(out[:2], uint16(band))
-	binary.BigEndian.PutUint64(out[2:], h.Sum64())
-	return string(out[:])
+	binary.BigEndian.PutUint64(buf[:], h.Sum64())
+	return string(buf[:])
 }
 
 // bucketJoiner enumerates pairs within one band bucket, length-filtered.

@@ -398,7 +398,7 @@ func TestOrderingShuffleIsPostCombine(t *testing.T) {
 				if !distinct[tok] {
 					distinct[tok] = true
 					records++
-					perReduce[mapreduce.DefaultPartitioner(mapreduce.U32Key(tok), m.ReduceTasks)] += 20
+					perReduce[mapreduce.DefaultPartitioner(spill.MakeKeyIndex(mapreduce.U32Key(tok), 0), m.ReduceTasks)] += 20
 				}
 			}
 		}

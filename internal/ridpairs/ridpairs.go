@@ -126,7 +126,7 @@ func (m *prefixMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 	plen := m.fn.ProbePrefixLen(m.theta, pv.Rec.Len())
 	ctx.Inc("ridpairs.duplicates", int64(plen))
 	for _, t := range pv.Rec.Tokens[:plen] {
-		ctx.Emit(mapreduce.U32Key(t), pv)
+		mapreduce.EmitU32(ctx, t, pv)
 	}
 }
 

@@ -132,10 +132,14 @@ func (b *Buffer) Init(cfg Config) {
 }
 
 // Add routes one record into partition part, folding into an existing
-// accumulator when configured, and spills if the budget is exceeded.
+// accumulator when configured, and spills if the budget is exceeded. A key
+// longer than MaxKeyLen is refused with ErrLongKey, the buffer unchanged.
 func (b *Buffer) Add(part int, key string, v any) error {
+	if err := CheckKey(key); err != nil {
+		return err
+	}
 	k := MakeKeyIndex(key, 0)
-	r, i, err := b.find(part, k, key)
+	r, i, err := b.find(part, k)
 	if err != nil {
 		return err
 	}
@@ -144,43 +148,37 @@ func (b *Buffer) Add(part int, key string, v any) error {
 		return b.checkBudget()
 	}
 	bytes := b.cfg.Size(key, v)
-	r.append(k, key, v, bytes)
+	r.append(k, v, bytes)
 	b.mem += bytes
 	return b.checkBudget()
 }
 
 // AddFrom is Add of src's record i under the size src holds for it: column
-// to column, without a box when both hold one type, and a key of at most
-// eight bytes as the integers it is held in. src is only read.
+// to column, without a box when both hold one type, and the key as the
+// integers it is held in. src is only read.
 func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 	h := *src.heads.At(i)
-	k, key := h.key(), ""
-	if k.Len == 9 {
-		key = *src.long.At(i)
-	}
-	r, j, err := b.find(part, k, key)
+	k := h.key()
+	r, j, err := b.find(part, k)
 	if err != nil {
 		return err
 	}
 	if j >= 0 {
 		if !r.vals.foldFrom(j, src.vals, i, &b.fold) {
-			if k.Len < 9 {
-				key = ShortKey(k) // Size takes the key
-			}
-			b.mem += r.foldAt(j, key, src.vals.at(i), &b.fold, b.cfg.Size)
+			// Size takes the key as a string.
+			b.mem += r.foldAt(j, ShortKey(k), src.vals.at(i), &b.fold, b.cfg.Size)
 		}
 		return b.checkBudget()
 	}
-	r.appendFrom(k, key, src.vals, i, h.bytes())
+	r.appendFrom(k, src.vals, i, h.bytes())
 	b.mem += h.bytes()
 	return b.checkBudget()
 }
 
-// AddTyped is Add of a record whose key k abbreviates — a key of at most
-// eight bytes, which k holds whole — and whose value v is held unboxed and
-// accounted at overhead plus its Codec.Size, as AppendTyped appends one:
-// folded in place into the key's accumulator, or appended to the
-// partition's column, then the budget checked. It adds nothing and
+// AddTyped is Add of a record whose key k holds and whose value v is held
+// unboxed and accounted at overhead plus its Codec.Size, as AppendTyped
+// appends one: folded in place into the key's accumulator, or appended to
+// the partition's column, then the budget checked. It adds nothing and
 // reports false when the partition's column cannot take v unboxed
 // (AppendTyped), or when the buffer folds and its fold has no unboxed form
 // for the column; the caller then Adds the record.
@@ -188,11 +186,11 @@ func AddTyped[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool
 	if part < 0 || part >= len(b.parts) {
 		return false, nil // Add reports it
 	}
-	c := typedColumn[T](&b.parts[part], k)
+	c := typedColumn[T](&b.parts[part])
 	if c == nil || b.slots != nil && !c.foldsUnboxed(&b.fold) {
 		return false, nil
 	}
-	r, i, err := b.find(part, k, "")
+	r, i, err := b.find(part, k)
 	if err != nil {
 		return true, err
 	}
@@ -215,9 +213,10 @@ func (b *Buffer) ExpectKeys(n int) {
 	}
 }
 
-// find returns partition part and, when the buffer folds, where key's
-// accumulator is in it; -1 books the key for the record appended next.
-func (b *Buffer) find(part int, k KeyIndex, key string) (*Records, int, error) {
+// find returns partition part and, when the buffer folds, where the
+// accumulator of the key k holds is in it; -1 books the key for the record
+// appended next.
+func (b *Buffer) find(part int, k KeyIndex) (*Records, int, error) {
 	if part < 0 || part >= len(b.parts) {
 		return nil, 0, fmt.Errorf("spill: partition %d out of range [0,%d)", part, len(b.parts))
 	}
@@ -225,7 +224,7 @@ func (b *Buffer) find(part int, k KeyIndex, key string) (*Records, int, error) {
 	if b.slots == nil {
 		return r, -1, nil
 	}
-	i, err := b.slots[part].findOrAdd(r, k, key, r.Len())
+	i, err := b.slots[part].findOrAdd(r, k, r.Len())
 	return r, i, err
 }
 
@@ -323,6 +322,8 @@ func (b *Buffer) write(w *bufio.Writer) (int64, error) {
 // tail when it holds any of it. It replays what Fetch hands over, so with
 // a Fold configured a partition carries at most one record per key
 // whether it spilled or not. Concurrent Drains of distinct partitions are safe.
+// Outside the tests, the benchmark's spill.Buffer layer (bench/layers.go,
+// spillBuffer) times Add then Drain.
 func (b *Buffer) Drain(part int, emit func(key string, v any, bytes int64)) (int, error) {
 	var fetched Records
 	src, ways, err := b.Fetch(part, &fetched, new(Fetcher))

@@ -30,7 +30,7 @@ func TestDrainCancellation(t *testing.T) {
 			b := NewBuffer(cfg)
 			defer b.Close()
 			for i := 0; i < 3*cancelStride; i++ {
-				if err := b.Add(0, fmt.Sprintf("key-%06d", i), int64(i)); err != nil {
+				if err := b.Add(0, fmt.Sprintf("k%06d", i), int64(i)); err != nil {
 					t.Fatal(err)
 				}
 			}

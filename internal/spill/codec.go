@@ -87,13 +87,6 @@ func Register[T any](tag byte, c Codec[T]) {
 	kindsByTag[tag], kindsByType[t] = k, k
 }
 
-// Columnar reports whether values of T are held unboxed, in a column of
-// their own (Register): whether T is registered and pointer-free.
-func Columnar[T any]() bool {
-	k := kindsByType[reflect.TypeFor[T]()]
-	return k != nil && k.column != nil
-}
-
 func pointerFree(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,

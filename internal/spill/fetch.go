@@ -89,7 +89,7 @@ func (b *Buffer) foldOnto(dst *Records, f *Fetcher) error {
 			return err
 		}
 		i := int(ix.Pos)
-		if g == 0 || CompareKeys(idx[g-1], ix, scratch.longKey) != 0 {
+		if g == 0 || CompareKeys(idx[g-1], ix) != 0 {
 			at = dst.Len()
 			dst.appendAt(scratch, i)
 		} else if !dst.vals.foldFrom(at, scratch.vals, i, &b.fold) {
@@ -110,10 +110,9 @@ func (b *Buffer) poll(f *Fetcher) error {
 }
 
 // decode appends the records of segs, segments of the spill file, to out
-// in stored order, reading them through f's window: a key of at most eight
-// bytes as the head's prefix and length, a longer one as a string of its
-// own, a value of the type of out's typed column straight into it, and
-// each record at the accounted size its frame carries.
+// in stored order, reading them through f's window: a key as the head's
+// prefix and length, a value of the type of out's typed column straight
+// into it, and each record at the accounted size its frame carries.
 func (b *Buffer) decode(segs []segment, out *Records, f *Fetcher) error {
 	for _, s := range segs {
 		f.win.open(b.f, s)

@@ -47,11 +47,12 @@ func TestSpilledFetchMatchesMemory(t *testing.T) {
 		for kname, kind := range kinds {
 			for fname, f := range folds {
 				rng := rand.New(rand.NewSource(seed))
-				// A key pool of 0- to 20-byte keys over a small alphabet, so
-				// keys share prefixes and repeat.
+				// A key pool of 0- to 8-byte keys over a small alphabet, so
+				// keys share prefixes, differ in their last byte or only in
+				// length, and repeat.
 				pool := make([]string, 1+rng.Intn(60))
 				for i := range pool {
-					b := make([]byte, rng.Intn(21))
+					b := make([]byte, rng.Intn(MaxKeyLen+1))
 					for j := range b {
 						b[j] = "abc\x00"[rng.Intn(4)]
 					}

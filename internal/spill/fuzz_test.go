@@ -86,16 +86,20 @@ func FuzzBufferMerge(f *testing.F) {
 	f.Add([]byte("aa1bb2aa3cc4"), uint8(3), uint16(64))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 201}, uint8(1), uint16(32))
 	f.Add(bytes.Repeat([]byte("xyzw"), 64), uint8(2), uint16(48))
-	// Every value an int64, held in its column, short keys and long.
+	// Every value an int64, held in its column, keys of two lengths that
+	// share their leading bytes.
 	f.Add(bytes.Repeat([]byte{3, 10, 17, 24, 31}, 40), uint8(4), uint16(100))
 	f.Add(bytes.Repeat([]byte{3 | 0x80, 10, 17 | 0x80, 24, 31 | 0x80}, 40), uint8(4), uint16(100))
 	// A partition whose values change type after a spill or two.
 	f.Add(append(bytes.Repeat([]byte{3, 10, 17}, 60), 0, 1, 2, 0x80, 0x81, 3), uint8(2), uint16(80))
+	// "k00" beside "k00\x00": equal prefixes, lengths one apart.
+	f.Add([]byte{0, 0x80, 7, 0x87, 0x80, 0}, uint8(1), uint16(16))
 	f.Fuzz(func(t *testing.T, data []byte, nkeys uint8, budget uint16) {
 		keys := int(nkeys%16) + 1
 		// Decode the fuzz bytes into a KV stream: each byte contributes one
-		// record. Its high bit makes the key longer than eight bytes; the
-		// byte modulo seven picks the value's type, mostly int64.
+		// record. Its high bit appends a zero byte to the key, which then
+		// has the prefix of the key without it; the byte modulo seven picks
+		// the value's type, mostly int64.
 		type kv struct {
 			key string
 			val any
@@ -107,7 +111,7 @@ func FuzzBufferMerge(f *testing.F) {
 			}
 			r := kv{key: fmt.Sprintf("k%02d", int(c)%keys), val: int64(i)<<8 | int64(c)}
 			if c&0x80 != 0 {
-				r.key += "-and-a-tail"
+				r.key += "\x00"
 			}
 			switch c % 7 {
 			case 0:
@@ -236,21 +240,23 @@ func FuzzRunCodec(f *testing.F) {
 // first byte picks how — and holds SortIndex to the stable-sort oracle.
 func FuzzKeyOrder(f *testing.F) {
 	f.Add([]byte("\x03abcabcabdab\x00ab"))
-	f.Add([]byte("\x09abcdefghiabcdefghjabcdefgh\x00abcdefgh"))
+	f.Add([]byte("\x07abcdefgabcdefghabcdefhabcdefg\x00abcdefg"))
 	f.Add([]byte{1, 0, 0, 1, 0, 255, 255, 0})
 	f.Add([]byte{})
-	// Keys of 0 to 11 bytes, so long ones beside short ones in one column
-	// set; an odd first byte mixes the value types too.
-	f.Add([]byte("\x0bthe quick brown fox jumps over the lazy dog, the quick brown fox"))
-	f.Add([]byte("\x0athe quick brown fox jumps over the lazy dog, the quick brown fox"))
+	// Keys of 0 to 8 bytes in one column set; an odd first byte mixes the
+	// value types too.
+	f.Add([]byte("\x0fthe quick brown fox jumps over the lazy dog, the quick brown fox"))
+	f.Add([]byte("\x07the quick brown fox jumps over the lazy dog, the quick brown fox"))
+	// "a", "a\x00" and "a\x00\x00": equal prefixes of different lengths.
+	f.Add([]byte("\x02xa\x00a\x00xa\x00\x00a"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		mixed := data[0]%2 == 1
-		// Key lengths cycle 0..step, so every run has empty, short,
-		// 8-byte-boundary and long keys over the same byte pool.
-		step := int(data[0])%12 + 1
+		// Key lengths cycle 0..step, so every run has empty, short and
+		// 8-byte keys over the same byte pool.
+		step := int(data[0])%MaxKeyLen + 1
 		data = data[1:]
 		var keys []string
 		for n := 0; len(data) > 0; n++ {

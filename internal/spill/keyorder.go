@@ -1,28 +1,25 @@
 package spill
 
 import (
-	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 )
 
 // KeyIndex stands in for one record while records are put in key order:
-// the key's first eight bytes as a big-endian integer (zero-padded), its
-// length capped at nine, and the record's position in whatever holds it —
-// for a Group over several sources, which source, in the bytes the struct
-// would otherwise pad, and a position ascending across them all. Sixteen
-// pointer-free bytes, so sorting moves no record and the garbage
-// collector never scans the array.
+// the key as a big-endian integer, zero-padded to eight bytes, its length,
+// and the record's position in whatever holds it — for a Group over
+// several sources, which source, in the bytes the struct would otherwise
+// pad, and a position ascending across them all. Sixteen pointer-free
+// bytes, so sorting moves no record and the garbage collector never scans
+// the array.
 //
-// Zero-padding makes two keys of at most eight bytes with equal prefixes
-// differ only by trailing zero bytes, so the shorter sorts first; a key
-// longer than eight bytes extends any such key with the same prefix. Only
-// two keys that both exceed eight bytes and agree on them need their
-// strings compared.
+// A shuffle key is at most MaxKeyLen bytes, so a KeyIndex holds the whole
+// of it. Zero-padding makes two keys with equal prefixes differ only by
+// trailing zero bytes, so the shorter sorts first: (Prefix, Len) orders
+// keys as strings.Compare does.
 type KeyIndex struct {
 	Prefix uint64
 	Len    uint8
@@ -30,38 +27,44 @@ type KeyIndex struct {
 	Pos    int32
 }
 
-// MakeKeyIndex abbreviates key for the record at position pos.
-func MakeKeyIndex(key string, pos int) KeyIndex { return makeKeyIndex(key, pos) }
+// MaxKeyLen is the longest key the shuffle holds: what a KeyIndex's prefix
+// holds whole.
+const MaxKeyLen = 8
 
-// makeKeyIndex is MakeKeyIndex of a key given as a string or as bytes.
-func makeKeyIndex[K string | []byte](key K, pos int) KeyIndex {
+// ErrLongKey is the error of a key longer than MaxKeyLen, wherever it
+// meets the shuffle: added to a Buffer, read from a spill file, emitted or
+// replayed from a checkpoint (package mapreduce).
+var ErrLongKey = errors.New("a shuffle key is at most 8 bytes")
+
+// CheckKey returns nil for a key of at most MaxKeyLen bytes, and otherwise
+// an ErrLongKey that names its length.
+func CheckKey[K string | []byte](key K) error {
+	if len(key) > MaxKeyLen {
+		return fmt.Errorf("spill: a %d-byte key, %w", len(key), ErrLongKey)
+	}
+	return nil
+}
+
+// MakeKeyIndex abbreviates key, of at most MaxKeyLen bytes, for the record
+// at position pos. It panics on a longer key: callers check with CheckKey.
+func MakeKeyIndex[K string | []byte](key K, pos int) KeyIndex {
+	if err := CheckKey(key); err != nil {
+		panic(err)
+	}
 	var prefix [8]byte
 	copy(prefix[:], key)
-	return KeyIndex{Prefix: binary.BigEndian.Uint64(prefix[:]), Len: uint8(min(len(key), 9)), Pos: int32(pos)}
+	return KeyIndex{Prefix: binary.BigEndian.Uint64(prefix[:]), Len: uint8(len(key)), Pos: int32(pos)}
 }
 
 // CompareKeys orders two abbreviated keys exactly as strings.Compare orders
-// the keys they stand for. key returns the full key of the record an
-// index entry stands for and is called only when both keys exceed eight
-// bytes and share them.
-func CompareKeys(a, b KeyIndex, key func(KeyIndex) string) int {
-	// Nearly every comparison ends here, so this much must inline.
-	if a.Prefix != b.Prefix {
-		if a.Prefix < b.Prefix {
-			return -1
-		}
+// the keys they stand for.
+func CompareKeys(a, b KeyIndex) int {
+	// Called once per record a group sweep passes: it must inline.
+	switch {
+	case a.Prefix < b.Prefix || a.Prefix == b.Prefix && a.Len < b.Len:
+		return -1
+	case a.Prefix != b.Prefix || a.Len != b.Len:
 		return 1
-	}
-	return compareTails(a, b, key)
-}
-
-// compareTails orders two keys whose first eight bytes agree.
-func compareTails(a, b KeyIndex, key func(KeyIndex) string) int {
-	if a.Len != b.Len {
-		return cmp.Compare(a.Len, b.Len)
-	}
-	if a.Len == 9 {
-		return strings.Compare(key(a)[8:], key(b)[8:])
 	}
 	return 0
 }
@@ -100,76 +103,55 @@ func Groupable(n int) error {
 // idx must arrive in strictly ascending position order, which is how every
 // caller builds it (one append per record, in record order); SortIndex
 // panics otherwise, a wrapped position included. That contract is what
-// lets the sort be a stable least-significant-digit radix sort over the
-// prefix bytes: one scatter pass per byte position at which the prefixes
-// differ at all — three for the dense token ids of a 250 000-token domain,
-// none for the bytes every key shares — after which equal prefixes are
-// still in position order. Only a run of equal prefixes that holds a key
-// longer than eight bytes, or keys of different lengths, is then put in
-// order by comparison, full keys included.
-func SortIndex(idx []KeyIndex, key func(KeyIndex) string) {
+// lets the sort be a stable least-significant-digit radix sort: a counting
+// pass on Len when key lengths differ, then one scatter pass per byte
+// position at which the prefixes differ at all — three for the dense token
+// ids of a 250 000-token domain, none for the bytes every key shares.
+func SortIndex(idx []KeyIndex) {
 	if len(idx) < 2 {
 		return
 	}
-	// Which bytes vary, whether any run can need its tails compared, and
-	// the position contract, in one scan.
+	// Which bytes vary, whether lengths do, and the position contract, in
+	// one scan.
 	first := idx[0]
 	var diff uint64
-	tails := first.Len == 9
+	lens := false
 	for i := 1; i < len(idx); i++ {
 		e := &idx[i]
 		if e.Pos <= idx[i-1].Pos {
 			panic(fmt.Sprintf("spill: SortIndex: position %d follows %d, index not in ascending position order", e.Pos, idx[i-1].Pos))
 		}
 		diff |= e.Prefix ^ first.Prefix
-		tails = tails || e.Len != first.Len
+		lens = lens || e.Len != first.Len
 	}
-	if diff != 0 {
-		radixByPrefix(idx, diff)
-	}
-	if !tails {
-		return
-	}
-	for lo := 0; lo < len(idx); {
-		hi, mixed := lo+1, idx[lo].Len == 9
-		for ; hi < len(idx) && idx[hi].Prefix == idx[lo].Prefix; hi++ {
-			mixed = mixed || idx[hi].Len != idx[lo].Len
-		}
-		if mixed && hi-lo > 1 {
-			slices.SortFunc(idx[lo:hi], func(a, b KeyIndex) int {
-				if c := compareTails(a, b, key); c != 0 {
-					return c
-				}
-				return int(a.Pos) - int(b.Pos)
-			})
-		}
-		lo = hi
+	if diff != 0 || lens {
+		radixSort(idx, diff, lens)
 	}
 }
 
-// radixByPrefix stably sorts idx by Prefix, least significant byte first,
-// visiting only the byte positions set in diff. A pass is a 256-counter
-// histogram of its byte (a digit of need, not a 64 K-entry table that would
-// cost a small index more to clear than to sort), its prefix sums, and one
-// scatter into the other of two arrays.
-func radixByPrefix(idx []KeyIndex, diff uint64) {
+// radixSort stably sorts idx by (Prefix, Len), least significant digit
+// first: Len when lens is set, then Prefix's bytes, visiting only the byte
+// positions set in diff. A pass is a 256-counter histogram of its digit
+// (not a 64 K-entry table that would cost a small index more to clear than
+// to sort), its prefix sums, and one scatter into the other of two arrays.
+func radixSort(idx []KeyIndex, diff uint64, lens bool) {
 	scratch := indexPool.get(len(idx))
 	defer indexPool.put(scratch)
 	src, dst := idx, (*scratch)[:len(idx)]
-	for s := uint(0); s < 64; s += 8 {
-		if diff>>s&0xff == 0 {
+	for s := -8; s < 64; s += 8 {
+		if s < 0 && !lens || s >= 0 && diff>>s&0xff == 0 {
 			continue
 		}
 		var next [256]int32
 		for i := range src {
-			next[byte(src[i].Prefix>>s)]++
+			next[digit(&src[i], s)]++
 		}
 		sum := int32(0)
 		for d, n := range next {
 			next[d], sum = sum, sum+n
 		}
 		for i := range src {
-			d := byte(src[i].Prefix >> s)
+			d := digit(&src[i], s)
 			dst[next[d]] = src[i]
 			next[d]++
 		}
@@ -178,6 +160,15 @@ func radixByPrefix(idx []KeyIndex, diff uint64) {
 	if &src[0] != &idx[0] {
 		copy(idx, src)
 	}
+}
+
+// digit is e's radix digit at shift s: its prefix's byte there, and below
+// the prefix its length.
+func digit(e *KeyIndex, s int) byte {
+	if s < 0 {
+		return e.Len
+	}
+	return byte(e.Prefix >> s)
 }
 
 // slicePool holds slices of T between uses, each as a pointer to its

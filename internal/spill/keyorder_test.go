@@ -23,8 +23,7 @@ func checkKeyOrder(t *testing.T, keys []string) {
 		idx[i] = MakeKeyIndex(k, i)
 		want[i] = int32(i)
 	}
-	key := func(k KeyIndex) string { return keys[k.Pos] }
-	SortIndex(idx, key)
+	SortIndex(idx)
 	sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
 	for i := range idx {
 		if idx[i].Pos != want[i] {
@@ -32,7 +31,7 @@ func checkKeyOrder(t *testing.T, keys []string) {
 				i, idx[i].Pos, keys[idx[i].Pos], want[i], keys[want[i]])
 		}
 		if i > 0 {
-			got := CompareKeys(idx[i-1], idx[i], key)
+			got := CompareKeys(idx[i-1], idx[i])
 			if ref := strings.Compare(keys[idx[i-1].Pos], keys[idx[i].Pos]); got != ref {
 				t.Fatalf("CompareKeys(%q, %q) = %d, strings.Compare = %d",
 					keys[idx[i-1].Pos], keys[idx[i].Pos], got, ref)
@@ -41,8 +40,8 @@ func checkKeyOrder(t *testing.T, keys []string) {
 	}
 }
 
-// checkGroupOrder holds Group — keys stored inline or in the side
-// list, values in a typed column or, when mixed, boxed — to the same oracle:
+// checkGroupOrder holds Group — values in a typed column or, when mixed,
+// boxed — to the same oracle:
 // distinct keys in key order, each with its values in record order.
 func checkGroupOrder(t *testing.T, keys []string, mixed bool) {
 	t.Helper()
@@ -84,15 +83,15 @@ func groupKeys(g *Groups) []string {
 // sortIndexCases are small key sets around every boundary of the
 // abbreviated comparison.
 func sortIndexCases() map[string][]string {
-	long := "sameprefix-and-then-some"
+	long := "samepre" // shared by keys of up to MaxKeyLen bytes
 	return map[string][]string{
 		"empty and zero bytes": {"", "\x00", "", "\x00\x00", "a", ""},
 		"trailing zero":        {"ab\x00", "ab", "ab\x00\x00", "ab", "ab\x00"},
 		"lengths two apart":    {"\x00\x00", "", "ab\x00\x00", "ab"},
-		"4 8 9 bytes":          {"abcdefghi", "abcd", "abcdefgh", "abcdefghj", "abcdefg", "abcdefgh\x00", "abcdefgh"},
-		"eight with zeros":     {"abcdefg\x00", "abcdefg", "abcdefg\x00\x00", "abcdefg\x00"},
-		"long shared prefix":   {long + "b", long, long + "a", long + "b", long[:8], long[:9], long + "\x00"},
-		"high bytes":           {"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff", "\x80abc", "\x7fabc", "\xff\xff\xff\xff\xff\xff\xff\xff\x00"},
+		"4 7 8 bytes":          {"abcdefgh", "abcd", "abcdefg", "abcdefgi", "abcdef", "abcdefg\x00", "abcdefg"},
+		"eight with zeros":     {"abcdefg\x00", "abcdefg", "abcdef\x00\x00", "abcdefg\x00", "abcdef\x00", "abcdef"},
+		"long shared prefix":   {long + "b", long, long + "a", long + "b", long[:5], long[:6], long + "\x00"},
+		"high bytes":           {"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff", "\x80abc", "\x7fabc", "\xff\xff\xff\xff\xff\xff\xff"},
 		"heavy duplicates":     strings.Split(strings.Repeat("k1,k0,k2,k1,k0,", 40), ","),
 		"already sorted":       {"a", "b", "c", "d"},
 		"reversed":             {"d", "c", "b", "a"},
@@ -152,10 +151,10 @@ func TestSortIndexRadixPasses(t *testing.T) {
 	t.Run("all equal", func(t *testing.T) {
 		checkKeyOrder(t, strings.Split(strings.Repeat("samekey!,", 10_000), ","))
 	})
-	t.Run("equal prefixes of length 8 and 9", func(t *testing.T) {
+	t.Run("equal prefixes of length 7 and 8", func(t *testing.T) {
 		keys := make([]string, 10_000)
 		for i := range keys {
-			keys[i] = fmt.Sprintf("prefix-%d", i%3)
+			keys[i] = fmt.Sprintf("prefx-%d", i%3)
 			if i%2 == 1 {
 				keys[i] += string(rune('a' + i%5))
 			}
@@ -177,7 +176,7 @@ func TestSortIndexRejectsDescendingPositions(t *testing.T) {
 			for i, k := range keys {
 				idx[i] = MakeKeyIndex(k, pos[i])
 			}
-			SortIndex(idx, func(k KeyIndex) string { return keys[k.Pos] })
+			SortIndex(idx)
 		})
 	}
 }
@@ -223,7 +222,7 @@ func BenchmarkSortIndex(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(idx, fresh)
-				SortIndex(idx, func(k KeyIndex) string { return keys[k.Pos] })
+				SortIndex(idx)
 			}
 		})
 	}

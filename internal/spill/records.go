@@ -9,20 +9,16 @@ import (
 
 // Records is a sequence of shuffle records held in columns rather than one
 // struct each: a partition of a Buffer, and what a reduce task fetches its
-// partitions into. A key of at most eight bytes is stored as the (prefix,
-// length) a KeyIndex abbreviates it to, which is all of it; the values are
-// one column, a []T when every value so far is of one pointer-free type
-// registered with Register and a []any otherwise. So a partition of short
-// keys and such values — rid pairs to overlap counts, token ids to
+// partitions into. A key — at most MaxKeyLen bytes — is stored as the
+// (prefix, length) a KeyIndex abbreviates it to, which is all of it; the
+// values are one column, a []T when every value so far is of one
+// pointer-free type registered with Register and a []any otherwise. So a
+// partition of such values — rid pairs to overlap counts, token ids to
 // frequencies — holds no pointer and costs the garbage collector nothing to
 // keep, and its chunks go back to a pool when the records are released
 // (Release) rather than to the garbage collector. The zero value is empty.
 type Records struct {
 	heads List[head]
-	// long holds the full key of every record once any key is longer than
-	// eight bytes: empty until then, indexed by position from then on, ""
-	// where the head says everything.
-	long  List[string]
 	vals  values // nil until the first record
 	bytes int64
 }
@@ -32,7 +28,7 @@ type head struct {
 	prefix uint64 // KeyIndex.Prefix
 	// meta packs the rest into one word, so that a head is sixteen bytes:
 	// the accounted size above bit 4, and in the low four bits
-	// KeyIndex.Len, the key's length capped at nine.
+	// KeyIndex.Len, the key's length.
 	meta uint64
 }
 
@@ -50,21 +46,21 @@ func (r *Records) Len() int { return r.heads.Len() }
 // Bytes returns the records' accounted bytes.
 func (r *Records) Bytes() int64 { return r.bytes }
 
-// Append stores one record of the given accounted size.
+// Append stores one record of the given accounted size. It panics on a key
+// longer than MaxKeyLen (MakeKeyIndex).
 func (r *Records) Append(key string, v any, bytes int64) {
-	r.append(MakeKeyIndex(key, 0), key, v, bytes)
+	r.append(MakeKeyIndex(key, 0), v, bytes)
 }
 
-// AppendTyped is Append of a record whose key k abbreviates — a key of at
-// most eight bytes, which k holds whole — and whose value v is stored
-// unboxed, accounted at overhead plus its Codec.Size. It does so only when
-// the column already holds values of v's registered, pointer-free type and
-// no key so far was longer than eight bytes, and reports whether it did;
+// AppendTyped is Append of a record whose key k holds and whose value v is
+// stored unboxed, accounted at overhead plus its Codec.Size. It does so
+// only when the column already holds values of v's registered,
+// pointer-free type, and reports whether it did;
 // otherwise it stores nothing and the caller appends the record boxed,
 // which is how a partition's first value picks its column and how a column
 // changes kind.
 func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
-	c := typedColumn[T](r, k)
+	c := typedColumn[T](r)
 	if c == nil {
 		return false
 	}
@@ -73,18 +69,16 @@ func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
 }
 
 // typedColumn returns r's column if it holds values of T's registered,
-// pointer-free type and a record keyed k can join it without a box or a
-// key string; nil if not.
-func typedColumn[T any](r *Records, k KeyIndex) *column[T] {
+// pointer-free type, so that a T can join it without a box; nil if not.
+func typedColumn[T any](r *Records) *column[T] {
 	c, ok := r.vals.(*column[T])
-	if !ok || c.codec == nil || k.Len > 8 || r.long.Len() > 0 {
+	if !ok || c.codec == nil {
 		return nil
 	}
 	return c
 }
 
-// appendTyped appends a record of short key k and value v, c being r's
-// column.
+// appendTyped appends a record of key k and value v, c being r's column.
 func appendTyped[T any](r *Records, c *column[T], k KeyIndex, v T, bytes int64) {
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
@@ -92,16 +86,15 @@ func appendTyped[T any](r *Records, c *column[T], k KeyIndex, v T, bytes int64) 
 }
 
 // EachTyped calls fn with every record's key, abbreviated, and value in
-// order, when the values sit unboxed in a column of T's registered type
-// and no key is longer than eight bytes, so that k holds each key whole;
+// order, when the values sit unboxed in a column of T's registered type;
 // it reports false, having called nothing, otherwise. Records with no
 // record are read as either.
 func EachTyped[T any](r *Records, fn func(k KeyIndex, v T)) bool {
 	if r.Len() == 0 {
 		return true
 	}
-	c, ok := r.vals.(*column[T])
-	if !ok || c.codec == nil || r.long.Len() > 0 {
+	c := typedColumn[T](r)
+	if c == nil {
 		return false
 	}
 	for i := 0; i < r.Len(); i++ {
@@ -119,14 +112,7 @@ func (r *Records) Column() string {
 	return fmt.Sprintf("%T", r.vals)
 }
 
-func (r *Records) append(k KeyIndex, key string, v any, bytes int64) {
-	if k.Len == 9 || r.long.Len() > 0 {
-		r.padLong()
-		if k.Len < 9 {
-			key = ""
-		}
-		r.long.Append(key)
-	}
+func (r *Records) append(k KeyIndex, v any, bytes int64) {
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
 	if r.vals == nil {
@@ -139,50 +125,33 @@ func (r *Records) append(k KeyIndex, key string, v any, bytes int64) {
 }
 
 // appendFrom is append of src's value i, copied column to column when both
-// hold one type, into a column of src's kind; key is read only when k says
-// it is longer than eight bytes. It repeats append's head: a
+// hold one type, into a column of src's kind. It repeats append's head: a
 // shared one is a call more on Add's path, measurably slower.
-func (r *Records) appendFrom(k KeyIndex, key string, src values, i int, bytes int64) {
+func (r *Records) appendFrom(k KeyIndex, src values, i int, bytes int64) {
 	if r.vals == nil {
 		r.vals = src.empty()
 	}
 	if !r.vals.addFrom(src, i) {
-		r.append(k, key, src.at(i), bytes)
+		r.append(k, src.at(i), bytes)
 		return
-	}
-	if k.Len == 9 || r.long.Len() > 0 {
-		r.padLong()
-		if k.Len < 9 {
-			key = ""
-		}
-		r.long.Append(key)
 	}
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
 }
 
-// decode appends a record of key key, k abbreviated, whose value is what
-// d has left — tag and payload — and whose accounted size is bytes: a
-// value of the type of a typed column read straight into it, any other
-// value boxed and appended as append appends it. If d fails, nothing is
-// appended.
-func (r *Records) decode(k KeyIndex, key []byte, d *Dec, bytes int64) {
-	long := ""
-	if k.Len == 9 {
-		long = string(key)
-	}
+// decode appends a record of key k whose value is what d has left — tag
+// and payload — and whose accounted size is bytes: a value of the type of
+// a typed column read straight into it, any other value boxed and
+// appended as append appends it. If d fails, nothing is appended.
+func (r *Records) decode(k KeyIndex, d *Dec, bytes int64) {
 	if r.vals == nil || !r.vals.decode(d) {
 		if v := d.value(); d.err == nil {
-			r.append(k, long, v, bytes)
+			r.append(k, v, bytes)
 		}
 		return
 	}
 	if d.err != nil {
 		return
-	}
-	if k.Len == 9 || r.long.Len() > 0 {
-		r.padLong()
-		r.long.Append(long)
 	}
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
@@ -212,26 +181,11 @@ func (r *Records) foldAt(i int, key string, v any, f *folder, size func(key stri
 // appendAt appends src's record i, column to column where they agree.
 func (r *Records) appendAt(src *Records, i int) {
 	h := src.heads.At(i)
-	key := ""
-	if h.len() == 9 {
-		key = *src.long.At(i)
-	}
-	r.appendFrom(h.key(), key, src.vals, i, h.bytes())
+	r.appendFrom(h.key(), src.vals, i, h.bytes())
 }
 
-// padLong brings long up to one entry per record.
-func (r *Records) padLong() {
-	for r.long.Len() < r.heads.Len() {
-		r.long.Append("")
-	}
-}
-
-// longKey returns the key of the record k stands for, which must be longer
-// than eight bytes.
-func (r *Records) longKey(k KeyIndex) string { return *r.long.At(int(k.Pos)) }
-
-// KeyArena turns stored keys back into strings, carving the short ones out
-// of one allocation instead of making one each. The zero value is an arena
+// KeyArena turns stored keys back into strings, carving them out of one
+// allocation instead of making one each. The zero value is an arena
 // that grows as it is asked.
 type KeyArena struct {
 	b strings.Builder
@@ -241,7 +195,7 @@ type KeyArena struct {
 // NewKeyArena returns an arena for about n keys.
 func NewKeyArena(n int) *KeyArena { return &KeyArena{n: n} }
 
-// Short returns the key of at most eight bytes k holds, cut out of a.
+// Short returns the key k holds, cut out of a.
 func (a *KeyArena) Short(k KeyIndex) string {
 	if a.b.Cap() == 0 {
 		a.b.Grow(8 * a.n)
@@ -255,24 +209,17 @@ func (a *KeyArena) Short(k KeyIndex) string {
 	return a.b.String()[off:]
 }
 
-// ShortKey is the key of at most eight bytes k holds, a string of its own.
+// ShortKey is the key k holds, a string of its own.
 func ShortKey(k KeyIndex) string {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], k.Prefix)
 	return string(b[:k.Len])
 }
 
-// Key returns record i's key, a key of at most eight bytes cut out of a.
-func (r *Records) Key(i int, a *KeyArena) string {
-	h := r.heads.At(i)
-	if h.len() == 9 {
-		return *r.long.At(i)
-	}
-	return a.Short(h.key())
-}
+// Key returns record i's key, cut out of a.
+func (r *Records) Key(i int, a *KeyArena) string { return a.Short(r.heads.At(i).key()) }
 
-// Abbrev returns record i's key abbreviated, with position 0: for a key of
-// at most eight bytes, all of it.
+// Abbrev returns record i's key abbreviated, with position 0: all of it.
 func (r *Records) Abbrev(i int) KeyIndex { return r.heads.At(i).key() }
 
 // Each calls emit with every record in order, until it returns false.
@@ -294,14 +241,9 @@ func (r *Records) At(i int) (key string, v any) {
 // value encoded unboxed. On error buf is returned as given.
 func (r *Records) Frame(buf []byte, i int) ([]byte, error) {
 	h := r.heads.At(i)
-	out := buf
-	if h.len() == 9 {
-		key := *r.long.At(i)
-		out = append(binary.AppendUvarint(out, uint64(len(key))), key...)
-	} else {
-		out = append(out, h.len())
-		out = binary.BigEndian.AppendUint64(out, h.prefix)[:len(out)+int(h.len())]
-	}
+	// uvarint(len) is one byte for a key of at most MaxKeyLen bytes.
+	out := append(buf, h.len())
+	out = binary.BigEndian.AppendUint64(out, h.prefix)[:len(out)+int(h.len())]
 	at := len(out)
 	out, err := r.vals.appendValue(out, i)
 	if err != nil {
@@ -320,14 +262,13 @@ func (r *Records) sortedIndex(idx []KeyIndex) ([]KeyIndex, error) {
 		h := r.heads.At(i)
 		idx = append(idx, KeyIndex{Prefix: h.prefix, Len: h.len(), Pos: int32(i)})
 	}
-	SortIndex(idx, r.longKey)
+	SortIndex(idx)
 	return idx, nil
 }
 
 // reset empties the records, keeping their memory and the kind of column.
 func (r *Records) reset() {
 	r.heads.Reset()
-	r.long.Reset()
 	if r.vals != nil {
 		r.vals.reset()
 	}
@@ -337,7 +278,6 @@ func (r *Records) reset() {
 // trim frees the memory reset kept that holds no record.
 func (r *Records) trim() {
 	r.heads.Trim()
-	r.long.Trim()
 	if r.vals != nil {
 		r.vals.trim()
 	}
@@ -358,7 +298,7 @@ func (r *Records) Release() {
 }
 
 // Groups is records cut into key groups, in key order: group g has the
-// key Abbrev(g) abbreviates — Key(g, a) as a string — and accounted size
+// key Abbrev(g) holds — Key(g, a) as a string — and accounted size
 // Sizes[g]. A Groups holds nothing of the records it was cut from, and
 // nothing a reader changes: the attempts of one reduce task and skip
 // mode's probes read the one Groups in turn, each building key strings in
@@ -366,7 +306,6 @@ func (r *Records) Release() {
 type Groups struct {
 	Sizes []int64
 	keys  []KeyIndex // group g's key abbreviated, position 0
-	long  []string   // group g's key where longer than eight bytes; nil when none is
 	// A folded group is one accumulator in accs; otherwise group g's values
 	// are vals[starts[g]:starts[g+1]], in record order.
 	accs   values
@@ -393,11 +332,6 @@ type sources struct {
 // for.
 func (s *sources) at(k KeyIndex) (*Records, int) {
 	return s.srcs[k.Src].Recs, int(k.Pos + s.off[k.Src])
-}
-
-func (s *sources) longKey(k KeyIndex) string {
-	r, i := s.at(k)
-	return *r.long.At(i)
 }
 
 func (s *sources) value(k KeyIndex) any {
@@ -440,14 +374,14 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 			idx = append(idx, KeyIndex{Prefix: h.prefix, Len: h.len(), Src: uint16(si), Pos: int32(len(idx))})
 		}
 	}
-	SortIndex(idx, s.longKey)
+	SortIndex(idx)
 	// starts[g] is where group g begins in idx; found on the index alone
 	// so the group arrays below are allocated at their size.
 	ps := startsPool.get(n + 1)
 	defer startsPool.put(ps)
 	starts := *ps
 	for i := range idx {
-		if i == 0 || CompareKeys(idx[i-1], idx[i], s.longKey) != 0 {
+		if i == 0 || CompareKeys(idx[i-1], idx[i]) != 0 {
 			starts = append(starts, int32(i))
 		}
 	}
@@ -457,12 +391,6 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	for i := 0; i < groups; i++ {
 		first := idx[starts[i]]
 		g.keys[i] = KeyIndex{Prefix: first.Prefix, Len: first.Len}
-		if first.Len == 9 {
-			if g.long == nil {
-				g.long = make([]string, groups)
-			}
-			g.long[i] = s.longKey(first)
-		}
 		for _, ix := range idx[starts[i]:starts[i+1]] {
 			r, j := s.at(ix)
 			g.Sizes[i] += r.heads.At(j).bytes()
@@ -488,17 +416,11 @@ var startsPool slicePool[int32]
 // Len returns the number of groups.
 func (g *Groups) Len() int { return len(g.keys) }
 
-// Abbrev returns group i's key abbreviated, with position 0: for a key of
-// at most eight bytes, all of it.
+// Abbrev returns group i's key abbreviated, with position 0: all of it.
 func (g *Groups) Abbrev(i int) KeyIndex { return g.keys[i] }
 
-// Key returns group i's key, a key of at most eight bytes cut out of a.
-func (g *Groups) Key(i int, a *KeyArena) string {
-	if k := g.keys[i]; k.Len < 9 {
-		return a.Short(k)
-	}
-	return g.long[i]
-}
+// Key returns group i's key, cut out of a.
+func (g *Groups) Key(i int, a *KeyArena) string { return a.Short(g.keys[i]) }
 
 // Acc returns folded group i's accumulator.
 func (g *Groups) Acc(i int) any { return g.accs.at(i) }

@@ -19,12 +19,13 @@ type sumTyped struct{}
 func (sumTyped) Fold(acc, v any) any           { return acc.(int64) + v.(int64) }
 func (sumTyped) FoldTyped(acc *int64, v int64) { *acc += v }
 
-// mixedLengthKeys returns 161 distinct keys covering every way a key is
-// stored: empty, inline at 4 and 8 bytes, in the side list at 9 and 20.
+// mixedLengthKeys returns 169 distinct keys of mixed lengths: empty, and
+// 3, 4, 7 and 8 bytes, the longest a key may be. 169 is prime to the
+// strides the tests walk it with, so every key is used.
 func mixedLengthKeys() []string {
 	keys := []string{""}
-	for i := 0; i < 40; i++ {
-		for _, l := range []int{4, 8, 9, 20} {
+	for i := 0; i < 42; i++ {
+		for _, l := range []int{3, 4, 7, 8} {
 			keys = append(keys, fmt.Sprintf("%0*d", l, i))
 		}
 	}
@@ -170,7 +171,7 @@ func TestRecordsHoldAnything(t *testing.T) {
 	}
 	for _, v := range []any{nil, "s", unregistered{n: 1}, int64(9)} {
 		want = append(want, v)
-		recs.Append("a-key-longer-than-eight-bytes", v, 10)
+		recs.Append("eightkey", v, 10)
 	}
 	var got []any
 	var keys []string
@@ -181,7 +182,7 @@ func TestRecordsHoldAnything(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || recs.Len() != len(want) || recs.Bytes() != int64(10*recs.Len()) {
 		t.Fatalf("read back %v (%d records, %d bytes), stored %v", got, recs.Len(), recs.Bytes(), want)
 	}
-	if wantKeys := "k0 k1" + strings.Repeat(" a-key-longer-than-eight-bytes", 4); strings.Join(keys, " ") != wantKeys {
+	if wantKeys := "k0 k1" + strings.Repeat(" eightkey", 4); strings.Join(keys, " ") != wantKeys {
 		t.Fatalf("keys %q, want %q", keys, wantKeys)
 	}
 
@@ -200,20 +201,20 @@ func TestRecordsHoldAnything(t *testing.T) {
 		byKey[k] = g.Values(i)
 	}
 	if wantGroups := map[string][]any{
-		"a-key-longer-than-eight-bytes": want[2:],
-		"k0":                            {int64(7)},
-		"k1":                            {int64(8)},
-		"u":                             {uint32(0), uint32(1)},
-		"v":                             {uint32(2)},
+		"eightkey": want[2:],
+		"k0":       {int64(7)},
+		"k1":       {int64(8)},
+		"u":        {uint32(0), uint32(1)},
+		"v":        {uint32(2)},
 	}; !reflect.DeepEqual(byKey, wantGroups) {
 		t.Fatalf("groups %v, want %v", byKey, wantGroups)
 	}
 }
 
 // TestAppendTypedRefuses: AppendTyped stores a record only into a column
-// already of its value's registered, pointer-free type while every key is
-// short, and otherwise stores nothing; what it stores is sized by the
-// column's codec.
+// already of its value's registered, pointer-free type, whatever the
+// lengths of the keys, and otherwise stores nothing; what it stores is
+// sized by the column's codec.
 func TestAppendTypedRefuses(t *testing.T) {
 	k := MakeKeyIndex("pair-key", 0)
 	for _, tc := range []struct {
@@ -227,8 +228,8 @@ func TestAppendTypedRefuses(t *testing.T) {
 		{"other type", func(r *Records) { r.Append("k", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, k, int32(1), 16) }, false},
 		{"boxed", func(r *Records) { r.Append("k", "s", 17) }, func(r *Records) bool { return AppendTyped[any](r, k, int64(1), 16) }, false},
 		{"pointerful", func(r *Records) { r.Append("k", pointerful{}, 17) }, func(r *Records) bool { return AppendTyped(r, k, pointerful{}, 16) }, false},
-		{"long key kept", func(r *Records) { r.Append("nine-byte", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, k, int64(1), 16) }, false},
-		{"long key given", func(r *Records) { r.Append("k", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, MakeKeyIndex("nine-byte", 0), int64(1), 16) }, false},
+		{"shorter key kept", func(r *Records) { r.Append("seven-b", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, k, int64(1), 16) }, true},
+		{"shorter key given", func(r *Records) { r.Append("pair-key", int64(0), 17) }, func(r *Records) bool { return AppendTyped(r, MakeKeyIndex("seven-b", 0), int64(1), 16) }, true},
 	} {
 		var r Records
 		if tc.first != nil {
@@ -312,14 +313,14 @@ func TestSlotTablePositionBound(t *testing.T) {
 	var tab slotTable
 	var recs Records
 	k := MakeKeyIndex("key", 0)
-	if at, err := tab.findOrAdd(&recs, k, "key", math.MaxInt32-1); at != -1 || err != nil {
+	if at, err := tab.findOrAdd(&recs, k, math.MaxInt32-1); at != -1 || err != nil {
 		t.Fatalf("position 2^31−2: %d, %v", at, err)
 	}
-	if tab.slots[slotHash(k, "key")&uint32(len(tab.slots)-1)].pos != math.MaxInt32 {
+	if tab.slots[slotHash(k)&uint32(len(tab.slots)-1)].pos != math.MaxInt32 {
 		t.Fatalf("slots %v do not hold position 2^31−2", tab.slots)
 	}
 	k = MakeKeyIndex("next", 0)
-	_, err := tab.findOrAdd(&recs, k, "next", math.MaxInt32)
+	_, err := tab.findOrAdd(&recs, k, math.MaxInt32)
 	if want := Indexable(math.MaxInt32 + 1); err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("position 2^31−1: %v, want %v", err, want)
 	}

@@ -1,12 +1,9 @@
 package spill
 
-import "hash/maphash"
-
 // slotTable finds a record of one partition by key, for fold-at-emit: an
 // open-addressing table of (hash, position) slots. A probe compares hashes
 // in the table and confirms the one that matches against the partition's
-// key column — for a key of at most eight bytes two integers, no string —
-// and growing re-places the slots by the hash they hold, without reading a
+// key column — two integers, no string — and growing re-places the slots by the hash they hold, without reading a
 // record. The zero value is an empty table.
 type slotTable struct {
 	slots []slot // len is a power of two
@@ -20,15 +17,8 @@ type slot struct {
 	pos  int32 // record position + 1, 0 = empty
 }
 
-// slotSeed varies the hash of long keys between processes, never what a
-// lookup finds.
-var slotSeed = maphash.MakeSeed()
-
-// slotHash hashes a key given in full and abbreviated.
-func slotHash(k KeyIndex, key string) uint32 {
-	if k.Len == 9 {
-		return uint32(maphash.String(slotSeed, key) >> 32)
-	}
+// slotHash hashes the key k holds.
+func slotHash(k KeyIndex) uint32 {
 	// The finalizer of MurmurHash3: prefixes are packed integers that
 	// differ in a few low or high bytes, and every bit must reach the slot.
 	h := k.Prefix + uint64(k.Len)
@@ -40,12 +30,12 @@ func slotHash(k KeyIndex, key string) uint32 {
 	return uint32(h >> 32)
 }
 
-// findOrAdd returns the position of key's record among the n records of
-// partition r, k being the key abbreviated; when there is none it returns
+// findOrAdd returns the position of the record of the key k holds among
+// the n records of partition r; when there is none it returns
 // -1 and books the key at position n, where the caller must append the
 // record next. A position past what a slot — and a sort index — can hold is
 // refused.
-func (t *slotTable) findOrAdd(r *Records, k KeyIndex, key string, n int) (int, error) {
+func (t *slotTable) findOrAdd(r *Records, k KeyIndex, n int) (int, error) {
 	if 2*(t.used+1) > len(t.slots) {
 		old := t.slots
 		t.slots = make([]slot, max(16, 2*len(old)))
@@ -60,11 +50,11 @@ func (t *slotTable) findOrAdd(r *Records, k KeyIndex, key string, n int) (int, e
 			}
 		}
 	}
-	hash, mask := slotHash(k, key), uint32(len(t.slots)-1)
+	hash, mask := slotHash(k), uint32(len(t.slots)-1)
 	i := hash & mask
 	for ; t.slots[i].pos != 0; i = (i + 1) & mask {
 		if s := t.slots[i]; s.hash == hash {
-			if h := r.heads.At(int(s.pos - 1)); h.prefix == k.Prefix && h.len() == k.Len && (k.Len < 9 || *r.long.At(int(s.pos - 1)) == key) {
+			if h := r.heads.At(int(s.pos - 1)); h.prefix == k.Prefix && h.len() == k.Len {
 				return int(s.pos - 1), nil
 			}
 		}

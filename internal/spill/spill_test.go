@@ -488,7 +488,7 @@ func TestRunCursorWindow(t *testing.T) {
 	var keys []string
 	var vals []any
 	for i := 0; i < 6000; i++ { // ~30 B a record: about five 32 KiB windows
-		keys, vals = append(keys, fmt.Sprintf("key-%05d", i)), append(vals, fmt.Sprintf("value-%d", i))
+		keys, vals = append(keys, fmt.Sprintf("key%05d", i)), append(vals, fmt.Sprintf("value-%d", i))
 		if i == 3000 {
 			vals[i] = string(make([]byte, 100<<10))
 		}

@@ -106,8 +106,9 @@ func appendSpilled(buf []byte, r *Records, i int) ([]byte, error) {
 
 // spilled consumes one frame appendSpilled wrote and appends its record
 // to out (Records.decode). A frame that ends early fails d with
-// errTruncated and appends nothing; a value that is short or bad inside a
-// whole frame fails it with a wrapped error, never taken for errTruncated.
+// errTruncated and appends nothing; a key longer than MaxKeyLen, or a value
+// that is short or bad inside a whole frame, fails it with another error,
+// never taken for errTruncated.
 func (d *Dec) spilled(out *Records) {
 	key := d.frame()
 	val := d.frame()
@@ -116,10 +117,13 @@ func (d *Dec) spilled(out *Records) {
 	if d.err != nil {
 		return
 	}
+	if d.err = CheckKey(key); d.err != nil {
+		return
+	}
 	// The value is read by this Dec, cut off where the value ends.
 	next, rest := d.at, d.end
 	d.at, d.end = end-len(val), end
-	if out.decode(makeKeyIndex(key, 0), key, d, int64(bytes)); d.err != nil {
+	if out.decode(MakeKeyIndex(key, 0), d, int64(bytes)); d.err != nil {
 		d.err = fmt.Errorf("spill: record value: %w", d.err)
 		return
 	}
