@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"sort"
 
 	"fsjoin/internal/spill"
@@ -44,6 +45,18 @@ func newChainInput(outs []*spill.Records) *chainInput {
 	return c
 }
 
+// release gives the columns back to the shuffle's pools (Records.Release)
+// once their one reader is done with them. A nil input, and one released
+// already, have nothing to give.
+func (c *chainInput) release() {
+	if c == nil {
+		return
+	}
+	for _, out := range c.outs {
+		out.Release()
+	}
+}
+
 func (c *chainInput) len() int {
 	if c == nil {
 		return 0
@@ -82,13 +95,19 @@ func (c *chainInput) mapUnits(ctx *Context, units []int32, f Fault, counters *Co
 // order Output would hold them, its key as DecodeU32Key decodes it: the
 // records of a task whose output column holds T's values unboxed, with no
 // key string and no box, and those of any other task as Output would hold
-// them. It returns false, having called nothing, for a result that holds
-// its output in Output, which the caller reads instead. A key of another
-// length, or a value of another type, panics.
-func EachU32[T any](res *Result, fn func(key uint32, v T)) bool {
+// them. It consumes res, as Chain does: the columns go back to the
+// shuffle's pools once read, and a later Chain or EachU32 of res is an
+// error. It returns false, having called and consumed nothing, for a
+// result that holds its output in Output, which the caller reads instead.
+// A key of another length, or a value of another type, panics.
+func EachU32[T any](res *Result, fn func(key uint32, v T)) (bool, error) {
 	if res.chain == nil {
-		return false
+		return false, nil
 	}
+	if err := res.consume(); err != nil {
+		return false, fmt.Errorf("mapreduce: %w", err)
+	}
+	defer res.chain.release()
 	for _, out := range res.chain.outs {
 		if !spill.EachTyped(out, func(k spill.KeyIndex, v T) {
 			if k.Len != 4 {
@@ -102,5 +121,5 @@ func EachU32[T any](res *Result, fn func(key uint32, v T)) bool {
 			})
 		}
 	}
-	return true
+	return true, nil
 }

@@ -432,7 +432,20 @@ type Result struct {
 	// Metrics are the measured and simulated execution statistics.
 	Metrics Metrics
 
-	chain *chainInput
+	// chain is a Feed result's output, in the columns its tasks committed,
+	// for one reader: Pipeline.Chain or EachU32 consumes it.
+	chain    *chainInput
+	consumed bool
+}
+
+// consume marks res's columns as taken by their one reader, which gives
+// them back once read; a result consumed already is refused.
+func (res *Result) consume() error {
+	if res.consumed {
+		return fmt.Errorf("the output of job %q was consumed by an earlier Chain or EachU32", res.Metrics.Job)
+	}
+	res.consumed = true
+	return nil
 }
 
 // FNV-1a's 32-bit parameters.
@@ -535,28 +548,30 @@ type jobEnv struct {
 	quarantine     *quarantineState
 	in             jobInput
 	feed           bool
-
-	// pos is the job's one ascending 0, 1, 2, … array: see positions.
-	posMu sync.Mutex
-	pos   []int32
 }
 
+// pos is the process's one ascending 0, 1, 2, … array: see positions.
+var (
+	posMu sync.Mutex
+	pos   []int32
+)
+
 // positions returns 0, 1, …, n-1: the units of a task over records or
-// groups addressed by position. Every task of the job gets a prefix of one
-// shared array, capped at n so no holder can append into it. Units are
-// only read (skip mode edits a copy), and a longer request grows into a
-// new array, so an array a task holds is never written again.
-func (env *jobEnv) positions(n int) []int32 {
-	env.posMu.Lock()
-	defer env.posMu.Unlock()
-	if len(env.pos) < n {
-		p := make([]int32, max(n, 2*len(env.pos)))
+// groups addressed by position. Every task of every job gets a prefix of
+// one process-wide array, capped at n so no holder can append into it.
+// Units are only read (skip mode edits a copy), and a longer request grows
+// into a new array, so an array a task holds is never written again.
+func positions(n int) []int32 {
+	posMu.Lock()
+	defer posMu.Unlock()
+	if len(pos) < n {
+		p := make([]int32, max(n, 2*len(pos)))
 		for i := range p {
 			p[i] = int32(i)
 		}
-		env.pos = p
+		pos = p
 	}
-	return env.pos[:n:n]
+	return pos[:n:n]
 }
 
 // jobErr tags a failure that belongs to no single task with the job.
@@ -637,7 +652,11 @@ func runJob(env *jobEnv) (*Result, error) {
 	m.MapInputRecords = int64(env.in.len())
 	wallStart := time.Now()
 
-	if err := env.mapPhase(c); err != nil {
+	err := env.mapPhase(c)
+	// Every map task has ended: a chained job's input is read, and its
+	// columns go back for the reduce phase to grow into.
+	env.in.chain.release()
+	if err != nil {
 		return nil, err
 	}
 	m.MapTaskTime = make([]time.Duration, mapTasks)
@@ -691,7 +710,7 @@ func runJob(env *jobEnv) (*Result, error) {
 // in fed columns (Chain checks they fit an int32), committing each into c.
 func (env *jobEnv) mapPhase(c *commits) error {
 	if ch := env.in.chain; ch != nil {
-		splits := splitInput(env.positions(ch.len()), env.mapTasks)
+		splits := splitInput(positions(ch.len()), env.mapTasks)
 		return env.runPhase(env.mapTasks, func(t int) error { return mapTask(env, c, t, splits[t], ch.mapUnits, ch.at) })
 	}
 	splits := splitInput(env.in.kvs, env.mapTasks)
@@ -729,12 +748,15 @@ func (env *jobEnv) reduceTask(c *commits, t int) error {
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
+	// The groups' arrays go back once the output is committed, or every
+	// attempt has failed: nothing reads them after.
+	defer in.Groups.Release()
 	tc := NewCounters()
 	if in.maxWays > 1 {
 		tc.Max(CounterSpillMergeWays, int64(in.maxWays))
 	}
 	start := time.Now()
-	ctx, err := attempts(env, tc, PhaseReduce, t, env.positions(in.Len()), env.reduceGroups(in),
+	ctx, err := attempts(env, tc, PhaseReduce, t, positions(in.Len()), env.reduceGroups(in),
 		func(g int32) (string, any) { return in.Key(int(g), spill.NewKeyArena(1)), nil })
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
@@ -759,8 +781,9 @@ func (c *commits) commitOutput(t int, ctx *Context, tc *Counters, meta taskMeta)
 }
 
 // collectOutput gathers a phase's committed task outputs in task order —
-// kept for Chain, or boxed into Result.Output allocated at its length —
-// folding each task's counters into the job's and handing its meta to each.
+// kept for Chain, or boxed into Result.Output allocated at its length and
+// then given back to the pools — folding each task's counters into the
+// job's and handing its meta to each.
 func (env *jobEnv) collectOutput(c *commits, res *Result, tasks int, each func(t int, meta taskMeta)) {
 	outs := c.outs[:tasks]
 	for t, out := range outs {
@@ -778,6 +801,7 @@ func (env *jobEnv) collectOutput(c *commits, res *Result, tasks int, each func(t
 		res.Output = make([]KV, 0, n)
 	}
 	jobInput{chain: chain}.each(func(key string, v any) { res.Output = append(res.Output, KV{Key: key, Value: v}) })
+	chain.release()
 }
 
 // taskBody runs one task over its input units — a map task's input
@@ -823,7 +847,7 @@ func attempts[U any](env *jobEnv, counters *Counters, phase Phase, t int, units 
 		})
 	}
 	ctx, err := loop(units)
-	if err != nil && cfg.Fault.SkipBadRecords && !isCancellation(err) {
+	if err != nil && cfg.Fault.SkipBadRecords && !incurable(err) {
 		ctx, err = skipUnits(env, counters, phase, t, units, body, describe, loop, err)
 	}
 	return ctx, err

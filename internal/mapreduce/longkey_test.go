@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fsjoin/internal/checkpoint"
@@ -105,5 +106,30 @@ func TestPipelineCheckpointLongKeyRecomputes(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("feed=%v: output %v after the recompute, want %v", feed, got, want)
 		}
+	}
+}
+
+// TestLongKeyNeitherRetriedNorSkipped: a key longer than spill.MaxKeyLen is
+// emitted again on every attempt, whatever records the attempt is given,
+// so the attempt loop treats it as it treats cancellation: a mapper that
+// emits a 15-byte key under skip mode fails the job with ErrLongKey after
+// one attempt, with no retry, no probe and nothing quarantined.
+func TestLongKeyNeitherRetriedNorSkipped(t *testing.T) {
+	cfg := skipConfig(10)
+	var quarantined []QuarantinedRecord
+	cfg.Fault.Quarantine = func(r QuarantinedRecord) { quarantined = append(quarantined, r) }
+	var maps atomic.Int32 // how often the record with the long key was mapped
+	mapper := MapFunc(func(ctx *Context, kv KV) {
+		if strings.Contains(kv.Value.(string), "overlong-key-15") {
+			maps.Add(1)
+		}
+		wcMapper{}.Map(ctx, kv)
+	})
+	_, err := Run(cfg, wcInput("short words", "an overlong-key-15 here", "more short words"), mapper, wcReducer{})
+	if !errors.Is(err, spill.ErrLongKey) {
+		t.Fatalf("err %v, want ErrLongKey", err)
+	}
+	if n := maps.Load(); n != 1 || len(quarantined) != 0 {
+		t.Fatalf("the long-key record was mapped %d times and %d records quarantined, want one attempt and none", n, len(quarantined))
 	}
 }

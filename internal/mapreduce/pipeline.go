@@ -107,14 +107,21 @@ func (p *Pipeline) Run(cfg Config, input []KV, mapper Mapper, reducer Reducer) (
 
 // Feed is Run for a stage whose output only Chain, or a typed reader such
 // as EachU32, reads: it stays in the columns its tasks committed, and
-// Result.Output is nil.
+// Result.Output is nil. The output has one reader: the first Chain or
+// EachU32 of the result consumes it, and a second is an error.
 func (p *Pipeline) Feed(cfg Config, input []KV, mapper Mapper, reducer Reducer) (*Result, error) {
 	return p.run(cfg, jobInput{kvs: input}, mapper, reducer, !p.viaRun)
 }
 
 // Chain runs cfg over the output of prev, a Feed result, as Run(cfg, output,
 // IdentityMapper, reducer) would, with no []KV: the map tasks copy records
-// column to column into their sinks (DESIGN.md §2).
+// column to column into their sinks (DESIGN.md §2). Chain consumes prev,
+// whether the job succeeds or fails: once its map tasks have ended — or
+// the stage was replayed from a checkpoint, or failed before it ran —
+// prev's columns go back to the shuffle's pools, for this job's reduce
+// phase and later jobs to grow into, and a later Chain or EachU32 of prev
+// is an error naming prev's job. A prev Chain refuses outright (a Run
+// result, no reducer) is left as it was.
 func (p *Pipeline) Chain(cfg Config, prev *Result, reducer Reducer) (*Result, error) {
 	if p.viaRun {
 		return p.Run(cfg, prev.Output, IdentityMapper, reducer)
@@ -122,6 +129,12 @@ func (p *Pipeline) Chain(cfg Config, prev *Result, reducer Reducer) (*Result, er
 	if prev.chain == nil || reducer == nil || prev.chain.len() > math.MaxInt32 {
 		return nil, fmt.Errorf("pipeline %s: job %q needs a fed stage of at most %d records, and a reducer", p.Name, cfg.Name, math.MaxInt32)
 	}
+	if err := prev.consume(); err != nil {
+		return nil, fmt.Errorf("pipeline %s: job %q: %w", p.Name, cfg.Name, err)
+	}
+	// runJob releases the input as soon as the map phase ends; this covers
+	// a replayed stage and a job refused before it ran.
+	defer prev.chain.release()
 	return p.run(cfg, jobInput{chain: prev.chain}, IdentityMapper, reducer, false)
 }
 

@@ -76,7 +76,8 @@ func guard(task func()) (err error) {
 // counters the job keeps. Each failed attempt's context is discarded,
 // spill files included, before the next attempt starts, so nothing of a
 // failed attempt outlives the loop. Retries are counted in the
-// "mapreduce.task.retries" counter. A cancelled job stops retrying. Tasks
+// "mapreduce.task.retries" counter. A cancelled job stops retrying, and
+// so does a task that emitted a key longer than spill.MaxKeyLen. Tasks
 // run over identical inputs on every attempt, so when a retry fails with
 // exactly the first attempt's error the failure is deterministic and the
 // remaining attempts are skipped — they cannot succeed, and burning them
@@ -95,9 +96,10 @@ func withRetries(cfg Config, counters *Counters, attempt func(a int) (*Context, 
 			return ctx, nil
 		}
 		ctx.discard()
-		if isCancellation(err) {
-			// Retrying cannot outrun a cancelled context; return at once so
-			// deadlines abort the job promptly instead of burning attempts.
+		if incurable(err) {
+			// Retrying cannot outrun a cancelled context, or shorten a key;
+			// return at once so deadlines abort the job promptly instead of
+			// burning attempts.
 			return nil, err
 		}
 		if first == nil {

@@ -8,23 +8,23 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
-// TestSharedPositions: every task of a job takes its units from one
-// ascending array of the job's. Handed out concurrently in any order of
-// lengths, each prefix reads 0..n-1 and has no room to append into; and a
-// job whose reduce tasks hold very different numbers of groups, run four
+// TestSharedPositions: every task of every job takes its units from one
+// ascending array of the process's. Handed out concurrently in any order
+// of lengths, each prefix reads 0..n-1 and has no room to append into; and
+// a job whose reduce tasks hold very different numbers of groups, run four
 // at a time, reduces every group once. Run it with -race: a task writing
 // an array another task reads fails there.
 func TestSharedPositions(t *testing.T) {
-	env := &jobEnv{}
 	got := make([][]int32, 64)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = env.positions(i * 37 % 500)
+			got[i] = positions(i * 37 % 500)
 		}(i)
 	}
 	wg.Wait()
@@ -58,5 +58,43 @@ func TestSharedPositions(t *testing.T) {
 		if out := runWC(t, cfg, wcInput(lines...)); !reflect.DeepEqual(out, want) {
 			t.Fatalf("parallelism %d: %d keys reduced, want %d, or counts differ", par, len(out), len(want))
 		}
+	}
+}
+
+// TestPositionsOutliveJobs: the positions array is the process's, not a
+// job's, so a second chained job of the size of the first allocates no
+// positions array: the one the first job grew is still the one handed out.
+func TestPositionsOutliveJobs(t *testing.T) {
+	const n = 300_000 // more units than any other test asks for
+	input := make([]KV, n)
+	for i := range input {
+		input[i] = KV{Key: PairKey(uint32(i%900), uint32(i%7)), Value: int64(1)}
+	}
+	run := func() {
+		p := NewPipeline("positions", tinyCluster())
+		fed, err := p.Feed(Config{Name: "emit", MemoryBudgetBytes: -1}, input, IdentityMapper, nil)
+		if err == nil {
+			_, err = p.Chain(Config{Name: "sum", MemoryBudgetBytes: -1, Combiner: groupSum{}}, fed, groupSum{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := func() *int32 {
+		posMu.Lock()
+		defer posMu.Unlock()
+		return unsafe.SliceData(pos)
+	}
+	run()
+	first := shared()
+	if len(positions(n)) != n {
+		t.Fatalf("positions(%d) has another length", n)
+	}
+	run()
+	if shared() != first {
+		t.Fatal("the second job of the same size allocated a positions array")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { positions(n) }); allocs != 0 {
+		t.Fatalf("positions(%d) allocated %.0f times once an array that long existed", n, allocs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -299,7 +298,14 @@ func (m *cleanupFailsOnce) Cleanup(ctx *Context) {
 // partitions into what the warm-up run gave back, the eight rows measure
 // 52, 92, 74, 70, 25, 4, 49 and 51 (medians of five), and up to 81, 125,
 // 106, 104, 25, 31, 90 and 121 under the race detector; the limits stay
-// where the heap-allocated chunks put them.
+// where the heap-allocated chunks put them. Since a reduce task also gives
+// back its groups, a map task its fold tables, a Run job its output
+// columns once boxed into Output, and Chain its fed columns — so each
+// chain row chains onto a Feed of its own, made outside the measured
+// window — they measure 40, 27, 26, 20, 25, 3, 38 and 26 (medians of five).
+// With free lists in place of sync.Pools they measure 37, 25, 25, 18, 25,
+// 3, 36 and 25, and 37 to 46 on the spill rows under the race detector,
+// whose sync.Pool the allowances were for; the allowances stay.
 func TestShuffleAllocationBudget(t *testing.T) {
 	const raceAllowance, spillRaceAllowance = 24, 48
 	const n = 120_000
@@ -326,10 +332,14 @@ func TestShuffleAllocationBudget(t *testing.T) {
 		{"spill-fold", foldSum{}, foldSum{}, 131, "run", 32 << 10},
 	} {
 		p := NewPipeline("budget", cl)
-		fed, err := p.Feed(Config{MemoryBudgetBytes: -1}, input, IdentityMapper, nil)
-		if err != nil {
-			t.Fatal(err)
+		feed := func() *Result {
+			fed, err := p.Feed(Config{MemoryBudgetBytes: -1}, input, IdentityMapper, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fed
 		}
+		fed := feed()
 		run := func() {
 			cfg := Config{Cluster: cl, ReduceTasks: 30, MemoryBudgetBytes: tc.budget, Combiner: tc.combiner}
 			var err error
@@ -353,6 +363,9 @@ func TestShuffleAllocationBudget(t *testing.T) {
 			}
 		}
 		run() // warm up: codec registries, pools
+		if tc.how == "chain" {
+			fed = feed() // the warm-up consumed the first: Chain reads a fed result once
+		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		run()
@@ -374,18 +387,17 @@ func TestShuffleAllocationBudget(t *testing.T) {
 
 // TestShuffleChunksRecycled: a reduce task hands its partitions' chunks
 // back once it has grouped them, and the next job's partitions grow into
-// them. Of two identical folding jobs run back to back, with the pools
-// emptied before the first and the collector held off across both so that
-// it empties nothing between them, the second must allocate clearly fewer
-// bytes per record: on a two-core x86-64 host it measured 131 then 87.
+// them. Of two identical folding jobs run back to back, with the free
+// lists emptied before the first (spill.DropPooled), the second must
+// allocate clearly fewer bytes per record: on a two-core x86-64 host it
+// measured 131 then 87 while the pools were sync.Pools, emptied by two
+// collections and kept across the jobs by holding the collector off.
 // Where every chunk came from the heap, the second job saved only what the
-// sort-index pool saves, 139 then 132. Under the race detector, whose
-// sync.Pool drops a share of what it is given, the second job measured
-// 113 to 120 against 142 to 154, too close to the limit to hold it there.
+// sort-index pool saves, 139 then 132. The sync.Pools dropped a share of
+// what they were given under the race detector, where the second job then
+// measured 113 to 120 against 142 to 154 and the test was skipped; the
+// free lists keep everything there too (74 then 18, as without it).
 func TestShuffleChunksRecycled(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race detector's sync.Pool drops a share of the chunks given back")
-	}
 	const n = 120_000
 	input := make([]KV, n)
 	for i := range input {
@@ -402,9 +414,7 @@ func TestShuffleChunksRecycled(t *testing.T) {
 		return float64(m1.TotalAlloc-m0.TotalAlloc) / n
 	}
 	run() // codec registries, the map's first growth
-	runtime.GC()
-	runtime.GC() // a pool keeps what it holds across one collection
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spill.DropPooled()
 	first, second := run(), run()
 	t.Logf("first job %.0f B/record, second %.0f", first, second)
 	if second > 0.75*first {

@@ -25,8 +25,10 @@ import (
 // reports the working set's current length. orig is the attempt-loop
 // failure that triggered skip mode, returned verbatim whenever the
 // failure turns out not to be record-skippable. A probe or rerun that
-// fails with a cancellation ends skip mode with that error: a probe the
-// job's context stopped says nothing about the record it stopped at.
+// fails incurably ends skip mode with that error: a probe the job's
+// context stopped says nothing about the record it stopped at, and a key
+// longer than the shuffle takes is a defect of the code that emits it, not
+// of a record to quarantine.
 func skipRun(size func() int, probe func(n int) error,
 	quarantine func(i int, cause error) error,
 	rerun func() (*Context, error), orig error) (*Context, error) {
@@ -39,11 +41,11 @@ func skipRun(size func() int, probe func(n int) error,
 			// not replay (combiner, injected attempt-scoped faults).
 			return nil, orig
 		}
-		if isCancellation(cause) {
+		if incurable(cause) {
 			return nil, cause
 		}
 		if err := probe(0); err != nil {
-			if isCancellation(err) {
+			if incurable(err) {
 				return nil, err
 			}
 			// Even the empty prefix fails: Setup/Cleanup is broken, no
@@ -56,7 +58,7 @@ func skipRun(size func() int, probe func(n int) error,
 			mid := lo + (hi-lo)/2
 			err := probe(mid)
 			switch {
-			case isCancellation(err):
+			case incurable(err):
 				return nil, err
 			case err != nil:
 				hi, cause = mid, err
@@ -68,7 +70,7 @@ func skipRun(size func() int, probe func(n int) error,
 			return nil, err
 		}
 		ctx, err := rerun()
-		if err == nil || isCancellation(err) {
+		if err == nil || incurable(err) {
 			return ctx, err
 		}
 		// Another poison (or a genuinely new failure) — keep bisecting.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"fsjoin/internal/spill"
 )
 
 // TaskError is the typed failure of one task: which job, phase and task
@@ -59,11 +61,13 @@ func (p *enginePanic) Error() string { return p.err.Error() }
 // Unwrap exposes the carried failure.
 func (p *enginePanic) Unwrap() error { return p.err }
 
-// isCancellation reports whether err is a context cancellation or
-// deadline expiry — failures retrying cannot cure and skip mode must not
-// bisect.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// incurable reports whether err is a failure retrying cannot cure and skip
+// mode must not bisect: a context cancellation or deadline expiry, which
+// stops every attempt alike, or a key longer than spill.MaxKeyLen, which
+// an attempt emits again on every try, whichever records it is given.
+func incurable(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, spill.ErrLongKey)
 }
 
 // cancelStride is how many CheckCancel calls pass between context polls —

@@ -298,20 +298,25 @@ func ComputeKind(p *mapreduce.Pipeline, c *tokens.Collection, kind Kind) (*Order
 	if err != nil {
 		return nil, err
 	}
-	return fromCounts(res, domain, kind, p.Parallelism), nil
+	return fromCounts(res, domain, kind, p.Parallelism)
 }
 
 // fromCounts builds the order of the given kind from the ordering job's
 // result: (token, count) records, read typed out of a Feed result's
-// columns, or out of Output when the job ran as Run.
-func fromCounts(res *mapreduce.Result, domain int, kind Kind, par int) *Order {
+// columns, which it consumes (mapreduce.EachU32), or out of Output when
+// the job ran as Run.
+func fromCounts(res *mapreduce.Result, domain int, kind Kind, par int) (*Order, error) {
 	freq := make([]int64, domain)
 	var maxFreq int64
 	count := func(t uint32, f int64) {
 		freq[t] = f
 		maxFreq = max(maxFreq, f)
 	}
-	if !mapreduce.EachU32(res, count) {
+	typed, err := mapreduce.EachU32(res, count)
+	if err != nil {
+		return nil, err
+	}
+	if !typed {
 		for _, kv := range res.Output {
 			count(mapreduce.DecodeU32Key(kv.Key), kv.Value.(int64))
 		}
@@ -343,7 +348,7 @@ func fromCounts(res *mapreduce.Result, domain int, kind Kind, par int) *Order {
 		o.FreqByRank[rank] = freq[t]
 		o.TotalFreq += freq[t]
 	}
-	return o
+	return o, nil
 }
 
 // radixSortBy stably sorts toks ascending by key(t), a value in

@@ -490,12 +490,20 @@ func TestOrderingShuffleIsTyped(t *testing.T) {
 			}
 			return res
 		}
-		fed, ran := job(true), job(false)
-		if fed.Output != nil || ran.Output == nil {
-			t.Fatalf("budget %d: Feed left %d records in Output, Run %d", budget, len(fed.Output), len(ran.Output))
-		}
+		ran := job(false)
 		for _, kind := range []Kind{FreqAscending, FreqDescending, Lexicographic} {
-			typed, boxed := fromCounts(fed, domain, kind, 0), fromCounts(ran, domain, kind, 0)
+			fed := job(true) // fromCounts consumes a Feed result: each read has its own
+			if fed.Output != nil || ran.Output == nil {
+				t.Fatalf("budget %d: Feed left %d records in Output, Run %d", budget, len(fed.Output), len(ran.Output))
+			}
+			typed, err := fromCounts(fed, domain, kind, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boxed, err := fromCounts(ran, domain, kind, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(typed, boxed) {
 				t.Fatalf("budget %d, %v: the typed read and Output disagree", budget, kind)
 			}

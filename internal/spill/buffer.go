@@ -126,6 +126,13 @@ func (b *Buffer) Init(cfg Config) {
 		panic("spill: Config.Size is required")
 	}
 	*b = Buffer{cfg: cfg, parts: make([]Records, cfg.Parts), fold: folder{boxed: cfg.Fold, typed: cfg.TypedFold}}
+	// Each partition's first head chunk comes with the buffer, as a
+	// column's first value chunk comes with the column: most partitions
+	// of a small job never need another, and so never touch the pools.
+	seeds := make([]headSeed, cfg.Parts)
+	for p := range b.parts {
+		b.parts[p].heads.seed(seeds[p].table[:], &seeds[p].first)
+	}
 	if cfg.Fold != nil {
 		b.slots = make([]slotTable, cfg.Parts)
 	}
@@ -373,12 +380,16 @@ func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) 
 }
 
 // Trim gives back the memory a buffer that spilled keeps for refilling and
-// spilling again, and the fold slots, which only Add reads. The task calls
-// it when it has added its last record: the buffer then waits, possibly
-// for the whole map phase, to be drained.
+// spilling again, and the fold tables, which only Add reads, to the pools
+// the next task's tables come from. The task calls it when it has added
+// its last record: the buffer then waits, possibly for the whole map
+// phase, to be drained.
 func (b *Buffer) Trim() {
 	for p := range b.parts {
 		b.parts[p].trim()
+	}
+	for p := range b.slots {
+		b.slots[p].free()
 	}
 	b.slots = nil
 }

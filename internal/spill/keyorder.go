@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"unsafe"
 )
 
 // KeyIndex stands in for one record while records are put in key order:
@@ -172,14 +172,14 @@ func digit(e *KeyIndex, s int) byte {
 }
 
 // slicePool holds slices of T between uses, each as a pointer to its
-// header, so that giving one back allocates nothing.
-type slicePool[T any] struct{ sync.Pool }
+// header, in a free list (the collector does not empty it).
+type slicePool[T any] struct{ l freeList[*[]T] }
 
 // get returns an empty slice with room for n elements, from the pool when
 // it has one that large. Give it back with put.
 func (p *slicePool[T]) get(n int) *[]T {
-	s, _ := p.Get().(*[]T)
-	if s == nil {
+	s, ok := p.l.take()
+	if !ok {
 		s = new([]T)
 	}
 	if cap(*s) < n {
@@ -190,7 +190,10 @@ func (p *slicePool[T]) get(n int) *[]T {
 }
 
 // put gives back a slice of get's; nothing may use it after.
-func (p *slicePool[T]) put(s *[]T) { p.Put(s) }
+func (p *slicePool[T]) put(s *[]T) {
+	var zero T
+	p.l.give(s, int64(cap(*s))*int64(unsafe.Sizeof(zero)))
+}
 
 // indexPool holds sort indexes and radix scratch arrays: a reduce task's
 // grouping and every sort need one as long as the records being sorted,

@@ -3,7 +3,6 @@ package spill
 import (
 	"math/bits"
 	"reflect"
-	"sync"
 	"unsafe"
 )
 
@@ -122,11 +121,9 @@ func (l *List[T]) release() {
 }
 
 // chunkPool recycles the chunks of lists of one pointer-free element type,
-// one sync.Pool per chunk size. The garbage collector empties the pools: a
-// chunk nobody takes is freed by the collection after the next. A chunk is
-// pooled as a pointer to its first record, which neither Put nor Get
-// allocates for.
-type chunkPool[T any] [maxShift - firstShift + 1]sync.Pool
+// one free list per chunk size (freeList: the collector does not empty
+// it). A chunk is held as a pointer to its first record.
+type chunkPool[T any] [maxShift - firstShift + 1]freeList[*T]
 
 // get returns a zeroed chunk of firstChunk<<class records, from the pool
 // when it has one — cleared, so that no list shows past its end what a
@@ -135,7 +132,7 @@ type chunkPool[T any] [maxShift - firstShift + 1]sync.Pool
 func (p *chunkPool[T]) get(class int) []T {
 	n := firstChunk << class
 	if p != nil {
-		if c, _ := p[class].Get().(*T); c != nil {
+		if c, ok := p[class].take(); ok {
 			s := unsafe.Slice(c, n)
 			clear(s)
 			return s
@@ -147,7 +144,7 @@ func (p *chunkPool[T]) get(class int) []T {
 // put gives back a chunk of get's; a nil pool drops it.
 func (p *chunkPool[T]) put(c []T) {
 	if p != nil {
-		p[bits.Len(uint(len(c)))-1-firstShift].Put(&c[0])
+		p[bits.Len(uint(len(c)))-1-firstShift].give(&c[0], int64(len(c))*int64(unsafe.Sizeof(c[0])))
 	}
 }
 

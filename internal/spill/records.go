@@ -23,6 +23,13 @@ type Records struct {
 	bytes int64
 }
 
+// headSeed is a partition's first head chunk and chunk table, allocated
+// with its buffer (List.seed).
+type headSeed struct {
+	table [4][]head
+	first [firstChunk]head
+}
+
 // head is the fixed-size part of one record.
 type head struct {
 	prefix uint64 // KeyIndex.Prefix
@@ -302,10 +309,14 @@ func (r *Records) Release() {
 // Sizes[g]. A Groups holds nothing of the records it was cut from, and
 // nothing a reader changes: the attempts of one reduce task and skip
 // mode's probes read the one Groups in turn, each building key strings in
-// an arena of its own.
+// an arena of its own. Its arrays come from pools, and Release gives them
+// back.
 type Groups struct {
 	Sizes []int64
 	keys  []KeyIndex // group g's key abbreviated, position 0
+	// The pooled headers Sizes and keys came in.
+	sizesBuf *[]int64
+	keysBuf  *[]KeyIndex
 	// A folded group is one accumulator in accs; otherwise group g's values
 	// are vals[starts[g]:starts[g+1]], in record order.
 	accs   values
@@ -387,7 +398,9 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	}
 	groups := len(starts)
 	starts = append(starts, int32(n))
-	g := &Groups{Sizes: make([]int64, groups), keys: make([]KeyIndex, groups)}
+	g := &Groups{sizesBuf: groupSizesPool.get(groups), keysBuf: groupKeysPool.get(groups)}
+	g.Sizes, g.keys = (*g.sizesBuf)[:groups], (*g.keysBuf)[:groups]
+	clear(g.Sizes)
 	for i := 0; i < groups; i++ {
 		first := idx[starts[i]]
 		g.keys[i] = KeyIndex{Prefix: first.Prefix, Len: first.Len}
@@ -412,6 +425,27 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 
 // startsPool holds Group's group bounds, one per record at most.
 var startsPool slicePool[int32]
+
+// groupSizesPool and groupKeysPool hold the Sizes and keys of Groups given
+// back by Release: one reduce task's are about as long as the next one's.
+var (
+	groupSizesPool slicePool[int64]
+	groupKeysPool  slicePool[KeyIndex]
+)
+
+// Release gives the groups' arrays back to the pools the next Group takes
+// them from: the keys, Sizes and a folded group's accumulator column. Only
+// their owner may call it, once, when nothing reads the groups again — not
+// a key, not Sizes, not a GroupAcc; g is empty after. A value Acc or
+// Values returned is the reader's own and outlives it.
+func (g *Groups) Release() {
+	groupSizesPool.put(g.sizesBuf)
+	groupKeysPool.put(g.keysBuf)
+	if g.accs != nil {
+		g.accs.release()
+	}
+	*g = Groups{}
+}
 
 // Len returns the number of groups.
 func (g *Groups) Len() int { return len(g.keys) }

@@ -1,13 +1,39 @@
 package spill
 
+import "math/bits"
+
 // slotTable finds a record of one partition by key, for fold-at-emit: an
 // open-addressing table of (hash, position) slots. A probe compares hashes
 // in the table and confirms the one that matches against the partition's
 // key column — two integers, no string — and growing re-places the slots by the hash they hold, without reading a
-// record. The zero value is an empty table.
+// record. The zero value is an empty table. A table's slots come from
+// slotPools and go back there when it grows and when it is freed.
 type slotTable struct {
 	slots []slot // len is a power of two
 	used  int
+	buf   *[]slot // the pooled header slots came in; nil while slots is nil
+}
+
+// slotPools holds fold tables between map tasks, one pool per power-of-two
+// size: a task sizes its tables for its partitions' share of the keys, and
+// the next task of a folding job, or the next folding job, wants tables of
+// about the same sizes.
+var slotPools [32]slicePool[slot]
+
+// takeSlots returns n zeroed slots, n a power of two, from the pool of
+// their size.
+func takeSlots(n int) *[]slot {
+	p := slotPools[bits.Len(uint(n))-1].get(n)
+	*p = (*p)[:n]
+	clear(*p)
+	return p
+}
+
+// putSlots gives back slots of takeSlots'; nothing may read them after.
+func putSlots(p *[]slot) {
+	if p != nil {
+		slotPools[bits.Len(uint(len(*p)))-1].put(p)
+	}
 }
 
 // slot is one key's hash, of which the low bits are where its probe
@@ -37,8 +63,9 @@ func slotHash(k KeyIndex) uint32 {
 // refused.
 func (t *slotTable) findOrAdd(r *Records, k KeyIndex, n int) (int, error) {
 	if 2*(t.used+1) > len(t.slots) {
-		old := t.slots
-		t.slots = make([]slot, max(16, 2*len(old)))
+		old, oldBuf := t.slots, t.buf
+		t.buf = takeSlots(max(16, 2*len(old)))
+		t.slots = *t.buf
 		mask := uint32(len(t.slots) - 1)
 		for _, s := range old {
 			if s.pos != 0 {
@@ -49,6 +76,7 @@ func (t *slotTable) findOrAdd(r *Records, k KeyIndex, n int) (int, error) {
 				t.slots[i] = s
 			}
 		}
+		putSlots(oldBuf)
 	}
 	hash, mask := slotHash(k), uint32(len(t.slots)-1)
 	i := hash & mask
@@ -74,7 +102,15 @@ func (t *slotTable) expect(n int) {
 	for size < 2*n {
 		size *= 2
 	}
-	t.slots, t.used = make([]slot, size), 0
+	t.free()
+	t.buf = takeSlots(size)
+	t.slots = *t.buf
+}
+
+// free gives the table's slots back to their pool and leaves it empty.
+func (t *slotTable) free() {
+	putSlots(t.buf)
+	*t = slotTable{}
 }
 
 // reset empties the table, keeping its memory.
