@@ -51,15 +51,17 @@ func benchParams(m Method) Params {
 	return Params{Fn: similarity.Jaccard, Theta: 0.8, Filters: filters.All, Method: m}
 }
 
-// BenchmarkKernels runs each kernel on three shapes of one fragment — all
+// BenchmarkKernels runs each kernel on four shapes of one fragment — all
 // region segments of one origin, an R-S region fragment (every other segment
-// on the S side) and a boundary fragment (every other segment small, the
-// rest large) — with the bitmap signature filter on ("bitmap", the default)
-// and forced off ("nobitmap"), each through a one-shot Join and through one
-// Workspace reused across iterations ("/reused", as a filtering reduce task
-// runs its fragments).
+// on the S side), a boundary fragment (every other segment small, the rest
+// large) and a spread one (region segments over about 250 000 ranks, as in
+// the one vertical fragment of a join of many short records) — with the
+// bitmap signature filter on ("bitmap", the default) and forced off
+// ("nobitmap"), each through a one-shot Join and through one Workspace
+// reused across iterations ("/reused", as a filtering reduce task runs its
+// fragments).
 func BenchmarkKernels(b *testing.B) {
-	region := benchFragment(600, 4096, 1)
+	region, spread := benchFragment(600, 4096, 1), benchFragment(600, 250000, 1)
 	rs, boundary := slices.Clone(region), slices.Clone(region)
 	for i := range region {
 		rs[i].Origin = uint8(i % 2)
@@ -69,7 +71,7 @@ func BenchmarkKernels(b *testing.B) {
 		name string
 		segs []Seg
 		rs   bool
-	}{{"region", region, false}, {"rs", rs, true}, {"boundary", boundary, false}} {
+	}{{"region", region, false}, {"rs", rs, true}, {"boundary", boundary, false}, {"spread", spread, false}} {
 		for _, m := range []Method{Index, Prefix, Loop} {
 			sink := 0
 			emit := func(a, bs *Seg, c int) { sink += c }

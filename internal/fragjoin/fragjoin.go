@@ -10,10 +10,10 @@
 // counted exactly, and dropped partials can only lower the aggregate of
 // pairs that are already below the threshold.
 //
-// The kernels are allocation-lean: posting lists live in a flat slice
-// indexed by token offset (token ids are dense dictionary ranks confined to
-// the fragment's vertical range), candidate overlap counts use
-// generation-stamped sparse counters, and candidate buffers are reused
+// The kernels are allocation-lean: posting lists live in one flat slice
+// indexed by local token id (the fragment's indexed tokens, numbered
+// densely through a table over their rank range), candidate overlap counts
+// use generation-stamped sparse counters, and candidate buffers are reused
 // across segments. Candidate pairs are pre-screened by Sandes et al.'s
 // bitmap filter (filters.Signature, DESIGN.md §11): a fixed-width hashed
 // token bitmap per segment whose XOR+popcount overlap upper bound rejects
@@ -173,13 +173,13 @@ func Join(ctx *mapreduce.Context, segs []Seg, p Params, emit Emit) {
 }
 
 // Workspace is one worker's kernel scratch, reused across the fragments it
-// joins: the signatures, the plan, the postings, the candidate counters
-// and the packed bitmaps are resized per fragment, never reallocated while
-// they are large enough. A Workspace holds nothing of a fragment once Join
-// returns, and every array is reset when the next Join starts, so reuse is
-// invisible in what a join emits and counts — even after a join that
-// panicked. The zero value is ready; a Workspace is not safe for
-// concurrent use.
+// joins: the signatures, the plan, the postings and their rank → local id
+// table, the candidate counters and the packed bitmaps are resized per
+// fragment, never reallocated while they are large enough. A Workspace
+// holds nothing of a fragment once Join returns, and every array is reset
+// when the next Join starts, so reuse is invisible in what a join emits
+// and counts — even after a join that panicked. The zero value is ready; a
+// Workspace is not safe for concurrent use.
 type Workspace struct {
 	j joiner
 }
@@ -674,24 +674,23 @@ func (j *joiner) intersect(i, k int) int {
 }
 
 // postings is the inverted index over segment tokens, keyed by (token,
-// class). Fragment tokens are dense dictionary ranks confined to the
-// fragment's vertical range, so the index is a CSR layout: every posting
+// class). build numbers the fragment's indexed tokens densely: ids[t−base]
+// is token t's local id + 1, 0 when t is not indexed, over the indexed
+// tokens' rank range only. The lists are a CSR layout over local ids: every
 // list's final size is known up front (segPlan.index), one flat backing
-// array holds all lists and starts/lens slice it per token, one row of span
-// entries per indexed class — three arrays, kept across the fragments of a
-// Workspace, and no row for a class nothing is indexed under. A sparse map
-// fallback covers degenerate fragments whose token span dwarfs their token
-// count. A segment probes another class's lists, so get answers any token
-// and any class: what was never indexed has an empty list.
+// array holds all lists and starts/lens slice it, one row of local ids per
+// indexed class and no row for a class nothing is indexed under. All four
+// arrays are kept across the fragments of a Workspace; ids costs 4 bytes
+// per rank of the widest indexed range met, so at most 4·|U| per worker. A
+// segment probes another class's lists, so get answers any token and any
+// class: what was never indexed has an empty list.
 type postings struct {
 	base   tokens.ID
-	span   int
 	row    [numClasses + 1]int // class → offset of its row in starts/lens, -1 when none
+	ids    []int32
 	starts []int32
 	lens   []int32
 	flat   []int32
-	sparse map[uint64][]int32
-	mapped bool // the fragment's lists are in sparse
 }
 
 // build empties the index and sizes it for the tokens the plan says will
@@ -700,7 +699,6 @@ func (p *postings) build(segs []Seg, plan []segPlan) {
 	for c := range p.row {
 		p.row[c] = -1
 	}
-	p.mapped = false
 	var lo, hi tokens.ID
 	total := 0
 	for i := range segs {
@@ -721,22 +719,23 @@ func (p *postings) build(segs []Seg, plan []segPlan) {
 	if total == 0 {
 		return
 	}
-	p.base, p.span = lo, int(hi-lo)+1
-	// The span of one row, not of all rows: how many classes are indexed
-	// says nothing about how sparse the tokens are.
-	if p.span > 1<<16 && p.span > 4*total {
-		if p.sparse == nil {
-			p.sparse = make(map[uint64][]int32, total)
+	p.base = lo
+	p.ids = resize(p.ids, int(hi-lo)+1)
+	clear(p.ids)
+	var distinct int32
+	for i := range segs {
+		for _, t := range segs[i].Tokens[:plan[i].index()] {
+			if p.ids[t-lo] == 0 {
+				distinct++
+				p.ids[t-lo] = distinct
+			}
 		}
-		clear(p.sparse)
-		p.mapped = true
-		return
 	}
 	cells := 0
 	for c := range p.row {
 		if p.row[c] >= 0 {
 			p.row[c] = cells
-			cells += p.span
+			cells += int(distinct)
 		}
 	}
 	p.starts = resize(p.starts, cells)
@@ -748,7 +747,7 @@ func (p *postings) build(segs []Seg, plan []segPlan) {
 		}
 		row := p.starts[p.row[plan[i].class]:]
 		for _, t := range segs[i].Tokens[:n] {
-			row[t-lo]++
+			row[p.ids[t-lo]-1]++
 		}
 	}
 	var off int32
@@ -761,29 +760,20 @@ func (p *postings) build(segs []Seg, plan []segPlan) {
 	p.flat = resize(p.flat, total)
 }
 
-func sparseKey(t tokens.ID, c uint8) uint64 { return uint64(c)<<32 | uint64(t) }
-
 // get returns the segments indexed so far under token t in class c.
 func (p *postings) get(t tokens.ID, c uint8) []int32 {
-	if p.mapped {
-		return p.sparse[sparseKey(t, c)]
-	}
 	o, r := int(t)-int(p.base), p.row[c]
-	if r < 0 || o < 0 || o >= p.span {
+	if r < 0 || o < 0 || o >= len(p.ids) || p.ids[o] == 0 {
 		return nil
 	}
-	s := p.starts[r+o]
-	return p.flat[s : s+p.lens[r+o]]
+	r += int(p.ids[o]) - 1
+	return p.flat[p.starts[r] : p.starts[r]+p.lens[r]]
 }
 
 // add appends segment k to token t's list in class c; the caller adds only
 // what build counted.
 func (p *postings) add(t tokens.ID, c uint8, k int32) {
-	if p.mapped {
-		p.sparse[sparseKey(t, c)] = append(p.sparse[sparseKey(t, c)], k)
-		return
-	}
-	o := p.row[c] + int(t-p.base)
+	o := p.row[c] + int(p.ids[t-p.base]) - 1
 	p.flat[p.starts[o]+p.lens[o]] = k
 	p.lens[o]++
 }

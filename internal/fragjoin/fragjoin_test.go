@@ -235,18 +235,21 @@ func TestDegenerateFragments(t *testing.T) {
 				}
 			}
 		}), true, false},
-		{"sparse-map postings", each(func(s *Seg) {
-			for i := range s.Tokens {
-				s.Tokens[i] *= 50000
-			}
-		}), true, true},
+		{"tokens spread ×50 000", spread, true, true},
 	} {
 		for _, rs := range []bool{false, true} {
 			segs := tc.shape(randomFragment(rand.New(rand.NewSource(7)), 40, rs))
-			if tc.name == "sparse-map postings" {
+			if tc.name == "tokens spread ×50 000" {
+				// The lists are as many as the distinct tokens, not the ranks.
+				distinct := map[tokens.ID]bool{}
+				for _, s := range segs {
+					for _, tok := range s.Tokens {
+						distinct[tok] = true
+					}
+				}
 				inv := newPostings(segs, indexAll(segs, func(int) uint8 { return 0 }))
-				if inv.sparse == nil {
-					t.Fatalf("%s: fragment did not take the sparse-map path", tc.name)
+				if len(inv.starts) != len(distinct) {
+					t.Fatalf("%s: %d lists for %d distinct tokens", tc.name, len(inv.starts), len(distinct))
 				}
 			}
 			emitted := 0
@@ -297,8 +300,8 @@ func indexAll(segs []Seg, class func(i int) uint8) []segPlan {
 }
 
 // TestPostingsGetAnyTokenAnyClass: a segment probes another class's lists,
-// so get must answer tokens and classes nothing was indexed under — in the
-// CSR layout and in the sparse-map fallback.
+// so get must answer tokens and classes nothing was indexed under — over a
+// dense rank range and a spread one.
 func TestPostingsGetAnyTokenAnyClass(t *testing.T) {
 	for _, stride := range []tokens.ID{1, 100000} {
 		// Class 0 is indexed over tokens 10..20 (× stride), class 1 never.
@@ -310,8 +313,9 @@ func TestPostingsGetAnyTokenAnyClass(t *testing.T) {
 		plan := indexAll(segs, func(i int) uint8 { return uint8(i / 2) })
 		plan[2].indexed = false
 		inv := newPostings(segs, plan)
-		if sparse := inv.sparse != nil; sparse != (stride > 1) {
-			t.Fatalf("stride %d: sparse = %v", stride, sparse)
+		// Three indexed tokens, one row: three lists whatever the stride.
+		if len(inv.ids) != int(10*stride)+1 || len(inv.starts) != 3 {
+			t.Fatalf("stride %d: %d ids, %d lists", stride, len(inv.ids), len(inv.starts))
 		}
 		for i := range segs[:2] {
 			for _, tok := range segs[i].Tokens {
@@ -340,9 +344,8 @@ func TestPostingsGetAnyTokenAnyClass(t *testing.T) {
 		}
 	}
 
-	// Two indexed classes double the rows, not the span: 40 000 tokens of
-	// span under 2×15 000 postings stay CSR, although rows×span is past both
-	// sparse thresholds.
+	// Two indexed classes double the rows of local ids, not of ranks: 500
+	// distinct tokens over 40 000 ranks take 2×500 lists.
 	var segs []Seg
 	for i := 0; i < 30; i++ {
 		toks := make([]tokens.ID, 500)
@@ -352,8 +355,19 @@ func TestPostingsGetAnyTokenAnyClass(t *testing.T) {
 		segs = append(segs, Seg{Tokens: toks})
 	}
 	inv := newPostings(segs, indexAll(segs, func(i int) uint8 { return uint8(i % 2) }))
-	if inv.sparse != nil || inv.span*2 <= 1<<16 || inv.span*2 <= 4*len(inv.flat) {
-		t.Fatalf("two-class fragment: sparse %v, span %d, total %d", inv.sparse != nil, inv.span, len(inv.flat))
+	if len(inv.ids) != 499*80+1 || len(inv.starts) != 2*500 {
+		t.Fatalf("two-class fragment: %d ids, %d lists", len(inv.ids), len(inv.starts))
+	}
+	for i := range segs {
+		for _, tok := range segs[i].Tokens {
+			inv.add(tok, uint8(i%2), int32(i))
+		}
+	}
+	for c := uint8(0); c < 2; c++ {
+		want := []int32{int32(c), int32(c) + 2}
+		if got := inv.get(80, c); len(got) != 15 || !slices.Equal(got[:2], want) {
+			t.Fatalf("two-class fragment: get(80, class %d) = %v", c, got)
+		}
 	}
 }
 

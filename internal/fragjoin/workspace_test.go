@@ -44,23 +44,28 @@ func wideFragment(rng *rand.Rand, n int, rs bool) []Seg {
 	return segs
 }
 
+// spread multiplies every token of segs by 50 000 in place: a fragment
+// whose indexed rank range dwarfs its token count.
+func spread(segs []Seg) []Seg {
+	for i := range segs {
+		for k := range segs[i].Tokens {
+			segs[i].Tokens[k] *= 50000
+		}
+	}
+	return segs
+}
+
 // workspaceFragments is a shuffled sequence of fragments that grow and
-// shrink — empty, one segment, up to 90 — with two past the sparse-postings
-// threshold and two with wide packed bitmaps. randomFragment mixes region,
-// small and large roles, so every fragment holds boundary pairs.
+// shrink — empty, one segment, up to 90 — with two whose tokens are spread
+// and two with wide packed bitmaps. randomFragment mixes region, small and
+// large roles, so every fragment holds boundary pairs.
 func workspaceFragments(rng *rand.Rand, rs bool) [][]Seg {
 	var frags [][]Seg
 	for _, n := range []int{0, 1, 3, 12, 40, 90, 25, 2, 60, 1, 0, 8} {
 		frags = append(frags, randomFragment(rng, n, rs))
 	}
 	for _, n := range []int{30, 12} {
-		sparse := randomFragment(rng, n, rs)
-		for i := range sparse {
-			for k := range sparse[i].Tokens {
-				sparse[i].Tokens[k] *= 50000
-			}
-		}
-		frags = append(frags, sparse)
+		frags = append(frags, spread(randomFragment(rng, n, rs)))
 	}
 	frags = append(frags, wideFragment(rng, 70, rs), wideFragment(rng, 20, rs))
 	rng.Shuffle(len(frags), func(a, b int) { frags[a], frags[b] = frags[b], frags[a] })
@@ -87,7 +92,7 @@ func fill[T any](s []T, v T) {
 // poison overwrites everything a Workspace keeps between joins, to
 // capacity, with values no finished join leaves behind: set touched bits,
 // current stamps, a stamp generation about to wrap, indexed plans, built
-// bitmaps, filled postings and a sparse map in use.
+// bitmaps, and filled postings whose local id table names every rank.
 func poison(w *Workspace) {
 	j := &w.j
 	fill(j.counts, 7)
@@ -97,19 +102,13 @@ func poison(w *Workspace) {
 	fill(j.sigs, filters.Signature{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)})
 	fill(j.plans, segPlan{probe: 1, indexed: true})
 	fill(j.bitmaps, segBitmap{state: 1, words: []uint64{^uint64(0)}})
+	fill(j.inv.ids, 1)
 	fill(j.inv.starts, 1)
 	fill(j.inv.lens, 1)
 	fill(j.inv.flat, 0)
 	// A generation that wraps to the cleared stamps' 0 in a join's second
 	// probe round, if it is not restarted.
 	j.gen, j.sigW, j.loWord, j.hiWord = math.MaxUint32-1, 4, 0, len(j.touched)-1
-	if j.inv.sparse == nil {
-		j.inv.sparse = map[uint64][]int32{}
-	}
-	for c := uint8(0); c <= numClasses; c++ {
-		j.inv.sparse[sparseKey(1, c)] = []int32{0}
-	}
-	j.inv.mapped = true
 	j.n = counters{comparisons: 9}
 }
 
@@ -171,12 +170,12 @@ func TestWorkspaceReuseInvisible(t *testing.T) {
 // joins it, or a fragment of a prefix of its segments, without allocating.
 // No filter is on, so every kernel intersects every pair it meets and the
 // packed bitmaps of the wide fragment outgrow the arena's first capacity
-// while warming. The sparse-map postings fallback is left out: its lists
-// are appended into a map cleared per fragment.
+// while warming; the spread fragment's local id table spans up to 1.2 M
+// ranks.
 func TestWorkspaceAllocationFree(t *testing.T) {
 	for _, rs := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(5))
-		for _, big := range [][]Seg{randomFragment(rng, 90, rs), wideFragment(rng, 70, rs)} {
+		for _, big := range [][]Seg{randomFragment(rng, 90, rs), wideFragment(rng, 70, rs), spread(randomFragment(rng, 60, rs))} {
 			for _, m := range []Method{Loop, Index, Prefix} {
 				for _, bm := range []filters.BitmapMode{filters.BitmapOn, filters.BitmapOff} {
 					p := Params{Fn: similarity.Jaccard, Theta: 0.5, Method: m, RS: rs,

@@ -100,3 +100,6 @@ func DropPooled() {
 		l.empty()
 	}
 }
+
+// PooledBytes is what the free lists hold together, in the bytes they count.
+func PooledBytes() int64 { return pooledBytes.Load() }

@@ -21,14 +21,16 @@
 # The table is also written as JSON, to .bench_build/pairs/WORKLOAD/pairs.json,
 # and .bench_build/pairs/bench.json gathers every workload measured between
 # the same two commits on the same machine: the commits (git describe,
-# "-dirty" for uncommitted changes), the machine (CPUs, GOMAXPROCS, Go
-# version, kernel), and per workload the pairs, their seconds and, per
-# metric, each side's median and quartiles, the pairs won and the verdict.
+# "-dirty" for uncommitted changes), each side's Go lines outside bench/
+# as `make loc` counts them (non-test and test), the machine (CPUs,
+# GOMAXPROCS, Go version, kernel), and per workload the pairs, their
+# seconds and, per metric, each side's median and quartiles, the pairs won
+# and the verdict.
 # A performance change commits that file as BENCH_<name>.json.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,27p' "$0" >&2
+	sed -n '2,29p' "$0" >&2
 	exit 2
 fi
 change=$(cd "$(dirname "$0")/.." && pwd)
@@ -47,11 +49,17 @@ out="$change/.bench_build/pairs/$workload"
 rm -rf "$out"
 mkdir -p "$out"
 
-# What the JSON names: the two commits and the machine.
+# What the JSON names: the two commits, their sizes and the machine.
 describe() { git -C "$1" describe --always --dirty --abbrev=12 2>/dev/null || echo unknown; }
-labels=$(printf '"commit": "%s", "parent": "%s", "machine": {"cpus": %d, "gomaxprocs": %d, "go": "%s", "kernel": "%s"}' \
-	"$(describe "$change")" "$(describe "$parent")" "$(nproc)" "${GOMAXPROCS:-$(nproc)}" \
-	"$(go env GOVERSION)" "$(uname -r)")
+lines() { # dir find-args...: lines of the Go files outside bench/ that match
+	local dir=$1
+	shift
+	(cd "$dir" && find . -name '*.go' "$@" ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
+}
+loc() { printf '{"go": %d, "test_go": %d}' "$(lines "$1" ! -name '*_test.go')" "$(lines "$1" -name '*_test.go')"; }
+labels=$(printf '"commit": "%s", "parent": "%s", "loc": {"change": %s, "parent": %s}, "machine": {"cpus": %d, "gomaxprocs": %d, "go": "%s", "kernel": "%s"}' \
+	"$(describe "$change")" "$(describe "$parent")" "$(loc "$change")" "$(loc "$parent")" \
+	"$(nproc)" "${GOMAXPROCS:-$(nproc)}" "$(go env GOVERSION)" "$(uname -r)")
 
 run() { # side dir pair
 	echo "pair $3/$pairs: $1" >&2

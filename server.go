@@ -15,6 +15,7 @@ import (
 
 	"fsjoin/internal/frame"
 	"fsjoin/internal/sched"
+	"fsjoin/internal/spill"
 )
 
 // Typed serving-layer failures. A shed job did no work: it was rejected
@@ -534,8 +535,9 @@ func (s *Server) maintainOnce(ix *Index) (err error) {
 // Shutdown drains the server: new and queued jobs are rejected with
 // ErrServerClosed, running jobs continue until they finish, hit their
 // deadlines, or — once ctx is done — are cancelled. After every job has
-// returned, spill and checkpoint temp files are swept. Idempotent; safe
-// to call concurrently with Run.
+// returned, what the shuffle's free lists hold is left to the collector
+// (spill.DropPooled) and spill and checkpoint temp files are swept.
+// Idempotent; safe to call concurrently with Run.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -564,6 +566,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
+	spill.DropPooled()
 	return s.sweep()
 }
 

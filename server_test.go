@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fsjoin/internal/frame"
+	"fsjoin/internal/spill"
 )
 
 // servingCorpusOpts builds the mixed-algorithm chaos workload the serving
@@ -482,6 +483,46 @@ func TestServerShutdownCancelsRunning(t *testing.T) {
 	}
 	if err := <-jobErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("running job err = %v, want context.Canceled", err)
+	}
+}
+
+// TestServerShutdownDropsPooled: a Server that ran a join leaves nothing
+// in the shuffle's free lists once it has shut down, on the drained path
+// and on the cancelled one, so a long-running process that closes its
+// Server gets that memory back.
+func TestServerShutdownDropsPooled(t *testing.T) {
+	for _, cancelled := range []bool{false, true} {
+		srv, err := NewServer(ServerOptions{MemoryBudget: 1 << 20, MaxConcurrent: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := Job{
+			Collection: NewDictionary().NewTextCollection(corpus(200, 3)),
+			Options:    Options{Threshold: 0.6, Nodes: 3},
+		}
+		if _, err := srv.Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		if spill.PooledBytes() == 0 {
+			t.Fatal("the join gave nothing back to the shuffle's free lists")
+		}
+		ctx := context.Background()
+		if cancelled {
+			job.Collection = NewDictionary().NewTextCollection(corpus(600, 55))
+			go srv.Run(context.Background(), job)
+			for srv.Stats().Running == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			expired, cancel := context.WithCancel(ctx)
+			cancel()
+			ctx = expired
+		}
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("cancelled %v: shutdown: %v", cancelled, err)
+		}
+		if n := spill.PooledBytes(); n != 0 {
+			t.Fatalf("cancelled %v: the free lists hold %d bytes after Shutdown, want 0", cancelled, n)
+		}
 	}
 }
 
