@@ -26,15 +26,16 @@ race:
 # then repeats the attempt-loop tests 20 times: their spill-leak checks
 # assert once, when the job returns, so a late cleanup fails them. With
 # them run two pipelines side by side that share the shuffle's chunk
-# pools, and two chained pipelines that take each other's released fed
-# columns, groups and fold tables: a chunk in two lists at once, or read
-# after its release, is a race report or a wrong answer. The free lists
+# pools, two FS-Join pipelines that take each other's released segment
+# tail chunks, and two chained pipelines that take each other's released
+# fed columns, groups and fold tables: a chunk in two lists at once, or
+# read after its release, is a race report or a wrong answer. The free lists
 # those pools are built on are given, taken and emptied from several
 # goroutines at once 10 times.
 # TestWALGroupCommitFlush runs 100 times: under -race it flaked when its sync window ran out inside a slow Insert.
 chaos:
 	$(GO) test -race -run 'TestChaos' . ./internal/mapreduce/chaos/
-	$(GO) test -race -count=20 -run 'TestSkip|Cancel|TestSpillCleanup|TestChainAttempts|TestWithRetries|TestRetries|TestPipelinesShareChunkPools|TestChainReleaseReusedInvisibly' ./internal/mapreduce/
+	$(GO) test -race -count=20 -run 'TestSkip|Cancel|TestSpillCleanup|TestChainAttempts|TestWithRetries|TestRetries|TestPipelinesShareChunkPools|TestPipelinesShareTailChunks|TestChainReleaseReusedInvisibly' ./internal/mapreduce/
 	$(GO) test -race -count=10 -run 'TestFreeListConcurrent$$' ./internal/spill/
 	$(GO) test -race -count=100 -run 'TestWALGroupCommitFlush$$' ./internal/probeindex/
 

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"fsjoin/internal/filters"
@@ -17,6 +18,7 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -266,19 +268,19 @@ func (m *filterMapper) Map(ctx *mapreduce.Context, kv mapreduce.KV) {
 }
 
 // filterReducer joins one fragment's segments and emits partial counts.
+// The engine hands it each fragment as a typed group (FinishGroup): the
+// segments' tokens are views into the group's column, read in place.
 //
 // Its scratch — the fragment's segments and the kernel's workspace — is the
 // reduce attempt's, kept in Context.Local like the ordering job's counts
-// (order.denseCounter): the first Reduce of an attempt takes one from the
-// job's free list and Cleanup hands it back, so a job allocates as many as
-// it runs attempts at once and every fragment after an attempt's first
-// reuses arrays already grown. An attempt that panics or is cancelled
-// never reaches Cleanup, and its scratch is dropped with its Context.
+// (order.denseCounter): the first fragment of an attempt takes one from the
+// process-wide free list and Cleanup hands it back, so the calls of a
+// process allocate about as many as they run attempts at once, and every
+// fragment after the first of a process reuses arrays already grown. An
+// attempt that panics or is cancelled never reaches Cleanup, and its
+// scratch is dropped with its Context.
 type filterReducer struct {
 	params fragjoin.Params
-
-	mu   sync.Mutex
-	free []*filterScratch
 }
 
 // filterScratch is one reduce attempt's scratch.
@@ -287,17 +289,35 @@ type filterScratch struct {
 	w    fragjoin.Workspace
 }
 
-// Reduce implements mapreduce.Reducer.
+// scratches is the free list of filterScratch, shared by every filtering
+// job of the process. It keeps at most GOMAXPROCS: no more attempts run at
+// once.
+var scratches struct {
+	mu   sync.Mutex
+	free []*filterScratch
+}
+
+// Reduce implements mapreduce.Reducer, for a caller that holds the
+// fragment's segments boxed.
 func (r *filterReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	s, _ := ctx.Local.(*filterScratch)
-	if s == nil {
-		s = r.get()
-		ctx.Local = s
-	}
+	s := scratch(ctx)
 	s.segs = s.segs[:0]
 	for _, v := range values {
 		s.segs = append(s.segs, v.(fragjoin.Seg))
 	}
+	r.join(ctx, s)
+}
+
+// FinishGroup implements mapreduce.GroupFinisher: Reduce of fragment i of
+// g, its segments read as Segs whose tokens stay where g holds them.
+func (r *filterReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	s := scratch(ctx)
+	s.segs = spill.AppendGroupValues(s.segs[:0], g, i)
+	r.join(ctx, s)
+}
+
+// join joins the fragment in s.segs.
+func (r *filterReducer) join(ctx *mapreduce.Context, s *filterScratch) {
 	s.w.Join(ctx, s.segs, r.params, func(a, b *fragjoin.Seg, c int) {
 		mapreduce.EmitPair(ctx, uint32(a.RID), uint32(b.RID),
 			result.Overlap{C: int32(c), La: a.StrLen, Lb: b.StrLen})
@@ -313,19 +333,46 @@ func (r *filterReducer) Cleanup(ctx *mapreduce.Context) {
 	}
 	clear(s.segs[:cap(s.segs)])
 	ctx.Local = nil
-	r.mu.Lock()
-	r.free = append(r.free, s)
-	r.mu.Unlock()
+	scratches.mu.Lock()
+	defer scratches.mu.Unlock()
+	if len(scratches.free) < runtime.GOMAXPROCS(0) {
+		scratches.free = append(scratches.free, s)
+	}
 }
 
-// get returns a scratch from the free list, or a new one.
-func (r *filterReducer) get() *filterScratch {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.free); n > 0 {
-		s := r.free[n-1]
-		r.free = r.free[:n-1]
+// scratch returns the attempt's scratch, taking one from the free list, or
+// a new one, on its first fragment.
+func scratch(ctx *mapreduce.Context) *filterScratch {
+	if s, _ := ctx.Local.(*filterScratch); s != nil {
 		return s
 	}
-	return &filterScratch{}
+	scratches.mu.Lock()
+	var s *filterScratch
+	if n := len(scratches.free); n > 0 {
+		s = scratches.free[n-1]
+		scratches.free[n-1] = nil
+		scratches.free = scratches.free[:n-1]
+	}
+	scratches.mu.Unlock()
+	if s == nil {
+		s = &filterScratch{}
+	}
+	ctx.Local = s
+	return s
+}
+
+// DropScratch leaves the filtering reducers' free list to the garbage
+// collector, as spill.DropPooled does the shuffle's: the next filtering
+// job grows its kernel workspaces afresh. It is safe beside running jobs.
+func DropScratch() {
+	scratches.mu.Lock()
+	defer scratches.mu.Unlock()
+	scratches.free = nil
+}
+
+// HeldScratch returns how many scratches the free list holds.
+func HeldScratch() int {
+	scratches.mu.Lock()
+	defer scratches.mu.Unlock()
+	return len(scratches.free)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"fsjoin/internal/fragjoin"
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/result"
+	"fsjoin/internal/spill"
 )
 
 // crashAt is a job context that is already done with a plain error: an
@@ -34,9 +36,9 @@ func (c crashAt) Err() error            { c.fired.Add(1); return c.err }
 // watchedFilter runs the filtering job's reducer and records which attempt
 // holds which scratch. It fails the test when an attempt takes a scratch
 // whose previous holder never reached Cleanup — a dead attempt's — and,
-// when crash says so for (task, n-th attempt to reach Reduce), makes that
+// when crash says so for (task, n-th attempt to reach a fragment), makes that
 // attempt crash mid-fragment. cancelAt > 0 cancels the job at the
-// cancelAt-th Reduce.
+// cancelAt-th fragment.
 type watchedFilter struct {
 	*filterReducer
 	t        *testing.T
@@ -48,7 +50,7 @@ type watchedFilter struct {
 	reduces atomic.Int64
 
 	mu       sync.Mutex
-	reached  map[int]int                           // task → attempts that reached Reduce
+	reached  map[int]int                           // task → attempts that reached a fragment
 	attempt  map[*mapreduce.Context]bool           // attempts seen
 	cleaned  map[*mapreduce.Context]bool           // attempts that reached Cleanup
 	holder   map[*filterScratch]*mapreduce.Context // last attempt to take each scratch
@@ -62,7 +64,8 @@ func watch(t *testing.T, crash func(task, attempt int) bool) (*watchedFilter, fu
 	return w, func(r *filterReducer) mapreduce.Reducer { w.filterReducer = r; return w }
 }
 
-func (w *watchedFilter) Reduce(ctx *mapreduce.Context, key string, values []any) {
+// FinishGroup is how the engine hands the filtering reducer each fragment.
+func (w *watchedFilter) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
 	w.mu.Lock()
 	if !w.attempt[ctx] {
 		w.attempt[ctx] = true
@@ -80,11 +83,11 @@ func (w *watchedFilter) Reduce(ctx *mapreduce.Context, key string, values []any)
 		w.cancel()
 	}
 	defer w.took(ctx)
-	w.filterReducer.Reduce(ctx, key, values)
+	w.filterReducer.FinishGroup(ctx, g, i)
 }
 
 // took records ctx as the holder of the scratch it holds, also when its
-// Reduce panicked.
+// FinishGroup panicked.
 func (w *watchedFilter) took(ctx *mapreduce.Context) {
 	s, _ := ctx.Local.(*filterScratch)
 	if s == nil {
@@ -106,26 +109,36 @@ func (w *watchedFilter) Cleanup(ctx *mapreduce.Context) {
 	w.filterReducer.Cleanup(ctx)
 }
 
-// checkFreeList: every scratch on the free list was handed back by the
-// Cleanup of the last attempt that held it, and there are no more of them
-// than Cleanups ran. It returns how many scratches died with their holder.
-func (w *watchedFilter) checkFreeList(label string) (dead int) {
+// checkFreeList: every scratch of this run on the free list was handed
+// back by the Cleanup of the last attempt that held it, and there are no
+// more of them than Cleanups ran; the list is the process's, so it may
+// hold scratches of earlier runs too. It returns how many scratches died
+// with their holder, and how many of the run's are on the list.
+func (w *watchedFilter) checkFreeList(label string) (dead, handedBack int) {
+	scratches.mu.Lock()
+	free := slices.Clone(scratches.free)
+	scratches.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.free) > w.cleanups {
-		w.t.Errorf("%s: %d scratches on the free list after %d Cleanups", label, len(w.free), w.cleanups)
-	}
-	for _, s := range w.free {
-		if !w.cleaned[w.holder[s]] {
+	for _, s := range free {
+		holder, ok := w.holder[s]
+		if !ok {
+			continue
+		}
+		handedBack++
+		if !w.cleaned[holder] {
 			w.t.Errorf("%s: a scratch on the free list was last held by an attempt that never reached Cleanup", label)
 		}
+	}
+	if handedBack > w.cleanups {
+		w.t.Errorf("%s: %d scratches on the free list after %d Cleanups", label, handedBack, w.cleanups)
 	}
 	for _, ctx := range w.holder {
 		if !w.cleaned[ctx] {
 			dead++
 		}
 	}
-	return dead
+	return dead, handedBack
 }
 
 // faultsInFilterReduce injects, on the first attempt of a seeded third of
@@ -214,7 +227,7 @@ func TestDeadAttemptScratchNeverReused(t *testing.T) {
 					t.Fatalf("%s, seed %d: %d retries, %d kernel crashes", label, seed,
 						got.Pipeline.Counter(mapreduce.CounterRetries), w.fired.Load())
 				}
-				if w.checkFreeList(fmt.Sprintf("%s, seed %d", label, seed)) == 0 || len(w.free) == 0 {
+				if dead, back := w.checkFreeList(fmt.Sprintf("%s, seed %d", label, seed)); dead == 0 || back == 0 {
 					t.Fatalf("%s, seed %d: no attempt died holding scratch, or none handed one back", label, seed)
 				}
 			}
@@ -229,7 +242,8 @@ func TestDeadAttemptScratchNeverReused(t *testing.T) {
 			if _, err := run(c, nil, copt, wrap); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled run returned %v", label, err)
 			}
-			cancelledDead += w.checkFreeList(label + ", cancelled")
+			dead, _ := w.checkFreeList(label + ", cancelled")
+			cancelledDead += dead
 		}
 	}
 	if cancelledDead == 0 {

@@ -89,10 +89,21 @@ type Seg struct {
 	Tokens []tokens.ID
 }
 
+// segHead is a Seg but its tokens: the head of its tailed column.
+type segHead struct {
+	RID        int32
+	Origin     uint8
+	Role       partition.Role
+	StrLen     int32
+	Head, Tail int32
+}
+
 // Seg's codec: the dominant shuffle value of the filtering job spills and
-// checkpoints through it (DESIGN.md §8).
+// checkpoints through it (DESIGN.md §8). The shuffle holds Segs in a
+// tailed column, their tokens copied into word chunks, so a segment
+// crosses it with no box (spill.RegisterTailed).
 func init() {
-	spill.Register(spill.TagSeg, spill.Codec[Seg]{
+	spill.RegisterTailed(spill.TagSeg, spill.Codec[Seg]{
 		Append: func(buf []byte, s Seg) []byte {
 			buf = binary.AppendVarint(buf, int64(s.RID))
 			buf = append(buf, s.Origin, byte(s.Role))
@@ -113,6 +124,10 @@ func init() {
 		},
 		// rid + origin/role + three lengths + tokens.
 		Size: func(s Seg) int { return 4 + 2 + 12 + 4*len(s.Tokens) },
+	}, func(s Seg) (segHead, []uint32) {
+		return segHead{s.RID, s.Origin, s.Role, s.StrLen, s.Head, s.Tail}, s.Tokens
+	}, func(h segHead, toks []uint32) Seg {
+		return Seg{RID: h.RID, Origin: h.Origin, Role: h.Role, StrLen: h.StrLen, Head: h.Head, Tail: h.Tail, Tokens: toks}
 	})
 }
 

@@ -89,7 +89,7 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 		{"int64", pairs(n, count), "int64", 0},
 		{"candidate", pairs(n, func(int) result.Candidate { return result.Candidate{} }), "result.Candidate", 0},
 		{"scored", pairs(n, func(i int) result.Scored { return result.Scored{C: int32(i), Sim: float64(i) / 7} }), "result.Scored", 0},
-		{"seg", pairs(n, seg), "interface {}", 0},
+		{"seg", pairs(n, seg), "tailed[fsjoin/internal/fragjoin.Seg,", 0},
 		{"unregistered", pairs(n, func(i int) unregistered { return unregistered{int32(i), 1} }), "interface {}", 0},
 		{"overlap-then-int64", slices.Concat(pairs(50, overlapAt), pairs(50, count), pairs(50, overlapAt)), "interface {}", 0},
 		{"int64-then-overlap", slices.Concat(pairs(50, count), pairs(50, overlapAt), pairs(50, count)), "interface {}", 0},
@@ -100,7 +100,7 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 		{"u32", u32s(n, count), "int64", 0},
 		{"u32-then-pairs", slices.Concat(u32s(50, count), pairs(50, count)), "int64", 0},
 		{"map-task-u32", u32s(n, count), "int64", 7},
-		{"map-task-seg", pairs(n, seg), "interface {}", 7},
+		{"map-task-seg", pairs(n, seg), "tailed[fsjoin/internal/fragjoin.Seg,", 7},
 		{"map-task-mixed", slices.Concat(u32s(50, count), pairs(50, overlapAt), u32s(50, count)), "", 7},
 		{"map-task-7-byte-key", slices.Concat(pairs(50, count), []step{keyed(oddKey, count(1))}, u32s(50, count)), "int64", 3},
 	} {
@@ -139,6 +139,13 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 	mapreduce.EmitPair(ctx, 1, 2, overlapAt(1)) // the first value picks the column
 	if a := testing.AllocsPerRun(1000, func() { mapreduce.EmitPair(ctx, 1, 2, overlapAt(1)) }); a != 0 {
 		t.Fatalf("EmitPair into an Overlap column allocated %v times a record", a)
+	}
+	// Nor does a segment into its tailed column, its tokens copied.
+	ctx = new(mapreduce.Context)
+	mapreduce.EmitPair(ctx, 1, 2, seg(1))
+	s := seg(2)
+	if a := testing.AllocsPerRun(1000, func() { mapreduce.EmitPair(ctx, 1, 2, s) }); a != 0 {
+		t.Fatalf("EmitPair into a Seg column allocated %v times a record", a)
 	}
 }
 

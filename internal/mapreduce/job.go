@@ -84,13 +84,16 @@ type FoldingReducer interface {
 	FinishFold(ctx *Context, key string, acc any)
 }
 
-// GroupFinisher is what a FoldingReducer may offer besides FinishFold: the
-// same output for group i of g, read from the group itself. The reduce
-// phase then calls FinishGroup instead of FinishFold, and builds no key
-// string and boxes no accumulator for it: g.Abbrev(i) holds the key
-// whole, and spill.GroupAcc the accumulator of a typed column unboxed.
-// FinishGroup may call FinishFold for a group it has no faster way for. g
-// is shared by every attempt of the reduce task and must only be read.
+// GroupFinisher is what a reducer may offer besides Reduce, or a
+// FoldingReducer besides FinishFold: the same output for group i of g,
+// read from the group itself. The reduce phase then calls FinishGroup
+// instead, and builds no key string and boxes no value for it: g.Abbrev(i)
+// holds the key whole, spill.GroupAcc a folded group's accumulator of a
+// typed column unboxed, and spill.AppendGroupValues an unfolded group's
+// values as the type they were emitted as — a tailed value's tail a view
+// into g, valid while FinishGroup runs. FinishGroup may call FinishFold or
+// Reduce for a group it has no faster way for. g is shared by every
+// attempt of the reduce task and must only be read.
 type GroupFinisher interface {
 	FinishGroup(ctx *Context, g *spill.Groups, i int)
 }
@@ -949,10 +952,10 @@ func (env *jobEnv) reduceGroups(in *reduceInput) taskBody[int32] {
 			ctx.CheckCancel()
 			f.injectRecord(n, counters)
 			switch {
-			case !env.folding:
-				reducer.Reduce(ctx, in.Key(int(g), keys), in.Values(int(g)))
 			case finisher != nil:
 				finisher.FinishGroup(ctx, in.Groups, int(g))
+			case !env.folding:
+				reducer.Reduce(ctx, in.Key(int(g), keys), in.Values(int(g)))
 			default:
 				env.foldingReducer.FinishFold(ctx, in.Key(int(g), keys), in.Acc(int(g)))
 			}

@@ -18,6 +18,25 @@ import (
 // each taking chunks the other gave back; every run's pairs, stage
 // metrics and counters must be those of the same pipeline run alone.
 func TestPipelinesShareChunkPools(t *testing.T) {
+	runSideBySide(t, func(site chainSite) bool { return site.name == "fs" && !site.rs || site.name == "vsmart" && site.rs })
+}
+
+// TestPipelinesShareTailChunks: the word chunks of the segments' tailed
+// columns are shared alike. FS-Join's self-join and its R-S join run side
+// by side at parallelism 4, in memory and under a 1 KiB budget, three
+// times over, each filtering job's partitions and groups growing into the
+// tail chunks the other released; a chunk in two columns at once, or read
+// after its release, is a wrong pair, metric or counter, or under -race a
+// race report.
+func TestPipelinesShareTailChunks(t *testing.T) {
+	runSideBySide(t, func(site chainSite) bool { return site.name == "fs" })
+}
+
+// runSideBySide runs the chain sites keep selects alone, then side by side
+// three times over, in memory and under a 1 KiB budget, at parallelism 4:
+// every run's pairs, stage metrics and counters must be those of the same
+// pipeline run alone.
+func runSideBySide(t *testing.T, keep func(chainSite) bool) {
 	r := testutil.RandomCollection(80, 40, 10, 1)
 	s := testutil.RandomCollection(60, 40, 10, 2)
 	type outcome struct {
@@ -27,7 +46,7 @@ func TestPipelinesShareChunkPools(t *testing.T) {
 	}
 	var sites []chainSite
 	for _, site := range chainSites {
-		if site.name == "fs" && !site.rs || site.name == "vsmart" && site.rs {
+		if keep(site) {
 			sites = append(sites, site)
 		}
 	}

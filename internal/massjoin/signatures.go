@@ -6,6 +6,7 @@ import (
 	"fsjoin/internal/mapreduce"
 	"fsjoin/internal/order"
 	"fsjoin/internal/result"
+	"fsjoin/internal/spill"
 )
 
 // sigMapper emits index-side signatures (one per even segment, plus the
@@ -113,9 +114,29 @@ type sigReducer struct {
 
 // Reduce implements mapreduce.Reducer.
 func (r *sigReducer) Reduce(ctx *mapreduce.Context, key string, values []any) {
+	es := make([]sigEntry, len(values))
+	for i, v := range values {
+		es[i] = v.(sigEntry)
+	}
+	r.match(ctx, es)
+}
+
+// FinishGroup implements mapreduce.GroupFinisher: Reduce of signature i,
+// its entries read unboxed into the attempt's own slice.
+func (r *sigReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	es, _ := ctx.Local.(*[]sigEntry)
+	if es == nil {
+		es = new([]sigEntry)
+		ctx.Local = es
+	}
+	*es = spill.AppendGroupValues((*es)[:0], g, i)
+	r.match(ctx, *es)
+}
+
+// match emits the candidate pairs of one signature's entries.
+func (r *sigReducer) match(ctx *mapreduce.Context, es []sigEntry) {
 	var idx, probes []sigEntry
-	for _, v := range values {
-		e := v.(sigEntry)
+	for _, e := range es {
 		if e.probe {
 			probes = append(probes, e)
 		} else {

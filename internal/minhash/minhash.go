@@ -242,6 +242,17 @@ func (j *bucketJoiner) Reduce(ctx *mapreduce.Context, key string, values []any) 
 	for i, v := range values {
 		ps[i] = v.(rsinput.Posting)
 	}
+	j.join(ctx, ps)
+}
+
+// FinishGroup implements mapreduce.GroupFinisher: Reduce of bucket i,
+// its postings read unboxed into the attempt's own slice.
+func (j *bucketJoiner) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	j.join(ctx, rsinput.GroupPostings(ctx, g, i))
+}
+
+// join emits a candidate for every qualifying pair of ps, which it sorts.
+func (j *bucketJoiner) join(ctx *mapreduce.Context, ps []rsinput.Posting) {
 	sort.Slice(ps, func(a, b int) bool {
 		if ps[a].Origin != ps[b].Origin {
 			return ps[a].Origin < ps[b].Origin

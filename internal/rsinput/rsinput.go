@@ -29,6 +29,20 @@ type Posting struct {
 	RID, Len int32
 }
 
+// GroupPostings returns unfolded group i of g as Postings, read unboxed
+// (spill.AppendGroupValues) into a slice the reduce attempt keeps in
+// ctx.Local and refills at its next group: a posting-list reducer's
+// FinishGroup owns what it returns until then.
+func GroupPostings(ctx *mapreduce.Context, g *spill.Groups, i int) []Posting {
+	ps, _ := ctx.Local.(*[]Posting)
+	if ps == nil {
+		ps = new([]Posting)
+		ctx.Local = ps
+	}
+	*ps = spill.AppendGroupValues((*ps)[:0], g, i)
+	return *ps
+}
+
 // Union returns the collection the global ordering is computed over: r
 // for a self-join, R ∪ S otherwise.
 func Union(r, s *tokens.Collection) *tokens.Collection {

@@ -188,13 +188,17 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 // the partition's column, then the budget checked. It adds nothing and
 // reports false when the partition's column cannot take v unboxed
 // (AppendTyped), or when the buffer folds and its fold has no unboxed form
-// for the column; the caller then Adds the record.
+// for the column — a tailed column has none; the caller then Adds the
+// record.
 func AddTyped[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool, error) {
 	if part < 0 || part >= len(b.parts) {
 		return false, nil // Add reports it
 	}
 	c := typedColumn[T](&b.parts[part])
-	if c == nil || b.slots != nil && !c.foldsUnboxed(&b.fold) {
+	if c == nil {
+		return addTailed(b, part, k, v, overhead)
+	}
+	if b.slots != nil && !c.foldsUnboxed(&b.fold) {
 		return false, nil
 	}
 	r, i, err := b.find(part, k)
@@ -207,6 +211,20 @@ func AddTyped[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool
 	}
 	bytes := overhead + int64(c.codec.Size(v))
 	appendTyped(r, c, k, v, bytes)
+	b.mem += bytes
+	return true, b.checkBudget()
+}
+
+// addTailed is AddTyped into a tailed column of a buffer that does not
+// fold.
+func addTailed[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool, error) {
+	r := &b.parts[part]
+	c, ok := r.vals.(tailedOf[T])
+	if !ok || b.slots != nil {
+		return false, nil
+	}
+	bytes := overhead + int64(c.size(v))
+	appendTailed(r, c, k, v, bytes)
 	b.mem += bytes
 	return true, b.checkBudget()
 }
@@ -365,7 +383,7 @@ func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) 
 	if part < len(b.segs) && len(b.segs[part]) > 0 {
 		lo := dst.Len()
 		ways, err := b.fetchSpilled(part, dst, f)
-		return Source{Recs: dst, Lo: lo, Hi: dst.Len()}, ways, err
+		return counted(Source{Recs: dst, Lo: lo, Hi: dst.Len()}), ways, err
 	}
 	tail := &b.parts[part]
 	if tail.Len() == 0 {
@@ -376,8 +394,27 @@ func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) 
 			return Source{}, 0, err
 		}
 	}
-	return Source{Recs: tail, Hi: tail.Len()}, 1, nil
+	return counted(Source{Recs: tail, Hi: tail.Len()}), 1, nil
 }
+
+// boxedFetches counts the partitions Fetch has handed over boxed.
+var boxedFetches atomic.Int64
+
+// counted returns src, counting it in boxedFetches when its values are
+// held boxed.
+func counted(src Source) Source {
+	if _, boxed := src.Recs.vals.(*column[any]); boxed && src.Hi > src.Lo {
+		boxedFetches.Add(1)
+	}
+	return src
+}
+
+// BoxedFetches returns how many partitions Fetch has handed over, in place
+// or decoded, with their values boxed in a column of any, since the
+// process started: partitions of values whose type is registered neither
+// pointer-free nor tailed, or of values of more than one type. A job whose
+// shuffle values all have a column of their own adds nothing to it.
+func BoxedFetches() int64 { return boxedFetches.Load() }
 
 // Trim gives back the memory a buffer that spilled keeps for refilling and
 // spilling again, and the fold tables, which only Add reads, to the pools

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 )
 
@@ -43,8 +44,9 @@ type kind struct {
 	append func(buf []byte, v any) []byte
 	read   func(d *Dec) any
 	size   func(v any) int
-	// column makes the type's empty []T column; nil for a type that holds a
-	// pointer, whose values are held boxed.
+	// column makes the type's empty column — a []T, or a tailed column
+	// (RegisterTailed); nil for any other type that holds a pointer, whose
+	// values are held boxed.
 	column func() values
 }
 
@@ -62,6 +64,16 @@ var (
 // so a collision surfaces at program start. Must be called from init():
 // the registry is read without locking once jobs run.
 func Register[T any](tag byte, c Codec[T]) {
+	k := register(tag, c)
+	if pointerFree(k.typ) {
+		k.column = func() values { return newColumn(tag, &c) }
+		chunkPools[k.typ] = new(chunkPool[T])
+	}
+}
+
+// register installs T's tag and codec for the untyped paths, with no
+// column: Register's and RegisterTailed's common part.
+func register[T any](tag byte, c Codec[T]) *kind {
 	t := reflect.TypeFor[T]()
 	switch {
 	case tag <= tagTrue:
@@ -80,11 +92,8 @@ func Register[T any](tag byte, c Codec[T]) {
 		read:   func(d *Dec) any { return c.Read(d) },
 		size:   func(v any) int { return c.Size(v.(T)) },
 	}
-	if pointerFree(t) {
-		k.column = func() values { return newColumn(tag, &c) }
-		chunkPools[t] = new(chunkPool[T])
-	}
 	kindsByTag[tag], kindsByType[t] = k, k
+	return k
 }
 
 func pointerFree(t reflect.Type) bool {
@@ -339,6 +348,11 @@ type Dec struct {
 	b       []byte
 	at, end int
 	err     error
+	// lend makes U32s return words of its own scratch, reused by the next
+	// call, rather than a slice of the caller's: a tailed column's decode
+	// copies the tail into the column at once.
+	lend    bool
+	scratch []uint32
 }
 
 // NewDec wraps a payload.
@@ -348,6 +362,9 @@ func NewDec(b []byte) *Dec {
 }
 
 func dec(b []byte) Dec { return Dec{b: b, end: len(b)} }
+
+// reset points d at b, keeping its scratch.
+func (d *Dec) reset(b []byte) { d.b, d.at, d.end, d.err = b, 0, len(b), nil }
 
 // Err returns the first decode error, if any.
 func (d *Dec) Err() error { return d.err }
@@ -515,21 +532,30 @@ func (d *Dec) tail() []byte {
 
 // U32s consumes a count-prefixed []uint32 written by AppendU32s. Returns a
 // non-nil empty slice for a zero count, matching an encoded empty slice.
-func (d *Dec) U32s() []uint32 { return words[uint32](d) }
+// Inside a tailed column's decode (RegisterTailed) the words are the
+// Dec's own, reused by its next such call, and the column copies them.
+func (d *Dec) U32s() []uint32 {
+	if d.lend {
+		d.scratch = readWords(d, d.scratch[:0])
+		return d.scratch
+	}
+	return readWords(d, []uint32{})
+}
 
 // I32s consumes a count-prefixed []int32 written by AppendI32s.
-func (d *Dec) I32s() []int32 { return words[int32](d) }
+func (d *Dec) I32s() []int32 { return readWords(d, []int32{}) }
 
-// The count is compared by division: 4*n wraps for n ≥ 2^62.
-func words[T uint32 | int32](d *Dec) []T {
+// readWords appends the count-prefixed words d holds to xs. The count
+// is compared by division: 4*n wraps for n ≥ 2^62.
+func readWords[T uint32 | int32](d *Dec, xs []T) []T {
 	n := d.Uvarint()
 	if d.err != nil || n > uint64(d.Rest())/4 {
 		d.fail()
 		return nil
 	}
-	xs := make([]T, n)
-	for i := range xs {
-		xs[i] = T(binary.LittleEndian.Uint32(d.b[d.at+4*i:]))
+	xs = slices.Grow(xs, int(n))
+	for i := 0; i < int(n); i++ {
+		xs = append(xs, T(binary.LittleEndian.Uint32(d.b[d.at+4*i:])))
 	}
 	d.at += 4 * int(n)
 	return xs

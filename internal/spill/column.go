@@ -3,7 +3,8 @@ package spill
 import "reflect"
 
 // values is the value column of a Records: a *column[T] for one registered
-// pointer-free T, or a *column[any].
+// pointer-free T, a *tailed column for a type registered with
+// RegisterTailed, or a *column[any].
 type values interface {
 	// add appends v; false when v is not of the column's type.
 	add(v any) bool
@@ -26,6 +27,10 @@ type values interface {
 	// s at idx[starts[g]:starts[g+1]] folded in that order — unboxed where
 	// every source holds this column's type and f has an unboxed form.
 	foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values
+	// gather returns a new column of this kind holding the values of s at
+	// idx, in that order; nil when some source holds another kind of
+	// column, or this one holds values of any type.
+	gather(s *sources, idx []KeyIndex) values
 	// appendValue appends value i as the run codec frames it.
 	appendValue(buf []byte, i int) ([]byte, error)
 	// decode appends the value d holds, tag and payload, read straight into
@@ -187,6 +192,25 @@ func (c *column[T]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *fo
 		for _, ix := range idx[starts[g]+1 : starts[g+1]] {
 			fold(acc, at(ix))
 		}
+	}
+	return out
+}
+
+func (c *column[T]) gather(s *sources, idx []KeyIndex) values {
+	if c.codec == nil {
+		return nil
+	}
+	cols := make([]*column[T], len(s.srcs))
+	for i, src := range s.srcs {
+		col, ok := src.Recs.vals.(*column[T])
+		if !ok {
+			return nil
+		}
+		cols[i] = col
+	}
+	out := newColumn(c.tag, c.codec)
+	for _, ix := range idx {
+		out.vals.Append(*cols[ix.Src].vals.At(int(ix.Pos + s.off[ix.Src])))
 	}
 	return out
 }

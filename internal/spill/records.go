@@ -11,12 +11,14 @@ import (
 // struct each: a partition of a Buffer, and what a reduce task fetches its
 // partitions into. A key — at most MaxKeyLen bytes — is stored as the
 // (prefix, length) a KeyIndex abbreviates it to, which is all of it; the
-// values are one column, a []T when every value so far is of one
-// pointer-free type registered with Register and a []any otherwise. So a
-// partition of such values — rid pairs to overlap counts, token ids to
-// frequencies — holds no pointer and costs the garbage collector nothing to
-// keep, and its chunks go back to a pool when the records are released
-// (Release) rather than to the garbage collector. The zero value is empty.
+// values are one column: a []T when every value so far is of one
+// pointer-free type registered with Register, heads and word tails when
+// they are of one type registered with RegisterTailed, and a []any
+// otherwise. So a partition of such values — rid pairs to overlap counts,
+// token ids to frequencies, record segments — holds no pointer and costs
+// the garbage collector nothing to keep, and its chunks go back to a pool
+// when the records are released (Release) rather than to the garbage
+// collector. The zero value is empty.
 type Records struct {
 	heads List[head]
 	vals  values // nil until the first record
@@ -61,18 +63,20 @@ func (r *Records) Append(key string, v any, bytes int64) {
 
 // AppendTyped is Append of a record whose key k holds and whose value v is
 // stored unboxed, accounted at overhead plus its Codec.Size. It does so
-// only when the column already holds values of v's registered,
-// pointer-free type, and reports whether it did;
-// otherwise it stores nothing and the caller appends the record boxed,
-// which is how a partition's first value picks its column and how a column
-// changes kind.
+// only when the column already holds values of v's type, registered
+// pointer-free or tailed, and reports whether it did; otherwise it stores
+// nothing and the caller appends the record boxed, which is how a
+// partition's first value picks its column and how a column changes kind.
 func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
-	c := typedColumn[T](r)
-	if c == nil {
-		return false
+	if c := typedColumn[T](r); c != nil {
+		appendTyped(r, c, k, v, overhead+int64(c.codec.Size(v)))
+		return true
 	}
-	appendTyped(r, c, k, v, overhead+int64(c.codec.Size(v)))
-	return true
+	c, ok := r.vals.(tailedOf[T])
+	if ok {
+		appendTailed(r, c, k, v, overhead+int64(c.size(v)))
+	}
+	return ok
 }
 
 // typedColumn returns r's column if it holds values of T's registered,
@@ -90,6 +94,13 @@ func appendTyped[T any](r *Records, c *column[T], k KeyIndex, v T, bytes int64) 
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
 	c.vals.Append(v)
+}
+
+// appendTailed is appendTyped for a tailed column.
+func appendTailed[T any](r *Records, c tailedOf[T], k KeyIndex, v T, bytes int64) {
+	r.heads.Append(makeHead(k, bytes))
+	r.bytes += bytes
+	c.put(v)
 }
 
 // EachTyped calls fn with every record's key, abbreviated, and value in
@@ -309,18 +320,21 @@ func (r *Records) Release() {
 // Sizes[g]. A Groups holds nothing of the records it was cut from, and
 // nothing a reader changes: the attempts of one reduce task and skip
 // mode's probes read the one Groups in turn, each building key strings in
-// an arena of its own. Its arrays come from pools, and Release gives them
-// back.
+// an arena of its own. Its arrays and columns come from pools, and
+// Release gives them back.
 type Groups struct {
 	Sizes []int64
 	keys  []KeyIndex // group g's key abbreviated, position 0
 	// The pooled headers Sizes and keys came in.
 	sizesBuf *[]int64
 	keysBuf  *[]KeyIndex
-	// A folded group is one accumulator in accs; otherwise group g's values
-	// are vals[starts[g]:starts[g+1]], in record order.
+	// A folded group is one accumulator in accs. Otherwise group g's
+	// values are positions starts[g] to starts[g+1] of vals, a column of
+	// the sources' kind, in record order — or of boxed, where the sources
+	// hold values boxed or in columns of different kinds.
 	accs   values
-	vals   []any
+	vals   values
+	boxed  []any
 	starts []int32
 }
 
@@ -356,10 +370,12 @@ func (s *sources) value(k KeyIndex) any {
 // values in source then record order. No record is copied. With a fold,
 // each group's values are folded in that order into one accumulator — in
 // place in a []T when every source holds the same typed column and typed
-// (see Config.TypedFold) offers the fold unboxed, through fold otherwise;
-// without one the values are boxed for Values to hand out. The index and
-// the group bounds are borrowed from pools and given back before Group
-// returns.
+// (see Config.TypedFold) offers the fold unboxed, through fold otherwise.
+// Without one the values are gathered, in that order, into a column of
+// the kind every source holds — boxed, only where the sources' columns
+// differ or hold values boxed — for AppendGroupValues and Values to hand
+// out. The index and the group bounds are borrowed from pools and given
+// back before Group returns.
 func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error) {
 	if err := Groupable(len(srcs)); err != nil {
 		return nil, err
@@ -415,9 +431,11 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 		g.accs = s.srcs[0].Recs.vals.foldGroups(&s, idx, starts, &folder{boxed: fold, typed: typed})
 	default:
 		g.starts = slices.Clone(starts)
-		g.vals = make([]any, n)
-		for i, ix := range idx {
-			g.vals[i] = s.value(ix)
+		if g.vals = s.srcs[0].Recs.vals.gather(&s, idx); g.vals == nil {
+			g.boxed = make([]any, n)
+			for i, ix := range idx {
+				g.boxed[i] = s.value(ix)
+			}
 		}
 	}
 	return g, nil
@@ -434,15 +452,21 @@ var (
 )
 
 // Release gives the groups' arrays back to the pools the next Group takes
-// them from: the keys, Sizes and a folded group's accumulator column. Only
-// their owner may call it, once, when nothing reads the groups again — not
-// a key, not Sizes, not a GroupAcc; g is empty after. A value Acc or
-// Values returned is the reader's own and outlives it.
+// them from: the keys, Sizes, a folded group's accumulator column and an
+// unfolded group's gathered values. Only their owner may call it, once,
+// when nothing reads the groups again — not a key, not Sizes, not a
+// GroupAcc, and not a tail AppendGroupValues handed out, which is a view
+// into the gathered column whose chunks the next Group reuses; g is empty
+// after. A value Acc or Values returned is the reader's own and outlives
+// it.
 func (g *Groups) Release() {
 	groupSizesPool.put(g.sizesBuf)
 	groupKeysPool.put(g.keysBuf)
 	if g.accs != nil {
 		g.accs.release()
+	}
+	if g.vals != nil {
+		g.vals.release()
 	}
 	*g = Groups{}
 }
@@ -470,8 +494,48 @@ func GroupAcc[T any](g *Groups, i int) (T, bool) {
 	return zero, false
 }
 
-// Values returns unfolded group i's values, the slice's capacity capped so
-// that appending to it cannot write into the next group.
+// Values returns unfolded group i's values boxed, for a reader that takes
+// them as any: out of a gathered column a slice of its own, each value
+// with its own tail, and otherwise the boxed values, the slice's capacity
+// capped so that appending to it cannot write into the next group.
 func (g *Groups) Values(i int) []any {
-	return g.vals[g.starts[i]:g.starts[i+1]:g.starts[i+1]]
+	lo, hi := int(g.starts[i]), int(g.starts[i+1])
+	if g.vals == nil {
+		return g.boxed[lo:hi:hi]
+	}
+	out := make([]any, 0, hi-lo)
+	for j := lo; j < hi; j++ {
+		out = append(out, g.vals.at(j))
+	}
+	return out
+}
+
+// AppendGroupValues appends unfolded group i's values, as Ts in record
+// order, to dst and returns the extended slice: copied out of a []T
+// column, out of a tailed column (RegisterTailed) with each tail a view
+// into the column, and otherwise unboxed — where a value is not a T it
+// panics, as the type assertion a reader of Values makes would. A view is
+// valid until the groups are released, and must only be read: every
+// attempt of a reduce task reads the one Groups.
+func AppendGroupValues[T any](dst []T, g *Groups, i int) []T {
+	lo, hi := int(g.starts[i]), int(g.starts[i+1])
+	switch c := g.vals.(type) {
+	case *column[T]:
+		for j := lo; j < hi; j++ {
+			dst = append(dst, *c.vals.At(j))
+		}
+	case tailedOf[T]:
+		for j := lo; j < hi; j++ {
+			dst = append(dst, c.get(j))
+		}
+	case nil:
+		for _, v := range g.boxed[lo:hi] {
+			dst = append(dst, v.(T))
+		}
+	default: // a column of another type
+		for j := lo; j < hi; j++ {
+			dst = append(dst, c.at(j).(T))
+		}
+	}
+	return dst
 }

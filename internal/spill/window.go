@@ -47,7 +47,7 @@ func (w *window) fit(segs []segment) {
 func (w *window) open(f io.ReaderAt, s segment) {
 	w.r = *io.NewSectionReader(f, s.off, s.end-s.off)
 	w.buf, w.eof = w.buf[:0], false
-	w.d = dec(w.buf)
+	w.d.reset(w.buf)
 }
 
 // next decodes the segment's next record onto out; ok is false at the end
@@ -84,7 +84,7 @@ func (w *window) fill(at int) error {
 	w.buf = w.buf[:copy(w.buf[:cap(w.buf)], rest)]
 	n, err := io.ReadFull(&w.r, w.buf[len(w.buf):cap(w.buf)])
 	w.buf = w.buf[:len(w.buf)+n]
-	w.d = dec(w.buf)
+	w.d.reset(w.buf)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		w.eof, err = true, nil
 	}

@@ -18,6 +18,7 @@ import (
 	"fsjoin/internal/result"
 	"fsjoin/internal/rsinput"
 	"fsjoin/internal/similarity"
+	"fsjoin/internal/spill"
 	"fsjoin/internal/tokens"
 )
 
@@ -140,6 +141,17 @@ func (e *pairEnumerator) Reduce(ctx *mapreduce.Context, key string, values []any
 	for i, v := range values {
 		ps[i] = v.(rsinput.Posting)
 	}
+	e.enumerate(ctx, ps)
+}
+
+// FinishGroup implements mapreduce.GroupFinisher: Reduce of token i's
+// posting list, read unboxed into the attempt's own slice.
+func (e *pairEnumerator) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	e.enumerate(ctx, rsinput.GroupPostings(ctx, g, i))
+}
+
+// enumerate emits a partial for every qualifying pair of ps.
+func (e *pairEnumerator) enumerate(ctx *mapreduce.Context, ps []rsinput.Posting) {
 	for i := range ps {
 		for j := i + 1; j < len(ps); j++ {
 			a, b := ps[i], ps[j]

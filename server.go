@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"fsjoin/internal/core"
 	"fsjoin/internal/frame"
 	"fsjoin/internal/sched"
 	"fsjoin/internal/spill"
@@ -535,8 +536,9 @@ func (s *Server) maintainOnce(ix *Index) (err error) {
 // Shutdown drains the server: new and queued jobs are rejected with
 // ErrServerClosed, running jobs continue until they finish, hit their
 // deadlines, or — once ctx is done — are cancelled. After every job has
-// returned, what the shuffle's free lists hold is left to the collector
-// (spill.DropPooled) and spill and checkpoint temp files are swept.
+// returned, what the shuffle's free lists and the filtering reducers' free
+// list of kernel scratch hold is left to the collector (spill.DropPooled,
+// core.DropScratch) and spill and checkpoint temp files are swept.
 // Idempotent; safe to call concurrently with Run.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -567,6 +569,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	spill.DropPooled()
+	core.DropScratch()
 	return s.sweep()
 }
 

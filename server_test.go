@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fsjoin/internal/core"
 	"fsjoin/internal/frame"
 	"fsjoin/internal/spill"
 )
@@ -487,9 +488,10 @@ func TestServerShutdownCancelsRunning(t *testing.T) {
 }
 
 // TestServerShutdownDropsPooled: a Server that ran a join leaves nothing
-// in the shuffle's free lists once it has shut down, on the drained path
-// and on the cancelled one, so a long-running process that closes its
-// Server gets that memory back.
+// in the shuffle's free lists, nor on the filtering reducers' free list of
+// kernel scratch, once it has shut down, on the drained path and on the
+// cancelled one, so a long-running process that closes its Server gets
+// that memory back.
 func TestServerShutdownDropsPooled(t *testing.T) {
 	for _, cancelled := range []bool{false, true} {
 		srv, err := NewServer(ServerOptions{MemoryBudget: 1 << 20, MaxConcurrent: 1})
@@ -505,6 +507,9 @@ func TestServerShutdownDropsPooled(t *testing.T) {
 		}
 		if spill.PooledBytes() == 0 {
 			t.Fatal("the join gave nothing back to the shuffle's free lists")
+		}
+		if core.HeldScratch() == 0 {
+			t.Fatal("the join gave no kernel scratch back to the filtering reducers' free list")
 		}
 		ctx := context.Background()
 		if cancelled {
@@ -522,6 +527,9 @@ func TestServerShutdownDropsPooled(t *testing.T) {
 		}
 		if n := spill.PooledBytes(); n != 0 {
 			t.Fatalf("cancelled %v: the free lists hold %d bytes after Shutdown, want 0", cancelled, n)
+		}
+		if n := core.HeldScratch(); n != 0 {
+			t.Fatalf("cancelled %v: the filtering reducers' free list holds %d scratches after Shutdown, want 0", cancelled, n)
 		}
 	}
 }
