@@ -29,7 +29,9 @@ type values interface {
 	foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values
 	// gather returns a new column of this kind holding the values of s at
 	// idx, in that order; nil when some source holds another kind of
-	// column, or this one holds values of any type.
+	// column, or this one holds values of any type. A tailed column takes
+	// its sources' tails rather than copying them, leaving the sources to
+	// be released only.
 	gather(s *sources, idx []KeyIndex) values
 	// appendValue appends value i as the run codec frames it.
 	appendValue(buf []byte, i int) ([]byte, error)

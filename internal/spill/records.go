@@ -317,11 +317,13 @@ func (r *Records) Release() {
 
 // Groups is records cut into key groups, in key order: group g has the
 // key Abbrev(g) holds — Key(g, a) as a string — and accounted size
-// Sizes[g]. A Groups holds nothing of the records it was cut from, and
+// Sizes[g]. A Groups shares nothing with the records it was cut from, and
 // nothing a reader changes: the attempts of one reduce task and skip
 // mode's probes read the one Groups in turn, each building key strings in
 // an arena of its own. Its arrays and columns come from pools, and
-// Release gives them back.
+// Release gives them back. What a reader takes out of it is its own, but
+// for the tails AppendGroupValues hands out of a tailed column: those are
+// views into the Groups, valid until Release.
 type Groups struct {
 	Sizes []int64
 	keys  []KeyIndex // group g's key abbreviated, position 0
@@ -367,15 +369,18 @@ func (s *sources) value(k KeyIndex) any {
 // Group cuts the records of srcs, taken in order as if concatenated, into
 // key groups: it sorts an index over them by (key, position) and sweeps it
 // once, cutting a group wherever the key changes, so each group holds its
-// values in source then record order. No record is copied. With a fold,
-// each group's values are folded in that order into one accumulator — in
-// place in a []T when every source holds the same typed column and typed
-// (see Config.TypedFold) offers the fold unboxed, through fold otherwise.
+// values in source then record order. No record is copied, only values.
+// With a fold, each group's values are folded in that order into one
+// accumulator — in place in a []T when every source holds the same typed
+// column and typed (see Config.TypedFold) offers the fold unboxed, through
+// fold otherwise.
 // Without one the values are gathered, in that order, into a column of
 // the kind every source holds — boxed, only where the sources' columns
 // differ or hold values boxed — for AppendGroupValues and Values to hand
-// out. The index and the group bounds are borrowed from pools and given
-// back before Group returns.
+// out; a tailed column's tails move to the groups with the chunks they
+// lie in, so sources of a tailed type may only be released after. The
+// index and the group bounds are borrowed from pools and given back
+// before Group returns.
 func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error) {
 	if err := Groupable(len(srcs)); err != nil {
 		return nil, err
@@ -525,9 +530,7 @@ func AppendGroupValues[T any](dst []T, g *Groups, i int) []T {
 			dst = append(dst, *c.vals.At(j))
 		}
 	case tailedOf[T]:
-		for j := lo; j < hi; j++ {
-			dst = append(dst, c.get(j))
-		}
+		dst = c.appendTo(dst, lo, hi)
 	case nil:
 		for _, v := range g.boxed[lo:hi] {
 			dst = append(dst, v.(T))

@@ -20,6 +20,21 @@ type tailed[T, H any] struct {
 	heads List[tailEntry[H]]
 	words tailWords
 	k     *tailKind[T, H]
+
+	// The chunk tables and first chunks of heads and words, allocated with
+	// the column, as a column[T]'s are: a job has map tasks × reduce tasks
+	// partitions, and most hold a few values.
+	table  [4][]tailEntry[H]
+	first  [firstChunk]tailEntry[H]
+	wtable [4][]uint32
+	wfirst [tailSeedWords]uint32
+}
+
+func newTailed[T, H any](k *tailKind[T, H]) *tailed[T, H] {
+	c := &tailed[T, H]{k: k}
+	c.heads.seed(c.table[:], &c.first)
+	c.words.chunks = append(c.wtable[:0], c.wfirst[:])
+	return c
 }
 
 // tailEntry is one value of a tailed column: its head, and where its tail
@@ -52,7 +67,7 @@ func RegisterTailed[T, H any](tag byte, c Codec[T], split func(T) (H, []uint32),
 	}
 	k := register(tag, c)
 	tk := &tailKind[T, H]{tag: tag, codec: &c, split: split, join: join}
-	k.column = func() values { return &tailed[T, H]{k: tk} }
+	k.column = func() values { return newTailed(tk) }
 	chunkPools[reflect.TypeFor[tailEntry[H]]()] = new(chunkPool[tailEntry[H]])
 }
 
@@ -63,8 +78,9 @@ type tailedOf[T any] interface {
 	put(v T)
 	// size returns v's accounted bytes, its Codec.Size.
 	size(v T) int
-	// get returns value i, its tail a view into the column.
-	get(i int) T
+	// appendTo appends values lo to hi-1 to dst, their tails views into
+	// the column.
+	appendTo(dst []T, lo, hi int) []T
 }
 
 func (c *tailed[T, H]) put(v T) {
@@ -85,6 +101,14 @@ func (c *tailed[T, H]) tail(e *tailEntry[H]) []uint32 { return c.words.view(e.ch
 func (c *tailed[T, H]) get(i int) T {
 	e := c.heads.At(i)
 	return c.k.join(e.head, c.tail(e))
+}
+
+func (c *tailed[T, H]) appendTo(dst []T, lo, hi int) []T {
+	dst = slices.Grow(dst, hi-lo)
+	for i := lo; i < hi; i++ {
+		dst = append(dst, c.get(i))
+	}
+	return dst
 }
 
 func (c *tailed[T, H]) add(v any) bool {
@@ -123,7 +147,7 @@ func (c *tailed[T, H]) boxed() values {
 	return out
 }
 
-func (c *tailed[T, H]) empty() values { return &tailed[T, H]{k: c.k} }
+func (c *tailed[T, H]) empty() values { return newTailed(c.k) }
 
 // A tailed column has no unboxed fold: its groups fold boxed.
 func (c *tailed[T, H]) fold(int, any, *folder) bool             { return false }
@@ -132,6 +156,10 @@ func (c *tailed[T, H]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f 
 	return foldBoxed(s, idx, starts, f)
 }
 
+// gather copies the heads and takes the tails where they lie: every
+// source column's word chunks move to the new column, once per column
+// however many sources share it, and the heads are renumbered into them.
+// A source column is left with no words, to be released only.
 func (c *tailed[T, H]) gather(s *sources, idx []KeyIndex) values {
 	cols := make([]*tailed[T, H], len(s.srcs))
 	for i, src := range s.srcs {
@@ -141,11 +169,22 @@ func (c *tailed[T, H]) gather(s *sources, idx []KeyIndex) values {
 		}
 		cols[i] = col
 	}
-	out := &tailed[T, H]{k: c.k}
+	out := newTailed(c.k)
+	first := make([]int32, len(cols)) // where each column's chunks start in out
+	for i, col := range cols {
+		if j := slices.Index(cols[:i], col); j >= 0 {
+			first[i] = first[j]
+			continue
+		}
+		first[i] = int32(len(out.words.chunks))
+		out.words.chunks = append(out.words.chunks, col.words.chunks...)
+		col.words = tailWords{}
+	}
+	out.words.cur = len(out.words.chunks) // nothing is added to a gathered column
 	for _, ix := range idx {
-		src := cols[ix.Src]
-		e := src.heads.At(int(ix.Pos + s.off[ix.Src]))
-		out.append(e.head, src.tail(e))
+		e := *cols[ix.Src].heads.At(int(ix.Pos + s.off[ix.Src]))
+		e.chunk += first[ix.Src]
+		out.heads.Append(e)
 	}
 	return out
 }
@@ -186,10 +225,12 @@ func (c *tailed[T, H]) release() {
 }
 
 // tailWords holds a tailed column's tails, each contiguous in one chunk.
-// Chunk k holds 1<<(tailFirstShift+k) words up to 1<<tailMaxShift, or a
-// tail longer than that rounded up to a power of two. Chunks come from
-// wordPools and go back on release and trim; reset keeps them, to be
-// filled again from the first.
+// A column's first chunk is its own tailSeedWords; after it, chunk k holds
+// 1<<(tailFirstShift+k) words up to 1<<tailMaxShift, or a tail longer
+// than that rounded up to a power of two. Chunks come from wordPools and
+// go back on release and trim, but a first chunk, which is left to the
+// collector with its column; reset keeps them, to be filled again from
+// the first.
 type tailWords struct {
 	chunks [][]uint32 // each chunk's len is its cap
 	cur    int        // the chunk being filled
@@ -199,6 +240,7 @@ type tailWords struct {
 // A partition's first word chunk is small, as a List's first chunk is:
 // most partitions of a job hold a few values.
 const (
+	tailSeedWords  = 32
 	tailFirstShift = 7
 	tailMaxShift   = 13
 )
@@ -271,7 +313,11 @@ func takeWords(shift int) []uint32 {
 	return make([]uint32, 1<<shift)
 }
 
-// putWords gives back a chunk of takeWords'.
+// putWords gives back a chunk of takeWords'; a column's first chunk, the
+// only one shorter, is not pooled.
 func putWords(c []uint32) {
+	if len(c) < 1<<tailFirstShift {
+		return
+	}
 	wordPools[bits.Len(uint(len(c)))-1].give(&c[0], 4*int64(len(c)))
 }

@@ -243,3 +243,60 @@ func TestAppendGroupValuesEveryKind(t *testing.T) {
 		g.Release()
 	}
 }
+
+// TestGroupTakesTails: grouping sources of a tailed type — two of them
+// ranges of one Records, as a reduce task's spilled partitions are —
+// moves their tails into the groups rather than copying them. The groups
+// read what was added, in source then record order, after the sources
+// are released and their released chunks refilled; at Release their
+// chunks go back, but the sources' first word chunks, which are theirs.
+func TestGroupTakesTails(t *testing.T) {
+	var shared, own Records
+	want := map[string][]worded{}
+	add := func(r *Records, from, to int) {
+		for i := from; i < to; i++ {
+			v, key := wordedAt(i), fmt.Sprintf("k%d", i%7)
+			r.Append(key, v, 1)
+			want[key] = append(want[key], v)
+		}
+	}
+	add(&shared, 0, 300)
+	add(&own, 300, 500)
+	add(&shared, 500, 800)
+	srcs := []Source{{Recs: &shared, Hi: 300}, {Recs: &own, Hi: 200}, {Recs: &shared, Lo: 300, Hi: 600}}
+	g, err := Group(srcs, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(shared.vals.(*tailed[worded, wordedHead]).words.chunks); n != 0 {
+		t.Fatalf("a source kept %d word chunks after grouping", n)
+	}
+	shared.Release()
+	own.Release()
+	var refill Records
+	for i := 0; i < 800; i++ {
+		refill.Append("x", worded{ws: []uint32{^uint32(0), ^uint32(0), ^uint32(0)}}, 1)
+	}
+	if g.Len() != len(want) {
+		t.Fatalf("%d groups, want %d", g.Len(), len(want))
+	}
+	for i := 0; i < g.Len(); i++ {
+		key := g.Key(i, NewKeyArena(1))
+		got := AppendGroupValues[worded](nil, g, i)
+		if len(got) != len(want[key]) {
+			t.Fatalf("group %s holds %d values, want %d", key, len(got), len(want[key]))
+		}
+		for j := range got {
+			if !sameWorded(got[j], want[key][j]) {
+				t.Fatalf("group %s value %d reads %+v, want %+v", key, j, got[j], want[key][j])
+			}
+		}
+	}
+	refill.Release()
+	g.Release()
+	for shift := range tailFirstShift {
+		if n := len(wordPools[shift].items); n != 0 {
+			t.Fatalf("%d word chunks of %d words pooled: a column's first chunk is its own", n, 1<<shift)
+		}
+	}
+}
