@@ -67,9 +67,10 @@ func (r *groupRecorder) grouped(t *testing.T) []*spill.Groups {
 // them over, then every reduce task is replayed twice on one reducer
 // through FinishGroup, each as an attempt of its own; the second replay
 // is measured: the segments read out of the groups, the kernel's
-// workspace and the task's output records, which are most of it. The limit is the measured 1 202
-// B/fragment + 25 %; a reducer and kernel that allocate their scratch per
-// fragment measured 11 886.
+// workspace and the task's output records, which are most of it. The
+// limit is 1 202 B/fragment, measured through Reduce, + 25 %; through
+// FinishGroup it measures 1 140, and a reducer and kernel that allocate
+// their scratch per fragment measured 11 886.
 func TestFilterReduceAllocationBudget(t *testing.T) {
 	const limit = 1500 // B/fragment
 	c := dataset.Generate(dataset.Wiki().Scale(0.1), 1)
@@ -137,9 +138,10 @@ func (m *countedMapper) Cleanup(*mapreduce.Context) {
 // (30 fragments × 21 horizontal partitions, four map tasks, 30 reduce
 // tasks): a segment goes into its partition's tailed column unboxed, so
 // what is left is each partition's first record, which picks the column,
-// and the columns' chunk tables, about 7 allocations per partition. The
-// limit is the measured 0.016 + 50 %; a mapper whose segments crossed the
-// shuffle boxed, under a key string each, measured 2.0.
+// and the column, allocated with its first chunks. The limit is 0.016 +
+// 50 %, measured while a column took its first chunks from the pools; it
+// measures 0.011 since. A mapper whose segments crossed the shuffle boxed,
+// under a key string each, measured 2.0.
 func TestFilterMapAllocationBudget(t *testing.T) {
 	const limit = 0.024 // allocations per segment
 	c := dataset.Generate(dataset.PubMed().Scale(0.25), 1)
