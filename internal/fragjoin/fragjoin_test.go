@@ -442,15 +442,21 @@ func TestSameRIDNeverPaired(t *testing.T) {
 	}
 }
 
-// joinCounters runs Join as the reduce task of a real MapReduce job and
-// returns the job's counters.
+// joinCounters runs Join as the reduce task of a real MapReduce job, over
+// the segments shuffled under one key, and returns the job's counters.
 func joinCounters(t *testing.T, segs []Seg, p Params) *mapreduce.Counters {
 	t.Helper()
-	in := []mapreduce.KV{{Key: "frag", Value: segs}}
+	in := make([]mapreduce.KV, len(segs))
+	for i, s := range segs {
+		in[i] = mapreduce.KV{Key: "frag", Value: s}
+	}
 	res, err := mapreduce.Run(mapreduce.Config{Name: "frag-test"},
 		in, mapreduce.IdentityMapper,
 		mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
-			ss := append([]Seg{}, values[0].([]Seg)...)
+			ss := make([]Seg, len(values))
+			for i, v := range values {
+				ss[i] = v.(Seg)
+			}
 			Join(ctx, ss, p, func(a, b *Seg, c int) {})
 		}))
 	if err != nil {

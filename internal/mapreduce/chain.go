@@ -92,14 +92,13 @@ func (c *chainInput) mapUnits(ctx *Context, units []int32, f Fault, counters *Co
 }
 
 // EachU32 calls fn with every output record of res, a Feed result, in the
-// order Output would hold them, its key as DecodeU32Key decodes it: the
-// records of a task whose output column holds T's values unboxed, with no
-// key string and no box, and those of any other task as Output would hold
-// them. It consumes res, as Chain does: the columns go back to the
-// shuffle's pools once read, and a later Chain or EachU32 of res is an
-// error. It returns false, having called and consumed nothing, for a
-// result that holds its output in Output, which the caller reads instead.
-// A key of another length, or a value of another type, panics.
+// order Output would hold them, its key as DecodeU32Key decodes it, read
+// out of the tasks' output columns with no key string and no box. It
+// consumes res, as Chain does: the columns go back to the shuffle's pools
+// once read, and a later Chain or EachU32 of res is an error. It returns
+// false, having called and consumed nothing, for a result that holds its
+// output in Output, which the caller reads instead. A key of another
+// length, or a value of another type, panics.
 func EachU32[T any](res *Result, fn func(key uint32, v T)) (bool, error) {
 	if res.chain == nil {
 		return false, nil
@@ -109,17 +108,12 @@ func EachU32[T any](res *Result, fn func(key uint32, v T)) (bool, error) {
 	}
 	defer res.chain.release()
 	for _, out := range res.chain.outs {
-		if !spill.EachTyped(out, func(k spill.KeyIndex, v T) {
+		spill.EachTyped(out, func(k spill.KeyIndex, v T) {
 			if k.Len != 4 {
 				badKeyLen(spill.ShortKey(k), 4)
 			}
 			fn(uint32(k.Prefix>>32), v)
-		}) {
-			out.Each(func(key string, v any, _ int64) bool {
-				fn(DecodeU32Key(key), v.(T))
-				return true
-			})
-		}
+		})
 	}
 	return true, nil
 }

@@ -23,7 +23,7 @@ import (
 
 // untimed keeps what a job's metrics say that is not a measured time.
 func untimed(m mapreduce.Metrics) mapreduce.Metrics {
-	m.MapTaskTime, m.ReduceTaskTime = nil, nil
+	m.MapTaskTime, m.ReduceTaskTime, m.ReduceFetchTime = nil, nil, nil
 	m.SimulatedMapTime, m.SimulatedShuffle, m.SimulatedReduce, m.SimulatedTotalTime, m.WallTime = 0, 0, 0, 0, 0
 	return m
 }
@@ -268,19 +268,22 @@ func testChainOfEngineJobs(t *testing.T) {
 // oneOfEach is one value of every type the shuffle has a codec for, as
 // spill's golden wire table pins them (and the engine tests' wrappedCount,
 // tag 250), decoded from their frames so that unexported types are in too.
+// nil and bool, frames of the codec but of no registered type, cross no
+// shuffle.
 var oneOfEach = []string{
-	"00", "01", "02", "030d", "040f", "05870e", "0680808001", "07ffffffffff3f", "0807", "09c801", "0ae0d403",
+	"030d", "040f", "05870e", "0680808001", "07ffffffffff3f", "0807", "09c801", "0ae0d403",
 	"0b8080808004", "0c8080808080808002", "0d00006040", "0e00000000000002c0", "0f68656c6c6f20cebacf8ccf83cebcceb5",
 	"10000102ff", "1103010000000200000000000080", "1203ffffffff0000000001000000", "1302090a", "1403016100026263",
 	"2812010250060a03040000000500000058020000", "290614e012", "2a019a01020100000070110100", "2e01f2c00122",
 	"320dd804010100e903d107b90ba10f89137117591b411f29231127f92ae12ec932b136993a", "33",
-	"3503ffffffff0000000000001000", "360a000000000000ea3f", "3bff880f", "3d05020800000009000000", "fa02",
+	"360a000000000000ea3f", "3d05020800000009000000", "3e0005020800000009000000", "fa02",
 }
 
 // TestChainedRecordSizes: a chained map task hands each record to the
 // shuffle with the size it was emitted with, where Run's identity map has
-// Emit size it again. For one value of every registered type the two must
-// agree.
+// Emit size it again. For one value of every registered type — each
+// emitted by a task of its own, and shuffled to a partition of its own —
+// the two must agree.
 func TestChainedRecordSizes(t *testing.T) {
 	var input []mapreduce.KV
 	tags := map[byte]bool{}
@@ -296,7 +299,7 @@ func TestChainedRecordSizes(t *testing.T) {
 		tags[frame[0]] = true
 		input = append(input, mapreduce.KV{Key: fmt.Sprintf("%02d", i), Value: v})
 	}
-	for tag := 0; tag < 256; tag++ {
+	for tag := 3; tag < 256; tag++ {
 		_, err := spill.DecodeEncoded([]byte{byte(tag)})
 		if registered := err == nil || !strings.Contains(err.Error(), "unknown value tag"); registered && !tags[byte(tag)] {
 			t.Errorf("tag %d is registered and oneOfEach has no value of it", tag)
@@ -314,7 +317,7 @@ func TestChainedRecordSizes(t *testing.T) {
 		if viaRun {
 			mapreduce.ChainsViaRun(&p.Env)
 		}
-		fed, err := p.Feed(mapreduce.Config{Name: "emit"}, input, mapreduce.IdentityMapper, nil)
+		fed, err := p.Feed(mapreduce.Config{Name: "emit", MapTasks: len(input)}, input, mapreduce.IdentityMapper, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@ package mapreduce_test
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -66,10 +66,10 @@ func overlapAt(i int) result.Overlap {
 // TestEmitPairMatchesEmit fills one task's output through EmitPair and
 // EmitU32 and another's through Emit(PairKey(a, b), v) and Emit(U32Key(x),
 // v), step for step — a reduce task's output, or a map task's partitions
-// — and demands the
-// same records: count, accounted bytes in total and per record, key and
-// value, wire frame, and the kind of column they end up in — whether the
-// typed path took them or the values had to be boxed.
+// — and demands the same records: count, accounted bytes in total and per
+// record, key and value, wire frame, and the kind of column they end up
+// in. A value of no codec, or of a second type in one column, fails the
+// task both ways with the same error, at the same step.
 func TestEmitPairMatchesEmit(t *testing.T) {
 	const n = 300 // past the first few chunks
 	count := func(i int) int64 { return int64(i) << 20 }
@@ -84,46 +84,54 @@ func TestEmitPairMatchesEmit(t *testing.T) {
 		column string
 		// reducers > 0 emits from a map task that shuffles to that many.
 		reducers int
+		// refused is what the task fails with, if it does.
+		refused error
 	}{
-		{"overlap", pairs(n, overlapAt), "result.Overlap", 0},
-		{"int64", pairs(n, count), "int64", 0},
-		{"candidate", pairs(n, func(int) result.Candidate { return result.Candidate{} }), "result.Candidate", 0},
-		{"scored", pairs(n, func(i int) result.Scored { return result.Scored{C: int32(i), Sim: float64(i) / 7} }), "result.Scored", 0},
-		{"seg", pairs(n, seg), "tailed[fsjoin/internal/fragjoin.Seg,", 0},
-		{"unregistered", pairs(n, func(i int) unregistered { return unregistered{int32(i), 1} }), "interface {}", 0},
-		{"overlap-then-int64", slices.Concat(pairs(50, overlapAt), pairs(50, count), pairs(50, overlapAt)), "interface {}", 0},
-		{"int64-then-overlap", slices.Concat(pairs(50, count), pairs(50, overlapAt), pairs(50, count)), "interface {}", 0},
-		{"short-key-before", slices.Concat([]step{keyed(mapreduce.U32Key(5), overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0},
-		{"7-byte-key-before", slices.Concat([]step{keyed(oddKey, overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0},
-		{"7-byte-key-after", slices.Concat(pairs(50, overlapAt), []step{keyed(oddKey, overlapAt(1))}, pairs(50, overlapAt)), "result.Overlap", 0},
-		{"map-task", pairs(n, overlapAt), "result.Overlap", 7},
-		{"u32", u32s(n, count), "int64", 0},
-		{"u32-then-pairs", slices.Concat(u32s(50, count), pairs(50, count)), "int64", 0},
-		{"map-task-u32", u32s(n, count), "int64", 7},
-		{"map-task-seg", pairs(n, seg), "tailed[fsjoin/internal/fragjoin.Seg,", 7},
-		{"map-task-mixed", slices.Concat(u32s(50, count), pairs(50, overlapAt), u32s(50, count)), "", 7},
-		{"map-task-7-byte-key", slices.Concat(pairs(50, count), []step{keyed(oddKey, count(1))}, u32s(50, count)), "int64", 3},
+		{"overlap", pairs(n, overlapAt), "result.Overlap", 0, nil},
+		{"int64", pairs(n, count), "int64", 0, nil},
+		{"candidate", pairs(n, func(int) result.Candidate { return result.Candidate{} }), "result.Candidate", 0, nil},
+		{"scored", pairs(n, func(i int) result.Scored { return result.Scored{C: int32(i), Sim: float64(i) / 7} }), "result.Scored", 0, nil},
+		{"seg", pairs(n, seg), "tailed[fsjoin/internal/fragjoin.Seg,", 0, nil},
+		{"unregistered", pairs(n, func(i int) unregistered { return unregistered{int32(i), 1} }), "", 0, spill.ErrNoCodec},
+		{"overlap-then-int64", slices.Concat(pairs(50, overlapAt), pairs(50, count), pairs(50, overlapAt)), "result.Overlap", 0, spill.ErrMixedValues},
+		{"int64-then-overlap", slices.Concat(pairs(50, count), pairs(50, overlapAt), pairs(50, count)), "int64", 0, spill.ErrMixedValues},
+		{"short-key-before", slices.Concat([]step{keyed(mapreduce.U32Key(5), overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0, nil},
+		{"7-byte-key-before", slices.Concat([]step{keyed(oddKey, overlapAt(0))}, pairs(n, overlapAt)), "result.Overlap", 0, nil},
+		{"7-byte-key-after", slices.Concat(pairs(50, overlapAt), []step{keyed(oddKey, overlapAt(1))}, pairs(50, overlapAt)), "result.Overlap", 0, nil},
+		{"map-task", pairs(n, overlapAt), "result.Overlap", 7, nil},
+		{"u32", u32s(n, count), "int64", 0, nil},
+		{"u32-then-pairs", slices.Concat(u32s(50, count), pairs(50, count)), "int64", 0, nil},
+		{"map-task-u32", u32s(n, count), "int64", 7, nil},
+		{"map-task-seg", pairs(n, seg), "tailed[fsjoin/internal/fragjoin.Seg,", 7, nil},
+		{"map-task-mixed", slices.Concat(u32s(50, count), pairs(50, overlapAt), u32s(50, count)), "", 7, spill.ErrMixedValues},
+		{"map-task-7-byte-key", slices.Concat(pairs(50, count), []step{keyed(oddKey, count(1))}, u32s(50, count)), "int64", 3, nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			emitted := func(typed bool) []*spill.Records {
+			emitted := func(typed bool) ([]*spill.Records, error) {
 				ctx := new(mapreduce.Context)
 				if row.reducers > 0 {
 					ctx = mapreduce.NewMapContext(row.reducers)
 				}
-				for _, s := range row.steps {
-					if typed {
-						s.typed(ctx)
-					} else {
-						s.boxed(ctx)
+				refused := mapreduce.Refused(func() {
+					for _, s := range row.steps {
+						if typed {
+							s.typed(ctx)
+						} else {
+							s.boxed(ctx)
+						}
 					}
-				}
+				})
 				recs, err := mapreduce.Emitted(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return recs
+				return recs, refused
 			}
-			got, want := emitted(true), emitted(false)
+			got, gerr := emitted(true)
+			want, werr := emitted(false)
+			if !errors.Is(gerr, row.refused) || !errors.Is(werr, row.refused) || (row.refused == nil) != (gerr == nil && werr == nil) {
+				t.Fatalf("EmitPair failed with %v, Emit with %v; want %v", gerr, werr, row.refused)
+			}
 			for p := range want {
 				sameRecords(t, got[p], want[p])
 				if col := got[p].Column(); got[p].Len() > 0 && !strings.Contains(col, row.column) {
@@ -169,10 +177,8 @@ func sameRecords(t *testing.T, got, want *spill.Records) {
 		if gk != wk || !reflect.DeepEqual(gv, wv) || gs[i] != ws[i] {
 			t.Fatalf("record %d: %x → %#v (%d bytes), want %x → %#v (%d bytes)", i, gk, gv, gs[i], wk, wv, ws[i])
 		}
-		gf, gerr := got.Frame(nil, i)
-		wf, werr := want.Frame(nil, i)
-		if !bytes.Equal(gf, wf) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("record %d framed as %x (%v), want %x (%v)", i, gf, gerr, wf, werr)
+		if gf, wf := got.Frame(nil, i), want.Frame(nil, i); !bytes.Equal(gf, wf) {
+			t.Fatalf("record %d framed as %x, want %x", i, gf, wf)
 		}
 	}
 }

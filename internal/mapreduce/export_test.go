@@ -27,6 +27,22 @@ func NewMapContext(reducers int) *Context {
 	return &Context{shuffle: newShuffleSink(nil, reducers, nil, 0, "", nil)}
 }
 
+// Refused runs emit and returns the error an emission it makes fails its
+// task with, nil when none does.
+func Refused(emit func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ep, ok := p.(*enginePanic)
+			if !ok {
+				panic(p)
+			}
+			err = ep.err
+		}
+	}()
+	emit()
+	return nil
+}
+
 // Emitted returns what ctx has emitted: a reduce task's output, or each
 // shuffle partition of a map task's, as a reduce task fetches it — all of
 // the records returned for it.

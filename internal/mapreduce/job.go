@@ -57,7 +57,7 @@ type Folder interface {
 	Fold(acc, v any) any
 }
 
-// TypedFolder is the unboxed form a Folder over values of one pointer-free
+// TypedFolder is the unboxed form a Folder over values of one registered
 // type T may offer besides Fold. The shuffle keeps such values in a []T
 // (spill.Register) and, given the method, adds a key's values in
 // place, map side and reduce side, where Fold would box the accumulator
@@ -278,6 +278,7 @@ type Context struct {
 	counters *Counters
 	local    []localCounter
 	polls    uint32 // CheckCancel call count (per-task, single goroutine)
+	probe    bool   // a skip-mode probe's, which drops what it emits
 }
 
 // localCounter is one task-local counter. A task touches a handful of
@@ -290,26 +291,32 @@ type localCounter struct {
 
 // Emit appends an output pair, sized here. Map tasks of jobs with a reduce
 // phase route the pair straight into its reduce partition. A key longer
-// than spill.MaxKeyLen fails the task with spill.ErrLongKey.
+// than spill.MaxKeyLen fails the task with spill.ErrLongKey, and a value
+// its column refuses (KV) with spill.ErrNoCodec or spill.ErrMixedValues.
 func (c *Context) Emit(key string, value any) {
-	if err := spill.CheckKey(key); err != nil {
+	emitted(spill.CheckKey(key))
+	switch {
+	case c.probe:
+	case c.shuffle != nil:
+		c.shuffle.add(key, value)
+	default:
+		emitted(c.out.Append(key, value, recordBytes(key, c.sizer.Size(value))))
+	}
+}
+
+// emitted fails the task with err, an emission's, if there is one.
+func emitted(err error) {
+	if err != nil {
 		panic(&enginePanic{err: fmt.Errorf("emit: %w", err)})
 	}
-	if c.shuffle != nil {
-		c.shuffle.add(key, value)
-		return
-	}
-	c.out.Append(key, value, recordBytes(key, c.sizer.Size(value)))
 }
 
 // EmitPair is ctx.Emit(PairKey(a, b), v) — the same record, key bytes and
-// accounted size — for a caller that holds a T. Once the column the record
-// goes to — the task's output, or in a map task that shuffles the reduce
-// partition the key routes to — holds values of T's registered,
-// pointer-free type, the value goes in unboxed, sized by the column's
-// codec, and the key as the eight bytes it is: no box and no key string.
-// Anything else — a column's first record, a column of another kind, a
-// combiner with no unboxed fold — takes Emit.
+// accounted size — for a caller that holds a T: the value goes into the
+// column of the task's output, or in a map task that shuffles of the
+// reduce partition the key routes to, unboxed and sized by the column's
+// codec, and the key as the eight bytes it is — no box and no key string.
+// It fails the task as Emit does.
 func EmitPair[T any](ctx *Context, a, b uint32, v T) {
 	emitTyped(ctx, spill.KeyIndex{Prefix: uint64(a)<<32 | uint64(b), Len: 8}, v, pairOverhead)
 }
@@ -324,16 +331,16 @@ func EmitU32[T any](ctx *Context, x uint32, v T) {
 var pairOverhead, u32Overhead = recordBytes(PairKey(0, 0), 0), recordBytes(U32Key(0), 0)
 
 // emitTyped is ctx.Emit of the key k holds, whose record is accounted at
-// overhead plus v's size: the typed emit EmitPair and EmitU32 share. A
-// reduce task's output takes it through
-// spill.AppendTyped, and where that refuses through Emit; a map task's
-// partition through spill.AddTyped (shuffleSink.addTyped), and where that
-// refuses through Buffer.Add.
+// overhead plus v's size: the typed emit EmitPair and EmitU32 share,
+// through spill.AddTyped into a map task's partition (shuffleSink.addTyped)
+// and through spill.AppendTyped into a task's output.
 func emitTyped[T any](ctx *Context, k spill.KeyIndex, v T, overhead int64) {
-	if ctx.shuffle != nil {
+	switch {
+	case ctx.probe:
+	case ctx.shuffle != nil:
 		addTyped(ctx.shuffle, k, v, overhead)
-	} else if !spill.AppendTyped(&ctx.out, k, v, overhead) {
-		ctx.Emit(spill.ShortKey(k), v)
+	default:
+		emitted(spill.AppendTyped(&ctx.out, k, v, overhead))
 	}
 }
 
@@ -390,6 +397,10 @@ type Metrics struct {
 	PerReduceBytes    []int64
 	MapTaskTime       []time.Duration
 	ReduceTaskTime    []time.Duration
+	// ReduceFetchTime is each reduce task's fetch of its partitions and
+	// their grouping (spill.Group), which ReduceTaskTime leaves out. The
+	// cost model does not read it.
+	ReduceFetchTime []time.Duration
 	// GroupSpillTime is the per-reduce-task external-memory charge for key
 	// groups exceeding the reducer memory (see Cluster.ReducerMemoryBytes).
 	GroupSpillTime []time.Duration
@@ -602,8 +613,10 @@ type taskMeta struct {
 	Bytes   int64
 	// Groups is the reduce task's key-group count.
 	Groups int64
-	// TaskNanos is the measured task execution time.
-	TaskNanos int64
+	// TaskNanos is the measured task execution time; FetchNanos a reduce
+	// task's fetch and grouping, before it.
+	TaskNanos  int64
+	FetchNanos int64
 	// GroupSpillNanos is the reduce task's external-memory charge for
 	// oversized key groups (cost model).
 	GroupSpillNanos int64
@@ -692,6 +705,7 @@ func runJob(env *jobEnv) (*Result, error) {
 	m.PerReduceRecords = make([]int64, reduceTasks)
 	m.PerReduceBytes = make([]int64, reduceTasks)
 	m.ReduceTaskTime = make([]time.Duration, reduceTasks)
+	m.ReduceFetchTime = make([]time.Duration, reduceTasks)
 	m.GroupSpillTime = make([]time.Duration, reduceTasks)
 	// The shuffle is measured once, where it moves: the job's totals are
 	// the sum of what its reduce tasks fetched.
@@ -701,6 +715,7 @@ func runJob(env *jobEnv) (*Result, error) {
 		m.ShuffleRecords += meta.Records
 		m.ShuffleBytes += meta.Bytes
 		m.ReduceTaskTime[t] = time.Duration(meta.TaskNanos)
+		m.ReduceFetchTime[t] = time.Duration(meta.FetchNanos)
 		m.GroupSpillTime[t] = time.Duration(meta.GroupSpillNanos)
 		m.ReduceInputGroups += meta.Groups
 	})
@@ -747,7 +762,9 @@ func mapTask[U any](env *jobEnv, c *commits, t int, split []U, body taskBody[U],
 // what it fetched, run the attempt loop and commit the output.
 func (env *jobEnv) reduceTask(c *commits, t int) error {
 	cfg := env.cfg
+	fetchStart := time.Now()
 	in, err := env.fetchReduceInput(c, t)
+	fetched := time.Since(fetchStart)
 	if err != nil {
 		return taskErr(cfg.Name, PhaseReduce, t, err)
 	}
@@ -766,7 +783,7 @@ func (env *jobEnv) reduceTask(c *commits, t int) error {
 	}
 	meta := taskMeta{
 		Records: in.recs, Bytes: in.bytes, Groups: int64(in.Len()),
-		TaskNanos: int64(time.Since(start)),
+		TaskNanos: int64(time.Since(start)), FetchNanos: int64(fetched),
 	}
 	for _, b := range in.Sizes {
 		meta.GroupSpillNanos += int64(env.cl.groupSpillTime(b))

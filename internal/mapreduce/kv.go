@@ -13,10 +13,10 @@
 package mapreduce
 
 // KV is a key/value pair flowing through a MapReduce job. Keys are strings
-// (binary-safe); values are arbitrary. A value crossing the shuffle is
-// accounted at its type's registered spill.Codec.Size (spill.Sizer). A
-// value of a type with no codec fails the job with spill.ErrNoCodec where
-// it must cross the disk: a spill run or a checkpoint.
+// (binary-safe) of at most spill.MaxKeyLen bytes. An emitted value is of a
+// registered type (spill.Register), accounted at its Codec.Size, and of one
+// type within a shuffle partition or a task's output: else the job fails
+// with spill.ErrNoCodec or spill.ErrMixedValues, spilling or not.
 type KV struct {
 	// Key groups values in the shuffle.
 	Key string

@@ -1,11 +1,14 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fsjoin/internal/spill"
 )
 
 func TestU32KeyRoundTripAndOrder(t *testing.T) {
@@ -142,33 +145,32 @@ func drainBytes(t *testing.T, budget int64, vals []any) ([]int64, int) {
 }
 
 // TestSizeOf: the shuffle charges a record its key, its value's accounted
-// size and eight bytes. A builtin kind is accounted as its codec says; nil,
-// a bool and a value of no registered type keep their defaults.
+// size and eight bytes, a builtin kind accounted as its codec says; nil, a
+// bool and a value of no registered type cannot join a partition, and fail
+// the task with spill.ErrNoCodec.
 func TestSizeOf(t *testing.T) {
-	cases := []struct {
+	for _, c := range []struct {
 		v    any
 		want int
 	}{
-		{nil, 0},
 		{"abc", 3},
 		{[]byte{1, 2}, 2},
 		{int64(1), 8},
 		{int32(1), 4},
-		{true, 1},
 		{[]uint32{1, 2, 3}, 12},
 		{[]string{"ab", "c"}, 11},
-		{struct{}{}, 16}, // unknown: conservative flat cost
-	}
-	vals := make([]any, len(cases))
-	for i, c := range cases {
-		vals[i] = c.v
-	}
-	got, _ := drainBytes(t, -1, vals)
-	for i, got := range got {
-		key := U32Key(uint32(i))
-		if want := int64(len(key) + cases[i].want + 8); got != want {
-			t.Errorf("%T accounted at %d, want %d", cases[i].v, got-int64(len(key)+8), cases[i].want)
+	} {
+		got, _ := drainBytes(t, -1, []any{c.v})
+		if want := int64(len(U32Key(0)) + c.want + 8); got[0] != want {
+			t.Errorf("%T accounted at %d, want %d", c.v, got[0]-int64(len(U32Key(0))+8), c.want)
 		}
+	}
+	for _, v := range []any{nil, true, struct{}{}} {
+		sink := newShuffleSink(nil, 1, nil, -1, t.TempDir(), nil)
+		if err := Refused(func() { sink.add(U32Key(0), v) }); !errors.Is(err, spill.ErrNoCodec) {
+			t.Errorf("a %T value added: %v, want spill.ErrNoCodec", v, err)
+		}
+		sink.close()
 	}
 }
 

@@ -198,7 +198,7 @@ func TestParallelResultMatchesSerial(t *testing.T) {
 	// untimed blanks the metrics that are, or derive from, measured task
 	// durations.
 	untimed := func(m Metrics) Metrics {
-		m.MapTaskTime, m.ReduceTaskTime = nil, nil
+		m.MapTaskTime, m.ReduceTaskTime, m.ReduceFetchTime = nil, nil, nil
 		m.SimulatedMapTime, m.SimulatedReduce, m.SimulatedTotalTime, m.WallTime = 0, 0, 0, 0
 		return m
 	}

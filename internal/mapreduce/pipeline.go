@@ -207,10 +207,12 @@ func (p *Pipeline) replay(stage int, cfg Config, fp string, feed bool) *Result {
 	snap, status := p.store.Load(stage, cfg.Name, fp)
 	res := new(Result)
 	longKey := func(r checkpoint.Record) bool { return spill.CheckKey(r.Key) != nil }
-	if status == checkpoint.Hit && (json.Unmarshal(snap.Manifest.Metrics, &res.Metrics) != nil || slices.ContainsFunc(snap.Records, longKey)) {
+	if status == checkpoint.Hit && (json.Unmarshal(snap.Manifest.Metrics, &res.Metrics) != nil ||
+		slices.ContainsFunc(snap.Records, longKey) || feed && !res.fed(snap.Records)) {
 		// The checksum passed, so this is a writer/reader version skew the
 		// format bump should have caught, or a file no stage wrote: a key
-		// longer than Emit takes. Recompute rather than trust it.
+		// longer than Emit takes, or values one column cannot hold.
+		// Recompute rather than trust it.
 		status = checkpoint.Corrupt
 	}
 	switch status {
@@ -222,14 +224,7 @@ func (p *Pipeline) replay(stage int, cfg Config, fp string, feed bool) *Result {
 		return nil
 	}
 	res.Counters = RestoreCounters(snap.Manifest.Counters)
-	if feed {
-		out := new(spill.Records)
-		var sz spill.Sizer
-		for _, r := range snap.Records {
-			out.Append(r.Key, r.Value, recordBytes(r.Key, sz.Size(r.Value)))
-		}
-		res.chain = newChainInput([]*spill.Records{out})
-	} else {
+	if !feed {
 		res.Output = make([]KV, len(snap.Records))
 		for i, r := range snap.Records {
 			res.Output[i] = KV{Key: r.Key, Value: r.Value}
@@ -237,6 +232,21 @@ func (p *Pipeline) replay(stage int, cfg Config, fp string, feed bool) *Result {
 	}
 	p.ckpt.Hits++
 	return res
+}
+
+// fed keeps recs in one column, as a Feed result's output, and reports
+// whether it could: a column holds values of one registered type.
+func (res *Result) fed(recs []checkpoint.Record) bool {
+	out := new(spill.Records)
+	var sz spill.Sizer
+	for _, r := range recs {
+		if out.Append(r.Key, r.Value, recordBytes(r.Key, sz.Size(r.Value))) != nil {
+			out.Release()
+			return false
+		}
+	}
+	res.chain = newChainInput([]*spill.Records{out})
+	return true
 }
 
 // save persists one completed stage. Any failure — an output value with no

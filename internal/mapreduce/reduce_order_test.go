@@ -440,9 +440,8 @@ type groupSum struct{ foldSum }
 func (groupSum) FoldTyped(acc *int64, v int64) { *acc += v }
 
 func (s groupSum) FinishGroup(ctx *Context, g *spill.Groups, i int) {
-	acc, ok := spill.GroupAcc[int64](g, i)
-	if k := g.Abbrev(i); ok && k.Len == 8 {
-		EmitPair(ctx, uint32(k.Prefix>>32), uint32(k.Prefix), acc)
+	if k := g.Abbrev(i); k.Len == 8 {
+		EmitPair(ctx, uint32(k.Prefix>>32), uint32(k.Prefix), spill.GroupAcc[int64](g, i))
 		return
 	}
 	s.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))

@@ -50,34 +50,23 @@ func newShuffleSink(part func(uint64, int) int, reducers int, folder Folder, bud
 
 // add routes one emission, of a key Emit has checked, to its reduce
 // partition, folding into an existing accumulator slot when a combiner is
-// active. A spill failure (disk full, unwritable dir) panics like any task
-// fault, so the attempt fails and the engine's retry machinery takes over.
+// active. A value the partition refuses, or a spill failure (disk full,
+// unwritable dir), panics like any task fault (emitted), so the attempt
+// fails.
 func (s *shuffleSink) add(key string, value any) {
-	if err := s.buf.Add(s.route(spill.MakeKeyIndex(key, 0)), key, value); err != nil {
-		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
-	}
+	emitted(s.buf.Add(s.route(spill.MakeKeyIndex(key, 0)), key, value))
 }
 
 // addFrom is add of src's record i (spill.Buffer.AddFrom), routed by the
 // integer its key is held in.
 func (s *shuffleSink) addFrom(src *spill.Records, i int) {
-	if err := s.buf.AddFrom(s.route(src.Abbrev(i)), src, i); err != nil {
-		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
-	}
+	emitted(s.buf.AddFrom(s.route(src.Abbrev(i)), src, i))
 }
 
 // addTyped is add of a record whose key k holds and whose value is a T,
-// through spill.AddTyped. A record AddTyped refuses is added boxed, to the
-// partition it was routed to.
+// through spill.AddTyped.
 func addTyped[T any](s *shuffleSink, k spill.KeyIndex, v T, overhead int64) {
-	r := s.route(k)
-	ok, err := spill.AddTyped(&s.buf, r, k, v, overhead)
-	if err == nil && !ok {
-		err = s.buf.Add(r, spill.ShortKey(k), v)
-	}
-	if err != nil {
-		panic(&enginePanic{err: fmt.Errorf("shuffle spill: %w", err)})
-	}
+	emitted(spill.AddTyped(&s.buf, s.route(k), k, v, overhead))
 }
 
 // route returns the reduce partition of the key k holds.

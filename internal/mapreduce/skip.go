@@ -106,9 +106,10 @@ func (q *quarantineState) quarantine(cfg Config, counters *Counters, rec Quarant
 // skipUnits re-runs a deterministically failing task with its poison units
 // — a map task's input records, a reduce task's sorted key groups —
 // bisected out. Probes run body alone over prefixes of the working set,
-// under the ProbeAttempt fault decision and into a throwaway context with
-// no shuffle sink: a failing combiner is deliberately not reproduced, so
-// it stays unskippable. rerun must execute the task's full attempt loop
+// under the ProbeAttempt fault decision and into a throwaway context that
+// drops what it emits: a failing combiner is deliberately not reproduced,
+// so it stays unskippable, and nor is a refused emission, which is
+// incurable. rerun must execute the task's full attempt loop
 // over the given units.
 func skipUnits[U any](env *jobEnv, counters *Counters, phase Phase, task int, units []U,
 	body taskBody[U], describe func(U) (key string, value any),
@@ -117,7 +118,7 @@ func skipUnits[U any](env *jobEnv, counters *Counters, phase Phase, task int, un
 	work := append([]U(nil), units...)
 	pf := cfg.decideFault(phase, task, ProbeAttempt)
 	probe := func(n int) error {
-		sctx := &Context{TaskID: task, Job: cfg}
+		sctx := &Context{TaskID: task, Job: cfg, probe: true}
 		return guard(func() { body(sctx, work[:n], pf, nil) })
 	}
 	quarantine := func(i int, cause error) error {

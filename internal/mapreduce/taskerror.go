@@ -63,11 +63,11 @@ func (p *enginePanic) Unwrap() error { return p.err }
 
 // incurable reports whether err is a failure retrying cannot cure and skip
 // mode must not bisect: a context cancellation or deadline expiry, which
-// stops every attempt alike, or a key longer than spill.MaxKeyLen, which
-// an attempt emits again on every try, whichever records it is given.
+// stops every attempt alike, or an emission refused (Emit), which an
+// attempt emits again on every try, whichever records it is given.
 func incurable(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, spill.ErrLongKey)
+		errors.Is(err, spill.ErrLongKey) || errors.Is(err, spill.ErrNoCodec) || errors.Is(err, spill.ErrMixedValues)
 }
 
 // cancelStride is how many CheckCancel calls pass between context polls —

@@ -105,14 +105,9 @@ type sigEntry struct {
 	light [lightGroups]uint16
 }
 
-// ridList is a merged candidate list for one record.
-type ridList struct {
-	rids []int32
-}
-
-// The codecs of this package's own shuffle values (DESIGN.md §8); the others
-// are shared: result.Candidate, order.RecordValue, and the verify stage's
-// output result.Scored.
+// The codec of this package's own shuffle value (DESIGN.md §8); the others
+// are shared: result.Candidate, order.Routed, order.RecordValue, and the
+// verify stage's output result.Scored.
 func init() {
 	spill.Register(spill.TagSigEntry, spill.Codec[sigEntry]{
 		Append: func(buf []byte, e sigEntry) []byte {
@@ -137,11 +132,6 @@ func init() {
 			return e
 		},
 		Size: func(sigEntry) int { return 9 + 2*lightGroups },
-	})
-	spill.Register(spill.TagRidList, spill.Codec[ridList]{
-		Append: func(buf []byte, l ridList) []byte { return spill.AppendI32s(buf, l.rids) },
-		Read:   func(d *spill.Dec) ridList { return ridList{rids: d.I32s()} },
-		Size:   func(l ridList) int { return 4 * len(l.rids) },
 	})
 }
 

@@ -57,34 +57,24 @@ func SelfJoin(c *tokens.Collection, opt Options) (*Result, error) {
 	for _, rec := range ordered.Records {
 		distIn = append(distIn, mapreduce.KV{
 			Key:   mapreduce.U32Key(uint32(rec.RID)),
-			Value: order.RecordValue{Rec: rec},
+			Value: order.Routed{Rec: rec},
 		})
 	}
 	for _, kv := range candRes.Output {
 		a, b := mapreduce.DecodePairKey(kv.Key)
 		// Route the candidate to the indexed side a; value is partner b.
-		distIn = append(distIn, mapreduce.KV{Key: mapreduce.U32Key(a), Value: ridList{rids: []int32{int32(b)}}})
+		distIn = append(distIn, mapreduce.KV{Key: mapreduce.U32Key(a), Value: order.Routed{Rec: tokens.Record{RID: int32(b)}, Partner: true}})
 	}
 	distRes, err := p.Run(mapreduce.Config{Name: "distribute"},
 		distIn, mapreduce.IdentityMapper,
 		mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key string, values []any) {
-			var rec order.RecordValue
-			var partners []int32
-			for _, v := range values {
-				switch x := v.(type) {
-				case order.RecordValue:
-					rec = x
-				case ridList:
-					partners = append(partners, x.rids...)
-				}
-			}
-			if rec.Rec.Tokens == nil {
+			rec, partners := order.Routes(values)
+			if rec.Tokens == nil {
 				return
 			}
-			sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
 			for _, t := range partners {
 				ctx.Inc("massjoin.records.shipped", 1)
-				mapreduce.EmitU32(ctx, uint32(t), rec)
+				mapreduce.EmitU32(ctx, uint32(t), order.RecordValue{Rec: rec})
 			}
 		}))
 	if err != nil {

@@ -151,12 +151,12 @@ func run(r, s *tokens.Collection, p Params) (*Result, error) {
 	for _, rec := range r.Records {
 		verifyIn = append(verifyIn, mapreduce.KV{
 			Key:   mapreduce.U32Key(uint32(rec.RID)),
-			Value: order.RecordValue{Rec: rec},
+			Value: order.Routed{Rec: rec},
 		})
 	}
 	for _, kv := range dedup.Output {
 		a, b := mapreduce.DecodePairKey(kv.Key)
-		verifyIn = append(verifyIn, mapreduce.KV{Key: mapreduce.U32Key(a), Value: partner(b)})
+		verifyIn = append(verifyIn, mapreduce.KV{Key: mapreduce.U32Key(a), Value: order.Routed{Rec: tokens.Record{RID: int32(b)}, Partner: true}})
 	}
 	verRes, err := pipe.Run(mapreduce.Config{Name: "verify"},
 		verifyIn, mapreduce.IdentityMapper,
@@ -287,25 +287,14 @@ func (j *bucketJoiner) join(ctx *mapreduce.Context, ps []rsinput.Posting) {
 	}
 }
 
-// partner marks a candidate partner id in the verification job.
-type partner int32
-
-// The codec of this package's own shuffle value (DESIGN.md §8); the others
-// are shared: rsinput.Posting, result.Candidate, order.RecordValue, and the
-// verify stage's output result.Scored.
-func init() {
-	spill.Register(spill.TagPartner, spill.Codec[partner]{
-		Append: func(buf []byte, p partner) []byte { return binary.AppendVarint(buf, int64(p)) },
-		Read:   func(d *spill.Dec) partner { return partner(d.Varint()) },
-		Size:   func(partner) int { return 4 },
-	})
-}
-
 // verifier resolves candidate partners against its routed record and checks
 // the exact similarity. Like MassJoin's Merge, partner records are looked
 // up from the driver-shared index (the S side for R-S joins) while the
 // candidate list arrives through the shuffle; the routed record itself
-// travels as an order.RecordValue so shuffle accounting includes it.
+// travels as an order.Routed too, so shuffle accounting includes it. This
+// package's shuffle values are all shared: rsinput.Posting,
+// result.Candidate, order.Routed, and the verify stage's output
+// result.Scored.
 type verifier struct {
 	theta float64
 	byRID map[int32]tokens.Record
@@ -314,20 +303,10 @@ type verifier struct {
 
 // Reduce implements mapreduce.Reducer.
 func (v *verifier) Reduce(ctx *mapreduce.Context, key string, values []any) {
-	var own tokens.Record
-	var partners []int32
-	for _, val := range values {
-		switch x := val.(type) {
-		case order.RecordValue:
-			own = x.Rec
-		case partner:
-			partners = append(partners, int32(x))
-		}
-	}
+	own, partners := order.Routes(values)
 	if own.Tokens == nil {
 		return
 	}
-	sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
 	for _, p := range partners {
 		if other, ok := v.byRID[p]; ok {
 			result.Score(ctx, similarity.Jaccard, v.theta, own, other, v.rs)

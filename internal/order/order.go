@@ -149,6 +149,60 @@ func init() {
 	})
 }
 
+// Routed is the one value type of a stage that ships each record to its
+// candidate partners (massjoin's distribute, minhash's verify): under a
+// record's rid, either the record itself or the rid of one partner it
+// pairs with.
+type Routed struct {
+	Rec tokens.Record
+	// Partner marks a partner: Rec.RID is the partner's rid, and Rec has
+	// no tokens.
+	Partner bool
+}
+
+// Routed's codec: a byte that says which of the two it is, the rid and, for
+// a record, its tokens. A record is accounted as a RecordValue, at 4+4n,
+// and a partner at 4, its rid.
+func init() {
+	spill.Register(spill.TagRouted, spill.Codec[Routed]{
+		Append: func(buf []byte, r Routed) []byte {
+			if r.Partner {
+				return binary.AppendVarint(append(buf, 1), int64(r.Rec.RID))
+			}
+			buf = binary.AppendVarint(append(buf, 0), int64(r.Rec.RID))
+			return spill.AppendU32s(buf, r.Rec.Tokens)
+		},
+		Read: func(d *spill.Dec) Routed {
+			r := Routed{Partner: d.Bool()}
+			r.Rec.RID = int32(d.Varint())
+			if !r.Partner {
+				r.Rec.Tokens = d.U32s()
+			}
+			return r
+		},
+		Size: func(r Routed) int {
+			if r.Partner {
+				return 4
+			}
+			return 4 + 4*len(r.Rec.Tokens)
+		},
+	})
+}
+
+// Routes splits one key's Routed values into the record and its partners'
+// rids, ascending; the record is the zero Record when none came.
+func Routes(values []any) (rec tokens.Record, partners []int32) {
+	for _, v := range values {
+		if r := v.(Routed); r.Partner {
+			partners = append(partners, r.Rec.RID)
+		} else {
+			rec = r.Rec
+		}
+	}
+	slices.Sort(partners)
+	return rec, partners
+}
+
 // RecordsToKV converts a collection into MapReduce input pairs, one record
 // per pair, keyed by rid.
 func RecordsToKV(c *tokens.Collection) []mapreduce.KV {
@@ -187,16 +241,10 @@ var _ mapreduce.TypedFolder[int64] = sumReducer{}
 func (sumReducer) FinishFold(ctx *mapreduce.Context, key string, acc any) { ctx.Emit(key, acc) }
 
 // FinishGroup implements mapreduce.GroupFinisher: FinishFold of a token's
-// count, emitted as the (token, count) it is when the group was folded
-// unboxed and its key is a token's four bytes.
-func (r sumReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
-	if n, ok := spill.GroupAcc[int64](g, i); ok {
-		if k := g.Abbrev(i); k.Len == 4 {
-			mapreduce.EmitU32(ctx, uint32(k.Prefix>>32), n)
-			return
-		}
-	}
-	r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
+// count, emitted as the (token, count) it is — the ordering job's keys are
+// tokens' four bytes (EmitU32), its counts int64s.
+func (sumReducer) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
+	mapreduce.EmitU32(ctx, uint32(g.Abbrev(i).Prefix>>32), spill.GroupAcc[int64](g, i))
 }
 
 // denseCounter is the ordering job's mapper, an in-mapper combiner: token

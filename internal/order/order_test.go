@@ -458,8 +458,8 @@ type typedGroups struct {
 }
 
 func (r typedGroups) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
-	if _, ok := spill.GroupAcc[int64](g, i); !ok {
-		r.t.Errorf("group %d of a reduce task folded boxed: a partition's counts were not a column of int64", i)
+	if _, ok := g.Acc(i).(int64); !ok {
+		r.t.Errorf("group %d of a reduce task folded a %T: a partition's counts were not a column of int64", i, g.Acc(i))
 	}
 	r.sumReducer.FinishGroup(ctx, g, i)
 }

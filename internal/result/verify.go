@@ -40,12 +40,7 @@ func (r *Verifier) FinishFold(ctx *mapreduce.Context, key string, acc any) {
 // FinishGroup implements mapreduce.GroupFinisher: FinishFold of a pair's
 // group without its key string or a boxed accumulator.
 func (r *Verifier) FinishGroup(ctx *mapreduce.Context, g *spill.Groups, i int) {
-	a, b, sum, ok := OverlapGroup(g, i)
-	if !ok {
-		r.FinishFold(ctx, g.Key(i, spill.NewKeyArena(1)), g.Acc(i))
-		return
-	}
-	if r.keep(ctx, sum) {
+	if a, b, sum := OverlapGroup(g, i); r.keep(ctx, sum) {
 		mapreduce.EmitPair(ctx, a, b, sum)
 	}
 }

@@ -15,13 +15,15 @@
 //
 // Values cross the disk boundary through a type-tagged codec registry
 // (codec.go): one Register call per value type gives it its wire tag, its
-// codec and, when it is pointer-free, its unboxed column in the buffer. A
-// spill that meets a value whose type has no codec fails with ErrNoCodec;
-// a buffer that never spills holds any value.
+// codec and its column in the buffer. A partition holds values of one
+// registered type, whether it spills or not: a value whose type has no
+// codec — nil and bool included — is refused with ErrNoCodec, and one of
+// a second type with ErrMixedValues.
 package spill
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -140,7 +142,9 @@ func (b *Buffer) Init(cfg Config) {
 
 // Add routes one record into partition part, folding into an existing
 // accumulator when configured, and spills if the budget is exceeded. A key
-// longer than MaxKeyLen is refused with ErrLongKey, the buffer unchanged.
+// longer than MaxKeyLen is refused with ErrLongKey, and a value the
+// partition's column refuses (Records.Append) with ErrNoCodec or
+// ErrMixedValues, the buffer unchanged.
 func (b *Buffer) Add(part int, key string, v any) error {
 	if err := CheckKey(key); err != nil {
 		return err
@@ -151,18 +155,38 @@ func (b *Buffer) Add(part int, key string, v any) error {
 		return err
 	}
 	if i >= 0 {
-		b.mem += r.foldAt(i, key, v, &b.fold, b.cfg.Size)
-		return b.checkBudget()
+		return b.foldAt(r, i, key, v)
 	}
 	bytes := b.cfg.Size(key, v)
-	r.append(k, v, bytes)
+	if err := r.append(k, v, bytes); err != nil {
+		return b.unbook(part, err)
+	}
 	b.mem += bytes
 	return b.checkBudget()
 }
 
+// unbook frees the fold slot find booked in partition part for a record
+// refused with err, and returns err.
+func (b *Buffer) unbook(part int, err error) error {
+	if b.slots != nil {
+		b.slots[part].unbook()
+	}
+	return err
+}
+
+// foldAt folds v into record i of partition r (Records.foldAt) and checks
+// the budget.
+func (b *Buffer) foldAt(r *Records, i int, key string, v any) error {
+	grew, err := r.foldAt(i, key, v, &b.fold, b.cfg.Size)
+	if err != nil {
+		return err
+	}
+	b.mem += grew
+	return b.checkBudget()
+}
+
 // AddFrom is Add of src's record i under the size src holds for it: column
-// to column, without a box when both hold one type, and the key as the
-// integers it is held in. src is only read.
+// to column, and the key as the integers it is held in. src is only read.
 func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 	h := *src.heads.At(i)
 	k := h.key()
@@ -171,62 +195,42 @@ func (b *Buffer) AddFrom(part int, src *Records, i int) error {
 		return err
 	}
 	if j >= 0 {
-		if !r.vals.foldFrom(j, src.vals, i, &b.fold) {
-			// Size takes the key as a string.
-			b.mem += r.foldAt(j, ShortKey(k), src.vals.at(i), &b.fold, b.cfg.Size)
+		if r.vals.foldFrom(j, src.vals, i, &b.fold) {
+			return b.checkBudget()
 		}
-		return b.checkBudget()
+		// Size takes the key as a string.
+		return b.foldAt(r, j, ShortKey(k), src.vals.at(i))
 	}
-	r.appendFrom(k, src.vals, i, h.bytes())
+	if err := r.appendFrom(k, src.vals, i, h.bytes()); err != nil {
+		return b.unbook(part, err)
+	}
 	b.mem += h.bytes()
 	return b.checkBudget()
 }
 
 // AddTyped is Add of a record whose key k holds and whose value v is held
 // unboxed and accounted at overhead plus its Codec.Size, as AppendTyped
-// appends one: folded in place into the key's accumulator, or appended to
-// the partition's column, then the budget checked. It adds nothing and
-// reports false when the partition's column cannot take v unboxed
-// (AppendTyped), or when the buffer folds and its fold has no unboxed form
-// for the column — a tailed column has none; the caller then Adds the
-// record.
-func AddTyped[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool, error) {
-	if part < 0 || part >= len(b.parts) {
-		return false, nil // Add reports it
-	}
-	c := typedColumn[T](&b.parts[part])
-	if c == nil {
-		return addTailed(b, part, k, v, overhead)
-	}
-	if b.slots != nil && !c.foldsUnboxed(&b.fold) {
-		return false, nil
-	}
+// appends one: folded into the key's accumulator — in place where the
+// fold has an unboxed form for the column — or appended to the
+// partition's column, made from T's type on its first value, then the
+// budget checked.
+func AddTyped[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) error {
 	r, i, err := b.find(part, k)
 	if err != nil {
-		return true, err
+		return err
 	}
 	if i >= 0 {
-		c.foldValue(i, v, &b.fold)
-		return true, b.checkBudget()
+		if c, ok := r.vals.(*column[T]); ok && c.foldValue(i, v, &b.fold) {
+			return b.checkBudget()
+		}
+		return b.foldAt(r, i, ShortKey(k), v)
 	}
-	bytes := overhead + int64(c.codec.Size(v))
-	appendTyped(r, c, k, v, bytes)
-	b.mem += bytes
-	return true, b.checkBudget()
-}
-
-// addTailed is AddTyped into a tailed column of a buffer that does not
-// fold.
-func addTailed[T any](b *Buffer, part int, k KeyIndex, v T, overhead int64) (bool, error) {
-	r := &b.parts[part]
-	c, ok := r.vals.(tailedOf[T])
-	if !ok || b.slots != nil {
-		return false, nil
+	held := r.bytes
+	if err := AppendTyped(r, k, v, overhead); err != nil {
+		return b.unbook(part, err)
 	}
-	bytes := overhead + int64(c.size(v))
-	appendTailed(r, c, k, v, bytes)
-	b.mem += bytes
-	return true, b.checkBudget()
+	b.mem += r.bytes - held
+	return b.checkBudget()
 }
 
 // ExpectKeys sizes every partition's fold table, when the buffer folds, to
@@ -269,10 +273,9 @@ var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10
 
 // spill appends every partition's records, in the order they sit in
 // memory, to the end of the spill file — one segment per partition that
-// holds any — and empties the partitions and their fold slots. A value
-// with no codec fails it with ErrNoCodec; a failed spill indexes nothing
-// and empties nothing, and the bytes it wrote past end are overwritten by
-// the next spill or removed with the file.
+// holds any — and empties the partitions and their fold slots. A failed
+// spill indexes nothing and empties nothing, and the bytes it wrote past
+// end are overwritten by the next spill or removed with the file.
 func (b *Buffer) spill() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -326,10 +329,11 @@ func (b *Buffer) write(w *bufio.Writer) (int64, error) {
 		}
 		seg := segment{off: at, records: int64(l.Len())}
 		for i := 0; i < l.Len(); i++ {
-			frame, err := appendSpilled(w.AvailableBuffer(), l, i)
-			if err != nil {
-				return 0, err
-			}
+			// A spill frame: the record in AppendRecord's form, then its
+			// accounted size as a uvarint, which a fetch reads instead of
+			// sizing the value again. A spill file is read only by the job
+			// that wrote it, so the size never leaves the process.
+			frame := binary.AppendUvarint(l.Frame(w.AvailableBuffer(), i), uint64(l.heads.At(i).bytes()))
 			if _, err := w.Write(frame); err != nil {
 				return 0, err
 			}
@@ -383,7 +387,7 @@ func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) 
 	if part < len(b.segs) && len(b.segs[part]) > 0 {
 		lo := dst.Len()
 		ways, err := b.fetchSpilled(part, dst, f)
-		return counted(Source{Recs: dst, Lo: lo, Hi: dst.Len()}), ways, err
+		return Source{Recs: dst, Lo: lo, Hi: dst.Len()}, ways, err
 	}
 	tail := &b.parts[part]
 	if tail.Len() == 0 {
@@ -394,27 +398,8 @@ func (b *Buffer) Fetch(part int, dst *Records, f *Fetcher) (Source, int, error) 
 			return Source{}, 0, err
 		}
 	}
-	return counted(Source{Recs: tail, Hi: tail.Len()}), 1, nil
+	return Source{Recs: tail, Hi: tail.Len()}, 1, nil
 }
-
-// boxedFetches counts the partitions Fetch has handed over boxed.
-var boxedFetches atomic.Int64
-
-// counted returns src, counting it in boxedFetches when its values are
-// held boxed.
-func counted(src Source) Source {
-	if _, boxed := src.Recs.vals.(*column[any]); boxed && src.Hi > src.Lo {
-		boxedFetches.Add(1)
-	}
-	return src
-}
-
-// BoxedFetches returns how many partitions Fetch has handed over, in place
-// or decoded, with their values boxed in a column of any, since the
-// process started: partitions of values whose type is registered neither
-// pointer-free nor tailed, or of values of more than one type. A job whose
-// shuffle values all have a column of their own adds nothing to it.
-func BoxedFetches() int64 { return boxedFetches.Load() }
 
 // Trim gives back the memory a buffer that spilled keeps for refilling and
 // spilling again, and the fold tables, which only Add reads, to the pools

@@ -12,13 +12,11 @@ import (
 
 // The run format stores each value as a one-byte type tag (tags.go) followed
 // by a tag-specific payload, so decoding restores the exact concrete Go type
-// that was buffered — reducers type-switch on shuffle values, so "mostly
-// the same type" is not good enough. This file is the one place that knows
-// how a Go type crosses the shuffle or the disk, and what it is accounted
-// at: each type registers its tag and codec once, with Register, and every
-// path — a typed column encoding its values unboxed, the []any column,
-// AppendEncoded, AppendRecord, their decoders and Sizer — goes through that
-// one table.
+// that was buffered. This file is the one place that knows how a Go type
+// crosses the shuffle or the disk, and what it is accounted at: each type
+// registers its tag and codec once, with Register, and every path — a
+// column encoding its values, AppendEncoded, AppendRecord, their decoders
+// and Sizer — goes through that one table.
 
 // Codec is how values of type T are written after their tag and read back.
 type Codec[T any] struct {
@@ -44,9 +42,8 @@ type kind struct {
 	append func(buf []byte, v any) []byte
 	read   func(d *Dec) any
 	size   func(v any) int
-	// column makes the type's empty column — a []T, or a tailed column
-	// (RegisterTailed); nil for any other type that holds a pointer, whose
-	// values are held boxed.
+	// column makes the type's empty column: a []T, or a tailed column
+	// (RegisterTailed).
 	column func() values
 }
 
@@ -55,24 +52,25 @@ var (
 	kindsByTag  [256]*kind
 )
 
-// Register installs T's tag and codec, and — when T is pointer-free: no
-// pointer, string, slice, map, interface, channel or function anywhere in
-// it — lets the shuffle hold a partition's values of type T unboxed in a
-// []T, which the garbage collector never scans, in chunks a pool recycles
-// (List); values of every other type, and of mixed types, are held boxed.
-// The tag is a constant of tags.go; a tag or type registered twice panics,
-// so a collision surfaces at program start. Must be called from init():
-// the registry is read without locking once jobs run.
+// Register installs T's tag and codec, and lets the shuffle hold a
+// partition's values of type T in a []T column; only a registered type
+// may cross the shuffle. When T is pointer-free — no pointer, string,
+// slice, map, interface, channel or function anywhere in it — the garbage
+// collector never scans the column, and its chunks come from and go back
+// to a pool (List). The tag is a constant of tags.go; a tag or type
+// registered twice panics, so a collision surfaces at program start. Must
+// be called from init(): the registry is read without locking once jobs
+// run.
 func Register[T any](tag byte, c Codec[T]) {
 	k := register(tag, c)
+	k.column = func() values { return newColumn(tag, &c) }
 	if pointerFree(k.typ) {
-		k.column = func() values { return newColumn(tag, &c) }
 		chunkPools[k.typ] = new(chunkPool[T])
 	}
 }
 
-// register installs T's tag and codec for the untyped paths, with no
-// column: Register's and RegisterTailed's common part.
+// register installs T's tag and codec, with no column: Register's and
+// RegisterTailed's common part.
 func register[T any](tag byte, c Codec[T]) *kind {
 	t := reflect.TypeFor[T]()
 	switch {
@@ -227,24 +225,15 @@ func (s *Sizer) Size(v any) int {
 	case bool:
 		return 1
 	}
-	if k := s.kindOf(v); k != nil {
-		return k.size(v)
-	}
-	return 16
-}
-
-// kindOf returns the kind of v's type, nil for none, at the cost of one
-// comparison while the values keep coming in the type it found last.
-func (s *Sizer) kindOf(v any) *kind {
-	t := reflect.TypeOf(v)
-	if k := s.last.Load(); k != nil && k.typ == t {
-		return k
-	}
-	k := kindsByType[t]
-	if k != nil {
+	// One comparison while the values keep coming in the type found last.
+	t, k := reflect.TypeOf(v), s.last.Load()
+	if k == nil || k.typ != t {
+		if k = kindsByType[t]; k == nil {
+			return 16
+		}
 		s.last.Store(k)
 	}
-	return k
+	return k.size(v)
 }
 
 // bareTag returns the tag that is all of v's encoding, for the three values
@@ -261,8 +250,9 @@ func bareTag(v any) (tag byte, ok bool) {
 	return 0, false
 }
 
-// ErrNoCodec is returned, wrapped, wherever a value must cross the disk —
-// a spill run or a checkpoint — and its type has no registered codec.
+// ErrNoCodec is returned, wrapped, wherever a value whose type has no
+// registered codec joins a shuffle partition or a task's output — a nil
+// or a bool value included — or must be written to a checkpoint.
 var ErrNoCodec = errors.New("spill: no codec registered")
 
 // appendKind appends tag + payload for v, whose kind the caller has looked

@@ -1,21 +1,25 @@
 package spill
 
-import "reflect"
+import (
+	"errors"
+	"fmt"
+	"reflect"
+)
 
-// values is the value column of a Records: a *column[T] for one registered
-// pointer-free T, a *tailed column for a type registered with
-// RegisterTailed, or a *column[any].
+// values is the value column of a Records: a *column[T] for a type
+// registered with Register, or a *tailed column for one registered with
+// RegisterTailed. A column holds values of its one type only.
 type values interface {
+	// elem returns the type of the column's values.
+	elem() reflect.Type
 	// add appends v; false when v is not of the column's type.
 	add(v any) bool
 	// addFrom appends src's value i; false when src is another kind of column.
 	addFrom(src values, i int) bool
-	// at returns value i, boxing it when the column is typed.
+	// at returns value i boxed.
 	at(i int) any
 	// set replaces value i; false when v is not of the column's type.
 	set(i int, v any) bool
-	// boxed returns the column as a column[any] of the same values.
-	boxed() values
 	// empty returns a new column of the same kind.
 	empty() values
 	// fold adds v into value i through f's unboxed form; false when f has
@@ -23,25 +27,37 @@ type values interface {
 	fold(i int, v any, f *folder) bool
 	// foldFrom is fold of src's value j; false also for another kind of src.
 	foldFrom(i int, src values, j int, f *folder) bool
-	// foldGroups returns a column holding, for each group g, the values of
-	// s at idx[starts[g]:starts[g+1]] folded in that order — unboxed where
-	// every source holds this column's type and f has an unboxed form.
-	foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values
-	// gather returns a new column of this kind holding the values of s at
-	// idx, in that order; nil when some source holds another kind of
-	// column, or this one holds values of any type. A tailed column takes
-	// its sources' tails rather than copying them, leaving the sources to
-	// be released only.
+	// foldGroups returns a column of this kind holding, for each group g,
+	// the values of s — every source a column of this kind — at
+	// idx[starts[g]:starts[g+1]] folded in that order, unboxed where f can.
+	foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) (values, error)
+	// gather is foldGroups with no fold: the values of s at idx, in that
+	// order. A tailed column takes its sources' tails rather than copying
+	// them, leaving the sources to be released only.
 	gather(s *sources, idx []KeyIndex) values
 	// appendValue appends value i as the run codec frames it.
-	appendValue(buf []byte, i int) ([]byte, error)
+	appendValue(buf []byte, i int) []byte
 	// decode appends the value d holds, tag and payload, read straight into
-	// the column when it is of the column's registered type; false, with
-	// nothing read, when it is not. d's error says whether it was read.
+	// the column; false, with nothing read, when the tag is another type's.
+	// d's error says whether it was read.
 	decode(d *Dec) bool
 	reset()
 	trim()
 	release()
+}
+
+// ErrMixedValues is returned, wrapped, where a value joins a partition —
+// or a reduce task groups partitions — holding values of another type: a
+// partition holds values of one type, in that type's column.
+var ErrMixedValues = errors.New("spill: values of more than one type in one partition")
+
+// refused is why column c does not take a value of type got: ErrNoCodec
+// when got is not registered, ErrMixedValues when it is another type.
+func refused(c values, got reflect.Type) error {
+	if kindsByType[got] == nil {
+		return fmt.Errorf("%w for %v", ErrNoCodec, got)
+	}
+	return fmt.Errorf("%w: a %v among %v values", ErrMixedValues, got, c.elem())
 }
 
 // folder is a fold in both its forms: the boxed one every fold has, and
@@ -64,20 +80,15 @@ func unboxedFold[T any](f *folder) func(acc *T, v T) {
 	return nil
 }
 
-// column holds values of one type in a List. With T = any it is the
-// fallback that holds anything, each value boxed as it was emitted.
+// column holds values of one registered type in a List.
 type column[T any] struct {
 	vals List[T]
 	// The owning buffer's fold, looked up on the first fold into the column.
 	unboxed  func(acc *T, v T)
 	resolved bool
 
-	// T's tag and codec, 0 and nil when T is any, whose values each have
-	// their own; and the kinds of the values encoded, found one type at a
-	// time: a partition's values are nearly always of one type.
 	tag   byte
 	codec *Codec[T]
-	kinds Sizer
 
 	// The list's chunk table and first chunk, allocated with the column: a
 	// job has map tasks × reduce tasks of these, most of a few values.
@@ -91,24 +102,10 @@ func newColumn[T any](tag byte, codec *Codec[T]) *column[T] {
 	return c
 }
 
-func newAnyColumn() *column[any] { return newColumn[any](0, nil) }
-
-// columnFor returns an empty column for a partition whose first value is v.
-func columnFor(v any) values {
-	if k := kindsByType[reflect.TypeOf(v)]; k != nil && k.column != nil {
-		return k.column()
-	}
-	return newAnyColumn()
-}
-
-func (c *column[T]) unbox(v any) (T, bool) {
-	x, ok := v.(T)
-	// A nil any fails the assertion to any itself, and is its zero value.
-	return x, ok || c.codec == nil
-}
+func (c *column[T]) elem() reflect.Type { return reflect.TypeFor[T]() }
 
 func (c *column[T]) add(v any) bool {
-	x, ok := c.unbox(v)
+	x, ok := v.(T)
 	if ok {
 		c.vals.Append(x)
 	}
@@ -126,28 +123,17 @@ func (c *column[T]) addFrom(src values, i int) bool {
 func (c *column[T]) at(i int) any { return *c.vals.At(i) }
 
 func (c *column[T]) set(i int, v any) bool {
-	x, ok := c.unbox(v)
+	x, ok := v.(T)
 	if ok {
 		*c.vals.At(i) = x
 	}
 	return ok
 }
 
-func (c *column[T]) boxed() values {
-	if c.codec == nil {
-		return c
-	}
-	out := newAnyColumn()
-	for i := 0; i < c.vals.Len(); i++ {
-		out.vals.Append(*c.vals.At(i))
-	}
-	return out
-}
-
 func (c *column[T]) empty() values { return newColumn(c.tag, c.codec) }
 
 func (c *column[T]) fold(i int, v any, f *folder) bool {
-	x, ok := c.unbox(v)
+	x, ok := v.(T)
 	return ok && c.foldValue(i, x, f)
 }
 
@@ -173,19 +159,12 @@ func (c *column[T]) foldsUnboxed(f *folder) bool {
 	return c.unboxed != nil
 }
 
-func (c *column[T]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values {
+func (c *column[T]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) (values, error) {
 	fold := unboxedFold[T](f)
 	if fold == nil {
-		return foldBoxed(s, idx, starts, f)
+		return foldBoxed(c, s, idx, starts, f)
 	}
-	cols := make([]*column[T], len(s.srcs))
-	for i, src := range s.srcs {
-		col, ok := src.Recs.vals.(*column[T])
-		if !ok {
-			return foldBoxed(s, idx, starts, f)
-		}
-		cols[i] = col
-	}
+	cols := sourceColumns[*column[T]](s)
 	out := newColumn(c.tag, c.codec)
 	at := func(k KeyIndex) T { return *cols[k.Src].vals.At(int(k.Pos + s.off[k.Src])) }
 	for g := 0; g+1 < len(starts); g++ {
@@ -195,21 +174,11 @@ func (c *column[T]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *fo
 			fold(acc, at(ix))
 		}
 	}
-	return out
+	return out, nil
 }
 
 func (c *column[T]) gather(s *sources, idx []KeyIndex) values {
-	if c.codec == nil {
-		return nil
-	}
-	cols := make([]*column[T], len(s.srcs))
-	for i, src := range s.srcs {
-		col, ok := src.Recs.vals.(*column[T])
-		if !ok {
-			return nil
-		}
-		cols[i] = col
-	}
+	cols := sourceColumns[*column[T]](s)
 	out := newColumn(c.tag, c.codec)
 	for _, ix := range idx {
 		out.vals.Append(*cols[ix.Src].vals.At(int(ix.Pos + s.off[ix.Src])))
@@ -217,30 +186,40 @@ func (c *column[T]) gather(s *sources, idx []KeyIndex) values {
 	return out
 }
 
+// sourceColumns returns the columns of s's sources, which Group has found
+// to be of one kind, C.
+func sourceColumns[C values](s *sources) []C {
+	cols := make([]C, len(s.srcs))
+	for i, src := range s.srcs {
+		cols[i] = src.Recs.vals.(C)
+	}
+	return cols
+}
+
 // foldBoxed is foldGroups through f's boxed form, each value boxed as it
-// is read: for sources whose columns differ, or a fold with no unboxed form.
-func foldBoxed(s *sources, idx []KeyIndex, starts []int32, f *folder) values {
-	out := newAnyColumn()
+// is read, into a column of c's kind: for a fold with no unboxed form.
+// An accumulator of another type than c's values is ErrMixedValues.
+func foldBoxed(c values, s *sources, idx []KeyIndex, starts []int32, f *folder) (values, error) {
+	out := c.empty()
 	for g := 0; g+1 < len(starts); g++ {
 		acc := s.value(idx[starts[g]])
 		for _, ix := range idx[starts[g]+1 : starts[g+1]] {
 			acc = f.boxed(acc, s.value(ix))
 		}
-		out.vals.Append(acc)
+		if !out.add(acc) {
+			out.release()
+			return nil, refused(out, reflect.TypeOf(acc))
+		}
 	}
-	return out
+	return out, nil
 }
 
-func (c *column[T]) appendValue(buf []byte, i int) ([]byte, error) {
-	if c.codec != nil {
-		return c.codec.Append(append(buf, c.tag), *c.vals.At(i)), nil
-	}
-	v := c.at(i)
-	return appendKind(buf, v, c.kinds.kindOf(v))
+func (c *column[T]) appendValue(buf []byte, i int) []byte {
+	return c.codec.Append(append(buf, c.tag), *c.vals.At(i))
 }
 
 func (c *column[T]) decode(d *Dec) bool {
-	if c.codec == nil || d.Rest() == 0 || d.b[d.at] != c.tag {
+	if d.b[d.at] != c.tag {
 		return false
 	}
 	d.at++

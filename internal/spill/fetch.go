@@ -1,7 +1,5 @@
 package spill
 
-import "reflect"
-
 // A Fetcher is what a reduce task fetches spilled partitions with, one
 // after another: the window their segments are read through and the scratch
 // records a folding buffer's partition is decoded into, both reused from
@@ -44,9 +42,6 @@ func (b *Buffer) fetchSpilled(part int, dst *Records, f *Fetcher) (int, error) {
 		f.scratch.reset()
 		out = &f.scratch
 	}
-	if out.Len() == 0 && tail.vals != nil && reflect.TypeOf(out.vals) != reflect.TypeOf(tail.vals) {
-		out.vals = tail.vals.empty()
-	}
 	segs := b.segs[part]
 	f.win.fit(segs)
 	f.polls = 0
@@ -60,7 +55,9 @@ func (b *Buffer) fetchSpilled(part int, dst *Records, f *Fetcher) (int, error) {
 			if err := b.poll(f); err != nil {
 				return 0, err
 			}
-			out.appendAt(tail, i)
+			if err := out.appendAt(tail, i); err != nil {
+				return 0, err
+			}
 		}
 	}
 	if out == &f.scratch {
@@ -91,9 +88,12 @@ func (b *Buffer) foldOnto(dst *Records, f *Fetcher) error {
 		i := int(ix.Pos)
 		if g == 0 || CompareKeys(idx[g-1], ix) != 0 {
 			at = dst.Len()
-			dst.appendAt(scratch, i)
+			err = dst.appendAt(scratch, i)
 		} else if !dst.vals.foldFrom(at, scratch.vals, i, &b.fold) {
-			dst.foldAt(at, dst.Key(at, &f.keys), scratch.vals.at(i), &b.fold, b.cfg.Size)
+			_, err = dst.foldAt(at, dst.Key(at, &f.keys), scratch.vals.at(i), &b.fold, b.cfg.Size)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

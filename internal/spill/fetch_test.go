@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +19,9 @@ func fetchSize(key string, v any) int64 { return int64(len(key)+fetchSizer.Size(
 // several into one shared Records — groups exactly what it groups from the
 // same emissions held in memory: the same groups, keys, sizes, values in
 // order, accumulators and accumulator column, and the same fetched record
-// count and bytes.
+// count and bytes. A value a partition refuses — nil, or one of a second
+// type — is refused in memory and spilled alike, and so are partitions of
+// two types fetched by one reduce task.
 func TestSpilledFetchMatchesMemory(t *testing.T) {
 	kinds := map[string]func(rng *rand.Rand, i int) any{
 		"int64":  func(_ *rand.Rand, i int) any { return int64(i) },
@@ -77,11 +80,12 @@ func TestSpilledFetchMatchesMemory(t *testing.T) {
 					defer s.Close()
 					for i, n := 0, rng.Intn(600); i < n; i++ {
 						k, v, p := pool[rng.Intn(len(pool))], kind(rng, i), rng.Intn(parts)
-						if err := r.Add(p, k, v); err != nil {
-							t.Fatal(err)
+						errR, errS := r.Add(p, k, v), s.Add(p, k, v)
+						if !sameRefusal(errR, errS) {
+							t.Fatalf("seed %d, %s values: in memory %v, spilled %v", seed, kname, errR, errS)
 						}
-						if err := s.Add(p, k, v); err != nil {
-							t.Fatal(err)
+						if errR != nil {
+							break
 						}
 					}
 					if st := s.Stats(); st.Runs > 0 {
@@ -90,8 +94,14 @@ func TestSpilledFetchMatchesMemory(t *testing.T) {
 					ref, spilled = append(ref, r), append(spilled, s)
 				}
 				for p := 0; p < parts; p++ {
-					want, wn, wb := fetchGroups(t, ref, p, f)
-					got, gn, gb := fetchGroups(t, spilled, p, f)
+					want, wn, wb, werr := fetchGroups(t, ref, p, f)
+					got, gn, gb, gerr := fetchGroups(t, spilled, p, f)
+					if !sameRefusal(gerr, werr) {
+						t.Fatalf("seed %d, %s values, %s fold, partition %d: fetched %v, want %v", seed, kname, fname, p, gerr, werr)
+					}
+					if werr != nil {
+						continue
+					}
 					if msg := diffGroups(got, want, f != nil); msg != "" {
 						t.Fatalf("seed %d, %s values, %s fold, partition %d: %s", seed, kname, fname, p, msg)
 					}
@@ -149,10 +159,25 @@ func TestSpilledDecodeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// sameRefusal reports whether a and b are both nil, or both a refusal of
+// one kind: ErrNoCodec or ErrMixedValues.
+func sameRefusal(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	for _, sentinel := range []error{ErrNoCodec, ErrMixedValues} {
+		if errors.Is(a, sentinel) {
+			return errors.Is(b, sentinel)
+		}
+	}
+	return false
+}
+
 // fetchGroups fetches partition p of every buffer into one Records, as a
 // reduce task does, and groups what it fetched; it returns the groups and
-// the records and bytes fetched.
-func fetchGroups(t *testing.T, bufs []*Buffer, p int, f *folder) (*Groups, int, int64) {
+// the records and bytes fetched, or the refusal that stopped the fetch or
+// the grouping.
+func fetchGroups(t *testing.T, bufs []*Buffer, p int, f *folder) (*Groups, int, int64, error) {
 	t.Helper()
 	var fetched Records
 	var fetcher Fetcher
@@ -160,6 +185,9 @@ func fetchGroups(t *testing.T, bufs []*Buffer, p int, f *folder) (*Groups, int, 
 	n, bytes := 0, int64(0)
 	for _, b := range bufs {
 		src, _, err := b.Fetch(p, &fetched, &fetcher)
+		if errors.Is(err, ErrMixedValues) {
+			return nil, 0, 0, err
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +202,10 @@ func fetchGroups(t *testing.T, bufs []*Buffer, p int, f *folder) (*Groups, int, 
 		fold, typed = f.boxed, f.typed
 	}
 	g, err := Group(srcs, fold, typed)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrMixedValues) {
 		t.Fatal(err)
 	}
-	return g, n, bytes
+	return g, n, bytes, err
 }
 
 // BenchmarkSpilledFetch fetches and groups every partition of a map task's

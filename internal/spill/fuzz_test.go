@@ -78,10 +78,11 @@ func FuzzValueCodec(f *testing.F) {
 }
 
 // FuzzBufferMerge feeds an arbitrary KV sequence (decoded from the fuzz
-// input) through a tightly budgeted Buffer and checks the spilled drain
-// against the in-memory reference: same key set, identical per-key
-// value order, key-sorted across groups — the exact contract the engine's
-// reduce phase relies on (DESIGN.md §8).
+// input) through a tightly budgeted Buffer, each value type into a
+// partition of its own, and checks each partition's spilled drain against
+// the in-memory reference: same key set, identical per-key value order,
+// key-sorted across groups — the exact contract the engine's reduce phase
+// relies on (DESIGN.md §8).
 func FuzzBufferMerge(f *testing.F) {
 	f.Add([]byte("aa1bb2aa3cc4"), uint8(3), uint16(64))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 201}, uint8(1), uint16(32))
@@ -90,7 +91,7 @@ func FuzzBufferMerge(f *testing.F) {
 	// share their leading bytes.
 	f.Add(bytes.Repeat([]byte{3, 10, 17, 24, 31}, 40), uint8(4), uint16(100))
 	f.Add(bytes.Repeat([]byte{3 | 0x80, 10, 17 | 0x80, 24, 31 | 0x80}, 40), uint8(4), uint16(100))
-	// A partition whose values change type after a spill or two.
+	// Partitions that take their first values after a spill or two.
 	f.Add(append(bytes.Repeat([]byte{3, 10, 17}, 60), 0, 1, 2, 0x80, 0x81, 3), uint8(2), uint16(80))
 	// "k00" beside "k00\x00": equal prefixes, lengths one apart.
 	f.Add([]byte{0, 0x80, 7, 0x87, 0x80, 0}, uint8(1), uint16(16))
@@ -99,71 +100,79 @@ func FuzzBufferMerge(f *testing.F) {
 		// Decode the fuzz bytes into a KV stream: each byte contributes one
 		// record. Its high bit appends a zero byte to the key, which then
 		// has the prefix of the key without it; the byte modulo seven picks
-		// the value's type, mostly int64.
+		// the value's type, mostly int64, and the type the partition.
 		type kv struct {
-			key string
-			val any
+			part int
+			key  string
+			val  any
 		}
 		var recs []kv
 		for i, c := range data {
 			if len(recs) >= 512 {
 				break
 			}
-			r := kv{key: fmt.Sprintf("k%02d", int(c)%keys), val: int64(i)<<8 | int64(c)}
+			r := kv{part: 3, key: fmt.Sprintf("k%02d", int(c)%keys), val: int64(i)<<8 | int64(c)}
 			if c&0x80 != 0 {
 				r.key += "\x00"
 			}
 			switch c % 7 {
 			case 0:
-				r.val = fmt.Sprint(r.val)
+				r.part, r.val = 0, fmt.Sprint(r.val)
 			case 1:
-				r.val = uint32(i)
+				r.part, r.val = 1, uint32(i)
 			case 2:
-				r.val = nil
+				r.part, r.val = 2, []uint32{uint32(i), uint32(c)}
 			}
 			recs = append(recs, r)
 		}
 		bud := int64(budget%1024) + 16
 
-		b := NewBuffer(Config{Parts: 1, Budget: bud, Size: testSize, Dir: t.TempDir()})
+		const parts = 4
+		b := NewBuffer(Config{Parts: parts, Budget: bud, Size: testSize, Dir: t.TempDir()})
 		defer b.Close()
 		for _, r := range recs {
-			if err := b.Add(0, r.key, r.val); err != nil {
+			if err := b.Add(r.part, r.key, r.val); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var gotKeys []string
-		got := make(map[string][]any)
-		if _, err := b.Drain(0, func(k string, v any, sz int64) {
-			if sz != testSize(k, v) {
-				t.Fatalf("accounted size drifted: %d vs %d", sz, testSize(k, v))
+		for p := 0; p < parts; p++ {
+			var gotKeys []string
+			got := make(map[string][]any)
+			if _, err := b.Drain(p, func(k string, v any, sz int64) {
+				if sz != testSize(k, v) {
+					t.Fatalf("accounted size drifted: %d vs %d", sz, testSize(k, v))
+				}
+				if vs, ok := got[k]; !ok || len(vs) == 0 {
+					gotKeys = append(gotKeys, k)
+				}
+				got[k] = append(got[k], v)
+			}); err != nil {
+				t.Fatal(err)
 			}
-			if vs, ok := got[k]; !ok || len(vs) == 0 {
-				gotKeys = append(gotKeys, k)
-			}
-			got[k] = append(got[k], v)
-		}); err != nil {
-			t.Fatal(err)
-		}
 
-		// Reference: group in arrival order, then sort keys — the in-memory
-		// shuffle contract after the reduce phase normalises key order.
-		want := make(map[string][]any)
-		for _, r := range recs {
-			want[r.key] = append(want[r.key], r.val)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("key count %d, want %d", len(got), len(want))
-		}
-		for k, vs := range want {
-			if !reflect.DeepEqual(got[k], vs) {
-				t.Fatalf("key %q values %v, want %v", k, got[k], vs)
+			// Reference: group in arrival order, then sort keys — the
+			// in-memory shuffle contract after the reduce phase
+			// normalises key order.
+			want := make(map[string][]any)
+			for _, r := range recs {
+				if r.part == p {
+					want[r.key] = append(want[r.key], r.val)
+				}
 			}
-		}
-		// Drain sorts what it fetched, spilled segments and tail alike:
-		// emitted key groups must be key-sorted whenever anything hit disk.
-		if b.Stats().Runs > 0 && !sort.StringsAreSorted(gotKeys) {
-			t.Fatalf("spilled drain emitted unsorted key groups: %v", gotKeys)
+			if len(got) != len(want) {
+				t.Fatalf("partition %d: key count %d, want %d", p, len(got), len(want))
+			}
+			for k, vs := range want {
+				if !reflect.DeepEqual(got[k], vs) {
+					t.Fatalf("partition %d: key %q values %v, want %v", p, k, got[k], vs)
+				}
+			}
+			// Drain sorts what it fetched, spilled segments and tail
+			// alike: emitted key groups must be key-sorted whenever
+			// anything hit disk.
+			if b.Stats().Runs > 0 && !sort.StringsAreSorted(gotKeys) {
+				t.Fatalf("partition %d: spilled drain emitted unsorted key groups: %v", p, gotKeys)
+			}
 		}
 	})
 }
@@ -243,8 +252,8 @@ func FuzzKeyOrder(f *testing.F) {
 	f.Add([]byte("\x07abcdefgabcdefghabcdefhabcdefg\x00abcdefg"))
 	f.Add([]byte{1, 0, 0, 1, 0, 255, 255, 0})
 	f.Add([]byte{})
-	// Keys of 0 to 8 bytes in one column set; an odd first byte mixes the
-	// value types too.
+	// Keys of 0 to 8 bytes in one column set; an odd first byte makes the
+	// values strings.
 	f.Add([]byte("\x0fthe quick brown fox jumps over the lazy dog, the quick brown fox"))
 	f.Add([]byte("\x07the quick brown fox jumps over the lazy dog, the quick brown fox"))
 	// "a", "a\x00" and "a\x00\x00": equal prefixes of different lengths.
@@ -253,7 +262,7 @@ func FuzzKeyOrder(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		mixed := data[0]%2 == 1
+		strs := data[0]%2 == 1
 		// Key lengths cycle 0..step, so every run has empty, short and
 		// 8-byte keys over the same byte pool.
 		step := int(data[0])%MaxKeyLen + 1
@@ -265,6 +274,6 @@ func FuzzKeyOrder(f *testing.F) {
 			data = data[max(l, 1):]
 		}
 		checkKeyOrder(t, keys)
-		checkGroupOrder(t, keys, mixed)
+		checkGroupOrder(t, keys, strs)
 	})
 }

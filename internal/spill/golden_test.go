@@ -42,10 +42,9 @@ var goldenFrames = []struct{ hex, typ, val string }{
 	{"2e01f2c00122", "rsinput.Posting", "{Origin:1 RID:12345 Len:17}"},
 	{"320dd804010100e903d107b90ba10f89137117591b411f29231127f92ae12ec932b136993a", "massjoin.sigEntry", "{rid:-7 l:300 probe:true light:[1 1001 2001 3001 4001 5001 6001 7001 8001 9001 10001 11001 12001 13001 14001 15001]}"},
 	{"33", "result.Candidate", "{}"},
-	{"3503ffffffff0000000000001000", "massjoin.ridList", "{rids:[-1 0 1048576]}"},
 	{"360a000000000000ea3f", "result.Scored", "{C:5 Sim:0.8125}"},
-	{"3bff880f", "minhash.partner", "-123456"},
 	{"3d05020800000009000000", "order.RecordValue", "{Rec:r-3{8 9}}"},
+	{"3e0005020800000009000000", "order.Routed", "{Rec:r-3{8 9} Partner:false}"},
 }
 
 // goldenSizes is the accounted size of the value each goldenFrames row
@@ -83,10 +82,9 @@ var goldenSizes = []struct {
 	{"rsinput.Posting", 9},
 	{"massjoin.sigEntry", 41},
 	{"result.Candidate", 0},
-	{"massjoin.ridList", 12},
 	{"result.Scored", 12},
-	{"minhash.partner", 4},
 	{"order.RecordValue", 12},
+	{"order.Routed", 12},
 }
 
 // goldenFrame returns row i's bytes and the value they decode to.
@@ -126,7 +124,7 @@ func TestGoldenWireFormat(t *testing.T) {
 		}
 	}
 	for _, tag := range []byte{TagSeg, TagOverlap, TagRSRecord, TagPosting, TagSigEntry,
-		TagCandidate, TagRidList, TagScored, TagPartner, TagRecordValue} {
+		TagCandidate, TagScored, TagRecordValue, TagRouted} {
 		if kindsByTag[tag] == nil {
 			t.Errorf("tag %d is not registered in this binary: registrants_test.go imports its owner", tag)
 		}

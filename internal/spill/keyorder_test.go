@@ -40,16 +40,16 @@ func checkKeyOrder(t *testing.T, keys []string) {
 	}
 }
 
-// checkGroupOrder holds Group — values in a typed column or, when mixed,
-// boxed — to the same oracle:
-// distinct keys in key order, each with its values in record order.
-func checkGroupOrder(t *testing.T, keys []string, mixed bool) {
+// checkGroupOrder holds Group — values in a column of int64 or, with
+// strs, of strings — to the same oracle: distinct keys in key order, each
+// with its values in record order.
+func checkGroupOrder(t *testing.T, keys []string, strs bool) {
 	t.Helper()
 	var recs Records
 	want := map[string][]any{}
 	for i, k := range keys {
 		var v any = int64(i)
-		if mixed && i%5 == 4 {
+		if strs {
 			v = fmt.Sprint(i)
 		}
 		recs.Append(k, v, int64(len(k)))

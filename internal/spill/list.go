@@ -25,7 +25,7 @@ const (
 // records by int. The zero value is an empty list.
 //
 // A list of a pointer-free element type that has a chunk pool — a
-// partition's heads, a column of a type Register made columnar — takes its
+// partition's heads, a column of a pointer-free registered type — takes its
 // chunks from the pool before it allocates one, and gives them back on
 // release and Trim: where the owner knows no record of them is read again.
 // A list that releases nothing leaves its chunks to the garbage collector.

@@ -2,7 +2,9 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 )
@@ -11,14 +13,15 @@ import (
 // struct each: a partition of a Buffer, and what a reduce task fetches its
 // partitions into. A key — at most MaxKeyLen bytes — is stored as the
 // (prefix, length) a KeyIndex abbreviates it to, which is all of it; the
-// values are one column: a []T when every value so far is of one
-// pointer-free type registered with Register, heads and word tails when
-// they are of one type registered with RegisterTailed, and a []any
-// otherwise. So a partition of such values — rid pairs to overlap counts,
-// token ids to frequencies, record segments — holds no pointer and costs
-// the garbage collector nothing to keep, and its chunks go back to a pool
-// when the records are released (Release) rather than to the garbage
-// collector. The zero value is empty.
+// values are of one registered type, in that type's column: a []T for a
+// type registered with Register, heads and word tails for one registered
+// with RegisterTailed. The first value picks the column; a value of no
+// registered type is refused with ErrNoCodec, and one of another type than
+// the column's with ErrMixedValues. So a partition of pointer-free values
+// — rid pairs to overlap counts, token ids to frequencies, record segments
+// — holds no pointer and costs the garbage collector nothing to keep, and
+// its chunks go back to a pool when the records are released (Release)
+// rather than to the garbage collector. The zero value is empty.
 type Records struct {
 	heads List[head]
 	vals  values // nil until the first record
@@ -55,74 +58,49 @@ func (r *Records) Len() int { return r.heads.Len() }
 // Bytes returns the records' accounted bytes.
 func (r *Records) Bytes() int64 { return r.bytes }
 
-// Append stores one record of the given accounted size. It panics on a key
-// longer than MaxKeyLen (MakeKeyIndex).
-func (r *Records) Append(key string, v any, bytes int64) {
-	r.append(MakeKeyIndex(key, 0), v, bytes)
+// Append stores one record of the given accounted size: ErrNoCodec, or
+// ErrMixedValues, and nothing stored, when v cannot join the column. It
+// panics on a key longer than MaxKeyLen (MakeKeyIndex).
+func (r *Records) Append(key string, v any, bytes int64) error {
+	return r.append(MakeKeyIndex(key, 0), v, bytes)
 }
 
 // AppendTyped is Append of a record whose key k holds and whose value v is
-// stored unboxed, accounted at overhead plus its Codec.Size. It does so
-// only when the column already holds values of v's type, registered
-// pointer-free or tailed, and reports whether it did; otherwise it stores
-// nothing and the caller appends the record boxed, which is how a
-// partition's first value picks its column and how a column changes kind.
-func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) bool {
-	if c := typedColumn[T](r); c != nil {
-		appendTyped(r, c, k, v, overhead+int64(c.codec.Size(v)))
-		return true
+// stored unboxed, accounted at overhead plus its Codec.Size: into a column
+// made from T's registered type when r has none yet, and otherwise refused
+// as Append refuses a value.
+func AppendTyped[T any](r *Records, k KeyIndex, v T, overhead int64) error {
+	if r.vals == nil {
+		if err := r.hold(reflect.TypeFor[T]()); err != nil {
+			return err
+		}
 	}
-	c, ok := r.vals.(tailedOf[T])
-	if ok {
-		appendTailed(r, c, k, v, overhead+int64(c.size(v)))
+	bytes := overhead
+	switch c := r.vals.(type) {
+	case *column[T]:
+		bytes += int64(c.codec.Size(v))
+		c.vals.Append(v)
+	case tailedOf[T]:
+		bytes += int64(c.size(v))
+		c.put(v)
+	default:
+		return refused(r.vals, reflect.TypeFor[T]())
 	}
-	return ok
-}
-
-// typedColumn returns r's column if it holds values of T's registered,
-// pointer-free type, so that a T can join it without a box; nil if not.
-func typedColumn[T any](r *Records) *column[T] {
-	c, ok := r.vals.(*column[T])
-	if !ok || c.codec == nil {
-		return nil
-	}
-	return c
-}
-
-// appendTyped appends a record of key k and value v, c being r's column.
-func appendTyped[T any](r *Records, c *column[T], k KeyIndex, v T, bytes int64) {
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
-	c.vals.Append(v)
-}
-
-// appendTailed is appendTyped for a tailed column.
-func appendTailed[T any](r *Records, c tailedOf[T], k KeyIndex, v T, bytes int64) {
-	r.heads.Append(makeHead(k, bytes))
-	r.bytes += bytes
-	c.put(v)
+	return nil
 }
 
 // EachTyped calls fn with every record's key, abbreviated, and value in
-// order, when the values sit unboxed in a column of T's registered type;
-// it reports false, having called nothing, otherwise. Records with no
-// record are read as either.
-func EachTyped[T any](r *Records, fn func(k KeyIndex, v T)) bool {
-	if r.Len() == 0 {
-		return true
-	}
-	c := typedColumn[T](r)
-	if c == nil {
-		return false
-	}
+// order. The values must sit in a column of T, else it panics.
+func EachTyped[T any](r *Records, fn func(k KeyIndex, v T)) {
 	for i := 0; i < r.Len(); i++ {
-		fn(r.heads.At(i).key(), *c.vals.At(i))
+		fn(r.heads.At(i).key(), *r.vals.(*column[T]).vals.At(i))
 	}
-	return true
 }
 
-// Column names the value column's Go type — a column of one value type, or
-// of any — and is "" before the first record.
+// Column names the value column's Go type, and is "" before the first
+// record.
 func (r *Records) Column() string {
 	if r.vals == nil {
 		return ""
@@ -130,42 +108,64 @@ func (r *Records) Column() string {
 	return fmt.Sprintf("%T", r.vals)
 }
 
-func (r *Records) append(k KeyIndex, v any, bytes int64) {
-	r.heads.Append(makeHead(k, bytes))
-	r.bytes += bytes
-	if r.vals == nil {
-		r.vals = columnFor(v)
+// hold gives r, which has no column, one for values of type t: ErrNoCodec
+// when t is not registered.
+func (r *Records) hold(t reflect.Type) error {
+	k := kindsByType[t]
+	if k == nil {
+		return refused(nil, t)
 	}
-	if !r.vals.add(v) {
-		r.vals = r.vals.boxed()
-		r.vals.add(v)
-	}
+	r.vals = k.column()
+	return nil
 }
 
-// appendFrom is append of src's value i, copied column to column when both
-// hold one type, into a column of src's kind. It repeats append's head: a
-// shared one is a call more on Add's path, measurably slower.
-func (r *Records) appendFrom(k KeyIndex, src values, i int, bytes int64) {
+func (r *Records) append(k KeyIndex, v any, bytes int64) error {
+	if r.vals == nil {
+		if err := r.hold(reflect.TypeOf(v)); err != nil {
+			return err
+		}
+	}
+	if !r.vals.add(v) {
+		return refused(r.vals, reflect.TypeOf(v))
+	}
+	r.heads.Append(makeHead(k, bytes))
+	r.bytes += bytes
+	return nil
+}
+
+// appendFrom is append of src's value i, copied column to column, into a
+// column of src's kind. It repeats append's head: a shared one is a call
+// more on Add's path, measurably slower.
+func (r *Records) appendFrom(k KeyIndex, src values, i int, bytes int64) error {
 	if r.vals == nil {
 		r.vals = src.empty()
 	}
 	if !r.vals.addFrom(src, i) {
-		r.append(k, src.at(i), bytes)
-		return
+		return refused(r.vals, src.elem())
 	}
 	r.heads.Append(makeHead(k, bytes))
 	r.bytes += bytes
+	return nil
 }
 
 // decode appends a record of key k whose value is what d has left — tag
-// and payload — and whose accounted size is bytes: a value of the type of
-// a typed column read straight into it, any other value boxed and
-// appended as append appends it. If d fails, nothing is appended.
+// and payload — and whose accounted size is bytes, the value read straight
+// into the column, which the first value's tag picks. If d fails, or the
+// value is not of the column's type, nothing is appended.
 func (r *Records) decode(k KeyIndex, d *Dec, bytes int64) {
-	if r.vals == nil || !r.vals.decode(d) {
-		if v := d.value(); d.err == nil {
-			r.append(k, v, bytes)
-		}
+	var kd *kind
+	if d.Rest() > 0 {
+		kd = kindsByTag[d.b[d.at]]
+	}
+	if kd == nil {
+		d.err = errors.New("spill: a value of no registered type")
+		return
+	}
+	if r.vals == nil {
+		r.vals = kd.column()
+	}
+	if !r.vals.decode(d) {
+		d.err = refused(r.vals, kd.typ)
 		return
 	}
 	if d.err != nil {
@@ -177,29 +177,31 @@ func (r *Records) decode(k KeyIndex, d *Dec, bytes int64) {
 
 // foldAt folds v into the value of record i, whose key is key: in place
 // through f's unboxed form where the column has one, and otherwise through
-// its boxed form, after which the record is accounted anew with size — the
-// accumulator may come back as anything. It returns how many bytes the
-// record's accounted size grew by.
-func (r *Records) foldAt(i int, key string, v any, f *folder, size func(key string, v any) int64) int64 {
+// its boxed form, after which the record is accounted anew with size. It
+// returns how many bytes the record's accounted size grew by, and
+// ErrMixedValues for an accumulator of another type than the column's.
+func (r *Records) foldAt(i int, key string, v any, f *folder, size func(key string, v any) int64) (int64, error) {
 	if r.vals.fold(i, v, f) {
-		return 0
+		return 0, nil
+	}
+	if t := reflect.TypeOf(v); t != r.vals.elem() {
+		return 0, refused(r.vals, t)
 	}
 	acc := f.boxed(r.vals.at(i), v)
 	if !r.vals.set(i, acc) {
-		r.vals = r.vals.boxed()
-		r.vals.set(i, acc)
+		return 0, refused(r.vals, reflect.TypeOf(acc))
 	}
 	h := r.heads.At(i)
 	grew := size(key, acc) - h.bytes()
 	r.bytes += grew
 	*h = makeHead(h.key(), h.bytes()+grew)
-	return grew
+	return grew, nil
 }
 
-// appendAt appends src's record i, column to column where they agree.
-func (r *Records) appendAt(src *Records, i int) {
+// appendAt appends src's record i, column to column.
+func (r *Records) appendAt(src *Records, i int) error {
 	h := src.heads.At(i)
-	r.appendFrom(h.key(), src.vals, i, h.bytes())
+	return r.appendFrom(h.key(), src.vals, i, h.bytes())
 }
 
 // KeyArena turns stored keys back into strings, carving them out of one
@@ -255,19 +257,15 @@ func (r *Records) At(i int) (key string, v any) {
 	return r.Key(i, NewKeyArena(1)), r.vals.at(i)
 }
 
-// Frame appends record i to buf in AppendRecord's form, a typed column's
-// value encoded unboxed. On error buf is returned as given.
-func (r *Records) Frame(buf []byte, i int) ([]byte, error) {
+// Frame appends record i to buf in AppendRecord's form, the value encoded
+// out of its column.
+func (r *Records) Frame(buf []byte, i int) []byte {
 	h := r.heads.At(i)
 	// uvarint(len) is one byte for a key of at most MaxKeyLen bytes.
 	out := append(buf, h.len())
 	out = binary.BigEndian.AppendUint64(out, h.prefix)[:len(out)+int(h.len())]
 	at := len(out)
-	out, err := r.vals.appendValue(out, i)
-	if err != nil {
-		return buf, err
-	}
-	return frameValue(out, at), nil
+	return frameValue(r.vals.appendValue(out, i), at)
 }
 
 // sortedIndex appends to idx a key index over the records, in record
@@ -332,11 +330,9 @@ type Groups struct {
 	keysBuf  *[]KeyIndex
 	// A folded group is one accumulator in accs. Otherwise group g's
 	// values are positions starts[g] to starts[g+1] of vals, a column of
-	// the sources' kind, in record order — or of boxed, where the sources
-	// hold values boxed or in columns of different kinds.
+	// the sources' kind, in record order.
 	accs   values
 	vals   values
-	boxed  []any
 	starts []int32
 }
 
@@ -370,16 +366,15 @@ func (s *sources) value(k KeyIndex) any {
 // key groups: it sorts an index over them by (key, position) and sweeps it
 // once, cutting a group wherever the key changes, so each group holds its
 // values in source then record order. No record is copied, only values.
-// With a fold, each group's values are folded in that order into one
-// accumulator — in place in a []T when every source holds the same typed
-// column and typed (see Config.TypedFold) offers the fold unboxed, through
-// fold otherwise.
-// Without one the values are gathered, in that order, into a column of
-// the kind every source holds — boxed, only where the sources' columns
-// differ or hold values boxed — for AppendGroupValues and Values to hand
-// out; a tailed column's tails move to the groups with the chunks they
-// lie in, so sources of a tailed type may only be released after. The
-// index and the group bounds are borrowed from pools and given back
+// Every source must hold its values in a column of one kind, else Group
+// fails with ErrMixedValues. With a fold, each group's values are folded
+// in that order into one accumulator, in a column of that kind — in place
+// in a []T when typed (see Config.TypedFold) offers the fold unboxed,
+// through fold otherwise. Without one the values are gathered, in that
+// order, into a column of that kind for AppendGroupValues and Values to
+// hand out; a tailed column's tails move to the groups with the chunks
+// they lie in, so sources of a tailed type may only be released after.
+// The index and the group bounds are borrowed from pools and given back
 // before Group returns.
 func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error) {
 	if err := Groupable(len(srcs)); err != nil {
@@ -389,6 +384,9 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 	n := 0
 	for _, src := range srcs {
 		if src.Hi > src.Lo {
+			if len(s.srcs) > 0 && src.Recs.vals.elem() != s.srcs[0].Recs.vals.elem() {
+				return nil, refused(s.srcs[0].Recs.vals, src.Recs.vals.elem())
+			}
 			s.srcs = append(s.srcs, src)
 			s.off = append(s.off, int32(src.Lo-n))
 			n += src.Hi - src.Lo
@@ -430,18 +428,18 @@ func Group(srcs []Source, fold func(acc, v any) any, typed any) (*Groups, error)
 			g.Sizes[i] += r.heads.At(j).bytes()
 		}
 	}
+	var err error
 	switch {
 	case n == 0:
 	case fold != nil:
-		g.accs = s.srcs[0].Recs.vals.foldGroups(&s, idx, starts, &folder{boxed: fold, typed: typed})
+		g.accs, err = s.srcs[0].Recs.vals.foldGroups(&s, idx, starts, &folder{boxed: fold, typed: typed})
 	default:
 		g.starts = slices.Clone(starts)
-		if g.vals = s.srcs[0].Recs.vals.gather(&s, idx); g.vals == nil {
-			g.boxed = make([]any, n)
-			for i, ix := range idx {
-				g.boxed[i] = s.value(ix)
-			}
-		}
+		g.vals = s.srcs[0].Recs.vals.gather(&s, idx)
+	}
+	if err != nil {
+		g.Release()
+		return nil, err
 	}
 	return g, nil
 }
@@ -488,26 +486,15 @@ func (g *Groups) Key(i int, a *KeyArena) string { return a.Short(g.keys[i]) }
 // Acc returns folded group i's accumulator.
 func (g *Groups) Acc(i int) any { return g.accs.at(i) }
 
-// GroupAcc returns folded group i's accumulator unboxed, when the groups
-// were folded in a column of T's registered, pointer-free type; false
-// otherwise, and Acc has it.
-func GroupAcc[T any](g *Groups, i int) (T, bool) {
-	if c, ok := g.accs.(*column[T]); ok && c.codec != nil {
-		return *c.vals.At(i), true
-	}
-	var zero T
-	return zero, false
-}
+// GroupAcc returns folded group i's accumulator unboxed. The groups must
+// have been folded in a []T column, else it panics, as the type assertion
+// a reader of Acc makes would.
+func GroupAcc[T any](g *Groups, i int) T { return *g.accs.(*column[T]).vals.At(i) }
 
 // Values returns unfolded group i's values boxed, for a reader that takes
-// them as any: out of a gathered column a slice of its own, each value
-// with its own tail, and otherwise the boxed values, the slice's capacity
-// capped so that appending to it cannot write into the next group.
+// them as any: a slice of its own, each value with its own tail.
 func (g *Groups) Values(i int) []any {
 	lo, hi := int(g.starts[i]), int(g.starts[i+1])
-	if g.vals == nil {
-		return g.boxed[lo:hi:hi]
-	}
 	out := make([]any, 0, hi-lo)
 	for j := lo; j < hi; j++ {
 		out = append(out, g.vals.at(j))
@@ -531,10 +518,6 @@ func AppendGroupValues[T any](dst []T, g *Groups, i int) []T {
 		}
 	case tailedOf[T]:
 		dst = c.appendTo(dst, lo, hi)
-	case nil:
-		for _, v := range g.boxed[lo:hi] {
-			dst = append(dst, v.(T))
-		}
 	default: // a column of another type
 		for j := lo; j < hi; j++ {
 			dst = append(dst, c.at(j).(T))

@@ -150,7 +150,7 @@ func TestReleasedChunksReusedInvisibly(t *testing.T) {
 // release gives back is zeroed when it is taken again.
 func TestSeededChunkNeverPooled(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	c := columnFor(int64(0)).(*column[int64])
+	c := kindsByType[reflect.TypeFor[int64]()].column().(*column[int64])
 	first := &c.first[0]
 	if !c.vals.seeded || &c.vals.chunks[0][0] != first {
 		t.Fatal("a new column's first chunk is not its own")

@@ -11,6 +11,7 @@ import "math/bits"
 type slotTable struct {
 	slots []slot // len is a power of two
 	used  int
+	last  uint32  // the slot booked last
 	buf   *[]slot // the pooled header slots came in; nil while slots is nil
 }
 
@@ -92,7 +93,15 @@ func (t *slotTable) findOrAdd(r *Records, k KeyIndex, n int) (int, error) {
 	}
 	t.slots[i] = slot{hash: hash, pos: int32(n) + 1}
 	t.used++
+	t.last = i
 	return -1, nil
+}
+
+// unbook frees the slot findOrAdd booked last, for a record that was not
+// appended. No key was booked after it, so no probe passes through it.
+func (t *slotTable) unbook() {
+	t.slots[t.last] = slot{}
+	t.used--
 }
 
 // expect makes an empty table room for n keys: the power of two at least

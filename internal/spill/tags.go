@@ -31,6 +31,8 @@ const (
 	tagStringSlice
 )
 
+// Retired, never to be reused: 53 (massjoin's rid list) and 59 (minhash's
+// partner rid), both replaced by order.Routed.
 const (
 	TagSeg         byte = 40 // fragjoin.Seg
 	TagOverlap     byte = 41 // result.Overlap
@@ -38,8 +40,7 @@ const (
 	TagPosting     byte = 46 // rsinput.Posting
 	TagSigEntry    byte = 50 // massjoin.sigEntry
 	TagCandidate   byte = 51 // result.Candidate
-	TagRidList     byte = 53 // massjoin.ridList
 	TagScored      byte = 54 // result.Scored
-	TagPartner     byte = 59 // minhash.partner
 	TagRecordValue byte = 61 // order.RecordValue
+	TagRouted      byte = 62 // order.Routed
 )

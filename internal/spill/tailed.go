@@ -58,8 +58,8 @@ type tailKind[T, H any] struct {
 // and one []uint32 tail: split takes a value apart, and join builds one
 // out of a head and a tail, which it must keep as it is given — a view
 // into the column, for a reader of AppendGroupValues. The shuffle then
-// holds a partition's values of type T in a tailed column rather than
-// boxed, and a spilled value's tail, where its Codec reads it with
+// holds a partition's values of type T in a tailed column rather than a
+// []T, and a spilled value's tail, where its Codec reads it with
 // Dec.U32s, is decoded straight into the column.
 func RegisterTailed[T, H any](tag byte, c Codec[T], split func(T) (H, []uint32), join func(H, []uint32) T) {
 	if h := reflect.TypeFor[H](); !pointerFree(h) {
@@ -83,14 +83,13 @@ type tailedOf[T any] interface {
 	appendTo(dst []T, lo, hi int) []T
 }
 
-func (c *tailed[T, H]) put(v T) {
-	h, tail := c.k.split(v)
-	c.append(h, tail)
-}
+func (c *tailed[T, H]) put(v T) { c.heads.Append(c.entry(c.k.split(v))) }
 
-func (c *tailed[T, H]) append(h H, tail []uint32) {
+// entry stores tail in the column and returns the entry of a value of
+// head h and that tail.
+func (c *tailed[T, H]) entry(h H, tail []uint32) tailEntry[H] {
 	chunk, off := c.words.add(tail)
-	c.heads.Append(tailEntry[H]{head: h, chunk: chunk, off: off, n: int32(len(tail))})
+	return tailEntry[H]{head: h, chunk: chunk, off: off, n: int32(len(tail))}
 }
 
 func (c *tailed[T, H]) size(v T) int { return c.k.codec.Size(v) }
@@ -111,6 +110,8 @@ func (c *tailed[T, H]) appendTo(dst []T, lo, hi int) []T {
 	return dst
 }
 
+func (c *tailed[T, H]) elem() reflect.Type { return reflect.TypeFor[T]() }
+
 func (c *tailed[T, H]) add(v any) bool {
 	x, ok := v.(T)
 	if ok {
@@ -123,7 +124,7 @@ func (c *tailed[T, H]) addFrom(src values, i int) bool {
 	s, ok := src.(*tailed[T, H])
 	if ok {
 		e := s.heads.At(i)
-		c.append(e.head, s.tail(e))
+		c.heads.Append(c.entry(e.head, s.tail(e)))
 	}
 	return ok
 }
@@ -135,16 +136,15 @@ func (c *tailed[T, H]) at(i int) any {
 	return c.k.join(e.head, slices.Clone(c.tail(e)))
 }
 
-// set replaces nothing: a tail is stored where it fits when appended, so
-// a value of a tailed column is never replaced in place.
-func (c *tailed[T, H]) set(int, any) bool { return false }
-
-func (c *tailed[T, H]) boxed() values {
-	out := newAnyColumn()
-	for i := 0; i < c.heads.Len(); i++ {
-		out.vals.Append(c.at(i))
+// set stores v's tail where it fits, as an append does, and points value
+// i at it: the tail it replaces stays where it was, unread, until the
+// column is reset or released.
+func (c *tailed[T, H]) set(i int, v any) bool {
+	x, ok := v.(T)
+	if ok {
+		*c.heads.At(i) = c.entry(c.k.split(x))
 	}
-	return out
+	return ok
 }
 
 func (c *tailed[T, H]) empty() values { return newTailed(c.k) }
@@ -152,8 +152,8 @@ func (c *tailed[T, H]) empty() values { return newTailed(c.k) }
 // A tailed column has no unboxed fold: its groups fold boxed.
 func (c *tailed[T, H]) fold(int, any, *folder) bool             { return false }
 func (c *tailed[T, H]) foldFrom(int, values, int, *folder) bool { return false }
-func (c *tailed[T, H]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) values {
-	return foldBoxed(s, idx, starts, f)
+func (c *tailed[T, H]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f *folder) (values, error) {
+	return foldBoxed(c, s, idx, starts, f)
 }
 
 // gather copies the heads and takes the tails where they lie: every
@@ -161,14 +161,7 @@ func (c *tailed[T, H]) foldGroups(s *sources, idx []KeyIndex, starts []int32, f 
 // however many sources share it, and the heads are renumbered into them.
 // A source column is left with no words, to be released only.
 func (c *tailed[T, H]) gather(s *sources, idx []KeyIndex) values {
-	cols := make([]*tailed[T, H], len(s.srcs))
-	for i, src := range s.srcs {
-		col, ok := src.Recs.vals.(*tailed[T, H])
-		if !ok {
-			return nil
-		}
-		cols[i] = col
-	}
+	cols := sourceColumns[*tailed[T, H]](s)
 	out := newTailed(c.k)
 	first := make([]int32, len(cols)) // where each column's chunks start in out
 	for i, col := range cols {
@@ -189,14 +182,14 @@ func (c *tailed[T, H]) gather(s *sources, idx []KeyIndex) values {
 	return out
 }
 
-func (c *tailed[T, H]) appendValue(buf []byte, i int) ([]byte, error) {
-	return c.k.codec.Append(append(buf, c.k.tag), c.get(i)), nil
+func (c *tailed[T, H]) appendValue(buf []byte, i int) []byte {
+	return c.k.codec.Append(append(buf, c.k.tag), c.get(i))
 }
 
 // decode reads the value through the codec with d lending its tail
 // (Dec.U32s), and copies the tail into the column.
 func (c *tailed[T, H]) decode(d *Dec) bool {
-	if d.Rest() == 0 || d.b[d.at] != c.k.tag {
+	if d.b[d.at] != c.k.tag {
 		return false
 	}
 	d.at++

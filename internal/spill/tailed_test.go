@@ -2,9 +2,11 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -49,97 +51,134 @@ func sameWorded(a, b worded) bool {
 	return a.id == b.id && slices.Equal(a.ws, b.ws)
 }
 
+// catWorded is a fold of worded values with no unboxed form: the
+// accumulator's tail followed by the value's.
+func catWorded(acc, v any) any {
+	a, w := acc.(worded), v.(worded)
+	return worded{id: a.id, ws: append(slices.Clone(a.ws), w.ws...)}
+}
+
 // TestTailedColumnMatchesBoxed: values of a tailed type sit in a tailed
-// column in memory and decoded from a spill; their frames are AppendRecord's,
-// and their groups, read as values of their type (AppendGroupValues) and
-// boxed (Values), hold what was added, in order, under either budget.
-// Values boxed before the groups are released keep their tails after the
-// released chunks are reused.
+// column in memory and decoded from a spill, folded through a boxed fold
+// or not; their frames are AppendRecord's, and their groups, read as
+// values of their type (AppendGroupValues) and boxed (Values), hold what
+// a model — the key-sorted pairs added, equal keys in order, folded per
+// key — holds, under either budget. Values boxed before the groups are
+// released keep their tails after the released chunks are reused.
 func TestTailedColumnMatchesBoxed(t *testing.T) {
 	const n, parts = 2000, 3
-	for _, budget := range []int64{0, 4 << 10} {
-		b := NewBuffer(Config{Parts: parts, Budget: budget, Size: testSize, Dir: t.TempDir()})
-		want := map[string][]worded{}
-		for i := 0; i < n; i++ {
-			v, key := wordedAt(i), fmt.Sprintf("k%02d", i%40)
-			if err := b.Add(i%40%parts, key, v); err != nil {
-				t.Fatal(err)
-			}
-			want[key] = append(want[key], v)
+	type pair struct {
+		key string
+		v   worded
+	}
+	for _, fold := range []func(acc, v any) any{nil, catWorded} {
+		// Folded, a partition holds a record per key: it spills sooner.
+		spillAt := int64(4 << 10)
+		if fold != nil {
+			spillAt = 256
 		}
-		if spilled := b.Stats().Runs > 0; spilled != (budget > 0) {
-			t.Fatalf("budget %d: %d spills", budget, b.Stats().Runs)
-		}
-		for p := 0; p < parts; p++ {
-			var fetched Records
-			src, _, err := b.Fetch(p, &fetched, new(Fetcher))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := src.Recs.vals.(*tailed[worded, wordedHead]); !ok {
-				t.Fatalf("budget %d: partition %d is held in a %s", budget, p, src.Recs.Column())
-			}
-			for i := src.Lo; i < src.Hi; i++ {
-				key, v := src.Recs.At(i)
-				frame, err := src.Recs.Frame(nil, i)
-				if want, _ := AppendRecord(nil, key, v); err != nil || string(frame) != string(want) {
-					t.Fatalf("budget %d: record %d frames as %x (%v), want %x", budget, i, frame, err, want)
-				}
-			}
-			g, err := Group([]Source{src}, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var boxed [][]any
-			for i := 0; i < g.Len(); i++ {
-				key := g.Key(i, NewKeyArena(1))
-				got := AppendGroupValues[worded](nil, g, i)
-				if len(got) != len(want[key]) {
-					t.Fatalf("budget %d: group %s holds %d values, want %d", budget, key, len(got), len(want[key]))
-				}
-				for j := range got {
-					if !sameWorded(got[j], want[key][j]) || !sameWorded(g.Values(i)[j].(worded), want[key][j]) {
-						t.Fatalf("budget %d: group %s value %d differs", budget, key, j)
-					}
-				}
-				boxed = append(boxed, g.Values(i))
-			}
-			g.Release()
-			fetched.Release()
-			b.Release(p)
-			// The released chunks go to the next column, which overwrites them.
-			var reuse Records
-			ones := make([]uint32, 40)
-			for i := range ones {
-				ones[i] = ^uint32(0)
-			}
+		for _, budget := range []int64{0, spillAt} {
+			b := NewBuffer(Config{Parts: parts, Budget: budget, Size: testSize, Fold: fold, Dir: t.TempDir()})
+			model := make([][]pair, parts)
 			for i := 0; i < n; i++ {
-				reuse.Append("x", worded{ws: ones}, 1)
+				v, key := wordedAt(i), fmt.Sprintf("k%02d", i%40)
+				if err := b.Add(i%40%parts, key, v); err != nil {
+					t.Fatal(err)
+				}
+				model[i%40%parts] = append(model[i%40%parts], pair{key, v})
 			}
-			for i, vs := range boxed {
-				for j, v := range vs {
-					if w := v.(worded); !sameWorded(w, want[fmt.Sprintf("k%02d", w.id%40)][int(w.id)/40]) {
-						t.Fatalf("budget %d: group %d value %d changed once the groups were released", budget, i, j)
+			if spilled := b.Stats().Runs > 0; spilled != (budget > 0) {
+				t.Fatalf("budget %d: %d spills", budget, b.Stats().Runs)
+			}
+			for p := 0; p < parts; p++ {
+				want := model[p]
+				slices.SortStableFunc(want, func(a, b pair) int { return strings.Compare(a.key, b.key) })
+				if fold != nil {
+					var folded []pair
+					for _, kv := range want {
+						if last := len(folded) - 1; last >= 0 && folded[last].key == kv.key {
+							folded[last].v = catWorded(folded[last].v, kv.v).(worded)
+						} else {
+							folded = append(folded, kv)
+						}
+					}
+					want = folded
+				}
+				var fetched Records
+				src, _, err := b.Fetch(p, &fetched, new(Fetcher))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := src.Recs.vals.(*tailed[worded, wordedHead]); !ok {
+					t.Fatalf("budget %d: partition %d is held in a %s", budget, p, src.Recs.Column())
+				}
+				for i := src.Lo; i < src.Hi; i++ {
+					key, v := src.Recs.At(i)
+					if want, _ := AppendRecord(nil, key, v); !slices.Equal(src.Recs.Frame(nil, i), want) {
+						t.Fatalf("budget %d: record %d frames as %x, want %x", budget, i, src.Recs.Frame(nil, i), want)
 					}
 				}
+				g, err := Group([]Source{src}, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []pair
+				var boxed [][]any
+				for i := 0; i < g.Len(); i++ {
+					key, vs := g.Key(i, NewKeyArena(1)), g.Values(i)
+					for j, v := range AppendGroupValues[worded](nil, g, i) {
+						if !sameWorded(v, vs[j].(worded)) {
+							t.Fatalf("budget %d: group %s value %d reads apart typed and boxed", budget, key, j)
+						}
+						got = append(got, pair{key, v})
+					}
+					boxed = append(boxed, vs)
+				}
+				if !slices.EqualFunc(got, want, func(a, b pair) bool { return a.key == b.key && sameWorded(a.v, b.v) }) {
+					t.Fatalf("budget %d, fold %v: partition %d groups %d values, the model %d, or they differ", budget, fold != nil, p, len(got), len(want))
+				}
+				g.Release()
+				fetched.Release()
+				b.Release(p)
+				// The released chunks go to the next column, which overwrites them.
+				var reuse Records
+				ones := make([]uint32, 40)
+				for i := range ones {
+					ones[i] = ^uint32(0)
+				}
+				for i := 0; i < n; i++ {
+					reuse.Append("x", worded{ws: ones}, 1)
+				}
+				var after []pair
+				for _, vs := range boxed {
+					for _, v := range vs {
+						after = append(after, pair{got[len(after)].key, v.(worded)})
+					}
+				}
+				if !slices.EqualFunc(after, want, func(a, b pair) bool { return a.key == b.key && sameWorded(a.v, b.v) }) {
+					t.Fatalf("budget %d: boxed values changed once the groups were released", budget)
+				}
+				reuse.Release()
 			}
-			reuse.Release()
 		}
 	}
 }
 
-// TestBoxedFetchesCounted: a partition of boxed values counts in
-// BoxedFetches when it is fetched, in memory or spilled; one in a column
-// of its own type does not.
-func TestBoxedFetchesCounted(t *testing.T) {
+// TestFetchKeepsColumnKind: a partition is fetched, in memory or spilled,
+// in the column it was held in — a []T for a type with pointers and for
+// one without, a tailed column for a tailed type — and partitions of two
+// types fetched into one Records are refused with ErrMixedValues.
+func TestFetchKeepsColumnKind(t *testing.T) {
 	for _, budget := range []int64{0, 256} {
-		for _, tc := range []struct {
-			v     func(i int) any
-			boxed bool
+		var mixed Records
+		f := new(Fetcher)
+		for k, tc := range []struct {
+			v      func(i int) any
+			column string
 		}{
-			{func(i int) any { return pointerful{xs: []int32{int32(i)}} }, true},
-			{func(i int) any { return int64(i) }, false},
-			{func(i int) any { return wordedAt(i) }, false},
+			{func(i int) any { return pointerful{xs: []int32{int32(i)}} }, "*spill.column[fsjoin/internal/spill.pointerful]"},
+			{func(i int) any { return int64(i) }, "*spill.column[int64]"},
+			{func(i int) any { return wordedAt(i) }, "*spill.tailed[fsjoin/internal/spill.worded,fsjoin/internal/spill.wordedHead]"},
 		} {
 			b := NewBuffer(Config{Parts: 2, Budget: budget, Size: testSize, Dir: t.TempDir()})
 			for i := 0; i < 50; i++ {
@@ -147,14 +186,12 @@ func TestBoxedFetchesCounted(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			before := BoxedFetches()
-			for p := 0; p < 2; p++ {
-				if _, _, err := b.Fetch(p, new(Records), new(Fetcher)); err != nil {
-					t.Fatal(err)
-				}
+			src, _, err := b.Fetch(0, new(Records), new(Fetcher))
+			if err != nil || src.Recs.Column() != tc.column || src.Hi-src.Lo != 50 {
+				t.Errorf("budget %d: %d records fetched into a %s (%v), want 50 into a %s", budget, src.Hi-src.Lo, src.Recs.Column(), err, tc.column)
 			}
-			if got := BoxedFetches() - before; (got == 1) != tc.boxed || got > 1 {
-				t.Errorf("budget %d, %T: %d boxed fetches", budget, tc.v(0), got)
+			if _, _, err := b.Fetch(0, &mixed, f); (err != nil) != (k > 0 && budget > 0) || err != nil && !errors.Is(err, ErrMixedValues) {
+				t.Errorf("budget %d: fetched a partition of %T after one of another type: %v", budget, tc.v(0), err)
 			}
 			b.Close()
 		}
@@ -195,8 +232,9 @@ func TestTailedDecodeAllocatesNothing(t *testing.T) {
 }
 
 // TestAppendGroupValuesEveryKind: an unfolded group reads as its values'
-// type out of a typed column, a tailed one and boxed values alike, and a
-// read as another type panics rather than returning nothing.
+// type out of a column of a pointer-free type, of a type with pointers and
+// of a tailed one alike, and a read as another type panics rather than
+// returning nothing.
 func TestAppendGroupValuesEveryKind(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -204,7 +242,7 @@ func TestAppendGroupValuesEveryKind(t *testing.T) {
 	}{
 		{"typed", []any{int64(1), int64(2), int64(3)}},
 		{"tailed", []any{wordedAt(1), wordedAt(2), wordedAt(3)}},
-		{"boxed", []any{int64(1), "two", int64(3)}},
+		{"pointerful", []any{"one", "two", "three"}},
 	} {
 		var recs Records
 		for _, v := range tc.vs {
@@ -223,6 +261,10 @@ func TestAppendGroupValuesEveryKind(t *testing.T) {
 				if got := AppendGroupValues[int64](nil, g, 0); !slices.Equal(got, []int64{1, 2, 3}) {
 					t.Errorf("%s: read as int64: %v", tc.name, got)
 				}
+			}
+		case string:
+			if got := AppendGroupValues[string](nil, g, 0); !slices.Equal(got, []string{"one", "two", "three"}) {
+				t.Errorf("%s: read as string: %v", tc.name, got)
 			}
 		case worded:
 			got := AppendGroupValues[worded](nil, g, 0)

@@ -1,14 +1,13 @@
 package spill
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
 
 // A segment is one spill's records of one partition: bytes [off, end) of
 // the buffer's spill file, in the order they were emitted, each a spill
-// frame (appendSpilled). A partition's segments are kept in memory, so
+// frame (Buffer.write). A partition's segments are kept in memory, so
 // each reduce task reads exactly its partition's byte ranges through an
 // independent SectionReader.
 type segment struct {
@@ -91,20 +90,7 @@ func (w *window) fill(at int) error {
 	return err
 }
 
-// appendSpilled appends record i of r as a spill file holds it: the record
-// in AppendRecord's form, then its accounted size as a uvarint, so that a
-// fetch accounts the decoded record without sizing its value again. The
-// size never leaves the process that wrote it: a spill file is read only
-// by the job that spilled it. On error buf is returned as given.
-func appendSpilled(buf []byte, r *Records, i int) ([]byte, error) {
-	out, err := r.Frame(buf, i)
-	if err != nil {
-		return buf, err
-	}
-	return binary.AppendUvarint(out, uint64(r.heads.At(i).bytes())), nil
-}
-
-// spilled consumes one frame appendSpilled wrote and appends its record
+// spilled consumes one spill frame (Buffer.write) and appends its record
 // to out (Records.decode). A frame that ends early fails d with
 // errTruncated and appends nothing; a key longer than MaxKeyLen, or a value
 // that is short or bad inside a whole frame, fails it with another error,

@@ -20,8 +20,9 @@
 #
 # The table is also written as JSON, to .bench_build/pairs/WORKLOAD/pairs.json,
 # and .bench_build/pairs/bench.json gathers every workload measured between
-# the same two commits on the same machine: the commits (git describe,
-# "-dirty" for uncommitted changes), each side's Go lines outside bench/
+# the same two sides on the same machine: their names (git describe, and
+# for uncommitted changes "-dirty" and a hash of the working tree, so that
+# consecutive BENCH_*.json files link), each side's Go lines outside bench/
 # as `make loc` counts them (non-test and test), the machine (CPUs,
 # GOMAXPROCS, Go version, kernel), and per workload the pairs, their
 # seconds and, per metric, each side's median and quartiles, the pairs won
@@ -30,7 +31,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,29p' "$0" >&2
+	sed -n '2,30p' "$0" >&2
 	exit 2
 fi
 change=$(cd "$(dirname "$0")/.." && pwd)
@@ -49,8 +50,24 @@ out="$change/.bench_build/pairs/$workload"
 rm -rf "$out"
 mkdir -p "$out"
 
-# What the JSON names: the two commits, their sizes and the machine.
-describe() { git -C "$1" describe --always --dirty --abbrev=12 2>/dev/null || echo unknown; }
+# What the JSON names: the two sides, their sizes and the machine. A
+# clean checkout is named by its commit (git describe); one with
+# uncommitted changes by its commit, "-dirty" and the hash of its working
+# tree — untracked files included, ignored ones not — written through a
+# temporary index, so the real index is untouched and two different edits
+# of one commit are told apart.
+describe() {
+	local name index tree
+	name=$(git -C "$1" describe --always --abbrev=12 2>/dev/null) || { echo unknown; return; }
+	if [ -n "$(git -C "$1" status --porcelain)" ]; then
+		index=$(mktemp)
+		cp "$(cd "$1" && realpath "$(git rev-parse --git-path index)")" "$index"
+		tree=$(cd "$1" && GIT_INDEX_FILE=$index git add -A && GIT_INDEX_FILE=$index git write-tree)
+		rm -f "$index"
+		name="$name-dirty-${tree:0:12}"
+	fi
+	echo "$name"
+}
 lines() { # dir find-args...: lines of the Go files outside bench/ that match
 	local dir=$1
 	shift
@@ -123,7 +140,7 @@ END {
 	}
 	printf "{%s,\n  \"workload\": \"%s\", \"pairs\": %d, \"seconds\": %s,\n  \"metrics\": {%s\n  }\n}\n", labels, w, pairs, seconds, rows > json
 }'
-# Gather every workload measured between the same commits on this machine.
+# Gather every workload measured between the same two sides on this machine.
 {
 	printf '{%s,\n  "workloads": {' "$labels"
 	sep=

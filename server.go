@@ -154,6 +154,11 @@ type ServerStats struct {
 	Queued      int
 	PeakQueued  int
 	MemoryInUse int64
+	// PooledBytes is what the shuffle's free lists hold for the next
+	// job's shuffle to reuse. It is process-wide — every Server and every
+	// direct join in the process shares the lists — and is not part of
+	// MemoryInUse: the pool counts leases only.
+	PooledBytes int64
 }
 
 // Server runs many joins concurrently under one global contract: a shared
@@ -612,7 +617,7 @@ func (s *Server) Stats() ServerStats {
 		Completed: s.completed, Failed: s.failed, Panicked: s.panicked,
 		MaintenanceFailed: s.maintFailed, MaintenancePanicked: s.maintPanicked,
 		Running: g.Running, Queued: g.Queued, PeakQueued: g.PeakQueued,
-		MemoryInUse: g.MemoryInUse,
+		MemoryInUse: g.MemoryInUse, PooledBytes: spill.PooledBytes(),
 	}
 }
 

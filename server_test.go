@@ -534,6 +534,28 @@ func TestServerShutdownDropsPooled(t *testing.T) {
 	}
 }
 
+// TestServerStatsPooledBytes: after a join, a Server whose pool is 256 KiB
+// reports the shuffle's free lists holding memory its pool does not count:
+// PooledBytes above zero, MemoryInUse zero.
+func TestServerStatsPooledBytes(t *testing.T) {
+	spill.DropPooled()
+	srv, err := NewServer(ServerOptions{MemoryBudget: 256 << 10, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	job := Job{
+		Collection: NewDictionary().NewTextCollection(corpus(2000, 7)),
+		Options:    Options{Threshold: 0.6, Nodes: 3},
+	}
+	if _, err := srv.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.PooledBytes <= 0 || st.MemoryInUse != 0 {
+		t.Fatalf("after a join: PooledBytes %d, MemoryInUse %d; want some pooled, none leased", st.PooledBytes, st.MemoryInUse)
+	}
+}
+
 func names(ents []os.DirEntry) []string {
 	out := make([]string, len(ents))
 	for i, e := range ents {
